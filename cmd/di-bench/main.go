@@ -3,9 +3,7 @@
 //
 // Usage:
 //
-//	di-bench [-run all|fig1a|fig1b|fig3|conv|fig4|table2|salting|tolerance|sizing|resilience|batch|replication|recovery|routing|stream|hierarchy|adaptive] [-quick] [-strategy wbf]
-//	di-bench -run batch -batch-out BENCH_batch.json
-//	di-bench -batch-check BENCH_batch.json
+//	di-bench [-run all|fig1a|fig1b|fig3|conv|fig4|table2|salting|tolerance|sizing|resilience|replication|recovery|routing|stream|hierarchy|adaptive] [-quick] [-strategy wbf]
 //	di-bench -run replication -replication-out BENCH_replication.json
 //	di-bench -replication-check BENCH_replication.json
 //	di-bench -run recovery -recovery-out BENCH_recovery.json
@@ -23,12 +21,6 @@
 // minutes); -quick shrinks the workloads for a fast smoke run. -strategy
 // selects which strategy the resilience experiment degrades (naive, bf or
 // wbf).
-//
-// -run batch measures the batched search pipeline against the unbatched
-// legacy pipeline over TCP loopback and, with -batch-out, records the
-// result as the repository's perf baseline (BENCH_batch.json).
-// -batch-check validates a previously recorded baseline file and exits
-// non-zero if it is empty or malformed — the CI gate.
 //
 // -run routing measures the summary-routed search pipeline against full
 // fan-out over TCP loopback — selective queries on a replicated
@@ -105,11 +97,9 @@ import (
 
 func main() {
 	var (
-		run              = flag.String("run", "all", "experiment to run: all, fig1a, fig1b, fig3, conv, fig4, table2, salting, tolerance, sizing, resilience, batch, replication, recovery, routing, stream, hierarchy, adaptive")
+		run              = flag.String("run", "all", "experiment to run: all, fig1a, fig1b, fig3, conv, fig4, table2, salting, tolerance, sizing, resilience, replication, recovery, routing, stream, hierarchy, adaptive")
 		quick            = flag.Bool("quick", false, "use reduced workloads (seconds instead of minutes)")
 		strategy         = flag.String("strategy", "wbf", "strategy for the resilience experiment (naive, bf, wbf)")
-		batchOut         = flag.String("batch-out", "", "with -run batch: also write the report as JSON to this file")
-		batchCheck       = flag.String("batch-check", "", "validate a recorded BENCH_batch.json and exit (no experiments run)")
 		replicationOut   = flag.String("replication-out", "", "with -run replication: also write the report as JSON to this file")
 		replicationCheck = flag.String("replication-check", "", "validate a recorded BENCH_replication.json and exit (no experiments run)")
 		recoveryOut      = flag.String("recovery-out", "", "with -run recovery: also write the report as JSON to this file")
@@ -124,14 +114,6 @@ func main() {
 		adaptiveCheck    = flag.String("adaptive-check", "", "validate a recorded BENCH_adaptive.json and exit (no experiments run)")
 	)
 	flag.Parse()
-	if *batchCheck != "" {
-		if err := checkBatchFile(*batchCheck); err != nil {
-			fmt.Fprintln(os.Stderr, "di-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: valid batch baseline\n", *batchCheck)
-		return
-	}
 	if *replicationCheck != "" {
 		if err := checkReplicationFile(*replicationCheck); err != nil {
 			fmt.Fprintln(os.Stderr, "di-bench:", err)
@@ -185,7 +167,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "di-bench:", err)
 		os.Exit(1)
 	}
-	if err := runExperiments(*run, *quick, strat, *batchOut, *replicationOut, *recoveryOut, *routingOut, *streamOut, *hierarchyOut, *adaptiveOut); err != nil {
+	if err := runExperiments(*run, *quick, strat, *replicationOut, *recoveryOut, *routingOut, *streamOut, *hierarchyOut, *adaptiveOut); err != nil {
 		fmt.Fprintln(os.Stderr, "di-bench:", err)
 		os.Exit(1)
 	}
@@ -210,11 +192,6 @@ func checkBaselineFile(path string, check func(io.Reader) error) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
-}
-
-// checkBatchFile validates a recorded batch baseline.
-func checkBatchFile(path string) error {
-	return checkBaselineFile(path, bench.CheckBatchBenchJSON)
 }
 
 // checkReplicationFile validates a recorded replication baseline.
@@ -460,39 +437,7 @@ func runRecoveryBaseline(w *os.File, quick bool, out string) error {
 	return nil
 }
 
-// runBatchBaseline runs the batch sweep, prints it, and optionally records
-// the JSON baseline.
-func runBatchBaseline(w *os.File, quick bool, out string) error {
-	cfg := bench.BatchBenchConfig{}
-	if quick {
-		cfg.Persons = 600
-		cfg.Repetitions = 4
-	}
-	r, err := bench.RunBatchBench(context.Background(), cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderBatchBench(w, r)
-	fmt.Fprintln(w)
-	if out == "" {
-		return nil
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteBatchBenchJSON(f, r); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "baseline recorded to %s\n", out)
-	return nil
-}
-
-func runExperiments(run string, quick bool, strat dimatch.Strategy, batchOut, replicationOut, recoveryOut, routingOut, streamOut, hierarchyOut, adaptiveOut string) error {
+func runExperiments(run string, quick bool, strat dimatch.Strategy, replicationOut, recoveryOut, routingOut, streamOut, hierarchyOut, adaptiveOut string) error {
 	selected := func(name string) bool { return run == "all" || run == name }
 	any := false
 	w := os.Stdout
@@ -626,12 +571,6 @@ func runExperiments(run string, quick bool, strat dimatch.Strategy, batchOut, re
 		bench.RenderResilience(w, rows)
 		fmt.Fprintln(w)
 	}
-	if selected("batch") {
-		any = true
-		if err := runBatchBaseline(os.Stdout, quick, batchOut); err != nil {
-			return err
-		}
-	}
 	if selected("replication") {
 		any = true
 		if err := runReplicationBaseline(os.Stdout, quick, replicationOut); err != nil {
@@ -669,7 +608,7 @@ func runExperiments(run string, quick bool, strat dimatch.Strategy, batchOut, re
 		}
 	}
 	if !any {
-		return fmt.Errorf("unknown experiment %q (want one of: all fig1a fig1b fig3 conv fig4 table2 salting tolerance sizing resilience batch replication recovery routing stream hierarchy adaptive)", strings.TrimSpace(run))
+		return fmt.Errorf("unknown experiment %q (want one of: all fig1a fig1b fig3 conv fig4 table2 salting tolerance sizing resilience replication recovery routing stream hierarchy adaptive)", strings.TrimSpace(run))
 	}
 	return nil
 }

@@ -79,7 +79,7 @@ func main() {
 		topK      = flag.Int("topk", 10, "center: result size")
 		strategy  = flag.String("strategy", "wbf", "center: search strategy (naive, bf, wbf)")
 		queries   = flag.Int("queries", 1, "center: total queries in the search batch (the reference person, padded with further references)")
-		batch     = flag.Int("batch", 0, "center: WithBatching bound: 0 packs all queries into one wire exchange per station, 1 sends legacy per-query frames, n>1 splits into rounds of n")
+		batch     = flag.Int("batch", 0, "center: WithBatching bound: 0 packs all queries into one wire exchange per station, n>=1 splits into rounds of n queries")
 		routing   = flag.String("routing", "summary", "center: fan-out routing mode: summary (prune stations via cached summaries) or full (classic every-station fan-out)")
 		timeout   = flag.Duration("timeout", time.Minute, "center: per-search deadline (0 for none)")
 		churn     = flag.Bool("churn", false, "run the in-process live-mutation demo (ignores -role)")

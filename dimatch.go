@@ -138,12 +138,10 @@ func WithMinScore(s float64) SearchOption { return cluster.WithMinScore(s) }
 // WithTargetFP overrides the auto-sizing false-positive target.
 func WithTargetFP(fp float64) SearchOption { return cluster.WithTargetFP(fp) }
 
-// WithBatching bounds how many queries a WBF search packs into one batched
-// wire exchange. n <= 0 (the default) packs the whole query set into a
-// single exchange per station, n > 1 splits it into rounds of at most n
-// queries, and n == 1 disables batching — one filter and one frame per
-// query, which is also what stations speaking an older wire version are
-// served automatically. Batching changes traffic and latency; true matches
+// WithBatching bounds how many queries a WBF search packs into one round.
+// n <= 0 (the default) packs the whole query set into a single exchange per
+// station; n >= 1 splits it into rounds of at most n queries, each with its
+// own combined filter. Batching changes traffic and latency; true matches
 // rank identically at every batch size, though with auto-sized filters
 // (Params.Bits == 0) the per-round sizing can shift which rare Bloom false
 // positives slip through.
@@ -274,16 +272,6 @@ func (c *Cluster) Search(ctx context.Context, queries []Query, opts ...SearchOpt
 	return c.inner.Search(ctx, queries, opts...)
 }
 
-// SearchWithStrategy runs one batch under a fixed strategy with the
-// cluster's default options and no cancellation — the pre-context API.
-//
-// Deprecated: Use Search with WithStrategy, which adds context support and
-// per-call options. SearchWithStrategy remains only so existing callers can
-// migrate incrementally.
-func (c *Cluster) SearchWithStrategy(queries []Query, strategy Strategy) (*Outcome, error) {
-	return c.inner.Search(context.Background(), queries, cluster.WithStrategy(strategy)) //dimatch:allow ctxflow — deprecated pre-context shim kept for migration
-}
-
 // Ingest adds (or replaces) resident patterns at one station of a running
 // cluster — the center routing freshly observed call data to the station
 // that saw it. The mutation travels the station's own request/reply loop,
@@ -381,13 +369,12 @@ func (c *Cluster) RoutingState() RoutingState { return c.inner.RoutingState() }
 
 // RederiveParams derives a fresh adaptive digest parameter plan from the
 // traffic profiled by routed searches since the last derivation and rolls
-// it out to every capable station as one epoch-atomic fan-out (wire v7).
-// Each station redistributes its unchanged static memory budget toward the
-// positions the traffic actually probes; results stay byte-identical to a
-// never-adapted cluster and recall stays 1 — only who gets visited changes.
-// Pre-v7 stations and region delegates are skipped; a station that cannot
-// honor the plan degrades to its exact static behavior. See
-// docs/OPERATIONS.md, "Adaptive parameters".
+// it out to every plain station as one epoch-atomic fan-out. Each station
+// redistributes its unchanged static memory budget toward the positions the
+// traffic actually probes; results stay byte-identical to a never-adapted
+// cluster and recall stays 1 — only who gets visited changes. Region
+// delegates are skipped; a station that cannot honor the plan degrades to
+// its exact static behavior. See docs/OPERATIONS.md, "Adaptive parameters".
 func (c *Cluster) RederiveParams(ctx context.Context) (*ParamRollout, error) {
 	return c.inner.RederiveParams(ctx)
 }

@@ -61,7 +61,7 @@
 //
 // # Routed searches
 //
-// Summary routing is on by default: every station can answer a wire-v5
+// Summary routing is on by default: every station can answer a
 // summary pull with a compact Bloom digest of its residents' accumulated
 // cells, the coordinator caches the digests (ingest delta-updates them,
 // evict and membership changes invalidate them), and each WBF search visits
@@ -87,7 +87,7 @@
 // descends unions instead of scanning leaves, and ServeRegion moves whole
 // subtrees out of process — a region coordinator is a full cluster over
 // its member stations that serves its parent like one big station,
-// answering delegated search rounds (wire v6) with raw partials the root
+// answering delegated search rounds with raw partials the root
 // merges, ranks and verifies globally:
 //
 //	sub, err := dimatch.NewEmptyCluster(opts, memberIDs, length)
@@ -109,7 +109,7 @@
 // the digests prove nobody can serve. RederiveParams solves a Daisy-style
 // allocation over that profile — per-position bit budgets, hash counts
 // and quanta under each station's unchanged memory budget — and rolls the
-// plan out to every wire-v7 station as one epoch-atomic parameter update;
+// plan out to every plain station as one epoch-atomic parameter update;
 // searches stamp the epoch they ran under into CostReport.ParamEpoch and
 // ResetParams reverts the fleet to static the same way:
 //
@@ -119,25 +119,22 @@
 //
 // Adaptation redistributes admission bits, never match behavior: results
 // stay byte-identical to a never-adapted cluster, recall stays 1, and
-// every failure path — a pre-v7 station, a plan a station cannot honor, a
-// failed exchange, a solver that cannot beat static — degrades to the
-// static table. BENCH_adaptive.json records the gain at equal memory on a
-// Zipfian traffic mix and docs/OPERATIONS.md covers when to rederive and
-// how to size Options.AdaptWindow.
+// every failure path — a plan a station cannot honor, a failed exchange, a
+// solver that cannot beat static — degrades to the static table.
+// BENCH_adaptive.json records the gain at equal memory on a Zipfian traffic
+// mix and docs/OPERATIONS.md covers when to rederive and how to size
+// Options.AdaptWindow.
 //
 // # Batched searches
 //
-// A WBF search ships its whole query set in one batched wire exchange per
-// station by default; each station answers the batch with a single walk
-// over its resident store, parallelized across a bounded worker pool.
-// WithBatching(n) bounds the batch per call (Options.BatchSize sets the
-// cluster default): 0 packs everything into one round, n > 1 splits into
-// rounds of n, and 1 disables batching — one filter and one frame per
-// query, which is also what stations speaking a pre-batch wire version
-// are served automatically. Batching changes traffic and latency, not the
+// A WBF search ships its whole query set in one wire exchange per station
+// by default; each station answers the round with a single walk over its
+// resident store, parallelized across a bounded worker pool.
+// WithBatching(n) bounds the round per call (Options.BatchSize sets the
+// cluster default): 0 packs everything into one round, n >= 1 splits into
+// rounds of n queries. Batching changes traffic and latency, not the
 // ranking of true matches (auto-sized filters can shift which rare Bloom
-// false positives slip through, as any resizing does); BENCH_batch.json
-// records the measured difference and ARCHITECTURE.md the methodology.
+// false positives slip through, as any resizing does).
 //
 // # Live clusters
 //

@@ -70,3 +70,29 @@ func TestDocsBaselinesReferenced(t *testing.T) {
 		}
 	}
 }
+
+// wireKindConst matches one Kind constant declaration in internal/wire.
+var wireKindConst = regexp.MustCompile(`(?m)^\t(Kind\w+) +Kind = (\d+)$`)
+
+// TestDocsWireKindTable pins docs/WIRE.md's kind table to the code: every
+// wire.Kind constant appears in it with its wire value, so a kind cannot
+// ship undocumented or be renumbered in only one place.
+func TestDocsWireKindTable(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("internal", "wire", "wire.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(filepath.Join("docs", "WIRE.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := wireKindConst.FindAllStringSubmatch(string(src), -1)
+	if len(kinds) == 0 {
+		t.Fatal("found no Kind constants in internal/wire/wire.go")
+	}
+	for _, k := range kinds {
+		if row := "| `" + k[1] + "` | " + k[2] + " |"; !strings.Contains(string(doc), row) {
+			t.Errorf("docs/WIRE.md kind table has no row %q", row)
+		}
+	}
+}

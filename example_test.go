@@ -41,8 +41,8 @@ func ExampleCluster_Search() {
 }
 
 // ExampleCluster_Search_options overrides the cluster defaults for one
-// call: keep only the best answer, verify it exactly against fetched
-// patterns, and run the legacy unbatched pipeline for comparison.
+// call: keep only the best answer and verify it exactly against fetched
+// patterns.
 func ExampleCluster_Search_options() {
 	c, err := dimatch.NewCluster(dimatch.Options{}, exampleData())
 	if err != nil {
@@ -54,7 +54,6 @@ func ExampleCluster_Search_options() {
 	out, err := c.Search(context.Background(), []dimatch.Query{q},
 		dimatch.WithTopK(1),
 		dimatch.WithVerify(true),
-		dimatch.WithBatching(1), // legacy per-query frames; results identical
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -62,10 +61,8 @@ func ExampleCluster_Search_options() {
 	for _, r := range out.PerQuery[1] {
 		fmt.Printf("person %d verified at %.1f\n", r.Person, r.Score())
 	}
-	fmt.Printf("batched rounds used: %d\n", out.Cost.Batches)
 	// Output:
 	// person 10 verified at 1.0
-	// batched rounds used: 0
 }
 
 // ExampleCluster_Search_routing shows summary routing pruning fan-out: the

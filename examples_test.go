@@ -181,8 +181,8 @@ func TestReadmeStrategyTable(t *testing.T) {
 
 // TestReadmeBatchingClaims backs the "Batched searches" section: default
 // batching packs a multi-query search into one exchange per station,
-// WithBatching(1) reproduces the legacy per-query traffic, and results are
-// identical either way.
+// WithBatching(n) splits it into rounds of n, and results are identical
+// either way.
 func TestReadmeBatchingClaims(t *testing.T) {
 	data := map[uint32]map[dimatch.PersonID]dimatch.Pattern{
 		0: {10: {1, 2, 3}},
@@ -204,7 +204,7 @@ func TestReadmeBatchingClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := c.Search(ctx, queries, dimatch.WithBatching(1))
+	split, err := c.Search(ctx, queries, dimatch.WithBatching(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,18 +212,18 @@ func TestReadmeBatchingClaims(t *testing.T) {
 		t.Fatalf("batched: %d msgs down, %d rounds; want one exchange per station",
 			batched.Cost.MessagesDown, batched.Cost.Batches)
 	}
-	if legacy.Cost.MessagesDown != 6 || legacy.Cost.Batches != 0 {
-		t.Fatalf("legacy: %d msgs down, %d rounds; want one frame per query per station",
-			legacy.Cost.MessagesDown, legacy.Cost.Batches)
+	if split.Cost.MessagesDown != 4 || split.Cost.Batches != 2 {
+		t.Fatalf("rounds of two: %d msgs down, %d rounds; want two exchanges per station",
+			split.Cost.MessagesDown, split.Cost.Batches)
 	}
 	for _, q := range queries {
-		b, l := batched.PerQuery[q.ID], legacy.PerQuery[q.ID]
+		b, l := batched.PerQuery[q.ID], split.PerQuery[q.ID]
 		if len(b) != len(l) {
 			t.Fatalf("query %d: %d vs %d results", q.ID, len(b), len(l))
 		}
 		for i := range b {
 			if b[i].Person != l[i].Person || b[i].Numerator != l[i].Numerator {
-				t.Fatalf("query %d result %d differs between modes", q.ID, i)
+				t.Fatalf("query %d result %d differs between round sizes", q.ID, i)
 			}
 		}
 	}

@@ -20,9 +20,9 @@
 // quantization steps that implement the per-band ε scaling — positions
 // probed with wide bands get coarse quanta, so a band probe costs a bounded
 // number of lookups instead of one per value. The plan travels to stations
-// over wire v7 (KindParamUpdate) and every failure path — stations below
-// v7, a plan that cannot fit, a mid-rollout crash — degrades to the static
-// table, never to a mixed or unsound digest.
+// as a KindParamUpdate and every failure path — a plan that cannot fit, a
+// mid-rollout crash — degrades to the static table, never to a mixed or
+// unsound digest.
 package adapt
 
 import (

@@ -1,5 +1,5 @@
 // Package lockio forbids blocking wire I/O while a mutex is held: no
-// Mux.Roundtrip/RoundtripMany and no link Send under any sync.Mutex or
+// Mux.Roundtrip and no link Send under any sync.Mutex or
 // sync.RWMutex. A roundtrip parks the caller until a remote station
 // answers; holding a cluster or summaryCache mutex across that wait is the
 // deadlock-by-distance class the routing generation guard (PR 5) exists to
@@ -7,7 +7,7 @@
 // critical section.
 //
 // The two deliberate exceptions in the tree (Mux.Send serializing frames
-// under its own sendMu, and RoundtripMany's send goroutine doing the same)
+// under its own sendMu, and Roundtrip's send goroutine doing the same)
 // carry //dimatch:allow lockio suppressions with rationale.
 package lockio
 
@@ -51,7 +51,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // blockingIO classifies a call as forbidden-under-lock wire I/O: any
-// Roundtrip/RoundtripMany method, or a Send method on a Mux or on a link
+// Roundtrip method, or a Send method on a Mux or on a link
 // (an interface that also declares Recv).
 func blockingIO(info *types.Info, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -64,7 +64,7 @@ func blockingIO(info *types.Info, call *ast.CallExpr) string {
 	}
 	recv := selection.Recv()
 	switch sel.Sel.Name {
-	case "Roundtrip", "RoundtripMany":
+	case "Roundtrip":
 		return "call to " + typeName(recv) + "." + sel.Sel.Name
 	case "Send":
 		if isMux(recv) || isLinkInterface(recv) {

@@ -19,10 +19,6 @@ type Link interface {
 type Mux struct{ link Link }
 
 func (m *Mux) Roundtrip(ctx context.Context, msg Message) (Message, error) {
-	return m.RoundtripMany(ctx, msg)
-}
-
-func (m *Mux) RoundtripMany(ctx context.Context, msg Message) (Message, error) {
 	if err := m.link.Send(msg); err != nil {
 		return Message{}, err
 	}

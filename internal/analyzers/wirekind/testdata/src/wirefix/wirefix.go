@@ -1,6 +1,5 @@
 // Package wire is a miniature of the real wire package for analyzer tests:
-// a Kind type with a version-gating map and a String table, seeded with one
-// constant missing from each.
+// a Kind type with a String table, seeded with one constant missing from it.
 package wire
 
 type Kind uint8
@@ -8,21 +7,9 @@ type Kind uint8
 const (
 	KindA Kind = 1
 	KindB Kind = 2
-	KindC Kind = 3 // want `wire kind KindC is not registered in the version-gating table`
+	KindC Kind = 3
 	KindD Kind = 4 // want `wire kind KindD has no case in Kind.String`
 )
-
-var kindFloors = map[Kind]uint8{
-	KindA: 1,
-	KindB: 2,
-	KindD: 1,
-}
-
-// MinVersion keeps kindFloors referenced.
-func MinVersion(k Kind) (uint8, bool) {
-	v, ok := kindFloors[k]
-	return v, ok
-}
 
 func (k Kind) String() string {
 	switch k {

@@ -1,11 +1,10 @@
-// Package wirekind enforces the wire-protocol registration invariant: a
-// message kind that the version-gating table or the String table does not
-// know is a kind that old peers cannot reject cleanly (docs/WIRE.md).
+// Package wirekind enforces the wire-protocol registration invariants
+// (docs/WIRE.md).
 //
 // In the package that declares the Kind type (internal/wire), every
-// exported Kind constant must appear as a key of the version-gating map
-// (the package-level map[Kind]uint8) and as a case of Kind.String. In every
-// package, a switch over a Kind-typed value must carry a default clause, so
+// exported Kind constant must appear as a case of Kind.String, so a kind
+// never prints as a bare number in logs and errors. In every package, a
+// switch over a Kind-typed value must carry a default clause, so
 // a newly added kind falls into explicit unknown-handling instead of being
 // silently dropped; and the error result of a wire Encode*/Decode* call
 // must not be discarded.
@@ -22,7 +21,7 @@ import (
 // Analyzer is the wirekind pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "wirekind",
-	Doc:  "check that every wire.Kind is version-gated, stringable, and dispatched with a default",
+	Doc:  "check that every wire.Kind is stringable and dispatched with a default, and no codec error is dropped",
 	Run:  run,
 }
 
@@ -53,8 +52,8 @@ func lookupKindType(pkg *types.Package) *types.Named {
 	return named
 }
 
-// checkRegistration verifies every exported Kind constant is a key of the
-// version-gating map and a case of Kind.String.
+// checkRegistration verifies every exported Kind constant is a case of
+// Kind.String.
 func checkRegistration(pass *analysis.Pass, kindType *types.Named) {
 	var consts []*types.Const
 	scope := pass.Pkg.Scope()
@@ -68,66 +67,12 @@ func checkRegistration(pass *analysis.Pass, kindType *types.Named) {
 		return
 	}
 
-	gating, gatingFound := gatingKeys(pass, kindType)
 	strung, stringFound := stringCases(pass, kindType)
 	for _, c := range consts {
-		if gatingFound && !gating[c.Name()] {
-			pass.Reportf(c.Pos(), "wire kind %s is not registered in the version-gating table", c.Name())
-		}
 		if stringFound && !strung[c.Name()] {
 			pass.Reportf(c.Pos(), "wire kind %s has no case in Kind.String", c.Name())
 		}
 	}
-}
-
-// gatingKeys collects the constant names used as keys of the package-level
-// map[Kind]<integer> literal (the version-gating table).
-func gatingKeys(pass *analysis.Pass, kindType *types.Named) (map[string]bool, bool) {
-	keys := make(map[string]bool)
-	found := false
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			gen, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gen.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for _, v := range vs.Values {
-					lit, ok := v.(*ast.CompositeLit)
-					if !ok || !isKindKeyedMap(pass.TypesInfo.TypeOf(lit), kindType) {
-						continue
-					}
-					found = true
-					for _, elt := range lit.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						if id := constName(kv.Key); id != "" {
-							keys[id] = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return keys, found
-}
-
-func isKindKeyedMap(t types.Type, kindType *types.Named) bool {
-	m, ok := t.(*types.Map)
-	if !ok {
-		return false
-	}
-	if !types.Identical(m.Key(), kindType) {
-		return false
-	}
-	basic, ok := m.Elem().Underlying().(*types.Basic)
-	return ok && basic.Info()&types.IsInteger != 0
 }
 
 // stringCases collects the constant names appearing as switch cases in the

@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
-	"sort"
-	"sync/atomic"
+	"errors"
+	"net"
+	"reflect"
 	"testing"
 
 	"dimatch/internal/core"
@@ -13,14 +13,20 @@ import (
 	"dimatch/internal/wire"
 )
 
-func batchTestCluster(t *testing.T) *Cluster {
-	t.Helper()
-	data := map[uint32]map[core.PersonID]pattern.Pattern{
-		0: {10: {1, 2, 3}, 11: {3, 4, 5}},
+// batchTestData splits person 10 across two stations and gives every other
+// person a global no other query sums to, so each query's oracle answer is
+// exactly what local matching can reach.
+func batchTestData() map[uint32]map[core.PersonID]pattern.Pattern {
+	return map[uint32]map[core.PersonID]pattern.Pattern{
+		0: {10: {1, 2, 3}, 11: {3, 4, 6}},
 		1: {10: {2, 2, 2}, 12: {9, 9, 9}},
 		2: {13: {5, 0, 5}, 14: {1, 1, 1}},
 	}
-	c, err := New(Options{}, data)
+}
+
+func batchTestCluster(t *testing.T) *Cluster {
+	t.Helper()
+	c, err := New(Options{}, batchTestData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,55 +38,58 @@ func batchTestCluster(t *testing.T) *Cluster {
 func batchTestQueries() []core.Query {
 	return []core.Query{
 		{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}, {2, 2, 2}}},
-		{ID: 2, Locals: []pattern.Pattern{{3, 4, 5}}},
+		{ID: 2, Locals: []pattern.Pattern{{3, 4, 6}}},
 		{ID: 3, Locals: []pattern.Pattern{{9, 9, 9}}},
 		{ID: 4, Locals: []pattern.Pattern{{5, 0, 5}}},
 		{ID: 5, Locals: []pattern.Pattern{{1, 1, 1}}},
 	}
 }
 
-// TestBatchedMatchesLegacyResults pins the central equivalence: every batch
-// size — all-in-one, split rounds, and the fully legacy per-query path —
-// must return identical ranked answers.
-func TestBatchedMatchesLegacyResults(t *testing.T) {
+// TestRoundSizesMatchSingleRound pins the central equivalence: every round
+// size — one query per round, split rounds, exactly the set, and the
+// all-in-one default — returns a result set byte-equal to the single
+// all-in-one round, at recall 1.0 against the oracle.
+func TestRoundSizesMatchSingleRound(t *testing.T) {
 	c := batchTestCluster(t)
 	queries := batchTestQueries()
 	ctx := context.Background()
 
-	want, err := c.Search(ctx, queries) // default: one batched round
+	want, err := c.Search(ctx, queries) // default: the single all-in-one round
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Cost.Batches != 1 {
-		t.Fatalf("default search Batches = %d, want 1", want.Cost.Batches)
-	}
 	for _, q := range queries {
-		if len(want.PerQuery[q.ID]) == 0 {
-			t.Fatalf("query %d matched nothing; test data broken", q.ID)
+		truth, err := Oracle(batchTestData(), q, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(truth) == 0 {
+			t.Fatalf("query %d matches nothing; test data broken", q.ID)
+		}
+		got := make(map[core.PersonID]bool)
+		for _, p := range want.Persons(q.ID) {
+			got[p] = true
+		}
+		for _, p := range truth {
+			if !got[p] {
+				t.Fatalf("query %d: oracle person %d missing from %v", q.ID, p, want.Persons(q.ID))
+			}
 		}
 	}
 
-	for _, n := range []int{1, 2, 3, 100} {
+	for _, n := range []int{1, 2, 3, len(queries), 0} {
 		got, err := c.Search(ctx, queries, WithBatching(n))
 		if err != nil {
-			t.Fatalf("batch size %d: %v", n, err)
+			t.Fatalf("round size %d: %v", n, err)
 		}
-		for _, q := range queries {
-			w, g := want.PerQuery[q.ID], got.PerQuery[q.ID]
-			if len(w) != len(g) {
-				t.Fatalf("batch size %d query %d: %d results, want %d", n, q.ID, len(g), len(w))
-			}
-			for i := range w {
-				if w[i].Person != g[i].Person || w[i].Numerator != g[i].Numerator || w[i].Denominator != g[i].Denominator {
-					t.Fatalf("batch size %d query %d result %d: %+v, want %+v", n, q.ID, i, g[i], w[i])
-				}
-			}
+		if !reflect.DeepEqual(got.PerQuery, want.PerQuery) {
+			t.Fatalf("round size %d: results %v, want %v", n, got.PerQuery, want.PerQuery)
 		}
 	}
 }
 
-// TestBatchingCostAccounting pins the messages-per-query contract that the
-// batch pipeline exists for.
+// TestBatchingCostAccounting pins the messages-per-query contract: one
+// exchange per station per round, at every round size.
 func TestBatchingCostAccounting(t *testing.T) {
 	c := batchTestCluster(t)
 	queries := batchTestQueries() // 5 queries over 3 stations
@@ -94,7 +103,7 @@ func TestBatchingCostAccounting(t *testing.T) {
 	}{
 		{name: "default one round", opts: nil, wantDown: 3, wantBatches: 1},
 		{name: "rounds of two", opts: []SearchOption{WithBatching(2)}, wantDown: 9, wantBatches: 3},
-		{name: "legacy per-query", opts: []SearchOption{WithBatching(1)}, wantDown: 15, wantBatches: 0},
+		{name: "rounds of one", opts: []SearchOption{WithBatching(1)}, wantDown: 15, wantBatches: 5},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -118,140 +127,57 @@ func TestBatchingCostAccounting(t *testing.T) {
 	}
 }
 
-// serveV2Station emulates a pre-batch (wire version ≤ 2) base station: it
-// answers stats with the legacy four-field payload (no MaxVersion byte) and
-// handles per-query WBF frames, but has never heard of KindBatchQuery — if
-// one arrives, the violation is recorded and the link dies, exactly as an
-// old binary would fail on an unknown kind.
-func serveV2Station(id uint32, locals map[core.PersonID]pattern.Pattern, link transport.Link, sawBatch *atomic.Bool) {
-	persons := make([]core.PersonID, 0, len(locals))
-	for p := range locals {
-		persons = append(persons, p)
-	}
-	sort.Slice(persons, func(i, j int) bool { return persons[i] < persons[j] })
-	pats := make([]pattern.Pattern, len(persons))
-	length := 0
-	var storage uint64
-	for i, p := range persons {
-		pats[i] = locals[p]
-		length = len(pats[i])
-		storage += 8 * uint64(len(pats[i]))
-	}
-	for {
-		msg, err := link.Recv()
-		if err != nil {
-			return
-		}
-		var reply wire.Message
-		switch msg.Kind {
-		case wire.KindStats:
-			var buf []byte
-			buf = binary.AppendUvarint(buf, uint64(id))
-			buf = binary.AppendUvarint(buf, uint64(len(persons)))
-			buf = binary.AppendUvarint(buf, storage)
-			buf = binary.AppendUvarint(buf, uint64(length))
-			reply = wire.Message{Kind: wire.KindStatsReply, Payload: buf}
-		case wire.KindWBFQuery:
-			f, err := wire.DecodeWBFQuery(msg)
-			if err != nil {
-				return
-			}
-			reports, err := core.MatchResidents(f, persons, pats, 1)
-			if err != nil {
-				return
-			}
-			reply = wire.EncodeReports(wire.Reports{Station: id, Reports: reports})
-		case wire.KindBatchQuery:
-			sawBatch.Store(true)
-			return
-		case wire.KindShutdown:
-			return
-		default:
-			return
-		}
-		if err := link.Send(reply.WithRequest(msg.Request)); err != nil {
-			return
-		}
-	}
-}
-
-// TestV2PeerFallsBackToPerQueryFrames is the negotiation test: a cluster
-// with one version-3 station and one version-2 station serves the modern
-// one a single batch frame and the old one per-query frames, and the two
-// stations' reports still merge into one exact answer.
-func TestV2PeerFallsBackToPerQueryFrames(t *testing.T) {
-	modernCenter, modernStation := transport.Pipe(nil, nil)
-	oldCenter, oldStation := transport.Pipe(nil, nil)
-
+// TestForeignVersionPeerIsCountedFailed: a peer built from other source —
+// its frames stamped with a version this codec does not speak — is refused
+// at its first reply. The search neither hangs nor panics: the peer is
+// counted in StationsFailed, its link carries the typed wire.ErrBadVersion,
+// and the other stations' results are intact.
+func TestForeignVersionPeerIsCountedFailed(t *testing.T) {
+	goodCenter, goodStation := transport.Pipe(nil, nil)
 	go func() {
-		_ = NewStation(1, map[core.PersonID]pattern.Pattern{
-			10: {1, 2, 3}, 11: {3, 4, 5},
-		}, modernStation).Serve()
+		_ = NewStation(1, map[core.PersonID]pattern.Pattern{10: {1, 2, 3}, 11: {3, 4, 5}}, goodStation).Serve()
 	}()
-	var sawBatch atomic.Bool
-	go serveV2Station(2, map[core.PersonID]pattern.Pattern{
-		10: {2, 2, 2}, 12: {9, 9, 9},
-	}, oldStation, &sawBatch)
+	// The foreign peer needs a byte-level link: the version lives in the
+	// encoded frame, which the in-process pipe never produces.
+	centerConn, peerConn := net.Pipe()
+	go func() {
+		defer peerConn.Close()
+		for {
+			req, err := wire.ReadMessage(peerConn)
+			if err != nil || req.Kind == wire.KindShutdown {
+				return
+			}
+			frame := wire.EncodeStatsReply(wire.StatsReply{Station: 2, Length: 3}).WithRequest(req.Request).Encode()
+			frame[2] = 3 // what a pre-collapse build stamped on batch frames
+			if _, err := peerConn.Write(frame); err != nil {
+				return
+			}
+		}
+	}()
 
 	c, err := NewWithLinks(Options{}, map[uint32]transport.Link{
-		1: modernCenter,
-		2: oldCenter,
+		1: goodCenter,
+		2: transport.NewTCPLink(centerConn, nil, nil),
 	}, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	ctx := context.Background()
 
-	// The stats snapshot must expose the version asymmetry.
-	st, err := c.Stats(ctx)
+	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{{3, 4, 5}}}}
+	out, err := c.Search(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Stations) != 2 || st.Stations[0].WireVersion != int(wire.LatestVersion) || st.Stations[1].WireVersion != int(wire.Version2) {
-		t.Fatalf("stats versions: %+v", st.Stations)
+	if out.Cost.StationsFailed != 1 {
+		t.Fatalf("StationsFailed = %d, want 1", out.Cost.StationsFailed)
 	}
-
-	queries := []core.Query{
-		{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}, {2, 2, 2}}},
-		{ID: 2, Locals: []pattern.Pattern{{3, 4, 5}}},
-		{ID: 3, Locals: []pattern.Pattern{{9, 9, 9}}},
+	if got := out.Persons(1); len(got) != 1 || got[0] != 11 {
+		t.Fatalf("query 1 persons %v, want [11] from the healthy station", got)
 	}
-	out, err := c.Search(ctx, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sawBatch.Load() {
-		t.Fatal("v2 station received a batch frame")
-	}
-	// 1 batch frame to station 1 + 3 per-query frames to station 2.
-	if out.Cost.MessagesDown != 4 {
-		t.Fatalf("MessagesDown = %d, want 4 (1 batched + 3 legacy)", out.Cost.MessagesDown)
-	}
-	if out.Cost.StationsFailed != 0 {
-		t.Fatalf("StationsFailed = %d", out.Cost.StationsFailed)
-	}
-
-	// Person 10's pieces live on both stations; the cross-version merge must
-	// still sum them to a complete partition (score 1).
-	var found10 bool
-	for _, r := range out.PerQuery[1] {
-		if r.Person == 10 {
-			found10 = true
-			if r.Score() != 1 {
-				t.Fatalf("person 10 score %v, want 1 (pieces from both versions)", r.Score())
-			}
-			if r.Stations != 2 {
-				t.Fatalf("person 10 reported by %d stations, want 2", r.Stations)
-			}
-		}
-	}
-	if !found10 {
-		t.Fatalf("person 10 missing from query 1: %+v", out.PerQuery[1])
-	}
-	// Query 3's only match lives on the v2 station.
-	if len(out.PerQuery[3]) == 0 || out.PerQuery[3][0].Person != 12 {
-		t.Fatalf("query 3 results %+v, want person 12 via the legacy path", out.PerQuery[3])
+	ep := c.currentEpoch()
+	if err := ep.muxes[ep.find(2)].Err(); !errors.Is(err, wire.ErrBadVersion) {
+		t.Fatalf("foreign peer's link error = %v, want wire.ErrBadVersion", err)
 	}
 }
 
@@ -293,54 +219,6 @@ func TestDesyncedBatchReplyIsTypedError(t *testing.T) {
 	}
 }
 
-// TestAllV2FleetRunsPureLegacy: when no station can accept batch frames,
-// the round runs purely legacy — no combined filter is billed and no batch
-// round is counted.
-func TestAllV2FleetRunsPureLegacy(t *testing.T) {
-	oldCenter, oldStation := transport.Pipe(nil, nil)
-	var sawBatch atomic.Bool
-	go serveV2Station(2, map[core.PersonID]pattern.Pattern{
-		10: {2, 2, 2}, 12: {9, 9, 9},
-	}, oldStation, &sawBatch)
-
-	c, err := NewWithLinks(Options{}, map[uint32]transport.Link{2: oldCenter}, 3, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-
-	queries := []core.Query{
-		{ID: 1, Locals: []pattern.Pattern{{2, 2, 2}}},
-		{ID: 2, Locals: []pattern.Pattern{{9, 9, 9}}},
-	}
-	out, err := c.Search(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sawBatch.Load() {
-		t.Fatal("v2-only fleet received a batch frame")
-	}
-	if out.Cost.Batches != 0 {
-		t.Fatalf("Batches = %d, want 0 (no batch frame was ever sent)", out.Cost.Batches)
-	}
-	if out.Cost.MessagesDown != 2 {
-		t.Fatalf("MessagesDown = %d, want 2 (one legacy frame per query)", out.Cost.MessagesDown)
-	}
-	// FilterBytes counts only the two per-query filters actually built —
-	// compare against a pure-legacy search, which bills identically.
-	legacy, err := c.Search(context.Background(), queries, WithBatching(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Cost.FilterBytes != legacy.Cost.FilterBytes {
-		t.Fatalf("FilterBytes %d vs pure-legacy %d: combined filter was billed without being sent",
-			out.Cost.FilterBytes, legacy.Cost.FilterBytes)
-	}
-	if len(out.PerQuery[2]) == 0 || out.PerQuery[2][0].Person != 12 {
-		t.Fatalf("query 2 results %+v", out.PerQuery[2])
-	}
-}
-
 // TestBatchQueriesClampsToWireLimit: a search larger than one frame's
 // query limit splits into multiple rounds instead of failing to encode.
 func TestBatchQueriesClampsToWireLimit(t *testing.T) {
@@ -357,77 +235,5 @@ func TestBatchQueriesClampsToWireLimit(t *testing.T) {
 	}
 	if rounds := batchQueries(queries[:10], 3); len(rounds) != 4 {
 		t.Fatalf("explicit bound ignored: %d rounds", len(rounds))
-	}
-}
-
-// TestVersionDiscoveryRetriesAfterTransientStatsFailure: a station whose
-// first stats answer is corrupt (failing the epoch's snapshot fetch) is
-// re-probed directly, so a capable v3 peer still gets batch frames instead
-// of being stuck on the per-query path for the epoch's lifetime.
-func TestVersionDiscoveryRetriesAfterTransientStatsFailure(t *testing.T) {
-	center, stationEnd := transport.Pipe(nil, nil)
-	persons := []core.PersonID{10}
-	pats := []pattern.Pattern{{2, 2, 2}}
-	var statsCalls, batchCalls atomic.Int32
-	go func() {
-		for {
-			msg, err := stationEnd.Recv()
-			if err != nil {
-				return
-			}
-			var reply wire.Message
-			switch msg.Kind {
-			case wire.KindStats:
-				if statsCalls.Add(1) == 1 {
-					// Transient fault: a reply the center cannot decode.
-					reply = wire.Message{Kind: wire.KindStatsReply, Payload: []byte{0xFF}}
-				} else {
-					reply = wire.EncodeStatsReply(wire.StatsReply{Station: 1, Residents: 1, Length: 3})
-				}
-			case wire.KindBatchQuery:
-				batchCalls.Add(1)
-				bq, err := wire.DecodeBatchQuery(msg)
-				if err != nil {
-					return
-				}
-				reports, err := core.MatchResidents(bq.Filter, persons, pats, 1)
-				if err != nil {
-					return
-				}
-				reply = wire.EncodeBatchReply(wire.BatchReply{Station: 1, Queries: uint32(len(bq.Queries)), Reports: reports})
-			case wire.KindShutdown:
-				return
-			default:
-				return
-			}
-			if err := stationEnd.Send(reply.WithRequest(msg.Request)); err != nil {
-				return
-			}
-		}
-	}()
-
-	c, err := NewWithLinks(Options{}, map[uint32]transport.Link{1: center}, 3, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-
-	queries := []core.Query{
-		{ID: 1, Locals: []pattern.Pattern{{2, 2, 2}}},
-		{ID: 2, Locals: []pattern.Pattern{{1, 1, 1}}},
-	}
-	out, err := c.Search(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batchCalls.Load() != 1 || out.Cost.Batches != 1 {
-		t.Fatalf("batch frames %d, Batches %d: v3 station fell back to per-query after a transient stats fault",
-			batchCalls.Load(), out.Cost.Batches)
-	}
-	if statsCalls.Load() < 2 {
-		t.Fatalf("stats exchanges %d, want the failed fetch plus a direct retry", statsCalls.Load())
-	}
-	if len(out.PerQuery[1]) == 0 || out.PerQuery[1][0].Person != 10 {
-		t.Fatalf("query 1 results %+v", out.PerQuery[1])
 	}
 }

@@ -71,11 +71,11 @@ type Options struct {
 	// TargetFP is the sizing target used when Params.Bits == 0
 	// (default 0.01).
 	TargetFP float64
-	// BatchSize bounds how many queries a WBF search packs into one batched
-	// wire exchange. 0 (the default) packs the whole query set into a single
-	// round; 1 disables batching and runs the legacy one-frame-per-query
-	// pipeline; n > 1 splits the set into rounds of at most n queries.
-	// Override per call with WithBatching.
+	// BatchSize bounds how many queries a WBF search packs into one round —
+	// one combined filter and one exchange per visited station. 0 (the
+	// default) packs the whole query set into a single round; n >= 1 splits
+	// the set into rounds of at most n queries. Override per call with
+	// WithBatching.
 	BatchSize int
 	// Routing selects the default fan-out routing for WBF searches. The
 	// zero value, RoutingSummary, prunes stations whose cached routing
@@ -124,11 +124,9 @@ type CostReport struct {
 	StationsFailed int
 	// ReportsReceived counts candidate tuples received by the center.
 	ReportsReceived int
-	// Batches counts the fan-out rounds that actually sent a KindBatchQuery
-	// frame: ceil(queries / batch size) when batching is active and at
-	// least one station accepts batch frames, 0 for a legacy per-query
-	// search or an all-pre-v3 fleet. Messages and bytes above reflect
-	// whatever mix of batched and per-query exchanges actually ran.
+	// Batches counts the rounds a WBF search sent to its directly searched
+	// stations: ceil(queries / batch size), or 0 when every member is a
+	// route delegate. 0 for BF/naive searches.
 	Batches int
 	// StationsPruned counts member stations the summary-routing step
 	// excluded from this search's query fan-out: their cached summaries
@@ -208,16 +206,22 @@ type StationStats struct {
 	// PatternLength is the time-series length the station serves (0 when it
 	// holds no patterns).
 	PatternLength int
-	// WireVersion is the highest wire protocol version the station
-	// advertised in its stats reply. Stations at wire.Version3 or above can
-	// receive batched search rounds; older ones are served per-query frames.
-	WireVersion int
 	// Delegate reports whether the peer advertised wire.FlagRouteDelegate:
 	// it is a region coordinator fronting a whole sub-cluster and accepts
-	// KindRouteQuery rounds. The flag — not the version — is what gates
-	// delegation: a plain v6 station would fail its serve loop on a route
-	// query.
+	// KindRouteQuery rounds. A plain station would fail its serve loop on a
+	// route query, so only flagged peers are delegated to.
 	Delegate bool
+}
+
+// stationStats converts one stats reply into the snapshot's entry.
+func stationStats(sr wire.StatsReply) StationStats {
+	return StationStats{
+		Station:       sr.Station,
+		Residents:     int(sr.Residents),
+		StorageBytes:  sr.StorageBytes,
+		PatternLength: int(sr.Length),
+		Delegate:      sr.Flags&wire.FlagRouteDelegate != 0,
+	}
 }
 
 // Stats is a cluster-wide storage snapshot fetched from the stations over
@@ -296,14 +300,7 @@ func (ep *epoch) cachedStats() *Stats {
 // with one station's entry replaced (or inserted, keeping ascending order)
 // by a fresh reply. A fetch that already won the race is left in place.
 func (ep *epoch) seedStats(prev *Stats, fresh wire.StatsReply) {
-	entry := StationStats{
-		Station:       fresh.Station,
-		Residents:     int(fresh.Residents),
-		StorageBytes:  fresh.StorageBytes,
-		PatternLength: int(fresh.Length),
-		WireVersion:   int(fresh.MaxVersion),
-		Delegate:      fresh.Flags&wire.FlagRouteDelegate != 0,
-	}
+	entry := stationStats(fresh)
 	stations := make([]StationStats, 0, len(prev.Stations)+1)
 	inserted := false
 	for _, s := range prev.Stations {
@@ -995,20 +992,13 @@ func (c *Cluster) epochStats(ctx context.Context, ep *epoch) (*Stats, error) {
 		if err != nil {
 			return err
 		}
-		st.Stations = append(st.Stations, StationStats{
-			Station:       sr.Station,
-			Residents:     int(sr.Residents),
-			StorageBytes:  sr.StorageBytes,
-			PatternLength: int(sr.Length),
-			WireVersion:   int(sr.MaxVersion),
-			Delegate:      sr.Flags&wire.FlagRouteDelegate != 0,
-		})
+		st.Stations = append(st.Stations, stationStats(sr))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	st.StationsFailed = failed
+	st.StationsFailed = len(failed)
 
 	ep.statsMu.Lock()
 	if ep.stats == nil {
@@ -1100,37 +1090,36 @@ func (c *Cluster) Search(ctx context.Context, queries []core.Query, opts ...Sear
 	return out, nil
 }
 
-// fanOutEach runs one exchange sequence per station of the pinned epoch
-// concurrently — a single roundtrip for most rounds, a pipelined request
-// sequence for the per-query compatibility path — and waits for every
-// station to answer or fail, invoking handle with each station's replies in
-// station-ID order. Per-search traffic is tallied directly into cost,
-// covering completed exchanges (requests out, replies back); a station that
-// dies mid-sequence contributes only to the failed list. Unlike
-// shared-meter deltas, the tally is unaffected by other searches running
-// concurrently on the same links.
+// fanOut sends msg to every station of the pinned epoch concurrently and
+// waits for each to answer or fail, invoking handle with each reply in
+// station-ID order and returning the indexes (into ep.ids) of the stations
+// that failed. Per-search traffic is tallied directly into cost, covering
+// completed exchanges (request out, reply back); a station that dies
+// mid-exchange contributes only to the failed list. Unlike shared-meter
+// deltas, the tally is unaffected by other searches running concurrently on
+// the same links.
 //
 // Stations that fail are reported, not fatal: the search degrades exactly
-// as a real deployment would. Every station's replies are drained and
+// as a real deployment would. Every station's reply is drained and
 // accounted even if handle returns an error partway, so the failure count
 // stays truthful; the first handle error is returned after the drain. A
 // cancelled context abandons the round and returns an error wrapping
 // ErrCancelled.
-func (c *Cluster) fanOutEach(ctx context.Context, ep *epoch, msgs func(i int) []wire.Message, cost *CostReport, handle func(i int, replies []wire.Message) error) (failed []int, err error) {
+func (c *Cluster) fanOut(ctx context.Context, ep *epoch, msg wire.Message, cost *CostReport, handle func(reply wire.Message) error) (failed []int, err error) {
 	muxes := ep.muxes
-	type repliesOrErr struct {
-		replies []wire.Message
-		err     error
+	type replyOrErr struct {
+		reply wire.Message
+		err   error
 	}
-	results := make([]repliesOrErr, len(muxes))
+	results := make([]replyOrErr, len(muxes))
 	var wg sync.WaitGroup
 	for i, mx := range muxes {
 		i, mx := i, mx
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rs, err := mx.RoundtripMany(ctx, msgs(i))
-			results[i] = repliesOrErr{replies: rs, err: err}
+			reply, err := mx.Roundtrip(ctx, msg)
+			results[i] = replyOrErr{reply: reply, err: err}
 		}()
 	}
 	wg.Wait()
@@ -1161,29 +1150,15 @@ func (c *Cluster) fanOutEach(ctx context.Context, ep *epoch, msgs func(i int) []
 			failed = append(failed, i)
 			continue
 		}
-		for _, m := range msgs(i) {
-			cost.BytesDown += uint64(m.EncodedSize())
-			cost.MessagesDown++
-		}
-		for _, reply := range r.replies {
-			cost.BytesUp += uint64(reply.EncodedSize())
-			cost.MessagesUp++
-		}
+		cost.BytesDown += uint64(msg.EncodedSize())
+		cost.MessagesDown++
+		cost.BytesUp += uint64(r.reply.EncodedSize())
+		cost.MessagesUp++
 		if handleErr == nil {
-			handleErr = handle(i, r.replies)
+			handleErr = handle(r.reply)
 		}
 	}
 	return failed, handleErr
-}
-
-// fanOut is the single-message special case: the same request to every
-// station, handle invoked once per reply.
-func (c *Cluster) fanOut(ctx context.Context, ep *epoch, msg wire.Message, cost *CostReport, handle func(reply wire.Message) error) (failed int, err error) {
-	single := []wire.Message{msg}
-	failedIdx, err := c.fanOutEach(ctx, ep, func(int) []wire.Message { return single }, cost, func(_ int, replies []wire.Message) error {
-		return handle(replies[0])
-	})
-	return len(failedIdx), err
 }
 
 // batchQueries splits the query set into rounds of at most size queries.
@@ -1205,46 +1180,10 @@ func batchQueries(queries []core.Query, size int) [][]core.Query {
 	return append(out, queries)
 }
 
-// peerVersions returns each member station's advertised wire version, read
-// from the epoch's stats snapshot — fetched over the wire once per epoch and
-// cached, so the version handshake costs one exchange per membership change,
-// not one per search. A station absent from the snapshot (it failed that
-// one fetch, perhaps transiently) is retried with a direct stats exchange
-// so a capable peer is not stuck on the per-query path for the epoch's
-// whole lifetime; a station that is genuinely down fails the retry exactly
-// as it will fail the round itself. On a failed snapshot fetch the map may
-// be empty and every station falls back to the per-query path.
-func (c *Cluster) peerVersions(ctx context.Context, ep *epoch) map[uint32]uint8 {
-	vers := make(map[uint32]uint8, len(ep.ids))
-	if st, err := c.epochStats(ctx, ep); err == nil {
-		for _, s := range st.Stations {
-			vers[s.Station] = uint8(s.WireVersion)
-		}
-	}
-	for i, id := range ep.ids {
-		if _, ok := vers[id]; ok {
-			continue
-		}
-		reply, err := ep.muxes[i].Roundtrip(ctx, wire.StatsMessage())
-		if err != nil {
-			continue // down now, down for the round too
-		}
-		if sr, err := wire.DecodeStatsReply(reply); err == nil {
-			vers[id] = sr.MaxVersion
-		}
-	}
-	return vers
-}
-
 // searchWBF is the paper's DI-matching pipeline end to end, executed as a
-// sequence of batched rounds. Each round packs up to batchSize queries into
-// one combined filter and — for stations that advertised wire version 3 —
-// one KindBatchQuery exchange; stations below version 3 (and every station
-// when batching is disabled with batchSize 1) are served the legacy
-// pipeline instead: one filter and one KindWBFQuery frame per query,
-// pipelined over the link. Reports from both paths merge into one
-// aggregation, so a mixed-version cluster still answers every query
-// exactly once.
+// sequence of rounds. Each round packs up to batchSize queries into one
+// combined filter and one KindBatchQuery exchange per visited station;
+// every round's reports merge into one aggregation.
 func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, queries []core.Query) (*Outcome, error) {
 	out := &Outcome{PerQuery: make(map[core.QueryID][]core.Result, len(queries))}
 	agg := core.NewBatchAggregator()
@@ -1252,19 +1191,6 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	// pattern, so the best report wins instead of the weights summing — and
 	// a replica that fails mid-fan-out is covered by any survivor.
 	agg.SetReplicated(c.replicatedPred())
-	legacyAll := cfg.batchSize == 1
-	roundSize := cfg.batchSize
-	if legacyAll {
-		// Batch size 1 disables batch frames, not pipelining: the whole
-		// query set runs as one legacy round whose per-query frames are
-		// streamed back-to-back per station — the same code path pre-v3
-		// stations are served inside a batched round.
-		roundSize = 0
-	}
-	var vers map[uint32]uint8
-	if len(ep.ids) > 0 && (!legacyAll || cfg.routing != RoutingFull) {
-		vers = c.peerVersions(ctx, ep)
-	}
 	// The hierarchical tier: peers that advertised wire.FlagRouteDelegate are
 	// region coordinators fronting whole sub-clusters. They are split out of
 	// the batched rounds — each receives the entire query set as one
@@ -1279,12 +1205,12 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	// verify fetch must see them all.
 	routeEp := plainEp
 	if cfg.routing != RoutingFull {
-		routeEp = c.planRoute(ctx, plainEp, cfg, queries, vers, &out.Cost)
+		routeEp = c.planRoute(ctx, plainEp, cfg, queries, &out.Cost)
 	}
 	var reportBytes, filterBytes uint64
 	failedStations := make(map[uint32]bool)
-	for _, batch := range batchQueries(queries, roundSize) {
-		if err := c.runWBFRound(ctx, routeEp, cfg, batch, vers, agg, out, &reportBytes, &filterBytes, failedStations); err != nil {
+	for _, batch := range batchQueries(queries, cfg.batchSize) {
+		if err := c.runWBFRound(ctx, routeEp, cfg, batch, agg, out, &reportBytes, &filterBytes, failedStations); err != nil {
 			return nil, err
 		}
 	}
@@ -1312,12 +1238,11 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 }
 
 // splitDelegates partitions the pinned epoch into its plain stations and its
-// route delegates. Delegation is gated on the stats-reply capability flag,
-// not the wire version: a plain v6 station would fail its serve loop on a
-// KindRouteQuery, so only peers that explicitly advertised
-// wire.FlagRouteDelegate leave the classic rounds. A peer whose stats never
-// arrived stays plain — it is served the per-query compatibility path, which
-// every delegate also accepts (regions forward classic frames to their
+// route delegates. Delegation is gated on the stats-reply capability flag: a
+// plain station would fail its serve loop on a KindRouteQuery, so only peers
+// that explicitly advertised wire.FlagRouteDelegate leave the batch rounds.
+// A peer whose stats never arrived stays plain — it is sent batch frames,
+// which every delegate also accepts (regions forward them to their
 // stations), so misclassification degrades cost, never correctness.
 func (c *Cluster) splitDelegates(ctx context.Context, ep *epoch) (*epoch, []delegatePeer) {
 	st, err := c.epochStats(ctx, ep)
@@ -1556,145 +1481,61 @@ func (c *Cluster) fanDelegates(ctx context.Context, delegates []delegatePeer, cf
 	return maxHops, nil
 }
 
-// runWBFRound executes one batch of queries across the epoch's stations:
-// it encodes the round's filters, runs the per-station exchanges
-// concurrently (one batched roundtrip or a pipelined per-query sequence,
-// depending on the station's advertised version), tallies traffic for
-// completed exchanges and feeds every report into the shared aggregation.
-// Stations that fail are recorded in failedStations — never fatal, exactly
-// like the single-exchange fan-out.
-func (c *Cluster) runWBFRound(ctx context.Context, ep *epoch, cfg searchConfig, batch []core.Query, vers map[uint32]uint8, agg *core.Aggregator, out *Outcome, reportBytes, filterBytes *uint64, failedStations map[uint32]bool) error {
-	legacyAll := cfg.batchSize == 1
-	batchCapable := make([]bool, len(ep.ids))
-	needLegacy := legacyAll
-	anyBatch := false
-	if !legacyAll {
-		for i, id := range ep.ids {
-			if vers[id] >= wire.Version3 {
-				batchCapable[i] = true
-				anyBatch = true
-			} else {
-				needLegacy = true
-			}
-		}
+// runWBFRound executes one round across the epoch's stations: it encodes the
+// round's combined filter, sends it to every station in one KindBatchQuery
+// frame each, and feeds every report into the shared aggregation. Stations
+// that fail are recorded in failedStations — never fatal. An epoch with no
+// stations (every member is a route delegate) builds and bills nothing.
+func (c *Cluster) runWBFRound(ctx context.Context, ep *epoch, cfg searchConfig, batch []core.Query, agg *core.Aggregator, out *Outcome, reportBytes, filterBytes *uint64, failedStations map[uint32]bool) error {
+	if len(ep.ids) == 0 {
+		return nil
 	}
+	params, err := c.resolveParams(cfg, batch)
+	if err != nil {
+		return err
+	}
+	enc, err := core.NewEncoder(params, c.length)
+	if err != nil {
+		return err
+	}
+	ids := make([]core.QueryID, 0, len(batch))
+	for _, q := range batch {
+		if err := enc.AddQuery(q); err != nil {
+			return err
+		}
+		ids = append(ids, q.ID)
+	}
+	combined := enc.Filter()
+	batchMsg, err := wire.EncodeBatchQuery(wire.BatchQuery{Queries: ids, Filter: combined})
+	if err != nil {
+		return err
+	}
+	*filterBytes += combined.SizeBytes()
 
-	// The combined filter encodes the whole batch; every batch-capable
-	// station receives it in a single frame. When no station can take batch
-	// frames (all pre-v3, or version discovery failed), the round runs
-	// purely legacy and no combined filter is built or billed.
-	var (
-		combined *core.Filter
-		batchMsg wire.Message
-	)
-	if anyBatch {
-		params, err := c.resolveParams(cfg, batch)
+	failed, err := c.fanOut(ctx, ep, batchMsg, &out.Cost, func(reply wire.Message) error {
+		*reportBytes += uint64(reply.EncodedSize())
+		br, err := wire.DecodeBatchReply(reply)
 		if err != nil {
 			return err
 		}
-		enc, err := core.NewEncoder(params, c.length)
-		if err != nil {
-			return err
+		if int(br.Queries) != len(batch) {
+			return fmt.Errorf("cluster: station %d answered %d queries, round has %d", br.Station, br.Queries, len(batch))
 		}
-		ids := make([]core.QueryID, 0, len(batch))
-		for _, q := range batch {
-			if err := enc.AddQuery(q); err != nil {
+		for _, rep := range br.Reports {
+			out.Cost.ReportsReceived++
+			if err := agg.AddFrom(combined.Weights(), rep); err != nil {
 				return err
-			}
-			ids = append(ids, q.ID)
-		}
-		combined = enc.Filter()
-		batchMsg, err = wire.EncodeBatchQuery(wire.BatchQuery{Queries: ids, Filter: combined})
-		if err != nil {
-			return err
-		}
-		*filterBytes += combined.SizeBytes()
-	}
-
-	// Per-query filters serve the compatibility path. They are built once
-	// per round and shared by every legacy station. Their footprint counts
-	// toward FilterBytes whenever they are actually disseminated, so a
-	// mixed-version round reports both filter forms the center built.
-	//
-	// A pre-v3 station could technically take the combined filter in one
-	// KindWBFQuery frame; per-query filters are used instead so the
-	// fallback shares one code path with WithBatching(1) and keeps each
-	// query's false-positive sizing independent of whoever else shares its
-	// round — the batch pipeline's win is then measured against a fully
-	// query-isolated baseline, not conflated with combined-filter effects.
-	var (
-		legacyMsgs   []wire.Message
-		legacyTables [][]core.WeightEntry
-	)
-	if needLegacy {
-		for _, q := range batch {
-			params, err := c.resolveParams(cfg, []core.Query{q})
-			if err != nil {
-				return err
-			}
-			enc, err := core.NewEncoder(params, c.length)
-			if err != nil {
-				return err
-			}
-			if err := enc.AddQuery(q); err != nil {
-				return err
-			}
-			f := enc.Filter()
-			legacyMsgs = append(legacyMsgs, wire.EncodeWBFQuery(f))
-			legacyTables = append(legacyTables, f.Weights())
-			*filterBytes += f.SizeBytes()
-		}
-	}
-
-	batchMsgs := []wire.Message{batchMsg}
-	failedIdx, err := c.fanOutEach(ctx, ep, func(i int) []wire.Message {
-		if batchCapable[i] {
-			return batchMsgs
-		}
-		return legacyMsgs
-	}, &out.Cost, func(i int, replies []wire.Message) error {
-		for _, reply := range replies {
-			*reportBytes += uint64(reply.EncodedSize())
-		}
-		if batchCapable[i] {
-			br, err := wire.DecodeBatchReply(replies[0])
-			if err != nil {
-				return err
-			}
-			if int(br.Queries) != len(batch) {
-				return fmt.Errorf("cluster: station %d answered %d queries, round has %d", ep.ids[i], br.Queries, len(batch))
-			}
-			for _, rep := range br.Reports {
-				out.Cost.ReportsReceived++
-				if err := agg.AddFrom(combined.Weights(), rep); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for j, reply := range replies {
-			rs, err := wire.DecodeReports(reply)
-			if err != nil {
-				return err
-			}
-			for _, rep := range rs.Reports {
-				out.Cost.ReportsReceived++
-				if err := agg.AddFrom(legacyTables[j], rep); err != nil {
-					return err
-				}
 			}
 		}
 		return nil
 	})
-	for _, i := range failedIdx {
+	for _, i := range failed {
 		failedStations[ep.ids[i]] = true
 	}
 	if err != nil {
 		return err
 	}
-	if anyBatch {
-		out.Cost.Batches++
-	}
+	out.Cost.Batches++
 	return nil
 }
 
@@ -1746,8 +1587,8 @@ func (c *Cluster) verifyWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	if err != nil {
 		return err
 	}
-	if failed > out.Cost.StationsFailed {
-		out.Cost.StationsFailed = failed
+	if len(failed) > out.Cost.StationsFailed {
+		out.Cost.StationsFailed = len(failed)
 	}
 	out.Cost.CenterStorageBytes += fetchedBytes
 
@@ -1880,7 +1721,7 @@ func (c *Cluster) searchBF(ctx context.Context, ep *epoch, cfg searchConfig, que
 	for _, q := range queries {
 		out.PerQuery[q.ID] = ranked
 	}
-	out.Cost.StationsFailed = failed
+	out.Cost.StationsFailed = len(failed)
 	out.Cost.FilterBytes = filter.SizeBytes()
 	out.Cost.CenterStorageBytes = filter.SizeBytes() + reportBytes
 	return out, nil
@@ -1966,7 +1807,7 @@ func (c *Cluster) searchNaive(ctx context.Context, ep *epoch, cfg searchConfig, 
 		}
 		out.PerQuery[q.ID] = rs
 	}
-	out.Cost.StationsFailed = failed
+	out.Cost.StationsFailed = len(failed)
 	out.Cost.ReportsReceived = len(globals)
 	out.Cost.CenterStorageBytes = shippedBytes
 	return out, nil

@@ -258,7 +258,6 @@ func TestHierarchicalSearchMatchesFlat(t *testing.T) {
 	}
 	flat.Start()
 	t.Cleanup(func() { _ = flat.Shutdown() })
-	h := buildHierarchy(t, data, 3, 3, Options{})
 	ctx := context.Background()
 
 	queries := []core.Query{
@@ -270,17 +269,23 @@ func TestHierarchicalSearchMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []RoutingMode{RoutingFull, RoutingSummary, RoutingTree} {
-		got, err := h.root.Search(ctx, queries, WithRouting(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, "hier "+mode.String(), queries, want, got)
-		if got.Cost.TierHops != 2 {
-			t.Fatalf("%s TierHops = %d, want 2 (root + regions)", mode, got.Cost.TierHops)
-		}
-		if mode != RoutingFull && got.Cost.StationsPruned == 0 {
-			t.Fatalf("%s pruned nothing across 4 regions of well-separated data", mode)
+	// The root's BatchSize travels in the route query: 1 makes every region
+	// run its three queries as three rounds of one.
+	for _, rootOpts := range []Options{{}, {BatchSize: 1}} {
+		h := buildHierarchy(t, data, 3, 3, rootOpts)
+		for _, mode := range []RoutingMode{RoutingFull, RoutingSummary, RoutingTree} {
+			label := fmt.Sprintf("hier batch %d %s", rootOpts.BatchSize, mode)
+			got, err := h.root.Search(ctx, queries, WithRouting(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResults(t, label, queries, want, got)
+			if got.Cost.TierHops != 2 {
+				t.Fatalf("%s TierHops = %d, want 2 (root + regions)", label, got.Cost.TierHops)
+			}
+			if mode != RoutingFull && got.Cost.StationsPruned == 0 {
+				t.Fatalf("%s pruned nothing across 4 regions of well-separated data", label)
+			}
 		}
 	}
 	if len(want.PerQuery[1]) == 0 || len(want.PerQuery[2]) == 0 {

@@ -1,8 +1,8 @@
 package cluster
 
-// Adaptive routing-digest parameters (wire v7). The coordinator profiles the
-// band traffic its routing step actually sees (internal/adapt), derives a
-// Daisy-style per-position parameter plan, and rolls it out to capable
+// Adaptive routing-digest parameters. The coordinator profiles the band
+// traffic its routing step actually sees (internal/adapt), derives a
+// Daisy-style per-position parameter plan, and rolls it out to the plain
 // stations as one epoch-atomic KindParamUpdate fan-out. Stations rebuild
 // their routing digests under the plan inside their existing memory budget;
 // everything stays sound if any piece fails — an adaptive digest is a
@@ -32,12 +32,13 @@ type ParamRollout struct {
 	Plan *index.Plan
 	// Applied lists stations that acknowledged running the plan.
 	Applied []uint32
-	// Static lists v7 stations that answered but run the static table — a
+	// Static lists stations that answered but run the static table — a
 	// reset target, or a station that could not honor the plan (e.g. an
 	// empty store) and degraded.
 	Static []uint32
-	// Skipped lists peers the update was never sent to: pre-v7 stations and
-	// route delegates (regions adapt their own tier, not through this one).
+	// Skipped lists peers the update was never sent to: route delegates
+	// (regions adapt their own tier, not through this one) and peers with no
+	// entry in the epoch's stats snapshot, which cannot be told from one.
 	Skipped []uint32
 	// Failed lists stations whose update exchange failed. Their digest state
 	// is unknown, so their cached summaries are invalidated like the rest.
@@ -65,8 +66,8 @@ func (c *Cluster) TrafficSnapshot() adapt.Snapshot {
 // band no consulted digest admits counts as a miss — to within the digests'
 // own false-positive rate the band is empty cluster-wide, which is exactly
 // the traffic whose false admissions the adaptive solver should spend bits
-// suppressing. With no digests consulted (cold cache, all-pre-v5 fleet)
-// emptiness is unobservable and only the raw counters advance.
+// suppressing. With no digests consulted (every fetch failed) emptiness is
+// unobservable and only the raw counters advance.
 func (c *Cluster) observeRoute(probes []index.Probe, sums []*index.Summary) {
 	for _, pr := range probes {
 		c.profiler.Observe(pr)
@@ -87,15 +88,15 @@ func (c *Cluster) observeRoute(probes []index.Probe, sums []*index.Summary) {
 }
 
 // RederiveParams derives a fresh adaptive parameter plan from the traffic
-// profiled since the last derivation and rolls it out to every capable
+// profiled since the last derivation and rolls it out to every plain
 // station as one epoch-atomic fan-out. The plan is sized for the largest
 // station's resident count (conservative for smaller ones: they get the
-// same shape over their own smaller budget). Stations below wire v7 and
-// route delegates are skipped; a station that cannot honor the plan
-// acknowledges static and keeps its exact static behavior. The rollout
-// epoch only becomes the cluster's live epoch after the fan-out completes,
-// and every touched station's cached summary is invalidated so the next
-// routed search refetches digests built under the new parameters.
+// same shape over their own smaller budget). Route delegates and peers
+// missing from the stats snapshot are skipped; a station that cannot honor
+// the plan acknowledges static and keeps its exact static behavior. The
+// rollout epoch only becomes the cluster's live epoch after the fan-out
+// completes, and every touched station's cached summary is invalidated so
+// the next routed search refetches digests built under the new parameters.
 //
 // Errors (no traffic yet, an empty cluster, encoding failures) leave the
 // previous parameter state fully intact.
@@ -195,8 +196,8 @@ func (c *Cluster) rolloutLocked(ctx context.Context, ep *epoch, st *Stats, epoch
 	var targets []target
 	for i, id := range ep.ids {
 		s, ok := info[id]
-		if !ok || s.WireVersion < int(wire.Version7) || s.Delegate {
-			// No stats (can't prove v7), too old, or a region coordinator:
+		if !ok || s.Delegate {
+			// No stats (so possibly a region coordinator) or a known one:
 			// the peer keeps whatever table it runs. Regions adapt their own
 			// tier from their own traffic; pushing a leaf plan at them would
 			// mis-shape their union digests.

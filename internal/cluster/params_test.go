@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"dimatch/internal/adapt"
@@ -307,23 +306,22 @@ func TestResetParams(t *testing.T) {
 	}
 }
 
-// TestRederiveParamsSkipsIncapablePeers pins the capability gate: a pre-v7
-// station never receives a KindParamUpdate frame (it would kill its serve
-// loop), and a route delegate adapts its own tier instead of taking a leaf
-// plan from above.
-func TestRederiveParamsSkipsIncapablePeers(t *testing.T) {
-	modernCenter, modernStation := transport.Pipe(nil, nil)
-	oldCenter, oldStation := transport.Pipe(nil, nil)
-	// The modern station needs enough residents for its static budget to
-	// cover the plan (see paramTestCluster); the v4 one's size is irrelevant.
-	modernLocals := map[core.PersonID]pattern.Pattern{
+// TestRederiveParamsSkipsUnflaggedPeers pins the rollout's side of the
+// capability rule: a peer with no entry in the stats snapshot cannot be told
+// from a region coordinator, so it is skipped, and a known route delegate
+// adapts its own tier instead of taking a leaf plan from above.
+func TestRederiveParamsSkipsUnflaggedPeers(t *testing.T) {
+	plainCenter, plainStation := transport.Pipe(nil, nil)
+	// The plain station needs enough residents for its static budget to
+	// cover the plan (see paramTestCluster); the skipped one's size is
+	// irrelevant.
+	plainLocals := map[core.PersonID]pattern.Pattern{
 		10: {1, 2, 3}, 11: {2, 3, 4}, 12: {3, 4, 5}, 13: {4, 5, 6}, 14: {5, 6, 7},
 	}
 	go func() {
-		_ = NewStation(1, modernLocals, modernStation).Serve()
+		_ = NewStation(1, plainLocals, plainStation).Serve()
 	}()
-	var sawSummary atomic.Bool
-	go servePreRoutingStation(2, map[core.PersonID]pattern.Pattern{20: {50, 60, 70}}, oldStation, &sawSummary)
+	noStats := flakyStatsStation(2, map[core.PersonID]pattern.Pattern{20: {50, 60, 70}})
 
 	// A region coordinator hangs off the same center: its stats advertise
 	// the delegate flag, which must exempt it from leaf-plan rollouts.
@@ -340,7 +338,7 @@ func TestRederiveParamsSkipsIncapablePeers(t *testing.T) {
 	go func() { _ = ServeRegion(100, inner, regionEnd) }()
 
 	c, err := NewWithLinks(Options{}, map[uint32]transport.Link{
-		1: modernCenter, 2: oldCenter, 100: regionCenter,
+		1: plainCenter, 2: noStats, 100: regionCenter,
 	}, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +359,7 @@ func TestRederiveParamsSkipsIncapablePeers(t *testing.T) {
 		t.Fatalf("Applied = %v, want [1]", roll.Applied)
 	}
 	if len(roll.Skipped) != 2 || roll.Skipped[0] != 2 || roll.Skipped[1] != 100 {
-		t.Fatalf("Skipped = %v, want [2 100] (pre-v7 station and region delegate)", roll.Skipped)
+		t.Fatalf("Skipped = %v, want [2 100] (station without a stats entry and region delegate)", roll.Skipped)
 	}
 
 	// All three peer classes keep answering together after the rollout.
@@ -370,7 +368,7 @@ func TestRederiveParamsSkipsIncapablePeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(out.PerQuery[1]) == 0 || out.PerQuery[1][0].Person != 10 {
-		t.Fatalf("mixed-capability search lost the match: %v", out.PerQuery[1])
+		t.Fatalf("search after the rollout lost the match: %v", out.PerQuery[1])
 	}
 	deep, err := c.Search(ctx, []core.Query{{ID: 9, Locals: []pattern.Pattern{{500, 600, 700}}}})
 	if err != nil {

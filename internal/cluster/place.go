@@ -341,23 +341,10 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	c.healMu.Lock()
 	defer c.healMu.Unlock()
 
-	// The epoch and the alive member list come from one lock window: a
-	// station joining between two separate reads would be alive but absent
-	// from the epoch's stats snapshot, scored version 0 and wrongly skipped
-	// by the pull below for the whole pass.
 	c.mu.Lock()
 	closed, t := c.closed, c.placeTab
-	ep := c.ep
-	var alive []uint32
-	var muxes []*transport.Mux
-	for i, id := range ep.ids {
-		if c.dead[id] {
-			continue
-		}
-		alive = append(alive, id)
-		muxes = append(muxes, ep.muxes[i])
-	}
 	c.mu.Unlock()
+	alive, muxes := c.aliveMembers()
 	if closed {
 		return HealReport{}, ErrClusterClosed
 	}
@@ -380,10 +367,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 		return report, ErrNoAliveStations
 	}
 
-	// Pull the placed persons' copies from every alive station that can
-	// answer a dump (wire v4+). Stations below v4 can still receive the
-	// ingest push below; they just cannot be pulled from.
-	vers := c.peerVersions(ctx, ep)
+	// Pull the placed persons' copies from every alive station.
 	dump := wire.EncodeDump(wire.Dump{Persons: keys})
 	type pulled struct {
 		reply wire.DumpReply
@@ -392,10 +376,6 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	results := make([]pulled, len(alive))
 	var wg sync.WaitGroup
 	for i := range alive {
-		if vers[alive[i]] < wire.Version4 {
-			results[i].err = fmt.Errorf("cluster: station %d speaks wire v%d, cannot dump", alive[i], vers[alive[i]])
-			continue
-		}
 		i := i
 		wg.Add(1)
 		go func() {

@@ -16,18 +16,18 @@ import (
 // coordinator that owns a subtree of stations and answers a parent
 // coordinator over a single link. To the parent it looks like one very large
 // station — it aggregates stats, serves the union routing digest of its
-// subtree, and accepts every classic station kind by forwarding it to its
-// own members and merging the replies — plus, for v6 parents, the delegated
-// search round: a KindRouteQuery runs the full existing WBF search path over
-// the region's stations and answers raw per-person partial sums
-// (KindRouteReply), leaving ranking, thresholding and verification to the
-// root. That division is what makes a multi-tier topology's results provably
-// identical to a flat fan-out (docs/ROUTING.md).
+// subtree, and accepts every station kind by forwarding it to its own
+// members and merging the replies — plus the delegated search round: a
+// KindRouteQuery runs the full WBF search path over the region's stations
+// and answers raw per-person partial sums (KindRouteReply), leaving ranking,
+// thresholding and verification to the root. That division is what makes a
+// multi-tier topology's results provably identical to a flat fan-out
+// (docs/ROUTING.md).
 //
-// The region advertises wire.FlagRouteDelegate in its stats replies; the
-// capability flag — not the wire version — is what tells a parent it may
-// delegate. Because every classic kind is also served, a pre-v6 parent can
-// use a region as an ordinary (big) station and still get exact results.
+// The region advertises wire.FlagRouteDelegate in its stats replies, which
+// is what tells a parent it may delegate. Because every station kind is also
+// served, a parent that never saw the flag (its stats exchange failed) uses
+// the region as an ordinary big station and still gets exact results.
 type Region struct {
 	id   uint32
 	c    *Cluster
@@ -70,8 +70,6 @@ func (r *Region) Serve() error {
 			reply, err = r.handleRoute(ctx, msg)
 		case wire.KindBatchQuery:
 			reply, err = r.handleBatchForward(ctx, msg)
-		case wire.KindWBFQuery:
-			reply, err = r.handleWBFForward(ctx, msg)
 		case wire.KindBFQuery:
 			reply, err = r.handleBFForward(ctx, msg)
 		case wire.KindShipAll, wire.KindFetch:
@@ -183,7 +181,7 @@ func (r *Region) handleSummary(ctx context.Context) *wire.Message {
 	return &reply
 }
 
-// handleBatchForward forwards a classic batched round to every member
+// handleBatchForward forwards a batch round to every member
 // station and concatenates their reports. Report boundaries are preserved —
 // each report is one (person, weights) verdict from one station — so the
 // parent's aggregation sees exactly what it would see with the stations as
@@ -209,23 +207,6 @@ func (r *Region) handleBatchForward(ctx context.Context, msg wire.Message) (*wir
 		Queries: uint32(len(bq.Queries)),
 		Reports: reports,
 	})
-	return &reply, nil
-}
-
-// handleWBFForward forwards a legacy per-query frame, concatenating reports.
-func (r *Region) handleWBFForward(ctx context.Context, msg wire.Message) (*wire.Message, error) {
-	var reports []core.Report
-	if err := r.forward(ctx, msg, func(reply wire.Message) error {
-		rs, err := wire.DecodeReports(reply)
-		if err != nil {
-			return err
-		}
-		reports = append(reports, rs.Reports...)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	reply := wire.EncodeReports(wire.Reports{Station: r.id, Reports: reports})
 	return &reply, nil
 }
 
@@ -491,7 +472,7 @@ func (c *Cluster) routingDigest(ctx context.Context) *index.Summary {
 		}
 		return nil
 	})
-	if err != nil || failed > 0 || foreign {
+	if err != nil || len(failed) > 0 || foreign {
 		// A member that cannot be dumped — or one holding patterns of a
 		// foreign length — makes the subtree unsummarizable: saturate rather
 		// than under-report.

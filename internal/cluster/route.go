@@ -31,8 +31,8 @@ type summaryCache struct {
 	// the cache from then on: put syncs the fresh digest in, invalidate
 	// removes the station, noteIngest delta-propagates the new cells up the
 	// station's root path. A digest the tree rejects (foreign geometry, e.g. a
-	// legacy non-power-of-two filter) simply stays outside and is probed flat
-	// — never pruned by a union it is not part of.
+	// non-power-of-two filter) simply stays outside and is probed flat — never
+	// pruned by a union it is not part of.
 	digests *tree.Tree // dimatch:guardedby mu
 }
 
@@ -213,13 +213,12 @@ func (c *summaryCache) state() (entries int, digestBytes uint64, treeInner int, 
 // must never turn a search into a silent no-op, so an empty candidate set
 // falls back to full fan-out).
 //
-// Stations are kept (never pruned) individually when they predate wire v5,
-// when their summary cannot be fetched, or when any query's probe admits
-// them. Pruning is therefore strictly conservative: a pruned station
-// provably held no resident inside any query combination's ε band at the
-// sampled positions, so it could only have contributed hash-collision
-// noise, never a true match's report.
-func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, queries []core.Query, vers map[uint32]uint8, cost *CostReport) *epoch {
+// Stations are kept (never pruned) individually when their summary cannot
+// be fetched or when any query's probe admits them. Pruning is therefore
+// strictly conservative: a pruned station provably held no resident inside
+// any query combination's ε band at the sampled positions, so it could only
+// have contributed hash-collision noise, never a true match's report.
+func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, queries []core.Query, cost *CostReport) *epoch {
 	if len(ep.ids) < 2 {
 		return ep
 	}
@@ -254,9 +253,6 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	slots := make([]slot, len(ep.ids))
 	var fetchIdx []int
 	for i, id := range ep.ids {
-		if vers[id] < wire.Version5 {
-			continue // pre-v5 peer: never pruned, nothing to fetch
-		}
 		sum, gen := c.summaries.get(id)
 		slots[i] = slot{sum: sum, gen: gen}
 		if sum == nil {
@@ -308,10 +304,9 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	// Feed the traffic profiler: the probes' bands, plus emptiness feedback
 	// against every digest this pass can consult — a band no station digest
 	// admits is (to within digest fp) empty cluster-wide, exactly the
-	// traffic whose false admissions the adaptive solver targets. Pre-v5
-	// and unreachable stations contribute no digest; their residents are
-	// invisible to the emptiness check, which only skews bit placement,
-	// never soundness.
+	// traffic whose false admissions the adaptive solver targets. Unreachable
+	// stations contribute no digest; their residents are invisible to the
+	// emptiness check, which only skews bit placement, never soundness.
 	consulted := make([]*index.Summary, 0, len(slots))
 	for _, sl := range slots {
 		if sl.sum != nil {

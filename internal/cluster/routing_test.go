@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -52,7 +54,7 @@ func assertSameResults(t *testing.T, label string, queries []core.Query, want, g
 
 // TestRoutedSearchPrunesAndMatchesFullFanOut is the tentpole's core pin: a
 // routed search answers exactly like full fan-out while visiting only the
-// stations that can report, across batched and legacy pipelines.
+// stations that can report, at every round size.
 func TestRoutedSearchPrunesAndMatchesFullFanOut(t *testing.T) {
 	c := routingTestCluster(t)
 	ctx := context.Background()
@@ -94,14 +96,14 @@ func TestRoutedSearchPrunesAndMatchesFullFanOut(t *testing.T) {
 		t.Fatalf("warm routed search: %+v", warm.Cost)
 	}
 
-	// The legacy per-query pipeline routes identically.
-	legacy, err := c.Search(ctx, queries, WithBatching(1))
+	// Rounds of one query route identically.
+	single, err := c.Search(ctx, queries, WithBatching(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, "legacy", queries, full, legacy)
-	if legacy.Cost.StationsPruned != 3 || legacy.Cost.MessagesDown != 1 {
-		t.Fatalf("legacy routed search: %+v", legacy.Cost)
+	assertSameResults(t, "rounds of one", queries, full, single)
+	if single.Cost.StationsPruned != 3 || single.Cost.MessagesDown != 1 {
+		t.Fatalf("rounds-of-one routed search: %+v", single.Cost)
 	}
 }
 
@@ -259,94 +261,84 @@ func TestRoutedChurnNeverLosesRecall(t *testing.T) {
 	}
 }
 
-// servePreRoutingStation emulates a wire-v4 station: it answers stats
-// (advertising MaxVersion 4) and per-query/batch frames, but a KindSummary
-// frame is recorded as a protocol violation and kills the link, exactly as
-// an old binary would fail on an unknown kind.
-func servePreRoutingStation(id uint32, locals map[core.PersonID]pattern.Pattern, link transport.Link, sawSummary *atomic.Bool) {
-	st := NewStation(id, locals, link)
-	for {
-		msg, err := link.Recv()
-		if err != nil {
-			return
-		}
-		var reply *wire.Message
-		switch msg.Kind {
-		case wire.KindStats:
-			length := 0
-			if len(st.locals) > 0 {
-				length = len(st.locals[0])
-			}
-			r := wire.EncodeStatsReply(wire.StatsReply{
-				Station:      id,
-				Residents:    uint64(len(st.persons)),
-				StorageBytes: st.StorageBytes(),
-				Length:       uint32(length),
-				MaxVersion:   wire.Version4,
-			})
-			reply = &r
-		case wire.KindBatchQuery:
-			reply, err = st.handleBatch(msg)
-		case wire.KindWBFQuery:
-			reply, err = st.handleWBF(msg)
-		case wire.KindSummary:
-			sawSummary.Store(true)
-			return
-		case wire.KindShutdown:
-			return
-		default:
-			return
-		}
-		if err != nil {
-			return
-		}
-		if err := link.Send(reply.WithRequest(msg.Request)); err != nil {
-			return
-		}
-	}
+// flakyStatsLink is a center-side link whose first stats request fails at
+// send time while every other frame passes: the station behind it is healthy
+// but ends up with no entry in the epoch's stats snapshot.
+type flakyStatsLink struct {
+	transport.Link
+	failed atomic.Bool
 }
 
-// TestPreV5StationIsNeverPruned is the negotiation pin: a station that
-// advertised wire v4 receives no summary frame and is visited by every
-// routed search, while its v5 neighbours still get pruned.
-func TestPreV5StationIsNeverPruned(t *testing.T) {
-	modernCenter, modernStation := transport.Pipe(nil, nil)
-	oldCenter, oldStation := transport.Pipe(nil, nil)
-	go func() {
-		_ = NewStation(1, map[core.PersonID]pattern.Pattern{10: {1, 2, 3}}, modernStation).Serve()
-	}()
-	var sawSummary atomic.Bool
-	go servePreRoutingStation(2, map[core.PersonID]pattern.Pattern{20: {50, 60, 70}}, oldStation, &sawSummary)
+func (l *flakyStatsLink) Send(m wire.Message) error {
+	if m.Kind == wire.KindStats && l.failed.CompareAndSwap(false, true) {
+		return errors.New("injected stats send failure")
+	}
+	return l.Link.Send(m)
+}
 
-	c, err := NewWithLinks(Options{}, map[uint32]transport.Link{1: modernCenter, 2: oldCenter}, 3, nil, nil)
+// flakyStatsStation serves a real station behind a flakyStatsLink and returns
+// the center's end.
+func flakyStatsStation(id uint32, locals map[core.PersonID]pattern.Pattern) transport.Link {
+	center, stationEnd := transport.Pipe(nil, nil)
+	go func() { _ = NewStation(id, locals, stationEnd).Serve() }()
+	return &flakyStatsLink{Link: center}
+}
+
+// TestStationWithoutStatsEntryIsPlain pins the one capability rule: the
+// epoch's stats snapshot is consulted only for capability flags, so a
+// station that failed the stats exchange once is a plain station — searched
+// with batch frames, summary-fetched and prunable like any other — and
+// results stay byte-equal to full fan-out.
+func TestStationWithoutStatsEntryIsPlain(t *testing.T) {
+	links := map[uint32]transport.Link{
+		2: flakyStatsStation(2, map[core.PersonID]pattern.Pattern{20: {50, 60, 70}}),
+	}
+	for id, locals := range map[uint32]map[core.PersonID]pattern.Pattern{
+		1: {10: {1, 2, 3}},
+		3: {30: {500, 600, 700}},
+	} {
+		center, stationEnd := transport.Pipe(nil, nil)
+		go func(id uint32, locals map[core.PersonID]pattern.Pattern) {
+			_ = NewStation(id, locals, stationEnd).Serve()
+		}(id, locals)
+		links[id] = center
+	}
+	c, err := NewWithLinks(Options{}, links, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
 	ctx := context.Background()
 
-	// The query matches nothing on either station; the v5 station is
-	// pruned, the v4 one must still be visited.
-	out, err := c.Search(ctx, []core.Query{{ID: 1, Locals: []pattern.Pattern{{900, 900, 900}}}})
+	st, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sawSummary.Load() {
-		t.Fatal("v4 station received a summary frame")
+	if st.StationsFailed != 1 || len(st.Stations) != 2 {
+		t.Fatalf("stats snapshot %+v, want station 2 missing", st)
 	}
-	if out.Cost.StationsPruned != 1 {
-		t.Fatalf("StationsPruned = %d, want 1 (only the v5 station is prunable)", out.Cost.StationsPruned)
-	}
-	if out.Cost.StationsFailed != 0 {
-		t.Fatalf("StationsFailed = %d", out.Cost.StationsFailed)
-	}
-	// And the v4 station's matches are still found end to end.
-	hit, err := c.Search(ctx, []core.Query{{ID: 1, Locals: []pattern.Pattern{{50, 60, 70}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hit.PerQuery[1]) != 1 || hit.PerQuery[1][0].Person != 20 {
-		t.Fatalf("v4 station's match lost under routing: %v", hit.PerQuery[1])
+
+	onFlaky := []core.Query{{ID: 1, Locals: []pattern.Pattern{{50, 60, 70}}}}
+	elsewhere := []core.Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}}}}
+	for _, mode := range []RoutingMode{RoutingSummary, RoutingTree} {
+		for _, queries := range [][]core.Query{onFlaky, elsewhere} {
+			full, err := c.Search(ctx, queries, WithRouting(RoutingFull))
+			if err != nil {
+				t.Fatal(err)
+			}
+			routed, err := c.Search(ctx, queries, WithRouting(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(routed.PerQuery, full.PerQuery) || len(full.PerQuery[1]) != 1 {
+				t.Fatalf("%v: routed %v, full fan-out %v", mode, routed.PerQuery, full.PerQuery)
+			}
+			// Either way exactly one station admits: station 2 is visited
+			// when it holds the match and pruned when it does not.
+			if routed.Cost.StationsPruned != 2 || routed.Cost.StationsFailed != 0 {
+				t.Fatalf("%v: pruned %d failed %d, want 2 and 0", mode, routed.Cost.StationsPruned, routed.Cost.StationsFailed)
+			}
+		}
 	}
 }
 

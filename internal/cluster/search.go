@@ -58,7 +58,7 @@ const (
 	// RoutingSummary (the default) probes the coordinator's cached
 	// per-station routing summaries and sends each query round only to
 	// stations whose summary admits a possible match. Stations without a
-	// usable summary — pre-v5 peers, failed refreshes, probes over budget —
+	// usable summary — failed refreshes, probes over budget —
 	// are always visited, and a plan that would prune everything falls back
 	// to full fan-out, so routing never loses recall; it only skips
 	// exchanges that provably cannot produce a report.
@@ -155,15 +155,12 @@ func WithTargetFP(fp float64) SearchOption {
 	return func(c *searchConfig) { c.targetFP = fp }
 }
 
-// WithBatching bounds how many queries a WBF search packs into one batched
-// exchange. n <= 0 (the default) packs the whole query set into a single
-// KindBatchQuery round per station; n > 1 splits the set into rounds of at
-// most n queries; n == 1 disables batching entirely and runs the legacy
-// pipeline — one filter and one KindWBFQuery frame per query, pipelined per
-// station — which is also the path stations that never advertised wire
-// version 3 are served on. BF and naive searches already move one frame per
-// station and ignore the setting. See Options.BatchSize for the cluster
-// default.
+// WithBatching bounds how many queries a WBF search packs into one round.
+// n <= 0 (the default) packs the whole query set into a single
+// KindBatchQuery exchange per station; n >= 1 splits the set into rounds of
+// at most n queries, each with its own combined filter. BF and naive
+// searches already move one frame per station and ignore the setting. See
+// Options.BatchSize for the cluster default.
 func WithBatching(n int) SearchOption {
 	return func(c *searchConfig) { c.batchSize = n }
 }

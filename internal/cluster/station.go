@@ -43,10 +43,10 @@ type Station struct {
 	// on the same loop), so no locking is needed.
 	summary *index.Summary
 
-	// plan is the adaptive parameter table the coordinator rolled out over
-	// wire v7, nil while the station runs the static table. paramEpoch is
-	// the highest parameter epoch seen, so reordered rollout frames cannot
-	// reinstall superseded parameters. Serve-loop-only, like summary; a
+	// plan is the adaptive parameter table the coordinator rolled out, nil
+	// while the station runs the static table. paramEpoch is the highest
+	// parameter epoch seen, so reordered rollout frames cannot reinstall
+	// superseded parameters. Serve-loop-only, like summary; a
 	// restarted durable station comes back with plan == nil and degrades to
 	// the static table on its first rebuild — the coordinator's next rollout
 	// re-adapts it.
@@ -175,8 +175,6 @@ func (s *Station) serveLoop() error {
 		}
 		var reply *wire.Message
 		switch msg.Kind {
-		case wire.KindWBFQuery:
-			reply, err = s.handleWBF(msg)
 		case wire.KindBatchQuery:
 			reply, err = s.handleBatch(msg)
 		case wire.KindBFQuery:
@@ -213,27 +211,10 @@ func (s *Station) serveLoop() error {
 	}
 }
 
-// handleWBF runs Algorithm 2 over every resident pattern and reports the
-// qualifying (person, weights) pairs — the legacy per-query exchange, one
-// serial walk per received filter.
-func (s *Station) handleWBF(msg wire.Message) (*wire.Message, error) {
-	filter, err := wire.DecodeWBFQuery(msg)
-	if err != nil {
-		return nil, fmt.Errorf("station %d: %w", s.id, err)
-	}
-	reports, err := core.MatchResidents(filter, s.persons, s.locals, 1)
-	if err != nil {
-		return nil, fmt.Errorf("station %d: %w", s.id, err)
-	}
-	reply := wire.EncodeReports(wire.Reports{Station: s.id, Reports: reports})
-	return &reply, nil
-}
-
-// handleBatch answers one batched search round: a single walk over the
-// resident store, fanned across a GOMAXPROCS-bounded worker pool, probes
-// the batch's combined filter once per resident and answers every query of
-// the batch in one reply. Compared with the per-query path this station
-// does 1/|batch| of the probe work and sends 1/|batch| of the frames.
+// handleBatch answers one search round — Algorithm 2 over every resident: a
+// single walk over the resident store, fanned across a GOMAXPROCS-bounded
+// worker pool, probes the round's combined filter once per resident and
+// answers every query of the round in one reply.
 func (s *Station) handleBatch(msg wire.Message) (*wire.Message, error) {
 	bq, err := wire.DecodeBatchQuery(msg)
 	if err != nil {
@@ -479,7 +460,7 @@ func (s *Station) handleSummary() (*wire.Message, error) {
 	return &reply, nil
 }
 
-// handleParamUpdate applies a coordinator parameter rollout (wire v7): a
+// handleParamUpdate applies a coordinator parameter rollout: a
 // plan switches the routing digest onto the adaptive table, a nil plan
 // orders the station back onto the static one. Updates whose epoch does not
 // advance the station's are ignored — a reordered frame from a superseded

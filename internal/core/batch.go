@@ -19,10 +19,8 @@ import (
 //
 // The walk is split across a bounded worker pool of min(workers, residents)
 // goroutines — workers <= 0 means GOMAXPROCS — each with its own Matcher so
-// probe scratch is never shared. This is the batch pipeline's station-side
-// half: one batched query exchange triggers one parallel walk, where the
-// per-query path walks the store once per query on a single goroutine.
-// Reports come back in person-ID order regardless of scheduling, so replies
+// probe scratch is never shared. This is a search round's station-side
+// half: one batch query exchange triggers one parallel walk. Reports come back in person-ID order regardless of scheduling, so replies
 // stay deterministic.
 func MatchResidents(f *Filter, persons []PersonID, locals []pattern.Pattern, workers int) ([]Report, error) {
 	if len(persons) != len(locals) {

@@ -41,9 +41,9 @@ func (r Result) Score() float64 {
 // (their aggregate pattern must differ from the query's global), ranks the
 // rest by weight descending and returns the top-K.
 //
-// An aggregation can span several filters: a batched search resolves batch
-// replies against the batch's combined weight table and legacy per-query
-// replies against each per-query table (AddFrom). The accumulation merges
+// An aggregation can span several filters: a search split into rounds
+// resolves each round's replies against that round's combined weight table
+// (AddFrom). The accumulation merges
 // cleanly because a weight's meaning — this combination's share of this
 // query's global sum — does not depend on which filter carried it.
 type Aggregator struct {

@@ -12,7 +12,7 @@
 // insert/query frequency distribution.
 //
 // A Plan is the adaptive parameter table the coordinator derives from its
-// traffic profile (internal/adapt) and ships to stations over wire v7: per
+// traffic profile (internal/adapt) and ships to stations: per
 // position group g a bit-budget weight, a hash count k_g, and a value
 // quantum q_g. A station partitions its *existing* memory budget — the same
 // total bit count the static summary would use — into per-group regions by

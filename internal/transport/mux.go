@@ -72,169 +72,82 @@ func (m *Mux) fail(err error) {
 	m.mu.Unlock()
 }
 
-// exchangeScratch is RoundtripMany's per-call working set — the request ID
-// and reply-channel slices — recycled through scratchPool so the search fan
-// paths do not allocate two slices per station round. Only the slices are
-// reused: each exchange still gets a fresh buffered channel, because a late
-// dispatcher delivery into an abandoned channel must never surface in a
-// subsequent call.
-type exchangeScratch struct {
-	ids   []uint32
-	chans []chan wire.Message
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(exchangeScratch) }}
-
-// grow returns the scratch slices sized to n, reusing capacity.
-func (sc *exchangeScratch) grow(n int) ([]uint32, []chan wire.Message) {
-	if cap(sc.ids) < n {
-		sc.ids = make([]uint32, n)
-		sc.chans = make([]chan wire.Message, n)
-	}
-	sc.ids = sc.ids[:n]
-	sc.chans = sc.chans[:n]
-	return sc.ids, sc.chans
-}
-
-// release drops the channel references (they are one-shot) and returns the
-// scratch to the pool. Callers must not release while the send goroutine
-// can still read the ID slice — see RoundtripMany's cancellation path.
-func (sc *exchangeScratch) release() {
-	for i := range sc.chans {
-		sc.chans[i] = nil
-	}
-	scratchPool.Put(sc)
-}
-
 // Roundtrip stamps msg with a fresh request ID, sends it, and waits for the
 // matching reply, the context's cancellation, or link failure. It is safe
-// for any number of concurrent callers. It is the single-message case of
-// RoundtripMany, so both exchange shapes share one implementation of the
-// ID-allocation, send and reply/failure-race logic.
+// for any number of concurrent callers. On any failure — send error, link
+// failure, cancellation — the exchange is abandoned and a late reply for it
+// is dropped by the dispatcher.
 func (m *Mux) Roundtrip(ctx context.Context, msg wire.Message) (wire.Message, error) {
-	replies, err := m.RoundtripMany(ctx, []wire.Message{msg})
-	if err != nil {
-		return wire.Message{}, err
-	}
-	return replies[0], nil
-}
-
-// RoundtripMany pipelines several exchanges: every request is stamped with
-// its own ID and sent back-to-back without waiting for replies, then all
-// replies are collected. Over a real network this costs one round-trip of
-// latency instead of len(msgs), which is what keeps the per-query fallback
-// path (stations that cannot accept batch frames) from serializing a whole
-// search on RTTs. Replies are returned in request order regardless of
-// arrival order. On any failure — send error, link failure, cancellation —
-// every exchange of the call is abandoned and the first error returned.
-func (m *Mux) RoundtripMany(ctx context.Context, msgs []wire.Message) ([]wire.Message, error) {
-	if len(msgs) == 0 {
-		return nil, nil
-	}
 	m.mu.Lock()
 	if m.err != nil {
 		err := m.err
 		m.mu.Unlock()
-		return nil, err
+		return wire.Message{}, err
 	}
-	sc := scratchPool.Get().(*exchangeScratch)
-	ids, chans := sc.grow(len(msgs))
-	for i := range msgs {
-		// 0 is reserved for fire-and-forget frames, and an ID still pending
-		// (possible once the counter wraps on a long-lived link) must not be
-		// reissued: the old exchange's reply would be routed to the new one.
-		for {
-			m.nextID++
-			if m.nextID == 0 {
-				m.nextID = 1
-			}
-			if _, busy := m.pending[m.nextID]; !busy {
-				break
-			}
+	// 0 is reserved for fire-and-forget frames, and an ID still pending
+	// (possible once the counter wraps on a long-lived link) must not be
+	// reissued: the old exchange's reply would be routed to the new one.
+	for {
+		m.nextID++
+		if m.nextID == 0 {
+			m.nextID = 1
 		}
-		ids[i] = m.nextID
-		chans[i] = make(chan wire.Message, 1)
-		m.pending[ids[i]] = chans[i]
+		if _, busy := m.pending[m.nextID]; !busy {
+			break
+		}
 	}
+	id := m.nextID
+	// A fresh channel per exchange: a late dispatcher delivery into an
+	// abandoned channel must never surface in a subsequent call.
+	ch := make(chan wire.Message, 1)
+	m.pending[id] = ch
 	m.mu.Unlock()
-
-	abandon := func() {
-		for _, id := range ids {
-			m.forget(id)
-		}
+	abandon := func(err error) (wire.Message, error) {
+		m.forget(id)
+		return wire.Message{}, err
 	}
 
-	// One goroutine streams every frame, so a caller's deadline is honored
-	// even while the link blocks (a stalled TCP peer, a full pipe): the
-	// caller abandons the exchanges promptly, and the blocked send resolves
-	// when the link drains or closes. The loop checks for cancellation and
-	// mux failure between frames: once the call is abandoned, pushing the
-	// remaining now-useless frames would only hold sendMu against
-	// concurrent searches on the link.
+	// The frame is sent from its own goroutine, so a caller's deadline is
+	// honored even while the link blocks (a stalled TCP peer, a full pipe):
+	// the caller abandons the exchange promptly, and the blocked send
+	// resolves when the link drains or closes. A call abandoned while it
+	// queued for sendMu sends nothing.
 	sendDone := make(chan error, 1)
 	go func() {
 		m.sendMu.Lock()
 		defer m.sendMu.Unlock()
-		for i, msg := range msgs {
-			if err := ctx.Err(); err != nil {
-				sendDone <- err
-				return
-			}
-			select {
-			case <-m.done:
-				sendDone <- m.Err()
-				return
-			default:
-			}
-			//dimatch:allow lockio — sendMu exists precisely to serialize link writes; Send is non-blocking on the pipe transport
-			if err := m.link.Send(msg.WithRequest(ids[i])); err != nil {
-				sendDone <- err
-				return
-			}
+		if err := ctx.Err(); err != nil {
+			sendDone <- err
+			return
 		}
-		sendDone <- nil
+		//dimatch:allow lockio — sendMu exists precisely to serialize link writes; Send is non-blocking on the pipe transport
+		sendDone <- m.link.Send(msg.WithRequest(id))
 	}()
 	select {
 	case err := <-sendDone:
 		if err != nil {
-			abandon()
-			sc.release()
-			return nil, err
+			return abandon(err)
 		}
 	case <-ctx.Done():
-		// The send goroutine may still be walking the ID slice; the scratch
-		// leaks to the GC instead of the pool, which is the rare path.
-		abandon()
-		return nil, ctx.Err()
+		return abandon(ctx.Err())
 	case <-m.done:
-		abandon()
-		return nil, m.Err()
+		return abandon(m.Err())
 	}
 
-	// From here the send goroutine has exited, so the scratch can be
-	// recycled on every return.
-	replies := make([]wire.Message, len(msgs))
-	for i, ch := range chans {
+	select {
+	case reply := <-ch:
+		return reply, nil
+	case <-ctx.Done():
+		return abandon(ctx.Err())
+	case <-m.done:
+		// The reply may have been delivered in the instant before failure.
 		select {
-		case replies[i] = <-ch:
-		case <-ctx.Done():
-			abandon()
-			sc.release()
-			return nil, ctx.Err()
-		case <-m.done:
-			// The reply may have been delivered in the instant before failure.
-			select {
-			case replies[i] = <-ch:
-				continue
-			default:
-			}
-			abandon()
-			sc.release()
-			return nil, m.Err()
+		case reply := <-ch:
+			return reply, nil
+		default:
 		}
+		return abandon(m.Err())
 	}
-	sc.release()
-	return replies, nil
 }
 
 // forget abandons a pending exchange; a late reply for it will be dropped.

@@ -28,7 +28,7 @@ func echoStation(t *testing.T, link Link, release <-chan struct{}) {
 		if bytes.Equal(msg.Payload, []byte("hold")) && release != nil {
 			<-release
 		}
-		reply := wire.Message{Kind: wire.KindReports, Request: msg.Request, Payload: msg.Payload}
+		reply := wire.Message{Kind: wire.KindBatchReply, Request: msg.Request, Payload: msg.Payload}
 		if err := link.Send(reply); err != nil {
 			return
 		}
@@ -165,89 +165,40 @@ func TestMuxFireAndForgetUsesRequestZero(t *testing.T) {
 	}
 }
 
-func TestMuxRoundtripManyOrdersReplies(t *testing.T) {
-	center, station := Pipe(nil, nil)
-	go echoStation(t, station, nil)
-	m := NewMux(center)
-	defer m.Close()
-
-	msgs := make([]wire.Message, 9)
-	for i := range msgs {
-		msgs[i] = wire.Message{Kind: wire.KindShipAll, Payload: []byte{byte(i + 1)}}
-	}
-	replies, err := m.RoundtripMany(context.Background(), msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replies) != len(msgs) {
-		t.Fatalf("%d replies, want %d", len(replies), len(msgs))
-	}
-	for i, r := range replies {
-		if !bytes.Equal(r.Payload, msgs[i].Payload) {
-			t.Fatalf("reply %d out of order: got %v", i, r.Payload)
-		}
-	}
-	// Empty input is a no-op, not an error.
-	if replies, err := m.RoundtripMany(context.Background(), nil); err != nil || replies != nil {
-		t.Fatalf("empty call: %v, %v", replies, err)
-	}
-}
-
-func TestMuxRoundtripManyCancellation(t *testing.T) {
-	center, station := Pipe(nil, nil)
-	release := make(chan struct{})
-	go echoStation(t, station, release)
-	m := NewMux(center)
-	defer m.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := m.RoundtripMany(ctx, []wire.Message{
-			{Kind: wire.KindShipAll, Payload: []byte("hold")},
-			{Kind: wire.KindShipAll, Payload: []byte("second")},
-		})
-		errc <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled RoundtripMany did not return")
-	}
-
-	// The abandoned replies must not poison later exchanges.
-	close(release)
-	reply, err := m.Roundtrip(context.Background(), wire.Message{Kind: wire.KindShipAll, Payload: []byte("after")})
-	if err != nil || !bytes.Equal(reply.Payload, []byte("after")) {
-		t.Fatalf("link poisoned: %v %v", reply.Payload, err)
-	}
-}
-
-func TestMuxRoundtripManyPeerDeath(t *testing.T) {
+// TestMuxRequestIDWrap: when the ID counter wraps on a long-lived link it
+// must skip 0 (reserved for fire-and-forget frames) and any ID a stalled
+// exchange still holds — reissuing one would route the old reply to the new
+// caller.
+func TestMuxRequestIDWrap(t *testing.T) {
 	center, station := Pipe(nil, nil)
 	m := NewMux(center)
 	defer m.Close()
 
-	errc := make(chan error, 1)
-	go func() {
-		_, err := m.RoundtripMany(context.Background(), []wire.Message{
-			wire.ShipAllMessage(), wire.ShipAllMessage(),
-		})
-		errc <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
-	station.Close()
-	select {
-	case err := <-errc:
-		if err == nil {
-			t.Fatal("RoundtripMany survived peer death")
+	m.mu.Lock()
+	m.nextID = ^uint32(0) - 1
+	m.mu.Unlock()
+
+	// Three exchanges: the first takes MaxUint32 and stalls, the second
+	// wraps past 0 to 1 and stalls too, the third (after another forced
+	// wrap) must skip both.
+	var got []uint32
+	for i := 0; i < 3; i++ {
+		if i == 2 {
+			m.mu.Lock()
+			m.nextID = ^uint32(0) - 1
+			m.mu.Unlock()
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("RoundtripMany did not fail on peer death")
+		go func() { _, _ = m.Roundtrip(context.Background(), wire.ShipAllMessage()) }()
+		msg, err := station.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, msg.Request)
+	}
+	want := []uint32{^uint32(0), 1, 2}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("request IDs %v, want %v", got, want)
+		}
 	}
 }

@@ -15,7 +15,7 @@ func TestPipeRoundTrip(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	want := wire.Message{Kind: wire.KindReports, Payload: []byte("hello")}
+	want := wire.Message{Kind: wire.KindBatchReply, Payload: []byte("hello")}
 	if err := a.Send(want); err != nil {
 		t.Fatal(err)
 	}

@@ -1,58 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
 
 	"dimatch/internal/core"
 )
-
-// TestFrameVersionStamping pins the negotiation contract: batch kinds travel
-// in version-3 frames, everything else stays at version 2 so pre-batch peers
-// keep decoding it.
-func TestFrameVersionStamping(t *testing.T) {
-	legacy := Message{Kind: KindReports, Payload: []byte{1}}
-	if got := legacy.Encode()[2]; got != Version2 {
-		t.Fatalf("legacy kind stamped version %d, want %d", got, Version2)
-	}
-	batch := Message{Kind: KindBatchQuery, Payload: []byte{1}}
-	if got := batch.Encode()[2]; got != Version3 {
-		t.Fatalf("batch kind stamped version %d, want %d", got, Version3)
-	}
-	// An explicit downgrade request on a batch kind is overridden: the codec
-	// never emits a frame an old peer would misparse as a known kind.
-	batch.Version = Version2
-	if got := batch.Encode()[2]; got != Version3 {
-		t.Fatalf("batch kind downgraded to version %d", got)
-	}
-	// Decoding records the frame version.
-	got, err := Decode(legacy.Encode())
-	if err != nil || got.Version != Version2 {
-		t.Fatalf("decoded version %d (%v), want %d", got.Version, err, Version2)
-	}
-	got, err = Decode(Message{Kind: KindBatchReply}.Encode())
-	if err != nil || got.Version != Version3 {
-		t.Fatalf("decoded version %d (%v), want %d", got.Version, err, Version3)
-	}
-}
-
-// TestBatchKindRejectedInOldFrames: a batch kind smuggled into a version-1
-// or version-2 frame is as unknown as any garbage kind.
-func TestBatchKindRejectedInOldFrames(t *testing.T) {
-	b := Message{Kind: KindBatchQuery, Payload: []byte{1, 2}}.Encode()
-	b[2] = Version2
-	if _, err := Decode(b); !errors.Is(err, ErrBadKind) {
-		t.Fatalf("v2 frame with batch kind: err = %v, want ErrBadKind", err)
-	}
-	v1 := make([]byte, headerSizeV1)
-	binary.LittleEndian.PutUint16(v1[0:2], magic)
-	v1[2] = Version1
-	v1[3] = uint8(KindBatchReply)
-	if _, err := Decode(v1); !errors.Is(err, ErrBadKind) {
-		t.Fatalf("v1 frame with batch kind: err = %v, want ErrBadKind", err)
-	}
-}
 
 func TestBatchQueryRoundTrip(t *testing.T) {
 	f := buildFilter(t)
@@ -62,9 +17,6 @@ func TestBatchQueryRoundTrip(t *testing.T) {
 	}
 	if m.Kind != KindBatchQuery {
 		t.Fatalf("kind = %v", m.Kind)
-	}
-	if m.Encode()[2] != Version3 {
-		t.Fatalf("batch query frame version = %d", m.Encode()[2])
 	}
 	got, err := DecodeBatchQuery(m)
 	if err != nil {
@@ -112,7 +64,7 @@ func TestBatchQueryDecodeCorrupt(t *testing.T) {
 	}
 
 	t.Run("wrong kind", func(t *testing.T) {
-		if _, err := DecodeBatchQuery(Message{Kind: KindReports}); err == nil {
+		if _, err := DecodeBatchQuery(Message{Kind: KindBatchReply}); err == nil {
 			t.Fatal("wrong kind accepted")
 		}
 	})
@@ -184,8 +136,8 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 		},
 	}
 	m := EncodeBatchReply(in)
-	if m.Kind != KindBatchReply || m.Encode()[2] != Version3 {
-		t.Fatalf("frame: kind %v version %d", m.Kind, m.Encode()[2])
+	if m.Kind != KindBatchReply {
+		t.Fatalf("kind = %v", m.Kind)
 	}
 	got, err := DecodeBatchReply(m)
 	if err != nil {
@@ -205,33 +157,29 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsReplyMaxVersion pins the capability handshake: modern replies
-// advertise LatestVersion, and a legacy payload that ends after Length reads
-// back as a Version2 peer.
-func TestStatsReplyMaxVersion(t *testing.T) {
-	m := EncodeStatsReply(StatsReply{Station: 9, Residents: 4, StorageBytes: 96, Length: 3})
-	got, err := DecodeStatsReply(m)
-	if err != nil {
-		t.Fatal(err)
+// TestStatsReplyFixedLayout pins the one stats-reply layout: four uvarints
+// and the capability byte, always. A payload that stops before the byte (the
+// shape some pre-collapse builds sent) or carries one more is rejected.
+func TestStatsReplyFixedLayout(t *testing.T) {
+	var body []byte
+	body = binary.AppendUvarint(body, 9)  // station
+	body = binary.AppendUvarint(body, 4)  // residents
+	body = binary.AppendUvarint(body, 96) // storage bytes
+	body = binary.AppendUvarint(body, 3)  // length
+	for _, flags := range []uint8{0, FlagRouteDelegate} {
+		in := StatsReply{Station: 9, Residents: 4, StorageBytes: 96, Length: 3, Flags: flags}
+		m := EncodeStatsReply(in)
+		if want := append(append([]byte(nil), body...), flags); !bytes.Equal(m.Payload, want) {
+			t.Fatalf("flags %d: payload % x, want % x", flags, m.Payload, want)
+		}
+		if got, err := DecodeStatsReply(m); err != nil || got != in {
+			t.Fatalf("flags %d: got %+v, %v", flags, got, err)
+		}
 	}
-	if got.MaxVersion != LatestVersion {
-		t.Fatalf("MaxVersion = %d, want %d", got.MaxVersion, LatestVersion)
+	if _, err := DecodeStatsReply(Message{Kind: KindStatsReply, Payload: body}); err == nil {
+		t.Fatal("payload without the capability byte accepted")
 	}
-
-	// A pre-batch peer's payload: four uvarints, no capability byte.
-	var legacy []byte
-	legacy = binary.AppendUvarint(legacy, 9)  // station
-	legacy = binary.AppendUvarint(legacy, 4)  // residents
-	legacy = binary.AppendUvarint(legacy, 96) // storage bytes
-	legacy = binary.AppendUvarint(legacy, 3)  // length
-	got, err = DecodeStatsReply(Message{Kind: KindStatsReply, Payload: legacy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MaxVersion != Version2 {
-		t.Fatalf("legacy MaxVersion = %d, want %d", got.MaxVersion, Version2)
-	}
-	if got.Station != 9 || got.Residents != 4 || got.StorageBytes != 96 || got.Length != 3 {
-		t.Fatalf("legacy fields lost: %+v", got)
+	if _, err := DecodeStatsReply(Message{Kind: KindStatsReply, Payload: append(append([]byte(nil), body...), 0, 1)}); err == nil {
+		t.Fatal("payload with a byte after the capability byte accepted")
 	}
 }

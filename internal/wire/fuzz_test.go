@@ -9,34 +9,49 @@ import (
 	"dimatch/internal/pattern"
 )
 
-// The two worked frames from docs/WIRE.md, byte for byte: a v3
-// KindBatchQuery carrying one query's combined filter, and a v5
-// KindSummaryReply carrying a one-resident routing digest. Seeding the
-// fuzzers with real, documented frames means every mutation starts from a
-// fully valid header + payload and immediately explores the interesting
-// corrupt-field space instead of rediscovering the magic number.
+// The worked frames from docs/WIRE.md, byte for byte: a KindBatchQuery
+// carrying one query's combined filter, and a KindSummaryReply carrying a
+// one-resident routing digest. Seeding the fuzzers with real, documented
+// frames means every mutation starts from a fully valid header + payload and
+// immediately explores the interesting corrupt-field space instead of
+// rediscovering the magic number.
 const (
-	workedBatchQueryHex = "a7d1030e2a000000" + "34000000" +
+	workedBatchQueryHex = "a7d1080e2a000000" + "34000000" +
 		"0101400000000000000002020001050000000000000000" +
 		"020201000000050020200001010103030418010002010013010008" + "0100"
-	workedSummaryReplyHex = "a7d105132a000000" + "1e000000" +
+	workedSummaryReplyHex = "a7d108132a000000" + "1e000000" +
 		"030201719a3d0cbfe5a75140000000000000000702" +
 		"010119402202542008"
-	// The v6 worked frames from docs/WIRE.md: a KindRouteQuery delegating a
-	// one-query round (auto-sized params, tree routing) and the region's
-	// KindRouteReply carrying one raw partial result.
-	workedRouteQueryHex = "a7d106142a000000" + "2c000000" +
+	// A KindRouteQuery delegating a one-query round (auto-sized params, tree
+	// routing) and the region's KindRouteReply carrying one raw partial
+	// result.
+	workedRouteQueryHex = "a7d108142a000000" + "2c000000" +
 		"01070204020400020400020204" +
 		"000000000000000000000000000000000000000000" +
 		"7b14ae47e17a843f" + "0002"
-	workedRouteReplyHex = "a7d106152a000000" + "0c000000" +
+	workedRouteReplyHex = "a7d108152a000000" + "0c000000" +
 		"030502010001" + "010709181801"
-	// The v7 worked frame from docs/WIRE.md: a KindParamUpdate installing a
-	// three-group adaptive plan at epoch 2.
-	workedParamUpdateHex = "a7d107162a000000" + "1b000000" +
+	// A KindParamUpdate installing a three-group adaptive plan at epoch 2.
+	workedParamUpdateHex = "a7d108162a000000" + "1b000000" +
 		"020000000000000001" + "1704000000000000" + "03" +
 		"020501" + "030604" + "040710"
 )
+
+// addRetiredSeeds seeds a frame fuzzer with copies of frame re-stamped with
+// each version byte earlier builds used (plus the next unassigned one) and
+// each retired kind byte — all of which must be rejected at the header.
+func addRetiredSeeds(f *testing.F, frame []byte) {
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 9} {
+		bad := append([]byte(nil), frame...)
+		bad[2] = v
+		f.Add(bad)
+	}
+	for _, k := range []byte{1, 4} {
+		bad := append([]byte(nil), frame...)
+		bad[3] = k
+		f.Add(bad)
+	}
+}
 
 func mustHex(t testing.TB, s string) []byte {
 	t.Helper()
@@ -48,9 +63,9 @@ func mustHex(t testing.TB, s string) []byte {
 }
 
 // FuzzDecode exercises the frame codec: any byte string must either be
-// rejected with an error or decode into a message that survives an
-// encode/decode roundtrip, respects the kind's version-gating floor, and
-// reads back identically through the streaming ReadMessage path.
+// rejected with an error or decode into a message that re-encodes to the
+// same bytes and reads back identically through the streaming ReadMessage
+// path.
 func FuzzDecode(f *testing.F) {
 	f.Add(mustHex(f, workedBatchQueryHex))
 	f.Add(mustHex(f, workedSummaryReplyHex))
@@ -58,29 +73,22 @@ func FuzzDecode(f *testing.F) {
 	f.Add(Message{Kind: KindShutdown}.Encode())
 	f.Add(EncodeFetch(Fetch{Persons: []core.PersonID{1, 2, 3}}).WithRequest(9).Encode())
 	f.Add(EncodeAck(Ack{Station: 4, Applied: 2}).Encode())
-	// Truncation and corruption seeds: a frame cut mid-header, mid-payload,
-	// and one with a poisoned version byte.
+	// Truncation seeds: a frame cut mid-header and mid-payload.
 	full := mustHex(f, workedBatchQueryHex)
 	f.Add(full[:7])
 	f.Add(full[:20])
-	bad := append([]byte(nil), full...)
-	bad[2] = 9
-	f.Add(bad)
+	addRetiredSeeds(f, full)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Decode(b)
 		if err != nil {
 			return // rejected input: nothing further to hold
 		}
-		if m.Version < Version1 || m.Version > LatestVersion {
-			t.Fatalf("decoded version %d outside [%d, %d]", m.Version, Version1, LatestVersion)
-		}
-		floor, known := MinVersion(m.Kind)
-		if !known {
+		if !m.Kind.known() {
 			t.Fatalf("decoded unknown kind %d", m.Kind)
 		}
-		if m.Version < floor {
-			t.Fatalf("kind %v decoded from version-%d frame below its floor %d", m.Kind, m.Version, floor)
+		if b[2] != Version {
+			t.Fatalf("decoded a frame stamped version %d", b[2])
 		}
 		// The streaming reader must agree with the one-shot decoder on the
 		// exact same bytes.
@@ -88,21 +96,13 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Decode accepted but ReadMessage rejected: %v", err)
 		}
-		if ms.Kind != m.Kind || ms.Request != m.Request || ms.Version != m.Version || !bytes.Equal(ms.Payload, m.Payload) {
+		if ms.Kind != m.Kind || ms.Request != m.Request || !bytes.Equal(ms.Payload, m.Payload) {
 			t.Fatalf("ReadMessage disagrees with Decode: %+v vs %+v", ms, m)
 		}
-		// Re-encoding must produce a decodable frame carrying the same
-		// message (the version may be re-stamped: v1 frames re-encode as v2,
-		// and every kind is raised to at least its floor).
-		re, err := Decode(m.Encode())
-		if err != nil {
-			t.Fatalf("re-encode of decoded message rejected: %v", err)
-		}
-		if re.Kind != m.Kind || re.Request != m.Request || !bytes.Equal(re.Payload, m.Payload) {
-			t.Fatalf("encode/decode roundtrip changed the message: %+v vs %+v", re, m)
-		}
-		if re.Version < floor {
-			t.Fatalf("re-encoded kind %v stamped version %d below floor %d", m.Kind, re.Version, floor)
+		// One version, one header: re-encoding reproduces the accepted
+		// bytes exactly.
+		if !bytes.Equal(m.Encode(), b) {
+			t.Fatalf("re-encode differs from the accepted frame: % x vs % x", m.Encode(), b)
 		}
 	})
 }
@@ -137,17 +137,19 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(uint8(KindParamUpdate), pu.Payload)
 	}
 	f.Add(uint8(KindParamAck), EncodeParamAck(ParamAck{Station: 4, Epoch: 3, Applied: true}).Payload)
+	// The retired kind bytes (the dispatch below maps seed byte b to kind
+	// b%maxKind+1).
+	f.Add(uint8(0), mustHex(f, workedBatchQueryHex)[12:])
+	f.Add(uint8(3), mustHex(f, workedBatchQueryHex)[12:])
 
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		k := Kind(kind%uint8(maxKind)) + 1
 		m := Message{Kind: k, Payload: payload}
 		switch k {
-		case KindWBFQuery:
-			_, _ = DecodeWBFQuery(m)
+		case 1, retiredKind:
+			// Retired values: rejected at the frame header, no decoder.
 		case KindBFQuery:
 			_, _ = DecodeBFQuery(m)
-		case KindReports:
-			_, _ = DecodeReports(m)
 		case KindBFMatches:
 			bm, err := DecodeBFMatches(m)
 			if err == nil {
@@ -186,10 +188,7 @@ func FuzzDecodePayload(f *testing.F) {
 				if err != nil {
 					t.Fatalf("stats-reply re-decode failed: %v", err)
 				}
-				// Encode always writes the capability byte, so a legacy
-				// payload without one reads back advertising the latest
-				// version — every other field must hold exactly.
-				if re.Station != sr.Station || re.Residents != sr.Residents || re.StorageBytes != sr.StorageBytes || re.Length != sr.Length {
+				if re != sr {
 					t.Fatalf("stats-reply roundtrip changed fields: %+v vs %+v", re, sr)
 				}
 			}

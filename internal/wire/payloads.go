@@ -15,7 +15,7 @@ import (
 // ---- WBF query dissemination ----
 
 // writeFilter renders a WBF — params, bit array, weight table, slot lists —
-// into w. The layout is shared by KindWBFQuery and KindBatchQuery.
+// into w.
 func writeFilter(w *writer, f *core.Filter) {
 	p := f.Params()
 	w.u64(p.Bits)
@@ -117,37 +117,9 @@ func readFilter(r *reader) (*core.Filter, error) {
 	return core.FromParts(p, length, words, bitIdx, ids, weights, inserted)
 }
 
-// EncodeWBFQuery renders a filter for dissemination to stations — the
-// legacy (version ≤ 2) single-exchange form, still used as the per-query
-// fallback for stations that never advertised version 3.
-func EncodeWBFQuery(f *core.Filter) Message {
-	var w writer
-	writeFilter(&w, f)
-	return Message{Kind: KindWBFQuery, Payload: w.buf}
-}
-
-// DecodeWBFQuery reconstructs the filter.
-func DecodeWBFQuery(m Message) (*core.Filter, error) {
-	if m.Kind != KindWBFQuery {
-		return nil, fmt.Errorf("wire: decoding %v as wbf-query", m.Kind)
-	}
-	r := &reader{buf: m.Payload}
-	f, err := readFilter(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// ---- batched search round (v3) ----
-
-// BatchQuery packs one whole search round for one station: the IDs of every
-// query in the batch and the combined WBF that encodes all of them. One
-// exchange replaces the per-query frames of the legacy path, which is where
-// the batch pipeline's messages-per-query savings come from.
+// BatchQuery is one search round for one station: the IDs of every query in
+// the round and the combined WBF that encodes all of them, so a round costs
+// one exchange per station however many queries it carries.
 type BatchQuery struct {
 	// Queries are the batch's query IDs, ascending and unique. Every weight
 	// entry of Filter must reference one of them.
@@ -195,9 +167,9 @@ func EncodeBatchQuery(b BatchQuery) (Message, error) {
 }
 
 // DecodeBatchQuery parses and validates a batch round: the declared query
-// count is bounded by MaxBatchQueries, the filter reconstructs through the
-// same validation as a legacy WBF query, and every weight entry must
-// reference a declared query. Corrupt payloads fail with typed errors —
+// count is bounded by MaxBatchQueries, the filter reconstructs through
+// core.FromParts' validation, and every weight entry must reference a
+// declared query. Corrupt payloads fail with typed errors —
 // never a panic.
 func DecodeBatchQuery(m Message) (BatchQuery, error) {
 	if m.Kind != KindBatchQuery {
@@ -390,53 +362,6 @@ func DecodeBFQuery(m Message) (BFQuery, error) {
 	return BFQuery{Filter: f, Params: p, Length: length}, nil
 }
 
-// ---- station reports ----
-
-// Reports is one station's batch of WBF match reports.
-type Reports struct {
-	Station uint32
-	Reports []core.Report
-}
-
-// EncodeReports renders a station's (person, weights) matches.
-func EncodeReports(rs Reports) Message {
-	var w writer
-	w.uvarint(uint64(rs.Station))
-	w.uvarint(uint64(len(rs.Reports)))
-	for _, rep := range rs.Reports {
-		w.uvarint(uint64(rep.Person))
-		w.uvarint(uint64(len(rep.WeightIDs)))
-		for _, id := range rep.WeightIDs {
-			w.uvarint(uint64(id))
-		}
-	}
-	return Message{Kind: KindReports, Payload: w.buf}
-}
-
-// DecodeReports parses a report batch.
-func DecodeReports(m Message) (Reports, error) {
-	if m.Kind != KindReports {
-		return Reports{}, fmt.Errorf("wire: decoding %v as reports", m.Kind)
-	}
-	r := &reader{buf: m.Payload}
-	out := Reports{Station: uint32(r.uvarint())}
-	n := r.count(2)
-	out.Reports = make([]core.Report, 0, n)
-	for i := 0; i < n; i++ {
-		rep := core.Report{Person: core.PersonID(r.uvarint())}
-		ids := r.count(1)
-		rep.WeightIDs = make([]core.WeightID, ids)
-		for j := range rep.WeightIDs {
-			rep.WeightIDs[j] = core.WeightID(r.uvarint())
-		}
-		out.Reports = append(out.Reports, rep)
-	}
-	if err := r.done(); err != nil {
-		return Reports{}, err
-	}
-	return out, nil
-}
-
 // ---- BF matches ----
 
 // BFMatches is the baseline's report: bare person IDs, no weights.
@@ -570,7 +495,7 @@ func DecodeFetch(m Message) (Fetch, error) {
 	return out, nil
 }
 
-// ---- replication: dump (v4) ----
+// ---- replication: dump ----
 
 // Dump asks a station for the raw local patterns of specific persons, or —
 // with an empty person filter — for its entire resident store. It is the
@@ -579,7 +504,7 @@ func DecodeFetch(m Message) (Fetch, error) {
 // onto their new rendezvous targets with KindIngest. Unlike KindFetch (which
 // feeds the verification phase and answers with KindNaiveData), a dump can
 // cover the whole store and its reply is a distinct kind, so the two
-// workloads stay separately meterable and separately versioned.
+// workloads stay separately meterable.
 type Dump struct {
 	// Persons restricts the dump; empty means every resident. IDs are sent
 	// sorted and delta-encoded.
@@ -674,7 +599,7 @@ func DecodeDumpReply(m Message) (DumpReply, error) {
 	return out, nil
 }
 
-// ---- routing: summary (v5) ----
+// ---- routing: summary ----
 
 // SummaryReply carries one station's routing summary: the Bloom digest of
 // every resident pattern's accumulated cells, which the coordinator caches
@@ -693,18 +618,17 @@ type SummaryReply struct {
 	Words     []uint64
 	// ParamEpoch is the adaptive parameter epoch the digest was built
 	// under, zero for the static table. When nonzero, Hashes is zero on the
-	// wire and a per-group geometry table follows the words (v7 digests).
+	// wire and a per-group geometry table follows the words.
 	ParamEpoch uint64
 }
 
 // EncodeSummaryPayload renders a routing summary's payload bytes without the
 // message envelope. The station WAL (internal/store/wal) persists the
 // memoized digest in exactly this form, so a recovered digest is
-// byte-comparable with what the station last served. A static digest
-// encodes exactly as it has since v5; a digest built under an adaptive plan
-// writes 0 in the hash-count field (no static filter has zero hashes) and
-// appends its parameter epoch plus the per-group geometry table after the
-// words, so the payload stays self-contained.
+// byte-comparable with what the station last served. A digest built under an
+// adaptive plan writes 0 in the hash-count field (no static filter has zero
+// hashes) and appends its parameter epoch plus the per-group geometry table
+// after the words, so the payload stays self-contained.
 func EncodeSummaryPayload(s *index.Summary, station uint32) []byte {
 	var w writer
 	w.uvarint(uint64(station))
@@ -804,7 +728,7 @@ func DecodeSummaryReply(m Message) (SummaryReply, *index.Summary, error) {
 	return DecodeSummaryPayload(m.Payload)
 }
 
-// ---- hierarchy: route delegation (v6) ----
+// ---- hierarchy: route delegation ----
 
 // RouteQuery delegates one whole search round to a region coordinator: the
 // raw queries plus every knob the region needs to resolve the exact same
@@ -877,6 +801,9 @@ func DecodeRouteQuery(m Message) (RouteQuery, error) {
 	n := r.count(2)
 	if uint64(n) > MaxBatchQueries {
 		return RouteQuery{}, fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, n, MaxBatchQueries)
+	}
+	if r.err == nil && n == 0 {
+		return RouteQuery{}, fmt.Errorf("%w: zero queries", ErrBatchMismatch)
 	}
 	out := RouteQuery{Queries: make([]core.Query, 0, n)}
 	for i := 0; i < n; i++ {
@@ -1124,58 +1051,34 @@ func DecodeEvict(m Message) (Evict, error) {
 // StatsReply is one station's answer to KindStats: how many residents it
 // holds, the raw bytes they occupy, and the pattern length it serves (0 when
 // empty) — which doubles as a handshake check when a link joins a cluster.
-// MaxVersion advertises the highest wire version the station speaks; the
-// center's per-epoch stats exchange is how it discovers which stations can
-// receive version-3 batch frames.
 type StatsReply struct {
 	Station      uint32
 	Residents    uint64
 	StorageBytes uint64
 	Length       uint32
-	// MaxVersion is the peer's highest supported wire version. The field was
-	// added with version 3; a reply without it decodes as Version2, which is
-	// exactly what its absence proves about the sender. The flip side: a
-	// pre-batch decoder rejects the byte as trailing garbage, so data
-	// centers must upgrade before stations.
-	MaxVersion uint8
-	// Flags carries capability bits (FlagRouteDelegate). The byte was added
-	// with version 6 and is encoded only when nonzero, so a plain station's
-	// reply stays byte-identical to its version-5 form; a reply without it
-	// decodes as Flags == 0 — no capabilities, which is exactly what its
-	// absence proves.
+	// Flags carries the peer's capability bits (FlagRouteDelegate); zero is
+	// a plain station.
 	Flags uint8
 }
 
 // FlagRouteDelegate marks a peer that answers KindRouteQuery — a region
 // coordinator fronting a subtree of stations rather than a plain station.
-// Version alone cannot distinguish the two once both speak v6, and sending
-// a route query to a plain station would poison its serve loop, so the root
-// only delegates to peers that set this bit.
+// Sending a route query to a plain station would fail its serve loop, so the
+// root only delegates to peers that set this bit.
 const FlagRouteDelegate = uint8(1)
 
-// EncodeStatsReply renders the stats answer, advertising LatestVersion when
-// MaxVersion is unset. The Flags byte is written only when nonzero, keeping
-// a plain station's reply byte-identical to its pre-v6 form.
+// EncodeStatsReply renders the stats answer.
 func EncodeStatsReply(s StatsReply) Message {
-	if s.MaxVersion == 0 {
-		s.MaxVersion = LatestVersion
-	}
 	var w writer
 	w.uvarint(uint64(s.Station))
 	w.uvarint(s.Residents)
 	w.uvarint(s.StorageBytes)
 	w.uvarint(uint64(s.Length))
-	w.u8(s.MaxVersion)
-	if s.Flags != 0 {
-		w.u8(s.Flags)
-	}
+	w.u8(s.Flags)
 	return Message{Kind: KindStatsReply, Payload: w.buf}
 }
 
-// DecodeStatsReply parses the stats answer. The MaxVersion byte is optional
-// on the wire: pre-batch peers end the payload after Length, and their reply
-// reads back with MaxVersion == Version2. The Flags byte is optional after
-// that: a reply without it reads back with Flags == 0.
+// DecodeStatsReply parses the stats answer.
 func DecodeStatsReply(m Message) (StatsReply, error) {
 	if m.Kind != KindStatsReply {
 		return StatsReply{}, fmt.Errorf("wire: decoding %v as stats-reply", m.Kind)
@@ -1186,13 +1089,7 @@ func DecodeStatsReply(m Message) (StatsReply, error) {
 		Residents:    r.uvarint(),
 		StorageBytes: r.uvarint(),
 		Length:       uint32(r.uvarint()),
-		MaxVersion:   Version2,
-	}
-	if r.err == nil && r.off < len(r.buf) {
-		out.MaxVersion = r.u8()
-	}
-	if r.err == nil && r.off < len(r.buf) {
-		out.Flags = r.u8()
+		Flags:        r.u8(),
 	}
 	if err := r.done(); err != nil {
 		return StatsReply{}, err
@@ -1233,7 +1130,7 @@ func DecodeAck(m Message) (Ack, error) {
 // StatsMessage asks a station for its resident count and storage footprint.
 func StatsMessage() Message { return Message{Kind: KindStats} }
 
-// SummaryMessage asks a station for its routing summary (v5).
+// SummaryMessage asks a station for its routing summary.
 func SummaryMessage() Message { return Message{Kind: KindSummary} }
 
 // ShipAllMessage asks a station to ship its complete local data.
@@ -1249,9 +1146,9 @@ func boolByte(b bool) uint8 {
 	return 0
 }
 
-// ---- adaptive parameters (v7) ----
+// ---- adaptive parameters ----
 
-// ParamUpdate ships a traffic-adaptive parameter plan to a station (wire v7).
+// ParamUpdate ships a traffic-adaptive parameter plan to a station.
 // A nil Plan orders the station back onto the static table; a non-nil Plan
 // carries the per-group weights, hash counts and quanta the station resolves
 // against its own memory budget. Epoch is the parameter epoch the update

@@ -35,16 +35,25 @@ func buildFilter(t *testing.T) *core.Filter {
 	return enc.Filter()
 }
 
-func TestWBFQueryRoundTrip(t *testing.T) {
-	f := buildFilter(t)
-	m := EncodeWBFQuery(f)
-	if m.Kind != KindWBFQuery {
-		t.Fatalf("kind = %v", m.Kind)
-	}
-	got, err := DecodeWBFQuery(m)
+// encodeBuiltFilter renders buildFilter's two-query filter as a batch query.
+func encodeBuiltFilter(t *testing.T, f *core.Filter) Message {
+	t.Helper()
+	m, err := EncodeBatchQuery(BatchQuery{Queries: []core.QueryID{1, 7}, Filter: f})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+// TestFilterRoundTrip checks the WBF layout inside a batch query: every
+// field survives, and the decoded filter matches exactly like the original.
+func TestFilterRoundTrip(t *testing.T) {
+	f := buildFilter(t)
+	bq, err := DecodeBatchQuery(encodeBuiltFilter(t, f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := bq.Filter
 	if got.Params() != f.Params() {
 		t.Fatalf("params: %+v vs %+v", got.Params(), f.Params())
 	}
@@ -77,17 +86,11 @@ func TestWBFQueryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWBFQueryDecodeWrongKind(t *testing.T) {
-	if _, err := DecodeWBFQuery(Message{Kind: KindShipAll}); err == nil {
-		t.Fatal("wrong kind accepted")
-	}
-}
-
-func TestWBFQueryDecodeCorrupt(t *testing.T) {
-	m := EncodeWBFQuery(buildFilter(t))
+func TestFilterDecodeTruncated(t *testing.T) {
+	m := encodeBuiltFilter(t, buildFilter(t))
 	for cut := 0; cut < len(m.Payload); cut += 7 {
-		trunc := Message{Kind: KindWBFQuery, Payload: m.Payload[:cut]}
-		if _, err := DecodeWBFQuery(trunc); err == nil {
+		trunc := Message{Kind: KindBatchQuery, Payload: m.Payload[:cut]}
+		if _, err := DecodeBatchQuery(trunc); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -118,38 +121,7 @@ func TestBFQueryRoundTrip(t *testing.T) {
 			t.Fatalf("verdict diverged for %d", v)
 		}
 	}
-	if _, err := DecodeBFQuery(Message{Kind: KindReports}); err == nil {
-		t.Fatal("wrong kind accepted")
-	}
-}
-
-func TestReportsRoundTrip(t *testing.T) {
-	in := Reports{
-		Station: 42,
-		Reports: []core.Report{
-			{Person: 1, WeightIDs: []core.WeightID{0, 5, 9}},
-			{Person: 1 << 40, WeightIDs: []core.WeightID{3}},
-			{Person: 7, WeightIDs: nil},
-		},
-	}
-	got, err := DecodeReports(EncodeReports(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Station != in.Station || len(got.Reports) != len(in.Reports) {
-		t.Fatalf("got %+v", got)
-	}
-	for i, rep := range in.Reports {
-		if got.Reports[i].Person != rep.Person || len(got.Reports[i].WeightIDs) != len(rep.WeightIDs) {
-			t.Fatalf("report %d: %+v vs %+v", i, got.Reports[i], rep)
-		}
-		for j, id := range rep.WeightIDs {
-			if got.Reports[i].WeightIDs[j] != id {
-				t.Fatalf("report %d id %d differs", i, j)
-			}
-		}
-	}
-	if _, err := DecodeReports(Message{Kind: KindShipAll}); err == nil {
+	if _, err := DecodeBFQuery(Message{Kind: KindBFMatches}); err == nil {
 		t.Fatal("wrong kind accepted")
 	}
 }
@@ -206,15 +178,15 @@ func TestNaiveDataRoundTrip(t *testing.T) {
 func TestDecodersNeverPanicOnMutatedPayloads(t *testing.T) {
 	// Stations decode filters from the network; arbitrary corruption must
 	// surface as errors, never panics or runaway allocations.
-	base := EncodeWBFQuery(buildFilter(t))
+	base := encodeBuiltFilter(t, buildFilter(t))
 	decoders := []func(Message) error{
-		func(m Message) error { _, err := DecodeWBFQuery(m); return err },
+		func(m Message) error { _, err := DecodeBatchQuery(m); return err },
 		func(m Message) error {
 			_, err := DecodeBFQuery(Message{Kind: KindBFQuery, Payload: m.Payload})
 			return err
 		},
 		func(m Message) error {
-			_, err := DecodeReports(Message{Kind: KindReports, Payload: m.Payload})
+			_, err := DecodeBatchReply(Message{Kind: KindBatchReply, Payload: m.Payload})
 			return err
 		},
 		func(m Message) error {
@@ -243,7 +215,7 @@ func TestDecodersNeverPanicOnMutatedPayloads(t *testing.T) {
 		for i := step; i < len(payload); i += 101 {
 			payload[i] ^= byte(step)
 		}
-		m := Message{Kind: KindWBFQuery, Payload: payload}
+		m := Message{Kind: KindBatchQuery, Payload: payload}
 		for di, dec := range decoders {
 			func() {
 				defer func() {
@@ -352,7 +324,7 @@ func TestEvictRoundTrip(t *testing.T) {
 }
 
 func TestStatsAckRoundTrip(t *testing.T) {
-	s := StatsReply{Station: 9, Residents: 1234, StorageBytes: 98765, Length: 8, MaxVersion: LatestVersion}
+	s := StatsReply{Station: 9, Residents: 1234, StorageBytes: 98765, Length: 8}
 	gotS, err := DecodeStatsReply(EncodeStatsReply(s))
 	if err != nil || gotS != s {
 		t.Fatalf("stats reply: got %+v, %v; want %+v", gotS, err, s)
@@ -370,11 +342,10 @@ func TestStatsAckRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWBFQueryCompactness(t *testing.T) {
+func TestBatchQueryCompactness(t *testing.T) {
 	// The dissemination message must be far smaller than the naive shipment
 	// of even a modest station's data — the whole point of the scheme.
-	f := buildFilter(t)
-	m := EncodeWBFQuery(f)
+	m := encodeBuiltFilter(t, buildFilter(t))
 	if m.EncodedSize() > 1<<16 {
 		t.Fatalf("WBF query frame unexpectedly large: %d bytes", m.EncodedSize())
 	}

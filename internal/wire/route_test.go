@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/hex"
+	"errors"
 	"testing"
 
 	"dimatch/internal/core"
@@ -39,7 +40,7 @@ func workedRouteReply() Message {
 	}).WithRequest(42)
 }
 
-// TestWorkedRouteHex pins the docs/WIRE.md worked v6 frames to the live
+// TestWorkedRouteHex pins the docs/WIRE.md worked route frames to the live
 // encoders, so the documentation cannot drift from the code.
 func TestWorkedRouteHex(t *testing.T) {
 	if got := hex.EncodeToString(workedRouteQuery(t).Encode()); got != workedRouteQueryHex {
@@ -68,9 +69,6 @@ func TestRouteQueryRoundtrip(t *testing.T) {
 	}
 	if m.Kind != KindRouteQuery {
 		t.Fatalf("kind = %v", m.Kind)
-	}
-	if v := m.Encode()[2]; v != Version6 {
-		t.Fatalf("route-query frame stamped v%d, want v6", v)
 	}
 	out, err := DecodeRouteQuery(Message{Kind: KindRouteQuery, Payload: m.Payload})
 	if err != nil {
@@ -103,6 +101,11 @@ func TestRouteQueryRoundtrip(t *testing.T) {
 	if _, err := EncodeRouteQuery(big); err == nil {
 		t.Fatal("oversized route query encoded")
 	}
+	// The decoder refuses what the encoder refuses: an all-zero payload is a
+	// well-formed round of zero queries.
+	if _, err := DecodeRouteQuery(Message{Kind: KindRouteQuery, Payload: make([]byte, 32)}); !errors.Is(err, ErrBatchMismatch) {
+		t.Fatalf("zero-query round: err = %v, want ErrBatchMismatch", err)
+	}
 }
 
 // TestRouteReplyRoundtrip pins the region-answer codec, including negative
@@ -118,9 +121,6 @@ func TestRouteReplyRoundtrip(t *testing.T) {
 		},
 	}
 	m := EncodeRouteReply(in)
-	if v := m.Encode()[2]; v != Version6 {
-		t.Fatalf("route-reply frame stamped v%d, want v6", v)
-	}
 	out, err := DecodeRouteReply(Message{Kind: KindRouteReply, Payload: m.Payload})
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -131,52 +131,5 @@ func TestRouteReplyRoundtrip(t *testing.T) {
 	}
 	if len(out.Results) != 2 || out.Results[0] != in.Results[0] || out.Results[1] != in.Results[1] {
 		t.Fatalf("results changed: %+v", out.Results)
-	}
-}
-
-// TestRouteKindsVersionGated pins the v6 gating: a route kind in a v5 frame
-// is as unknown as kind 200.
-func TestRouteKindsVersionGated(t *testing.T) {
-	frame := workedRouteQuery(t).Encode()
-	for _, v := range []uint8{Version2, Version3, Version4, Version5} {
-		bad := append([]byte(nil), frame...)
-		bad[2] = v
-		if _, err := Decode(bad); err != ErrBadKind {
-			t.Fatalf("route-query in v%d frame: err = %v, want ErrBadKind", v, err)
-		}
-	}
-	if m, err := Decode(frame); err != nil || m.Version != Version6 {
-		t.Fatalf("v6 route-query rejected: %v (version %d)", err, m.Version)
-	}
-}
-
-// TestStatsReplyFlags pins the optional capability byte: absent decodes as
-// zero, nonzero survives a roundtrip, and a plain (flagless) reply encodes
-// byte-identically to the pre-v6 form.
-func TestStatsReplyFlags(t *testing.T) {
-	plain := EncodeStatsReply(StatsReply{Station: 3, Residents: 5, StorageBytes: 80, Length: 24})
-	got, err := DecodeStatsReply(plain)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.Flags != 0 {
-		t.Fatalf("plain reply Flags = %d, want 0", got.Flags)
-	}
-	delegate := EncodeStatsReply(StatsReply{Station: 3, Residents: 5, Length: 24, Flags: FlagRouteDelegate})
-	if len(delegate.Payload) != len(plain.Payload)+1 {
-		t.Fatalf("delegate payload %d bytes, plain %d: flag byte missing", len(delegate.Payload), len(plain.Payload))
-	}
-	got, err = DecodeStatsReply(delegate)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.Flags != FlagRouteDelegate {
-		t.Fatalf("Flags = %d, want %d", got.Flags, FlagRouteDelegate)
-	}
-	// A v5-era payload that ends after MaxVersion still decodes (the flag
-	// byte is optional), proving rolling upgrades keep handshaking.
-	legacy := Message{Kind: KindStatsReply, Payload: plain.Payload}
-	if got, err := DecodeStatsReply(legacy); err != nil || got.MaxVersion != LatestVersion {
-		t.Fatalf("legacy-shaped reply: %+v, %v", got, err)
 	}
 }

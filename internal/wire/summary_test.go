@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/hex"
-	"errors"
 	"testing"
 
 	"dimatch/internal/core"
@@ -19,9 +18,6 @@ func TestSummaryReplyRoundtrip(t *testing.T) {
 	decoded, err := Decode(msg.WithRequest(9).Encode())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if decoded.Version != Version5 {
-		t.Fatalf("summary reply stamped v%d, want v5", decoded.Version)
 	}
 	sr, got, err := DecodeSummaryReply(decoded)
 	if err != nil {
@@ -46,7 +42,7 @@ func TestSummaryReplyRoundtrip(t *testing.T) {
 	}
 }
 
-// TestWorkedSummaryHex pins the docs/WIRE.md worked v5 summary-reply frame
+// TestWorkedSummaryHex pins the docs/WIRE.md worked summary-reply frame
 // to the live encoder, so the documentation cannot drift from the code.
 func TestWorkedSummaryHex(t *testing.T) {
 	s, err := index.Build(2, []pattern.Pattern{{1, 2}})
@@ -56,28 +52,6 @@ func TestWorkedSummaryHex(t *testing.T) {
 	got := hex.EncodeToString(EncodeSummaryReply(s, 3).WithRequest(42).Encode())
 	if got != workedSummaryReplyHex {
 		t.Fatalf("summary-reply worked frame drifted:\n got %s\nwant %s", got, workedSummaryReplyHex)
-	}
-}
-
-// TestSummaryKindsVersionGated pins the v5 gate: a summary kind inside a
-// frame stamped 4 or below is ErrBadKind, exactly like an unknown kind.
-func TestSummaryKindsVersionGated(t *testing.T) {
-	for _, kind := range []Kind{KindSummary, KindSummaryReply} {
-		for _, v := range []uint8{Version1, Version2, Version3, Version4} {
-			frame := Message{Kind: kind, Payload: nil}.Encode()
-			frame[2] = v
-			if v == Version1 {
-				// v1 headers are 4 bytes shorter; rebuild the frame.
-				frame = append(frame[:4], frame[8:]...)
-			}
-			if _, err := Decode(frame); !errors.Is(err, ErrBadKind) {
-				t.Errorf("kind %v in v%d frame: err %v, want ErrBadKind", kind, v, err)
-			}
-		}
-		// The same kind in a v5 frame decodes.
-		if _, err := Decode(Message{Kind: kind}.Encode()); err != nil {
-			t.Errorf("kind %v in v5 frame: %v", kind, err)
-		}
 	}
 }
 
@@ -104,17 +78,5 @@ func TestSummaryReplyRejectsCorruption(t *testing.T) {
 	bad := Message{Kind: KindSummaryReply, Payload: append(trunc, 0, 0, 0, 0, 0, 0, 0, 0)}
 	if _, _, err := DecodeSummaryReply(bad); err == nil {
 		t.Fatal("trailing garbage accepted")
-	}
-}
-
-// TestStatsReplyAdvertisesV7 pins the capability handshake: a modern
-// station's stats reply advertises LatestVersion = 7.
-func TestStatsReplyAdvertisesV7(t *testing.T) {
-	sr, err := DecodeStatsReply(EncodeStatsReply(StatsReply{Station: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.MaxVersion != Version7 {
-		t.Fatalf("MaxVersion %d, want %d", sr.MaxVersion, Version7)
 	}
 }

@@ -5,68 +5,32 @@ import (
 	"testing"
 )
 
-// TestKindTablesInSync pins the three places a message kind must be
-// registered — the String table, the maxKind* boundary constants and the
-// kindFloors version-gating table — against each other. A new kind missing
-// from any one of them fails here, complementing the wirekind analyzer
-// (which proves the same property statically in cmd/di-lint): the analyzer
-// catches the omission at lint time, this test catches it even when the
-// lint step is skipped.
+// TestKindTablesInSync pins the places a message kind must be registered —
+// the String table, the frame decoder's accepted set (Kind.known) and the
+// maxKind boundary — against each other. A new kind missing from one of them
+// fails here, complementing the wirekind analyzer (which proves the String
+// half statically in cmd/di-lint).
 func TestKindTablesInSync(t *testing.T) {
-	if len(kindFloors) != int(maxKind) {
-		t.Fatalf("kindFloors has %d entries, maxKind is %d: a kind is missing from (or beyond) the gating table", len(kindFloors), maxKind)
-	}
-	for k := Kind(1); k <= maxKind; k++ {
-		floor, ok := kindFloors[k]
-		if !ok {
-			t.Errorf("kind %d (%v) is below maxKind but absent from kindFloors", k, k)
-			continue
+	retired := map[Kind]bool{1: true, retiredKind: true}
+	for k := Kind(0); k <= maxKind+1; k++ {
+		named := !strings.HasPrefix(k.String(), "Kind(")
+		want := k >= 1 && k <= maxKind && !retired[k]
+		if k.known() != want {
+			t.Errorf("kind %d: known() = %v, want %v", k, k.known(), want)
 		}
-		if floor < Version1 || floor > LatestVersion {
-			t.Errorf("kind %v floor %d outside [%d, %d]", k, floor, Version1, LatestVersion)
+		if named != want {
+			t.Errorf("kind %d: String() = %q, but known() = %v — the String table and the decoder disagree", k, k.String(), want)
 		}
-		if s := k.String(); strings.HasPrefix(s, "Kind(") {
-			t.Errorf("kind %d is registered in kindFloors but missing from the String table (got %q)", k, s)
+		frame := Message{Kind: k}.Encode()
+		if frame[2] != Version {
+			t.Errorf("kind %d stamped version %d, want %d", k, frame[2], Version)
 		}
-		// MinVersion is the public face of the table; it must agree.
-		if got, ok := MinVersion(k); !ok || got != floor {
-			t.Errorf("MinVersion(%v) = %d, %v; want %d, true", k, got, ok, floor)
-		}
-	}
-
-	// The boundary constants gate the same kinds the floors do: everything
-	// at or below maxKindV2 must float at v1, the batch kinds between
-	// maxKindV2 and maxKindV3 at v3, and so on. A kind whose floor
-	// disagrees with its position in the const block fails here.
-	for k := Kind(1); k <= maxKind; k++ {
-		want := Version1
-		switch {
-		case k > maxKindV6:
-			want = Version7
-		case k > maxKindV5:
-			want = Version6
-		case k > maxKindV4:
-			want = Version5
-		case k > maxKindV3:
-			want = Version4
-		case k > maxKindV2:
-			want = Version3
-		}
-		if kindFloors[k] != want {
-			t.Errorf("kind %v: floor %d disagrees with maxKind* boundaries (want %d)", k, kindFloors[k], want)
+		_, err := Decode(frame)
+		if (err == nil) != want {
+			t.Errorf("kind %d: Decode err = %v, want accepted = %v", k, err, want)
 		}
 	}
-
-	// Beyond the table nothing exists: the kind after the last registered
-	// one must be unknown to both MinVersion and the String table.
-	next := maxKind + 1
-	if _, ok := MinVersion(next); ok {
-		t.Errorf("MinVersion(%d) unexpectedly known; maxKind is stale", next)
-	}
-	if s := next.String(); !strings.HasPrefix(s, "Kind(") {
-		t.Errorf("Kind(%d).String() = %q; a named kind beyond maxKind means the boundary constant is stale", next, s)
-	}
-	if _, ok := MinVersion(0); ok {
-		t.Error("MinVersion(0) unexpectedly known; kind 0 is reserved as invalid")
+	if Kind(99).String() != "Kind(99)" {
+		t.Errorf("unknown kind prints %q", Kind(99).String())
 	}
 }

@@ -4,10 +4,10 @@
 // central claim is that shipping a filter out and (ID, weight) pairs back is
 // orders of magnitude cheaper than shipping raw pattern data in.
 //
-// Frame layout, versions 2 and 3 (little endian):
+// Frame layout (little endian):
 //
 //	magic     uint16  0xD1A7 ("DI-matching")
-//	version   uint8   2 or 3
+//	version   uint8   Version
 //	kind      uint8
 //	requestID uint32  correlates a reply with the request that caused it
 //	length    uint32  payload byte count
@@ -17,66 +17,13 @@
 // stamps every outgoing request with a fresh ID, stations echo it on their
 // reply, and a per-link dispatcher routes each reply to the owning search.
 // ID 0 is reserved for fire-and-forget frames (shutdown) that expect no
-// reply. Version-1 frames (no requestID field) are still decoded — they read
-// back with request ID 0 — so old peers can at least shut down cleanly.
+// reply.
 //
-// Version 3 keeps the version-2 header byte-for-byte and adds the batch
-// kinds (KindBatchQuery, KindBatchReply), which pack a whole search round
-// into one exchange. Those kinds exist only from version 3: a batch kind in
-// a frame stamped 1 or 2 is rejected with ErrBadKind, and Encode stamps
-// batch frames version 3 and everything else version 2, so pre-batch peers
-// keep decoding the frames a modern peer sends them — with one deliberate
-// exception: StatsReply gained an optional trailing capability byte (see
-// MaxVersion) that pre-batch decoders reject as trailing garbage, so in a
-// rolling upgrade the data center must upgrade before its stations (the
-// modern center decodes both payload forms; an old center cannot handshake
-// an upgraded station). The center's per-epoch stats exchange doubles as
-// version discovery, and it falls back to per-query version-2 frames for
-// stations that never advertised version 3. See docs/WIRE.md for the full
-// negotiation rules.
-//
-// Version 4 repeats the pattern for the replication layer: the header is
-// unchanged and the dump kinds (KindDump, KindDumpReply) — the coordinator
-// pulling a surviving replica's raw patterns during re-replication — exist
-// only from version 4. A dump kind in a frame stamped 3 or below is
-// rejected with ErrBadKind, Encode stamps dump frames version 4, and the
-// coordinator only sends KindDump to stations whose stats reply advertised
-// MaxVersion >= 4; older stations can still receive the KindIngest push
-// half of re-replication, they just cannot be pulled from.
-//
-// Version 5 adds the summary kinds (KindSummary, KindSummaryReply) the same
-// way: the coordinator pulls a station's routing summary — a compact Bloom
-// digest of the resident patterns' accumulated cells — and probes it before
-// fanning a search out, skipping stations whose summary admits no possible
-// match. A summary kind in a frame stamped 4 or below is rejected with
-// ErrBadKind, Encode stamps summary frames version 5, and the coordinator
-// only sends KindSummary to stations that advertised MaxVersion >= 5;
-// pre-v5 stations are simply never pruned — every search still visits them.
-//
-// Version 6 adds the routing kinds (KindRouteQuery, KindRouteReply) for the
-// multi-tier coordinator topology: a root coordinator delegates a whole
-// search round — raw queries plus the knobs to process them identically — to
-// a region coordinator, which runs the full search path over its own
-// stations and answers with raw per-person weight sums the root merges and
-// ranks. A route kind in a frame stamped 5 or below is rejected with
-// ErrBadKind, Encode stamps route frames version 6, and the root only sends
-// KindRouteQuery to peers whose stats reply advertised MaxVersion >= 6 with
-// the route-delegate capability flag set (StatsReply.Flags); everything else
-// is searched directly, never pruned. docs/ROUTING.md covers the topology.
-//
-// Version 7 adds the adaptive-parameter kinds (KindParamUpdate,
-// KindParamAck) for traffic-adaptive routing digests: the coordinator
-// derives a Daisy-style per-group parameter plan from its observed query
-// mix (internal/adapt) and ships it to stations, which rebuild their
-// routing digest under the plan — same memory budget, re-partitioned — and
-// acknowledge with the parameter epoch. A parameter kind in a frame stamped
-// 6 or below is rejected with ErrBadKind, Encode stamps parameter frames
-// version 7, and the coordinator only sends KindParamUpdate to stations
-// whose stats reply advertised MaxVersion >= 7 without the route-delegate
-// flag; every other peer stays on the static table. Digests built under a
-// plan self-describe their geometry in the KindSummaryReply payload (the
-// hash-count field is 0 and a geometry table follows the words), so a
-// received digest probes correctly whatever parameter epoch it came from.
+// There is one protocol version. A frame stamped with any other version byte
+// is rejected with ErrBadVersion, so a peer built from different source is
+// refused at the first frame instead of half-understood. What a peer can do
+// beyond the station kinds is advertised as capability bits in its stats
+// reply (StatsReply.Flags); see docs/WIRE.md.
 //
 // Payloads use unsigned varints for counts and small integers, raw 64-bit
 // words for bit arrays.
@@ -92,95 +39,89 @@ import (
 // Kind discriminates message payloads.
 type Kind uint8
 
-// Message kinds. The three query kinds correspond to the three strategies
-// under evaluation (WBF, BF baseline, naive baseline).
+// Message kinds. The numeric values are the wire encoding and never change;
+// 1 and 4 belonged to the retired per-query WBF exchange and stay unassigned.
 const (
-	// KindWBFQuery disseminates a Weighted Bloom Filter to stations.
-	KindWBFQuery Kind = iota + 1
 	// KindBFQuery disseminates a plain Bloom filter plus pipeline params.
-	KindBFQuery
+	KindBFQuery Kind = 2
 	// KindShipAll asks a station to ship its entire local dataset (naive).
-	KindShipAll
-	// KindReports carries (person, weight-pointers) matches to the center.
-	KindReports
+	KindShipAll Kind = 3
 	// KindBFMatches carries bare person IDs (BF baseline has no weights).
-	KindBFMatches
+	KindBFMatches Kind = 5
 	// KindNaiveData carries raw (person, local pattern) tuples.
-	KindNaiveData
+	KindNaiveData Kind = 6
 	// KindFetch asks a station for specific persons' local patterns (the
 	// verification phase); the station answers with KindNaiveData.
-	KindFetch
+	KindFetch Kind = 7
 	// KindShutdown tells a station loop to exit cleanly.
-	KindShutdown
+	KindShutdown Kind = 8
 	// KindIngest adds (or replaces) resident patterns at a station; the
 	// station answers with KindAck.
-	KindIngest
+	KindIngest Kind = 9
 	// KindEvict removes residents from a station; answered with KindAck.
-	KindEvict
+	KindEvict Kind = 10
 	// KindStats asks a station for its resident count and storage footprint;
 	// answered with KindStatsReply.
-	KindStats
+	KindStats Kind = 11
 	// KindStatsReply carries one station's resident count and storage bytes.
-	KindStatsReply
+	KindStatsReply Kind = 12
 	// KindAck acknowledges an applied mutation (ingest or evict).
-	KindAck
-	// KindBatchQuery packs one whole search round — the query-ID set and the
-	// combined WBF covering all of them — into a single request (v3 only).
-	KindBatchQuery
+	KindAck Kind = 13
+	// KindBatchQuery disseminates one search round — the query-ID set and
+	// the combined WBF covering all of them — in a single request.
+	KindBatchQuery Kind = 14
 	// KindBatchReply answers a batch query with per-person reports covering
-	// every query of the batch (v3 only).
-	KindBatchReply
+	// every query of the round.
+	KindBatchReply Kind = 15
 	// KindDump asks a station for the raw local patterns of specific persons
 	// (or its whole store when the filter is empty) — the coordinator pulling
-	// a surviving replica's copy during re-replication (v4 only).
-	KindDump
+	// a surviving replica's copy during re-replication.
+	KindDump Kind = 16
 	// KindDumpReply answers a dump with (person, local pattern) tuples plus
-	// the reporting station's ID (v4 only).
-	KindDumpReply
+	// the reporting station's ID.
+	KindDumpReply Kind = 17
 	// KindSummary asks a station for its routing summary — the Bloom digest
 	// of its residents' accumulated cells the coordinator probes to prune
-	// search fan-out (v5 only).
-	KindSummary
-	// KindSummaryReply carries one station's routing summary (v5 only).
-	KindSummaryReply
+	// search fan-out.
+	KindSummary Kind = 18
+	// KindSummaryReply carries one station's routing summary.
+	KindSummaryReply Kind = 19
 	// KindRouteQuery delegates a whole search round — raw queries plus the
 	// processing knobs — to a region coordinator, which fans it out over its
-	// own stations (v6 only).
-	KindRouteQuery
+	// own stations.
+	KindRouteQuery Kind = 20
 	// KindRouteReply answers a route query with the region's raw per-person
-	// weight sums and routing counters (v6 only).
-	KindRouteReply
+	// weight sums and routing counters.
+	KindRouteReply Kind = 21
 	// KindParamUpdate ships an adaptive routing-digest parameter plan (or a
 	// revert-to-static directive) to a station; the station rebuilds its
-	// digest under the plan and answers with KindParamAck (v7 only).
-	KindParamUpdate
+	// digest under the plan and answers with KindParamAck.
+	KindParamUpdate Kind = 22
 	// KindParamAck acknowledges a parameter update, echoing the parameter
-	// epoch and whether the plan was applied (v7 only).
-	KindParamAck
-
-	// maxKindV2 is the last kind a version-1/2 peer understands; the batch
-	// kinds beyond it require version-3 frames, the dump kinds beyond those
-	// require version-4 frames, the summary kinds version-5 frames, the
-	// route kinds version-6 frames, and the parameter kinds version-7
-	// frames.
-	maxKindV2 = KindAck
-	maxKindV3 = KindBatchReply
-	maxKindV4 = KindDumpReply
-	maxKindV5 = KindSummaryReply
-	maxKindV6 = KindRouteReply
-	maxKind   = KindParamAck
+	// epoch and whether the plan was applied.
+	KindParamAck Kind = 23
 )
+
+// maxKind is the highest assigned kind; retiredKind is the one unassigned
+// value inside the range (the other retired value, 1, lies below it).
+const (
+	maxKind     = KindParamAck
+	retiredKind = Kind(4)
+)
+
+// known reports whether k is a kind this codec speaks. Anything else — the
+// retired values included — is rejected with ErrBadKind at the frame header,
+// before any payload is read.
+func (k Kind) known() bool {
+	return k >= KindBFQuery && k <= maxKind && k != retiredKind
+}
 
 func (k Kind) String() string {
 	switch k {
-	case KindWBFQuery:
-		return "wbf-query"
 	case KindBFQuery:
 		return "bf-query"
 	case KindShipAll:
 		return "ship-all"
-	case KindReports:
-		return "reports"
 	case KindBFMatches:
 		return "bf-matches"
 	case KindNaiveData:
@@ -224,69 +165,15 @@ func (k Kind) String() string {
 	}
 }
 
-// Protocol versions. Version1 frames lack the requestID field; Version2
-// added it; Version3 added the batch kinds with an unchanged header;
-// Version4 added the dump kinds, Version5 the summary kinds, Version6 the
-// route kinds and Version7 the adaptive-parameter kinds, each again with an
-// unchanged header. A receiver accepts any version up to Version7.
-const (
-	Version1 = uint8(1)
-	Version2 = uint8(2)
-	Version3 = uint8(3)
-	Version4 = uint8(4)
-	Version5 = uint8(5)
-	Version6 = uint8(6)
-	Version7 = uint8(7)
-	// LatestVersion is the highest version this codec speaks — what a
-	// station advertises in its StatsReply.
-	LatestVersion = Version7
-)
-
-// kindFloors is the version-gating table: the lowest frame version each
-// kind may travel in. A kind absent from this table does not exist, and a
-// kind in a frame stamped below its floor is as unknown as kind 200 would
-// be (ErrBadKind) — that is what stops an old peer from silently accepting
-// a frame it cannot interpret. Every Kind constant MUST be registered here,
-// in the String table, and below maxKind; the wirekind analyzer
-// (cmd/di-lint) checks the first two mechanically and TestKindTablesInSync
-// pins all three against each other at runtime.
-var kindFloors = map[Kind]uint8{
-	KindWBFQuery:     Version1,
-	KindBFQuery:      Version1,
-	KindShipAll:      Version1,
-	KindReports:      Version1,
-	KindBFMatches:    Version1,
-	KindNaiveData:    Version1,
-	KindFetch:        Version1,
-	KindShutdown:     Version1,
-	KindIngest:       Version1,
-	KindEvict:        Version1,
-	KindStats:        Version1,
-	KindStatsReply:   Version1,
-	KindAck:          Version1,
-	KindBatchQuery:   Version3,
-	KindBatchReply:   Version3,
-	KindDump:         Version4,
-	KindDumpReply:    Version4,
-	KindSummary:      Version5,
-	KindSummaryReply: Version5,
-	KindRouteQuery:   Version6,
-	KindRouteReply:   Version6,
-	KindParamUpdate:  Version7,
-	KindParamAck:     Version7,
-}
-
-// MinVersion returns the lowest frame version the kind may appear in, and
-// false for kinds this codec does not know.
-func MinVersion(k Kind) (uint8, bool) {
-	v, ok := kindFloors[k]
-	return v, ok
-}
+// Version is the one protocol version: every frame is stamped with it and a
+// frame stamped otherwise is rejected with ErrBadVersion. It starts above
+// every value earlier builds stamped (2–7, by kind), so none of their frames
+// decode.
+const Version = uint8(8)
 
 const (
-	magic        = uint16(0xD1A7)
-	headerSizeV1 = 8
-	headerSize   = 12
+	magic      = uint16(0xD1A7)
+	headerSize = 12
 	// MaxPayload bounds a single frame; large enough for city-scale naive
 	// shipments, small enough to reject corrupt length fields.
 	MaxPayload = 1 << 30
@@ -312,13 +199,10 @@ var (
 )
 
 // Message is one framed unit on a link. Request correlates a reply with the
-// request that caused it; 0 marks fire-and-forget frames. Version records
-// the frame version a decoded message arrived in (0 on locally constructed
-// messages, where Encode picks the version from the kind).
+// request that caused it; 0 marks fire-and-forget frames.
 type Message struct {
 	Kind    Kind
 	Request uint32
-	Version uint8
 	Payload []byte
 }
 
@@ -333,27 +217,7 @@ func (m Message) WithRequest(id uint32) Message {
 // meters count.
 func (m Message) EncodedSize() int { return headerSize + len(m.Payload) }
 
-// encodeVersion resolves the version byte a frame is stamped with: the
-// kind's gating floor (kindFloors) is the minimum — parameter kinds version
-// 7, route kinds version 6, summary kinds version 5, dump kinds version 4,
-// batch kinds version 3 — and everything else defaults to version 2 so
-// pre-batch peers keep decoding it. An explicit Version in [2,7] overrides
-// the default (but never below a kind's floor); version-1 encoding is not
-// supported — v1 is a decode-compatibility floor only.
-func (m Message) encodeVersion() uint8 {
-	v := m.Version
-	if v < Version2 || v > LatestVersion {
-		v = Version2
-	}
-	if floor, ok := kindFloors[m.Kind]; ok && v < floor {
-		v = floor
-	}
-	return v
-}
-
-// Encode renders the frame. Parameter kinds are stamped version 7, route
-// kinds version 6, summary kinds version 5, dump kinds version 4, batch
-// kinds version 3, everything else version 2 (see encodeVersion).
+// Encode renders the frame.
 func (m Message) Encode() []byte {
 	out := make([]byte, 0, headerSize+len(m.Payload))
 	return m.AppendFrame(out)
@@ -369,7 +233,7 @@ func (m Message) AppendFrame(dst []byte) []byte {
 	buf := dst[:len(dst)]
 	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], magic)
-	hdr[2] = m.encodeVersion()
+	hdr[2] = Version
 	hdr[3] = uint8(m.Kind)
 	binary.LittleEndian.PutUint32(hdr[4:8], m.Request)
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(m.Payload)))
@@ -377,63 +241,43 @@ func (m Message) AppendFrame(dst []byte) []byte {
 	return append(buf, m.Payload...)
 }
 
-// parseHeader validates the fixed fields shared by Decode and ReadMessage.
-// It returns the decoded kind/request/length plus the version's header size.
-func parseHeader(hdr []byte) (kind Kind, request uint32, n uint32, version uint8, size int, err error) {
+// parseHeader validates the fixed header shared by Decode and ReadMessage,
+// checking magic, then version, then kind, then length — so both report the
+// same typed error for the same bytes. It returns the message without its
+// payload, and the payload's declared length.
+func parseHeader(hdr *[headerSize]byte) (Message, uint32, error) {
 	if binary.LittleEndian.Uint16(hdr[0:2]) != magic {
-		return 0, 0, 0, 0, 0, ErrBadMagic
+		return Message{}, 0, ErrBadMagic
 	}
-	version = hdr[2]
-	switch version {
-	case Version2, Version3, Version4, Version5, Version6, Version7:
-		size = headerSize
-		request = binary.LittleEndian.Uint32(hdr[4:8])
-		n = binary.LittleEndian.Uint32(hdr[8:12])
-	case Version1:
-		size = headerSizeV1
-		n = binary.LittleEndian.Uint32(hdr[4:8])
-	default:
-		return 0, 0, 0, 0, 0, ErrBadVersion
+	if hdr[2] != Version {
+		return Message{}, 0, ErrBadVersion
 	}
-	kind = Kind(hdr[3])
-	// The batch kinds exist only from version 3, the dump kinds only from
-	// version 4, the summary kinds only from version 5, the route kinds only
-	// from version 6 and the parameter kinds only from version 7
-	// (kindFloors): a newer kind in an older frame is as unknown as kind 200
-	// would be.
-	if floor, ok := kindFloors[kind]; !ok || version < floor {
-		return 0, 0, 0, 0, 0, ErrBadKind
+	kind := Kind(hdr[3])
+	if !kind.known() {
+		return Message{}, 0, ErrBadKind
 	}
+	n := binary.LittleEndian.Uint32(hdr[8:12])
 	if n > MaxPayload {
-		return 0, 0, 0, 0, 0, ErrOversized
+		return Message{}, 0, ErrOversized
 	}
-	return kind, request, n, version, size, nil
+	return Message{Kind: kind, Request: binary.LittleEndian.Uint32(hdr[4:8])}, n, nil
 }
 
 // Decode parses a frame from b, which must contain exactly one frame.
-// Frames of any version up to Version7 are accepted; the version is
-// recorded on the returned message.
 func Decode(b []byte) (Message, error) {
-	if len(b) < headerSizeV1 {
+	if len(b) < headerSize {
 		return Message{}, ErrTruncated
 	}
-	hdr := b
-	if len(hdr) > headerSize {
-		hdr = hdr[:headerSize]
-	}
-	if len(hdr) < headerSize && len(b) >= 3 && b[2] >= Version2 {
-		return Message{}, ErrTruncated
-	}
-	kind, request, n, version, size, err := parseHeader(hdr)
+	m, n, err := parseHeader((*[headerSize]byte)(b))
 	if err != nil {
 		return Message{}, err
 	}
-	if len(b) != size+int(n) {
+	if len(b) != headerSize+int(n) {
 		return Message{}, ErrTruncated
 	}
-	payload := make([]byte, n)
-	copy(payload, b[size:])
-	return Message{Kind: kind, Request: request, Version: version, Payload: payload}, nil
+	m.Payload = make([]byte, n)
+	copy(m.Payload, b[headerSize:])
+	return m, nil
 }
 
 // WriteMessage writes one frame to w.
@@ -442,33 +286,26 @@ func WriteMessage(w io.Writer, m Message) error {
 	return err
 }
 
-// ReadMessage reads exactly one frame from r, accepting frames of any
-// version up to Version7.
+// ReadMessage reads exactly one frame from r. A stream that ends before the
+// first header byte returns the reader's error bare (io.EOF on a clean
+// close); one that ends inside a frame returns ErrTruncated.
 func ReadMessage(r io.Reader) (Message, error) {
 	var hdr [headerSize]byte
-	// Read the version-1 prefix first: all layouts share magic, version and
-	// kind, and a v1 frame may legitimately end 4 bytes before a v2/v3
-	// header would.
-	if _, err := io.ReadFull(r, hdr[:headerSizeV1]); err != nil {
-		return Message{}, err
-	}
-	if binary.LittleEndian.Uint16(hdr[0:2]) != magic {
-		return Message{}, ErrBadMagic
-	}
-	if hdr[2] >= Version2 {
-		if _, err := io.ReadFull(r, hdr[headerSizeV1:]); err != nil {
-			return Message{}, fmt.Errorf("%w: %v", ErrTruncated, err)
+	if n, err := io.ReadFull(r, hdr[:]); err != nil {
+		if n == 0 {
+			return Message{}, err
 		}
+		return Message{}, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
-	kind, request, n, version, _, err := parseHeader(hdr[:])
+	m, n, err := parseHeader(&hdr)
 	if err != nil {
 		return Message{}, err
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	m.Payload = make([]byte, n)
+	if _, err := io.ReadFull(r, m.Payload); err != nil {
 		return Message{}, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
-	return Message{Kind: kind, Request: request, Version: version, Payload: payload}, nil
+	return m, nil
 }
 
 // ---- payload buffer helpers ----

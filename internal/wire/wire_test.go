@@ -3,12 +3,13 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 	"testing/quick"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	m := Message{Kind: KindReports, Request: 7, Payload: []byte{1, 2, 3}}
+	m := Message{Kind: KindBatchReply, Request: 7, Payload: []byte{1, 2, 3}}
 	got, err := Decode(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -32,57 +33,56 @@ func TestWithRequest(t *testing.T) {
 	}
 }
 
-// TestDecodeVersion1Frame checks the compatibility path: a version-1 frame
-// (8-byte header, no request ID) still decodes, reading back with Request 0.
-func TestDecodeVersion1Frame(t *testing.T) {
-	payload := []byte("v1")
-	v1 := make([]byte, headerSizeV1+len(payload))
-	v1[0] = 0xA7
-	v1[1] = 0xD1
-	v1[2] = Version1
-	v1[3] = uint8(KindReports)
-	v1[4] = uint8(len(payload))
-	copy(v1[headerSizeV1:], payload)
-
-	got, err := Decode(v1)
-	if err != nil {
-		t.Fatal(err)
+// TestFrameHeaderErrors is the one table for both frame decoders: Decode (a
+// whole buffer) and ReadMessage (a stream) must classify the same bytes with
+// the same typed error, checking short → magic → version → kind → length in
+// that order.
+func TestFrameHeaderErrors(t *testing.T) {
+	good := Message{Kind: KindShipAll, Request: 3}.Encode()
+	set := func(off int, v byte) func([]byte) []byte {
+		return func(b []byte) []byte { b[off] = v; return b }
 	}
-	if got.Kind != KindReports || got.Request != 0 || !bytes.Equal(got.Payload, payload) {
-		t.Fatalf("v1 decode: %+v", got)
-	}
-	stream, err := ReadMessage(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stream.Kind != KindReports || stream.Request != 0 || !bytes.Equal(stream.Payload, payload) {
-		t.Fatalf("v1 stream decode: %+v", stream)
-	}
-}
-
-func TestFrameErrors(t *testing.T) {
-	good := Message{Kind: KindShipAll}.Encode()
-
-	tests := []struct {
+	type tc struct {
 		name   string
 		mutate func([]byte) []byte
 		want   error
-	}{
-		{name: "short", mutate: func(b []byte) []byte { return b[:4] }, want: ErrTruncated},
-		{name: "bad magic", mutate: func(b []byte) []byte { b[0] = 0; return b }, want: ErrBadMagic},
-		{name: "bad version", mutate: func(b []byte) []byte { b[2] = 9; return b }, want: ErrBadVersion},
-		{name: "zero kind", mutate: func(b []byte) []byte { b[3] = 0; return b }, want: ErrBadKind},
-		{name: "unknown kind", mutate: func(b []byte) []byte { b[3] = 200; return b }, want: ErrBadKind},
-		{name: "length mismatch", mutate: func(b []byte) []byte { b[8] = 5; return b }, want: ErrTruncated},
-		{name: "truncated v2 header", mutate: func(b []byte) []byte { return b[:10] }, want: ErrTruncated},
+	}
+	tests := []tc{
+		{"short 4", func(b []byte) []byte { return b[:4] }, ErrTruncated},
+		{"short 8", func(b []byte) []byte { return b[:8] }, ErrTruncated},
+		{"short 11", func(b []byte) []byte { return b[:11] }, ErrTruncated},
+		// Every wrong field at once: short wins, then each field in order.
+		{"short 11 beats bad magic", func(b []byte) []byte { b[0], b[2], b[3] = 0, 1, 200; return b[:11] }, ErrTruncated},
+		{"bad magic beats bad version", func(b []byte) []byte { b[0], b[2], b[3] = 0, 1, 200; return b }, ErrBadMagic},
+		{"bad version beats bad kind", func(b []byte) []byte { b[2], b[3] = 1, 200; return b }, ErrBadVersion},
+		{"bad kind beats oversized", func(b []byte) []byte { b[3], b[11] = 200, 0xFF; return b }, ErrBadKind},
+		{"zero version", set(2, 0), ErrBadVersion},
+		{"zero kind", set(3, 0), ErrBadKind},
+		{"retired kind 1", set(3, 1), ErrBadKind},
+		{"retired kind 4", set(3, 4), ErrBadKind},
+		{"kind past maxKind", set(3, uint8(maxKind)+1), ErrBadKind},
+		{"oversized length", set(11, 0xFF), ErrOversized},
+		{"length past payload", set(8, 5), ErrTruncated},
+	}
+	for v := byte(1); v <= 9; v++ {
+		if v != Version {
+			tests = append(tests, tc{"version " + string('0'+v), set(2, v), ErrBadVersion})
+		}
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			b := append([]byte(nil), good...)
-			if _, err := Decode(tt.mutate(b)); !errors.Is(err, tt.want) {
-				t.Fatalf("err = %v, want %v", err, tt.want)
+			b := tt.mutate(append([]byte(nil), good...))
+			if _, err := Decode(b); !errors.Is(err, tt.want) {
+				t.Errorf("Decode: err = %v, want %v", err, tt.want)
+			}
+			if _, err := ReadMessage(bytes.NewReader(b)); !errors.Is(err, tt.want) {
+				t.Errorf("ReadMessage: err = %v, want %v", err, tt.want)
 			}
 		})
+	}
+	// Only the whole-buffer form can see bytes after the frame.
+	if _, err := Decode(append(append([]byte(nil), good...), 0)); !errors.Is(err, ErrTruncated) {
+		t.Errorf("Decode with a trailing byte: err = %v, want %v", err, ErrTruncated)
 	}
 }
 
@@ -90,7 +90,7 @@ func TestReadWriteMessage(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
 		{Kind: KindShipAll, Request: 1},
-		{Kind: KindReports, Request: 2, Payload: []byte("abc")},
+		{Kind: KindBatchReply, Request: 2, Payload: []byte("abc")},
 		{Kind: KindShutdown},
 	}
 	for _, m := range msgs {
@@ -107,8 +107,8 @@ func TestReadWriteMessage(t *testing.T) {
 			t.Fatalf("got %+v, want %+v", got, want)
 		}
 	}
-	if _, err := ReadMessage(&buf); err == nil {
-		t.Fatal("expected EOF-ish error on empty stream")
+	if _, err := ReadMessage(&buf); err != io.EOF {
+		t.Fatalf("empty stream: err = %v, want bare io.EOF", err)
 	}
 }
 
@@ -118,22 +118,14 @@ func TestReadMessageRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestKindStrings(t *testing.T) {
-	for k := KindWBFQuery; k <= maxKind; k++ {
-		if k.String() == "" || k.String()[0] == 'K' {
-			t.Fatalf("kind %d missing name: %q", k, k.String())
-		}
-	}
-	if Kind(99).String() != "Kind(99)" {
-		t.Fatal("unknown kind string wrong")
-	}
-}
-
 func TestPropertyFrameRoundTrip(t *testing.T) {
 	f := func(kindRaw uint8, request uint32, payload []byte) bool {
-		kind := Kind(kindRaw%uint8(maxKind)) + 1
+		kind := KindBFQuery + Kind(kindRaw)%(maxKind-KindBFQuery+1)
 		m := Message{Kind: kind, Request: request, Payload: payload}
 		got, err := Decode(m.Encode())
+		if !kind.known() {
+			return errors.Is(err, ErrBadKind)
+		}
 		return err == nil && got.Kind == kind && got.Request == request && bytes.Equal(got.Payload, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {

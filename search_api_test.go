@@ -111,45 +111,6 @@ func TestSearchCancelledContextPublicAPI(t *testing.T) {
 	}
 }
 
-// TestDeprecatedSearchWithStrategy checks the migration shim agrees with
-// the context API it wraps.
-func TestDeprecatedSearchWithStrategy(t *testing.T) {
-	cfg := DefaultCityConfig()
-	cfg.Persons = 30
-	cfg.Stations = 16
-	city, err := GenerateCity(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCluster(Options{
-		Params:   Params{Samples: 8, Epsilon: 1, Seed: 7, PositionSalted: true},
-		MinScore: 0.9,
-	}, StationData(city))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown() //nolint:errcheck // test teardown
-
-	query := QueryFromPerson(city, 1, 0)
-	old, err := c.SearchWithStrategy([]Query{query}, StrategyWBF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	niu, err := c.Search(context.Background(), []Query{query}, WithStrategy(StrategyWBF))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := old.Persons(1), niu.Persons(1)
-	if len(a) != len(b) {
-		t.Fatalf("shim %v != new API %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("shim %v != new API %v", a, b)
-		}
-	}
-}
-
 // TestParseStrategyPublic pins the re-exported parser.
 func TestParseStrategyPublic(t *testing.T) {
 	s, err := ParseStrategy("bf")
