@@ -1,84 +1,15 @@
-// Benchmarks regenerating each table and figure of the paper's evaluation
-// (one benchmark per artifact; see DESIGN.md §4 for the experiment index).
-// They run reduced workloads by default so `go test -bench=.` completes in
-// minutes; cmd/di-bench runs the full-scale versions and prints the
-// paper-style tables.
+// Benchmarks timing the three strategies end to end on a Figure-4 style
+// workload, and Algorithms 1 and 2 in isolation. The paper's tables and
+// figures themselves are regenerated by cmd/di-bench (experiment index: the
+// package comment of dimatch/internal/bench).
 package dimatch
 
 import (
 	"context"
-	"io"
 	"testing"
 
-	"dimatch/internal/bench"
-	"dimatch/internal/cluster"
 	"dimatch/internal/core"
 )
-
-// BenchmarkFigure1a regenerates the periodicity/divisibility curves (E1).
-func BenchmarkFigure1a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series, err := bench.Figure1a(bench.Figure1aConfig{Persons: 120})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(series) != 6 {
-			b.Fatal("expected six category curves")
-		}
-	}
-}
-
-// BenchmarkFigure1b regenerates the local-similarity CDF (E2).
-func BenchmarkFigure1b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Figure1b(bench.Figure1bConfig{Persons: 120})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.FractionAtLeastOne < 0.9 {
-			b.Fatalf("P(>=1 similar local) = %v", r.FractionAtLeastOne)
-		}
-	}
-}
-
-// BenchmarkFigure3 regenerates the accumulated representation curves (E3).
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure3(bench.Figure1aConfig{Persons: 120}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkConvergence regenerates the sample-count study (E4).
-func BenchmarkConvergence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := bench.Convergence(context.Background(), bench.ConvergenceConfig{
-			Groups:       2,
-			SampleCounts: []int{4, 8, 12},
-			Persons:      60,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure4Sweep regenerates the full accuracy/efficiency sweep
-// (E5-E8) at a reduced scale.
-func BenchmarkFigure4Sweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := bench.Figure4(context.Background(), bench.Figure4Config{
-			Persons:       2000,
-			Stations:      36,
-			PatternCounts: []int{10, 30},
-			QueriesScored: 5,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // figure4Cluster builds the Figure-4 style workload once for the
 // per-strategy timing benchmarks below (Figure 4b's individual curves).
@@ -155,20 +86,6 @@ func BenchmarkSearchWBF(b *testing.B) {
 	}
 }
 
-// BenchmarkTableII regenerates the effectiveness table (E9) at reduced
-// scale.
-func BenchmarkTableII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.TableII(context.Background(), bench.TableIIConfig{Persons: 120, Days: 2, QueriesPerDay: 6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 2 {
-			b.Fatal("expected two rows")
-		}
-	}
-}
-
 // BenchmarkEncoderAddQuery isolates Algorithm 1 (query encoding).
 func BenchmarkEncoderAddQuery(b *testing.B) {
 	locals := []Pattern{
@@ -215,23 +132,3 @@ func BenchmarkMatcherMatch(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkRenderers exercises the text renderers (cheap, but keeps them
-// covered under -bench runs too).
-func BenchmarkRenderers(b *testing.B) {
-	points, err := bench.Figure4(context.Background(), bench.Figure4Config{
-		Persons:       1000,
-		Stations:      25,
-		PatternCounts: []int{5},
-		QueriesScored: 3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.RenderFigure4(io.Discard, points)
-	}
-}
-
-var _ = cluster.StrategyWBF // keep the cluster import tied to strategy re-exports

@@ -44,7 +44,7 @@ type (
 	RoutingMode = cluster.RoutingMode
 	// RoutingState reports the coordinator's routing-state footprint: cached
 	// per-station digests plus the digest tree's inner nodes. It is the
-	// per-coordinator figure BENCH_hierarchy.json tracks across tiers.
+	// per-coordinator figure TestTwoTierPlanningSublinearAt1024 bounds.
 	RoutingState = cluster.RoutingState
 	// Outcome is a search's ranked results plus cost accounting.
 	Outcome = cluster.Outcome

@@ -74,10 +74,12 @@
 //	out, err = c.Search(ctx, queries, dimatch.WithRouting(dimatch.RoutingFull)) // classic fan-out
 //	fmt.Println(out.Cost.StationsPruned, out.Cost.SummaryRefreshes)
 //
-// BENCH_routing.json records the saving on a selective workload (at 64
-// stations a single-target search visits only the target's 2 replica
-// stations) and docs/OPERATIONS.md covers when routing pays and how
-// summaries are sized.
+// The repository benchmark's point_routed workload (benchmark/) reports the
+// saving on a selective workload as msgs_per_query — at 64 stations a
+// single-target search exchanges 4 messages, a query and a reply for each
+// of the target's 2 replica stations, where full fan-out exchanges 128 —
+// and docs/OPERATIONS.md covers when routing pays and how summaries are
+// sized.
 //
 // # Hierarchical routing
 //
@@ -97,10 +99,11 @@
 //	fmt.Println(out.Cost.TierHops, out.Cost.SubtreeProbes)
 //
 // Every tier prunes conservatively, so routed results stay byte-identical
-// to a flat full fan-out. BENCH_hierarchy.json records the effect (0.16·N
-// probes per query and ~30× less per-coordinator routing state at 1024
-// stations) and docs/ROUTING.md carries the design, the soundness
-// argument and the benchmark methodology.
+// to a flat full fan-out. TestTwoTierPlanningSublinearAt1024 in
+// internal/cluster pins the effect at 1024 stations behind 32 regions (at
+// most 0.25·N digest probes per query across both tiers, and every
+// coordinator holding less routing state than the flat one) and
+// docs/ROUTING.md carries the design and the soundness argument.
 //
 // # Adaptive digest parameters
 //
@@ -121,8 +124,10 @@
 // stay byte-identical to a never-adapted cluster, recall stays 1, and
 // every failure path — a plan a station cannot honor, a failed exchange, a
 // solver that cannot beat static — degrades to the static table.
-// BENCH_adaptive.json records the gain at equal memory on a Zipfian traffic
-// mix and docs/OPERATIONS.md covers when to rederive and how to size
+// TestStatsAdaptiveBeatsStatic in internal/adapt pins the gain — at equal
+// memory, strictly fewer false admissions of empty bands than the static
+// digest at every traffic skew where static makes any — and
+// docs/OPERATIONS.md covers when to rederive and how to size
 // Options.AdaptWindow.
 //
 // # Batched searches
@@ -174,8 +179,9 @@
 // patterns from their surviving copies and rebalances the ones whose
 // rendezvous winners changed. Rebalance runs a pass on demand and reports
 // it; Unplace releases persons back to station-addressed management.
-// BENCH_replication.json records the resulting guarantee: at replication 2,
-// killing any single station leaves recall at the healthy cluster's value.
+// TestEverySingleKillKeepsResultsAtR2 in internal/cluster pins the
+// resulting guarantee: at replication 2, killing any single station leaves
+// the result set equal to the healthy cluster's.
 //
 // A deterministic city-scale synthetic CDR generator (GenerateCity) stands
 // in for the paper's proprietary dataset, and StrategyNaive / StrategyBF

@@ -1,6 +1,7 @@
 package dimatch_test
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -49,24 +50,46 @@ func TestDocsLocalLinks(t *testing.T) {
 	}
 }
 
-// TestDocsBaselinesReferenced pins the docs/bench contract: every recorded
-// baseline committed at the repo root is linked from the README, so a new
-// baseline cannot ship undocumented.
-func TestDocsBaselinesReferenced(t *testing.T) {
-	baselines, err := filepath.Glob("BENCH_*.json")
+// removedBenchRef matches what the recorded-baseline bench stack left in
+// prose: its BENCH_*.json files and di-bench's -<name>-out/-<name>-check
+// flag pairs.
+var removedBenchRef = regexp.MustCompile(`BENCH_|-(replication|routing|stream|recovery|hierarchy|adaptive)-(out|check)\b`)
+
+// TestDocsBenchmarkReferenced pins the docs/benchmark contract: every
+// workload and end-to-end metric BENCHMARK.json declares is named in the
+// README, so neither can ship undocumented, and no guarded doc still points
+// at the removed baseline files or flags.
+func TestDocsBenchmarkReferenced(t *testing.T) {
+	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(baselines) == 0 {
-		t.Fatal("no committed baselines found")
+	var decl struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+	}
+	if err := json.Unmarshal(raw, &decl); err != nil {
+		t.Fatal(err)
+	}
+	if len(decl.Workloads) == 0 || len(decl.EndToEnd) == 0 {
+		t.Fatal("BENCHMARK.json declares no workloads or no end-to-end metrics")
 	}
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range baselines {
-		if !strings.Contains(string(readme), b) {
-			t.Errorf("README.md does not mention committed baseline %s", b)
+	for _, n := range append(decl.Workloads, decl.EndToEnd...) {
+		if !strings.Contains(string(readme), "`"+n.Name+"`") {
+			t.Errorf("README.md does not mention `%s` from BENCHMARK.json", n.Name)
+		}
+	}
+	for _, f := range docFiles(t) {
+		body, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if m := removedBenchRef.Find(body); m != nil {
+			t.Errorf("%s still mentions %q, removed with the recorded-baseline bench stack", f, m)
 		}
 	}
 }

@@ -1,12 +1,21 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (Section V) on the synthetic city substrate. Each runner
 // returns typed rows/series and has a text renderer; cmd/di-bench drives
-// them from the command line and bench_test.go wraps them as testing.B
-// benchmarks.
+// them from the command line.
 //
-// Experiment index (DESIGN.md §4): Figure1a (E1), Figure1b (E2), Figure3
-// (E3), Convergence (E4), Figure4 (E5-E8), TableII (E9), plus the
-// FP-bound demonstration and the D1/D8 ablations.
+// Experiment index — runner and what it reproduces:
+//
+//	Figure1a           E1: normalized category patterns, 2 days
+//	Figure1b           E2: CDF of similar local patterns
+//	Figure3            E3: accumulated category patterns, 1 week
+//	Convergence        E4: F1 per data group vs sample count b
+//	Figure4            E5-E8: precision, time, communication and storage
+//	                   vs number of patterns, per strategy
+//	TableII            E9: per-day effectiveness
+//	AblationSalting    position salting at ε > 0
+//	AblationTolerance  scaled vs absolute ε bands
+//	SizingSweep        analytic vs measured filter false positives
+//	Resilience         search quality vs killed base stations
 package bench
 
 import (

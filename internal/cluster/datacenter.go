@@ -149,9 +149,9 @@ type CostReport struct {
 	// performed: one per (probe, digest) pair under RoutingSummary's flat
 	// scan, one per (probe, tree node) visited under RoutingTree's descent —
 	// including union probes on pruned subtrees and the root's probes on
-	// region digests. It is the planning-cost figure BENCH_hierarchy.json
-	// tracks: flat planning grows linearly in the membership, tree descent
-	// sublinearly.
+	// region digests. It is the planning-cost figure
+	// TestTwoTierPlanningSublinearAt1024 bounds: flat planning grows linearly
+	// in the membership, two-tier descent sublinearly.
 	SubtreeProbes uint64
 	// TierHops is the coordinator depth this WBF search traversed: 1 for a
 	// flat cluster, 1 + the deepest delegate's own TierHops when route

@@ -492,3 +492,116 @@ func TestHierarchicalChurnEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestTwoTierPlanningSublinearAt1024 pins the scaling claim the Bloofi-style
+// digest tree and the tier split exist for, at the size it is stated in:
+// 1 024 stations behind 32 region coordinators answer byte-identically to a
+// flat full fan-out while the two tiers together evaluate at most 0.25·N
+// digest probes per query (the flat scan is linear in N by construction) and
+// no coordinator holds as much routing state as the flat one. Residents per
+// station are kept small — the claim is about N, not store size. Everything
+// asserted is counted, not timed; the tree's build order moves the probe
+// counts by a few per query, far inside the bounds.
+func TestTwoTierPlanningSublinearAt1024(t *testing.T) {
+	const (
+		stations  = 1024
+		perRegion = 32
+		residents = 32
+		length    = 8
+		nQueries  = 4
+	)
+	// Values up to 1e6 against ε = 1 bands keep single-target probes
+	// selective at both tiers. Params are pinned, not auto-sized, so the
+	// root's route query ships the exact values the flat reference uses.
+	opts := Options{
+		Params:   core.Params{Bits: 1 << 18, Hashes: 5, Samples: 8, Epsilon: 1, Seed: 1, PositionSalted: true},
+		MinScore: 0.9,
+	}
+	rng := rand.New(rand.NewSource(1))
+	data := make(map[uint32]map[core.PersonID]pattern.Pattern, stations)
+	next := core.PersonID(1)
+	for s := uint32(0); s < stations; s++ {
+		st := make(map[core.PersonID]pattern.Pattern, residents)
+		for r := 0; r < residents; r++ {
+			pat := make(pattern.Pattern, length)
+			for i := range pat {
+				pat[i] = 1 + rng.Int63n(1_000_000)
+			}
+			st[next] = pat
+			next++
+		}
+		data[s] = st
+	}
+	// Single-target queries spread evenly over the station range, and so
+	// over the regions.
+	var queries []core.Query
+	for i := 0; i < nQueries; i++ {
+		station := uint32(i * stations / nQueries)
+		target := core.PersonID(int(station)*residents + 1)
+		queries = append(queries, core.Query{ID: core.QueryID(i + 1), Locals: []pattern.Pattern{data[station][target]}})
+	}
+	ctx := context.Background()
+	// steady searches twice: the first fills every tier's digest cache, the
+	// second is the steady-state plan whose probes are counted.
+	steady := func(c *Cluster, mode RoutingMode) *Outcome {
+		t.Helper()
+		var out *Outcome
+		for i := 0; i < 2; i++ {
+			var err error
+			if out, err = c.Search(ctx, queries, WithRouting(mode)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	probesPerQuery := func(out *Outcome) float64 { return float64(out.Cost.SubtreeProbes) / nQueries }
+
+	flat, err := New(opts, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat.Start()
+	t.Cleanup(func() { _ = flat.Shutdown() })
+	want := steady(flat, RoutingFull)
+	for _, q := range queries {
+		if len(want.PerQuery[q.ID]) == 0 {
+			t.Fatalf("query %d found nothing on the flat reference", q.ID)
+		}
+	}
+	flatSummary := steady(flat, RoutingSummary)
+	assertSameResults(t, "flat summary", queries, want, flatSummary)
+	summaryState := flat.RoutingState().TotalBytes()
+	flatTree := steady(flat, RoutingTree)
+	assertSameResults(t, "flat tree", queries, want, flatTree)
+	flatState := flat.RoutingState().TotalBytes()
+	// ROADMAP "one in-process planner": the flat scan against the flat tree
+	// at fleet size.
+	t.Logf("flat, %d stations: summary scan %.1f probes/query, %d B state; tree descent %.1f probes/query, %d B state",
+		stations, probesPerQuery(flatSummary), summaryState, probesPerQuery(flatTree), flatState)
+
+	h := buildHierarchy(t, data, perRegion, length, opts)
+	got := steady(h.root, RoutingTree)
+	assertSameResults(t, "two-tier tree", queries, want, got)
+	if got.Cost.TierHops != 2 {
+		t.Fatalf("two-tier search TierHops = %d, want 2", got.Cost.TierHops)
+	}
+	hier := probesPerQuery(got)
+	if hier > 0.25*stations {
+		t.Fatalf("two-tier planning evaluated %.1f probes/query, want <= %.0f (0.25·N)", hier, 0.25*stations)
+	}
+	if scan := probesPerQuery(flatSummary); hier >= scan {
+		t.Fatalf("two-tier planning evaluated %.1f probes/query, flat scan %.1f", hier, scan)
+	}
+	var maxState uint64
+	for _, c := range append([]*Cluster{h.root}, h.regions...) {
+		b := c.RoutingState().TotalBytes()
+		if b >= flatState {
+			t.Fatalf("a two-tier coordinator holds %d B of routing state, flat coordinator %d B", b, flatState)
+		}
+		if b > maxState {
+			maxState = b
+		}
+	}
+	t.Logf("two-tier, %d regions: %.1f probes/query (%.3f of N), largest coordinator state %d B",
+		len(h.regions), hier, hier/stations, maxState)
+}

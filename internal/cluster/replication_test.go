@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -387,5 +388,56 @@ func TestStatsRefreshAfterKillStation(t *testing.T) {
 		if s.Station == 2 {
 			t.Fatalf("dead station still listed: %+v", after.Stations)
 		}
+	}
+}
+
+// TestEverySingleKillKeepsResultsAtR2 states the replica guarantee over the
+// whole membership instead of one hand-picked victim: for each station in
+// turn, a fresh R=2 cluster that loses it answers exactly like the healthy
+// one, and the synchronous heal left Rebalance nothing to copy. The R=1
+// sub-case loses a result to the same kill, so the R=2 cases cannot pass
+// vacuously.
+func TestEverySingleKillKeepsResultsAtR2(t *testing.T) {
+	stations := []uint32{1, 2, 3, 4, 5}
+	patterns := map[core.PersonID]pattern.Pattern{200: {9, 9, 9, 9}}
+	for p := core.PersonID(100); p < 130; p++ {
+		patterns[p] = pattern.Pattern{1, 2, 3, 4}
+	}
+	ctx := context.Background()
+	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3, 4}}}}
+	search := func(c *Cluster) *Outcome {
+		t.Helper()
+		out, err := c.Search(ctx, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	healthy := search(newPlacedCluster(t, stations, 2, patterns))
+	if len(healthy.PerQuery[1]) != 30 {
+		t.Fatalf("healthy cluster found %d persons, want 30", len(healthy.PerQuery[1]))
+	}
+	for _, victim := range stations {
+		c := newPlacedCluster(t, stations, 2, patterns)
+		if err := c.KillStation(victim); err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, fmt.Sprintf("R=2 minus station %d", victim), queries, healthy, search(c))
+		rep, err := c.Rebalance(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Copied != 0 || rep.Lost != 0 {
+			t.Fatalf("station %d killed: post-heal Rebalance = %+v, want nothing to copy and nothing lost", victim, rep)
+		}
+	}
+
+	c := newPlacedCluster(t, stations, 1, patterns)
+	if err := c.KillStation(holdersOf(100, stations, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(search(c).PerQuery[1]); got >= 30 {
+		t.Fatalf("R=1 cluster still found %d persons after losing person 100's only holder", got)
 	}
 }

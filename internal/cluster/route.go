@@ -364,7 +364,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 // this node holds in memory to plan searches. In a flat deployment the
 // cached digests grow linearly with the station count; in a multi-tier one
 // each coordinator holds digests for its own children only, which is the
-// sublinear-state property BENCH_hierarchy.json pins.
+// sublinear-state property TestTwoTierPlanningSublinearAt1024 pins.
 type RoutingState struct {
 	// Entries is the number of cached per-station digests and
 	// CachedDigestBytes their total filter bytes.

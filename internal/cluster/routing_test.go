@@ -70,6 +70,11 @@ func TestRoutedSearchPrunesAndMatchesFullFanOut(t *testing.T) {
 	if full.Cost.MessagesDown != 4 {
 		t.Fatalf("full MessagesDown = %d, want 4", full.Cost.MessagesDown)
 	}
+	// Recall 1 on the reference, so "equal to full fan-out" below means the
+	// target is found, not that both sides found nothing.
+	if res := full.PerQuery[1]; len(res) == 0 || res[0].Person != 20 || res[0].Score() != 1.0 {
+		t.Fatalf("full fan-out did not retrieve person 20 at full score: %v", res)
+	}
 
 	routed, err := c.Search(ctx, queries) // routing is the default
 	if err != nil {

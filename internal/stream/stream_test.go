@@ -264,6 +264,17 @@ func TestStreamTTLChurn(t *testing.T) {
 	defer in.Close()
 	ctx := context.Background()
 
+	// A static population placed outside the TTL pipeline: expiry must evict
+	// exactly the streamed cohort and leave these alone.
+	const static = 5
+	placed := make(map[core.PersonID]pattern.Pattern, static)
+	for p := core.PersonID(900); p < 900+static; p++ {
+		placed[p] = pattern.Pattern{7, 7, 7, 7}
+	}
+	if err := c.Place(ctx, placed); err != nil {
+		t.Fatal(err)
+	}
+
 	const n = 30
 	for p := core.PersonID(100); p < 100+n; p++ {
 		if err := in.Submit(ctx, p, pattern.Pattern{1, 2, 3, 4}); err != nil {
@@ -313,12 +324,15 @@ func TestStreamTTLChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cluster.DefaultReplication // person 100's copies
+	want := cluster.DefaultReplication * (1 + static) // person 100's copies and the static population's
 	if st.TotalResidents() != want {
 		t.Fatalf("TotalResidents = %d after churn, want %d", st.TotalResidents(), want)
 	}
-	if got := c.Placed(); got != 1 {
-		t.Fatalf("Placed() = %d after churn, want 1", got)
+	if got := c.Placed(); got != 1+static {
+		t.Fatalf("Placed() = %d after churn, want %d", got, 1+static)
+	}
+	if got := searchPersons(t, c, pattern.Pattern{7, 7, 7, 7}); len(got) != static {
+		t.Fatalf("retrieved %d of the %d static persons after TTL churn", len(got), static)
 	}
 	rep := in.Report()
 	var perStation uint64
