@@ -107,7 +107,7 @@ var experiments = []struct {
 		if err != nil {
 			return err
 		}
-		bench.RenderAblation(w, "Ablation (DESIGN.md D8): position salting at ε > 0", rows)
+		bench.RenderAblation(w, "Ablation: position salting at ε > 0", rows)
 		return nil
 	}},
 	{"tolerance", func(w io.Writer, quick bool, _ dimatch.Strategy) error {
@@ -115,7 +115,7 @@ var experiments = []struct {
 		if err != nil {
 			return err
 		}
-		bench.RenderAblation(w, "Ablation (DESIGN.md D1): scaled vs absolute ε bands", rows)
+		bench.RenderAblation(w, "Ablation: scaled vs absolute ε bands", rows)
 		return nil
 	}},
 	{"sizing", func(w io.Writer, quick bool, _ dimatch.Strategy) error {

@@ -154,11 +154,10 @@ func WithBatching(n int) SearchOption { return cluster.WithBatching(n) }
 // an all-pruned plan falls back to full fan-out, so results and recall are
 // identical to RoutingFull; only the wasted exchanges differ
 // (CostReport.StationsPruned counts them). RoutingTree keeps the same
-// guarantees but plans by descending a Bloofi-style digest tree (fanout set
-// by Options.TreeFanout), pruning whole subtrees with one union check —
-// sublinear planning cost on large memberships, measured in
-// CostReport.SubtreeProbes. BF and naive searches ignore the mode and always
-// fan out fully. Against region coordinators (see ServeRegion) every mode
+// guarantees but plans by descending a Bloofi-style digest tree, pruning
+// whole subtrees with one union check — sublinear planning cost on large
+// memberships, measured in CostReport.SubtreeProbes. BF and naive searches
+// ignore the mode and always fan out fully. Against region coordinators (see ServeRegion) every mode
 // additionally prunes whole regions by their subtree union digests before
 // delegating. See docs/ROUTING.md.
 func WithRouting(m RoutingMode) SearchOption { return cluster.WithRouting(m) }

@@ -20,8 +20,8 @@ func TestQuickstartFlow(t *testing.T) {
 	c, err := NewCluster(Options{
 		// Position salting keeps ε bands per-slot (without it, the union of
 		// scaled bands over a monotone accumulated series swallows every
-		// small pattern — see DESIGN.md D1); the paper's unsalted scheme is
-		// exercised at ε = 0 elsewhere.
+		// small pattern); the paper's unsalted scheme is exercised at ε = 0
+		// elsewhere.
 		Params: Params{Samples: 8, Epsilon: 1, Seed: 42, PositionSalted: true},
 		// A complete match partitions the query's locals and scores exactly
 		// 1; the threshold keeps incidental partial matches out, playing

@@ -23,10 +23,20 @@ func docFiles(t *testing.T) []string {
 // mdLink matches inline markdown links: [text](target).
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// mdMention matches a markdown file named in prose or a comment by its
+// upper-case base name, with any path written in front of it: README.md,
+// docs/WIRE.md.
+var mdMention = regexp.MustCompile(`[\w./-]*\b[A-Z][A-Z_]+\.md\b`)
+
 // TestDocsLocalLinks walks every local link in README, ARCHITECTURE and
 // docs/* and fails on targets that do not exist in the repository — the
 // docs CI job's link check. External links (http/https/mailto) are out of
-// scope: CI must not flake on network weather.
+// scope: CI must not flake on network weather. It also walks every .go and
+// .md file for markdown files mentioned by name outside a link: each must
+// exist relative to the repository root or to the file naming it, so a
+// comment cannot send the reader to a document nobody wrote. The root's
+// other markdown files are exempt: they record or plan changes, and so
+// name files that are gone or belong to other repositories.
 func TestDocsLocalLinks(t *testing.T) {
 	for _, f := range docFiles(t) {
 		body, err := os.ReadFile(f)
@@ -47,6 +57,42 @@ func TestDocsLocalLinks(t *testing.T) {
 				t.Errorf("%s: broken local link %q (resolved %s)", f, m[1], resolved)
 			}
 		}
+	}
+
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // .git, .github, .claude
+			}
+			return nil
+		}
+		switch filepath.Ext(path) {
+		case ".go":
+		case ".md":
+			if filepath.Dir(path) == "." && path != "README.md" && path != "ARCHITECTURE.md" {
+				return nil
+			}
+		default:
+			return nil
+		}
+		body, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range mdMention.FindAllString(string(body), -1) {
+			_, atRoot := os.Stat(filepath.FromSlash(m))
+			_, beside := os.Stat(filepath.Join(filepath.Dir(path), filepath.FromSlash(m)))
+			if atRoot != nil && beside != nil {
+				t.Errorf("%s names %s, which exists neither at the repository root nor beside it", path, m)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -94,6 +140,52 @@ func TestDocsBenchmarkReferenced(t *testing.T) {
 	}
 }
 
+// Flags of the di-cluster command: flagDef matches one definition in its
+// main.go; clusterLine matches the rest of a line that names the command,
+// continued over backslash-newlines as shell examples are; flagUse matches
+// one -flag on it (values such as -1 or 127.0.0.1:0 are not flags).
+var (
+	flagDef     = regexp.MustCompile(`flag\.\w+\("([a-z]+)"`)
+	clusterLine = regexp.MustCompile(`di-cluster((?:[^\\\n]|\\\n?)*)`)
+	flagUse     = regexp.MustCompile("(?:^|[\\s`(])-([a-z][a-z0-9-]*)")
+)
+
+// TestDocsClusterFlags pins the docs to the binary: on any line of a guarded
+// doc that names di-cluster, every -flag after the name must be one
+// cmd/di-cluster/main.go defines — a doc cannot keep advertising a mode the
+// command no longer has, or a flag it never had.
+func TestDocsClusterFlags(t *testing.T) {
+	src, err := os.ReadFile("cmd/di-cluster/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := make(map[string]bool)
+	for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
+		defined[m[1]] = true
+	}
+	if len(defined) == 0 {
+		t.Fatal("found no flag definitions in cmd/di-cluster/main.go")
+	}
+	uses := 0
+	for _, f := range docFiles(t) {
+		body, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		for _, line := range clusterLine.FindAllStringSubmatch(string(body), -1) {
+			for _, m := range flagUse.FindAllStringSubmatch(line[1], -1) {
+				uses++
+				if !defined[m[1]] {
+					t.Errorf("%s: %q uses -%s, which di-cluster does not define", f, "di-cluster"+line[1], m[1])
+				}
+			}
+		}
+	}
+	if uses == 0 {
+		t.Fatal("no guarded doc shows a di-cluster flag: the guard matches nothing")
+	}
+}
+
 // wireKindConst matches one Kind constant declaration in internal/wire.
 var wireKindConst = regexp.MustCompile(`(?m)^\t(Kind\w+) +Kind = (\d+)$`)
 
@@ -105,7 +197,7 @@ func TestDocsWireKindTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := os.ReadFile(filepath.Join("docs", "WIRE.md"))
+	doc, err := os.ReadFile("docs/WIRE.md")
 	if err != nil {
 		t.Fatal(err)
 	}

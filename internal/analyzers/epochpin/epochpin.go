@@ -1,5 +1,5 @@
 // Package epochpin enforces the epoch-pinning invariant from
-// docs/ARCHITECTURE.md: cluster search and routing code must work against a
+// ARCHITECTURE.md: cluster search and routing code must work against a
 // pinned membership snapshot, never against the live mutable fields.
 //
 // Mechanically this is a guarded-field discipline. A struct field annotated

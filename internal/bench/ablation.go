@@ -12,7 +12,9 @@ import (
 	"dimatch/internal/metrics"
 )
 
-// AblationConfig parameterizes the design-choice ablations of DESIGN.md §6.
+// AblationConfig parameterizes the design-choice ablations: the choices this
+// reproduction made where the paper is silent (position salting, the
+// accumulated-domain ε band, filter sizing) and the failure injection.
 type AblationConfig struct {
 	Seed          uint64
 	Persons       int
@@ -88,7 +90,7 @@ func runVariant(ctx context.Context, cfg AblationConfig, name string, params cor
 	}, nil
 }
 
-// AblationSalting measures DESIGN.md D8: position-salted vs the paper's
+// AblationSalting measures core.Params.PositionSalted: salted vs the paper's
 // unsalted keys at ε = 1, plus the unsalted exact-matching (ε = 0) case
 // where the original scheme is sound.
 func AblationSalting(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
@@ -121,7 +123,7 @@ func AblationSalting(ctx context.Context, cfg AblationConfig) ([]AblationRow, er
 	return rows, nil
 }
 
-// AblationTolerance measures DESIGN.md D1: scaled (no false negatives)
+// AblationTolerance measures core.ToleranceMode: scaled (no false negatives)
 // versus absolute (cheaper, lossy) ε banding.
 func AblationTolerance(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()

@@ -129,7 +129,7 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 			Hashes:  5,
 			Samples: core.DefaultSamples,
 			Epsilon: 0, // exact matching: the regime where the paper's
-			// unsalted scheme is sound (DESIGN.md D1/D8)
+			// unsalted scheme is sound (see core.Params.PositionSalted)
 			Seed:      cfg.Seed,
 			Tolerance: core.ToleranceScaled,
 		},

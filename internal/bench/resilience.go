@@ -21,7 +21,7 @@ type ResilienceRow struct {
 	F1             float64
 }
 
-// Resilience measures graceful degradation (DESIGN.md §6): base stations
+// Resilience measures graceful degradation: base stations
 // are killed one group at a time and the same queries re-run under strat
 // (zero selects the WBF default). Losing a station loses the local pieces
 // it held — affected persons' weight sums fall below 1, so recall decays

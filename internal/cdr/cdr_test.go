@@ -91,7 +91,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestRecordPipelineMatchesFastPath(t *testing.T) {
-	// DESIGN.md: extract(synthesize(targets)) == targets. The fast path and
+	// extract(synthesize(targets)) == targets. The fast path and
 	// the record pipeline must produce identical datasets.
 	cfg := testConfig()
 	fast, err := Generate(cfg)

@@ -1,7 +1,7 @@
 // Package cdr is the data substrate of the reproduction: a deterministic,
 // city-scale synthetic generator of mobile-phone Call Detail Records (CDR)
 // and Cell Detail Lists (CDL), standing in for the paper's proprietary
-// 2008 dataset (3.6M users, 5120 stations, ~1 TB; see DESIGN.md §2).
+// 2008 dataset (3.6M users, 5120 stations, ~1 TB).
 //
 // The generator is built around the two empirical properties DI-matching
 // exploits:

@@ -83,11 +83,6 @@ type Options struct {
 	// every-station fan-out; RoutingTree plans over the Bloofi digest tree.
 	// Override per call with WithRouting.
 	Routing RoutingMode
-	// TreeFanout bounds the digest tree's node width under RoutingTree
-	// (default tree.DefaultFanout). Smaller fanouts prune with fewer union
-	// probes per level but hold more inner-node unions; see docs/ROUTING.md
-	// and docs/OPERATIONS.md for choosing it.
-	TreeFanout int
 	// AdaptWindow is the traffic profiler's sliding window in observed
 	// band probes: once that many accumulate, every counter halves, so the
 	// profile tracks the recent mix instead of all history (see

@@ -352,9 +352,11 @@ func TestHierarchicalClassicForwarding(t *testing.T) {
 
 // TestHierarchicalPlacementAndRegionKill is the chaos pin: persons placed at
 // the root with R=2 land on two distinct regions; killing one region
-// coordinator mid-life costs availability of nothing — every queried person
-// is still found at full score through its surviving replica — and the dead
-// region is billed as failed, never silently skipped.
+// coordinator mid-search costs availability of nothing — the searches in
+// flight across the kill succeed, every queried person is still found at
+// full score through its surviving replica, and the tree-routed answer
+// stays equal to full fan-out's. The dead region is billed as failed, never
+// silently skipped, and the root's heal leaves Rebalance nothing to do.
 func TestHierarchicalPlacementAndRegionKill(t *testing.T) {
 	h := emptyHierarchy(t, 4, 2, 3)
 	ctx := context.Background()
@@ -370,42 +372,88 @@ func TestHierarchicalPlacementAndRegionKill(t *testing.T) {
 	probe := func(p core.PersonID) []core.Query {
 		return []core.Query{{ID: core.QueryID(p), Locals: []pattern.Pattern{patterns[p]}}}
 	}
-	for _, p := range []core.PersonID{3, 11, 19} {
-		out, err := h.root.Search(ctx, probe(p))
+	// found searches for one person by full fan-out and tree-routed: full
+	// fan-out must return the person at full score and the tree-routed
+	// answer must equal it. It reports whether either search billed a failed
+	// region.
+	found := func(phase string, p core.PersonID) (sawFailure bool) {
+		t.Helper()
+		full, err := h.root.Search(ctx, probe(p), WithRouting(RoutingFull))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(out.PerQuery[core.QueryID(p)]) == 0 || out.PerQuery[core.QueryID(p)][0].Person != p ||
-			out.PerQuery[core.QueryID(p)][0].Score() != 1.0 {
-			t.Fatalf("person %d not found at full score before kill: %v", p, out.PerQuery[core.QueryID(p)])
+		res := full.PerQuery[core.QueryID(p)]
+		if len(res) == 0 || res[0].Person != p || res[0].Score() != 1.0 {
+			t.Fatalf("person %d not found at full score %s: %v", p, phase, res)
 		}
+		routed, err := h.root.Search(ctx, probe(p), WithRouting(RoutingTree))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, "tree-routed vs full fan-out "+phase, probe(p), full, routed)
+		return routed.Cost.StationsFailed > 0 || full.Cost.StationsFailed > 0
+	}
+	for _, p := range []core.PersonID{3, 11, 19} {
+		found("before the kill", p)
 	}
 
-	// Kill one region coordinator: its link closes, ServeRegion exits.
-	var regionIDs []uint32
-	for _, id := range h.root.currentEpoch().ids {
-		regionIDs = append(regionIDs, id)
-	}
-	if err := h.root.KillStation(regionIDs[1]); err != nil {
-		t.Fatal(err)
-	}
+	// A background searcher keeps tree-routed searches in flight while one
+	// region coordinator is killed: its link closes, ServeRegion exits.
+	regionIDs := h.root.currentEpoch().ids
+	func() {
+		stop, searched, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		defer func() {
+			close(stop)
+			<-done
+		}()
+		go func() {
+			defer close(done)
+			for {
+				if _, err := h.root.Search(ctx, probe(3), WithRouting(RoutingTree)); err != nil {
+					t.Errorf("search across the region kill: %v", err)
+					return
+				}
+				select {
+				case searched <- struct{}{}:
+				case <-stop:
+					return
+				}
+			}
+		}()
+		awaitSearch := func() {
+			t.Helper()
+			select {
+			case <-searched:
+			case <-done:
+				t.FailNow() // the searcher reported why it gave up
+			}
+		}
+		awaitSearch()
+		if err := h.root.KillStation(regionIDs[1]); err != nil {
+			t.Fatal(err)
+		}
+		// Two completions after the kill returned: the second search started
+		// after it, whatever the first overlapped.
+		awaitSearch()
+		awaitSearch()
+	}()
 
 	sawFailure := false
 	for p := core.PersonID(1); p <= 20; p++ {
-		out, err := h.root.Search(ctx, probe(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := out.PerQuery[core.QueryID(p)]
-		if len(res) == 0 || res[0].Person != p || res[0].Score() != 1.0 {
-			t.Fatalf("person %d lost after region kill: %v", p, res)
-		}
-		if out.Cost.StationsFailed > 0 {
+		if found("after the region kill", p) {
 			sawFailure = true
 		}
 	}
 	if !sawFailure {
 		t.Fatal("no search billed the dead region as failed")
+	}
+
+	rep, err := h.root.Rebalance(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Copied != 0 || rep.Lost != 0 {
+		t.Fatalf("post-kill Rebalance = %+v, want nothing to copy and nothing lost: the region heal was incomplete", rep)
 	}
 }
 

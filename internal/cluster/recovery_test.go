@@ -53,7 +53,7 @@ func restartStation(t *testing.T, c *Cluster, dir string, id uint32) {
 // TestRecoveryEquivalence is the property pin: a cluster whose stations are
 // hard-stopped and recovered from their WALs at random churn points must be
 // observationally identical — residents, digests, search results — to a twin
-// that never restarted. Run under -race in CI (recovery-chaos job).
+// that never restarted. Run under -race in CI.
 func TestRecoveryEquivalence(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()

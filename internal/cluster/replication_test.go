@@ -130,7 +130,8 @@ func TestReplicaDedupDifferentScores(t *testing.T) {
 
 // TestSearchOverlappingRemoveStation: searches racing the removal of one
 // replica must keep full recall — the surviving replica covers, whether the
-// search catches the old epoch (failed exchange) or a post-heal one.
+// search catches the old epoch (failed exchange) or a post-heal one — and
+// the removal leaves every placement back at R=2.
 func TestSearchOverlappingRemoveStation(t *testing.T) {
 	stations := []uint32{1, 2, 3, 4, 5}
 	patterns := make(map[core.PersonID]pattern.Pattern)
@@ -182,6 +183,16 @@ func TestSearchOverlappingRemoveStation(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+
+	// The planned departure healed before RemoveStation returned, like a
+	// kill does: an explicit pass finds nothing left to copy.
+	rep, err := c.Rebalance(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Copied != 0 || rep.Lost != 0 {
+		t.Fatalf("post-removal Rebalance = %+v, want nothing to copy and nothing lost", rep)
 	}
 }
 

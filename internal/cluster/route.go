@@ -156,18 +156,18 @@ func (c *summaryCache) noteIngest(id uint32, locals []pattern.Pattern) {
 	}
 }
 
-// descend plans a tree-routed search: it (re)builds the Bloofi tree over the
-// cached digests when needed — first tree-routed search, or a fanout change
-// — then routes the probes through it. It returns which of the given
+// descend plans a tree-routed search: it builds the Bloofi tree (node width
+// tree.DefaultFanout) over the cached digests on the first tree-routed
+// search, then routes the probes through it. It returns which of the given
 // stations the tree admits, which it tracks at all (an untracked station
 // must be probed flat by the caller), and the number of union/leaf Admits
 // evaluations the descent performed. Pure in-memory work under mu: no IO
 // happens while the cache lock is held.
-func (c *summaryCache) descend(fanout int, probes []index.Probe, ids []uint32) (admitted, member map[uint32]bool, evaluated int) {
+func (c *summaryCache) descend(probes []index.Probe, ids []uint32) (admitted, member map[uint32]bool, evaluated int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.digests == nil || c.digests.Fanout() != tree.New(tree.Options{Fanout: fanout}).Fanout() {
-		t := tree.New(tree.Options{Fanout: fanout})
+	if c.digests == nil {
+		t := tree.New(tree.Options{})
 		for id, sum := range c.entries {
 			// Rejected digests (foreign geometry) stay outside the tree and
 			// are probed flat by the caller.
@@ -324,7 +324,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	var treeAdmit, treeMember map[uint32]bool
 	if cfg.routing == RoutingTree {
 		var evaluated int
-		treeAdmit, treeMember, evaluated = c.summaries.descend(c.opts.TreeFanout, probes, ep.ids)
+		treeAdmit, treeMember, evaluated = c.summaries.descend(probes, ep.ids)
 		cost.SubtreeProbes += uint64(evaluated)
 	}
 	included := make([]int, 0, len(ep.ids))

@@ -193,7 +193,7 @@ func TestMatchLengthMismatch(t *testing.T) {
 func TestPropertyNoFalseNegatives(t *testing.T) {
 	// Invariant: any pattern within per-interval ε of an encoded combination
 	// matches under ToleranceScaled. This is the WBF's no-false-negative
-	// guarantee (DESIGN.md D1).
+	// guarantee (see ToleranceMode).
 	p := testParams()
 	p.Bits = 1 << 16
 	p.Epsilon = 2
@@ -245,7 +245,7 @@ func TestPropertyNoFalseNegatives(t *testing.T) {
 
 func TestPropertyWBFMatchesAreBFMatches(t *testing.T) {
 	// Weights only prune: any pattern the WBF accepts, the identically
-	// parameterized BF accepts too (DESIGN.md invariant #5).
+	// parameterized BF accepts too.
 	p := testParams()
 	p.Samples = 3
 

@@ -58,7 +58,7 @@ func (m *Matcher) sampledAccumulate(p pattern.Pattern) []int64 {
 // "return zero").
 //
 // Several pointers can survive when distinct query combinations are within
-// tolerance of each other at every sampled point (DESIGN.md D4); the caller
+// tolerance of each other at every sampled point; the caller
 // forwards all of them and the ranker resolves per query.
 //
 // The returned slice is valid until the next Match call.
@@ -105,7 +105,7 @@ func (m *Matcher) Match(p pattern.Pattern) (ids []WeightID, ok bool, err error) 
 // a piece can sit within tolerance of several combinations of one query;
 // the combination whose magnitude matches the piece is the right
 // attribution — crediting any other corrupts the center's sum-to-1
-// partition arithmetic (DESIGN.md D4).
+// partition arithmetic.
 func SelectClosestWeights(f *Filter, ids []WeightID, patternSum int64) ([]WeightID, error) {
 	// The surviving pointer set is tiny (one handful of queries at most), so
 	// a linear scan over a small stack-backed slice beats a map allocation —

@@ -14,7 +14,7 @@ import (
 
 // ToleranceMode selects how the per-interval tolerance ε of Eq. 2 is mapped
 // into the accumulated domain when "all possible approximate values" are
-// hashed (Algorithm 1). See DESIGN.md decision D1.
+// hashed (Algorithm 1).
 type ToleranceMode int
 
 const (
@@ -26,7 +26,7 @@ const (
 	// ToleranceAbsolute hashes the flat band ±ε at every sample. Cheaper and
 	// tighter, but a pattern can drift beyond ±ε in accumulated space while
 	// honouring Eq. 2 per interval, so false negatives become possible.
-	// Kept as an ablation of D1.
+	// Kept as an ablation (di-bench -run tolerance).
 	ToleranceAbsolute
 )
 

@@ -107,7 +107,7 @@ func (a *Aggregator) Add(r Report) error { return a.AddFrom(a.weights, r) }
 // pattern (the pattern is within tolerance of more than one combination),
 // the smallest numerator is credited: crediting more than the pattern's
 // certain share could push a true match's sum past 1 and delete it, while
-// under-crediting only lowers its rank (DESIGN.md D4).
+// under-crediting only lowers its rank.
 func (a *Aggregator) AddFrom(table []WeightEntry, r Report) error {
 	// minPerQuery collects the minimum numerator per query in this report.
 	var minPerQuery map[QueryID]int64

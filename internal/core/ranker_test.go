@@ -128,7 +128,7 @@ func TestAggregatorMinNumeratorPerStation(t *testing.T) {
 	f := rankerFixture(t)
 	a := NewAggregator(f)
 	// One station report carrying two surviving weights of the same query
-	// credits the smaller numerator (DESIGN.md D4): 6, not 12.
+	// credits the smaller numerator (see Aggregator.AddFrom): 6, not 12.
 	mustAdd(t, a, Report{Person: 5, WeightIDs: []WeightID{
 		weightIDFor(t, f, 1, 0b01),
 		weightIDFor(t, f, 1, 0b11),

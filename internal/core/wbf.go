@@ -17,7 +17,7 @@ type WeightID uint32
 
 // WeightEntry is one row of the weight table: the exact weight of one
 // combination of one query's local patterns, stored as an integer fraction
-// Numerator/Denominator (see DESIGN.md decision D2). The denominator is the
+// Numerator/Denominator, never a float. The denominator is the
 // query's global value sum, so the full combination has weight exactly 1 and
 // weights of disjoint combinations add.
 type WeightEntry struct {

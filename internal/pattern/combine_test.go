@@ -142,7 +142,8 @@ func TestWeightNumeratorErrors(t *testing.T) {
 
 func TestPropertyWeightAdditivity(t *testing.T) {
 	// For disjoint subsets S and T, num(S|T) = num(S) + num(T), and the full
-	// subset has numerator sum(global). This is invariant #2 of DESIGN.md.
+	// subset has numerator sum(global): what lets the data center add
+	// reported weights and test the sum against 1.
 	f := func(vals [4][3]uint8, rawS, rawT uint8) bool {
 		locals := make([]Pattern, 4)
 		for i := range locals {

@@ -434,7 +434,9 @@ func TestStreamRemoveStationMidStream(t *testing.T) {
 // TestStreamSearchInterleaving runs sustained ingest, concurrent searches
 // and a station kill together — the -race exercise for the whole pipeline.
 // Every search must see full recall over the prefix known flushed when it
-// started.
+// started, and the kill, landing while Submit is still feeding the
+// pipeline, may cost neither the cohort flushed before it nor the cohort
+// streamed across it a single acked copy.
 func TestStreamSearchInterleaving(t *testing.T) {
 	c := newStreamCluster(t, []uint32{1, 2, 3, 4, 5}, 4)
 	in, err := New(c, Options{FlushBatch: 16, FlushInterval: time.Millisecond})
@@ -484,7 +486,11 @@ func TestStreamSearchInterleaving(t *testing.T) {
 		}()
 	}
 
-	killed := false
+	// The warm cohort is flushed before the kill. The kill itself starts 50
+	// submissions past that barrier, so the victim's shard holds copies not
+	// yet flushed, and runs beside the Submit loop streaming the rest.
+	const warm, killAt = 100, 150
+	killErr := make(chan error, 1)
 	for p := core.PersonID(1); p <= n; p++ {
 		if err := in.Submit(ctx, p, pattern.Pattern{1, 2, 3, 4}); err != nil {
 			t.Fatal(err)
@@ -496,13 +502,18 @@ func TestStreamSearchInterleaving(t *testing.T) {
 			mu.Lock()
 			flushed = p
 			mu.Unlock()
-			if !killed {
-				killed = true
-				if err := c.KillStation(3); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
+		if p == killAt {
+			go func() { killErr <- c.KillStation(3) }()
+		}
+	}
+	if err := <-killErr; err != nil {
+		t.Fatal(err)
+	}
+	// The kill may have outlasted the loop's last barrier: flush what the
+	// retired shard re-keyed after it.
+	if err := in.Flush(ctx); err != nil {
+		t.Fatal(err)
 	}
 	close(stop)
 	searchers.Wait()
@@ -514,7 +525,19 @@ func TestStreamSearchInterleaving(t *testing.T) {
 	if rep.Accepted != n {
 		t.Fatalf("accepted %d, want %d", rep.Accepted, n)
 	}
+	if rep.FlushFailures != 0 {
+		t.Fatalf("pipeline abandoned %d acked copies across the kill", rep.FlushFailures)
+	}
 	got := searchPersons(t, c, pattern.Pattern{1, 2, 3, 4})
+	for p := core.PersonID(1); p <= n; p++ {
+		if _, ok := got[p]; !ok {
+			cohort := "streamed across the kill"
+			if p <= warm {
+				cohort = "flushed before the kill"
+			}
+			t.Fatalf("person %d (%s) lost: retrieved %d of %d", p, cohort, len(got), n)
+		}
+	}
 	if len(got) != n {
 		t.Fatalf("retrieved %d persons at the end, want %d", len(got), n)
 	}

@@ -9,7 +9,8 @@ import (
 // generator replaces the paper's proprietary mobile-network dataset with a
 // deterministic city exhibiting the same two structural observations
 // DI-matching exploits (periodic, divisible category curves; within-
-// category local-pattern similarity). See DESIGN.md §2.
+// category local-pattern similarity); internal/cdr's package comment
+// describes how.
 type (
 	// CityConfig parameterizes a synthetic city.
 	CityConfig = cdr.Config
@@ -76,32 +77,6 @@ func StationData(city *City) map[uint32]map[PersonID]Pattern {
 // local patterns.
 func QueryFromPerson(city *City, id QueryID, person PersonID) Query {
 	return Query{ID: id, Locals: city.QueryLocalsOf(cdr.PersonID(person))}
-}
-
-// PersonGlobals returns every person's global pattern (the element-wise sum
-// of their locals) — the natural unit of a placement-first deployment,
-// where Cluster.Place distributes whole patterns onto rendezvous-hashed
-// replicas instead of the caller routing per-station pieces.
-func PersonGlobals(city *City) map[PersonID]Pattern {
-	out := make(map[PersonID]Pattern)
-	for _, c := range Categories() {
-		for _, p := range city.PersonsInCategory(c) {
-			out[core.PersonID(p)] = city.GlobalOf(p)
-		}
-	}
-	return out
-}
-
-// PersonLocals returns one person's local patterns keyed by the station
-// holding them — the station-addressed form Cluster.Ingest and
-// Cluster.Evict speak.
-func PersonLocals(city *City, person PersonID) map[uint32]Pattern {
-	locals := city.LocalsOf(cdr.PersonID(person))
-	out := make(map[uint32]Pattern, len(locals))
-	for s, l := range locals {
-		out[uint32(s)] = l
-	}
-	return out
 }
 
 // CleanReference returns a category exemplar whose role anchors occupy
