@@ -2,11 +2,15 @@ package dimatch_test
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"dimatch/internal/wire"
 )
 
 // docFiles returns the markdown files the docs CI job guards.
@@ -189,9 +193,16 @@ func TestDocsClusterFlags(t *testing.T) {
 // wireKindConst matches one Kind constant declaration in internal/wire.
 var wireKindConst = regexp.MustCompile(`(?m)^\t(Kind\w+) +Kind = (\d+)$`)
 
+// wireKindRow and wireRetiredRow match one assigned and one retired row of
+// docs/WIRE.md's kind table.
+var wireKindRow = regexp.MustCompile("(?m)^\\| `(Kind\\w+)` \\| (\\d+) \\|")
+var wireRetiredRow = regexp.MustCompile(`(?m)^\| \*retired\* \| (\d+) \|`)
+
 // TestDocsWireKindTable pins docs/WIRE.md's kind table to the code: every
 // wire.Kind constant appears in it with its wire value, so a kind cannot
-// ship undocumented or be renumbered in only one place.
+// ship undocumented or be renumbered in only one place, every assigned row
+// names a constant, and every value the table calls retired is assigned to
+// no constant and refused by the frame decoder with ErrBadKind.
 func TestDocsWireKindTable(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("internal", "wire", "wire.go"))
 	if err != nil {
@@ -205,9 +216,32 @@ func TestDocsWireKindTable(t *testing.T) {
 	if len(kinds) == 0 {
 		t.Fatal("found no Kind constants in internal/wire/wire.go")
 	}
+	assigned := make(map[string]string, len(kinds))
 	for _, k := range kinds {
+		assigned[k[2]] = k[1]
 		if row := "| `" + k[1] + "` | " + k[2] + " |"; !strings.Contains(string(doc), row) {
 			t.Errorf("docs/WIRE.md kind table has no row %q", row)
+		}
+	}
+	for _, row := range wireKindRow.FindAllStringSubmatch(string(doc), -1) {
+		if assigned[row[2]] != row[1] {
+			t.Errorf("docs/WIRE.md kind table row `%s` | %s names no wire.Kind constant of that value", row[1], row[2])
+		}
+	}
+	retired := wireRetiredRow.FindAllStringSubmatch(string(doc), -1)
+	if len(retired) == 0 {
+		t.Fatal("found no *retired* rows in docs/WIRE.md's kind table")
+	}
+	for _, r := range retired {
+		if name, ok := assigned[r[1]]; ok {
+			t.Errorf("docs/WIRE.md retires kind %s, but wire.go assigns it to %s", r[1], name)
+		}
+		v, err := strconv.ParseUint(r[1], 10, 8)
+		if err != nil {
+			t.Fatalf("retired row value %q: %v", r[1], err)
+		}
+		if _, err := wire.Decode(wire.Message{Kind: wire.Kind(v)}.Encode()); !errors.Is(err, wire.ErrBadKind) {
+			t.Errorf("a frame of retired kind %d decodes with err = %v, want ErrBadKind", v, err)
 		}
 	}
 }

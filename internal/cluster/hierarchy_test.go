@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 	"dimatch/internal/transport"
+	"dimatch/internal/wire"
 )
 
 // hierData builds 12 well-separated station stores (3 residents each,
@@ -252,44 +254,136 @@ func TestTreeChurnEquivalence(t *testing.T) {
 // whole regions.
 func TestHierarchicalSearchMatchesFlat(t *testing.T) {
 	data := hierData()
-	flat, err := New(Options{}, data)
+	ctx := context.Background()
+	wide := Options{Params: core.Params{Epsilon: 100}}
+	for _, in := range []struct {
+		name    string
+		opts    Options
+		queries []core.Query
+		prunes  bool
+	}{
+		{name: "tight", prunes: true, queries: []core.Query{
+			{ID: 1, Locals: []pattern.Pattern{{2010, 2011, 2012}}}, // station 2's first resident
+			{ID: 2, Locals: []pattern.Pattern{{9011, 9013, 9015}}}, // station 9's second resident
+			{ID: 3, Locals: []pattern.Pattern{{1, 2, 3}}},          // matches nothing
+		}},
+		// Mixed selectivity: at ε = 100 the six-local query's 63 combinations
+		// exceed index.MaxProbeValues, so its probe is unselective and must
+		// admit every member at every tier — beside a tight query that still
+		// prunes. An unselective probe that is dropped instead loses the
+		// second query's whole answer.
+		{name: "mixed selectivity", opts: wide, queries: []core.Query{
+			{ID: 1, Locals: []pattern.Pattern{{2010, 2011, 2012}}},
+			{ID: 2, Locals: []pattern.Pattern{
+				{1500, 1500, 1500}, {1500, 1500, 1500}, {1500, 1500, 1500},
+				{1500, 1500, 1500}, {1500, 1500, 1500}, {1511, 1513, 1515},
+			}},
+		}},
+	} {
+		flat, err := New(in.opts, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat.Start()
+		t.Cleanup(func() { _ = flat.Shutdown() })
+		queries := in.queries
+		want, err := flat.Search(ctx, queries, WithRouting(RoutingFull))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The root's BatchSize travels in the route query: 1 makes every region
+		// run its queries as rounds of one.
+		for _, batch := range []int{0, 1} {
+			rootOpts := in.opts
+			rootOpts.BatchSize = batch
+			h := buildHierarchy(t, data, 3, 3, rootOpts)
+			for _, mode := range []RoutingMode{RoutingFull, RoutingSummary, RoutingTree} {
+				label := fmt.Sprintf("%s: hier batch %d %s", in.name, rootOpts.BatchSize, mode)
+				got, err := h.root.Search(ctx, queries, WithRouting(mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameResults(t, label, queries, want, got)
+				if got.Cost.TierHops != 2 {
+					t.Fatalf("%s TierHops = %d, want 2 (root + regions)", label, got.Cost.TierHops)
+				}
+				if in.prunes && mode != RoutingFull && got.Cost.StationsPruned == 0 {
+					t.Fatalf("%s pruned nothing across 4 regions of well-separated data", label)
+				}
+			}
+		}
+		if len(want.PerQuery[1]) == 0 || len(want.PerQuery[2]) == 0 {
+			t.Fatalf("%s: probe queries found nothing — test data drifted", in.name)
+		}
+	}
+}
+
+// TestMixedRootSearchMatchesFlat covers the root the single pruning pass
+// newly governs: plain stations and a region coordinator side by side.
+// Stations 0-2 sit behind region 100, stations 3-11 answer the root directly.
+// Routed results equal the flat cluster's full fan-out whether the match
+// lives on a plain station, inside the region, or nowhere; the one fallback
+// rule applies to the membership as a whole, so a query only a plain station
+// can answer prunes the region (one tier traversed) and a query nothing can
+// answer visits everyone.
+func TestMixedRootSearchMatchesFlat(t *testing.T) {
+	data := hierData()
+	flat := startCluster(t, Options{}, data)
+	sub := make(map[uint32]map[core.PersonID]pattern.Pattern)
+	links := make(map[uint32]transport.Link)
+	for id, locals := range data {
+		if id < 3 {
+			sub[id] = locals
+			continue
+		}
+		center, stationEnd := transport.Pipe(nil, nil)
+		go func() { _ = ServeStation(id, locals, stationEnd) }()
+		links[id] = center
+	}
+	region := startCluster(t, Options{}, sub)
+	rootEnd, regionEnd := transport.Pipe(nil, nil)
+	go func() { _ = ServeRegion(100, region, regionEnd) }()
+	links[100] = rootEnd
+	root, err := NewWithLinks(Options{}, links, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat.Start()
-	t.Cleanup(func() { _ = flat.Shutdown() })
+	t.Cleanup(func() { _ = root.Shutdown() })
 	ctx := context.Background()
 
-	queries := []core.Query{
-		{ID: 1, Locals: []pattern.Pattern{{2010, 2011, 2012}}}, // station 2's first resident
-		{ID: 2, Locals: []pattern.Pattern{{9011, 9013, 9015}}}, // station 9's second resident
-		{ID: 3, Locals: []pattern.Pattern{{1, 2, 3}}},          // matches nothing
-	}
-	want, err := flat.Search(ctx, queries, WithRouting(RoutingFull))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The root's BatchSize travels in the route query: 1 makes every region
-	// run its three queries as three rounds of one.
-	for _, rootOpts := range []Options{{}, {BatchSize: 1}} {
-		h := buildHierarchy(t, data, 3, 3, rootOpts)
+	for _, in := range []struct {
+		name         string
+		local        pattern.Pattern
+		found        bool
+		pruned, hops int // under routed modes
+	}{
+		{name: "plain station only", local: pattern.Pattern{7010, 7011, 7012}, found: true, pruned: 9, hops: 1},
+		{name: "inside the region only", local: pattern.Pattern{1011, 1013, 1015}, found: true, pruned: 9 + 2, hops: 2},
+		{name: "nothing", local: pattern.Pattern{1, 2, 3}, pruned: 0, hops: 2},
+	} {
+		queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{in.local}}}
+		want, err := flat.Search(ctx, queries, WithRouting(RoutingFull))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (len(want.PerQuery[1]) > 0) != in.found {
+			t.Fatalf("%s: flat reference found %v — test data drifted", in.name, want.PerQuery[1])
+		}
 		for _, mode := range []RoutingMode{RoutingFull, RoutingSummary, RoutingTree} {
-			label := fmt.Sprintf("hier batch %d %s", rootOpts.BatchSize, mode)
-			got, err := h.root.Search(ctx, queries, WithRouting(mode))
+			label := fmt.Sprintf("%s %s", in.name, mode)
+			got, err := root.Search(ctx, queries, WithRouting(mode))
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameResults(t, label, queries, want, got)
-			if got.Cost.TierHops != 2 {
-				t.Fatalf("%s TierHops = %d, want 2 (root + regions)", label, got.Cost.TierHops)
+			pruned, hops := in.pruned, in.hops
+			if mode == RoutingFull {
+				pruned, hops = 0, 2
 			}
-			if mode != RoutingFull && got.Cost.StationsPruned == 0 {
-				t.Fatalf("%s pruned nothing across 4 regions of well-separated data", label)
+			if got.Cost.StationsPruned != pruned || got.Cost.TierHops != hops {
+				t.Fatalf("%s: StationsPruned = %d, TierHops = %d; want %d and %d", label, got.Cost.StationsPruned, got.Cost.TierHops, pruned, hops)
 			}
 		}
-	}
-	if len(want.PerQuery[1]) == 0 || len(want.PerQuery[2]) == 0 {
-		t.Fatal("probe queries found nothing — test data drifted")
 	}
 }
 
@@ -340,7 +434,7 @@ func TestHierarchicalClassicForwarding(t *testing.T) {
 		assertSameResults(t, fmt.Sprintf("forwarded %v", strat), queries, want, got)
 	}
 
-	// Verification fetches raw patterns (KindFetch) through the regions.
+	// Verification pulls raw patterns (KindDump) through the regions.
 	verified, err := h.root.Search(ctx, queries, WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
@@ -348,6 +442,61 @@ func TestHierarchicalClassicForwarding(t *testing.T) {
 	if len(verified.PerQuery[1]) == 0 || verified.PerQuery[1][0].Score() != 1.0 {
 		t.Fatalf("verified hierarchical search lost the match: %v", verified.PerQuery[1])
 	}
+
+	// What the region forwards is the one raw-pattern pull: a region over a
+	// tapped member link sends it exactly one KindDump for the naive
+	// shipment and one more for the verification fetch (a single-member root
+	// plans nothing, so no upward-digest pull adds to the count).
+	center, stationEnd := transport.Pipe(nil, nil)
+	go func() { _ = ServeStation(0, data[0], stationEnd) }()
+	tap := &kindTap{Link: center, sent: make(map[wire.Kind]int)}
+	tapped, err := NewWithLinks(Options{}, map[uint32]transport.Link{0: tap}, 3, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootEnd, regionEnd := transport.Pipe(nil, nil)
+	go func() { _ = ServeRegion(100, tapped, regionEnd) }()
+	root, err := NewWithLinks(Options{}, map[uint32]transport.Link{100: rootEnd}, 3, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = root.Shutdown()
+		_ = tapped.Shutdown()
+	})
+	queries = []core.Query{{ID: 1, Locals: []pattern.Pattern{{10, 11, 12}}}}
+	for i, opts := range [][]SearchOption{{WithStrategy(StrategyNaive)}, {WithVerify(true)}} {
+		out, err := root.Search(ctx, queries, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Persons(1); len(got) == 0 || got[0] != 1 {
+			t.Fatalf("%v through the tapped region: persons = %v, want 1 first", out.Strategy, got)
+		}
+		if got := tap.count(wire.KindDump); got != i+1 {
+			t.Fatalf("after the %v search the region had forwarded %d KindDump frames, want %d", out.Strategy, got, i+1)
+		}
+	}
+}
+
+// kindTap is a center-side link counting the frames sent down it by kind.
+type kindTap struct {
+	transport.Link
+	mu   sync.Mutex
+	sent map[wire.Kind]int
+}
+
+func (l *kindTap) Send(m wire.Message) error {
+	l.mu.Lock()
+	l.sent[m.Kind]++
+	l.mu.Unlock()
+	return l.Link.Send(m)
+}
+
+func (l *kindTap) count(k wire.Kind) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.sent[k]
 }
 
 // TestHierarchicalPlacementAndRegionKill is the chaos pin: persons placed at

@@ -13,10 +13,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"dimatch/internal/adapt"
 	"dimatch/internal/index"
+	"dimatch/internal/transport"
 	"dimatch/internal/wire"
 )
 
@@ -106,16 +106,7 @@ func (c *Cluster) RederiveParams(ctx context.Context) (*ParamRollout, error) {
 	}
 	c.rolloutMu.Lock()
 	defer c.rolloutMu.Unlock()
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClusterClosed
-	}
-	ep := c.ep
-	c.mu.Unlock()
-
-	st, err := c.epochStats(ctx, ep)
+	ep, st, epoch, err := c.nextRolloutLocked(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -128,10 +119,6 @@ func (c *Cluster) RederiveParams(ctx context.Context) (*ParamRollout, error) {
 	if residents == 0 {
 		return nil, fmt.Errorf("cluster: no resident patterns to adapt parameters for")
 	}
-
-	c.paramMu.Lock()
-	epoch := c.paramEpoch + 1
-	c.paramMu.Unlock()
 
 	plan, err := adapt.Derive(c.profiler.Snapshot(), residents, index.DefaultSeed, epoch)
 	if err != nil {
@@ -150,28 +137,32 @@ func (c *Cluster) ResetParams(ctx context.Context) (*ParamRollout, error) {
 	}
 	c.rolloutMu.Lock()
 	defer c.rolloutMu.Unlock()
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClusterClosed
-	}
-	ep := c.ep
-	c.mu.Unlock()
-
-	st, err := c.epochStats(ctx, ep)
+	ep, st, epoch, err := c.nextRolloutLocked(ctx)
 	if err != nil {
 		return nil, err
 	}
-	c.paramMu.Lock()
-	epoch := c.paramEpoch + 1
-	c.paramMu.Unlock()
-
 	roll, err := c.rolloutLocked(ctx, ep, st, epoch, nil)
 	if err == nil {
 		c.profiler.Reset()
 	}
 	return roll, err
+}
+
+// nextRolloutLocked pins what one rollout works over: the live membership
+// epoch, its stats snapshot and the parameter epoch the rollout will install.
+// Callers hold rolloutMu, so the epoch cannot be claimed twice.
+func (c *Cluster) nextRolloutLocked(ctx context.Context) (*epoch, *Stats, uint64, error) {
+	ep, err := c.pinEpoch()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	st, err := c.epochStats(ctx, ep)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	c.paramMu.Lock()
+	defer c.paramMu.Unlock()
+	return ep, st, c.paramEpoch + 1, nil
 }
 
 // rolloutLocked fans one ParamUpdate (plan, or nil for static) to the
@@ -189,11 +180,8 @@ func (c *Cluster) rolloutLocked(ctx context.Context, ep *epoch, st *Stats, epoch
 	}
 
 	roll := &ParamRollout{Epoch: epoch, Plan: plan}
-	type target struct {
-		id  uint32
-		idx int
-	}
-	var targets []target
+	var targets []uint32
+	var muxes []*transport.Mux
 	for i, id := range ep.ids {
 		s, ok := info[id]
 		if !ok || s.Delegate {
@@ -204,57 +192,38 @@ func (c *Cluster) rolloutLocked(ctx context.Context, ep *epoch, st *Stats, epoch
 			roll.Skipped = append(roll.Skipped, id)
 			continue
 		}
-		targets = append(targets, target{id: id, idx: i})
+		targets = append(targets, id)
+		muxes = append(muxes, ep.muxes[i])
 	}
 
-	type answer struct {
-		ack    wire.ParamAck
-		failed bool
-	}
-	answers := make([]answer, len(targets))
-	var wg sync.WaitGroup
-	for i, tg := range targets {
-		i, mx := i, ep.muxes[tg.idx]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reply, err := mx.Roundtrip(ctx, msg)
-			if err != nil {
-				answers[i].failed = true
-				return
-			}
-			ack, err := wire.DecodeParamAck(reply)
-			if err != nil {
-				answers[i].failed = true
-				return
-			}
-			answers[i].ack = ack
-		}()
-	}
-	wg.Wait()
+	answers := roundtripAll(ctx, muxes, msg)
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		// The fan-out may have half-landed; invalidate every target's digest
 		// (their state is unknown) but do not advance the live epoch.
-		for _, tg := range targets {
-			c.summaries.invalidate(tg.id)
+		for _, id := range targets {
+			c.summaries.invalidate(id)
 		}
 		return nil, fmt.Errorf("%w: %w", ErrCancelled, ctxErr)
 	}
 
-	for i, tg := range targets {
+	for i, id := range targets {
 		// Whatever happened, the station's digest may have changed shape:
 		// drop the cached copy so the next routed search refetches. (A
 		// failed exchange may still have applied — same rule as Ingest's
 		// error path.)
-		c.summaries.invalidate(tg.id)
+		c.summaries.invalidate(id)
 		a := answers[i]
+		var ack wire.ParamAck
+		if a.err == nil {
+			ack, a.err = wire.DecodeParamAck(a.reply)
+		}
 		switch {
-		case a.failed:
-			roll.Failed = append(roll.Failed, tg.id)
-		case a.ack.Epoch == epoch && a.ack.Applied && plan != nil:
-			roll.Applied = append(roll.Applied, tg.id)
+		case a.err != nil:
+			roll.Failed = append(roll.Failed, id)
+		case ack.Epoch == epoch && ack.Applied && plan != nil:
+			roll.Applied = append(roll.Applied, id)
 		default:
-			roll.Static = append(roll.Static, tg.id)
+			roll.Static = append(roll.Static, id)
 		}
 	}
 	for _, s := range [][]uint32{roll.Applied, roll.Static, roll.Skipped, roll.Failed} {

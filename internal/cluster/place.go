@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"dimatch/internal/adapt"
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 	"dimatch/internal/placement"
@@ -157,10 +156,8 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 	if len(patterns) == 0 {
 		return nil
 	}
-	for p, pat := range patterns {
-		if len(pat) != c.length {
-			return fmt.Errorf("%w: place person %d pattern length %d, cluster is %d", ErrLengthMismatch, p, len(pat), c.length)
-		}
+	if err := checkLengths(c.length, "place", patterns); err != nil {
+		return err
 	}
 	alive, _ := c.aliveMembers()
 	if len(alive) == 0 {
@@ -368,27 +365,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	}
 
 	// Pull the placed persons' copies from every alive station.
-	dump := wire.EncodeDump(wire.Dump{Persons: keys})
-	type pulled struct {
-		reply wire.DumpReply
-		err   error
-	}
-	results := make([]pulled, len(alive))
-	var wg sync.WaitGroup
-	for i := range alive {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reply, err := muxes[i].Roundtrip(ctx, dump)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			results[i].reply, results[i].err = wire.DecodeDumpReply(reply)
-		}()
-	}
-	wg.Wait()
+	results := roundtripAll(ctx, muxes, wire.EncodeDump(wire.Dump{Persons: keys}))
 	if err := ctx.Err(); err != nil {
 		return report, fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
@@ -399,7 +376,11 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 		if r.err != nil {
 			continue
 		}
-		for j, p := range r.reply.Persons {
+		reply, err := wire.DecodeDumpReply(r.reply)
+		if err != nil {
+			continue
+		}
+		for j, p := range reply.Persons {
 			if _, placed := intents[p]; !placed {
 				continue
 			}
@@ -409,8 +390,8 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 				holders[p] = hs
 			}
 			hs[alive[i]] = true
-			if _, ok := copies[p]; !ok && len(r.reply.Locals[j]) == c.length {
-				copies[p] = r.reply.Locals[j]
+			if _, ok := copies[p]; !ok && len(reply.Locals[j]) == c.length {
+				copies[p] = reply.Locals[j]
 			}
 		}
 	}
@@ -484,44 +465,4 @@ func (c *Cluster) heal(ctx context.Context) {
 	ctx, cancel := context.WithTimeout(ctx, healTimeout)
 	defer cancel()
 	_, _ = c.Rebalance(ctx)
-}
-
-// NewEmpty builds a cluster of in-process stations that hold no patterns
-// yet — the starting point of a placement-first deployment, where every
-// pattern arrives through Place (or Ingest) on the running cluster. The
-// caller supplies the pattern length New would otherwise derive from the
-// seed data. The cluster is inert until Start.
-func NewEmpty(opts Options, stationIDs []uint32, patternLength int) (*Cluster, error) {
-	if len(stationIDs) == 0 {
-		return nil, errors.New("cluster: no stations")
-	}
-	if patternLength <= 0 {
-		return nil, fmt.Errorf("cluster: pattern length %d, want > 0", patternLength)
-	}
-	if opts.TargetFP == 0 {
-		opts.TargetFP = 0.01
-	}
-	ids := append([]uint32(nil), stationIDs...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for i := 1; i < len(ids); i++ {
-		if ids[i] == ids[i-1] {
-			return nil, fmt.Errorf("%w: station %d", ErrStationExists, ids[i])
-		}
-	}
-	c := &Cluster{
-		opts:      opts,
-		length:    patternLength,
-		dead:      make(map[uint32]bool),
-		downMeter: &transport.Meter{},
-		upMeter:   &transport.Meter{},
-	}
-	muxes := make([]*transport.Mux, 0, len(ids))
-	for _, id := range ids {
-		center, stationEnd := transport.Pipe(c.downMeter, c.upMeter)
-		muxes = append(muxes, transport.NewMux(center))
-		c.pending = append(c.pending, NewStation(id, nil, stationEnd))
-	}
-	c.profiler = adapt.NewProfiler(c.length, opts.AdaptWindow)
-	c.installEpochLocked(ids, muxes)
-	return c, nil
 }

@@ -72,8 +72,6 @@ func (r *Region) Serve() error {
 			reply, err = r.handleBatchForward(ctx, msg)
 		case wire.KindBFQuery:
 			reply, err = r.handleBFForward(ctx, msg)
-		case wire.KindShipAll, wire.KindFetch:
-			reply, err = r.handleDataForward(ctx, msg)
 		case wire.KindDump:
 			reply, err = r.handleDumpForward(ctx, msg)
 		case wire.KindIngest:
@@ -239,68 +237,24 @@ func (r *Region) handleBFForward(ctx context.Context, msg wire.Message) (*wire.M
 	return &reply, nil
 }
 
-// handleDataForward forwards ship-all and fetch frames, merging the raw
-// pattern shipments. Region-placed persons ship a single copy (their
-// replicas are identical; the parent would otherwise double their global);
-// station-addressed persons keep every complementary piece.
-func (r *Region) handleDataForward(ctx context.Context, msg wire.Message) (*wire.Message, error) {
-	replicated := r.c.replicatedPred()
-	seen := make(map[core.PersonID]bool)
-	var persons []core.PersonID
-	var locals []pattern.Pattern
-	if err := r.forward(ctx, msg, func(reply wire.Message) error {
-		data, err := wire.DecodeNaiveData(reply)
-		if err != nil {
-			return err
-		}
-		for i, p := range data.Persons {
-			if replicated != nil && replicated(p) {
-				if seen[p] {
-					continue
-				}
-				seen[p] = true
-			}
-			persons = append(persons, p)
-			locals = append(locals, data.Locals[i])
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	reply, err := wire.EncodeNaiveData(wire.NaiveData{Station: r.id, Persons: persons, Locals: locals})
+// handleDumpForward forwards the raw-pattern pull — the parent's naive
+// shipment, verification fetch or re-replication pull. Region-placed persons
+// ship a single copy (their replicas are identical; the parent would
+// otherwise double their global); station-addressed persons keep every
+// complementary piece.
+func (r *Region) handleDumpForward(ctx context.Context, msg wire.Message) (*wire.Message, error) {
+	req, err := wire.DecodeDump(msg)
 	if err != nil {
 		return nil, fmt.Errorf("region %d: %w", r.id, err)
 	}
-	return &reply, nil
-}
-
-// handleDumpForward forwards the re-replication pull, deduplicating
-// region-placed replicas to one copy per person.
-func (r *Region) handleDumpForward(ctx context.Context, msg wire.Message) (*wire.Message, error) {
-	replicated := r.c.replicatedPred()
-	seen := make(map[core.PersonID]bool)
-	var persons []core.PersonID
-	var locals []pattern.Pattern
-	if err := r.forward(ctx, msg, func(reply wire.Message) error {
-		data, err := wire.DecodeDumpReply(reply)
-		if err != nil {
-			return err
-		}
-		for i, p := range data.Persons {
-			if replicated != nil && replicated(p) {
-				if seen[p] {
-					continue
-				}
-				seen[p] = true
-			}
-			persons = append(persons, p)
-			locals = append(locals, data.Locals[i])
-		}
-		return nil
+	out := wire.DumpReply{Station: r.id}
+	if _, _, err := r.c.pullPatterns(ctx, r.c.currentEpoch(), req.Persons, nil, func(p core.PersonID, l pattern.Pattern) {
+		out.Persons = append(out.Persons, p)
+		out.Locals = append(out.Locals, l)
 	}); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("region %d: %w", r.id, err)
 	}
-	reply, err := wire.EncodeDumpReply(wire.DumpReply{Station: r.id, Persons: persons, Locals: locals})
+	reply, err := wire.EncodeDumpReply(out)
 	if err != nil {
 		return nil, fmt.Errorf("region %d: %w", r.id, err)
 	}
@@ -363,10 +317,7 @@ func (r *Region) handleEvict(ctx context.Context, msg wire.Message) (*wire.Messa
 // means protocol corruption, not a dead peer.
 func (r *Region) forward(ctx context.Context, msg wire.Message, handle func(reply wire.Message) error) error {
 	fwd := wire.Message{Kind: msg.Kind, Payload: msg.Payload}
-	var scratch CostReport
-	ep := r.c.currentEpoch()
-	_, err := r.c.fanOut(ctx, ep, fwd, &scratch, handle)
-	if err != nil {
+	if _, err := r.c.fanOut(ctx, r.c.currentEpoch(), fwd, nil, handle); err != nil {
 		return fmt.Errorf("region %d: %w", r.id, err)
 	}
 	return nil
@@ -427,7 +378,7 @@ func (u *upwardDigest) put(key []uint64, sum *index.Summary) {
 // right.
 func (c *Cluster) routingDigest(ctx context.Context) *index.Summary {
 	saturated := func() *index.Summary {
-		return index.Saturated(maxInt(c.length, 1), index.DefaultSeed)
+		return index.Saturated(c.length, index.DefaultSeed)
 	}
 	ep := c.currentEpoch()
 	gens := c.summaries.genSnapshot(ep.ids)
@@ -443,34 +394,11 @@ func (c *Cluster) routingDigest(ctx context.Context) *index.Summary {
 	// Pull every member's whole store. Region-placed replicas collapse to
 	// one copy — their cells are identical, and counting them once keeps the
 	// filter sized for distinct residents.
-	replicated := c.replicatedPred()
-	seen := make(map[core.PersonID]bool)
 	var locals []pattern.Pattern
-	foreign := false
-	var scratch CostReport
-	failed, err := c.fanOut(ctx, ep, wire.EncodeDump(wire.Dump{}), &scratch, func(reply wire.Message) error {
-		data, derr := wire.DecodeDumpReply(reply)
-		if derr != nil {
-			return derr
-		}
-		for i, p := range data.Persons {
-			l := data.Locals[i]
-			if l.Sum() == 0 {
-				continue
-			}
-			if len(l) != c.length {
-				foreign = true
-				continue
-			}
-			if replicated != nil && replicated(p) {
-				if seen[p] {
-					continue
-				}
-				seen[p] = true
-			}
+	failed, foreign, err := c.pullPatterns(ctx, ep, nil, nil, func(_ core.PersonID, l pattern.Pattern) {
+		if l.Sum() != 0 {
 			locals = append(locals, l)
 		}
-		return nil
 	})
 	if err != nil || len(failed) > 0 || foreign {
 		// A member that cannot be dumped — or one holding patterns of a
@@ -478,17 +406,10 @@ func (c *Cluster) routingDigest(ctx context.Context) *index.Summary {
 		// than under-report.
 		return saturated()
 	}
-	sum, err := index.Build(maxInt(c.length, 1), locals)
+	sum, err := index.Build(c.length, locals)
 	if err != nil {
 		return saturated()
 	}
 	c.upward.put(key, sum)
 	return sum
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

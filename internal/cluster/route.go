@@ -204,21 +204,26 @@ func (c *summaryCache) state() (entries int, digestBytes uint64, treeInner int, 
 	return entries, digestBytes, treeInner, treeBytes
 }
 
-// planRoute is the routing step of a WBF search: it probes each station's
-// cached summary with the query batch and returns the epoch restricted to
-// the stations that must be visited, charging summary-refresh traffic to
-// cost. The full epoch is returned — and nothing is pruned — whenever
-// pruning would be unsound or pointless: a single-station cluster, probes
-// over budget, or a plan that would exclude everything (stale summaries
-// must never turn a search into a silent no-op, so an empty candidate set
-// falls back to full fan-out).
+// planRoute is the routing step of a WBF search, one pass over the whole
+// pinned membership: it probes each member's summary with the query batch
+// and returns the epoch restricted to the members that must be visited,
+// charging summary-refresh traffic to cost. A route delegate (a region
+// coordinator) differs from a plain station only in where its digest comes
+// from: it is fetched on every search, never cached and never put in the
+// tree, because a region's membership churns invisibly to this coordinator.
+// The full epoch is returned — and nothing is pruned — whenever pruning
+// would be unsound or pointless: a single-member cluster, probes over
+// budget, or a plan that would exclude everything (stale summaries must
+// never turn a search into a silent no-op, so an empty candidate set falls
+// back to full fan-out).
 //
-// Stations are kept (never pruned) individually when their summary cannot
-// be fetched or when any query's probe admits them. Pruning is therefore
-// strictly conservative: a pruned station provably held no resident inside
-// any query combination's ε band at the sampled positions, so it could only
-// have contributed hash-collision noise, never a true match's report.
-func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, queries []core.Query, cost *CostReport) *epoch {
+// Members are kept (never pruned) individually when their summary cannot
+// be fetched or when any query's probe admits them; an unselective probe
+// admits everything. Pruning is therefore strictly conservative: a pruned
+// member provably held no resident inside any query combination's ε band at
+// the sampled positions, so it could only have contributed hash-collision
+// noise, never a true match's report.
+func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]bool, cfg searchConfig, queries []core.Query, cost *CostReport) *epoch {
 	if len(ep.ids) < 2 {
 		return ep
 	}
@@ -244,68 +249,57 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 		return ep
 	}
 
-	// Collect cached summaries and fetch the missing ones concurrently.
-	// Generations are read before the requests go out (see summaryCache).
+	// Collect cached summaries and fetch the missing ones — every
+	// delegate's included — concurrently. Generations are read before the
+	// requests go out (see summaryCache).
 	type slot struct {
 		sum *index.Summary
 		gen uint64
 	}
 	slots := make([]slot, len(ep.ids))
 	var fetchIdx []int
+	var fetchMuxes []*transport.Mux
 	for i, id := range ep.ids {
-		sum, gen := c.summaries.get(id)
-		slots[i] = slot{sum: sum, gen: gen}
-		if sum == nil {
+		if !delegate[id] {
+			slots[i].sum, slots[i].gen = c.summaries.get(id)
+		}
+		if slots[i].sum == nil {
 			fetchIdx = append(fetchIdx, i)
+			fetchMuxes = append(fetchMuxes, ep.muxes[i])
 		}
 	}
-	if len(fetchIdx) > 0 {
-		fetched := make([]*index.Summary, len(fetchIdx))
-		sizes := make([][2]uint64, len(fetchIdx)) // request, reply bytes
-		var wg sync.WaitGroup
-		req := wire.SummaryMessage()
-		for fi, i := range fetchIdx {
-			fi, mx := fi, ep.muxes[i]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				reply, err := mx.Roundtrip(ctx, req)
-				if err != nil {
-					return
-				}
-				_, sum, err := wire.DecodeSummaryReply(reply)
-				if err != nil {
-					return
-				}
-				fetched[fi] = sum
-				sizes[fi] = [2]uint64{uint64(req.EncodedSize()), uint64(reply.EncodedSize())}
-			}()
+	req := wire.SummaryMessage()
+	fetched := roundtripAll(ctx, fetchMuxes, req)
+	if ctx.Err() != nil {
+		return ep // cancelled mid-refresh: the round itself will surface it
+	}
+	for fi, r := range fetched {
+		if r.err != nil {
+			continue // unreachable: the member stays unpruned
 		}
-		wg.Wait()
-		if ctx.Err() != nil {
-			return ep // cancelled mid-refresh: the round itself will surface it
+		_, sum, err := wire.DecodeSummaryReply(r.reply)
+		if err != nil {
+			continue // corruption must never prune
 		}
-		for fi, i := range fetchIdx {
-			if fetched[fi] == nil {
-				continue // unreachable or corrupt: the station stays unpruned
-			}
-			slots[i].sum = fetched[fi]
-			c.summaries.put(ep.ids[i], slots[i].gen, fetched[fi])
-			// Refresh traffic fills a cluster-level cache shared by every
-			// search, so — like the per-epoch stats exchange — it is billed
-			// to the dedicated summary counters, not the search's
-			// dissemination/report totals.
-			cost.SummaryRefreshes++
-			cost.SummaryBytesDown += sizes[fi][0]
-			cost.SummaryBytesUp += sizes[fi][1]
+		i := fetchIdx[fi]
+		slots[i].sum = sum
+		if !delegate[ep.ids[i]] {
+			c.summaries.put(ep.ids[i], slots[i].gen, sum)
 		}
+		// Refresh traffic fills a cluster-level cache shared by every
+		// search, so — like the per-epoch stats exchange — it is billed to
+		// the dedicated summary counters, not the search's
+		// dissemination/report totals.
+		cost.SummaryRefreshes++
+		cost.SummaryBytesDown += uint64(req.EncodedSize())
+		cost.SummaryBytesUp += uint64(r.reply.EncodedSize())
 	}
 
 	// Feed the traffic profiler: the probes' bands, plus emptiness feedback
-	// against every digest this pass can consult — a band no station digest
+	// against every digest this pass can consult — a band no member digest
 	// admits is (to within digest fp) empty cluster-wide, exactly the
 	// traffic whose false admissions the adaptive solver targets. Unreachable
-	// stations contribute no digest; their residents are invisible to the
+	// members contribute no digest; their residents are invisible to the
 	// emptiness check, which only skews bit placement, never soundness.
 	consulted := make([]*index.Summary, 0, len(slots))
 	for _, sl := range slots {
@@ -317,10 +311,10 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 
 	// The inclusion pass. Under RoutingTree the cached digests are arranged
 	// in the Bloofi tree and the probes descend it — one union check can rule
-	// out a whole subtree — with stations the tree does not track (no cached
-	// digest, or a geometry it rejected) probed flat exactly like the summary
-	// mode. Every Admits evaluation, flat or tree, counts into SubtreeProbes:
-	// it is the planning-cost figure the hierarchy benchmark compares.
+	// out a whole subtree — with members the tree does not track (a delegate,
+	// no cached digest, or a geometry it rejected) probed flat exactly like
+	// the summary mode. Every Admits evaluation, flat or tree, counts into
+	// SubtreeProbes: it is the planning-cost figure the hierarchy test bounds.
 	var treeAdmit, treeMember map[uint32]bool
 	if cfg.routing == RoutingTree {
 		var evaluated int
@@ -334,7 +328,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 			included = append(included, i)
 			continue
 		}
-		if treeMember[id] {
+		if treeMember[id] && !delegate[id] {
 			if treeAdmit[id] {
 				included = append(included, i)
 			}

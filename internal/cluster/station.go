@@ -8,6 +8,14 @@
 // comparison set: StrategyNaive ships all data to the center, StrategyBF
 // runs DI-matching with a plain Bloom filter, StrategyWBF runs full
 // DI-matching with the Weighted Bloom Filter.
+//
+// The data center does three things to a station — disseminate a filter,
+// collect reports, pull raw local patterns — and each exists once: every
+// concurrent exchange runs through roundtripAll/fanOut, every raw-pattern
+// pull is a KindDump (exchange.go). The coordinator is laid out as
+// cluster.go (the type and its construction), membership.go (lifecycle,
+// mutation, the join path), stats.go, search.go, wbf.go (the DI-matching
+// pipeline), route.go (the one pruning pass) and baselines.go (BF, naive).
 package cluster
 
 import (
@@ -179,10 +187,6 @@ func (s *Station) serveLoop() error {
 			reply, err = s.handleBatch(msg)
 		case wire.KindBFQuery:
 			reply, err = s.handleBF(msg)
-		case wire.KindShipAll:
-			reply, err = s.handleShipAll()
-		case wire.KindFetch:
-			reply, err = s.handleFetch(msg)
 		case wire.KindDump:
 			reply, err = s.handleDump(msg)
 		case wire.KindIngest:
@@ -259,42 +263,10 @@ func (s *Station) handleBF(msg wire.Message) (*wire.Message, error) {
 	return &reply, nil
 }
 
-// handleFetch ships the local patterns of the requested persons only (the
-// verification phase: the center double-checks its top candidates).
-func (s *Station) handleFetch(msg wire.Message) (*wire.Message, error) {
-	req, err := wire.DecodeFetch(msg)
-	if err != nil {
-		return nil, fmt.Errorf("station %d: %w", s.id, err)
-	}
-	wanted := make(map[core.PersonID]bool, len(req.Persons))
-	for _, p := range req.Persons {
-		wanted[p] = true
-	}
-	var (
-		persons []core.PersonID
-		locals  []pattern.Pattern
-	)
-	for i, p := range s.persons {
-		if wanted[p] {
-			persons = append(persons, p)
-			locals = append(locals, s.locals[i])
-		}
-	}
-	reply, err := wire.EncodeNaiveData(wire.NaiveData{
-		Station: s.id,
-		Persons: persons,
-		Locals:  locals,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("station %d: %w", s.id, err)
-	}
-	return &reply, nil
-}
-
 // handleDump ships the raw local patterns of the requested persons — or the
-// whole store when the filter is empty — for the coordinator's
-// re-replication pull. Persons the station does not hold are simply absent
-// from the reply.
+// whole store when the filter is empty: the naive strategy's shipment, the
+// verification phase's candidate fetch, the re-replication pull. Persons the
+// station does not hold are simply absent from the reply.
 func (s *Station) handleDump(msg wire.Message) (*wire.Message, error) {
 	req, err := wire.DecodeDump(msg)
 	if err != nil {
@@ -538,17 +510,4 @@ func (s *Station) ensureSummary() error {
 	}
 	s.summary = sum
 	return nil
-}
-
-// handleShipAll ships the whole local store (the naive strategy).
-func (s *Station) handleShipAll() (*wire.Message, error) {
-	reply, err := wire.EncodeNaiveData(wire.NaiveData{
-		Station: s.id,
-		Persons: s.persons,
-		Locals:  s.locals,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("station %d: %w", s.id, err)
-	}
-	return &reply, nil
 }

@@ -2,11 +2,8 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
 
-	"dimatch/internal/adapt"
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 	"dimatch/internal/store"
@@ -28,43 +25,28 @@ import (
 // a cold start. The caller supplies the pattern length, as with NewEmpty;
 // recovered residents must match it. The cluster is inert until Start.
 func NewStored(opts Options, stations map[uint32]store.Store, patternLength int) (*Cluster, error) {
-	if len(stations) == 0 {
-		return nil, errors.New("cluster: no stations")
-	}
-	if patternLength <= 0 {
-		return nil, fmt.Errorf("cluster: pattern length %d, want > 0", patternLength)
-	}
-	if opts.TargetFP == 0 {
-		opts.TargetFP = 0.01
-	}
 	ids := make([]uint32, 0, len(stations))
 	for id := range stations {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	c := &Cluster{
-		opts:      opts,
-		length:    patternLength,
-		dead:      make(map[uint32]bool),
-		downMeter: &transport.Meter{},
-		upMeter:   &transport.Meter{},
-	}
-	muxes := make([]*transport.Mux, 0, len(ids))
-	for _, id := range ids {
-		center, stationEnd := transport.Pipe(c.downMeter, c.upMeter)
-		st, err := NewStoredStation(id, nil, stationEnd, stations[id])
+	return assemble(opts, patternLength, nil, nil, ids, func(c *Cluster, id uint32) (*transport.Mux, *Station, error) {
+		return c.storedMember(id, nil, stations[id])
+	})
+}
+
+// storedMember wires one in-process durable member: recovery runs here, and
+// residents recovered at a foreign length refuse the member.
+func (c *Cluster) storedMember(id uint32, locals map[core.PersonID]pattern.Pattern, st store.Store) (*transport.Mux, *Station, error) {
+	return c.pipeMember(func(link transport.Link) (*Station, error) {
+		station, err := NewStoredStation(id, locals, link, st)
 		if err != nil {
 			return nil, err
 		}
-		if l := st.patternLength(); l != 0 && l != patternLength {
-			return nil, fmt.Errorf("%w: station %d recovered pattern length %d, cluster is %d", ErrLengthMismatch, id, l, patternLength)
+		if l := station.patternLength(); l != 0 && l != c.length {
+			return nil, fmt.Errorf("%w: station %d recovered pattern length %d, cluster is %d", ErrLengthMismatch, id, l, c.length)
 		}
-		muxes = append(muxes, transport.NewMux(center))
-		c.pending = append(c.pending, st)
-	}
-	c.profiler = adapt.NewProfiler(c.length, opts.AdaptWindow)
-	c.installEpochLocked(ids, muxes)
-	return c, nil
+		return station, nil
+	})
 }
 
 // AddStoredStation grows the membership with an in-process durable station —
@@ -77,44 +59,14 @@ func (c *Cluster) AddStoredStation(ctx context.Context, id uint32, locals map[co
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %w", ErrCancelled, err)
+	if err := c.checkJoin(ctx, id, locals); err != nil {
+		return err
 	}
-	for p, l := range locals {
-		if len(l) != c.length {
-			return fmt.Errorf("%w: station %d person %d pattern length %d, cluster is %d", ErrLengthMismatch, id, p, len(l), c.length)
-		}
-	}
-	center, stationEnd := transport.Pipe(c.downMeter, c.upMeter)
-	station, err := NewStoredStation(id, locals, stationEnd, st)
+	mux, station, err := c.storedMember(id, locals, st)
 	if err != nil {
 		return err
 	}
-	if l := station.patternLength(); l != 0 && l != c.length {
-		return fmt.Errorf("%w: station %d recovered pattern length %d, cluster is %d", ErrLengthMismatch, id, l, c.length)
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClusterClosed
-	}
-	if c.ep.find(id) >= 0 {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: station %d", ErrStationExists, id)
-	}
-	if c.started {
-		c.serveLocked(station)
-	} else {
-		c.pending = append(c.pending, station)
-	}
-	c.addMemberLocked(id, transport.NewMux(center))
-	c.mu.Unlock()
-	// A departed member may have left a digest under the same id; the
-	// rejoined station's recovered digest is refetched cold.
-	c.summaries.invalidate(id)
-	c.notifyMembership()
-	c.heal(ctx)
-	return nil
+	return c.join(ctx, id, mux, station)
 }
 
 // ServeStoredStation runs a durable base station over an established link

@@ -6,6 +6,7 @@ import (
 
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
+	"dimatch/internal/transport"
 )
 
 // TestVerifyRemovesFalsePositives builds a scenario where the WBF pipeline
@@ -141,5 +142,41 @@ func TestVerifyPartialMatchSurvives(t *testing.T) {
 	got := out.Persons(1)
 	if len(got) != 1 || got[0] != 10 {
 		t.Fatalf("verified results = %v, want [10] (partial match removed)", got)
+	}
+}
+
+// TestForeignLengthStoreIsSkipped: NewWithLinks does no length handshake, so
+// a link-joined station can serve longer series than the cluster's. Its
+// shipped patterns are outside input: every reader of raw patterns skips
+// them (they cannot satisfy Eq. 2 against a length-3 query) instead of
+// indexing past a global, and the well-formed station's person is found.
+func TestForeignLengthStoreIsSkipped(t *testing.T) {
+	links := make(map[uint32]transport.Link)
+	for id, locals := range map[uint32]map[core.PersonID]pattern.Pattern{
+		0: {10: {3, 4, 5}},
+		1: {20: {3, 4, 5, 6}, 10: {1, 1, 1, 1}},
+	} {
+		center, stationEnd := transport.Pipe(nil, nil)
+		go func() { _ = ServeStation(id, locals, stationEnd) }()
+		links[id] = center
+	}
+	c, err := NewWithLinks(testOptions(), links, 3, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Shutdown() })
+	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{{3, 4, 5}}}}
+	for _, opts := range [][]SearchOption{
+		{WithStrategy(StrategyNaive)},
+		{WithStrategy(StrategyWBF), WithVerify(true)},
+		{WithStrategy(StrategyBF)},
+	} {
+		out, err := c.Search(context.Background(), queries, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Persons(1); len(got) != 1 || got[0] != 10 {
+			t.Fatalf("%v: persons = %v, want [10]", out.Strategy, got)
+		}
 	}
 }

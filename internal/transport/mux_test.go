@@ -48,7 +48,7 @@ func TestMuxConcurrentRoundtrips(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			payload := []byte{byte(i), byte(i >> 8)}
-			reply, err := m.Roundtrip(context.Background(), wire.Message{Kind: wire.KindShipAll, Payload: payload})
+			reply, err := m.Roundtrip(context.Background(), wire.Message{Kind: wire.KindStats, Payload: payload})
 			if err != nil {
 				t.Errorf("roundtrip %d: %v", i, err)
 				return
@@ -71,7 +71,7 @@ func TestMuxCancellationDoesNotPoisonLink(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := m.Roundtrip(ctx, wire.Message{Kind: wire.KindShipAll, Payload: []byte("hold")})
+		_, err := m.Roundtrip(ctx, wire.Message{Kind: wire.KindStats, Payload: []byte("hold")})
 		errc <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -88,7 +88,7 @@ func TestMuxCancellationDoesNotPoisonLink(t *testing.T) {
 	// Let the stalled reply go out: the dispatcher must drop it (nobody is
 	// waiting on its ID) and later exchanges must still work.
 	close(release)
-	reply, err := m.Roundtrip(context.Background(), wire.Message{Kind: wire.KindShipAll, Payload: []byte("after")})
+	reply, err := m.Roundtrip(context.Background(), wire.Message{Kind: wire.KindStats, Payload: []byte("after")})
 	if err != nil {
 		t.Fatalf("link poisoned after cancellation: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestMuxCloseFailsPendingAndFuture(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		_, err := m.Roundtrip(context.Background(), wire.Message{Kind: wire.KindShipAll, Payload: []byte("hold")})
+		_, err := m.Roundtrip(context.Background(), wire.Message{Kind: wire.KindStats, Payload: []byte("hold")})
 		errc <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -119,7 +119,7 @@ func TestMuxCloseFailsPendingAndFuture(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("pending roundtrip did not fail on Close")
 	}
-	if _, err := m.Roundtrip(context.Background(), wire.ShipAllMessage()); !errors.Is(err, ErrClosed) {
+	if _, err := m.Roundtrip(context.Background(), wire.StatsMessage()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close roundtrip err = %v, want ErrClosed", err)
 	}
 	if m.Err() == nil {
@@ -134,7 +134,7 @@ func TestMuxPeerDeathFailsPending(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		_, err := m.Roundtrip(context.Background(), wire.ShipAllMessage())
+		_, err := m.Roundtrip(context.Background(), wire.StatsMessage())
 		errc <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -188,7 +188,7 @@ func TestMuxRequestIDWrap(t *testing.T) {
 			m.nextID = ^uint32(0) - 1
 			m.mu.Unlock()
 		}
-		go func() { _, _ = m.Roundtrip(context.Background(), wire.ShipAllMessage()) }()
+		go func() { _, _ = m.Roundtrip(context.Background(), wire.StatsMessage()) }()
 		msg, err := station.Recv()
 		if err != nil {
 			t.Fatal(err)

@@ -38,11 +38,11 @@ func TestPipeBidirectional(t *testing.T) {
 	a, b := Pipe(nil, nil)
 	defer a.Close()
 	defer b.Close()
-	if err := b.Send(wire.ShipAllMessage()); err != nil {
+	if err := b.Send(wire.StatsMessage()); err != nil {
 		t.Fatal(err)
 	}
 	m, err := a.Recv()
-	if err != nil || m.Kind != wire.KindShipAll {
+	if err != nil || m.Kind != wire.KindStats {
 		t.Fatalf("recv = %+v, %v", m, err)
 	}
 }
@@ -91,7 +91,7 @@ func TestPipeSendAfterCloseFails(t *testing.T) {
 	a, b := Pipe(nil, nil)
 	_ = b
 	a.Close()
-	if err := a.Send(wire.ShipAllMessage()); !errors.Is(err, ErrClosed) {
+	if err := a.Send(wire.StatsMessage()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }

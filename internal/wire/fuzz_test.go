@@ -16,23 +16,23 @@ import (
 // immediately explores the interesting corrupt-field space instead of
 // rediscovering the magic number.
 const (
-	workedBatchQueryHex = "a7d1080e2a000000" + "34000000" +
+	workedBatchQueryHex = "a7d1090e2a000000" + "34000000" +
 		"0101400000000000000002020001050000000000000000" +
 		"020201000000050020200001010103030418010002010013010008" + "0100"
-	workedSummaryReplyHex = "a7d108132a000000" + "1e000000" +
+	workedSummaryReplyHex = "a7d109132a000000" + "1e000000" +
 		"030201719a3d0cbfe5a75140000000000000000702" +
 		"010119402202542008"
 	// A KindRouteQuery delegating a one-query round (auto-sized params, tree
 	// routing) and the region's KindRouteReply carrying one raw partial
 	// result.
-	workedRouteQueryHex = "a7d108142a000000" + "2c000000" +
+	workedRouteQueryHex = "a7d109142a000000" + "2c000000" +
 		"01070204020400020400020204" +
 		"000000000000000000000000000000000000000000" +
 		"7b14ae47e17a843f" + "0002"
-	workedRouteReplyHex = "a7d108152a000000" + "0c000000" +
+	workedRouteReplyHex = "a7d109152a000000" + "0c000000" +
 		"030502010001" + "010709181801"
 	// A KindParamUpdate installing a three-group adaptive plan at epoch 2.
-	workedParamUpdateHex = "a7d108162a000000" + "1b000000" +
+	workedParamUpdateHex = "a7d109162a000000" + "1b000000" +
 		"020000000000000001" + "1704000000000000" + "03" +
 		"020501" + "030604" + "040710"
 )
@@ -41,12 +41,12 @@ const (
 // each version byte earlier builds used (plus the next unassigned one) and
 // each retired kind byte — all of which must be rejected at the header.
 func addRetiredSeeds(f *testing.F, frame []byte) {
-	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 9} {
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 10} {
 		bad := append([]byte(nil), frame...)
 		bad[2] = v
 		f.Add(bad)
 	}
-	for _, k := range []byte{1, 4} {
+	for _, k := range []byte{1, 3, 4, 6, 7} {
 		bad := append([]byte(nil), frame...)
 		bad[3] = k
 		f.Add(bad)
@@ -71,7 +71,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(mustHex(f, workedSummaryReplyHex))
 	f.Add(Message{Kind: KindStats, Request: 7}.Encode())
 	f.Add(Message{Kind: KindShutdown}.Encode())
-	f.Add(EncodeFetch(Fetch{Persons: []core.PersonID{1, 2, 3}}).WithRequest(9).Encode())
+	f.Add(EncodeDump(Dump{Persons: []core.PersonID{1, 2, 3}}).WithRequest(9).Encode())
 	f.Add(EncodeAck(Ack{Station: 4, Applied: 2}).Encode())
 	// Truncation seeds: a frame cut mid-header and mid-payload.
 	full := mustHex(f, workedBatchQueryHex)
@@ -115,14 +115,14 @@ func FuzzDecodePayload(f *testing.F) {
 	// Payloads of the worked frames (frame header stripped).
 	f.Add(uint8(KindBatchQuery), mustHex(f, workedBatchQueryHex)[12:])
 	f.Add(uint8(KindSummaryReply), mustHex(f, workedSummaryReplyHex)[12:])
-	f.Add(uint8(KindFetch), EncodeFetch(Fetch{Persons: []core.PersonID{1, 2, 3}}).Payload)
+	f.Add(uint8(KindDump), EncodeDump(Dump{Persons: []core.PersonID{1, 2, 3}}).Payload)
 	f.Add(uint8(KindEvict), EncodeEvict(Evict{Persons: []core.PersonID{9, 10}}).Payload)
 	f.Add(uint8(KindAck), EncodeAck(Ack{Station: 7, Applied: 2}).Payload)
 	f.Add(uint8(KindStatsReply), EncodeStatsReply(StatsReply{Station: 3, Residents: 5, StorageBytes: 80, Length: 24}).Payload)
 	f.Add(uint8(KindBFMatches), EncodeBFMatches(BFMatches{Station: 2, Persons: []core.PersonID{11}}).Payload)
-	if nd, err := EncodeNaiveData(NaiveData{Station: 1, Persons: []core.PersonID{4}, Locals: []pattern.Pattern{{1, 2, 3}}}); err == nil {
-		f.Add(uint8(KindNaiveData), nd.Payload)
-		f.Add(uint8(KindDumpReply), nd.Payload)
+	if dr, err := EncodeDumpReply(DumpReply{Station: 1, Persons: []core.PersonID{4}, Locals: []pattern.Pattern{{1, 2, 3}}}); err == nil {
+		f.Add(uint8(KindDumpReply), dr.Payload)
+		f.Add(uint8(5), dr.Payload) // dispatches to retired kind 6, which carried this payload
 	}
 	f.Add(uint8(KindDump), EncodeDump(Dump{}).Payload)
 	f.Add(uint8(KindRouteQuery), mustHex(f, workedRouteQueryHex)[12:])
@@ -139,14 +139,15 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(uint8(KindParamAck), EncodeParamAck(ParamAck{Station: 4, Epoch: 3, Applied: true}).Payload)
 	// The retired kind bytes (the dispatch below maps seed byte b to kind
 	// b%maxKind+1).
-	f.Add(uint8(0), mustHex(f, workedBatchQueryHex)[12:])
-	f.Add(uint8(3), mustHex(f, workedBatchQueryHex)[12:])
+	for _, b := range []uint8{0, 2, 3, 5, 6} {
+		f.Add(b, mustHex(f, workedBatchQueryHex)[12:])
+	}
 
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		k := Kind(kind%uint8(maxKind)) + 1
 		m := Message{Kind: k, Payload: payload}
 		switch k {
-		case 1, retiredKind:
+		case 1, 3, 4, 6, 7:
 			// Retired values: rejected at the frame header, no decoder.
 		case KindBFQuery:
 			_, _ = DecodeBFQuery(m)
@@ -154,19 +155,6 @@ func FuzzDecodePayload(f *testing.F) {
 			bm, err := DecodeBFMatches(m)
 			if err == nil {
 				roundtripBFMatches(t, bm)
-			}
-		case KindNaiveData:
-			_, _ = DecodeNaiveData(m)
-		case KindFetch:
-			fe, err := DecodeFetch(m)
-			if err == nil {
-				re, err := DecodeFetch(EncodeFetch(fe))
-				if err != nil {
-					t.Fatalf("fetch re-decode failed: %v", err)
-				}
-				if !personsEqual(re.Persons, fe.Persons) {
-					t.Fatalf("fetch roundtrip changed persons: %v vs %v", re.Persons, fe.Persons)
-				}
 			}
 		case KindIngest:
 			_, _ = DecodeIngest(m)
@@ -270,7 +258,7 @@ func FuzzDecodePayload(f *testing.F) {
 					t.Fatalf("param-ack roundtrip changed: %+v vs %+v", re, pa)
 				}
 			}
-		case KindShipAll, KindShutdown, KindStats, KindSummary:
+		case KindShutdown, KindStats, KindSummary:
 			// Bare request kinds carry no payload and have no decoder.
 		default:
 			t.Fatalf("fuzz dispatch misses kind %v; add its decoder here", k)

@@ -399,112 +399,15 @@ func DecodeBFMatches(m Message) (BFMatches, error) {
 	return out, nil
 }
 
-// ---- naive data shipment ----
-
-// NaiveData is a station's full local dataset, shipped for centralized
-// matching (the paper's Approach 1).
-type NaiveData struct {
-	Station uint32
-	Persons []core.PersonID
-	Locals  []pattern.Pattern
-}
-
-// EncodeNaiveData renders the shipment.
-func EncodeNaiveData(d NaiveData) (Message, error) {
-	if len(d.Persons) != len(d.Locals) {
-		return Message{}, fmt.Errorf("wire: %d persons but %d locals", len(d.Persons), len(d.Locals))
-	}
-	var w writer
-	w.uvarint(uint64(d.Station))
-	w.uvarint(uint64(len(d.Persons)))
-	for i, p := range d.Persons {
-		w.uvarint(uint64(p))
-		w.uvarint(uint64(len(d.Locals[i])))
-		for _, v := range d.Locals[i] {
-			w.uvarint(zigzag(v))
-		}
-	}
-	return Message{Kind: KindNaiveData, Payload: w.buf}, nil
-}
-
-// DecodeNaiveData parses the shipment.
-func DecodeNaiveData(m Message) (NaiveData, error) {
-	if m.Kind != KindNaiveData {
-		return NaiveData{}, fmt.Errorf("wire: decoding %v as naive-data", m.Kind)
-	}
-	r := &reader{buf: m.Payload}
-	out := NaiveData{Station: uint32(r.uvarint())}
-	n := r.count(2)
-	out.Persons = make([]core.PersonID, 0, n)
-	out.Locals = make([]pattern.Pattern, 0, n)
-	for i := 0; i < n; i++ {
-		out.Persons = append(out.Persons, core.PersonID(r.uvarint()))
-		l := r.count(1)
-		pat := make(pattern.Pattern, l)
-		for j := range pat {
-			pat[j] = unzigzag(r.uvarint())
-		}
-		out.Locals = append(out.Locals, pat)
-	}
-	if err := r.done(); err != nil {
-		return NaiveData{}, err
-	}
-	return out, nil
-}
-
-// ---- verification fetch ----
-
-// Fetch asks a station for the local patterns of specific persons, so the
-// center can verify its top candidates exactly ("... sent to the data
-// center for aggregation and verification", Section I).
-type Fetch struct {
-	Persons []core.PersonID
-}
-
-// EncodeFetch renders the request. Person IDs are sent sorted and
-// delta-encoded.
-func EncodeFetch(f Fetch) Message {
-	sorted := append([]core.PersonID(nil), f.Persons...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var w writer
-	w.uvarint(uint64(len(sorted)))
-	prev := uint64(0)
-	for _, p := range sorted {
-		w.uvarint(uint64(p) - prev)
-		prev = uint64(p)
-	}
-	return Message{Kind: KindFetch, Payload: w.buf}
-}
-
-// DecodeFetch parses the request.
-func DecodeFetch(m Message) (Fetch, error) {
-	if m.Kind != KindFetch {
-		return Fetch{}, fmt.Errorf("wire: decoding %v as fetch", m.Kind)
-	}
-	r := &reader{buf: m.Payload}
-	n := r.count(1)
-	out := Fetch{Persons: make([]core.PersonID, n)}
-	prev := uint64(0)
-	for i := range out.Persons {
-		prev += r.uvarint()
-		out.Persons[i] = core.PersonID(prev)
-	}
-	if err := r.done(); err != nil {
-		return Fetch{}, err
-	}
-	return out, nil
-}
-
-// ---- replication: dump ----
+// ---- raw-pattern pull: dump ----
 
 // Dump asks a station for the raw local patterns of specific persons, or —
-// with an empty person filter — for its entire resident store. It is the
-// pull half of re-replication: after a membership change the coordinator
-// dumps the placed persons from surviving replicas and pushes the copies
-// onto their new rendezvous targets with KindIngest. Unlike KindFetch (which
-// feeds the verification phase and answers with KindNaiveData), a dump can
-// cover the whole store and its reply is a distinct kind, so the two
-// workloads stay separately meterable.
+// with an empty person filter — for its entire resident store. Every reader
+// of raw patterns sends it: the naive baseline (the paper's Approach 1, whole
+// store), the verification phase ("... sent to the data center for
+// aggregation and verification", Section I; the ranked candidates), the pull
+// half of re-replication (the placed persons) and a region's upward digest
+// (whole store).
 type Dump struct {
 	// Persons restricts the dump; empty means every resident. IDs are sent
 	// sorted and delta-encoded.
@@ -999,7 +902,7 @@ func DecodeIngest(m Message) (Ingest, error) {
 }
 
 // Evict removes residents from one station. Person IDs are sent sorted and
-// delta-encoded, like Fetch.
+// delta-encoded, like Dump.
 type Evict struct {
 	Persons []core.PersonID
 }
@@ -1132,9 +1035,6 @@ func StatsMessage() Message { return Message{Kind: KindStats} }
 
 // SummaryMessage asks a station for its routing summary.
 func SummaryMessage() Message { return Message{Kind: KindSummary} }
-
-// ShipAllMessage asks a station to ship its complete local data.
-func ShipAllMessage() Message { return Message{Kind: KindShipAll} }
 
 // ShutdownMessage tells a station loop to exit.
 func ShutdownMessage() Message { return Message{Kind: KindShutdown} }

@@ -140,37 +140,7 @@ func TestBFMatchesRoundTrip(t *testing.T) {
 			t.Fatal("persons differ")
 		}
 	}
-	if _, err := DecodeBFMatches(Message{Kind: KindShipAll}); err == nil {
-		t.Fatal("wrong kind accepted")
-	}
-}
-
-func TestNaiveDataRoundTrip(t *testing.T) {
-	in := NaiveData{
-		Station: 9,
-		Persons: []core.PersonID{1, 2},
-		Locals:  []pattern.Pattern{{0, 3, 7}, {5, 0, 0}},
-	}
-	m, err := EncodeNaiveData(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeNaiveData(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Station != 9 || len(got.Persons) != 2 {
-		t.Fatalf("got %+v", got)
-	}
-	for i := range in.Locals {
-		if got.Persons[i] != in.Persons[i] || !got.Locals[i].Equal(in.Locals[i]) {
-			t.Fatalf("tuple %d differs", i)
-		}
-	}
-	if _, err := EncodeNaiveData(NaiveData{Persons: []core.PersonID{1}}); err == nil {
-		t.Fatal("mismatched persons/locals accepted")
-	}
-	if _, err := DecodeNaiveData(Message{Kind: KindShipAll}); err == nil {
+	if _, err := DecodeBFMatches(Message{Kind: KindStats}); err == nil {
 		t.Fatal("wrong kind accepted")
 	}
 }
@@ -194,10 +164,10 @@ func TestDecodersNeverPanicOnMutatedPayloads(t *testing.T) {
 			return err
 		},
 		func(m Message) error {
-			_, err := DecodeNaiveData(Message{Kind: KindNaiveData, Payload: m.Payload})
+			_, err := DecodeDumpReply(Message{Kind: KindDumpReply, Payload: m.Payload})
 			return err
 		},
-		func(m Message) error { _, err := DecodeFetch(Message{Kind: KindFetch, Payload: m.Payload}); return err },
+		func(m Message) error { _, err := DecodeDump(Message{Kind: KindDump, Payload: m.Payload}); return err },
 		func(m Message) error {
 			_, err := DecodeIngest(Message{Kind: KindIngest, Payload: m.Payload})
 			return err
@@ -229,36 +199,7 @@ func TestDecodersNeverPanicOnMutatedPayloads(t *testing.T) {
 	}
 }
 
-func TestFetchRoundTrip(t *testing.T) {
-	in := Fetch{Persons: []core.PersonID{42, 7, 7000, 1}}
-	got, err := DecodeFetch(EncodeFetch(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// IDs come back sorted (the encoding delta-compresses them).
-	want := []core.PersonID{1, 7, 42, 7000}
-	if len(got.Persons) != len(want) {
-		t.Fatalf("got %v", got.Persons)
-	}
-	for i := range want {
-		if got.Persons[i] != want[i] {
-			t.Fatalf("got %v, want %v", got.Persons, want)
-		}
-	}
-	if _, err := DecodeFetch(Message{Kind: KindShipAll}); err == nil {
-		t.Fatal("wrong kind accepted")
-	}
-	// Empty fetch round-trips.
-	empty, err := DecodeFetch(EncodeFetch(Fetch{}))
-	if err != nil || len(empty.Persons) != 0 {
-		t.Fatalf("empty fetch: %v, %v", empty, err)
-	}
-}
-
 func TestTrivialMessages(t *testing.T) {
-	if ShipAllMessage().Kind != KindShipAll {
-		t.Fatal("ShipAllMessage kind")
-	}
 	if ShutdownMessage().Kind != KindShutdown {
 		t.Fatal("ShutdownMessage kind")
 	}
@@ -299,7 +240,7 @@ func TestIngestRoundTrip(t *testing.T) {
 	if _, err := EncodeIngest(Ingest{Persons: []core.PersonID{1}}); err == nil {
 		t.Fatal("mismatched persons/locals accepted")
 	}
-	if _, err := DecodeIngest(Message{Kind: KindFetch}); err == nil {
+	if _, err := DecodeIngest(Message{Kind: KindDump}); err == nil {
 		t.Fatal("wrong kind accepted")
 	}
 }
@@ -318,7 +259,7 @@ func TestEvictRoundTrip(t *testing.T) {
 			t.Fatalf("got %v, want %v", got.Persons, want)
 		}
 	}
-	if _, err := DecodeEvict(Message{Kind: KindFetch}); err == nil {
+	if _, err := DecodeEvict(Message{Kind: KindDump}); err == nil {
 		t.Fatal("wrong kind accepted")
 	}
 }

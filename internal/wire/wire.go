@@ -39,20 +39,15 @@ import (
 // Kind discriminates message payloads.
 type Kind uint8
 
-// Message kinds. The numeric values are the wire encoding and never change;
-// 1 and 4 belonged to the retired per-query WBF exchange and stay unassigned.
+// Message kinds. The numeric values are the wire encoding and never change.
+// Retired values stay unassigned: 1 and 4 belonged to the per-query WBF
+// exchange, 3, 6 and 7 to the naive shipment and verification fetch that
+// KindDump/KindDumpReply now carry.
 const (
 	// KindBFQuery disseminates a plain Bloom filter plus pipeline params.
 	KindBFQuery Kind = 2
-	// KindShipAll asks a station to ship its entire local dataset (naive).
-	KindShipAll Kind = 3
 	// KindBFMatches carries bare person IDs (BF baseline has no weights).
 	KindBFMatches Kind = 5
-	// KindNaiveData carries raw (person, local pattern) tuples.
-	KindNaiveData Kind = 6
-	// KindFetch asks a station for specific persons' local patterns (the
-	// verification phase); the station answers with KindNaiveData.
-	KindFetch Kind = 7
 	// KindShutdown tells a station loop to exit cleanly.
 	KindShutdown Kind = 8
 	// KindIngest adds (or replaces) resident patterns at a station; the
@@ -73,9 +68,10 @@ const (
 	// KindBatchReply answers a batch query with per-person reports covering
 	// every query of the round.
 	KindBatchReply Kind = 15
-	// KindDump asks a station for the raw local patterns of specific persons
-	// (or its whole store when the filter is empty) — the coordinator pulling
-	// a surviving replica's copy during re-replication.
+	// KindDump asks a station for the raw local patterns of specific persons,
+	// or its whole store when the filter is empty — the one raw-pattern pull
+	// behind the naive baseline, the verification phase, re-replication and a
+	// region's upward digest.
 	KindDump Kind = 16
 	// KindDumpReply answers a dump with (person, local pattern) tuples plus
 	// the reporting station's ID.
@@ -102,32 +98,27 @@ const (
 	KindParamAck Kind = 23
 )
 
-// maxKind is the highest assigned kind; retiredKind is the one unassigned
-// value inside the range (the other retired value, 1, lies below it).
-const (
-	maxKind     = KindParamAck
-	retiredKind = Kind(4)
-)
+// maxKind is the highest assigned kind.
+const maxKind = KindParamAck
 
 // known reports whether k is a kind this codec speaks. Anything else — the
 // retired values included — is rejected with ErrBadKind at the frame header,
 // before any payload is read.
 func (k Kind) known() bool {
-	return k >= KindBFQuery && k <= maxKind && k != retiredKind
+	switch k {
+	case 1, 3, 4, 6, 7:
+		return false
+	default:
+		return k >= KindBFQuery && k <= maxKind
+	}
 }
 
 func (k Kind) String() string {
 	switch k {
 	case KindBFQuery:
 		return "bf-query"
-	case KindShipAll:
-		return "ship-all"
 	case KindBFMatches:
 		return "bf-matches"
-	case KindNaiveData:
-		return "naive-data"
-	case KindFetch:
-		return "fetch"
 	case KindShutdown:
 		return "shutdown"
 	case KindIngest:
@@ -166,10 +157,10 @@ func (k Kind) String() string {
 }
 
 // Version is the one protocol version: every frame is stamped with it and a
-// frame stamped otherwise is rejected with ErrBadVersion. It starts above
-// every value earlier builds stamped (2–7, by kind), so none of their frames
-// decode.
-const Version = uint8(8)
+// frame stamped otherwise is rejected with ErrBadVersion. It stays above
+// every value earlier builds stamped (2–7 by kind, then 8 while kinds 3, 6
+// and 7 were live), so none of their frames decode.
+const Version = uint8(9)
 
 const (
 	magic      = uint16(0xD1A7)

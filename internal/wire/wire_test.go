@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"testing/quick"
@@ -23,7 +24,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestWithRequest(t *testing.T) {
-	m := Message{Kind: KindShipAll}.WithRequest(41)
+	m := Message{Kind: KindStats}.WithRequest(41)
 	if m.Request != 41 {
 		t.Fatalf("Request = %d", m.Request)
 	}
@@ -38,7 +39,7 @@ func TestWithRequest(t *testing.T) {
 // the same typed error, checking short → magic → version → kind → length in
 // that order.
 func TestFrameHeaderErrors(t *testing.T) {
-	good := Message{Kind: KindShipAll, Request: 3}.Encode()
+	good := Message{Kind: KindStats, Request: 3}.Encode()
 	set := func(off int, v byte) func([]byte) []byte {
 		return func(b []byte) []byte { b[off] = v; return b }
 	}
@@ -59,14 +60,17 @@ func TestFrameHeaderErrors(t *testing.T) {
 		{"zero version", set(2, 0), ErrBadVersion},
 		{"zero kind", set(3, 0), ErrBadKind},
 		{"retired kind 1", set(3, 1), ErrBadKind},
+		{"retired kind 3", set(3, 3), ErrBadKind},
 		{"retired kind 4", set(3, 4), ErrBadKind},
+		{"retired kind 6", set(3, 6), ErrBadKind},
+		{"retired kind 7", set(3, 7), ErrBadKind},
 		{"kind past maxKind", set(3, uint8(maxKind)+1), ErrBadKind},
 		{"oversized length", set(11, 0xFF), ErrOversized},
 		{"length past payload", set(8, 5), ErrTruncated},
 	}
-	for v := byte(1); v <= 9; v++ {
+	for v := byte(1); v <= Version+1; v++ {
 		if v != Version {
-			tests = append(tests, tc{"version " + string('0'+v), set(2, v), ErrBadVersion})
+			tests = append(tests, tc{fmt.Sprintf("version %d", v), set(2, v), ErrBadVersion})
 		}
 	}
 	for _, tt := range tests {
@@ -89,7 +93,7 @@ func TestFrameHeaderErrors(t *testing.T) {
 func TestReadWriteMessage(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
-		{Kind: KindShipAll, Request: 1},
+		{Kind: KindStats, Request: 1},
 		{Kind: KindBatchReply, Request: 2, Payload: []byte("abc")},
 		{Kind: KindShutdown},
 	}
