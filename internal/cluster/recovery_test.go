@@ -192,7 +192,7 @@ func TestStoredStationDigestRecovery(t *testing.T) {
 
 	// Fold the log into a snapshot that carries the memoized digest.
 	folded, err := st.Compact(func() (store.Image, error) {
-		return store.Image{Persons: s.persons, Locals: s.locals, Digest: s.summary}, nil
+		return store.Image{Persons: s.residents.Persons(), Locals: s.residents.Locals(), Digest: s.summary}, nil
 	})
 	if err != nil || !folded {
 		t.Fatalf("Compact: folded=%v err=%v", folded, err)
@@ -224,7 +224,7 @@ func TestStoredStationDigestRecovery(t *testing.T) {
 		Persons: []core.PersonID{12}, Locals: []pattern.Pattern{{8, 8, 8}}}); err != nil {
 		t.Fatal(err)
 	}
-	s2.upsert(12, pattern.Pattern{8, 8, 8})
+	s2.residents.Upsert(12, pattern.Pattern{8, 8, 8})
 	s2.summary = nil
 	if err := s2.ensureSummary(); err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestRecoveryDeltaOnlyRebalance(t *testing.T) {
 	if station.patternLength() != 2 {
 		t.Fatalf("recovered pattern length %d, want 2 — WAL came back empty?", station.patternLength())
 	}
-	recovered := len(station.persons)
+	recovered := station.Residents()
 	if recovered == 0 {
 		t.Fatal("station 2 recovered no residents")
 	}

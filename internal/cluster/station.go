@@ -39,11 +39,10 @@ type Station struct {
 	id   uint32
 	link transport.Link
 
-	// persons and locals are parallel: the station's resident patterns,
-	// person-ID ascending for deterministic replies. Only the Serve loop
-	// touches them after construction.
-	persons []core.PersonID
-	locals  []pattern.Pattern
+	// residents holds the station's resident patterns, person-ID ascending
+	// for deterministic replies. It owns its rows — everything applied is
+	// copied in — and only the Serve loop touches it after construction.
+	residents store.Residents
 
 	// summary memoizes the routing summary between store mutations, so a
 	// coordinator refreshing after every search round does not rebuild the
@@ -67,25 +66,34 @@ type Station struct {
 	durable store.Store
 }
 
-// NewStation builds a station from its local pattern store. All-zero
-// patterns are dropped: a person with no measurable activity at the station
-// has no local pattern there (and would otherwise spuriously probe the
-// filters at accumulated value zero).
+// NewStation builds a station from its local pattern store. The patterns are
+// copied in, so the caller's map stays the caller's. All-zero patterns are
+// dropped: a person with no measurable activity at the station has no local
+// pattern there (and would otherwise spuriously probe the filters at
+// accumulated value zero).
 func NewStation(id uint32, locals map[core.PersonID]pattern.Pattern, link transport.Link) *Station {
 	s := &Station{id: id, link: link}
-	s.persons = make([]core.PersonID, 0, len(locals))
-	for p, l := range locals {
-		if l.Sum() == 0 {
-			continue
-		}
-		s.persons = append(s.persons, p)
-	}
-	sort.Slice(s.persons, func(i, j int) bool { return s.persons[i] < s.persons[j] })
-	s.locals = make([]pattern.Pattern, len(s.persons))
-	for i, p := range s.persons {
-		s.locals[i] = locals[p]
-	}
+	s.seed(locals)
 	return s
+}
+
+// seed upserts locals in person order — sorted first, so the store appends
+// instead of shifting — and returns the batch of what was applied, views of
+// the caller's patterns.
+func (s *Station) seed(locals map[core.PersonID]pattern.Pattern) store.Batch {
+	persons := make([]core.PersonID, 0, len(locals))
+	for p := range locals {
+		persons = append(persons, p)
+	}
+	sort.Slice(persons, func(i, j int) bool { return persons[i] < persons[j] })
+	b := store.Batch{Op: store.OpIngest}
+	for _, p := range persons {
+		if s.residents.Upsert(p, locals[p]) {
+			b.Persons = append(b.Persons, p)
+			b.Locals = append(b.Locals, locals[p])
+		}
+	}
+	return b
 }
 
 // NewStoredStation builds a station whose resident store is backed by st:
@@ -99,32 +107,20 @@ func NewStoredStation(id uint32, locals map[core.PersonID]pattern.Pattern, link 
 	if err != nil {
 		return nil, fmt.Errorf("station %d: recover: %w", id, err)
 	}
-	s := &Station{
-		id:      id,
-		link:    link,
-		persons: img.Persons,
-		locals:  img.Locals,
-		summary: img.Digest,
-		durable: st,
+	s := &Station{id: id, link: link, summary: img.Digest, durable: st}
+	// The image is copied in, not adopted: a backend may go on reading what
+	// it returned, and the station overwrites its rows in place.
+	if err := s.residents.Load(img); err != nil {
+		return nil, fmt.Errorf("station %d: recover: %w", id, err)
 	}
-	if length := s.patternLength(); length > 0 {
-		for _, l := range img.Locals {
-			if len(l) != length {
-				return nil, fmt.Errorf("station %d: recovered pattern length %d alongside %d", id, len(l), length)
-			}
-		}
+	if got, want := s.residents.Len(), len(img.Persons); got != want {
+		return nil, fmt.Errorf("station %d: recovered image: %d of %d residents rejected (unsorted, duplicate, all-zero or of a second pattern length)", id, want-got, want)
 	}
-	if len(locals) > 0 {
-		seed := NewStation(id, locals, nil) // reuse its sort/filter rules
-		if len(seed.persons) > 0 {
-			if err := st.Append(store.Batch{Op: store.OpIngest, Persons: seed.persons, Locals: seed.locals}); err != nil {
-				return nil, fmt.Errorf("station %d: persist seed: %w", id, err)
-			}
-			for i, p := range seed.persons {
-				s.upsert(p, seed.locals[i])
-			}
-			s.summary = nil
+	if b := s.seed(locals); len(b.Persons) > 0 {
+		if err := st.Append(b); err != nil {
+			return nil, fmt.Errorf("station %d: persist seed: %w", id, err)
 		}
+		s.summary = nil
 	}
 	return s, nil
 }
@@ -133,25 +129,14 @@ func NewStoredStation(id uint32, locals map[core.PersonID]pattern.Pattern, link 
 func (s *Station) ID() uint32 { return s.id }
 
 // patternLength returns the resident patterns' shared length, 0 when empty.
-func (s *Station) patternLength() int {
-	if len(s.locals) > 0 {
-		return len(s.locals[0])
-	}
-	return 0
-}
+func (s *Station) patternLength() int { return s.residents.Length() }
 
 // Residents returns the number of stored local patterns.
-func (s *Station) Residents() int { return len(s.persons) }
+func (s *Station) Residents() int { return s.residents.Len() }
 
 // StorageBytes returns the bytes the station dedicates to its raw local
 // patterns (8 bytes per value), the baseline storage every strategy pays.
-func (s *Station) StorageBytes() uint64 {
-	var n uint64
-	for _, l := range s.locals {
-		n += 8 * uint64(len(l))
-	}
-	return n
-}
+func (s *Station) StorageBytes() uint64 { return s.residents.Bytes() }
 
 // Serve processes center messages until a shutdown message arrives or the
 // link closes. It is the goroutine body of a station node. Every reply
@@ -224,7 +209,7 @@ func (s *Station) handleBatch(msg wire.Message) (*wire.Message, error) {
 	if err != nil {
 		return nil, fmt.Errorf("station %d: %w", s.id, err)
 	}
-	reports, err := core.MatchResidents(bq.Filter, s.persons, s.locals, 0)
+	reports, err := core.MatchResidents(bq.Filter, s.residents.Persons(), s.residents.Locals(), 0)
 	if err != nil {
 		return nil, fmt.Errorf("station %d: %w", s.id, err)
 	}
@@ -247,16 +232,15 @@ func (s *Station) handleBF(msg wire.Message) (*wire.Message, error) {
 		return nil, fmt.Errorf("station %d: %w", s.id, err)
 	}
 	var persons []core.PersonID
-	for i, local := range s.locals {
-		if len(local) != q.Length {
-			continue
-		}
-		ok, err := matcher.Match(local)
-		if err != nil {
-			return nil, fmt.Errorf("station %d: %w", s.id, err)
-		}
-		if ok {
-			persons = append(persons, s.persons[i])
+	if s.residents.Length() == q.Length {
+		for i, local := range s.residents.Locals() {
+			ok, err := matcher.Match(local)
+			if err != nil {
+				return nil, fmt.Errorf("station %d: %w", s.id, err)
+			}
+			if ok {
+				persons = append(persons, s.residents.Persons()[i])
+			}
 		}
 	}
 	reply := wire.EncodeBFMatches(wire.BFMatches{Station: s.id, Persons: persons})
@@ -272,18 +256,20 @@ func (s *Station) handleDump(msg wire.Message) (*wire.Message, error) {
 	if err != nil {
 		return nil, fmt.Errorf("station %d: %w", s.id, err)
 	}
-	persons := s.persons
-	locals := s.locals
+	persons := s.residents.Persons()
+	locals := s.residents.Locals()
 	if len(req.Persons) > 0 {
-		wanted := make(map[core.PersonID]bool, len(req.Persons))
-		for _, p := range req.Persons {
-			wanted[p] = true
-		}
+		// The request's persons arrive ascending (delta-encoded); anything
+		// that does not ascend is a repeat, and the reply lists a person once.
+		all := locals
 		persons, locals = nil, nil
-		for i, p := range s.persons {
-			if wanted[p] {
+		for k, p := range req.Persons {
+			if k > 0 && p <= req.Persons[k-1] {
+				continue
+			}
+			if i, ok := s.residents.Find(p); ok {
 				persons = append(persons, p)
-				locals = append(locals, s.locals[i])
+				locals = append(locals, all[i])
 			}
 		}
 	}
@@ -299,39 +285,41 @@ func (s *Station) handleDump(msg wire.Message) (*wire.Message, error) {
 }
 
 // handleIngest inserts or replaces resident patterns — the station absorbing
-// freshly observed call data. All-zero patterns are skipped, matching the
-// NewStation rule (no measurable activity means no local pattern); removal is
-// the evict message's job. On a durable station the applied batch is appended
-// to the store before the ack is encoded: a batch the center saw acknowledged
-// is never lost to a crash the store's sync policy covers.
+// freshly observed call data. The store's rule decides what is applied:
+// all-zero patterns (no measurable activity means no local pattern; removal
+// is the evict message's job) and patterns of a foreign length are skipped.
+// On a durable station the applied batch is appended to the store before the
+// ack is encoded: a batch the center saw acknowledged is never lost to a
+// crash the store's sync policy covers.
 func (s *Station) handleIngest(msg wire.Message) (*wire.Message, error) {
 	in, err := wire.DecodeIngest(msg)
 	if err != nil {
 		return nil, fmt.Errorf("station %d: %w", s.id, err)
 	}
-	var persons []core.PersonID
-	var locals []pattern.Pattern
-	applied := 0
+	applied := store.Batch{Op: store.OpIngest}
 	for i, p := range in.Persons {
-		if in.Locals[i].Sum() == 0 {
-			continue
-		}
-		s.upsert(p, in.Locals[i])
-		applied++
-		if s.durable != nil {
-			persons = append(persons, p)
-			locals = append(locals, in.Locals[i])
+		if s.residents.Upsert(p, in.Locals[i]) {
+			applied.Persons = append(applied.Persons, p)
+			applied.Locals = append(applied.Locals, in.Locals[i])
 		}
 	}
-	if applied > 0 {
-		s.summary = nil // the memoized routing summary no longer covers the store
+	return s.ackApplied(applied)
+}
+
+// ackApplied finishes a mutation: when anything was applied the memoized
+// routing summary no longer covers the store (and Bloom filters cannot
+// delete, so an evict needs the rebuild as much as an ingest), and a durable
+// station persists the batch before the ack exists.
+func (s *Station) ackApplied(applied store.Batch) (*wire.Message, error) {
+	if len(applied.Persons) > 0 {
+		s.summary = nil
 		if s.durable != nil {
-			if err := s.persist(store.Batch{Op: store.OpIngest, Persons: persons, Locals: locals}); err != nil {
+			if err := s.persist(applied); err != nil {
 				return nil, err
 			}
 		}
 	}
-	reply := wire.EncodeAck(wire.Ack{Station: s.id, Applied: uint64(applied)})
+	reply := wire.EncodeAck(wire.Ack{Station: s.id, Applied: uint64(len(applied.Persons))})
 	return &reply, nil
 }
 
@@ -349,28 +337,12 @@ func (s *Station) persist(b store.Batch) error {
 		if err := s.ensureSummary(); err != nil {
 			return store.Image{}, err
 		}
-		return store.Image{Persons: s.persons, Locals: s.locals, Digest: s.summary}, nil
+		return store.Image{Persons: s.residents.Persons(), Locals: s.residents.Locals(), Digest: s.summary}, nil
 	})
 	if err != nil {
 		return fmt.Errorf("station %d: %w", s.id, err)
 	}
 	return nil
-}
-
-// upsert inserts local at person p's slot in the sorted store, replacing the
-// existing pattern if p is already resident.
-func (s *Station) upsert(p core.PersonID, local pattern.Pattern) {
-	i := sort.Search(len(s.persons), func(i int) bool { return s.persons[i] >= p })
-	if i < len(s.persons) && s.persons[i] == p {
-		s.locals[i] = local
-		return
-	}
-	s.persons = append(s.persons, 0)
-	copy(s.persons[i+1:], s.persons[i:])
-	s.persons[i] = p
-	s.locals = append(s.locals, nil)
-	copy(s.locals[i+1:], s.locals[i:])
-	s.locals[i] = local
 }
 
 // handleEvict removes residents — expired data, opted-out subscribers, or a
@@ -380,30 +352,13 @@ func (s *Station) handleEvict(msg wire.Message) (*wire.Message, error) {
 	if err != nil {
 		return nil, fmt.Errorf("station %d: %w", s.id, err)
 	}
-	var removed []core.PersonID
-	applied := 0
+	applied := store.Batch{Op: store.OpEvict}
 	for _, p := range ev.Persons {
-		i := sort.Search(len(s.persons), func(i int) bool { return s.persons[i] >= p })
-		if i >= len(s.persons) || s.persons[i] != p {
-			continue
-		}
-		s.persons = append(s.persons[:i], s.persons[i+1:]...)
-		s.locals = append(s.locals[:i], s.locals[i+1:]...)
-		applied++
-		if s.durable != nil {
-			removed = append(removed, p)
+		if s.residents.Evict(p) {
+			applied.Persons = append(applied.Persons, p)
 		}
 	}
-	if applied > 0 {
-		s.summary = nil // rebuild on next pull: Bloom filters cannot delete
-		if s.durable != nil {
-			if err := s.persist(store.Batch{Op: store.OpEvict, Persons: removed}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	reply := wire.EncodeAck(wire.Ack{Station: s.id, Applied: uint64(applied)})
-	return &reply, nil
+	return s.ackApplied(applied)
 }
 
 // handleStats reports the station's resident count and storage footprint.
@@ -413,7 +368,7 @@ func (s *Station) handleStats() *wire.Message {
 	length := s.patternLength()
 	reply := wire.EncodeStatsReply(wire.StatsReply{
 		Station:      s.id,
-		Residents:    uint64(len(s.persons)),
+		Residents:    uint64(s.Residents()),
 		StorageBytes: s.StorageBytes(),
 		Length:       uint32(length),
 	})
@@ -472,7 +427,7 @@ func (s *Station) applyPlan(p *index.Plan) {
 		// placeholder admits nothing, which adaptive bits cannot improve on.
 		return
 	}
-	sum, err := index.BuildAdaptive(p, length, s.locals)
+	sum, err := index.BuildAdaptive(p, length, s.residents.Locals())
 	if err != nil {
 		return
 	}
@@ -498,13 +453,13 @@ func (s *Station) ensureSummary() error {
 		length = 1
 	}
 	if s.plan != nil {
-		if sum, err := index.BuildAdaptive(s.plan, length, s.locals); err == nil {
+		if sum, err := index.BuildAdaptive(s.plan, length, s.residents.Locals()); err == nil {
 			s.summary = sum
 			return nil
 		}
 		s.plan = nil
 	}
-	sum, err := index.Build(length, s.locals)
+	sum, err := index.Build(length, s.residents.Locals())
 	if err != nil {
 		return fmt.Errorf("station %d: %w", s.id, err)
 	}

@@ -1,9 +1,12 @@
-// Package store defines the pluggable station persistence layer: the
-// contract a base station's resident store is made durable through, plus the
-// in-memory default backend. A station appends every applied ingest/evict
-// batch to its Store before acknowledging it, so an acknowledged mutation is
-// exactly as durable as the backend promises — not at all for the in-memory
-// backend, fsync-bounded for the snapshot+WAL backend in the wal subpackage.
+// Package store holds a base station's residents and makes them durable:
+// Residents (residents.go) is the one row-owning resident store the station
+// serve loop, WAL replay and the in-memory backend all apply through, and
+// Store is the pluggable persistence contract it is made durable through,
+// with the in-memory default backend. A station appends every applied
+// ingest/evict batch to its Store before acknowledging it, so an acknowledged
+// mutation is exactly as durable as the backend promises — not at all for the
+// in-memory backend, fsync-bounded for the snapshot+WAL backend in the wal
+// subpackage.
 //
 // The contract is deliberately small. Recover replays the durable state into
 // a full station image; Append records one applied batch; Snapshot replaces
@@ -15,7 +18,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 
 	"dimatch/internal/core"
 	"dimatch/internal/index"
@@ -46,9 +48,9 @@ func (o Op) String() string {
 
 // Batch is one applied station mutation, recorded after the station's apply
 // rules already ran: an OpIngest batch holds only patterns that were
-// actually inserted or replaced (never all-zero ones), an OpEvict batch only
-// persons that were actually resident. Locals is parallel to Persons for
-// OpIngest and nil for OpEvict.
+// actually inserted or replaced (never all-zero or foreign-length ones), an
+// OpEvict batch only persons that were actually resident. Locals is parallel
+// to Persons for OpIngest and nil for OpEvict.
 type Batch struct {
 	Op      Op
 	Persons []core.PersonID
@@ -57,9 +59,13 @@ type Batch struct {
 
 // Image is a complete station state: the resident store in person-ascending
 // order plus, optionally, the memoized routing digest covering exactly those
-// residents. Digest is nil when the caller had none memoized — recovery then
-// leaves the station to rebuild it lazily, which yields byte-identical
-// results because index.Build is deterministic in the resident set.
+// residents. It is the exchange form between a station, its backend and
+// tests — plain slices, either views of a Residents good until its next
+// mutation (what Compact's callback returns) or an independent copy (what
+// Recover returns). Digest is nil when the caller had none memoized —
+// recovery then leaves the station to rebuild it lazily, which yields
+// byte-identical results because index.Build is deterministic in the
+// resident set.
 type Image struct {
 	Persons []core.PersonID
 	Locals  []pattern.Pattern
@@ -74,9 +80,10 @@ func (img Image) Residents() int { return len(img.Persons) }
 // Implementations are not goroutine-safe: the owning station serve loop
 // serializes all calls, mirroring how the resident store itself is owned.
 type Store interface {
-	// Recover replays the durable state into a station image. It is safe to
-	// call at any point (not just startup); batches appended since the last
-	// snapshot are folded in.
+	// Recover replays the durable state into a station image the caller may
+	// keep: nothing appended later shows through it. It is safe to call at
+	// any point (not just startup); batches appended since the last snapshot
+	// are folded in.
 	Recover() (Image, error)
 
 	// Append records one applied batch. The station calls it before sending
@@ -85,7 +92,8 @@ type Store interface {
 	Append(Batch) error
 
 	// Snapshot replaces the durable state with the image, folding away any
-	// appended log.
+	// appended log. The image is the caller's and may change once Snapshot
+	// returns; a backend that keeps it copies it.
 	Snapshot(Image) error
 
 	// Compact takes a fresh snapshot when the backend's thresholds say the
@@ -99,14 +107,14 @@ type Store interface {
 	Close() error
 }
 
-// Fold accumulates batches into a station image with exactly the station's
-// apply semantics: all-zero ingest patterns are skipped, evicts of absent
-// persons are ignored, and persons stay sorted ascending. WAL replay and the
-// in-memory backend share it, so every backend recovers precisely the state
-// the station would have held.
+// Fold accumulates batches into a Residents with exactly the station's apply
+// semantics — they are Residents' own: all-zero and foreign-length ingest
+// patterns are skipped, evicts of absent persons are ignored, and persons
+// stay sorted ascending. WAL replay, snapshot decode and the in-memory
+// backend share it, so every backend recovers precisely the state the
+// station would have held.
 type Fold struct {
-	persons []core.PersonID
-	locals  []pattern.Pattern
+	Residents
 }
 
 // Apply folds one batch in.
@@ -117,84 +125,16 @@ func (f *Fold) Apply(b Batch) error {
 			return fmt.Errorf("store: ingest batch with %d persons but %d locals", len(b.Persons), len(b.Locals))
 		}
 		for i, p := range b.Persons {
-			if b.Locals[i].Sum() == 0 {
-				continue
-			}
-			f.upsert(p, b.Locals[i])
+			f.Upsert(p, b.Locals[i])
 		}
 	case OpEvict:
 		for _, p := range b.Persons {
-			i := sort.Search(len(f.persons), func(i int) bool { return f.persons[i] >= p })
-			if i >= len(f.persons) || f.persons[i] != p {
-				continue
-			}
-			f.persons = append(f.persons[:i], f.persons[i+1:]...)
-			f.locals = append(f.locals[:i], f.locals[i+1:]...)
+			f.Evict(p)
 		}
 	default:
 		return fmt.Errorf("store: unknown batch op %v", b.Op)
 	}
 	return nil
-}
-
-// upsert inserts local at person p's slot in the sorted store, replacing the
-// existing pattern if p is already present. Appends beyond the current tail
-// skip the search and the shift — replay of sorted batches (snapshot chunks,
-// Rebalance copies) stays linear in the resident count.
-func (f *Fold) upsert(p core.PersonID, local pattern.Pattern) {
-	if n := len(f.persons); n == 0 || p > f.persons[n-1] {
-		f.persons = append(f.persons, p)
-		f.locals = append(f.locals, local)
-		return
-	}
-	i := sort.Search(len(f.persons), func(i int) bool { return f.persons[i] >= p })
-	if i < len(f.persons) && f.persons[i] == p {
-		f.locals[i] = local
-		return
-	}
-	f.persons = append(f.persons, 0)
-	copy(f.persons[i+1:], f.persons[i:])
-	f.persons[i] = p
-	f.locals = append(f.locals, nil)
-	copy(f.locals[i+1:], f.locals[i:])
-	f.locals[i] = local
-}
-
-// Load replaces the fold's state with the image's residents, run through the
-// same apply rules as a batch so a hand-built image cannot smuggle in
-// unsorted, duplicate or all-zero entries.
-func (f *Fold) Load(img Image) error {
-	f.persons = f.persons[:0]
-	f.locals = f.locals[:0]
-	return f.Apply(Batch{Op: OpIngest, Persons: img.Persons, Locals: img.Locals})
-}
-
-// Residents returns the folded resident count.
-func (f *Fold) Residents() int { return len(f.persons) }
-
-// Image returns an independent copy of the folded state (no digest — folds
-// track residents only).
-func (f *Fold) Image() Image {
-	return Image{
-		Persons: append([]core.PersonID(nil), f.persons...),
-		Locals:  append([]pattern.Pattern(nil), f.locals...),
-	}
-}
-
-// Take moves the folded state out, leaving the fold empty. Single-owner
-// recovery paths use it to hand the result off without Image's deep copy.
-func (f *Fold) Take() Image {
-	img := Image{Persons: f.persons, Locals: f.locals}
-	f.persons, f.locals = nil, nil
-	return img
-}
-
-// Adopt replaces the fold's state with an image already known to obey the
-// fold invariants — the output of another Fold. Unlike Load it takes
-// ownership of the slices without re-validating; callers feeding it anything
-// but fold output must use Load.
-func (f *Fold) Adopt(img Image) {
-	f.persons, f.locals = img.Persons, img.Locals
 }
 
 // Memory is the default backend: state lives in process memory only, so a

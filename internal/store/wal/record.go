@@ -61,20 +61,27 @@ var (
 	ErrBadSnapshot = errors.New("wal: corrupt snapshot")
 )
 
-// appendRecord frames body under kind onto dst.
-func appendRecord(dst []byte, kind byte, body []byte) []byte {
+// recordHeader returns the bytes that precede body in its framed record:
+// length, CRC and kind.
+func recordHeader(kind byte, body []byte) [headerSize + 1]byte {
 	if 1+len(body) > MaxRecordBytes {
 		// Callers chunk their payloads well below the bound; reaching it is
 		// a programming error, not a runtime condition.
 		panic(fmt.Sprintf("wal: record body %d bytes exceeds MaxRecordBytes", len(body)))
 	}
-	var hdr [headerSize]byte
+	var hdr [headerSize + 1]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+len(body)))
-	sum := crc32.Update(0, crc32.IEEETable, []byte{kind})
+	hdr[headerSize] = kind
+	sum := crc32.Update(0, crc32.IEEETable, hdr[headerSize:])
 	sum = crc32.Update(sum, crc32.IEEETable, body)
 	binary.LittleEndian.PutUint32(hdr[4:8], sum)
+	return hdr
+}
+
+// appendRecord frames body under kind onto dst.
+func appendRecord(dst []byte, kind byte, body []byte) []byte {
+	hdr := recordHeader(kind, body)
 	dst = append(dst, hdr[:]...)
-	dst = append(dst, kind)
 	return append(dst, body...)
 }
 

@@ -107,8 +107,8 @@ func decodeSnapshot(data []byte) (store.Image, error) {
 	if sealed < 0 {
 		return store.Image{}, fmt.Errorf("%w: missing seal", ErrBadSnapshot)
 	}
-	if int64(fold.Residents()) != sealed {
-		return store.Image{}, fmt.Errorf("%w: sealed %d residents, decoded %d", ErrBadSnapshot, sealed, fold.Residents())
+	if int64(fold.Len()) != sealed {
+		return store.Image{}, fmt.Errorf("%w: sealed %d residents, decoded %d", ErrBadSnapshot, sealed, fold.Len())
 	}
 	folded := fold.Take()
 	img.Persons, img.Locals = folded.Persons, folded.Locals

@@ -86,8 +86,6 @@ type Store struct {
 	lastSync time.Time
 
 	torn int64 // torn-tail bytes truncated at Open
-
-	buf []byte // record staging buffer, reused across appends
 }
 
 var _ store.Store = (*Store)(nil)
@@ -325,11 +323,17 @@ func (s *Store) Append(b store.Batch) error {
 	if err != nil {
 		return err
 	}
-	s.buf = appendRecord(s.buf[:0], kind, body)
-	if _, err := s.log.Write(s.buf); err != nil {
+	// Header and body go out as two writes: staging them in one buffer would
+	// keep a second copy of the largest batch ever appended alive per station.
+	// A crash between the two leaves a torn tail like any other.
+	hdr := recordHeader(kind, body)
+	if _, err := s.log.Write(hdr[:]); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	s.logBytes += int64(len(s.buf))
+	if _, err := s.log.Write(body); err != nil {
+		return fmt.Errorf("wal: append: %w", err)
+	}
+	s.logBytes += int64(len(hdr) + len(body))
 	s.logRecords++
 	s.unsynced++
 	return s.maybeSync()

@@ -142,6 +142,19 @@ func FuzzDecodePayload(f *testing.F) {
 	for _, b := range []uint8{0, 2, 3, 5, 6} {
 		f.Add(b, mustHex(f, workedBatchQueryHex)[12:])
 	}
+	// Row payloads whose varint count (what sizes the value arena) disagrees
+	// with their row count and row lengths.
+	for _, rows := range [][]byte{
+		{1, 7, 3, 2, 4, 6},       // well-formed: one row of three values
+		{2, 7, 3, 2, 4, 6},       // two rows announced, bytes for one
+		{1, 7, 5, 2, 4, 6},       // a row of five announced, three values follow
+		{1, 7, 1, 2, 4, 6},       // a row of one announced, three values follow
+		{1, 7, 3, 0x80, 0x80, 0}, // one overlong value where three are announced
+		append([]byte{1, 7, 3}, bytes.Repeat([]byte{0x80}, 24)...), // no terminator at all
+	} {
+		f.Add(uint8(KindIngest)-1, rows)
+		f.Add(uint8(KindDumpReply)-1, append([]byte{4}, rows...))
+	}
 
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		k := Kind(kind%uint8(maxKind)) + 1
@@ -157,7 +170,9 @@ func FuzzDecodePayload(f *testing.F) {
 				roundtripBFMatches(t, bm)
 			}
 		case KindIngest:
-			_, _ = DecodeIngest(m)
+			if in, err := DecodeIngest(m); err == nil {
+				checkRows(t, payload, in.Persons, in.Locals)
+			}
 		case KindEvict:
 			ev, err := DecodeEvict(m)
 			if err == nil {
@@ -195,7 +210,9 @@ func FuzzDecodePayload(f *testing.F) {
 		case KindDump:
 			_, _ = DecodeDump(m)
 		case KindDumpReply:
-			_, _ = DecodeDumpReply(m)
+			if dr, err := DecodeDumpReply(m); err == nil {
+				checkRows(t, payload, dr.Persons, dr.Locals)
+			}
 		case KindSummaryReply:
 			_, _, _ = DecodeSummaryReply(m)
 		case KindRouteQuery:
@@ -264,6 +281,42 @@ func FuzzDecodePayload(f *testing.F) {
 			t.Fatalf("fuzz dispatch misses kind %v; add its decoder here", k)
 		}
 	})
+}
+
+// checkRows holds an accepted row payload to the arena's bound — the cells
+// handed out never exceed the payload's byte count, each row capped at its
+// own length — and to surviving a re-encode.
+func checkRows(t *testing.T, payload []byte, persons []core.PersonID, locals []pattern.Pattern) {
+	t.Helper()
+	if len(persons) != len(locals) {
+		t.Fatalf("%d persons but %d locals decoded", len(persons), len(locals))
+	}
+	cells := 0
+	for i, l := range locals {
+		if cap(l) != len(l) {
+			t.Fatalf("row %d has cap %d over len %d", i, cap(l), len(l))
+		}
+		cells += len(l)
+	}
+	if cells > len(payload) {
+		t.Fatalf("%d cells decoded from a %d byte payload", cells, len(payload))
+	}
+	enc, err := EncodeIngestPayload(Ingest{Persons: persons, Locals: locals})
+	if err != nil {
+		t.Fatalf("rows re-encode failed: %v", err)
+	}
+	re, err := DecodeIngestPayload(enc)
+	if err != nil {
+		t.Fatalf("rows re-decode failed: %v", err)
+	}
+	if !personsEqual(re.Persons, persons) || len(re.Locals) != len(locals) {
+		t.Fatalf("rows roundtrip changed persons: %v vs %v", re.Persons, persons)
+	}
+	for i := range locals {
+		if !re.Locals[i].Equal(locals[i]) {
+			t.Fatalf("rows roundtrip changed row %d: %v vs %v", i, re.Locals[i], locals[i])
+		}
+	}
 }
 
 func roundtripBFMatches(t *testing.T, bm BFMatches) {

@@ -464,16 +464,9 @@ func EncodeDumpReply(d DumpReply) (Message, error) {
 	if len(d.Persons) != len(d.Locals) {
 		return Message{}, fmt.Errorf("wire: %d persons but %d locals", len(d.Persons), len(d.Locals))
 	}
-	var w writer
+	w := writer{buf: make([]byte, 0, uvarintLen(uint64(d.Station))+rowsSize(d.Persons, d.Locals))}
 	w.uvarint(uint64(d.Station))
-	w.uvarint(uint64(len(d.Persons)))
-	for i, p := range d.Persons {
-		w.uvarint(uint64(p))
-		w.uvarint(uint64(len(d.Locals[i])))
-		for _, v := range d.Locals[i] {
-			w.uvarint(zigzag(v))
-		}
-	}
+	writeRows(&w, d.Persons, d.Locals)
 	return Message{Kind: KindDumpReply, Payload: w.buf}, nil
 }
 
@@ -484,22 +477,82 @@ func DecodeDumpReply(m Message) (DumpReply, error) {
 	}
 	r := &reader{buf: m.Payload}
 	out := DumpReply{Station: uint32(r.uvarint())}
-	n := r.count(2)
-	out.Persons = make([]core.PersonID, 0, n)
-	out.Locals = make([]pattern.Pattern, 0, n)
-	for i := 0; i < n; i++ {
-		out.Persons = append(out.Persons, core.PersonID(r.uvarint()))
-		l := r.count(1)
-		pat := make(pattern.Pattern, l)
-		for j := range pat {
-			pat[j] = unzigzag(r.uvarint())
-		}
-		out.Locals = append(out.Locals, pat)
-	}
+	out.Persons, out.Locals = readRows(r)
 	if err := r.done(); err != nil {
 		return DumpReply{}, err
 	}
 	return out, nil
+}
+
+// ---- (person, pattern) rows: the body shared by dump replies, ingest
+// requests, WAL ingest records and snapshot chunks ----
+
+// rowsSize returns the exact number of bytes writeRows will append.
+func rowsSize(persons []core.PersonID, locals []pattern.Pattern) int {
+	n := uvarintLen(uint64(len(persons)))
+	for i, p := range persons {
+		n += uvarintLen(uint64(p)) + uvarintLen(uint64(len(locals[i])))
+		for _, v := range locals[i] {
+			n += uvarintLen(zigzag(v))
+		}
+	}
+	return n
+}
+
+// writeRows appends the row count and then, per row, the person, the pattern
+// length and the zigzagged values. Callers size w from rowsSize: a bulk load
+// is megabytes of varints, and growing into it by doubling allocates several
+// times the payload.
+func writeRows(w *writer, persons []core.PersonID, locals []pattern.Pattern) {
+	w.uvarint(uint64(len(persons)))
+	for i, p := range persons {
+		w.uvarint(uint64(p))
+		w.uvarint(uint64(len(locals[i])))
+		for _, v := range locals[i] {
+			w.uvarint(zigzag(v))
+		}
+	}
+}
+
+// readRows parses what writeRows wrote, which must be the rest of the
+// payload. All pattern values land in one arena — a per-row allocation
+// dominates bulk replays (snapshot chunks, WAL recovery, Rebalance copies) —
+// and the arena is sized exactly before a value is read: a varint ends in
+// exactly one byte below 0x80, so the bytes after the row count hold as many
+// varints as they have such bytes, two per row are the person and the length,
+// and the rest are values. The count can only overstate a malformed payload's
+// values and never exceeds the payload's byte length, so it is no allocation
+// vector; rows that claim more than it are rejected. Each row is a capped
+// view, so an append on one pattern cannot bleed into its neighbor.
+func readRows(r *reader) ([]core.PersonID, []pattern.Pattern) {
+	n := r.count(2)
+	values := -2 * n
+	for _, b := range r.buf[r.off:] {
+		if b < 0x80 {
+			values++
+		}
+	}
+	if values < 0 {
+		values = 0 // fewer varints than the rows need: the reads below fail
+	}
+	persons := make([]core.PersonID, 0, n)
+	locals := make([]pattern.Pattern, 0, n)
+	arena := make([]int64, values)
+	for i := 0; i < n && r.err == nil; i++ {
+		persons = append(persons, core.PersonID(r.uvarint()))
+		l := r.count(1)
+		if l > len(arena) {
+			r.fail(fmt.Errorf("wire: row of %d values where %d remain in the payload", l, len(arena)))
+			break
+		}
+		row := arena[:l:l]
+		arena = arena[l:]
+		for j := range row {
+			row[j] = unzigzag(r.uvarint())
+		}
+		locals = append(locals, pattern.Pattern(row))
+	}
+	return persons, locals
 }
 
 // ---- routing: summary ----
@@ -838,15 +891,8 @@ func EncodeIngestPayload(in Ingest) ([]byte, error) {
 	if len(in.Persons) != len(in.Locals) {
 		return nil, fmt.Errorf("wire: %d persons but %d locals", len(in.Persons), len(in.Locals))
 	}
-	var w writer
-	w.uvarint(uint64(len(in.Persons)))
-	for i, p := range in.Persons {
-		w.uvarint(uint64(p))
-		w.uvarint(uint64(len(in.Locals[i])))
-		for _, v := range in.Locals[i] {
-			w.uvarint(zigzag(v))
-		}
-	}
+	w := writer{buf: make([]byte, 0, rowsSize(in.Persons, in.Locals))}
+	writeRows(&w, in.Persons, in.Locals)
 	return w.buf, nil
 }
 
@@ -862,33 +908,10 @@ func EncodeIngest(in Ingest) (Message, error) {
 // DecodeIngestPayload parses an ingest batch's payload bytes.
 func DecodeIngestPayload(payload []byte) (Ingest, error) {
 	r := &reader{buf: payload}
-	n := r.count(2)
-	out := Ingest{
-		Persons: make([]core.PersonID, 0, n),
-		Locals:  make([]pattern.Pattern, 0, n),
-	}
-	// All pattern values land in one arena, sliced up only once it stops
-	// growing: a per-person allocation here dominates bulk replays (snapshot
-	// chunks, WAL recovery, grouped Rebalance copies). The capped re-slices
-	// keep an append on one pattern from bleeding into its neighbor; resident
-	// patterns are replaced wholesale, never grown, so sharing a backing
-	// array is safe.
-	arena := make([]int64, 0, len(payload))
-	offs := make([]int, 0, n+1)
-	for i := 0; i < n; i++ {
-		out.Persons = append(out.Persons, core.PersonID(r.uvarint()))
-		l := r.count(1)
-		offs = append(offs, len(arena))
-		for j := 0; j < l; j++ {
-			arena = append(arena, unzigzag(r.uvarint()))
-		}
-	}
-	offs = append(offs, len(arena))
+	var out Ingest
+	out.Persons, out.Locals = readRows(r)
 	if err := r.done(); err != nil {
 		return Ingest{}, err
-	}
-	for i := 0; i < n; i++ {
-		out.Locals = append(out.Locals, pattern.Pattern(arena[offs[i]:offs[i+1]:offs[i+1]]))
 	}
 	return out, nil
 }

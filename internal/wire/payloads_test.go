@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"runtime"
 	"testing"
 
 	"dimatch/internal/bloom"
@@ -242,6 +243,69 @@ func TestIngestRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeIngest(Message{Kind: KindDump}); err == nil {
 		t.Fatal("wrong kind accepted")
+	}
+}
+
+// TestRowCodecAllocatesWhatItHolds: a bulk ingest or dump is megabytes of
+// three-byte varints, and both directions are sized before the first value
+// moves — the encoder's buffer to the byte (it used to grow by doubling from
+// nothing), the decoder's arena to the value (it used to reserve one slot per
+// payload byte, three times the cells, and a dump reply one allocation per
+// row). Counted, not timed: bytes and allocations per call.
+func TestRowCodecAllocatesWhatItHolds(t *testing.T) {
+	const rows, length = 2000, 24
+	in := Ingest{Persons: make([]core.PersonID, rows), Locals: make([]pattern.Pattern, rows)}
+	for i := range in.Persons {
+		in.Persons[i] = core.PersonID(100_000 + i)
+		in.Locals[i] = make(pattern.Pattern, length)
+		for j := range in.Locals[i] {
+			in.Locals[i][j] = int64(20_000 + 37*i + j) // zigzags to three bytes
+		}
+	}
+	allocated := func(f func()) (bytes, allocs uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+	}
+
+	var payload []byte
+	encBytes, encAllocs := allocated(func() { payload, _ = EncodeIngestPayload(in) })
+	if len(payload) < 3*rows*length || cap(payload) != len(payload) {
+		t.Fatalf("payload len %d cap %d: want three-byte values and an exact buffer", len(payload), cap(payload))
+	}
+	if slack := uint64(len(payload)) / 8; encBytes > uint64(len(payload))+slack || encAllocs > 2 {
+		t.Fatalf("encoding a %d byte payload allocated %d bytes in %d allocations", len(payload), encBytes, encAllocs)
+	}
+	var reply Message
+	dumpBytes, dumpAllocs := allocated(func() {
+		reply, _ = EncodeDumpReply(DumpReply{Station: 3, Persons: in.Persons, Locals: in.Locals})
+	})
+	if slack := uint64(len(reply.Payload)) / 8; dumpBytes > uint64(len(reply.Payload))+slack || dumpAllocs > 2 {
+		t.Fatalf("encoding a %d byte dump reply allocated %d bytes in %d allocations", len(reply.Payload), dumpBytes, dumpAllocs)
+	}
+
+	held := uint64(rows * (8*length + 8 + 24)) // cells, person, row header
+	for name, decode := range map[string]func() ([]pattern.Pattern, error){
+		"ingest": func() ([]pattern.Pattern, error) {
+			out, err := DecodeIngestPayload(payload)
+			return out.Locals, err
+		},
+		"dump reply": func() ([]pattern.Pattern, error) {
+			out, err := DecodeDumpReply(reply)
+			return out.Locals, err
+		},
+	} {
+		var locals []pattern.Pattern
+		var err error
+		decBytes, decAllocs := allocated(func() { locals, err = decode() })
+		if err != nil || len(locals) != rows || !locals[rows-1].Equal(in.Locals[rows-1]) {
+			t.Fatalf("%s decode: %d rows, %v", name, len(locals), err)
+		}
+		if decBytes > held+held/8 || decAllocs > 8 {
+			t.Fatalf("%s decode allocated %d bytes in %d allocations to hold %d", name, decBytes, decAllocs, held)
+		}
 	}
 }
 
