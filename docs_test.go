@@ -100,15 +100,21 @@ func TestDocsLocalLinks(t *testing.T) {
 	}
 }
 
-// removedBenchRef matches what the recorded-baseline bench stack left in
-// prose: its BENCH_*.json files and di-bench's -<name>-out/-<name>-check
-// flag pairs.
-var removedBenchRef = regexp.MustCompile(`BENCH_|-(replication|routing|stream|recovery|hierarchy|adaptive)-(out|check)\b`)
+// removedRefs match what deleted tooling left in prose: the recorded-baseline
+// bench stack's BENCH_*.json files and di-bench's -<name>-out/-<name>-check
+// flag pairs; the di-lint binary and the two ways it ran.
+var removedRefs = []struct {
+	re   *regexp.Regexp
+	with string
+}{
+	{regexp.MustCompile(`BENCH_|-(replication|routing|stream|recovery|hierarchy|adaptive)-(out|check)\b`), "the recorded-baseline bench stack"},
+	{regexp.MustCompile(`di-lint|-vettool|-allocharness`), "cmd/di-lint (go test ./internal/analyzers is the one runner)"},
+}
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every
 // workload and end-to-end metric BENCHMARK.json declares is named in the
 // README, so neither can ship undocumented, and no guarded doc still points
-// at the removed baseline files or flags.
+// at removed baseline files, flags or binaries.
 func TestDocsBenchmarkReferenced(t *testing.T) {
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
@@ -138,8 +144,10 @@ func TestDocsBenchmarkReferenced(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		if m := removedBenchRef.Find(body); m != nil {
-			t.Errorf("%s still mentions %q, removed with the recorded-baseline bench stack", f, m)
+		for _, r := range removedRefs {
+			if m := r.re.Find(body); m != nil {
+				t.Errorf("%s still mentions %q, removed with %s", f, m, r.with)
+			}
 		}
 	}
 }

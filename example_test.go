@@ -132,7 +132,7 @@ func ExampleWithRouting() {
 
 // ExampleCluster_Search_hierarchical delegates a search through region
 // coordinators: each region is a full cluster over its own stations,
-// served to the root like one big station (ServeRegion, wire v6). The
+// served to the root like one big station (ServeRegion). The
 // root merges the regions' raw partials and ranks globally, so results
 // are identical to a flat fan-out — docs/ROUTING.md carries the design.
 func ExampleCluster_Search_hierarchical() {

@@ -301,7 +301,7 @@ func TestReadmeHierarchySnippet(t *testing.T) {
 		11: {500, 600, 700},
 	}, dimatch.WithReplication(2))
 
-	// The round is delegated over wire v6: each region runs the WBF
+	// The round is delegated: each region runs the WBF
 	// pipeline on its own stations, the root merges, ranks and verifies
 	// the raw partials — results byte-identical to a flat fan-out.
 	out, _ := root.Search(ctx, []dimatch.Query{

@@ -1,8 +1,9 @@
 // Package analysis is a self-contained miniature of the
 // golang.org/x/tools/go/analysis API: just enough Analyzer/Pass surface for
-// the repo's invariant checkers (cmd/di-lint) to be written in the standard
-// shape, without taking an external dependency. An analyzer written against
-// this package ports to the real framework by changing one import path.
+// the repo's invariant checkers (internal/analyzers) to be written in the
+// standard shape, without taking an external dependency. An analyzer written
+// against this package ports to the real framework by changing one import
+// path.
 package analysis
 
 import (

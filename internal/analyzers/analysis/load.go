@@ -77,36 +77,22 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if e.Name == "" || len(e.GoFiles) == 0 {
 			continue
 		}
-		var files []string
-		for _, f := range e.GoFiles {
-			files = append(files, filepath.Join(e.Dir, f))
+		fset := token.NewFileSet()
+		var files []*ast.File
+		for _, name := range e.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(e.Dir, name), nil, parser.ParseComments)
+			if err != nil {
+				return nil, fmt.Errorf("analysis: %v", err)
+			}
+			files = append(files, f)
 		}
-		pkg, err := CheckFiles(e.ImportPath, files, exports)
+		pkg, info, err := Check(e.ImportPath, fset, files, ExportImporter(fset, exports))
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		pkgs = append(pkgs, &Package{ImportPath: e.ImportPath, Fset: fset, Files: files, Pkg: pkg, Info: info})
 	}
 	return pkgs, nil
-}
-
-// CheckFiles parses the named files as one package and type-checks them,
-// resolving imports through the given import-path -> export-data-file map.
-func CheckFiles(importPath string, filenames []string, exports map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range filenames {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %v", err)
-		}
-		files = append(files, f)
-	}
-	pkg, info, err := Check(importPath, fset, files, ExportImporter(fset, exports))
-	if err != nil {
-		return nil, err
-	}
-	return &Package{ImportPath: importPath, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
 // ExportImporter returns a types.Importer that satisfies imports from the

@@ -1,6 +1,6 @@
-// Package analyzers registers the repo's invariant checkers for cmd/di-lint
-// and the suite test. See docs/ANALYZERS.md for what each pass enforces and
-// how to suppress a finding.
+// Package analyzers registers the repo's invariant checkers for the suite
+// test (TestRepoIsClean), their one runner. See docs/ANALYZERS.md for what
+// each pass enforces and how to suppress a finding.
 package analyzers
 
 import (
@@ -8,15 +8,13 @@ import (
 	"dimatch/internal/analyzers/ctxflow"
 	"dimatch/internal/analyzers/epochpin"
 	"dimatch/internal/analyzers/lockio"
-	"dimatch/internal/analyzers/noalloc"
 	"dimatch/internal/analyzers/wirekind"
 )
 
-// All is every analyzer di-lint runs, in reporting order.
+// All is every analyzer the suite test runs, in reporting order.
 var All = []*analysis.Analyzer{
 	wirekind.Analyzer,
 	epochpin.Analyzer,
 	lockio.Analyzer,
 	ctxflow.Analyzer,
-	noalloc.Analyzer,
 }

@@ -1,6 +1,6 @@
 // Package lockstate tracks which sync mutexes are held at each point of a
 // function body, for analyzers that enforce lock-discipline invariants
-// (lockio, epochpin in cmd/di-lint).
+// (lockio, epochpin).
 //
 // The tracking is a conservative source-order walk, not a full control-flow
 // analysis: a Lock() adds the mutex, a same-level Unlock() removes it, a

@@ -1,15 +1,11 @@
 package analyzers_test
 
 import (
-	"go/ast"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"dimatch/internal/analyzers"
 	"dimatch/internal/analyzers/analysis"
-	"dimatch/internal/analyzers/noalloc"
 )
 
 // TestRepoIsClean runs every analyzer over the whole module and fails on any
@@ -26,36 +22,6 @@ func TestRepoIsClean(t *testing.T) {
 		for _, d := range diags {
 			t.Errorf("%s: %s (%s)", d.Position(pkg.Fset), d.Message, d.Analyzer)
 		}
-	}
-}
-
-// TestNoallocFunctionsArePinned keeps the static and runtime halves of the
-// noalloc contract in sync: every //dimatch:noalloc function must appear by
-// display name in its package's alloc_pin_test.go, so annotating a function
-// without holding it to 0 allocs/op at runtime fails here (and the skeleton
-// to paste comes from `go run ./cmd/di-lint -allocharness ./...`).
-func TestNoallocFunctionsArePinned(t *testing.T) {
-	pkgs := loadRepo(t)
-	annotated := 0
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			filename := pkg.Fset.Position(f.Pos()).Filename
-			pins, _ := os.ReadFile(filepath.Join(filepath.Dir(filename), "alloc_pin_test.go"))
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || !noalloc.Annotated(fn) {
-					continue
-				}
-				annotated++
-				if name := noalloc.DisplayName(fn); !strings.Contains(string(pins), name) {
-					t.Errorf("%s: //dimatch:noalloc function %s has no AllocsPerRun pin in %s",
-						pkg.ImportPath, name, filepath.Join(filepath.Dir(filename), "alloc_pin_test.go"))
-				}
-			}
-		}
-	}
-	if annotated == 0 {
-		t.Fatal("no //dimatch:noalloc functions found anywhere: the annotation or the loader is broken")
 	}
 }
 

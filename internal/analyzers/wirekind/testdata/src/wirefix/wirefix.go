@@ -1,5 +1,5 @@
 // Package wire is a miniature of the real wire package for analyzer tests:
-// a Kind type with a String table, seeded with one constant missing from it.
+// a Kind type and codec functions for the wirekinduse fixture to misuse.
 package wire
 
 type Kind uint8
@@ -7,22 +7,7 @@ type Kind uint8
 const (
 	KindA Kind = 1
 	KindB Kind = 2
-	KindC Kind = 3
-	KindD Kind = 4 // want `wire kind KindD has no case in Kind.String`
 )
-
-func (k Kind) String() string {
-	switch k {
-	case KindA:
-		return "A"
-	case KindB:
-		return "B"
-	case KindC:
-		return "C"
-	default:
-		return "?"
-	}
-}
 
 // DecodeThing mimics a payload decoder returning an error.
 func DecodeThing(b []byte) (int, error) {

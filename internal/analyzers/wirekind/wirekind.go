@@ -1,13 +1,11 @@
-// Package wirekind enforces the wire-protocol registration invariants
+// Package wirekind enforces the wire-protocol dispatch invariants
 // (docs/WIRE.md).
 //
-// In the package that declares the Kind type (internal/wire), every
-// exported Kind constant must appear as a case of Kind.String, so a kind
-// never prints as a bare number in logs and errors. In every package, a
-// switch over a Kind-typed value must carry a default clause, so
-// a newly added kind falls into explicit unknown-handling instead of being
-// silently dropped; and the error result of a wire Encode*/Decode* call
-// must not be discarded.
+// In every package, a switch over a Kind-typed value must carry a default
+// clause, so a newly added kind falls into explicit unknown-handling instead
+// of being silently dropped; and the error result of a wire Encode*/Decode*
+// call must not be discarded. (That every Kind constant has a Kind.String
+// case is pinned at runtime by internal/wire/sync_test.go.)
 package wirekind
 
 import (
@@ -21,106 +19,14 @@ import (
 // Analyzer is the wirekind pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "wirekind",
-	Doc:  "check that every wire.Kind is stringable and dispatched with a default, and no codec error is dropped",
+	Doc:  "check that every switch over a wire.Kind has a default and no codec error is dropped",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
-	kindType := lookupKindType(pass.Pkg)
-	if kindType != nil && pass.Pkg.Scope().Lookup("Kind") != nil {
-		checkRegistration(pass, kindType)
-	}
 	checkSwitches(pass)
 	checkDiscardedErrors(pass)
 	return nil
-}
-
-// lookupKindType returns the package's named integer type Kind, if any.
-func lookupKindType(pkg *types.Package) *types.Named {
-	obj := pkg.Scope().Lookup("Kind")
-	tn, ok := obj.(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	named, ok := tn.Type().(*types.Named)
-	if !ok {
-		return nil
-	}
-	if basic, ok := named.Underlying().(*types.Basic); !ok || basic.Info()&types.IsInteger == 0 {
-		return nil
-	}
-	return named
-}
-
-// checkRegistration verifies every exported Kind constant is a case of
-// Kind.String.
-func checkRegistration(pass *analysis.Pass, kindType *types.Named) {
-	var consts []*types.Const
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		c, ok := scope.Lookup(name).(*types.Const)
-		if ok && c.Exported() && types.Identical(c.Type(), kindType) {
-			consts = append(consts, c)
-		}
-	}
-	if len(consts) == 0 {
-		return
-	}
-
-	strung, stringFound := stringCases(pass, kindType)
-	for _, c := range consts {
-		if stringFound && !strung[c.Name()] {
-			pass.Reportf(c.Pos(), "wire kind %s has no case in Kind.String", c.Name())
-		}
-	}
-}
-
-// stringCases collects the constant names appearing as switch cases in the
-// Kind.String method.
-func stringCases(pass *analysis.Pass, kindType *types.Named) (map[string]bool, bool) {
-	cases := make(map[string]bool)
-	found := false
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Name.Name != "String" || fn.Recv == nil || len(fn.Recv.List) != 1 {
-				continue
-			}
-			recv := pass.TypesInfo.TypeOf(fn.Recv.List[0].Type)
-			if p, ok := recv.(*types.Pointer); ok {
-				recv = p.Elem()
-			}
-			if !types.Identical(recv, kindType) {
-				continue
-			}
-			found = true
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				cc, ok := n.(*ast.CaseClause)
-				if !ok {
-					return true
-				}
-				for _, e := range cc.List {
-					if id := constName(e); id != "" {
-						cases[id] = true
-					}
-				}
-				return true
-			})
-		}
-	}
-	return cases, found
-}
-
-// constName returns the identifier name of e if it is a plain or qualified
-// identifier.
-func constName(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return e.Sel.Name
-	}
-	return ""
 }
 
 // checkSwitches requires a default clause on every switch over a Kind-typed

@@ -71,7 +71,7 @@ func (s *Set) Test(i uint64) bool {
 // serializing on one add chain — fill-ratio sampling over large digests is
 // a hot path for the adaptive bench harness.
 //
-//dimatch:noalloc
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (s *Set) Count() uint64 {
 	var c0, c1, c2, c3 uint64
 	w := s.words
@@ -133,10 +133,10 @@ func (s *Set) Equal(o *Set) bool {
 // re-slice of s.words to o's length lets the compiler drop the bounds
 // checks inside the unrolled body.
 //
-//dimatch:noalloc
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (s *Set) UnionWith(o *Set) error {
 	if s.n != o.n {
-		return fmt.Errorf("bitset: union of mismatched lengths %d and %d", s.n, o.n) //dimatch:allow noalloc — cold mismatch path, never taken while accumulating
+		return fmt.Errorf("bitset: union of mismatched lengths %d and %d", s.n, o.n) // cold mismatch path, never taken while accumulating
 	}
 	b := o.words
 	a := s.words[:len(b)]

@@ -71,7 +71,7 @@ func (f *Filter) Add(v int64) {
 // Contains reports whether v may be in the filter. False positives are
 // possible; false negatives are not.
 //
-//dimatch:noalloc
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (f *Filter) Contains(v int64) bool {
 	var buf [16]uint64
 	for _, idx := range f.family.Indexes(v, buf[:0]) {

@@ -70,11 +70,14 @@ func (c *Cluster) placementTable() *placement.Table {
 
 // replicatedPred returns the predicate marking placed persons for the
 // replica-aware aggregation, or nil when nothing is placed — the zero-cost
-// path every purely station-addressed cluster stays on. The predicate is
-// backed by a snapshot, not the live table: a Place or Unplace landing
+// path every purely station-addressed cluster stays on. The predicate
+// remembers its first answer per person: a Place or Unplace landing
 // mid-aggregation must not flip a person between the max-dedup and
 // summation models halfway through their reports (summing onto an already
-// maxed numerator would push a true match past 1 and delete it).
+// maxed numerator would push a true match past 1 and delete it). The memo
+// grows with the persons reported, not the persons placed, and is not
+// synchronized: every caller consults the predicate from fanOut's serial
+// reply handler.
 func (c *Cluster) replicatedPred() func(core.PersonID) bool {
 	c.mu.Lock()
 	t := c.placeTab
@@ -82,10 +85,14 @@ func (c *Cluster) replicatedPred() func(core.PersonID) bool {
 	if t == nil || t.Len() == 0 {
 		return nil
 	}
-	snap := t.Snapshot()
+	memo := make(map[core.PersonID]bool)
 	return func(p core.PersonID) bool {
-		_, ok := snap[p]
-		return ok
+		v, ok := memo[p]
+		if !ok {
+			v = t.Contains(p)
+			memo[p] = v
+		}
+		return v
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -450,5 +452,85 @@ func TestEverySingleKillKeepsResultsAtR2(t *testing.T) {
 	}
 	if got := len(search(c).PerQuery[1]); got >= 30 {
 		t.Fatalf("R=1 cluster still found %d persons after losing person 100's only holder", got)
+	}
+}
+
+// TestReplicatedPredKeepsOneModelPerPerson pins what the aggregation needs
+// from the placed-person predicate: whatever one closure answered for a
+// person first, it keeps answering, even when a Place or Unplace lands
+// between two calls — a person must not move between the max-dedup and the
+// summation model halfway through their reports.
+func TestReplicatedPredKeepsOneModelPerPerson(t *testing.T) {
+	c := newPlacedCluster(t, []uint32{1, 2, 3}, 2, map[core.PersonID]pattern.Pattern{
+		7: {1, 2, 3, 4},
+		8: {1, 2, 3, 4},
+	})
+	ctx := context.Background()
+	pred := c.replicatedPred()
+	if !pred(7) || pred(9) {
+		t.Fatalf("pred(7), pred(9) = %v, %v; want placed, not placed", pred(7), pred(9))
+	}
+	if err := c.Unplace(ctx, []core.PersonID{7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2, 3, 4}}, WithReplication(2)); err != nil {
+		t.Fatal(err)
+	}
+	if !pred(7) {
+		t.Fatal("person 7 flipped to the summation model when Unplace landed mid-aggregation")
+	}
+	if pred(9) {
+		t.Fatal("person 9 flipped to the dedup model when Place landed mid-aggregation")
+	}
+	if fresh := c.replicatedPred(); fresh(7) || !fresh(9) || !fresh(8) {
+		t.Fatalf("a fresh predicate answers %v, %v, %v for persons 7, 9, 8; want the table as it stands", fresh(7), fresh(9), fresh(8))
+	}
+}
+
+// TestSearchAllocationIndependentOfPlaced: a point search pays for the
+// persons it hears about, not for every person the coordinator has placed.
+// The same query over the same four stations allocates about as much with
+// 50 000 persons placed as with 500; copying the placement table per search
+// made it two orders of magnitude more.
+func TestSearchAllocationIndependentOfPlaced(t *testing.T) {
+	const length = 8
+	ctx := context.Background()
+	target := pattern.Pattern{900_001, 900_002, 900_003, 900_004, 900_005, 900_006, 900_007, 900_008}
+	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{target}}}
+	searchBytes := func(placed int) uint64 {
+		rng := rand.New(rand.NewSource(1))
+		patterns := make(map[core.PersonID]pattern.Pattern, placed)
+		for p := core.PersonID(1); p < core.PersonID(placed); p++ {
+			l := make(pattern.Pattern, length)
+			for j := range l {
+				l[j] = rng.Int63n(800_000)
+			}
+			patterns[p] = l
+		}
+		patterns[core.PersonID(placed)] = target
+		c := newPlacedCluster(t, []uint32{1, 2, 3, 4}, 2, patterns)
+		search := func() {
+			out, err := c.Search(ctx, queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := out.PerQuery[1]; len(res) != 1 || res[0].Person != core.PersonID(placed) {
+				t.Fatalf("%d placed: results = %+v, want only person %d", placed, res, placed)
+			}
+		}
+		search() // fills the routing-summary cache
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			search()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := searchBytes(500), searchBytes(50_000)
+	t.Logf("bytes allocated per search: %d with 500 placed, %d with 50 000 placed", small, large)
+	if large >= 2*small {
+		t.Fatalf("a search allocates %d bytes with 50 000 persons placed, %d with 500: the cost follows the placement table, not the answer", large, small)
 	}
 }

@@ -1,10 +1,7 @@
-// AllocsPerRun pins for the //dimatch:noalloc functions of this package:
-// (*Matcher).Match, (*Matcher).sampledAccumulate, (*Filter).probe and
-// intersectSorted — the per-resident station probe path. The noalloc
-// analyzer is the static early warning; these tests are the runtime ground
-// truth after one warm-up call grows the matcher's scratch buffers.
-// cmd/di-lint -allocharness reports any annotated function missing from
-// this file.
+// AllocsPerRun pins: (*Matcher).Match, (*Matcher).sampledAccumulate,
+// (*Filter).probe and intersectSorted — the per-resident station probe path —
+// held to 0 allocs/op after one warm-up call grows the matcher's scratch
+// buffers.
 package core
 
 import (
@@ -41,7 +38,7 @@ func TestNoallocMatcherMatch(t *testing.T) {
 		matchSink, boolSink, _ = m.Match(p)
 		matchSink, boolSink, _ = m.Match(miss)
 	}); n != 0 {
-		t.Fatalf("(*Matcher).Match allocates %v times per run; //dimatch:noalloc requires 0", n)
+		t.Fatalf("(*Matcher).Match allocates %v times per run; want 0", n)
 	}
 }
 
@@ -50,7 +47,7 @@ func TestNoallocMatchersampledAccumulate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		valsSink = m.sampledAccumulate(p)
 	}); n != 0 {
-		t.Fatalf("(*Matcher).sampledAccumulate allocates %v times per run; //dimatch:noalloc requires 0", n)
+		t.Fatalf("(*Matcher).sampledAccumulate allocates %v times per run; want 0", n)
 	}
 }
 
@@ -61,7 +58,7 @@ func TestNoallocFilterprobe(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		weightSink, boolSink = m.filter.probe(0, vals[0], scratch[:0])
 	}); n != 0 {
-		t.Fatalf("(*Filter).probe allocates %v times per run; //dimatch:noalloc requires 0", n)
+		t.Fatalf("(*Filter).probe allocates %v times per run; want 0", n)
 	}
 }
 
@@ -72,6 +69,6 @@ func TestNoallocintersectSorted(t *testing.T) {
 		a = append(a[:0], 1, 3, 4, 8)
 		weightSink = intersectSorted(a, b)
 	}); n != 0 {
-		t.Fatalf("intersectSorted allocates %v times per run; //dimatch:noalloc requires 0", n)
+		t.Fatalf("intersectSorted allocates %v times per run; want 0", n)
 	}
 }

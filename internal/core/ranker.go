@@ -47,7 +47,6 @@ func (r Result) Score() float64 {
 // cleanly because a weight's meaning — this combination's share of this
 // query's global sum — does not depend on which filter carried it.
 type Aggregator struct {
-	weights []WeightEntry
 	// perQuery[q][person] accumulates the weight numerator and the station
 	// count for one person under query q.
 	perQuery map[QueryID]map[PersonID]*personAgg
@@ -62,20 +61,9 @@ type personAgg struct {
 	stations  int
 }
 
-// NewAggregator returns an aggregator resolving weight pointers against the
-// given filter's weight table.
-func NewAggregator(f *Filter) *Aggregator {
-	a := NewBatchAggregator()
-	a.weights = f.Weights()
-	for _, w := range a.weights {
-		a.denoms[w.Query] = w.Denominator
-	}
-	return a
-}
-
-// NewBatchAggregator returns an aggregator with no default weight table:
-// every report must be resolved explicitly with AddFrom. A batched search
-// uses one of these to merge reports that probed different filters.
+// NewBatchAggregator returns an empty aggregator. It holds no weight table:
+// every report is resolved explicitly with AddFrom, so one aggregation can
+// merge reports that probed different filters.
 func NewBatchAggregator() *Aggregator {
 	return &Aggregator{
 		perQuery: make(map[QueryID]map[PersonID]*personAgg),
@@ -96,10 +84,6 @@ func NewBatchAggregator() *Aggregator {
 func (a *Aggregator) SetReplicated(pred func(PersonID) bool) {
 	a.replicated = pred
 }
-
-// Add ingests one station report, resolving pointers against the filter the
-// aggregator was built from.
-func (a *Aggregator) Add(r Report) error { return a.AddFrom(a.weights, r) }
 
 // AddFrom ingests one station report, resolving its weight pointers against
 // the given table — the table of whichever filter the reporting station

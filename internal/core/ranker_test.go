@@ -39,13 +39,13 @@ func weightIDFor(t *testing.T, f *Filter, q QueryID, mask pattern.Subset) Weight
 
 func TestAggregatorPartitionSumsToOne(t *testing.T) {
 	f := rankerFixture(t)
-	a := NewAggregator(f)
+	a := NewBatchAggregator()
 	// Person 7's data is split across two stations matching the two locals
 	// of query 1: the weights must sum to exactly 1.
-	if err := a.Add(Report{Person: 7, WeightIDs: []WeightID{weightIDFor(t, f, 1, 0b01)}}); err != nil {
+	if err := a.AddFrom(f.Weights(), Report{Person: 7, WeightIDs: []WeightID{weightIDFor(t, f, 1, 0b01)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Add(Report{Person: 7, WeightIDs: []WeightID{weightIDFor(t, f, 1, 0b10)}}); err != nil {
+	if err := a.AddFrom(f.Weights(), Report{Person: 7, WeightIDs: []WeightID{weightIDFor(t, f, 1, 0b10)}}); err != nil {
 		t.Fatal(err)
 	}
 	res := a.TopK(1, 10)
@@ -59,13 +59,13 @@ func TestAggregatorPartitionSumsToOne(t *testing.T) {
 
 func TestAggregatorDeletesOverMatched(t *testing.T) {
 	f := rankerFixture(t)
-	a := NewAggregator(f)
+	a := NewBatchAggregator()
 	// The paper's counterexample: three stations each hold {3,4,5}, so each
 	// matches the full combination; the aggregate {9,12,15} is not the
 	// query, and the summed weight 3 > 1 must delete the person.
 	full := weightIDFor(t, f, 1, 0b11)
 	for i := 0; i < 3; i++ {
-		if err := a.Add(Report{Person: 9, WeightIDs: []WeightID{full}}); err != nil {
+		if err := a.AddFrom(f.Weights(), Report{Person: 9, WeightIDs: []WeightID{full}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,14 +79,14 @@ func TestAggregatorDeletesOverMatched(t *testing.T) {
 
 func TestAggregatorGlobalPlusLocalDeleted(t *testing.T) {
 	f := rankerFixture(t)
-	a := NewAggregator(f)
+	a := NewBatchAggregator()
 	// A person matching the global at one station AND a local at another
 	// has aggregate != query; sum = 1 + 0.5 > 1 → deleted (Algorithm 3's
 	// rationale, Section IV-B).
-	if err := a.Add(Report{Person: 3, WeightIDs: []WeightID{weightIDFor(t, f, 1, 0b11)}}); err != nil {
+	if err := a.AddFrom(f.Weights(), Report{Person: 3, WeightIDs: []WeightID{weightIDFor(t, f, 1, 0b11)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Add(Report{Person: 3, WeightIDs: []WeightID{weightIDFor(t, f, 1, 0b01)}}); err != nil {
+	if err := a.AddFrom(f.Weights(), Report{Person: 3, WeightIDs: []WeightID{weightIDFor(t, f, 1, 0b01)}}); err != nil {
 		t.Fatal(err)
 	}
 	if res := a.TopK(1, 10); len(res) != 0 {
@@ -96,13 +96,13 @@ func TestAggregatorGlobalPlusLocalDeleted(t *testing.T) {
 
 func TestAggregatorRankingOrder(t *testing.T) {
 	f := rankerFixture(t)
-	a := NewAggregator(f)
+	a := NewBatchAggregator()
 	w1 := weightIDFor(t, f, 1, 0b01)   // 6/12
 	wAll := weightIDFor(t, f, 1, 0b11) // 12/12
 	// Person 1: full match. Persons 2, 3: half match (tie broken by ID).
-	mustAdd(t, a, Report{Person: 1, WeightIDs: []WeightID{wAll}})
-	mustAdd(t, a, Report{Person: 3, WeightIDs: []WeightID{w1}})
-	mustAdd(t, a, Report{Person: 2, WeightIDs: []WeightID{w1}})
+	mustAdd(t, a, f, Report{Person: 1, WeightIDs: []WeightID{wAll}})
+	mustAdd(t, a, f, Report{Person: 3, WeightIDs: []WeightID{w1}})
+	mustAdd(t, a, f, Report{Person: 2, WeightIDs: []WeightID{w1}})
 
 	res := a.TopK(1, 0)
 	if len(res) != 3 {
@@ -117,19 +117,19 @@ func TestAggregatorRankingOrder(t *testing.T) {
 	}
 }
 
-func mustAdd(t *testing.T, a *Aggregator, r Report) {
+func mustAdd(t *testing.T, a *Aggregator, f *Filter, r Report) {
 	t.Helper()
-	if err := a.Add(r); err != nil {
+	if err := a.AddFrom(f.Weights(), r); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAggregatorMinNumeratorPerStation(t *testing.T) {
 	f := rankerFixture(t)
-	a := NewAggregator(f)
+	a := NewBatchAggregator()
 	// One station report carrying two surviving weights of the same query
 	// credits the smaller numerator (see Aggregator.AddFrom): 6, not 12.
-	mustAdd(t, a, Report{Person: 5, WeightIDs: []WeightID{
+	mustAdd(t, a, f, Report{Person: 5, WeightIDs: []WeightID{
 		weightIDFor(t, f, 1, 0b01),
 		weightIDFor(t, f, 1, 0b11),
 	}})
@@ -141,9 +141,9 @@ func TestAggregatorMinNumeratorPerStation(t *testing.T) {
 
 func TestAggregatorSeparatesQueries(t *testing.T) {
 	f := rankerFixture(t)
-	a := NewAggregator(f)
+	a := NewBatchAggregator()
 	// One report matching both queries counts toward each independently.
-	mustAdd(t, a, Report{Person: 4, WeightIDs: []WeightID{
+	mustAdd(t, a, f, Report{Person: 4, WeightIDs: []WeightID{
 		weightIDFor(t, f, 1, 0b11),
 		weightIDFor(t, f, 2, 0b01),
 	}})
@@ -163,16 +163,16 @@ func TestAggregatorSeparatesQueries(t *testing.T) {
 
 func TestAggregatorDanglingPointer(t *testing.T) {
 	f := rankerFixture(t)
-	a := NewAggregator(f)
-	if err := a.Add(Report{Person: 1, WeightIDs: []WeightID{WeightID(len(f.Weights()))}}); err == nil {
+	a := NewBatchAggregator()
+	if err := a.AddFrom(f.Weights(), Report{Person: 1, WeightIDs: []WeightID{WeightID(len(f.Weights()))}}); err == nil {
 		t.Fatal("dangling pointer accepted")
 	}
 }
 
 func TestAggregatorEmptyReportIsNoop(t *testing.T) {
 	f := rankerFixture(t)
-	a := NewAggregator(f)
-	mustAdd(t, a, Report{Person: 1})
+	a := NewBatchAggregator()
+	mustAdd(t, a, f, Report{Person: 1})
 	if got := a.Candidates(1); got != 0 {
 		t.Fatalf("empty report created %d candidates", got)
 	}
@@ -247,7 +247,7 @@ func TestResultScore(t *testing.T) {
 // persons keep the paper's summation model even in the same aggregation.
 func TestAggregatorReplicaDedup(t *testing.T) {
 	f := rankerFixture(t)
-	a := NewAggregator(f)
+	a := NewBatchAggregator()
 	a.SetReplicated(func(p PersonID) bool { return p == 9 })
 
 	// Person 9 is replicated on three stations; each replica matches the
@@ -255,15 +255,15 @@ func TestAggregatorReplicaDedup(t *testing.T) {
 	// counterexample; deduped it is one perfect match.
 	full := weightIDFor(t, f, 1, 0b11)
 	for i := 0; i < 3; i++ {
-		if err := a.Add(Report{Person: 9, WeightIDs: []WeightID{full}}); err != nil {
+		if err := a.AddFrom(f.Weights(), Report{Person: 9, WeightIDs: []WeightID{full}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Person 7 is a genuine split across two stations and must still sum.
-	if err := a.Add(Report{Person: 7, WeightIDs: []WeightID{weightIDFor(t, f, 1, 0b01)}}); err != nil {
+	if err := a.AddFrom(f.Weights(), Report{Person: 7, WeightIDs: []WeightID{weightIDFor(t, f, 1, 0b01)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Add(Report{Person: 7, WeightIDs: []WeightID{weightIDFor(t, f, 1, 0b10)}}); err != nil {
+	if err := a.AddFrom(f.Weights(), Report{Person: 7, WeightIDs: []WeightID{weightIDFor(t, f, 1, 0b10)}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -286,14 +286,14 @@ func TestAggregatorReplicaDedup(t *testing.T) {
 // sum.
 func TestAggregatorReplicaDedupHighestWins(t *testing.T) {
 	f := rankerFixture(t)
-	a := NewAggregator(f)
+	a := NewBatchAggregator()
 	a.SetReplicated(func(PersonID) bool { return true })
 
 	half := weightIDFor(t, f, 1, 0b01) // numerator 6
 	full := weightIDFor(t, f, 1, 0b11) // numerator 12
 	// Lower score first, higher second, lower again: max must stick at 12.
 	for _, id := range []WeightID{half, full, half} {
-		if err := a.Add(Report{Person: 4, WeightIDs: []WeightID{id}}); err != nil {
+		if err := a.AddFrom(f.Weights(), Report{Person: 4, WeightIDs: []WeightID{id}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -139,7 +139,7 @@ func (f *Filter) insert(slot int, value int64, id WeightID) {
 // the weight-pointer lists across the k bits: the weights every probed bit
 // agrees on.
 //
-//dimatch:noalloc
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (f *Filter) probe(slot int, value int64, scratch []WeightID) ([]WeightID, bool) {
 	var buf [16]uint64
 	indexes := f.family.Indexes(f.key(slot, value), buf[:0])
@@ -164,7 +164,7 @@ func (f *Filter) probe(slot int, value int64, scratch []WeightID) ([]WeightID, b
 // intersectSorted intersects two ascending WeightID slices in place of a,
 // returning the (possibly shortened) result.
 //
-//dimatch:noalloc
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func intersectSorted(a, b []WeightID) []WeightID {
 	out := a[:0]
 	i, j := 0, 0

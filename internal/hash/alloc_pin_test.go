@@ -1,7 +1,4 @@
-// AllocsPerRun pins for the //dimatch:noalloc functions of this package.
-// The noalloc analyzer is the static early warning; these tests are the
-// runtime ground truth. cmd/di-lint -allocharness reports any annotated
-// function missing from this file.
+// AllocsPerRun pins: the functions of this package held to 0 allocs/op.
 package hash
 
 import "testing"
@@ -12,6 +9,6 @@ func TestNoallocMix64(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		mixSink = Mix64(mixSink + 0x9e3779b9)
 	}); n != 0 {
-		t.Fatalf("Mix64 allocates %v times per run; //dimatch:noalloc requires 0", n)
+		t.Fatalf("Mix64 allocates %v times per run; want 0", n)
 	}
 }

@@ -28,7 +28,7 @@ const (
 // 64-bit value. It is a bijection on uint64, so distinct inputs can never
 // collide at this stage.
 //
-//dimatch:noalloc
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func Mix64(x uint64) uint64 {
 	x += splitmixGamma
 	x = (x ^ (x >> 30)) * mixMul1

@@ -1,8 +1,5 @@
-// AllocsPerRun pins for the //dimatch:noalloc functions of this package:
-// (*Summary).Admits and (*Summary).contains, the coordinator's per-station
-// routing decision. The noalloc analyzer is the static early warning; these
-// tests are the runtime ground truth. cmd/di-lint -allocharness reports any
-// annotated function missing from this file.
+// AllocsPerRun pins: (*Summary).Admits and (*Summary).contains, the
+// coordinator's per-station routing decision, held to 0 allocs/op.
 package index
 
 import (
@@ -33,7 +30,7 @@ func TestNoallocSummaryAdmits(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		admitSink = s.Admits(p)
 	}); n != 0 {
-		t.Fatalf("(*Summary).Admits allocates %v times per run; //dimatch:noalloc requires 0", n)
+		t.Fatalf("(*Summary).Admits allocates %v times per run; want 0", n)
 	}
 }
 
@@ -42,7 +39,7 @@ func TestNoallocSummarycontains(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		admitSink = s.contains(0, 1)
 	}); n != 0 {
-		t.Fatalf("(*Summary).contains allocates %v times per run; //dimatch:noalloc requires 0", n)
+		t.Fatalf("(*Summary).contains allocates %v times per run; want 0", n)
 	}
 }
 
@@ -69,7 +66,7 @@ func TestNoallocSummarycontainsAdaptive(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		admitSink = s.containsAdaptive(1, 4)
 	}); n != 0 {
-		t.Fatalf("(*Summary).containsAdaptive allocates %v times per run; //dimatch:noalloc requires 0", n)
+		t.Fatalf("(*Summary).containsAdaptive allocates %v times per run; want 0", n)
 	}
 }
 
@@ -78,6 +75,6 @@ func TestNoallocSummarybandAdmit(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		admitSink = s.bandAdmit(0, 0, 3)
 	}); n != 0 {
-		t.Fatalf("(*Summary).bandAdmit allocates %v times per run; //dimatch:noalloc requires 0", n)
+		t.Fatalf("(*Summary).bandAdmit allocates %v times per run; want 0", n)
 	}
 }

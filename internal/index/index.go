@@ -264,7 +264,7 @@ func (s *Summary) Clone() *Summary {
 
 // contains probes one cell.
 //
-//dimatch:noalloc
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (s *Summary) contains(pos int, value int64) bool {
 	return s.filter.Contains(key(s.seed, pos, value))
 }
@@ -275,7 +275,7 @@ func (s *Summary) contains(pos int, value int64) bool {
 // quantized range is a superset of the band's inserted keys — the
 // conservative direction — and costs width/q lookups.
 //
-//dimatch:noalloc
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (s *Summary) bandAdmit(pos int, lo, hi int64) bool {
 	if s.planEpoch != 0 {
 		q := s.geoms[pos].Quantum
@@ -498,7 +498,7 @@ func (p Probe) EachBand(f func(pos int, lo, hi int64)) {
 // length, since its cells are incomparable and pruning on them would be
 // unsound.
 //
-//dimatch:noalloc
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (s *Summary) Admits(p Probe) bool {
 	if !p.selective {
 		return true

@@ -102,9 +102,6 @@ func New(opts Options) *Tree {
 // Len returns the number of stations in the tree.
 func (t *Tree) Len() int { return t.size }
 
-// Fanout returns the effective fanout.
-func (t *Tree) Fanout() int { return t.opts.Fanout }
-
 // Has reports whether the station is tracked.
 func (t *Tree) Has(station uint32) bool {
 	return t.find(station) != nil

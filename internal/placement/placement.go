@@ -65,16 +65,40 @@ func Rank(p core.PersonID, stations []uint32) []uint32 {
 }
 
 // Pick returns person p's replica set: the min(r, len(stations)) stations
-// with the highest rendezvous scores. r <= 0 returns nil.
+// with the highest rendezvous scores, in Rank's order — Rank(p, stations)[:r]
+// without ranking the rest. r <= 0 returns nil. Placement picks a handful of
+// replicas out of the whole membership for every person placed, so the
+// winners are kept in one pass over the scores (an insertion into r sorted
+// slots) instead of sorting all S stations.
 func Pick(p core.PersonID, stations []uint32, r int) []uint32 {
 	if r <= 0 || len(stations) == 0 {
 		return nil
 	}
-	ranked := Rank(p, stations)
-	if r < len(ranked) {
-		ranked = ranked[:r]
+	if r >= len(stations) {
+		return Rank(p, stations)
 	}
-	return ranked
+	ids := make([]uint32, 0, r)
+	scores := make([]uint64, 0, r)
+	for _, s := range stations {
+		sc := Score(p, s)
+		// i is where (sc, s) belongs among the winners so far: after every
+		// higher score, and after an equal score with a lower id.
+		i := len(ids)
+		for i > 0 && (scores[i-1] < sc || (scores[i-1] == sc && ids[i-1] > s)) {
+			i--
+		}
+		if i == r {
+			continue
+		}
+		if len(ids) < r {
+			ids = append(ids, 0)
+			scores = append(scores, 0)
+		}
+		copy(ids[i+1:], ids[i:])
+		copy(scores[i+1:], scores[i:])
+		ids[i], scores[i] = s, sc
+	}
+	return ids
 }
 
 // Table is the coordinator's record of placement intents: which persons are
@@ -142,17 +166,5 @@ func (t *Table) Snapshot() map[core.PersonID]int {
 		out[p] = r
 	}
 	t.mu.RUnlock()
-	return out
-}
-
-// Keys returns the placed person IDs in ascending order.
-func (t *Table) Keys() []core.PersonID {
-	t.mu.RLock()
-	out := make([]core.PersonID, 0, len(t.entries))
-	for p := range t.entries {
-		out = append(out, p)
-	}
-	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -1,11 +1,8 @@
-// AllocsPerRun pins for the //dimatch:noalloc functions of this package: the
-// resident store's steady-state surface — (*Residents).Find, replacing a
-// resident's row through (*Residents).Upsert, and row access through
-// (*Residents).Persons and (*Residents).Locals. Inserting a new person is
-// the one path allowed to allocate (a chunk, or slice growth). The noalloc
-// analyzer is the static early warning; these tests are the runtime ground
-// truth. cmd/di-lint -allocharness reports any annotated function missing
-// from this file.
+// AllocsPerRun pins: the resident store's steady-state surface —
+// (*Residents).Find, replacing a resident's row through (*Residents).Upsert,
+// and row access through (*Residents).Persons and (*Residents).Locals — held
+// to 0 allocs/op. Inserting a new person is the one path allowed to allocate
+// (a chunk, or slice growth).
 package store
 
 import (
@@ -35,7 +32,7 @@ func TestNoallocResidentsFind(t *testing.T) {
 		j, _ := r.Find(451)
 		findSink = i + j
 	}); n != 0 {
-		t.Fatalf("(*Residents).Find allocates %v times per run; //dimatch:noalloc requires 0", n)
+		t.Fatalf("(*Residents).Find allocates %v times per run; want 0", n)
 	}
 }
 
@@ -47,7 +44,7 @@ func TestNoallocResidentsUpsert(t *testing.T) {
 			t.Fatal("replace refused, or a foreign-length row applied")
 		}
 	}); n != 0 {
-		t.Fatalf("(*Residents).Upsert allocates %v times per run replacing a resident; //dimatch:noalloc requires 0", n)
+		t.Fatalf("(*Residents).Upsert allocates %v times per run replacing a resident; want 0", n)
 	}
 }
 
@@ -57,6 +54,6 @@ func TestNoallocResidentsRowAccess(t *testing.T) {
 		i, _ := r.Find(450)
 		cellSink = int64(r.Persons()[i]) + r.Locals()[i][0]
 	}); n != 0 {
-		t.Fatalf("(*Residents).Persons / (*Residents).Locals allocate %v times per run; //dimatch:noalloc requires 0", n)
+		t.Fatalf("(*Residents).Persons / (*Residents).Locals allocate %v times per run; want 0", n)
 	}
 }

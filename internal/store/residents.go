@@ -53,19 +53,19 @@ func (r *Residents) Bytes() uint64 {
 // Persons returns the resident person IDs, ascending. The slice is the
 // store's own: read it, do not keep it across a mutation.
 //
-//dimatch:noalloc
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (r *Residents) Persons() []core.PersonID { return r.persons }
 
 // Locals returns the rows parallel to Persons, under the same rule — and the
 // rows themselves are overwritten in place by a later Upsert of their person.
 //
-//dimatch:noalloc
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (r *Residents) Locals() []pattern.Pattern { return r.locals }
 
 // Find returns the index of person p in Persons and whether p is resident;
 // for an absent p the index is where p would be inserted.
 //
-//dimatch:noalloc
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (r *Residents) Find(p core.PersonID) (int, bool) {
 	lo, hi := 0, len(r.persons)
 	if hi == 0 || p > r.persons[hi-1] {
@@ -92,7 +92,7 @@ func (r *Residents) Find(p core.PersonID) (int, bool) {
 // qualify, and a store of mixed lengths cannot be digested). An empty store
 // takes its length from the first row applied.
 //
-//dimatch:noalloc
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (r *Residents) Upsert(p core.PersonID, local pattern.Pattern) bool {
 	if local.Sum() == 0 || (len(r.locals) > 0 && len(local) != len(r.locals[0])) {
 		return false

@@ -1,9 +1,6 @@
-// AllocsPerRun pins for the //dimatch:noalloc functions of this package:
-// Message.AppendFrame (the hot-path frame renderer behind every pooled
-// send) and AppendBatchReplyPayload (a station's streaming batch answer).
-// The noalloc analyzer is the static early warning; these tests are the
-// runtime ground truth. cmd/di-lint -allocharness reports any annotated
-// function missing from this file.
+// AllocsPerRun pins: Message.AppendFrame (the hot-path frame renderer behind
+// every pooled send) and AppendBatchReplyPayload (a station's streaming batch
+// answer), held to 0 allocs/op.
 package wire
 
 import (
@@ -20,7 +17,7 @@ func TestNoallocMessageAppendFrame(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		frameSink = m.AppendFrame(buf[:0])
 	}); n != 0 {
-		t.Fatalf("Message.AppendFrame allocates %v times per run; //dimatch:noalloc requires 0", n)
+		t.Fatalf("Message.AppendFrame allocates %v times per run; want 0", n)
 	}
 }
 
@@ -37,6 +34,6 @@ func TestNoallocAppendBatchReplyPayload(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		frameSink = AppendBatchReplyPayload(buf[:0], b)
 	}); n != 0 {
-		t.Fatalf("AppendBatchReplyPayload allocates %v times per run; //dimatch:noalloc requires 0", n)
+		t.Fatalf("AppendBatchReplyPayload allocates %v times per run; want 0", n)
 	}
 }

@@ -8,8 +8,7 @@ import (
 // TestKindTablesInSync pins the places a message kind must be registered —
 // the String table, the frame decoder's accepted set (Kind.known) and the
 // maxKind boundary — against each other. A new kind missing from one of them
-// fails here, complementing the wirekind analyzer (which proves the String
-// half statically in cmd/di-lint).
+// fails here.
 func TestKindTablesInSync(t *testing.T) {
 	retired := map[Kind]bool{1: true, 3: true, 4: true, 6: true, 7: true}
 	for k := Kind(0); k <= maxKind+1; k++ {

@@ -219,7 +219,7 @@ func (m Message) Encode() []byte {
 // buffer across frames (transport's TCP link). With sufficient capacity it
 // performs no allocation.
 //
-//dimatch:noalloc
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (m Message) AppendFrame(dst []byte) []byte {
 	buf := dst[:len(dst)]
 	var hdr [headerSize]byte
