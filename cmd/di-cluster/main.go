@@ -42,7 +42,7 @@ func main() {
 		strategy  = flag.String("strategy", "wbf", "center: search strategy (naive, bf, wbf)")
 		queries   = flag.Int("queries", 1, "center: total queries in the search batch (the reference person, padded with further references)")
 		batch     = flag.Int("batch", 0, "center: WithBatching bound: 0 packs all queries into one wire exchange per station, n>=1 splits into rounds of n queries")
-		routing   = flag.String("routing", "summary", "center: fan-out routing mode: summary (prune stations via a scan of the cached summaries), tree (prune by descending the digest tree over them) or full (classic every-station fan-out)")
+		routing   = flag.String("routing", "summary", "center: fan-out routing mode: summary (prune stations via a scan of the cached summaries) or full (classic every-station fan-out)")
 		timeout   = flag.Duration("timeout", time.Minute, "center: per-search deadline (0 for none)")
 		storeKind = flag.String("store", "memory", "station: resident store backend: memory or wal")
 		dir       = flag.String("dir", "", "station: WAL store directory (required with -store wal)")

@@ -101,17 +101,15 @@ const (
 
 // Routing modes, re-exported. RoutingSummary — the default — probes the
 // coordinator's cached per-station summaries and skips stations that cannot
-// hold a match; RoutingFull forces the classic every-station fan-out;
-// RoutingTree plans by descending a Bloofi-style digest tree, pruning whole
-// subtrees per check instead of scanning every digest (docs/ROUTING.md).
+// hold a match; RoutingFull forces the classic every-station fan-out
+// (docs/ROUTING.md).
 const (
 	RoutingSummary = cluster.RoutingSummary
 	RoutingFull    = cluster.RoutingFull
-	RoutingTree    = cluster.RoutingTree
 )
 
-// ParseRoutingMode is the inverse of RoutingMode.String: it maps "summary",
-// "full" and "tree" (case-insensitively) to the routing constants — the
+// ParseRoutingMode is the inverse of RoutingMode.String: it maps "summary"
+// and "full" (case-insensitively) to the routing constants — the
 // canonical way for CLIs to turn a flag into a RoutingMode.
 func ParseRoutingMode(s string) (RoutingMode, error) { return cluster.ParseRoutingMode(s) }
 
@@ -148,18 +146,16 @@ func WithTargetFP(fp float64) SearchOption { return cluster.WithTargetFP(fp) }
 func WithBatching(n int) SearchOption { return cluster.WithBatching(n) }
 
 // WithRouting selects the fan-out routing mode for one WBF search (default
-// RoutingSummary, or the cluster's Options.Routing). Summary routing sends
-// each query batch only to stations whose cached routing summary admits a
-// possible match — stations without a usable summary are always visited and
-// an all-pruned plan falls back to full fan-out, so results and recall are
-// identical to RoutingFull; only the wasted exchanges differ
-// (CostReport.StationsPruned counts them). RoutingTree keeps the same
-// guarantees but plans by descending a Bloofi-style digest tree, pruning
-// whole subtrees with one union check — sublinear planning cost on large
-// memberships, measured in CostReport.SubtreeProbes. BF and naive searches
-// ignore the mode and always fan out fully. Against region coordinators (see ServeRegion) every mode
-// additionally prunes whole regions by their subtree union digests before
-// delegating. See docs/ROUTING.md.
+// RoutingSummary). Summary routing sends each query batch only to stations
+// whose cached routing summary admits a possible match — stations without a
+// usable summary are always visited and an all-pruned plan falls back to
+// full fan-out, so results and recall are identical to RoutingFull; only the
+// wasted exchanges differ (CostReport.StationsPruned counts them,
+// CostReport.SubtreeProbes the digest evaluations planning cost). BF and
+// naive searches ignore the mode and always fan out fully. Against region
+// coordinators (see ServeRegion) summary routing additionally prunes whole
+// regions by their subtree union digests before delegating. See
+// docs/ROUTING.md.
 func WithRouting(m RoutingMode) SearchOption { return cluster.WithRouting(m) }
 
 // Sentinel errors returned by Search, re-exported for errors.Is checks.
@@ -359,11 +355,9 @@ func (c *Cluster) KillStation(id uint32) error { return c.inner.KillStation(id) 
 func (c *Cluster) Shutdown() error { return c.inner.Shutdown() }
 
 // RoutingState reports the coordinator's current routing-state footprint:
-// how many per-station digests are cached, their bytes, and the digest
-// tree's inner-node count and bytes (zero until a RoutingTree search builds
-// it). In a multi-tier deployment each coordinator holds state for its own
-// members only — the sublinear per-coordinator figure the hierarchy
-// benchmark records.
+// how many per-station digests are cached and their bytes. In a multi-tier
+// deployment each coordinator holds state for its own members only — the
+// sublinear per-coordinator figure TestTwoTierPlanningSublinearAt1024 pins.
 func (c *Cluster) RoutingState() RoutingState { return c.inner.RoutingState() }
 
 // RederiveParams derives a fresh adaptive digest parameter plan from the

@@ -84,18 +84,16 @@
 // # Hierarchical routing
 //
 // Past a few hundred stations the flat plan itself becomes the cost: the
-// coordinator probes and stores one digest per station. RoutingTree
-// arranges the cached digests in a Bloofi-style digest tree so planning
-// descends unions instead of scanning leaves, and ServeRegion moves whole
-// subtrees out of process — a region coordinator is a full cluster over
-// its member stations that serves its parent like one big station,
+// coordinator probes and stores one digest per station. ServeRegion moves
+// whole subtrees out of process — a region coordinator is a full cluster
+// over its member stations that serves its parent like one big station,
 // answering delegated search rounds with raw partials the root
 // merges, ranks and verifies globally:
 //
 //	sub, err := dimatch.NewEmptyCluster(opts, memberIDs, length)
 //	go dimatch.ServeRegion(regionID, sub, linkToParent)   // region process
 //	root, err := dimatch.NewClusterWithLinks(opts, links, length, nil, nil)
-//	out, err := root.Search(ctx, queries, dimatch.WithRouting(dimatch.RoutingTree))
+//	out, err := root.Search(ctx, queries)
 //	fmt.Println(out.Cost.TierHops, out.Cost.SubtreeProbes)
 //
 // Every tier prunes conservatively, so routed results stay byte-identical
@@ -135,11 +133,10 @@
 // A WBF search ships its whole query set in one wire exchange per station
 // by default; each station answers the round with a single walk over its
 // resident store, parallelized across a bounded worker pool.
-// WithBatching(n) bounds the round per call (Options.BatchSize sets the
-// cluster default): 0 packs everything into one round, n >= 1 splits into
-// rounds of n queries. Batching changes traffic and latency, not the
-// ranking of true matches (auto-sized filters can shift which rare Bloom
-// false positives slip through, as any resizing does).
+// WithBatching(n) bounds the round per call: 0 packs everything into one
+// round, n >= 1 splits into rounds of n queries. Batching changes traffic
+// and latency, not the ranking of true matches (auto-sized filters can shift
+// which rare Bloom false positives slip through, as any resizing does).
 //
 // # Live clusters
 //

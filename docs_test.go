@@ -102,13 +102,15 @@ func TestDocsLocalLinks(t *testing.T) {
 
 // removedRefs match what deleted tooling left in prose: the recorded-baseline
 // bench stack's BENCH_*.json files and di-bench's -<name>-out/-<name>-check
-// flag pairs; the di-lint binary and the two ways it ran.
+// flag pairs; the di-lint binary and the two ways it ran; the in-coordinator
+// digest-tree routing mode and the two Options fields nobody set.
 var removedRefs = []struct {
 	re   *regexp.Regexp
 	with string
 }{
 	{regexp.MustCompile(`BENCH_|-(replication|routing|stream|recovery|hierarchy|adaptive)-(out|check)\b`), "the recorded-baseline bench stack"},
 	{regexp.MustCompile(`di-lint|-vettool|-allocharness`), "cmd/di-lint (go test ./internal/analyzers is the one runner)"},
+	{regexp.MustCompile(`RoutingTree|Options\.(Routing|BatchSize)\b`), "the digest-tree planner and the cluster-level routing/batching defaults (WithRouting and WithBatching are per call)"},
 }
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every

@@ -178,7 +178,7 @@ func ExampleCluster_Search_hierarchical() {
 
 	out, err := root.Search(ctx, []dimatch.Query{
 		{ID: 1, Locals: []dimatch.Pattern{{3, 4, 5}}},
-	}, dimatch.WithRouting(dimatch.RoutingTree))
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

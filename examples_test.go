@@ -306,7 +306,7 @@ func TestReadmeHierarchySnippet(t *testing.T) {
 	// the raw partials — results byte-identical to a flat fan-out.
 	out, _ := root.Search(ctx, []dimatch.Query{
 		{ID: 1, Locals: []dimatch.Pattern{{3, 4, 5}}},
-	}, dimatch.WithRouting(dimatch.RoutingTree))
+	})
 	fmt.Println(out.Persons(1), "across", out.Cost.TierHops, "tiers")
 	// ---- end of snippet ----
 

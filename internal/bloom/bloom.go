@@ -114,15 +114,10 @@ func (f *Filter) FillRatio() float64 { return f.bits.FillRatio() }
 // storage-cost experiments.
 func (f *Filter) SizeBytes() uint64 { return f.bits.SizeBytes() }
 
-// FalsePositiveRate returns the analytic false-positive probability for the
-// filter's current load: (1 - (1-1/m)^(k*n))^k, the quantity the paper calls
-// the lower bound BF can guarantee (Table I's p and q).
-func (f *Filter) FalsePositiveRate() float64 {
-	return AnalyticFPRate(f.M(), f.K(), f.n)
-}
-
 // AnalyticFPRate returns the standard Bloom false-positive estimate for m
-// bits, k hashes and n inserted elements.
+// bits, k hashes and n inserted elements: (1 - (1-1/m)^(k*n))^k, the
+// quantity the paper calls the lower bound BF can guarantee (Table I's p
+// and q).
 func AnalyticFPRate(m uint64, k int, n uint64) float64 {
 	if m == 0 || k <= 0 {
 		return 1

@@ -75,7 +75,7 @@ func TestObservedFPRateNearAnalytic(t *testing.T) {
 		}
 	}
 	observed := float64(fp) / probes
-	analytic := f.FalsePositiveRate()
+	analytic := AnalyticFPRate(m, k, n)
 	if observed > analytic*2+0.01 {
 		t.Fatalf("observed FP rate %.4f far above analytic %.4f", observed, analytic)
 	}

@@ -130,13 +130,3 @@ func (d *Dataset) CategoryMean(c Category) []float64 {
 	}
 	return sum
 }
-
-// TotalPatternValues returns the number of stored (station, person,
-// interval) values — the storage baseline the naive strategy ships.
-func (d *Dataset) TotalPatternValues() uint64 {
-	var n uint64
-	for _, persons := range d.locals {
-		n += uint64(len(persons)) * uint64(d.Length())
-	}
-	return n
-}

@@ -45,15 +45,6 @@ type RecordSet struct {
 	Records map[StationID][]CDR
 }
 
-// TotalRecords returns the number of CDRs across all stations.
-func (rs *RecordSet) TotalRecords() int {
-	n := 0
-	for _, recs := range rs.Records {
-		n += len(recs)
-	}
-	return n
-}
-
 // stationSpacingKm mimics the paper's density: 8700 km² / 5120 stations
 // ≈ 1.7 km² per cell, i.e. ~1.3 km spacing.
 const stationSpacingKm = 1.3

@@ -41,18 +41,6 @@ type Options struct {
 	// TargetFP is the sizing target used when Params.Bits == 0
 	// (default 0.01).
 	TargetFP float64
-	// BatchSize bounds how many queries a WBF search packs into one round —
-	// one combined filter and one exchange per visited station. 0 (the
-	// default) packs the whole query set into a single round; n >= 1 splits
-	// the set into rounds of at most n queries. Override per call with
-	// WithBatching.
-	BatchSize int
-	// Routing selects the default fan-out routing for WBF searches. The
-	// zero value, RoutingSummary, prunes stations whose cached routing
-	// summary admits no possible match; RoutingFull keeps the classic
-	// every-station fan-out; RoutingTree plans over the Bloofi digest tree.
-	// Override per call with WithRouting.
-	Routing RoutingMode
 	// AdaptWindow is the traffic profiler's sliding window in observed
 	// band probes: once that many accumulate, every counter halves, so the
 	// profile tracks the recent mix instead of all history (see

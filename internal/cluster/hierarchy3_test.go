@@ -120,7 +120,7 @@ func TestThreeTierSearchMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []RoutingMode{RoutingFull, RoutingSummary, RoutingTree} {
+	for _, mode := range []RoutingMode{RoutingFull, RoutingSummary} {
 		got, err := tt.root.Search(ctx, queries, WithRouting(mode))
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -127,48 +128,11 @@ func emptyHierarchy(t *testing.T, regions, stationsPerRegion, length int) *hiera
 	return h
 }
 
-// TestTreeRoutedSearchMatchesSummaryAndFull is the flat-cluster pin for the
-// new mode: tree descent answers exactly like the per-station scan and like
-// full fan-out, prunes at least as hard, and bills its union probes.
-func TestTreeRoutedSearchMatchesSummaryAndFull(t *testing.T) {
-	c := routingTestCluster(t)
-	ctx := context.Background()
-	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{{50, 60, 70}}}}
-
-	full, err := c.Search(ctx, queries, WithRouting(RoutingFull))
-	if err != nil {
-		t.Fatal(err)
-	}
-	summary, err := c.Search(ctx, queries, WithRouting(RoutingSummary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := c.Search(ctx, queries, WithRouting(RoutingTree))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResults(t, "summary", queries, full, summary)
-	assertSameResults(t, "tree", queries, full, tree)
-	if tree.Cost.StationsPruned != 3 {
-		t.Fatalf("tree StationsPruned = %d, want 3", tree.Cost.StationsPruned)
-	}
-	if tree.Cost.SubtreeProbes == 0 {
-		t.Fatal("tree search billed no SubtreeProbes")
-	}
-	if tree.Cost.TierHops != 1 {
-		t.Fatalf("flat tree search TierHops = %d, want 1", tree.Cost.TierHops)
-	}
-	st := c.RoutingState()
-	if st.Entries == 0 || st.TreeBytes == 0 || st.TotalBytes() == 0 {
-		t.Fatalf("RoutingState not populated after tree search: %+v", st)
-	}
-}
-
-// TestTreeChurnEquivalence is the three-way churn sweep (run under -race):
-// random ingests, evicts, station adds, removes and kills interleave with
-// searches, and after every mutation the tree-routed and summary-routed
-// answers must equal the full fan-out answer on the same store.
-func TestTreeChurnEquivalence(t *testing.T) {
+// TestRoutedMembershipChurnEquivalence is the churn sweep that also moves
+// the membership (run under -race): random ingests, evicts, station adds and
+// removes interleave with searches, and after every mutation the
+// summary-routed answer must equal the full fan-out answer on the same store.
+func TestRoutedMembershipChurnEquivalence(t *testing.T) {
 	c := routingTestCluster(t)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
@@ -239,12 +203,7 @@ func TestTreeChurnEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := c.Search(ctx, queries, WithRouting(RoutingTree))
-		if err != nil {
-			t.Fatal(err)
-		}
 		assertSameResults(t, fmt.Sprintf("summary step %d", step), queries, full, summary)
-		assertSameResults(t, fmt.Sprintf("tree step %d", step), queries, full, tree)
 	}
 }
 
@@ -291,15 +250,13 @@ func TestHierarchicalSearchMatchesFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The root's BatchSize travels in the route query: 1 makes every region
-		// run its queries as rounds of one.
+		// The root's batching bound travels in the route query: 1 makes every
+		// region run its queries as rounds of one.
+		h := buildHierarchy(t, data, 3, 3, in.opts)
 		for _, batch := range []int{0, 1} {
-			rootOpts := in.opts
-			rootOpts.BatchSize = batch
-			h := buildHierarchy(t, data, 3, 3, rootOpts)
-			for _, mode := range []RoutingMode{RoutingFull, RoutingSummary, RoutingTree} {
-				label := fmt.Sprintf("%s: hier batch %d %s", in.name, rootOpts.BatchSize, mode)
-				got, err := h.root.Search(ctx, queries, WithRouting(mode))
+			for _, mode := range []RoutingMode{RoutingFull, RoutingSummary} {
+				label := fmt.Sprintf("%s: hier batch %d %s", in.name, batch, mode)
+				got, err := h.root.Search(ctx, queries, WithRouting(mode), WithBatching(batch))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -315,6 +272,59 @@ func TestHierarchicalSearchMatchesFlat(t *testing.T) {
 		if len(want.PerQuery[1]) == 0 || len(want.PerQuery[2]) == 0 {
 			t.Fatalf("%s: probe queries found nothing — test data drifted", in.name)
 		}
+	}
+}
+
+// TestRegionPlansUnknownRoutingOrdinalWithTheScan pins the wire
+// compatibility rule for KindRouteQuery's Routing byte: 0 and 1 are summary
+// and full, and any other ordinal — 2 once named a digest-tree planner — is
+// planned with the scan, so the region's reply is the one Routing 0 gets,
+// counters included.
+func TestRegionPlansUnknownRoutingOrdinalWithTheScan(t *testing.T) {
+	rc := routingTestCluster(t)
+	rootEnd, regionEnd := transport.Pipe(nil, nil)
+	served := make(chan error, 1)
+	go func() { served <- ServeRegion(100, rc, regionEnd) }()
+	ask := func(routing uint8) wire.RouteReply {
+		t.Helper()
+		req, err := wire.EncodeRouteQuery(wire.RouteQuery{
+			Queries: []core.Query{{ID: 1, Locals: []pattern.Pattern{{50, 60, 70}}}},
+			Routing: routing,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rootEnd.Send(req); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := rootEnd.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := wire.DecodeRouteReply(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rr
+	}
+	ask(uint8(RoutingSummary)) // fills the region's digest cache
+	want := ask(uint8(RoutingSummary))
+	if want.Pruned != 3 || want.Probes != 4 || len(want.Results) == 0 {
+		t.Fatalf("summary-routed reply %+v, want 3 of 4 stations pruned in 4 probes and a result", want)
+	}
+	for _, ordinal := range []uint8{2, 200} {
+		if got := ask(ordinal); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Routing %d reply %+v, want the Routing 0 reply %+v", ordinal, got, want)
+		}
+	}
+	if full := ask(uint8(RoutingFull)); full.Pruned != 0 || full.Probes != 0 || !reflect.DeepEqual(full.Results, want.Results) {
+		t.Fatalf("full fan-out reply %+v, want nothing pruned or probed and results %+v", full, want.Results)
+	}
+	if err := rootEnd.Send(wire.Message{Kind: wire.KindShutdown}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("ServeRegion: %v", err)
 	}
 }
 
@@ -369,7 +379,7 @@ func TestMixedRootSearchMatchesFlat(t *testing.T) {
 		if (len(want.PerQuery[1]) > 0) != in.found {
 			t.Fatalf("%s: flat reference found %v — test data drifted", in.name, want.PerQuery[1])
 		}
-		for _, mode := range []RoutingMode{RoutingFull, RoutingSummary, RoutingTree} {
+		for _, mode := range []RoutingMode{RoutingFull, RoutingSummary} {
 			label := fmt.Sprintf("%s %s", in.name, mode)
 			got, err := root.Search(ctx, queries, WithRouting(mode))
 			if err != nil {
@@ -503,7 +513,7 @@ func (l *kindTap) count(k wire.Kind) int {
 // the root with R=2 land on two distinct regions; killing one region
 // coordinator mid-search costs availability of nothing — the searches in
 // flight across the kill succeed, every queried person is still found at
-// full score through its surviving replica, and the tree-routed answer
+// full score through its surviving replica, and the routed answer
 // stays equal to full fan-out's. The dead region is billed as failed, never
 // silently skipped, and the root's heal leaves Rebalance nothing to do.
 func TestHierarchicalPlacementAndRegionKill(t *testing.T) {
@@ -521,9 +531,9 @@ func TestHierarchicalPlacementAndRegionKill(t *testing.T) {
 	probe := func(p core.PersonID) []core.Query {
 		return []core.Query{{ID: core.QueryID(p), Locals: []pattern.Pattern{patterns[p]}}}
 	}
-	// found searches for one person by full fan-out and tree-routed: full
-	// fan-out must return the person at full score and the tree-routed
-	// answer must equal it. It reports whether either search billed a failed
+	// found searches for one person by full fan-out and summary-routed: full
+	// fan-out must return the person at full score and the routed answer
+	// must equal it. It reports whether either search billed a failed
 	// region.
 	found := func(phase string, p core.PersonID) (sawFailure bool) {
 		t.Helper()
@@ -535,18 +545,18 @@ func TestHierarchicalPlacementAndRegionKill(t *testing.T) {
 		if len(res) == 0 || res[0].Person != p || res[0].Score() != 1.0 {
 			t.Fatalf("person %d not found at full score %s: %v", p, phase, res)
 		}
-		routed, err := h.root.Search(ctx, probe(p), WithRouting(RoutingTree))
+		routed, err := h.root.Search(ctx, probe(p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResults(t, "tree-routed vs full fan-out "+phase, probe(p), full, routed)
+		assertSameResults(t, "routed vs full fan-out "+phase, probe(p), full, routed)
 		return routed.Cost.StationsFailed > 0 || full.Cost.StationsFailed > 0
 	}
 	for _, p := range []core.PersonID{3, 11, 19} {
 		found("before the kill", p)
 	}
 
-	// A background searcher keeps tree-routed searches in flight while one
+	// A background searcher keeps routed searches in flight while one
 	// region coordinator is killed: its link closes, ServeRegion exits.
 	regionIDs := h.root.currentEpoch().ids
 	func() {
@@ -558,7 +568,7 @@ func TestHierarchicalPlacementAndRegionKill(t *testing.T) {
 		go func() {
 			defer close(done)
 			for {
-				if _, err := h.root.Search(ctx, probe(3), WithRouting(RoutingTree)); err != nil {
+				if _, err := h.root.Search(ctx, probe(3)); err != nil {
 					t.Errorf("search across the region kill: %v", err)
 					return
 				}
@@ -620,7 +630,7 @@ func TestHierarchicalIngestEvictThroughRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{{7, 8, 9}}}}
-	for _, mode := range []RoutingMode{RoutingSummary, RoutingTree, RoutingFull} {
+	for _, mode := range []RoutingMode{RoutingSummary, RoutingFull} {
 		out, err := h.root.Search(ctx, queries, WithRouting(mode))
 		if err != nil {
 			t.Fatal(err)
@@ -642,7 +652,7 @@ func TestHierarchicalIngestEvictThroughRoot(t *testing.T) {
 }
 
 // TestHierarchicalChurnEquivalence (run under -race) sweeps root-level
-// ingests and evicts across regions while comparing every routing mode
+// ingests and evicts across regions while comparing summary routing
 // against full fan-out on the hierarchical topology itself.
 func TestHierarchicalChurnEquivalence(t *testing.T) {
 	h := emptyHierarchy(t, 3, 2, 3)
@@ -680,25 +690,22 @@ func TestHierarchicalChurnEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []RoutingMode{RoutingSummary, RoutingTree} {
-			got, err := h.root.Search(ctx, queries, WithRouting(mode))
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResults(t, fmt.Sprintf("%v step %d", mode, step), queries, full, got)
+		got, err := h.root.Search(ctx, queries, WithRouting(RoutingSummary))
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertSameResults(t, fmt.Sprintf("summary step %d", step), queries, full, got)
 	}
 }
 
-// TestTwoTierPlanningSublinearAt1024 pins the scaling claim the Bloofi-style
-// digest tree and the tier split exist for, at the size it is stated in:
-// 1 024 stations behind 32 region coordinators answer byte-identically to a
-// flat full fan-out while the two tiers together evaluate at most 0.25·N
-// digest probes per query (the flat scan is linear in N by construction) and
+// TestTwoTierPlanningSublinearAt1024 pins the scaling claim the tier split
+// exists for, at the size it is stated in: 1 024 stations behind 32 region
+// coordinators answer byte-identically to a flat full fan-out while the two
+// tiers together — the same flat scan at each — evaluate at most 0.25·N
+// digest probes per query (one flat scan is linear in N by construction) and
 // no coordinator holds as much routing state as the flat one. Residents per
 // station are kept small — the claim is about N, not store size. Everything
-// asserted is counted, not timed; the tree's build order moves the probe
-// counts by a few per query, far inside the bounds.
+// asserted is counted, not timed, and repeats exactly from run to run.
 func TestTwoTierPlanningSublinearAt1024(t *testing.T) {
 	const (
 		stations  = 1024
@@ -767,26 +774,24 @@ func TestTwoTierPlanningSublinearAt1024(t *testing.T) {
 	}
 	flatSummary := steady(flat, RoutingSummary)
 	assertSameResults(t, "flat summary", queries, want, flatSummary)
-	summaryState := flat.RoutingState().TotalBytes()
-	flatTree := steady(flat, RoutingTree)
-	assertSameResults(t, "flat tree", queries, want, flatTree)
 	flatState := flat.RoutingState().TotalBytes()
-	// ROADMAP "one in-process planner": the flat scan against the flat tree
-	// at fleet size.
-	t.Logf("flat, %d stations: summary scan %.1f probes/query, %d B state; tree descent %.1f probes/query, %d B state",
-		stations, probesPerQuery(flatSummary), summaryState, probesPerQuery(flatTree), flatState)
+	scan := probesPerQuery(flatSummary)
+	t.Logf("flat, %d stations: %.1f probes/query, %d B state", stations, scan, flatState)
 
 	h := buildHierarchy(t, data, perRegion, length, opts)
-	got := steady(h.root, RoutingTree)
-	assertSameResults(t, "two-tier tree", queries, want, got)
+	got := steady(h.root, RoutingSummary)
+	assertSameResults(t, "two-tier", queries, want, got)
 	if got.Cost.TierHops != 2 {
 		t.Fatalf("two-tier search TierHops = %d, want 2", got.Cost.TierHops)
+	}
+	if again := steady(h.root, RoutingSummary); again.Cost.SubtreeProbes != got.Cost.SubtreeProbes {
+		t.Fatalf("two-tier SubtreeProbes = %d, then %d: planning cost must repeat exactly", got.Cost.SubtreeProbes, again.Cost.SubtreeProbes)
 	}
 	hier := probesPerQuery(got)
 	if hier > 0.25*stations {
 		t.Fatalf("two-tier planning evaluated %.1f probes/query, want <= %.0f (0.25·N)", hier, 0.25*stations)
 	}
-	if scan := probesPerQuery(flatSummary); hier >= scan {
+	if hier >= scan {
 		t.Fatalf("two-tier planning evaluated %.1f probes/query, flat scan %.1f", hier, scan)
 	}
 	var maxState uint64

@@ -210,28 +210,24 @@ func TestRederiveParamsRollout(t *testing.T) {
 	}
 
 	// Post-rollout searches answer byte-identically to full fan-out, keep
-	// pruning, and pin the new epoch. Both routing modes must agree —
-	// adaptive digests fall off the Bloofi tree (not Unionable) onto the
-	// flat probe path, which must stay exact.
+	// pruning, and pin the new epoch.
 	full, err := c.Search(ctx, queries, WithRouting(RoutingFull))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []RoutingMode{RoutingSummary, RoutingTree} {
-		routed, err := c.Search(ctx, queries, WithRouting(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, "adaptive "+mode.String(), queries, full, routed)
-		if routed.Cost.ParamEpoch != 1 {
-			t.Fatalf("%v ParamEpoch = %d, want 1", mode, routed.Cost.ParamEpoch)
-		}
-		// At least two of the three off-target stations must still prune
-		// (the adaptive digests keep their ~1% fp budget, so we don't pin
-		// an exact count).
-		if routed.Cost.StationsPruned < 2 {
-			t.Fatalf("%v StationsPruned = %d, want >= 2", mode, routed.Cost.StationsPruned)
-		}
+	routed, err := c.Search(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "adaptive", queries, full, routed)
+	if routed.Cost.ParamEpoch != 1 {
+		t.Fatalf("routed ParamEpoch = %d, want 1", routed.Cost.ParamEpoch)
+	}
+	// At least two of the three off-target stations must still prune
+	// (the adaptive digests keep their ~1% fp budget, so we don't pin
+	// an exact count).
+	if routed.Cost.StationsPruned < 2 {
+		t.Fatalf("routed StationsPruned = %d, want >= 2", routed.Cost.StationsPruned)
 	}
 	if full.Cost.ParamEpoch != 1 {
 		t.Fatalf("full fan-out ParamEpoch = %d, want 1", full.Cost.ParamEpoch)

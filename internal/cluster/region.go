@@ -108,9 +108,11 @@ func (r *Region) handleRoute(ctx context.Context, msg wire.Message) (*wire.Messa
 	if err != nil {
 		return nil, fmt.Errorf("region %d: %w", r.id, err)
 	}
-	mode := RoutingMode(rq.Routing)
-	if mode < RoutingSummary || mode > RoutingTree {
-		mode = RoutingSummary
+	// Any ordinal but RoutingFull plans with the scan: it is conservative,
+	// so an unknown mode costs nothing in results.
+	mode := RoutingSummary
+	if RoutingMode(rq.Routing) == RoutingFull {
+		mode = RoutingFull
 	}
 	out, err := r.c.Search(ctx, rq.Queries,
 		WithStrategy(StrategyWBF),

@@ -6,7 +6,6 @@ import (
 
 	"dimatch/internal/core"
 	"dimatch/internal/index"
-	"dimatch/internal/index/tree"
 	"dimatch/internal/pattern"
 	"dimatch/internal/transport"
 	"dimatch/internal/wire"
@@ -26,27 +25,6 @@ type summaryCache struct {
 	mu      sync.Mutex
 	entries map[uint32]*index.Summary // dimatch:guardedby mu
 	gens    map[uint32]uint64         // dimatch:guardedby mu
-	// digests is the Bloofi tree over the cached entries (internal/index/tree),
-	// built lazily by the first tree-routed search and kept in lockstep with
-	// the cache from then on: put syncs the fresh digest in, invalidate
-	// removes the station, noteIngest delta-propagates the new cells up the
-	// station's root path. A digest the tree rejects (foreign geometry, e.g. a
-	// non-power-of-two filter) simply stays outside and is probed flat — never
-	// pruned by a union it is not part of.
-	digests *tree.Tree // dimatch:guardedby mu
-}
-
-// syncTreeLocked mirrors one cached digest into the tree. Callers hold mu.
-// On rejection the station is evicted from the tree: a stale leaf left
-// behind could prune the station away from residents its fresh (rejected)
-// digest covers.
-func (c *summaryCache) syncTreeLocked(id uint32, s *index.Summary) {
-	if c.digests == nil {
-		return
-	}
-	if err := c.digests.Add(id, s); err != nil {
-		c.digests.Remove(id)
-	}
 }
 
 // get returns the cached summary for a station (nil if absent) and the
@@ -71,7 +49,6 @@ func (c *summaryCache) put(id uint32, gen uint64, s *index.Summary) {
 		c.entries = make(map[uint32]*index.Summary)
 	}
 	c.entries[id] = s
-	c.syncTreeLocked(id, s)
 }
 
 // genSnapshot returns each station's current generation, in the given
@@ -97,9 +74,6 @@ func (c *summaryCache) invalidate(id uint32) {
 	}
 	c.gens[id]++
 	delete(c.entries, id)
-	if c.digests != nil {
-		c.digests.Remove(id)
-	}
 }
 
 // noteIngest applies an ingest to the cached digest: the generation bumps
@@ -129,79 +103,20 @@ func (c *summaryCache) noteIngest(id uint32, locals []pattern.Pattern) {
 			// that was empty): the digest cannot absorb the delta — drop it
 			// and let the next routed search refetch.
 			delete(c.entries, id)
-			if c.digests != nil {
-				c.digests.Remove(id)
-			}
 			return
 		}
 	}
 	c.entries[id] = updated
-	if c.digests != nil {
-		// Propagate the delta up the station's root path copy-on-write; only
-		// the touched ancestors' unions are rebuilt. A station the tree does
-		// not hold (or a failed propagation) falls back to a full re-insert.
-		synced := true
-		for _, l := range locals {
-			if l.Sum() == 0 {
-				continue
-			}
-			if ok, err := c.digests.DeltaAdd(id, updated, l); err != nil || !ok {
-				synced = false
-				break
-			}
-		}
-		if !synced {
-			c.syncTreeLocked(id, updated)
-		}
-	}
-}
-
-// descend plans a tree-routed search: it builds the Bloofi tree (node width
-// tree.DefaultFanout) over the cached digests on the first tree-routed
-// search, then routes the probes through it. It returns which of the given
-// stations the tree admits, which it tracks at all (an untracked station
-// must be probed flat by the caller), and the number of union/leaf Admits
-// evaluations the descent performed. Pure in-memory work under mu: no IO
-// happens while the cache lock is held.
-func (c *summaryCache) descend(probes []index.Probe, ids []uint32) (admitted, member map[uint32]bool, evaluated int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.digests == nil {
-		t := tree.New(tree.Options{})
-		for id, sum := range c.entries {
-			// Rejected digests (foreign geometry) stay outside the tree and
-			// are probed flat by the caller.
-			_ = t.Add(id, sum)
-		}
-		c.digests = t
-	}
-	hits, evaluated := c.digests.Route(probes)
-	admitted = make(map[uint32]bool, len(hits))
-	for _, id := range hits {
-		admitted[id] = true
-	}
-	member = make(map[uint32]bool, len(ids))
-	for _, id := range ids {
-		if c.digests.Has(id) {
-			member[id] = true
-		}
-	}
-	return admitted, member, evaluated
 }
 
 // state snapshots the cache's memory footprint for Cluster.RoutingState.
-func (c *summaryCache) state() (entries int, digestBytes uint64, treeInner int, treeBytes uint64) {
+func (c *summaryCache) state() (entries int, digestBytes uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	entries = len(c.entries)
 	for _, s := range c.entries {
 		digestBytes += s.SizeBytes()
 	}
-	if c.digests != nil {
-		treeInner, _ = c.digests.Nodes()
-		treeBytes = c.digests.UnionBytes()
-	}
-	return entries, digestBytes, treeInner, treeBytes
+	return len(c.entries), digestBytes
 }
 
 // planRoute is the routing step of a WBF search, one pass over the whole
@@ -209,8 +124,8 @@ func (c *summaryCache) state() (entries int, digestBytes uint64, treeInner int, 
 // and returns the epoch restricted to the members that must be visited,
 // charging summary-refresh traffic to cost. A route delegate (a region
 // coordinator) differs from a plain station only in where its digest comes
-// from: it is fetched on every search, never cached and never put in the
-// tree, because a region's membership churns invisibly to this coordinator.
+// from: it is fetched on every search and never cached, because a region's
+// membership churns invisibly to this coordinator.
 // The full epoch is returned — and nothing is pruned — whenever pruning
 // would be unsound or pointless: a single-member cluster, probes over
 // budget, or a plan that would exclude everything (stale summaries must
@@ -309,29 +224,14 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]
 	}
 	c.observeRoute(probes, consulted)
 
-	// The inclusion pass. Under RoutingTree the cached digests are arranged
-	// in the Bloofi tree and the probes descend it — one union check can rule
-	// out a whole subtree — with members the tree does not track (a delegate,
-	// no cached digest, or a geometry it rejected) probed flat exactly like
-	// the summary mode. Every Admits evaluation, flat or tree, counts into
-	// SubtreeProbes: it is the planning-cost figure the hierarchy test bounds.
-	var treeAdmit, treeMember map[uint32]bool
-	if cfg.routing == RoutingTree {
-		var evaluated int
-		treeAdmit, treeMember, evaluated = c.summaries.descend(probes, ep.ids)
-		cost.SubtreeProbes += uint64(evaluated)
-	}
+	// The inclusion pass: one flat scan of the members' digests. Every
+	// Admits evaluation counts into SubtreeProbes, the planning-cost figure
+	// the hierarchy test bounds.
 	included := make([]int, 0, len(ep.ids))
-	for i, id := range ep.ids {
+	for i := range ep.ids {
 		sum := slots[i].sum
 		if sum == nil {
 			included = append(included, i)
-			continue
-		}
-		if treeMember[id] && !delegate[id] {
-			if treeAdmit[id] {
-				included = append(included, i)
-			}
 			continue
 		}
 		for _, pr := range probes {
@@ -364,24 +264,13 @@ type RoutingState struct {
 	// CachedDigestBytes their total filter bytes.
 	Entries           int
 	CachedDigestBytes uint64
-	// TreeNodes is the number of inner (union) nodes of the Bloofi tree and
-	// TreeBytes their filter bytes — zero until the first tree-routed search
-	// builds it. Leaf digests are shared with the flat cache and counted in
-	// CachedDigestBytes only.
-	TreeNodes int
-	TreeBytes uint64
 }
 
 // TotalBytes returns the coordinator's whole routing-state footprint.
-func (s RoutingState) TotalBytes() uint64 { return s.CachedDigestBytes + s.TreeBytes }
+func (s RoutingState) TotalBytes() uint64 { return s.CachedDigestBytes }
 
 // RoutingState snapshots the coordinator's current routing-state footprint.
 func (c *Cluster) RoutingState() RoutingState {
-	entries, digestBytes, inner, treeBytes := c.summaries.state()
-	return RoutingState{
-		Entries:           entries,
-		CachedDigestBytes: digestBytes,
-		TreeNodes:         inner,
-		TreeBytes:         treeBytes,
-	}
+	entries, digestBytes := c.summaries.state()
+	return RoutingState{Entries: entries, CachedDigestBytes: digestBytes}
 }

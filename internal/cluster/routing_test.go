@@ -100,6 +100,14 @@ func TestRoutedSearchPrunesAndMatchesFullFanOut(t *testing.T) {
 	if warm.Cost.SummaryRefreshes != 0 || warm.Cost.StationsPruned != 3 {
 		t.Fatalf("warm routed search: %+v", warm.Cost)
 	}
+	// Planning is one digest evaluation per (probe, station) at one tier,
+	// over the four digests the cache now holds.
+	if warm.Cost.SubtreeProbes != 4 || warm.Cost.TierHops != 1 {
+		t.Fatalf("warm routed search: SubtreeProbes = %d, TierHops = %d; want 4 and 1", warm.Cost.SubtreeProbes, warm.Cost.TierHops)
+	}
+	if st := c.RoutingState(); st.Entries != 4 || st.TotalBytes() == 0 || st.TotalBytes() != st.CachedDigestBytes {
+		t.Fatalf("RoutingState after routed searches: %+v", st)
+	}
 
 	// Rounds of one query route identically.
 	single, err := c.Search(ctx, queries, WithBatching(1))
@@ -325,24 +333,22 @@ func TestStationWithoutStatsEntryIsPlain(t *testing.T) {
 
 	onFlaky := []core.Query{{ID: 1, Locals: []pattern.Pattern{{50, 60, 70}}}}
 	elsewhere := []core.Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}}}}
-	for _, mode := range []RoutingMode{RoutingSummary, RoutingTree} {
-		for _, queries := range [][]core.Query{onFlaky, elsewhere} {
-			full, err := c.Search(ctx, queries, WithRouting(RoutingFull))
-			if err != nil {
-				t.Fatal(err)
-			}
-			routed, err := c.Search(ctx, queries, WithRouting(mode))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(routed.PerQuery, full.PerQuery) || len(full.PerQuery[1]) != 1 {
-				t.Fatalf("%v: routed %v, full fan-out %v", mode, routed.PerQuery, full.PerQuery)
-			}
-			// Either way exactly one station admits: station 2 is visited
-			// when it holds the match and pruned when it does not.
-			if routed.Cost.StationsPruned != 2 || routed.Cost.StationsFailed != 0 {
-				t.Fatalf("%v: pruned %d failed %d, want 2 and 0", mode, routed.Cost.StationsPruned, routed.Cost.StationsFailed)
-			}
+	for _, queries := range [][]core.Query{onFlaky, elsewhere} {
+		full, err := c.Search(ctx, queries, WithRouting(RoutingFull))
+		if err != nil {
+			t.Fatal(err)
+		}
+		routed, err := c.Search(ctx, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(routed.PerQuery, full.PerQuery) || len(full.PerQuery[1]) != 1 {
+			t.Fatalf("routed %v, full fan-out %v", routed.PerQuery, full.PerQuery)
+		}
+		// Either way exactly one station admits: station 2 is visited
+		// when it holds the match and pruned when it does not.
+		if routed.Cost.StationsPruned != 2 || routed.Cost.StationsFailed != 0 {
+			t.Fatalf("pruned %d failed %d, want 2 and 0", routed.Cost.StationsPruned, routed.Cost.StationsFailed)
 		}
 	}
 }
@@ -503,8 +509,11 @@ func TestParseRoutingMode(t *testing.T) {
 			t.Fatalf("ParseRoutingMode(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := ParseRoutingMode("sideways"); err == nil {
-		t.Fatal("bad mode accepted")
+	// "tree" named the in-coordinator digest tree, deleted with its mode.
+	for _, bad := range []string{"sideways", "tree"} {
+		if _, err := ParseRoutingMode(bad); !errors.Is(err, ErrUnknownRouting) {
+			t.Fatalf("ParseRoutingMode(%q) err = %v, want ErrUnknownRouting", bad, err)
+		}
 	}
 	if RoutingSummary.String() != "summary" || RoutingFull.String() != "full" {
 		t.Fatal("RoutingMode.String drifted")

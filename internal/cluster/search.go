@@ -95,15 +95,6 @@ const (
 	// RoutingFull forces the classic full fan-out: every member station is
 	// visited, no summaries are fetched or probed.
 	RoutingFull
-	// RoutingTree keeps the per-station digests in a Bloofi-style digest tree
-	// (internal/index/tree) and plans each search by descending it: a whole
-	// subtree whose union digest denies every probe is pruned with one check
-	// instead of one per station. Pruning stays exactly as conservative as
-	// RoutingSummary — the tree's inner nodes are bitwise-OR unions, which
-	// only ever over-admit — so results are identical; the mode trades a few
-	// union probes for sublinear planning cost on large memberships. See
-	// docs/ROUTING.md.
-	RoutingTree
 )
 
 func (m RoutingMode) String() string {
@@ -112,25 +103,21 @@ func (m RoutingMode) String() string {
 		return "summary"
 	case RoutingFull:
 		return "full"
-	case RoutingTree:
-		return "tree"
 	default:
 		return fmt.Sprintf("RoutingMode(%d)", int(m))
 	}
 }
 
-// ParseRoutingMode is the inverse of RoutingMode.String: it maps "summary",
-// "full" and "tree" (case-insensitively) to the routing constants.
+// ParseRoutingMode is the inverse of RoutingMode.String: it maps "summary"
+// and "full" (case-insensitively) to the routing constants.
 func ParseRoutingMode(s string) (RoutingMode, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "summary":
 		return RoutingSummary, nil
 	case "full":
 		return RoutingFull, nil
-	case "tree":
-		return RoutingTree, nil
 	default:
-		return 0, fmt.Errorf("%w: %q (want summary, full or tree)", ErrUnknownRouting, s)
+		return 0, fmt.Errorf("%w: %q (want summary or full)", ErrUnknownRouting, s)
 	}
 }
 
@@ -188,19 +175,18 @@ func WithTargetFP(fp float64) SearchOption {
 // n <= 0 (the default) packs the whole query set into a single
 // KindBatchQuery exchange per station; n >= 1 splits the set into rounds of
 // at most n queries, each with its own combined filter. BF and naive
-// searches already move one frame per station and ignore the setting. See
-// Options.BatchSize for the cluster default.
+// searches already move one frame per station and ignore the setting.
 func WithBatching(n int) SearchOption {
 	return func(c *searchConfig) { c.batchSize = n }
 }
 
 // WithRouting selects the fan-out routing mode for this call (default
-// RoutingSummary, or the cluster's Options.Routing). Routing applies to WBF
-// searches only: BF and naive searches always fan out to every station —
-// the naive strategy needs every store by definition, and the baseline is
-// kept at the paper's cost model. Use WithRouting(RoutingFull) to force the
-// classic full fan-out, e.g. to measure routing's saving or to sidestep
-// summary refreshes in a mutation-heavy burst.
+// RoutingSummary). Routing applies to WBF searches only: BF and naive
+// searches always fan out to every station — the naive strategy needs every
+// store by definition, and the baseline is kept at the paper's cost model.
+// Use WithRouting(RoutingFull) to force the classic full fan-out, e.g. to
+// measure routing's saving or to sidestep summary refreshes in a
+// mutation-heavy burst.
 func WithRouting(m RoutingMode) SearchOption {
 	return func(c *searchConfig) { c.routing = m }
 }
@@ -220,17 +206,17 @@ func withRaw() SearchOption {
 	return func(c *searchConfig) { c.raw = true }
 }
 
-// searchDefaults resolves the cluster-level Options into a per-call config.
+// searchDefaults resolves the cluster-level Options into a per-call config;
+// batching and routing have no cluster-level default and start from their
+// zero values (one round, RoutingSummary).
 func (c *Cluster) searchDefaults() searchConfig {
 	return searchConfig{
-		strategy:  StrategyWBF,
-		params:    c.opts.Params,
-		topK:      c.opts.TopK,
-		minScore:  c.opts.MinScore,
-		verify:    c.opts.Verify,
-		targetFP:  c.opts.TargetFP,
-		batchSize: c.opts.BatchSize,
-		routing:   c.opts.Routing,
+		strategy: StrategyWBF,
+		params:   c.opts.Params,
+		topK:     c.opts.TopK,
+		minScore: c.opts.MinScore,
+		verify:   c.opts.Verify,
+		targetFP: c.opts.TargetFP,
 	}
 }
 
@@ -295,12 +281,12 @@ type CostReport struct {
 	SummaryBytesDown uint64
 	SummaryBytesUp   uint64
 	// SubtreeProbes counts digest-membership evaluations the routing plan
-	// performed: one per (probe, digest) pair under RoutingSummary's flat
-	// scan, one per (probe, tree node) visited under RoutingTree's descent —
-	// including union probes on pruned subtrees and the root's probes on
-	// region digests. It is the planning-cost figure
-	// TestTwoTierPlanningSublinearAt1024 bounds: flat planning grows linearly
-	// in the membership, two-tier descent sublinearly.
+	// performed: one per (probe, digest) pair of the flat scan, at this
+	// coordinator (the root's probes on region digests included) and, summed
+	// in from their replies, at every region below it. It is the
+	// planning-cost figure TestTwoTierPlanningSublinearAt1024 bounds: flat
+	// planning grows linearly in the membership, two-tier planning
+	// sublinearly.
 	SubtreeProbes uint64
 	// TierHops is the coordinator depth this WBF search traversed: 1 for a
 	// flat cluster, 1 + the deepest delegate's own TierHops when route

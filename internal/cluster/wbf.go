@@ -40,9 +40,9 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	// pattern, so the best report wins instead of the weights summing — and
 	// a replica that fails mid-fan-out is covered by any survivor.
 	agg.SetReplicated(c.replicatedPred())
-	// The routing step: probe the members' summaries (flat scan or Bloofi
-	// tree descent) and restrict the query fan-out to members that might
-	// answer — plain stations and region coordinators in one pass.
+	// The routing step: probe the members' summaries and restrict the query
+	// fan-out to members that might answer — plain stations and region
+	// coordinators in one pass.
 	// Verification below still uses the full epoch — a candidate's locals can
 	// live on stations that hold no within-band resident, and the verify
 	// fetch must see them all.

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"dimatch/internal/bloom"
-)
+import "math"
 
 // Analysis quantifies the false-positive behaviour the paper discusses in
 // Sections II-B and V ("the upper bound tightness of WBF"): a plain Bloom
@@ -69,24 +65,5 @@ func Analyze(f *Filter) Analysis {
 		PatternFPBoundBF:  bf,
 		PatternFPBoundWBF: wbf,
 		DistinctWeights:   w,
-	}
-}
-
-// AnalyzeParams computes the same model from raw parameters, before any
-// filter is built (for sizing decisions).
-func AnalyzeParams(p Params, inserted uint64, samples, distinctWeights int) Analysis {
-	q := bloom.AnalyticFPRate(p.Bits, p.Hashes, inserted)
-	pZero := math.Pow(1-1/float64(p.Bits), float64(p.Hashes)*float64(inserted))
-	bf := math.Pow(q, float64(samples))
-	wbf := bf
-	if distinctWeights > 1 && samples > 1 {
-		wbf = bf * math.Pow(float64(distinctWeights), float64(1-samples))
-	}
-	return Analysis{
-		BitZeroProb:       pZero,
-		ValueFPProb:       q,
-		PatternFPBoundBF:  bf,
-		PatternFPBoundWBF: wbf,
-		DistinctWeights:   distinctWeights,
 	}
 }

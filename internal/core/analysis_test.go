@@ -24,18 +24,6 @@ func TestAnalyzeBasicShape(t *testing.T) {
 	}
 }
 
-func TestAnalyzeParamsConsistentWithAnalyze(t *testing.T) {
-	f := buildPaperFilter(t, testParams())
-	a1 := Analyze(f)
-	a2 := AnalyzeParams(f.Params(), f.Inserted(), len(f.SampleIndexes()), len(f.Weights()))
-	if diff := a1.ValueFPProb - a2.ValueFPProb; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("ValueFPProb diverges: %v vs %v", a1.ValueFPProb, a2.ValueFPProb)
-	}
-	if diff := a1.PatternFPBoundWBF - a2.PatternFPBoundWBF; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("WBF bounds diverge: %v vs %v", a1.PatternFPBoundWBF, a2.PatternFPBoundWBF)
-	}
-}
-
 func TestValueLevelFPNearAnalytic(t *testing.T) {
 	// The q = (1-p)^k model covers hash-collision false positives: probes of
 	// values that were never inserted. Verify the measured rate on

@@ -64,38 +64,18 @@ func (e *Encoder) AddQuery(q Query) error {
 		return err
 	}
 	denom := global.Sum()
-	subsets, err := pattern.EnumerateSubsets(len(q.Locals))
-	if err != nil {
-		return err
-	}
-	for _, mask := range subsets {
-		num, err := pattern.WeightNumerator(q.Locals, mask)
-		if err != nil {
-			return err
-		}
-		if num == 0 {
-			// A zero-sum combination (e.g. a local with no activity) carries
-			// weight 0; hashing it would let empty candidate patterns match.
-			continue
-		}
+	return q.EachCombination(func(mask pattern.Subset, num int64, combined pattern.Pattern) error {
 		id := e.filter.addWeight(WeightEntry{
 			Query:       q.ID,
 			Mask:        mask,
 			Numerator:   num,
 			Denominator: denom,
 		})
-		combined, err := pattern.Combine(q.Locals, mask)
-		if err != nil {
-			return err
-		}
-		if err := e.forEachSampledValue(combined, func(slot int, value int64) {
+		return e.forEachSampledValue(combined, func(slot int, value int64) {
 			e.seen[e.filter.key(slot, value)] = struct{}{}
 			e.filter.insert(slot, value, id)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+		})
+	})
 }
 
 // forEachSampledValue accumulates p, samples it and yields every value in
@@ -126,9 +106,6 @@ func (e *Encoder) Filter() *Filter {
 	e.filter.distinct = uint64(len(e.seen))
 	return e.filter
 }
-
-// QueryCount returns the number of queries encoded so far.
-func (e *Encoder) QueryCount() int { return len(e.queries) }
 
 // EstimateInsertions predicts the number of hashed values for sizing a
 // filter before encoding: per query, (2^e - 1) combinations × b samples ×
@@ -199,29 +176,11 @@ func (e *BFEncoder) AddQuery(q Query) error {
 	if q.Length() != e.inner.length {
 		return fmt.Errorf("core: query %d has length %d, encoder wants %d", q.ID, q.Length(), e.inner.length)
 	}
-	subsets, err := pattern.EnumerateSubsets(len(q.Locals))
-	if err != nil {
-		return err
-	}
-	for _, mask := range subsets {
-		num, err := pattern.WeightNumerator(q.Locals, mask)
-		if err != nil {
-			return err
-		}
-		if num == 0 {
-			continue
-		}
-		combined, err := pattern.Combine(q.Locals, mask)
-		if err != nil {
-			return err
-		}
-		if err := e.inner.forEachSampledValue(combined, func(slot int, value int64) {
+	return q.EachCombination(func(_ pattern.Subset, _ int64, combined pattern.Pattern) error {
+		return e.inner.forEachSampledValue(combined, func(slot int, value int64) {
 			e.filter.Add(e.inner.filter.key(slot, value))
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+		})
+	})
 }
 
 // Filter returns the built baseline filter.

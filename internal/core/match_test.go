@@ -329,12 +329,13 @@ func TestEncoderErrors(t *testing.T) {
 	if err := enc.AddQuery(Query{ID: 3}); err == nil {
 		t.Fatal("invalid query accepted")
 	}
-	_ = enc.Filter()
+	f := enc.Filter()
 	if err := enc.AddQuery(Query{ID: 4, Locals: []pattern.Pattern{{1, 2, 3}}}); err == nil {
 		t.Fatal("sealed encoder accepted a query")
 	}
-	if enc.QueryCount() != 1 {
-		t.Fatalf("QueryCount = %d, want 1", enc.QueryCount())
+	// Only the one accepted single-local query left a weight behind.
+	if w := f.Weights(); len(w) != 1 || w[0].Query != 1 {
+		t.Fatalf("weight table %+v, want query 1's single combination", w)
 	}
 }
 

@@ -8,8 +8,6 @@ package core
 import (
 	"errors"
 	"fmt"
-
-	"dimatch/internal/bloom"
 )
 
 // ToleranceMode selects how the per-interval tolerance ε of Eq. 2 is mapped
@@ -73,21 +71,6 @@ type Params struct {
 // (Section V-B): "when the number of sample values is 12, the accuracy rates
 // ... become stable".
 const DefaultSamples = 12
-
-// DefaultParams returns parameters sized for roughly expectedValues
-// insertions at a 1% analytic false-positive rate, with the paper's b = 12
-// and k from the optimal Bloom sizing.
-func DefaultParams(expectedValues uint64) Params {
-	m, k := bloom.OptimalParams(expectedValues, 0.01)
-	return Params{
-		Bits:      m,
-		Hashes:    k,
-		Samples:   DefaultSamples,
-		Epsilon:   0,
-		Tolerance: ToleranceScaled,
-		Seed:      0x9d1c5d1f2b3a4e57,
-	}
-}
 
 // Sanity ceilings on parameters that size allocations or per-probe work.
 // Parameters arrive over the wire (a filter ships its Params in every query

@@ -47,19 +47,6 @@ func TestParamsWithDefaults(t *testing.T) {
 	}
 }
 
-func TestDefaultParams(t *testing.T) {
-	p := DefaultParams(10000)
-	if err := p.Validate(); err != nil {
-		t.Fatalf("DefaultParams invalid: %v", err)
-	}
-	if p.Samples != DefaultSamples {
-		t.Fatalf("Samples = %d, want %d (paper's converged b)", p.Samples, DefaultSamples)
-	}
-	if p.Bits < 10000 {
-		t.Fatalf("Bits = %d, implausibly small for 10k elements at 1%% FP", p.Bits)
-	}
-}
-
 func TestBand(t *testing.T) {
 	scaled := Params{Epsilon: 2, Tolerance: ToleranceScaled}
 	if got := scaled.band(0); got != 2 {

@@ -67,3 +67,35 @@ func (q Query) Length() int {
 	}
 	return len(q.Locals[0])
 }
+
+// EachCombination is Algorithm 1's combination walk, stated once for the
+// encoders and the routing probe: it yields every non-empty subset of the
+// query's locals in increasing mask order with its weight numerator and
+// combined (element-wise summed) pattern, and stops at the first error yield
+// returns. Zero-numerator combinations (e.g. a local with no activity) are
+// skipped: they carry weight 0, so hashing one would let empty candidate
+// patterns match and probing for one would admit stations nobody can ask
+// about.
+func (q Query) EachCombination(yield func(mask pattern.Subset, numerator int64, combined pattern.Pattern) error) error {
+	subsets, err := pattern.EnumerateSubsets(len(q.Locals))
+	if err != nil {
+		return err
+	}
+	for _, mask := range subsets {
+		num, err := pattern.WeightNumerator(q.Locals, mask)
+		if err != nil {
+			return err
+		}
+		if num == 0 {
+			continue
+		}
+		combined, err := pattern.Combine(q.Locals, mask)
+		if err != nil {
+			return err
+		}
+		if err := yield(mask, num, combined); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -170,12 +170,6 @@ func (a *Aggregator) Merge(q QueryID, r Result) {
 	agg.stations += r.Stations
 }
 
-// Candidates returns the number of distinct persons currently accumulated
-// for a query (before the sum > 1 deletion).
-func (a *Aggregator) Candidates(q QueryID) int {
-	return len(a.perQuery[q])
-}
-
 // TopK finalizes one query with the paper's strict Algorithm 3: persons
 // with weight sum exceeding the denominator are deleted, the rest are
 // ranked by weight descending (person ID ascending on ties, for

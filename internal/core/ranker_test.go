@@ -69,8 +69,8 @@ func TestAggregatorDeletesOverMatched(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := a.Candidates(1); got != 1 {
-		t.Fatalf("Candidates = %d, want 1 before deletion", got)
+	if got := len(a.Results(1)); got != 1 {
+		t.Fatalf("%d accumulated candidates, want 1 before deletion", got)
 	}
 	if res := a.TopK(1, 10); len(res) != 0 {
 		t.Fatalf("over-matched person survived: %+v", res)
@@ -173,7 +173,7 @@ func TestAggregatorEmptyReportIsNoop(t *testing.T) {
 	f := rankerFixture(t)
 	a := NewBatchAggregator()
 	mustAdd(t, a, f, Report{Person: 1})
-	if got := a.Candidates(1); got != 0 {
+	if got := len(a.Results(1)); got != 0 {
 		t.Fatalf("empty report created %d candidates", got)
 	}
 	if res := a.TopK(1, 5); len(res) != 0 {

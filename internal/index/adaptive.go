@@ -28,9 +28,8 @@
 // a lost match — and it self-describes its geometry on the wire, so a
 // coordinator probing digests from mixed parameter epochs stays
 // conservative for each of them individually. Adaptive digests are excluded
-// from the Bloofi union tree (Unionable reports false): their partitioned
-// key space does not fold, so the tree's callers keep such stations on the
-// flat probe path instead.
+// from OR-unions (Unionable reports false): their partitioned key space
+// does not fold.
 package index
 
 import (

@@ -124,10 +124,9 @@ func TestAdaptiveQuantizationConservative(t *testing.T) {
 	}
 }
 
-// TestAdaptiveNotUnionable pins the tree-safety property: adaptive digests
-// refuse to merge (with static peers and with each other), so the summary
-// tree never aggregates mixed-parameter bit arrays and the coordinator falls
-// back to flat per-station probing for adaptive members.
+// TestAdaptiveNotUnionable pins the union-safety property: adaptive digests
+// refuse to merge (with static peers and with each other), so no union ever
+// aggregates mixed-parameter bit arrays.
 func TestAdaptiveNotUnionable(t *testing.T) {
 	length := 4
 	locals := adaptiveFixtureLocals(length, 16)

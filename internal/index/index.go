@@ -23,6 +23,7 @@
 package index
 
 import (
+	"errors"
 	"fmt"
 
 	"dimatch/internal/bitset"
@@ -363,26 +364,6 @@ func (s *Summary) SizeBytes() uint64 {
 	return s.filter.SizeBytes()
 }
 
-// FalseAdmitRate returns the analytic per-probe false-positive rate at the
-// current load. For an adaptive digest this is the insertion-weighted mean
-// across group regions.
-func (s *Summary) FalseAdmitRate() float64 {
-	if s.planEpoch == 0 {
-		return s.filter.FalsePositiveRate()
-	}
-	if s.length == 0 {
-		return 0
-	}
-	// Insertions spread one cell per position per resident, so each group
-	// holds roughly inserted/length cells.
-	perGroup := s.inserted / uint64(s.length)
-	var sum float64
-	for _, g := range s.geoms {
-		sum += GeomFPRate(g, perGroup)
-	}
-	return sum / float64(len(s.geoms))
-}
-
 // FromParts reconstructs a received summary (wire decoding).
 func FromParts(length int, seed uint64, words []uint64, bits uint64, hashes int, inserted, residents uint64) (*Summary, error) {
 	if length <= 0 {
@@ -416,6 +397,10 @@ type Probe struct {
 	selective bool
 }
 
+// errOverBudget stops NewProbe's combination walk; it never leaves the
+// package.
+var errOverBudget = errors.New("index: probe over budget")
+
 // NewProbe builds a query's admission test for the given per-search sample
 // count and tolerance ε. Bands use the scaled (per-position) widening
 // ε·(g+1) — the accumulated-domain superset of the per-interval Eq. 2
@@ -436,27 +421,9 @@ func NewProbe(q core.Query, samples int, eps int64) (Probe, error) {
 	if err != nil {
 		return Probe{}, err
 	}
-	subsets, err := pattern.EnumerateSubsets(len(q.Locals))
-	if err != nil {
-		return Probe{}, err
-	}
-	p := Probe{combos: make([][]band, 0, len(subsets))}
+	var p Probe
 	budget := int64(MaxProbeValues)
-	for _, mask := range subsets {
-		num, err := pattern.WeightNumerator(q.Locals, mask)
-		if err != nil {
-			return Probe{}, err
-		}
-		if num == 0 {
-			// Zero-weight combinations are never encoded into a search
-			// filter, so no station reports them; probing for one would
-			// admit stations for matches that cannot be asked about.
-			continue
-		}
-		combined, err := pattern.Combine(q.Locals, mask)
-		if err != nil {
-			return Probe{}, err
-		}
+	err = q.EachCombination(func(_ pattern.Subset, _ int64, combined pattern.Pattern) error {
 		acc := combined.Accumulate()
 		bands := make([]band, len(positions))
 		for i, g := range positions {
@@ -464,10 +431,17 @@ func NewProbe(q core.Query, samples int, eps int64) (Probe, error) {
 			bands[i] = band{pos: g, lo: acc[g] - tol, hi: acc[g] + tol}
 			budget -= 2*tol + 1
 			if budget < 0 {
-				return Probe{}, nil // over budget: unselective
+				return errOverBudget
 			}
 		}
 		p.combos = append(p.combos, bands)
+		return nil
+	})
+	if errors.Is(err, errOverBudget) {
+		return Probe{}, nil // unselective
+	}
+	if err != nil {
+		return Probe{}, err
 	}
 	if len(p.combos) == 0 {
 		return Probe{}, nil // nothing usable: unselective

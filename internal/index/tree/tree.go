@@ -1,40 +1,35 @@
 // Package tree arranges per-station routing summaries into a Bloofi-style
 // B-tree (Crainiceanu & Lemire, "Bloofi: Multidimensional Bloom Filters").
 //
+// No search uses it. The coordinator plans with one flat scan of its cached
+// digests, which measured faster, cheaper in probes and smaller in state at
+// 64 and at 1 024 stations (BenchmarkPlanScanVsTree, docs/ROUTING.md "Why
+// there is one planner"). The package is kept only because the frozen
+// benchmark/ directory links New, Add and Route for its tree.plan_us layer
+// reading; it goes, with the union helpers only it calls, when that reading
+// does.
+//
 // Leaves are the stations' Bloom digests exactly as the flat summary cache
 // holds them; every inner node is the bitwise-OR union of its children,
 // folded onto a bounded power-of-two geometry (index.Summary.Absorb). A
-// selective query then descends from the root and visits only the subtrees
-// whose union admits a possible match, so planning cost grows with the
-// admitted paths instead of with the station count, and the same subtrees
-// map one-to-one onto region coordinators in a multi-tier deployment.
+// selective query descends from the root and visits only the subtrees whose
+// union admits a possible match.
 //
 // Pruning soundness is inherited from the union property: a child's every
 // set position maps into its parent's geometry, so if any station in a
 // subtree admits a probe, the subtree's union admits it too. The tree can
 // therefore only over-visit (union false positives), never skip a station
-// the flat scan would have visited — docs/ROUTING.md carries the full
-// argument.
+// the flat scan would have visited.
 //
-// Maintenance is incremental and rides the summary-cache hooks:
-//
-//   - Add/Remove restructure the B-tree and rebuild the unions on the one
-//     root path they touched (plus a split/collapse sibling), leaving every
-//     other subtree untouched.
-//   - DeltaAdd propagates an ingest's new cells up the root path
-//     copy-on-write: each ancestor's union is cloned, the cells are inserted
-//     at the ancestor's own geometry (Bloom inserts are monotone), and the
-//     clone is swapped in.
-//
-// The tree is not safe for concurrent use; the summary cache serializes
-// access under its mutex.
+// Add/Remove restructure the B-tree and rebuild the unions on the one root
+// path they touched (plus a split/collapse sibling), leaving every other
+// subtree untouched. The tree is not safe for concurrent use.
 package tree
 
 import (
 	"fmt"
 
 	"dimatch/internal/index"
-	"dimatch/internal/pattern"
 )
 
 // DefaultFanout bounds the children per inner node when Options.Fanout is
@@ -336,54 +331,8 @@ func (t *Tree) remove(n *node, station uint32) bool {
 	return false
 }
 
-// DeltaAdd applies one ingested pattern to a tracked station: the leaf's
-// digest is replaced with newLeaf (the cache's already-updated clone) and
-// the pattern's cells are inserted into a copy-on-write clone of every
-// ancestor union. It reports whether the station is tracked; an error means
-// the delta could not be applied soundly and the caller must drop the
-// station from the tree.
-func (t *Tree) DeltaAdd(station uint32, newLeaf *index.Summary, local pattern.Pattern) (bool, error) {
-	if t.root == nil {
-		return false, nil
-	}
-	var path []*node
-	n := t.root
-	for !n.leaf {
-		path = append(path, n)
-		var next *node
-		for _, c := range n.children {
-			if station >= c.min && station <= c.max {
-				if c.leaf && c.station != station {
-					continue
-				}
-				next = c
-				break
-			}
-		}
-		if next == nil {
-			return false, nil
-		}
-		n = next
-	}
-	if n.station != station {
-		return false, nil
-	}
-	if newLeaf != nil {
-		n.sum = newLeaf
-	}
-	for _, a := range path {
-		u := a.sum.Clone()
-		if err := u.Add(local); err != nil {
-			return true, fmt.Errorf("tree: delta into ancestor union: %w", err)
-		}
-		a.sum = u
-	}
-	return true, nil
-}
-
 // Route descends the tree with one search's probes and returns the
-// admitted stations plus the number of Admits evaluations performed (the
-// planning-cost figure the hierarchy bench records). A subtree is skipped
+// admitted stations plus the number of Admits evaluations performed. A subtree is skipped
 // only when its union denies every probe; an unselective probe admits
 // everything, exactly as in the flat scan.
 func (t *Tree) Route(probes []index.Probe) (admitted []uint32, evaluated int) {

@@ -181,45 +181,6 @@ func checkInvariants(t *testing.T, tr *Tree) {
 	walk(tr.root, 0)
 }
 
-// TestDeltaAddPropagates pins the copy-on-write ingest path: after DeltaAdd
-// the new resident is admitted through every union on the root path.
-func TestDeltaAddPropagates(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	tr := New(Options{Fanout: 2})
-	for id := uint32(0); id < 20; id++ {
-		if err := tr.Add(id, buildSummary(t, []pattern.Pattern{randPattern(rng)})); err != nil {
-			t.Fatalf("Add: %v", err)
-		}
-	}
-	delta := randPattern(rng)
-	leaf := tr.find(9).sum.Clone()
-	if err := leaf.Add(delta); err != nil {
-		t.Fatalf("leaf Add: %v", err)
-	}
-	oldRoot := tr.root.sum
-	ok, err := tr.DeltaAdd(9, leaf, delta)
-	if err != nil || !ok {
-		t.Fatalf("DeltaAdd = %v, %v", ok, err)
-	}
-	if tr.root.sum == oldRoot {
-		t.Fatalf("DeltaAdd did not copy-on-write the root union")
-	}
-	probe := probeFor(t, []pattern.Pattern{delta}, 0)
-	got, _ := tr.Route([]index.Probe{probe})
-	found := false
-	for _, id := range got {
-		if id == 9 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("station 9 not admitted after DeltaAdd of its own resident")
-	}
-	if ok, err := tr.DeltaAdd(99, nil, delta); ok || err != nil {
-		t.Fatalf("DeltaAdd(absent) = %v, %v; want false, nil", ok, err)
-	}
-}
-
 // TestTreeReplaceAndIntrospection covers Add-as-replace, UnionBytes and
 // Nodes.
 func TestTreeReplaceAndIntrospection(t *testing.T) {

@@ -92,32 +92,6 @@ func (p Pattern) Accumulate() Pattern {
 	return out
 }
 
-// Decumulate inverts Accumulate: it recovers the original per-interval
-// values from a prefix-sum series.
-func (p Pattern) Decumulate() Pattern {
-	if len(p) == 0 {
-		return nil
-	}
-	out := make(Pattern, len(p))
-	prev := int64(0)
-	for i, v := range p {
-		out[i] = v - prev
-		prev = v
-	}
-	return out
-}
-
-// IsMonotone reports whether p is non-decreasing, the defining shape of an
-// accumulated non-negative pattern.
-func (p Pattern) IsMonotone() bool {
-	for i := 1; i < len(p); i++ {
-		if p[i] < p[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // Similar implements Eq. 2: it reports whether |p[t] - q[t]| <= eps for
 // every interval t. Patterns of different lengths are never similar.
 // eps must be non-negative.

@@ -3,6 +3,7 @@ package pattern
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -38,26 +39,14 @@ func TestAccumulateDistinguishesPermutations(t *testing.T) {
 	}
 }
 
-func TestDecumulateInvertsAccumulate(t *testing.T) {
-	f := func(raw []int32) bool {
-		p := make(Pattern, len(raw))
-		for i, v := range raw {
-			p[i] = int64(v)
-		}
-		return p.Accumulate().Decumulate().Equal(p)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAccumulateMonotoneForNonNegative(t *testing.T) {
 	f := func(raw []uint16) bool {
 		p := make(Pattern, len(raw))
 		for i, v := range raw {
 			p[i] = int64(v)
 		}
-		return p.Accumulate().IsMonotone()
+		acc := p.Accumulate()
+		return sort.SliceIsSorted(acc, func(i, j int) bool { return acc[i] < acc[j] })
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

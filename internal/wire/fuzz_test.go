@@ -22,13 +22,13 @@ const (
 	workedSummaryReplyHex = "a7d109132a000000" + "1e000000" +
 		"030201719a3d0cbfe5a75140000000000000000702" +
 		"010119402202542008"
-	// A KindRouteQuery delegating a one-query round (auto-sized params, tree
-	// routing) and the region's KindRouteReply carrying one raw partial
+	// A KindRouteQuery delegating a one-query round (auto-sized params,
+	// summary routing) and the region's KindRouteReply carrying one raw partial
 	// result.
 	workedRouteQueryHex = "a7d109142a000000" + "2c000000" +
 		"01070204020400020400020204" +
 		"000000000000000000000000000000000000000000" +
-		"7b14ae47e17a843f" + "0002"
+		"7b14ae47e17a843f" + "0000"
 	workedRouteReplyHex = "a7d109152a000000" + "0c000000" +
 		"030502010001" + "010709181801"
 	// A KindParamUpdate installing a three-group adaptive plan at epoch 2.

@@ -12,12 +12,12 @@ import (
 	"dimatch/internal/pattern"
 )
 
-// ---- WBF query dissemination ----
+// ---- shared blocks ----
 
-// writeFilter renders a WBF — params, bit array, weight table, slot lists —
-// into w.
-func writeFilter(w *writer, f *core.Filter) {
-	p := f.Params()
+// writeParams renders the pipeline parameters, the block every query kind
+// (WBF, BF, route) carries so stations process a filter the way the center
+// built it.
+func writeParams(w *writer, p core.Params) {
 	w.u64(p.Bits)
 	w.uvarint(uint64(p.Hashes))
 	w.uvarint(uint64(p.Samples))
@@ -25,14 +25,48 @@ func writeFilter(w *writer, f *core.Filter) {
 	w.u8(uint8(p.Tolerance))
 	w.u64(p.Seed)
 	w.u8(boolByte(p.PositionSalted))
-	w.uvarint(uint64(f.Length()))
-	w.uvarint(f.Inserted())
+}
 
-	words := f.Words()
+func readParams(r *reader) core.Params {
+	return core.Params{
+		Bits:           r.u64(),
+		Hashes:         int(r.uvarint()),
+		Samples:        int(r.uvarint()),
+		Epsilon:        int64(r.uvarint()),
+		Tolerance:      core.ToleranceMode(r.u8()),
+		Seed:           r.u64(),
+		PositionSalted: r.u8() != 0,
+	}
+}
+
+// writeWords renders a bit array: the word count, then the words.
+func writeWords(w *writer, words []uint64) {
 	w.uvarint(uint64(len(words)))
 	for _, word := range words {
 		w.u64(word)
 	}
+}
+
+// readWords reads a bit array. The declared count is checked against the
+// bytes actually present before the slice is allocated.
+func readWords(r *reader) []uint64 {
+	words := make([]uint64, r.count(8))
+	for i := range words {
+		words[i] = r.u64()
+	}
+	return words
+}
+
+// ---- WBF query dissemination ----
+
+// writeFilter renders a WBF — params, bit array, weight table, slot lists —
+// into w.
+func writeFilter(w *writer, f *core.Filter) {
+	writeParams(w, f.Params())
+	w.uvarint(uint64(f.Length()))
+	w.uvarint(f.Inserted())
+
+	writeWords(w, f.Words())
 
 	weights := f.Weights()
 	w.uvarint(uint64(len(weights)))
@@ -60,28 +94,17 @@ func writeFilter(w *writer, f *core.Filter) {
 
 // readFilter reconstructs a WBF from r, validating through core.FromParts.
 func readFilter(r *reader) (*core.Filter, error) {
-	var p core.Params
-	p.Bits = r.u64()
-	p.Hashes = int(r.uvarint())
-	p.Samples = int(r.uvarint())
-	p.Epsilon = int64(r.uvarint())
-	p.Tolerance = core.ToleranceMode(r.u8())
-	p.Seed = r.u64()
-	p.PositionSalted = r.u8() != 0
+	p := readParams(r)
 	length := int(r.uvarint())
 	inserted := r.uvarint()
 
-	nWords := r.count(8)
-	// A filter's serialized form carries exactly ceil(Bits/64) words, so the
-	// declared bit-array size is bounded by the payload actually present.
-	// Checking here — before FromParts — keeps a forged header from driving
-	// the bitset allocation inside reconstruction with an arbitrary size.
-	if p.Bits == 0 || uint64(nWords) != (p.Bits-1)/64+1 {
-		return nil, fmt.Errorf("wire: filter declares %d bits but carries %d words: %w", p.Bits, nWords, ErrTruncated)
-	}
-	words := make([]uint64, nWords)
-	for i := range words {
-		words[i] = r.u64()
+	words := readWords(r)
+	// A filter's serialized form carries exactly ceil(Bits/64) words, and
+	// readWords bounds those by the payload actually present. Checking here
+	// — before FromParts — keeps a forged header from driving the bitset
+	// allocation inside reconstruction with an arbitrary size.
+	if p.Bits == 0 || uint64(len(words)) != (p.Bits-1)/64+1 {
+		return nil, fmt.Errorf("wire: filter declares %d bits but carries %d words: %w", p.Bits, len(words), ErrTruncated)
 	}
 
 	nWeights := r.count(4)
@@ -312,22 +335,11 @@ type BFQuery struct {
 
 // EncodeBFQuery renders the baseline dissemination message.
 func EncodeBFQuery(q BFQuery) Message {
-	p := q.Params
 	var w writer
-	w.u64(p.Bits)
-	w.uvarint(uint64(p.Hashes))
-	w.uvarint(uint64(p.Samples))
-	w.uvarint(uint64(p.Epsilon))
-	w.u8(uint8(p.Tolerance))
-	w.u64(p.Seed)
-	w.u8(boolByte(p.PositionSalted))
+	writeParams(&w, q.Params)
 	w.uvarint(uint64(q.Length))
 	w.uvarint(q.Filter.N())
-	words := q.Filter.Words()
-	w.uvarint(uint64(len(words)))
-	for _, word := range words {
-		w.u64(word)
-	}
+	writeWords(&w, q.Filter.Words())
 	return Message{Kind: KindBFQuery, Payload: w.buf}
 }
 
@@ -337,21 +349,10 @@ func DecodeBFQuery(m Message) (BFQuery, error) {
 		return BFQuery{}, fmt.Errorf("wire: decoding %v as bf-query", m.Kind)
 	}
 	r := &reader{buf: m.Payload}
-	var p core.Params
-	p.Bits = r.u64()
-	p.Hashes = int(r.uvarint())
-	p.Samples = int(r.uvarint())
-	p.Epsilon = int64(r.uvarint())
-	p.Tolerance = core.ToleranceMode(r.u8())
-	p.Seed = r.u64()
-	p.PositionSalted = r.u8() != 0
+	p := readParams(r)
 	length := int(r.uvarint())
 	n := r.uvarint()
-	nWords := r.count(8)
-	words := make([]uint64, nWords)
-	for i := range words {
-		words[i] = r.u64()
-	}
+	words := readWords(r)
 	if err := r.done(); err != nil {
 		return BFQuery{}, err
 	}
@@ -594,11 +595,7 @@ func EncodeSummaryPayload(s *index.Summary, station uint32) []byte {
 	w.u64(s.Bits())
 	w.uvarint(uint64(s.Hashes()))
 	w.uvarint(s.Inserted())
-	words := s.Words()
-	w.uvarint(uint64(len(words)))
-	for _, word := range words {
-		w.u64(word)
-	}
+	writeWords(&w, s.Words())
 	if s.Adaptive() {
 		w.uvarint(s.AdaptiveEpoch())
 		for _, g := range s.Geometry() {
@@ -631,11 +628,7 @@ func DecodeSummaryPayload(payload []byte) (SummaryReply, *index.Summary, error) 
 		Hashes:    uint32(r.uvarint()),
 		Inserted:  r.uvarint(),
 	}
-	nWords := r.count(8)
-	out.Words = make([]uint64, nWords)
-	for i := range out.Words {
-		out.Words[i] = r.u64()
-	}
+	out.Words = readWords(r)
 	if out.Hashes != 0 {
 		if err := r.done(); err != nil {
 			return SummaryReply{}, nil, err
@@ -707,9 +700,10 @@ type RouteQuery struct {
 	// BatchSize is the root's batching bound, forwarded so the region's
 	// station exchanges match a direct search's.
 	BatchSize int
-	// Routing is the region's fan-out mode, as a RoutingMode ordinal. Any
-	// conservative mode yields identical results; forwarding the root's
-	// choice keeps cost accounting comparable.
+	// Routing is the region's fan-out mode, as a RoutingMode ordinal: 0
+	// summary, 1 full, and any other value is planned as summary. Either
+	// yields identical results; forwarding the root's choice keeps cost
+	// accounting comparable.
 	Routing uint8
 }
 
@@ -734,14 +728,7 @@ func EncodeRouteQuery(q RouteQuery) (Message, error) {
 			}
 		}
 	}
-	p := q.Params
-	w.u64(p.Bits)
-	w.uvarint(uint64(p.Hashes))
-	w.uvarint(uint64(p.Samples))
-	w.uvarint(uint64(p.Epsilon))
-	w.u8(uint8(p.Tolerance))
-	w.u64(p.Seed)
-	w.u8(boolByte(p.PositionSalted))
+	writeParams(&w, q.Params)
 	w.u64(math.Float64bits(q.TargetFP))
 	w.uvarint(zigzag(int64(q.BatchSize)))
 	w.u8(q.Routing)
@@ -776,13 +763,7 @@ func DecodeRouteQuery(m Message) (RouteQuery, error) {
 		}
 		out.Queries = append(out.Queries, q)
 	}
-	out.Params.Bits = r.u64()
-	out.Params.Hashes = int(r.uvarint())
-	out.Params.Samples = int(r.uvarint())
-	out.Params.Epsilon = int64(r.uvarint())
-	out.Params.Tolerance = core.ToleranceMode(r.u8())
-	out.Params.Seed = r.u64()
-	out.Params.PositionSalted = r.u8() != 0
+	out.Params = readParams(r)
 	out.TargetFP = math.Float64frombits(r.u64())
 	out.BatchSize = int(unzigzag(r.uvarint()))
 	out.Routing = r.u8()

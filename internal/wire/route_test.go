@@ -20,7 +20,7 @@ func workedRouteQuery(t *testing.T) Message {
 		}},
 		TargetFP:  0.01,
 		BatchSize: 0,
-		Routing:   2,
+		Routing:   0,
 	})
 	if err != nil {
 		t.Fatalf("EncodeRouteQuery: %v", err)

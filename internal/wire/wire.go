@@ -271,12 +271,6 @@ func Decode(b []byte) (Message, error) {
 	return m, nil
 }
 
-// WriteMessage writes one frame to w.
-func WriteMessage(w io.Writer, m Message) error {
-	_, err := w.Write(m.Encode())
-	return err
-}
-
 // ReadMessage reads exactly one frame from r. A stream that ends before the
 // first header byte returns the reader's error bare (io.EOF on a clean
 // close); one that ends inside a frame returns ErrTruncated.

@@ -98,9 +98,7 @@ func TestReadWriteMessage(t *testing.T) {
 		{Kind: KindShutdown},
 	}
 	for _, m := range msgs {
-		if err := WriteMessage(&buf, m); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(m.Encode())
 	}
 	for _, want := range msgs {
 		got, err := ReadMessage(&buf)
