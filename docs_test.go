@@ -1,6 +1,8 @@
 package dimatch_test
 
 import (
+	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
@@ -10,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"dimatch/internal/core"
+	"dimatch/internal/pattern"
 	"dimatch/internal/wire"
 )
 
@@ -253,5 +257,54 @@ func TestDocsWireKindTable(t *testing.T) {
 		if _, err := wire.Decode(wire.Message{Kind: wire.Kind(v)}.Encode()); !errors.Is(err, wire.ErrBadKind) {
 			t.Errorf("a frame of retired kind %d decodes with err = %v, want ErrBadKind", v, err)
 		}
+	}
+}
+
+// wireHexDump matches one worked frame of docs/WIRE.md: a fenced block of
+// "offset  byte byte …" rows.
+var wireHexDump = regexp.MustCompile("(?m)^```\n((?:[0-9a-f]{4}  [0-9a-f ]+\n)+)```$")
+
+// TestDocsWireWorkedFrames holds docs/WIRE.md's hex dumps to the codec: each
+// is a complete frame the decoder accepts (magic, the current version byte,
+// a live kind, the declared length), and the first — the KindBatchQuery
+// walk-through, whose filter block is the layout most likely to move — is
+// byte for byte what the live encoder writes for the query the text names.
+func TestDocsWireWorkedFrames(t *testing.T) {
+	doc, err := os.ReadFile("docs/WIRE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	for _, dump := range wireHexDump.FindAllStringSubmatch(string(doc), -1) {
+		var frame []byte
+		for _, row := range strings.Split(strings.TrimSpace(dump[1]), "\n") {
+			b, err := hex.DecodeString(strings.ReplaceAll(row[6:], " ", ""))
+			if err != nil {
+				t.Fatalf("hex dump row %q: %v", row, err)
+			}
+			frame = append(frame, b...)
+		}
+		if _, err := wire.Decode(frame); err != nil {
+			t.Errorf("worked frame % x… does not decode: %v", frame[:8], err)
+		}
+		frames = append(frames, frame)
+	}
+	if len(frames) != 5 {
+		t.Fatalf("found %d worked frames in docs/WIRE.md, want 5", len(frames))
+	}
+
+	enc, err := core.NewEncoder(core.Params{Bits: 64, Hashes: 2, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.AddQuery(core.Query{ID: 1, Locals: []pattern.Pattern{{1, 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := wire.EncodeBatchQuery(wire.BatchQuery{Queries: []core.QueryID{1}, Filter: enc.Filter()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live := m.WithRequest(42).Encode(); !bytes.Equal(frames[0], live) {
+		t.Errorf("docs/WIRE.md's KindBatchQuery frame drifted from the encoder:\n doc  % x\n live % x", frames[0], live)
 	}
 }

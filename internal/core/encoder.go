@@ -20,6 +20,7 @@ type Encoder struct {
 	length  int
 	sample  []int
 	filter  *Filter
+	pairs   []uint64 // bit<<32 | weight pointer, one per bit a value hashed to
 	queries map[QueryID]bool
 	seen    map[int64]struct{} // distinct hashed keys, for the FP model
 	sealed  bool
@@ -65,15 +66,22 @@ func (e *Encoder) AddQuery(q Query) error {
 	}
 	denom := global.Sum()
 	return q.EachCombination(func(mask pattern.Subset, num int64, combined pattern.Pattern) error {
-		id := e.filter.addWeight(WeightEntry{
+		f := e.filter
+		id := uint64(len(f.weights))
+		f.weights = append(f.weights, WeightEntry{
 			Query:       q.ID,
 			Mask:        mask,
 			Numerator:   num,
 			Denominator: denom,
 		})
 		return e.forEachSampledValue(combined, func(slot int, value int64) {
-			e.seen[e.filter.key(slot, value)] = struct{}{}
-			e.filter.insert(slot, value, id)
+			key := f.keys.key(slot, value)
+			e.seen[key] = struct{}{}
+			var buf [16]uint64
+			for _, bit := range f.family.Indexes(key, buf[:0]) {
+				e.pairs = append(e.pairs, bit<<32|id)
+			}
+			f.inserted++
 		})
 	})
 }
@@ -102,8 +110,12 @@ func (e *Encoder) forEachSampledValue(p pattern.Pattern, yield func(slot int, va
 // Filter seals the encoder and returns the built WBF. Further AddQuery
 // calls fail: the filter has been (conceptually) disseminated.
 func (e *Encoder) Filter() *Filter {
-	e.sealed = true
-	e.filter.distinct = uint64(len(e.seen))
+	if !e.sealed {
+		e.sealed = true
+		e.filter.distinct = uint64(len(e.seen))
+		e.filter.seal(e.pairs)
+		e.pairs = nil
+	}
 	return e.filter
 }
 
@@ -178,7 +190,7 @@ func (e *BFEncoder) AddQuery(q Query) error {
 	}
 	return q.EachCombination(func(_ pattern.Subset, _ int64, combined pattern.Pattern) error {
 		return e.inner.forEachSampledValue(combined, func(slot int, value int64) {
-			e.filter.Add(e.inner.filter.key(slot, value))
+			e.filter.Add(e.inner.filter.keys.key(slot, value))
 		})
 	})
 }

@@ -5,10 +5,7 @@
 // back at the data center (Algorithm 3).
 package core
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // ToleranceMode selects how the per-interval tolerance ε of Eq. 2 is mapped
 // into the accumulated domain when "all possible approximate values" are
@@ -76,8 +73,11 @@ const DefaultSamples = 12
 // Parameters arrive over the wire (a filter ships its Params in every query
 // frame), so values far beyond any useful configuration are treated as
 // corruption rather than honored: Hashes bounds the loop every probe runs,
-// and Samples bounds the sample-index table a filter allocates.
+// Samples bounds the sample-index table a filter allocates, and Bits bounds
+// the bit array and keeps a bit index in 32 bits (the encoder packs
+// bit<<32|pointer pairs; a filter's rank table is uint32).
 const (
+	MaxBits    = 1 << 32
 	MaxHashes  = 512
 	MaxSamples = 1 << 16
 )
@@ -85,8 +85,8 @@ const (
 // Validate checks the parameter set and returns a descriptive error for the
 // first violation found.
 func (p Params) Validate() error {
-	if p.Bits == 0 {
-		return errors.New("core: Params.Bits must be positive")
+	if p.Bits == 0 || p.Bits > MaxBits {
+		return fmt.Errorf("core: Params.Bits = %d, want 1..%d", p.Bits, uint64(MaxBits))
 	}
 	if p.Hashes <= 0 || p.Hashes > MaxHashes {
 		return fmt.Errorf("core: Params.Hashes = %d, want 1..%d", p.Hashes, MaxHashes)

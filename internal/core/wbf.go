@@ -1,10 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
-	"dimatch/internal/bitset"
 	"dimatch/internal/hash"
 	"dimatch/internal/pattern"
 )
@@ -39,12 +40,21 @@ func (w WeightEntry) Value() float64 {
 // Filter is the Weighted Bloom Filter: a bit array in which every set bit
 // carries the list of weight pointers of the values that set it, plus the
 // weight table those pointers index.
+//
+// A filter is sealed: the encoder (or the wire decoder, through FromParts)
+// builds it once and it is read-only afterwards. Set bits share few distinct
+// pointer lists, so each list lives once in a dictionary and a set bit holds
+// a dictionary code, found by the bit's rank among the set bits. The wire
+// ships exactly these arrays (docs/WIRE.md).
 type Filter struct {
 	params    Params
 	length    int   // time-series length the filter was built for
 	sampleIdx []int // deterministic sample positions, shared with stations
-	bits      *bitset.Set
-	slots     map[uint64][]WeightID // bit index -> sorted unique weight IDs
+	words     []uint64
+	rank      []uint32   // rank[w] = set bits in words[:w]
+	codes     []uint32   // per set bit, in bit order: its list's dictionary index
+	offs      []uint32   // dictionary list d is ids[offs[d]:offs[d+1]]
+	ids       []WeightID // arena of the distinct lists, each strictly ascending
 	weights   []WeightEntry
 	family    hash.Family
 	inserted  uint64 // total value insertions (with band expansion)
@@ -82,7 +92,8 @@ func (k keyer) key(slot int, value int64) int64 {
 	return int64(hash.Mix64(uint64(value)) ^ k.salts[slot])
 }
 
-// newFilter allocates an empty filter; used by the Encoder.
+// newFilter returns a filter with its pipeline state set and no bits yet;
+// seal or FromParts fills in the arrays.
 func newFilter(p Params, length int) (*Filter, error) {
 	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
@@ -99,39 +110,80 @@ func newFilter(p Params, length int) (*Filter, error) {
 		params:    p,
 		length:    length,
 		sampleIdx: idx,
-		bits:      bitset.New(p.Bits),
-		slots:     make(map[uint64][]WeightID),
 		family:    hash.NewFamily(p.Seed, p.Hashes, p.Bits),
 		keys:      newKeyer(p, len(idx)),
 	}, nil
 }
 
-// key maps a (sample slot, accumulated value) pair to the hashed element.
-func (f *Filter) key(slot int, value int64) int64 {
-	return f.keys.key(slot, value)
-}
-
-// addWeight appends a weight entry and returns its pointer.
-func (f *Filter) addWeight(e WeightEntry) WeightID {
-	f.weights = append(f.weights, e)
-	return WeightID(len(f.weights) - 1)
-}
-
-// insert hashes one value into the filter, attaching the weight pointer to
-// every bit it sets or finds set.
-func (f *Filter) insert(slot int, value int64, id WeightID) {
-	var buf [16]uint64
-	for _, idx := range f.family.Indexes(f.key(slot, value), buf[:0]) {
-		f.bits.Set(idx)
-		list := f.slots[idx]
-		// Weight IDs are assigned in increasing order during encoding, so an
-		// append keeps the list sorted; skip the duplicate produced when a
-		// band inserts the same bit twice for one combination.
-		if n := len(list); n == 0 || list[n-1] != id {
-			f.slots[idx] = append(list, id)
-		}
+// seal builds the arrays from the encoder's (bit<<32 | weight) pairs, in
+// insertion order. Setting the bits ranks them; a counting sort by rank then
+// gathers each bit's pointers into one run — stable, and pointers are handed
+// out ascending, so a run ascends with repeats (a band hitting one bit twice
+// for one combination) adjacent. Each distinct run becomes a dictionary list
+// in first-use order: the same insertions always seal to the same arrays.
+func (f *Filter) seal(pairs []uint64) {
+	f.words = make([]uint64, (f.params.Bits+63)/64)
+	for _, p := range pairs {
+		bit := p >> 32
+		f.words[bit/64] |= 1 << (bit % 64)
 	}
-	f.inserted++
+	f.codes = make([]uint32, f.buildRank())
+	at := make([]uint32, len(f.codes)+1)
+	for _, p := range pairs {
+		at[f.slot(p>>32)+1]++
+	}
+	for r := range f.codes {
+		at[r+1] += at[r] // where bit r's run starts
+	}
+	runs := make([]WeightID, len(pairs))
+	for _, p := range pairs {
+		r := f.slot(p >> 32)
+		runs[at[r]] = WeightID(uint32(p))
+		at[r]++ // where it ends, once every pair is placed
+	}
+	f.offs = []uint32{0}
+	dict := make(map[string]uint32)
+	var key []byte
+	lo := uint32(0)
+	for r := range f.codes {
+		run := slices.Compact(runs[lo:at[r]])
+		lo = at[r]
+		key = key[:0]
+		for _, id := range run {
+			key = binary.LittleEndian.AppendUint32(key, uint32(id))
+		}
+		code, ok := dict[string(key)]
+		if !ok {
+			code = uint32(len(dict))
+			dict[string(key)] = code
+			f.ids = append(f.ids, run...)
+			f.offs = append(f.offs, uint32(len(f.ids)))
+		}
+		f.codes[r] = code
+	}
+}
+
+// buildRank fills the per-word popcount prefix and returns the total.
+func (f *Filter) buildRank() uint64 {
+	f.rank = make([]uint32, len(f.words))
+	var set uint64
+	for w, word := range f.words {
+		f.rank[w] = uint32(set)
+		set += uint64(bits.OnesCount64(word))
+	}
+	return set
+}
+
+// slot returns the rank of set bit idx among the set bits: the index of its
+// dictionary code.
+func (f *Filter) slot(idx uint64) uint32 {
+	return f.rank[idx/64] + uint32(bits.OnesCount64(f.words[idx/64]&(1<<(idx%64)-1)))
+}
+
+// list returns the pointer list hanging off set bit idx.
+func (f *Filter) list(idx uint64) []WeightID {
+	code := f.codes[f.slot(idx)]
+	return f.ids[f.offs[code]:f.offs[code+1]]
 }
 
 // probe looks one value up. It returns (nil, false) if any bit is unset —
@@ -142,16 +194,15 @@ func (f *Filter) insert(slot int, value int64, id WeightID) {
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (f *Filter) probe(slot int, value int64, scratch []WeightID) ([]WeightID, bool) {
 	var buf [16]uint64
-	indexes := f.family.Indexes(f.key(slot, value), buf[:0])
+	indexes := f.family.Indexes(f.keys.key(slot, value), buf[:0])
 	for _, idx := range indexes {
-		if !f.bits.Test(idx) {
+		if f.words[idx/64]>>(idx%64)&1 == 0 {
 			return nil, false
 		}
 	}
-	out := scratch[:0]
-	out = append(out, f.slots[indexes[0]]...)
+	out := append(scratch[:0], f.list(indexes[0])...)
 	for _, idx := range indexes[1:] {
-		out = intersectSorted(out, f.slots[idx])
+		out = intersectSorted(out, f.list(idx))
 		if len(out) == 0 {
 			// All bits set but no common weight: a hash-collision artifact;
 			// the WBF rejects it where a plain BF would accept.
@@ -219,80 +270,68 @@ func (f *Filter) DistinctKeys() uint64 {
 }
 
 // FillRatio returns the fraction of set bits.
-func (f *Filter) FillRatio() float64 { return f.bits.FillRatio() }
+func (f *Filter) FillRatio() float64 { return float64(len(f.codes)) / float64(f.params.Bits) }
 
-// Words exposes the bit array for serialization.
-func (f *Filter) Words() []uint64 { return f.bits.Words() }
+// Words and Lists expose the sealed arrays for serialization: the bit array;
+// one dictionary index per set bit, in bit order; and the distinct pointer
+// lists, list d being ids[offs[d]:offs[d+1]]. Callers must not mutate them.
+func (f *Filter) Words() []uint64 { return f.words }
 
-// Slots returns the bit->weight-pointer map in a deterministic, sorted form
-// for serialization: parallel slices of bit indexes (ascending) and their
-// pointer lists.
-func (f *Filter) Slots() (bitIdx []uint64, ids [][]WeightID) {
-	bitIdx = make([]uint64, 0, len(f.slots))
-	for idx := range f.slots {
-		bitIdx = append(bitIdx, idx)
-	}
-	sort.Slice(bitIdx, func(i, j int) bool { return bitIdx[i] < bitIdx[j] })
-	ids = make([][]WeightID, len(bitIdx))
-	for i, idx := range bitIdx {
-		ids[i] = append([]WeightID(nil), f.slots[idx]...)
-	}
-	return bitIdx, ids
-}
+func (f *Filter) Lists() (codes, offs []uint32, ids []WeightID) { return f.codes, f.offs, f.ids }
 
-// SizeBytes returns the approximate in-memory footprint: bit array, slot
-// lists (4 bytes per pointer + 12 bytes per occupied bit for the index and
-// list header) and weight table rows (16 bytes of payload each). Used by the
-// storage- and communication-cost experiments.
+// SizeBytes returns the filter's size under the paper's cost model, which the
+// storage- and communication-cost experiments report: the bit array, per
+// occupied bit 12 bytes (index and list header) plus 4 per pointer it
+// carries, and 16 bytes per weight-table row. It models a WBF with a list per
+// bit; it is not the Go heap or the wire size of this dictionary-coded form.
 func (f *Filter) SizeBytes() uint64 {
-	size := f.bits.SizeBytes()
-	for _, list := range f.slots {
-		size += 12 + 4*uint64(len(list))
+	size := 8*uint64(len(f.words)) + 12*uint64(len(f.codes)) + 16*uint64(len(f.weights))
+	for _, code := range f.codes {
+		size += 4 * uint64(f.offs[code+1]-f.offs[code])
 	}
-	size += 16 * uint64(len(f.weights))
 	return size
 }
 
-// FromParts reconstructs a Filter from serialized state, validating that
-// slot lists are sorted, unique, in range and sit on set bits.
-func FromParts(p Params, length int, words []uint64, bitIdx []uint64, ids [][]WeightID, weights []WeightEntry, inserted uint64) (*Filter, error) {
+// FromParts reconstructs a Filter from its serialized arrays, which it keeps
+// (no copy), validating all that probing relies on: the words hold exactly
+// Bits bits with none set beyond, every set bit has a code naming a list, and
+// every list is non-empty, strictly ascending and within the weight table.
+func FromParts(p Params, length int, words []uint64, weights []WeightEntry, offs []uint32, ids []WeightID, codes []uint32, inserted uint64) (*Filter, error) {
 	f, err := newFilter(p, length)
 	if err != nil {
 		return nil, err
 	}
-	bits, err := bitset.FromWords(words, p.Bits)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if want := (p.Bits + 63) / 64; uint64(len(words)) != want {
+		return nil, fmt.Errorf("core: %d words cannot hold exactly %d bits (want %d)", len(words), p.Bits, want)
 	}
-	f.bits = bits
-	if len(bitIdx) != len(ids) {
-		return nil, fmt.Errorf("core: %d slot indexes but %d pointer lists", len(bitIdx), len(ids))
+	if p.Bits%64 != 0 && words[len(words)-1]>>(p.Bits%64) != 0 {
+		return nil, fmt.Errorf("core: bits set beyond length %d", p.Bits)
 	}
-	if set := bits.Count(); set != uint64(len(bitIdx)) {
-		return nil, fmt.Errorf("core: %d set bits but %d slot lists", set, len(bitIdx))
+	f.words, f.weights, f.offs, f.ids, f.codes, f.inserted = words, weights, offs, ids, codes, inserted
+	if set := f.buildRank(); set != uint64(len(codes)) {
+		return nil, fmt.Errorf("core: %d set bits but %d list codes", set, len(codes))
 	}
-	f.weights = append([]WeightEntry(nil), weights...)
-	f.inserted = inserted
-	for i, idx := range bitIdx {
-		if idx >= p.Bits {
-			return nil, fmt.Errorf("core: slot index %d out of range", idx)
+	if len(offs) == 0 || offs[0] != 0 || int(offs[len(offs)-1]) != len(ids) {
+		return nil, fmt.Errorf("core: dictionary offsets do not span its %d pointers", len(ids))
+	}
+	for d := 0; d+1 < len(offs); d++ {
+		if offs[d] >= offs[d+1] || int(offs[d+1]) > len(ids) {
+			return nil, fmt.Errorf("core: pointer list %d is empty or overruns the dictionary", d)
 		}
-		if !bits.Test(idx) {
-			return nil, fmt.Errorf("core: slot list on unset bit %d", idx)
-		}
-		list := ids[i]
-		if len(list) == 0 {
-			return nil, fmt.Errorf("core: empty pointer list at bit %d", idx)
-		}
+		list := ids[offs[d]:offs[d+1]]
 		for j, id := range list {
 			if int(id) >= len(weights) {
-				return nil, fmt.Errorf("core: dangling weight pointer %d at bit %d", id, idx)
+				return nil, fmt.Errorf("core: dangling weight pointer %d in list %d", id, d)
 			}
 			if j > 0 && list[j-1] >= id {
-				return nil, fmt.Errorf("core: unsorted pointer list at bit %d", idx)
+				return nil, fmt.Errorf("core: unsorted pointer list %d", d)
 			}
 		}
-		f.slots[idx] = append([]WeightID(nil), list...)
+	}
+	for _, code := range codes {
+		if int(code) >= len(offs)-1 {
+			return nil, fmt.Errorf("core: list code %d but %d dictionary lists", code, len(offs)-1)
+		}
 	}
 	return f, nil
 }

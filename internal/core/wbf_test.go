@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"dimatch/internal/pattern"
@@ -92,12 +94,19 @@ func TestFilterZeroWeightCombinationSkipped(t *testing.T) {
 	}
 }
 
+// cloneParts copies a filter's serialized arrays, so a test can corrupt them
+// without touching the filter (FromParts keeps what it is handed).
+func cloneParts(f *Filter) (words []uint64, weights []WeightEntry, offs []uint32, ids []WeightID, codes []uint32) {
+	c, o, i := f.Lists()
+	return slices.Clone(f.Words()), slices.Clone(f.Weights()), slices.Clone(o), slices.Clone(i), slices.Clone(c)
+}
+
 func TestFilterRoundTripThroughParts(t *testing.T) {
 	p := testParams()
 	p.Epsilon = 1
 	f := buildPaperFilter(t, p)
-	bitIdx, ids := f.Slots()
-	g, err := FromParts(p, f.Length(), f.Words(), bitIdx, ids, f.Weights(), f.Inserted())
+	words, weights, offs, ids, codes := cloneParts(f)
+	g, err := FromParts(p, f.Length(), words, weights, offs, ids, codes, f.Inserted())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,93 +116,88 @@ func TestFilterRoundTripThroughParts(t *testing.T) {
 		for v := int64(0); v < 40; v++ {
 			wa, oka := f.probe(slot, v, nil)
 			wb, okb := g.probe(slot, v, nil)
-			if oka != okb || len(wa) != len(wb) {
-				t.Fatalf("probe(%d,%d) diverged after round trip", slot, v)
-			}
-			for i := range wa {
-				if wa[i] != wb[i] {
-					t.Fatalf("probe(%d,%d) weights diverged", slot, v)
-				}
+			if oka != okb || !slices.Equal(wa, wb) {
+				t.Fatalf("probe(%d,%d) diverged after round trip: %v,%v vs %v,%v", slot, v, wa, oka, wb, okb)
 			}
 		}
 	}
-	if g.Inserted() != f.Inserted() {
-		t.Fatal("inserted count lost")
+	if g.Inserted() != f.Inserted() || g.SizeBytes() != f.SizeBytes() || g.FillRatio() != f.FillRatio() {
+		t.Fatal("inserted count, model size or fill ratio lost")
 	}
 }
 
+// TestFromPartsRejectsCorruption is the constructor's rejection matrix: one
+// case per property probing relies on.
 func TestFromPartsRejectsCorruption(t *testing.T) {
 	p := testParams()
 	f := buildPaperFilter(t, p)
-	bitIdx, ids := f.Slots()
-	words := f.Words()
-	weights := f.Weights()
+	// The paper filter's dictionary is [2] [0 1] [0] [1] [0 2]; pair is where
+	// its first two-pointer list starts in the arena.
+	pair := -1
+	_, offs, _ := f.Lists()
+	for d := 0; d+1 < len(offs) && pair < 0; d++ {
+		if offs[d+1]-offs[d] >= 2 {
+			pair = int(offs[d])
+		}
+	}
+	if pair < 0 {
+		t.Fatal("paper filter has no two-pointer list; the matrix needs one")
+	}
+	unsetBit := func(words []uint64) uint64 {
+		for b := uint64(0); b < p.Bits; b++ {
+			if words[b/64]>>(b%64)&1 == 0 {
+				return b
+			}
+		}
+		t.Fatal("no unset bit")
+		return 0
+	}
 
+	type parts struct {
+		p       Params
+		words   []uint64
+		weights []WeightEntry
+		offs    []uint32
+		ids     []WeightID
+		codes   []uint32
+	}
 	tests := []struct {
 		name   string
-		mutate func(bi []uint64, id [][]WeightID, ws []WeightEntry) ([]uint64, [][]WeightID, []WeightEntry)
+		want   string // the reason, as FromParts words it
+		mutate func(x *parts)
 	}{
-		{
-			name: "slot count mismatch",
-			mutate: func(bi []uint64, id [][]WeightID, ws []WeightEntry) ([]uint64, [][]WeightID, []WeightEntry) {
-				return bi[:len(bi)-1], id, ws
-			},
-		},
-		{
-			name: "dangling pointer",
-			mutate: func(bi []uint64, id [][]WeightID, ws []WeightEntry) ([]uint64, [][]WeightID, []WeightEntry) {
-				id[0] = []WeightID{99}
-				return bi, id, ws
-			},
-		},
-		{
-			name: "unsorted list",
-			mutate: func(bi []uint64, id [][]WeightID, ws []WeightEntry) ([]uint64, [][]WeightID, []WeightEntry) {
-				id[0] = []WeightID{1, 0}
-				return bi, id, ws
-			},
-		},
-		{
-			name: "empty list",
-			mutate: func(bi []uint64, id [][]WeightID, ws []WeightEntry) ([]uint64, [][]WeightID, []WeightEntry) {
-				id[0] = nil
-				return bi, id, ws
-			},
-		},
-		{
-			name: "slot on unset bit",
-			mutate: func(bi []uint64, id [][]WeightID, ws []WeightEntry) ([]uint64, [][]WeightID, []WeightEntry) {
-				// Find an unset bit and claim a slot there.
-				for cand := uint64(0); cand < p.Bits; cand++ {
-					used := false
-					for _, b := range bi {
-						if b == cand {
-							used = true
-							break
-						}
-					}
-					if !used {
-						bi[0] = cand
-						break
-					}
-				}
-				return bi, id, ws
-			},
-		},
+		{"word count short", "words cannot hold", func(x *parts) { x.words = x.words[:len(x.words)-1] }},
+		{"word count long", "words cannot hold", func(x *parts) { x.words = append(x.words, 0) }},
+		{"bit set beyond Bits", "bits set beyond", func(x *parts) { x.p.Bits -= 3; x.words[len(x.words)-1] |= 1 << 63; x.codes = append(x.codes, 0) }},
+		{"slot count mismatch", "set bits but", func(x *parts) { x.codes = x.codes[:len(x.codes)-1] }},
+		{"slot on unset bit", "set bits but", func(x *parts) { x.codes = append(x.codes, 0) }},
+		{"set bit without a slot", "set bits but", func(x *parts) { b := unsetBit(x.words); x.words[b/64] |= 1 << (b % 64) }},
+		{"code beyond dictionary", "dictionary lists", func(x *parts) { x.codes[0] = uint32(len(x.offs) - 1) }},
+		{"dangling pointer", "dangling weight pointer", func(x *parts) { x.ids[len(x.ids)-1] = 99 }},
+		{"unsorted list", "unsorted pointer list", func(x *parts) { x.ids[pair], x.ids[pair+1] = x.ids[pair+1], x.ids[pair] }},
+		{"repeated pointer", "unsorted pointer list", func(x *parts) { x.ids[pair+1] = x.ids[pair] }},
+		{"empty list", "empty or overruns", func(x *parts) { x.offs[1] = x.offs[0] }},
+		{"offsets overrun the arena", "empty or overruns", func(x *parts) { x.offs[1] = uint32(len(x.ids)) + 7 }},
+		{"offsets stop short of the arena", "do not span", func(x *parts) { x.ids = append(x.ids, 0) }},
+		{"offsets start past zero", "do not span", func(x *parts) { x.offs[0] = 1 }},
+		{"no offsets", "do not span", func(x *parts) { x.offs = nil }},
+		{"bits above MaxBits", "Params.Bits", func(x *parts) { x.p.Bits = MaxBits + 1 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			bi := append([]uint64(nil), bitIdx...)
-			id := make([][]WeightID, len(ids))
-			for i := range ids {
-				id[i] = append([]WeightID(nil), ids[i]...)
-			}
-			ws := append([]WeightEntry(nil), weights...)
-			bi, id, ws = tt.mutate(bi, id, ws)
-			if _, err := FromParts(p, f.Length(), words, bi, id, ws, f.Inserted()); err == nil {
-				t.Fatal("expected corruption to be rejected")
+			x := parts{p: p}
+			x.words, x.weights, x.offs, x.ids, x.codes = cloneParts(f)
+			tt.mutate(&x)
+			_, err := FromParts(x.p, f.Length(), x.words, x.weights, x.offs, x.ids, x.codes, f.Inserted())
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tt.want)
 			}
 		})
+	}
+	// The untouched arrays are accepted: the matrix fails on the mutations.
+	words, weights, offs, ids, codes := cloneParts(f)
+	if _, err := FromParts(p, f.Length(), words, weights, offs, ids, codes, f.Inserted()); err != nil {
+		t.Fatalf("clean parts rejected: %v", err)
 	}
 }
 

@@ -16,23 +16,23 @@ import (
 // immediately explores the interesting corrupt-field space instead of
 // rediscovering the magic number.
 const (
-	workedBatchQueryHex = "a7d1090e2a000000" + "34000000" +
+	workedBatchQueryHex = "a7d10a0e2a000000" + "2a000000" +
 		"0101400000000000000002020001050000000000000000" +
-		"020201000000050020200001010103030418010002010013010008" + "0100"
-	workedSummaryReplyHex = "a7d109132a000000" + "1e000000" +
+		"0202010000000500202000" + "0101010303" + "010100"
+	workedSummaryReplyHex = "a7d10a132a000000" + "1e000000" +
 		"030201719a3d0cbfe5a75140000000000000000702" +
 		"010119402202542008"
 	// A KindRouteQuery delegating a one-query round (auto-sized params,
 	// summary routing) and the region's KindRouteReply carrying one raw partial
 	// result.
-	workedRouteQueryHex = "a7d109142a000000" + "2c000000" +
+	workedRouteQueryHex = "a7d10a142a000000" + "2c000000" +
 		"01070204020400020400020204" +
 		"000000000000000000000000000000000000000000" +
 		"7b14ae47e17a843f" + "0000"
-	workedRouteReplyHex = "a7d109152a000000" + "0c000000" +
+	workedRouteReplyHex = "a7d10a152a000000" + "0c000000" +
 		"030502010001" + "010709181801"
 	// A KindParamUpdate installing a three-group adaptive plan at epoch 2.
-	workedParamUpdateHex = "a7d109162a000000" + "1b000000" +
+	workedParamUpdateHex = "a7d10a162a000000" + "1b000000" +
 		"020000000000000001" + "1704000000000000" + "03" +
 		"020501" + "030604" + "040710"
 )
@@ -41,7 +41,7 @@ const (
 // each version byte earlier builds used (plus the next unassigned one) and
 // each retired kind byte — all of which must be rejected at the header.
 func addRetiredSeeds(f *testing.F, frame []byte) {
-	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 10} {
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 11} {
 		bad := append([]byte(nil), frame...)
 		bad[2] = v
 		f.Add(bad)
@@ -113,7 +113,7 @@ func FuzzDecode(f *testing.F) {
 // fixed-shape payloads — survive a decode/encode/decode roundtrip.
 func FuzzDecodePayload(f *testing.F) {
 	// Payloads of the worked frames (frame header stripped).
-	f.Add(uint8(KindBatchQuery), mustHex(f, workedBatchQueryHex)[12:])
+	f.Add(uint8(KindBatchQuery)-1, mustHex(f, workedBatchQueryHex)[12:])
 	f.Add(uint8(KindSummaryReply), mustHex(f, workedSummaryReplyHex)[12:])
 	f.Add(uint8(KindDump), EncodeDump(Dump{Persons: []core.PersonID{1, 2, 3}}).Payload)
 	f.Add(uint8(KindEvict), EncodeEvict(Evict{Persons: []core.PersonID{9, 10}}).Payload)
@@ -142,6 +142,17 @@ func FuzzDecodePayload(f *testing.F) {
 	for _, b := range []uint8{0, 2, 3, 5, 6} {
 		f.Add(b, mustHex(f, workedBatchQueryHex)[12:])
 	}
+	// The filter block's rejection matrix: a valid hand-spelled filter and one
+	// payload per property the decoder enforces on it.
+	f.Add(uint8(KindBatchQuery)-1, validRawFilter().payload())
+	for _, tt := range hostileFilters() {
+		raw := validRawFilter()
+		tt.mutate(&raw)
+		f.Add(uint8(KindBatchQuery)-1, raw.payload())
+	}
+	f.Add(uint8(KindBatchReply)-1, EncodeBatchReply(BatchReply{Station: 3, Queries: 1, Reports: []core.Report{
+		{Person: 900, WeightIDs: []core.WeightID{0}}, {Person: 901, WeightIDs: []core.WeightID{0, 2}}, {Person: 7, WeightIDs: []core.WeightID{1}},
+	}}).Payload)
 	// Row payloads whose varint count (what sizes the value arena) disagrees
 	// with their row count and row lengths.
 	for _, rows := range [][]byte{
@@ -204,9 +215,37 @@ func FuzzDecodePayload(f *testing.F) {
 				}
 			}
 		case KindBatchQuery:
-			_, _ = DecodeBatchQuery(m)
+			if bq, err := DecodeBatchQuery(m); err == nil {
+				// An accepted filter is one the encoder can write, and what
+				// it writes decodes to the same arrays (same bytes again).
+				enc, err := EncodeBatchQuery(bq)
+				if err != nil {
+					t.Fatalf("batch-query re-encode failed: %v", err)
+				}
+				re, err := DecodeBatchQuery(enc)
+				if err != nil {
+					t.Fatalf("batch-query re-decode failed: %v", err)
+				}
+				if again, err := EncodeBatchQuery(re); err != nil || !bytes.Equal(again.Payload, enc.Payload) {
+					t.Fatalf("batch-query roundtrip changed the frame (err %v)", err)
+				}
+			}
 		case KindBatchReply:
-			_, _ = DecodeBatchReply(m)
+			if br, err := DecodeBatchReply(m); err == nil {
+				enc := EncodeBatchReply(br)
+				if len(enc.Payload) != BatchReplyPayloadSize(br) {
+					t.Fatalf("batch-reply is %d B, BatchReplyPayloadSize says %d", len(enc.Payload), BatchReplyPayloadSize(br))
+				}
+				re, err := DecodeBatchReply(enc)
+				if err != nil || len(re.Reports) != len(br.Reports) {
+					t.Fatalf("batch-reply re-decode: %d reports, %v; want %d", len(re.Reports), err, len(br.Reports))
+				}
+				for i := range re.Reports {
+					if re.Reports[i].Person != br.Reports[i].Person {
+						t.Fatalf("batch-reply roundtrip changed person %d: %d vs %d", i, re.Reports[i].Person, br.Reports[i].Person)
+					}
+				}
+			}
 		case KindDump:
 			_, _ = DecodeDump(m)
 		case KindDumpReply:

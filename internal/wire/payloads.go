@@ -59,8 +59,11 @@ func readWords(r *reader) []uint64 {
 
 // ---- WBF query dissemination ----
 
-// writeFilter renders a WBF — params, bit array, weight table, slot lists —
-// into w.
+// writeFilter renders a WBF into w as core.Filter holds it: params, bit
+// array, weight table, the dictionary of distinct pointer lists (every
+// length, then every list's delta-coded IDs) and one dictionary code per set
+// bit in bit order, packed at codeWidth bits each. Bit positions are not
+// sent: they are the set bits of the array.
 func writeFilter(w *writer, f *core.Filter) {
 	writeParams(w, f.Params())
 	w.uvarint(uint64(f.Length()))
@@ -77,67 +80,114 @@ func writeFilter(w *writer, f *core.Filter) {
 		w.uvarint(uint64(e.Denominator))
 	}
 
-	bitIdx, ids := f.Slots()
-	w.uvarint(uint64(len(bitIdx)))
-	prev := uint64(0)
-	for i, idx := range bitIdx {
-		w.uvarint(idx - prev) // indexes ascend; delta-encode
-		prev = idx
-		w.uvarint(uint64(len(ids[i])))
-		prevID := uint64(0)
-		for _, id := range ids[i] {
-			w.uvarint(uint64(id) - prevID) // ids ascend within a slot
-			prevID = uint64(id)
+	codes, offs, ids := f.Lists()
+	lists := len(offs) - 1
+	w.uvarint(uint64(lists))
+	for d := 0; d < lists; d++ {
+		w.uvarint(uint64(offs[d+1] - offs[d]))
+	}
+	for d := 0; d < lists; d++ {
+		prev := uint64(0)
+		for _, id := range ids[offs[d]:offs[d+1]] {
+			w.uvarint(uint64(id) - prev) // ids ascend within a list
+			prev = uint64(id)
 		}
+	}
+
+	width := codeWidth(lists)
+	var acc uint64 // pending bits, low bits first; never more than 7 + width
+	var have uint
+	for _, code := range codes {
+		acc |= uint64(code) << have
+		for have += width; have >= 8; have -= 8 {
+			w.u8(uint8(acc))
+			acc >>= 8
+		}
+	}
+	if have > 0 {
+		w.u8(uint8(acc))
 	}
 }
 
-// readFilter reconstructs a WBF from r, validating through core.FromParts.
+// codeWidth returns the bits one packed dictionary code takes: enough to
+// index the dictionary, none when every set bit carries the same list.
+func codeWidth(lists int) uint {
+	return uint(bits.Len32(uint32(max(lists, 1) - 1)))
+}
+
+// readFilter reconstructs a WBF from r into a handful of exactly-sized arrays
+// that core.FromParts validates and keeps. Each is bounded by the bytes
+// present before it is allocated: declared counts through reader.count, the
+// code array by the words' popcount (four bytes per bit actually carried).
 func readFilter(r *reader) (*core.Filter, error) {
 	p := readParams(r)
 	length := int(r.uvarint())
 	inserted := r.uvarint()
 
 	words := readWords(r)
-	// A filter's serialized form carries exactly ceil(Bits/64) words, and
-	// readWords bounds those by the payload actually present. Checking here
-	// — before FromParts — keeps a forged header from driving the bitset
-	// allocation inside reconstruction with an arbitrary size.
+	// A filter carries exactly ceil(Bits/64) words, which readWords bounds by
+	// the payload present: nothing below is sized by bits never sent.
 	if p.Bits == 0 || uint64(len(words)) != (p.Bits-1)/64+1 {
 		return nil, fmt.Errorf("wire: filter declares %d bits but carries %d words: %w", p.Bits, len(words), ErrTruncated)
 	}
 
-	nWeights := r.count(4)
-	weights := make([]core.WeightEntry, nWeights)
+	weights := make([]core.WeightEntry, r.count(4))
 	for i := range weights {
+		query, mask, num, den := r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint()
+		// A weight is a fraction in (0, 1] of int64s; the encoder emits no
+		// zero or wrapped-negative term and no weight above 1.
+		if r.err == nil && (num == 0 || num > den || den > math.MaxInt64) {
+			return nil, fmt.Errorf("%w: row %d is %d/%d", ErrBadWeight, i, num, den)
+		}
 		weights[i] = core.WeightEntry{
-			Query:       core.QueryID(r.uvarint()),
-			Mask:        pattern.Subset(r.uvarint()),
-			Numerator:   int64(r.uvarint()),
-			Denominator: int64(r.uvarint()),
+			Query:       core.QueryID(query),
+			Mask:        pattern.Subset(mask),
+			Numerator:   int64(num),
+			Denominator: int64(den),
 		}
 	}
 
-	nSlots := r.count(3)
-	bitIdx := make([]uint64, nSlots)
-	ids := make([][]core.WeightID, nSlots)
-	prev := uint64(0)
-	for i := 0; i < nSlots; i++ {
-		prev += r.uvarint()
-		bitIdx[i] = prev
-		listLen := r.count(1)
-		list := make([]core.WeightID, listLen)
-		prevID := uint64(0)
-		for j := range list {
-			prevID += r.uvarint()
-			list[j] = core.WeightID(prevID)
+	offs := make([]uint32, r.count(2)+1)
+	total := 0
+	for d := 1; d < len(offs); d++ {
+		total += r.count(1)
+		offs[d] = uint32(total)
+	}
+	if left := len(r.buf) - r.off; total > left { // a pointer takes a byte at least
+		return nil, fmt.Errorf("wire: dictionary of %d pointers in %d remaining bytes: %w", total, left, ErrTruncated)
+	}
+	ids := make([]core.WeightID, total)
+	for d := 1; d < len(offs); d++ {
+		prev := uint64(0)
+		for i := offs[d-1]; i < offs[d]; i++ {
+			prev += r.uvarint()
+			ids[i] = core.WeightID(prev)
 		}
-		ids[i] = list
+	}
+
+	set := 0
+	for _, word := range words {
+		set += bits.OnesCount64(word)
+	}
+	codes := make([]uint32, set)
+	width := codeWidth(len(offs) - 1)
+	var acc uint64
+	var have uint
+	for i := range codes {
+		for ; have < width; have += 8 {
+			acc |= uint64(r.u8()) << have
+		}
+		codes[i] = uint32(acc & (1<<width - 1))
+		acc >>= width
+		have -= width
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	return core.FromParts(p, length, words, bitIdx, ids, weights, inserted)
+	if acc != 0 {
+		return nil, fmt.Errorf("wire: nonzero pad bits after %d packed list codes", set)
+	}
+	return core.FromParts(p, length, words, weights, offs, ids, codes, inserted)
 }
 
 // BatchQuery is one search round for one station: the IDs of every query in
@@ -191,8 +241,8 @@ func EncodeBatchQuery(b BatchQuery) (Message, error) {
 
 // DecodeBatchQuery parses and validates a batch round: the declared query
 // count is bounded by MaxBatchQueries, the filter reconstructs through
-// core.FromParts' validation, and every weight entry must reference a
-// declared query. Corrupt payloads fail with typed errors —
+// readFilter's and core.FromParts' validation, and every weight entry must
+// reference a declared query. Corrupt payloads fail with typed errors —
 // never a panic.
 func DecodeBatchQuery(m Message) (BatchQuery, error) {
 	if m.Kind != KindBatchQuery {
@@ -267,8 +317,8 @@ func AppendBatchReplyPayload(dst []byte, b BatchReply) []byte {
 	w.uvarint(uint64(b.Station))
 	w.uvarint(uint64(b.Queries))
 	w.uvarint(uint64(len(b.Reports)))
-	for _, rep := range b.Reports {
-		w.uvarint(uint64(rep.Person))
+	for i, rep := range b.Reports {
+		w.uvarint(replyPerson(b.Reports, i))
 		w.uvarint(uint64(len(rep.WeightIDs)))
 		for _, id := range rep.WeightIDs {
 			w.uvarint(uint64(id))
@@ -277,13 +327,24 @@ func AppendBatchReplyPayload(dst []byte, b BatchReply) []byte {
 	return w.buf
 }
 
+// replyPerson returns what report i's person is sent as: the first absolute,
+// the rest as the zigzagged difference from the report before. A station
+// reports in ascending person order (core.MatchResidents), so differences are
+// small and positive; zigzag keeps any other order encodable.
+func replyPerson(reports []core.Report, i int) uint64 {
+	if i == 0 {
+		return uint64(reports[0].Person)
+	}
+	return zigzag(int64(reports[i].Person - reports[i-1].Person))
+}
+
 // BatchReplyPayloadSize returns the exact number of bytes
 // AppendBatchReplyPayload will append for b.
 func BatchReplyPayloadSize(b BatchReply) int {
 	n := uvarintLen(uint64(b.Station)) + uvarintLen(uint64(b.Queries)) +
 		uvarintLen(uint64(len(b.Reports)))
-	for _, rep := range b.Reports {
-		n += uvarintLen(uint64(rep.Person)) + uvarintLen(uint64(len(rep.WeightIDs)))
+	for i, rep := range b.Reports {
+		n += uvarintLen(replyPerson(b.Reports, i)) + uvarintLen(uint64(len(rep.WeightIDs)))
 		for _, id := range rep.WeightIDs {
 			n += uvarintLen(uint64(id))
 		}
@@ -308,8 +369,14 @@ func DecodeBatchReply(m Message) (BatchReply, error) {
 	}
 	n := r.count(2)
 	out.Reports = make([]core.Report, 0, n)
+	prev := core.PersonID(0)
 	for i := 0; i < n; i++ {
-		rep := core.Report{Person: core.PersonID(r.uvarint())}
+		if v := r.uvarint(); i == 0 {
+			prev = core.PersonID(v)
+		} else {
+			prev += core.PersonID(unzigzag(v))
+		}
+		rep := core.Report{Person: prev}
 		ids := r.count(1)
 		rep.WeightIDs = make([]core.WeightID, ids)
 		for j := range rep.WeightIDs {

@@ -264,6 +264,7 @@ func TestRowCodecAllocatesWhatItHolds(t *testing.T) {
 	}
 	allocated := func(f func()) (bytes, allocs uint64) {
 		var before, after runtime.MemStats
+		runtime.GC() // the counters are process-wide: start from a quiet collector
 		runtime.ReadMemStats(&before)
 		f()
 		runtime.ReadMemStats(&after)

@@ -158,9 +158,10 @@ func (k Kind) String() string {
 
 // Version is the one protocol version: every frame is stamped with it and a
 // frame stamped otherwise is rejected with ErrBadVersion. It stays above
-// every value earlier builds stamped (2–7 by kind, then 8 while kinds 3, 6
-// and 7 were live), so none of their frames decode.
-const Version = uint8(9)
+// every value earlier builds stamped (2–7 by kind, 8 while kinds 3, 6 and 7
+// were live, 9 while a filter shipped a pointer list per set bit and a reply
+// absolute person IDs), so none of their frames decode.
+const Version = uint8(10)
 
 const (
 	magic      = uint16(0xD1A7)
@@ -186,7 +187,11 @@ var (
 	// ErrBatchMismatch rejects a batch payload whose parts disagree — a
 	// weight entry referencing a query the batch never declared.
 	ErrBatchMismatch = errors.New("wire: batch payload inconsistent")
-	errShortBuffer   = errors.New("wire: short buffer")
+	// ErrBadWeight rejects a filter whose weight-table row is not a fraction
+	// in (0, 1] of int64 terms: a zero or overflowing numerator or
+	// denominator, or a numerator above its denominator.
+	ErrBadWeight   = errors.New("wire: weight row out of range")
+	errShortBuffer = errors.New("wire: short buffer")
 )
 
 // Message is one framed unit on a link. Request correlates a reply with the
