@@ -266,9 +266,9 @@ var wireHexDump = regexp.MustCompile("(?m)^```\n((?:[0-9a-f]{4}  [0-9a-f ]+\n)+)
 
 // TestDocsWireWorkedFrames holds docs/WIRE.md's hex dumps to the codec: each
 // is a complete frame the decoder accepts (magic, the current version byte,
-// a live kind, the declared length), and the first — the KindBatchQuery
-// walk-through, whose filter block is the layout most likely to move — is
-// byte for byte what the live encoder writes for the query the text names.
+// a live kind, the declared length), and the first two — the KindBatchQuery
+// and KindBatchReply walk-throughs, the layouts most likely to move — are
+// byte for byte what the live encoders write for what the text names.
 func TestDocsWireWorkedFrames(t *testing.T) {
 	doc, err := os.ReadFile("docs/WIRE.md")
 	if err != nil {
@@ -289,8 +289,8 @@ func TestDocsWireWorkedFrames(t *testing.T) {
 		}
 		frames = append(frames, frame)
 	}
-	if len(frames) != 5 {
-		t.Fatalf("found %d worked frames in docs/WIRE.md, want 5", len(frames))
+	if len(frames) != 6 {
+		t.Fatalf("found %d worked frames in docs/WIRE.md, want 6", len(frames))
 	}
 
 	enc, err := core.NewEncoder(core.Params{Bits: 64, Hashes: 2, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5}, 2)
@@ -306,5 +306,13 @@ func TestDocsWireWorkedFrames(t *testing.T) {
 	}
 	if live := m.WithRequest(42).Encode(); !bytes.Equal(frames[0], live) {
 		t.Errorf("docs/WIRE.md's KindBatchQuery frame drifted from the encoder:\n doc  % x\n live % x", frames[0], live)
+	}
+	reply := wire.EncodeBatchReply(wire.BatchReply{Station: 3, Queries: 2, Reports: []core.Report{
+		{Person: 10, WeightIDs: []core.WeightID{0}},
+		{Person: 7, WeightIDs: []core.WeightID{1, 4}},
+		{Person: 15, WeightIDs: []core.WeightID{0}},
+	}})
+	if live := reply.WithRequest(42).Encode(); !bytes.Equal(frames[1], live) {
+		t.Errorf("docs/WIRE.md's KindBatchReply frame drifted from the encoder:\n doc  % x\n live % x", frames[1], live)
 	}
 }

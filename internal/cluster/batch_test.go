@@ -181,9 +181,9 @@ func TestForeignVersionPeerIsCountedFailed(t *testing.T) {
 	}
 }
 
-// TestDesyncedBatchReplyIsTypedError: a station echoing the wrong query
-// count fails the search with a descriptive error, not a panic.
-func TestDesyncedBatchReplyIsTypedError(t *testing.T) {
+// desyncedStation serves a fake station that answers every batch round with
+// an echo of 99 queries, and returns the center's end of its link.
+func desyncedStation() transport.Link {
 	center, stationEnd := transport.Pipe(nil, nil)
 	go func() {
 		for {
@@ -207,15 +207,67 @@ func TestDesyncedBatchReplyIsTypedError(t *testing.T) {
 			}
 		}
 	}()
-	c, err := NewWithLinks(Options{}, map[uint32]transport.Link{1: center}, 3, nil, nil)
+	return center
+}
+
+// TestDesyncedBatchReplyIsTypedError: a station echoing the wrong query
+// count fails the search with a descriptive error, not a panic.
+func TestDesyncedBatchReplyIsTypedError(t *testing.T) {
+	c, err := NewWithLinks(Options{}, map[uint32]transport.Link{1: desyncedStation()}, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
 
 	_, err = c.Search(context.Background(), []core.Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}}}})
-	if err == nil {
-		t.Fatal("desynced batch reply accepted")
+	if !errors.Is(err, wire.ErrBatchMismatch) {
+		t.Fatalf("desynced batch reply: err = %v, want wire.ErrBatchMismatch", err)
+	}
+}
+
+// TestDesyncedBatchReplyBehindRegionIsTypedError: the same station behind a
+// region coordinator, whose parent sends it a batch round as to a plain
+// station. The region must refuse the member's reply as the root refuses a
+// direct one — it stamps its own echo, so nobody above it could tell.
+func TestDesyncedBatchReplyBehindRegionIsTypedError(t *testing.T) {
+	inner, err := NewWithLinks(Options{}, map[uint32]transport.Link{1: desyncedStation()}, 3, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inner.Shutdown()
+	rootEnd, regionEnd := transport.Pipe(nil, nil)
+	defer rootEnd.Close()
+	served := make(chan error, 1)
+	go func() { served <- ServeRegion(100, inner, regionEnd) }()
+
+	enc, err := core.NewEncoder(core.Params{Bits: 1 << 10, Hashes: 3, Samples: 3}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.AddQuery(core.Query{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}}}); err != nil {
+		t.Fatal(err)
+	}
+	round, err := wire.EncodeBatchQuery(wire.BatchQuery{Queries: []core.QueryID{1}, Filter: enc.Filter()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rootEnd.Send(round.WithRequest(1)); err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan wire.Message, 1)
+	go func() {
+		if reply, err := rootEnd.Recv(); err == nil {
+			answered <- reply
+		}
+	}()
+	select {
+	case err := <-served:
+		if !errors.Is(err, wire.ErrBatchMismatch) {
+			t.Fatalf("ServeRegion: err = %v, want wire.ErrBatchMismatch", err)
+		}
+	case reply := <-answered:
+		br, err := wire.DecodeBatchReply(reply)
+		t.Fatalf("the region forwarded a desynced member's reply as its own: %+v, %v", br, err)
 	}
 }
 

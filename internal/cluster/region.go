@@ -185,7 +185,7 @@ func (r *Region) handleSummary(ctx context.Context) *wire.Message {
 // station and concatenates their reports. Report boundaries are preserved —
 // each report is one (person, weights) verdict from one station — so the
 // parent's aggregation sees exactly what it would see with the stations as
-// direct members.
+// direct members. It checks each member's echo, since it stamps its own.
 func (r *Region) handleBatchForward(ctx context.Context, msg wire.Message) (*wire.Message, error) {
 	bq, err := wire.DecodeBatchQuery(msg)
 	if err != nil {
@@ -193,7 +193,7 @@ func (r *Region) handleBatchForward(ctx context.Context, msg wire.Message) (*wir
 	}
 	var reports []core.Report
 	if err := r.forward(ctx, msg, func(reply wire.Message) error {
-		br, err := wire.DecodeBatchReply(reply)
+		br, err := decodeRoundReply(reply, len(bq.Queries))
 		if err != nil {
 			return err
 		}
@@ -315,8 +315,8 @@ func (r *Region) handleEvict(ctx context.Context, msg wire.Message) (*wire.Messa
 // forward fans one frame to every member station and feeds each reply to
 // handle, in ascending station order. A member that fails the exchange is
 // skipped — the parent's answer covers the stations that answered, exactly
-// as its own fan-out would — but a reply that fails to decode is fatal: it
-// means protocol corruption, not a dead peer.
+// as its own fan-out would — but a reply that fails to decode or answers
+// another round is fatal: it means protocol corruption, not a dead peer.
 func (r *Region) forward(ctx context.Context, msg wire.Message, handle func(reply wire.Message) error) error {
 	fwd := wire.Message{Kind: msg.Kind, Payload: msg.Payload}
 	if _, err := r.c.fanOut(ctx, r.c.currentEpoch(), fwd, nil, handle); err != nil {

@@ -220,12 +220,9 @@ func (c *Cluster) runWBFRound(ctx context.Context, ep *epoch, cfg searchConfig, 
 
 	failed, err := c.fanOut(ctx, ep, batchMsg, &out.Cost, func(reply wire.Message) error {
 		*reportBytes += uint64(reply.EncodedSize())
-		br, err := wire.DecodeBatchReply(reply)
+		br, err := decodeRoundReply(reply, len(batch))
 		if err != nil {
 			return err
-		}
-		if int(br.Queries) != len(batch) {
-			return fmt.Errorf("cluster: station %d answered %d queries, round has %d", br.Station, br.Queries, len(batch))
 		}
 		for _, rep := range br.Reports {
 			out.Cost.ReportsReceived++
@@ -243,6 +240,17 @@ func (c *Cluster) runWBFRound(ctx context.Context, ep *epoch, cfg searchConfig, 
 	}
 	out.Cost.Batches++
 	return nil
+}
+
+// decodeRoundReply decodes one station's answer to a round of the given
+// number of queries, refusing one whose echo names another count: the peer
+// matched a different batch, and its pointers index another weight table.
+func decodeRoundReply(reply wire.Message, queries int) (wire.BatchReply, error) {
+	br, err := wire.DecodeBatchReply(reply)
+	if err == nil && int(br.Queries) != queries {
+		err = fmt.Errorf("cluster: station %d answered %d queries, round has %d: %w", br.Station, br.Queries, queries, wire.ErrBatchMismatch)
+	}
+	return br, err
 }
 
 // verifyWBF runs the verification phase: pull every ranked candidate's

@@ -62,6 +62,24 @@ func TestNoallocFilterprobe(t *testing.T) {
 	}
 }
 
+// TestNoallocAggregatorAddFrom: crediting a person the aggregation already
+// holds allocates nothing, replicated or summed — the per-query minima of a
+// report live in a stack array, not a map per report.
+func TestNoallocAggregatorAddFrom(t *testing.T) {
+	table := buildPaperFilter(t, testParams()).Weights()
+	r := Report{Person: 7, WeightIDs: []WeightID{0, 1, 2}}
+	for _, replicated := range []func(PersonID) bool{nil, func(PersonID) bool { return true }} {
+		a := NewBatchAggregator()
+		a.SetReplicated(replicated)
+		if err := a.AddFrom(table, r); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = a.AddFrom(table, r) }); n != 0 {
+			t.Fatalf("(*Aggregator).AddFrom allocates %v times per run; want 0", n)
+		}
+	}
+}
+
 func TestNoallocintersectSorted(t *testing.T) {
 	a := make([]WeightID, 0, 8)
 	b := []WeightID{1, 2, 4, 7}

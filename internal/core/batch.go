@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"dimatch/internal/pattern"
@@ -41,11 +42,8 @@ func MatchResidents(f *Filter, persons []PersonID, locals []pattern.Pattern, wor
 
 	// Contiguous chunks keep each worker's output person-ascending; stitching
 	// the chunks in order restores the global order without a sort.
-	type chunk struct {
-		reports []Report
-		err     error
-	}
-	chunks := make([]chunk, workers)
+	chunks := make([][]Report, workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * len(persons) / workers
@@ -56,25 +54,24 @@ func MatchResidents(f *Filter, persons []PersonID, locals []pattern.Pattern, wor
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			chunks[w].reports, chunks[w].err = matchRange(f, persons[lo:hi], locals[lo:hi])
+			chunks[w], errs[w] = matchRange(f, persons[lo:hi], locals[lo:hi])
 		}(w, lo, hi)
 	}
 	wg.Wait()
-
-	var out []Report
-	for _, c := range chunks {
-		if c.err != nil {
-			return nil, c.err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, c.reports...)
 	}
-	return out, nil
+	return slices.Concat(chunks...), nil
 }
 
-// matchRange is one worker's serial walk over a slice of the store.
+// matchRange is one worker's serial walk over a slice of the store; every
+// report's pointers are a capped view into the walk's one arena.
 func matchRange(f *Filter, persons []PersonID, locals []pattern.Pattern) ([]Report, error) {
 	m := NewMatcher(f)
 	var out []Report
+	var arena []WeightID
 	for i, local := range locals {
 		if len(local) != f.Length() {
 			continue
@@ -86,11 +83,11 @@ func matchRange(f *Filter, persons []PersonID, locals []pattern.Pattern) ([]Repo
 		if !ok {
 			continue
 		}
-		selected, err := SelectClosestWeights(f, ids, local.Sum())
-		if err != nil {
+		lo := len(arena)
+		if arena, err = SelectClosestWeights(arena, f, ids, local.Sum()); err != nil {
 			return nil, err
 		}
-		out = append(out, Report{Person: persons[i], WeightIDs: selected})
+		out = append(out, Report{Person: persons[i], WeightIDs: arena[lo:len(arena):len(arena)]})
 	}
 	return out, nil
 }

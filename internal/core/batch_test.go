@@ -146,22 +146,47 @@ func TestAggregatorAddFromMergesTables(t *testing.T) {
 	}
 }
 
-// BenchmarkMatchResidents measures the station-side batch walk — the probe
-// path the batched pipeline leans on.
-func BenchmarkMatchResidents(b *testing.B) {
+// denseWalk is a station round where most residents report: sixteen queries
+// over 2 048 residents drawn from a few dozen patterns.
+func denseWalk(tb testing.TB) (*Filter, []PersonID, []pattern.Pattern) {
 	queries := make([]Query, 16)
 	for i := range queries {
 		queries[i] = Query{ID: QueryID(i + 1), Locals: []pattern.Pattern{
 			{int64(i + 1), 2, 3, 4}, {2, int64(i % 3), 1, 1},
 		}}
 	}
-	f := batchFilter(b, queries)
+	f := batchFilter(tb, queries)
 	var persons []PersonID
 	var locals []pattern.Pattern
 	for i := 0; i < 2048; i++ {
 		persons = append(persons, PersonID(i))
 		locals = append(locals, pattern.Pattern{int64(i % 7), 2, 3, int64(i % 5)})
 	}
+	return f, persons, locals
+}
+
+// TestAllocsMatchResidents: a worker collects its reports' pointers in one
+// arena, so the dense walk allocates per worker and per doubling of a
+// worker's output — not per report, as a slice per matching resident did.
+func TestAllocsMatchResidents(t *testing.T) {
+	f, persons, locals := denseWalk(t)
+	for _, workers := range []int{1, 2, 4} {
+		reports, err := MatchResidents(f, persons, locals, workers)
+		if err != nil || len(reports) < 512 {
+			t.Fatalf("workers=%d: %d reports, %v; the dense walk should report at least 512", workers, len(reports), err)
+		}
+		n := testing.AllocsPerRun(5, func() { _, _ = MatchResidents(f, persons, locals, workers) })
+		if n > float64(40*workers) {
+			t.Errorf("workers=%d: %v allocs for %d reports; want at most %d", workers, n, len(reports), 40*workers)
+		}
+		t.Logf("workers=%d: %v allocs for %d reports", workers, n, len(reports))
+	}
+}
+
+// BenchmarkMatchResidents measures the station-side batch walk — the probe
+// path the batched pipeline leans on.
+func BenchmarkMatchResidents(b *testing.B) {
+	f, persons, locals := denseWalk(b)
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := MatchResidents(f, persons, locals, 1); err != nil {

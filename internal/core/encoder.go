@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dimatch/internal/bloom"
 	"dimatch/internal/pattern"
@@ -20,9 +21,10 @@ type Encoder struct {
 	length  int
 	sample  []int
 	filter  *Filter
-	pairs   []uint64 // bit<<32 | weight pointer, one per bit a value hashed to
+	pairs   []uint64  // bit<<32 | weight pointer, one per bit a value hashed to
+	lows    [][]int64 // per key space, each band's first value, for the FP model
+	ends    [][]int64 // per key space, one past each band's last value
 	queries map[QueryID]bool
-	seen    map[int64]struct{} // distinct hashed keys, for the FP model
 	sealed  bool
 }
 
@@ -39,7 +41,8 @@ func NewEncoder(params Params, patternLength int) (*Encoder, error) {
 		sample:  f.sampleIdx,
 		filter:  f,
 		queries: make(map[QueryID]bool),
-		seen:    make(map[int64]struct{}),
+		lows:    make([][]int64, len(f.sampleIdx)),
+		ends:    make([][]int64, len(f.sampleIdx)),
 	}, nil
 }
 
@@ -74,21 +77,24 @@ func (e *Encoder) AddQuery(q Query) error {
 			Numerator:   num,
 			Denominator: denom,
 		})
-		return e.forEachSampledValue(combined, func(slot int, value int64) {
-			key := f.keys.key(slot, value)
-			e.seen[key] = struct{}{}
-			var buf [16]uint64
-			for _, bit := range f.family.Indexes(key, buf[:0]) {
-				e.pairs = append(e.pairs, bit<<32|id)
+		return e.forEachBand(combined, func(slot int, lo, hi int64) {
+			if s := f.keys.space(slot); lo <= hi {
+				e.lows[s], e.ends[s] = append(e.lows[s], lo), append(e.ends[s], hi+1)
 			}
-			f.inserted++
+			for u := lo; u <= hi; u++ {
+				var buf [16]uint64
+				for _, bit := range f.family.Indexes(f.keys.key(slot, u), buf[:0]) {
+					e.pairs = append(e.pairs, bit<<32|id)
+				}
+				f.inserted++
+			}
 		})
 	})
 }
 
-// forEachSampledValue accumulates p, samples it and yields every value in
-// the tolerance band of every sampled point.
-func (e *Encoder) forEachSampledValue(p pattern.Pattern, yield func(slot int, value int64)) error {
+// forEachBand accumulates p, samples it and yields the tolerance band of
+// every sampled point, clipped at zero: candidate values are never negative.
+func (e *Encoder) forEachBand(p pattern.Pattern, yield func(slot int, lo, hi int64)) error {
 	acc := p.Accumulate()
 	vals, err := acc.SampleAt(e.sample)
 	if err != nil {
@@ -96,13 +102,7 @@ func (e *Encoder) forEachSampledValue(p pattern.Pattern, yield func(slot int, va
 	}
 	for slot, v := range vals {
 		tol := e.params.band(e.sample[slot])
-		lo := v - tol
-		if lo < 0 {
-			lo = 0 // accumulated candidate values are never negative
-		}
-		for u := lo; u <= v+tol; u++ {
-			yield(slot, u)
-		}
+		yield(slot, max(v-tol, 0), v+tol)
 	}
 	return nil
 }
@@ -112,11 +112,39 @@ func (e *Encoder) forEachSampledValue(p pattern.Pattern, yield func(slot int, va
 func (e *Encoder) Filter() *Filter {
 	if !e.sealed {
 		e.sealed = true
-		e.filter.distinct = uint64(len(e.seen))
+		e.filter.distinct = distinctKeys(e.lows, e.ends)
 		e.filter.seal(e.pairs)
-		e.pairs = nil
+		e.pairs, e.lows, e.ends = nil, nil, nil
 	}
 	return e.filter
+}
+
+// distinctKeys counts the distinct keys the bands hashed: per key space, the
+// length of the union of its bands — the set a map of the hashed keys would
+// hold, up to 64-bit key collisions. Sorted apart, the k-th band start lies
+// below the k-th band end, so one merge walks the union's segments.
+func distinctKeys(lows, ends [][]int64) uint64 {
+	var n uint64
+	for s, starts := range lows {
+		stops := ends[s]
+		slices.Sort(starts)
+		slices.Sort(stops)
+		from, j := int64(0), 0
+		for i, lo := range starts {
+			for ; stops[j] <= lo; j++ {
+				if j+1 == i { // the last open band closes: a segment ends
+					n += uint64(stops[j] - from)
+				}
+			}
+			if j == i { // nothing open: a segment starts
+				from = lo
+			}
+		}
+		if len(stops) > 0 {
+			n += uint64(stops[len(stops)-1] - from)
+		}
+	}
+	return n
 }
 
 // EstimateInsertions predicts the number of hashed values for sizing a
@@ -189,8 +217,10 @@ func (e *BFEncoder) AddQuery(q Query) error {
 		return fmt.Errorf("core: query %d has length %d, encoder wants %d", q.ID, q.Length(), e.inner.length)
 	}
 	return q.EachCombination(func(_ pattern.Subset, _ int64, combined pattern.Pattern) error {
-		return e.inner.forEachSampledValue(combined, func(slot int, value int64) {
-			e.filter.Add(e.inner.filter.keys.key(slot, value))
+		return e.inner.forEachBand(combined, func(slot int, lo, hi int64) {
+			for u := lo; u <= hi; u++ {
+				e.filter.Add(e.inner.filter.keys.key(slot, u))
+			}
 		})
 	})
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dimatch/internal/bloom"
 	"dimatch/internal/pattern"
@@ -99,14 +99,15 @@ func (m *Matcher) Match(p pattern.Pattern) (ids []WeightID, ok bool, err error) 
 // SelectClosestWeights reduces a Match result to at most one weight pointer
 // per query: the entry whose numerator is closest to the candidate
 // pattern's value sum (its accumulated maximum), ties to the smaller
-// numerator.
+// numerator. It appends the selection, ascending, to dst (a walk's one
+// pointer arena) and returns the extended slice.
 //
 // This implements Algorithm 2's singular "return the weight". Under ε > 0
 // a piece can sit within tolerance of several combinations of one query;
 // the combination whose magnitude matches the piece is the right
 // attribution — crediting any other corrupts the center's sum-to-1
 // partition arithmetic.
-func SelectClosestWeights(f *Filter, ids []WeightID, patternSum int64) ([]WeightID, error) {
+func SelectClosestWeights(dst []WeightID, f *Filter, ids []WeightID, patternSum int64) ([]WeightID, error) {
 	// The surviving pointer set is tiny (one handful of queries at most), so
 	// a linear scan over a small stack-backed slice beats a map allocation —
 	// this runs once per matching resident on the station hot path.
@@ -142,12 +143,12 @@ func SelectClosestWeights(f *Filter, ids []WeightID, patternSum int64) ([]Weight
 			perQuery = append(perQuery, best{query: w.Query, id: id, dist: dist, num: w.Numerator})
 		}
 	}
-	out := make([]WeightID, 0, len(perQuery))
+	lo := len(dst)
 	for _, b := range perQuery {
-		out = append(out, b.id)
+		dst = append(dst, b.id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	slices.Sort(dst[lo:])
+	return dst, nil
 }
 
 // BFMatcher is the baseline counterpart of Matcher: same representation and

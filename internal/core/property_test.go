@@ -91,7 +91,7 @@ func (r refFilter) matchResidents(t *testing.T, persons []core.PersonID, locals 
 		if len(surviving) == 0 {
 			continue
 		}
-		selected, err := core.SelectClosestWeights(r.f, surviving, local.Sum())
+		selected, err := core.SelectClosestWeights(nil, r.f, surviving, local.Sum())
 		if err != nil {
 			t.Fatal(err)
 		}

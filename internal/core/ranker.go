@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -93,29 +94,30 @@ func (a *Aggregator) SetReplicated(pred func(PersonID) bool) {
 // certain share could push a true match's sum past 1 and delete it, while
 // under-crediting only lowers its rank.
 func (a *Aggregator) AddFrom(table []WeightEntry, r Report) error {
-	// minPerQuery collects the minimum numerator per query in this report.
-	var minPerQuery map[QueryID]int64
+	// minPerQuery holds each query's least-numerator entry: few, so a stack array.
+	var stack [8]WeightEntry
+	minPerQuery := stack[:0]
 	for _, id := range r.WeightIDs {
 		if int(id) >= len(table) {
 			return fmt.Errorf("core: report for person %d has dangling weight pointer %d", r.Person, id)
 		}
 		w := table[id]
-		if minPerQuery == nil {
-			minPerQuery = make(map[QueryID]int64, 1)
-		}
-		if cur, ok := minPerQuery[w.Query]; !ok || w.Numerator < cur {
-			minPerQuery[w.Query] = w.Numerator
+		switch i := slices.IndexFunc(minPerQuery, func(m WeightEntry) bool { return m.Query == w.Query }); {
+		case i < 0:
+			minPerQuery = append(minPerQuery, w)
+		case w.Numerator < minPerQuery[i].Numerator:
+			minPerQuery[i] = w
 		}
 		// Denominators are per query, not per filter — every table that
 		// mentions a query agrees on its global sum.
 		a.denoms[w.Query] = w.Denominator
 	}
 	dedup := a.replicated != nil && a.replicated(r.Person)
-	for q, num := range minPerQuery {
-		persons := a.perQuery[q]
+	for _, m := range minPerQuery {
+		persons := a.perQuery[m.Query]
 		if persons == nil {
 			persons = make(map[PersonID]*personAgg)
-			a.perQuery[q] = persons
+			a.perQuery[m.Query] = persons
 		}
 		agg := persons[r.Person]
 		if agg == nil {
@@ -126,11 +128,11 @@ func (a *Aggregator) AddFrom(table []WeightEntry, r Report) error {
 			// Replicas report the same underlying pattern: the highest score
 			// wins, duplicates are not summed (which would push a true match
 			// past 1 and delete it under Algorithm 3).
-			if num > agg.numerator {
-				agg.numerator = num
+			if m.Numerator > agg.numerator {
+				agg.numerator = m.Numerator
 			}
 		} else {
-			agg.numerator += num
+			agg.numerator += m.Numerator
 		}
 		agg.stations++
 	}

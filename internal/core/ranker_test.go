@@ -192,7 +192,7 @@ func TestSelectClosestWeights(t *testing.T) {
 	}
 	// A piece of magnitude 11 is closest to query 1's numerator 12; query
 	// 2's single entry is kept regardless.
-	got, err := SelectClosestWeights(f, ids, 11)
+	got, err := SelectClosestWeights(nil, f, ids, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestSelectClosestWeights(t *testing.T) {
 	}
 	// Magnitude 5: closest is 6; the tie between the two mask entries with
 	// numerator 6 resolves deterministically.
-	got, err = SelectClosestWeights(f, ids[:2], 5)
+	got, err = SelectClosestWeights(nil, f, ids[:2], 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +221,11 @@ func TestSelectClosestWeights(t *testing.T) {
 		t.Fatalf("selected numerator %d, want 6", w.Numerator)
 	}
 	// Dangling pointer errors.
-	if _, err := SelectClosestWeights(f, []WeightID{WeightID(len(f.Weights()))}, 1); err == nil {
+	if _, err := SelectClosestWeights(nil, f, []WeightID{WeightID(len(f.Weights()))}, 1); err == nil {
 		t.Fatal("dangling pointer accepted")
 	}
 	// Empty input selects nothing.
-	if got, err := SelectClosestWeights(f, nil, 1); err != nil || len(got) != 0 {
+	if got, err := SelectClosestWeights(nil, f, nil, 1); err != nil || len(got) != 0 {
 		t.Fatalf("empty input: %v, %v", got, err)
 	}
 }

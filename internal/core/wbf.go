@@ -92,6 +92,15 @@ func (k keyer) key(slot int, value int64) int64 {
 	return int64(hash.Mix64(uint64(value)) ^ k.salts[slot])
 }
 
+// space names the key space a slot's values hash in: the slot's own when
+// salted; without salting a value is one key at every slot.
+func (k keyer) space(slot int) int {
+	if k.salted {
+		return slot
+	}
+	return 0
+}
+
 // newFilter returns a filter with its pipeline state set and no bits yet;
 // seal or FromParts fills in the arrays.
 func newFilter(p Params, length int) (*Filter, error) {

@@ -78,7 +78,7 @@ func (f Family) M() uint64 { return f.m }
 func (f Family) Indexes(v int64, dst []uint64) []uint64 {
 	h1, h2 := f.base(v)
 	for i := 0; i < f.k; i++ {
-		dst = append(dst, (h1+uint64(i)*h2)%f.m)
+		dst = append(dst, f.reduce(h1+uint64(i)*h2))
 	}
 	return dst
 }
@@ -86,7 +86,15 @@ func (f Family) Indexes(v int64, dst []uint64) []uint64 {
 // Index returns the i-th hash of v, for i in [0, k).
 func (f Family) Index(v int64, i int) uint64 {
 	h1, h2 := f.base(v)
-	return (h1 + uint64(i)*h2) % f.m
+	return f.reduce(h1 + uint64(i)*h2)
+}
+
+// reduce is h mod m, as a mask when m is a power of two (every digest).
+func (f Family) reduce(h uint64) uint64 {
+	if f.m&(f.m-1) == 0 {
+		return h & (f.m - 1)
+	}
+	return h % f.m
 }
 
 // base computes the two underlying hashes for the double-hashing scheme.

@@ -1,7 +1,8 @@
 // AllocsPerRun pins: Message.AppendFrame (the hot-path frame renderer behind
-// every pooled send) and AppendBatchReplyPayload (a station's streaming batch
-// answer), held to 0 allocs/op, and DecodeBatchQuery (every visited station,
-// every round), held to a ceiling that does not grow with the filter.
+// every pooled send), held to 0 allocs/op; DecodeBatchQuery (every visited
+// station, every round), held to a ceiling that does not grow with the
+// filter; and the batch-reply codec, held to ceilings that do not grow with
+// the report count.
 package wire
 
 import (
@@ -22,23 +23,6 @@ func TestNoallocMessageAppendFrame(t *testing.T) {
 	}
 }
 
-func TestNoallocAppendBatchReplyPayload(t *testing.T) {
-	b := BatchReply{
-		Station: 3,
-		Queries: 2,
-		Reports: []core.Report{
-			{Person: 11, WeightIDs: []core.WeightID{1, 2}},
-			{Person: 12, WeightIDs: []core.WeightID{3}},
-		},
-	}
-	buf := make([]byte, 0, BatchReplyPayloadSize(b))
-	if n := testing.AllocsPerRun(100, func() {
-		frameSink = AppendBatchReplyPayload(buf[:0], b)
-	}); n != 0 {
-		t.Fatalf("AppendBatchReplyPayload allocates %v times per run; want 0", n)
-	}
-}
-
 // TestAllocsDecodeBatchQuery is a ceiling, not a zero: a decoded filter is a
 // fixed handful of arrays however many bits it sets (the point shape sets
 // 1 633), where a pointer list per set bit cost two allocations each.
@@ -55,5 +39,27 @@ func TestAllocsDecodeBatchQuery(t *testing.T) {
 		} else {
 			t.Logf("%s: %v allocs", s.name, n)
 		}
+	}
+}
+
+// TestAllocsBatchReplyCodec: 5 000 reports on 3 pointer lists encode into one
+// exactly sized payload — the working buffers are pooled, so the ceiling
+// leaves room for a pool emptied by a collection or thinned by -race — and
+// decode into two allocations, the reports and one pointer arena the reports
+// of a list share, where a slice per report cost 5 000.
+func TestAllocsBatchReplyCodec(t *testing.T) {
+	lists := [][]core.WeightID{{0}, {1}, {0, 2}}
+	b := BatchReply{Station: 9, Queries: 2, Reports: make([]core.Report, 5000)}
+	for i := range b.Reports {
+		b.Reports[i] = core.Report{Person: core.PersonID(3 * i), WeightIDs: lists[i*i%7%3]}
+	}
+	m := EncodeBatchReply(b)
+	if n := testing.AllocsPerRun(20, func() { messageSink = EncodeBatchReply(b) }); n > 16 {
+		t.Errorf("EncodeBatchReply of 5 000 reports allocates %v times per run; want at most 16", n)
+	} else {
+		t.Logf("encode: %v allocs", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { replySink, _ = DecodeBatchReply(m) }); n > 2 {
+		t.Errorf("DecodeBatchReply of 5 000 reports allocates %v times per run; want at most 2", n)
 	}
 }

@@ -237,37 +237,6 @@ func TestFilterDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestBatchReplyAnyPersonOrder: person IDs travel as differences, which a
-// station's ascending walk keeps to a byte or two; descending, repeated and
-// extreme IDs must survive all the same, and the size function stays exact.
-func TestBatchReplyAnyPersonOrder(t *testing.T) {
-	in := BatchReply{Station: 3, Queries: 1}
-	for _, p := range []core.PersonID{900, 901, 1030, 7, 7, math.MaxUint64, 0, 1 << 63, 12} {
-		in.Reports = append(in.Reports, core.Report{Person: p, WeightIDs: []core.WeightID{0}})
-	}
-	m := EncodeBatchReply(in)
-	if len(m.Payload) != BatchReplyPayloadSize(in) {
-		t.Fatalf("payload is %d B, BatchReplyPayloadSize says %d", len(m.Payload), BatchReplyPayloadSize(in))
-	}
-	got, err := DecodeBatchReply(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Reports) != len(in.Reports) {
-		t.Fatalf("%d reports, want %d", len(got.Reports), len(in.Reports))
-	}
-	for i, rep := range got.Reports {
-		if rep.Person != in.Reports[i].Person {
-			t.Fatalf("report %d: person %d, want %d", i, rep.Person, in.Reports[i].Person)
-		}
-	}
-	// 900, then +1 and +129: two bytes, one, two — not three varints of two.
-	asc := BatchReply{Reports: in.Reports[:3]}
-	if got, want := BatchReplyPayloadSize(asc), 3+2+1+2+3*2; got != want {
-		t.Fatalf("ascending reply is %d B, want %d", got, want)
-	}
-}
-
 var (
 	messageSink Message
 	batchSink   BatchQuery

@@ -16,32 +16,35 @@ import (
 // immediately explores the interesting corrupt-field space instead of
 // rediscovering the magic number.
 const (
-	workedBatchQueryHex = "a7d10a0e2a000000" + "2a000000" +
+	workedBatchQueryHex = "a7d10b0e2a000000" + "2a000000" +
 		"0101400000000000000002020001050000000000000000" +
 		"0202010000000500202000" + "0101010303" + "010100"
-	workedSummaryReplyHex = "a7d10a132a000000" + "1e000000" +
+	workedSummaryReplyHex = "a7d10b132a000000" + "1e000000" +
 		"030201719a3d0cbfe5a75140000000000000000702" +
 		"010119402202542008"
 	// A KindRouteQuery delegating a one-query round (auto-sized params,
 	// summary routing) and the region's KindRouteReply carrying one raw partial
 	// result.
-	workedRouteQueryHex = "a7d10a142a000000" + "2c000000" +
+	workedRouteQueryHex = "a7d10b142a000000" + "2c000000" +
 		"01070204020400020400020204" +
 		"000000000000000000000000000000000000000000" +
 		"7b14ae47e17a843f" + "0000"
-	workedRouteReplyHex = "a7d10a152a000000" + "0c000000" +
+	workedRouteReplyHex = "a7d10b152a000000" + "0c000000" +
 		"030502010001" + "010709181801"
 	// A KindParamUpdate installing a three-group adaptive plan at epoch 2.
-	workedParamUpdateHex = "a7d10a162a000000" + "1b000000" +
+	workedParamUpdateHex = "a7d10b162a000000" + "1b000000" +
 		"020000000000000001" + "1704000000000000" + "03" +
 		"020501" + "030604" + "040710"
+	// A KindBatchReply of three reports on two pointer lists.
+	workedBatchReplyHex = "a7d10b0f2a000000" + "0c000000" +
+		"030203" + "0200020a05" + "05010407"
 )
 
 // addRetiredSeeds seeds a frame fuzzer with copies of frame re-stamped with
 // each version byte earlier builds used (plus the next unassigned one) and
 // each retired kind byte — all of which must be rejected at the header.
 func addRetiredSeeds(f *testing.F, frame []byte) {
-	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 11} {
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12} {
 		bad := append([]byte(nil), frame...)
 		bad[2] = v
 		f.Add(bad)
@@ -69,6 +72,7 @@ func mustHex(t testing.TB, s string) []byte {
 func FuzzDecode(f *testing.F) {
 	f.Add(mustHex(f, workedBatchQueryHex))
 	f.Add(mustHex(f, workedSummaryReplyHex))
+	f.Add(mustHex(f, workedBatchReplyHex))
 	f.Add(Message{Kind: KindStats, Request: 7}.Encode())
 	f.Add(Message{Kind: KindShutdown}.Encode())
 	f.Add(EncodeDump(Dump{Persons: []core.PersonID{1, 2, 3}}).WithRequest(9).Encode())
@@ -153,6 +157,11 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(uint8(KindBatchReply)-1, EncodeBatchReply(BatchReply{Station: 3, Queries: 1, Reports: []core.Report{
 		{Person: 900, WeightIDs: []core.WeightID{0}}, {Person: 901, WeightIDs: []core.WeightID{0, 2}}, {Person: 7, WeightIDs: []core.WeightID{1}},
 	}}).Payload)
+	// The worked reply, then one payload per rule the reply decoder enforces.
+	f.Add(uint8(KindBatchReply)-1, mustHex(f, workedBatchReplyHex)[12:])
+	for _, tt := range hostileReplies() {
+		f.Add(uint8(KindBatchReply)-1, tt.payload())
+	}
 	// Row payloads whose varint count (what sizes the value arena) disagrees
 	// with their row count and row lengths.
 	for _, rows := range [][]byte{
@@ -232,18 +241,12 @@ func FuzzDecodePayload(f *testing.F) {
 			}
 		case KindBatchReply:
 			if br, err := DecodeBatchReply(m); err == nil {
-				enc := EncodeBatchReply(br)
-				if len(enc.Payload) != BatchReplyPayloadSize(br) {
-					t.Fatalf("batch-reply is %d B, BatchReplyPayloadSize says %d", len(enc.Payload), BatchReplyPayloadSize(br))
+				re, err := DecodeBatchReply(EncodeBatchReply(br))
+				if err != nil {
+					t.Fatalf("batch-reply re-decode failed: %v", err)
 				}
-				re, err := DecodeBatchReply(enc)
-				if err != nil || len(re.Reports) != len(br.Reports) {
-					t.Fatalf("batch-reply re-decode: %d reports, %v; want %d", len(re.Reports), err, len(br.Reports))
-				}
-				for i := range re.Reports {
-					if re.Reports[i].Person != br.Reports[i].Person {
-						t.Fatalf("batch-reply roundtrip changed person %d: %d vs %d", i, re.Reports[i].Person, br.Reports[i].Person)
-					}
+				if re.Station != br.Station || re.Queries != br.Queries || !sameReports(re.Reports, br.Reports) {
+					t.Fatalf("batch-reply roundtrip changed the (person, list) multiset:\n%+v\nvs\n%+v", re, br)
 				}
 			}
 		case KindDump:

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"sync"
 
 	"dimatch/internal/bloom"
 	"dimatch/internal/core"
@@ -297,59 +299,104 @@ type BatchReply struct {
 	Station uint32
 	// Queries echoes the number of queries the station matched against.
 	Queries uint32
+	// Reports each carry a pointer at least (a station reports matches). They
+	// travel grouped by list, so their order is not kept: decoded, a list's
+	// reports come together, person ascending, sharing its read-only slice.
 	Reports []core.Report
 }
 
-// EncodeBatchReply renders the batch answer in a single exactly-sized
-// allocation.
+// EncodeBatchReply renders the batch answer as one entry per distinct
+// pointer list, in first-use order: the list, how many reports carry it (not
+// sent for the last) and their persons ascending as a first ID plus gaps. It
+// writes into recycled buffers and copies out one exactly sized payload.
 func EncodeBatchReply(b BatchReply) Message {
-	payload := AppendBatchReplyPayload(make([]byte, 0, BatchReplyPayloadSize(b)), b)
+	bufs := replyScratch.Get().(*replyBufs)
+	firsts, persons, bounds := groupReports(b.Reports, &bufs.index)
+	w := writer{buf: bufs.payload[:0]}
+	w.uvarint(uint64(b.Station))
+	w.uvarint(uint64(b.Queries))
+	w.uvarint(uint64(len(persons)))
+	for g, first := range firsts {
+		list, run, last := b.Reports[first].WeightIDs, persons[bounds[g]:bounds[g+1]], g == len(firsts)-1
+		w.uvarint(uint64(len(list))<<1 | uint64(boolByte(last)))
+		for _, id := range list {
+			w.uvarint(uint64(id))
+		}
+		if !last {
+			w.uvarint(uint64(len(run)))
+		}
+		prev := uint64(0)
+		for _, p := range run {
+			w.uvarint(p - prev)
+			prev = p
+		}
+	}
+	payload := make([]byte, len(w.buf))
+	copy(payload, w.buf)
+	bufs.payload = w.buf
+	replyScratch.Put(bufs)
 	return Message{Kind: KindBatchReply, Payload: payload}
 }
 
-// AppendBatchReplyPayload appends the batch answer's payload bytes to dst and
-// returns the extended slice. It allocates nothing beyond dst's own growth,
-// so a station answering a batch stream can reuse one buffer across rounds.
-//
-// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
-func AppendBatchReplyPayload(dst []byte, b BatchReply) []byte {
-	w := writer{buf: dst[:len(dst)]}
-	w.uvarint(uint64(b.Station))
-	w.uvarint(uint64(b.Queries))
-	w.uvarint(uint64(len(b.Reports)))
-	for i, rep := range b.Reports {
-		w.uvarint(replyPerson(b.Reports, i))
-		w.uvarint(uint64(len(rep.WeightIDs)))
-		for _, id := range rep.WeightIDs {
-			w.uvarint(uint64(id))
-		}
-	}
-	return w.buf
+// replyBufs are EncodeBatchReply's working arrays, recycled across replies.
+type replyBufs struct {
+	index   []uint64
+	payload []byte
 }
 
-// replyPerson returns what report i's person is sent as: the first absolute,
-// the rest as the zigzagged difference from the report before. A station
-// reports in ascending person order (core.MatchResidents), so differences are
-// small and positive; zigzag keeps any other order encodable.
-func replyPerson(reports []core.Report, i int) uint64 {
-	if i == 0 {
-		return uint64(reports[0].Person)
-	}
-	return zigzag(int64(reports[i].Person - reports[i-1].Person))
-}
+var replyScratch = sync.Pool{New: func() any { return new(replyBufs) }}
 
-// BatchReplyPayloadSize returns the exact number of bytes
-// AppendBatchReplyPayload will append for b.
-func BatchReplyPayloadSize(b BatchReply) int {
-	n := uvarintLen(uint64(b.Station)) + uvarintLen(uint64(b.Queries)) +
-		uvarintLen(uint64(len(b.Reports)))
-	for i, rep := range b.Reports {
-		n += uvarintLen(replyPerson(b.Reports, i)) + uvarintLen(uint64(len(rep.WeightIDs)))
-		for _, id := range rep.WeightIDs {
-			n += uvarintLen(uint64(id))
+// groupReports groups the reports by pointer list, in first-use order, in
+// buf: list g is report firsts[g]'s, its persons persons[bounds[g]:
+// bounds[g+1]], ascending. A list matches the report before (a walk repeats
+// one list over long stretches) or is found by its hash in an open-addressed
+// table; a counting sort keeps report order, so only unordered runs sort.
+func groupReports(reports []core.Report, buf *[]uint64) (firsts, persons, bounds []uint64) {
+	n, need := len(reports), 4*len(reports)+1+2<<bits.Len(uint(len(reports)))
+	if cap(*buf) < need {
+		*buf = make([]uint64, need)
+	}
+	scratch := (*buf)[:need] // exactly: the table's length is a power of two
+	clear(scratch[3*n:])
+	group, firsts, persons := scratch[:n], scratch[n:n:2*n], scratch[2*n:3*n]
+	bounds, slots := scratch[3*n:4*n+1], scratch[4*n+1:] // slot: 1 + group, 0 = free
+	for i, rep := range reports {
+		ids := rep.WeightIDs
+		if i > 0 && slices.Equal(ids, reports[i-1].WeightIDs) {
+			group[i] = group[i-1]
+			continue
+		}
+		h := uint64(14695981039346656037) // FNV-1a, one step per pointer
+		for _, id := range ids {
+			h = (h ^ uint64(id)) * 1099511628211
+		}
+		j := h & uint64(len(slots)-1)
+		for slots[j] != 0 && !slices.Equal(ids, reports[firsts[slots[j]-1]].WeightIDs) {
+			j = (j + 1) & uint64(len(slots)-1)
+		}
+		if slots[j] == 0 {
+			firsts = append(firsts, uint64(i))
+			slots[j] = uint64(len(firsts))
+		}
+		group[i] = slots[j] - 1
+	}
+	bounds = bounds[:len(firsts)+1]
+	for _, g := range group {
+		bounds[g]++
+	}
+	for g := range firsts {
+		bounds[g+1] += bounds[g] // where group g ends
+	}
+	for i := n - 1; i >= 0; i-- {
+		bounds[group[i]]--
+		persons[bounds[group[i]]] = uint64(reports[i].Person) // where it starts, once all are placed
+	}
+	for g := range firsts {
+		if run := persons[bounds[g]:bounds[g+1]]; !slices.IsSorted(run) {
+			slices.Sort(run)
 		}
 	}
-	return n
+	return firsts, persons, bounds
 }
 
 // uvarintLen returns the encoded length of v as an unsigned varint.
@@ -357,32 +404,47 @@ func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
 }
 
-// DecodeBatchReply parses the batch answer.
+// DecodeBatchReply parses the batch answer into two allocations bounded by
+// the bytes present. The entries must account for exactly reportCount
+// reports: every list holds a pointer, a sent run length lies in [1, reports
+// remaining), and the last flag marks the entry that exhausts the count.
 func DecodeBatchReply(m Message) (BatchReply, error) {
 	if m.Kind != KindBatchReply {
 		return BatchReply{}, fmt.Errorf("wire: decoding %v as batch-reply", m.Kind)
 	}
 	r := &reader{buf: m.Payload}
-	out := BatchReply{
-		Station: uint32(r.uvarint()),
-		Queries: uint32(r.uvarint()),
-	}
-	n := r.count(2)
-	out.Reports = make([]core.Report, 0, n)
-	prev := core.PersonID(0)
-	for i := 0; i < n; i++ {
-		if v := r.uvarint(); i == 0 {
-			prev = core.PersonID(v)
-		} else {
-			prev += core.PersonID(unzigzag(v))
+	out := BatchReply{Station: r.u32(), Queries: r.u32()}
+	n := r.count(1) // a report's person takes a byte at least, as a pointer does
+	out.Reports = make([]core.Report, n)
+	arena := make([]core.WeightID, 0, max(len(r.buf)-r.off-n, 0))
+	for done := 0; done < n && r.err == nil; {
+		head := r.uvarint()
+		listLen, run := head>>1, n-done
+		if room := uint64(cap(arena) - len(arena)); r.err == nil && (listLen == 0 || listLen > room) {
+			return BatchReply{}, fmt.Errorf("wire: reply list of %d pointers where %d fit", listLen, room)
 		}
-		rep := core.Report{Person: prev}
-		ids := r.count(1)
-		rep.WeightIDs = make([]core.WeightID, ids)
-		for j := range rep.WeightIDs {
-			rep.WeightIDs[j] = core.WeightID(r.uvarint())
+		lo := len(arena)
+		for ; listLen > 0; listLen-- {
+			arena = append(arena, core.WeightID(r.u32()))
 		}
-		out.Reports = append(out.Reports, rep)
+		list := arena[lo:len(arena):len(arena)]
+		if head&1 == 0 {
+			v := r.uvarint()
+			if r.err == nil && (v == 0 || v >= uint64(run)) {
+				return BatchReply{}, fmt.Errorf("wire: reply run of %d reports where %d remain and the last flag is unset", v, run)
+			}
+			run = int(v)
+		}
+		person := uint64(0) // the first value is the person, the rest gaps
+		for k := done; k < done+run && r.err == nil; k++ {
+			if v := r.uvarint(); person+v >= person {
+				person += v
+			} else {
+				r.fail(fmt.Errorf("wire: reply person %d plus gap %d overflows", person, v))
+			}
+			out.Reports[k] = core.Report{Person: core.PersonID(person), WeightIDs: list}
+		}
+		done += run
 	}
 	if err := r.done(); err != nil {
 		return BatchReply{}, err

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Kind discriminates message payloads.
@@ -160,8 +161,9 @@ func (k Kind) String() string {
 // frame stamped otherwise is rejected with ErrBadVersion. It stays above
 // every value earlier builds stamped (2–7 by kind, 8 while kinds 3, 6 and 7
 // were live, 9 while a filter shipped a pointer list per set bit and a reply
-// absolute person IDs), so none of their frames decode.
-const Version = uint8(10)
+// absolute person IDs, 10 while a reply carried a pointer list per report),
+// so none of their frames decode.
+const Version = uint8(11)
 
 const (
 	magic      = uint16(0xD1A7)
@@ -339,6 +341,17 @@ func (r *reader) uvarint() uint64 {
 	}
 	r.off += n
 	return v
+}
+
+// u32 reads a uvarint that must fit 32 bits: a wider one is an error, not
+// silently truncated.
+func (r *reader) u32() uint32 {
+	v := r.uvarint()
+	if v > math.MaxUint32 {
+		r.fail(fmt.Errorf("wire: %d overflows 32 bits", v))
+		return 0
+	}
+	return uint32(v)
 }
 
 func (r *reader) u8() uint8 {
