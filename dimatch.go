@@ -39,11 +39,11 @@ type (
 	// Strategy selects naive / BF / WBF execution.
 	Strategy = cluster.Strategy
 	// RoutingMode selects how a WBF search picks the stations it fans out
-	// to: summary-routed pruning (the default), classic full fan-out, or
-	// digest-tree descent (see docs/ROUTING.md).
+	// to: summary-routed pruning (the default) or classic full fan-out (see
+	// docs/ROUTING.md).
 	RoutingMode = cluster.RoutingMode
-	// RoutingState reports the coordinator's routing-state footprint: cached
-	// per-station digests plus the digest tree's inner nodes. It is the
+	// RoutingState reports the coordinator's routing-state footprint: the
+	// number of cached per-station digests and their bytes. It is the
 	// per-coordinator figure TestTwoTierPlanningSublinearAt1024 bounds.
 	RoutingState = cluster.RoutingState
 	// Outcome is a search's ranked results plus cost accounting.
@@ -73,12 +73,9 @@ type (
 	// submissions: StreamBlock or StreamShed.
 	StreamAdmission = stream.Admission
 	// StreamStats is a streaming pipeline's health snapshot: admission,
-	// flush and eviction totals plus per-station queue depths. Returned by
-	// Ingestor.Report and surfaced (merged across pipelines) in
-	// ClusterStats.Stream.
+	// flush and eviction totals. Returned by Ingestor.Report and surfaced
+	// (summed across pipelines) in ClusterStats.Stream.
 	StreamStats = metrics.StreamStats
-	// StreamStationStats is one station shard's entry in StreamStats.
-	StreamStationStats = metrics.StreamStationStats
 	// ParamPlan is a traffic-adaptive digest parameter table: per-position
 	// bit weights, hash counts and quanta, derived by RederiveParams and
 	// rolled out under one epoch (see docs/OPERATIONS.md).
@@ -153,9 +150,9 @@ func WithBatching(n int) SearchOption { return cluster.WithBatching(n) }
 // wasted exchanges differ (CostReport.StationsPruned counts them,
 // CostReport.SubtreeProbes the digest evaluations planning cost). BF and
 // naive searches ignore the mode and always fan out fully. Against region
-// coordinators (see ServeRegion) summary routing additionally prunes whole
-// regions by their subtree union digests before delegating. See
-// docs/ROUTING.md.
+// coordinators (see ServeRegion) summary routing prunes a whole region by the
+// one digest it serves upward, built from its members' raw residents, before
+// delegating. See docs/ROUTING.md.
 func WithRouting(m RoutingMode) SearchOption { return cluster.WithRouting(m) }
 
 // Sentinel errors returned by Search, re-exported for errors.Is checks.
@@ -296,7 +293,8 @@ func (c *Cluster) Evict(ctx context.Context, stationID uint32, persons []PersonI
 // maintained without the caller naming stations. A person must be either
 // placed or station-addressed, never both; Unplace releases them back.
 func (c *Cluster) Place(ctx context.Context, patterns map[PersonID]Pattern, opts ...PlaceOption) error {
-	return c.inner.Place(ctx, patterns, opts...)
+	_, err := c.inner.Place(ctx, patterns, opts...)
+	return err
 }
 
 // Unplace releases persons from automatic placement, evicting their replicas
@@ -389,13 +387,12 @@ func (c *Cluster) ParamState() (uint64, *ParamPlan) { return c.inner.ParamState(
 func (c *Cluster) TrafficSnapshot() TrafficProfile { return c.inner.TrafficSnapshot() }
 
 // Stream starts a streaming ingest pipeline over the cluster and returns
-// its Ingestor: a pool of encoder workers routing each submitted pattern to
-// per-station applier shards by rendezvous (HRW) placement, bounded queues
-// with explicit admission control (StreamBlock waits, StreamShed drops with
-// ErrOverloaded), and batched acknowledged flushes over the station links.
-// Flushed patterns are replica-managed exactly like Place'd ones — searches
-// dedupe their replica reports and membership changes re-replicate them —
-// and StreamOptions.TTL adds deadline-wheel eviction so stations self-trim
+// its Ingestor: one bounded intake queue with explicit admission control
+// (StreamBlock waits, StreamShed drops with ErrOverloaded), drained by one
+// flusher into batches that it hands to Place. Streamed patterns are
+// therefore placed exactly like Place'd ones — searches dedupe their replica
+// reports and membership changes re-replicate them — and
+// StreamOptions.TTL adds deadline-wheel eviction so stations self-trim
 // under sustained load. Any number of pipelines may run over one cluster;
 // each registers its health into ClusterStats.Stream until closed. The
 // caller owns Close, which drains accepted patterns before stopping.

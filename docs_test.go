@@ -107,7 +107,8 @@ func TestDocsLocalLinks(t *testing.T) {
 // removedRefs match what deleted tooling left in prose: the recorded-baseline
 // bench stack's BENCH_*.json files and di-bench's -<name>-out/-<name>-check
 // flag pairs; the di-lint binary and the two ways it ran; the in-coordinator
-// digest-tree routing mode and the two Options fields nobody set.
+// digest-tree routing mode and the two Options fields nobody set; the
+// streaming pipeline's per-station shards and the hooks they needed.
 var removedRefs = []struct {
 	re   *regexp.Regexp
 	with string
@@ -115,6 +116,7 @@ var removedRefs = []struct {
 	{regexp.MustCompile(`BENCH_|-(replication|routing|stream|recovery|hierarchy|adaptive)-(out|check)\b`), "the recorded-baseline bench stack"},
 	{regexp.MustCompile(`di-lint|-vettool|-allocharness`), "cmd/di-lint (go test ./internal/analyzers is the one runner)"},
 	{regexp.MustCompile(`RoutingTree|Options\.(Routing|BatchSize)\b`), "the digest-tree planner and the cluster-level routing/batching defaults (WithRouting and WithBatching are per call)"},
+	{regexp.MustCompile(`NotePlaced|OnMembershipChange|StreamStationStats|Options\.Encoders|\bRerouted\b|\bappliers?\b|(station|stream|pipeline) shards?\b`), "the per-station stream appliers (a flush is one Place call under the heal lock)"},
 }
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every

@@ -481,7 +481,7 @@ func TestReadmeStreamingSnippet(t *testing.T) {
 	out, _ := c.Search(ctx, []dimatch.Query{
 		{ID: 1, Locals: []dimatch.Pattern{{3, 4, 5}}},
 	})
-	rep := in.Report() // accepted, shed, flushes, per-station queue depths
+	rep := in.Report() // accepted, shed, flushes, failures, evictions
 	_ = in.Close()     // final drain: every acked pattern has landed
 	// ---- end of snippet ----
 

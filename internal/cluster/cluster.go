@@ -102,7 +102,8 @@ type Cluster struct {
 
 	// placeTab tracks persons under automatic placement (see Place); nil
 	// until the first Place call, so station-addressed clusters pay nothing.
-	// healMu serializes reconciliation passes.
+	// healMu orders Place, Unplace and reconciliation passes: every heal
+	// runs after any placement already in flight.
 	placeTab *placement.Table
 	healMu   sync.Mutex
 
@@ -129,11 +130,10 @@ type Cluster struct {
 	paramEpoch uint64      // dimatch:guardedby paramMu
 	paramPlan  *index.Plan // dimatch:guardedby paramMu
 
-	// Streaming-pipeline hooks (see stream_hooks.go): membership-change
-	// subscribers and registered health-snapshot providers. hookMu is
-	// leaf-level — never held while c.mu is taken or a callback runs.
+	// Registered streaming-pipeline health providers (see stream_hooks.go).
+	// hookMu is leaf-level — never held while c.mu is taken or a provider
+	// runs.
 	hookMu      sync.Mutex
-	memberSubs  map[uint64]func()                      // dimatch:guardedby hookMu
 	streamStats map[uint64]func() *metrics.StreamStats // dimatch:guardedby hookMu
 	hookSeq     uint64                                 // dimatch:guardedby hookMu
 

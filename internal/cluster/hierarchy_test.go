@@ -524,7 +524,7 @@ func TestHierarchicalPlacementAndRegionKill(t *testing.T) {
 	for p := core.PersonID(1); p <= 20; p++ {
 		patterns[p] = pattern.Pattern{int64(p) * 10, int64(p), int64(p) * 3}
 	}
-	if err := h.root.Place(ctx, patterns, WithReplication(2)); err != nil {
+	if _, err := h.root.Place(ctx, patterns, WithReplication(2)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -41,9 +41,6 @@ func (c *Cluster) KillStation(id uint32) error {
 	c.installEpochLocked(c.ep.ids, c.ep.muxes)
 	c.mu.Unlock()
 	c.summaries.invalidate(id)
-	// Streaming pipelines re-key the dead station's shard before the heal:
-	// queued copies must stop targeting a link that can no longer ack them.
-	c.notifyMembership()
 	c.heal(context.Background()) //dimatch:allow ctxflow — KillStation is a ctx-less fault-injection API; healing must outlive the injected fault
 	return err
 }
@@ -249,8 +246,8 @@ func (c *Cluster) refusalLocked(id uint32) error {
 // and AddStationLink. It takes ownership of mux (closed if the join is
 // refused), serves st when the member is in-process, installs the next epoch
 // and runs the hooks every join owes: a departed member may have left a
-// digest under the same id, so the summary slot starts cold; streaming
-// pipelines re-key; placed patterns rebalance onto the newcomer.
+// digest under the same id, so the summary slot starts cold; placed patterns
+// rebalance onto the newcomer.
 func (c *Cluster) join(ctx context.Context, id uint32, mux *transport.Mux, st *Station) error {
 	c.mu.Lock()
 	if err := c.refusalLocked(id); err != nil {
@@ -268,7 +265,6 @@ func (c *Cluster) join(ctx context.Context, id uint32, mux *transport.Mux, st *S
 	c.addMemberLocked(id, mux)
 	c.mu.Unlock()
 	c.summaries.invalidate(id)
-	c.notifyMembership()
 	c.heal(ctx)
 	return nil
 }
@@ -397,11 +393,6 @@ func (c *Cluster) RemoveStation(ctx context.Context, id uint32) error {
 	}
 	c.mu.Unlock()
 	c.summaries.invalidate(id)
-	// Re-key before the link goes down: a streaming applier still targeting
-	// the departed station drains its queue onto the survivors, and only
-	// then does the station receive its shutdown frame.
-	c.notifyMembership()
-
 	if !wasDead {
 		stopMux(ctx, mux)
 	}

@@ -143,9 +143,11 @@ func (c *Cluster) aliveMembers() (ids []uint32, muxes []*transport.Mux) {
 // Partial failure is not fatal: a person who reached at least one station is
 // recorded as placed (reconciliation restores the missing copies on the next
 // membership change or Rebalance call); the error joins every failed station
-// exchange. All-zero patterns are skipped entirely, matching the stations'
+// exchange. unplaced lists the persons who reached no station — all of them
+// when the call fails before any exchange — so a caller can retry exactly
+// those. All-zero patterns are skipped entirely, matching the stations'
 // ingest rule (no measurable activity means no pattern).
-func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.Pattern, opts ...PlaceOption) error {
+func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.Pattern, opts ...PlaceOption) (unplaced []core.PersonID, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -161,14 +163,17 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 		cfg.replication = DefaultReplication
 	}
 	if len(patterns) == 0 {
-		return nil
-	}
-	if err := checkLengths(c.length, "place", patterns); err != nil {
-		return err
+		return nil, nil
 	}
 	alive, _ := c.aliveMembers()
-	if len(alive) == 0 {
-		return ErrNoAliveStations
+	if err = checkLengths(c.length, "place", patterns); err == nil && len(alive) == 0 {
+		err = ErrNoAliveStations
+	}
+	if err != nil {
+		for p := range patterns {
+			unplaced = append(unplaced, p)
+		}
+		return unplaced, err
 	}
 
 	// Group the copies by target station so each station receives one
@@ -227,9 +232,10 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 			} else {
 				tab.Remove(p)
 			}
+			unplaced = append(unplaced, p)
 		}
 	}
-	return errors.Join(errs...)
+	return unplaced, errors.Join(errs...)
 }
 
 // groupedFanOut runs one mutation exchange per station concurrently — a
@@ -458,14 +464,13 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 }
 
 // heal is the membership-change hook: a best-effort, bounded reconciliation.
-// It is a no-op while nothing is placed, so purely station-addressed
-// clusters never pay for it. Errors are swallowed — reconciliation is
-// idempotent and the next membership change (or an explicit Rebalance)
-// retries.
+// It always queues on healMu, even while nothing is placed, so it runs after
+// any Place already in flight — a Place that computed its targets over the
+// old membership and whose copies the change stranded. A pass over an empty
+// table returns at once, so purely station-addressed clusters pay one lock.
+// Errors are swallowed — reconciliation is idempotent and the next
+// membership change (or an explicit Rebalance) retries.
 func (c *Cluster) heal(ctx context.Context) {
-	if c.Placed() == 0 {
-		return
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -277,7 +277,7 @@ func TestRecoveryDeltaOnlyRebalance(t *testing.T) {
 	for i := 1; i <= 40; i++ {
 		placed[core.PersonID(i)] = pattern.Pattern{int64(i), int64(i + 1)}
 	}
-	if err := c.Place(ctx, placed, WithReplication(2)); err != nil {
+	if _, err := c.Place(ctx, placed, WithReplication(2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -296,7 +296,7 @@ func TestRecoveryDeltaOnlyRebalance(t *testing.T) {
 	for i := 41; i <= 45; i++ {
 		late[core.PersonID(i)] = pattern.Pattern{int64(i), int64(i + 1)}
 	}
-	if err := c.Place(ctx, late, WithReplication(2)); err != nil {
+	if _, err := c.Place(ctx, late, WithReplication(2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -320,7 +320,6 @@ func TestRecoveryDeltaOnlyRebalance(t *testing.T) {
 	c.addMemberLocked(2, transport.NewMux(center))
 	c.mu.Unlock()
 	c.summaries.invalidate(2)
-	c.notifyMembership()
 
 	report, err := c.Rebalance(ctx)
 	if err != nil {

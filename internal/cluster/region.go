@@ -283,7 +283,7 @@ func (r *Region) handleIngest(ctx context.Context, msg wire.Message) (*wire.Mess
 		patterns[p] = in.Locals[i]
 		applied++
 	}
-	if err := r.c.Place(ctx, patterns, WithReplication(1)); err != nil {
+	if _, err := r.c.Place(ctx, patterns, WithReplication(1)); err != nil {
 		return nil, fmt.Errorf("region %d: %w", r.id, err)
 	}
 	reply := wire.EncodeAck(wire.Ack{Station: r.id, Applied: uint64(applied)})
@@ -363,9 +363,8 @@ func (u *upwardDigest) put(key []uint64, sum *index.Summary) {
 // bitwise-OR union of the members' own digests: a small filter carries only
 // as much information as it has bits, so expanding and OR-ing many member
 // digests keeps each member's fill density and saturates at any aggregate
-// scale (the in-coordinator Bloofi tree tolerates exactly this because
-// sharper nodes below every union recover the precision — a region's digest
-// has no sharper node at the parent, so it must be sharp itself). The raw
+// scale, and the parent probes this digest alone — there is no sharper node
+// below it to recover the precision, so it must be sharp itself. The raw
 // patterns are pulled with one whole-store dump fan-out per churn: the
 // result is cached under a key of the membership epoch and every member's
 // summary generation, so steady state serves from memory and any mutation —

@@ -35,7 +35,7 @@ func newPlacedCluster(t *testing.T, stations []uint32, r int, patterns map[core.
 	}
 	c.Start()
 	t.Cleanup(func() { _ = c.Shutdown() })
-	if err := c.Place(context.Background(), patterns, WithReplication(r)); err != nil {
+	if _, err := c.Place(context.Background(), patterns, WithReplication(r)); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -316,15 +316,15 @@ func TestUnplace(t *testing.T) {
 func TestPlaceValidation(t *testing.T) {
 	c := newPlacedCluster(t, []uint32{1, 2}, 2, map[core.PersonID]pattern.Pattern{7: {1, 2, 3, 4}})
 	ctx := context.Background()
-	if err := c.Place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2}}); !errors.Is(err, ErrLengthMismatch) {
+	if _, err := c.Place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2}}); !errors.Is(err, ErrLengthMismatch) {
 		t.Fatalf("short pattern: err = %v, want ErrLengthMismatch", err)
 	}
-	if err := c.Place(ctx, nil); err != nil {
+	if _, err := c.Place(ctx, nil); err != nil {
 		t.Fatalf("empty place: %v", err)
 	}
 	// An all-zero pattern is skipped (stations would drop it on ingest), so
 	// no unsatisfiable intent is recorded and reconciliation stays clean.
-	if err := c.Place(ctx, map[core.PersonID]pattern.Pattern{42: {0, 0, 0, 0}}); err != nil {
+	if _, err := c.Place(ctx, map[core.PersonID]pattern.Pattern{42: {0, 0, 0, 0}}); err != nil {
 		t.Fatalf("zero-sum place: %v", err)
 	}
 	if c.Placed() != 1 {
@@ -339,8 +339,69 @@ func TestPlaceValidation(t *testing.T) {
 	if err := c.KillStation(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2, 3, 4}}); !errors.Is(err, ErrNoAliveStations) {
-		t.Fatalf("all dead: err = %v, want ErrNoAliveStations", err)
+	unplaced, err := c.Place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2, 3, 4}})
+	if !errors.Is(err, ErrNoAliveStations) || len(unplaced) != 1 || unplaced[0] != 9 {
+		t.Fatalf("all dead: unplaced %v, err = %v, want [9] and ErrNoAliveStations", unplaced, err)
+	}
+}
+
+// TestPlaceReportsUnplaced pins the retry contract the streaming pipeline
+// relies on: Place names exactly the persons it landed nowhere and rolls
+// their intents back, and names nobody when every person landed.
+func TestPlaceReportsUnplaced(t *testing.T) {
+	c := newPlacedCluster(t, []uint32{1, 2, 3}, 2, map[core.PersonID]pattern.Pattern{7: {1, 2, 3, 4}})
+	batch := map[core.PersonID]pattern.Pattern{8: {5, 6, 7, 8}, 9: {9, 9, 9, 9}}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	unplaced, err := c.Place(cancelled, batch)
+	if err == nil || len(unplaced) != 2 {
+		t.Fatalf("cancelled place: unplaced %v, err %v, want both persons and an error", unplaced, err)
+	}
+	if c.Placed() != 1 {
+		t.Fatalf("Placed() = %d after a place that landed nothing, want the 1 prior person", c.Placed())
+	}
+
+	unplaced, err = c.Place(context.Background(), batch)
+	if err != nil || len(unplaced) != 0 {
+		t.Fatalf("healthy place: unplaced %v, err %v, want none", unplaced, err)
+	}
+	if c.Placed() != 3 {
+		t.Fatalf("Placed() = %d, want 3", c.Placed())
+	}
+}
+
+// BenchmarkPlace is the one placement path behind Place, stream flushes
+// and heals at the streaming pipeline's default batch shape: 2 048 persons
+// at R = 2 over 16 in-process stations, about 256 copies per station
+// exchange.
+func BenchmarkPlace(b *testing.B) {
+	stations := make([]uint32, 16)
+	for i := range stations {
+		stations[i] = uint32(i + 1)
+	}
+	c, err := NewEmpty(placedOptions(), stations, 24)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.Start()
+	b.Cleanup(func() { _ = c.Shutdown() })
+	rng := rand.New(rand.NewSource(1))
+	batch := make(map[core.PersonID]pattern.Pattern, 2048)
+	for p := core.PersonID(1); p <= 2048; p++ {
+		pat := make(pattern.Pattern, 24)
+		for i := range pat {
+			pat[i] = rng.Int63n(50) + 1
+		}
+		batch[p] = pat
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Place(ctx, batch, WithReplication(2)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -473,7 +534,7 @@ func TestReplicatedPredKeepsOneModelPerPerson(t *testing.T) {
 	if err := c.Unplace(ctx, []core.PersonID{7}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2, 3, 4}}, WithReplication(2)); err != nil {
+	if _, err := c.Place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2, 3, 4}}, WithReplication(2)); err != nil {
 		t.Fatal(err)
 	}
 	if !pred(7) {

@@ -369,7 +369,7 @@ func TestRoutingPlacedReplicas(t *testing.T) {
 	for p := core.PersonID(1); p <= 30; p++ {
 		patterns[p] = pattern.Pattern{int64(p) * 10, int64(p), int64(p) * 3}
 	}
-	if err := c.Place(ctx, patterns, WithReplication(2)); err != nil {
+	if _, err := c.Place(ctx, patterns, WithReplication(2)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -51,10 +51,9 @@ type Stats struct {
 	StationsFailed int
 	// Stream is the merged health snapshot of every streaming ingest
 	// pipeline currently registered on the cluster (see
-	// RegisterStreamStats): admission/flush/eviction totals plus
-	// per-station queue depths. Unlike the storage figures above it is not
-	// epoch-cached — every Stats call reads the pipelines live — and it is
-	// nil when no pipeline is attached.
+	// RegisterStreamStats): admission, flush and eviction totals. Unlike the
+	// storage figures above it is not epoch-cached — every Stats call reads
+	// the pipelines live — and it is nil when no pipeline is attached.
 	Stream *metrics.StreamStats
 }
 
@@ -135,7 +134,7 @@ func (c *Cluster) Stats(ctx context.Context) (*Stats, error) {
 	// Hand out a copy: the cached snapshot is shared with concurrent
 	// callers and with the per-search StationRawBytes tally. Stream health
 	// is attached per call — pipelines mutate continuously, so caching it
-	// on the epoch would freeze the queue gauges between mutations.
+	// on the epoch would freeze their counters between mutations.
 	return &Stats{
 		Epoch:          st.Epoch,
 		Stations:       append([]StationStats(nil), st.Stations...),

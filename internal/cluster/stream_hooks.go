@@ -1,92 +1,22 @@
 package cluster
 
 // Hooks for the streaming ingest pipeline (internal/stream). The pipeline
-// lives outside this package and imports it, so everything it needs from
-// the coordinator — the alive membership for HRW shard routing, placement
-// intents for replica-aware aggregation, membership-change notification
-// for shard re-keying, and a health-reporting slot in Stats — is exposed
-// here as small, individually documented hooks rather than by handing the
-// pipeline the cluster's internals.
+// places its batches through Place like any caller; beyond that it needs
+// only a membership check at start-up and a health-reporting slot in Stats.
 
-import (
-	"dimatch/internal/core"
-	"dimatch/internal/metrics"
-)
+import "dimatch/internal/metrics"
 
 // AliveStationIDs returns the current epoch's non-dead member stations in
-// ascending order. It is the membership view HRW shard routing keys on: a
-// streaming encoder computes placement.Pick over exactly this set, so every
-// encoder (and the reconciliation loop) derives identical targets from
-// identical membership.
+// ascending order: a streaming pipeline refuses to start over none.
 func (c *Cluster) AliveStationIDs() []uint32 {
 	ids, _ := c.aliveMembers()
 	return append([]uint32(nil), ids...)
 }
 
-// NotePlaced records persons as under automatic placement at the given
-// replication factor without moving any data. The streaming pipeline calls
-// it BEFORE flushing a person's replica copies — the same
-// intent-before-copies ordering Place uses — so a search racing the first
-// flush already dedupes the replica reports instead of summing them (a sum
-// over full replicas exceeds 1 and Algorithm 3 deletes the true match).
-// Marking early is harmless the other way: max-dedup over zero or one
-// reports ranks identically to summation. r <= 0 falls back to
-// DefaultReplication.
-func (c *Cluster) NotePlaced(persons []core.PersonID, r int) {
-	if len(persons) == 0 {
-		return
-	}
-	if r <= 0 {
-		r = DefaultReplication
-	}
-	t := c.placementTable()
-	for _, p := range persons {
-		t.Set(p, r)
-	}
-}
-
-// OnMembershipChange registers fn to run after every membership mutation —
-// AddStation, AddStationLink, RemoveStation, KillStation — once the new
-// epoch is installed. Ingest/evict epochs do not fire it. The callback is
-// invoked synchronously with no cluster lock held, so it may call back into
-// the cluster (AliveStationIDs, Stats, mutations); it should still return
-// promptly, since the mutation that triggered it waits. The returned cancel
-// function unregisters fn and is idempotent.
-func (c *Cluster) OnMembershipChange(fn func()) (cancel func()) {
-	c.hookMu.Lock()
-	if c.memberSubs == nil {
-		c.memberSubs = make(map[uint64]func())
-	}
-	c.hookSeq++
-	id := c.hookSeq
-	c.memberSubs[id] = fn
-	c.hookMu.Unlock()
-	return func() {
-		c.hookMu.Lock()
-		delete(c.memberSubs, id)
-		c.hookMu.Unlock()
-	}
-}
-
-// notifyMembership invokes every registered membership callback. Callers
-// must not hold c.mu: callbacks re-enter the cluster.
-func (c *Cluster) notifyMembership() {
-	c.hookMu.Lock()
-	fns := make([]func(), 0, len(c.memberSubs))
-	for _, fn := range c.memberSubs {
-		fns = append(fns, fn)
-	}
-	c.hookMu.Unlock()
-	for _, fn := range fns {
-		fn()
-	}
-}
-
 // RegisterStreamStats registers a health-snapshot provider — typically one
 // streaming Ingestor's Report — to be merged into Cluster.Stats' Stream
-// field. Multiple pipelines may register; their snapshots merge (totals
-// sum, per-station entries combine). The returned cancel function
-// unregisters the provider and is idempotent.
+// field. Multiple pipelines may register; their totals sum. The returned
+// cancel function unregisters the provider and is idempotent.
 func (c *Cluster) RegisterStreamStats(fn func() *metrics.StreamStats) (cancel func()) {
 	c.hookMu.Lock()
 	if c.streamStats == nil {
@@ -103,10 +33,8 @@ func (c *Cluster) RegisterStreamStats(fn func() *metrics.StreamStats) (cancel fu
 	}
 }
 
-// streamHealth merges every registered pipeline's snapshot and decorates
-// each per-station entry with the station link's in-flight exchange count —
-// the backlog past the pipeline's own queues. Returns nil when no pipeline
-// is registered.
+// streamHealth merges every registered pipeline's snapshot. Returns nil
+// when no pipeline is registered.
 func (c *Cluster) streamHealth() *metrics.StreamStats {
 	c.hookMu.Lock()
 	fns := make([]func() *metrics.StreamStats, 0, len(c.streamStats))
@@ -114,22 +42,9 @@ func (c *Cluster) streamHealth() *metrics.StreamStats {
 		fns = append(fns, fn)
 	}
 	c.hookMu.Unlock()
-	if len(fns) == 0 {
-		return nil
+	parts := make([]*metrics.StreamStats, len(fns))
+	for i, fn := range fns {
+		parts[i] = fn()
 	}
-	parts := make([]*metrics.StreamStats, 0, len(fns))
-	for _, fn := range fns {
-		parts = append(parts, fn())
-	}
-	merged := metrics.MergeStreamStats(parts)
-	if merged == nil {
-		return nil
-	}
-	ep := c.currentEpoch()
-	for i := range merged.Stations {
-		if j := ep.find(merged.Stations[i].Station); j >= 0 {
-			merged.Stations[i].LinkInFlight = ep.muxes[j].InFlight()
-		}
-	}
-	return merged
+	return metrics.MergeStreamStats(parts)
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"testing"
 
-	"dimatch/internal/core"
 	"dimatch/internal/metrics"
-	"dimatch/internal/pattern"
 )
 
 func newHooksCluster(t *testing.T, stations []uint32) *Cluster {
@@ -39,63 +37,6 @@ func TestAliveStationIDs(t *testing.T) {
 	}
 }
 
-func TestNotePlacedRecordsIntents(t *testing.T) {
-	c := newHooksCluster(t, []uint32{1, 2, 3})
-	c.NotePlaced(nil, 2) // no-op, must not create entries
-	if c.Placed() != 0 {
-		t.Fatalf("Placed() = %d after empty NotePlaced", c.Placed())
-	}
-	c.NotePlaced([]core.PersonID{10, 11}, 2)
-	c.NotePlaced([]core.PersonID{12}, 0) // r<=0 falls back to the default
-	if c.Placed() != 3 {
-		t.Fatalf("Placed() = %d, want 3", c.Placed())
-	}
-	// The intents are real placement intents: reconciliation must be able
-	// to act on them (nothing to copy here — no pattern data was flushed —
-	// so the persons count as lost-but-retained, not as errors).
-	rep, err := c.Rebalance(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Placed != 3 {
-		t.Fatalf("HealReport.Placed = %d, want the 3 noted persons", rep.Placed)
-	}
-}
-
-func TestOnMembershipChangeFires(t *testing.T) {
-	c := newHooksCluster(t, []uint32{1, 2, 3})
-	fired := 0
-	cancel := c.OnMembershipChange(func() { fired++ })
-
-	ctx := context.Background()
-	if err := c.Ingest(ctx, 1, map[core.PersonID]pattern.Pattern{7: {1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 0 {
-		t.Fatal("ingest must not fire the membership hook")
-	}
-	if err := c.KillStation(3); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired = %d after KillStation, want 1", fired)
-	}
-	if err := c.RemoveStation(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Fatalf("fired = %d after RemoveStation, want 2", fired)
-	}
-	cancel()
-	cancel() // idempotent
-	if err := c.AddStation(ctx, 9, nil); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Fatalf("fired = %d after cancel, want no further callbacks", fired)
-	}
-}
-
 func TestRegisterStreamStatsMergesIntoStats(t *testing.T) {
 	c := newHooksCluster(t, []uint32{1, 2})
 	ctx := context.Background()
@@ -109,29 +50,17 @@ func TestRegisterStreamStatsMergesIntoStats(t *testing.T) {
 	}
 
 	cancelA := c.RegisterStreamStats(func() *metrics.StreamStats {
-		return &metrics.StreamStats{
-			Accepted: 5,
-			Stations: []metrics.StreamStationStats{{Station: 1, QueueDepth: 2, QueueCap: 8}},
-		}
+		return &metrics.StreamStats{Accepted: 5, Flushes: 2}
 	})
 	cancelB := c.RegisterStreamStats(func() *metrics.StreamStats {
-		return &metrics.StreamStats{
-			Accepted: 3,
-			Stations: []metrics.StreamStationStats{
-				{Station: 1, QueueDepth: 1, QueueCap: 8},
-				{Station: 99, QueueCap: 8}, // not a member: no link gauge, still reported
-			},
-		}
+		return &metrics.StreamStats{Accepted: 3, Flushes: 1}
 	})
 	st, err = c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Stream == nil || st.Stream.Accepted != 8 {
-		t.Fatalf("Stats.Stream = %+v, want merged Accepted 8", st.Stream)
-	}
-	if len(st.Stream.Stations) != 2 || st.Stream.Stations[0].QueueDepth != 3 {
-		t.Fatalf("per-station merge wrong: %+v", st.Stream.Stations)
+	if st.Stream == nil || st.Stream.Accepted != 8 || st.Stream.Flushes != 3 {
+		t.Fatalf("Stats.Stream = %+v, want summed Accepted 8, Flushes 3", st.Stream)
 	}
 
 	// A provider returning nil contributes nothing but must not wipe the

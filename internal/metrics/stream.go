@@ -1,14 +1,10 @@
 package metrics
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // StreamCounters is the live counter block of one streaming ingest
-// pipeline. Every field is updated lock-free by the pipeline's workers —
-// Submit callers, encoder workers, per-station appliers and the TTL
-// evictor all bump their own counters concurrently — and Snapshot reads a
+// pipeline. Every field is updated lock-free — by Submit callers, the
+// flusher and the TTL evictor concurrently — and Snapshot reads a
 // consistent-enough point-in-time view for health reporting (each counter
 // is individually exact; cross-counter invariants such as
 // Accepted+Shed+Rejected == Submitted hold exactly only once the pipeline
@@ -27,22 +23,18 @@ type StreamCounters struct {
 	// Blocked counts block-mode submissions that had to wait for queue
 	// space before being accepted (they are also counted in Accepted).
 	Blocked atomic.Uint64
-	// Rerouted counts pattern copies re-keyed to a different station after
-	// a flush failure or a membership change retired their shard.
-	Rerouted atomic.Uint64
-	// Flushes / FlushedPatterns count successful flush exchanges and the
-	// pattern copies they carried.
+	// Flushes counts the pipeline's Place calls, retries included;
+	// FlushedPatterns counts the patterns they placed.
 	Flushes         atomic.Uint64
 	FlushedPatterns atomic.Uint64
-	// FlushFailures counts pattern copies abandoned after exhausting their
-	// flush retry budget — the only way an accepted copy is lost.
+	// FlushFailures counts accepted submissions abandoned after exhausting
+	// their flush retry budget — the only way an accepted pattern is lost.
 	FlushFailures atomic.Uint64
 	// TTLEvictions counts persons evicted by the TTL deadline wheel.
 	TTLEvictions atomic.Uint64
 }
 
-// Snapshot copies the counter block into a plain-value StreamStats with no
-// per-station breakdown (the pipeline attaches that itself).
+// Snapshot copies the counter block into a plain-value StreamStats.
 func (c *StreamCounters) Snapshot() StreamStats {
 	return StreamStats{
 		Submitted:       c.Submitted.Load(),
@@ -50,7 +42,6 @@ func (c *StreamCounters) Snapshot() StreamStats {
 		Shed:            c.Shed.Load(),
 		Rejected:        c.Rejected.Load(),
 		Blocked:         c.Blocked.Load(),
-		Rerouted:        c.Rerouted.Load(),
 		Flushes:         c.Flushes.Load(),
 		FlushedPatterns: c.FlushedPatterns.Load(),
 		FlushFailures:   c.FlushFailures.Load(),
@@ -59,53 +50,25 @@ func (c *StreamCounters) Snapshot() StreamStats {
 }
 
 // StreamStats is a point-in-time health snapshot of a streaming ingest
-// pipeline: the pipeline-wide admission and flush counters plus a
-// per-station breakdown of queue depth and flush/eviction activity. It is
-// what Ingestor.Report returns and what Cluster.Stats surfaces (merged
-// across every registered pipeline) in its Stream field.
+// pipeline: its admission, flush and eviction totals. It is what
+// Ingestor.Report returns and what Cluster.Stats surfaces (summed across
+// every registered pipeline) in its Stream field.
 type StreamStats struct {
 	Submitted       uint64 `json:"submitted"`
 	Accepted        uint64 `json:"accepted"`
 	Shed            uint64 `json:"shed"`
 	Rejected        uint64 `json:"rejected"`
 	Blocked         uint64 `json:"blocked"`
-	Rerouted        uint64 `json:"rerouted"`
 	Flushes         uint64 `json:"flushes"`
 	FlushedPatterns uint64 `json:"flushed_patterns"`
 	FlushFailures   uint64 `json:"flush_failures"`
 	TTLEvictions    uint64 `json:"ttl_evictions"`
-	// Stations holds the per-station figures, ascending by station ID.
-	Stations []StreamStationStats `json:"stations,omitempty"`
 }
 
-// StreamStationStats is one station shard's view of the pipeline.
-type StreamStationStats struct {
-	// Station is the shard's target station ID.
-	Station uint32 `json:"station"`
-	// QueueDepth is the number of pattern copies waiting in the shard's
-	// bounded queue (including a batch being assembled); QueueCap is the
-	// queue's capacity.
-	QueueDepth int `json:"queue_depth"`
-	QueueCap   int `json:"queue_cap"`
-	// Flushes / FlushedPatterns count the shard's successful flush
-	// exchanges and the pattern copies they carried.
-	Flushes         uint64 `json:"flushes"`
-	FlushedPatterns uint64 `json:"flushed_patterns"`
-	// Evictions counts TTL evictions that named this station as a holder.
-	Evictions uint64 `json:"evictions"`
-	// LinkInFlight is the number of wire exchanges currently awaiting a
-	// reply on the station's link — backlog past the pipeline's own queues
-	// (0 when the cluster cannot observe the link).
-	LinkInFlight int `json:"link_in_flight"`
-}
-
-// MergeStreamStats combines several pipelines' snapshots into one: totals
-// sum, per-station entries merge by station ID (queue depths add, ascending
-// order preserved). nil inputs are skipped; the result is nil when nothing
-// contributed.
+// MergeStreamStats sums several pipelines' snapshots into one. nil inputs
+// are skipped; the result is nil when nothing contributed.
 func MergeStreamStats(parts []*StreamStats) *StreamStats {
 	var out *StreamStats
-	byStation := make(map[uint32]*StreamStationStats)
 	for _, p := range parts {
 		if p == nil {
 			continue
@@ -118,37 +81,10 @@ func MergeStreamStats(parts []*StreamStats) *StreamStats {
 		out.Shed += p.Shed
 		out.Rejected += p.Rejected
 		out.Blocked += p.Blocked
-		out.Rerouted += p.Rerouted
 		out.Flushes += p.Flushes
 		out.FlushedPatterns += p.FlushedPatterns
 		out.FlushFailures += p.FlushFailures
 		out.TTLEvictions += p.TTLEvictions
-		for _, s := range p.Stations {
-			dst := byStation[s.Station]
-			if dst == nil {
-				dst = &StreamStationStats{Station: s.Station}
-				byStation[s.Station] = dst
-			}
-			dst.QueueDepth += s.QueueDepth
-			dst.QueueCap += s.QueueCap
-			dst.Flushes += s.Flushes
-			dst.FlushedPatterns += s.FlushedPatterns
-			dst.Evictions += s.Evictions
-			if s.LinkInFlight > dst.LinkInFlight {
-				dst.LinkInFlight = s.LinkInFlight
-			}
-		}
-	}
-	if out == nil {
-		return nil
-	}
-	ids := make([]uint32, 0, len(byStation))
-	for id := range byStation {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		out.Stations = append(out.Stations, *byStation[id])
 	}
 	return out
 }

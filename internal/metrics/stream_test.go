@@ -12,7 +12,6 @@ func TestStreamCountersSnapshot(t *testing.T) {
 	c.Shed.Store(2)
 	c.Rejected.Store(1)
 	c.Blocked.Store(3)
-	c.Rerouted.Store(4)
 	c.Flushes.Store(5)
 	c.FlushedPatterns.Store(14)
 	c.FlushFailures.Store(1)
@@ -20,8 +19,7 @@ func TestStreamCountersSnapshot(t *testing.T) {
 	got := c.Snapshot()
 	want := StreamStats{
 		Submitted: 10, Accepted: 7, Shed: 2, Rejected: 1, Blocked: 3,
-		Rerouted: 4, Flushes: 5, FlushedPatterns: 14, FlushFailures: 1,
-		TTLEvictions: 6,
+		Flushes: 5, FlushedPatterns: 14, FlushFailures: 1, TTLEvictions: 6,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Snapshot() = %+v, want %+v", got, want)
@@ -42,47 +40,21 @@ func TestMergeStreamStats(t *testing.T) {
 		t.Fatal("merge of only-nil parts must be nil")
 	}
 
-	a := &StreamStats{
-		Submitted: 5, Accepted: 5, Flushes: 2, FlushedPatterns: 10,
-		Stations: []StreamStationStats{
-			{Station: 3, QueueDepth: 1, QueueCap: 8, Flushes: 1, FlushedPatterns: 4, LinkInFlight: 2},
-			{Station: 7, QueueCap: 8, Flushes: 1, FlushedPatterns: 6},
-		},
-	}
+	a := &StreamStats{Submitted: 5, Accepted: 5, Flushes: 2, FlushedPatterns: 10}
 	b := &StreamStats{
-		Submitted: 4, Accepted: 3, Shed: 1, Blocked: 2, Rerouted: 1,
+		Submitted: 4, Accepted: 3, Shed: 1, Blocked: 2,
 		FlushFailures: 1, TTLEvictions: 2, Flushes: 1, FlushedPatterns: 3,
-		Stations: []StreamStationStats{
-			{Station: 1, QueueCap: 4, Evictions: 2},
-			{Station: 3, QueueDepth: 2, QueueCap: 8, LinkInFlight: 1},
-		},
 	}
 	out := MergeStreamStats([]*StreamStats{a, nil, b})
-	if out == nil {
-		t.Fatal("merge returned nil with live parts")
+	want := StreamStats{
+		Submitted: 9, Accepted: 8, Shed: 1, Blocked: 2, Flushes: 3,
+		FlushedPatterns: 13, FlushFailures: 1, TTLEvictions: 2,
 	}
-	if out.Submitted != 9 || out.Accepted != 8 || out.Shed != 1 || out.Blocked != 2 ||
-		out.Rerouted != 1 || out.Flushes != 3 || out.FlushedPatterns != 13 ||
-		out.FlushFailures != 1 || out.TTLEvictions != 2 {
-		t.Fatalf("totals did not sum: %+v", out)
-	}
-	if len(out.Stations) != 3 {
-		t.Fatalf("want 3 merged stations, got %+v", out.Stations)
-	}
-	for i, want := range []uint32{1, 3, 7} {
-		if out.Stations[i].Station != want {
-			t.Fatalf("stations not ascending: %+v", out.Stations)
-		}
-	}
-	s3 := out.Stations[1]
-	if s3.QueueDepth != 3 || s3.QueueCap != 16 || s3.Flushes != 1 || s3.FlushedPatterns != 4 {
-		t.Fatalf("station 3 entries did not add: %+v", s3)
-	}
-	if s3.LinkInFlight != 2 {
-		t.Fatalf("LinkInFlight must merge as max (one link, two observers): %+v", s3)
+	if out == nil || *out != want {
+		t.Fatalf("MergeStreamStats = %+v, want %+v", out, want)
 	}
 	// Inputs must be untouched (the merge copies).
-	if a.Stations[0].QueueDepth != 1 || b.Stations[1].QueueDepth != 2 {
+	if a.Submitted != 5 || b.Submitted != 4 {
 		t.Fatal("merge mutated its inputs")
 	}
 }

@@ -1,34 +1,29 @@
 // Package stream turns mutation into a first-class sustained workload: a
-// streaming ingest pipeline in front of the cluster's call-per-batch
-// Ingest/Place path.
+// streaming ingest pipeline in front of the cluster's Place.
 //
-// The shape follows the staged observer-pipeline idiom: Submit admits a
-// pattern into one bounded intake queue; a pool of encoder workers pulls
-// from it, validates, computes the pattern's HRW placement targets over the
-// alive membership and fans one copy per target into that station's
-// applier; each applier is a single goroutine owning a bounded queue, so a
-// station's flushes never contend with another's and no worker shares
-// mutable state with its peers (replica copies of one pattern simply ride
-// their own target's shard). Appliers batch copies and flush them over the
-// existing acknowledged KindIngest wire path, which keeps the coordinator's
-// routing summaries delta-updated and records placement intents so the
-// replica-aware search aggregation and the self-healing reconciliation
-// cover streamed patterns exactly like Place'd ones.
+// Submit admits a pattern into one bounded intake queue. One flusher
+// goroutine drains the queue into a latest-wins batch of at most FlushBatch
+// persons and hands the batch to Cluster.Place, which picks every person's
+// rendezvous replicas, records the placement intent and pushes one grouped,
+// acknowledged ingest exchange per station. Streamed persons are therefore
+// placed exactly like Place'd ones. Place holds the cluster's heal lock, so
+// a membership change's heal always runs after any flush already in flight
+// and re-replicates whatever that flush stranded on a departed station; the
+// persons a flush landed nowhere are retried, in order, before the next
+// batch.
 //
-// Backpressure propagates backward through the bounded queues: a slow
-// station fills its applier queue, which stalls the encoders, which fills
-// the intake queue, at which point admission control engages — Block makes
-// Submit wait, Shed makes it return ErrOverloaded with the drop accounted.
-// TTL-based eviction (Options.TTL) registers every flushed pattern on a
-// deadline wheel whose sweeps drive grouped Evict batches, so stations
-// self-trim under sustained load.
+// Backpressure is the bounded intake: while a flush is out the queue fills,
+// and admission control engages — Block makes Submit wait, Shed makes it
+// return ErrOverloaded with the drop accounted. TTL-based eviction
+// (Options.TTL) registers every flushed person on a deadline wheel whose
+// sweeps drive grouped Unplace batches, so stations self-trim under
+// sustained load.
 package stream
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,10 +31,9 @@ import (
 	"dimatch/internal/core"
 	"dimatch/internal/metrics"
 	"dimatch/internal/pattern"
-	"dimatch/internal/placement"
 )
 
-// Admission selects what Submit does when the pipeline's queues are full.
+// Admission selects what Submit does when the intake queue is full.
 type Admission int
 
 const (
@@ -72,57 +66,49 @@ var (
 	ErrClosed = errors.New("stream: ingestor closed")
 )
 
-// maxFlushAttempts bounds how many stations a single pattern copy may be
-// re-routed across after flush failures before it is abandoned (counted in
-// FlushFailures). Each attempt recomputes targets over the then-current
-// membership, so the budget is only exhausted under sustained total
-// failure.
+// maxFlushAttempts bounds how many Place calls one person may spend before
+// it is abandoned (counted in FlushFailures). Each attempt picks targets
+// over the then-current membership, so the budget is only exhausted under
+// sustained total failure.
 const maxFlushAttempts = 5
 
 // Options configures one streaming pipeline.
 type Options struct {
-	// Encoders is the worker-pool size pulling from the intake queue
-	// (default 4). Encoders only hash and route; they are rarely the
-	// bottleneck.
-	Encoders int
-	// QueueCap bounds the intake queue and each per-station applier queue,
-	// in pattern copies (default 1024). Smaller queues bound memory and
-	// admission latency; larger ones absorb burstier producers. See
-	// docs/OPERATIONS.md for sizing guidance.
+	// QueueCap bounds the intake queue, in patterns (default 1024). Smaller
+	// queues bound memory and admission latency; larger ones absorb
+	// burstier producers. See docs/OPERATIONS.md for sizing guidance.
 	QueueCap int
-	// FlushBatch is the most pattern copies one flush exchange carries
-	// (default 256). An applier flushes when its batch fills or its
-	// FlushInterval elapses, whichever is first.
+	// FlushBatch is the most persons one flush — one Place call — carries
+	// (default 2048: about 256 copies per station exchange at R = 2 over 16
+	// stations). The flusher flushes when its batch fills, its FlushInterval
+	// elapses or Flush asks, whichever is first.
 	FlushBatch int
-	// FlushInterval bounds how long an applier holds a non-empty batch
-	// before flushing it (default 25ms) — the freshness bound for a
-	// trickle workload.
+	// FlushInterval bounds how long the flusher holds a non-empty batch
+	// before flushing it (default 25ms) — the freshness bound for a trickle
+	// workload.
 	FlushInterval time.Duration
-	// FlushTimeout bounds each flush exchange (default 10s); a flush that
-	// exceeds it fails and its copies re-route.
+	// FlushTimeout bounds each Place call (default 10s); persons a timed-out
+	// flush landed nowhere are retried.
 	FlushTimeout time.Duration
-	// Admission selects Block (default) or Shed when queues saturate.
+	// Admission selects Block (default) or Shed when the intake saturates.
 	Admission Admission
 	// TTL, when positive, expires every streamed pattern TTL after its
 	// submission: a deadline wheel sweeps expired persons and drives
-	// grouped Evict batches. Resubmitting a person extends their deadline.
-	// Zero disables eviction.
+	// grouped Unplace batches. Resubmitting a person extends their
+	// deadline. Zero disables eviction.
 	TTL time.Duration
 	// Replication is the number of stations each pattern is copied to
-	// (HRW placement targets, default cluster.DefaultReplication). Clamped
-	// to the alive membership.
+	// (Place's WithReplication, default cluster.DefaultReplication).
+	// Clamped to the alive membership.
 	Replication int
 }
 
 func (o Options) withDefaults() Options {
-	if o.Encoders <= 0 {
-		o.Encoders = 4
-	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 1024
 	}
 	if o.FlushBatch <= 0 {
-		o.FlushBatch = 256
+		o.FlushBatch = 2048
 	}
 	if o.FlushInterval <= 0 {
 		o.FlushInterval = 25 * time.Millisecond
@@ -136,13 +122,19 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// item is one pattern copy moving through the pipeline. The pattern slice
-// is cloned once at Submit and shared read-only by every replica copy.
+// item is one admitted submission. The pattern is cloned at Submit.
 type item struct {
 	person   core.PersonID
 	pat      pattern.Pattern
 	deadline time.Time // zero when TTL is off
-	attempts int       // flush attempts consumed so far
+}
+
+// entry is one person's slot in a batch: the latest submitted pattern and
+// deadline, and how many accepted submissions placing it settles.
+type entry struct {
+	pat      pattern.Pattern
+	deadline time.Time
+	subs     int64
 }
 
 // Ingestor is a running streaming pipeline over one cluster. All methods
@@ -151,71 +143,47 @@ type Ingestor struct {
 	c    *cluster.Cluster
 	opts Options
 
-	// ctx is the pipeline's lifetime: encoders, appliers and the evictor
-	// run until Close cancels it (after the final drain).
+	// ctx is the pipeline's lifetime: the flusher and the evictor run
+	// until Close cancels it (after the final drain).
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	intake chan item
+	kick   chan struct{} // capacity 1: "flush what you hold now"
+	done   chan struct{} // closed when the flusher exits
 	closed atomic.Bool
 
 	counters metrics.StreamCounters
+	// pending counts accepted submissions not yet in a terminal state
+	// (placed or abandoned); Flush waits for it to reach zero.
+	pending atomic.Int64
 
-	mu       sync.Mutex
-	alive    []uint32            // dimatch:guardedby mu — HRW routing membership snapshot
-	appliers map[uint32]*applier // dimatch:guardedby mu — one shard per station ever alive
-
-	// pending counts accepted copies not yet in a terminal state (flushed,
-	// abandoned); Flush waits for it to reach zero.
-	pendMu   sync.Mutex
-	pending  int64 // dimatch:guardedby pendMu
-	pendCond *sync.Cond
-
-	evictor     *evictor // nil when TTL is off
-	settleReq   chan struct{}
-	unsubscribe func()
-	unregister  func()
-	encWg       sync.WaitGroup
-	appWg       sync.WaitGroup
+	evictor    *evictor // nil when TTL is off
+	unregister func()
 }
 
 // New starts a streaming pipeline over the cluster. The pipeline registers
-// itself for membership-change notification (shards re-key when stations
-// come and go) and as a Stats stream-health provider; Close releases both.
+// itself as a Stats stream-health provider; Close releases it.
 func New(c *cluster.Cluster, opts Options) (*Ingestor, error) {
 	opts = opts.withDefaults()
-	alive := c.AliveStationIDs()
-	if len(alive) == 0 {
+	if len(c.AliveStationIDs()) == 0 {
 		return nil, cluster.ErrNoAliveStations
 	}
 	//dimatch:allow ctxflow — the pipeline outlives any one caller's context; Close cancels it after the final drain
 	ctx, cancel := context.WithCancel(context.Background())
 	in := &Ingestor{
-		c:         c,
-		opts:      opts,
-		ctx:       ctx,
-		cancel:    cancel,
-		intake:    make(chan item, opts.QueueCap),
-		appliers:  make(map[uint32]*applier, len(alive)),
-		settleReq: make(chan struct{}, 1),
+		c:      c,
+		opts:   opts,
+		ctx:    ctx,
+		cancel: cancel,
+		intake: make(chan item, opts.QueueCap),
+		kick:   make(chan struct{}, 1),
+		done:   make(chan struct{}),
 	}
-	in.pendCond = sync.NewCond(&in.pendMu)
-	in.mu.Lock()
-	in.alive = alive
-	for _, sid := range alive {
-		in.appliers[sid] = in.newApplierLocked(sid)
-	}
-	in.mu.Unlock()
 	if opts.TTL > 0 {
 		in.evictor = newEvictor(in, opts.TTL)
 	}
-	for i := 0; i < opts.Encoders; i++ {
-		in.encWg.Add(1)
-		go in.encode()
-	}
-	in.encWg.Add(1)
-	go in.settler()
-	in.unsubscribe = c.OnMembershipChange(in.rekey)
+	go in.flusher()
 	in.unregister = c.RegisterStreamStats(in.Report)
 	return in, nil
 }
@@ -227,7 +195,7 @@ func New(c *cluster.Cluster, opts Options) (*Ingestor, error) {
 // ingest rule). When the intake queue is full, Block admission waits for
 // space (bounded by ctx) and Shed admission returns ErrOverloaded with the
 // drop accounted. Admission is not application: an accepted pattern reaches
-// its stations on the next batch flush; call Flush for a barrier.
+// its stations on the next flush; call Flush for a barrier.
 func (in *Ingestor) Submit(ctx context.Context, person core.PersonID, pat pattern.Pattern) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -255,14 +223,14 @@ func (in *Ingestor) Submit(ctx context.Context, person core.PersonID, pat patter
 		it.deadline = time.Now().Add(in.opts.TTL)
 	}
 
-	// The pending count rises before the copy can possibly reach a
+	// The pending count rises before the submission can possibly reach a
 	// terminal state, so Flush never observes a spurious zero.
-	in.pendAdd(1)
+	in.pending.Add(1)
 	if in.opts.Admission == Shed {
 		select {
 		case in.intake <- it:
 		default:
-			in.pendAdd(-1)
+			in.pending.Add(-1)
 			in.counters.Shed.Add(1)
 			return ErrOverloaded
 		}
@@ -276,11 +244,11 @@ func (in *Ingestor) Submit(ctx context.Context, person core.PersonID, pat patter
 			select {
 			case in.intake <- it:
 			case <-ctx.Done():
-				in.pendAdd(-1)
+				in.pending.Add(-1)
 				in.counters.Rejected.Add(1)
 				return fmt.Errorf("%w: %w", cluster.ErrCancelled, ctx.Err())
 			case <-in.ctx.Done():
-				in.pendAdd(-1)
+				in.pending.Add(-1)
 				in.counters.Rejected.Add(1)
 				return ErrClosed
 			}
@@ -290,11 +258,11 @@ func (in *Ingestor) Submit(ctx context.Context, person core.PersonID, pat patter
 	return nil
 }
 
-// Flush is the barrier: it returns once every copy accepted before the call
-// is in a terminal state — flushed to its station or abandoned after its
-// retry budget. Appliers are kicked so partial batches go out immediately
-// rather than waiting for their interval. Submissions racing the call
-// extend the wait; quiesce producers first for a strict barrier.
+// Flush is the barrier: it returns once every submission accepted before
+// the call is in a terminal state — placed or abandoned after its retry
+// budget. The flusher is kicked so a partial batch goes out immediately
+// rather than waiting for its interval. Submissions racing the call extend
+// the wait; quiesce producers first for a strict barrier.
 func (in *Ingestor) Flush(ctx context.Context) error {
 	if in.closed.Load() {
 		return ErrClosed
@@ -309,8 +277,11 @@ func (in *Ingestor) drain(ctx context.Context) error {
 	}
 	ticker := time.NewTicker(time.Millisecond)
 	defer ticker.Stop()
-	for in.pendingCount() > 0 {
-		in.kickAll()
+	for in.pending.Load() > 0 {
+		select {
+		case in.kick <- struct{}{}:
+		default: // a kick is already pending
+		}
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("%w: %w", cluster.ErrCancelled, ctx.Err())
@@ -328,21 +299,19 @@ const closeDrainTimeout = 30 * time.Second
 
 // Close drains the pipeline and stops it: new Submits fail with ErrClosed,
 // everything already accepted is flushed (bounded by closeDrainTimeout),
-// the TTL evictor and worker goroutines exit, and the membership and
-// stats-provider registrations are released. Close is idempotent; the first
-// call's drain error (if any) is returned.
+// the TTL evictor and the flusher exit, and the stats-provider
+// registration is released. Close is idempotent; the first call's drain
+// error (if any) is returned.
 func (in *Ingestor) Close() error {
 	if in.closed.Swap(true) {
 		return nil
 	}
-	in.unsubscribe()
 	//dimatch:allow ctxflow — Close is the pipeline's ctx-less teardown API; closeDrainTimeout bounds the final drain instead of a caller ctx
 	ctx, cancel := context.WithTimeout(context.Background(), closeDrainTimeout)
 	err := in.drain(ctx)
 	cancel()
 	in.cancel()
-	in.encWg.Wait()
-	in.appWg.Wait()
+	<-in.done
 	if in.evictor != nil {
 		in.evictor.wait()
 	}
@@ -350,193 +319,124 @@ func (in *Ingestor) Close() error {
 	return err
 }
 
-// Report snapshots the pipeline's health: admission and flush totals plus
-// per-station queue depth and flush/eviction counts (ascending station
-// order; retired shards appear only while they still hold queued copies).
+// Report snapshots the pipeline's admission, flush and eviction totals.
 func (in *Ingestor) Report() *metrics.StreamStats {
 	s := in.counters.Snapshot()
-	in.mu.Lock()
-	apps := make([]*applier, 0, len(in.appliers))
-	for _, a := range in.appliers {
-		apps = append(apps, a)
-	}
-	in.mu.Unlock()
-	for _, a := range apps {
-		depth := len(a.q) + int(a.assembling.Load())
-		if a.retired.Load() && depth == 0 {
-			continue
-		}
-		s.Stations = append(s.Stations, metrics.StreamStationStats{
-			Station:         a.id,
-			QueueDepth:      depth,
-			QueueCap:        cap(a.q),
-			Flushes:         a.flushes.Load(),
-			FlushedPatterns: a.flushed.Load(),
-			Evictions:       a.evictions.Load(),
-		})
-	}
-	sortStationStats(s.Stations)
 	return &s
 }
 
-// sortStationStats orders per-station entries ascending by station ID.
-func sortStationStats(s []metrics.StreamStationStats) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1].Station > s[j].Station; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
+// abandon accounts n accepted submissions as lost.
+func (in *Ingestor) abandon(n int64) {
+	in.counters.FlushFailures.Add(uint64(n))
+	in.pending.Add(-n)
+}
+
+// flusher is the pipeline's one worker: collect a batch, place it, repeat.
+// On shutdown anything left in the intake (a drain that timed out) is
+// abandoned, keeping the pending count truthful.
+func (in *Ingestor) flusher() {
+	defer close(in.done)
+	for {
+		batch := in.collect()
+		if batch == nil {
+			break
 		}
+		in.flush(batch)
 	}
-}
-
-// pendAdd moves the pending-copy count and wakes Flush waiters at zero.
-func (in *Ingestor) pendAdd(d int64) {
-	in.pendMu.Lock()
-	in.pending += d
-	if in.pending == 0 {
-		in.pendCond.Broadcast()
-	}
-	in.pendMu.Unlock()
-}
-
-// pendingCount returns the number of accepted copies not yet terminal.
-func (in *Ingestor) pendingCount() int64 {
-	in.pendMu.Lock()
-	defer in.pendMu.Unlock()
-	return in.pending
-}
-
-// encode is one encoder worker: pull from intake, route to shards.
-func (in *Ingestor) encode() {
-	defer in.encWg.Done()
 	for {
 		select {
-		case it := <-in.intake:
-			in.route(it)
-		case <-in.ctx.Done():
-			// Shutdown: Close drains via Flush before cancelling, so the
-			// intake is normally empty here. Anything remaining (a drain
-			// that timed out) is accounted as abandoned, keeping the
-			// pending count truthful.
-			for {
-				select {
-				case <-in.intake:
-					in.counters.FlushFailures.Add(1)
-					in.pendAdd(-1)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// route fans one admitted pattern into its HRW target shards: placement
-// intents are recorded BEFORE any copy is enqueued (the same
-// intent-before-copies ordering Place uses, so a search racing the first
-// flush dedupes replica reports instead of summing them), then one copy
-// per target goes into that station's applier queue. A full applier queue
-// blocks the encoder — backpressure propagating backward by design.
-func (in *Ingestor) route(it item) {
-	in.mu.Lock()
-	alive := in.alive
-	in.mu.Unlock()
-	targets := placement.Pick(it.person, alive, in.opts.Replication)
-	if len(targets) == 0 {
-		in.counters.FlushFailures.Add(1)
-		in.pendAdd(-1)
-		return
-	}
-	in.c.NotePlaced([]core.PersonID{it.person}, in.opts.Replication)
-	in.pendAdd(int64(len(targets) - 1))
-	for _, sid := range targets {
-		a := in.applierFor(sid)
-		select {
-		case a.q <- it:
-		case <-in.ctx.Done():
-			in.counters.FlushFailures.Add(1)
-			in.pendAdd(-1)
-		}
-	}
-}
-
-// rekey is the membership-change hook: refresh the HRW routing snapshot,
-// open shards for new stations and retire shards whose station left. A
-// retired shard's applier keeps running — it re-routes everything still in
-// (or arriving on) its queue to the survivors — so no acked producer ever
-// loses a copy to a straggling enqueue.
-func (in *Ingestor) rekey() {
-	alive := in.c.AliveStationIDs()
-	aliveSet := make(map[uint32]bool, len(alive))
-	for _, sid := range alive {
-		aliveSet[sid] = true
-	}
-	in.mu.Lock()
-	in.alive = alive
-	for sid, a := range in.appliers {
-		a.retired.Store(!aliveSet[sid])
-	}
-	for _, sid := range alive {
-		if in.appliers[sid] == nil {
-			in.appliers[sid] = in.newApplierLocked(sid)
-		}
-	}
-	in.mu.Unlock()
-	// Kick every shard: retired ones must re-route their assembled batch
-	// now, not when their flush interval happens to elapse.
-	in.kickAll()
-	// The membership mutation's own synchronous heal ran against whatever
-	// copies had landed by then; flushes in flight during it look "lost"
-	// to that pass and nothing else retries them. Ask the settler for a
-	// follow-up reconciliation once the re-keyed shards drain.
-	select {
-	case in.settleReq <- struct{}{}:
-	default: // a settle is already queued
-	}
-}
-
-// settler is the pipeline's re-replication hook: after each membership
-// change it waits for the re-keyed shards to drain, then runs one
-// reconciliation pass so every streamed pattern is back at its full
-// replication factor on the new membership — including patterns whose
-// flushes were in flight during the mutation's own synchronous heal (that
-// pass sees them as having no copy and leaves them for retry; this is the
-// retry). Requests coalesce: changes arriving mid-settle fold into one
-// follow-up pass.
-func (in *Ingestor) settler() {
-	defer in.encWg.Done()
-	for {
-		select {
-		case <-in.settleReq:
-			ctx, cancel := context.WithTimeout(in.ctx, in.opts.FlushTimeout)
-			_ = in.drain(ctx)
-			_, _ = in.c.Rebalance(ctx)
-			cancel()
-		case <-in.ctx.Done():
+		case <-in.intake:
+			in.abandon(1)
+		default:
 			return
 		}
 	}
 }
 
-// applierFor returns the shard for a station. Shards are never removed
-// (only retired), so any station an encoder ever routed to resolves.
-func (in *Ingestor) applierFor(sid uint32) *applier {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.appliers[sid]
+// collect blocks for the next batch, latest submission per person wins. It
+// returns once FlushBatch persons are held, FlushInterval has passed since
+// the first arrived or a Flush kicked, and nil once the pipeline stops.
+func (in *Ingestor) collect() map[core.PersonID]*entry {
+	batch := make(map[core.PersonID]*entry)
+	add := func(it item) {
+		e := batch[it.person]
+		if e == nil {
+			e = &entry{}
+			batch[it.person] = e
+		}
+		e.pat, e.deadline = it.pat, it.deadline
+		e.subs++
+	}
+	for len(batch) == 0 {
+		select {
+		case it := <-in.intake:
+			add(it)
+		case <-in.kick: // nothing held, nothing to flush
+		case <-in.ctx.Done():
+			return nil
+		}
+	}
+	timer := time.NewTimer(in.opts.FlushInterval)
+	defer timer.Stop()
+	for len(batch) < in.opts.FlushBatch {
+		select {
+		case it := <-in.intake:
+			add(it)
+		case <-timer.C:
+			return batch
+		case <-in.kick:
+			return batch
+		case <-in.ctx.Done():
+			for _, e := range batch {
+				in.abandon(e.subs)
+			}
+			return nil
+		}
+	}
+	return batch
 }
 
-// kickAll nudges every applier to flush its assembled batch immediately.
-func (in *Ingestor) kickAll() {
-	in.mu.Lock()
-	apps := make([]*applier, 0, len(in.appliers))
-	for _, a := range in.appliers {
-		apps = append(apps, a)
+// flush places one batch. The persons a Place call landed nowhere are
+// retried at once — before any later batch, so a person's earlier pattern
+// can never overwrite a later one — until maxFlushAttempts calls are spent.
+func (in *Ingestor) flush(batch map[core.PersonID]*entry) {
+	patterns := make(map[core.PersonID]pattern.Pattern, len(batch))
+	for p, e := range batch {
+		patterns[p] = e.pat
 	}
-	in.mu.Unlock()
-	for _, a := range apps {
-		select {
-		case a.kick <- struct{}{}:
-		default: // a kick is already pending
+	for attempt := 1; ; attempt++ {
+		// The error only joins the failed station exchanges: unplaced names
+		// who needs a retry, and a person who landed on fewer than R
+		// stations is Place's partial success, topped up by the next
+		// reconciliation pass (every membership change runs one).
+		ctx, cancel := context.WithTimeout(in.ctx, in.opts.FlushTimeout)
+		unplaced, _ := in.c.Place(ctx, patterns, cluster.WithReplication(in.opts.Replication))
+		cancel()
+		in.counters.Flushes.Add(1)
+		retry := make(map[core.PersonID]pattern.Pattern, len(unplaced))
+		for _, p := range unplaced {
+			retry[p] = patterns[p]
 		}
+		for p := range patterns {
+			if _, again := retry[p]; again {
+				continue
+			}
+			e := batch[p]
+			in.counters.FlushedPatterns.Add(1)
+			if in.evictor != nil {
+				in.evictor.note(p, e.deadline)
+			}
+			in.pending.Add(-e.subs)
+		}
+		if len(retry) == 0 {
+			return
+		}
+		if attempt == maxFlushAttempts || in.ctx.Err() != nil {
+			for p := range retry {
+				in.abandon(batch[p].subs)
+			}
+			return
+		}
+		patterns = retry
 	}
 }

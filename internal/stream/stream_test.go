@@ -92,21 +92,39 @@ func TestStreamSubmitFlushSearch(t *testing.T) {
 	if rep.Submitted != n || rep.Accepted != n || rep.Shed != 0 || rep.Rejected != 0 {
 		t.Fatalf("accounting = %+v, want %d submitted and accepted", rep, n)
 	}
-	if rep.FlushedPatterns != uint64(n*cluster.DefaultReplication) {
-		t.Fatalf("FlushedPatterns = %d, want %d copies", rep.FlushedPatterns, n*cluster.DefaultReplication)
+	if rep.FlushedPatterns != n {
+		t.Fatalf("FlushedPatterns = %d, want %d", rep.FlushedPatterns, n)
 	}
 	if rep.FlushFailures != 0 {
 		t.Fatalf("FlushFailures = %d, want 0", rep.FlushFailures)
 	}
-	var perStation uint64
-	for _, s := range rep.Stations {
-		perStation += s.FlushedPatterns
-		if s.QueueDepth != 0 {
-			t.Fatalf("station %d queue depth %d after Flush, want 0", s.Station, s.QueueDepth)
-		}
+	if rep.Flushes == 0 {
+		t.Fatalf("Flushes = 0 after %d placed patterns", n)
 	}
-	if perStation != rep.FlushedPatterns {
-		t.Fatalf("per-station flushed %d != total %d", perStation, rep.FlushedPatterns)
+}
+
+// assertExactReplicas fails unless each of persons 1..n holds exactly
+// min(R, alive) copies of want on the alive stations, and nothing else is
+// resident: the state a membership change's heal owes every acked person
+// once the change and a Flush have returned.
+func assertExactReplicas(t *testing.T, c *cluster.Cluster, n int, want pattern.Pattern) {
+	t.Helper()
+	r := min(cluster.DefaultReplication, len(c.AliveStationIDs()))
+	st, err := c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TotalResidents() != n*r {
+		t.Fatalf("alive stations hold %d residents, want %d persons × %d replicas", st.TotalResidents(), n, r)
+	}
+	got := searchPersons(t, c, want)
+	if len(got) != n {
+		t.Fatalf("retrieved %d persons, want all %d acked", len(got), n)
+	}
+	for p, res := range got {
+		if res.Score() != 1.0 || res.Stations != r {
+			t.Fatalf("person %d scored %.3f from %d stations, want 1 from %d replicas", p, res.Score(), res.Stations, r)
+		}
 	}
 }
 
@@ -152,7 +170,6 @@ func TestStreamShedAccounting(t *testing.T) {
 	in, err := New(c, Options{
 		QueueCap:    1,
 		FlushBatch:  1,
-		Encoders:    1,
 		Admission:   Shed,
 		Replication: 1,
 	})
@@ -204,7 +221,6 @@ func TestStreamBlockAccounting(t *testing.T) {
 	in, err := New(c, Options{
 		QueueCap:    1,
 		FlushBatch:  1,
-		Encoders:    1,
 		Admission:   Block,
 		Replication: 1,
 	})
@@ -271,7 +287,7 @@ func TestStreamTTLChurn(t *testing.T) {
 	for p := core.PersonID(900); p < 900+static; p++ {
 		placed[p] = pattern.Pattern{7, 7, 7, 7}
 	}
-	if err := c.Place(ctx, placed); err != nil {
+	if _, err := c.Place(ctx, placed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -334,19 +350,16 @@ func TestStreamTTLChurn(t *testing.T) {
 	if got := searchPersons(t, c, pattern.Pattern{7, 7, 7, 7}); len(got) != static {
 		t.Fatalf("retrieved %d of the %d static persons after TTL churn", len(got), static)
 	}
-	rep := in.Report()
-	var perStation uint64
-	for _, s := range rep.Stations {
-		perStation += s.Evictions
-	}
-	if perStation == 0 {
-		t.Fatalf("per-station eviction accounting empty: %+v", rep.Stations)
+	if rep := in.Report(); rep.TTLEvictions != n-1 {
+		t.Fatalf("TTLEvictions = %d, want exactly the %d-person expired cohort", rep.TTLEvictions, n-1)
 	}
 }
 
-// TestStreamRemoveStationMidStream: removing a station under sustained
-// ingest must re-key its shard onto the survivors without losing a single
-// acked pattern — the acceptance bar for membership churn.
+// TestStreamRemoveStationMidStream: removing stations under sustained
+// ingest must not lose a single acked pattern, and once the removal and a
+// Flush have returned every person is back at exactly R copies — the
+// removal's heal runs after any flush already in flight, so nothing is left
+// to settle later.
 func TestStreamRemoveStationMidStream(t *testing.T) {
 	c := newStreamCluster(t, []uint32{1, 2, 3, 4}, 4)
 	in, err := New(c, Options{FlushBatch: 8, FlushInterval: time.Millisecond})
@@ -372,8 +385,9 @@ func TestStreamRemoveStationMidStream(t *testing.T) {
 		}
 	}()
 
-	// Remove a station mid-stream, then a second one for good measure: the
-	// retired shards must drain onto the survivors.
+	// Remove a station mid-stream, then a second one once the stream is
+	// quiet: a person whose surviving copy sat on station 4 would go down
+	// with it unless the first removal's heal already restored R.
 	time.Sleep(2 * time.Millisecond)
 	if err := c.RemoveStation(ctx, 2); err != nil {
 		t.Fatal(err)
@@ -387,47 +401,21 @@ func TestStreamRemoveStationMidStream(t *testing.T) {
 	if err := in.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// The pipeline's settler re-replicates patterns whose flushes were in
-	// flight during the removal's synchronous heal. Wait for it to restore
-	// full replication before taking the second station away — without the
-	// settle, a pattern whose surviving copy sat on station 4 would go down
-	// with it.
-	waitDeadline := time.Now().Add(10 * time.Second)
-	for {
-		st, err := c.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.TotalResidents() == n*cluster.DefaultReplication {
-			break
-		}
-		if time.Now().After(waitDeadline) {
-			t.Fatalf("TotalResidents = %d, want %d; settle never restored replication", st.TotalResidents(), n*cluster.DefaultReplication)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	assertExactReplicas(t, c, n, pattern.Pattern{1, 2, 3, 4})
 	if err := c.RemoveStation(ctx, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := in.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
+	assertExactReplicas(t, c, n, pattern.Pattern{1, 2, 3, 4})
 
 	rep := in.Report()
 	if rep.Accepted != n {
 		t.Fatalf("accepted %d, want %d", rep.Accepted, n)
 	}
 	if rep.FlushFailures != 0 {
-		t.Fatalf("FlushFailures = %d; every acked pattern must survive the re-key", rep.FlushFailures)
-	}
-	got := searchPersons(t, c, pattern.Pattern{1, 2, 3, 4})
-	if len(got) != n {
-		t.Fatalf("retrieved %d persons after removals, want all %d acked", len(got), n)
-	}
-	for p, r := range got {
-		if r.Score() != 1.0 {
-			t.Fatalf("person %d scored %.3f after re-key, want 1", p, r.Score())
-		}
+		t.Fatalf("FlushFailures = %d; every acked pattern must survive the removals", rep.FlushFailures)
 	}
 }
 
@@ -487,7 +475,7 @@ func TestStreamSearchInterleaving(t *testing.T) {
 	}
 
 	// The warm cohort is flushed before the kill. The kill itself starts 50
-	// submissions past that barrier, so the victim's shard holds copies not
+	// submissions past that barrier, so the pipeline holds submissions not
 	// yet flushed, and runs beside the Submit loop streaming the rest.
 	const warm, killAt = 100, 150
 	killErr := make(chan error, 1)
@@ -510,8 +498,8 @@ func TestStreamSearchInterleaving(t *testing.T) {
 	if err := <-killErr; err != nil {
 		t.Fatal(err)
 	}
-	// The kill may have outlasted the loop's last barrier: flush what the
-	// retired shard re-keyed after it.
+	// The kill may have outlasted the loop's last barrier: flush once more
+	// behind it.
 	if err := in.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -587,13 +575,8 @@ func TestStreamStatsSurface(t *testing.T) {
 	if st.Stream == nil {
 		t.Fatal("Stats.Stream nil with two pipelines registered")
 	}
-	if st.Stream.Accepted != 20 {
-		t.Fatalf("merged Accepted = %d, want 20 across both pipelines", st.Stream.Accepted)
-	}
-	for i := 1; i < len(st.Stream.Stations); i++ {
-		if st.Stream.Stations[i-1].Station >= st.Stream.Stations[i].Station {
-			t.Fatalf("per-station entries not ascending: %+v", st.Stream.Stations)
-		}
+	if st.Stream.Accepted != 20 || st.Stream.FlushedPatterns != 20 {
+		t.Fatalf("merged stream stats = %+v, want 20 accepted and placed across both pipelines", st.Stream)
 	}
 
 	if err := a.Close(); err != nil {
@@ -611,16 +594,18 @@ func TestStreamStatsSurface(t *testing.T) {
 	}
 }
 
-// TestStreamRerouteOnKill pins the retired-shard re-key path directly: a
-// long flush interval parks copies in the appliers' assembling batches,
-// the kill retires one shard, and the kick makes it re-route its batch to
-// the survivor — nothing is lost, everything lands.
+// TestStreamRerouteOnKill pins a kill between two cohorts: the first is
+// placed and then loses the victim's copies, the second is parked in the
+// flusher's batch (a batch that neither fills nor times out) when the kill
+// lands. Once KillStation and Flush have returned, both cohorts hold exactly
+// R copies on the survivors — the kill's heal restored the first, and the
+// second was placed over the survivors only.
 func TestStreamRerouteOnKill(t *testing.T) {
-	c := newStreamCluster(t, []uint32{1, 2}, 3)
+	c := newStreamCluster(t, []uint32{1, 2, 3, 4}, 3)
 	in, err := New(c, Options{
 		FlushBatch:    1 << 20,     // never fill a batch...
-		FlushInterval: time.Hour,   // ...and never time one out: only a
-		FlushTimeout:  time.Second, // kick (retirement, Flush) dispatches
+		FlushInterval: time.Hour,   // ...and never time one out: only
+		FlushTimeout:  time.Second, // Flush dispatches
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -629,46 +614,62 @@ func TestStreamRerouteOnKill(t *testing.T) {
 	ctx := context.Background()
 
 	const n = 24
-	for p := core.PersonID(1); p <= n; p++ {
-		if err := in.Submit(ctx, p, pattern.Pattern{4, 5, 6}); err != nil {
-			t.Fatal(err)
+	submit := func(from, to core.PersonID) {
+		t.Helper()
+		for p := from; p <= to; p++ {
+			if err := in.Submit(ctx, p, pattern.Pattern{4, 5, 6}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// Wait for the encoders to fan every copy out to the two shards
-	// (pending stabilizes at n*2 once the intake is drained).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rep := in.Report()
-		depth := 0
-		for _, s := range rep.Stations {
-			depth += s.QueueDepth
-		}
-		if depth == n*cluster.DefaultReplication {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("copies never reached the shards: %+v", rep)
-		}
-		time.Sleep(time.Millisecond)
+	submit(1, n)
+	if err := in.Flush(ctx); err != nil {
+		t.Fatal(err)
 	}
-
+	submit(n+1, 2*n)
 	if err := c.KillStation(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := in.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rep := in.Report()
-	if rep.Rerouted == 0 {
-		t.Fatalf("kill of a loaded shard must re-route its copies: %+v", rep)
+	if rep := in.Report(); rep.FlushFailures != 0 {
+		t.Fatalf("the kill cost %d acked submissions", rep.FlushFailures)
 	}
-	if rep.FlushFailures != 0 {
-		t.Fatalf("re-keying lost %d copies", rep.FlushFailures)
+	assertExactReplicas(t, c, 2*n, pattern.Pattern{4, 5, 6})
+}
+
+// TestStreamLaterSubmissionWins pins the flush order: a person submitted in
+// two consecutive flushes holds the later pattern on every replica, never
+// the earlier one, however the two Place calls and their retries fall.
+func TestStreamLaterSubmissionWins(t *testing.T) {
+	c := newStreamCluster(t, []uint32{1, 2, 3, 4}, 3)
+	in, err := New(c, Options{FlushBatch: 1}) // one person per Place call
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := searchPersons(t, c, pattern.Pattern{4, 5, 6})
-	if len(got) != n {
-		t.Fatalf("retrieved %d persons after the kill, want %d", len(got), n)
+	defer in.Close()
+	ctx := context.Background()
+
+	const n = 40
+	for p := core.PersonID(1); p <= n; p++ {
+		if err := in.Submit(ctx, p, pattern.Pattern{1, 1, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Submit(ctx, p, pattern.Pattern{2, 2, 2}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if err := in.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rep := in.Report(); rep.Flushes < 2*n {
+		t.Fatalf("Flushes = %d, want at least %d: each submission its own Place call", rep.Flushes, 2*n)
+	}
+	if got := searchPersons(t, c, pattern.Pattern{1, 1, 1}); len(got) != 0 {
+		t.Fatalf("%d persons still hold their earlier pattern", len(got))
+	}
+	assertExactReplicas(t, c, n, pattern.Pattern{2, 2, 2})
 }
 
 func TestAdmissionString(t *testing.T) {

@@ -8,14 +8,14 @@ import (
 	"dimatch/internal/core"
 )
 
-// evictor is the pipeline's TTL deadline wheel. Every successfully flushed
-// pattern copy registers (person, station, deadline); a sweeper goroutine
-// ticks at a fraction of the TTL, collects persons whose deadline passed,
-// and drives one grouped Unplace per sweep — which evicts the person from
-// every alive station (robust to copies having moved in a heal since they
-// were flushed), forgets the placement intent, and invalidates the
-// summary-cache digests for the touched stations, so an expired person
-// stops matching and stops routing in the same step.
+// evictor is the pipeline's TTL deadline wheel. Every placed person
+// registers their deadline; a sweeper goroutine ticks at a fraction of the
+// TTL, collects persons whose deadline passed, and drives one grouped
+// Unplace per sweep — which evicts the person from every alive station
+// (robust to copies having moved in a heal since they were flushed), forgets
+// the placement intent, and invalidates the summary-cache digests for the
+// touched stations, so an expired person stops matching and stops routing
+// in the same step.
 //
 // Resubmitting a person before expiry extends their deadline (note keeps
 // the max). A person resubmitted in the tick-wide window while their
@@ -23,17 +23,12 @@ import (
 // next resubmission restores them.
 type evictor struct {
 	in   *Ingestor
-	ttl  time.Duration
 	tick time.Duration
 	done chan struct{} // closed when the sweeper exits
 
 	mu sync.Mutex
-	// deadlines is the authoritative expiry per live person (max over
-	// their flushed copies).
+	// deadlines is the authoritative expiry per live person.
 	deadlines map[core.PersonID]time.Time // dimatch:guardedby mu
-	// holders records which stations received a copy, for per-station
-	// eviction accounting.
-	holders map[core.PersonID]map[uint32]bool // dimatch:guardedby mu
 	// buckets indexes persons by deadline-tick for cheap sweeps; a person
 	// whose deadline moved is lazily re-bucketed when their stale bucket
 	// comes due.
@@ -50,36 +45,31 @@ func newEvictor(in *Ingestor, ttl time.Duration) *evictor {
 	}
 	e := &evictor{
 		in:        in,
-		ttl:       ttl,
 		tick:      tick,
 		done:      make(chan struct{}),
 		deadlines: make(map[core.PersonID]time.Time),
-		holders:   make(map[core.PersonID]map[uint32]bool),
 		buckets:   make(map[int64][]core.PersonID),
 	}
 	go e.run()
 	return e
 }
 
-// note registers a flushed copy. Deadlines only ever extend: a refresh from
-// a resubmission wins over the original expiry.
-func (e *evictor) note(p core.PersonID, station uint32, deadline time.Time) {
-	if deadline.IsZero() {
-		return
-	}
+// note registers a placed person. Deadlines only ever extend: a refresh
+// from a resubmission wins over the original expiry.
+func (e *evictor) note(p core.PersonID, deadline time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if cur, ok := e.deadlines[p]; !ok || deadline.After(cur) {
-		e.deadlines[p] = deadline
-		b := deadline.UnixNano() / int64(e.tick)
-		e.buckets[b] = append(e.buckets[b], p)
+		e.armLocked(p, deadline)
 	}
-	h := e.holders[p]
-	if h == nil {
-		h = make(map[uint32]bool, 2)
-		e.holders[p] = h
-	}
-	h[station] = true
+}
+
+// armLocked sets a person's deadline and files them under its tick.
+// Callers hold e.mu.
+func (e *evictor) armLocked(p core.PersonID, deadline time.Time) {
+	e.deadlines[p] = deadline
+	b := deadline.UnixNano() / int64(e.tick)
+	e.buckets[b] = append(e.buckets[b], p)
 }
 
 // wait blocks until the sweeper goroutine has exited (the pipeline context
@@ -103,13 +93,12 @@ func (e *evictor) run() {
 }
 
 // sweep collects every person whose deadline passed and evicts them in one
-// grouped Unplace. Unplace serializes with Place/Rebalance/heal under the
-// cluster's heal lock, so eviction never interleaves with a reconciliation
-// moving the same person's copies.
+// grouped Unplace. Unplace serializes with Place and every heal under the
+// cluster's heal lock, so eviction never interleaves with a flush or a
+// reconciliation moving the same person's copies.
 func (e *evictor) sweep(now time.Time) {
 	nowBucket := now.UnixNano() / int64(e.tick)
 	var expired []core.PersonID
-	holders := make(map[core.PersonID][]uint32)
 	e.mu.Lock()
 	for b, persons := range e.buckets {
 		if b > nowBucket {
@@ -130,10 +119,6 @@ func (e *evictor) sweep(now time.Time) {
 			}
 			expired = append(expired, p)
 			delete(e.deadlines, p)
-			for sid := range e.holders[p] {
-				holders[p] = append(holders[p], sid)
-			}
-			delete(e.holders, p)
 		}
 	}
 	e.mu.Unlock()
@@ -144,34 +129,16 @@ func (e *evictor) sweep(now time.Time) {
 	err := e.in.c.Unplace(ctx, expired)
 	cancel()
 	if err != nil {
-		// Re-arm everyone for the next sweep rather than leaking them.
+		// Re-arm everyone for the next sweep rather than leaking them; a
+		// person resubmitted meanwhile keeps their new deadline.
 		e.mu.Lock()
-		retry := now.Add(e.tick)
-		b := retry.UnixNano() / int64(e.tick)
 		for _, p := range expired {
-			if _, ok := e.deadlines[p]; ok {
-				continue // resubmitted meanwhile; their new deadline rules
-			}
-			e.deadlines[p] = retry
-			e.buckets[b] = append(e.buckets[b], p)
-			for _, sid := range holders[p] {
-				h := e.holders[p]
-				if h == nil {
-					h = make(map[uint32]bool, 2)
-					e.holders[p] = h
-				}
-				h[sid] = true
+			if _, ok := e.deadlines[p]; !ok {
+				e.armLocked(p, now.Add(e.tick))
 			}
 		}
 		e.mu.Unlock()
 		return
 	}
 	e.in.counters.TTLEvictions.Add(uint64(len(expired)))
-	for _, p := range expired {
-		for _, sid := range holders[p] {
-			if a := e.in.applierFor(sid); a != nil {
-				a.evictions.Add(1)
-			}
-		}
-	}
 }

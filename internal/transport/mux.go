@@ -166,16 +166,6 @@ func (m *Mux) Send(msg wire.Message) error {
 	return m.link.Send(msg.WithRequest(0))
 }
 
-// InFlight returns the number of exchanges currently awaiting a reply on
-// the link. It is an observability gauge for flow control: a streaming
-// flush path that keeps queuing exchanges faster than the peer answers
-// shows up here as a growing backlog before anything times out.
-func (m *Mux) InFlight() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.pending)
-}
-
 // Err returns the sticky link failure, if any.
 func (m *Mux) Err() error {
 	m.mu.Lock()
