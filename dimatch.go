@@ -130,7 +130,8 @@ func WithVerify(v bool) SearchOption { return cluster.WithVerify(v) }
 // WithMinScore drops WBF and naive results scoring below the threshold.
 func WithMinScore(s float64) SearchOption { return cluster.WithMinScore(s) }
 
-// WithTargetFP overrides the auto-sizing false-positive target.
+// WithTargetFP overrides the auto-sizing false-positive target; outside
+// (0, 1) → 0.01, the default.
 func WithTargetFP(fp float64) SearchOption { return cluster.WithTargetFP(fp) }
 
 // WithBatching bounds how many queries a WBF search packs into one round.

@@ -207,8 +207,13 @@ func SizingSweep(ctx context.Context, cfg AblationConfig, bitSizes []uint64) ([]
 
 		// Measure value-level FP on values far beyond any accumulated
 		// pattern (guaranteed absent).
+		// The plain Bloom view of the WBF: its set bits, without the lists.
 		probes, hits := 50_000, 0
-		bf, err := bloom.FromParts(filter.Words(), params.Bits, params.Hashes, params.Seed, filter.Inserted())
+		words := make([]uint64, (params.Bits+63)/64)
+		for _, pos := range filter.Positions() {
+			words[pos/64] |= 1 << (pos % 64)
+		}
+		bf, err := bloom.FromParts(words, params.Bits, params.Hashes, params.Seed, filter.Inserted())
 		if err != nil {
 			return nil, err
 		}

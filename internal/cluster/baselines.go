@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 
+	"dimatch/internal/bloom"
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 	"dimatch/internal/wire"
@@ -12,7 +13,7 @@ import (
 // searchBF is the Bloom-filter baseline: same pipeline, no weights, so the
 // center can only count how many stations reported each person.
 func (c *Cluster) searchBF(ctx context.Context, ep *epoch, cfg searchConfig, queries []core.Query) (*Outcome, error) {
-	params, err := c.resolveParams(cfg, queries)
+	params, err := c.bfParams(cfg, queries)
 	if err != nil {
 		return nil, err
 	}
@@ -84,6 +85,20 @@ func (c *Cluster) searchBF(ctx context.Context, ep *epoch, cfg searchConfig, que
 	out.Cost.FilterBytes = filter.SizeBytes()
 	out.Cost.CenterStorageBytes = filter.SizeBytes() + reportBytes
 	return out, nil
+}
+
+// bfParams resolves the baseline's parameters. An unset Bits is sized for
+// memory, as the paper prices a Bloom filter: bloom.OptimalParams over the
+// estimated insertions at the target FP, not the WBF's sparse transmission
+// sizing (core.SizedParams).
+func (c *Cluster) bfParams(cfg searchConfig, queries []core.Query) (core.Params, error) {
+	p, err := c.resolveParams(cfg, queries)
+	if err != nil || cfg.params.Bits != 0 {
+		return p, err
+	}
+	n, err := core.EstimateInsertions(p, c.length, queries)
+	p.Bits, p.Hashes = bloom.OptimalParams(n, cfg.targetFP)
+	return p, err
 }
 
 // searchNaive ships everything and matches centrally with the exact Eq. 2

@@ -20,8 +20,9 @@ import (
 type Options struct {
 	// Params carries the pipeline knobs (samples b, hashes k, ε, seed...).
 	// If Params.Bits is zero the filter is auto-sized per search to TargetFP
-	// over the estimated insertions — the same sizing for BF and WBF, so the
-	// storage comparison is apples to apples.
+	// over the estimated insertions: the WBF for transmission (one hash,
+	// m = n/TargetFP, core.SizedParams), the BF baseline for memory
+	// (bloom.OptimalParams), as the paper prices it.
 	Params core.Params
 	// TopK limits each query's answer; <= 0 returns all qualified persons.
 	TopK int
@@ -38,8 +39,8 @@ type Options struct {
 	// naive shipment) for eliminating residual false positives — the
 	// "aggregation and verification" step of the paper's Section I.
 	Verify bool
-	// TargetFP is the sizing target used when Params.Bits == 0
-	// (default 0.01).
+	// TargetFP is the value-level false-positive rate filters are sized for
+	// when Params.Bits == 0; outside (0, 1) → 0.01, the default.
 	TargetFP float64
 	// AdaptWindow is the traffic profiler's sliding window in observed
 	// band probes: once that many accumulate, every counter halves, so the
@@ -154,7 +155,7 @@ func assemble(opts Options, length int, down, up *transport.Meter, ids []uint32,
 		return nil, fmt.Errorf("cluster: pattern length %d, want > 0", length)
 	}
 	if opts.TargetFP == 0 {
-		opts.TargetFP = 0.01
+		opts.TargetFP = core.DefaultTargetFP
 	}
 	if down == nil {
 		down = &transport.Meter{}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"dimatch/internal/bloom"
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 	"dimatch/internal/transport"
@@ -262,12 +263,32 @@ func TestAutoSizing(t *testing.T) {
 	opts.Params.Bits = 0 // request auto-sizing
 	opts.Params.Hashes = 0
 	c := startCluster(t, opts, paperScenario())
-	out, err := c.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(StrategyWBF))
+	q := []core.Query{paperQuery()}
+	for _, strat := range []Strategy{StrategyWBF, StrategyBF} {
+		out, err := c.Search(context.Background(), q, WithStrategy(strat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.PerQuery[1]) == 0 {
+			t.Fatalf("auto-sized %v search returned nothing", strat)
+		}
+	}
+	// The WBF is sized for the wire (one hash), the BF baseline for memory.
+	cfg := c.searchDefaults()
+	wbf, err := c.resolveParams(cfg, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.PerQuery[1]) == 0 {
-		t.Fatal("auto-sized search returned nothing")
+	bf, err := c.bfParams(cfg, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := core.EstimateInsertions(wbf, c.length, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, k := bloom.OptimalParams(n, cfg.targetFP); wbf.Hashes != 1 || bf.Bits != m || bf.Hashes != k {
+		t.Fatalf("WBF sized (m %d, k %d), BF (m %d, k %d); want k = 1 and BF (m %d, k %d)", wbf.Bits, wbf.Hashes, bf.Bits, bf.Hashes, m, k)
 	}
 }
 

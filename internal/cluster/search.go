@@ -166,7 +166,7 @@ func WithVerify(v bool) SearchOption {
 }
 
 // WithTargetFP overrides the false-positive sizing target used when
-// Params.Bits is zero. Values <= 0 fall back to the default 0.01.
+// Params.Bits is zero. Values outside (0, 1) fall back to the default 0.01.
 func WithTargetFP(fp float64) SearchOption {
 	return func(c *searchConfig) { c.targetFP = fp }
 }
@@ -221,8 +221,8 @@ func (c *Cluster) searchDefaults() searchConfig {
 }
 
 // resolveParams returns the search parameters, auto-sizing the filter to the
-// config's false-positive target if Bits is unset. Non-positive targets are
-// clamped to the 0.01 default by the sizing math itself.
+// config's false-positive target if Bits is unset. A target outside (0, 1)
+// means the 0.01 default (core.SizedParams).
 func (c *Cluster) resolveParams(cfg searchConfig, queries []core.Query) (core.Params, error) {
 	p := cfg.params
 	if p.Bits != 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"dimatch/internal/bloom"
@@ -172,17 +173,31 @@ func EstimateInsertions(p Params, patternLength int, queries []Query) (uint64, e
 	return total, nil
 }
 
-// SizedParams returns Params sized for the given queries at the target
-// false-positive rate, preserving the pipeline knobs of base.
+// DefaultTargetFP is the value-level false-positive rate a filter is sized
+// for when the caller's target lies outside (0, 1).
+const DefaultTargetFP = 0.01
+
+// SizedParams returns Params sized for sending the given queries' filter at
+// the target value-level false-positive rate, preserving the pipeline knobs
+// of base: one hash and m = ⌈n/f⌉ bits for the n estimated insertions, at
+// most MaxBits. A target outside (0, 1) means DefaultTargetFP.
+//
+// This is not the memory optimum (k = ln 2 · m/n at half fill) but the
+// transmission one (Mitzenmacher, Compressed Bloom Filters): a filter ships
+// its set bits, each as a Rice-coded gap plus its list code, and one hash
+// sets the fewest bits per value. The sparse array reaches the same FP,
+// 1 − (1 − 1/m)ⁿ ≤ n/m, in fewer bits on the wire.
 func SizedParams(base Params, patternLength int, queries []Query, targetFP float64) (Params, error) {
 	base = base.withDefaults()
 	n, err := EstimateInsertions(base, patternLength, queries)
 	if err != nil {
 		return Params{}, err
 	}
-	m, k := bloom.OptimalParams(n, targetFP)
-	base.Bits = m
-	base.Hashes = k
+	if !(targetFP > 0 && targetFP < 1) {
+		targetFP = DefaultTargetFP
+	}
+	base.Bits = uint64(min(math.Ceil(float64(max(n, 1))/targetFP), MaxBits))
+	base.Hashes = 1
 	return base, nil
 }
 

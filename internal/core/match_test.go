@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -392,8 +393,23 @@ func TestSizedParams(t *testing.T) {
 	if p.Samples != 4 || p.Epsilon != 1 || p.Seed != 3 {
 		t.Fatal("SizedParams clobbered pipeline knobs")
 	}
-	if p.Bits == 0 || p.Hashes < 1 {
-		t.Fatalf("SizedParams produced degenerate sizing %+v", p)
+	// One hash and m = ⌈n/f⌉: EstimateInsertions gives 3 combinations × 4
+	// samples × bands of 3, 5, 7 and 9 values.
+	if n := uint64(3 * (3 + 5 + 7 + 9)); p.Hashes != 1 || p.Bits != n*100 {
+		t.Fatalf("SizedParams = (m %d, k %d), want (%d, 1)", p.Bits, p.Hashes, n*100)
+	}
+	// A target outside (0, 1) means the default; a tiny one clamps m.
+	for _, tt := range []struct {
+		fp   float64
+		bits uint64
+	}{{0, 7200}, {1, 7200}, {-3, 7200}, {math.NaN(), 7200}, {1e-12, MaxBits}} {
+		p, err := SizedParams(base, 4, qs, tt.fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Validate(); err != nil || p.Bits != tt.bits || p.Hashes != 1 {
+			t.Errorf("target %v: sized (m %d, k %d), err %v; want (%d, 1)", tt.fp, p.Bits, p.Hashes, err, tt.bits)
+		}
 	}
 }
 

@@ -73,9 +73,9 @@ const DefaultSamples = 12
 // Parameters arrive over the wire (a filter ships its Params in every query
 // frame), so values far beyond any useful configuration are treated as
 // corruption rather than honored: Hashes bounds the loop every probe runs,
-// Samples bounds the sample-index table a filter allocates, and Bits bounds
-// the bit array and keeps a bit index in 32 bits (the encoder packs
-// bit<<32|pointer pairs; a filter's rank table is uint32).
+// Samples bounds the sample-index table a filter allocates, and Bits keeps a
+// bit index in 32 bits (the encoder packs
+// bit<<32|pointer pairs; a filter's set positions are uint32).
 const (
 	MaxBits    = 1 << 32
 	MaxHashes  = 512

@@ -100,10 +100,24 @@ func (r refFilter) matchResidents(t *testing.T, persons []core.PersonID, locals 
 	return out
 }
 
-// TestFilterMatchesMapPerBitReference: over random batches, a station gets
-// the same reports from the encoder's filter, from that filter after a trip
-// over the wire, and from the map-per-bit reference; and SizeBytes, computed
-// from the dictionary-coded arrays, is still the list-per-bit cost model.
+// bitLists returns a filter's set bits, each with the pointer list it
+// carries, from its sparse arrays.
+func bitLists(f *core.Filter) map[uint64][]core.WeightID {
+	codes, offs, ids := f.Lists()
+	out := make(map[uint64][]core.WeightID, len(codes))
+	for i, pos := range f.Positions() {
+		out[uint64(pos)] = ids[offs[codes[i]]:offs[codes[i]+1]]
+	}
+	return out
+}
+
+// TestFilterMatchesMapPerBitReference: over random batches, the encoder's
+// filter, that filter after a trip over the wire and the map-per-bit
+// reference set the same bits with the same pointer lists, and a station gets
+// the same reports from all three; and SizeBytes, computed from the sparse
+// arrays, is still the list-per-bit cost model. Filters are auto-sized (one
+// hash, sparse) or, one round in three, explicitly sized with up to four
+// hashes and often crowded, where the Rice parameter bottoms out at 0.
 func TestFilterMatchesMapPerBitReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for round := 0; round < 60; round++ {
@@ -151,6 +165,9 @@ func TestFilterMatchesMapPerBitReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if rng.Intn(3) == 0 {
+			params.Bits, params.Hashes = 1+uint64(rng.Intn(int(params.Bits))), 1+rng.Intn(4)
+		}
 		enc, err := core.NewEncoder(params, length)
 		if err != nil {
 			t.Fatal(err)
@@ -165,6 +182,9 @@ func TestFilterMatchesMapPerBitReference(t *testing.T) {
 		f := enc.Filter()
 
 		ref := newRefFilter(t, f, queries)
+		if got := bitLists(f); !reflect.DeepEqual(got, ref.slots) {
+			t.Fatalf("round %d: the filter sets\n%v\nthe reference\n%v", round, got, ref.slots)
+		}
 		if got, want := f.SizeBytes(), ref.sizeBytes(); got != want {
 			t.Fatalf("round %d: SizeBytes %d, the list-per-bit model gives %d", round, got, want)
 		}
@@ -191,6 +211,9 @@ func TestFilterMatchesMapPerBitReference(t *testing.T) {
 		bq, err := wire.DecodeBatchQuery(frame)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		if got := bitLists(bq.Filter); !reflect.DeepEqual(got, ref.slots) {
+			t.Fatalf("round %d: after the wire the filter sets\n%v\nthe reference\n%v", round, got, ref.slots)
 		}
 		if bq.Filter.SizeBytes() != f.SizeBytes() {
 			t.Fatalf("round %d: SizeBytes %d after the wire, %d before", round, bq.Filter.SizeBytes(), f.SizeBytes())

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -42,16 +43,19 @@ func (w WeightEntry) Value() float64 {
 // weight table those pointers index.
 //
 // A filter is sealed: the encoder (or the wire decoder, through FromParts)
-// builds it once and it is read-only afterwards. Set bits share few distinct
-// pointer lists, so each list lives once in a dictionary and a set bit holds
-// a dictionary code, found by the bit's rank among the set bits. The wire
-// ships exactly these arrays (docs/WIRE.md).
+// builds it once and it is read-only afterwards. It holds only its set bits:
+// their positions ascending, and beside each a dictionary code, because set
+// bits share few distinct pointer lists and each list lives once in a
+// dictionary. A bit's rank is its index in the positions, found through a
+// directory of the positions by pos >> shift. Every array is sized by the set
+// bits, never by Bits. The wire ships exactly these arrays (docs/WIRE.md).
 type Filter struct {
 	params    Params
-	length    int   // time-series length the filter was built for
-	sampleIdx []int // deterministic sample positions, shared with stations
-	words     []uint64
-	rank      []uint32   // rank[w] = set bits in words[:w]
+	length    int        // time-series length the filter was built for
+	sampleIdx []int      // deterministic sample positions, shared with stations
+	pos       []uint32   // the set bits, strictly ascending
+	dir       []uint32   // dir[b]: how many set bits lie below b << shift
+	shift     uint       // RiceParam(Bits, set bits)
 	codes     []uint32   // per set bit, in bit order: its list's dictionary index
 	offs      []uint32   // dictionary list d is ids[offs[d]:offs[d+1]]
 	ids       []WeightID // arena of the distinct lists, each strictly ascending
@@ -60,6 +64,19 @@ type Filter struct {
 	inserted  uint64 // total value insertions (with band expansion)
 	distinct  uint64 // distinct hashed keys (what the FP model sees)
 	keys      keyer
+}
+
+// RiceParam returns the Rice parameter r for set positions among m bits:
+// ⌊log₂(ln 2 · m / set)⌋, at least 0, with set taken as 1 when 0. Gaps
+// between set random positions of m bits are near-geometric with mean
+// m/set, and this r is the Golomb-Rice optimum for such gaps. The wire codes
+// the gaps with it and the filter's directory buckets positions by it; both
+// sides derive it from Bits and the set count, so it is never sent. A bucket
+// of 2^r bits then holds under one set bit on average, and the directory
+// under 2.9 entries per set bit.
+func RiceParam(m, set uint64) uint {
+	x := math.Ln2 * float64(m) / float64(max(set, 1))
+	return uint(max(bits.Len64(uint64(x)), 1) - 1)
 }
 
 // keyer maps (sample slot, accumulated value) pairs to hashed elements. It
@@ -124,42 +141,25 @@ func newFilter(p Params, length int) (*Filter, error) {
 	}, nil
 }
 
-// seal builds the arrays from the encoder's (bit<<32 | weight) pairs, in
-// insertion order. Setting the bits ranks them; a counting sort by rank then
-// gathers each bit's pointers into one run — stable, and pointers are handed
-// out ascending, so a run ascends with repeats (a band hitting one bit twice
-// for one combination) adjacent. Each distinct run becomes a dictionary list
-// in first-use order: the same insertions always seal to the same arrays.
+// seal builds the arrays from the encoder's (bit<<32 | weight) pairs. Sorted,
+// the pairs gather each bit's pointers into one ascending run, repeats (a
+// band hitting one bit twice for one combination) adjacent. Each distinct run
+// becomes a dictionary list in first-use order by ascending bit: the same
+// insertions always seal to the same arrays.
 func (f *Filter) seal(pairs []uint64) {
-	f.words = make([]uint64, (f.params.Bits+63)/64)
-	for _, p := range pairs {
-		bit := p >> 32
-		f.words[bit/64] |= 1 << (bit % 64)
-	}
-	f.codes = make([]uint32, f.buildRank())
-	at := make([]uint32, len(f.codes)+1)
-	for _, p := range pairs {
-		at[f.slot(p>>32)+1]++
-	}
-	for r := range f.codes {
-		at[r+1] += at[r] // where bit r's run starts
-	}
-	runs := make([]WeightID, len(pairs))
-	for _, p := range pairs {
-		r := f.slot(p >> 32)
-		runs[at[r]] = WeightID(uint32(p))
-		at[r]++ // where it ends, once every pair is placed
-	}
+	slices.Sort(pairs)
 	f.offs = []uint32{0}
 	dict := make(map[string]uint32)
+	var run []WeightID
 	var key []byte
-	lo := uint32(0)
-	for r := range f.codes {
-		run := slices.Compact(runs[lo:at[r]])
-		lo = at[r]
-		key = key[:0]
-		for _, id := range run {
-			key = binary.LittleEndian.AppendUint32(key, uint32(id))
+	for i := 0; i < len(pairs); {
+		bit := pairs[i] >> 32
+		run, key = run[:0], key[:0]
+		for ; i < len(pairs) && pairs[i]>>32 == bit; i++ {
+			if id := WeightID(uint32(pairs[i])); len(run) == 0 || run[len(run)-1] != id {
+				run = append(run, id)
+				key = binary.LittleEndian.AppendUint32(key, uint32(id))
+			}
 		}
 		code, ok := dict[string(key)]
 		if !ok {
@@ -168,31 +168,36 @@ func (f *Filter) seal(pairs []uint64) {
 			f.ids = append(f.ids, run...)
 			f.offs = append(f.offs, uint32(len(f.ids)))
 		}
-		f.codes[r] = code
+		f.pos = append(f.pos, uint32(bit))
+		f.codes = append(f.codes, code)
+	}
+	f.buildDir()
+}
+
+// buildDir buckets the positions by pos >> shift: bucket b's set bits are
+// pos[dir[b]:dir[b+1]]. The positions must ascend below Bits.
+func (f *Filter) buildDir() {
+	f.shift = RiceParam(f.params.Bits, uint64(len(f.pos)))
+	f.dir = make([]uint32, (f.params.Bits-1)>>f.shift+2)
+	for _, p := range f.pos {
+		f.dir[p>>f.shift+1]++
+	}
+	for b := 1; b < len(f.dir); b++ {
+		f.dir[b] += f.dir[b-1]
 	}
 }
 
-// buildRank fills the per-word popcount prefix and returns the total.
-func (f *Filter) buildRank() uint64 {
-	f.rank = make([]uint32, len(f.words))
-	var set uint64
-	for w, word := range f.words {
-		f.rank[w] = uint32(set)
-		set += uint64(bits.OnesCount64(word))
+// list returns the pointer list hanging off bit idx, or false if the bit is
+// unset. A bucket holds under one set bit on average, so the scan is short.
+func (f *Filter) list(idx uint64) ([]WeightID, bool) {
+	b := idx >> f.shift
+	for i, end := f.dir[b], f.dir[b+1]; i < end && uint64(f.pos[i]) <= idx; i++ {
+		if uint64(f.pos[i]) == idx {
+			code := f.codes[i]
+			return f.ids[f.offs[code]:f.offs[code+1]], true
+		}
 	}
-	return set
-}
-
-// slot returns the rank of set bit idx among the set bits: the index of its
-// dictionary code.
-func (f *Filter) slot(idx uint64) uint32 {
-	return f.rank[idx/64] + uint32(bits.OnesCount64(f.words[idx/64]&(1<<(idx%64)-1)))
-}
-
-// list returns the pointer list hanging off set bit idx.
-func (f *Filter) list(idx uint64) []WeightID {
-	code := f.codes[f.slot(idx)]
-	return f.ids[f.offs[code]:f.offs[code+1]]
+	return nil, false
 }
 
 // probe looks one value up. It returns (nil, false) if any bit is unset —
@@ -203,18 +208,20 @@ func (f *Filter) list(idx uint64) []WeightID {
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (f *Filter) probe(slot int, value int64, scratch []WeightID) ([]WeightID, bool) {
 	var buf [16]uint64
-	indexes := f.family.Indexes(f.keys.key(slot, value), buf[:0])
-	for _, idx := range indexes {
-		if f.words[idx/64]>>(idx%64)&1 == 0 {
+	out := scratch[:0]
+	for j, idx := range f.family.Indexes(f.keys.key(slot, value), buf[:0]) {
+		list, ok := f.list(idx)
+		switch {
+		case !ok:
 			return nil, false
+		case j == 0:
+			out = append(out, list...)
+		default:
+			out = intersectSorted(out, list)
 		}
-	}
-	out := append(scratch[:0], f.list(indexes[0])...)
-	for _, idx := range indexes[1:] {
-		out = intersectSorted(out, f.list(idx))
 		if len(out) == 0 {
-			// All bits set but no common weight: a hash-collision artifact;
-			// the WBF rejects it where a plain BF would accept.
+			// All bits so far set but no common weight: a hash-collision
+			// artifact; the WBF rejects it where a plain BF would accept.
 			return nil, false
 		}
 	}
@@ -281,20 +288,21 @@ func (f *Filter) DistinctKeys() uint64 {
 // FillRatio returns the fraction of set bits.
 func (f *Filter) FillRatio() float64 { return float64(len(f.codes)) / float64(f.params.Bits) }
 
-// Words and Lists expose the sealed arrays for serialization: the bit array;
-// one dictionary index per set bit, in bit order; and the distinct pointer
-// lists, list d being ids[offs[d]:offs[d+1]]. Callers must not mutate them.
-func (f *Filter) Words() []uint64 { return f.words }
+// Positions and Lists expose the sealed arrays for serialization: the set
+// bits, ascending; one dictionary index per set bit, in the same order; and
+// the distinct pointer lists, list d being ids[offs[d]:offs[d+1]]. Callers
+// must not mutate them.
+func (f *Filter) Positions() []uint32 { return f.pos }
 
 func (f *Filter) Lists() (codes, offs []uint32, ids []WeightID) { return f.codes, f.offs, f.ids }
 
 // SizeBytes returns the filter's size under the paper's cost model, which the
-// storage- and communication-cost experiments report: the bit array, per
+// storage- and communication-cost experiments report: the m-bit array, per
 // occupied bit 12 bytes (index and list header) plus 4 per pointer it
 // carries, and 16 bytes per weight-table row. It models a WBF with a list per
-// bit; it is not the Go heap or the wire size of this dictionary-coded form.
+// bit; it is not the Go heap or the wire size of this sparse form.
 func (f *Filter) SizeBytes() uint64 {
-	size := 8*uint64(len(f.words)) + 12*uint64(len(f.codes)) + 16*uint64(len(f.weights))
+	size := (f.params.Bits+63)/64*8 + 12*uint64(len(f.codes)) + 16*uint64(len(f.weights))
 	for _, code := range f.codes {
 		size += 4 * uint64(f.offs[code+1]-f.offs[code])
 	}
@@ -302,24 +310,26 @@ func (f *Filter) SizeBytes() uint64 {
 }
 
 // FromParts reconstructs a Filter from its serialized arrays, which it keeps
-// (no copy), validating all that probing relies on: the words hold exactly
-// Bits bits with none set beyond, every set bit has a code naming a list, and
-// every list is non-empty, strictly ascending and within the weight table.
-func FromParts(p Params, length int, words []uint64, weights []WeightEntry, offs []uint32, ids []WeightID, codes []uint32, inserted uint64) (*Filter, error) {
+// (no copy), validating all that probing relies on: the positions ascend
+// strictly below Bits, every set bit has a code naming a list, and every list
+// is non-empty, strictly ascending and within the weight table.
+func FromParts(p Params, length int, positions []uint32, weights []WeightEntry, offs []uint32, ids []WeightID, codes []uint32, inserted uint64) (*Filter, error) {
 	f, err := newFilter(p, length)
 	if err != nil {
 		return nil, err
 	}
-	if want := (p.Bits + 63) / 64; uint64(len(words)) != want {
-		return nil, fmt.Errorf("core: %d words cannot hold exactly %d bits (want %d)", len(words), p.Bits, want)
+	if len(positions) != len(codes) {
+		return nil, fmt.Errorf("core: %d set bits but %d list codes", len(positions), len(codes))
 	}
-	if p.Bits%64 != 0 && words[len(words)-1]>>(p.Bits%64) != 0 {
+	for i, pos := range positions {
+		if i > 0 && positions[i-1] >= pos {
+			return nil, fmt.Errorf("core: set bit %d does not ascend past %d", pos, positions[i-1])
+		}
+	}
+	if n := len(positions); n > 0 && uint64(positions[n-1]) >= p.Bits {
 		return nil, fmt.Errorf("core: bits set beyond length %d", p.Bits)
 	}
-	f.words, f.weights, f.offs, f.ids, f.codes, f.inserted = words, weights, offs, ids, codes, inserted
-	if set := f.buildRank(); set != uint64(len(codes)) {
-		return nil, fmt.Errorf("core: %d set bits but %d list codes", set, len(codes))
-	}
+	f.pos, f.weights, f.offs, f.ids, f.codes, f.inserted = positions, weights, offs, ids, codes, inserted
 	if len(offs) == 0 || offs[0] != 0 || int(offs[len(offs)-1]) != len(ids) {
 		return nil, fmt.Errorf("core: dictionary offsets do not span its %d pointers", len(ids))
 	}
@@ -342,5 +352,6 @@ func FromParts(p Params, length int, words []uint64, weights []WeightEntry, offs
 			return nil, fmt.Errorf("core: list code %d but %d dictionary lists", code, len(offs)-1)
 		}
 	}
+	f.buildDir() // sized by the set bits: a forged Bits cannot inflate it
 	return f, nil
 }

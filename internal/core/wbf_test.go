@@ -96,17 +96,17 @@ func TestFilterZeroWeightCombinationSkipped(t *testing.T) {
 
 // cloneParts copies a filter's serialized arrays, so a test can corrupt them
 // without touching the filter (FromParts keeps what it is handed).
-func cloneParts(f *Filter) (words []uint64, weights []WeightEntry, offs []uint32, ids []WeightID, codes []uint32) {
+func cloneParts(f *Filter) (positions []uint32, weights []WeightEntry, offs []uint32, ids []WeightID, codes []uint32) {
 	c, o, i := f.Lists()
-	return slices.Clone(f.Words()), slices.Clone(f.Weights()), slices.Clone(o), slices.Clone(i), slices.Clone(c)
+	return slices.Clone(f.Positions()), slices.Clone(f.Weights()), slices.Clone(o), slices.Clone(i), slices.Clone(c)
 }
 
 func TestFilterRoundTripThroughParts(t *testing.T) {
 	p := testParams()
 	p.Epsilon = 1
 	f := buildPaperFilter(t, p)
-	words, weights, offs, ids, codes := cloneParts(f)
-	g, err := FromParts(p, f.Length(), words, weights, offs, ids, codes, f.Inserted())
+	positions, weights, offs, ids, codes := cloneParts(f)
+	g, err := FromParts(p, f.Length(), positions, weights, offs, ids, codes, f.Inserted())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,19 +143,9 @@ func TestFromPartsRejectsCorruption(t *testing.T) {
 	if pair < 0 {
 		t.Fatal("paper filter has no two-pointer list; the matrix needs one")
 	}
-	unsetBit := func(words []uint64) uint64 {
-		for b := uint64(0); b < p.Bits; b++ {
-			if words[b/64]>>(b%64)&1 == 0 {
-				return b
-			}
-		}
-		t.Fatal("no unset bit")
-		return 0
-	}
-
 	type parts struct {
 		p       Params
-		words   []uint64
+		pos     []uint32
 		weights []WeightEntry
 		offs    []uint32
 		ids     []WeightID
@@ -166,12 +156,12 @@ func TestFromPartsRejectsCorruption(t *testing.T) {
 		want   string // the reason, as FromParts words it
 		mutate func(x *parts)
 	}{
-		{"word count short", "words cannot hold", func(x *parts) { x.words = x.words[:len(x.words)-1] }},
-		{"word count long", "words cannot hold", func(x *parts) { x.words = append(x.words, 0) }},
-		{"bit set beyond Bits", "bits set beyond", func(x *parts) { x.p.Bits -= 3; x.words[len(x.words)-1] |= 1 << 63; x.codes = append(x.codes, 0) }},
+		{"positions out of order", "does not ascend", func(x *parts) { x.pos[0], x.pos[1] = x.pos[1], x.pos[0] }},
+		{"repeated position", "does not ascend", func(x *parts) { x.pos[1] = x.pos[0] }},
+		{"bit set beyond Bits", "bits set beyond", func(x *parts) { x.p.Bits = uint64(x.pos[len(x.pos)-1]) }},
 		{"slot count mismatch", "set bits but", func(x *parts) { x.codes = x.codes[:len(x.codes)-1] }},
 		{"slot on unset bit", "set bits but", func(x *parts) { x.codes = append(x.codes, 0) }},
-		{"set bit without a slot", "set bits but", func(x *parts) { b := unsetBit(x.words); x.words[b/64] |= 1 << (b % 64) }},
+		{"set bit without a slot", "set bits but", func(x *parts) { x.pos = append(x.pos, uint32(x.p.Bits-1)) }},
 		{"code beyond dictionary", "dictionary lists", func(x *parts) { x.codes[0] = uint32(len(x.offs) - 1) }},
 		{"dangling pointer", "dangling weight pointer", func(x *parts) { x.ids[len(x.ids)-1] = 99 }},
 		{"unsorted list", "unsorted pointer list", func(x *parts) { x.ids[pair], x.ids[pair+1] = x.ids[pair+1], x.ids[pair] }},
@@ -186,17 +176,17 @@ func TestFromPartsRejectsCorruption(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			x := parts{p: p}
-			x.words, x.weights, x.offs, x.ids, x.codes = cloneParts(f)
+			x.pos, x.weights, x.offs, x.ids, x.codes = cloneParts(f)
 			tt.mutate(&x)
-			_, err := FromParts(x.p, f.Length(), x.words, x.weights, x.offs, x.ids, x.codes, f.Inserted())
+			_, err := FromParts(x.p, f.Length(), x.pos, x.weights, x.offs, x.ids, x.codes, f.Inserted())
 			if err == nil || !strings.Contains(err.Error(), tt.want) {
 				t.Fatalf("err = %v, want one naming %q", err, tt.want)
 			}
 		})
 	}
 	// The untouched arrays are accepted: the matrix fails on the mutations.
-	words, weights, offs, ids, codes := cloneParts(f)
-	if _, err := FromParts(p, f.Length(), words, weights, offs, ids, codes, f.Inserted()); err != nil {
+	positions, weights, offs, ids, codes := cloneParts(f)
+	if _, err := FromParts(p, f.Length(), positions, weights, offs, ids, codes, f.Inserted()); err != nil {
 		t.Fatalf("clean parts rejected: %v", err)
 	}
 }

@@ -25,7 +25,7 @@ func TestNoallocMessageAppendFrame(t *testing.T) {
 
 // TestAllocsDecodeBatchQuery is a ceiling, not a zero: a decoded filter is a
 // fixed handful of arrays however many bits it sets (the point shape sets
-// 1 633), where a pointer list per set bit cost two allocations each.
+// 324), where a pointer list per set bit cost two allocations each.
 func TestAllocsDecodeBatchQuery(t *testing.T) {
 	for _, s := range frameShapes(t) {
 		m, err := EncodeBatchQuery(s.batch)

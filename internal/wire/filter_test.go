@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,12 +74,14 @@ func frameShapes(t testing.TB) []frameShape {
 	}
 }
 
-// TestFilterFrameSizes pins each shape's payload to the byte: the bit array,
-// then a tail that no longer grows with the set bits' pointers (version 9,
-// with a delta-coded index and a pointer list per set bit, took 5 331, 1 111
-// and 11 493 B for these three filters).
+// TestFilterFrameSizes pins each shape's payload to the byte, holds it
+// within 3 % of frameModel's prediction, and holds each filter to the sizing
+// target: an absent value probes present with probability at most 1 %.
+// Version 11 sent the memory-sized bit array word by word (433, 512 and
+// 4 895 B for these three filters); version 9 sent a delta-coded index and a
+// pointer list per set bit (5 331, 1 111 and 11 493 B).
 func TestFilterFrameSizes(t *testing.T) {
-	want := map[string]int{"point": 433, "city": 512, "batch16": 4895}
+	want := map[string]int{"point": 371, "city": 193, "batch16": 2041}
 	for _, s := range frameShapes(t) {
 		m, err := EncodeBatchQuery(s.batch)
 		if err != nil {
@@ -85,10 +89,17 @@ func TestFilterFrameSizes(t *testing.T) {
 		}
 		f := s.batch.Filter
 		codes, offs, _ := f.Lists()
-		t.Logf("%s: payload %d B: %d words, %d set bits, %d distinct lists, %d weight rows",
-			s.name, len(m.Payload), len(f.Words()), len(codes), len(offs)-1, len(f.Weights()))
+		model := frameModel(s.batch)
+		t.Logf("%s: payload %d B (model %.0f B): %d set bits of %d, r = %d, %d distinct lists, %d weight rows",
+			s.name, len(m.Payload), model, len(codes), f.Params().Bits, core.RiceParam(f.Params().Bits, uint64(len(codes))), len(offs)-1, len(f.Weights()))
 		if len(m.Payload) != want[s.name] {
 			t.Errorf("%s: payload %d B, want %d", s.name, len(m.Payload), want[s.name])
+		}
+		if math.Abs(float64(len(m.Payload))-model) > 0.03*model {
+			t.Errorf("%s: payload %d B is more than 3 %% off the model's %.0f B", s.name, len(m.Payload), model)
+		}
+		if fp := core.Analyze(f).ValueFPProb; fp > 0.01 {
+			t.Errorf("%s: value false-positive probability %.4f above the 1 %% target", s.name, fp)
 		}
 		got, err := DecodeBatchQuery(m)
 		if err != nil {
@@ -99,6 +110,44 @@ func TestFilterFrameSizes(t *testing.T) {
 			t.Errorf("%s: a decoded filter re-encodes to different bytes (err %v)", s.name, err)
 		}
 	}
+}
+
+// frameModel predicts a batch-query payload in bytes. The query IDs, params,
+// weight table and dictionary are counted from the filter's arrays. The bit
+// stream is the closed form: s set bits of m, each a Rice code with parameter
+// r plus a w-bit list code. Gaps between s random bits of m are geometric,
+// P(gap ≥ g) = (1 − s/m)^g, so a gap's Rice quotient has mean x/(1 − x) with
+// x = (1 − s/m)^(2^r), and a set bit costs r + 1 + x/(1 − x) + w bits.
+func frameModel(b BatchQuery) float64 {
+	f := b.Filter
+	p := f.Params()
+	codes, offs, ids := f.Lists()
+	n := uvarintLen(uint64(len(b.Queries)))
+	prev := uint64(0)
+	for _, q := range b.Queries {
+		n += uvarintLen(uint64(q) - prev)
+		prev = uint64(q)
+	}
+	n += 8 + uvarintLen(uint64(p.Hashes)) + uvarintLen(uint64(p.Samples)) + uvarintLen(uint64(p.Epsilon)) + 1 + 8 + 1
+	n += uvarintLen(uint64(f.Length())) + uvarintLen(f.Inserted()) + uvarintLen(uint64(len(codes)))
+	n += uvarintLen(uint64(len(f.Weights())))
+	for _, e := range f.Weights() {
+		n += uvarintLen(uint64(e.Query)) + uvarintLen(uint64(e.Mask)) + uvarintLen(uint64(e.Numerator)) + uvarintLen(uint64(e.Denominator))
+	}
+	n += uvarintLen(uint64(len(offs) - 1))
+	for d := 0; d+1 < len(offs); d++ {
+		n += uvarintLen(uint64(offs[d+1] - offs[d]))
+		prev := uint64(0)
+		for _, id := range ids[offs[d]:offs[d+1]] {
+			n += uvarintLen(uint64(id) - prev)
+			prev = uint64(id)
+		}
+	}
+	s, m := float64(len(codes)), float64(p.Bits)
+	r := core.RiceParam(p.Bits, uint64(len(codes)))
+	x := math.Pow(1-s/m, math.Exp2(float64(r)))
+	perBit := float64(r) + 1 + x/(1-x) + float64(codeWidth(len(offs)-1))
+	return float64(n) + s*perBit/8
 }
 
 // TestWorkedBatchQueryHex pins the docs/WIRE.md worked batch-query frame to
@@ -122,40 +171,48 @@ func TestWorkedBatchQueryHex(t *testing.T) {
 
 // rawFilter is a batch-query payload spelled field by field, so a test can
 // state any one of them wrongly. The zero mutation is a valid filter: 64
-// bits with 1, 2 and 5 set, weight rows 1/3 and 2/3 of query 1, dictionary
+// bits with 1, 20 and 50 set, weight rows 1/3 and 2/3 of query 1, dictionary
 // lists [0] and [0 1], and the set bits carrying lists 0, 1, 1.
 type rawFilter struct {
 	bits      uint64
-	wordCount uint64
-	words     []uint64
+	setCount  uint64
 	rowCount  uint64
 	rows      [][4]uint64 // Query, Mask, Numerator, Denominator
 	listCount uint64
 	lens      []uint64
 	deltas    []uint64 // every list's delta-coded pointers, concatenated
-	packed    []byte
+	stream    []byte   // per set bit its Rice-coded gap, then its list code
 }
 
+// validRawFilter's stream, low bit first, with r = RiceParam(64, 3) = 3 and
+// 1-bit codes: gap 1 is 0|001, code 0; gap 18 is 110|010, code 1; gap 29 is
+// 1110|101, code 1; then four zero pad bits.
 func validRawFilter() rawFilter {
 	return rawFilter{
-		bits: 64, wordCount: 1, words: []uint64{0b100110},
+		bits: 64, setCount: 3,
 		rowCount: 2, rows: [][4]uint64{{1, 1, 1, 3}, {1, 2, 2, 3}},
 		listCount: 2, lens: []uint64{1, 2}, deltas: []uint64{0, 0, 1},
-		packed: []byte{0b110},
+		stream: []byte{0x62, 0x7a, 0x0d},
 	}
+}
+
+// maxBitsFilter is validRawFilter at Bits = MaxBits with one set bit, the
+// last: r = 31, so its gap 2³²−1 is 10 then 31 one bits, and code 0 follows.
+// No array may be sized by its Bits.
+func maxBitsFilter() rawFilter {
+	f := validRawFilter()
+	f.bits, f.setCount, f.stream = core.MaxBits, 1, []byte{0xfd, 0xff, 0xff, 0xff, 0x01}
+	return f
 }
 
 func (f rawFilter) payload() []byte {
 	var w writer
 	w.uvarint(1) // one query,
 	w.uvarint(1) // ID 1
-	writeParams(&w, core.Params{Bits: f.bits, Hashes: 2, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5})
+	writeParams(&w, core.Params{Bits: f.bits, Hashes: 1, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5})
 	w.uvarint(2) // pattern length
 	w.uvarint(2) // inserted
-	w.uvarint(f.wordCount)
-	for _, word := range f.words {
-		w.u64(word)
-	}
+	w.uvarint(f.setCount)
 	w.uvarint(f.rowCount)
 	for _, row := range f.rows {
 		for _, v := range row {
@@ -166,7 +223,7 @@ func (f rawFilter) payload() []byte {
 	for _, v := range append(append([]uint64(nil), f.lens...), f.deltas...) {
 		w.uvarint(v)
 	}
-	w.buf = append(w.buf, f.packed...)
+	w.buf = append(w.buf, f.stream...)
 	return w.buf
 }
 
@@ -184,21 +241,23 @@ type hostileFilter struct {
 // wording it must be refused with. FuzzDecodePayload starts from all of them.
 func hostileFilters() []hostileFilter {
 	return []hostileFilter{
-		{"more bits than words", func(f *rawFilter) { f.bits = 128 }, ErrTruncated, ""},
-		{"fewer bits than words", func(f *rawFilter) { f.wordCount, f.words = 2, append(f.words, 0) }, ErrTruncated, ""},
-		{"forged bit count", func(f *rawFilter) { f.bits = 1 << 40 }, ErrTruncated, ""},
-		{"word count beyond the payload", func(f *rawFilter) { f.wordCount = 1 << 30 }, ErrTruncated, ""},
-		{"bit set beyond Bits", func(f *rawFilter) { f.bits, f.words[0], f.packed = 60, f.words[0]|1<<63, []byte{0b0110} }, nil, "bits set beyond"},
-		{"set bits without codes", func(f *rawFilter) { f.words[0] |= 0xff << 40 }, nil, "short buffer"},
-		{"codes without set bits", func(f *rawFilter) { f.packed = append(f.packed, 0) }, nil, "trailing"},
+		{"forged bit count", func(f *rawFilter) { f.bits = 1 << 40 }, nil, "want 1.."},
+		{"set count beyond the payload", func(f *rawFilter) { f.setCount = 1 << 30 }, ErrTruncated, ""},
+		{"set count beyond Bits", func(f *rawFilter) { f.bits, f.setCount = 2, 3 }, ErrTruncated, ""},
+		{"bit set beyond Bits", func(f *rawFilter) { f.bits = 50 }, nil, "beyond the filter's 50 bits"},
+		{"set bits without codes", func(f *rawFilter) { f.stream = f.stream[:2] }, nil, "short buffer"},
+		{"truncated unary run", func(f *rawFilter) { f.stream = []byte{0x62, 0xff} }, nil, "short buffer"},
+		{"codes without set bits", func(f *rawFilter) { f.stream = append(f.stream, 0) }, nil, "trailing"},
 		{"code beyond the dictionary", func(f *rawFilter) {
-			f.listCount, f.lens, f.deltas, f.packed = 3, []uint64{1, 2, 1}, []uint64{0, 0, 1, 1}, []byte{0b110100}
+			f.listCount, f.lens, f.deltas, f.stream = 3, []uint64{1, 2, 1}, []uint64{0, 0, 1, 1}, []byte{0xc2, 0xd4, 0x75}
 		}, nil, "dictionary lists"},
-		{"no dictionary under set bits", func(f *rawFilter) { f.listCount, f.lens, f.deltas, f.packed = 0, nil, nil, nil }, nil, "dictionary lists"},
+		{"no dictionary under set bits", func(f *rawFilter) {
+			f.listCount, f.lens, f.deltas, f.stream = 0, nil, nil, []byte{0x32, 0x5d, 0x01}
+		}, nil, "dictionary lists"},
 		{"empty list", func(f *rawFilter) { f.lens, f.deltas = []uint64{0, 2}, []uint64{0, 1} }, nil, "empty or overruns"},
 		{"repeated pointer", func(f *rawFilter) { f.deltas[2] = 0 }, nil, "unsorted pointer list"},
 		{"pointer beyond the weight table", func(f *rawFilter) { f.deltas[2] = 5 }, nil, "dangling weight pointer"},
-		{"nonzero pad bits", func(f *rawFilter) { f.packed[0] |= 1 << 3 }, nil, "pad bits"},
+		{"nonzero pad bits", func(f *rawFilter) { f.stream[2] |= 1 << 5 }, nil, "pad bits"},
 		{"weight count beyond the payload", func(f *rawFilter) { f.rowCount = 1 << 30 }, nil, "implausible"},
 		{"list count beyond the payload", func(f *rawFilter) { f.listCount = 1 << 30 }, nil, "implausible"},
 		{"list length beyond the payload", func(f *rawFilter) { f.lens[1] = 1 << 30 }, nil, "implausible"},
@@ -212,13 +271,32 @@ func hostileFilters() []hostileFilter {
 }
 
 func TestFilterDecodeRejects(t *testing.T) {
-	valid := Message{Kind: KindBatchQuery, Payload: validRawFilter().payload()}
-	bq, err := DecodeBatchQuery(valid)
-	if err != nil {
-		t.Fatalf("the unmutated payload is refused: %v", err)
-	}
-	if again, err := EncodeBatchQuery(bq); err != nil || !bytes.Equal(again.Payload, valid.Payload) {
-		t.Fatalf("the unmutated payload is not what the encoder writes for its filter (err %v):\n got % x\nwant % x", err, again.Payload, valid.Payload)
+	for _, tt := range []struct {
+		raw       rawFilter
+		positions []uint32
+	}{
+		{validRawFilter(), []uint32{1, 20, 50}},
+		{maxBitsFilter(), []uint32{core.MaxBits - 1}},
+	} {
+		valid := Message{Kind: KindBatchQuery, Payload: tt.raw.payload()}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		bq, err := DecodeBatchQuery(valid)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("the unmutated %d-bit payload is refused: %v", tt.raw.bits, err)
+		}
+		// A 2³²-bit array alone would be 512 MiB; what the decoder holds is
+		// sized by the set bits the payload carries.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<10 {
+			t.Errorf("decoding the %d-byte payload of a %d-bit filter allocated %d B", len(valid.Payload), tt.raw.bits, got)
+		}
+		if !slices.Equal(bq.Filter.Positions(), tt.positions) {
+			t.Errorf("%d-bit payload decodes set bits %v, want %v", tt.raw.bits, bq.Filter.Positions(), tt.positions)
+		}
+		if again, err := EncodeBatchQuery(bq); err != nil || !bytes.Equal(again.Payload, valid.Payload) {
+			t.Fatalf("the unmutated payload is not what the encoder writes for its filter (err %v):\n got % x\nwant % x", err, again.Payload, valid.Payload)
+		}
 	}
 	for _, tt := range hostileFilters() {
 		t.Run(tt.name, func(t *testing.T) {

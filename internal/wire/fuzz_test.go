@@ -16,27 +16,27 @@ import (
 // immediately explores the interesting corrupt-field space instead of
 // rediscovering the magic number.
 const (
-	workedBatchQueryHex = "a7d10b0e2a000000" + "2a000000" +
+	workedBatchQueryHex = "a7d10c0e2a000000" + "25000000" +
 		"0101400000000000000002020001050000000000000000" +
-		"0202010000000500202000" + "0101010303" + "010100"
-	workedSummaryReplyHex = "a7d10b132a000000" + "1e000000" +
+		"020204" + "0101010303" + "010100" + "07991c"
+	workedSummaryReplyHex = "a7d10c132a000000" + "1e000000" +
 		"030201719a3d0cbfe5a75140000000000000000702" +
 		"010119402202542008"
 	// A KindRouteQuery delegating a one-query round (auto-sized params,
 	// summary routing) and the region's KindRouteReply carrying one raw partial
 	// result.
-	workedRouteQueryHex = "a7d10b142a000000" + "2c000000" +
+	workedRouteQueryHex = "a7d10c142a000000" + "2c000000" +
 		"01070204020400020400020204" +
 		"000000000000000000000000000000000000000000" +
 		"7b14ae47e17a843f" + "0000"
-	workedRouteReplyHex = "a7d10b152a000000" + "0c000000" +
+	workedRouteReplyHex = "a7d10c152a000000" + "0c000000" +
 		"030502010001" + "010709181801"
 	// A KindParamUpdate installing a three-group adaptive plan at epoch 2.
-	workedParamUpdateHex = "a7d10b162a000000" + "1b000000" +
+	workedParamUpdateHex = "a7d10c162a000000" + "1b000000" +
 		"020000000000000001" + "1704000000000000" + "03" +
 		"020501" + "030604" + "040710"
 	// A KindBatchReply of three reports on two pointer lists.
-	workedBatchReplyHex = "a7d10b0f2a000000" + "0c000000" +
+	workedBatchReplyHex = "a7d10c0f2a000000" + "0c000000" +
 		"030203" + "0200020a05" + "05010407"
 )
 
@@ -44,7 +44,7 @@ const (
 // each version byte earlier builds used (plus the next unassigned one) and
 // each retired kind byte — all of which must be rejected at the header.
 func addRetiredSeeds(f *testing.F, frame []byte) {
-	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12} {
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13} {
 		bad := append([]byte(nil), frame...)
 		bad[2] = v
 		f.Add(bad)
@@ -146,9 +146,10 @@ func FuzzDecodePayload(f *testing.F) {
 	for _, b := range []uint8{0, 2, 3, 5, 6} {
 		f.Add(b, mustHex(f, workedBatchQueryHex)[12:])
 	}
-	// The filter block's rejection matrix: a valid hand-spelled filter and one
-	// payload per property the decoder enforces on it.
+	// The filter block's rejection matrix: two valid hand-spelled filters, one
+	// of MaxBits, and one payload per property the decoder enforces.
 	f.Add(uint8(KindBatchQuery)-1, validRawFilter().payload())
+	f.Add(uint8(KindBatchQuery)-1, maxBitsFilter().payload())
 	for _, tt := range hostileFilters() {
 		raw := validRawFilter()
 		tt.mutate(&raw)

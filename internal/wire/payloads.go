@@ -61,17 +61,18 @@ func readWords(r *reader) []uint64 {
 
 // ---- WBF query dissemination ----
 
-// writeFilter renders a WBF into w as core.Filter holds it: params, bit
-// array, weight table, the dictionary of distinct pointer lists (every
-// length, then every list's delta-coded IDs) and one dictionary code per set
-// bit in bit order, packed at codeWidth bits each. Bit positions are not
-// sent: they are the set bits of the array.
+// writeFilter renders a WBF into w as core.Filter holds it: params, set-bit
+// count, weight table, the dictionary of distinct pointer lists (every
+// length, then every list's delta-coded IDs), and then one bit stream that
+// carries, per set bit in ascending order, its Rice-coded gap and its
+// dictionary code at codeWidth bits.
 func writeFilter(w *writer, f *core.Filter) {
-	writeParams(w, f.Params())
+	p := f.Params()
+	writeParams(w, p)
 	w.uvarint(uint64(f.Length()))
 	w.uvarint(f.Inserted())
-
-	writeWords(w, f.Words())
+	positions := f.Positions()
+	w.uvarint(uint64(len(positions)))
 
 	weights := f.Weights()
 	w.uvarint(uint64(len(weights)))
@@ -96,19 +97,15 @@ func writeFilter(w *writer, f *core.Filter) {
 		}
 	}
 
-	width := codeWidth(lists)
-	var acc uint64 // pending bits, low bits first; never more than 7 + width
-	var have uint
-	for _, code := range codes {
-		acc |= uint64(code) << have
-		for have += width; have >= 8; have -= 8 {
-			w.u8(uint8(acc))
-			acc >>= 8
-		}
+	rice, width := core.RiceParam(p.Bits, uint64(len(positions))), codeWidth(lists)
+	bw := bitWriter{w: w}
+	next := uint64(0) // one past the previous set bit
+	for i, pos := range positions {
+		bw.rice(uint64(pos)-next, rice)
+		bw.bits(uint64(codes[i]), width)
+		next = uint64(pos) + 1
 	}
-	if have > 0 {
-		w.u8(uint8(acc))
-	}
+	bw.flush()
 }
 
 // codeWidth returns the bits one packed dictionary code takes: enough to
@@ -117,21 +114,97 @@ func codeWidth(lists int) uint {
 	return uint(bits.Len32(uint32(max(lists, 1) - 1)))
 }
 
+// bitWriter packs bit fields into w, low bits first.
+type bitWriter struct {
+	w   *writer
+	acc uint64 // pending bits; never more than 7 + the widest field (32)
+	n   uint
+}
+
+// bits appends the low width bits of v; width is at most 32.
+func (b *bitWriter) bits(v uint64, width uint) {
+	b.acc |= v << b.n
+	for b.n += width; b.n >= 8; b.n -= 8 {
+		b.w.u8(uint8(b.acc))
+		b.acc >>= 8
+	}
+}
+
+// rice appends v's Rice code with parameter r: v >> r one bits, a zero bit,
+// then v's low r bits.
+func (b *bitWriter) rice(v uint64, r uint) {
+	for q := v >> r; q > 0; {
+		n := min(q, 32)
+		b.bits(1<<n-1, uint(n))
+		q -= n
+	}
+	b.bits(0, 1)
+	b.bits(v&(1<<r-1), r)
+}
+
+// flush writes the last partial byte, its pad bits zero.
+func (b *bitWriter) flush() {
+	if b.n > 0 {
+		b.w.u8(uint8(b.acc))
+	}
+}
+
+// bitReader reads bitWriter's fields from r.
+type bitReader struct {
+	r   *reader
+	acc uint64
+	n   uint
+}
+
+// bits reads a field of width bits, at most 32.
+func (b *bitReader) bits(width uint) uint64 {
+	for ; b.n < width; b.n += 8 {
+		b.acc |= uint64(b.r.u8()) << b.n
+	}
+	v := b.acc & (1<<width - 1)
+	b.acc >>= width
+	b.n -= width
+	return v
+}
+
+// rice reads a Rice code with parameter r. It stops early with ok false at the
+// payload's end, or once the quotient passes limit: a hostile unary run is
+// never read past the largest value the caller can accept.
+func (b *bitReader) rice(r uint, limit uint64) (v uint64, ok bool) {
+	q := uint64(0)
+	for {
+		if b.n == 0 {
+			if b.acc, b.n = uint64(b.r.u8()), 8; b.r.err != nil {
+				return 0, false
+			}
+		}
+		ones := uint(bits.TrailingZeros64(^b.acc)) // at most n: acc is zero past its n bits
+		if q += uint64(ones); q > limit {
+			return 0, false
+		}
+		if ones < b.n {
+			b.acc >>= ones + 1
+			b.n -= ones + 1
+			return q<<r | b.bits(r), true
+		}
+		b.acc, b.n = 0, 0
+	}
+}
+
 // readFilter reconstructs a WBF from r into a handful of exactly-sized arrays
 // that core.FromParts validates and keeps. Each is bounded by the bytes
 // present before it is allocated: declared counts through reader.count, the
-// code array by the words' popcount (four bytes per bit actually carried).
+// set bits by the bit stream's least cost per bit.
 func readFilter(r *reader) (*core.Filter, error) {
 	p := readParams(r)
 	length := int(r.uvarint())
 	inserted := r.uvarint()
-
-	words := readWords(r)
-	// A filter carries exactly ceil(Bits/64) words, which readWords bounds by
-	// the payload present: nothing below is sized by bits never sent.
-	if p.Bits == 0 || uint64(len(words)) != (p.Bits-1)/64+1 {
-		return nil, fmt.Errorf("wire: filter declares %d bits but carries %d words: %w", p.Bits, len(words), ErrTruncated)
+	// Bits bounds the Rice parameter, and so the widest field the stream
+	// holds, at 31.
+	if p.Bits == 0 || p.Bits > core.MaxBits {
+		return nil, fmt.Errorf("wire: filter declares %d bits, want 1..%d", p.Bits, uint64(core.MaxBits))
 	}
+	set := r.uvarint()
 
 	weights := make([]core.WeightEntry, r.count(4))
 	for i := range weights {
@@ -167,29 +240,36 @@ func readFilter(r *reader) (*core.Filter, error) {
 		}
 	}
 
-	set := 0
-	for _, word := range words {
-		set += bits.OnesCount64(word)
+	if r.err != nil {
+		return nil, r.err
 	}
-	codes := make([]uint32, set)
-	width := codeWidth(len(offs) - 1)
-	var acc uint64
-	var have uint
-	for i := range codes {
-		for ; have < width; have += 8 {
-			acc |= uint64(r.u8()) << have
+	// Set bits ascend below Bits, and each costs at least its Rice code's
+	// terminator and low bits plus its code.
+	rice, width := core.RiceParam(p.Bits, set), codeWidth(len(offs)-1)
+	if left := uint64(len(r.buf) - r.off); set > p.Bits || set > 8*left/(uint64(rice+1+width)) {
+		return nil, fmt.Errorf("wire: %d set bits in %d bits and %d remaining bytes: %w", set, p.Bits, left, ErrTruncated)
+	}
+	positions, codes := make([]uint32, set), make([]uint32, set)
+	br := bitReader{r: r}
+	next := uint64(0) // one past the previous set bit
+	for i := range positions {
+		gap, ok := br.rice(rice, p.Bits>>rice)
+		if r.err != nil {
+			return nil, r.err
 		}
-		codes[i] = uint32(acc & (1<<width - 1))
-		acc >>= width
-		have -= width
+		if !ok || next+gap >= p.Bits {
+			return nil, fmt.Errorf("wire: set bit %d lies beyond the filter's %d bits", i, p.Bits)
+		}
+		positions[i], next = uint32(next+gap), next+gap+1
+		codes[i] = uint32(br.bits(width))
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	if acc != 0 {
-		return nil, fmt.Errorf("wire: nonzero pad bits after %d packed list codes", set)
+	if br.acc != 0 {
+		return nil, fmt.Errorf("wire: nonzero pad bits after %d set bits", set)
 	}
-	return core.FromParts(p, length, words, weights, offs, ids, codes, inserted)
+	return core.FromParts(p, length, positions, weights, offs, ids, codes, inserted)
 }
 
 // BatchQuery is one search round for one station: the IDs of every query in

@@ -161,9 +161,10 @@ func (k Kind) String() string {
 // frame stamped otherwise is rejected with ErrBadVersion. It stays above
 // every value earlier builds stamped (2–7 by kind, 8 while kinds 3, 6 and 7
 // were live, 9 while a filter shipped a pointer list per set bit and a reply
-// absolute person IDs, 10 while a reply carried a pointer list per report),
-// so none of their frames decode.
-const Version = uint8(11)
+// absolute person IDs, 10 while a reply carried a pointer list per report,
+// 11 while a filter shipped its bit array word by word), so none of their
+// frames decode.
+const Version = uint8(12)
 
 const (
 	magic      = uint16(0xD1A7)
