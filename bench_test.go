@@ -28,7 +28,7 @@ func figure4Cluster(b *testing.B, persons int) (*Cluster, []Query) {
 	c, err := NewCluster(Options{
 		Params:   Params{Bits: 1 << 15, Hashes: 5, Samples: DefaultSamples, Seed: 1},
 		MinScore: 0.999,
-	}, StationData(city))
+	}, city.Length(), Members(StationData(city))...)
 	if err != nil {
 		b.Fatal(err)
 	}

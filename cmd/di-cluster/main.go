@@ -96,21 +96,21 @@ func runCenter(cfg dimatch.CityConfig, listenAddr string, stationCount int, ref 
 	defer ln.Close()
 	fmt.Printf("center: listening on %s for %d stations\n", ln.Addr(), stationCount)
 
-	links := make(map[uint32]dimatch.Link, stationCount)
-	for i := 0; i < stationCount; i++ {
+	members := make([]dimatch.Member, stationCount)
+	for i := range members {
 		link, err := ln.Accept()
 		if err != nil {
 			return err
 		}
-		links[uint32(i)] = link
+		members[i] = dimatch.Member{ID: uint32(i), Link: link}
 		fmt.Printf("center: station %d connected (%d persons locally)\n", i, len(groups[uint32(i)]))
 	}
 
-	c, err := dimatch.NewClusterWithLinks(dimatch.Options{
+	c, err := dimatch.NewCluster(dimatch.Options{
 		Params:   dimatch.Params{Samples: 8, Epsilon: 1, Seed: cfg.Seed, PositionSalted: true},
 		MinScore: 0.9,
 		TopK:     topK,
-	}, links, city.Length(), &down, &up)
+	}, city.Length(), members...)
 	if err != nil {
 		return err
 	}
@@ -206,12 +206,7 @@ func runStation(cfg dimatch.CityConfig, connectAddr string, index uint32, statio
 		return err
 	}
 	fmt.Printf("station %d: connected, serving %d local patterns (store %s)\n", index, len(locals), storeKind)
-	if st != nil {
-		err = dimatch.ServeStoredStation(index, locals, link, st)
-	} else {
-		err = dimatch.ServeStation(index, locals, link)
-	}
-	if err != nil {
+	if err := dimatch.ServeStoredStation(index, locals, link, st); err != nil {
 		return err
 	}
 	fmt.Printf("station %d: shut down (sent %d B of reports)\n", index, up.Bytes())

@@ -162,10 +162,10 @@ func TestKill9StationRecoversFromWAL(t *testing.T) {
 		out[0] = int64(p + 1)
 		return out
 	}
-	c, err := dimatch.NewClusterWithLinks(dimatch.Options{
+	c, err := dimatch.NewCluster(dimatch.Options{
 		Params:   dimatch.Params{Bits: 1 << 16, Hashes: 4, Samples: 4, Epsilon: 0, Seed: 1},
 		MinScore: 1.0,
-	}, map[uint32]dimatch.Link{0: link0, walStation: link1}, length, &down, &up)
+	}, length, dimatch.Member{ID: 0, Link: link0}, dimatch.Member{ID: walStation, Link: link1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestKill9StationRecoversFromWAL(t *testing.T) {
 
 	rejoinStart := down.Bytes()
 	_, link := spawn(walStation)
-	if err := c.AddStationLink(ctx, walStation, link); err != nil {
+	if err := c.AddStation(ctx, dimatch.Member{ID: walStation, Link: link}); err != nil {
 		t.Fatal(err)
 	}
 	rejoinBytes := down.Bytes() - rejoinStart

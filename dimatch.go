@@ -34,6 +34,13 @@ type (
 	// Options configures a cluster's default search knobs (params, top-K,
 	// sizing); every knob can be overridden per call with a SearchOption.
 	Options = cluster.Options
+	// Member specifies one base station for NewCluster and AddStation: its
+	// ID plus either an in-process station (seeded with Patterns, durable
+	// through Store when set) or, with Link set, a remote station already
+	// serving on the other end of the link (Patterns and Store nil). The
+	// cluster takes ownership of Link and Store; a refused member has both
+	// closed.
+	Member = cluster.Member
 	// SearchOption configures a single Search call.
 	SearchOption = cluster.SearchOption
 	// Strategy selects naive / BF / WBF execution.
@@ -174,7 +181,8 @@ var (
 	ErrUnknownRouting = cluster.ErrUnknownRouting
 	// ErrUnknownStation reports a lifecycle call naming a non-member station.
 	ErrUnknownStation = cluster.ErrUnknownStation
-	// ErrStationExists reports an AddStation id that is already a member.
+	// ErrStationExists reports a NewCluster or AddStation member id that is
+	// already taken.
 	ErrStationExists = cluster.ErrStationExists
 	// ErrNoAliveStations reports a Place or Rebalance call on a cluster whose
 	// member stations are all dead.
@@ -220,16 +228,23 @@ const DefaultReplication = cluster.DefaultReplication
 // the cluster later grows, reconciliation tops placements back up.
 func WithReplication(r int) PlaceOption { return cluster.WithReplication(r) }
 
-// Cluster is a running DI-matching deployment: one data center plus one
-// goroutine-backed base station per entry of the station data map.
+// Cluster is a running DI-matching deployment: one data center over its
+// member base stations.
 type Cluster struct {
 	inner *cluster.Cluster
 }
 
-// NewCluster builds and starts a cluster over per-station local patterns.
-// All patterns must share one time-series length. Callers own Shutdown.
-func NewCluster(opts Options, stationData map[uint32]map[PersonID]Pattern) (*Cluster, error) {
-	inner, err := cluster.New(opts, stationData)
+// NewCluster builds and starts a cluster of patternLength-long patterns over
+// the given members: in-process stations (seeded, or empty for a
+// placement-first deployment where every pattern arrives through Place or
+// Ingest; durable when a Store is set, recovering its residents first) and
+// remote ones over established links, in any mix. Link members are used as
+// they are, without a handshake. Member ids must be distinct
+// (ErrStationExists) and seed patterns patternLength long
+// (ErrLengthMismatch); a failed call closes every link and store it was
+// handed. Callers own Shutdown.
+func NewCluster(opts Options, patternLength int, members ...Member) (*Cluster, error) {
+	inner, err := cluster.New(opts, patternLength, members...)
 	if err != nil {
 		return nil, err
 	}
@@ -237,18 +252,10 @@ func NewCluster(opts Options, stationData map[uint32]map[PersonID]Pattern) (*Clu
 	return &Cluster{inner: inner}, nil
 }
 
-// NewEmptyCluster builds and starts a cluster of stations holding no
-// patterns yet — the starting point of a placement-first deployment, where
-// every pattern arrives through Place (or Ingest) on the running cluster.
-// The pattern length New would otherwise derive from seed data must be
-// given. Callers own Shutdown.
-func NewEmptyCluster(opts Options, stationIDs []uint32, patternLength int) (*Cluster, error) {
-	inner, err := cluster.NewEmpty(opts, stationIDs, patternLength)
-	if err != nil {
-		return nil, err
-	}
-	inner.Start()
-	return &Cluster{inner: inner}, nil
+// Members turns station-major data (as StationData returns) into one
+// in-process member per station.
+func Members(stationData map[uint32]map[PersonID]Pattern) []Member {
+	return cluster.Members(stationData)
 }
 
 // Search runs one batch of queries and returns ranked results and cost
@@ -315,13 +322,18 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 // Placed returns the number of persons under automatic placement.
 func (c *Cluster) Placed() int { return c.inner.Placed() }
 
-// AddStation grows a running cluster with a new in-process station holding
-// the given local patterns (which may be empty). Searches already in flight
-// complete against the membership they started with; later searches fan out
-// to the new station too. Returns ErrStationExists if the id is taken and
-// ErrLengthMismatch if a pattern's length differs from the cluster's.
-func (c *Cluster) AddStation(ctx context.Context, id uint32, locals map[PersonID]Pattern) error {
-	return c.inner.AddStation(ctx, id, locals)
+// AddStation grows a running cluster with one member: an in-process
+// station (durable when m.Store is set — the rejoin path of a restarted
+// station, whose heal pass re-replicates only the delta it missed while
+// down) or a remote one over m.Link, which must pass a stats handshake.
+// Searches already in flight complete against the membership they started
+// with; later searches fan out to the new station too. Returns
+// ErrStationExists if the id is taken and ErrLengthMismatch if a seed,
+// recovered or remote pattern's length differs from the cluster's; a
+// refused member is refused before its store is recovered, and has its
+// link and store closed.
+func (c *Cluster) AddStation(ctx context.Context, m Member) error {
+	return c.inner.AddStation(ctx, m)
 }
 
 // RemoveStation shrinks a running cluster: the station leaves the

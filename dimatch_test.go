@@ -27,7 +27,7 @@ func TestQuickstartFlow(t *testing.T) {
 		// 1; the threshold keeps incidental partial matches out, playing
 		// the role of the paper's top-K cut.
 		MinScore: 0.9,
-	}, StationData(city))
+	}, city.Length(), Members(StationData(city))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestStrategiesAgreeOnTruePositives(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := StationData(city)
-	c, err := NewCluster(Options{Params: Params{Samples: 8, Epsilon: 4, Seed: 7, PositionSalted: true}}, data)
+	c, err := NewCluster(Options{Params: Params{Samples: 8, Epsilon: 4, Seed: 7, PositionSalted: true}}, city.Length(), Members(data)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestCostOrderingOnCity(t *testing.T) {
 		c, err := NewCluster(Options{
 			Params:   Params{Samples: 8, Epsilon: 1, Seed: 7, PositionSalted: true},
 			MinScore: 0.9,
-		}, StationData(city))
+		}, city.Length(), Members(StationData(city))...)
 		if err != nil {
 			t.Fatal(err)
 		}

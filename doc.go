@@ -41,11 +41,19 @@
 //
 // # Using the library
 //
-//	data := ...  // map[stationID]map[PersonID]Pattern
-//	c, err := dimatch.NewCluster(dimatch.Options{TopK: 10}, data)
+//	c, err := dimatch.NewCluster(dimatch.Options{TopK: 10}, length,
+//		dimatch.Member{ID: 0, Patterns: locals0},                  // in-process
+//		dimatch.Member{ID: 1, Patterns: locals1, Store: walStore}, // durable
+//		dimatch.Member{ID: 2, Link: tcpLink})                      // remote
 //	defer c.Shutdown()
 //	out, err := c.Search(ctx, []dimatch.Query{{ID: 1, Locals: locals}})
 //	for _, r := range out.PerQuery[1] { fmt.Println(r.Person, r.Score()) }
+//
+// Every cluster is built by NewCluster and grown by AddStation, both over
+// Member specs: an ID plus either an in-process station (seeded with
+// Patterns, durable through Store when set) or a remote station already
+// serving on the other end of Link. Members(data) turns station-major data
+// into in-process members.
 //
 // Search honors its context — a cancellation or deadline abandons the
 // in-flight fan-out round and returns an error wrapping ErrCancelled
@@ -90,9 +98,9 @@
 // answering delegated search rounds with raw partials the root
 // merges, ranks and verifies globally:
 //
-//	sub, err := dimatch.NewEmptyCluster(opts, memberIDs, length)
+//	sub, err := dimatch.NewCluster(opts, length, members...)
 //	go dimatch.ServeRegion(regionID, sub, linkToParent)   // region process
-//	root, err := dimatch.NewClusterWithLinks(opts, links, length, nil, nil)
+//	root, err := dimatch.NewCluster(opts, length, dimatch.Member{ID: regionID, Link: linkToRegion})
 //	out, err := root.Search(ctx, queries)
 //	fmt.Println(out.Cost.TierHops, out.Cost.SubtreeProbes)
 //
@@ -150,8 +158,8 @@
 //	})
 //	err = c.Evict(ctx, stationID, []dimatch.PersonID{4711})
 //
-// AddStation (in-process), AddStationLink (remote, e.g. an accepted TCP
-// connection) and RemoveStation grow and shrink the membership, which is
+// AddStation (an in-process Member, or a remote one over an accepted TCP
+// link) and RemoveStation grow and shrink the membership, which is
 // kept in an epoch-versioned snapshot: a search pins the epoch current at
 // its start and fans out over exactly that station set, so a concurrent
 // membership change never disturbs it — an overlapping removal is counted
@@ -166,7 +174,8 @@
 // station) — WithReplication many, default 2 — with no station IDs in the
 // call:
 //
-//	c, err := dimatch.NewEmptyCluster(opts, []uint32{1, 2, 3, 4}, length)
+//	c, err := dimatch.NewCluster(opts, length,
+//		dimatch.Member{ID: 1}, dimatch.Member{ID: 2}, dimatch.Member{ID: 3})
 //	err = c.Place(ctx, patterns, dimatch.WithReplication(2))
 //
 // Searches dedupe a placed person's replica reports (the highest score

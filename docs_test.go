@@ -108,7 +108,8 @@ func TestDocsLocalLinks(t *testing.T) {
 // bench stack's BENCH_*.json files and di-bench's -<name>-out/-<name>-check
 // flag pairs; the di-lint binary and the two ways it ran; the in-coordinator
 // digest-tree routing mode and the two Options fields nobody set; the
-// streaming pipeline's per-station shards and the hooks they needed.
+// streaming pipeline's per-station shards and the hooks they needed; the
+// per-kind cluster constructors and joins a Member spec replaced.
 var removedRefs = []struct {
 	re   *regexp.Regexp
 	with string
@@ -117,6 +118,7 @@ var removedRefs = []struct {
 	{regexp.MustCompile(`di-lint|-vettool|-allocharness`), "cmd/di-lint (go test ./internal/analyzers is the one runner)"},
 	{regexp.MustCompile(`RoutingTree|Options\.(Routing|BatchSize)\b`), "the digest-tree planner and the cluster-level routing/batching defaults (WithRouting and WithBatching are per call)"},
 	{regexp.MustCompile(`NotePlaced|OnMembershipChange|StreamStationStats|Options\.Encoders|\bRerouted\b|\bappliers?\b|(station|stream|pipeline) shards?\b`), "the per-station stream appliers (a flush is one Place call under the heal lock)"},
+	{regexp.MustCompile(`NewEmptyCluster|NewStoredCluster|AddStoredStation|AddStationLink|NewStoredStation|cluster/stored\.go`), "the per-kind constructors and joins (NewCluster and AddStation take a Member)"},
 }
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every

@@ -8,20 +8,21 @@ import (
 	"dimatch"
 )
 
-// exampleData is a two-station toy city: person 10's global pattern
-// {3,4,5} is split across the stations, person 11 holds it whole.
-func exampleData() map[uint32]map[dimatch.PersonID]dimatch.Pattern {
-	return map[uint32]map[dimatch.PersonID]dimatch.Pattern{
-		0: {10: {1, 2, 3}},
-		1: {10: {2, 2, 2}, 11: {3, 4, 5}},
-	}
+// exampleCity is a two-station toy city of 3-interval patterns: person 10's
+// global pattern {3,4,5} is split across the stations, person 11 holds it
+// whole.
+func exampleCity() (*dimatch.Cluster, error) {
+	return dimatch.NewCluster(dimatch.Options{}, 3,
+		dimatch.Member{ID: 0, Patterns: map[dimatch.PersonID]dimatch.Pattern{10: {1, 2, 3}}},
+		dimatch.Member{ID: 1, Patterns: map[dimatch.PersonID]dimatch.Pattern{10: {2, 2, 2}, 11: {3, 4, 5}}},
+	)
 }
 
 // ExampleCluster_Search runs one WBF search: the query carries person 10's
 // two local pieces, and both the split person (10) and the person holding
 // the identical global pattern outright (11) score a complete partition.
 func ExampleCluster_Search() {
-	c, err := dimatch.NewCluster(dimatch.Options{}, exampleData())
+	c, err := exampleCity()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func ExampleCluster_Search() {
 // call: keep only the best answer and verify it exactly against fetched
 // patterns.
 func ExampleCluster_Search_options() {
-	c, err := dimatch.NewCluster(dimatch.Options{}, exampleData())
+	c, err := exampleCity()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,12 +71,11 @@ func ExampleCluster_Search_options() {
 // station that can answer. Routing is the default — the option is spelled
 // out here only to contrast the two modes.
 func ExampleCluster_Search_routing() {
-	data := map[uint32]map[dimatch.PersonID]dimatch.Pattern{
+	c, err := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Members(map[uint32]map[dimatch.PersonID]dimatch.Pattern{
 		0: {10: {1, 2, 3}},
 		1: {20: {50, 60, 70}},
 		2: {30: {500, 600, 700}},
-	}
-	c, err := dimatch.NewCluster(dimatch.Options{}, data)
+	})...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,12 +100,11 @@ func ExampleCluster_Search_routing() {
 // fan-out visits every station, summary routing skips the ones whose cached
 // summary admits no possible match — with identical results.
 func ExampleWithRouting() {
-	data := map[uint32]map[dimatch.PersonID]dimatch.Pattern{
+	c, err := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Members(map[uint32]map[dimatch.PersonID]dimatch.Pattern{
 		0: {10: {1, 2, 3}},
 		1: {20: {50, 60, 70}},
 		2: {30: {500, 600, 700}},
-	}
-	c, err := dimatch.NewCluster(dimatch.Options{}, data)
+	})...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -138,12 +137,12 @@ func ExampleWithRouting() {
 func ExampleCluster_Search_hierarchical() {
 	ctx := context.Background()
 
-	regionA, err := dimatch.NewEmptyCluster(dimatch.Options{}, []uint32{1, 2}, 3)
+	regionA, err := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Member{ID: 1}, dimatch.Member{ID: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer regionA.Shutdown()
-	regionB, err := dimatch.NewEmptyCluster(dimatch.Options{}, []uint32{3, 4}, 3)
+	regionB, err := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Member{ID: 3}, dimatch.Member{ID: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -160,8 +159,8 @@ func ExampleCluster_Search_hierarchical() {
 	go dimatch.ServeRegion(101, regionB, dialB)
 	upB, _ := ln.Accept()
 
-	root, err := dimatch.NewClusterWithLinks(dimatch.Options{},
-		map[uint32]dimatch.Link{100: upA, 101: upB}, 3, nil, nil)
+	root, err := dimatch.NewCluster(dimatch.Options{}, 3,
+		dimatch.Member{ID: 100, Link: upA}, dimatch.Member{ID: 101, Link: upB})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -195,7 +194,7 @@ func ExampleCluster_Search_hierarchical() {
 // data lands at the station that saw it, and an eviction removes it again
 // — all while searches may be in flight.
 func ExampleCluster_Ingest() {
-	c, err := dimatch.NewCluster(dimatch.Options{}, exampleData())
+	c, err := exampleCity()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -225,7 +224,7 @@ func ExampleCluster_Ingest() {
 // stations report about themselves over the wire (cached per membership
 // epoch).
 func ExampleCluster_Stats() {
-	c, err := dimatch.NewCluster(dimatch.Options{}, exampleData())
+	c, err := exampleCity()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -250,7 +249,8 @@ func ExampleCluster_Stats() {
 // patterns placed onto rendezvous-hashed replicas, and a search that
 // survives losing any single station.
 func ExampleCluster_Place() {
-	c, err := dimatch.NewEmptyCluster(dimatch.Options{}, []uint32{1, 2, 3, 4}, 3)
+	c, err := dimatch.NewCluster(dimatch.Options{}, 3,
+		dimatch.Member{ID: 1}, dimatch.Member{ID: 2}, dimatch.Member{ID: 3}, dimatch.Member{ID: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func main() {
 	c, err := dimatch.NewCluster(dimatch.Options{
 		Params:   dimatch.Params{Samples: 8, Epsilon: 1, Seed: 7, PositionSalted: true},
 		MinScore: 0.9,
-	}, dimatch.StationData(city))
+	}, city.Length(), dimatch.Members(dimatch.StationData(city))...)
 	if err != nil {
 		log.Fatal(err)
 	}

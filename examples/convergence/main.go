@@ -25,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	data := dimatch.StationData(city)
+	members := dimatch.Members(dimatch.StationData(city))
 
 	// One clean reference person per category.
 	var refs []dimatch.PersonID
@@ -46,7 +46,7 @@ func main() {
 				PositionSalted: true,
 			},
 			MinScore: 0.9,
-		}, data)
+		}, city.Length(), members...)
 		if err != nil {
 			log.Fatal(err)
 		}

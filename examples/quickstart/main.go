@@ -23,26 +23,26 @@ import (
 )
 
 func main() {
-	stations := map[uint32]map[dimatch.PersonID]dimatch.Pattern{
-		0: {
+	// One member per base station, each holding its residents' 3-interval
+	// local patterns.
+	c, err := dimatch.NewCluster(dimatch.Options{
+		Params: dimatch.Params{Samples: 3, Epsilon: 0, Seed: 42},
+	}, 3,
+		dimatch.Member{ID: 0, Patterns: map[dimatch.PersonID]dimatch.Pattern{
 			10: {1, 2, 3},
 			12: {3, 4, 5},
 			13: {7, 1, 9},
 			14: {1, 2, 3},
-		},
-		1: {
+		}},
+		dimatch.Member{ID: 1, Patterns: map[dimatch.PersonID]dimatch.Pattern{
 			10: {2, 2, 2},
 			12: {3, 4, 5},
-		},
-		2: {
+		}},
+		dimatch.Member{ID: 2, Patterns: map[dimatch.PersonID]dimatch.Pattern{
 			11: {3, 4, 5},
 			12: {3, 4, 5},
-		},
-	}
-
-	c, err := dimatch.NewCluster(dimatch.Options{
-		Params: dimatch.Params{Samples: 3, Epsilon: 0, Seed: 42},
-	}, stations)
+		}},
+	)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func main() {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	// Stations dial in sequentially so accept order matches station order.
-	links := make(map[uint32]dimatch.Link, len(ids))
+	members := make([]dimatch.Member, 0, len(ids))
 	var stations sync.WaitGroup
 	for _, id := range ids {
 		id := id
@@ -56,7 +56,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		links[id] = centerLink
+		members = append(members, dimatch.Member{ID: id, Link: centerLink})
 		stations.Add(1)
 		go func() {
 			defer stations.Done()
@@ -65,13 +65,13 @@ func main() {
 			}
 		}()
 	}
-	fmt.Printf("%d base stations connected over TCP\n\n", len(links))
+	fmt.Printf("%d base stations connected over TCP\n\n", len(members))
 
-	c, err := dimatch.NewClusterWithLinks(dimatch.Options{
+	c, err := dimatch.NewCluster(dimatch.Options{
 		Params:   dimatch.Params{Samples: 8, Epsilon: 1, Seed: 42, PositionSalted: true},
 		MinScore: 0.9,
 		TopK:     10,
-	}, links, city.Length(), &down, &up)
+	}, city.Length(), members...)
 	if err != nil {
 		log.Fatal(err)
 	}

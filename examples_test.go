@@ -15,12 +15,12 @@ import (
 // TestReadmeQuickstartSnippet is the README "Quickstart" block, verbatim
 // apart from capturing output instead of printing it.
 func TestReadmeQuickstartSnippet(t *testing.T) {
-	// Station-major data: station → person → local pattern.
-	data := map[uint32]map[dimatch.PersonID]dimatch.Pattern{
-		0: {10: {1, 2, 3}},
-		1: {10: {2, 2, 2}, 11: {3, 4, 5}},
-	}
-	c, _ := dimatch.NewCluster(dimatch.Options{TopK: 10}, data)
+	// One member per base station: its ID and its residents' local
+	// patterns (person → pattern), all 3 intervals long.
+	c, _ := dimatch.NewCluster(dimatch.Options{TopK: 10}, 3,
+		dimatch.Member{ID: 0, Patterns: map[dimatch.PersonID]dimatch.Pattern{10: {1, 2, 3}}},
+		dimatch.Member{ID: 1, Patterns: map[dimatch.PersonID]dimatch.Pattern{10: {2, 2, 2}, 11: {3, 4, 5}}},
+	)
 	defer c.Shutdown()
 
 	// Person 10's global pattern {3,4,5} is split across stations 0 and 1;
@@ -43,10 +43,10 @@ func TestReadmeQuickstartSnippet(t *testing.T) {
 // every statement of the snippet, run against a cluster that has station 7
 // and a dialled TCP link for station 100.
 func TestReadmeLifecycleSnippet(t *testing.T) {
-	c, err := dimatch.NewCluster(dimatch.Options{}, map[uint32]map[dimatch.PersonID]dimatch.Pattern{
+	c, err := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Members(map[uint32]map[dimatch.PersonID]dimatch.Pattern{
 		7: {1: {1, 1, 1}},
 		8: {2: {2, 0, 1}},
-	})
+	})...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestReadmeLifecycleSnippet(t *testing.T) {
 	}
 
 	// Grow and shrink membership on the running cluster.
-	err = c.AddStation(ctx, 99, locals) // in-process station
+	err = c.AddStation(ctx, dimatch.Member{ID: 99, Patterns: locals}) // in-process station
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.AddStationLink(ctx, 100, link) // remote station over TCP
+	err = c.AddStation(ctx, dimatch.Member{ID: 100, Link: link}) // remote station over TCP
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestReadmeStrategyTable(t *testing.T) {
 		0: {10: {1, 2, 3}},
 		1: {10: {2, 2, 2}, 11: {3, 4, 5}, 12: {9, 0, 0}},
 	}
-	c, err := dimatch.NewCluster(dimatch.Options{}, data)
+	c, err := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Members(data)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestReadmeBatchingClaims(t *testing.T) {
 		0: {10: {1, 2, 3}},
 		1: {10: {2, 2, 2}, 11: {3, 4, 5}},
 	}
-	c, err := dimatch.NewCluster(dimatch.Options{}, data)
+	c, err := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Members(data)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +233,11 @@ func TestReadmeBatchingClaims(t *testing.T) {
 // snippet's two searches, run against a cluster whose stores are separated
 // enough for routing to prune, plus the section's identical-results claim.
 func TestReadmeRoutingSnippet(t *testing.T) {
-	c, err := dimatch.NewCluster(dimatch.Options{}, map[uint32]map[dimatch.PersonID]dimatch.Pattern{
+	c, err := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Members(map[uint32]map[dimatch.PersonID]dimatch.Pattern{
 		0: {10: {1, 2, 3}},
 		1: {20: {50, 60, 70}},
 		2: {30: {500, 600, 700}},
-	})
+	})...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +276,8 @@ func TestReadmeHierarchySnippet(t *testing.T) {
 	ctx := context.Background()
 
 	// Two region coordinators, each a full cluster over its own stations.
-	regionA, _ := dimatch.NewEmptyCluster(dimatch.Options{}, []uint32{1, 2}, 3)
-	regionB, _ := dimatch.NewEmptyCluster(dimatch.Options{}, []uint32{3, 4}, 3)
+	regionA, _ := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Member{ID: 1}, dimatch.Member{ID: 2})
+	regionB, _ := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Member{ID: 3}, dimatch.Member{ID: 4})
 	defer regionA.Shutdown()
 	defer regionB.Shutdown()
 
@@ -293,8 +293,8 @@ func TestReadmeHierarchySnippet(t *testing.T) {
 	// The root drives the regions exactly like stations; placement
 	// replicates across them, so a whole region can die without losing
 	// recall.
-	root, _ := dimatch.NewClusterWithLinks(dimatch.Options{},
-		map[uint32]dimatch.Link{100: upA, 101: upB}, 3, nil, nil)
+	root, _ := dimatch.NewCluster(dimatch.Options{}, 3,
+		dimatch.Member{ID: 100, Link: upA}, dimatch.Member{ID: 101, Link: upB})
 	defer root.Shutdown()
 	_ = root.Place(ctx, map[dimatch.PersonID]dimatch.Pattern{
 		10: {3, 4, 5},
@@ -356,7 +356,7 @@ func TestReadmeAdaptiveSnippet(t *testing.T) {
 		}
 		data[s] = st
 	}
-	c, _ := dimatch.NewCluster(dimatch.Options{}, data)
+	c, _ := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Members(data)...)
 	defer c.Shutdown()
 
 	// Routed searches feed the traffic profiler as a side effect.
@@ -399,7 +399,9 @@ func TestReadmePlacementSnippet(t *testing.T) {
 	ctx := context.Background()
 
 	// ---- the snippet, statement for statement ----
-	c, _ := dimatch.NewEmptyCluster(dimatch.Options{}, []uint32{1, 2, 3, 4}, 3)
+	// Four empty stations: every pattern arrives through placement.
+	c, _ := dimatch.NewCluster(dimatch.Options{}, 3,
+		dimatch.Member{ID: 1}, dimatch.Member{ID: 2}, dimatch.Member{ID: 3}, dimatch.Member{ID: 4})
 	defer c.Shutdown()
 
 	// No station IDs: each pattern lands on the 2 stations that win the
@@ -429,7 +431,8 @@ func TestReadmePlacementSnippet(t *testing.T) {
 	// The section claims any single station can be lost without losing
 	// recall: kill each member in turn on a fresh cluster and re-search.
 	for _, victim := range []uint32{1, 2, 3, 4} {
-		c2, err := dimatch.NewEmptyCluster(dimatch.Options{}, []uint32{1, 2, 3, 4}, 3)
+		c2, err := dimatch.NewCluster(dimatch.Options{}, 3,
+			dimatch.Member{ID: 1}, dimatch.Member{ID: 2}, dimatch.Member{ID: 3}, dimatch.Member{ID: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,7 +467,9 @@ func TestReadmeStreamingSnippet(t *testing.T) {
 	ctx := context.Background()
 
 	// ---- the snippet, statement for statement ----
-	c, _ := dimatch.NewEmptyCluster(dimatch.Options{}, []uint32{1, 2, 3, 4}, 3)
+	// Four empty stations: every pattern arrives through placement.
+	c, _ := dimatch.NewCluster(dimatch.Options{}, 3,
+		dimatch.Member{ID: 1}, dimatch.Member{ID: 2}, dimatch.Member{ID: 3}, dimatch.Member{ID: 4})
 	defer c.Shutdown()
 
 	// A pipeline: Submit never assembles maps or names stations — each
@@ -514,8 +519,8 @@ func TestReadmeDurableSnippet(t *testing.T) {
 	// acked mutation to its store before the ack leaves.
 	s1, _ := dimatch.OpenWALStore(dir1, dimatch.WALOptions{})
 	s2, _ := dimatch.OpenWALStore(dir2, dimatch.WALOptions{})
-	c, _ := dimatch.NewStoredCluster(dimatch.Options{},
-		map[uint32]dimatch.Store{1: s1, 2: s2}, 3)
+	c, _ := dimatch.NewCluster(dimatch.Options{}, 3,
+		dimatch.Member{ID: 1, Store: s1}, dimatch.Member{ID: 2, Store: s2})
 
 	// Person 7's global pattern {3,4,5} arrives split across the stations.
 	_ = c.Ingest(ctx, 1, map[dimatch.PersonID]dimatch.Pattern{7: {1, 2, 3}})
@@ -526,8 +531,8 @@ func TestReadmeDurableSnippet(t *testing.T) {
 	// and the memoized routing digest come back from disk, not over the wire.
 	s1, _ = dimatch.OpenWALStore(dir1, dimatch.WALOptions{})
 	s2, _ = dimatch.OpenWALStore(dir2, dimatch.WALOptions{})
-	c, _ = dimatch.NewStoredCluster(dimatch.Options{},
-		map[uint32]dimatch.Store{1: s1, 2: s2}, 3)
+	c, _ = dimatch.NewCluster(dimatch.Options{}, 3,
+		dimatch.Member{ID: 1, Store: s1}, dimatch.Member{ID: 2, Store: s2})
 	defer c.Shutdown()
 
 	out, _ := c.Search(ctx, []dimatch.Query{

@@ -54,7 +54,7 @@ func runVariant(ctx context.Context, cfg AblationConfig, name string, params cor
 	if err != nil {
 		return AblationRow{}, err
 	}
-	cl, err := cluster.New(cluster.Options{Params: params, MinScore: minScore}, stationData(d))
+	cl, err := cluster.New(cluster.Options{Params: params, MinScore: minScore}, d.Length(), cluster.Members(stationData(d))...)
 	if err != nil {
 		return AblationRow{}, err
 	}

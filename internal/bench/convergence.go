@@ -113,7 +113,7 @@ func Convergence(ctx context.Context, cfg ConvergenceConfig) ([]ConvergencePoint
 				},
 				MinScore: 0.9,
 			}
-			cl, err := cluster.New(opts, stationData(d))
+			cl, err := cluster.New(opts, d.Length(), cluster.Members(stationData(d))...)
 			if err != nil {
 				return nil, err
 			}

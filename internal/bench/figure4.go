@@ -136,7 +136,7 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 		// Only complete partitions (weight sum exactly 1) are answers.
 		MinScore: 0.999,
 	}
-	cl, err := cluster.New(opts, data)
+	cl, err := cluster.New(opts, d.Length(), cluster.Members(data)...)
 	if err != nil {
 		return nil, err
 	}

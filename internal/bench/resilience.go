@@ -51,7 +51,7 @@ func Resilience(ctx context.Context, cfg AblationConfig, killSteps []int, strat 
 			PositionSalted: true,
 		},
 		MinScore: 0.9,
-	}, stationData(d))
+	}, d.Length(), cluster.Members(stationData(d))...)
 	if err != nil {
 		return nil, err
 	}

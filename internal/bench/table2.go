@@ -85,7 +85,7 @@ func TableII(ctx context.Context, cfg TableIIConfig) ([]TableIIRow, error) {
 			},
 			MinScore: 0.9,
 			Verify:   cfg.Verify,
-		}, stationData(d))
+		}, d.Length(), cluster.Members(stationData(d))...)
 		if err != nil {
 			return nil, err
 		}

@@ -26,7 +26,7 @@ func batchTestData() map[uint32]map[core.PersonID]pattern.Pattern {
 
 func batchTestCluster(t *testing.T) *Cluster {
 	t.Helper()
-	c, err := New(Options{}, batchTestData())
+	c, err := newFromData(Options{}, batchTestData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestBatchingCostAccounting(t *testing.T) {
 func TestForeignVersionPeerIsCountedFailed(t *testing.T) {
 	goodCenter, goodStation := transport.Pipe(nil, nil)
 	go func() {
-		_ = NewStation(1, map[core.PersonID]pattern.Pattern{10: {1, 2, 3}, 11: {3, 4, 5}}, goodStation).Serve()
+		_ = ServeStation(1, map[core.PersonID]pattern.Pattern{10: {1, 2, 3}, 11: {3, 4, 5}}, goodStation)
 	}()
 	// The foreign peer needs a byte-level link: the version lives in the
 	// encoded frame, which the in-process pipe never produces.
@@ -155,10 +155,10 @@ func TestForeignVersionPeerIsCountedFailed(t *testing.T) {
 		}
 	}()
 
-	c, err := NewWithLinks(Options{}, map[uint32]transport.Link{
+	c, err := New(Options{}, 3, linkMembers(map[uint32]transport.Link{
 		1: goodCenter,
 		2: transport.NewTCPLink(centerConn, nil, nil),
-	}, 3, nil, nil)
+	})...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func desyncedStation() transport.Link {
 // TestDesyncedBatchReplyIsTypedError: a station echoing the wrong query
 // count fails the search with a descriptive error, not a panic.
 func TestDesyncedBatchReplyIsTypedError(t *testing.T) {
-	c, err := NewWithLinks(Options{}, map[uint32]transport.Link{1: desyncedStation()}, 3, nil, nil)
+	c, err := New(Options{}, 3, linkMembers(map[uint32]transport.Link{1: desyncedStation()})...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestDesyncedBatchReplyIsTypedError(t *testing.T) {
 // station. The region must refuse the member's reply as the root refuses a
 // direct one — it stamps its own echo, so nobody above it could tell.
 func TestDesyncedBatchReplyBehindRegionIsTypedError(t *testing.T) {
-	inner, err := NewWithLinks(Options{}, map[uint32]transport.Link{1: desyncedStation()}, 3, nil, nil)
+	inner, err := New(Options{}, 3, linkMembers(map[uint32]transport.Link{1: desyncedStation()})...)
 	if err != nil {
 		t.Fatal(err)
 	}

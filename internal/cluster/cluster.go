@@ -12,6 +12,7 @@ import (
 	"dimatch/internal/metrics"
 	"dimatch/internal/pattern"
 	"dimatch/internal/placement"
+	"dimatch/internal/store"
 	"dimatch/internal/transport"
 )
 
@@ -82,16 +83,13 @@ func (ep *epoch) find(id uint32) int {
 // search by wire request ID.
 //
 // The cluster is live: Ingest and Evict mutate a station's resident
-// patterns, AddStation/AddStationLink and RemoveStation grow and shrink the
-// membership, all while searches are in flight. Membership lives in an
-// epoch-versioned snapshot: an in-flight search works over the epoch it
-// started with, a mutation installs the next one.
+// patterns, AddStation and RemoveStation grow and shrink the membership,
+// all while searches are in flight. Membership lives in an epoch-versioned
+// snapshot: an in-flight search works over the epoch it started with, a
+// mutation installs the next one.
 type Cluster struct {
 	opts   Options
 	length int
-
-	downMeter *transport.Meter
-	upMeter   *transport.Meter
 
 	mu      sync.Mutex
 	ep      *epoch          // dimatch:guardedby mu — searches pin a snapshot via pinEpoch, never read this live
@@ -143,12 +141,89 @@ type Cluster struct {
 	serveErr []error // dimatch:guardedby serveMu
 }
 
-// assemble is the one construction path behind New, NewEmpty, NewStored and
-// NewWithLinks: defaults, the shared argument checks, then one member per id
-// in ascending order. attach yields a member's center-side mux and, for an
-// in-process member, the station Start will serve.
-func assemble(opts Options, length int, down, up *transport.Meter, ids []uint32, attach func(c *Cluster, id uint32) (*transport.Mux, *Station, error)) (*Cluster, error) {
-	if len(ids) == 0 {
+// Member specifies one station of a cluster, for New and AddStation. With
+// Link nil the member is an in-process station: seeded with Patterns
+// (copied in; all-zero patterns are dropped) and, when Store is set, made
+// durable through it — it recovers the store's residents before joining and
+// owns the store from then on. With Link set the member is a remote station
+// already serving on the other end; Patterns and Store must then be nil. The
+// cluster takes ownership of Link and Store: a refused member has both
+// closed.
+type Member struct {
+	ID       uint32
+	Patterns map[core.PersonID]pattern.Pattern
+	Store    store.Store
+	Link     transport.Link
+}
+
+// Members turns station-major data into one in-process member per station.
+func Members(data map[uint32]map[core.PersonID]pattern.Pattern) []Member {
+	ms := make([]Member, 0, len(data))
+	for id, locals := range data {
+		ms = append(ms, Member{ID: id, Patterns: locals})
+	}
+	return ms
+}
+
+// check refuses a member spec before anything is recovered or wired: a link
+// member carrying seed patterns or a store, or seed patterns of a foreign
+// length.
+func (m Member) check(length int) error {
+	if m.Link != nil && (m.Patterns != nil || m.Store != nil) {
+		return fmt.Errorf("cluster: station %d: a link member takes no patterns or store", m.ID)
+	}
+	return checkLengths(length, fmt.Sprintf("station %d", m.ID), m.Patterns)
+}
+
+// wire builds the center-side mux of a checked member and, for an
+// in-process member, the station Start will serve over a pipe. A durable
+// member recovers here; residents recovered at a foreign length refuse it.
+func (m Member) wire(length int) (*transport.Mux, *Station, error) {
+	if m.Link != nil {
+		return transport.NewMux(m.Link), nil, nil
+	}
+	center, stationEnd := transport.Pipe(nil, nil)
+	st, err := NewStation(m.ID, m.Patterns, stationEnd, m.Store)
+	if err == nil {
+		if l := st.patternLength(); l != 0 && l != length {
+			err = fmt.Errorf("%w: station %d recovered pattern length %d, cluster is %d", ErrLengthMismatch, m.ID, l, length)
+		}
+	}
+	if err != nil {
+		_ = center.Close()
+		return nil, nil, err
+	}
+	return transport.NewMux(center), st, nil
+}
+
+// release closes what a refused member handed the cluster: its link and its
+// store.
+func (m Member) release() {
+	if m.Link != nil {
+		_ = m.Link.Close()
+	}
+	if m.Store != nil {
+		_ = m.Store.Close()
+	}
+}
+
+// New builds a cluster of patternLength-long patterns over the given
+// members. Link members are used as they are (no handshake); in-process
+// members are inert until Start. Every member is checked — ids distinct,
+// specs consistent, seed lengths matching — before any store is recovered,
+// and a failed call closes every link and store it was handed.
+func New(opts Options, length int, members ...Member) (*Cluster, error) {
+	c, err := assemble(opts, length, members)
+	if err != nil {
+		for _, m := range members {
+			m.release()
+		}
+	}
+	return c, err
+}
+
+func assemble(opts Options, length int, members []Member) (*Cluster, error) {
+	if len(members) == 0 {
 		return nil, errors.New("cluster: no stations")
 	}
 	if length <= 0 {
@@ -157,31 +232,30 @@ func assemble(opts Options, length int, down, up *transport.Meter, ids []uint32,
 	if opts.TargetFP == 0 {
 		opts.TargetFP = core.DefaultTargetFP
 	}
-	if down == nil {
-		down = &transport.Meter{}
-	}
-	if up == nil {
-		up = &transport.Meter{}
-	}
-	ids = append([]uint32(nil), ids...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for i := 1; i < len(ids); i++ {
-		if ids[i] == ids[i-1] {
-			return nil, fmt.Errorf("%w: station %d", ErrStationExists, ids[i])
+	members = append([]Member(nil), members...)
+	sort.Slice(members, func(i, j int) bool { return members[i].ID < members[j].ID })
+	ids := make([]uint32, len(members))
+	for i, m := range members {
+		if i > 0 && m.ID == members[i-1].ID {
+			return nil, fmt.Errorf("%w: station %d", ErrStationExists, m.ID)
 		}
+		if err := m.check(length); err != nil {
+			return nil, err
+		}
+		ids[i] = m.ID
 	}
 	c := &Cluster{
-		opts:      opts,
-		length:    length,
-		dead:      make(map[uint32]bool),
-		downMeter: down,
-		upMeter:   up,
-		profiler:  adapt.NewProfiler(length, opts.AdaptWindow),
+		opts:     opts,
+		length:   length,
+		dead:     make(map[uint32]bool),
+		profiler: adapt.NewProfiler(length, opts.AdaptWindow),
 	}
-	muxes := make([]*transport.Mux, 0, len(ids))
-	for _, id := range ids {
-		mux, st, err := attach(c, id)
+	muxes := make([]*transport.Mux, 0, len(members))
+	for _, m := range members {
+		mux, st, err := m.wire(length)
 		if err != nil {
+			// The built muxes close their links; release closes them again,
+			// harmlessly, along with every store.
 			for _, m := range muxes {
 				_ = m.Close()
 			}
@@ -200,24 +274,6 @@ func assemble(opts Options, length int, down, up *transport.Meter, ids []uint32,
 	return c, nil
 }
 
-// pipeMember wires one in-process member: a metered pipe whose center end
-// becomes the member's mux and whose station end mk builds the station on.
-func (c *Cluster) pipeMember(mk func(link transport.Link) (*Station, error)) (*transport.Mux, *Station, error) {
-	center, stationEnd := transport.Pipe(c.downMeter, c.upMeter)
-	st, err := mk(stationEnd)
-	if err != nil {
-		return nil, nil, err
-	}
-	return transport.NewMux(center), st, nil
-}
-
-// plainMember wires one in-process member over an in-memory store.
-func (c *Cluster) plainMember(id uint32, locals map[core.PersonID]pattern.Pattern) (*transport.Mux, *Station, error) {
-	return c.pipeMember(func(link transport.Link) (*Station, error) {
-		return NewStation(id, locals, link), nil
-	})
-}
-
 // checkLengths reports the first pattern whose length differs from the
 // cluster's, as an ErrLengthMismatch naming what was being done.
 func checkLengths(length int, what string, patterns map[core.PersonID]pattern.Pattern) error {
@@ -227,58 +283,6 @@ func checkLengths(length int, what string, patterns map[core.PersonID]pattern.Pa
 		}
 	}
 	return nil
-}
-
-// New builds a cluster from per-station local data. All patterns must share
-// one length. The cluster is inert until Start.
-func New(opts Options, stationData map[uint32]map[core.PersonID]pattern.Pattern) (*Cluster, error) {
-	ids := make([]uint32, 0, len(stationData))
-	length := 0
-	for id, locals := range stationData {
-		ids = append(ids, id)
-		for _, l := range locals {
-			if length == 0 {
-				length = len(l)
-			}
-			if len(l) != length {
-				return nil, fmt.Errorf("%w: station %d pattern length %d, want %d", ErrLengthMismatch, id, len(l), length)
-			}
-		}
-	}
-	if len(ids) > 0 && length == 0 {
-		return nil, errors.New("cluster: stations hold no patterns")
-	}
-	return assemble(opts, length, nil, nil, ids, func(c *Cluster, id uint32) (*transport.Mux, *Station, error) {
-		return c.plainMember(id, stationData[id])
-	})
-}
-
-// NewEmpty builds a cluster of in-process stations that hold no patterns
-// yet — the starting point of a placement-first deployment, where every
-// pattern arrives through Place (or Ingest) on the running cluster. The
-// caller supplies the pattern length New would otherwise derive from the
-// seed data. The cluster is inert until Start.
-func NewEmpty(opts Options, stationIDs []uint32, patternLength int) (*Cluster, error) {
-	return assemble(opts, patternLength, nil, nil, stationIDs, func(c *Cluster, id uint32) (*transport.Mux, *Station, error) {
-		return c.plainMember(id, nil)
-	})
-}
-
-// NewWithLinks builds a data center over externally established links (for
-// example TCP connections to remote station processes). The caller supplies
-// the shared pattern length and the meters its links record into (either
-// may be nil). Start is a no-op — remote stations run their own Serve
-// loops — and Shutdown sends each station a shutdown message and closes the
-// links. The cluster takes ownership of the links: each is wrapped in a
-// request mux, so callers must not Recv on them afterwards.
-func NewWithLinks(opts Options, links map[uint32]transport.Link, patternLength int, downMeter, upMeter *transport.Meter) (*Cluster, error) {
-	ids := make([]uint32, 0, len(links))
-	for id := range links {
-		ids = append(ids, id)
-	}
-	return assemble(opts, patternLength, downMeter, upMeter, ids, func(_ *Cluster, id uint32) (*transport.Mux, *Station, error) {
-		return transport.NewMux(links[id]), nil, nil
-	})
 }
 
 // installEpochLocked makes (ids, muxes) the live membership snapshot with a
@@ -309,11 +313,12 @@ func (c *Cluster) pinEpoch() (*epoch, error) {
 	return c.ep, nil
 }
 
-// ServeStation runs a base station loop over an established link until the
-// center sends a shutdown or the link closes — the body of a remote station
-// process.
+// ServeStation runs a memory-only base station over an established link
+// until the center sends a shutdown or the link closes — the body of a
+// remote station process.
 func ServeStation(id uint32, locals map[core.PersonID]pattern.Pattern, link transport.Link) error {
-	return NewStation(id, locals, link).Serve()
+	s, _ := NewStation(id, locals, link, nil) // without a store nothing can fail
+	return s.Serve()
 }
 
 // serveLocked launches one in-process station goroutine. Callers hold c.mu.

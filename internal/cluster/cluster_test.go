@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"dimatch/internal/bloom"
@@ -12,6 +13,40 @@ import (
 
 func newTestPipe() (transport.Link, transport.Link) {
 	return transport.Pipe(nil, nil)
+}
+
+// newFromData builds an inert cluster over station-major test data at the
+// pattern length its first pattern has (0, refused, when it holds none).
+func newFromData(opts Options, data map[uint32]map[core.PersonID]pattern.Pattern) (*Cluster, error) {
+	length := 0
+	for _, locals := range data {
+		for _, l := range locals {
+			length = len(l)
+			break
+		}
+		if length > 0 {
+			break
+		}
+	}
+	return New(opts, length, Members(data)...)
+}
+
+// linkMembers lists one remote member per established link.
+func linkMembers(links map[uint32]transport.Link) []Member {
+	ms := make([]Member, 0, len(links))
+	for id, l := range links {
+		ms = append(ms, Member{ID: id, Link: l})
+	}
+	return ms
+}
+
+// emptyMembers lists one in-process member per id, each holding nothing.
+func emptyMembers(ids []uint32) []Member {
+	ms := make([]Member, len(ids))
+	for i, id := range ids {
+		ms[i] = Member{ID: id}
+	}
+	return ms
 }
 
 // paperScenario builds the running example of Section IV-B as a cluster:
@@ -61,7 +96,7 @@ func testOptions() Options {
 
 func startCluster(t *testing.T, opts Options, data map[uint32]map[core.PersonID]pattern.Pattern) *Cluster {
 	t.Helper()
-	c, err := New(opts, data)
+	c, err := newFromData(opts, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,19 +246,26 @@ func TestSearchValidation(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Options{}, nil); err == nil {
+	if _, err := New(Options{}, 3); err == nil {
 		t.Fatal("no stations accepted")
 	}
-	mixed := map[uint32]map[core.PersonID]pattern.Pattern{
-		0: {1: {1, 2}},
-		1: {2: {1, 2, 3}},
+	if _, err := New(Options{}, 0, Member{ID: 1}); err == nil {
+		t.Fatal("pattern length 0 accepted")
 	}
-	if _, err := New(Options{}, mixed); err == nil {
-		t.Fatal("mixed pattern lengths accepted")
+	if _, err := New(Options{}, 3, Member{ID: 1}, Member{ID: 1}); !errors.Is(err, ErrStationExists) {
+		t.Fatalf("duplicate ids err = %v, want ErrStationExists", err)
 	}
-	empty := map[uint32]map[core.PersonID]pattern.Pattern{0: {}}
-	if _, err := New(Options{}, empty); err == nil {
-		t.Fatal("patternless cluster accepted")
+	mixed := []Member{
+		{ID: 0, Patterns: map[core.PersonID]pattern.Pattern{1: {1, 2}}},
+		{ID: 1, Patterns: map[core.PersonID]pattern.Pattern{2: {1, 2, 3}}},
+	}
+	if _, err := New(Options{}, 3, mixed...); !errors.Is(err, ErrLengthMismatch) {
+		t.Fatalf("mixed pattern lengths err = %v, want ErrLengthMismatch", err)
+	}
+	center, _ := newTestPipe()
+	linked := Member{ID: 2, Link: center, Patterns: map[core.PersonID]pattern.Pattern{}}
+	if _, err := New(Options{}, 3, linked); err == nil {
+		t.Fatal("link member with seed patterns accepted")
 	}
 }
 
@@ -388,10 +430,10 @@ func TestRepeatedSearches(t *testing.T) {
 
 func TestStationSkipsZeroPatterns(t *testing.T) {
 	link1, _ := newTestPipe()
-	s := NewStation(0, map[core.PersonID]pattern.Pattern{
+	s, _ := NewStation(0, map[core.PersonID]pattern.Pattern{
 		1: {0, 0, 0},
 		2: {1, 2, 3},
-	}, link1)
+	}, link1, nil)
 	if s.Residents() != 1 {
 		t.Fatalf("Residents = %d, want 1 (zero pattern dropped)", s.Residents())
 	}

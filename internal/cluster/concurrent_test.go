@@ -35,7 +35,7 @@ func manualCluster(t *testing.T, opts Options) (*Cluster, transport.Link) {
 			}
 		}()
 	}
-	c, err := NewWithLinks(opts, links, 3, nil, nil)
+	c, err := New(opts, 3, linkMembers(links)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestShutdownDuringSearchReturnsClosed(t *testing.T) {
 	links := make(map[uint32]transport.Link, 1)
 	center, _ := transport.Pipe(nil, nil) // station end never served: search stalls
 	links[0] = center
-	c, err := NewWithLinks(testOptions(), links, 3, nil, nil)
+	c, err := New(testOptions(), 3, linkMembers(links)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func buildThreeTier(t *testing.T, data map[uint32]map[core.PersonID]pattern.Patt
 		if len(midLinks) == 0 {
 			return
 		}
-		mc, err := NewWithLinks(Options{}, midLinks, length, nil, nil)
+		mc, err := New(Options{}, length, linkMembers(midLinks)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func buildThreeTier(t *testing.T, data map[uint32]map[core.PersonID]pattern.Patt
 		for _, id := range ids[start:end] {
 			sub[id] = data[id]
 		}
-		lc, err := New(Options{}, sub)
+		lc, err := newFromData(Options{}, sub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func buildThreeTier(t *testing.T, data map[uint32]map[core.PersonID]pattern.Patt
 		}
 	}
 	flushMid()
-	root, err := NewWithLinks(Options{}, rootLinks, length, nil, nil)
+	root, err := New(Options{}, length, linkMembers(rootLinks)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func buildThreeTier(t *testing.T, data map[uint32]map[core.PersonID]pattern.Patt
 // the cost report shows the query actually descended three tiers.
 func TestThreeTierSearchMatchesFlat(t *testing.T) {
 	data := hierData()
-	flat, err := New(Options{}, data)
+	flat, err := newFromData(Options{}, data)
 	if err != nil {
 		t.Fatal(err)
 	}

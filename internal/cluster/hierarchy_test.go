@@ -67,7 +67,7 @@ func buildHierarchy(t *testing.T, data map[uint32]map[core.PersonID]pattern.Patt
 		for _, id := range ids[start:end] {
 			sub[id] = data[id]
 		}
-		rc, err := New(Options{}, sub)
+		rc, err := newFromData(Options{}, sub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func buildHierarchy(t *testing.T, data map[uint32]map[core.PersonID]pattern.Patt
 		go func() { _ = ServeRegion(regionID, rc, regionEnd) }()
 		links[regionID] = rootEnd
 	}
-	root, err := NewWithLinks(rootOpts, links, length, nil, nil)
+	root, err := New(rootOpts, length, linkMembers(links)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func emptyHierarchy(t *testing.T, regions, stationsPerRegion, length int) *hiera
 		for s := 0; s < stationsPerRegion; s++ {
 			ids = append(ids, uint32(r*stationsPerRegion+s))
 		}
-		rc, err := NewEmpty(Options{}, ids, length)
+		rc, err := New(Options{}, length, emptyMembers(ids)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func emptyHierarchy(t *testing.T, regions, stationsPerRegion, length int) *hiera
 		go func() { _ = ServeRegion(regionID, rc, regionEnd) }()
 		links[regionID] = rootEnd
 	}
-	root, err := NewWithLinks(Options{}, links, length, nil, nil)
+	root, err := New(Options{}, length, linkMembers(links)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +150,9 @@ func TestRoutedMembershipChurnEquivalence(t *testing.T) {
 		case op == 0 && len(stations) < 8:
 			id := nextStation
 			nextStation++
-			if err := c.AddStation(ctx, id, map[core.PersonID]pattern.Pattern{
+			if err := c.AddStation(ctx, Member{ID: id, Patterns: map[core.PersonID]pattern.Pattern{
 				next: {int64(rng.Intn(40)) + 1, int64(rng.Intn(40)), int64(rng.Intn(40))},
-			}); err != nil {
+			}}); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live, placedAt{person: next, station: id})
@@ -239,7 +239,7 @@ func TestHierarchicalSearchMatchesFlat(t *testing.T) {
 			}},
 		}},
 	} {
-		flat, err := New(in.opts, data)
+		flat, err := newFromData(in.opts, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +354,7 @@ func TestMixedRootSearchMatchesFlat(t *testing.T) {
 	rootEnd, regionEnd := transport.Pipe(nil, nil)
 	go func() { _ = ServeRegion(100, region, regionEnd) }()
 	links[100] = rootEnd
-	root, err := NewWithLinks(Options{}, links, 3, nil, nil)
+	root, err := New(Options{}, 3, linkMembers(links)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestMixedRootSearchMatchesFlat(t *testing.T) {
 // must answer exactly like the flat cluster.
 func TestHierarchicalClassicForwarding(t *testing.T) {
 	data := hierData()
-	flat, err := New(Options{}, data)
+	flat, err := newFromData(Options{}, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,13 +460,13 @@ func TestHierarchicalClassicForwarding(t *testing.T) {
 	center, stationEnd := transport.Pipe(nil, nil)
 	go func() { _ = ServeStation(0, data[0], stationEnd) }()
 	tap := &kindTap{Link: center, sent: make(map[wire.Kind]int)}
-	tapped, err := NewWithLinks(Options{}, map[uint32]transport.Link{0: tap}, 3, nil, nil)
+	tapped, err := New(Options{}, 3, linkMembers(map[uint32]transport.Link{0: tap})...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rootEnd, regionEnd := transport.Pipe(nil, nil)
 	go func() { _ = ServeRegion(100, tapped, regionEnd) }()
-	root, err := NewWithLinks(Options{}, map[uint32]transport.Link{100: rootEnd}, 3, nil, nil)
+	root, err := New(Options{}, 3, linkMembers(map[uint32]transport.Link{100: rootEnd})...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -760,7 +760,7 @@ func TestTwoTierPlanningSublinearAt1024(t *testing.T) {
 	}
 	probesPerQuery := func(out *Outcome) float64 { return float64(out.Cost.SubtreeProbes) / nQueries }
 
-	flat, err := New(opts, data)
+	flat, err := newFromData(opts, data)
 	if err != nil {
 		t.Fatal(err)
 	}

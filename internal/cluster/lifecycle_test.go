@@ -111,7 +111,20 @@ func TestIngestReplacesExistingResident(t *testing.T) {
 }
 
 func TestStatsReportsAndCachesPerEpoch(t *testing.T) {
-	c := startCluster(t, testOptions(), paperScenario())
+	// Remote members over metered pipes, so the test can count the frames
+	// Stats sends.
+	down := &transport.Meter{}
+	var members []Member
+	for id, locals := range paperScenario() {
+		center, stationEnd := transport.Pipe(down, nil)
+		go func() { _ = ServeStation(id, locals, stationEnd) }()
+		members = append(members, Member{ID: id, Link: center})
+	}
+	c, err := New(testOptions(), 3, members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Shutdown() })
 	ctx := context.Background()
 
 	st, err := c.Stats(ctx)
@@ -139,12 +152,12 @@ func TestStatsReportsAndCachesPerEpoch(t *testing.T) {
 
 	// Unchanged cluster: the snapshot is served from the epoch cache — no
 	// frames cross the links.
-	quiet := c.downMeter.Messages()
+	quiet := down.Messages()
 	st2, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.downMeter.Messages(); got != quiet {
+	if got := down.Messages(); got != quiet {
 		t.Fatalf("cached Stats sent %d frames", got-quiet)
 	}
 	if st2.Epoch != st.Epoch || st2.TotalStorageBytes() != st.TotalStorageBytes() {
@@ -157,12 +170,12 @@ func TestStatsReportsAndCachesPerEpoch(t *testing.T) {
 	if err := c.Ingest(ctx, 1, map[core.PersonID]pattern.Pattern{40: {9, 9, 9}}); err != nil {
 		t.Fatal(err)
 	}
-	quiet = c.downMeter.Messages()
+	quiet = down.Messages()
 	st3, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.downMeter.Messages(); got != quiet {
+	if got := down.Messages(); got != quiet {
 		t.Fatalf("post-mutation Stats sent %d frames despite the seeded cache", got-quiet)
 	}
 	if st3.Epoch <= st.Epoch {
@@ -209,7 +222,7 @@ func TestStationRawBytesMatchesOverLinks(t *testing.T) {
 			}
 		}()
 	}
-	linked, err := NewWithLinks(testOptions(), links, 3, nil, nil)
+	linked, err := New(testOptions(), 3, linkMembers(links)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,10 +353,10 @@ func TestLifecycleSentinelErrors(t *testing.T) {
 	if err := c.Evict(ctx, 99, []core.PersonID{1}); !errors.Is(err, ErrUnknownStation) {
 		t.Fatalf("evict unknown station err = %v, want ErrUnknownStation", err)
 	}
-	if err := c.AddStation(ctx, 0, nil); !errors.Is(err, ErrStationExists) {
+	if err := c.AddStation(ctx, Member{ID: 0}); !errors.Is(err, ErrStationExists) {
 		t.Fatalf("duplicate AddStation err = %v, want ErrStationExists", err)
 	}
-	if err := c.AddStation(ctx, 7, map[core.PersonID]pattern.Pattern{1: {1, 2, 3, 4}}); !errors.Is(err, ErrLengthMismatch) {
+	if err := c.AddStation(ctx, Member{ID: 7, Patterns: map[core.PersonID]pattern.Pattern{1: {1, 2, 3, 4}}}); !errors.Is(err, ErrLengthMismatch) {
 		t.Fatalf("AddStation long pattern err = %v, want ErrLengthMismatch", err)
 	}
 	if err := c.RemoveStation(ctx, 99); !errors.Is(err, ErrUnknownStation) {
@@ -365,7 +378,7 @@ func TestLifecycleSentinelErrors(t *testing.T) {
 	if err := closed.Ingest(ctx, 0, map[core.PersonID]pattern.Pattern{1: {1, 2, 3}}); !errors.Is(err, ErrClusterClosed) {
 		t.Fatalf("ingest after shutdown err = %v, want ErrClusterClosed", err)
 	}
-	if err := closed.AddStation(ctx, 9, nil); !errors.Is(err, ErrClusterClosed) {
+	if err := closed.AddStation(ctx, Member{ID: 9}); !errors.Is(err, ErrClusterClosed) {
 		t.Fatalf("AddStation after shutdown err = %v, want ErrClusterClosed", err)
 	}
 	if err := closed.RemoveStation(ctx, 0); !errors.Is(err, ErrClusterClosed) {
@@ -386,7 +399,7 @@ func TestAddStationLinkHandshake(t *testing.T) {
 	go func() {
 		_ = ServeStation(9, map[core.PersonID]pattern.Pattern{70: {1, 2, 3, 4}}, stationEnd)
 	}()
-	if err := c.AddStationLink(ctx, 9, center); !errors.Is(err, ErrLengthMismatch) {
+	if err := c.AddStation(ctx, Member{ID: 9, Link: center}); !errors.Is(err, ErrLengthMismatch) {
 		t.Fatalf("mismatched link err = %v, want ErrLengthMismatch", err)
 	}
 
@@ -395,7 +408,7 @@ func TestAddStationLinkHandshake(t *testing.T) {
 	go func() {
 		_ = ServeStation(9, map[core.PersonID]pattern.Pattern{70: {3, 4, 5}}, stationEnd)
 	}()
-	if err := c.AddStationLink(ctx, 9, center); err != nil {
+	if err := c.AddStation(ctx, Member{ID: 9, Link: center}); err != nil {
 		t.Fatal(err)
 	}
 	q := core.Query{ID: 2, Locals: []pattern.Pattern{{3, 4, 5}}}
@@ -438,7 +451,7 @@ func TestLiveMutationEndToEnd(t *testing.T) {
 	if err := c.Ingest(ctx, 0, map[core.PersonID]pattern.Pattern{20: {5, 0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddStation(ctx, 3, map[core.PersonID]pattern.Pattern{20: {1, 4, 2}}); err != nil {
+	if err := c.AddStation(ctx, Member{ID: 3, Patterns: map[core.PersonID]pattern.Pattern{20: {1, 4, 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stations(); got != 4 {

@@ -242,17 +242,41 @@ func (c *Cluster) refusalLocked(id uint32) error {
 	return nil
 }
 
-// join is the one membership-growth path behind AddStation, AddStoredStation
-// and AddStationLink. It takes ownership of mux (closed if the join is
-// refused), serves st when the member is in-process, installs the next epoch
-// and runs the hooks every join owes: a departed member may have left a
-// digest under the same id, so the summary slot starts cold; placed patterns
-// rebalance onto the newcomer.
-func (c *Cluster) join(ctx context.Context, id uint32, mux *transport.Mux, st *Station) error {
+// AddStation grows the membership of a running cluster with one member —
+// an in-process station (seeded, durable when m.Store is set: the rejoin
+// path of a restarted station) or a remote one over m.Link. Searches already
+// in flight complete against their own epoch; searches started after the
+// call fan out to the new station too.
+//
+// A refused join — a closed cluster, a taken id (ErrStationExists), a bad
+// spec, seed patterns of a foreign length (ErrLengthMismatch) — is refused
+// before the store is recovered, and closes the member's link and store. A
+// link member must pass a stats handshake: it must answer, and patterns it
+// already holds must match the cluster's length. A durable member recovers
+// before the cluster lock is taken, so replaying a large WAL never stalls
+// concurrent searches.
+//
+// The join installs the next epoch and runs the hooks every join owes: a
+// departed member may have left a digest under the same id, so the summary
+// slot starts cold; and when patterns are placed (see Place), a
+// reconciliation pass rebalances exactly the placed patterns whose
+// rendezvous winners changed — the newcomer takes over the placements it
+// out-scores an incumbent for (and a recovered station is topped up with
+// only what it missed), and nothing else moves.
+func (c *Cluster) AddStation(ctx context.Context, m Member) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	mux, st, err := c.admit(ctx, m)
+	if err != nil {
+		m.release()
+		return err
+	}
 	c.mu.Lock()
-	if err := c.refusalLocked(id); err != nil {
+	if err := c.refusalLocked(m.ID); err != nil {
 		c.mu.Unlock()
 		_ = mux.Close()
+		m.release()
 		return err
 	}
 	if st != nil {
@@ -262,11 +286,34 @@ func (c *Cluster) join(ctx context.Context, id uint32, mux *transport.Mux, st *S
 			c.pending = append(c.pending, st)
 		}
 	}
-	c.addMemberLocked(id, mux)
+	c.addMemberLocked(m.ID, mux)
 	c.mu.Unlock()
-	c.summaries.invalidate(id)
+	c.summaries.invalidate(m.ID)
 	c.heal(ctx)
 	return nil
+}
+
+// admit runs everything a join does before taking the membership lock: the
+// refusals that cost nothing, then wiring (recovery), then a link member's
+// handshake.
+func (c *Cluster) admit(ctx context.Context, m Member) (*transport.Mux, *Station, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("%w: %w", ErrCancelled, err)
+	}
+	c.mu.Lock()
+	err := c.refusalLocked(m.ID)
+	c.mu.Unlock()
+	if err == nil {
+		err = m.check(c.length)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	mux, st, err := m.wire(c.length)
+	if err == nil && m.Link != nil {
+		err = c.handshake(ctx, m.ID, mux) // on failure, release closes the link under the mux
+	}
+	return mux, st, err
 }
 
 // addMemberLocked installs a new epoch with id inserted in order. Callers
@@ -278,60 +325,6 @@ func (c *Cluster) addMemberLocked(id uint32, mux *transport.Mux) {
 	muxes := make([]*transport.Mux, 0, len(c.ep.muxes)+1)
 	muxes = append(append(append(muxes, c.ep.muxes[:i]...), mux), c.ep.muxes[i:]...)
 	c.installEpochLocked(ids, muxes)
-}
-
-// checkJoin is the shared pre-check of the in-process joins: a live context
-// and seed patterns of the cluster's length.
-func (c *Cluster) checkJoin(ctx context.Context, id uint32, locals map[core.PersonID]pattern.Pattern) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %w", ErrCancelled, err)
-	}
-	return checkLengths(c.length, fmt.Sprintf("station %d", id), locals)
-}
-
-// AddStation grows the membership of a running cluster with a new
-// in-process station holding the given local patterns (which may be empty).
-// Searches already in flight complete against their own epoch; searches
-// started after the call fan out to the new station too.
-//
-// When patterns are placed (see Place), the join triggers a reconciliation
-// pass that rebalances exactly the placed patterns whose rendezvous winners
-// changed — the new station takes over the placements it out-scores an
-// incumbent for, and nothing else moves.
-func (c *Cluster) AddStation(ctx context.Context, id uint32, locals map[core.PersonID]pattern.Pattern) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := c.checkJoin(ctx, id, locals); err != nil {
-		return err
-	}
-	mux, st, _ := c.plainMember(id, locals) // building an in-memory station cannot fail
-	return c.join(ctx, id, mux, st)
-}
-
-// AddStationLink grows the membership with a remote station reachable over
-// an established link. The cluster takes ownership of the link immediately:
-// it is wrapped in a request mux, and closed if the join fails. Joining
-// performs a stats handshake — the station must answer, and if it already
-// holds patterns their length must match the cluster's (ErrLengthMismatch
-// otherwise).
-func (c *Cluster) AddStationLink(ctx context.Context, id uint32, link transport.Link) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	mux := transport.NewMux(link)
-	// Refuse a doomed join before spending a round trip on it.
-	c.mu.Lock()
-	err := c.refusalLocked(id)
-	c.mu.Unlock()
-	if err == nil {
-		err = c.handshake(ctx, id, mux)
-	}
-	if err != nil {
-		_ = mux.Close()
-		return err
-	}
-	return c.join(ctx, id, mux, nil)
 }
 
 // handshake is the stats exchange a link-joined station must pass.

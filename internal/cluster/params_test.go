@@ -35,7 +35,7 @@ func paramTestCluster(t *testing.T) *Cluster {
 		}
 		data[s] = st
 	}
-	c, err := New(Options{}, data)
+	c, err := newFromData(Options{}, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +94,9 @@ func stationDigest(t *testing.T, s *Station) *index.Summary {
 func TestStationParamUpdateLifecycle(t *testing.T) {
 	// Five residents keep the static budget above one filter word per
 	// position; smaller stores refuse any plan by design (covered below).
-	st := NewStation(1, map[core.PersonID]pattern.Pattern{
+	st, _ := NewStation(1, map[core.PersonID]pattern.Pattern{
 		10: {1, 2, 3}, 11: {4, 5, 6}, 12: {7, 8, 9}, 13: {2, 4, 6}, 14: {3, 5, 7},
-	}, nil)
+	}, nil, nil)
 
 	// Before any update the digest is the static table.
 	if sum := stationDigest(t, st); sum.Adaptive() {
@@ -152,13 +152,13 @@ func TestStationParamUpdateLifecycle(t *testing.T) {
 	}
 
 	// An empty station cannot match any plan length: it stays static.
-	empty := NewStation(2, nil, nil)
+	empty, _ := NewStation(2, nil, nil, nil)
 	if ack := stationAck(t, empty, paramUpdateMsg(t, 1, testPlan(1, 3))); ack.Applied {
 		t.Fatal("empty station claimed to apply a plan")
 	}
 
 	// A store too small for one filter word per group refuses the plan too.
-	tiny := NewStation(3, map[core.PersonID]pattern.Pattern{10: {1, 2, 3}}, nil)
+	tiny, _ := NewStation(3, map[core.PersonID]pattern.Pattern{10: {1, 2, 3}}, nil, nil)
 	if ack := stationAck(t, tiny, paramUpdateMsg(t, 1, testPlan(1, 3))); ack.Applied {
 		t.Fatal("tiny station applied a plan its budget cannot fit")
 	}
@@ -242,7 +242,7 @@ func TestRederiveParamsRollout(t *testing.T) {
 
 	// A joining empty station cannot honor the plan and lands in Static; a
 	// second derivation advances the epoch atomically for everyone else.
-	if err := c.AddStation(ctx, 9, nil); err != nil {
+	if err := c.AddStation(ctx, Member{ID: 9}); err != nil {
 		t.Fatal(err)
 	}
 	roll2, err := c.RederiveParams(ctx)
@@ -315,16 +315,16 @@ func TestRederiveParamsSkipsUnflaggedPeers(t *testing.T) {
 		10: {1, 2, 3}, 11: {2, 3, 4}, 12: {3, 4, 5}, 13: {4, 5, 6}, 14: {5, 6, 7},
 	}
 	go func() {
-		_ = NewStation(1, plainLocals, plainStation).Serve()
+		_ = ServeStation(1, plainLocals, plainStation)
 	}()
 	noStats := flakyStatsStation(2, map[core.PersonID]pattern.Pattern{20: {50, 60, 70}})
 
 	// A region coordinator hangs off the same center: its stats advertise
 	// the delegate flag, which must exempt it from leaf-plan rollouts.
-	inner, err := New(Options{}, map[uint32]map[core.PersonID]pattern.Pattern{
-		7: {30: {500, 600, 700}, 31: {550, 660, 770}},
-		8: {40: {5000, 6000, 7000}},
-	})
+	inner, err := New(Options{}, 3,
+		Member{ID: 7, Patterns: map[core.PersonID]pattern.Pattern{30: {500, 600, 700}, 31: {550, 660, 770}}},
+		Member{ID: 8, Patterns: map[core.PersonID]pattern.Pattern{40: {5000, 6000, 7000}}},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,9 +333,9 @@ func TestRederiveParamsSkipsUnflaggedPeers(t *testing.T) {
 	regionCenter, regionEnd := transport.Pipe(nil, nil)
 	go func() { _ = ServeRegion(100, inner, regionEnd) }()
 
-	c, err := NewWithLinks(Options{}, map[uint32]transport.Link{
+	c, err := New(Options{}, 3, linkMembers(map[uint32]transport.Link{
 		1: plainCenter, 2: noStats, 100: regionCenter,
-	}, 3, nil, nil)
+	})...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,13 +399,13 @@ func TestAdaptiveChurnEquivalence(t *testing.T) {
 		}
 		return data
 	}
-	adaptive, err := New(Options{AdaptWindow: 4096}, seedData())
+	adaptive, err := newFromData(Options{AdaptWindow: 4096}, seedData())
 	if err != nil {
 		t.Fatal(err)
 	}
 	adaptive.Start()
 	t.Cleanup(func() { _ = adaptive.Shutdown() })
-	staticTwin, err := New(Options{}, seedData())
+	staticTwin, err := newFromData(Options{}, seedData())
 	if err != nil {
 		t.Fatal(err)
 	}

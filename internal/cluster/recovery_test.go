@@ -30,6 +30,16 @@ func openWAL(t *testing.T, dir string, id uint32) *wal.Store {
 	return s
 }
 
+// walMembers lists one in-process member per id, each durable through its
+// own WAL under dir.
+func walMembers(t *testing.T, dir string, ids []uint32) []Member {
+	ms := make([]Member, len(ids))
+	for i, id := range ids {
+		ms[i] = Member{ID: id, Store: openWAL(t, dir, id)}
+	}
+	return ms
+}
+
 // restartStation is the crash-and-rejoin path under test: sever the link
 // (the in-process stand-in for kill -9), drop the member, reopen the same
 // WAL directory, and rejoin through recovery. Churn is sequential and every
@@ -44,9 +54,8 @@ func restartStation(t *testing.T, c *Cluster, dir string, id uint32) {
 	if err := c.RemoveStation(ctx, id); err != nil {
 		t.Fatalf("RemoveStation(%d): %v", id, err)
 	}
-	st := openWAL(t, dir, id)
-	if err := c.AddStoredStation(ctx, id, nil, st); err != nil {
-		t.Fatalf("AddStoredStation(%d): %v", id, err)
+	if err := c.AddStation(ctx, Member{ID: id, Store: openWAL(t, dir, id)}); err != nil {
+		t.Fatalf("AddStation(%d): %v", id, err)
 	}
 }
 
@@ -59,18 +68,14 @@ func TestRecoveryEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	ids := []uint32{0, 1, 2, 3}
 
-	stores := make(map[uint32]store.Store, len(ids))
-	for _, id := range ids {
-		stores[id] = openWAL(t, dir, id)
-	}
-	durable, err := NewStored(Options{}, stores, 3)
+	durable, err := New(Options{}, 3, walMembers(t, dir, ids)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	durable.Start()
 	t.Cleanup(func() { _ = durable.Shutdown() })
 
-	twin, err := NewEmpty(Options{}, ids, 3)
+	twin, err := New(Options{}, 3, emptyMembers(ids)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +186,7 @@ func TestStoredStationDigestRecovery(t *testing.T) {
 		9: {2, 2, 2},
 	}
 	_, stationEnd := transport.Pipe(nil, nil)
-	s, err := NewStoredStation(1, locals, stationEnd, st)
+	s, err := NewStation(1, locals, stationEnd, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +212,7 @@ func TestStoredStationDigestRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, stationEnd2 := transport.Pipe(nil, nil)
-	s2, err := NewStoredStation(1, nil, stationEnd2, st2)
+	s2, err := NewStation(1, nil, stationEnd2, st2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +245,7 @@ func TestStoredStationDigestRecovery(t *testing.T) {
 	}
 	defer st3.Close()
 	_, stationEnd3 := transport.Pipe(nil, nil)
-	s3, err := NewStoredStation(1, nil, stationEnd3, st3)
+	s3, err := NewStation(1, nil, stationEnd3, st3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +267,7 @@ func TestRecoveryDeltaOnlyRebalance(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	ids := []uint32{0, 1, 2}
-	stores := make(map[uint32]store.Store, len(ids))
-	for _, id := range ids {
-		stores[id] = openWAL(t, dir, id)
-	}
-	c, err := NewStored(Options{}, stores, 2)
+	c, err := New(Options{}, 2, walMembers(t, dir, ids)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +301,11 @@ func TestRecoveryDeltaOnlyRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rejoin by hand — AddStoredStation's steps, with the heal replaced by
-	// an explicit Rebalance so the report is observable.
+	// Rejoin by hand — AddStation's steps for a durable member, with the heal
+	// replaced by an explicit Rebalance so the report is observable.
 	st := openWAL(t, dir, 2)
-	center, stationEnd := transport.Pipe(c.downMeter, c.upMeter)
-	station, err := NewStoredStation(2, nil, stationEnd, st)
+	center, stationEnd := transport.Pipe(nil, nil)
+	station, err := NewStation(2, nil, stationEnd, st)
 	if err != nil {
 		t.Fatal(err)
 	}

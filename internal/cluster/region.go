@@ -274,19 +274,18 @@ func (r *Region) handleIngest(ctx context.Context, msg wire.Message) (*wire.Mess
 	if err != nil {
 		return nil, fmt.Errorf("region %d: %w", r.id, err)
 	}
+	// A station's rule: all-zero and foreign-length patterns are skipped,
+	// not refused — Place would refuse the whole frame over one of them.
 	patterns := make(map[core.PersonID]pattern.Pattern, len(in.Persons))
-	applied := 0
 	for i, p := range in.Persons {
-		if in.Locals[i].Sum() == 0 {
-			continue
+		if l := in.Locals[i]; l.Sum() != 0 && len(l) == r.c.length {
+			patterns[p] = l
 		}
-		patterns[p] = in.Locals[i]
-		applied++
 	}
 	if _, err := r.c.Place(ctx, patterns, WithReplication(1)); err != nil {
 		return nil, fmt.Errorf("region %d: %w", r.id, err)
 	}
-	reply := wire.EncodeAck(wire.Ack{Station: r.id, Applied: uint64(applied)})
+	reply := wire.EncodeAck(wire.Ack{Station: r.id, Applied: uint64(len(patterns))})
 	return &reply, nil
 }
 

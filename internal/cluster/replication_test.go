@@ -29,7 +29,7 @@ func newPlacedCluster(t *testing.T, stations []uint32, r int, patterns map[core.
 		length = len(p)
 		break
 	}
-	c, err := NewEmpty(placedOptions(), stations, length)
+	c, err := New(placedOptions(), length, emptyMembers(stations)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestPlaceClampAndTopUp(t *testing.T) {
 	}
 
 	// Growing the membership triggers the top-up to R=2.
-	if err := c.AddStation(ctx, 2, nil); err != nil {
+	if err := c.AddStation(ctx, Member{ID: 2}); err != nil {
 		t.Fatal(err)
 	}
 	st, err = c.Stats(ctx)
@@ -380,7 +380,7 @@ func BenchmarkPlace(b *testing.B) {
 	for i := range stations {
 		stations[i] = uint32(i + 1)
 	}
-	c, err := NewEmpty(placedOptions(), stations, 24)
+	c, err := New(placedOptions(), 24, emptyMembers(stations)...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -405,14 +405,16 @@ func BenchmarkPlace(b *testing.B) {
 	}
 }
 
+// TestNewEmptyValidation checks New's validation for a cluster of empty
+// stations built under placed options.
 func TestNewEmptyValidation(t *testing.T) {
-	if _, err := NewEmpty(placedOptions(), nil, 4); err == nil {
+	if _, err := New(placedOptions(), 4, emptyMembers(nil)...); err == nil {
 		t.Fatal("no stations accepted")
 	}
-	if _, err := NewEmpty(placedOptions(), []uint32{1, 1}, 4); !errors.Is(err, ErrStationExists) {
+	if _, err := New(placedOptions(), 4, emptyMembers([]uint32{1, 1})...); !errors.Is(err, ErrStationExists) {
 		t.Fatal("duplicate station accepted")
 	}
-	if _, err := NewEmpty(placedOptions(), []uint32{1}, 0); err == nil {
+	if _, err := New(placedOptions(), 0, emptyMembers([]uint32{1})...); err == nil {
 		t.Fatal("zero length accepted")
 	}
 }
@@ -426,7 +428,7 @@ func TestStatsRefreshAfterKillStation(t *testing.T) {
 		1: {1: {1, 2, 3}},
 		2: {2: {4, 5, 6}, 3: {7, 8, 9}},
 	}
-	c, err := New(placedOptions(), data)
+	c, err := newFromData(placedOptions(), data)
 	if err != nil {
 		t.Fatal(err)
 	}

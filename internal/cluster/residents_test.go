@@ -50,8 +50,12 @@ func TestDurableStationSurvivesForeignLengthIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 		center, stationEnd := transport.Pipe(nil, nil)
+		s, err := NewStation(1, nil, stationEnd, st)
+		if err != nil {
+			t.Fatal(err)
+		}
 		done := make(chan error, 1)
-		go func() { done <- ServeStoredStation(1, nil, stationEnd, st) }()
+		go func() { done <- s.Serve() }()
 		return center, done
 	}
 	stop := func(center transport.Link, done chan error) {
@@ -133,7 +137,7 @@ func TestStationNeverAliasesCallerPatterns(t *testing.T) {
 	delete(data, 2)
 	delete(data[0], 14)
 	c := startCluster(t, testOptions(), data)
-	if err := c.AddStation(ctx, 2, joins); err != nil {
+	if err := c.AddStation(ctx, Member{ID: 2, Patterns: joins}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Ingest(ctx, 0, ingested); err != nil {
@@ -185,7 +189,7 @@ func TestStationHeapFlatUnderReplacement(t *testing.T) {
 	}
 
 	base := heap()
-	s := NewStation(1, nil, nil)
+	s, _ := NewStation(1, nil, nil, nil)
 	persons := make([]core.PersonID, rows)
 	for i := range persons {
 		persons[i] = core.PersonID(i + 1)

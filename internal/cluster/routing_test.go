@@ -26,7 +26,7 @@ func routingTestCluster(t *testing.T) *Cluster {
 		2: {30: {500, 600, 700}},
 		3: {40: {5000, 6000, 7000}},
 	}
-	c, err := New(Options{}, data)
+	c, err := newFromData(Options{}, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func (l *flakyStatsLink) Send(m wire.Message) error {
 // the center's end.
 func flakyStatsStation(id uint32, locals map[core.PersonID]pattern.Pattern) transport.Link {
 	center, stationEnd := transport.Pipe(nil, nil)
-	go func() { _ = NewStation(id, locals, stationEnd).Serve() }()
+	go func() { _ = ServeStation(id, locals, stationEnd) }()
 	return &flakyStatsLink{Link: center}
 }
 
@@ -312,11 +312,11 @@ func TestStationWithoutStatsEntryIsPlain(t *testing.T) {
 	} {
 		center, stationEnd := transport.Pipe(nil, nil)
 		go func(id uint32, locals map[core.PersonID]pattern.Pattern) {
-			_ = NewStation(id, locals, stationEnd).Serve()
+			_ = ServeStation(id, locals, stationEnd)
 		}(id, locals)
 		links[id] = center
 	}
-	c, err := NewWithLinks(Options{}, links, 3, nil, nil)
+	c, err := New(Options{}, 3, linkMembers(links)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestStationWithoutStatsEntryIsPlain(t *testing.T) {
 // dedupe replicas exactly like full fan-out and visit only the replica
 // holders.
 func TestRoutingPlacedReplicas(t *testing.T) {
-	c, err := NewEmpty(Options{}, []uint32{1, 2, 3, 4, 5, 6}, 3)
+	c, err := New(Options{}, 3, emptyMembers([]uint32{1, 2, 3, 4, 5, 6})...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestRoutingSurvivesDeadStation(t *testing.T) {
 // and finds the applied resident.
 func TestIngestFailureInvalidatesSummary(t *testing.T) {
 	center, stationEnd := transport.Pipe(nil, nil)
-	st := NewStation(1, map[core.PersonID]pattern.Pattern{10: {1, 2, 3}}, nil)
+	st, _ := NewStation(1, map[core.PersonID]pattern.Pattern{10: {1, 2, 3}}, nil, nil)
 	go func() {
 		for {
 			msg, err := stationEnd.Recv()
@@ -468,9 +468,9 @@ func TestIngestFailureInvalidatesSummary(t *testing.T) {
 	// single-station clusters, and the test needs the digest cache warm.
 	otherCenter, otherEnd := transport.Pipe(nil, nil)
 	go func() {
-		_ = NewStation(2, map[core.PersonID]pattern.Pattern{20: {500, 600, 700}}, otherEnd).Serve()
+		_ = ServeStation(2, map[core.PersonID]pattern.Pattern{20: {500, 600, 700}}, otherEnd)
 	}()
-	c, err := NewWithLinks(Options{}, map[uint32]transport.Link{1: center, 2: otherCenter}, 3, nil, nil)
+	c, err := New(Options{}, 3, linkMembers(map[uint32]transport.Link{1: center, 2: otherCenter})...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,8 +57,8 @@ var (
 	// ErrUnknownStation is returned by lifecycle calls naming a station that
 	// is not a member of the current epoch.
 	ErrUnknownStation = errors.New("cluster: unknown station")
-	// ErrStationExists is returned by AddStation/AddStationLink when the id
-	// is already a member.
+	// ErrStationExists is returned by New and AddStation when a member id is
+	// already taken.
 	ErrStationExists = errors.New("cluster: station already exists")
 	// ErrNoAliveStations is returned by Place and Rebalance when every
 	// member station is dead — there is nowhere to put (or pull) a copy.

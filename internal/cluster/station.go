@@ -61,20 +61,49 @@ type Station struct {
 	paramEpoch uint64
 
 	// durable, when non-nil, persists every applied batch before its ack is
-	// sent (see NewStoredStation). Nil keeps the pre-persistence behavior:
+	// sent (see NewStation). Nil keeps the pre-persistence behavior:
 	// the resident store lives in this process's memory only.
 	durable store.Store
 }
 
-// NewStation builds a station from its local pattern store. The patterns are
-// copied in, so the caller's map stays the caller's. All-zero patterns are
-// dropped: a person with no measurable activity at the station has no local
-// pattern there (and would otherwise spuriously probe the filters at
-// accumulated value zero).
-func NewStation(id uint32, locals map[core.PersonID]pattern.Pattern, link transport.Link) *Station {
-	s := &Station{id: id, link: link}
-	s.seed(locals)
-	return s
+// NewStation builds a station from its seed patterns and, when st is
+// non-nil, a durable backend. A durable station recovers first (residents
+// plus, when the backend has one that still covers them, the memoized
+// routing digest), then applies and persists the seed on top; restarting a
+// crashed station is NewStation with nil locals over the same backend, and
+// the station owns the store from then on — Serve closes it on exit. A nil
+// st keeps the residents in this process's memory only, and cannot fail.
+//
+// The seed is copied in, so the caller's map stays the caller's. All-zero
+// patterns are dropped: a person with no measurable activity at the station
+// has no local pattern there (and would otherwise spuriously probe the
+// filters at accumulated value zero).
+func NewStation(id uint32, locals map[core.PersonID]pattern.Pattern, link transport.Link, st store.Store) (*Station, error) {
+	s := &Station{id: id, link: link, durable: st}
+	if st != nil {
+		img, err := st.Recover()
+		if err != nil {
+			return nil, fmt.Errorf("station %d: recover: %w", id, err)
+		}
+		s.summary = img.Digest
+		// The image is copied in, not adopted: a backend may go on reading
+		// what it returned, and the station overwrites its rows in place.
+		if err := s.residents.Load(img); err != nil {
+			return nil, fmt.Errorf("station %d: recover: %w", id, err)
+		}
+		if got, want := s.residents.Len(), len(img.Persons); got != want {
+			return nil, fmt.Errorf("station %d: recovered image: %d of %d residents rejected (unsorted, duplicate, all-zero or of a second pattern length)", id, want-got, want)
+		}
+	}
+	if b := s.seed(locals); len(b.Persons) > 0 {
+		s.summary = nil
+		if st != nil {
+			if err := st.Append(b); err != nil {
+				return nil, fmt.Errorf("station %d: persist seed: %w", id, err)
+			}
+		}
+	}
+	return s, nil
 }
 
 // seed upserts locals in person order — sorted first, so the store appends
@@ -94,35 +123,6 @@ func (s *Station) seed(locals map[core.PersonID]pattern.Pattern) store.Batch {
 		}
 	}
 	return b
-}
-
-// NewStoredStation builds a station whose resident store is backed by st:
-// the durable state is recovered first (residents plus, when the backend has
-// one that still covers them, the memoized routing digest), then any seed
-// locals are applied and persisted on top. Restarting a crashed station is
-// NewStoredStation with nil locals over the same backend. The station owns
-// the store from here on — Serve closes it on exit.
-func NewStoredStation(id uint32, locals map[core.PersonID]pattern.Pattern, link transport.Link, st store.Store) (*Station, error) {
-	img, err := st.Recover()
-	if err != nil {
-		return nil, fmt.Errorf("station %d: recover: %w", id, err)
-	}
-	s := &Station{id: id, link: link, summary: img.Digest, durable: st}
-	// The image is copied in, not adopted: a backend may go on reading what
-	// it returned, and the station overwrites its rows in place.
-	if err := s.residents.Load(img); err != nil {
-		return nil, fmt.Errorf("station %d: recover: %w", id, err)
-	}
-	if got, want := s.residents.Len(), len(img.Persons); got != want {
-		return nil, fmt.Errorf("station %d: recovered image: %d of %d residents rejected (unsorted, duplicate, all-zero or of a second pattern length)", id, want-got, want)
-	}
-	if b := s.seed(locals); len(b.Persons) > 0 {
-		if err := st.Append(b); err != nil {
-			return nil, fmt.Errorf("station %d: persist seed: %w", id, err)
-		}
-		s.summary = nil
-	}
-	return s, nil
 }
 
 // ID returns the station identifier.

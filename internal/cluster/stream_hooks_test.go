@@ -9,7 +9,7 @@ import (
 
 func newHooksCluster(t *testing.T, stations []uint32) *Cluster {
 	t.Helper()
-	c, err := NewEmpty(Options{}, stations, 3)
+	c, err := New(Options{}, 3, emptyMembers(stations)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,8 +145,8 @@ func TestVerifyPartialMatchSurvives(t *testing.T) {
 	}
 }
 
-// TestForeignLengthStoreIsSkipped: NewWithLinks does no length handshake, so
-// a link-joined station can serve longer series than the cluster's. Its
+// TestForeignLengthStoreIsSkipped: New does no length handshake with link
+// members, so a link-joined station can serve longer series than the cluster's. Its
 // shipped patterns are outside input: every reader of raw patterns skips
 // them (they cannot satisfy Eq. 2 against a length-3 query) instead of
 // indexing past a global, and the well-formed station's person is found.
@@ -160,7 +160,7 @@ func TestForeignLengthStoreIsSkipped(t *testing.T) {
 		go func() { _ = ServeStation(id, locals, stationEnd) }()
 		links[id] = center
 	}
-	c, err := NewWithLinks(testOptions(), links, 3, nil, nil)
+	c, err := New(testOptions(), 3, linkMembers(links)...)
 	if err != nil {
 		t.Fatal(err)
 	}

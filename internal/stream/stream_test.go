@@ -12,7 +12,6 @@ import (
 	"dimatch/internal/cluster"
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
-	"dimatch/internal/store"
 	"dimatch/internal/store/wal"
 )
 
@@ -25,7 +24,11 @@ func streamOptions() cluster.Options {
 // newStreamCluster stands up an empty in-process cluster.
 func newStreamCluster(t *testing.T, stations []uint32, length int) *cluster.Cluster {
 	t.Helper()
-	c, err := cluster.NewEmpty(streamOptions(), stations, length)
+	members := make([]cluster.Member, len(stations))
+	for i, id := range stations {
+		members[i] = cluster.Member{ID: id}
+	}
+	c, err := cluster.New(streamOptions(), length, members...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -689,11 +692,11 @@ func TestStreamFlushDurable(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	ids := []uint32{1, 2, 3}
-	stores := make(map[uint32]store.Store, len(ids))
-	for _, id := range ids {
-		stores[id] = openWAL(t, dir, id)
+	members := make([]cluster.Member, len(ids))
+	for i, id := range ids {
+		members[i] = cluster.Member{ID: id, Store: openWAL(t, dir, id)}
 	}
-	c, err := cluster.NewStored(streamOptions(), stores, 3)
+	c, err := cluster.New(streamOptions(), 3, members...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,7 +728,7 @@ func TestStreamFlushDurable(t *testing.T) {
 		if err := c.RemoveStation(ctx, id); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.AddStoredStation(ctx, id, nil, openWAL(t, dir, id)); err != nil {
+		if err := c.AddStation(ctx, cluster.Member{ID: id, Store: openWAL(t, dir, id)}); err != nil {
 			t.Fatal(err)
 		}
 	}

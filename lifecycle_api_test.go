@@ -18,7 +18,7 @@ func TestLiveClusterLifecyclePublicAPI(t *testing.T) {
 		0: {10: {1, 2, 3}, 13: {7, 1, 9}},
 		1: {10: {2, 2, 2}, 11: {3, 4, 5}},
 	}
-	c, err := NewCluster(Options{Params: Params{Bits: 1 << 14, Hashes: 4, Samples: 3, Seed: 7}}, data)
+	c, err := NewCluster(Options{Params: Params{Bits: 1 << 14, Hashes: 4, Samples: 3, Seed: 7}}, 3, Members(data)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestLiveClusterLifecyclePublicAPI(t *testing.T) {
 	if err := c.Ingest(ctx, 0, map[PersonID]Pattern{20: {5, 0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddStation(ctx, 2, map[PersonID]Pattern{20: {1, 4, 2}}); err != nil {
+	if err := c.AddStation(ctx, Member{ID: 2, Patterns: map[PersonID]Pattern{20: {1, 4, 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
@@ -125,10 +125,10 @@ func TestLiveClusterLifecyclePublicAPI(t *testing.T) {
 	if err := c.Ingest(ctx, 42, map[PersonID]Pattern{1: {1, 2, 3}}); !errors.Is(err, ErrUnknownStation) {
 		t.Fatalf("err = %v, want ErrUnknownStation", err)
 	}
-	if err := c.AddStation(ctx, 0, nil); !errors.Is(err, ErrStationExists) {
+	if err := c.AddStation(ctx, Member{ID: 0}); !errors.Is(err, ErrStationExists) {
 		t.Fatalf("err = %v, want ErrStationExists", err)
 	}
-	if err := c.AddStation(ctx, 9, map[PersonID]Pattern{1: {1}}); !errors.Is(err, ErrLengthMismatch) {
+	if err := c.AddStation(ctx, Member{ID: 9, Patterns: map[PersonID]Pattern{1: {1}}}); !errors.Is(err, ErrLengthMismatch) {
 		t.Fatalf("err = %v, want ErrLengthMismatch", err)
 	}
 }

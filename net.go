@@ -1,8 +1,6 @@
 package dimatch
 
 import (
-	"context"
-
 	"dimatch/internal/cluster"
 	"dimatch/internal/transport"
 )
@@ -33,37 +31,23 @@ func Dial(addr string, sendMeter, recvMeter *Meter) (Link, error) {
 	return transport.Dial(addr, sendMeter, recvMeter)
 }
 
-// NewClusterWithLinks builds a data center over externally established
-// links (one per remote station) sharing the given pattern length. The
-// meters, if non-nil, should be the ones the links record into so they
-// reflect aggregate link traffic (per-search CostReports are tallied
-// independently). The cluster takes ownership of the links — each is
-// wrapped in a request mux so concurrent searches can share it — and the
-// caller must not use them afterwards.
-func NewClusterWithLinks(opts Options, links map[uint32]Link, patternLength int, downMeter, upMeter *Meter) (*Cluster, error) {
-	inner, err := cluster.NewWithLinks(opts, links, patternLength, downMeter, upMeter)
-	if err != nil {
-		return nil, err
+// NewClusterWithLinks is NewCluster over one link Member per entry of links.
+// It exists only for the benchmark/ harness, which calls it; everything else
+// passes link Members to NewCluster. The meters are not used: the links
+// already record into whatever meters they were made with.
+func NewClusterWithLinks(opts Options, links map[uint32]Link, patternLength int, _, _ *Meter) (*Cluster, error) {
+	members := make([]Member, 0, len(links))
+	for id, link := range links {
+		members = append(members, Member{ID: id, Link: link})
 	}
-	inner.Start()
-	return &Cluster{inner: inner}, nil
+	return NewCluster(opts, patternLength, members...)
 }
 
-// AddStationLink grows a running cluster with a remote station reachable
-// over an established link (e.g. an accepted TCP connection). The cluster
-// takes ownership of the link immediately — it is wrapped in a request mux
-// and closed if the join fails. Joining performs a stats handshake: the
-// station must answer, and if it already holds patterns their length must
-// match the cluster's (ErrLengthMismatch otherwise).
-func (c *Cluster) AddStationLink(ctx context.Context, id uint32, link Link) error {
-	return c.inner.AddStationLink(ctx, id, link)
-}
-
-// ServeStation runs a base station loop over an established link until the
-// center sends a shutdown or the link closes — the body of a remote station
-// process.
+// ServeStation runs a memory-only base station over an established link
+// until the center sends a shutdown or the link closes — the body of a
+// remote station process.
 func ServeStation(id uint32, locals map[PersonID]Pattern, link Link) error {
-	return cluster.ServeStation(id, locals, link)
+	return ServeStoredStation(id, locals, link, nil)
 }
 
 // ServeRegion runs a region coordinator over an established link until the

@@ -83,15 +83,15 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	// The accept loop assigned sequential keys in accept order; remap to
 	// real station ids by dial order (deterministic here because dials are
 	// sequential).
-	links := make(map[uint32]Link, len(accepted))
+	members := make([]Member, len(sorted))
 	for i, id := range sorted {
-		links[id] = accepted[uint32(i)]
+		members[i] = Member{ID: id, Link: accepted[uint32(i)]}
 	}
 
-	c, err := NewClusterWithLinks(Options{
+	c, err := NewCluster(Options{
 		Params:   Params{Samples: 8, Epsilon: 1, Seed: 42, PositionSalted: true},
 		MinScore: 0.9,
-	}, links, city.Length(), &downMeter, &upMeter)
+	}, city.Length(), members...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 
 	// The cluster grows over live TCP: a brand-new person's first half is
 	// ingested into an existing station while a new station dials in with
-	// the second half and joins via AddStationLink.
+	// the second half and joins as a link member.
 	length := city.Length()
 	h1, h2 := make(Pattern, length), make(Pattern, length)
 	for i := 0; i < length; i++ {
@@ -159,7 +159,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddStationLink(context.Background(), 1000, centerEnd); err != nil {
+	if err := c.AddStation(context.Background(), Member{ID: 1000, Link: centerEnd}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -22,7 +22,7 @@ func TestConcurrentSearchesPublicAPI(t *testing.T) {
 	c, err := NewCluster(Options{
 		Params:   Params{Samples: 8, Epsilon: 1, Seed: 42, PositionSalted: true},
 		MinScore: 0.9,
-	}, StationData(city))
+	}, city.Length(), Members(StationData(city))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSearchCancelledContextPublicAPI(t *testing.T) {
 	}
 	c, err := NewCluster(Options{
 		Params: Params{Samples: 8, Epsilon: 1, Seed: 7, PositionSalted: true},
-	}, StationData(city))
+	}, city.Length(), Members(StationData(city))...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package dimatch
 
 import (
-	"context"
-
 	"dimatch/internal/cluster"
 	"dimatch/internal/store"
 	"dimatch/internal/store/wal"
@@ -35,32 +33,15 @@ func NewMemoryStore() Store { return store.NewMemory() }
 // tail from the crash is truncated away.
 func OpenWALStore(dir string, opts WALOptions) (Store, error) { return wal.Open(dir, opts) }
 
-// NewStoredCluster builds an in-process cluster of durable stations, one per
-// store. Each station recovers its residents (and memoized routing digest)
-// from its backend before joining, so booting over non-empty stores is a
-// restart, not a cold start.
-func NewStoredCluster(opts Options, stations map[uint32]Store, patternLength int) (*Cluster, error) {
-	inner, err := cluster.NewStored(opts, stations, patternLength)
-	if err != nil {
-		return nil, err
-	}
-	inner.Start()
-	return &Cluster{inner: inner}, nil
-}
-
-// AddStoredStation grows a running cluster with an in-process durable
-// station — the rejoin path of a restarted station: recover from the store,
-// join, and let the heal pass re-replicate only the delta the station missed
-// while down. Seed locals (optional, usually nil on a rejoin) are persisted
-// through the store like any ingest.
-func (c *Cluster) AddStoredStation(ctx context.Context, id uint32, locals map[PersonID]Pattern, st Store) error {
-	return c.inner.AddStoredStation(ctx, id, locals, st)
-}
-
-// ServeStoredStation runs a durable base station over an established link
-// until the center sends a shutdown or the link closes — the body of a
-// remote station process started with di-cluster -role station -store wal.
-// The station owns the store and closes it when the loop exits.
+// ServeStoredStation runs a base station over an established link until the
+// center sends a shutdown or the link closes — the body of a remote station
+// process started with di-cluster -role station -store wal. The station
+// recovers from st first and owns it from then on, closing it when the loop
+// exits; a nil st keeps the residents in memory only.
 func ServeStoredStation(id uint32, locals map[PersonID]Pattern, link Link, st Store) error {
-	return cluster.ServeStoredStation(id, locals, link, st)
+	s, err := cluster.NewStation(id, locals, link, st)
+	if err != nil {
+		return err
+	}
+	return s.Serve()
 }
