@@ -48,6 +48,9 @@ func FromParts(words []uint64, m uint64, k int, seed uint64, n uint64) (*Filter,
 	if k <= 0 || k > maxWireK {
 		return nil, fmt.Errorf("bloom: k = %d, want 1..%d", k, maxWireK)
 	}
+	if m == 0 {
+		return nil, fmt.Errorf("bloom: m = 0, want > 0")
+	}
 	bits, err := bitset.FromWords(words, m)
 	if err != nil {
 		return nil, fmt.Errorf("bloom: %w", err)

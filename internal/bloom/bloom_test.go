@@ -120,6 +120,11 @@ func TestFromPartsValidation(t *testing.T) {
 	if _, err := FromParts([]uint64{0}, 64, 0, 1, 0); err == nil {
 		t.Fatal("expected k error")
 	}
+	// A frame declaring zero bits and no words is an error, not a panic in
+	// the hash family.
+	if _, err := FromParts(nil, 0, 3, 1, 0); err == nil {
+		t.Fatal("expected m error")
+	}
 }
 
 func TestOptimalParams(t *testing.T) {

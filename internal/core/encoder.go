@@ -64,33 +64,31 @@ func (e *Encoder) AddQuery(q Query) error {
 	}
 	e.queries[q.ID] = true
 
-	global, err := q.Global()
-	if err != nil {
-		return err
-	}
-	denom := global.Sum()
-	return q.EachCombination(func(mask pattern.Subset, num int64, combined pattern.Pattern) error {
-		f := e.filter
-		id := uint64(len(f.weights))
-		f.weights = append(f.weights, WeightEntry{
-			Query:       q.ID,
-			Mask:        mask,
-			Numerator:   num,
-			Denominator: denom,
-		})
-		return e.forEachBand(combined, func(slot int, lo, hi int64) {
+	f := e.filter
+	first := len(f.weights)
+	f.weights = WeightRows(f.weights, q.ID, q.localSums())
+	for id := first; id < len(f.weights); id++ {
+		combined, err := pattern.Combine(q.Locals, f.weights[id].Mask)
+		if err != nil {
+			return err
+		}
+		err = e.forEachBand(combined, func(slot int, lo, hi int64) {
 			if s := f.keys.space(slot); lo <= hi {
 				e.lows[s], e.ends[s] = append(e.lows[s], lo), append(e.ends[s], hi+1)
 			}
 			for u := lo; u <= hi; u++ {
 				var buf [16]uint64
 				for _, bit := range f.family.Indexes(f.keys.key(slot, u), buf[:0]) {
-					e.pairs = append(e.pairs, bit<<32|id)
+					e.pairs = append(e.pairs, bit<<32|uint64(id))
 				}
 				f.inserted++
 			}
 		})
-	})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // forEachBand accumulates p, samples it and yields the tolerance band of

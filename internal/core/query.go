@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"dimatch/internal/pattern"
 )
@@ -68,32 +69,60 @@ func (q Query) Length() int {
 	return len(q.Locals[0])
 }
 
-// EachCombination is Algorithm 1's combination walk, stated once for the
-// encoders and the routing probe: it yields every non-empty subset of the
-// query's locals in increasing mask order with its weight numerator and
-// combined (element-wise summed) pattern, and stops at the first error yield
-// returns. Zero-numerator combinations (e.g. a local with no activity) are
-// skipped: they carry weight 0, so hashing one would let empty candidate
-// patterns match and probing for one would admit stations nobody can ask
-// about.
-func (q Query) EachCombination(yield func(mask pattern.Subset, numerator int64, combined pattern.Pattern) error) error {
-	subsets, err := pattern.EnumerateSubsets(len(q.Locals))
-	if err != nil {
-		return err
+// WeightRows appends to dst the weight-table rows of query id, whose locals
+// have the value sums sums: one row per non-empty subset mask of the locals,
+// in increasing mask order, with the subset's summed values as numerator and
+// all locals' as denominator. Zero-numerator combinations (e.g. a local with
+// no activity) get no row: they carry weight 0, so hashing one would let
+// empty candidate patterns match and probing for one would admit stations
+// nobody can ask about. Of the 2^e − 1 subsets of e locals, z of them with
+// zero sums, that leaves 2^e − 2^z rows.
+//
+// This is Algorithm 1's table stated once: the encoder builds a filter's rows
+// with it, and the wire decoder rebuilds them from the sums a query frame
+// carries. The sums must be non-negative, at most pattern.MaxLocals of them,
+// with a total that fits an int64.
+func WeightRows(dst []WeightEntry, id QueryID, sums []int64) []WeightEntry {
+	var total int64
+	for _, s := range sums {
+		total += s
 	}
-	for _, mask := range subsets {
-		num, err := pattern.WeightNumerator(q.Locals, mask)
+	for mask := pattern.Subset(1); mask < 1<<len(sums); mask++ {
+		var num int64
+		for m := uint32(mask); m != 0; m &= m - 1 {
+			num += sums[bits.TrailingZeros32(m)]
+		}
+		if num != 0 {
+			dst = append(dst, WeightEntry{Query: id, Mask: mask, Numerator: num, Denominator: total})
+		}
+	}
+	return dst
+}
+
+// localSums returns each local's value sum, the weight numerator of the
+// subset holding it alone.
+func (q Query) localSums() []int64 {
+	sums := make([]int64, len(q.Locals))
+	for j, l := range q.Locals {
+		sums[j] = l.Sum()
+	}
+	return sums
+}
+
+// EachCombination is Algorithm 1's combination walk, stated once for the
+// encoders and the routing probe: it yields every combination WeightRows
+// gives a row, in the same order, with its weight numerator and combined
+// (element-wise summed) pattern, and stops at the first error yield returns.
+func (q Query) EachCombination(yield func(mask pattern.Subset, numerator int64, combined pattern.Pattern) error) error {
+	if len(q.Locals) == 0 || len(q.Locals) > pattern.MaxLocals {
+		return fmt.Errorf("core: query %d has %d locals, want 1..%d", q.ID, len(q.Locals), pattern.MaxLocals)
+	}
+	for _, row := range WeightRows(nil, q.ID, q.localSums()) {
+		combined, err := pattern.Combine(q.Locals, row.Mask)
 		if err != nil {
 			return err
 		}
-		if num == 0 {
-			continue
-		}
-		combined, err := pattern.Combine(q.Locals, mask)
-		if err != nil {
-			return err
-		}
-		if err := yield(mask, num, combined); err != nil {
+		if err := yield(row.Mask, row.Numerator, combined); err != nil {
 			return err
 		}
 	}

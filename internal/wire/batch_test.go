@@ -52,6 +52,29 @@ func TestBatchQueryEncodeErrors(t *testing.T) {
 	if _, err := EncodeBatchQuery(BatchQuery{Queries: big, Filter: f}); !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("oversized batch: %v", err)
 	}
+	if _, err := EncodeBatchQuery(BatchQuery{Queries: []core.QueryID{1, 7, 9}, Filter: f}); !errors.Is(err, ErrBatchMismatch) {
+		t.Fatalf("declared query the filter lacks: %v", err)
+	}
+
+	// Tables that cannot travel as local sums: a row whose denominator is not
+	// its query's total, a mask wider than MaxLocals, a negative sum, and
+	// rows no pointer list names (three rows, one pointer).
+	p := core.Params{Bits: 64, Hashes: 1, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5}
+	for name, weights := range map[string][]core.WeightEntry{
+		"foreign denominator": {{Query: 1, Mask: 1, Numerator: 1, Denominator: 5}},
+		"mask past MaxLocals": {{Query: 1, Mask: 1 << 21, Numerator: 1, Denominator: 1}},
+		"negative sum":        {{Query: 1, Mask: 1, Numerator: -1, Denominator: -1}},
+		"unpointed row":       core.WeightRows(nil, 1, []int64{1, 2}),
+	} {
+		// One set bit, carrying the one list [0].
+		g, err := core.FromParts(p, 2, []uint32{3}, weights, []uint32{0, 1}, []core.WeightID{0}, []uint32{0}, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := EncodeBatchQuery(BatchQuery{Queries: []core.QueryID{1}, Filter: g}); !errors.Is(err, ErrBadWeight) {
+			t.Errorf("%s: err = %v, want ErrBadWeight", name, err)
+		}
+	}
 }
 
 // TestBatchQueryDecodeCorrupt drives corrupt and hostile payloads through
@@ -92,22 +115,28 @@ func TestBatchQueryDecodeCorrupt(t *testing.T) {
 	t.Run("duplicate id", func(t *testing.T) {
 		var w writer
 		w.uvarint(2)
-		w.uvarint(3) // id 3
-		w.uvarint(0) // delta 0: duplicate
+		for range 2 {
+			w.uvarint(3) // id 3, one local summing to 1
+			w.uvarint(1)
+			w.uvarint(1)
+		}
 		_, err := DecodeBatchQuery(Message{Kind: KindBatchQuery, Payload: w.buf})
 		if !errors.Is(err, ErrBatchMismatch) {
 			t.Fatalf("err = %v, want ErrBatchMismatch", err)
 		}
 	})
 	t.Run("undeclared weight query", func(t *testing.T) {
-		// Re-declare only query 1 in front of a filter that encodes 1 and 7.
+		// Declare only query 1's block in front of a filter whose pointers
+		// also name query 7's row: the table the block derives has no such
+		// row.
 		var w writer
 		w.uvarint(1)
-		w.uvarint(1)
+		if _, err := writeQueries(&w, f.Weights()[:3], nil); err != nil {
+			t.Fatal(err)
+		}
 		writeFilter(&w, f)
-		_, err := DecodeBatchQuery(Message{Kind: KindBatchQuery, Payload: w.buf})
-		if !errors.Is(err, ErrBatchMismatch) {
-			t.Fatalf("err = %v, want ErrBatchMismatch", err)
+		if _, err := DecodeBatchQuery(Message{Kind: KindBatchQuery, Payload: w.buf}); err == nil {
+			t.Fatal("a pointer to an undeclared query's row was accepted")
 		}
 	})
 	t.Run("truncations", func(t *testing.T) {

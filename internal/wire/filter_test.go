@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -76,12 +77,15 @@ func frameShapes(t testing.TB) []frameShape {
 
 // TestFilterFrameSizes pins each shape's payload to the byte, holds it
 // within 3 % of frameModel's prediction, and holds each filter to the sizing
-// target: an absent value probes present with probability at most 1 %.
-// Version 11 sent the memory-sized bit array word by word (433, 512 and
-// 4 895 B for these three filters); version 9 sent a delta-coded index and a
-// pointer list per set bit (5 331, 1 111 and 11 493 B).
+// target: an absent value probes present with probability at most 1 %. A
+// decoded filter must equal the encoder's in every array and weight field
+// and re-encode byte for byte. Version 12 sent the weight rows and the
+// dictionary as varints (371, 193 and 2 041 B for these three filters);
+// version 11 the memory-sized bit array word by word (433, 512 and 4 895 B);
+// version 9 a delta-coded index and a pointer list per set bit (5 331, 1 111
+// and 11 493 B).
 func TestFilterFrameSizes(t *testing.T) {
-	want := map[string]int{"point": 371, "city": 193, "batch16": 2041}
+	want := map[string]int{"point": 359, "city": 121, "batch16": 1121}
 	for _, s := range frameShapes(t) {
 		m, err := EncodeBatchQuery(s.batch)
 		if err != nil {
@@ -105,6 +109,9 @@ func TestFilterFrameSizes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
+		if !sameFilter(got.Filter, f) || !slices.Equal(got.Queries, s.batch.Queries) {
+			t.Errorf("%s: the decoded filter or its queries differ from the encoder's", s.name)
+		}
 		again, err := EncodeBatchQuery(got)
 		if err != nil || !bytes.Equal(again.Payload, m.Payload) {
 			t.Errorf("%s: a decoded filter re-encodes to different bytes (err %v)", s.name, err)
@@ -112,42 +119,64 @@ func TestFilterFrameSizes(t *testing.T) {
 	}
 }
 
-// frameModel predicts a batch-query payload in bytes. The query IDs, params,
-// weight table and dictionary are counted from the filter's arrays. The bit
-// stream is the closed form: s set bits of m, each a Rice code with parameter
-// r plus a w-bit list code. Gaps between s random bits of m are geometric,
-// P(gap ≥ g) = (1 − s/m)^g, so a gap's Rice quotient has mean x/(1 − x) with
-// x = (1 − s/m)^(2^r), and a set bit costs r + 1 + x/(1 − x) + w bits.
+// sameFilter reports whether two filters hold the same parameters, set
+// bits, codes, dictionary and weight rows, Mask and Denominator included.
+func sameFilter(a, b *core.Filter) bool {
+	ac, ao, ai := a.Lists()
+	bc, bo, bi := b.Lists()
+	return a.Params() == b.Params() && a.Length() == b.Length() && a.Inserted() == b.Inserted() &&
+		slices.Equal(a.Positions(), b.Positions()) && slices.Equal(ac, bc) && slices.Equal(ao, bo) &&
+		slices.Equal(ai, bi) && slices.Equal(a.Weights(), b.Weights())
+}
+
+// riceBits is the length of v's Rice code with parameter r.
+func riceBits(v uint64, r uint) float64 { return float64(v>>r + 1 + uint64(r)) }
+
+// frameModel predicts a batch-query payload in bytes. The query blocks,
+// params and counts are varints counted from the filter, and the
+// dictionary's Rice codes from its lists. The set bits are the closed form:
+// s set bits of m, each a Rice code with parameter r plus a w-bit list code.
+// Gaps between s random bits of m are geometric, P(gap ≥ g) = (1 − s/m)^g,
+// so a gap's Rice quotient has mean x/(1 − x) with x = (1 − s/m)^(2^r), and
+// a set bit costs r + 1 + x/(1 − x) + w bits.
 func frameModel(b BatchQuery) float64 {
 	f := b.Filter
 	p := f.Params()
 	codes, offs, ids := f.Lists()
+	weights := f.Weights()
 	n := uvarintLen(uint64(len(b.Queries)))
-	prev := uint64(0)
-	for _, q := range b.Queries {
-		n += uvarintLen(uint64(q) - prev)
-		prev = uint64(q)
+	for i, j := 0, 0; i < len(weights); i = j {
+		for j = i; j < len(weights) && weights[j].Query == weights[i].Query; j++ {
+		}
+		// A block: the ID, e (the full mask's width) and e sums, a zero sum a
+		// byte and any other the numerator of its local's own row.
+		e := bits.Len32(uint32(weights[j-1].Mask))
+		n += uvarintLen(uint64(weights[i].Query)) + uvarintLen(uint64(e)) + e
+		for _, row := range weights[i:j] {
+			if row.Mask&(row.Mask-1) == 0 {
+				n += uvarintLen(uint64(row.Numerator)) - 1
+			}
+		}
 	}
-	n += 8 + uvarintLen(uint64(p.Hashes)) + uvarintLen(uint64(p.Samples)) + uvarintLen(uint64(p.Epsilon)) + 1 + 8 + 1
-	n += uvarintLen(uint64(f.Length())) + uvarintLen(f.Inserted()) + uvarintLen(uint64(len(codes)))
-	n += uvarintLen(uint64(len(f.Weights())))
-	for _, e := range f.Weights() {
-		n += uvarintLen(uint64(e.Query)) + uvarintLen(uint64(e.Mask)) + uvarintLen(uint64(e.Numerator)) + uvarintLen(uint64(e.Denominator))
-	}
-	n += uvarintLen(uint64(len(offs) - 1))
+	n += uvarintLen(p.Bits) + uvarintLen(uint64(p.Hashes)) + uvarintLen(uint64(p.Samples)) + uvarintLen(uint64(p.Epsilon)) + 1 + 8 + 1
+	n += uvarintLen(uint64(f.Length())) + uvarintLen(f.Inserted())
+	n += uvarintLen(uint64(len(codes))) + uvarintLen(uint64(len(offs)-1)) + uvarintLen(uint64(len(ids)))
+
+	lenRice, idRice := dictRice(uint64(len(weights)), uint64(len(offs)-1), uint64(len(ids)))
+	stream := 0.0
 	for d := 0; d+1 < len(offs); d++ {
-		n += uvarintLen(uint64(offs[d+1] - offs[d]))
-		prev := uint64(0)
+		stream += riceBits(uint64(offs[d+1]-offs[d]-1), lenRice)
+		next := uint64(0)
 		for _, id := range ids[offs[d]:offs[d+1]] {
-			n += uvarintLen(uint64(id) - prev)
-			prev = uint64(id)
+			stream += riceBits(uint64(id)-next, idRice)
+			next = uint64(id) + 1
 		}
 	}
 	s, m := float64(len(codes)), float64(p.Bits)
 	r := core.RiceParam(p.Bits, uint64(len(codes)))
 	x := math.Pow(1-s/m, math.Exp2(float64(r)))
-	perBit := float64(r) + 1 + x/(1-x) + float64(codeWidth(len(offs)-1))
-	return float64(n) + s*perBit/8
+	stream += s * (float64(r) + 1 + x/(1-x) + float64(codeWidth(len(offs)-1)))
+	return float64(n) + stream/8
 }
 
 // TestWorkedBatchQueryHex pins the docs/WIRE.md worked batch-query frame to
@@ -170,29 +199,57 @@ func TestWorkedBatchQueryHex(t *testing.T) {
 }
 
 // rawFilter is a batch-query payload spelled field by field, so a test can
-// state any one of them wrongly. The zero mutation is a valid filter: 64
-// bits with 1, 20 and 50 set, weight rows 1/3 and 2/3 of query 1, dictionary
-// lists [0] and [0 1], and the set bits carrying lists 0, 1, 1.
+// state any one of them wrongly. The zero mutation is a valid filter: query
+// 1 with two locals summing to 1 and 2 (weight rows 1/3, 2/3 and 3/3), 64
+// bits with 1, 20 and 50 set, dictionary lists [0] and [1 2], and the set
+// bits carrying lists 0, 1, 1.
 type rawFilter struct {
-	bits      uint64
-	setCount  uint64
-	rowCount  uint64
-	rows      [][4]uint64 // Query, Mask, Numerator, Denominator
-	listCount uint64
-	lens      []uint64
-	deltas    []uint64 // every list's delta-coded pointers, concatenated
-	stream    []byte   // per set bit its Rice-coded gap, then its list code
+	bits     uint64
+	setCount uint64
+	blocks   [][]uint64 // per query: ID, local count, the locals' sums
+	lists    uint64
+	pointers uint64
+	stream   []byte // the dictionary, then per set bit its Rice-coded gap and list code
 }
 
-// validRawFilter's stream, low bit first, with r = RiceParam(64, 3) = 3 and
-// 1-bit codes: gap 1 is 0|001, code 0; gap 18 is 110|010, code 1; gap 29 is
-// 1110|101, code 1; then four zero pad bits.
+// The valid stream, in the order its bits are written (bitsOf packs it).
+// The dictionary codes lengths less one and ID gaps both with r = 0
+// (RiceParam(3−2, 2) and RiceParam(2·3, 3)): list 0 is length 0 and ID 0;
+// list 1 is length 1, then ID 1 as gap 1 and ID 2 as gap 0. The set bits
+// take r = RiceParam(64, 3) = 3, each gap's quotient in unary, a 0, its low
+// three bits low first, and then a 1-bit code: gap 1 and code 0, gap 18 and
+// code 1, gap 29 and code 1. Five zero pad bits follow.
+const (
+	validDict    = "0 0   10 10 0"
+	validSetBits = "0 100 0   110 010 1   1110 101 1"
+)
+
+// bitsOf packs a bit string, written first bit first, low bit first into
+// bytes; spaces are skipped and pad bits are zero.
+func bitsOf(s string) []byte {
+	var out []byte
+	n := 0
+	for _, c := range s {
+		if c == ' ' {
+			continue
+		}
+		if n%8 == 0 {
+			out = append(out, 0)
+		}
+		if c == '1' {
+			out[n/8] |= 1 << (n % 8)
+		}
+		n++
+	}
+	return out
+}
+
 func validRawFilter() rawFilter {
 	return rawFilter{
 		bits: 64, setCount: 3,
-		rowCount: 2, rows: [][4]uint64{{1, 1, 1, 3}, {1, 2, 2, 3}},
-		listCount: 2, lens: []uint64{1, 2}, deltas: []uint64{0, 0, 1},
-		stream: []byte{0x62, 0x7a, 0x0d},
+		blocks: [][]uint64{{1, 2, 1, 2}},
+		lists:  2, pointers: 3,
+		stream: bitsOf(validDict + validSetBits),
 	}
 }
 
@@ -201,28 +258,24 @@ func validRawFilter() rawFilter {
 // No array may be sized by its Bits.
 func maxBitsFilter() rawFilter {
 	f := validRawFilter()
-	f.bits, f.setCount, f.stream = core.MaxBits, 1, []byte{0xfd, 0xff, 0xff, 0xff, 0x01}
+	f.bits, f.setCount, f.stream = core.MaxBits, 1, bitsOf(validDict+"10"+strings.Repeat("1", 31)+"0")
 	return f
 }
 
 func (f rawFilter) payload() []byte {
 	var w writer
-	w.uvarint(1) // one query,
-	w.uvarint(1) // ID 1
+	w.uvarint(uint64(len(f.blocks)))
+	for _, block := range f.blocks {
+		for _, v := range block {
+			w.uvarint(v)
+		}
+	}
 	writeParams(&w, core.Params{Bits: f.bits, Hashes: 1, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5})
 	w.uvarint(2) // pattern length
 	w.uvarint(2) // inserted
 	w.uvarint(f.setCount)
-	w.uvarint(f.rowCount)
-	for _, row := range f.rows {
-		for _, v := range row {
-			w.uvarint(v)
-		}
-	}
-	w.uvarint(f.listCount)
-	for _, v := range append(append([]uint64(nil), f.lens...), f.deltas...) {
-		w.uvarint(v)
-	}
+	w.uvarint(f.lists)
+	w.uvarint(f.pointers)
 	w.buf = append(w.buf, f.stream...)
 	return w.buf
 }
@@ -245,28 +298,45 @@ func hostileFilters() []hostileFilter {
 		{"set count beyond the payload", func(f *rawFilter) { f.setCount = 1 << 30 }, ErrTruncated, ""},
 		{"set count beyond Bits", func(f *rawFilter) { f.bits, f.setCount = 2, 3 }, ErrTruncated, ""},
 		{"bit set beyond Bits", func(f *rawFilter) { f.bits = 50 }, nil, "beyond the filter's 50 bits"},
-		{"set bits without codes", func(f *rawFilter) { f.stream = f.stream[:2] }, nil, "short buffer"},
-		{"truncated unary run", func(f *rawFilter) { f.stream = []byte{0x62, 0xff} }, nil, "short buffer"},
+		{"set bits without codes", func(f *rawFilter) { f.stream = f.stream[:3] }, nil, "short buffer"},
+		{"truncated unary run", func(f *rawFilter) { f.stream = bitsOf(validDict + "0 100 0   110 010 1   11111") }, nil, "short buffer"},
 		{"codes without set bits", func(f *rawFilter) { f.stream = append(f.stream, 0) }, nil, "trailing"},
 		{"code beyond the dictionary", func(f *rawFilter) {
-			f.listCount, f.lens, f.deltas, f.stream = 3, []uint64{1, 2, 1}, []uint64{0, 0, 1, 1}, []byte{0xc2, 0xd4, 0x75}
+			// A third list, [2], makes the codes two bits wide; the last set
+			// bit names list 3.
+			f.lists, f.pointers = 3, 4
+			f.stream = bitsOf("0 0   10 10 0   0 110   0 100 00   110 010 10   1110 101 11")
 		}, nil, "dictionary lists"},
 		{"no dictionary under set bits", func(f *rawFilter) {
-			f.listCount, f.lens, f.deltas, f.stream = 0, nil, nil, []byte{0x32, 0x5d, 0x01}
-		}, nil, "dictionary lists"},
-		{"empty list", func(f *rawFilter) { f.lens, f.deltas = []uint64{0, 2}, []uint64{0, 1} }, nil, "empty or overruns"},
-		{"repeated pointer", func(f *rawFilter) { f.deltas[2] = 0 }, nil, "unsorted pointer list"},
-		{"pointer beyond the weight table", func(f *rawFilter) { f.deltas[2] = 5 }, nil, "dangling weight pointer"},
-		{"nonzero pad bits", func(f *rawFilter) { f.stream[2] |= 1 << 5 }, nil, "pad bits"},
-		{"weight count beyond the payload", func(f *rawFilter) { f.rowCount = 1 << 30 }, nil, "implausible"},
-		{"list count beyond the payload", func(f *rawFilter) { f.listCount = 1 << 30 }, nil, "implausible"},
-		{"list length beyond the payload", func(f *rawFilter) { f.lens[1] = 1 << 30 }, nil, "implausible"},
-		{"list lengths beyond the payload together", func(f *rawFilter) { f.lens = []uint64{3, 3} }, nil, "remaining bytes"},
-		{"numerator wraps negative", func(f *rawFilter) { f.rows[0][2] = 1 << 63 }, ErrBadWeight, ""},
-		{"denominator wraps negative", func(f *rawFilter) { f.rows[0][3] = math.MaxUint64 }, ErrBadWeight, ""},
-		{"zero denominator", func(f *rawFilter) { f.rows[0][2], f.rows[0][3] = 0, 0 }, ErrBadWeight, ""},
-		{"zero numerator", func(f *rawFilter) { f.rows[0][2] = 0 }, ErrBadWeight, ""},
-		{"weight above one", func(f *rawFilter) { f.rows[0][2] = 4 }, ErrBadWeight, ""},
+			f.lists, f.stream = 0, bitsOf(validSetBits)
+		}, nil, "hold 0 of the 3 pointers"},
+		{"empty list", func(f *rawFilter) { f.lists = 4 }, nil, "a list is empty"},
+		{"pointer beyond the weight table", func(f *rawFilter) {
+			f.stream = bitsOf("0 0   10 10 10" + validSetBits) // list 1 is [1 3]
+		}, nil, "points past the 3 weight rows"},
+		{"nonzero pad bits", func(f *rawFilter) { f.stream[3] |= 1 << 5 }, nil, "pad bits"},
+		{"weight count beyond the payload", func(f *rawFilter) {
+			// Twenty locals declare 2²⁰ − 1 rows in 22 bytes.
+			block := []uint64{1, 20}
+			for range 20 {
+				block = append(block, 1)
+			}
+			f.blocks = [][]uint64{block}
+		}, nil, "implausible"},
+		{"list count beyond the payload", func(f *rawFilter) { f.lists = 1 << 30 }, nil, "a list is empty"},
+		{"list length beyond the payload", func(f *rawFilter) {
+			f.stream = bitsOf("111110" + validSetBits) // list 0 of six pointers
+		}, nil, "longer than the 2 pointers left"},
+		{"list lengths beyond the payload together", func(f *rawFilter) { f.pointers = 1 << 30 }, ErrTruncated, "remaining bytes"},
+		{"lists short of the pointers", func(f *rawFilter) { f.pointers = 4 }, nil, "hold 3 of the 4 pointers"},
+		{"numerator wraps negative", func(f *rawFilter) { f.blocks[0][2] = 1 << 63 }, ErrBadWeight, ""},
+		{"denominator wraps negative", func(f *rawFilter) { f.blocks[0][2] = math.MaxInt64 }, ErrBadWeight, ""},
+		{"zero denominator", func(f *rawFilter) { f.blocks[0][2], f.blocks[0][3] = 0, 0 }, ErrBadWeight, ""},
+		{"zero numerator", func(f *rawFilter) { f.blocks[0] = []uint64{1, 1, 0} }, ErrBadWeight, ""},
+		{"no locals", func(f *rawFilter) { f.blocks[0] = []uint64{1, 0} }, nil, "declares 0 locals"},
+		{"locals beyond MaxLocals", func(f *rawFilter) { f.blocks[0] = []uint64{1, 21} }, nil, "declares 21 locals"},
+		{"query ID above 32 bits", func(f *rawFilter) { f.blocks[0][0] = 1<<32 + 1 }, nil, "overflows 32 bits"},
+		{"duplicate query ID", func(f *rawFilter) { f.blocks = append(f.blocks, []uint64{1, 1, 4}) }, ErrBatchMismatch, ""},
 	}
 }
 

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"math"
+	"math/rand"
 	"testing"
 
 	"dimatch/internal/core"
@@ -16,35 +18,35 @@ import (
 // immediately explores the interesting corrupt-field space instead of
 // rediscovering the magic number.
 const (
-	workedBatchQueryHex = "a7d10c0e2a000000" + "25000000" +
-		"0101400000000000000002020001050000000000000000" +
-		"020204" + "0101010303" + "010100" + "07991c"
-	workedSummaryReplyHex = "a7d10c132a000000" + "1e000000" +
+	workedBatchQueryHex = "a7d10d0e2a000000" + "1a000000" +
+		"01" + "010103" + "4002020001050000000000000000" +
+		"0202040101" + "1c6472"
+	workedSummaryReplyHex = "a7d10d132a000000" + "1e000000" +
 		"030201719a3d0cbfe5a75140000000000000000702" +
 		"010119402202542008"
 	// A KindRouteQuery delegating a one-query round (auto-sized params,
 	// summary routing) and the region's KindRouteReply carrying one raw partial
 	// result.
-	workedRouteQueryHex = "a7d10c142a000000" + "2c000000" +
+	workedRouteQueryHex = "a7d10d142a000000" + "25000000" +
 		"01070204020400020400020204" +
-		"000000000000000000000000000000000000000000" +
+		"0000000000000000000000000000" +
 		"7b14ae47e17a843f" + "0000"
-	workedRouteReplyHex = "a7d10c152a000000" + "0c000000" +
+	workedRouteReplyHex = "a7d10d152a000000" + "0c000000" +
 		"030502010001" + "010709181801"
 	// A KindParamUpdate installing a three-group adaptive plan at epoch 2.
-	workedParamUpdateHex = "a7d10c162a000000" + "1b000000" +
+	workedParamUpdateHex = "a7d10d162a000000" + "1b000000" +
 		"020000000000000001" + "1704000000000000" + "03" +
 		"020501" + "030604" + "040710"
 	// A KindBatchReply of three reports on two pointer lists.
-	workedBatchReplyHex = "a7d10c0f2a000000" + "0c000000" +
-		"030203" + "0200020a05" + "05010407"
+	workedBatchReplyHex = "a7d10d0f2a000000" + "0c000000" +
+		"030203" + "0200020f" + "05010407" + "13"
 )
 
 // addRetiredSeeds seeds a frame fuzzer with copies of frame re-stamped with
 // each version byte earlier builds used (plus the next unassigned one) and
 // each retired kind byte — all of which must be rejected at the header.
 func addRetiredSeeds(f *testing.F, frame []byte) {
-	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13} {
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14} {
 		bad := append([]byte(nil), frame...)
 		bad[2] = v
 		f.Add(bad)
@@ -163,6 +165,15 @@ func FuzzDecodePayload(f *testing.F) {
 	for _, tt := range hostileReplies() {
 		f.Add(uint8(KindBatchReply)-1, tt.payload())
 	}
+	// Every field a decoder keeps in 32 bits, sent wider; a route query
+	// naming one query twice.
+	for _, tt := range wideFields() {
+		f.Add(uint8(tt.kind)-1, tt.build(1<<32+7))
+	}
+	f.Add(uint8(KindRouteQuery)-1, routeQueryPayload(5, 5))
+	// A routing digest and a BF query of zero bits and no words.
+	f.Add(uint8(KindSummaryReply)-1, append(varints(3, 2, 1), append(make([]byte, 16), 7, 0, 0)...))
+	f.Add(uint8(KindBFQuery)-1, append(varints(0, 3, 2, 0, 1), append(make([]byte, 9), 2, 0, 0)...))
 	// Row payloads whose varint count (what sizes the value arena) disagrees
 	// with their row count and row lengths.
 	for _, rows := range [][]byte{
@@ -322,6 +333,102 @@ func FuzzDecodePayload(f *testing.F) {
 			// Bare request kinds carry no payload and have no decoder.
 		default:
 			t.Fatalf("fuzz dispatch misses kind %v; add its decoder here", k)
+		}
+	})
+}
+
+// FuzzBatchRoundTrip drives the search exchange's two frames through encode
+// and decode, from inputs built deterministically out of the fuzzed seed. A
+// batch of encoder-built queries — up to six locals each, some of them
+// summing to zero, several queries to a filter — must decode to the filter
+// the encoder sealed, array for array and weight field for weight field,
+// Mask and Denominator included. A reply of 64-bit persons, repeats, and
+// runs whose Rice parameter passes 32 bits must decode to the same report
+// multiset.
+func FuzzBatchRoundTrip(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 20120612} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		length := 1 + rng.Intn(6)
+		queries := make([]core.Query, 1+rng.Intn(4))
+		for i := range queries {
+			locals := make([]pattern.Pattern, 1+rng.Intn(6))
+			for j := range locals {
+				locals[j] = make(pattern.Pattern, length)
+				if rng.Intn(3) > 0 { // the others sum to zero
+					for g := range locals[j] {
+						locals[j][g] = rng.Int63n(40)
+					}
+				}
+			}
+			locals[rng.Intn(len(locals))][0]++ // a nonzero total
+			queries[i] = core.Query{ID: core.QueryID(rng.Uint32()&^7 | uint32(i)), Locals: locals}
+		}
+		base := core.Params{Samples: 1 + rng.Intn(4), Epsilon: rng.Int63n(3), Seed: rng.Uint64(), PositionSalted: rng.Intn(2) == 0}
+		params, err := core.SizedParams(base, length, queries, []float64{0.01, 0.2}[rng.Intn(2)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := core.NewEncoder(params, length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]core.QueryID, len(queries))
+		for i, q := range queries {
+			if err := enc.AddQuery(q); err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = q.ID
+		}
+		filter := enc.Filter()
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] }) // declared in any order
+		m, err := EncodeBatchQuery(BatchQuery{Queries: ids, Filter: filter})
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		bq, err := DecodeBatchQuery(m)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !sameFilter(bq.Filter, filter) {
+			t.Fatalf("the decoded filter differs from the encoder's")
+		}
+		for i, q := range queries {
+			if bq.Queries[i] != q.ID {
+				t.Fatalf("decoded queries %v, want the table's order %v", bq.Queries, queries)
+			}
+		}
+
+		lists := make([][]core.WeightID, 1+rng.Intn(5))
+		for i := range lists {
+			lists[i] = []core.WeightID{core.WeightID(rng.Intn(8))}
+			if rng.Intn(2) == 0 {
+				lists[i] = append(lists[i], lists[i][0]+1+core.WeightID(rng.Intn(8)))
+			}
+		}
+		in := BatchReply{Station: rng.Uint32(), Queries: rng.Uint32(), Reports: make([]core.Report, 1+rng.Intn(300))}
+		for i := range in.Reports {
+			var p uint64
+			switch rng.Intn(4) {
+			case 0:
+				p = rng.Uint64() // runs up to ~2⁶⁴: Rice parameters past 32 bits
+			case 1:
+				p = uint64(rng.Intn(16)) // dense, with repeats
+			case 2:
+				p = math.MaxUint64 - uint64(rng.Intn(3))
+			default:
+				p = uint64(rng.Intn(1 << 20))
+			}
+			in.Reports[i] = core.Report{Person: core.PersonID(p), WeightIDs: lists[rng.Intn(len(lists))]}
+		}
+		got, err := DecodeBatchReply(EncodeBatchReply(in))
+		if err != nil {
+			t.Fatalf("reply decode: %v", err)
+		}
+		if got.Station != in.Station || got.Queries != in.Queries || !sameReports(got.Reports, in.Reports) {
+			t.Fatalf("the decoded reply's reports differ from the %d sent", len(in.Reports))
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -20,7 +21,7 @@ import (
 // (WBF, BF, route) carries so stations process a filter the way the center
 // built it.
 func writeParams(w *writer, p core.Params) {
-	w.u64(p.Bits)
+	w.uvarint(p.Bits)
 	w.uvarint(uint64(p.Hashes))
 	w.uvarint(uint64(p.Samples))
 	w.uvarint(uint64(p.Epsilon))
@@ -31,7 +32,7 @@ func writeParams(w *writer, p core.Params) {
 
 func readParams(r *reader) core.Params {
 	return core.Params{
-		Bits:           r.u64(),
+		Bits:           r.uvarint(),
 		Hashes:         int(r.uvarint()),
 		Samples:        int(r.uvarint()),
 		Epsilon:        int64(r.uvarint()),
@@ -61,44 +62,89 @@ func readWords(r *reader) []uint64 {
 
 // ---- WBF query dissemination ----
 
-// writeFilter renders a WBF into w as core.Filter holds it: params, set-bit
-// count, weight table, the dictionary of distinct pointer lists (every
-// length, then every list's delta-coded IDs), and then one bit stream that
-// carries, per set bit in ascending order, its Rice-coded gap and its
-// dictionary code at codeWidth bits.
+// writeQueries renders a filter's weight table as one block per query, in
+// table order: the query's ID, its local count e and its locals' value sums,
+// all core.WeightRows needs to rebuild the query's rows. A query's sums are
+// read off its rows — local j's is the numerator of the row of mask {j}, 0
+// without one, and e is the width of the full mask, whose row the nonzero
+// total always gives — and a table core.WeightRows does not rebuild exactly,
+// row for row, is refused with ErrBadWeight. It appends the blocks' IDs to
+// ids.
+func writeQueries(w *writer, weights []core.WeightEntry, ids []core.QueryID) ([]core.QueryID, error) {
+	rebuilt := make([]core.WeightEntry, 0, len(weights))
+	var sums [pattern.MaxLocals]int64
+	for i := 0; i < len(weights); {
+		q, j := weights[i].Query, i+1
+		for j < len(weights) && weights[j].Query == q {
+			j++
+		}
+		rows := weights[i:j]
+		e := min(bits.Len32(uint32(rows[len(rows)-1].Mask)), pattern.MaxLocals)
+		clear(sums[:e])
+		for _, row := range rows {
+			if local := bits.TrailingZeros32(uint32(row.Mask)); local < e && row.Mask == 1<<local {
+				sums[local] = row.Numerator
+			}
+		}
+		rebuilt = core.WeightRows(rebuilt[:0], q, sums[:e])
+		if !sumsCarryWeights(sums[:e]) || !slices.Equal(rebuilt, rows) {
+			return nil, fmt.Errorf("%w: query %d's %d rows are not the table of local sums %v", ErrBadWeight, q, len(rows), slices.Clone(sums[:e]))
+		}
+		w.uvarint(uint64(q))
+		w.uvarint(uint64(e))
+		for _, s := range sums[:e] {
+			w.uvarint(uint64(s))
+		}
+		ids = append(ids, q)
+		i = j
+	}
+	return ids, nil
+}
+
+// sumsCarryWeights reports whether one query's local sums can carry weights:
+// each non-negative, and the total positive and within an int64.
+func sumsCarryWeights(sums []int64) bool {
+	var total int64
+	for _, s := range sums {
+		if s < 0 || s > math.MaxInt64-total {
+			return false
+		}
+		total += s
+	}
+	return total > 0
+}
+
+// writeFilter renders a WBF into w as core.Filter holds it, less its weight
+// table (writeQueries' blocks): params, length, insertions, the set-bit,
+// dictionary-list and pointer counts, and then one bit stream. The stream
+// holds the dictionary — per distinct pointer list its length less one,
+// Rice-coded, then its IDs as Rice-coded gaps — and then, per set bit in
+// ascending order, its Rice-coded gap and its dictionary code at codeWidth
+// bits. No Rice parameter is sent: each follows from the counts.
 func writeFilter(w *writer, f *core.Filter) {
 	p := f.Params()
 	writeParams(w, p)
 	w.uvarint(uint64(f.Length()))
 	w.uvarint(f.Inserted())
 	positions := f.Positions()
-	w.uvarint(uint64(len(positions)))
-
-	weights := f.Weights()
-	w.uvarint(uint64(len(weights)))
-	for _, e := range weights {
-		w.uvarint(uint64(e.Query))
-		w.uvarint(uint64(e.Mask))
-		w.uvarint(uint64(e.Numerator))
-		w.uvarint(uint64(e.Denominator))
-	}
-
 	codes, offs, ids := f.Lists()
 	lists := len(offs) - 1
+	w.uvarint(uint64(len(positions)))
 	w.uvarint(uint64(lists))
+	w.uvarint(uint64(len(ids)))
+
+	bw := bitWriter{w: w}
+	lenRice, idRice := dictRice(uint64(len(f.Weights())), uint64(lists), uint64(len(ids)))
 	for d := 0; d < lists; d++ {
-		w.uvarint(uint64(offs[d+1] - offs[d]))
-	}
-	for d := 0; d < lists; d++ {
-		prev := uint64(0)
-		for _, id := range ids[offs[d]:offs[d+1]] {
-			w.uvarint(uint64(id) - prev) // ids ascend within a list
-			prev = uint64(id)
+		list := ids[offs[d]:offs[d+1]]
+		bw.rice(uint64(len(list)-1), lenRice)
+		next := uint64(0) // one past the previous ID: they ascend strictly
+		for _, id := range list {
+			bw.rice(uint64(id)-next, idRice)
+			next = uint64(id) + 1
 		}
 	}
-
 	rice, width := core.RiceParam(p.Bits, uint64(len(positions))), codeWidth(lists)
-	bw := bitWriter{w: w}
 	next := uint64(0) // one past the previous set bit
 	for i, pos := range positions {
 		bw.rice(uint64(pos)-next, rice)
@@ -108,58 +154,130 @@ func writeFilter(w *writer, f *core.Filter) {
 	bw.flush()
 }
 
+// dictRice returns the Rice parameters of the dictionary of lists pointer
+// lists holding pointers pointers into a table of rows rows: for the lengths
+// less one, of mean (pointers − lists)/lists, and for the ID gaps. Each list
+// is a subset of the rows, so its IDs lie among rows slots the way set bits
+// lie among a filter's bits, and the gaps are coded like theirs, as pointers
+// set among lists × rows slots (saturating; the decoder checks the counts
+// before it trusts a parameter).
+func dictRice(rows, lists, pointers uint64) (lenRice, idRice uint) {
+	hi, slots := bits.Mul64(lists, rows)
+	if hi != 0 {
+		slots = math.MaxUint64
+	}
+	return core.RiceParam(pointers-min(lists, pointers), lists), core.RiceParam(slots, pointers)
+}
+
 // codeWidth returns the bits one packed dictionary code takes: enough to
 // index the dictionary, none when every set bit carries the same list.
 func codeWidth(lists int) uint {
 	return uint(bits.Len32(uint32(max(lists, 1) - 1)))
 }
 
-// bitWriter packs bit fields into w, low bits first.
+// bitWriter packs bit fields into w, low bits first, 32 at a time.
 type bitWriter struct {
 	w   *writer
-	acc uint64 // pending bits; never more than 7 + the widest field (32)
+	acc uint64 // pending bits, fewer than 32 between calls
 	n   uint
 }
 
-// bits appends the low width bits of v; width is at most 32.
+// bits appends v, which must fit width bits. A field wider than 32 bits (a
+// reply's 64-bit person gaps can take up to 63 low bits) goes as two, so a
+// field always fits beside the pending bits.
 func (b *bitWriter) bits(v uint64, width uint) {
+	if width > 32 {
+		b.field(v&(1<<32-1), 32)
+		v, width = v>>32, width-32
+	}
+	b.field(v, width)
+}
+
+// field appends v, which must fit width bits, at most 32.
+func (b *bitWriter) field(v uint64, width uint) {
 	b.acc |= v << b.n
-	for b.n += width; b.n >= 8; b.n -= 8 {
-		b.w.u8(uint8(b.acc))
-		b.acc >>= 8
+	if b.n += width; b.n >= 32 {
+		b.w.buf = binary.LittleEndian.AppendUint32(b.w.buf, uint32(b.acc))
+		b.acc >>= 32
+		b.n -= 32
 	}
 }
 
 // rice appends v's Rice code with parameter r: v >> r one bits, a zero bit,
 // then v's low r bits.
 func (b *bitWriter) rice(v uint64, r uint) {
-	for q := v >> r; q > 0; {
-		n := min(q, 32)
-		b.bits(1<<n-1, uint(n))
-		q -= n
+	q := v >> r
+	for ; q >= 32; q -= 32 {
+		b.field(1<<32-1, 32)
 	}
-	b.bits(0, 1)
+	b.field(1<<q-1, uint(q)+1) // the last ones and the zero
 	b.bits(v&(1<<r-1), r)
 }
 
-// flush writes the last partial byte, its pad bits zero.
+// flush writes the pending bits, the last byte's pad bits zero.
 func (b *bitWriter) flush() {
-	if b.n > 0 {
+	for ; b.n > 0; b.n -= min(b.n, 8) {
 		b.w.u8(uint8(b.acc))
+		b.acc >>= 8
 	}
 }
 
-// bitReader reads bitWriter's fields from r.
+// bitReader reads bitWriter's fields from r. Its unread bits are the low n
+// of acc, which is zero above them; fill takes whole bytes, a word at a time.
 type bitReader struct {
 	r   *reader
 	acc uint64
 	n   uint
 }
 
-// bits reads a field of width bits, at most 32.
+// fill tops acc up with the whole bytes that fit — with a word load while
+// eight bytes remain, else byte by byte — and reports whether want bits are
+// now unread; if not, the payload ended early and r fails.
+func (b *bitReader) fill(want uint) bool {
+	rest := b.r.buf[b.r.off:]
+	if len(rest) >= 8 {
+		take := (64 - b.n) / 8
+		word := binary.LittleEndian.Uint64(rest)
+		if take < 8 {
+			word &= 1<<(8*take) - 1
+		}
+		b.acc |= word << b.n
+		b.n += 8 * take
+		b.r.off += int(take)
+	}
+	for ; b.n <= 56 && b.r.off < len(b.r.buf); b.r.off++ {
+		b.acc |= uint64(b.r.buf[b.r.off]) << b.n
+		b.n += 8
+	}
+	if b.n < want {
+		b.r.fail(errShortBuffer)
+		return false
+	}
+	return true
+}
+
+// finish ends the stream: the whole bytes fill took past it go back to r,
+// where r.done finds them trailing, and it reports whether the last byte's
+// pad bits are zero.
+func (b *bitReader) finish() bool {
+	b.r.off -= int(b.n / 8)
+	b.n %= 8
+	return b.acc&(1<<b.n-1) == 0
+}
+
+// bits reads a field of width bits, split as bitWriter splits it.
 func (b *bitReader) bits(width uint) uint64 {
-	for ; b.n < width; b.n += 8 {
-		b.acc |= uint64(b.r.u8()) << b.n
+	if width > 32 {
+		low := b.field(32)
+		return low | b.field(width-32)<<32
+	}
+	return b.field(width)
+}
+
+// field reads a field of width bits, at most 32.
+func (b *bitReader) field(width uint) uint64 {
+	if b.n < width && !b.fill(width) {
+		return 0
 	}
 	v := b.acc & (1<<width - 1)
 	b.acc >>= width
@@ -173,10 +291,8 @@ func (b *bitReader) bits(width uint) uint64 {
 func (b *bitReader) rice(r uint, limit uint64) (v uint64, ok bool) {
 	q := uint64(0)
 	for {
-		if b.n == 0 {
-			if b.acc, b.n = uint64(b.r.u8()), 8; b.r.err != nil {
-				return 0, false
-			}
+		if b.n == 0 && !b.fill(1) {
+			return 0, false
 		}
 		ones := uint(bits.TrailingZeros64(^b.acc)) // at most n: acc is zero past its n bits
 		if q += uint64(ones); q > limit {
@@ -191,66 +307,102 @@ func (b *bitReader) rice(r uint, limit uint64) (v uint64, ok bool) {
 	}
 }
 
+// readBlock reads one query block into sums and returns the query's ID and
+// local count. Sums that cannot carry weights (sumsCarryWeights) are refused
+// with ErrBadWeight.
+func readBlock(r *reader, sums *[pattern.MaxLocals]int64) (core.QueryID, int, error) {
+	id, e := core.QueryID(r.u32()), r.uvarint()
+	if r.err == nil && (e == 0 || e > pattern.MaxLocals) {
+		return 0, 0, fmt.Errorf("wire: query %d declares %d locals, want 1..%d", id, e, pattern.MaxLocals)
+	}
+	for j := range sums[:e] {
+		v := r.uvarint()
+		if v > math.MaxInt64 {
+			r.fail(fmt.Errorf("%w: query %d's local %d sums to %d", ErrBadWeight, id, j, v))
+		}
+		sums[j] = int64(v)
+	}
+	if r.err != nil {
+		return 0, 0, r.err
+	}
+	if !sumsCarryWeights(sums[:e]) {
+		return 0, 0, fmt.Errorf("%w: query %d's local sums %v total 0 or past 2⁶³−1", ErrBadWeight, id, slices.Clone(sums[:e]))
+	}
+	return id, int(e), nil
+}
+
 // readFilter reconstructs a WBF from r into a handful of exactly-sized arrays
-// that core.FromParts validates and keeps. Each is bounded by the bytes
-// present before it is allocated: declared counts through reader.count, the
-// set bits by the bit stream's least cost per bit.
-func readFilter(r *reader) (*core.Filter, error) {
+// that core.FromParts validates and keeps. Its weight table is rebuilt from
+// the queries blocks that start at blocks, which readBlock accepted and which
+// derive rows rows. Every array is bounded by the bytes present before it is
+// allocated: the table by the pointers, since every row is some list's
+// pointer, and the lists, pointers and set bits by the least each costs in
+// the bit stream — a Rice code's terminator and low bits, plus a set bit's
+// code. That is at most 8 lists, pointers or rows per remaining byte.
+func readFilter(r *reader, blocks reader, queries int, rows uint64) (*core.Filter, error) {
 	p := readParams(r)
 	length := int(r.uvarint())
 	inserted := r.uvarint()
-	// Bits bounds the Rice parameter, and so the widest field the stream
-	// holds, at 31.
-	if p.Bits == 0 || p.Bits > core.MaxBits {
-		return nil, fmt.Errorf("wire: filter declares %d bits, want 1..%d", p.Bits, uint64(core.MaxBits))
-	}
-	set := r.uvarint()
-
-	weights := make([]core.WeightEntry, r.count(4))
-	for i := range weights {
-		query, mask, num, den := r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint()
-		// A weight is a fraction in (0, 1] of int64s; the encoder emits no
-		// zero or wrapped-negative term and no weight above 1.
-		if r.err == nil && (num == 0 || num > den || den > math.MaxInt64) {
-			return nil, fmt.Errorf("%w: row %d is %d/%d", ErrBadWeight, i, num, den)
-		}
-		weights[i] = core.WeightEntry{
-			Query:       core.QueryID(query),
-			Mask:        pattern.Subset(mask),
-			Numerator:   int64(num),
-			Denominator: int64(den),
-		}
-	}
-
-	offs := make([]uint32, r.count(2)+1)
-	total := 0
-	for d := 1; d < len(offs); d++ {
-		total += r.count(1)
-		offs[d] = uint32(total)
-	}
-	if left := len(r.buf) - r.off; total > left { // a pointer takes a byte at least
-		return nil, fmt.Errorf("wire: dictionary of %d pointers in %d remaining bytes: %w", total, left, ErrTruncated)
-	}
-	ids := make([]core.WeightID, total)
-	for d := 1; d < len(offs); d++ {
-		prev := uint64(0)
-		for i := offs[d-1]; i < offs[d]; i++ {
-			prev += r.uvarint()
-			ids[i] = core.WeightID(prev)
-		}
-	}
-
+	set, lists, pointers := r.uvarint(), r.uvarint(), r.uvarint()
 	if r.err != nil {
 		return nil, r.err
 	}
-	// Set bits ascend below Bits, and each costs at least its Rice code's
-	// terminator and low bits plus its code.
-	rice, width := core.RiceParam(p.Bits, set), codeWidth(len(offs)-1)
-	if left := uint64(len(r.buf) - r.off); set > p.Bits || set > 8*left/(uint64(rice+1+width)) {
-		return nil, fmt.Errorf("wire: %d set bits in %d bits and %d remaining bytes: %w", set, p.Bits, left, ErrTruncated)
+	// Bits bounds the positions' Rice parameter at 31.
+	if p.Bits == 0 || p.Bits > core.MaxBits {
+		return nil, fmt.Errorf("wire: filter declares %d bits, want 1..%d", p.Bits, uint64(core.MaxBits))
 	}
-	positions, codes := make([]uint32, set), make([]uint32, set)
+	left := 8 * uint64(len(r.buf)-r.off) // bits
+	if set > p.Bits || pointers > left {
+		return nil, fmt.Errorf("wire: %d set bits in %d bits and %d pointers in %d remaining bytes: %w", set, p.Bits, pointers, left/8, ErrTruncated)
+	}
+	if lists > pointers {
+		return nil, fmt.Errorf("wire: %d pointer lists of %d pointers: a list is empty", lists, pointers)
+	}
+	if rows > pointers {
+		return nil, fmt.Errorf("wire: %d weight rows implausible for %d pointers: every row is pointed to", rows, pointers)
+	}
+	lenRice, idRice := dictRice(rows, lists, pointers)
+	rice, width := core.RiceParam(p.Bits, set), codeWidth(int(lists))
+	if least := lists*uint64(lenRice+1) + pointers*uint64(idRice+1) + set*uint64(rice+1+width); least > left {
+		return nil, fmt.Errorf("wire: %d lists, %d pointers and %d set bits take %d bits, %d remain: %w", lists, pointers, set, least, left, ErrTruncated)
+	}
+
+	weights := make([]core.WeightEntry, 0, rows)
+	var sums [pattern.MaxLocals]int64
+	for range queries {
+		id, e, _ := readBlock(&blocks, &sums) // accepted once already
+		weights = core.WeightRows(weights, id, sums[:e])
+	}
+
+	offs, ids := make([]uint32, lists+1), make([]core.WeightID, pointers)
 	br := bitReader{r: r}
+	k := uint64(0) // pointers read
+	for d := uint64(1); d <= lists; d++ {
+		room := pointers - k - (lists - d) // every later list holds one at least
+		n, ok := br.rice(lenRice, (room-1)>>lenRice)
+		if r.err != nil {
+			return nil, r.err
+		}
+		if !ok || n >= room {
+			return nil, fmt.Errorf("wire: pointer list %d is longer than the %d pointers left for it", d-1, room)
+		}
+		for next, end := uint64(0), k+n+1; k < end; k++ { // next: one past the previous ID
+			gap, ok := br.rice(idRice, (rows-next)>>idRice)
+			if r.err != nil {
+				return nil, r.err
+			}
+			if !ok || gap >= rows-next {
+				return nil, fmt.Errorf("wire: pointer list %d points past the %d weight rows", d-1, rows)
+			}
+			ids[k], next = core.WeightID(next+gap), next+gap+1
+		}
+		offs[d] = uint32(k)
+	}
+	if k != pointers {
+		return nil, fmt.Errorf("wire: the pointer lists hold %d of the %d pointers declared", k, pointers)
+	}
+
+	positions, codes := make([]uint32, set), make([]uint32, set)
 	next := uint64(0) // one past the previous set bit
 	for i := range positions {
 		gap, ok := br.rice(rice, p.Bits>>rice)
@@ -266,7 +418,7 @@ func readFilter(r *reader) (*core.Filter, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if br.acc != 0 {
+	if !br.finish() {
 		return nil, fmt.Errorf("wire: nonzero pad bits after %d set bits", set)
 	}
 	return core.FromParts(p, length, positions, weights, offs, ids, codes, inserted)
@@ -276,17 +428,19 @@ func readFilter(r *reader) (*core.Filter, error) {
 // the round and the combined WBF that encodes all of them, so a round costs
 // one exchange per station however many queries it carries.
 type BatchQuery struct {
-	// Queries are the batch's query IDs, ascending and unique. Every weight
-	// entry of Filter must reference one of them.
+	// Queries are the batch's query IDs: unique, and exactly the queries
+	// Filter's weight table holds. Decoded, they are in the table's order.
 	Queries []core.QueryID
 	// Filter is the combined WBF covering all queries of the batch.
 	Filter *core.Filter
 }
 
-// EncodeBatchQuery renders the batch round. Query IDs are sorted,
-// de-duplicated and delta-encoded. It fails on an empty batch, on more than
-// MaxBatchQueries queries (ErrBatchTooLarge), and on a filter whose weight
-// table references a query outside the batch (ErrBatchMismatch).
+// EncodeBatchQuery renders the batch round: the query blocks (writeQueries),
+// then the filter. It fails on an empty batch, on more than MaxBatchQueries
+// queries (ErrBatchTooLarge), on declared IDs that repeat one or differ from
+// the weight table's (ErrBatchMismatch), and on a weight table the blocks do
+// not rebuild or a row no list points to (ErrBadWeight): a frame it writes,
+// DecodeBatchQuery accepts.
 func EncodeBatchQuery(b BatchQuery) (Message, error) {
 	if len(b.Queries) == 0 {
 		return Message{}, fmt.Errorf("%w: zero queries", ErrBatchMismatch)
@@ -294,38 +448,53 @@ func EncodeBatchQuery(b BatchQuery) (Message, error) {
 	if len(b.Queries) > MaxBatchQueries {
 		return Message{}, fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, len(b.Queries), MaxBatchQueries)
 	}
-	sorted := append([]core.QueryID(nil), b.Queries...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	declared := make(map[core.QueryID]bool, len(sorted))
-	for _, q := range sorted {
-		declared[q] = true
-	}
-	for _, e := range b.Filter.Weights() {
-		if !declared[e.Query] {
-			return Message{}, fmt.Errorf("%w: weight entry references undeclared query %d", ErrBatchMismatch, e.Query)
+	declared := slices.Clone(b.Queries)
+	slices.Sort(declared)
+	for i := 1; i < len(declared); i++ {
+		if declared[i] == declared[i-1] {
+			return Message{}, fmt.Errorf("%w: duplicate query id %d", ErrBatchMismatch, declared[i])
 		}
 	}
 	var w writer
-	w.uvarint(uint64(len(sorted)))
-	prev := uint64(0)
-	first := true
-	for _, q := range sorted {
-		if !first && uint64(q) == prev {
-			return Message{}, fmt.Errorf("%w: duplicate query id %d", ErrBatchMismatch, q)
-		}
-		w.uvarint(uint64(q) - prev)
-		prev = uint64(q)
-		first = false
+	w.uvarint(uint64(len(b.Queries)))
+	held, err := writeQueries(&w, b.Filter.Weights(), make([]core.QueryID, 0, len(b.Queries)))
+	if err != nil {
+		return Message{}, err
+	}
+	slices.Sort(held)
+	if !slices.Equal(declared, held) {
+		return Message{}, fmt.Errorf("%w: the batch declares queries %v, the filter's weight table holds %v", ErrBatchMismatch, declared, held)
+	}
+	if _, _, ids := b.Filter.Lists(); len(ids) < len(b.Filter.Weights()) {
+		return Message{}, fmt.Errorf("%w: %d weight rows but %d pointers: a row no list points to", ErrBadWeight, len(b.Filter.Weights()), len(ids))
 	}
 	writeFilter(&w, b.Filter)
 	return Message{Kind: KindBatchQuery, Payload: w.buf}, nil
 }
 
-// DecodeBatchQuery parses and validates a batch round: the declared query
-// count is bounded by MaxBatchQueries, the filter reconstructs through
-// readFilter's and core.FromParts' validation, and every weight entry must
-// reference a declared query. Corrupt payloads fail with typed errors —
-// never a panic.
+// repeatedID returns an ID ids holds twice, if any.
+func repeatedID(ids []core.QueryID) (core.QueryID, bool) {
+	if len(ids) < 2 {
+		return 0, false
+	}
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return sorted[i], true
+		}
+	}
+	return 0, false
+}
+
+// DecodeBatchQuery parses and validates a batch round: the query count is
+// bounded by MaxBatchQueries, every query block by readBlock, the IDs must
+// be unique (ErrBatchMismatch), and the filter reconstructs through
+// readFilter's and core.FromParts' validation. The blocks are read twice:
+// once for the IDs and the row count their sums derive — 2^e − 2^z for e
+// locals of which z sum to zero — and, once readFilter has held that count
+// to the frame, again to derive the rows. Corrupt payloads fail with typed
+// errors — never a panic.
 func DecodeBatchQuery(m Message) (BatchQuery, error) {
 	if m.Kind != KindBatchQuery {
 		return BatchQuery{}, fmt.Errorf("wire: decoding %v as batch-query", m.Kind)
@@ -341,32 +510,32 @@ func DecodeBatchQuery(m Message) (BatchQuery, error) {
 	if n == 0 {
 		return BatchQuery{}, fmt.Errorf("%w: zero queries", ErrBatchMismatch)
 	}
-	out := BatchQuery{Queries: make([]core.QueryID, 0, n)}
-	declared := make(map[core.QueryID]bool, n)
-	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		d := r.uvarint()
-		if r.err != nil {
-			return BatchQuery{}, r.err
+	blocks := *r
+	out := BatchQuery{Queries: make([]core.QueryID, n)}
+	rows := uint64(0)
+	var sums [pattern.MaxLocals]int64
+	for i := range out.Queries {
+		id, e, err := readBlock(r, &sums)
+		if err != nil {
+			return BatchQuery{}, err
 		}
-		if i > 0 && d == 0 {
-			return BatchQuery{}, fmt.Errorf("%w: duplicate query id %d", ErrBatchMismatch, prev)
+		zeros := 0
+		for _, s := range sums[:e] {
+			if s == 0 {
+				zeros++
+			}
 		}
-		prev += d
-		out.Queries = append(out.Queries, core.QueryID(prev))
-		declared[core.QueryID(prev)] = true
+		out.Queries[i], rows = id, rows+1<<e-1<<zeros
 	}
-	f, err := readFilter(r)
+	if q, ok := repeatedID(out.Queries); ok {
+		return BatchQuery{}, fmt.Errorf("%w: duplicate query id %d", ErrBatchMismatch, q)
+	}
+	f, err := readFilter(r, blocks, len(out.Queries), rows)
 	if err != nil {
 		return BatchQuery{}, err
 	}
 	if err := r.done(); err != nil {
 		return BatchQuery{}, err
-	}
-	for _, e := range f.Weights() {
-		if !declared[e.Query] {
-			return BatchQuery{}, fmt.Errorf("%w: weight entry references undeclared query %d", ErrBatchMismatch, e.Query)
-		}
 	}
 	out.Filter = f
 	return out, nil
@@ -387,8 +556,10 @@ type BatchReply struct {
 
 // EncodeBatchReply renders the batch answer as one entry per distinct
 // pointer list, in first-use order: the list, how many reports carry it (not
-// sent for the last) and their persons ascending as a first ID plus gaps. It
-// writes into recycled buffers and copies out one exactly sized payload.
+// sent for the last) and their largest person. One bit stream follows the
+// last entry: per entry, its run's other persons ascending, as gaps
+// Rice-coded with the parameter personRice derives from the entry. It writes
+// into recycled buffers and copies out one exactly sized payload.
 func EncodeBatchReply(b BatchReply) Message {
 	bufs := replyScratch.Get().(*replyBufs)
 	firsts, persons, bounds := groupReports(b.Reports, &bufs.index)
@@ -405,12 +576,19 @@ func EncodeBatchReply(b BatchReply) Message {
 		if !last {
 			w.uvarint(uint64(len(run)))
 		}
+		w.uvarint(run[len(run)-1])
+	}
+	bw := bitWriter{w: &w}
+	for g := range firsts {
+		run := persons[bounds[g]:bounds[g+1]]
+		rice := personRice(run[len(run)-1], len(run))
 		prev := uint64(0)
-		for _, p := range run {
-			w.uvarint(p - prev)
+		for _, p := range run[:len(run)-1] {
+			bw.rice(p-prev, rice)
 			prev = p
 		}
 	}
+	bw.flush()
 	payload := make([]byte, len(w.buf))
 	copy(payload, w.buf)
 	bufs.payload = w.buf
@@ -484,47 +662,95 @@ func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
 }
 
+// personRice returns the Rice parameter of a run's person gaps: run persons
+// up to hi, so gaps of mean about hi/run. Person IDs are 64-bit, so it can
+// reach 63, past the 32 bits of a packed field (bitWriter splits it).
+func personRice(hi uint64, run int) uint {
+	return core.RiceParam(hi, uint64(run))
+}
+
+// readEntry reads one reply entry, of the remaining reports: its list's
+// length and pointers (appended to arena, unless arena is nil), its run
+// length and its run's largest person.
+func readEntry(r *reader, remaining int, arena *[]core.WeightID) (listLen uint64, run int, hi uint64, err error) {
+	head := r.uvarint()
+	listLen, run = head>>1, remaining
+	if left := uint64(len(r.buf) - r.off); r.err == nil && (listLen == 0 || listLen > left) { // a pointer takes a byte at least
+		return 0, 0, 0, fmt.Errorf("wire: reply list of %d pointers where %d fit", listLen, left)
+	}
+	for i := uint64(0); i < listLen; i++ {
+		if id := core.WeightID(r.u32()); arena != nil {
+			*arena = append(*arena, id)
+		}
+	}
+	if head&1 == 0 {
+		v := r.uvarint()
+		if r.err == nil && (v == 0 || v >= uint64(run)) {
+			return 0, 0, 0, fmt.Errorf("wire: reply run of %d reports where %d remain and the last flag is unset", v, run)
+		}
+		run = int(v)
+	}
+	hi = r.uvarint()
+	return listLen, run, hi, r.err
+}
+
 // DecodeBatchReply parses the batch answer into two allocations bounded by
-// the bytes present. The entries must account for exactly reportCount
-// reports: every list holds a pointer, a sent run length lies in [1, reports
-// remaining), and the last flag marks the entry that exhausts the count.
+// the bytes present: the pointer arena holds exactly the entries' pointers,
+// and the reports are at most 8 per byte left, since a report can cost a
+// single bit — a repeated person, which a region's concatenated replies may
+// carry, is a gap of 0 coded with parameter 0. The entries are read twice:
+// first to check them and count their pointers, then beside the stream to
+// fill the reports. They must account for exactly reportCount reports:
+// every list holds a pointer, a sent run length lies in [1, reports
+// remaining), and the last flag marks the entry that exhausts the count. The
+// stream's persons must ascend to their run's largest, and its pad bits be
+// zero.
 func DecodeBatchReply(m Message) (BatchReply, error) {
 	if m.Kind != KindBatchReply {
 		return BatchReply{}, fmt.Errorf("wire: decoding %v as batch-reply", m.Kind)
 	}
 	r := &reader{buf: m.Payload}
 	out := BatchReply{Station: r.u32(), Queries: r.u32()}
-	n := r.count(1) // a report's person takes a byte at least, as a pointer does
+	reports := r.uvarint()
+	if left := len(r.buf) - r.off; r.err == nil && reports > 8*uint64(left) {
+		return BatchReply{}, fmt.Errorf("wire: %d reports implausible for %d remaining bytes", reports, left)
+	}
+	n := int(reports)
+	entries, pointers := *r, uint64(0)
+	if r.err != nil {
+		return BatchReply{}, r.err
+	}
+	for done := 0; done < n; {
+		listLen, run, _, err := readEntry(r, n-done, nil)
+		if err != nil {
+			return BatchReply{}, err
+		}
+		pointers, done = pointers+listLen, done+run
+	}
 	out.Reports = make([]core.Report, n)
-	arena := make([]core.WeightID, 0, max(len(r.buf)-r.off-n, 0))
-	for done := 0; done < n && r.err == nil; {
-		head := r.uvarint()
-		listLen, run := head>>1, n-done
-		if room := uint64(cap(arena) - len(arena)); r.err == nil && (listLen == 0 || listLen > room) {
-			return BatchReply{}, fmt.Errorf("wire: reply list of %d pointers where %d fit", listLen, room)
-		}
+	arena := make([]core.WeightID, 0, pointers)
+	br := bitReader{r: r}
+	for done := 0; done < n; {
 		lo := len(arena)
-		for ; listLen > 0; listLen-- {
-			arena = append(arena, core.WeightID(r.u32()))
-		}
+		_, run, hi, _ := readEntry(&entries, n-done, &arena) // checked above
 		list := arena[lo:len(arena):len(arena)]
-		if head&1 == 0 {
-			v := r.uvarint()
-			if r.err == nil && (v == 0 || v >= uint64(run)) {
-				return BatchReply{}, fmt.Errorf("wire: reply run of %d reports where %d remain and the last flag is unset", v, run)
+		rice, person := personRice(hi, run), uint64(0)
+		for k := done; k < done+run-1; k++ {
+			gap, ok := br.rice(rice, (hi-person)>>rice)
+			if r.err != nil {
+				return BatchReply{}, r.err
 			}
-			run = int(v)
-		}
-		person := uint64(0) // the first value is the person, the rest gaps
-		for k := done; k < done+run && r.err == nil; k++ {
-			if v := r.uvarint(); person+v >= person {
-				person += v
-			} else {
-				r.fail(fmt.Errorf("wire: reply person %d plus gap %d overflows", person, v))
+			if !ok || gap > hi-person {
+				return BatchReply{}, fmt.Errorf("wire: reply person %d plus gap %d passes its run's largest, %d", person, gap, hi)
 			}
+			person += gap
 			out.Reports[k] = core.Report{Person: core.PersonID(person), WeightIDs: list}
 		}
+		out.Reports[done+run-1] = core.Report{Person: core.PersonID(hi), WeightIDs: list}
 		done += run
+	}
+	if !br.finish() {
+		return BatchReply{}, fmt.Errorf("wire: nonzero pad bits after %d reports", n)
 	}
 	if err := r.done(); err != nil {
 		return BatchReply{}, err
@@ -597,7 +823,7 @@ func DecodeBFMatches(m Message) (BFMatches, error) {
 		return BFMatches{}, fmt.Errorf("wire: decoding %v as bf-matches", m.Kind)
 	}
 	r := &reader{buf: m.Payload}
-	out := BFMatches{Station: uint32(r.uvarint())}
+	out := BFMatches{Station: r.u32()}
 	n := r.count(1)
 	out.Persons = make([]core.PersonID, n)
 	for i := range out.Persons {
@@ -686,7 +912,7 @@ func DecodeDumpReply(m Message) (DumpReply, error) {
 		return DumpReply{}, fmt.Errorf("wire: decoding %v as dump-reply", m.Kind)
 	}
 	r := &reader{buf: m.Payload}
-	out := DumpReply{Station: uint32(r.uvarint())}
+	out := DumpReply{Station: r.u32()}
 	out.Persons, out.Locals = readRows(r)
 	if err := r.done(); err != nil {
 		return DumpReply{}, err
@@ -829,15 +1055,18 @@ func EncodeSummaryReply(s *index.Summary, station uint32) Message {
 func DecodeSummaryPayload(payload []byte) (SummaryReply, *index.Summary, error) {
 	r := &reader{buf: payload}
 	out := SummaryReply{
-		Station:   uint32(r.uvarint()),
-		Length:    uint32(r.uvarint()),
+		Station:   r.u32(),
+		Length:    r.u32(),
 		Residents: r.uvarint(),
 		Seed:      r.u64(),
 		Bits:      r.u64(),
-		Hashes:    uint32(r.uvarint()),
+		Hashes:    r.u32(),
 		Inserted:  r.uvarint(),
 	}
 	out.Words = readWords(r)
+	if r.err != nil { // a failed read left Hashes 0, which is not a plan
+		return SummaryReply{}, nil, r.err
+	}
 	if out.Hashes != 0 {
 		if err := r.done(); err != nil {
 			return SummaryReply{}, nil, err
@@ -898,7 +1127,9 @@ func DecodeSummaryReply(m Message) (SummaryReply, *index.Summary, error) {
 // verification stay at the root, which is what makes the delegated plan's
 // results provably equal to a flat fan-out.
 type RouteQuery struct {
-	// Queries is the search batch, ascending and unique by ID.
+	// Queries is the search batch in search order, unique by ID: the
+	// decoder refuses a repeated ID with ErrBatchMismatch, since the
+	// region's search would refuse it too.
 	Queries []core.Query
 	// Params are the root's (possibly zero-valued) filter parameters before
 	// sizing; Bits == 0 means the region auto-sizes with TargetFP exactly
@@ -944,7 +1175,9 @@ func EncodeRouteQuery(q RouteQuery) (Message, error) {
 	return Message{Kind: KindRouteQuery, Payload: w.buf}, nil
 }
 
-// DecodeRouteQuery parses the delegated round.
+// DecodeRouteQuery parses the delegated round. An ID above 32 bits or given
+// twice is refused, so a malformed round fails here rather than in the
+// region's search.
 func DecodeRouteQuery(m Message) (RouteQuery, error) {
 	if m.Kind != KindRouteQuery {
 		return RouteQuery{}, fmt.Errorf("wire: decoding %v as route-query", m.Kind)
@@ -958,8 +1191,10 @@ func DecodeRouteQuery(m Message) (RouteQuery, error) {
 		return RouteQuery{}, fmt.Errorf("%w: zero queries", ErrBatchMismatch)
 	}
 	out := RouteQuery{Queries: make([]core.Query, 0, n)}
+	ids := make([]core.QueryID, 0, n)
 	for i := 0; i < n; i++ {
-		q := core.Query{ID: core.QueryID(r.uvarint())}
+		q := core.Query{ID: core.QueryID(r.u32())}
+		ids = append(ids, q.ID)
 		locals := r.count(1)
 		q.Locals = make([]pattern.Pattern, 0, locals)
 		for j := 0; j < locals; j++ {
@@ -978,6 +1213,9 @@ func DecodeRouteQuery(m Message) (RouteQuery, error) {
 	out.Routing = r.u8()
 	if err := r.done(); err != nil {
 		return RouteQuery{}, err
+	}
+	if q, ok := repeatedID(ids); ok {
+		return RouteQuery{}, fmt.Errorf("%w: duplicate query id %d", ErrBatchMismatch, q)
 	}
 	return out, nil
 }
@@ -1040,22 +1278,22 @@ func DecodeRouteReply(m Message) (RouteReply, error) {
 	}
 	r := &reader{buf: m.Payload}
 	out := RouteReply{
-		Region:  uint32(r.uvarint()),
+		Region:  r.u32(),
 		Probes:  r.uvarint(),
-		Pruned:  uint32(r.uvarint()),
-		Visited: uint32(r.uvarint()),
-		Failed:  uint32(r.uvarint()),
-		Hops:    uint32(r.uvarint()),
+		Pruned:  r.u32(),
+		Visited: r.u32(),
+		Failed:  r.u32(),
+		Hops:    r.u32(),
 	}
 	n := r.count(5)
 	out.Results = make([]RouteResult, 0, n)
 	for i := 0; i < n; i++ {
 		out.Results = append(out.Results, RouteResult{
-			Query:       core.QueryID(r.uvarint()),
+			Query:       core.QueryID(r.u32()),
 			Person:      core.PersonID(r.uvarint()),
 			Numerator:   unzigzag(r.uvarint()),
 			Denominator: unzigzag(r.uvarint()),
-			Stations:    uint32(r.uvarint()),
+			Stations:    r.u32(),
 		})
 	}
 	if err := r.done(); err != nil {
@@ -1201,10 +1439,10 @@ func DecodeStatsReply(m Message) (StatsReply, error) {
 	}
 	r := &reader{buf: m.Payload}
 	out := StatsReply{
-		Station:      uint32(r.uvarint()),
+		Station:      r.u32(),
 		Residents:    r.uvarint(),
 		StorageBytes: r.uvarint(),
-		Length:       uint32(r.uvarint()),
+		Length:       r.u32(),
 		Flags:        r.u8(),
 	}
 	if err := r.done(); err != nil {
@@ -1234,7 +1472,7 @@ func DecodeAck(m Message) (Ack, error) {
 		return Ack{}, fmt.Errorf("wire: decoding %v as ack", m.Kind)
 	}
 	r := &reader{buf: m.Payload}
-	out := Ack{Station: uint32(r.uvarint()), Applied: r.uvarint()}
+	out := Ack{Station: r.u32(), Applied: r.uvarint()}
 	if err := r.done(); err != nil {
 		return Ack{}, err
 	}
@@ -1327,7 +1565,7 @@ func DecodeParamUpdate(m Message) (ParamUpdate, error) {
 	groups := make([]index.PlanGroup, length)
 	for i := range groups {
 		groups[i] = index.PlanGroup{
-			Weight:  uint32(r.uvarint()),
+			Weight:  r.u32(),
 			Hashes:  r.u8(),
 			Quantum: int64(r.uvarint()),
 		}
@@ -1368,7 +1606,7 @@ func DecodeParamAck(m Message) (ParamAck, error) {
 	}
 	r := &reader{buf: m.Payload}
 	out := ParamAck{
-		Station: uint32(r.uvarint()),
+		Station: r.u32(),
 		Epoch:   r.u64(),
 	}
 	applied := r.u8()

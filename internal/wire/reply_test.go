@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/hex"
 	"math"
@@ -86,17 +87,23 @@ func replyShapes() []replyShape {
 	}
 }
 
-// TestReplyFrameSizes pins each shape's reply payload to the byte, and the
-// one-report point reply to exactly version 10's length: a list entry costs
-// what a report's pointer list did, so only repeated lists save.
+// TestReplyFrameSizes pins each shape's reply payload to the byte, holds it
+// within 3 % of replyModel's prediction, and holds the one-report point
+// reply to exactly version 10's length: a list entry costs what a report's
+// pointer list did and a lone person is its varint, so only repeated lists
+// and longer runs save. Version 12 sent every person gap as a varint (7, 162
+// and 1 100 B for these three replies).
 func TestReplyFrameSizes(t *testing.T) {
-	want := map[string]int{"point": 7, "city": 162, "batch16": 1100}
+	want := map[string]int{"point": 7, "city": 121, "batch16": 960}
 	for _, s := range replyShapes() {
 		m := EncodeBatchReply(s.reply)
-		old := version10Size(s.reply)
-		t.Logf("%s: %d reports, payload %d B (version 10: %d B)", s.name, len(s.reply.Reports), len(m.Payload), old)
+		old, model := version10Size(s.reply), replyModel(s.reply)
+		t.Logf("%s: %d reports, payload %d B (model %.0f B, version 10: %d B)", s.name, len(s.reply.Reports), len(m.Payload), model, old)
 		if len(m.Payload) != want[s.name] {
 			t.Errorf("%s: payload %d B, want %d", s.name, len(m.Payload), want[s.name])
+		}
+		if math.Abs(float64(len(m.Payload))-model) > 0.03*model {
+			t.Errorf("%s: payload %d B is more than 3 %% off the model's %.0f B", s.name, len(m.Payload), model)
 		}
 		if s.name == "point" && len(m.Payload) != old {
 			t.Errorf("point: payload %d B, version 10 took %d", len(m.Payload), old)
@@ -108,9 +115,38 @@ func TestReplyFrameSizes(t *testing.T) {
 	}
 }
 
+// replyModel predicts a batch-reply payload in bytes. The header and every
+// entry's head, list, run length and largest person are varints counted
+// from the reply's groups. The persons' stream is the closed form: a run of
+// n persons up to hi codes its other n − 1 as gaps of mean about hi/n, taken
+// as geometric, so with r = personRice(hi, n) and x = (1 − n/(hi+1))^(2^r)
+// a gap costs r + 1 + x/(1 − x) bits, as a set bit's does in frameModel.
+func replyModel(b BatchReply) float64 {
+	var buf []uint64
+	firsts, persons, bounds := groupReports(b.Reports, &buf)
+	n := uvarintLen(uint64(b.Station)) + uvarintLen(uint64(b.Queries)) + uvarintLen(uint64(len(b.Reports)))
+	stream := 0.0
+	for g, first := range firsts {
+		list, run := b.Reports[first].WeightIDs, persons[bounds[g]:bounds[g+1]]
+		hi := run[len(run)-1]
+		n += uvarintLen(uint64(len(list))<<1) + uvarintLen(hi)
+		for _, id := range list {
+			n += uvarintLen(uint64(id))
+		}
+		if g < len(firsts)-1 {
+			n += uvarintLen(uint64(len(run)))
+		}
+		r := personRice(hi, len(run))
+		x := math.Pow(1-float64(len(run))/(float64(hi)+1), math.Exp2(float64(r)))
+		stream += float64(len(run)-1) * (float64(r) + 1 + x/(1-x))
+	}
+	return float64(n) + stream/8
+}
+
 // TestBatchReplyAnyPersonOrder: persons travel as gaps within a list's run,
 // which the encoder sorts when a caller's order was not ascending —
-// descending, repeated and extreme IDs come back as the same multiset.
+// descending, repeated and extreme IDs come back as the same multiset. The
+// run up to 2⁶⁴−1 codes its gaps with r = 61, past a packed field's 32 bits.
 func TestBatchReplyAnyPersonOrder(t *testing.T) {
 	in := BatchReply{Station: 3, Queries: 1}
 	for i, p := range []core.PersonID{900, 901, 1030, 7, 7, math.MaxUint64, 0, 1 << 63, 12} {
@@ -218,11 +254,12 @@ func TestWorkedBatchReplyHex(t *testing.T) {
 	}
 }
 
-// hostileReply is one reply payload spelled as its varints, and words the
-// decoder's refusal must contain.
+// hostileReply is one reply payload spelled as its varints and the bit
+// stream after them, and words the decoder's refusal must contain.
 type hostileReply struct {
 	name   string
 	fields []uint64
+	stream []byte
 	says   string
 }
 
@@ -231,13 +268,18 @@ func (h hostileReply) payload() []byte {
 	for _, v := range h.fields {
 		w.uvarint(v)
 	}
-	return w.buf
+	return append(w.buf, h.stream...)
 }
 
-// workedReplyFields is the worked frame's payload: station 3, two queries,
-// three reports; list [0] (head 1<<1) carrying persons 10 and 15, then the
-// last list [1 4] (head 2<<1 | 1) carrying person 7.
-var workedReplyFields = []uint64{3, 2, 3, 2, 0, 2, 10, 5, 5, 1, 4, 7}
+// workedReplyFields is the worked frame's entries: station 3, two queries,
+// three reports; list [0] (head 1<<1) carrying a run of two up to person
+// 15, then the last list [1 4] (head 2<<1 | 1) carrying person 7.
+// workedReplyStream holds the first run's other person, 10, with r =
+// personRice(15, 2) = 2: its quotient 2 in unary, a 0, then its low bits,
+// low first (bitsOf packs it).
+var workedReplyFields = []uint64{3, 2, 3, 2, 0, 2, 15, 5, 1, 4, 7}
+
+const workedReplyStream = "110 01"
 
 // hostileReplies is the reply decoder's rejection matrix: one payload per
 // rule DecodeBatchReply enforces. FuzzDecodePayload starts from all of them.
@@ -245,27 +287,35 @@ func hostileReplies() []hostileReply {
 	with := func(at int, vals ...uint64) []uint64 {
 		return append(append(slices.Clone(workedReplyFields[:at]), vals...), workedReplyFields[min(at+len(vals), len(workedReplyFields)):]...)
 	}
+	stream := bitsOf(workedReplyStream)
 	return []hostileReply{
-		{"station above 32 bits", with(0, 1<<32+3), "overflows 32 bits"},
-		{"echo above 32 bits", with(1, 1<<32+2), "overflows 32 bits"},
-		{"report count beyond the payload", with(2, 1<<30), "implausible"},
-		{"empty list", with(3, 0), "0 pointers"},
-		{"list beyond the payload", with(3, 40<<1), "40 pointers"},
-		{"pointer above 32 bits", with(4, 1<<32), "overflows 32 bits"},
-		{"zero run", with(5, 0), "run of 0"},
-		{"run that exhausts the count unflagged", with(5, 3), "last flag is unset"},
-		{"run beyond the count", with(5, 9), "last flag is unset"},
-		{"last flag before the count is exhausted", with(3, 3), "trailing"},
-		{"entry after the last", append(slices.Clone(workedReplyFields), 3, 0, 8), "trailing"},
-		{"no entry flagged last", with(8, 4, 1, 4, 1, 7), "last flag is unset"},
-		{"person overflows", with(6, math.MaxUint64), "plus gap"},
-		{"truncated", workedReplyFields[:len(workedReplyFields)-1], "short buffer"},
-		{"reports but no entries", []uint64{3, 2, 1}, "short buffer"},
+		{"station above 32 bits", with(0, 1<<32+3), stream, "overflows 32 bits"},
+		{"echo above 32 bits", with(1, 1<<32+2), stream, "overflows 32 bits"},
+		{"report count beyond the payload", with(2, 1<<30), stream, "implausible"},
+		{"empty list", with(3, 0), stream, "0 pointers"},
+		{"list beyond the payload", with(3, 40<<1), stream, "40 pointers"},
+		{"pointer above 32 bits", with(4, 1<<32), stream, "overflows 32 bits"},
+		{"zero run", with(5, 0), stream, "run of 0"},
+		{"run that exhausts the count unflagged", with(5, 3), stream, "last flag is unset"},
+		{"run beyond the count", with(5, 9), stream, "last flag is unset"},
+		// Entry 0 flagged last takes all three reports up to 15 (r = 1:
+		// persons 7 and 10 as gaps 7 and 3), and entry 1 trails the stream.
+		{"last flag before the count is exhausted", []uint64{3, 2, 3, 3, 0, 15}, append(bitsOf("1110 1   10 1"), 5, 1, 4, 7), "trailing"},
+		{"entry after the last", workedReplyFields, append(slices.Clone(stream), 3, 0, 8), "trailing"},
+		{"no entry flagged last", with(7, 4, 1, 4, 1, 7), stream, "last flag is unset"},
+		{"person overflows", workedReplyFields, bitsOf("1111 0 00"), "passes its run's largest"},
+		{"truncated", workedReplyFields, nil, "short buffer"},
+		{"reports but no entries", []uint64{3, 2, 1}, nil, "implausible"},
+		{"nonzero pad bits", workedReplyFields, bitsOf(workedReplyStream + "001"), "pad bits"},
 	}
 }
 
 func TestBatchReplyDecodeRejects(t *testing.T) {
-	if _, err := DecodeBatchReply(Message{Kind: KindBatchReply, Payload: hostileReply{fields: workedReplyFields}.payload()}); err != nil {
+	worked := hostileReply{fields: workedReplyFields, stream: bitsOf(workedReplyStream)}.payload()
+	if !bytes.Equal(worked, mustHex(t, workedBatchReplyHex)[headerSize:]) {
+		t.Fatalf("the spelled payload % x is not the worked frame's", worked)
+	}
+	if _, err := DecodeBatchReply(Message{Kind: KindBatchReply, Payload: worked}); err != nil {
 		t.Fatalf("the unmutated payload is refused: %v", err)
 	}
 	for _, tt := range hostileReplies() {

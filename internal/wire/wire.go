@@ -26,7 +26,8 @@
 // reply (StatsReply.Flags); see docs/WIRE.md.
 //
 // Payloads use unsigned varints for counts and small integers, raw 64-bit
-// words for bit arrays.
+// words for bit arrays, and Rice-coded bit streams for the sorted IDs of the
+// search exchange (set bits, pointer lists, reply persons).
 package wire
 
 import (
@@ -162,9 +163,10 @@ func (k Kind) String() string {
 // every value earlier builds stamped (2–7 by kind, 8 while kinds 3, 6 and 7
 // were live, 9 while a filter shipped a pointer list per set bit and a reply
 // absolute person IDs, 10 while a reply carried a pointer list per report,
-// 11 while a filter shipped its bit array word by word), so none of their
-// frames decode.
-const Version = uint8(12)
+// 11 while a filter shipped its bit array word by word, 12 while a query
+// frame shipped its weight rows and pointer lists as varints and a reply
+// every person gap as one), so none of their frames decode.
+const Version = uint8(13)
 
 const (
 	magic      = uint16(0xD1A7)
@@ -188,11 +190,12 @@ var (
 	// MaxBatchQueries queries (or an encode request exceeding it).
 	ErrBatchTooLarge = errors.New("wire: batch query count exceeds limit")
 	// ErrBatchMismatch rejects a batch payload whose parts disagree — a
-	// weight entry referencing a query the batch never declared.
+	// query ID declared twice, or declared IDs that are not the filter's.
 	ErrBatchMismatch = errors.New("wire: batch payload inconsistent")
-	// ErrBadWeight rejects a filter whose weight-table row is not a fraction
-	// in (0, 1] of int64 terms: a zero or overflowing numerator or
-	// denominator, or a numerator above its denominator.
+	// ErrBadWeight rejects a weight table that cannot travel as local sums:
+	// a query's sums negative, past 2⁶³−1 or totalling 0 or more than
+	// 2⁶³−1, or — encoding — rows that are not core.WeightRows of their
+	// sums, or a row no pointer list names.
 	ErrBadWeight   = errors.New("wire: weight row out of range")
 	errShortBuffer = errors.New("wire: short buffer")
 )
