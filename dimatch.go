@@ -129,6 +129,11 @@ func ParseStrategy(s string) (Strategy, error) { return cluster.ParseStrategy(s)
 func WithStrategy(s Strategy) SearchOption { return cluster.WithStrategy(s) }
 
 // WithTopK limits each query's answer; <= 0 returns all qualified persons.
+// A WBF search with k > 0 and no MinScore asks the stations first only for
+// persons below a learned person-ID bound, with a tail round over the rest
+// when that prefix cannot fill every query's k at the top score; the answer
+// equals the uncapped answer's first k (CostReport.TailRounds counts the
+// tail rounds).
 func WithTopK(k int) SearchOption { return cluster.WithTopK(k) }
 
 // WithVerify toggles the WBF verification phase for this call.

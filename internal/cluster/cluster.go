@@ -26,6 +26,9 @@ type Options struct {
 	// (bloom.OptimalParams), as the paper prices it.
 	Params core.Params
 	// TopK limits each query's answer; <= 0 returns all qualified persons.
+	// With TopK > 0 and no MinScore a WBF search answers from a person-ID
+	// prefix first, with a tail round only when the prefix cannot fill every
+	// query's k at the top score (see WithTopK).
 	TopK int
 	// MinScore drops WBF and naive results scoring below the threshold
 	// (0 keeps everything). A person whose local matches partition the
@@ -116,6 +119,10 @@ type Cluster struct {
 	// parent, keyed by the churn state it was built under. See
 	// Cluster.routingDigest (region.go).
 	upward upwardDigest
+
+	// prefix is the learned person-ID bound of capped searches' prefix
+	// rounds (wbf.go). Internally synchronized — searches share it.
+	prefix prefixBound
 
 	// profiler accumulates the band-traffic profile the routing step
 	// observes; RederiveParams turns it into an adaptive parameter plan

@@ -102,7 +102,9 @@ func (r *Region) Serve() error {
 // over this region's stations, in raw mode — no Algorithm 3 deletion, no
 // topK, no score band, no verification. The region must not finalize: the
 // root holds partials from the other regions, and deleting or truncating
-// here would change the merged outcome.
+// here would change the merged outcome. The round's person bound goes to
+// every member; the region never runs a tail round itself, since raw mode
+// has no k — the root decides.
 func (r *Region) handleRoute(ctx context.Context, msg wire.Message) (*wire.Message, error) {
 	rq, err := wire.DecodeRouteQuery(msg)
 	if err != nil {
@@ -124,6 +126,7 @@ func (r *Region) handleRoute(ctx context.Context, msg wire.Message) (*wire.Messa
 		WithMinScore(0),
 		WithVerify(false),
 		withRaw(),
+		withBound(rq.From, rq.To),
 	)
 	if err != nil {
 		return nil, fmt.Errorf("region %d: %w", r.id, err)

@@ -138,6 +138,17 @@ type searchConfig struct {
 	// Algorithm 3 — the root holds partials from other regions, and deleting
 	// or truncating here would change the merged outcome.
 	raw bool
+	// from and to bound a raw search to persons in [from, to), zero leaving
+	// an end open: the region serve loop forwards its parent's bound.
+	from, to core.PersonID
+}
+
+// capped reports whether a WBF search may answer from a person-ID prefix
+// first: a ranked search with a top-k and no score band. MinScore's band
+// admits sums above D, which the prefix rule's "nothing beats D" needs
+// excluded; a raw search has no k.
+func (cfg searchConfig) capped() bool {
+	return !cfg.raw && cfg.topK > 0 && cfg.minScore <= 0
 }
 
 // SearchOption configures a single Search call.
@@ -149,6 +160,11 @@ func WithStrategy(s Strategy) SearchOption {
 }
 
 // WithTopK limits each query's answer; <= 0 returns all qualified persons.
+// A WBF search with k > 0 and no MinScore asks its stations first only for
+// persons below a bound the cluster learns from earlier searches, and runs
+// one tail round over the rest only when that prefix cannot fill every
+// query's k at the top score. Its answer equals the uncapped answer's first
+// k either way (docs/OPERATIONS.md, "Capped searches").
 func WithTopK(k int) SearchOption {
 	return func(c *searchConfig) { c.topK = k }
 }
@@ -204,6 +220,12 @@ func withParams(p core.Params) SearchOption {
 // skip Algorithm 3's deletion step and read unranked sums as answers.
 func withRaw() SearchOption {
 	return func(c *searchConfig) { c.raw = true }
+}
+
+// withBound restricts a raw search to persons in [from, to); the region
+// serve loop uses it to answer its parent's prefix or tail round.
+func withBound(from, to core.PersonID) SearchOption {
+	return func(c *searchConfig) { c.from, c.to = from, to }
 }
 
 // searchDefaults resolves the cluster-level Options into a per-call config;
@@ -263,6 +285,10 @@ type CostReport struct {
 	// stations: ceil(queries / batch size), or 0 when every member is a
 	// route delegate. 0 for BF/naive searches.
 	Batches int
+	// TailRounds is 1 when a capped WBF search (WithTopK, no MinScore) had to
+	// re-send its rounds over persons at or above its prefix bound because
+	// the prefix could not fill every query's top-k at the top score, else 0.
+	TailRounds int
 	// StationsPruned counts member stations the summary-routing step
 	// excluded from this search's query fan-out: their cached summaries
 	// admitted no possible match for any query of the batch. Pruned

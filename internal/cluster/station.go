@@ -200,16 +200,18 @@ func (s *Station) serveLoop() error {
 	}
 }
 
-// handleBatch answers one search round — Algorithm 2 over every resident: a
-// single walk over the resident store, fanned across a GOMAXPROCS-bounded
-// worker pool, probes the round's combined filter once per resident and
-// answers every query of the round in one reply.
+// handleBatch answers one search round — Algorithm 2 over every resident the
+// round's person bound [From, To) admits: a single walk over that slice of
+// the person-ascending store, fanned across a GOMAXPROCS-bounded worker
+// pool, probes the round's combined filter once per resident and answers
+// every query of the round in one reply.
 func (s *Station) handleBatch(msg wire.Message) (*wire.Message, error) {
 	bq, err := wire.DecodeBatchQuery(msg)
 	if err != nil {
 		return nil, fmt.Errorf("station %d: %w", s.id, err)
 	}
-	reports, err := core.MatchResidents(bq.Filter, s.residents.Persons(), s.residents.Locals(), 0)
+	persons, locals := s.residents.Range(bq.From, bq.To)
+	reports, err := core.MatchResidents(bq.Filter, persons, locals, 0)
 	if err != nil {
 		return nil, fmt.Errorf("station %d: %w", s.id, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
@@ -29,20 +30,88 @@ func batchQueries(queries []core.Query, size int) [][]core.Query {
 	return append(out, queries)
 }
 
+// wbfSearch is one WBF search's state across its rounds: the shared
+// aggregation, the outcome its exchanges are billed to, and what they saw.
+type wbfSearch struct {
+	cfg                      searchConfig
+	agg                      *core.Aggregator
+	out                      *Outcome
+	reportBytes, filterBytes uint64
+	// failed holds every member that failed an exchange of the search — the
+	// prefix round, the tail round or verification — so a member lost in two
+	// of them counts once.
+	failed map[uint32]bool
+	// regions holds, per region, the most pruned and failed member stations
+	// any of its replies reported: a region answering the prefix and the tail
+	// round reports its dead members in both.
+	regions map[uint32]regionCounts
+	// lo is the smallest person any report carried, once seen is set.
+	lo   core.PersonID
+	seen bool
+}
+
+type regionCounts struct{ pruned, failed int }
+
+// note records one reported person for the prefix bound's lo.
+func (s *wbfSearch) note(p core.PersonID) {
+	if !s.seen || p < s.lo {
+		s.lo, s.seen = p, true
+	}
+}
+
+// rank finalizes every query from the aggregation so far.
+func (s *wbfSearch) rank(queries []core.Query) {
+	for _, q := range queries {
+		if s.cfg.raw {
+			s.out.PerQuery[q.ID] = rawResults(s.agg, q.ID)
+		} else {
+			s.out.PerQuery[q.ID] = rankWBF(s.cfg, s.agg, q.ID)
+		}
+	}
+}
+
+// filledAtTop reports whether a ranked answer holds k results scoring
+// exactly their denominator D. TopK deletes sums above D and ranks by
+// (numerator desc, person asc), so the k-th result at D means all k are.
+func filledAtTop(results []core.Result, k int) bool {
+	return len(results) >= k && results[k-1].Numerator == results[k-1].Denominator
+}
+
+// wbfRound is one batch of a search: its query IDs and combined filter, kept
+// so a tail round re-sends the same frame under another bound.
+type wbfRound struct {
+	ids    []core.QueryID
+	filter *core.Filter
+}
+
 // searchWBF is the paper's DI-matching pipeline end to end, executed as a
 // sequence of rounds. Each round packs up to batchSize queries into one
 // combined filter and one KindBatchQuery exchange per visited station;
 // every round's reports merge into one aggregation.
+//
+// A capped search (searchConfig.capped) first asks every station and region
+// only for persons below the learned bound P (prefixBound). Its answer is
+// final when every query holds k kept results at exactly D: a person below
+// P has been answered for by every reachable member, so its sum is final,
+// and no person at or above P can score above D or win a tie at D. Otherwise
+// one tail round re-sends every round's frame and route query over [P, ∞).
 func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, queries []core.Query) (*Outcome, error) {
-	out := &Outcome{PerQuery: make(map[core.QueryID][]core.Result, len(queries))}
-	agg := core.NewBatchAggregator()
+	s := &wbfSearch{
+		cfg:     cfg,
+		agg:     core.NewBatchAggregator(),
+		out:     &Outcome{PerQuery: make(map[core.QueryID][]core.Result, len(queries))},
+		failed:  make(map[uint32]bool),
+		regions: make(map[uint32]regionCounts),
+	}
+	out := s.out
 	// Replica-aware aggregation: placed persons' replicas report the same
 	// pattern, so the best report wins instead of the weights summing — and
 	// a replica that fails mid-fan-out is covered by any survivor.
-	agg.SetReplicated(c.replicatedPred())
+	s.agg.SetReplicated(c.replicatedPred())
 	// The routing step: probe the members' summaries and restrict the query
 	// fan-out to members that might answer — plain stations and region
-	// coordinators in one pass.
+	// coordinators in one pass. Routing picks members; the bound picks
+	// persons.
 	// Verification below still uses the full epoch — a candidate's locals can
 	// live on stations that hold no within-band resident, and the verify
 	// fetch must see them all.
@@ -55,34 +124,134 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	// each receives the entire query set as one KindRouteQuery and answers
 	// raw partial sums.
 	stations, regions := routeEp.split(delegate)
-	var reportBytes, filterBytes uint64
-	failedStations := make(map[uint32]bool)
-	for _, batch := range batchQueries(queries, cfg.batchSize) {
-		if err := c.runWBFRound(ctx, stations, cfg, batch, agg, out, &reportBytes, &filterBytes, failedStations); err != nil {
-			return nil, err
+
+	from, to := cfg.from, cfg.to // a region's search: its parent's bound
+	capped := cfg.capped()
+	if capped {
+		to = c.prefix.bound()
+	}
+	var rounds []wbfRound
+	if len(stations.ids) > 0 {
+		for _, batch := range batchQueries(queries, cfg.batchSize) {
+			r, err := c.buildRound(cfg, batch)
+			if err != nil {
+				return nil, err
+			}
+			s.filterBytes += r.filter.SizeBytes()
+			if err := c.sendRound(ctx, stations, s, r, from, to); err != nil {
+				return nil, err
+			}
+			out.Cost.Batches++
+			rounds = append(rounds, r)
 		}
 	}
-	maxHops, err := c.fanDelegates(ctx, regions, cfg, queries, agg, out, failedStations)
+	maxHops, err := c.fanDelegates(ctx, regions, s, queries, from, to)
 	if err != nil {
 		return nil, err
 	}
-	out.Cost.TierHops = 1 + maxHops
-	for _, q := range queries {
-		if cfg.raw {
-			out.PerQuery[q.ID] = rawResults(agg, q.ID)
-		} else {
-			out.PerQuery[q.ID] = rankWBF(cfg, agg, q.ID)
+	s.rank(queries)
+	if capped && to != 0 && !allFilled(out, queries, cfg.topK) {
+		out.Cost.TailRounds++
+		live := stations.without(s.failed)
+		for _, r := range rounds {
+			if err := c.sendRound(ctx, live, s, r, to, 0); err != nil {
+				return nil, err
+			}
 		}
+		hops, err := c.fanDelegates(ctx, regions.without(s.failed), s, queries, to, 0)
+		if err != nil {
+			return nil, err
+		}
+		maxHops = max(maxHops, hops)
+		s.rank(queries)
 	}
-	out.Cost.StationsFailed += len(failedStations)
-	out.Cost.FilterBytes = filterBytes
-	out.Cost.CenterStorageBytes = filterBytes + reportBytes
+	if capped {
+		c.prefix.learn(s, queries)
+	}
+	out.Cost.TierHops = 1 + maxHops
+	out.Cost.FilterBytes = s.filterBytes
+	out.Cost.CenterStorageBytes = s.filterBytes + s.reportBytes
 	if cfg.verify && !cfg.raw {
-		if err := c.verifyWBF(ctx, ep, cfg, queries, out); err != nil {
+		if err := c.verifyWBF(ctx, ep, cfg, queries, out, s.failed); err != nil {
 			return nil, err
 		}
 	}
+	out.Cost.StationsFailed += len(s.failed)
+	for _, rc := range s.regions {
+		out.Cost.StationsPruned += rc.pruned
+		out.Cost.StationsFailed += rc.failed
+	}
 	return out, nil
+}
+
+// allFilled reports whether every query's ranked answer filled k at the top
+// score (filledAtTop).
+func allFilled(out *Outcome, queries []core.Query, k int) bool {
+	for _, q := range queries {
+		if !filledAtTop(out.PerQuery[q.ID], k) {
+			return false
+		}
+	}
+	return true
+}
+
+// prefixBound is the coordinator's estimate of how far into the person-ID
+// space a capped answer reaches, shared by every search of the cluster. It
+// is learned, not configured: lo is the smallest person any capped search's
+// report carried, and reach the largest k-th result person − lo over queries
+// that filled k at the top score. The next prefix round then asks for
+// persons below P = lo + reach + ⌈reach/2⌉ + 1 — the k-th results seen so
+// far with half as much again in margin. Whatever P is, results are exact:
+// a P too low costs a tail round, never an answer.
+type prefixBound struct {
+	mu      sync.Mutex
+	lo      core.PersonID // dimatch:guardedby mu
+	reach   core.PersonID // dimatch:guardedby mu
+	seen    bool          // dimatch:guardedby mu — lo is set
+	learned bool          // dimatch:guardedby mu — reach is set
+}
+
+// bound returns P, or 0 — the whole range — while nothing is learned or P
+// would pass the ID space.
+func (b *prefixBound) bound() core.PersonID {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.learned {
+		return 0
+	}
+	// lo only falls, so lo + reach stays at or below the k-th person it was
+	// measured from; only the margin can wrap.
+	p := b.lo + b.reach
+	if q := p + b.reach - b.reach/2 + 1; q > p {
+		return q
+	}
+	return 0
+}
+
+// learn folds one finished capped search into the estimate: its smallest
+// reported person lowers lo, and every query that filled k at the top score
+// raises reach to its k-th person − lo. A query that could not fill k at the
+// top score even over the full range teaches nothing.
+func (b *prefixBound) learn(s *wbfSearch, queries []core.Query) {
+	if !s.seen {
+		return // no report: nothing filled either
+	}
+	k := s.cfg.topK
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.seen || s.lo < b.lo {
+		b.lo, b.seen = s.lo, true
+	}
+	for _, q := range queries {
+		results := s.out.PerQuery[q.ID]
+		if !filledAtTop(results, k) {
+			continue
+		}
+		// The k-th person was reported by this search, so it is ≥ lo.
+		if reach := results[k-1].Person - b.lo; !b.learned || reach > b.reach {
+			b.reach, b.learned = reach, true
+		}
+	}
 }
 
 // delegates returns the pinned epoch's route delegates: the members whose
@@ -128,6 +297,22 @@ func (ep *epoch) split(delegate map[uint32]bool) (stations, regions *epoch) {
 	return stations, regions
 }
 
+// without returns the sub-epoch of ep's members not in drop, ep itself when
+// drop names none of them.
+func (ep *epoch) without(drop map[uint32]bool) *epoch {
+	keep := &epoch{version: ep.version}
+	for i, id := range ep.ids {
+		if !drop[id] {
+			keep.ids = append(keep.ids, id)
+			keep.muxes = append(keep.muxes, ep.muxes[i])
+		}
+	}
+	if len(keep.ids) == len(ep.ids) {
+		return ep
+	}
+	return keep
+}
+
 // rawResults returns every accumulated partial for one query, person
 // ascending — the region's answer shape. No Algorithm 3 deletion, no topK,
 // no score band: finalizing is the root's job, after every region's partials
@@ -138,41 +323,47 @@ func rawResults(agg *core.Aggregator, q core.QueryID) []core.Result {
 	return results
 }
 
-// fanDelegates runs the hierarchical tier of one WBF search: every route
-// delegate the routing step kept receives the whole query set as a single
-// KindRouteQuery and answers its region's raw per-person partial sums, which
-// merge into the shared aggregation exactly as AddFrom would one tier down
-// (core's Merge). Which regions are asked is planRoute's decision; the
-// exchange is billed to the search's Bytes/Messages totals and a delegate
-// whose exchange fails is counted in failedStations exactly like a station.
-func (c *Cluster) fanDelegates(ctx context.Context, regions *epoch, cfg searchConfig, queries []core.Query, agg *core.Aggregator, out *Outcome, failedStations map[uint32]bool) (maxHops int, err error) {
+// fanDelegates runs the hierarchical tier of one WBF search round: every
+// route delegate in regions receives the whole query set, bounded to persons
+// in [from, to), as a single KindRouteQuery and answers its region's raw
+// per-person partial sums, which merge into the shared aggregation exactly
+// as AddFrom would one tier down (core's Merge). Which regions are asked is
+// planRoute's decision; the exchange is billed to the search's
+// Bytes/Messages totals and a delegate whose exchange fails is counted in
+// s.failed exactly like a station.
+func (c *Cluster) fanDelegates(ctx context.Context, regions *epoch, s *wbfSearch, queries []core.Query, from, to core.PersonID) (maxHops int, err error) {
 	if len(regions.ids) == 0 {
 		return 0, nil
 	}
 	routeMsg, err := wire.EncodeRouteQuery(wire.RouteQuery{
 		Queries:   queries,
-		Params:    cfg.params,
-		TargetFP:  cfg.targetFP,
-		BatchSize: cfg.batchSize,
-		Routing:   uint8(cfg.routing),
+		Params:    s.cfg.params,
+		TargetFP:  s.cfg.targetFP,
+		BatchSize: s.cfg.batchSize,
+		Routing:   uint8(s.cfg.routing),
+		From:      from,
+		To:        to,
 	})
 	if err != nil {
 		return 0, err
 	}
-	failed, err := c.fanOut(ctx, regions, routeMsg, &out.Cost, func(reply wire.Message) error {
+	failed, err := c.fanOut(ctx, regions, routeMsg, &s.out.Cost, func(reply wire.Message) error {
 		rr, err := wire.DecodeRouteReply(reply)
 		if err != nil {
 			return err
 		}
-		out.Cost.SubtreeProbes += rr.Probes
-		out.Cost.StationsPruned += int(rr.Pruned)
-		out.Cost.StationsFailed += int(rr.Failed)
+		s.out.Cost.SubtreeProbes += rr.Probes
+		rc := s.regions[rr.Region]
+		rc.pruned = max(rc.pruned, int(rr.Pruned))
+		rc.failed = max(rc.failed, int(rr.Failed))
+		s.regions[rr.Region] = rc
 		if int(rr.Hops) > maxHops {
 			maxHops = int(rr.Hops)
 		}
 		for _, r := range rr.Results {
-			out.Cost.ReportsReceived++
-			agg.Merge(core.QueryID(r.Query), core.Result{
+			s.out.Cost.ReportsReceived++
+			s.note(r.Person)
+			s.agg.Merge(core.QueryID(r.Query), core.Result{
 				Person:      core.PersonID(r.Person),
 				Numerator:   r.Numerator,
 				Denominator: r.Denominator,
@@ -182,64 +373,64 @@ func (c *Cluster) fanDelegates(ctx context.Context, regions *epoch, cfg searchCo
 		return nil
 	})
 	for _, i := range failed {
-		failedStations[regions.ids[i]] = true
+		s.failed[regions.ids[i]] = true
 	}
 	return maxHops, err
 }
 
-// runWBFRound executes one round across the epoch's stations: it encodes the
-// round's combined filter, sends it to every station in one KindBatchQuery
-// frame each, and feeds every report into the shared aggregation. Stations
-// that fail are recorded in failedStations — never fatal. An epoch with no
-// stations (every member is a route delegate) builds and bills nothing.
-func (c *Cluster) runWBFRound(ctx context.Context, ep *epoch, cfg searchConfig, batch []core.Query, agg *core.Aggregator, out *Outcome, reportBytes, filterBytes *uint64, failedStations map[uint32]bool) error {
-	if len(ep.ids) == 0 {
-		return nil
-	}
+// buildRound encodes one batch's combined filter.
+func (c *Cluster) buildRound(cfg searchConfig, batch []core.Query) (wbfRound, error) {
 	params, err := c.resolveParams(cfg, batch)
 	if err != nil {
-		return err
+		return wbfRound{}, err
 	}
 	enc, err := core.NewEncoder(params, c.length)
 	if err != nil {
-		return err
+		return wbfRound{}, err
 	}
-	ids := make([]core.QueryID, 0, len(batch))
+	r := wbfRound{ids: make([]core.QueryID, 0, len(batch))}
 	for _, q := range batch {
 		if err := enc.AddQuery(q); err != nil {
-			return err
+			return wbfRound{}, err
 		}
-		ids = append(ids, q.ID)
+		r.ids = append(r.ids, q.ID)
 	}
-	combined := enc.Filter()
-	batchMsg, err := wire.EncodeBatchQuery(wire.BatchQuery{Queries: ids, Filter: combined})
+	r.filter = enc.Filter()
+	return r, nil
+}
+
+// sendRound sends one round's combined filter, bounded to persons in
+// [from, to), to every station of ep in one KindBatchQuery frame each, and
+// feeds every report into the search's aggregation. Stations that fail are
+// recorded in s.failed — never fatal. An epoch with no stations sends
+// nothing.
+func (c *Cluster) sendRound(ctx context.Context, ep *epoch, s *wbfSearch, r wbfRound, from, to core.PersonID) error {
+	if len(ep.ids) == 0 {
+		return nil
+	}
+	batchMsg, err := wire.EncodeBatchQuery(wire.BatchQuery{Queries: r.ids, Filter: r.filter, From: from, To: to})
 	if err != nil {
 		return err
 	}
-	*filterBytes += combined.SizeBytes()
-
-	failed, err := c.fanOut(ctx, ep, batchMsg, &out.Cost, func(reply wire.Message) error {
-		*reportBytes += uint64(reply.EncodedSize())
-		br, err := decodeRoundReply(reply, len(batch))
+	failed, err := c.fanOut(ctx, ep, batchMsg, &s.out.Cost, func(reply wire.Message) error {
+		s.reportBytes += uint64(reply.EncodedSize())
+		br, err := decodeRoundReply(reply, len(r.ids))
 		if err != nil {
 			return err
 		}
 		for _, rep := range br.Reports {
-			out.Cost.ReportsReceived++
-			if err := agg.AddFrom(combined.Weights(), rep); err != nil {
+			s.out.Cost.ReportsReceived++
+			s.note(rep.Person)
+			if err := s.agg.AddFrom(r.filter.Weights(), rep); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
 	for _, i := range failed {
-		failedStations[ep.ids[i]] = true
+		s.failed[ep.ids[i]] = true
 	}
-	if err != nil {
-		return err
-	}
-	out.Cost.Batches++
-	return nil
+	return err
 }
 
 // decodeRoundReply decodes one station's answer to a round of the given
@@ -255,8 +446,9 @@ func decodeRoundReply(reply wire.Message, queries int) (wire.BatchReply, error) 
 
 // verifyWBF runs the verification phase: pull every ranked candidate's
 // local patterns, materialize their globals and drop candidates that fail
-// the exact Eq. 2 check against their query.
-func (c *Cluster) verifyWBF(ctx context.Context, ep *epoch, cfg searchConfig, queries []core.Query, out *Outcome) error {
+// the exact Eq. 2 check against their query. Members that fail the pull join
+// failed, the search's one set of failed members.
+func (c *Cluster) verifyWBF(ctx context.Context, ep *epoch, cfg searchConfig, queries []core.Query, out *Outcome, failed map[uint32]bool) error {
 	candidates := make(map[core.PersonID]bool)
 	for _, results := range out.PerQuery {
 		for _, r := range results {
@@ -271,12 +463,12 @@ func (c *Cluster) verifyWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 		persons = append(persons, p)
 	}
 	before := out.Cost.BytesUp
-	globals, failed, err := c.pullGlobals(ctx, ep, persons, &out.Cost)
+	globals, lost, err := c.pullGlobals(ctx, ep, persons, &out.Cost)
 	if err != nil {
 		return err
 	}
-	if len(failed) > out.Cost.StationsFailed {
-		out.Cost.StationsFailed = len(failed)
+	for _, i := range lost {
+		failed[ep.ids[i]] = true
 	}
 	out.Cost.CenterStorageBytes += out.Cost.BytesUp - before
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dimatch/internal/pattern"
@@ -114,6 +117,87 @@ func TestAggregatorRankingOrder(t *testing.T) {
 	// K truncates.
 	if got := a.TopK(1, 2); len(got) != 2 {
 		t.Fatalf("TopK(2) returned %d", len(got))
+	}
+}
+
+// TestTopKTieBreakByPerson pins the order a capped search's prefix rule
+// depends on: numerator descending, then person ascending, with sums above
+// the denominator deleted. Among persons tied at D, the k smallest IDs win,
+// whatever order their reports arrived in — so once k persons below a bound
+// sit at D, no person at or above it can enter the answer.
+func TestTopKTieBreakByPerson(t *testing.T) {
+	f := rankerFixture(t)
+	a := NewBatchAggregator()
+	wAll := weightIDFor(t, f, 1, 0b11) // 12/12
+	w1 := weightIDFor(t, f, 1, 0b01)   // 6/12
+	for _, p := range []PersonID{90, 40, 70, 10, 60} {
+		mustAdd(t, a, f, Report{Person: p, WeightIDs: []WeightID{wAll}})
+	}
+	mustAdd(t, a, f, Report{Person: 5, WeightIDs: []WeightID{w1}})   // below D: ranks after every tie
+	mustAdd(t, a, f, Report{Person: 1, WeightIDs: []WeightID{wAll}}) // 24/12 once summed: deleted
+	mustAdd(t, a, f, Report{Person: 1, WeightIDs: []WeightID{wAll}})
+	got := a.TopK(1, 0)
+	want := []PersonID{10, 40, 60, 70, 90, 5}
+	if len(got) != len(want) {
+		t.Fatalf("TopK = %+v, want persons %v", got, want)
+	}
+	for i, p := range want {
+		if got[i].Person != p {
+			t.Fatalf("TopK[%d] = person %d, want %d (all: %+v)", i, got[i].Person, p, got)
+		}
+	}
+	if top3 := a.TopK(1, 3); len(top3) != 3 || top3[2].Person != 60 || top3[2].Numerator != top3[2].Denominator {
+		t.Fatalf("TopK(3) = %+v, want persons 10, 40, 60 at 12/12", top3)
+	}
+}
+
+// BenchmarkAggregateRank is the coordinator's merge of one query at the
+// city_fanout shape: 64 station replies, each a few person-ascending runs
+// sharing one pointer list, folded in with AddFrom and ranked with TopK(10).
+// 5 200 reports is a full-range search, 800 a prefix round's share.
+func BenchmarkAggregateRank(b *testing.B) {
+	enc, err := NewEncoder(testParams(), 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := enc.AddQuery(Query{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}, {2, 2, 2}, {4, 0, 1}, {0, 3, 3}}}); err != nil {
+		b.Fatal(err)
+	}
+	table := enc.Filter().Weights()
+	for _, n := range []int{5200, 800} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		var replies [][]Report
+		for s := 0; s < 64; s++ {
+			var reply []Report
+			for run := 0; run < 3; run++ {
+				ids := []WeightID{WeightID(rng.Intn(len(table)))}
+				persons := make([]PersonID, n/64/3)
+				for i := range persons {
+					persons[i] = PersonID(rng.Intn(20_000 * n / 5200))
+				}
+				slices.Sort(persons)
+				for _, p := range persons {
+					reply = append(reply, Report{Person: p, WeightIDs: ids})
+				}
+			}
+			replies = append(replies, reply)
+		}
+		b.Run(fmt.Sprintf("reports=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a := NewBatchAggregator()
+				for _, reply := range replies {
+					for _, r := range reply {
+						if err := a.AddFrom(table, r); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				if len(a.TopK(1, 10)) == 0 {
+					b.Fatal("nothing ranked")
+				}
+			}
+		})
 	}
 }
 

@@ -42,20 +42,6 @@ func (s Subset) String() string {
 	return out + "}"
 }
 
-// EnumerateSubsets returns every non-empty subset mask of e locals, in
-// increasing mask order. The count is exactly 2^e - 1, matching the paper's
-// Ψ = Σ_{j=1..l} C(l,j) comparison count (Eq. 4).
-func EnumerateSubsets(e int) ([]Subset, error) {
-	if e <= 0 || e > MaxLocals {
-		return nil, fmt.Errorf("pattern: EnumerateSubsets e=%d, want 1..%d", e, MaxLocals)
-	}
-	out := make([]Subset, 0, (1<<uint(e))-1)
-	for m := Subset(1); m < 1<<uint(e); m++ {
-		out = append(out, m)
-	}
-	return out, nil
-}
-
 // Combine returns the element-wise sum of the locals selected by mask.
 // All locals must share one length and mask must be non-empty and within
 // range.
@@ -83,28 +69,4 @@ func Combine(locals []Pattern, mask Subset) (Pattern, error) {
 		}
 	}
 	return out, nil
-}
-
-// WeightNumerator returns the exact integer weight numerator of the
-// combination selected by mask: the sum of all values of the combined
-// pattern, which equals the maximum of its accumulated form. The weight the
-// paper assigns is numerator / WeightNumerator(all locals).
-//
-// Because value sums are additive over disjoint subsets, so are weight
-// numerators — the invariant that makes the ranker's "sum of weights == 1"
-// test identify correctly partitioned matches.
-func WeightNumerator(locals []Pattern, mask Subset) (int64, error) {
-	if mask == 0 {
-		return 0, errors.New("pattern: WeightNumerator with empty subset")
-	}
-	if int(mask) >= 1<<uint(len(locals)) {
-		return 0, fmt.Errorf("pattern: subset %s references locals beyond %d", mask, len(locals))
-	}
-	var num int64
-	for j := 0; j < len(locals); j++ {
-		if mask.Contains(j) {
-			num += locals[j].Sum()
-		}
-	}
-	return num, nil
 }

@@ -1,6 +1,7 @@
 // AllocsPerRun pins: the resident store's steady-state surface —
 // (*Residents).Find, replacing a resident's row through (*Residents).Upsert,
-// and row access through (*Residents).Persons and (*Residents).Locals — held
+// and row access through (*Residents).Persons, (*Residents).Locals and
+// (*Residents).Range — held
 // to 0 allocs/op. Inserting a new person is the one path allowed to allocate
 // (a chunk, or slice growth).
 package store
@@ -45,6 +46,16 @@ func TestNoallocResidentsUpsert(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("(*Residents).Upsert allocates %v times per run replacing a resident; want 0", n)
+	}
+}
+
+func TestNoallocResidentsRange(t *testing.T) {
+	r := pinnedResidents()
+	if n := testing.AllocsPerRun(100, func() {
+		persons, locals := r.Range(450, 600)
+		findSink = len(persons) + len(locals)
+	}); n != 0 {
+		t.Fatalf("(*Residents).Range allocates %v times per run; want 0", n)
 	}
 }
 

@@ -292,6 +292,31 @@ func TestWalkersSeeStoreViewsAsPlainSlices(t *testing.T) {
 				t.Fatalf("dense=%v workers=%d: reports over store views differ from plain slices (%d vs %d reports)", dense, workers, len(got), len(want))
 			}
 		}
+		// A bounded walk over the store's Range is the full walk filtered to
+		// [from, to), to == 0 open: what a station's prefix and tail rounds
+		// report. Persons are the odd numbers 1..2n−1.
+		full, err := core.MatchResidents(fx.filter, r.Persons(), r.Locals(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range [][2]core.PersonID{{0, 0}, {0, 400}, {400, 0}, {401, 1200}, {2, 3}, {1, 2}, {0, 1}, {5000, 0}, {3, 5000}} {
+			persons, locals := r.Range(b[0], b[1])
+			got, err := core.MatchResidents(fx.filter, persons, locals, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []core.Report
+			for _, rep := range full {
+				if rep.Person >= b[0] && (b[1] == 0 || rep.Person < b[1]) {
+					want = append(want, rep)
+				}
+			}
+			wantBytes := wire.EncodeBatchReply(wire.BatchReply{Station: 1, Queries: 4, Reports: want}).Payload
+			gotBytes := wire.EncodeBatchReply(wire.BatchReply{Station: 1, Queries: 4, Reports: got}).Payload
+			if !bytes.Equal(gotBytes, wantBytes) {
+				t.Fatalf("dense=%v [%d, %d): bounded walk reports %d, the filtered full walk %d", dense, b[0], b[1], len(got), len(want))
+			}
+		}
 		wantSum, err := index.Build(fx.length, fx.rows)
 		if err != nil {
 			t.Fatal(err)
@@ -333,6 +358,30 @@ func BenchmarkMatchResidents(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(fx.persons)), "ns/resident")
 			})
 		}
+	}
+}
+
+// BenchmarkMatchResidentsPrefix is a station's share of a capped search on a
+// dense 300-resident store (city_fanout holds about 300 residents per
+// station): the prefix round walks the Range below 15 % of the person span,
+// a full-range round all of it.
+func BenchmarkMatchResidentsPrefix(b *testing.B) {
+	fx := newWalkFixture(b, true, 300)
+	r := fx.churned(b)
+	span := fx.persons[len(fx.persons)-1] + 1
+	for _, part := range []struct {
+		name string
+		to   core.PersonID
+	}{{"prefix15", span * 15 / 100}, {"full", 0}} {
+		persons, locals := r.Range(0, part.to)
+		b.Run(part.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.MatchResidents(fx.filter, persons, locals, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

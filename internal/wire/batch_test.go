@@ -134,7 +134,7 @@ func TestBatchQueryDecodeCorrupt(t *testing.T) {
 		if _, err := writeQueries(&w, f.Weights()[:3], nil); err != nil {
 			t.Fatal(err)
 		}
-		writeFilter(&w, f)
+		writeFilter(&w, f, 0, 0)
 		if _, err := DecodeBatchQuery(Message{Kind: KindBatchQuery, Payload: w.buf}); err == nil {
 			t.Fatal("a pointer to an undeclared query's row was accepted")
 		}

@@ -79,7 +79,9 @@ func frameShapes(t testing.TB) []frameShape {
 // within 3 % of frameModel's prediction, and holds each filter to the sizing
 // target: an absent value probes present with probability at most 1 %. A
 // decoded filter must equal the encoder's in every array and weight field
-// and re-encode byte for byte. Version 12 sent the weight rows and the
+// and re-encode byte for byte. An unbounded frame is as long as in version
+// 13; a person bound adds exactly its ends' uvarints, its presence riding on
+// the params flag byte. Version 12 sent the weight rows and the
 // dictionary as varints (371, 193 and 2 041 B for these three filters);
 // version 11 the memory-sized bit array word by word (433, 512 and 4 895 B);
 // version 9 a delta-coded index and a pointer list per set bit (5 331, 1 111
@@ -115,6 +117,28 @@ func TestFilterFrameSizes(t *testing.T) {
 		again, err := EncodeBatchQuery(got)
 		if err != nil || !bytes.Equal(again.Payload, m.Payload) {
 			t.Errorf("%s: a decoded filter re-encodes to different bytes (err %v)", s.name, err)
+		}
+		// A person bound costs its flag bits nothing and each end its uvarint.
+		for _, b := range [][2]core.PersonID{{300, 0}, {0, 1 << 20}, {7, 1 << 40}} {
+			bounded := s.batch
+			bounded.From, bounded.To = b[0], b[1]
+			bm, err := EncodeBatchQuery(bounded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			extra := 0
+			for _, end := range b {
+				if end != 0 {
+					extra += uvarintLen(uint64(end))
+				}
+			}
+			if len(bm.Payload) != len(m.Payload)+extra {
+				t.Errorf("%s bounded [%d, %d): payload %d B, want %d + %d", s.name, b[0], b[1], len(bm.Payload), len(m.Payload), extra)
+			}
+			got, err := DecodeBatchQuery(bm)
+			if err != nil || got.From != b[0] || got.To != b[1] || !sameFilter(got.Filter, f) {
+				t.Errorf("%s bounded [%d, %d): decoded [%d, %d), err %v", s.name, b[0], b[1], got.From, got.To, err)
+			}
 		}
 	}
 }
@@ -159,6 +183,11 @@ func frameModel(b BatchQuery) float64 {
 		}
 	}
 	n += uvarintLen(p.Bits) + uvarintLen(uint64(p.Hashes)) + uvarintLen(uint64(p.Samples)) + uvarintLen(uint64(p.Epsilon)) + 1 + 8 + 1
+	for _, end := range []core.PersonID{b.From, b.To} {
+		if end != 0 {
+			n += uvarintLen(uint64(end))
+		}
+	}
 	n += uvarintLen(uint64(f.Length())) + uvarintLen(f.Inserted())
 	n += uvarintLen(uint64(len(codes))) + uvarintLen(uint64(len(offs)-1)) + uvarintLen(uint64(len(ids)))
 
@@ -196,6 +225,16 @@ func TestWorkedBatchQueryHex(t *testing.T) {
 	if got := hex.EncodeToString(m.WithRequest(42).Encode()); got != workedBatchQueryHex {
 		t.Fatalf("batch-query worked frame drifted:\n got %s\nwant %s", got, workedBatchQueryHex)
 	}
+	// The prose's prefix round of the same query, for persons below 300: flags
+	// 04 and To = 300 as ac 02, two bytes longer.
+	m, err = EncodeBatchQuery(BatchQuery{Queries: []core.QueryID{1}, Filter: enc.Filter(), To: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bounded = "a7d10e0e2a000000" + "1c000000" + "01" + "010103" + "40020200010500000000000000" + "04" + "ac02" + "0202040101" + "1c6472"
+	if got := hex.EncodeToString(m.WithRequest(42).Encode()); got != bounded {
+		t.Fatalf("bounded batch-query frame drifted:\n got %s\nwant %s", got, bounded)
+	}
 }
 
 // rawFilter is a batch-query payload spelled field by field, so a test can
@@ -209,7 +248,9 @@ type rawFilter struct {
 	blocks   [][]uint64 // per query: ID, local count, the locals' sums
 	lists    uint64
 	pointers uint64
-	stream   []byte // the dictionary, then per set bit its Rice-coded gap and list code
+	stream   []byte   // the dictionary, then per set bit its Rice-coded gap and list code
+	flags    uint8    // ORed into the params flag byte
+	bound    []uint64 // uvarints after the params flag byte
 }
 
 // The valid stream, in the order its bits are written (bitsOf packs it).
@@ -270,7 +311,9 @@ func (f rawFilter) payload() []byte {
 			w.uvarint(v)
 		}
 	}
-	writeParams(&w, core.Params{Bits: f.bits, Hashes: 1, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5})
+	writeParams(&w, core.Params{Bits: f.bits, Hashes: 1, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5}, 0, 0)
+	w.buf[len(w.buf)-1] |= f.flags
+	w.buf = append(w.buf, varints(f.bound...)...)
 	w.uvarint(2) // pattern length
 	w.uvarint(2) // inserted
 	w.uvarint(f.setCount)
@@ -337,17 +380,42 @@ func hostileFilters() []hostileFilter {
 		{"locals beyond MaxLocals", func(f *rawFilter) { f.blocks[0] = []uint64{1, 21} }, nil, "declares 21 locals"},
 		{"query ID above 32 bits", func(f *rawFilter) { f.blocks[0][0] = 1<<32 + 1 }, nil, "overflows 32 bits"},
 		{"duplicate query ID", func(f *rawFilter) { f.blocks = append(f.blocks, []uint64{1, 1, 4}) }, ErrBatchMismatch, ""},
+		{"From sent as 0", func(f *rawFilter) { f.flags, f.bound = flagFrom, []uint64{0} }, ErrBadBound, "From sent as 0"},
+		{"To sent as 0", func(f *rawFilter) { f.flags, f.bound = flagTo, []uint64{0} }, ErrBadBound, "To sent as 0"},
+		{"To equals From", func(f *rawFilter) { f.flags, f.bound = flagFrom|flagTo, []uint64{9, 9} }, ErrBadBound, "To 9 ≤ From 9"},
+		{"To below From", func(f *rawFilter) { f.flags, f.bound = flagFrom|flagTo, []uint64{9, 4} }, ErrBadBound, "To 4 ≤ From 9"},
+		{"undefined params flag", func(f *rawFilter) { f.flags = 1 << 3 }, nil, "undefined bits"},
 	}
 }
 
+// boundedRawFilters are validRawFilter with each shape of person bound the
+// encoder writes: From only, To only, and both.
+func boundedRawFilters() []rawFilter {
+	var out []rawFilter
+	for _, b := range []struct {
+		flags uint8
+		bound []uint64
+	}{{flagFrom, []uint64{300}}, {flagTo, []uint64{1 << 20}}, {flagFrom | flagTo, []uint64{7, 8}}} {
+		f := validRawFilter()
+		f.flags, f.bound = b.flags, b.bound
+		out = append(out, f)
+	}
+	return out
+}
+
 func TestFilterDecodeRejects(t *testing.T) {
-	for _, tt := range []struct {
+	type valid struct {
 		raw       rawFilter
 		positions []uint32
-	}{
+	}
+	valids := []valid{
 		{validRawFilter(), []uint32{1, 20, 50}},
 		{maxBitsFilter(), []uint32{core.MaxBits - 1}},
-	} {
+	}
+	for _, f := range boundedRawFilters() {
+		valids = append(valids, valid{f, []uint32{1, 20, 50}})
+	}
+	for _, tt := range valids {
 		valid := Message{Kind: KindBatchQuery, Payload: tt.raw.payload()}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -18,27 +18,27 @@ import (
 // immediately explores the interesting corrupt-field space instead of
 // rediscovering the magic number.
 const (
-	workedBatchQueryHex = "a7d10d0e2a000000" + "1a000000" +
+	workedBatchQueryHex = "a7d10e0e2a000000" + "1a000000" +
 		"01" + "010103" + "4002020001050000000000000000" +
 		"0202040101" + "1c6472"
-	workedSummaryReplyHex = "a7d10d132a000000" + "1e000000" +
+	workedSummaryReplyHex = "a7d10e132a000000" + "1e000000" +
 		"030201719a3d0cbfe5a75140000000000000000702" +
 		"010119402202542008"
 	// A KindRouteQuery delegating a one-query round (auto-sized params,
 	// summary routing) and the region's KindRouteReply carrying one raw partial
 	// result.
-	workedRouteQueryHex = "a7d10d142a000000" + "25000000" +
+	workedRouteQueryHex = "a7d10e142a000000" + "25000000" +
 		"01070204020400020400020204" +
 		"0000000000000000000000000000" +
 		"7b14ae47e17a843f" + "0000"
-	workedRouteReplyHex = "a7d10d152a000000" + "0c000000" +
+	workedRouteReplyHex = "a7d10e152a000000" + "0c000000" +
 		"030502010001" + "010709181801"
 	// A KindParamUpdate installing a three-group adaptive plan at epoch 2.
-	workedParamUpdateHex = "a7d10d162a000000" + "1b000000" +
+	workedParamUpdateHex = "a7d10e162a000000" + "1b000000" +
 		"020000000000000001" + "1704000000000000" + "03" +
 		"020501" + "030604" + "040710"
 	// A KindBatchReply of three reports on two pointer lists.
-	workedBatchReplyHex = "a7d10d0f2a000000" + "0c000000" +
+	workedBatchReplyHex = "a7d10e0f2a000000" + "0c000000" +
 		"030203" + "0200020f" + "05010407" + "13"
 )
 
@@ -46,7 +46,7 @@ const (
 // each version byte earlier builds used (plus the next unassigned one) and
 // each retired kind byte — all of which must be rejected at the header.
 func addRetiredSeeds(f *testing.F, frame []byte) {
-	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14} {
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15} { // all but Version
 		bad := append([]byte(nil), frame...)
 		bad[2] = v
 		f.Add(bad)
@@ -84,6 +84,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add(full[:7])
 	f.Add(full[:20])
 	addRetiredSeeds(f, full)
+	// A bounded frame, and the same bytes on every superseded header: version
+	// 13 had no bound to carry.
+	for _, raw := range boundedRawFilters() {
+		frame := Message{Kind: KindBatchQuery, Request: 5, Payload: raw.payload()}.Encode()
+		f.Add(frame)
+		addRetiredSeeds(f, frame)
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Decode(b)
@@ -171,6 +178,21 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(uint8(tt.kind)-1, tt.build(1<<32+7))
 	}
 	f.Add(uint8(KindRouteQuery)-1, routeQueryPayload(5, 5))
+	// Person bounds on both query kinds: From only, To only, both, and the
+	// refusals — To ≤ From, an end sent as 0, an undefined flag bit.
+	for _, b := range []struct {
+		flags uint8
+		bound []uint64
+	}{
+		{flagFrom, []uint64{300}}, {flagTo, []uint64{1 << 20}}, {flagFrom | flagTo, []uint64{7, 8}},
+		{flagFrom | flagTo, []uint64{9, 9}}, {flagFrom | flagTo, []uint64{9, 4}},
+		{flagFrom, []uint64{0}}, {flagTo, []uint64{0}}, {1 << 3, nil},
+	} {
+		raw := validRawFilter()
+		raw.flags, raw.bound = b.flags, b.bound
+		f.Add(uint8(KindBatchQuery)-1, raw.payload())
+		f.Add(uint8(KindRouteQuery)-1, boundedRouteQueryPayload(b.flags, b.bound, 5))
+	}
 	// A routing digest and a BF query of zero bits and no words.
 	f.Add(uint8(KindSummaryReply)-1, append(varints(3, 2, 1), append(make([]byte, 16), 7, 0, 0)...))
 	f.Add(uint8(KindBFQuery)-1, append(varints(0, 3, 2, 0, 1), append(make([]byte, 9), 2, 0, 0)...))
@@ -280,7 +302,7 @@ func FuzzDecodePayload(f *testing.F) {
 				if err != nil {
 					t.Fatalf("route-query re-decode failed: %v", err)
 				}
-				if len(re.Queries) != len(rq.Queries) || re.Params != rq.Params || re.Routing != rq.Routing || re.BatchSize != rq.BatchSize {
+				if len(re.Queries) != len(rq.Queries) || re.Params != rq.Params || re.Routing != rq.Routing || re.BatchSize != rq.BatchSize || re.From != rq.From || re.To != rq.To {
 					t.Fatalf("route-query roundtrip changed: %+v vs %+v", re, rq)
 				}
 			}
@@ -340,9 +362,10 @@ func FuzzDecodePayload(f *testing.F) {
 // FuzzBatchRoundTrip drives the search exchange's two frames through encode
 // and decode, from inputs built deterministically out of the fuzzed seed. A
 // batch of encoder-built queries — up to six locals each, some of them
-// summing to zero, several queries to a filter — must decode to the filter
-// the encoder sealed, array for array and weight field for weight field,
-// Mask and Denominator included. A reply of 64-bit persons, repeats, and
+// summing to zero, several queries to a filter, under a drawn person bound —
+// must decode to the filter the encoder sealed, array for array and weight
+// field for weight field, Mask and Denominator included, and to the same
+// bound. A reply of 64-bit persons, repeats, and
 // runs whose Rice parameter passes 32 bits must decode to the same report
 // multiset.
 func FuzzBatchRoundTrip(f *testing.F) {
@@ -384,7 +407,18 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		}
 		filter := enc.Filter()
 		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] }) // declared in any order
-		m, err := EncodeBatchQuery(BatchQuery{Queries: ids, Filter: filter})
+		// A person bound: none, From only, To only, or both with To > From.
+		var from, to core.PersonID
+		switch rng.Intn(4) {
+		case 1:
+			from = core.PersonID(1 + rng.Uint64()>>uint(rng.Intn(64)))
+		case 2:
+			to = core.PersonID(1 + rng.Uint64()>>uint(rng.Intn(64)))
+		case 3:
+			from = core.PersonID(1 + rng.Uint64()>>uint(2+rng.Intn(62)))
+			to = from + 1 + core.PersonID(rng.Uint64()>>uint(2+rng.Intn(62)))
+		}
+		m, err := EncodeBatchQuery(BatchQuery{Queries: ids, Filter: filter, From: from, To: to})
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
@@ -394,6 +428,9 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		}
 		if !sameFilter(bq.Filter, filter) {
 			t.Fatalf("the decoded filter differs from the encoder's")
+		}
+		if bq.From != from || bq.To != to {
+			t.Fatalf("decoded bound [%d, %d), want [%d, %d)", bq.From, bq.To, from, to)
 		}
 		for i, q := range queries {
 			if bq.Queries[i] != q.ID {

@@ -17,29 +17,82 @@ import (
 
 // ---- shared blocks ----
 
+// The params block's last byte is a flag byte: PositionSalted, then whether a
+// person bound's From and To follow it as uvarints.
+const (
+	flagSalted = 1 << iota
+	flagFrom
+	flagTo
+)
+
 // writeParams renders the pipeline parameters, the block every query kind
 // (WBF, BF, route) carries so stations process a filter the way the center
-// built it.
-func writeParams(w *writer, p core.Params) {
+// built it, and the query's person bound [from, to): each end that is not
+// zero sets its flag bit and follows the flag byte as a uvarint, so an
+// unbounded block costs nothing for the bound.
+func writeParams(w *writer, p core.Params, from, to core.PersonID) {
 	w.uvarint(p.Bits)
 	w.uvarint(uint64(p.Hashes))
 	w.uvarint(uint64(p.Samples))
 	w.uvarint(uint64(p.Epsilon))
 	w.u8(uint8(p.Tolerance))
 	w.u64(p.Seed)
-	w.u8(boolByte(p.PositionSalted))
+	flags := boolByte(p.PositionSalted)
+	if from != 0 {
+		flags |= flagFrom
+	}
+	if to != 0 {
+		flags |= flagTo
+	}
+	w.u8(flags)
+	if from != 0 {
+		w.uvarint(uint64(from))
+	}
+	if to != 0 {
+		w.uvarint(uint64(to))
+	}
 }
 
-func readParams(r *reader) core.Params {
-	return core.Params{
-		Bits:           r.uvarint(),
-		Hashes:         int(r.uvarint()),
-		Samples:        int(r.uvarint()),
-		Epsilon:        int64(r.uvarint()),
-		Tolerance:      core.ToleranceMode(r.u8()),
-		Seed:           r.u64(),
-		PositionSalted: r.u8() != 0,
+// readParams reads writeParams' block. It refuses an undefined flag bit, a
+// bound sent as 0 (the encoder sends none) and, with both ends set, To ≤
+// From (ErrBadBound), so a block it accepts is one the encoder writes.
+func readParams(r *reader) (p core.Params, from, to core.PersonID) {
+	p = core.Params{
+		Bits:      r.uvarint(),
+		Hashes:    int(r.uvarint()),
+		Samples:   int(r.uvarint()),
+		Epsilon:   int64(r.uvarint()),
+		Tolerance: core.ToleranceMode(r.u8()),
+		Seed:      r.u64(),
 	}
+	flags := r.u8()
+	if flags&^(flagSalted|flagFrom|flagTo) != 0 {
+		r.fail(fmt.Errorf("wire: params flag byte %#02x sets undefined bits", flags))
+	}
+	p.PositionSalted = flags&flagSalted != 0
+	if flags&flagFrom != 0 {
+		if from = core.PersonID(r.uvarint()); from == 0 {
+			r.fail(fmt.Errorf("%w: From sent as 0", ErrBadBound))
+		}
+	}
+	if flags&flagTo != 0 {
+		if to = core.PersonID(r.uvarint()); to == 0 {
+			r.fail(fmt.Errorf("%w: To sent as 0", ErrBadBound))
+		}
+	}
+	if err := checkBound(from, to); err != nil {
+		r.fail(err)
+	}
+	return p, from, to
+}
+
+// checkBound refuses a person bound whose ends are both set with To ≤ From:
+// it admits nobody, and no search sends one.
+func checkBound(from, to core.PersonID) error {
+	if from != 0 && to != 0 && to <= from {
+		return fmt.Errorf("%w: To %d ≤ From %d", ErrBadBound, to, from)
+	}
+	return nil
 }
 
 // writeWords renders a bit array: the word count, then the words.
@@ -115,15 +168,15 @@ func sumsCarryWeights(sums []int64) bool {
 }
 
 // writeFilter renders a WBF into w as core.Filter holds it, less its weight
-// table (writeQueries' blocks): params, length, insertions, the set-bit,
-// dictionary-list and pointer counts, and then one bit stream. The stream
-// holds the dictionary — per distinct pointer list its length less one,
-// Rice-coded, then its IDs as Rice-coded gaps — and then, per set bit in
-// ascending order, its Rice-coded gap and its dictionary code at codeWidth
-// bits. No Rice parameter is sent: each follows from the counts.
-func writeFilter(w *writer, f *core.Filter) {
+// table (writeQueries' blocks): params with the frame's person bound, length,
+// insertions, the set-bit, dictionary-list and pointer counts, and then one
+// bit stream. The stream holds the dictionary — per distinct pointer list its
+// length less one, Rice-coded, then its IDs as Rice-coded gaps — and then,
+// per set bit in ascending order, its Rice-coded gap and its dictionary code
+// at codeWidth bits. No Rice parameter is sent: each follows from the counts.
+func writeFilter(w *writer, f *core.Filter, from, to core.PersonID) {
 	p := f.Params()
-	writeParams(w, p)
+	writeParams(w, p, from, to)
 	w.uvarint(uint64(f.Length()))
 	w.uvarint(f.Inserted())
 	positions := f.Positions()
@@ -332,15 +385,18 @@ func readBlock(r *reader, sums *[pattern.MaxLocals]int64) (core.QueryID, int, er
 }
 
 // readFilter reconstructs a WBF from r into a handful of exactly-sized arrays
-// that core.FromParts validates and keeps. Its weight table is rebuilt from
-// the queries blocks that start at blocks, which readBlock accepted and which
-// derive rows rows. Every array is bounded by the bytes present before it is
+// that core.FromParts validates and keeps, setting the frame's person bound on
+// out as it passes the params. Its weight table is rebuilt from the blocks of
+// out.Queries that start at blocks, which readBlock accepted and which derive
+// rows rows. Every array is bounded by the bytes present before it is
 // allocated: the table by the pointers, since every row is some list's
 // pointer, and the lists, pointers and set bits by the least each costs in
 // the bit stream — a Rice code's terminator and low bits, plus a set bit's
 // code. That is at most 8 lists, pointers or rows per remaining byte.
-func readFilter(r *reader, blocks reader, queries int, rows uint64) (*core.Filter, error) {
-	p := readParams(r)
+func readFilter(r *reader, blocks reader, out *BatchQuery, rows uint64) (*core.Filter, error) {
+	var p core.Params
+	p, out.From, out.To = readParams(r)
+	queries := len(out.Queries)
 	length := int(r.uvarint())
 	inserted := r.uvarint()
 	set, lists, pointers := r.uvarint(), r.uvarint(), r.uvarint()
@@ -433,15 +489,23 @@ type BatchQuery struct {
 	Queries []core.QueryID
 	// Filter is the combined WBF covering all queries of the batch.
 	Filter *core.Filter
+	// From and To bound the persons the station answers for to [From, To);
+	// zero leaves that end open. A capped search's prefix round sets To, its
+	// tail round From.
+	From, To core.PersonID
 }
 
 // EncodeBatchQuery renders the batch round: the query blocks (writeQueries),
-// then the filter. It fails on an empty batch, on more than MaxBatchQueries
+// then the filter with the bound. It fails on a bound with To ≤ From
+// (ErrBadBound), on an empty batch, on more than MaxBatchQueries
 // queries (ErrBatchTooLarge), on declared IDs that repeat one or differ from
 // the weight table's (ErrBatchMismatch), and on a weight table the blocks do
 // not rebuild or a row no list points to (ErrBadWeight): a frame it writes,
 // DecodeBatchQuery accepts.
 func EncodeBatchQuery(b BatchQuery) (Message, error) {
+	if err := checkBound(b.From, b.To); err != nil {
+		return Message{}, err
+	}
 	if len(b.Queries) == 0 {
 		return Message{}, fmt.Errorf("%w: zero queries", ErrBatchMismatch)
 	}
@@ -468,7 +532,7 @@ func EncodeBatchQuery(b BatchQuery) (Message, error) {
 	if _, _, ids := b.Filter.Lists(); len(ids) < len(b.Filter.Weights()) {
 		return Message{}, fmt.Errorf("%w: %d weight rows but %d pointers: a row no list points to", ErrBadWeight, len(b.Filter.Weights()), len(ids))
 	}
-	writeFilter(&w, b.Filter)
+	writeFilter(&w, b.Filter, b.From, b.To)
 	return Message{Kind: KindBatchQuery, Payload: w.buf}, nil
 }
 
@@ -489,8 +553,9 @@ func repeatedID(ids []core.QueryID) (core.QueryID, bool) {
 
 // DecodeBatchQuery parses and validates a batch round: the query count is
 // bounded by MaxBatchQueries, every query block by readBlock, the IDs must
-// be unique (ErrBatchMismatch), and the filter reconstructs through
-// readFilter's and core.FromParts' validation. The blocks are read twice:
+// be unique (ErrBatchMismatch), the bound must be one the encoder writes
+// (readParams), and the filter reconstructs through readFilter's and
+// core.FromParts' validation. The blocks are read twice:
 // once for the IDs and the row count their sums derive — 2^e − 2^z for e
 // locals of which z sum to zero — and, once readFilter has held that count
 // to the frame, again to derive the rows. Corrupt payloads fail with typed
@@ -530,7 +595,7 @@ func DecodeBatchQuery(m Message) (BatchQuery, error) {
 	if q, ok := repeatedID(out.Queries); ok {
 		return BatchQuery{}, fmt.Errorf("%w: duplicate query id %d", ErrBatchMismatch, q)
 	}
-	f, err := readFilter(r, blocks, len(out.Queries), rows)
+	f, err := readFilter(r, blocks, &out, rows)
 	if err != nil {
 		return BatchQuery{}, err
 	}
@@ -771,20 +836,24 @@ type BFQuery struct {
 // EncodeBFQuery renders the baseline dissemination message.
 func EncodeBFQuery(q BFQuery) Message {
 	var w writer
-	writeParams(&w, q.Params)
+	writeParams(&w, q.Params, 0, 0)
 	w.uvarint(uint64(q.Length))
 	w.uvarint(q.Filter.N())
 	writeWords(&w, q.Filter.Words())
 	return Message{Kind: KindBFQuery, Payload: w.buf}
 }
 
-// DecodeBFQuery reconstructs the baseline query.
+// DecodeBFQuery reconstructs the baseline query. The baseline takes no
+// person bound: a params block carrying one is ErrBadBound.
 func DecodeBFQuery(m Message) (BFQuery, error) {
 	if m.Kind != KindBFQuery {
 		return BFQuery{}, fmt.Errorf("wire: decoding %v as bf-query", m.Kind)
 	}
 	r := &reader{buf: m.Payload}
-	p := readParams(r)
+	p, from, to := readParams(r)
+	if r.err == nil && (from != 0 || to != 0) {
+		return BFQuery{}, fmt.Errorf("%w: a bf-query takes none, this one is [%d, %d)", ErrBadBound, from, to)
+	}
 	length := int(r.uvarint())
 	n := r.uvarint()
 	words := readWords(r)
@@ -1145,16 +1214,23 @@ type RouteQuery struct {
 	// yields identical results; forwarding the root's choice keeps cost
 	// accounting comparable.
 	Routing uint8
+	// From and To bound the persons the region answers for to [From, To),
+	// as BatchQuery's do; the region forwards them to its own members.
+	From, To core.PersonID
 }
 
 // EncodeRouteQuery renders the delegated round. Queries are validated for
-// count only; the region re-validates them through its own search path.
+// count only; the region re-validates them through its own search path. A
+// bound with To ≤ From is ErrBadBound.
 func EncodeRouteQuery(q RouteQuery) (Message, error) {
 	if len(q.Queries) == 0 {
 		return Message{}, fmt.Errorf("%w: zero queries", ErrBatchMismatch)
 	}
 	if len(q.Queries) > MaxBatchQueries {
 		return Message{}, fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, len(q.Queries), MaxBatchQueries)
+	}
+	if err := checkBound(q.From, q.To); err != nil {
+		return Message{}, err
 	}
 	var w writer
 	w.uvarint(uint64(len(q.Queries)))
@@ -1168,7 +1244,7 @@ func EncodeRouteQuery(q RouteQuery) (Message, error) {
 			}
 		}
 	}
-	writeParams(&w, q.Params)
+	writeParams(&w, q.Params, q.From, q.To)
 	w.u64(math.Float64bits(q.TargetFP))
 	w.uvarint(zigzag(int64(q.BatchSize)))
 	w.u8(q.Routing)
@@ -1176,8 +1252,9 @@ func EncodeRouteQuery(q RouteQuery) (Message, error) {
 }
 
 // DecodeRouteQuery parses the delegated round. An ID above 32 bits or given
-// twice is refused, so a malformed round fails here rather than in the
-// region's search.
+// twice is refused, and so is a bound the encoder cannot have written
+// (readParams), so a malformed round fails here rather than in the region's
+// search.
 func DecodeRouteQuery(m Message) (RouteQuery, error) {
 	if m.Kind != KindRouteQuery {
 		return RouteQuery{}, fmt.Errorf("wire: decoding %v as route-query", m.Kind)
@@ -1207,7 +1284,7 @@ func DecodeRouteQuery(m Message) (RouteQuery, error) {
 		}
 		out.Queries = append(out.Queries, q)
 	}
-	out.Params = readParams(r)
+	out.Params, out.From, out.To = readParams(r)
 	out.TargetFP = math.Float64frombits(r.u64())
 	out.BatchSize = int(unzigzag(r.uvarint()))
 	out.Routing = r.u8()

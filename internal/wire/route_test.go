@@ -62,6 +62,8 @@ func TestRouteQueryRoundtrip(t *testing.T) {
 		TargetFP:  0.02,
 		BatchSize: 4,
 		Routing:   1,
+		From:      40,
+		To:        1 << 33,
 	}
 	m, err := EncodeRouteQuery(in)
 	if err != nil {
@@ -89,8 +91,11 @@ func TestRouteQueryRoundtrip(t *testing.T) {
 			}
 		}
 	}
-	if out.Params != in.Params || out.TargetFP != in.TargetFP || out.BatchSize != in.BatchSize || out.Routing != in.Routing {
+	if out.Params != in.Params || out.TargetFP != in.TargetFP || out.BatchSize != in.BatchSize || out.Routing != in.Routing || out.From != in.From || out.To != in.To {
 		t.Fatalf("knobs changed: %+v", out)
+	}
+	if _, err := EncodeRouteQuery(RouteQuery{Queries: in.Queries, From: 9, To: 9}); !errors.Is(err, ErrBadBound) {
+		t.Fatalf("To = From encoded: err = %v, want ErrBadBound", err)
 	}
 
 	// Oversized and empty batches are rejected.
@@ -105,6 +110,34 @@ func TestRouteQueryRoundtrip(t *testing.T) {
 	// well-formed round of zero queries.
 	if _, err := DecodeRouteQuery(Message{Kind: KindRouteQuery, Payload: make([]byte, 32)}); !errors.Is(err, ErrBatchMismatch) {
 		t.Fatalf("zero-query round: err = %v, want ErrBatchMismatch", err)
+	}
+}
+
+// TestQueryBoundRefusals: both query kinds refuse a bound the encoder cannot
+// have written, and the BF baseline refuses any bound at all.
+func TestQueryBoundRefusals(t *testing.T) {
+	for _, b := range []struct {
+		flags uint8
+		bound []uint64
+	}{{flagFrom | flagTo, []uint64{9, 9}}, {flagFrom | flagTo, []uint64{9, 4}}, {flagFrom, []uint64{0}}, {flagTo, []uint64{0}}} {
+		if err := decodeAs(KindRouteQuery, boundedRouteQueryPayload(b.flags, b.bound, 5)); !errors.Is(err, ErrBadBound) {
+			t.Errorf("route query, flags %b bound %v: err = %v, want ErrBadBound", b.flags, b.bound, err)
+		}
+		raw := validRawFilter()
+		raw.flags, raw.bound = b.flags, b.bound
+		if err := decodeAs(KindBatchQuery, raw.payload()); !errors.Is(err, ErrBadBound) {
+			t.Errorf("batch query, flags %b bound %v: err = %v, want ErrBadBound", b.flags, b.bound, err)
+		}
+	}
+	if _, err := EncodeBatchQuery(BatchQuery{From: 5, To: 2}); !errors.Is(err, ErrBadBound) {
+		t.Errorf("batch query To < From encoded: err = %v, want ErrBadBound", err)
+	}
+	var w writer
+	writeParams(&w, core.Params{Bits: 64, Hashes: 1}, 0, 9)
+	w.buf = append(w.buf, varints(2, 0, 1)...)
+	w.u64(0)
+	if _, err := DecodeBFQuery(Message{Kind: KindBFQuery, Payload: w.buf}); !errors.Is(err, ErrBadBound) {
+		t.Errorf("bounded bf query: err = %v, want ErrBadBound", err)
 	}
 }
 

@@ -29,12 +29,20 @@ func varints(vs ...uint64) []byte {
 // routeQueryPayload spells a route query of one-local queries with the
 // given IDs.
 func routeQueryPayload(ids ...uint64) []byte {
+	return boundedRouteQueryPayload(0, nil, ids...)
+}
+
+// boundedRouteQueryPayload is routeQueryPayload with flags ORed into the
+// params flag byte and bound following it as uvarints, spelled as given.
+func boundedRouteQueryPayload(flags uint8, bound []uint64, ids ...uint64) []byte {
 	var w writer
 	w.uvarint(uint64(len(ids)))
 	for _, id := range ids {
 		w.buf = append(w.buf, varints(id, 1, 1, zigzag(2))...)
 	}
-	writeParams(&w, core.Params{})
+	writeParams(&w, core.Params{}, 0, 0)
+	w.buf[len(w.buf)-1] |= flags
+	w.buf = append(w.buf, varints(bound...)...)
 	w.u64(math.Float64bits(0.01))
 	w.uvarint(0)
 	w.u8(0)

@@ -165,8 +165,9 @@ func (k Kind) String() string {
 // absolute person IDs, 10 while a reply carried a pointer list per report,
 // 11 while a filter shipped its bit array word by word, 12 while a query
 // frame shipped its weight rows and pointer lists as varints and a reply
-// every person gap as one), so none of their frames decode.
-const Version = uint8(13)
+// every person gap as one, 13 while no query frame could carry a person
+// bound), so none of their frames decode.
+const Version = uint8(14)
 
 const (
 	magic      = uint16(0xD1A7)
@@ -196,7 +197,11 @@ var (
 	// a query's sums negative, past 2⁶³−1 or totalling 0 or more than
 	// 2⁶³−1, or — encoding — rows that are not core.WeightRows of their
 	// sums, or a row no pointer list names.
-	ErrBadWeight   = errors.New("wire: weight row out of range")
+	ErrBadWeight = errors.New("wire: weight row out of range")
+	// ErrBadBound rejects a query frame's person bound that the encoder
+	// cannot have written: an end sent as 0, To ≤ From, or a bound on a kind
+	// that takes none.
+	ErrBadBound    = errors.New("wire: person bound malformed")
 	errShortBuffer = errors.New("wire: short buffer")
 )
 
