@@ -3,10 +3,8 @@ package dimatch
 import (
 	"context"
 
-	"dimatch/internal/adapt"
 	"dimatch/internal/cluster"
 	"dimatch/internal/core"
-	"dimatch/internal/index"
 	"dimatch/internal/metrics"
 	"dimatch/internal/pattern"
 	"dimatch/internal/stream"
@@ -83,17 +81,6 @@ type (
 	// flush and eviction totals. Returned by Ingestor.Report and surfaced
 	// (summed across pipelines) in ClusterStats.Stream.
 	StreamStats = metrics.StreamStats
-	// ParamPlan is a traffic-adaptive digest parameter table: per-position
-	// bit weights, hash counts and quanta, derived by RederiveParams and
-	// rolled out under one epoch (see docs/OPERATIONS.md).
-	ParamPlan = index.Plan
-	// ParamRollout summarizes one parameter rollout: the installed epoch
-	// and which stations applied the plan, stayed static, were skipped or
-	// failed.
-	ParamRollout = cluster.ParamRollout
-	// TrafficProfile is the coordinator's accumulated per-position traffic
-	// profile — the input RederiveParams derives a plan from.
-	TrafficProfile = adapt.Snapshot
 )
 
 // Strategies, re-exported.
@@ -375,34 +362,6 @@ func (c *Cluster) Shutdown() error { return c.inner.Shutdown() }
 // deployment each coordinator holds state for its own members only — the
 // sublinear per-coordinator figure TestTwoTierPlanningSublinearAt1024 pins.
 func (c *Cluster) RoutingState() RoutingState { return c.inner.RoutingState() }
-
-// RederiveParams derives a fresh adaptive digest parameter plan from the
-// traffic profiled by routed searches since the last derivation and rolls
-// it out to every plain station as one epoch-atomic fan-out. Each station
-// redistributes its unchanged static memory budget toward the positions the
-// traffic actually probes; results stay byte-identical to a never-adapted
-// cluster and recall stays 1 — only who gets visited changes. Region
-// delegates are skipped; a station that cannot honor the plan degrades to
-// its exact static behavior. See docs/OPERATIONS.md, "Adaptive parameters".
-func (c *Cluster) RederiveParams(ctx context.Context) (*ParamRollout, error) {
-	return c.inner.RederiveParams(ctx)
-}
-
-// ResetParams rolls every station back to the static parameter table and
-// clears the traffic profile — the freeze/revert path of the adaptive
-// layer.
-func (c *Cluster) ResetParams(ctx context.Context) (*ParamRollout, error) {
-	return c.inner.ResetParams(ctx)
-}
-
-// ParamState returns the live parameter epoch and plan (0, nil before any
-// rollout). Searches stamp the epoch they planned under into
-// CostReport.ParamEpoch.
-func (c *Cluster) ParamState() (uint64, *ParamPlan) { return c.inner.ParamState() }
-
-// TrafficSnapshot returns the coordinator's current traffic profile — what
-// RederiveParams would derive the next plan from.
-func (c *Cluster) TrafficSnapshot() TrafficProfile { return c.inner.TrafficSnapshot() }
 
 // Stream starts a streaming ingest pipeline over the cluster and returns
 // its Ingestor: one bounded intake queue with explicit admission control

@@ -111,31 +111,6 @@
 // coordinator holding less routing state than the flat one) and
 // docs/ROUTING.md carries the design and the soundness argument.
 //
-// # Adaptive digest parameters
-//
-// Routed searches feed a traffic profiler as a side effect: which
-// positions the probes sample, how wide the bands are, and which lookups
-// the digests prove nobody can serve. RederiveParams solves a Daisy-style
-// allocation over that profile — per-position bit budgets, hash counts
-// and quanta under each station's unchanged memory budget — and rolls the
-// plan out to every plain station as one epoch-atomic parameter update;
-// searches stamp the epoch they ran under into CostReport.ParamEpoch and
-// ResetParams reverts the fleet to static the same way:
-//
-//	roll, err := c.RederiveParams(ctx)
-//	fmt.Println(len(roll.Applied), "stations adaptive at epoch", roll.Epoch)
-//	epoch, plan := c.ParamState()
-//
-// Adaptation redistributes admission bits, never match behavior: results
-// stay byte-identical to a never-adapted cluster, recall stays 1, and
-// every failure path — a plan a station cannot honor, a failed exchange, a
-// solver that cannot beat static — degrades to the static table.
-// TestStatsAdaptiveBeatsStatic in internal/adapt pins the gain — at equal
-// memory, strictly fewer false admissions of empty bands than the static
-// digest at every traffic skew where static makes any — and
-// docs/OPERATIONS.md covers when to rederive and how to size
-// Options.AdaptWindow.
-//
 // # Batched searches
 //
 // A WBF search ships its whole query set in one wire exchange per station

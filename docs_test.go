@@ -109,7 +109,8 @@ func TestDocsLocalLinks(t *testing.T) {
 // flag pairs; the di-lint binary and the two ways it ran; the in-coordinator
 // digest-tree routing mode and the two Options fields nobody set; the
 // streaming pipeline's per-station shards and the hooks they needed; the
-// per-kind cluster constructors and joins a Member spec replaced.
+// per-kind cluster constructors and joins a Member spec replaced; the
+// traffic-adaptive digest parameters and their rollout frames.
 var removedRefs = []struct {
 	re   *regexp.Regexp
 	with string
@@ -119,6 +120,7 @@ var removedRefs = []struct {
 	{regexp.MustCompile(`RoutingTree|Options\.(Routing|BatchSize)\b`), "the digest-tree planner and the cluster-level routing/batching defaults (WithRouting and WithBatching are per call)"},
 	{regexp.MustCompile(`NotePlaced|OnMembershipChange|StreamStationStats|Options\.Encoders|\bRerouted\b|\bappliers?\b|(station|stream|pipeline) shards?\b`), "the per-station stream appliers (a flush is one Place call under the heal lock)"},
 	{regexp.MustCompile(`NewEmptyCluster|NewStoredCluster|AddStoredStation|AddStationLink|NewStoredStation|cluster/stored\.go`), "the per-kind constructors and joins (NewCluster and AddStation take a Member)"},
+	{regexp.MustCompile(`RederiveParams|ResetParams|ParamState|TrafficSnapshot|ParamRollout|ParamPlan|TrafficProfile|AdaptWindow|ParamEpoch|KindParam(Update|Ack)|internal/adapt`), "the traffic-adaptive digest parameters (every routing digest is index.Build's static one)"},
 }
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every
@@ -293,8 +295,8 @@ func TestDocsWireWorkedFrames(t *testing.T) {
 		}
 		frames = append(frames, frame)
 	}
-	if len(frames) != 6 {
-		t.Fatalf("found %d worked frames in docs/WIRE.md, want 6", len(frames))
+	if len(frames) != 5 {
+		t.Fatalf("found %d worked frames in docs/WIRE.md, want 5", len(frames))
 	}
 
 	enc, err := core.NewEncoder(core.Params{Bits: 64, Hashes: 2, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5}, 2)

@@ -338,60 +338,6 @@ func TestReadmeHierarchySnippet(t *testing.T) {
 	}
 }
 
-// TestReadmeAdaptiveSnippet is the README "Adaptive digest parameters"
-// block, statement for statement, plus the section's claims: every station
-// applies the rollout, searches stamp the new epoch, and routed results
-// stay byte-identical to the pre-adaptation answers.
-func TestReadmeAdaptiveSnippet(t *testing.T) {
-	// ---- the snippet, statement for statement ----
-	ctx := context.Background()
-
-	// Four stations, each holding six residents in its own value range.
-	data := map[uint32]map[dimatch.PersonID]dimatch.Pattern{}
-	for s := uint32(0); s < 4; s++ {
-		st := map[dimatch.PersonID]dimatch.Pattern{}
-		for j := int64(0); j < 6; j++ {
-			base := int64(s)*100 + j
-			st[dimatch.PersonID(uint64(s)*10+uint64(j)+1)] = dimatch.Pattern{base + 1, base + 2, base + 3}
-		}
-		data[s] = st
-	}
-	c, _ := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Members(data)...)
-	defer c.Shutdown()
-
-	// Routed searches feed the traffic profiler as a side effect.
-	for i := 0; i < 32; i++ {
-		_, _ = c.Search(ctx, []dimatch.Query{
-			{ID: 1, Locals: []dimatch.Pattern{{101, 102, 103}}},
-			{ID: 2, Locals: []dimatch.Pattern{{40404, 40404, 40404}}},
-		})
-	}
-
-	// One epoch-atomic rollout; searches stamp the epoch they ran under.
-	roll, _ := c.RederiveParams(ctx)
-	out, _ := c.Search(ctx, []dimatch.Query{{ID: 1, Locals: []dimatch.Pattern{{101, 102, 103}}}})
-	fmt.Println(len(roll.Applied), "stations adaptive at epoch", out.Cost.ParamEpoch)
-	// ---- end of snippet ----
-
-	if roll == nil || out == nil {
-		t.Fatal("rollout or search failed")
-	}
-	// "rolled out to every capable station" — all four apply, none degrade.
-	if len(roll.Applied) != 4 || len(roll.Static) != 0 || len(roll.Failed) != 0 || len(roll.Skipped) != 0 {
-		t.Fatalf("rollout = applied %v static %v failed %v skipped %v, README promises 4 applied",
-			roll.Applied, roll.Static, roll.Failed, roll.Skipped)
-	}
-	if roll.Epoch != 1 || out.Cost.ParamEpoch != 1 {
-		t.Fatalf("epoch = rollout %d search %d, README prints epoch 1", roll.Epoch, out.Cost.ParamEpoch)
-	}
-	// "results stay byte-identical to a never-adapted cluster and recall
-	// stays 1": person 11 holds {101,102,103} exactly.
-	res := out.PerQuery[1]
-	if len(res) != 1 || res[0].Person != 11 || res[0].Score() != 1.0 {
-		t.Fatalf("adaptive results %v, README promises person 11 at 1.0", res)
-	}
-}
-
 // TestReadmePlacementSnippet is the README "Replicated placement" block: an
 // empty cluster, Place with WithReplication(2), and the single-station-loss
 // guarantee the section claims.

@@ -68,8 +68,7 @@ func (s *Set) Test(i uint64) bool {
 
 // Count returns the number of bits that are on. The popcount loop runs four
 // independent accumulators wide so the per-word counts pipeline instead of
-// serializing on one add chain — fill-ratio sampling over large digests is
-// a hot path for the adaptive bench harness.
+// serializing on one add chain.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (s *Set) Count() uint64 {

@@ -6,9 +6,7 @@ import (
 	"sort"
 	"sync"
 
-	"dimatch/internal/adapt"
 	"dimatch/internal/core"
-	"dimatch/internal/index"
 	"dimatch/internal/metrics"
 	"dimatch/internal/pattern"
 	"dimatch/internal/placement"
@@ -46,12 +44,6 @@ type Options struct {
 	// TargetFP is the value-level false-positive rate filters are sized for
 	// when Params.Bits == 0; outside (0, 1) → 0.01, the default.
 	TargetFP float64
-	// AdaptWindow is the traffic profiler's sliding window in observed
-	// band probes: once that many accumulate, every counter halves, so the
-	// profile tracks the recent mix instead of all history (see
-	// internal/adapt and docs/OPERATIONS.md on sizing it). 0 keeps the
-	// unbounded all-history profile.
-	AdaptWindow int
 }
 
 // epoch is one immutable snapshot of cluster membership. Every search pins
@@ -123,18 +115,6 @@ type Cluster struct {
 	// prefix is the learned person-ID bound of capped searches' prefix
 	// rounds (wbf.go). Internally synchronized — searches share it.
 	prefix prefixBound
-
-	// profiler accumulates the band-traffic profile the routing step
-	// observes; RederiveParams turns it into an adaptive parameter plan
-	// (params.go). Internally synchronized — searches feed it concurrently.
-	profiler *adapt.Profiler
-	// rolloutMu serializes whole parameter rollouts (RederiveParams,
-	// ResetParams): held across the update fan-out, never by searches.
-	// paramMu guards the live epoch/plan pair with short critical sections.
-	rolloutMu  sync.Mutex
-	paramMu    sync.Mutex
-	paramEpoch uint64      // dimatch:guardedby paramMu
-	paramPlan  *index.Plan // dimatch:guardedby paramMu
 
 	// Registered streaming-pipeline health providers (see stream_hooks.go).
 	// hookMu is leaf-level — never held while c.mu is taken or a provider
@@ -252,10 +232,9 @@ func assemble(opts Options, length int, members []Member) (*Cluster, error) {
 		ids[i] = m.ID
 	}
 	c := &Cluster{
-		opts:     opts,
-		length:   length,
-		dead:     make(map[uint32]bool),
-		profiler: adapt.NewProfiler(length, opts.AdaptWindow),
+		opts:   opts,
+		length: length,
+		dead:   make(map[uint32]bool),
 	}
 	muxes := make([]*transport.Mux, 0, len(members))
 	for _, m := range members {

@@ -158,10 +158,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]
 		selective = selective || pr.Selective()
 	}
 	if !selective {
-		// Nothing can prune: skip the summary traffic entirely. Unselective
-		// probes still advance the profiler's query clock (no bands).
-		c.observeRoute(probes, nil)
-		return ep
+		return ep // nothing can prune: skip the summary traffic entirely
 	}
 
 	// Collect cached summaries and fetch the missing ones — every
@@ -209,20 +206,6 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]
 		cost.SummaryBytesDown += uint64(req.EncodedSize())
 		cost.SummaryBytesUp += uint64(r.reply.EncodedSize())
 	}
-
-	// Feed the traffic profiler: the probes' bands, plus emptiness feedback
-	// against every digest this pass can consult — a band no member digest
-	// admits is (to within digest fp) empty cluster-wide, exactly the
-	// traffic whose false admissions the adaptive solver targets. Unreachable
-	// members contribute no digest; their residents are invisible to the
-	// emptiness check, which only skews bit placement, never soundness.
-	consulted := make([]*index.Summary, 0, len(slots))
-	for _, sl := range slots {
-		if sl.sum != nil {
-			consulted = append(consulted, sl.sum)
-		}
-	}
-	c.observeRoute(probes, consulted)
 
 	// The inclusion pass: one flat scan of the members' digests. Every
 	// Admits evaluation counts into SubtreeProbes, the planning-cost figure

@@ -519,3 +519,45 @@ func TestParseRoutingMode(t *testing.T) {
 		t.Fatal("RoutingMode.String drifted")
 	}
 }
+
+// BenchmarkPlanRoute times the routing step alone: 64 stations whose digests
+// are already cached at the coordinator, and one selective point query that
+// admits only the station holding its person. No summary is fetched inside
+// the loop, so ns/op is the coordinator's planning cost per search.
+func BenchmarkPlanRoute(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	data := make(map[uint32]map[core.PersonID]pattern.Pattern, 64)
+	for s := uint32(0); s < 64; s++ {
+		locals := make(map[core.PersonID]pattern.Pattern, 16)
+		for j := 0; j < 16; j++ {
+			pat := make(pattern.Pattern, 24)
+			for i := range pat {
+				pat[i] = rng.Int63n(50) + 1
+			}
+			locals[core.PersonID(s)*16+core.PersonID(j)+1] = pat
+		}
+		data[s] = locals
+	}
+	c, err := newFromData(Options{}, data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.Start()
+	b.Cleanup(func() { _ = c.Shutdown() })
+	ctx := context.Background()
+	ep := c.currentEpoch()
+	cfg := c.searchDefaults()
+	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{data[7][7*16+1]}}}
+	var warm CostReport
+	if sub := c.planRoute(ctx, ep, nil, cfg, queries, &warm); len(sub.ids) != 1 || warm.SummaryRefreshes != 64 {
+		b.Fatalf("warm-up pass visits %d stations after %d refreshes, want 1 after 64", len(sub.ids), warm.SummaryRefreshes)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var cost CostReport
+		routeSink = c.planRoute(ctx, ep, nil, cfg, queries, &cost)
+	}
+}
+
+var routeSink *epoch

@@ -319,13 +319,6 @@ type CostReport struct {
 	// delegates (regions) answered. 0 for BF/naive searches, which never
 	// delegate.
 	TierHops int
-	// ParamEpoch is the adaptive parameter epoch live at this search's
-	// start (see Cluster.RederiveParams), 0 while the cluster runs pure
-	// static parameters. The search is pinned to it for observability: a
-	// rollout completing mid-search changes station digests (each
-	// self-describing and individually conservative), never this search's
-	// results.
-	ParamEpoch uint64
 }
 
 // TotalBytes returns the search's dissemination plus report traffic.
@@ -393,10 +386,6 @@ func (c *Cluster) Search(ctx context.Context, queries []core.Query, opts ...Sear
 		return nil, fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
 
-	// Pin the parameter epoch live at the search's start; a rollout landing
-	// mid-search swaps digests (each self-describing), never results.
-	paramEpoch, _ := c.ParamState()
-
 	start := time.Now()
 	var out *Outcome
 	switch cfg.strategy {
@@ -414,7 +403,6 @@ func (c *Cluster) Search(ctx context.Context, queries []core.Query, opts ...Sear
 	}
 
 	out.Strategy = cfg.strategy
-	out.Cost.ParamEpoch = paramEpoch
 	// Elapsed is stamped before the stats lookup: storage bookkeeping must
 	// not inflate the latency figures the benchmarks report.
 	out.Cost.Elapsed = time.Since(start)

@@ -50,16 +50,6 @@ type Station struct {
 	// on the same loop), so no locking is needed.
 	summary *index.Summary
 
-	// plan is the adaptive parameter table the coordinator rolled out, nil
-	// while the station runs the static table. paramEpoch is the highest
-	// parameter epoch seen, so reordered rollout frames cannot reinstall
-	// superseded parameters. Serve-loop-only, like summary; a
-	// restarted durable station comes back with plan == nil and degrades to
-	// the static table on its first rebuild — the coordinator's next rollout
-	// re-adapts it.
-	plan       *index.Plan
-	paramEpoch uint64
-
 	// durable, when non-nil, persists every applied batch before its ack is
 	// sent (see NewStation). Nil keeps the pre-persistence behavior:
 	// the resident store lives in this process's memory only.
@@ -182,8 +172,6 @@ func (s *Station) serveLoop() error {
 			reply = s.handleStats()
 		case wire.KindSummary:
 			reply, err = s.handleSummary()
-		case wire.KindParamUpdate:
-			reply, err = s.handleParamUpdate(msg)
 		case wire.KindShutdown:
 			return nil
 		default:
@@ -389,61 +377,10 @@ func (s *Station) handleSummary() (*wire.Message, error) {
 	return &reply, nil
 }
 
-// handleParamUpdate applies a coordinator parameter rollout: a
-// plan switches the routing digest onto the adaptive table, a nil plan
-// orders the station back onto the static one. Updates whose epoch does not
-// advance the station's are ignored — a reordered frame from a superseded
-// rollout must not reinstall old parameters. The ack echoes the epoch the
-// station now runs and whether an adaptive plan is in effect; Applied =
-// false on a non-nil plan means the station could not honor it and degraded
-// to the static table, which is always sound (an adaptive digest is a
-// routing optimization, never a correctness dependency).
-func (s *Station) handleParamUpdate(msg wire.Message) (*wire.Message, error) {
-	pu, err := wire.DecodeParamUpdate(msg)
-	if err != nil {
-		return nil, fmt.Errorf("station %d: %w", s.id, err)
-	}
-	if pu.Epoch >= s.paramEpoch {
-		// Same-epoch duplicates re-apply idempotently (the build is
-		// deterministic); only a frame from a superseded epoch is dropped.
-		s.paramEpoch = pu.Epoch
-		s.applyPlan(pu.Plan)
-	}
-	reply := wire.EncodeParamAck(wire.ParamAck{Station: s.id, Epoch: s.paramEpoch, Applied: s.plan != nil})
-	return &reply, nil
-}
-
-// applyPlan installs the adaptive plan (nil reverts to static), rebuilding
-// the digest eagerly so the ack only reports Applied after the plan has
-// actually been honored. Any failure degrades to the static table: plan and
-// summary are cleared and the next pull rebuilds statically.
-func (s *Station) applyPlan(p *index.Plan) {
-	s.plan = nil
-	s.summary = nil
-	if p == nil {
-		return
-	}
-	length := s.patternLength()
-	if length == 0 {
-		// An empty station cannot match the plan's length; its 1-cell static
-		// placeholder admits nothing, which adaptive bits cannot improve on.
-		return
-	}
-	sum, err := index.BuildAdaptive(p, length, s.residents.Locals())
-	if err != nil {
-		return
-	}
-	s.plan = p
-	s.summary = sum
-}
-
 // ensureSummary (re)builds the memoized routing digest when a mutation
-// dropped it — under the installed adaptive plan when one is live, else the
-// static table. Both builders are deterministic in the resident set, which
-// is what makes a digest rebuilt after recovery byte-identical to the
-// pre-crash one. A plan the mutated store can no longer honor (e.g. the
-// first ingest fixed a pattern length the plan does not match) is dropped:
-// the station degrades to static rather than serve no digest at all.
+// dropped it. index.Build is deterministic in the resident set, which is
+// what makes a digest rebuilt after recovery byte-identical to the pre-crash
+// one.
 func (s *Station) ensureSummary() error {
 	if s.summary != nil {
 		return nil
@@ -453,13 +390,6 @@ func (s *Station) ensureSummary() error {
 		// An empty store has no length of its own; a 1-cell summary with
 		// nothing inserted admits no query, which is exactly right.
 		length = 1
-	}
-	if s.plan != nil {
-		if sum, err := index.BuildAdaptive(s.plan, length, s.residents.Locals()); err == nil {
-			s.summary = sum
-			return nil
-		}
-		s.plan = nil
 	}
 	sum, err := index.Build(length, s.residents.Locals())
 	if err != nil {

@@ -43,33 +43,6 @@ func TestNoallocSummarycontains(t *testing.T) {
 	}
 }
 
-func TestNoallocSummarycontainsAdaptive(t *testing.T) {
-	locals := make([]pattern.Pattern, 0, 8)
-	for i := 0; i < 8; i++ {
-		base := int64(i*19 + 3)
-		locals = append(locals, pattern.Pattern{base, base + 40, base * 3})
-	}
-	plan := &Plan{
-		Epoch:  1,
-		Seed:   9,
-		Length: 3,
-		Groups: []PlanGroup{
-			{Weight: 1, Hashes: 3, Quantum: 1},
-			{Weight: 2, Hashes: 4, Quantum: 2},
-			{Weight: 1, Hashes: 3, Quantum: 4},
-		},
-	}
-	s, err := BuildAdaptive(plan, 3, locals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		admitSink = s.containsAdaptive(1, 4)
-	}); n != 0 {
-		t.Fatalf("(*Summary).containsAdaptive allocates %v times per run; want 0", n)
-	}
-}
-
 func TestNoallocSummarybandAdmit(t *testing.T) {
 	s, _ := buildPinFixture(t)
 	if n := testing.AllocsPerRun(100, func() {

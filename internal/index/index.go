@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 
-	"dimatch/internal/bitset"
 	"dimatch/internal/bloom"
 	"dimatch/internal/core"
 	"dimatch/internal/hash"
@@ -83,16 +82,6 @@ type Summary struct {
 	seed      uint64
 	residents uint64
 	filter    *bloom.Filter
-
-	// Adaptive representation (see adaptive.go): when planEpoch is nonzero
-	// the summary is a partitioned bit array — one region per pattern
-	// position with its own geometry — and filter is nil.
-	planEpoch uint64
-	geoms     []GroupGeom
-	offsets   []uint64
-	families  []hash.Family
-	abits     *bitset.Set
-	inserted  uint64
 }
 
 // New returns an empty summary for patterns of the given length, sized for
@@ -157,13 +146,9 @@ func NewUnion(length int, seed uint64, bits uint64, hashes int) (*Summary, error
 // same key space (seed and pattern length), power-of-two geometries on both
 // sides so the fold/expand arithmetic applies, and a child hash count no
 // smaller than s's — s probes its own k positions, and each of those is
-// among the k' >= k positions the child set per element. Adaptive digests
-// (per-group partitioned key spaces) never union: their positions do not
-// fold onto a flat geometry, so callers must keep them on the flat probe
-// path.
+// among the k' >= k positions the child set per element.
 func (s *Summary) Unionable(child *Summary) bool {
 	return child != nil &&
-		s.planEpoch == 0 && child.planEpoch == 0 &&
 		s.seed == child.seed &&
 		s.length == child.length &&
 		isPow2(s.filter.M()) && isPow2(child.filter.M()) &&
@@ -223,10 +208,6 @@ func (s *Summary) Add(local pattern.Pattern) error {
 	if len(local) != s.length {
 		return fmt.Errorf("index: pattern length %d, summary wants %d", len(local), s.length)
 	}
-	if s.planEpoch != 0 {
-		s.addAdaptive(local)
-		return nil
-	}
 	run := int64(0)
 	for g, v := range local {
 		run += v
@@ -239,21 +220,6 @@ func (s *Summary) Add(local pattern.Pattern) error {
 // Clone returns an independent deep copy, the basis of copy-on-write delta
 // updates at the coordinator.
 func (s *Summary) Clone() *Summary {
-	if s.planEpoch != 0 {
-		// The geometry tables are immutable once built and safe to share;
-		// only the bit storage needs copying.
-		return &Summary{
-			length:    s.length,
-			seed:      s.seed,
-			residents: s.residents,
-			planEpoch: s.planEpoch,
-			geoms:     s.geoms,
-			offsets:   s.offsets,
-			families:  s.families,
-			abits:     s.abits.Clone(),
-			inserted:  s.inserted,
-		}
-	}
 	words := append([]uint64(nil), s.filter.Words()...)
 	f, err := bloom.FromParts(words, s.filter.M(), s.filter.K(), s.seed, s.filter.N())
 	if err != nil {
@@ -271,43 +237,16 @@ func (s *Summary) contains(pos int, value int64) bool {
 }
 
 // bandAdmit reports whether the digest has a summarized cell inside the
-// band [lo, hi] at the given position. Adaptive digests probe at the
-// group's quantized resolution: floor division is monotone, so the
-// quantized range is a superset of the band's inserted keys — the
-// conservative direction — and costs width/q lookups.
+// band [lo, hi] at the given position.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (s *Summary) bandAdmit(pos int, lo, hi int64) bool {
-	if s.planEpoch != 0 {
-		q := s.geoms[pos].Quantum
-		for qv := floorDiv(lo, q); qv <= floorDiv(hi, q); qv++ {
-			if s.containsAdaptive(pos, qv) {
-				return true
-			}
-		}
-		return false
-	}
 	for v := lo; v <= hi; v++ {
 		if s.contains(pos, v) {
 			return true
 		}
 	}
 	return false
-}
-
-// BandAdmit is the exported per-band admission primitive behind Admits:
-// whether the digest would admit the single band [lo, hi] at pos. Bench and
-// statistical harnesses measure per-band false-admission rates with it;
-// positions outside the digest's geometry admit (never prune on
-// incomparable cells), and an empty digest admits nothing.
-func (s *Summary) BandAdmit(pos int, lo, hi int64) bool {
-	if pos < 0 || pos >= s.length {
-		return true
-	}
-	if s.Inserted() == 0 {
-		return false
-	}
-	return s.bandAdmit(pos, lo, hi)
 }
 
 // Length returns the pattern length the summary covers.
@@ -319,50 +258,22 @@ func (s *Summary) Seed() uint64 { return s.seed }
 // Residents returns the number of patterns added.
 func (s *Summary) Residents() uint64 { return s.residents }
 
-// Bits returns the filter length in bits (the total across group regions
-// for an adaptive digest).
-func (s *Summary) Bits() uint64 {
-	if s.planEpoch != 0 {
-		return s.abits.Len()
-	}
-	return s.filter.M()
-}
+// Bits returns the filter length in bits.
+func (s *Summary) Bits() uint64 { return s.filter.M() }
 
-// Hashes returns the filter's hash count. An adaptive digest has one hash
-// count per group, not a single figure; it reports 0 here and exposes the
-// per-group table through Geometry.
-func (s *Summary) Hashes() int {
-	if s.planEpoch != 0 {
-		return 0
-	}
-	return s.filter.K()
-}
+// Hashes returns the filter's hash count.
+func (s *Summary) Hashes() int { return s.filter.K() }
 
 // Inserted returns the number of cell insertions performed.
-func (s *Summary) Inserted() uint64 {
-	if s.planEpoch != 0 {
-		return s.inserted
-	}
-	return s.filter.N()
-}
+func (s *Summary) Inserted() uint64 { return s.filter.N() }
 
 // Words exposes the filter's bit storage for serialization.
-func (s *Summary) Words() []uint64 {
-	if s.planEpoch != 0 {
-		return s.abits.Words()
-	}
-	return s.filter.Words()
-}
+func (s *Summary) Words() []uint64 { return s.filter.Words() }
 
 // SizeBytes returns the summary's in-memory footprint — the figure an
 // operator weighs against the raw store when sizing the false-route rate
 // (docs/OPERATIONS.md).
-func (s *Summary) SizeBytes() uint64 {
-	if s.planEpoch != 0 {
-		return s.abits.SizeBytes()
-	}
-	return s.filter.SizeBytes()
-}
+func (s *Summary) SizeBytes() uint64 { return s.filter.SizeBytes() }
 
 // FromParts reconstructs a received summary (wire decoding).
 func FromParts(length int, seed uint64, words []uint64, bits uint64, hashes int, inserted, residents uint64) (*Summary, error) {
@@ -452,18 +363,6 @@ func NewProbe(q core.Query, samples int, eps int64) (Probe, error) {
 
 // Selective reports whether the probe can prune at all.
 func (p Probe) Selective() bool { return p.selective }
-
-// EachBand visits every (position, band) of the probe's combinations — the
-// coordinator's traffic profiler consumes this to fold a search's observed
-// band volume into the adaptive parameter solver. An unselective probe has
-// no bands to visit.
-func (p Probe) EachBand(f func(pos int, lo, hi int64)) {
-	for _, bands := range p.combos {
-		for _, b := range bands {
-			f(b.pos, b.lo, b.hi)
-		}
-	}
-}
 
 // Admits reports whether the summary's station might hold a resident
 // matching the probed query: some combination must have a summarized cell

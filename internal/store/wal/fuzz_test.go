@@ -134,6 +134,8 @@ func FuzzSnapshot(f *testing.F) {
 	sealFlip := mustHex(f, workedSnapshotNoDigestHex)
 	sealFlip[len(sealFlip)-8] ^= 0x01
 	f.Add(sealFlip)
+	// A digest built under an adaptive parameter plan (hash count 0).
+	f.Add(mustHex(f, adaptedSnapshotHex))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := decodeSnapshot(data)
 		if err != nil {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"dimatch/internal/store"
@@ -87,8 +88,12 @@ func decodeSnapshot(data []byte) (store.Image, error) {
 				return store.Image{}, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 			}
 		case recDigest:
+			// A digest that hashes nothing was built under an adaptive
+			// parameter plan, which no build since wire Version 15 can probe:
+			// recover without it, and the station rebuilds its static digest
+			// on the first pull.
 			_, sum, err := wire.DecodeSummaryPayload(body)
-			if err != nil {
+			if err != nil && !errors.Is(err, wire.ErrNoHashes) {
 				return store.Image{}, fmt.Errorf("%w: digest: %w", ErrBadSnapshot, err)
 			}
 			img.Digest = sum

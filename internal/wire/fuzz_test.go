@@ -18,40 +18,43 @@ import (
 // immediately explores the interesting corrupt-field space instead of
 // rediscovering the magic number.
 const (
-	workedBatchQueryHex = "a7d10e0e2a000000" + "1a000000" +
+	workedBatchQueryHex = "a7d10f0e2a000000" + "1a000000" +
 		"01" + "010103" + "4002020001050000000000000000" +
 		"0202040101" + "1c6472"
-	workedSummaryReplyHex = "a7d10e132a000000" + "1e000000" +
+	workedSummaryReplyHex = "a7d10f132a000000" + "1e000000" +
 		"030201719a3d0cbfe5a75140000000000000000702" +
 		"010119402202542008"
 	// A KindRouteQuery delegating a one-query round (auto-sized params,
 	// summary routing) and the region's KindRouteReply carrying one raw partial
 	// result.
-	workedRouteQueryHex = "a7d10e142a000000" + "25000000" +
+	workedRouteQueryHex = "a7d10f142a000000" + "25000000" +
 		"01070204020400020400020204" +
 		"0000000000000000000000000000" +
 		"7b14ae47e17a843f" + "0000"
-	workedRouteReplyHex = "a7d10e152a000000" + "0c000000" +
+	workedRouteReplyHex = "a7d10f152a000000" + "0c000000" +
 		"030502010001" + "010709181801"
-	// A KindParamUpdate installing a three-group adaptive plan at epoch 2.
-	workedParamUpdateHex = "a7d10e162a000000" + "1b000000" +
-		"020000000000000001" + "1704000000000000" + "03" +
-		"020501" + "030604" + "040710"
 	// A KindBatchReply of three reports on two pointer lists.
-	workedBatchReplyHex = "a7d10e0f2a000000" + "0c000000" +
+	workedBatchReplyHex = "a7d10f0f2a000000" + "0c000000" +
 		"030203" + "0200020f" + "05010407" + "13"
 )
+
+// adaptiveSummaryHex is the summary payload a wire Version 14 station served
+// for a digest built under an adaptive parameter plan: hash-count field 0
+// (byte 19), the words (ending at byte 54), then the parameter epoch and one
+// geometry entry per position. Static digests are the only kind since Version
+// 15, so every decoder refuses it.
+const adaptiveSummaryHex = "000306719a3d0cbfe5a751000100000000000000120485aaaa04c434700009010413060e783c8000500005200204a0201108412000080140040140040180010401"
 
 // addRetiredSeeds seeds a frame fuzzer with copies of frame re-stamped with
 // each version byte earlier builds used (plus the next unassigned one) and
 // each retired kind byte — all of which must be rejected at the header.
 func addRetiredSeeds(f *testing.F, frame []byte) {
-	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15} { // all but Version
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16} { // all but Version
 		bad := append([]byte(nil), frame...)
 		bad[2] = v
 		f.Add(bad)
 	}
-	for _, k := range []byte{1, 3, 4, 6, 7} {
+	for _, k := range []byte{1, 3, 4, 6, 7, 22, 23} {
 		bad := append([]byte(nil), frame...)
 		bad[3] = k
 		f.Add(bad)
@@ -145,11 +148,6 @@ func FuzzDecodePayload(f *testing.F) {
 		Results: []RouteResult{{Query: 1, Person: 9, Numerator: 12, Denominator: 12, Stations: 3}},
 		Probes:  5, Visited: 2, Pruned: 1, Hops: 1,
 	}).Payload)
-	f.Add(uint8(KindParamUpdate), mustHex(f, workedParamUpdateHex)[12:])
-	if pu, err := EncodeParamUpdate(ParamUpdate{Epoch: 9}); err == nil {
-		f.Add(uint8(KindParamUpdate), pu.Payload)
-	}
-	f.Add(uint8(KindParamAck), EncodeParamAck(ParamAck{Station: 4, Epoch: 3, Applied: true}).Payload)
 	// The retired kind bytes (the dispatch below maps seed byte b to kind
 	// b%maxKind+1).
 	for _, b := range []uint8{0, 2, 3, 5, 6} {
@@ -193,6 +191,20 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(uint8(KindBatchQuery)-1, raw.payload())
 		f.Add(uint8(KindRouteQuery)-1, boundedRouteQueryPayload(b.flags, b.bound, 5))
 	}
+	// A Version 14 adaptive digest, the same bytes with the adaptive tail cut
+	// off, and both again with hash count 3: the refused zero hash count, and
+	// the trailing tail a static digest does not have. Then the worked
+	// static digest with its hash count zeroed.
+	adaptive := mustHex(f, adaptiveSummaryHex)
+	for _, p := range [][]byte{adaptive, adaptive[:54]} {
+		f.Add(uint8(KindSummaryReply)-1, p)
+		withHashes := append([]byte(nil), p...)
+		withHashes[19] = 3
+		f.Add(uint8(KindSummaryReply)-1, withHashes)
+	}
+	noHashes := mustHex(f, workedSummaryReplyHex)[12:]
+	noHashes[19] = 0
+	f.Add(uint8(KindSummaryReply)-1, noHashes)
 	// A routing digest and a BF query of zero bits and no words.
 	f.Add(uint8(KindSummaryReply)-1, append(varints(3, 2, 1), append(make([]byte, 16), 7, 0, 0)...))
 	f.Add(uint8(KindBFQuery)-1, append(varints(0, 3, 2, 0, 1), append(make([]byte, 9), 2, 0, 0)...))
@@ -320,35 +332,6 @@ func FuzzDecodePayload(f *testing.F) {
 					if re.Results[i] != rr.Results[i] {
 						t.Fatalf("route-reply result %d changed: %+v vs %+v", i, re.Results[i], rr.Results[i])
 					}
-				}
-			}
-		case KindParamUpdate:
-			pu, err := DecodeParamUpdate(m)
-			if err == nil {
-				enc, err := EncodeParamUpdate(pu)
-				if err != nil {
-					t.Fatalf("param-update re-encode failed: %v", err)
-				}
-				re, err := DecodeParamUpdate(enc)
-				if err != nil {
-					t.Fatalf("param-update re-decode failed: %v", err)
-				}
-				if re.Epoch != pu.Epoch || (re.Plan == nil) != (pu.Plan == nil) {
-					t.Fatalf("param-update roundtrip changed: %+v vs %+v", re, pu)
-				}
-				if re.Plan != nil && !re.Plan.Equal(pu.Plan) {
-					t.Fatalf("param-update plan roundtrip changed: %+v vs %+v", re.Plan, pu.Plan)
-				}
-			}
-		case KindParamAck:
-			pa, err := DecodeParamAck(m)
-			if err == nil {
-				re, err := DecodeParamAck(EncodeParamAck(pa))
-				if err != nil {
-					t.Fatalf("param-ack re-decode failed: %v", err)
-				}
-				if re != pa {
-					t.Fatalf("param-ack roundtrip changed: %+v vs %+v", re, pa)
 				}
 			}
 		case KindShutdown, KindStats, KindSummary:

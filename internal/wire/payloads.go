@@ -1077,19 +1077,12 @@ type SummaryReply struct {
 	Hashes    uint32
 	Inserted  uint64
 	Words     []uint64
-	// ParamEpoch is the adaptive parameter epoch the digest was built
-	// under, zero for the static table. When nonzero, Hashes is zero on the
-	// wire and a per-group geometry table follows the words.
-	ParamEpoch uint64
 }
 
 // EncodeSummaryPayload renders a routing summary's payload bytes without the
 // message envelope. The station WAL (internal/store/wal) persists the
 // memoized digest in exactly this form, so a recovered digest is
-// byte-comparable with what the station last served. A digest built under an
-// adaptive plan writes 0 in the hash-count field (no static filter has zero
-// hashes) and appends its parameter epoch plus the per-group geometry table
-// after the words, so the payload stays self-contained.
+// byte-comparable with what the station last served.
 func EncodeSummaryPayload(s *index.Summary, station uint32) []byte {
 	var w writer
 	w.uvarint(uint64(station))
@@ -1100,14 +1093,6 @@ func EncodeSummaryPayload(s *index.Summary, station uint32) []byte {
 	w.uvarint(uint64(s.Hashes()))
 	w.uvarint(s.Inserted())
 	writeWords(&w, s.Words())
-	if s.Adaptive() {
-		w.uvarint(s.AdaptiveEpoch())
-		for _, g := range s.Geometry() {
-			w.uvarint(g.Bits)
-			w.u8(g.Hashes)
-			w.uvarint(uint64(g.Quantum))
-		}
-	}
 	return w.buf
 }
 
@@ -1118,9 +1103,8 @@ func EncodeSummaryReply(s *index.Summary, station uint32) Message {
 
 // DecodeSummaryPayload parses a routing summary's payload bytes,
 // reconstructing the probeable filter through index.FromParts (which
-// validates the word count against the declared bit length) or, for an
-// adaptive digest (hash-count field 0), through index.AdaptiveFromParts
-// after reading the trailing geometry table.
+// validates the word count against the declared bit length). A hash count of
+// 0 is refused with ErrNoHashes before the words are read.
 func DecodeSummaryPayload(payload []byte) (SummaryReply, *index.Summary, error) {
 	r := &reader{buf: payload}
 	out := SummaryReply{
@@ -1132,44 +1116,14 @@ func DecodeSummaryPayload(payload []byte) (SummaryReply, *index.Summary, error) 
 		Hashes:    r.u32(),
 		Inserted:  r.uvarint(),
 	}
+	if r.err == nil && out.Hashes == 0 {
+		return SummaryReply{}, nil, ErrNoHashes
+	}
 	out.Words = readWords(r)
-	if r.err != nil { // a failed read left Hashes 0, which is not a plan
-		return SummaryReply{}, nil, r.err
-	}
-	if out.Hashes != 0 {
-		if err := r.done(); err != nil {
-			return SummaryReply{}, nil, err
-		}
-		s, err := index.FromParts(int(out.Length), out.Seed, out.Words, out.Bits, int(out.Hashes), out.Inserted, out.Residents)
-		if err != nil {
-			return SummaryReply{}, nil, err
-		}
-		return out, s, nil
-	}
-	// Adaptive digest: parameter epoch plus one geometry entry per position
-	// group. The group count is pinned to Length (no separate count field
-	// to forge) and the summed group bits must match the declared total.
-	out.ParamEpoch = r.uvarint()
-	if out.Length == 0 || int64(out.Length) > index.MaxPlanGroups {
-		return SummaryReply{}, nil, fmt.Errorf("wire: adaptive summary length %d outside [1, %d]", out.Length, index.MaxPlanGroups)
-	}
-	geoms := make([]index.GroupGeom, out.Length)
-	var total uint64
-	for i := range geoms {
-		geoms[i] = index.GroupGeom{
-			Bits:    r.uvarint(),
-			Hashes:  r.u8(),
-			Quantum: int64(r.uvarint()),
-		}
-		total += geoms[i].Bits
-	}
 	if err := r.done(); err != nil {
 		return SummaryReply{}, nil, err
 	}
-	if total != out.Bits {
-		return SummaryReply{}, nil, fmt.Errorf("wire: adaptive summary group bits %d disagree with declared total %d", total, out.Bits)
-	}
-	s, err := index.AdaptiveFromParts(int(out.Length), out.Seed, out.ParamEpoch, geoms, out.Words, out.Inserted, out.Residents)
+	s, err := index.FromParts(int(out.Length), out.Seed, out.Words, out.Bits, int(out.Hashes), out.Inserted, out.Residents)
 	if err != nil {
 		return SummaryReply{}, nil, err
 	}
@@ -1572,129 +1526,6 @@ func boolByte(b bool) uint8 {
 		return 1
 	}
 	return 0
-}
-
-// ---- adaptive parameters ----
-
-// ParamUpdate ships a traffic-adaptive parameter plan to a station.
-// A nil Plan orders the station back onto the static table; a non-nil Plan
-// carries the per-group weights, hash counts and quanta the station resolves
-// against its own memory budget. Epoch is the parameter epoch the update
-// installs — it must match Plan.Epoch when a plan is present, and stations
-// ignore updates whose epoch does not advance theirs.
-type ParamUpdate struct {
-	Epoch uint64
-	Plan  *index.Plan
-}
-
-// EncodeParamUpdate renders a parameter rollout frame. It rejects plans that
-// fail validation or whose epoch disagrees with the update's, so a malformed
-// solver output can never reach the wire.
-func EncodeParamUpdate(u ParamUpdate) (Message, error) {
-	if u.Plan != nil {
-		if err := u.Plan.Validate(); err != nil {
-			return Message{}, fmt.Errorf("wire: param-update plan: %w", err)
-		}
-		if u.Plan.Epoch != u.Epoch {
-			return Message{}, fmt.Errorf("wire: param-update epoch %d disagrees with plan epoch %d",
-				u.Epoch, u.Plan.Epoch)
-		}
-	}
-	var w writer
-	w.u64(u.Epoch)
-	w.u8(boolByte(u.Plan != nil))
-	if u.Plan != nil {
-		w.u64(u.Plan.Seed)
-		w.uvarint(uint64(u.Plan.Length))
-		for _, g := range u.Plan.Groups {
-			w.uvarint(uint64(g.Weight))
-			w.u8(g.Hashes)
-			w.uvarint(uint64(g.Quantum))
-		}
-	}
-	return Message{Kind: KindParamUpdate, Payload: w.buf}, nil
-}
-
-// DecodeParamUpdate parses a parameter rollout frame, re-validating the plan
-// so a corrupted or hostile frame cannot install unsound parameters.
-func DecodeParamUpdate(m Message) (ParamUpdate, error) {
-	if m.Kind != KindParamUpdate {
-		return ParamUpdate{}, fmt.Errorf("wire: decoding %v as param-update", m.Kind)
-	}
-	r := &reader{buf: m.Payload}
-	out := ParamUpdate{Epoch: r.u64()}
-	has := r.u8()
-	if has > 1 {
-		return ParamUpdate{}, fmt.Errorf("wire: param-update plan marker %d is not a boolean", has)
-	}
-	if has == 0 {
-		if err := r.done(); err != nil {
-			return ParamUpdate{}, err
-		}
-		return out, nil
-	}
-	seed := r.u64()
-	length := r.count(3)
-	if length > index.MaxPlanGroups {
-		return ParamUpdate{}, fmt.Errorf("wire: param-update declares %d groups (max %d)",
-			length, index.MaxPlanGroups)
-	}
-	groups := make([]index.PlanGroup, length)
-	for i := range groups {
-		groups[i] = index.PlanGroup{
-			Weight:  r.u32(),
-			Hashes:  r.u8(),
-			Quantum: int64(r.uvarint()),
-		}
-	}
-	if err := r.done(); err != nil {
-		return ParamUpdate{}, err
-	}
-	plan := &index.Plan{Epoch: out.Epoch, Seed: seed, Length: length, Groups: groups}
-	if err := plan.Validate(); err != nil {
-		return ParamUpdate{}, fmt.Errorf("wire: param-update plan: %w", err)
-	}
-	out.Plan = plan
-	return out, nil
-}
-
-// ParamAck is a station's answer to a ParamUpdate: which epoch it now runs
-// and whether the plan was applied (false means the station fell back to the
-// static table — the coordinator must not assume adaptive pruning there).
-type ParamAck struct {
-	Station uint32
-	Epoch   uint64
-	Applied bool
-}
-
-// EncodeParamAck renders a parameter acknowledgement.
-func EncodeParamAck(a ParamAck) Message {
-	var w writer
-	w.uvarint(uint64(a.Station))
-	w.u64(a.Epoch)
-	w.u8(boolByte(a.Applied))
-	return Message{Kind: KindParamAck, Payload: w.buf}
-}
-
-// DecodeParamAck parses a parameter acknowledgement.
-func DecodeParamAck(m Message) (ParamAck, error) {
-	if m.Kind != KindParamAck {
-		return ParamAck{}, fmt.Errorf("wire: decoding %v as param-ack", m.Kind)
-	}
-	r := &reader{buf: m.Payload}
-	out := ParamAck{
-		Station: r.u32(),
-		Epoch:   r.u64(),
-	}
-	applied := r.u8()
-	if applied > 1 {
-		return ParamAck{}, fmt.Errorf("wire: param-ack applied marker %d is not a boolean", applied)
-	}
-	out.Applied = applied == 1
-	if err := r.done(); err != nil {
-		return ParamAck{}, err
-	}
-	return out, nil
 }
 
 // zigzag maps signed to unsigned so small-magnitude values stay short.

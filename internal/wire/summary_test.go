@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/hex"
+	"errors"
 	"testing"
 
 	"dimatch/internal/core"
@@ -78,5 +79,13 @@ func TestSummaryReplyRejectsCorruption(t *testing.T) {
 	bad := Message{Kind: KindSummaryReply, Payload: append(trunc, 0, 0, 0, 0, 0, 0, 0, 0)}
 	if _, _, err := DecodeSummaryReply(bad); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+	// A Version 14 adaptive digest: hash count 0, refused as such whether or
+	// not its geometry tail follows the words.
+	adaptive := mustHex(t, adaptiveSummaryHex)
+	for _, p := range [][]byte{adaptive, adaptive[:54]} {
+		if _, _, err := DecodeSummaryPayload(p); !errors.Is(err, ErrNoHashes) {
+			t.Fatalf("summary with hash count 0 (%d bytes): err = %v, want ErrNoHashes", len(p), err)
+		}
 	}
 }

@@ -102,22 +102,6 @@ func wideFields() []wideField {
 		{"stats-reply station", KindStatsReply, stats(0)},
 		{"stats-reply length", KindStatsReply, stats(3)},
 		{"ack station", KindAck, func(v uint64) []byte { return varints(v, 2) }},
-		{"param-update weight", KindParamUpdate, func(v uint64) []byte {
-			var w writer
-			w.u64(2)
-			w.u8(1)
-			w.u64(0x0417)
-			w.buf = append(w.buf, varints(1, v)...)
-			w.u8(5)
-			w.uvarint(1)
-			return w.buf
-		}},
-		{"param-ack station", KindParamAck, func(v uint64) []byte {
-			w := writer{buf: varints(v)}
-			w.u64(3)
-			w.u8(1)
-			return w.buf
-		}},
 		{"batch-query id", KindBatchQuery, func(v uint64) []byte {
 			f := validRawFilter()
 			f.blocks[0][0] = v
@@ -148,10 +132,6 @@ func decodeAs(kind Kind, payload []byte) error {
 		_, err = DecodeStatsReply(m)
 	case KindAck:
 		_, err = DecodeAck(m)
-	case KindParamUpdate:
-		_, err = DecodeParamUpdate(m)
-	case KindParamAck:
-		_, err = DecodeParamAck(m)
 	case KindBatchQuery:
 		_, err = DecodeBatchQuery(m)
 	case KindBatchReply:

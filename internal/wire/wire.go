@@ -44,7 +44,8 @@ type Kind uint8
 // Message kinds. The numeric values are the wire encoding and never change.
 // Retired values stay unassigned: 1 and 4 belonged to the per-query WBF
 // exchange, 3, 6 and 7 to the naive shipment and verification fetch that
-// KindDump/KindDumpReply now carry.
+// KindDump/KindDumpReply now carry, 22 and 23 to the adaptive digest
+// parameter rollout.
 const (
 	// KindBFQuery disseminates a plain Bloom filter plus pipeline params.
 	KindBFQuery Kind = 2
@@ -91,17 +92,10 @@ const (
 	// KindRouteReply answers a route query with the region's raw per-person
 	// weight sums and routing counters.
 	KindRouteReply Kind = 21
-	// KindParamUpdate ships an adaptive routing-digest parameter plan (or a
-	// revert-to-static directive) to a station; the station rebuilds its
-	// digest under the plan and answers with KindParamAck.
-	KindParamUpdate Kind = 22
-	// KindParamAck acknowledges a parameter update, echoing the parameter
-	// epoch and whether the plan was applied.
-	KindParamAck Kind = 23
 )
 
 // maxKind is the highest assigned kind.
-const maxKind = KindParamAck
+const maxKind = KindRouteReply
 
 // known reports whether k is a kind this codec speaks. Anything else — the
 // retired values included — is rejected with ErrBadKind at the frame header,
@@ -149,10 +143,6 @@ func (k Kind) String() string {
 		return "route-query"
 	case KindRouteReply:
 		return "route-reply"
-	case KindParamUpdate:
-		return "param-update"
-	case KindParamAck:
-		return "param-ack"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -166,8 +156,9 @@ func (k Kind) String() string {
 // 11 while a filter shipped its bit array word by word, 12 while a query
 // frame shipped its weight rows and pointer lists as varints and a reply
 // every person gap as one, 13 while no query frame could carry a person
-// bound), so none of their frames decode.
-const Version = uint8(14)
+// bound, 14 while kinds 22 and 23 carried adaptive digest parameters), so
+// none of their frames decode.
+const Version = uint8(15)
 
 const (
 	magic      = uint16(0xD1A7)
@@ -201,7 +192,11 @@ var (
 	// ErrBadBound rejects a query frame's person bound that the encoder
 	// cannot have written: an end sent as 0, To ≤ From, or a bound on a kind
 	// that takes none.
-	ErrBadBound    = errors.New("wire: person bound malformed")
+	ErrBadBound = errors.New("wire: person bound malformed")
+	// ErrNoHashes rejects a summary whose hash-count field is 0: what a wire
+	// Version 14 station wrote for a digest built under an adaptive parameter
+	// plan. A static digest hashes every cell at least once.
+	ErrNoHashes    = errors.New("wire: summary hash count 0")
 	errShortBuffer = errors.New("wire: short buffer")
 )
 
