@@ -110,7 +110,9 @@ func TestDocsLocalLinks(t *testing.T) {
 // digest-tree routing mode and the two Options fields nobody set; the
 // streaming pipeline's per-station shards and the hooks they needed; the
 // per-kind cluster constructors and joins a Member spec replaced; the
-// traffic-adaptive digest parameters and their rollout frames.
+// traffic-adaptive digest parameters and their rollout frames; the WAL's
+// unsynced-ack settings, the in-memory store constructor and the summary
+// codec's WAL-only payload half.
 var removedRefs = []struct {
 	re   *regexp.Regexp
 	with string
@@ -121,6 +123,7 @@ var removedRefs = []struct {
 	{regexp.MustCompile(`NotePlaced|OnMembershipChange|StreamStationStats|Options\.Encoders|\bRerouted\b|\bappliers?\b|(station|stream|pipeline) shards?\b`), "the per-station stream appliers (a flush is one Place call under the heal lock)"},
 	{regexp.MustCompile(`NewEmptyCluster|NewStoredCluster|AddStoredStation|AddStationLink|NewStoredStation|cluster/stored\.go`), "the per-kind constructors and joins (NewCluster and AddStation take a Member)"},
 	{regexp.MustCompile(`RederiveParams|ResetParams|ParamState|TrafficSnapshot|ParamRollout|ParamPlan|TrafficProfile|AdaptWindow|ParamEpoch|KindParam(Update|Ack)|internal/adapt`), "the traffic-adaptive digest parameters (every routing digest is index.Build's static one)"},
+	{regexp.MustCompile(`SyncEvery|SyncInterval|NewMemoryStore|EncodeSummaryPayload|DecodeSummaryPayload`), "the unsynced-ack mode, NewMemoryStore and the WAL-only summary codec (every append is fsynced; a nil Store is in memory; the WAL persists no digest)"},
 }
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every

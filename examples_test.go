@@ -474,7 +474,7 @@ func TestReadmeDurableSnippet(t *testing.T) {
 	_ = c.Shutdown() // stations close their stores on the way out
 
 	// A restart is the same constructor over the same directories: residents
-	// and the memoized routing digest come back from disk, not over the wire.
+	// come back from disk, not over the wire.
 	s1, _ = dimatch.OpenWALStore(dir1, dimatch.WALOptions{})
 	s2, _ = dimatch.OpenWALStore(dir2, dimatch.WALOptions{})
 	c, _ = dimatch.NewCluster(dimatch.Options{}, 3,

@@ -171,93 +171,123 @@ func TestRecoveryEquivalence(t *testing.T) {
 }
 
 // TestStoredStationDigestRecovery pins digest byte-identity across a
-// restart: a digest folded into a snapshot is recovered verbatim, and a
-// digest rebuilt after log replay is byte-identical to the one a
-// never-restarted station would serve, because index.Build is deterministic
-// in the resident set.
+// restart: the store persists no digest, and the one a restarted station
+// rebuilds on its first summary pull — after a fold, and again after
+// post-fold appends — is byte-identical to the pre-crash one, because
+// index.Build is deterministic in the resident set. A folding persist builds
+// no digest: the memo stays nil until a pull.
 func TestStoredStationDigestRecovery(t *testing.T) {
 	dir := t.TempDir()
-	st, err := wal.Open(dir, wal.Options{SnapshotEvery: 1, SnapshotBytes: -1})
-	if err != nil {
-		t.Fatal(err)
+	restart := func(opts wal.Options) (*Station, *wal.Store) {
+		t.Helper()
+		st, err := wal.Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stationEnd := transport.Pipe(nil, nil)
+		s, err := NewStation(1, nil, stationEnd, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.summary != nil {
+			t.Fatal("restarted station holds a digest before any pull")
+		}
+		return s, st
 	}
-	locals := map[core.PersonID]pattern.Pattern{
-		7: {3, -1, 4},
-		9: {2, 2, 2},
+	ingest := func(s *Station, p core.PersonID, local pattern.Pattern) {
+		t.Helper()
+		msg, err := wire.EncodeIngest(wire.Ingest{Persons: []core.PersonID{p}, Locals: []pattern.Pattern{local}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.handleIngest(msg); err != nil {
+			t.Fatal(err)
+		}
 	}
-	_, stationEnd := transport.Pipe(nil, nil)
-	s, err := NewStation(1, locals, stationEnd, st)
-	if err != nil {
-		t.Fatal(err)
+	pull := func(s *Station) []byte {
+		t.Helper()
+		reply, err := s.handleSummary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply.Payload
 	}
-	if err := s.ensureSummary(); err != nil {
-		t.Fatal(err)
-	}
-	want := wire.EncodeSummaryPayload(s.summary, 1)
 
-	// Fold the log into a snapshot that carries the memoized digest.
-	folded, err := st.Compact(func() (store.Image, error) {
-		return store.Image{Persons: s.residents.Persons(), Locals: s.residents.Locals(), Digest: s.summary}, nil
-	})
-	if err != nil || !folded {
-		t.Fatalf("Compact: folded=%v err=%v", folded, err)
+	// Every record folds: the ingest's persist snapshots the residents and
+	// leaves the digest memo nil.
+	s, st := restart(wal.Options{SnapshotEvery: 1, SnapshotBytes: -1})
+	ingest(s, 7, pattern.Pattern{3, -1, 4})
+	ingest(s, 9, pattern.Pattern{2, 2, 2})
+	if st.Generation() == 0 {
+		t.Fatal("persist never folded despite SnapshotEvery=1")
 	}
+	if s.summary != nil {
+		t.Fatal("a folding persist built the digest")
+	}
+	want := pull(s)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restart: the digest comes back from the snapshot without a rebuild.
-	st2, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
+	// Restart from the snapshot alone, then append past it without folding.
+	s2, st2 := restart(wal.Options{})
+	if got := pull(s2); !bytes.Equal(got, want) {
+		t.Fatalf("digest rebuilt from the snapshot drifted:\n got %x\nwant %x", got, want)
 	}
-	_, stationEnd2 := transport.Pipe(nil, nil)
-	s2, err := NewStation(1, nil, stationEnd2, st2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.summary == nil {
-		t.Fatal("snapshot digest not recovered into the station")
-	}
-	if got := wire.EncodeSummaryPayload(s2.summary, 1); !bytes.Equal(got, want) {
-		t.Fatalf("recovered digest drifted:\n got %x\nwant %x", got, want)
-	}
-
-	// Append past the snapshot: the digest no longer covers the store, so a
-	// restart rebuilds it lazily — and lands on the same bytes.
-	if err := s2.persist(store.Batch{Op: store.OpIngest,
-		Persons: []core.PersonID{12}, Locals: []pattern.Pattern{{8, 8, 8}}}); err != nil {
-		t.Fatal(err)
-	}
-	s2.residents.Upsert(12, pattern.Pattern{8, 8, 8})
-	s2.summary = nil
-	if err := s2.ensureSummary(); err != nil {
-		t.Fatal(err)
-	}
-	wantGrown := wire.EncodeSummaryPayload(s2.summary, 1)
+	ingest(s2, 12, pattern.Pattern{8, 8, 8})
+	wantGrown := pull(s2)
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	st3, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s3, st3 := restart(wal.Options{})
 	defer st3.Close()
-	_, stationEnd3 := transport.Pipe(nil, nil)
-	s3, err := NewStation(1, nil, stationEnd3, st3)
+	if got := pull(s3); !bytes.Equal(got, wantGrown) {
+		t.Fatalf("digest rebuilt from snapshot plus log drifted:\n got %x\nwant %x", got, wantGrown)
+	}
+}
+
+// BenchmarkStationFold times a durable station's fold: a persist of a
+// one-resident upsert over 25 000 length-24 residents, with a WAL that folds
+// on every record, so each op is one log append plus one full snapshot.
+// snap_B/op is the snapshot each fold writes.
+func BenchmarkStationFold(b *testing.B) {
+	const residents, length = 25000, 24
+	st, err := wal.Open(b.TempDir(), wal.Options{SnapshotEvery: 1, SnapshotBytes: -1})
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	if s3.summary != nil {
-		t.Fatal("stale digest served after post-snapshot appends")
+	b.Cleanup(func() { _ = st.Close() })
+	rng := rand.New(rand.NewSource(1))
+	locals := make(map[core.PersonID]pattern.Pattern, residents)
+	for p := core.PersonID(1); p <= residents; p++ {
+		row := make(pattern.Pattern, length)
+		for g := range row {
+			row[g] = rng.Int63n(8)
+		}
+		row[0]++
+		locals[p] = row
 	}
-	if err := s3.ensureSummary(); err != nil {
-		t.Fatal(err)
+	_, stationEnd := transport.Pipe(nil, nil)
+	s, err := NewStation(1, locals, stationEnd, st)
+	if err != nil {
+		b.Fatal(err)
 	}
-	if got := wire.EncodeSummaryPayload(s3.summary, 1); !bytes.Equal(got, wantGrown) {
-		t.Fatalf("rebuilt digest drifted:\n got %x\nwant %x", got, wantGrown)
+	row := make(pattern.Pattern, length)
+	var snapBytes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := core.PersonID(i%residents + 1)
+		copy(row, locals[p])
+		row[i%length]++
+		s.residents.Upsert(p, row)
+		s.summary = nil
+		if err := s.persist(store.Batch{Op: store.OpIngest, Persons: []core.PersonID{p}, Locals: []pattern.Pattern{row}}); err != nil {
+			b.Fatal(err)
+		}
+		snapBytes += st.SnapshotBytes()
 	}
+	b.ReportMetric(float64(snapBytes)/float64(b.N), "snap_B/op")
 }
 
 // TestRecoveryDeltaOnlyRebalance pins the rejoin cost: a placed cluster

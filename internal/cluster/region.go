@@ -180,7 +180,7 @@ func (r *Region) handleStats(ctx context.Context) (*wire.Message, error) {
 // all-admitting saturated digest stands in, so a parent's pruning stays
 // conservative: a region it cannot summarize is a region it visits.
 func (r *Region) handleSummary(ctx context.Context) *wire.Message {
-	reply := wire.EncodeSummaryReply(r.c.routingDigest(ctx), r.id)
+	reply := encodeSummary(r.c.routingDigest(ctx), r.id)
 	return &reply
 }
 

@@ -11,6 +11,20 @@ import (
 	"dimatch/internal/wire"
 )
 
+// encodeSummary renders a routing digest as the summary reply of station.
+func encodeSummary(s *index.Summary, station uint32) wire.Message {
+	return wire.EncodeSummaryReply(wire.SummaryReply{
+		Station:   station,
+		Length:    uint32(s.Length()),
+		Residents: s.Residents(),
+		Seed:      s.Seed(),
+		Bits:      s.Bits(),
+		Hashes:    uint32(s.Hashes()),
+		Inserted:  s.Inserted(),
+		Words:     s.Words(),
+	})
+}
+
 // summaryCache is the coordinator's per-station routing-summary store. It
 // is generation-guarded: every mutation that can change a station's store
 // bumps the station's generation, and a summary fetched over the wire is
@@ -189,9 +203,13 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]
 		if r.err != nil {
 			continue // unreachable: the member stays unpruned
 		}
-		_, sum, err := wire.DecodeSummaryReply(r.reply)
+		sr, err := wire.DecodeSummaryReply(r.reply)
 		if err != nil {
 			continue // corruption must never prune
+		}
+		sum, err := index.FromParts(int(sr.Length), sr.Seed, sr.Words, sr.Bits, int(sr.Hashes), sr.Inserted, sr.Residents)
+		if err != nil {
+			continue
 		}
 		i := fetchIdx[fi]
 		slots[i].sum = sum

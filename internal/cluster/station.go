@@ -57,9 +57,8 @@ type Station struct {
 }
 
 // NewStation builds a station from its seed patterns and, when st is
-// non-nil, a durable backend. A durable station recovers first (residents
-// plus, when the backend has one that still covers them, the memoized
-// routing digest), then applies and persists the seed on top; restarting a
+// non-nil, a durable backend. A durable station recovers its residents
+// first, then applies and persists the seed on top; restarting a
 // crashed station is NewStation with nil locals over the same backend, and
 // the station owns the store from then on — Serve closes it on exit. A nil
 // st keeps the residents in this process's memory only, and cannot fail.
@@ -75,7 +74,6 @@ func NewStation(id uint32, locals map[core.PersonID]pattern.Pattern, link transp
 		if err != nil {
 			return nil, fmt.Errorf("station %d: recover: %w", id, err)
 		}
-		s.summary = img.Digest
 		// The image is copied in, not adopted: a backend may go on reading
 		// what it returned, and the station overwrites its rows in place.
 		if err := s.residents.Load(img); err != nil {
@@ -86,7 +84,6 @@ func NewStation(id uint32, locals map[core.PersonID]pattern.Pattern, link transp
 		}
 	}
 	if b := s.seed(locals); len(b.Persons) > 0 {
-		s.summary = nil
 		if st != nil {
 			if err := st.Append(b); err != nil {
 				return nil, fmt.Errorf("station %d: persist seed: %w", id, err)
@@ -134,9 +131,8 @@ func (s *Station) StorageBytes() uint64 { return s.residents.Bytes() }
 // searches over this link concurrently: its dispatcher routes each reply to
 // the search that asked.
 //
-// A durable station closes its store on the way out, flushing anything the
-// sync policy still buffered — a graceful exit is a clean shutdown; only a
-// kill -9 exercises recovery.
+// A durable station closes its store on the way out — a graceful exit is a
+// clean shutdown; only a kill -9 exercises recovery.
 func (s *Station) Serve() error {
 	err := s.serveLoop()
 	if s.durable != nil {
@@ -280,7 +276,7 @@ func (s *Station) handleDump(msg wire.Message) (*wire.Message, error) {
 // is the evict message's job) and patterns of a foreign length are skipped.
 // On a durable station the applied batch is appended to the store before the
 // ack is encoded: a batch the center saw acknowledged is never lost to a
-// crash the store's sync policy covers.
+// crash the store covers.
 func (s *Station) handleIngest(msg wire.Message) (*wire.Message, error) {
 	in, err := wire.DecodeIngest(msg)
 	if err != nil {
@@ -314,22 +310,14 @@ func (s *Station) ackApplied(applied store.Batch) (*wire.Message, error) {
 }
 
 // persist appends one applied batch to the durable store and lets it fold
-// the log when its thresholds say so. The digest is built (if not already
-// memoized) only when a fold actually happens, which is what writes the
-// memoized summary into the snapshot for recovery. Errors are fatal to the
-// serve loop: the ack for this batch must never be sent if durability was
-// promised and not delivered.
+// the log into a snapshot of the residents when its thresholds say so.
+// Errors are fatal to the serve loop: the ack for this batch must never be
+// sent if durability was promised and not delivered.
 func (s *Station) persist(b store.Batch) error {
 	if err := s.durable.Append(b); err != nil {
 		return fmt.Errorf("station %d: %w", s.id, err)
 	}
-	_, err := s.durable.Compact(func() (store.Image, error) {
-		if err := s.ensureSummary(); err != nil {
-			return store.Image{}, err
-		}
-		return store.Image{Persons: s.residents.Persons(), Locals: s.residents.Locals(), Digest: s.summary}, nil
-	})
-	if err != nil {
+	if _, err := s.durable.Compact(store.Image{Persons: s.residents.Persons(), Locals: s.residents.Locals()}); err != nil {
 		return fmt.Errorf("station %d: %w", s.id, err)
 	}
 	return nil
@@ -373,14 +361,14 @@ func (s *Station) handleSummary() (*wire.Message, error) {
 	if err := s.ensureSummary(); err != nil {
 		return nil, err
 	}
-	reply := wire.EncodeSummaryReply(s.summary, s.id)
+	reply := encodeSummary(s.summary, s.id)
 	return &reply, nil
 }
 
 // ensureSummary (re)builds the memoized routing digest when a mutation
-// dropped it. index.Build is deterministic in the resident set, which is
-// what makes a digest rebuilt after recovery byte-identical to the pre-crash
-// one.
+// dropped it or the station just started. index.Build is deterministic in
+// the resident set, which is what makes a digest rebuilt after recovery
+// byte-identical to the pre-crash one.
 func (s *Station) ensureSummary() error {
 	if s.summary != nil {
 		return nil

@@ -182,8 +182,8 @@ func (r *Residents) Load(img Image) error {
 	return nil
 }
 
-// Image returns a deep copy of the residents (no digest — the store tracks
-// residents only): nothing done to the store later shows through it.
+// Image returns a deep copy of the residents: nothing done to the store later
+// shows through it.
 func (r *Residents) Image() Image {
 	var c Residents
 	_ = c.Load(Image{Persons: r.persons, Locals: r.locals}) // parallel by construction

@@ -5,8 +5,8 @@
 // with the in-memory default backend. A station appends every applied
 // ingest/evict batch to its Store before acknowledging it, so an acknowledged
 // mutation is exactly as durable as the backend promises — not at all for the
-// in-memory backend, fsync-bounded for the snapshot+WAL backend in the wal
-// subpackage.
+// in-memory backend, fsynced before the ack for the snapshot+WAL backend in
+// the wal subpackage.
 //
 // The contract is deliberately small. Recover replays the durable state into
 // a full station image; Append records one applied batch; Snapshot replaces
@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"dimatch/internal/core"
-	"dimatch/internal/index"
 	"dimatch/internal/pattern"
 )
 
@@ -58,18 +57,15 @@ type Batch struct {
 }
 
 // Image is a complete station state: the resident store in person-ascending
-// order plus, optionally, the memoized routing digest covering exactly those
-// residents. It is the exchange form between a station, its backend and
-// tests — plain slices, either views of a Residents good until its next
-// mutation (what Compact's callback returns) or an independent copy (what
-// Recover returns). Digest is nil when the caller had none memoized —
-// recovery then leaves the station to rebuild it lazily, which yields
-// byte-identical results because index.Build is deterministic in the
-// resident set.
+// order. It is the exchange form between a station, its backend and tests —
+// plain slices, either views of a Residents good until its next mutation
+// (what the station hands Compact) or an independent copy (what Recover
+// returns). Nothing derived from the residents is part of it: the station
+// rebuilds its routing digest from them, byte-identically, because
+// index.Build is deterministic in the resident set.
 type Image struct {
 	Persons []core.PersonID
 	Locals  []pattern.Pattern
-	Digest  *index.Summary
 }
 
 // Residents returns the image's resident count.
@@ -87,8 +83,8 @@ type Store interface {
 	Recover() (Image, error)
 
 	// Append records one applied batch. The station calls it before sending
-	// the mutation's ack, so a batch the center saw acknowledged is never
-	// lost by a crash the backend's durability policy covers.
+	// the mutation's ack, so a batch the center saw acknowledged is exactly
+	// as durable as the backend.
 	Append(Batch) error
 
 	// Snapshot replaces the durable state with the image, folding away any
@@ -96,12 +92,11 @@ type Store interface {
 	// returns; a backend that keeps it copies it.
 	Snapshot(Image) error
 
-	// Compact takes a fresh snapshot when the backend's thresholds say the
+	// Compact snapshots the image when the backend's thresholds say the
 	// appended log has grown past its keep, and reports whether it did. The
-	// image callback is invoked only when folding actually happens, so
-	// callers defer expensive work — the station builds its routing digest
-	// inside it, which is what puts the memoized digest on disk.
-	Compact(image func() (Image, error)) (bool, error)
+	// image is the caller's current state and, as for Snapshot, stays the
+	// caller's.
+	Compact(Image) (bool, error)
 
 	// Close releases the backend, flushing anything buffered.
 	Close() error
@@ -143,38 +138,23 @@ func (f *Fold) Apply(b Batch) error {
 // one implementation with zero durability cost, and so contract tests can
 // diff the WAL backend against a trivially correct reference.
 type Memory struct {
-	fold   Fold
-	digest *index.Summary
+	fold Fold
 }
 
 // NewMemory returns an empty in-memory store.
 func NewMemory() *Memory { return &Memory{} }
 
 // Recover returns the folded state of everything applied so far.
-func (m *Memory) Recover() (Image, error) {
-	img := m.fold.Image()
-	img.Digest = m.digest
-	return img, nil
-}
+func (m *Memory) Recover() (Image, error) { return m.fold.Image(), nil }
 
-// Append folds the batch in. Any remembered digest no longer covers the
-// store and is dropped.
-func (m *Memory) Append(b Batch) error {
-	m.digest = nil
-	return m.fold.Apply(b)
-}
+// Append folds the batch in.
+func (m *Memory) Append(b Batch) error { return m.fold.Apply(b) }
 
 // Snapshot replaces the state with the image.
-func (m *Memory) Snapshot(img Image) error {
-	if err := m.fold.Load(img); err != nil {
-		return err
-	}
-	m.digest = img.Digest
-	return nil
-}
+func (m *Memory) Snapshot(img Image) error { return m.fold.Load(img) }
 
 // Compact is a no-op: there is no log to fold.
-func (m *Memory) Compact(func() (Image, error)) (bool, error) { return false, nil }
+func (m *Memory) Compact(Image) (bool, error) { return false, nil }
 
 // Close is a no-op.
 func (m *Memory) Close() error { return nil }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -265,5 +266,76 @@ func TestCrashPointWithSnapshot(t *testing.T) {
 		if err := s2.Close(); err != nil {
 			t.Fatalf("cut=%d: Close: %v", cut, err)
 		}
+	}
+}
+
+// TestRecoverRefusesUndecodableRecord: a log record whose framing and CRC are
+// intact but whose kind or body does not decode is not a torn tail. Open
+// keeps it, and Recover must fail with a typed error rather than stop there
+// and silently drop every batch acked after it.
+func TestRecoverRefusesUndecodableRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		kind   byte
+		body   []byte
+		wantIs error
+	}{
+		{"foreign kind", recSeal, make([]byte, 8), ErrBadKind},
+		{"bad ingest body", recIngest, []byte{0xff}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := store.Batch{Op: store.OpIngest, Persons: []core.PersonID{1}, Locals: []pattern.Pattern{{1, 1}}}
+			if err := s.Append(first); err != nil {
+				t.Fatal(err)
+			}
+			logPath := s.logPath(s.Generation())
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(appendRecord(nil, tc.kind, tc.body)); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Reopen and ack person 2 after the undecodable record.
+			s, err = Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.TornBytes() != 0 {
+				t.Fatalf("Open truncated %d bytes of a well-framed record", s.TornBytes())
+			}
+			second := store.Batch{Op: store.OpIngest, Persons: []core.PersonID{2}, Locals: []pattern.Pattern{{2, 2}}}
+			if err := s.Append(second); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			s, err = Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			img, err := s.Recover()
+			if err == nil {
+				t.Fatalf("Recover returned persons %v and no error, skipping the acked batch after the undecodable record", img.Persons)
+			}
+			if tc.wantIs != nil && !errors.Is(err, tc.wantIs) {
+				t.Fatalf("Recover: %v, want %v", err, tc.wantIs)
+			}
+		})
 	}
 }

@@ -23,10 +23,8 @@ const (
 	// An evict record: persons {7, 9}, sorted and delta-encoded.
 	workedEvictRecordHex = "040000001234862902020702"
 	// A complete snapshot: header "D1SN" v1, one resident chunk (person 7,
-	// pattern [3,-1,4]), the memoized digest, and the seal (1 resident).
-	workedSnapshotHex = "4431534e01070000009e2d4124110107030601081f000000bc69702e12000301719a3d0cbfe5a7511d00000000000000070301ffb98b0400000000090000009099da591f0100000000000000"
-	// The same snapshot without a digest record.
-	workedSnapshotNoDigestHex = "4431534e01070000009e2d412411010703060108090000009099da591f0100000000000000"
+	// pattern [3,-1,4]) and the seal (1 resident).
+	workedSnapshotHex = "4431534e01070000009e2d412411010703060108090000009099da591f0100000000000000"
 )
 
 func mustHex(t interface{ Fatalf(string, ...any) }, s string) []byte {
@@ -127,15 +125,15 @@ func normalizeBatch(b store.Batch) store.Batch {
 // trust a corrupt length or seal.
 func FuzzSnapshot(f *testing.F) {
 	f.Add(mustHex(f, workedSnapshotHex))
-	f.Add(mustHex(f, workedSnapshotNoDigestHex))
 	// Header-only, truncated mid-record, and a flipped seal count.
 	f.Add(mustHex(f, workedSnapshotHex)[:5])
 	f.Add(mustHex(f, workedSnapshotHex)[:20])
-	sealFlip := mustHex(f, workedSnapshotNoDigestHex)
+	sealFlip := mustHex(f, workedSnapshotHex)
 	sealFlip[len(sealFlip)-8] ^= 0x01
 	f.Add(sealFlip)
-	// A digest built under an adaptive parameter plan (hash count 0).
+	// Retired digest records: adaptive (hash count 0) and static.
 	f.Add(mustHex(f, adaptedSnapshotHex))
+	f.Add(mustHex(f, staticSnapshotHex))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := decodeSnapshot(data)
 		if err != nil {

@@ -18,9 +18,8 @@ import (
 //
 // length counts the kind byte plus the body; crc32 is IEEE over the kind
 // byte plus the body. Bodies reuse the wire payload codecs verbatim: a
-// recIngest body is exactly wire.EncodeIngestPayload's output, a recEvict
-// body wire.EncodeEvictPayload's, a recDigest body
-// wire.EncodeSummaryPayload's — persistence and the wire share one binary
+// recIngest body is exactly wire.EncodeIngestPayload's output and a recEvict
+// body wire.EncodeEvictPayload's — persistence and the wire share one binary
 // vocabulary (docs/WIRE.md).
 const headerSize = 8
 
@@ -36,7 +35,7 @@ const (
 	recEvict  byte = 0x02 // body: wire evict payload (applied removals)
 
 	recResidents byte = 0x11 // snapshot: one chunk of the resident store (ingest payload)
-	recDigest    byte = 0x12 // snapshot: the memoized routing digest (summary payload)
+	recDigest    byte = 0x12 // snapshot, retired: a routing digest, skipped unread
 	recSeal      byte = 0x1f // snapshot terminator: u64 LE total resident count
 )
 

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"dimatch/internal/store"
@@ -11,11 +10,12 @@ import (
 
 // Snapshot file layout: a 5-byte header (magic "D1SN", version 1) followed
 // by framed records — the resident store chunked into recResidents records
-// (each body a wire ingest payload), an optional recDigest record (body a
-// wire summary payload: the memoized routing digest), and a mandatory
-// recSeal terminator whose body is the u64 LE total resident count. The seal
-// lets the loader distinguish a complete snapshot from one a sector-level
-// failure cut short even though the rename was atomic.
+// (each body a wire ingest payload) and a mandatory recSeal terminator whose
+// body is the u64 LE total resident count. The seal lets the loader
+// distinguish a complete snapshot from one a sector-level failure cut short
+// even though the rename was atomic. Snapshots written before the digest left
+// the store may also hold one retired recDigest record, which the loader
+// skips.
 
 var snapMagic = [4]byte{'D', '1', 'S', 'N'}
 
@@ -46,9 +46,6 @@ func encodeSnapshot(img store.Image) ([]byte, error) {
 		}
 		buf = appendRecord(buf, recResidents, body)
 	}
-	if img.Digest != nil {
-		buf = appendRecord(buf, recDigest, wire.EncodeSummaryPayload(img.Digest, 0))
-	}
 	var seal [8]byte
 	binary.LittleEndian.PutUint64(seal[:], uint64(len(img.Persons)))
 	return appendRecord(buf, recSeal, seal[:]), nil
@@ -69,7 +66,6 @@ func decodeSnapshot(data []byte) (store.Image, error) {
 		return store.Image{}, fmt.Errorf("%w: version %d", ErrBadSnapshot, data[4])
 	}
 	var fold store.Fold
-	img := store.Image{}
 	sealed := int64(-1)
 	off := snapHeaderSize
 	for off < len(data) {
@@ -88,15 +84,8 @@ func decodeSnapshot(data []byte) (store.Image, error) {
 				return store.Image{}, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 			}
 		case recDigest:
-			// A digest that hashes nothing was built under an adaptive
-			// parameter plan, which no build since wire Version 15 can probe:
-			// recover without it, and the station rebuilds its static digest
-			// on the first pull.
-			_, sum, err := wire.DecodeSummaryPayload(body)
-			if err != nil && !errors.Is(err, wire.ErrNoHashes) {
-				return store.Image{}, fmt.Errorf("%w: digest: %w", ErrBadSnapshot, err)
-			}
-			img.Digest = sum
+			// Derived state an older build persisted: the station rebuilds
+			// its digest from the residents, so the body is never read.
 		case recSeal:
 			if len(body) != 8 {
 				return store.Image{}, fmt.Errorf("%w: %d byte seal", ErrBadSnapshot, len(body))
@@ -115,7 +104,5 @@ func decodeSnapshot(data []byte) (store.Image, error) {
 	if int64(fold.Len()) != sealed {
 		return store.Image{}, fmt.Errorf("%w: sealed %d residents, decoded %d", ErrBadSnapshot, sealed, fold.Len())
 	}
-	folded := fold.Take()
-	img.Persons, img.Locals = folded.Persons, folded.Locals
-	return img, nil
+	return fold.Take(), nil
 }

@@ -12,20 +12,34 @@ import (
 	"dimatch/internal/pattern"
 )
 
-// adaptedSnapshotHex is a snapshot file a station folded while it ran under
-// an adaptive digest parameter plan (wire Version 14): one resident chunk
-// (persons 10–15, patterns of length 3), a digest record whose summary
-// payload has hash-count field 0 followed by the plan's geometry table, and
-// the seal (6 residents).
-const adaptedSnapshotHex = "4431534e012000000001682c4811060a030204060b03080a0c0c030e10120d0304080c0e03060a0e0f03101214" +
-	"420000009f8024f012000306719a3d0cbfe5a751000100000000000000120485aaaa04c434700009010413060e783c8000500005200204a0201108412000080140040140040180010401" +
-	"0900000089901f531f0600000000000000"
+// Snapshot files a station folded while snapshots still carried its routing
+// digest: one resident chunk (persons 10–15, patterns of length 3), a now
+// retired 0x12 digest record, and the seal (6 residents).
+// adaptedSnapshotHex's digest was built under an adaptive parameter plan
+// (wire Version 14): a summary payload with hash-count field 0 followed by
+// the plan's geometry table. staticSnapshotHex's is index.Build's static
+// digest (wire Version 15, hash count 7).
+const (
+	adaptedSnapshotHex = "4431534e012000000001682c4811060a030204060b03080a0c0c030e10120d0304080c0e03060a0e0f03101214" +
+		"420000009f8024f012000306719a3d0cbfe5a751000100000000000000120485aaaa04c434700009010413060e783c8000500005200204a0201108412000080140040140040180010401" +
+		"0900000089901f531f0600000000000000"
+	staticSnapshotHex = "4431534e012000000001682c4811060a030204060b03080a0c0c030e10120d0304080c0e03060a0e0f03101214" +
+		"370000006dc6670312000306719a3d0cbfe5a7510001000000000000071204c0b25a1191a6f486a988df2b4674392843012025459c162864b00809011e181d" +
+		"0900000089901f531f0600000000000000"
+)
 
-// TestSnapshotDropsAdaptiveDigest: a snapshot whose digest was built under an
-// adaptive parameter plan recovers every resident without that digest, and
-// the recovered station serves a static digest the coordinator can probe.
+// TestSnapshotDropsAdaptiveDigest: a snapshot carrying a retired digest
+// record, adaptive or static, recovers every resident, and the recovered
+// station serves a fresh digest the coordinator can probe.
 func TestSnapshotDropsAdaptiveDigest(t *testing.T) {
-	fixture := mustHex(t, adaptedSnapshotHex)
+	for name, fixtureHex := range map[string]string{"adaptive": adaptedSnapshotHex, "static": staticSnapshotHex} {
+		t.Run(name, func(t *testing.T) { checkRetiredDigestSnapshot(t, mustHex(t, fixtureHex)) })
+	}
+}
+
+// checkRetiredDigestSnapshot decodes one fixture, then boots a station over
+// it beside a second member and searches every recovered resident.
+func checkRetiredDigestSnapshot(t *testing.T, fixture []byte) {
 	img, err := decodeSnapshot(fixture)
 	if err != nil {
 		t.Fatalf("decodeSnapshot: %v", err)
@@ -34,9 +48,6 @@ func TestSnapshotDropsAdaptiveDigest(t *testing.T) {
 	wantLocals := []pattern.Pattern{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {2, 4, 6}, {3, 5, 7}, {8, 9, 10}}
 	if !reflect.DeepEqual(img.Persons, wantPersons) || !reflect.DeepEqual(img.Locals, wantLocals) {
 		t.Fatalf("recovered %v %v, want %v %v", img.Persons, img.Locals, wantPersons, wantLocals)
-	}
-	if img.Digest != nil {
-		t.Fatal("adaptive digest recovered into the image")
 	}
 
 	dir := t.TempDir()
@@ -74,7 +85,7 @@ func TestSnapshotDropsAdaptiveDigest(t *testing.T) {
 		}
 	}
 	// Both digests decoded and were cached: the recovered station served a
-	// static one.
+	// fresh one.
 	if n := c.RoutingState().Entries; n != 2 {
 		t.Fatalf("%d digests cached, want 2", n)
 	}

@@ -15,9 +15,9 @@
 // corrupt log tail is detected by the per-record CRC and cleanly truncated:
 // recovery yields a prefix of the applied batches, never a partial batch.
 //
-// Durability is tunable (Options): SyncEvery=1 (the default) fsyncs every
-// append, so an acked batch survives kill -9 and power loss; SyncInterval
-// trades a bounded window of acked-but-unsynced batches for throughput.
+// Every append is fsynced before it returns, so an acked batch survives
+// kill -9 and power loss. The store holds the acked batches and nothing
+// derived from them.
 package wal
 
 import (
@@ -27,28 +27,14 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
-	"dimatch/internal/index"
 	"dimatch/internal/store"
 	"dimatch/internal/wire"
 )
 
-// Options tunes durability and compaction. The zero value is the safe
-// default: fsync every append, fold the log every 4096 records or 16 MiB.
+// Options tunes compaction. The zero value folds the log every 4096 records
+// or 16 MiB.
 type Options struct {
-	// SyncEvery fsyncs the log after every Nth appended batch. 1 (the
-	// default when SyncInterval is also unset) makes every acked batch
-	// durable before the ack leaves the station.
-	SyncEvery int
-
-	// SyncInterval, when SyncEvery is 0, bounds how long an acked batch may
-	// sit unsynced: an append fsyncs once this much time has passed since
-	// the last sync. A crash inside the window loses at most the batches
-	// acked since that sync — never a partial batch, and never anything a
-	// completed Snapshot covered.
-	SyncInterval time.Duration
-
 	// SnapshotEvery folds the log into a fresh snapshot once it holds this
 	// many records (default 4096; negative disables the record trigger).
 	SnapshotEvery int
@@ -59,9 +45,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SyncEvery == 0 && o.SyncInterval <= 0 {
-		o.SyncEvery = 1
-	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 4096
 	}
@@ -82,9 +65,6 @@ type Store struct {
 	logBytes   int64
 	logRecords int
 
-	unsynced int
-	lastSync time.Time
-
 	torn int64 // torn-tail bytes truncated at Open
 }
 
@@ -96,7 +76,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts.withDefaults(), lastSync: time.Now()}
+	s := &Store{dir: dir, opts: opts.withDefaults()}
 	if err := s.boot(); err != nil {
 		return nil, err
 	}
@@ -264,12 +244,11 @@ func decodeBatch(kind byte, body []byte) (store.Batch, error) {
 }
 
 // Recover replays the durable state: the generation's snapshot (if any) plus
-// every replayable log record. The snapshot's digest is returned only when
-// zero log records followed it — a digest does not cover later mutations,
-// and the station rebuilds an identical one lazily from the residents.
+// every log record. Open truncated the torn tail, so every record left is
+// one the station acked; one that does not decode fails recovery with a
+// typed error rather than hiding the batches after it.
 func (s *Store) Recover() (store.Image, error) {
 	var fold store.Fold
-	var digest *index.Summary
 	snap, err := os.ReadFile(s.snapPath(s.seq))
 	switch {
 	case err == nil:
@@ -280,7 +259,6 @@ func (s *Store) Recover() (store.Image, error) {
 		// The decoder's own fold produced the image, so its invariants hold
 		// and the slices can be adopted without the Load re-validation pass.
 		fold.Adopt(img)
-		digest = img.Digest
 	case os.IsNotExist(err):
 		// Generation 0 never has a snapshot: recovery starts empty.
 	default:
@@ -291,33 +269,26 @@ func (s *Store) Recover() (store.Image, error) {
 	if err != nil {
 		return store.Image{}, fmt.Errorf("wal: %w", err)
 	}
-	off, replayed := 0, 0
-	for off < len(data) {
+	for off := 0; off < len(data); {
 		kind, body, n, err := readRecord(data[off:])
 		if err != nil {
-			break // boot truncated the tail; records appended since are whole
+			return store.Image{}, fmt.Errorf("%w at log byte %d", err, off)
 		}
 		batch, err := decodeBatch(kind, body)
 		if err != nil {
-			break
+			return store.Image{}, fmt.Errorf("%w at log byte %d", err, off)
 		}
 		if err := fold.Apply(batch); err != nil {
 			return store.Image{}, err
 		}
 		off += n
-		replayed++
 	}
-	img := fold.Take()
-	if replayed == 0 {
-		img.Digest = digest
-	}
-	return img, nil
+	return fold.Take(), nil
 }
 
-// Append frames one applied batch onto the log and syncs per the configured
-// policy. The station calls it before acking, so an Append error is fatal to
-// the serve loop — the center never sees an ack for a batch that was not
-// made as durable as the policy promises.
+// Append frames one applied batch onto the log and fsyncs it. The station
+// calls it before acking, so an Append error is fatal to the serve loop —
+// the center never sees an ack for a batch that is not on disk.
 func (s *Store) Append(b store.Batch) error {
 	kind, body, err := encodeBatch(b)
 	if err != nil {
@@ -335,18 +306,6 @@ func (s *Store) Append(b store.Batch) error {
 	}
 	s.logBytes += int64(len(hdr) + len(body))
 	s.logRecords++
-	s.unsynced++
-	return s.maybeSync()
-}
-
-func (s *Store) maybeSync() error {
-	if s.opts.SyncEvery > 0 {
-		if s.unsynced < s.opts.SyncEvery {
-			return nil
-		}
-	} else if time.Since(s.lastSync) < s.opts.SyncInterval {
-		return nil
-	}
 	return s.syncLog()
 }
 
@@ -354,8 +313,6 @@ func (s *Store) syncLog() error {
 	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
-	s.unsynced = 0
-	s.lastSync = time.Now()
 	return nil
 }
 
@@ -394,25 +351,20 @@ func (s *Store) Snapshot(img store.Image) error {
 	old, oldSeq := s.log, s.seq
 	s.log = nf
 	s.seq = next
-	s.logBytes, s.logRecords, s.unsynced = 0, 0, 0
+	s.logBytes, s.logRecords = 0, 0
 	_ = old.Close()
 	_ = os.Remove(s.logPath(oldSeq))
 	_ = os.Remove(s.snapPath(oldSeq)) // absent at generation 0; best-effort either way
 	return syncDir(s.dir)
 }
 
-// Compact folds the log into a fresh snapshot once it exceeds the configured
-// record or byte threshold. The image callback runs only when folding
-// happens, so the station can defer building its digest to it.
-func (s *Store) Compact(image func() (store.Image, error)) (bool, error) {
+// Compact folds the log into a snapshot of img once it exceeds the
+// configured record or byte threshold.
+func (s *Store) Compact(img store.Image) (bool, error) {
 	byRecords := s.opts.SnapshotEvery > 0 && s.logRecords >= s.opts.SnapshotEvery
 	byBytes := s.opts.SnapshotBytes > 0 && s.logBytes >= s.opts.SnapshotBytes
 	if !byRecords && !byBytes {
 		return false, nil
-	}
-	img, err := image()
-	if err != nil {
-		return false, err
 	}
 	if err := s.Snapshot(img); err != nil {
 		return false, err

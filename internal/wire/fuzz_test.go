@@ -302,7 +302,7 @@ func FuzzDecodePayload(f *testing.F) {
 				checkRows(t, payload, dr.Persons, dr.Locals)
 			}
 		case KindSummaryReply:
-			_, _, _ = DecodeSummaryReply(m)
+			_, _ = DecodeSummaryReply(m)
 		case KindRouteQuery:
 			rq, err := DecodeRouteQuery(m)
 			if err == nil {

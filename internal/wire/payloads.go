@@ -11,7 +11,6 @@ import (
 
 	"dimatch/internal/bloom"
 	"dimatch/internal/core"
-	"dimatch/internal/index"
 	"dimatch/internal/pattern"
 )
 
@@ -1066,8 +1065,9 @@ func readRows(r *reader) ([]core.PersonID, []pattern.Pattern) {
 // every resident pattern's accumulated cells, which the coordinator caches
 // and probes to decide whether a search batch needs to visit the station at
 // all. The filter parameters travel with the words so the coordinator
-// reconstructs the exact key space the station inserted into; Residents is
-// diagnostic (how many patterns the digest covers).
+// reconstructs the exact key space the station inserted into (index.FromParts
+// takes exactly these fields); Residents is diagnostic (how many patterns the
+// digest covers).
 type SummaryReply struct {
 	Station   uint32
 	Length    uint32
@@ -1079,34 +1079,28 @@ type SummaryReply struct {
 	Words     []uint64
 }
 
-// EncodeSummaryPayload renders a routing summary's payload bytes without the
-// message envelope. The station WAL (internal/store/wal) persists the
-// memoized digest in exactly this form, so a recovered digest is
-// byte-comparable with what the station last served.
-func EncodeSummaryPayload(s *index.Summary, station uint32) []byte {
+// EncodeSummaryReply renders a station's routing summary.
+func EncodeSummaryReply(s SummaryReply) Message {
 	var w writer
-	w.uvarint(uint64(station))
-	w.uvarint(uint64(s.Length()))
-	w.uvarint(s.Residents())
-	w.u64(s.Seed())
-	w.u64(s.Bits())
-	w.uvarint(uint64(s.Hashes()))
-	w.uvarint(s.Inserted())
-	writeWords(&w, s.Words())
-	return w.buf
+	w.uvarint(uint64(s.Station))
+	w.uvarint(uint64(s.Length))
+	w.uvarint(s.Residents)
+	w.u64(s.Seed)
+	w.u64(s.Bits)
+	w.uvarint(uint64(s.Hashes))
+	w.uvarint(s.Inserted)
+	writeWords(&w, s.Words)
+	return Message{Kind: KindSummaryReply, Payload: w.buf}
 }
 
-// EncodeSummaryReply renders a station's routing summary from its parts.
-func EncodeSummaryReply(s *index.Summary, station uint32) Message {
-	return Message{Kind: KindSummaryReply, Payload: EncodeSummaryPayload(s, station)}
-}
-
-// DecodeSummaryPayload parses a routing summary's payload bytes,
-// reconstructing the probeable filter through index.FromParts (which
-// validates the word count against the declared bit length). A hash count of
-// 0 is refused with ErrNoHashes before the words are read.
-func DecodeSummaryPayload(payload []byte) (SummaryReply, *index.Summary, error) {
-	r := &reader{buf: payload}
+// DecodeSummaryReply parses a routing summary message. A hash count of 0 is
+// refused with ErrNoHashes before the words are read; whether the words fit
+// the declared bit length is index.FromParts' check.
+func DecodeSummaryReply(m Message) (SummaryReply, error) {
+	if m.Kind != KindSummaryReply {
+		return SummaryReply{}, fmt.Errorf("wire: decoding %v as summary-reply", m.Kind)
+	}
+	r := &reader{buf: m.Payload}
 	out := SummaryReply{
 		Station:   r.u32(),
 		Length:    r.u32(),
@@ -1117,25 +1111,13 @@ func DecodeSummaryPayload(payload []byte) (SummaryReply, *index.Summary, error) 
 		Inserted:  r.uvarint(),
 	}
 	if r.err == nil && out.Hashes == 0 {
-		return SummaryReply{}, nil, ErrNoHashes
+		return SummaryReply{}, ErrNoHashes
 	}
 	out.Words = readWords(r)
 	if err := r.done(); err != nil {
-		return SummaryReply{}, nil, err
+		return SummaryReply{}, err
 	}
-	s, err := index.FromParts(int(out.Length), out.Seed, out.Words, out.Bits, int(out.Hashes), out.Inserted, out.Residents)
-	if err != nil {
-		return SummaryReply{}, nil, err
-	}
-	return out, s, nil
-}
-
-// DecodeSummaryReply parses a routing summary message.
-func DecodeSummaryReply(m Message) (SummaryReply, *index.Summary, error) {
-	if m.Kind != KindSummaryReply {
-		return SummaryReply{}, nil, fmt.Errorf("wire: decoding %v as summary-reply", m.Kind)
-	}
-	return DecodeSummaryPayload(m.Payload)
+	return out, nil
 }
 
 // ---- hierarchy: route delegation ----

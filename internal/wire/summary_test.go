@@ -10,22 +10,40 @@ import (
 	"dimatch/internal/pattern"
 )
 
+// summaryOf is the summary reply of a station serving digest s.
+func summaryOf(s *index.Summary, station uint32) SummaryReply {
+	return SummaryReply{
+		Station:   station,
+		Length:    uint32(s.Length()),
+		Residents: s.Residents(),
+		Seed:      s.Seed(),
+		Bits:      s.Bits(),
+		Hashes:    uint32(s.Hashes()),
+		Inserted:  s.Inserted(),
+		Words:     s.Words(),
+	}
+}
+
 func TestSummaryReplyRoundtrip(t *testing.T) {
 	s, err := index.Build(4, []pattern.Pattern{{1, 2, 3, 4}, {0, 5, 0, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := EncodeSummaryReply(s, 7)
+	msg := EncodeSummaryReply(summaryOf(s, 7))
 	decoded, err := Decode(msg.WithRequest(9).Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, got, err := DecodeSummaryReply(decoded)
+	sr, err := DecodeSummaryReply(decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sr.Station != 7 || sr.Residents != 2 || int(sr.Length) != 4 {
 		t.Fatalf("header %+v, want station 7, 2 residents, length 4", sr)
+	}
+	got, err := index.FromParts(int(sr.Length), sr.Seed, sr.Words, sr.Bits, int(sr.Hashes), sr.Inserted, sr.Residents)
+	if err != nil {
+		t.Fatal(err)
 	}
 	probe, err := index.NewProbe(core.Query{ID: 1, Locals: []pattern.Pattern{{1, 2, 3, 4}}}, 4, 0)
 	if err != nil {
@@ -50,41 +68,40 @@ func TestWorkedSummaryHex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := hex.EncodeToString(EncodeSummaryReply(s, 3).WithRequest(42).Encode())
+	got := hex.EncodeToString(EncodeSummaryReply(summaryOf(s, 3)).WithRequest(42).Encode())
 	if got != workedSummaryReplyHex {
 		t.Fatalf("summary-reply worked frame drifted:\n got %s\nwant %s", got, workedSummaryReplyHex)
 	}
 }
 
-// TestSummaryReplyRejectsCorruption: truncated payloads and implausible
-// word counts fail with typed errors, never panic.
+// TestSummaryReplyRejectsCorruption: truncated payloads, trailing bytes and
+// a zero hash count fail with errors, never panic. Whether the words fit the
+// declared bit length is index.FromParts' check (bloom.TestFromPartsValidation).
 func TestSummaryReplyRejectsCorruption(t *testing.T) {
 	s, err := index.Build(3, []pattern.Pattern{{1, 1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := EncodeSummaryReply(s, 1)
+	msg := EncodeSummaryReply(summaryOf(s, 1))
 	for cut := 1; cut < len(msg.Payload); cut++ {
 		bad := Message{Kind: KindSummaryReply, Payload: msg.Payload[:cut]}
-		if _, _, err := DecodeSummaryReply(bad); err == nil {
+		if _, err := DecodeSummaryReply(bad); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, _, err := DecodeSummaryReply(Message{Kind: KindStats}); err == nil {
+	if _, err := DecodeSummaryReply(Message{Kind: KindStats}); err == nil {
 		t.Fatal("wrong kind accepted")
 	}
-	// Word count disagreeing with the declared bit length is rejected by
-	// the index reconstruction.
 	trunc := append([]byte(nil), msg.Payload...)
 	bad := Message{Kind: KindSummaryReply, Payload: append(trunc, 0, 0, 0, 0, 0, 0, 0, 0)}
-	if _, _, err := DecodeSummaryReply(bad); err == nil {
+	if _, err := DecodeSummaryReply(bad); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 	// A Version 14 adaptive digest: hash count 0, refused as such whether or
 	// not its geometry tail follows the words.
 	adaptive := mustHex(t, adaptiveSummaryHex)
 	for _, p := range [][]byte{adaptive, adaptive[:54]} {
-		if _, _, err := DecodeSummaryPayload(p); !errors.Is(err, ErrNoHashes) {
+		if _, err := DecodeSummaryReply(Message{Kind: KindSummaryReply, Payload: p}); !errors.Is(err, ErrNoHashes) {
 			t.Fatalf("summary with hash count 0 (%d bytes): err = %v, want ErrNoHashes", len(p), err)
 		}
 	}

@@ -123,7 +123,7 @@ func decodeAs(kind Kind, payload []byte) error {
 	case KindDumpReply:
 		_, err = DecodeDumpReply(m)
 	case KindSummaryReply:
-		_, _, err = DecodeSummaryReply(m)
+		_, err = DecodeSummaryReply(m)
 	case KindRouteQuery:
 		_, err = DecodeRouteQuery(m)
 	case KindRouteReply:

@@ -193,9 +193,8 @@ var (
 	// cannot have written: an end sent as 0, To ≤ From, or a bound on a kind
 	// that takes none.
 	ErrBadBound = errors.New("wire: person bound malformed")
-	// ErrNoHashes rejects a summary whose hash-count field is 0: what a wire
-	// Version 14 station wrote for a digest built under an adaptive parameter
-	// plan. A static digest hashes every cell at least once.
+	// ErrNoHashes rejects a summary whose hash-count field is 0: a digest
+	// hashes every cell at least once, so no station encodes one.
 	ErrNoHashes    = errors.New("wire: summary hash count 0")
 	errShortBuffer = errors.New("wire: short buffer")
 )

@@ -9,23 +9,21 @@ import (
 // Station-persistence vocabulary: the pluggable store a base station makes
 // its resident set durable through. A station appends every applied
 // ingest/evict batch to its Store before acknowledging it, so an acked
-// mutation is exactly as durable as the backend promises — not at all for
-// the in-memory default, fsync-bounded for the snapshot+WAL backend.
+// mutation is exactly as durable as the backend promises. A Member with a
+// nil Store keeps its residents in memory only; the snapshot+WAL backend
+// fsyncs every batch before the ack and stores nothing but the acked
+// batches.
 type (
 	// Store is the station persistence contract (append / snapshot /
 	// recover / compact / close). Implementations are single-owner: the
 	// station serve loop is the only caller after construction.
 	Store = store.Store
-	// WALOptions tunes the snapshot+WAL backend: fsync cadence (SyncEvery
-	// batches or SyncInterval time) and compaction thresholds
-	// (SnapshotEvery records or SnapshotBytes log bytes). The zero value
-	// means fsync-per-batch with default compaction thresholds.
+	// WALOptions sets the snapshot+WAL backend's compaction thresholds
+	// (SnapshotEvery records or SnapshotBytes log bytes); the zero value
+	// means the defaults. Durability is not an option: every append is
+	// fsynced before the station acks it.
 	WALOptions = wal.Options
 )
-
-// NewMemoryStore returns the in-memory store backend: zero durability, zero
-// cost. A station over it behaves exactly like a pre-persistence station.
-func NewMemoryStore() Store { return store.NewMemory() }
 
 // OpenWALStore opens (or creates) a snapshot+WAL station store rooted at
 // dir. Reopening a directory a previous station wrote — even one whose
