@@ -92,7 +92,8 @@ const (
 
 // Routing modes, re-exported. RoutingSummary — the default — probes the
 // coordinator's cached per-station summaries and skips stations that cannot
-// hold a match; RoutingFull forces the classic every-station fan-out
+// hold a match, and on a clean replicated placement visits one replica per
+// group; RoutingFull forces the classic every-station fan-out
 // (docs/ROUTING.md).
 const (
 	RoutingSummary = cluster.RoutingSummary
@@ -144,9 +145,11 @@ func WithBatching(n int) SearchOption { return cluster.WithBatching(n) }
 
 // WithRouting selects the fan-out routing mode for one WBF search (default
 // RoutingSummary). Summary routing sends each query batch only to stations
-// whose cached routing summary admits a possible match — stations without a
-// usable summary are always visited and an all-pruned plan falls back to
-// full fan-out, so results and recall are identical to RoutingFull; only the
+// whose cached routing summary admits a possible match — one replica per
+// group of placed copies, with the group's others asked if it fails —
+// stations without a usable summary are always visited and an all-pruned
+// plan falls back to full fan-out, so results and recall are identical to
+// RoutingFull; only the
 // wasted exchanges differ (CostReport.StationsPruned counts them,
 // CostReport.SubtreeProbes the digest evaluations planning cost). BF and
 // naive searches ignore the mode and always fan out fully. Against region
@@ -269,7 +272,8 @@ func (c *Cluster) Search(ctx context.Context, queries []Query, opts ...SearchOpt
 // that saw it. The mutation travels the station's own request/reply loop,
 // so it applies between exchanges and never races an in-flight search.
 // Pattern lengths must match the cluster's (ErrLengthMismatch otherwise);
-// all-zero patterns are dropped by the station.
+// all-zero patterns are dropped by the station. A routed search never skips
+// a station that received an Ingest as a redundant replica.
 func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[PersonID]Pattern) error {
 	return c.inner.Ingest(ctx, stationID, patterns)
 }
@@ -284,11 +288,13 @@ func (c *Cluster) Evict(ctx context.Context, stationID uint32, persons []PersonI
 }
 
 // Place ingests patterns under automatic placement: each person's pattern is
-// copied to the stations that win the rendezvous (HRW) hash of (person,
-// station) over the alive membership — WithReplication many of them, default
+// copied to a chained replica group over the alive membership — the station
+// that wins the rendezvous (HRW) hash of (person, station) and its
+// successors by station ID, WithReplication many of them, default
 // DefaultReplication. Placed patterns are replica-managed from then on:
 // search aggregation dedupes their replicas' reports (highest score wins), a
-// replica lost mid-search is covered by the survivors, and membership
+// routed search visits one replica per group, a replica lost mid-search is
+// covered by the others, and membership
 // changes trigger re-replication and rebalancing so the requested factor is
 // maintained without the caller naming stations. A person must be either
 // placed or station-addressed, never both; Unplace releases them back.

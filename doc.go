@@ -21,8 +21,9 @@
 //
 //   - Place: patterns live where the data (or the rendezvous hash) puts
 //     them. Station-addressed ingest pins a pattern to the station that
-//     observed it; Place copies it to the R stations that win the HRW hash
-//     and keeps that invariant standing through churn.
+//     observed it; Place copies it to an R-station replica group (the HRW
+//     winner and its successors by station ID) and keeps that invariant
+//     standing through churn.
 //   - Route: the coordinator encodes the query's local-pattern
 //     combinations into a Weighted Bloom Filter — accumulated (prefix-sum)
 //     form, b deterministic sample points, an exact integer weight attached
@@ -145,20 +146,21 @@
 // # Replicated placement
 //
 // Place hands pattern locality to the cluster: each person's pattern is
-// copied to the stations that win a rendezvous (HRW) hash of (person,
-// station) — WithReplication many, default 2 — with no station IDs in the
-// call:
+// copied to a chained replica group — the station that wins a rendezvous
+// (HRW) hash of (person, station) and its successors by station ID,
+// WithReplication many, default 2 — with no station IDs in the call:
 //
 //	c, err := dimatch.NewCluster(opts, length,
 //		dimatch.Member{ID: 1}, dimatch.Member{ID: 2}, dimatch.Member{ID: 3})
 //	err = c.Place(ctx, patterns, dimatch.WithReplication(2))
 //
 // Searches dedupe a placed person's replica reports (the highest score
-// wins, so duplicate copies never trip the over-match deletion), a replica
-// lost mid-search is covered by the survivors, and every membership change
-// triggers a reconciliation pass that re-replicates under-replicated
-// patterns from their surviving copies and rebalances the ones whose
-// rendezvous winners changed. Rebalance runs a pass on demand and reports
+// wins, so duplicate copies never trip the over-match deletion), a routed
+// search visits one replica per group and a replica lost mid-search is
+// covered by the others, and every membership change triggers a
+// reconciliation pass that re-replicates under-replicated patterns from
+// their surviving current copies and rebalances the ones whose replica
+// groups changed. Rebalance runs a pass on demand and reports
 // it; Unplace releases persons back to station-addressed management.
 // TestEverySingleKillKeepsResultsAtR2 in internal/cluster pins the
 // resulting guarantee: at replication 2, killing any single station leaves

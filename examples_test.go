@@ -350,8 +350,9 @@ func TestReadmePlacementSnippet(t *testing.T) {
 		dimatch.Member{ID: 1}, dimatch.Member{ID: 2}, dimatch.Member{ID: 3}, dimatch.Member{ID: 4})
 	defer c.Shutdown()
 
-	// No station IDs: each pattern lands on the 2 stations that win the
-	// rendezvous hash, and membership changes re-replicate automatically.
+	// No station IDs: each pattern lands on its 2-station replica group (the
+	// rendezvous winner and its successor), and membership changes
+	// re-replicate automatically.
 	err := c.Place(ctx, map[dimatch.PersonID]dimatch.Pattern{
 		10: {3, 4, 5},
 		11: {3, 4, 5},
@@ -369,9 +370,12 @@ func TestReadmePlacementSnippet(t *testing.T) {
 		t.Fatalf("healthy search found %d persons, README promises 2", len(out.PerQuery[1]))
 	}
 	for _, r := range out.PerQuery[1] {
-		if r.Score() != 1.0 || r.Stations != 2 {
-			t.Fatalf("result %+v, README promises score 1.0 from 2 replicas", r)
+		if r.Score() != 1.0 || r.Stations != 1 {
+			t.Fatalf("result %+v, README promises score 1.0 from one copy", r)
 		}
+	}
+	if st, err := c.Stats(ctx); err != nil || st.TotalResidents() != 4 {
+		t.Fatalf("stats %+v, %v: README promises 2 persons × 2 replicas in storage", st, err)
 	}
 
 	// The section claims any single station can be lost without losing
@@ -419,7 +423,7 @@ func TestReadmeStreamingSnippet(t *testing.T) {
 	defer c.Shutdown()
 
 	// A pipeline: Submit never assembles maps or names stations — each
-	// pattern rides a bounded queue to its 2 rendezvous-placed replicas.
+	// pattern rides a bounded queue to its 2-station replica group.
 	in, _ := c.Stream(dimatch.StreamOptions{
 		Admission: dimatch.StreamBlock, // StreamShed returns ErrOverloaded instead
 		TTL:       time.Minute,         // 0 means patterns never expire
@@ -440,9 +444,12 @@ func TestReadmeStreamingSnippet(t *testing.T) {
 		t.Fatalf("search found %d persons, README promises all 16 streamed", len(out.PerQuery[1]))
 	}
 	for _, r := range out.PerQuery[1] {
-		if r.Score() != 1.0 || r.Stations != 2 {
-			t.Fatalf("result %+v, README promises score 1.0 from 2 replicas", r)
+		if r.Score() != 1.0 || r.Stations != 1 {
+			t.Fatalf("result %+v, README promises score 1.0 from one copy", r)
 		}
+	}
+	if st, err := c.Stats(ctx); err != nil || st.TotalResidents() != 32 {
+		t.Fatalf("stats %+v, %v: README promises 16 persons × 2 replicas in storage", st, err)
 	}
 	if rep.Accepted != 16 || rep.Shed != 0 || rep.FlushFailures != 0 {
 		t.Fatalf("report %+v, README promises 16 accepted, nothing shed or lost", rep)

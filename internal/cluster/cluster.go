@@ -12,6 +12,7 @@ import (
 	"dimatch/internal/placement"
 	"dimatch/internal/store"
 	"dimatch/internal/transport"
+	"dimatch/internal/wire"
 )
 
 // Options configures a cluster's default search knobs. Every knob can be
@@ -101,6 +102,18 @@ type Cluster struct {
 	placeTab *placement.Table
 	healMu   sync.Mutex
 
+	// layout is what group routing (route.go) trusts: the sorted alive set
+	// of the last placement that completed, under which every placed person
+	// holds current copies exactly on its Pick set. Membership changes and
+	// failed placement exchanges invalidate it; gen counts invalidations, so
+	// a placement that started before one cannot record over it.
+	layout placeLayout // dimatch:guardedby mu
+	// roles records what group routing may assume of each member's store
+	// (memberRole). A member missing from the map (a link member not yet
+	// asked) counts as addressed; Place asks it before its first push
+	// (resolveUnknown).
+	roles map[uint32]memberRole // dimatch:guardedby mu
+
 	// summaries is the routing-summary cache: one probeable digest per
 	// station, filled lazily by routed searches and kept honest by the
 	// mutation hooks (ingest delta-updates, evict and membership changes
@@ -126,6 +139,43 @@ type Cluster struct {
 	wg       sync.WaitGroup
 	serveMu  sync.Mutex
 	serveErr []error // dimatch:guardedby serveMu
+}
+
+// memberRole is what group routing (route.go) may assume of a member's
+// store.
+type memberRole uint8
+
+const (
+	// roleEmpty members hold placed copies only: they joined empty and
+	// received no public Ingest.
+	roleEmpty memberRole = iota + 1
+	// roleAddressed members may hold residents of their own — they joined
+	// with residents or received a public Ingest — so routing never skips
+	// one that admits.
+	roleAddressed
+	// roleDelegate members are region coordinators: copies placed on one
+	// live in a sub-cluster whose losses this coordinator cannot see, so
+	// group routing never trusts it to answer for a group.
+	roleDelegate
+)
+
+// residentRole is the role of a plain station joining with n residents.
+func residentRole(n int) memberRole {
+	if n > 0 {
+		return roleAddressed
+	}
+	return roleEmpty
+}
+
+// statsRole is the role a member's stats reply shows.
+func statsRole(sr wire.StatsReply) memberRole {
+	switch {
+	case sr.Flags&wire.FlagRouteDelegate != 0:
+		return roleDelegate
+	case sr.Residents > 0:
+		return roleAddressed
+	}
+	return roleEmpty
 }
 
 // Member specifies one station of a cluster, for New and AddStation. With
@@ -235,6 +285,7 @@ func assemble(opts Options, length int, members []Member) (*Cluster, error) {
 		opts:   opts,
 		length: length,
 		dead:   make(map[uint32]bool),
+		roles:  make(map[uint32]memberRole),
 	}
 	muxes := make([]*transport.Mux, 0, len(members))
 	for _, m := range members {
@@ -250,6 +301,7 @@ func assemble(opts Options, length int, members []Member) (*Cluster, error) {
 		muxes = append(muxes, mux)
 		if st != nil {
 			c.pending = append(c.pending, st)
+			c.roles[m.ID] = residentRole(st.Residents())
 		}
 	}
 	// Remote stations run their own Serve loops: a cluster with nothing to

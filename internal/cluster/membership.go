@@ -21,8 +21,8 @@ import (
 //
 // When patterns are placed (see Place), the kill triggers a reconciliation
 // pass: copies the dead station held are re-replicated from their surviving
-// replicas onto the stations that now win the rendezvous hash, restoring the
-// requested replication factor.
+// replicas onto the persons' new replica groups, restoring the requested
+// replication factor.
 func (c *Cluster) KillStation(id uint32) error {
 	c.mu.Lock()
 	i := c.ep.find(id)
@@ -34,6 +34,7 @@ func (c *Cluster) KillStation(id uint32) error {
 		c.mu.Unlock()
 		return nil
 	}
+	c.invalidateLayoutLocked()
 	c.dead[id] = true
 	err := c.ep.muxes[i].Close()
 	// Same membership, fresh epoch: cached stats must stop counting the
@@ -109,11 +110,19 @@ func (c *Cluster) Shutdown() error {
 // mutation travels the same request/reply loop as queries, so the station
 // applies it between exchanges and no search observes a half-applied store.
 // Pattern lengths must match the cluster's. All-zero patterns are dropped
-// by the station (no measurable activity means no local pattern).
+// by the station (no measurable activity means no local pattern). The
+// station is addressed from then on: routing never skips it as a redundant
+// replica (planRoute).
 func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[core.PersonID]pattern.Pattern) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	return c.ingest(ctx, stationID, patterns, true)
+}
+
+// ingest carries Ingest; addressed is false on the path Place and
+// reconciliation push copies through, which leaves the station unaddressed.
+func (c *Cluster) ingest(ctx context.Context, stationID uint32, patterns map[core.PersonID]pattern.Pattern, addressed bool) error {
 	if len(patterns) == 0 {
 		return nil
 	}
@@ -130,6 +139,17 @@ func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[cor
 	sort.Slice(in.Persons, func(i, j int) bool { return in.Persons[i] < in.Persons[j] })
 	for _, p := range in.Persons {
 		in.Locals = append(in.Locals, patterns[p])
+	}
+	if addressed {
+		placed := c.touchesPlaced(in.Persons)
+		c.mu.Lock()
+		if c.ep.find(stationID) >= 0 && c.roles[stationID] != roleDelegate {
+			c.roles[stationID] = roleAddressed
+		}
+		if placed {
+			c.invalidateLayoutLocked()
+		}
+		c.mu.Unlock()
 	}
 	msg, err := wire.EncodeIngest(in)
 	if err != nil {
@@ -160,6 +180,14 @@ func (c *Cluster) Evict(ctx context.Context, stationID uint32, persons []core.Pe
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if c.touchesPlaced(persons) {
+		c.invalidateLayout()
+	}
+	return c.evict(ctx, stationID, persons)
+}
+
+// evict is Evict for the placement paths, which keep the layout themselves.
+func (c *Cluster) evict(ctx context.Context, stationID uint32, persons []core.PersonID) error {
 	if len(persons) == 0 {
 		return nil
 	}
@@ -259,15 +287,15 @@ func (c *Cluster) refusalLocked(id uint32) error {
 // The join installs the next epoch and runs the hooks every join owes: a
 // departed member may have left a digest under the same id, so the summary
 // slot starts cold; and when patterns are placed (see Place), a
-// reconciliation pass rebalances exactly the placed patterns whose
-// rendezvous winners changed — the newcomer takes over the placements it
-// out-scores an incumbent for (and a recovered station is topped up with
-// only what it missed), and nothing else moves.
+// reconciliation pass rebalances exactly the placed patterns whose replica
+// groups changed — the groups the newcomer joins (and a recovered station
+// is topped up with only what it missed or holds stale), and nothing else
+// moves.
 func (c *Cluster) AddStation(ctx context.Context, m Member) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	mux, st, err := c.admit(ctx, m)
+	mux, st, role, err := c.admit(ctx, m)
 	if err != nil {
 		m.release()
 		return err
@@ -286,6 +314,8 @@ func (c *Cluster) AddStation(ctx context.Context, m Member) error {
 			c.pending = append(c.pending, st)
 		}
 	}
+	c.invalidateLayoutLocked()
+	c.roles[m.ID] = role
 	c.addMemberLocked(m.ID, mux)
 	c.mu.Unlock()
 	c.summaries.invalidate(m.ID)
@@ -295,25 +325,33 @@ func (c *Cluster) AddStation(ctx context.Context, m Member) error {
 
 // admit runs everything a join does before taking the membership lock: the
 // refusals that cost nothing, then wiring (recovery), then a link member's
-// handshake.
-func (c *Cluster) admit(ctx context.Context, m Member) (*transport.Mux, *Station, error) {
+// handshake. role is what the member joins as: addressed when it holds
+// residents (seed patterns, a recovered store, a link peer's stats), a
+// delegate when a link peer says so.
+func (c *Cluster) admit(ctx context.Context, m Member) (mux *transport.Mux, st *Station, role memberRole, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", ErrCancelled, err)
+		return nil, nil, 0, fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
 	c.mu.Lock()
-	err := c.refusalLocked(m.ID)
+	err = c.refusalLocked(m.ID)
 	c.mu.Unlock()
 	if err == nil {
 		err = m.check(c.length)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	mux, st, err := m.wire(c.length)
-	if err == nil && m.Link != nil {
-		err = c.handshake(ctx, m.ID, mux) // on failure, release closes the link under the mux
+	mux, st, err = m.wire(c.length)
+	switch {
+	case err != nil:
+	case m.Link != nil:
+		var sr wire.StatsReply
+		sr, err = c.handshake(ctx, m.ID, mux) // on failure, release closes the link under the mux
+		role = statsRole(sr)
+	default:
+		role = residentRole(st.Residents())
 	}
-	return mux, st, err
+	return mux, st, role, err
 }
 
 // addMemberLocked installs a new epoch with id inserted in order. Callers
@@ -327,23 +365,24 @@ func (c *Cluster) addMemberLocked(id uint32, mux *transport.Mux) {
 	c.installEpochLocked(ids, muxes)
 }
 
-// handshake is the stats exchange a link-joined station must pass.
-func (c *Cluster) handshake(ctx context.Context, id uint32, mux *transport.Mux) error {
+// handshake is the stats exchange a link-joined station must pass. It
+// returns the station's stats reply.
+func (c *Cluster) handshake(ctx context.Context, id uint32, mux *transport.Mux) (wire.StatsReply, error) {
 	reply, err := mux.Roundtrip(ctx, wire.StatsMessage())
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return fmt.Errorf("%w: %w", ErrCancelled, ctxErr)
+			return wire.StatsReply{}, fmt.Errorf("%w: %w", ErrCancelled, ctxErr)
 		}
-		return fmt.Errorf("cluster: station %d handshake: %w", id, err)
+		return wire.StatsReply{}, fmt.Errorf("cluster: station %d handshake: %w", id, err)
 	}
 	sr, err := wire.DecodeStatsReply(reply)
 	if err != nil {
-		return fmt.Errorf("cluster: station %d handshake: %w", id, err)
+		return wire.StatsReply{}, fmt.Errorf("cluster: station %d handshake: %w", id, err)
 	}
 	if sr.Length != 0 && int(sr.Length) != c.length {
-		return fmt.Errorf("%w: station %d pattern length %d, cluster is %d", ErrLengthMismatch, id, sr.Length, c.length)
+		return wire.StatsReply{}, fmt.Errorf("%w: station %d pattern length %d, cluster is %d", ErrLengthMismatch, id, sr.Length, c.length)
 	}
-	return nil
+	return sr, nil
 }
 
 // RemoveStation shrinks the membership of a running cluster: the station
@@ -353,7 +392,7 @@ func (c *Cluster) handshake(ctx context.Context, id uint32, mux *transport.Mux) 
 // counts it in CostReport.StationsFailed — removal is never a search error.
 // When patterns are placed (see Place), the departure triggers a
 // reconciliation pass that re-replicates the copies the station held from
-// their surviving replicas onto the new rendezvous winners.
+// their surviving replicas onto the new replica groups.
 func (c *Cluster) RemoveStation(ctx context.Context, id uint32) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -370,7 +409,9 @@ func (c *Cluster) RemoveStation(ctx context.Context, id uint32) error {
 	}
 	mux := c.ep.muxes[i]
 	wasDead := c.dead[id]
+	c.invalidateLayoutLocked()
 	delete(c.dead, id)
+	delete(c.roles, id)
 	ids := make([]uint32, 0, len(c.ep.ids)-1)
 	ids = append(append(ids, c.ep.ids[:i]...), c.ep.ids[i+1:]...)
 	muxes := make([]*transport.Mux, 0, len(c.ep.muxes)-1)

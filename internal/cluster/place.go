@@ -45,16 +45,114 @@ type HealReport struct {
 	// Placed is the number of persons under automatic placement when the
 	// pass started.
 	Placed int
-	// Copied counts (person, station) copies ingested onto new rendezvous
-	// targets.
+	// Copied counts (person, station) copies ingested: onto a station that
+	// newly joined the person's replica set, or over a stale copy.
 	Copied int
-	// Removed counts stale (person, station) copies evicted from stations
-	// that are no longer rendezvous targets.
+	// Removed counts (person, station) copies evicted from stations that
+	// are no longer in the person's replica set.
 	Removed int
-	// Lost counts placed persons with no reachable copy anywhere — their
-	// pattern cannot be restored. They stay in the table, so a later pass
-	// retries if a holder was only transiently unreachable.
+	// Lost counts placed persons with no reachable current copy anywhere —
+	// their pattern cannot be restored. They stay in the table, so a later
+	// pass retries if a holder was only transiently unreachable.
 	Lost int
+}
+
+// placeLayout is the cluster's clean-layout record (Cluster.layout).
+type placeLayout struct {
+	ids []uint32 // sorted; meaningful only while ok
+	ok  bool
+	gen uint64
+}
+
+// invalidateLayoutLocked drops the clean-layout record: until a heal
+// restores it, routed searches plan without the group rule. Callers hold
+// c.mu.
+func (c *Cluster) invalidateLayoutLocked() {
+	c.layout = placeLayout{gen: c.layout.gen + 1}
+}
+
+func (c *Cluster) invalidateLayout() {
+	c.mu.Lock()
+	c.invalidateLayoutLocked()
+	c.mu.Unlock()
+}
+
+// placementView snapshots what a placement pass works over: the alive
+// members, and the layout generation and validity it started under.
+func (c *Cluster) placementView() (ids []uint32, muxes []*transport.Mux, gen uint64, clean bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, id := range c.ep.ids {
+		if !c.dead[id] {
+			ids = append(ids, id)
+			muxes = append(muxes, c.ep.muxes[i])
+		}
+	}
+	return ids, muxes, c.layout.gen, c.layout.ok
+}
+
+// recordLayout marks alive as the clean layout, unless an invalidation
+// happened since the pass that placed over it read gen.
+func (c *Cluster) recordLayout(gen uint64, alive []uint32) {
+	c.mu.Lock()
+	if c.layout.gen == gen {
+		c.layout = placeLayout{ids: alive, ok: true, gen: gen}
+	}
+	c.mu.Unlock()
+}
+
+// touchesPlaced reports whether any of persons is under automatic
+// placement. A public Ingest or Evict of a placed person makes its copies
+// differ, so the caller invalidates the layout.
+func (c *Cluster) touchesPlaced(persons []core.PersonID) bool {
+	c.mu.Lock()
+	t := c.placeTab
+	c.mu.Unlock()
+	if t == nil {
+		return false
+	}
+	for _, p := range persons {
+		if t.Contains(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// resolveUnknown asks every alive member whose role is not known yet (a
+// link member joined without a handshake) for its stats. It runs before
+// Place pushes a copy, the last moment an empty store still means "holds
+// nothing of its own"; a member that does not answer counts as addressed
+// from then on.
+func (c *Cluster) resolveUnknown(ctx context.Context, alive []uint32, muxes []*transport.Mux) {
+	var ids []uint32
+	var ask []*transport.Mux
+	c.mu.Lock()
+	for i, id := range alive {
+		if _, known := c.roles[id]; !known {
+			ids = append(ids, id)
+			ask = append(ask, muxes[i])
+		}
+	}
+	c.mu.Unlock()
+	if len(ids) == 0 {
+		return
+	}
+	results := roundtripAll(ctx, ask, wire.StatsMessage())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, id := range ids {
+		if _, known := c.roles[id]; known {
+			continue // a public Ingest or a rejoin decided meanwhile
+		}
+		role := roleAddressed
+		if results[i].err == nil {
+			if sr, err := wire.DecodeStatsReply(results[i].reply); err == nil {
+				role = statsRole(sr)
+			}
+		}
+		c.roles[id] = role
+	}
 }
 
 // placementTable returns the cluster's placement table, creating it on first
@@ -109,34 +207,27 @@ func (c *Cluster) Placed() int {
 
 // aliveMembers snapshots the current epoch's non-dead stations.
 func (c *Cluster) aliveMembers() (ids []uint32, muxes []*transport.Mux) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, id := range c.ep.ids {
-		if c.dead[id] {
-			continue
-		}
-		ids = append(ids, id)
-		muxes = append(muxes, c.ep.muxes[i])
-	}
+	ids, muxes, _, _ = c.placementView()
 	return ids, muxes
 }
 
 // Place ingests patterns under automatic placement: each person's pattern is
-// copied to the r stations that win the rendezvous (HRW) hash of (person,
-// station) over the currently alive membership, r per WithReplication
-// (default DefaultReplication). Place serializes with reconciliation passes
-// (and with Unplace), so an in-flight heal cannot interleave stale copies
-// with a placement in progress. Unlike the station-addressed Ingest, the
-// caller names no station — placement is the coordinator's job, and it is
-// self-healing: when the membership changes, reconciliation re-replicates
-// under-replicated patterns onto the survivors and rebalances the ones whose
-// rendezvous winners changed.
+// copied to its chained replica set over the currently alive membership —
+// the station that wins the rendezvous (HRW) hash of (person, station) and
+// its r−1 successors in station-ID order (placement.Pick), r per
+// WithReplication (default DefaultReplication). Place serializes with
+// reconciliation passes (and with Unplace), so an in-flight heal cannot
+// interleave stale copies with a placement in progress. Unlike the
+// station-addressed Ingest, the caller names no station — placement is the
+// coordinator's job, and it is self-healing: when the membership changes,
+// reconciliation re-replicates under-replicated patterns onto the survivors
+// and rebalances the ones whose replica groups changed.
 //
 // A placed person's replicas hold full copies of one pattern, so the search
 // aggregation dedupes their reports (highest score wins) instead of summing
 // them. Consequently a person must be either placed or station-addressed,
 // never both: Place records the person as managed, and reconciliation will
-// move their copies to the rendezvous targets, clobbering any
+// move their copies to the replica group, clobbering any
 // station-addressed copy under the same ID. Use Unplace to release a person
 // back to manual management.
 //
@@ -165,7 +256,7 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 	if len(patterns) == 0 {
 		return nil, nil
 	}
-	alive, _ := c.aliveMembers()
+	alive, muxes, gen, clean := c.placementView()
 	if err = checkLengths(c.length, "place", patterns); err == nil && len(alive) == 0 {
 		err = ErrNoAliveStations
 	}
@@ -199,6 +290,10 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 			g[p] = pat
 		}
 	}
+	if len(targetsOf) == 0 {
+		return nil, nil
+	}
+	c.resolveUnknown(ctx, alive, muxes)
 	// Record the intents BEFORE pushing any copy: a search starting between
 	// the first ingest and the table update would otherwise sum the replica
 	// reports (the person is not marked yet) and delete the person as
@@ -206,15 +301,28 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 	// max-dedup over zero or one reports ranks identically to summation.
 	// Persons whose every target fails are rolled back below.
 	tab := c.placementTable()
-	prior := make(map[core.PersonID]int)
+	others := tab.Len() // persons placed by earlier calls, counted down below
+	prior := make(map[core.PersonID]placement.Entry)
+	refactored := false // a person's factor changes: its old copies may lie off the new set
 	for p := range targetsOf {
-		if r, ok := tab.Factor(p); ok {
-			prior[p] = r
+		if e, ok := tab.Get(p); ok {
+			prior[p] = e
+			others--
+			refactored = refactored || e.Factor != cfg.replication
 		}
-		tab.Set(p, cfg.replication)
+		tab.Set(p, placement.Entry{Factor: cfg.replication, Hash: placement.ContentHash(patterns[p])})
 	}
 
 	failed, errs := c.ingestGrouped(ctx, perStation, "place on")
+	switch {
+	case len(errs) > 0 || refactored:
+		c.invalidateLayout()
+	case clean || others == 0:
+		// Every placed person now sits on its Pick set over alive: the
+		// earlier ones because the layout was clean, or because there are
+		// none.
+		c.recordLayout(gen, alive)
+	}
 
 	for p, targets := range targetsOf {
 		landed := false
@@ -226,9 +334,9 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 		}
 		if !landed {
 			// Nothing of this person reached any station: restore whatever
-			// intent existed before the call.
-			if r, ok := prior[p]; ok {
-				tab.Set(p, r)
+			// intent existed before the call, factor and content both.
+			if e, ok := prior[p]; ok {
+				tab.Set(p, e)
 			} else {
 				tab.Remove(p)
 			}
@@ -271,10 +379,11 @@ func groupedFanOut[T any](perStation map[uint32]T, what string, do func(sid uint
 	return failed, errs
 }
 
-// ingestGrouped pushes one grouped ingest exchange per target station.
+// ingestGrouped pushes one grouped ingest exchange per target station,
+// through the internal path that leaves the stations unaddressed.
 func (c *Cluster) ingestGrouped(ctx context.Context, perStation map[uint32]map[core.PersonID]pattern.Pattern, what string) (failed map[uint32]bool, errs []error) {
 	return groupedFanOut(perStation, what, func(sid uint32, patterns map[core.PersonID]pattern.Pattern) error {
-		return c.Ingest(ctx, sid, patterns)
+		return c.ingest(ctx, sid, patterns, false)
 	})
 }
 
@@ -282,7 +391,7 @@ func (c *Cluster) ingestGrouped(ctx context.Context, perStation map[uint32]map[c
 // exchange per station.
 func (c *Cluster) evictGrouped(ctx context.Context, perStation map[uint32][]core.PersonID, what string) (failed map[uint32]bool, errs []error) {
 	return groupedFanOut(perStation, what, func(sid uint32, persons []core.PersonID) error {
-		return c.Evict(ctx, sid, persons)
+		return c.evict(ctx, sid, persons)
 	})
 }
 
@@ -322,6 +431,8 @@ func (c *Cluster) Unplace(ctx context.Context, persons []core.PersonID) error {
 		perStation[sid] = placed
 	}
 	if _, errs := c.evictGrouped(ctx, perStation, "unplace on"); len(errs) > 0 {
+		// Some copies of the kept persons may be gone: their replicas differ.
+		c.invalidateLayout()
 		return errors.Join(errs...)
 	}
 	for _, p := range placed {
@@ -332,16 +443,22 @@ func (c *Cluster) Unplace(ctx context.Context, persons []core.PersonID) error {
 
 // Rebalance runs one reconciliation pass over the placed patterns: it pulls
 // the placed persons' copies from the alive stations (KindDump), recomputes
-// every person's rendezvous targets over the alive membership, ingests the
-// missing copies onto new targets and evicts stale copies from stations that
-// are no longer targets. Membership changes trigger this automatically;
-// calling it explicitly is useful after transient failures or to inspect the
-// placement's health.
+// every person's replica set over the alive membership, ingests the missing
+// copies onto new targets and evicts stale copies from stations that are no
+// longer targets. A copy counts only if it matches the content hash the
+// placement table recorded at the last Place: a replica that missed an
+// upsert (it was away when the person was placed again) is re-ingested with
+// the current copy, never taken as one. Membership changes trigger this
+// automatically; calling it explicitly is useful after transient failures or
+// to inspect the placement's health.
 //
 // The pass is conservative: stale copies are only evicted when every missing
 // copy was ingested successfully, so a partially failed pass never reduces a
-// pattern's replica count. Persons with no reachable copy are counted in
-// HealReport.Lost and left in the table for later retries.
+// pattern's replica count. Persons with no reachable current copy are
+// counted in HealReport.Lost, their copies are left alone, and they stay in
+// the table for later retries. A pass that pulled from every alive station,
+// lost nothing and failed no exchange leaves the layout clean: routed
+// searches may then visit one replica per group (planRoute).
 func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -354,7 +471,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	c.mu.Lock()
 	closed, t := c.closed, c.placeTab
 	c.mu.Unlock()
-	alive, muxes := c.aliveMembers()
+	alive, muxes, gen, _ := c.placementView()
 	if closed {
 		return HealReport{}, ErrClusterClosed
 	}
@@ -380,48 +497,61 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	// Pull the placed persons' copies from every alive station.
 	results := roundtripAll(ctx, muxes, wire.EncodeDump(wire.Dump{Persons: keys}))
 	if err := ctx.Err(); err != nil {
+		c.invalidateLayout()
 		return report, fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
 
+	// holders[p] are the stations holding p's current copy, stale[p] those
+	// holding any other.
 	holders := make(map[core.PersonID]map[uint32]bool, len(intents))
+	stale := make(map[core.PersonID]map[uint32]bool)
 	copies := make(map[core.PersonID]pattern.Pattern, len(intents))
+	pulledAll := true
 	for i, r := range results {
 		if r.err != nil {
+			pulledAll = false
 			continue
 		}
 		reply, err := wire.DecodeDumpReply(r.reply)
 		if err != nil {
+			pulledAll = false
 			continue
 		}
 		for j, p := range reply.Persons {
-			if _, placed := intents[p]; !placed {
+			e, placed := intents[p]
+			if !placed {
 				continue
 			}
-			hs := holders[p]
+			l := reply.Locals[j]
+			into := stale
+			if len(l) == c.length && placement.ContentHash(l) == e.Hash {
+				into = holders
+				if _, ok := copies[p]; !ok {
+					copies[p] = l
+				}
+			}
+			hs := into[p]
 			if hs == nil {
 				hs = make(map[uint32]bool, 2)
-				holders[p] = hs
+				into[p] = hs
 			}
 			hs[alive[i]] = true
-			if _, ok := copies[p]; !ok && len(reply.Locals[j]) == c.length {
-				copies[p] = reply.Locals[j]
-			}
 		}
 	}
 
 	// Plan the moves: every person's targets are recomputed from scratch, so
 	// the same pass covers under-replication (a holder died), rebalancing (a
-	// new station out-scores an incumbent) and topping up after the
-	// membership grew past a previously clamped factor.
+	// new station joined the replica set), stale copies and topping up after
+	// the membership grew past a previously clamped factor.
 	adds := make(map[uint32]map[core.PersonID]pattern.Pattern)
 	dels := make(map[uint32][]core.PersonID)
-	for p, r := range intents {
+	for p, e := range intents {
 		pat, ok := copies[p]
 		if !ok {
 			report.Lost++
 			continue
 		}
-		targets := placement.Pick(p, alive, r)
+		targets := placement.Pick(p, alive, e.Factor)
 		targetSet := make(map[uint32]bool, len(targets))
 		for _, sid := range targets {
 			targetSet[sid] = true
@@ -434,9 +564,11 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 				g[p] = pat
 			}
 		}
-		for sid := range holders[p] {
-			if !targetSet[sid] {
-				dels[sid] = append(dels[sid], p)
+		for _, hs := range []map[uint32]bool{holders[p], stale[p]} {
+			for sid := range hs {
+				if !targetSet[sid] {
+					dels[sid] = append(dels[sid], p)
+				}
 			}
 		}
 	}
@@ -459,6 +591,11 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 				report.Removed += len(ps)
 			}
 		}
+	}
+	if len(errs) == 0 && pulledAll && report.Lost == 0 {
+		c.recordLayout(gen, alive)
+	} else {
+		c.invalidateLayout()
 	}
 	return report, errors.Join(errs...)
 }

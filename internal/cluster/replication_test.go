@@ -74,17 +74,14 @@ func TestPlaceReplicatedSearch(t *testing.T) {
 			t.Fatalf("unexpected person %d retrieved", r.Person)
 		}
 		// Without replica dedup the two copies would sum to weight 2 and be
-		// deleted as over-matched; with it each person scores exactly 1 and
-		// reports both replicas.
-		if r.Score() != 1.0 {
-			t.Fatalf("person %d scored %.3f, want 1", r.Person, r.Score())
-		}
-		if r.Stations != 2 {
-			t.Fatalf("person %d reported by %d stations, want 2 replicas", r.Person, r.Stations)
+		// deleted as over-matched; with it each person scores exactly 1,
+		// from one copy's station.
+		if r.Score() != 1.0 || r.Stations != 1 {
+			t.Fatalf("person %d scored %.3f from %d stations, want 1 from one copy", r.Person, r.Score(), r.Stations)
 		}
 	}
 
-	// Stats must see each copy: 11 persons at R=2 is 22 residents.
+	// The replicas live in storage: 11 persons at R=2 is 22 residents.
 	st, err := c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +122,22 @@ func TestReplicaDedupDifferentScores(t *testing.T) {
 	if results[0].Score() != 1.0 {
 		t.Fatalf("score = %.3f, want 1 (highest replica report wins)", results[0].Score())
 	}
-	if results[0].Stations != 2 {
-		t.Fatalf("stations = %d, want 2", results[0].Stations)
+	if results[0].Stations != 1 {
+		t.Fatalf("stations = %d, want 1 (the winning copy's)", results[0].Stations)
+	}
+	// Both replicas still hold a copy.
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range st.Stations {
+		want := 0
+		if s.Station == holders[0] || s.Station == holders[1] {
+			want = 1
+		}
+		if s.Residents != want {
+			t.Fatalf("station %d holds %d residents, want %d", s.Station, s.Residents, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"sort"
 	"sync"
 
 	"dimatch/internal/core"
@@ -133,6 +134,41 @@ func (c *summaryCache) state() (entries int, digestBytes uint64) {
 	return len(c.entries), digestBytes
 }
 
+// routePlan is planRoute's answer: the members a WBF search visits first
+// and, when the group rule chose them, the candidate replica groups they
+// stand for — each group's alive members, every one of which holds a copy
+// of every person placed on the group.
+type routePlan struct {
+	ep     *epoch
+	groups [][]uint32
+}
+
+// siblings returns the members a search must add after failures: for every
+// candidate group none of whose visited members answered, its members
+// neither visited nor failed. They hold copies of what the failed members
+// were chosen to answer for. Nil without the group rule.
+func (pl routePlan) siblings(visited, failed map[uint32]bool) map[uint32]bool {
+	var more map[uint32]bool
+	for _, g := range pl.groups {
+		covered := false
+		for _, id := range g {
+			covered = covered || visited[id] && !failed[id]
+		}
+		if covered {
+			continue
+		}
+		for _, id := range g {
+			if !visited[id] && !failed[id] {
+				if more == nil {
+					more = make(map[uint32]bool)
+				}
+				more[id] = true
+			}
+		}
+	}
+	return more
+}
+
 // planRoute is the routing step of a WBF search, one pass over the whole
 // pinned membership: it probes each member's summary with the query batch
 // and returns the epoch restricted to the members that must be visited,
@@ -152,9 +188,13 @@ func (c *summaryCache) state() (entries int, digestBytes uint64) {
 // member provably held no resident inside any query combination's ε band at
 // the sampled positions, so it could only have contributed hash-collision
 // noise, never a true match's report.
-func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]bool, cfg searchConfig, queries []core.Query, cost *CostReport) *epoch {
+//
+// On a clean replicated layout the group rule then narrows the kept set to
+// one member per candidate replica group (groupPlan).
+func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]bool, cfg searchConfig, queries []core.Query, cost *CostReport) routePlan {
+	all := routePlan{ep: ep}
 	if len(ep.ids) < 2 {
-		return ep
+		return all
 	}
 	p := cfg.params
 	samples := p.Samples
@@ -166,13 +206,13 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]
 	for _, q := range queries {
 		pr, err := index.NewProbe(q, samples, p.Epsilon)
 		if err != nil {
-			return ep // queries were validated already; be conservative
+			return all // queries were validated already; be conservative
 		}
 		probes = append(probes, pr)
 		selective = selective || pr.Selective()
 	}
 	if !selective {
-		return ep // nothing can prune: skip the summary traffic entirely
+		return all // nothing can prune: skip the summary traffic entirely
 	}
 
 	// Collect cached summaries and fetch the missing ones — every
@@ -197,7 +237,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]
 	req := wire.SummaryMessage()
 	fetched := roundtripAll(ctx, fetchMuxes, req)
 	if ctx.Err() != nil {
-		return ep // cancelled mid-refresh: the round itself will surface it
+		return all // cancelled mid-refresh: the round itself will surface it
 	}
 	for fi, r := range fetched {
 		if r.err != nil {
@@ -228,23 +268,35 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]
 	// The inclusion pass: one flat scan of the members' digests. Every
 	// Admits evaluation counts into SubtreeProbes, the planning-cost figure
 	// the hierarchy test bounds.
+	admits := make([]bool, len(ep.ids))
 	included := make([]int, 0, len(ep.ids))
 	for i := range ep.ids {
 		sum := slots[i].sum
 		if sum == nil {
+			admits[i] = true
 			included = append(included, i)
 			continue
 		}
 		for _, pr := range probes {
 			cost.SubtreeProbes++
 			if sum.Admits(pr) {
+				admits[i] = true
 				included = append(included, i)
 				break
 			}
 		}
 	}
-	if len(included) == len(ep.ids) || len(included) == 0 {
-		return ep
+	if len(included) == 0 {
+		return all
+	}
+	var groups [][]uint32
+	if layout, r, addressed, alive, ok := c.groupView(ep); ok && len(delegate) == 0 {
+		if visit, gs := groupPlan(ep.ids, admits, addressed, alive, layout, r); len(visit) > 0 {
+			included, groups = visit, gs
+		}
+	}
+	if len(included) == len(ep.ids) {
+		return all
 	}
 	cost.StationsPruned = len(ep.ids) - len(included)
 	sub := &epoch{version: ep.version, ids: make([]uint32, len(included)), muxes: make([]*transport.Mux, len(included))}
@@ -252,7 +304,98 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]
 		sub.ids[j] = ep.ids[i]
 		sub.muxes[j] = ep.muxes[i]
 	}
-	return sub
+	return routePlan{ep: sub, groups: groups}
+}
+
+// groupView snapshots what the group rule needs over the pinned epoch: the
+// clean layout, the factor every placed person shares, and per member
+// whether it is addressed (unknown counts as addressed) and alive. ok is
+// false — plan without the rule — unless the layout is clean, the factor
+// uniform and at least 2, every layout station a member of ep, and no
+// member a route delegate.
+func (c *Cluster) groupView(ep *epoch) (layout []uint32, r int, addressed, alive []bool, ok bool) {
+	c.mu.Lock()
+	t, lay := c.placeTab, c.layout
+	if lay.ok {
+		addressed = make([]bool, len(ep.ids))
+		alive = make([]bool, len(ep.ids))
+		for i, id := range ep.ids {
+			role, known := c.roles[id]
+			lay.ok = lay.ok && role != roleDelegate
+			addressed[i] = role == roleAddressed || !known
+			alive[i] = !c.dead[id]
+		}
+	}
+	c.mu.Unlock()
+	if !lay.ok || t == nil {
+		return nil, 0, nil, nil, false
+	}
+	if r, ok = t.Uniform(); !ok || r < 2 {
+		return nil, 0, nil, nil, false
+	}
+	for _, id := range lay.ids {
+		if ep.find(id) < 0 {
+			return nil, 0, nil, nil, false
+		}
+	}
+	return lay.ids, r, addressed, alive, true
+}
+
+// groupPlan is the group rule. On a clean layout every placed person's
+// copies lie on one replica group — a primary and its r−1 successors over
+// the layout's ring — so a group can hold a match only if every alive
+// member's digest admits (admits, parallel to ids, is the inclusion scan's
+// verdict), and any one alive member answers for it. The plan visits every
+// addressed member that admits (it may hold residents of its own), then
+// walks the candidate groups in ring order and, for each not yet covered by
+// a chosen member, chooses its last alive member, which also covers the
+// next groups along the ring. An admitting member in no candidate group
+// that is not addressed holds no possible match and is skipped. It returns
+// the chosen indexes into ids, ascending, and the candidate groups' alive
+// members.
+func groupPlan(ids []uint32, admits, addressed, alive []bool, layout []uint32, r int) (visit []int, groups [][]uint32) {
+	pos := make([]int, len(layout)) // layout station → index into ids
+	for j, id := range layout {
+		pos[j] = sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
+	}
+	chosen := make([]bool, len(ids))
+	for i := range ids {
+		chosen[i] = addressed[i] && admits[i]
+	}
+	n, w := len(layout), min(r, len(layout))
+	starts := n
+	if w == n {
+		starts = 1 // every window is the whole ring
+	}
+	for g := 0; g < starts; g++ {
+		candidate, covered, last := true, false, -1
+		for j := 0; j < w && candidate; j++ {
+			if i := pos[(g+j)%n]; alive[i] {
+				candidate = admits[i]
+				covered = covered || chosen[i]
+				last = i
+			}
+		}
+		if !candidate || last < 0 {
+			continue
+		}
+		members := make([]uint32, 0, w)
+		for j := 0; j < w; j++ {
+			if i := pos[(g+j)%n]; alive[i] {
+				members = append(members, ids[i])
+			}
+		}
+		groups = append(groups, members)
+		if !covered {
+			chosen[last] = true
+		}
+	}
+	for i, ok := range chosen {
+		if ok {
+			visit = append(visit, i)
+		}
+	}
+	return visit, groups
 }
 
 // RoutingState describes the coordinator's routing-state footprint: what

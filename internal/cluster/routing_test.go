@@ -520,44 +520,76 @@ func TestParseRoutingMode(t *testing.T) {
 	}
 }
 
-// BenchmarkPlanRoute times the routing step alone: 64 stations whose digests
-// are already cached at the coordinator, and one selective point query that
-// admits only the station holding its person. No summary is fetched inside
-// the loop, so ns/op is the coordinator's planning cost per search.
+// BenchmarkPlanRoute times the routing step alone over 64 stations whose
+// digests are already cached at the coordinator, for one selective point
+// query. No summary is fetched inside the loop, so µs/op is the
+// coordinator's planning cost per search and stations/op what it visits:
+// "addressed" holds 16 residents per station and admits only the station
+// holding the queried person; "placed-r2" places 1024 persons at R=2, where
+// the group rule visits one of the person's two replicas.
 func BenchmarkPlanRoute(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	data := make(map[uint32]map[core.PersonID]pattern.Pattern, 64)
+	patterns := make(map[core.PersonID]pattern.Pattern, 64*16)
+	ids := make([]uint32, 64)
 	for s := uint32(0); s < 64; s++ {
+		ids[s] = s
 		locals := make(map[core.PersonID]pattern.Pattern, 16)
 		for j := 0; j < 16; j++ {
 			pat := make(pattern.Pattern, 24)
 			for i := range pat {
 				pat[i] = rng.Int63n(50) + 1
 			}
-			locals[core.PersonID(s)*16+core.PersonID(j)+1] = pat
+			p := core.PersonID(s)*16 + core.PersonID(j) + 1
+			locals[p] = pat
+			patterns[p] = pat
 		}
 		data[s] = locals
 	}
-	c, err := newFromData(Options{}, data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.Start()
-	b.Cleanup(func() { _ = c.Shutdown() })
+	query := []core.Query{{ID: 1, Locals: []pattern.Pattern{data[7][7*16+1]}}}
+	b.Run("addressed", func(b *testing.B) {
+		c, err := newFromData(Options{}, data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Start()
+		b.Cleanup(func() { _ = c.Shutdown() })
+		benchPlanRoute(b, c, query, 1)
+	})
+	b.Run("placed-r2", func(b *testing.B) {
+		c, err := New(Options{}, 24, emptyMembers(ids)...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Start()
+		b.Cleanup(func() { _ = c.Shutdown() })
+		if _, err := c.Place(context.Background(), patterns, WithReplication(2)); err != nil {
+			b.Fatal(err)
+		}
+		benchPlanRoute(b, c, query, 1)
+	})
+}
+
+// benchPlanRoute warms c's digest cache with one planning pass, checks it
+// visits want stations, then times planRoute.
+func benchPlanRoute(b *testing.B, c *Cluster, queries []core.Query, want int) {
 	ctx := context.Background()
 	ep := c.currentEpoch()
 	cfg := c.searchDefaults()
-	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{data[7][7*16+1]}}}
 	var warm CostReport
-	if sub := c.planRoute(ctx, ep, nil, cfg, queries, &warm); len(sub.ids) != 1 || warm.SummaryRefreshes != 64 {
-		b.Fatalf("warm-up pass visits %d stations after %d refreshes, want 1 after 64", len(sub.ids), warm.SummaryRefreshes)
+	if plan := c.planRoute(ctx, ep, nil, cfg, queries, &warm); len(plan.ep.ids) != want || warm.SummaryRefreshes != len(ep.ids) {
+		b.Fatalf("warm-up pass visits %d stations after %d refreshes, want %d after %d", len(plan.ep.ids), warm.SummaryRefreshes, want, len(ep.ids))
 	}
+	visited := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var cost CostReport
 		routeSink = c.planRoute(ctx, ep, nil, cfg, queries, &cost)
+		visited += len(routeSink.ep.ids)
 	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
+	b.ReportMetric(float64(visited)/float64(b.N), "stations/op")
 }
 
-var routeSink *epoch
+var routeSink routePlan

@@ -86,11 +86,13 @@ type RoutingMode int
 const (
 	// RoutingSummary (the default) probes the coordinator's cached
 	// per-station routing summaries and sends each query round only to
-	// stations whose summary admits a possible match. Stations without a
-	// usable summary — failed refreshes, probes over budget —
-	// are always visited, and a plan that would prune everything falls back
-	// to full fan-out, so routing never loses recall; it only skips
-	// exchanges that provably cannot produce a report.
+	// stations whose summary admits a possible match — and, on a clean
+	// replicated placement, to one member per candidate replica group.
+	// Stations without a usable summary — failed refreshes, probes over
+	// budget — count as admitting, a plan that would prune everything falls
+	// back to full fan-out, and a failed group member is covered by its
+	// group, so routing never loses recall; it only skips exchanges that
+	// provably cannot produce a report no other visited member also sends.
 	RoutingSummary RoutingMode = iota
 	// RoutingFull forces the classic full fan-out: every member station is
 	// visited, no summaries are fetched or probed.
@@ -291,10 +293,12 @@ type CostReport struct {
 	TailRounds int
 	// StationsPruned counts member stations the summary-routing step
 	// excluded from this search's query fan-out: their cached summaries
-	// admitted no possible match for any query of the batch. Pruned
-	// stations are not failed — they were never asked. Always 0 under
-	// RoutingFull, for BF/naive searches, and when the routed plan fell
-	// back to full fan-out.
+	// admitted no possible match for any query of the batch, or another
+	// member of their replica group answered for them (group routing). A
+	// member asked after all, to cover a failed group member, leaves the
+	// count, so visited = stations − pruned. Pruned stations are not failed
+	// — they were never asked. Always 0 under RoutingFull, for BF/naive
+	// searches, and when the routed plan fell back to full fan-out.
 	StationsPruned int
 	// SummaryRefreshes counts the KindSummary exchanges this search
 	// triggered to (re)fill the coordinator's summary cache, and

@@ -34,9 +34,20 @@ func batchQueries(queries []core.Query, size int) [][]core.Query {
 // aggregation, the outcome its exchanges are billed to, and what they saw.
 type wbfSearch struct {
 	cfg                      searchConfig
+	queries                  []core.Query
 	agg                      *core.Aggregator
 	out                      *Outcome
 	reportBytes, filterBytes uint64
+	// delegate marks the route delegates among the members; plan is the
+	// routing step's answer, visited every member asked so far (the plan's,
+	// then the siblings standing in for failed ones).
+	delegate map[uint32]bool
+	plan     routePlan
+	visited  map[uint32]bool
+	// rounds are the batches' combined filters, built when a plain station
+	// is first asked and kept so a tail round or a sibling re-sends the
+	// same frames.
+	rounds []wbfRound
 	// failed holds every member that failed an exchange of the search — the
 	// prefix round, the tail round or verification — so a member lost in two
 	// of them counts once.
@@ -98,8 +109,10 @@ type wbfRound struct {
 func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, queries []core.Query) (*Outcome, error) {
 	s := &wbfSearch{
 		cfg:     cfg,
+		queries: queries,
 		agg:     core.NewBatchAggregator(),
 		out:     &Outcome{PerQuery: make(map[core.QueryID][]core.Result, len(queries))},
+		visited: make(map[uint32]bool),
 		failed:  make(map[uint32]bool),
 		regions: make(map[uint32]regionCounts),
 	}
@@ -115,50 +128,29 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	// Verification below still uses the full epoch — a candidate's locals can
 	// live on stations that hold no within-band resident, and the verify
 	// fetch must see them all.
-	delegate := c.delegates(ctx, ep)
-	routeEp := ep
+	s.delegate = c.delegates(ctx, ep)
+	s.plan = routePlan{ep: ep}
 	if cfg.routing != RoutingFull {
-		routeEp = c.planRoute(ctx, ep, delegate, cfg, queries, &out.Cost)
+		s.plan = c.planRoute(ctx, ep, s.delegate, cfg, queries, &out.Cost)
 	}
-	// The hierarchical tier: region coordinators leave the batched rounds —
-	// each receives the entire query set as one KindRouteQuery and answers
-	// raw partial sums.
-	stations, regions := routeEp.split(delegate)
+	for _, id := range s.plan.ep.ids {
+		s.visited[id] = true
+	}
 
 	from, to := cfg.from, cfg.to // a region's search: its parent's bound
 	capped := cfg.capped()
 	if capped {
 		to = c.prefix.bound()
 	}
-	var rounds []wbfRound
-	if len(stations.ids) > 0 {
-		for _, batch := range batchQueries(queries, cfg.batchSize) {
-			r, err := c.buildRound(cfg, batch)
-			if err != nil {
-				return nil, err
-			}
-			s.filterBytes += r.filter.SizeBytes()
-			if err := c.sendRound(ctx, stations, s, r, from, to); err != nil {
-				return nil, err
-			}
-			out.Cost.Batches++
-			rounds = append(rounds, r)
-		}
-	}
-	maxHops, err := c.fanDelegates(ctx, regions, s, queries, from, to)
+	maxHops, err := c.answer(ctx, ep, s, s.plan.ep, from, to)
 	if err != nil {
 		return nil, err
 	}
 	s.rank(queries)
 	if capped && to != 0 && !allFilled(out, queries, cfg.topK) {
 		out.Cost.TailRounds++
-		live := stations.without(s.failed)
-		for _, r := range rounds {
-			if err := c.sendRound(ctx, live, s, r, to, 0); err != nil {
-				return nil, err
-			}
-		}
-		hops, err := c.fanDelegates(ctx, regions.without(s.failed), s, queries, to, 0)
+		live := ep.filter(func(id uint32) bool { return s.visited[id] && !s.failed[id] })
+		hops, err := c.answer(ctx, ep, s, live, to, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -182,6 +174,61 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 		out.Cost.StationsFailed += rc.failed
 	}
 	return out, nil
+}
+
+// answer runs one phase of a search — the prefix or the tail round, over
+// persons in [from, to) — against members: plain stations get every round's
+// frame, route delegates the whole query set (the hierarchical tier: region
+// coordinators answer raw partial sums). A member that fails leaves the
+// candidate replica groups it answered for uncovered; their other members
+// are then asked the same phase, before anything is ranked, and leave the
+// pruned count. It returns the deepest delegate's hop count.
+func (c *Cluster) answer(ctx context.Context, ep *epoch, s *wbfSearch, members *epoch, from, to core.PersonID) (maxHops int, err error) {
+	for {
+		stations, regions := members.split(s.delegate)
+		if len(stations.ids) > 0 {
+			if err := c.buildRounds(s); err != nil {
+				return 0, err
+			}
+			for _, r := range s.rounds {
+				if err := c.sendRound(ctx, stations, s, r, from, to); err != nil {
+					return 0, err
+				}
+			}
+		}
+		hops, err := c.fanDelegates(ctx, regions, s, s.queries, from, to)
+		if err != nil {
+			return 0, err
+		}
+		maxHops = max(maxHops, hops)
+		more := s.plan.siblings(s.visited, s.failed)
+		if len(more) == 0 {
+			return maxHops, nil
+		}
+		for id := range more {
+			s.visited[id] = true
+		}
+		s.out.Cost.StationsPruned -= len(more)
+		members = ep.filter(func(id uint32) bool { return more[id] })
+	}
+}
+
+// buildRounds encodes the search's rounds once: one combined filter per
+// batch of at most batchSize queries.
+func (c *Cluster) buildRounds(s *wbfSearch) error {
+	if s.rounds != nil {
+		return nil
+	}
+	for _, batch := range batchQueries(s.queries, s.cfg.batchSize) {
+		r, err := c.buildRound(s.cfg, batch)
+		if err != nil {
+			return err
+		}
+		s.filterBytes += r.filter.SizeBytes()
+		s.out.Cost.Batches++
+		s.rounds = append(s.rounds, r)
+	}
+	return nil
 }
 
 // allFilled reports whether every query's ranked answer filled k at the top
@@ -297,20 +344,20 @@ func (ep *epoch) split(delegate map[uint32]bool) (stations, regions *epoch) {
 	return stations, regions
 }
 
-// without returns the sub-epoch of ep's members not in drop, ep itself when
-// drop names none of them.
-func (ep *epoch) without(drop map[uint32]bool) *epoch {
-	keep := &epoch{version: ep.version}
+// filter returns the sub-epoch of ep's members that keep, ep itself when
+// it keeps them all.
+func (ep *epoch) filter(keep func(uint32) bool) *epoch {
+	sub := &epoch{version: ep.version}
 	for i, id := range ep.ids {
-		if !drop[id] {
-			keep.ids = append(keep.ids, id)
-			keep.muxes = append(keep.muxes, ep.muxes[i])
+		if keep(id) {
+			sub.ids = append(sub.ids, id)
+			sub.muxes = append(sub.muxes, ep.muxes[i])
 		}
 	}
-	if len(keep.ids) == len(ep.ids) {
+	if len(sub.ids) == len(ep.ids) {
 		return ep
 	}
-	return keep
+	return sub
 }
 
 // rawResults returns every accumulated partial for one query, person

@@ -25,7 +25,9 @@ type Result struct {
 	// whose local matches partition the query's locals scores exactly 1.
 	Numerator   int64
 	Denominator int64
-	// Stations is the number of base stations that reported the person.
+	// Stations is the number of base stations that reported the person. A
+	// replicated person (see Aggregator.SetReplicated) counts the stations
+	// of its winning copy only: 1 for a directly placed person.
 	Stations int
 }
 
@@ -79,8 +81,10 @@ func NewBatchAggregator() *Aggregator {
 // so their weights must not be summed — the aggregation keeps the single
 // best (highest-numerator) report instead, and a replica that fails
 // mid-fan-out is covered by any surviving replica at full score. Stations
-// still counts every reporting station, so Result.Stations doubles as the
-// observed replica count. A nil predicate (the default) restores the pure
+// is the station count of one copy (the largest any report or partial
+// carried), not the replicas that answered: a routed search visits one
+// replica per group, a full fan-out every replica, and the two must rank
+// identical Results. A nil predicate (the default) restores the pure
 // summation model.
 func (a *Aggregator) SetReplicated(pred func(PersonID) bool) {
 	a.replicated = pred
@@ -128,13 +132,12 @@ func (a *Aggregator) AddFrom(table []WeightEntry, r Report) error {
 			// Replicas report the same underlying pattern: the highest score
 			// wins, duplicates are not summed (which would push a true match
 			// past 1 and delete it under Algorithm 3).
-			if m.Numerator > agg.numerator {
-				agg.numerator = m.Numerator
-			}
+			agg.numerator = max(agg.numerator, m.Numerator)
+			agg.stations = max(agg.stations, 1)
 		} else {
 			agg.numerator += m.Numerator
+			agg.stations++
 		}
-		agg.stations++
 	}
 	return nil
 }
@@ -144,10 +147,10 @@ func (a *Aggregator) AddFrom(table []WeightEntry, r Report) error {
 // KindRouteReply). The fold mirrors AddFrom's semantics one tier up: a
 // non-replicated person's partials sum (stations hold complementary
 // pieces, and addition is associative across the region partition), a
-// replicated person keeps the single best partial (regions hold independent
-// copies of the same data — summing would push a true match past 1), and
-// the station count always accumulates. The partial's denominator installs
-// the query's global sum exactly as a weight table would.
+// replicated person keeps the single best partial and the largest station
+// count (regions hold independent copies of the same data — summing would
+// push a true match past 1). The partial's denominator installs the query's
+// global sum exactly as a weight table would.
 func (a *Aggregator) Merge(q QueryID, r Result) {
 	if r.Denominator != 0 {
 		a.denoms[q] = r.Denominator
@@ -163,13 +166,12 @@ func (a *Aggregator) Merge(q QueryID, r Result) {
 		persons[r.Person] = agg
 	}
 	if a.replicated != nil && a.replicated(r.Person) {
-		if r.Numerator > agg.numerator {
-			agg.numerator = r.Numerator
-		}
+		agg.numerator = max(agg.numerator, r.Numerator)
+		agg.stations = max(agg.stations, r.Stations)
 	} else {
 		agg.numerator += r.Numerator
+		agg.stations += r.Stations
 	}
-	agg.stations += r.Stations
 }
 
 // TopK finalizes one query with the paper's strict Algorithm 3: persons

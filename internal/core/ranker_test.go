@@ -359,8 +359,10 @@ func TestAggregatorReplicaDedup(t *testing.T) {
 		if r.Score() != 1.0 {
 			t.Fatalf("person %d scored %.3f, want 1", r.Person, r.Score())
 		}
-		if r.Person == 9 && r.Stations != 3 {
-			t.Fatalf("replicated person reports %d stations, want 3 (the replica count)", r.Stations)
+		// A replicated person counts one copy's station, however many
+		// replicas answered; the split person counts both of its pieces.
+		if want := map[PersonID]int{9: 1, 7: 2}[r.Person]; r.Stations != want {
+			t.Fatalf("person %d reports %d stations, want %d", r.Person, r.Stations, want)
 		}
 	}
 }
@@ -382,7 +384,31 @@ func TestAggregatorReplicaDedupHighestWins(t *testing.T) {
 		}
 	}
 	res := a.TopK(1, 10)
-	if len(res) != 1 || res[0].Score() != 1.0 || res[0].Stations != 3 {
-		t.Fatalf("result = %+v, want score 1 from 3 replicas", res)
+	if len(res) != 1 || res[0].Score() != 1.0 || res[0].Stations != 1 {
+		t.Fatalf("result = %+v, want score 1 from one copy", res)
+	}
+}
+
+// TestAggregatorMergeReplicatedKeepsOneCopy: region partials of a replicated
+// person are copies of one pattern — the best numerator and the largest
+// station count win — while a split person's partials sum.
+func TestAggregatorMergeReplicatedKeepsOneCopy(t *testing.T) {
+	a := NewBatchAggregator()
+	a.SetReplicated(func(p PersonID) bool { return p == 9 })
+	for _, r := range []Result{
+		{Person: 9, Numerator: 6, Denominator: 12, Stations: 1},
+		{Person: 9, Numerator: 12, Denominator: 12, Stations: 1},
+		{Person: 7, Numerator: 6, Denominator: 12, Stations: 1},
+		{Person: 7, Numerator: 6, Denominator: 12, Stations: 2},
+	} {
+		a.Merge(1, r)
+	}
+	res := a.TopK(1, 0)
+	want := []Result{
+		{Person: 7, Numerator: 12, Denominator: 12, Stations: 3},
+		{Person: 9, Numerator: 12, Denominator: 12, Stations: 1},
+	}
+	if len(res) != len(want) || res[0] != want[0] || res[1] != want[1] {
+		t.Fatalf("merged = %+v, want %+v", res, want)
 	}
 }

@@ -1,26 +1,32 @@
-// Package placement assigns patterns to base stations with rendezvous
-// (highest-random-weight, HRW) hashing and tracks the coordinator's placement
-// intents.
+// Package placement assigns patterns to base stations and tracks the
+// coordinator's placement intents.
 //
-// Rendezvous hashing scores every (person, station) pair with a deterministic
-// mix of both IDs; a person's replicas live on the R highest-scoring alive
-// stations. The scheme needs no coordination state beyond the membership
-// list, every coordinator computes identical assignments, and it is minimally
-// disruptive: removing a station only moves the patterns that station held
-// (their next-ranked stations take over), and adding one only moves the
-// patterns whose new station out-scores an incumbent. Bloofi (Crainiceanu &
-// Lemire) motivates the coordinator-side per-station summaries this package's
-// Table provides; "The Distributed Bloom Filter" (Ramabaja & Avdullahu)
-// motivates keeping replicated filter state eventually consistent, which the
+// A person's replica set is chained (chained declustering, Hsiao & DeWitt):
+// its primary is the station that wins the rendezvous
+// (highest-random-weight, HRW) hash of (person, station), and the other
+// R−1 replicas are the primary's successors in ascending station-ID order,
+// wrapping around the ring. Every coordinator computes identical sets from
+// the membership list alone, and the sets form S overlapping replica groups
+// of R consecutive stations — the structure a routed search exploits to
+// visit one member per group (see the cluster's planRoute). The price is
+// disruption: removing a station moves only the sets it was in (every
+// surviving primary keeps its place), but a person whose primary died moves
+// all R copies, so a kill copies about (2R−1)/S of the placed persons where
+// pure HRW copied R/S (3/S against 2/S at R=2). Bloofi (Crainiceanu &
+// Lemire) motivates the coordinator-side per-station summaries routing
+// probes; "The Distributed Bloom Filter" (Ramabaja & Avdullahu) motivates
+// keeping replicated filter state eventually consistent, which the
 // cluster's reconciliation loop implements on top of these primitives.
 package placement
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
 	"dimatch/internal/core"
 	"dimatch/internal/hash"
+	"dimatch/internal/pattern"
 )
 
 // stationSalt decorrelates the station-ID mix from the person-ID mix, so a
@@ -39,9 +45,7 @@ func Score(p core.PersonID, station uint32) uint64 {
 // Rank returns the stations ordered by descending rendezvous score for
 // person p, ties broken by ascending station ID (unreachable in practice —
 // Mix64 is a bijection — but it keeps the order total). The input slice is
-// not modified. Scores live in a flat slice, not a map: reconciliation
-// ranks every placed person, so the per-call cost is S score computations
-// and one slice sort, no hashing.
+// not modified. Pick falls back to it when r covers every station.
 func Rank(p core.PersonID, stations []uint32) []uint32 {
 	type scored struct {
 		id    uint32
@@ -64,12 +68,13 @@ func Rank(p core.PersonID, stations []uint32) []uint32 {
 	return out
 }
 
-// Pick returns person p's replica set: the min(r, len(stations)) stations
-// with the highest rendezvous scores, in Rank's order — Rank(p, stations)[:r]
-// without ranking the rest. r <= 0 returns nil. Placement picks a handful of
-// replicas out of the whole membership for every person placed, so the
-// winners are kept in one pass over the scores (an insertion into r sorted
-// slots) instead of sorting all S stations.
+// Pick returns person p's replica set: its primary — the station with the
+// highest rendezvous score — followed by the primary's r−1 successors in
+// ascending station-ID order, wrapping around. The set does not depend on
+// the order of stations. r <= 0 returns nil; r >= len(stations) returns
+// Rank's order of every station, r == 1 the primary alone. The primary is
+// one pass over the scores; stations given in ascending order (the
+// coordinator's membership always is) are used as the ring without sorting.
 func Pick(p core.PersonID, stations []uint32, r int) []uint32 {
 	if r <= 0 || len(stations) == 0 {
 		return nil
@@ -77,66 +82,97 @@ func Pick(p core.PersonID, stations []uint32, r int) []uint32 {
 	if r >= len(stations) {
 		return Rank(p, stations)
 	}
-	ids := make([]uint32, 0, r)
-	scores := make([]uint64, 0, r)
-	for _, s := range stations {
-		sc := Score(p, s)
-		// i is where (sc, s) belongs among the winners so far: after every
-		// higher score, and after an equal score with a lower id.
-		i := len(ids)
-		for i > 0 && (scores[i-1] < sc || (scores[i-1] == sc && ids[i-1] > s)) {
-			i--
-		}
-		if i == r {
-			continue
-		}
-		if len(ids) < r {
-			ids = append(ids, 0)
-			scores = append(scores, 0)
-		}
-		copy(ids[i+1:], ids[i:])
-		copy(scores[i+1:], scores[i:])
-		ids[i], scores[i] = s, sc
+	ring := stations
+	if !slices.IsSorted(ring) {
+		ring = slices.Clone(stations)
+		slices.Sort(ring)
 	}
-	return ids
+	// Ties go to the lower id — unreachable in practice (Mix64 is a
+	// bijection), as in Rank.
+	primary, best := 0, Score(p, ring[0])
+	for i := 1; i < len(ring); i++ {
+		if sc := Score(p, ring[i]); sc > best {
+			primary, best = i, sc
+		}
+	}
+	out := make([]uint32, r)
+	for j := range out {
+		out[j] = ring[(primary+j)%len(ring)]
+	}
+	return out
+}
+
+// ContentHash is the 64-bit digest of a placed pattern the Table keeps
+// beside its factor: reconciliation compares every copy it pulls against
+// it, so a replica that missed an upsert is repaired instead of being
+// counted as a holder.
+func ContentHash(pat pattern.Pattern) uint64 {
+	h := hash.Mix64(uint64(len(pat)))
+	for _, v := range pat {
+		h = hash.Mix64(h ^ uint64(v))
+	}
+	return h
+}
+
+// Entry is one placement intent: the desired replication factor and the
+// ContentHash of the pattern last placed.
+type Entry struct {
+	Factor int
+	Hash   uint64
 }
 
 // Table is the coordinator's record of placement intents: which persons are
-// under automatic placement and at what desired replication factor. It holds
-// intents, not locations — replica locations are always recomputed from the
-// live membership with Pick, and the reconciliation loop moves copies until
-// reality matches the intent. The table is safe for concurrent use: searches
-// consult it on the aggregation path while mutations update it.
+// under automatic placement, at what desired replication factor and with
+// which content. It holds intents, not locations — replica locations are
+// always recomputed from the live membership with Pick, and the
+// reconciliation loop moves copies until reality matches the intent. The
+// table is safe for concurrent use: searches consult it on the aggregation
+// and routing paths while mutations update it.
 type Table struct {
 	mu      sync.RWMutex
-	entries map[core.PersonID]int
+	entries map[core.PersonID]Entry
+	// factors counts the entries per factor, so Uniform is O(1).
+	factors map[int]int
 }
 
 // NewTable returns an empty placement table.
 func NewTable() *Table {
-	return &Table{entries: make(map[core.PersonID]int)}
+	return &Table{entries: make(map[core.PersonID]Entry), factors: make(map[int]int)}
 }
 
-// Set records (or updates) a person's desired replication factor.
-func (t *Table) Set(p core.PersonID, r int) {
+// Set records (or updates) a person's intent.
+func (t *Table) Set(p core.PersonID, e Entry) {
 	t.mu.Lock()
-	t.entries[p] = r
+	if old, ok := t.entries[p]; ok {
+		t.dropFactorLocked(old.Factor)
+	}
+	t.entries[p] = e
+	t.factors[e.Factor]++
 	t.mu.Unlock()
 }
 
 // Remove forgets a person; reconciliation will no longer manage them.
 func (t *Table) Remove(p core.PersonID) {
 	t.mu.Lock()
-	delete(t.entries, p)
+	if old, ok := t.entries[p]; ok {
+		t.dropFactorLocked(old.Factor)
+		delete(t.entries, p)
+	}
 	t.mu.Unlock()
 }
 
-// Factor returns a person's desired replication factor, if placed.
-func (t *Table) Factor(p core.PersonID) (int, bool) {
+func (t *Table) dropFactorLocked(r int) {
+	if t.factors[r]--; t.factors[r] == 0 {
+		delete(t.factors, r)
+	}
+}
+
+// Get returns a person's intent, if placed.
+func (t *Table) Get(p core.PersonID) (Entry, bool) {
 	t.mu.RLock()
-	r, ok := t.entries[p]
+	e, ok := t.entries[p]
 	t.mu.RUnlock()
-	return r, ok
+	return e, ok
 }
 
 // Contains reports whether the person is under automatic placement. It is
@@ -156,14 +192,26 @@ func (t *Table) Len() int {
 	return n
 }
 
-// Snapshot returns a copy of the table: person → desired factor. The
-// reconciliation loop works over a snapshot so concurrent Place calls cannot
-// race its iteration.
-func (t *Table) Snapshot() map[core.PersonID]int {
+// Uniform returns the factor every placed person shares; ok is false when
+// the table is empty or holds two factors.
+func (t *Table) Uniform() (r int, ok bool) {
 	t.mu.RLock()
-	out := make(map[core.PersonID]int, len(t.entries))
-	for p, r := range t.entries {
-		out[p] = r
+	defer t.mu.RUnlock()
+	if len(t.factors) == 1 {
+		for r := range t.factors {
+			return r, true
+		}
+	}
+	return 0, false
+}
+
+// Snapshot returns a copy of the table. The reconciliation loop works over
+// a snapshot so concurrent Place calls cannot race its iteration.
+func (t *Table) Snapshot() map[core.PersonID]Entry {
+	t.mu.RLock()
+	out := make(map[core.PersonID]Entry, len(t.entries))
+	for p, e := range t.entries {
+		out[p] = e
 	}
 	t.mu.RUnlock()
 	return out

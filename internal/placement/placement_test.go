@@ -2,9 +2,11 @@ package placement
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dimatch/internal/core"
+	"dimatch/internal/pattern"
 )
 
 func TestScoreDeterministic(t *testing.T) {
@@ -31,21 +33,31 @@ func TestPickBasics(t *testing.T) {
 	if len(two) != 2 || two[0] == two[1] {
 		t.Fatalf("Pick(7, _, 2) = %v", two)
 	}
-	// Pick is a prefix of Rank.
+	// The primary is the rendezvous winner; the second replica is its
+	// successor in ascending id order, wrapping past the highest id.
 	ranked := Rank(7, stations)
-	if ranked[0] != two[0] || ranked[1] != two[1] {
-		t.Fatalf("Pick %v is not a prefix of Rank %v", two, ranked)
+	if two[0] != ranked[0] {
+		t.Fatalf("Pick %v does not start at the rendezvous winner %d", two, ranked[0])
 	}
-	// Rank must not mutate its input.
-	if stations[0] != 1 || stations[4] != 5 {
-		t.Fatalf("Rank mutated input: %v", stations)
+	if want := stations[(int(two[0]-1)+1)%len(stations)]; two[1] != want {
+		t.Fatalf("Pick %v: second replica %d, want the primary's successor %d", two, two[1], want)
+	}
+	// The set does not depend on the input order, and neither call may
+	// mutate its input.
+	shuffled := []uint32{4, 1, 5, 3, 2}
+	if got := Pick(7, shuffled, 2); got[0] != two[0] || got[1] != two[1] {
+		t.Fatalf("Pick over shuffled input = %v, over sorted %v", got, two)
+	}
+	if stations[0] != 1 || stations[4] != 5 || shuffled[0] != 4 || shuffled[4] != 2 {
+		t.Fatalf("Pick or Rank mutated input: %v %v", stations, shuffled)
 	}
 }
 
-// TestPickEqualsRankPrefix pins Pick's contract: it selects without sorting,
-// and the selection is exactly the first r stations of the full ranking, in
-// order, for every membership size and every r around the boundaries.
-func TestPickEqualsRankPrefix(t *testing.T) {
+// TestPickChainsFromRankWinner pins Pick's contract for every membership
+// size and every r around the boundaries: the first station is Rank's
+// winner, the rest are its successors in ascending id order around the
+// ring, and r >= the membership is Rank's whole order.
+func TestPickChainsFromRankWinner(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(128)
@@ -53,20 +65,22 @@ func TestPickEqualsRankPrefix(t *testing.T) {
 		for i, s := range rng.Perm(4 * n)[:n] {
 			stations[i] = uint32(s)
 		}
+		ring := slices.Clone(stations)
+		slices.Sort(ring)
 		p := core.PersonID(rng.Uint64())
 		ranked := Rank(p, stations)
+		at := slices.Index(ring, ranked[0])
 		for _, r := range []int{1, 2, 3, n, n + 1} {
 			want := ranked
 			if r < n {
-				want = ranked[:r]
+				want = make([]uint32, r)
+				for j := range want {
+					want[j] = ring[(at+j)%n]
+				}
 			}
-			got := Pick(p, stations, r)
-			if len(got) != len(want) {
-				t.Fatalf("person %d, %d stations, r=%d: Pick returned %d stations, want %d", p, n, r, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("person %d, %d stations, r=%d: Pick = %v, Rank prefix = %v", p, n, r, got, want)
+			for _, in := range [][]uint32{stations, ring} {
+				if got := Pick(p, in, r); !slices.Equal(got, want) {
+					t.Fatalf("person %d, %d stations, r=%d: Pick = %v, want %v", p, n, r, got, want)
 				}
 			}
 		}
@@ -89,10 +103,9 @@ func BenchmarkPick64R2(b *testing.B) {
 
 var pickSink []uint32
 
-// TestMinimalDisruption pins rendezvous hashing's defining property: removing
-// a station only reassigns the persons that station served — everyone else's
-// replica set is untouched — and adding a station never displaces more than
-// it wins.
+// TestMinimalDisruption pins what chained sets keep of rendezvous hashing:
+// removing or adding a station changes only the replica sets it is (or
+// becomes) a member of, and a surviving primary keeps its place.
 func TestMinimalDisruption(t *testing.T) {
 	stations := []uint32{10, 20, 30, 40, 50, 60}
 	const r = 2
@@ -104,63 +117,38 @@ func TestMinimalDisruption(t *testing.T) {
 	}
 
 	// Remove station 30.
-	var survivors []uint32
-	for _, s := range stations {
-		if s != 30 {
-			survivors = append(survivors, s)
-		}
-	}
+	survivors := slices.DeleteFunc(slices.Clone(stations), func(s uint32) bool { return s == 30 })
+	moved := 0
 	for p, before := range full {
 		after := Pick(p, survivors, r)
-		held := false
-		for _, s := range before {
-			if s == 30 {
-				held = true
-			}
-		}
-		if !held {
-			// Persons station 30 did not serve keep their exact replica set.
-			for i := range before {
-				if after[i] != before[i] {
-					t.Fatalf("person %d moved from %v to %v though station 30 held no replica", p, before, after)
-				}
+		if !slices.Contains(before, 30) {
+			if !slices.Equal(after, before) {
+				t.Fatalf("person %d moved from %v to %v though station 30 held no replica", p, before, after)
 			}
 			continue
 		}
-		// Persons it did serve keep their surviving replica.
-		for _, s := range before {
-			if s == 30 {
-				continue
-			}
-			found := false
-			for _, a := range after {
-				if a == s {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("person %d lost surviving replica %d: %v -> %v", p, s, before, after)
-			}
+		moved++
+		if before[0] != 30 && after[0] != before[0] {
+			t.Fatalf("person %d lost surviving primary %d: %v -> %v", p, before[0], before, after)
 		}
 	}
+	if moved == 0 {
+		t.Fatal("station 30 held no replica set")
+	}
 
-	// Add station 70: a person's set changes only if 70 enters it.
-	grown := append(append([]uint32(nil), stations...), 70)
+	// Add station 70: a person's set changes only if 70 enters it, and a
+	// primary 70 did not out-score stays primary.
+	grown := append(slices.Clone(stations), 70)
 	for p, before := range full {
 		after := Pick(p, grown, r)
-		joined := false
-		for _, a := range after {
-			if a == 70 {
-				joined = true
+		if !slices.Contains(after, 70) {
+			if !slices.Equal(after, before) {
+				t.Fatalf("person %d moved from %v to %v though station 70 did not join the set", p, before, after)
 			}
-		}
-		if joined {
 			continue
 		}
-		for i := range before {
-			if after[i] != before[i] {
-				t.Fatalf("person %d moved from %v to %v though station 70 did not win", p, before, after)
-			}
+		if after[0] != 70 && after[0] != before[0] {
+			t.Fatalf("person %d: primary %d displaced by %v though 70 did not win", p, before[0], after)
 		}
 	}
 }
@@ -189,24 +177,51 @@ func TestTable(t *testing.T) {
 	if tab.Len() != 0 || tab.Contains(1) {
 		t.Fatal("fresh table not empty")
 	}
-	tab.Set(5, 2)
-	tab.Set(3, 3)
-	tab.Set(5, 2)
+	if _, ok := tab.Uniform(); ok {
+		t.Fatal("empty table has a uniform factor")
+	}
+	tab.Set(5, Entry{Factor: 2, Hash: 1})
+	if r, ok := tab.Uniform(); !ok || r != 2 {
+		t.Fatalf("Uniform() = %d, %v after one factor-2 entry", r, ok)
+	}
+	tab.Set(3, Entry{Factor: 3})
+	tab.Set(5, Entry{Factor: 2, Hash: 9})
 	if tab.Len() != 2 || !tab.Contains(5) {
 		t.Fatalf("table has %d entries", tab.Len())
 	}
-	if r, ok := tab.Factor(3); !ok || r != 3 {
-		t.Fatalf("Factor(3) = %d, %v", r, ok)
+	if e, ok := tab.Get(3); !ok || e.Factor != 3 {
+		t.Fatalf("Get(3) = %+v, %v", e, ok)
 	}
-	if _, ok := tab.Factor(4); ok {
-		t.Fatal("Factor(4) found an entry")
+	if e, _ := tab.Get(5); e.Hash != 9 {
+		t.Fatalf("Get(5) = %+v, want the updated hash", e)
+	}
+	if _, ok := tab.Get(4); ok {
+		t.Fatal("Get(4) found an entry")
+	}
+	if _, ok := tab.Uniform(); ok {
+		t.Fatal("factors 2 and 3 reported uniform")
 	}
 	snap := tab.Snapshot()
 	tab.Remove(5)
 	if tab.Contains(5) || tab.Len() != 1 {
 		t.Fatal("Remove did not remove")
 	}
+	if r, ok := tab.Uniform(); !ok || r != 3 {
+		t.Fatalf("Uniform() = %d, %v after removing the factor-2 entry", r, ok)
+	}
 	if len(snap) != 2 {
 		t.Fatal("snapshot mutated by Remove")
+	}
+}
+
+func TestContentHash(t *testing.T) {
+	a := pattern.Pattern{1, 2, 3}
+	if ContentHash(a) != ContentHash(pattern.Pattern{1, 2, 3}) {
+		t.Fatal("equal patterns hash apart")
+	}
+	for _, b := range []pattern.Pattern{{1, 2, 4}, {3, 2, 1}, {1, 2, 3, 0}, {1, 2}} {
+		if ContentHash(a) == ContentHash(b) {
+			t.Fatalf("%v and %v collide", a, b)
+		}
 	}
 }

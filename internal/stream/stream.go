@@ -4,7 +4,7 @@
 // Submit admits a pattern into one bounded intake queue. One flusher
 // goroutine drains the queue into a latest-wins batch of at most FlushBatch
 // persons and hands the batch to Cluster.Place, which picks every person's
-// rendezvous replicas, records the placement intent and pushes one grouped,
+// replica group, records the placement intent and pushes one grouped,
 // acknowledged ingest exchange per station. Streamed persons are therefore
 // placed exactly like Place'd ones. Place holds the cluster's heal lock, so
 // a membership change's heal always runs after any flush already in flight

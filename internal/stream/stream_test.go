@@ -77,15 +77,20 @@ func TestStreamSubmitFlushSearch(t *testing.T) {
 		t.Fatalf("retrieved %d persons, want %d", len(got), n)
 	}
 	for p, r := range got {
-		// Streamed patterns are replica-managed: both copies report, the
-		// aggregation dedupes instead of summing (a sum of 2 would be
-		// deleted as over-matched).
-		if r.Score() != 1.0 {
-			t.Fatalf("person %d scored %.3f, want 1", p, r.Score())
+		// Streamed patterns are replica-managed: the aggregation dedupes
+		// copies instead of summing them (a sum of 2 would be deleted as
+		// over-matched), and counts one copy's station.
+		if r.Score() != 1.0 || r.Stations != 1 {
+			t.Fatalf("person %d scored %.3f from %d stations, want 1 from one copy", p, r.Score(), r.Stations)
 		}
-		if r.Stations != cluster.DefaultReplication {
-			t.Fatalf("person %d reported by %d stations, want %d replicas", p, r.Stations, cluster.DefaultReplication)
-		}
+	}
+	// The replicas are counted where they live: in the stores.
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := n * cluster.DefaultReplication; st.TotalResidents() != want {
+		t.Fatalf("stations hold %d residents, want %d persons × %d replicas", st.TotalResidents(), n, cluster.DefaultReplication)
 	}
 	if got := c.Placed(); got != n {
 		t.Fatalf("Placed() = %d, want %d (streamed persons are placement-managed)", got, n)
@@ -125,8 +130,8 @@ func assertExactReplicas(t *testing.T, c *cluster.Cluster, n int, want pattern.P
 		t.Fatalf("retrieved %d persons, want all %d acked", len(got), n)
 	}
 	for p, res := range got {
-		if res.Score() != 1.0 || res.Stations != r {
-			t.Fatalf("person %d scored %.3f from %d stations, want 1 from %d replicas", p, res.Score(), res.Stations, r)
+		if res.Score() != 1.0 || res.Stations != 1 {
+			t.Fatalf("person %d scored %.3f from %d stations, want 1 from one copy", p, res.Score(), res.Stations)
 		}
 	}
 }
