@@ -298,6 +298,12 @@ func (c *Cluster) Evict(ctx context.Context, stationID uint32, persons []PersonI
 // changes trigger re-replication and rebalancing so the requested factor is
 // maintained without the caller naming stations. A person must be either
 // placed or station-addressed, never both; Unplace releases them back.
+//
+// A partly failed call returns the failed station exchanges joined. A
+// person who reached at least one station stays placed (reconciliation
+// tops the missing copies up); a person who reached none is rolled back to
+// their earlier placement, if any. The streaming ingestor retries exactly
+// those persons, which the coordinator reports in ascending person order.
 func (c *Cluster) Place(ctx context.Context, patterns map[PersonID]Pattern, opts ...PlaceOption) error {
 	_, err := c.inner.Place(ctx, patterns, opts...)
 	return err

@@ -30,3 +30,14 @@ func TestNoallocUnionWith(t *testing.T) {
 		t.Fatalf("(*Set).UnionWith allocates %v times per run; want 0", n)
 	}
 }
+
+var wordsSink []uint64
+
+func TestNoallocWords(t *testing.T) {
+	s := New(1 << 12)
+	if n := testing.AllocsPerRun(100, func() {
+		wordsSink = s.Words()
+	}); n != 0 {
+		t.Fatalf("(*Set).Words allocates %v times per run; want 0", n)
+	}
+}

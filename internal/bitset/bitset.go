@@ -96,15 +96,15 @@ func (s *Set) FillRatio() float64 {
 	return float64(s.Count()) / float64(s.n)
 }
 
-// Words returns a copy of the underlying word storage, little-endian word
-// order, for serialization.
-func (s *Set) Words() []uint64 {
-	out := make([]uint64, len(s.words))
-	copy(out, s.words)
-	return out
-}
+// Words returns the underlying word storage, little-endian word order, for
+// serialization. The result is a read-only view, not a copy: do not modify
+// it, and do not keep it past the set's next Set, UnionWith or OrFoldFrom.
+// FromWords or Clone make an independent copy.
+//
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
+func (s *Set) Words() []uint64 { return s.words }
 
-// Clone returns a deep copy of the set.
+// Clone returns a deep copy of the set: one word-array allocation.
 func (s *Set) Clone() *Set {
 	return &Set{
 		words: append([]uint64(nil), s.words...),

@@ -107,8 +107,15 @@ func (f *Filter) M() uint64 { return f.bits.Len() }
 // K returns the number of hash functions.
 func (f *Filter) K() int { return f.family.K() }
 
-// Words returns the bit storage for serialization.
+// Words returns the bit storage for serialization: a read-only view of the
+// filter's own words (bitset.Set.Words), not a copy. Do not modify it.
 func (f *Filter) Words() []uint64 { return f.bits.Words() }
+
+// Clone returns an independent deep copy of the filter, copying the bit
+// storage once.
+func (f *Filter) Clone() *Filter {
+	return &Filter{bits: f.bits.Clone(), family: f.family, n: f.n}
+}
 
 // FillRatio returns the fraction of set bits.
 func (f *Filter) FillRatio() float64 { return f.bits.FillRatio() }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -117,28 +118,31 @@ func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[cor
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return c.ingest(ctx, stationID, patterns, true)
-}
-
-// ingest carries Ingest; addressed is false on the path Place and
-// reconciliation push copies through, which leaves the station unaddressed.
-func (c *Cluster) ingest(ctx context.Context, stationID uint32, patterns map[core.PersonID]pattern.Pattern, addressed bool) error {
 	if len(patterns) == 0 {
 		return nil
-	}
-	in := wire.Ingest{
-		Persons: make([]core.PersonID, 0, len(patterns)),
-		Locals:  make([]pattern.Pattern, 0, len(patterns)),
 	}
 	if err := checkLengths(c.length, "ingest", patterns); err != nil {
 		return err
 	}
+	in := wire.Ingest{Persons: make([]core.PersonID, 0, len(patterns))}
 	for p := range patterns {
 		in.Persons = append(in.Persons, p)
 	}
-	sort.Slice(in.Persons, func(i, j int) bool { return in.Persons[i] < in.Persons[j] })
-	for _, p := range in.Persons {
-		in.Locals = append(in.Locals, patterns[p])
+	slices.Sort(in.Persons)
+	in.Locals = make([]pattern.Pattern, len(in.Persons))
+	for i, p := range in.Persons {
+		in.Locals[i] = patterns[p]
+	}
+	return c.ingest(ctx, stationID, in, true)
+}
+
+// ingest carries one ingest exchange of rows already person-ascending and of
+// the cluster's length: Ingest's, and the grouped copies Place and
+// reconciliation push with addressed false, which leaves the station
+// unaddressed.
+func (c *Cluster) ingest(ctx context.Context, stationID uint32, in wire.Ingest, addressed bool) error {
+	if len(in.Persons) == 0 {
+		return nil
 	}
 	if addressed {
 		placed := c.touchesPlaced(in.Persons)

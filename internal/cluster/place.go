@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -211,6 +212,85 @@ func (c *Cluster) aliveMembers() (ids []uint32, muxes []*transport.Mux) {
 	return ids, muxes
 }
 
+// pickParallelMin is the batch share per worker from which Place spreads its
+// Pick and ContentHash pass over GOMAXPROCS goroutines. It is a constant, not
+// a knob: stream-sized batches stay on one goroutine, a bulk load of 100 000
+// persons splits.
+const pickParallelMin = 4096
+
+// copyPlan is one Place call's grouping of its persons' copies, built in one
+// pass over the persons ascending: each person's Pick set as indexes into
+// the alive stations, the content hash its intent records, and one ingest
+// per target station whose rows come out person-ascending.
+type copyPlan struct {
+	width      int      // copies per person: min(r, len(alive))
+	targets    []uint32 // targets[i*width:(i+1)*width] index alive for persons[i]
+	hashes     []uint64 // placement.ContentHash of persons[i]'s pattern
+	perStation map[uint32]wire.Ingest
+}
+
+// planCopies groups persons (ascending, every pattern non-zero) by target
+// station over alive (ascending). The Pick and hash pass reads patterns from
+// several goroutines when the batch is large enough; the caller's map is
+// only read.
+func planCopies(persons []core.PersonID, patterns map[core.PersonID]pattern.Pattern, alive []uint32, r int) copyPlan {
+	w := min(r, len(alive))
+	pl := copyPlan{
+		width:   w,
+		targets: make([]uint32, len(persons)*w),
+		hashes:  make([]uint64, len(persons)),
+	}
+	locals := make([]pattern.Pattern, len(persons))
+	pick := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p := persons[i]
+			pat := patterns[p]
+			locals[i] = pat
+			pl.hashes[i] = placement.ContentHash(pat)
+			for j, sid := range placement.Pick(p, alive, r) {
+				k, _ := slices.BinarySearch(alive, sid)
+				pl.targets[i*w+j] = uint32(k)
+			}
+		}
+	}
+	if workers := min(runtime.GOMAXPROCS(0), len(persons)/pickParallelMin); workers > 1 {
+		var wg sync.WaitGroup
+		for k := 0; k < workers; k++ {
+			lo, hi := k*len(persons)/workers, (k+1)*len(persons)/workers
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pick(lo, hi)
+			}()
+		}
+		wg.Wait()
+	} else {
+		pick(0, len(persons))
+	}
+
+	counts := make([]int, len(alive))
+	for _, k := range pl.targets {
+		counts[k]++
+	}
+	rows := make([]wire.Ingest, len(alive))
+	for k, n := range counts {
+		rows[k] = wire.Ingest{Persons: make([]core.PersonID, 0, n), Locals: make([]pattern.Pattern, 0, n)}
+	}
+	for i, p := range persons {
+		for _, k := range pl.targets[i*w : (i+1)*w] {
+			rows[k].Persons = append(rows[k].Persons, p)
+			rows[k].Locals = append(rows[k].Locals, locals[i])
+		}
+	}
+	pl.perStation = make(map[uint32]wire.Ingest, len(alive))
+	for k, in := range rows {
+		if len(in.Persons) > 0 {
+			pl.perStation[alive[k]] = in
+		}
+	}
+	return pl
+}
+
 // Place ingests patterns under automatic placement: each person's pattern is
 // copied to its chained replica set over the currently alive membership —
 // the station that wins the rendezvous (HRW) hash of (person, station) and
@@ -234,10 +314,16 @@ func (c *Cluster) aliveMembers() (ids []uint32, muxes []*transport.Mux) {
 // Partial failure is not fatal: a person who reached at least one station is
 // recorded as placed (reconciliation restores the missing copies on the next
 // membership change or Rebalance call); the error joins every failed station
-// exchange. unplaced lists the persons who reached no station — all of them
-// when the call fails before any exchange — so a caller can retry exactly
-// those. All-zero patterns are skipped entirely, matching the stations'
-// ingest rule (no measurable activity means no pattern).
+// exchange. unplaced lists the persons who reached no station, ascending —
+// all of them when the call fails before any exchange — so a caller can
+// retry exactly those. All-zero patterns are skipped entirely, matching the
+// stations' ingest rule (no measurable activity means no pattern).
+//
+// The persons are sorted once; their targets and content hashes are computed
+// into flat arrays (over several goroutines for a bulk batch) and each
+// target station's rows are appended in person order, so every station
+// receives one ingest exchange, already ascending, however many persons land
+// on it.
 func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.Pattern, opts ...PlaceOption) (unplaced []core.PersonID, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -261,38 +347,29 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 		err = ErrNoAliveStations
 	}
 	if err != nil {
+		unplaced = make([]core.PersonID, 0, len(patterns))
 		for p := range patterns {
 			unplaced = append(unplaced, p)
 		}
+		slices.Sort(unplaced)
 		return unplaced, err
 	}
 
-	// Group the copies by target station so each station receives one
-	// ingest exchange regardless of how many persons land on it.
-	perStation := make(map[uint32]map[core.PersonID]pattern.Pattern)
-	targetsOf := make(map[core.PersonID][]uint32, len(patterns))
+	persons := make([]core.PersonID, 0, len(patterns))
 	for p, pat := range patterns {
-		if pat.Sum() == 0 {
-			// Stations drop all-zero patterns on ingest (no measurable
-			// activity means no local pattern); recording such a person as
-			// placed would leave an intent no copy can ever satisfy, counted
-			// Lost by every reconciliation forever.
-			continue
-		}
-		targets := placement.Pick(p, alive, cfg.replication)
-		targetsOf[p] = targets
-		for _, sid := range targets {
-			g := perStation[sid]
-			if g == nil {
-				g = make(map[core.PersonID]pattern.Pattern)
-				perStation[sid] = g
-			}
-			g[p] = pat
+		// Stations drop all-zero patterns on ingest (no measurable activity
+		// means no local pattern); recording such a person as placed would
+		// leave an intent no copy can ever satisfy, counted Lost by every
+		// reconciliation forever.
+		if pat.Sum() != 0 {
+			persons = append(persons, p)
 		}
 	}
-	if len(targetsOf) == 0 {
+	if len(persons) == 0 {
 		return nil, nil
 	}
+	slices.Sort(persons)
+	plan := planCopies(persons, patterns, alive, cfg.replication)
 	c.resolveUnknown(ctx, alive, muxes)
 	// Record the intents BEFORE pushing any copy: a search starting between
 	// the first ingest and the table update would otherwise sum the replica
@@ -304,16 +381,16 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 	others := tab.Len() // persons placed by earlier calls, counted down below
 	prior := make(map[core.PersonID]placement.Entry)
 	refactored := false // a person's factor changes: its old copies may lie off the new set
-	for p := range targetsOf {
+	for i, p := range persons {
 		if e, ok := tab.Get(p); ok {
 			prior[p] = e
 			others--
 			refactored = refactored || e.Factor != cfg.replication
 		}
-		tab.Set(p, placement.Entry{Factor: cfg.replication, Hash: placement.ContentHash(patterns[p])})
+		tab.Set(p, placement.Entry{Factor: cfg.replication, Hash: plan.hashes[i]})
 	}
 
-	failed, errs := c.ingestGrouped(ctx, perStation, "place on")
+	failed, errs := c.ingestGrouped(ctx, plan.perStation, "place on")
 	switch {
 	case len(errs) > 0 || refactored:
 		c.invalidateLayout()
@@ -324,10 +401,10 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 		c.recordLayout(gen, alive)
 	}
 
-	for p, targets := range targetsOf {
+	for i, p := range persons {
 		landed := false
-		for _, sid := range targets {
-			if !failed[sid] {
+		for _, k := range plan.targets[i*plan.width : (i+1)*plan.width] {
+			if !failed[alive[k]] {
 				landed = true
 				break
 			}
@@ -355,7 +432,7 @@ func groupedFanOut[T any](perStation map[uint32]T, what string, do func(sid uint
 	for sid := range perStation {
 		stations = append(stations, sid)
 	}
-	sort.Slice(stations, func(i, j int) bool { return stations[i] < stations[j] })
+	slices.Sort(stations)
 
 	perErr := make([]error, len(stations))
 	var wg sync.WaitGroup
@@ -380,10 +457,11 @@ func groupedFanOut[T any](perStation map[uint32]T, what string, do func(sid uint
 }
 
 // ingestGrouped pushes one grouped ingest exchange per target station,
-// through the internal path that leaves the stations unaddressed.
-func (c *Cluster) ingestGrouped(ctx context.Context, perStation map[uint32]map[core.PersonID]pattern.Pattern, what string) (failed map[uint32]bool, errs []error) {
-	return groupedFanOut(perStation, what, func(sid uint32, patterns map[core.PersonID]pattern.Pattern) error {
-		return c.ingest(ctx, sid, patterns, false)
+// through the internal path that leaves the stations unaddressed. Each
+// station's rows must be person-ascending and of the cluster's length.
+func (c *Cluster) ingestGrouped(ctx context.Context, perStation map[uint32]wire.Ingest, what string) (failed map[uint32]bool, errs []error) {
+	return groupedFanOut(perStation, what, func(sid uint32, in wire.Ingest) error {
+		return c.ingest(ctx, sid, in, false)
 	})
 }
 
@@ -486,7 +564,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	for p := range intents {
 		keys = append(keys, p)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	report := HealReport{Placed: len(intents)}
 
 	if len(alive) == 0 {
@@ -543,25 +621,24 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	// the same pass covers under-replication (a holder died), rebalancing (a
 	// new station joined the replica set), stale copies and topping up after
 	// the membership grew past a previously clamped factor.
-	adds := make(map[uint32]map[core.PersonID]pattern.Pattern)
+	// Walking the sorted keys appends every station's rows ascending.
+	adds := make(map[uint32]wire.Ingest)
 	dels := make(map[uint32][]core.PersonID)
-	for p, e := range intents {
+	for _, p := range keys {
 		pat, ok := copies[p]
 		if !ok {
 			report.Lost++
 			continue
 		}
-		targets := placement.Pick(p, alive, e.Factor)
+		targets := placement.Pick(p, alive, intents[p].Factor)
 		targetSet := make(map[uint32]bool, len(targets))
 		for _, sid := range targets {
 			targetSet[sid] = true
 			if !holders[p][sid] {
 				g := adds[sid]
-				if g == nil {
-					g = make(map[core.PersonID]pattern.Pattern)
-					adds[sid] = g
-				}
-				g[p] = pat
+				g.Persons = append(g.Persons, p)
+				g.Locals = append(g.Locals, pat)
+				adds[sid] = g
 			}
 		}
 		for _, hs := range []map[uint32]bool{holders[p], stale[p]} {
@@ -579,7 +656,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	failedAdds, errs := c.ingestGrouped(ctx, adds, "re-replicate to")
 	for sid, g := range adds {
 		if !failedAdds[sid] {
-			report.Copied += len(g)
+			report.Copied += len(g.Persons)
 		}
 	}
 	if len(errs) == 0 {

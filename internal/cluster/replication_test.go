@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -366,8 +367,13 @@ func TestPlaceReportsUnplaced(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	unplaced, err := c.Place(cancelled, batch)
-	if err == nil || len(unplaced) != 2 {
-		t.Fatalf("cancelled place: unplaced %v, err %v, want both persons and an error", unplaced, err)
+	if err == nil || !slices.Equal(unplaced, []core.PersonID{8, 9}) {
+		t.Fatalf("cancelled place: unplaced %v, err %v, want both persons, ascending, and an error", unplaced, err)
+	}
+	// A batch refused before any exchange names every person, ascending.
+	bad := map[core.PersonID]pattern.Pattern{30: {1, 2}, 10: {1, 2, 3, 4}, 20: {4, 3, 2, 1}}
+	if unplaced, err := c.Place(context.Background(), bad); !errors.Is(err, ErrLengthMismatch) || !slices.Equal(unplaced, []core.PersonID{10, 20, 30}) {
+		t.Fatalf("refused place: unplaced %v, err %v, want [10 20 30] and ErrLengthMismatch", unplaced, err)
 	}
 	if c.Placed() != 1 {
 		t.Fatalf("Placed() = %d after a place that landed nothing, want the 1 prior person", c.Placed())
@@ -379,40 +385,6 @@ func TestPlaceReportsUnplaced(t *testing.T) {
 	}
 	if c.Placed() != 3 {
 		t.Fatalf("Placed() = %d, want 3", c.Placed())
-	}
-}
-
-// BenchmarkPlace is the one placement path behind Place, stream flushes
-// and heals at the streaming pipeline's default batch shape: 2 048 persons
-// at R = 2 over 16 in-process stations, about 256 copies per station
-// exchange.
-func BenchmarkPlace(b *testing.B) {
-	stations := make([]uint32, 16)
-	for i := range stations {
-		stations[i] = uint32(i + 1)
-	}
-	c, err := New(placedOptions(), 24, emptyMembers(stations)...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.Start()
-	b.Cleanup(func() { _ = c.Shutdown() })
-	rng := rand.New(rand.NewSource(1))
-	batch := make(map[core.PersonID]pattern.Pattern, 2048)
-	for p := core.PersonID(1); p <= 2048; p++ {
-		pat := make(pattern.Pattern, 24)
-		for i := range pat {
-			pat[i] = rng.Int63n(50) + 1
-		}
-		batch[p] = pat
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Place(ctx, batch, WithReplication(2)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -276,18 +276,26 @@ func (s *Station) handleDump(msg wire.Message) (*wire.Message, error) {
 // is the evict message's job) and patterns of a foreign length are skipped.
 // On a durable station the applied batch is appended to the store before the
 // ack is encoded: a batch the center saw acknowledged is never lost to a
-// crash the store covers.
+// crash the store covers. When every received row applied, the batch carries
+// the received payload, which the WAL logs as is; otherwise it carries only
+// the applied rows.
 func (s *Station) handleIngest(msg wire.Message) (*wire.Message, error) {
 	in, err := wire.DecodeIngest(msg)
 	if err != nil {
 		return nil, fmt.Errorf("station %d: %w", s.id, err)
 	}
-	applied := store.Batch{Op: store.OpIngest}
+	// The decoded rows are this call's own: compact the applied ones to the
+	// front in place.
+	n := 0
 	for i, p := range in.Persons {
 		if s.residents.Upsert(p, in.Locals[i]) {
-			applied.Persons = append(applied.Persons, p)
-			applied.Locals = append(applied.Locals, in.Locals[i])
+			in.Persons[n], in.Locals[n] = p, in.Locals[i]
+			n++
 		}
+	}
+	applied := store.Batch{Op: store.OpIngest, Persons: in.Persons[:n], Locals: in.Locals[:n]}
+	if n == len(in.Persons) {
+		applied.Payload = msg.Payload
 	}
 	return s.ackApplied(applied)
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dimatch/internal/core"
@@ -178,13 +179,22 @@ func TestStaleAfterEvictOnlyWastesProbes(t *testing.T) {
 }
 
 // TestCloneAndAddIsolation pins the copy-on-write contract behind the
-// coordinator's delta updates.
+// coordinator's delta updates, both ways: a clone starts bit-identical to
+// its source in words of its own, an Add on the clone never shows in the
+// source, and an Add on the source after cloning never shows in the clone.
 func TestCloneAndAddIsolation(t *testing.T) {
 	base, err := Build(3, []pattern.Pattern{{1, 1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clone := base.Clone()
+	if !slices.Equal(clone.Words(), base.Words()) || clone.Inserted() != base.Inserted() ||
+		clone.Bits() != base.Bits() || clone.Hashes() != base.Hashes() {
+		t.Fatal("clone differs from its source")
+	}
+	if &clone.Words()[0] == &base.Words()[0] {
+		t.Fatal("clone shares its source's words")
+	}
 	if err := clone.Add(pattern.Pattern{7, 7, 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +210,33 @@ func TestCloneAndAddIsolation(t *testing.T) {
 	}
 	if base.Residents() != 1 || clone.Residents() != 2 {
 		t.Fatalf("residents base=%d clone=%d, want 1 and 2", base.Residents(), clone.Residents())
+	}
+
+	before := slices.Clone(clone.Words())
+	if err := base.Add(pattern.Pattern{2, 0, 5}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(clone.Words(), before) || clone.Residents() != 2 {
+		t.Fatal("Add on the base summary leaked into the clone")
+	}
+}
+
+// TestFromPartsBoundsSaltTable: a summary decoded from the wire may declare
+// any pattern length. Its precomputed salt table stays bounded, and probes
+// past the table derive the same keys a full table would.
+func TestFromPartsBoundsSaltTable(t *testing.T) {
+	const length = 1 << 31
+	s, err := FromParts(length, DefaultSeed, make([]uint64, 1), 64, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.salts) != maxSaltTable {
+		t.Fatalf("salt table of %d entries for length %d, want %d", len(s.salts), length, maxSaltTable)
+	}
+	for _, pos := range []int{0, maxSaltTable - 1, maxSaltTable, length - 1} {
+		if got, want := s.salt(pos), positionSalt(DefaultSeed, pos); got != want {
+			t.Fatalf("salt(%d) = %x, want %x", pos, got, want)
+		}
 	}
 }
 

@@ -50,10 +50,17 @@ func (o Op) String() string {
 // actually inserted or replaced (never all-zero or foreign-length ones), an
 // OpEvict batch only persons that were actually resident. Locals is parallel
 // to Persons for OpIngest and nil for OpEvict.
+//
+// Payload, when set on an OpIngest batch, is the wire ingest payload the
+// rows were decoded from, and decoding it yields exactly Persons and Locals:
+// the station sets it only when it applied every row it received. A backend
+// that records ingest batches as wire payloads may write it verbatim instead
+// of encoding the rows again; every other backend ignores it.
 type Batch struct {
 	Op      Op
 	Persons []core.PersonID
 	Locals  []pattern.Pattern
+	Payload []byte
 }
 
 // Image is a complete station state: the resident store in person-ascending

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 	"dimatch/internal/store"
+	"dimatch/internal/wire"
 )
 
 // matrixBatches builds a small, varied batch history: inserts, replacements,
@@ -164,6 +166,53 @@ func TestCrashPointMatrix(t *testing.T) {
 	for cut := 0; cut <= len(raw); cut++ {
 		m := completeRecords(boundaries, cut)
 		checkRecovered(t, fmt.Sprintf("cut=%d", cut), raw[:cut], images[m])
+	}
+}
+
+// verbatimBatches returns matrixBatches with every ingest batch a station
+// would apply whole carrying the wire payload a center sends for it — the
+// form handleIngest hands Append. The all-zero batch, which no station
+// applies, keeps only its rows.
+func verbatimBatches(t *testing.T) []store.Batch {
+	t.Helper()
+	batches := matrixBatches()
+	for i, b := range batches {
+		if b.Op != store.OpIngest || b.Locals[0].Sum() == 0 {
+			continue
+		}
+		payload, err := wire.EncodeIngestPayload(wire.Ingest{Persons: b.Persons, Locals: b.Locals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches[i].Payload = payload
+	}
+	return batches
+}
+
+// TestCrashPointMatrixVerbatim: a batch carrying its received payload is
+// logged as that payload, not encoded again; the log recorded from such
+// batches is byte-identical to the re-encoded one; and every truncation of
+// it recovers the same whole-batch prefix state as the re-encoded log.
+func TestCrashPointMatrixVerbatim(t *testing.T) {
+	batches := verbatimBatches(t)
+	for i, b := range batches {
+		if b.Payload == nil {
+			continue
+		}
+		kind, body, err := encodeBatch(b)
+		if err != nil || kind != recIngest || len(body) != len(b.Payload) || &body[0] != &b.Payload[0] {
+			t.Fatalf("batch %d: encodeBatch = kind 0x%02x, %d-byte body, %v; want the payload itself as a recIngest body", i, kind, len(body), err)
+		}
+	}
+	images := prefixImages(t, batches)
+	raw, boundaries := recordWAL(t, batches)
+	reencoded, _ := recordWAL(t, matrixBatches())
+	if !bytes.Equal(raw, reencoded) {
+		t.Fatalf("verbatim log (%d B) differs from the re-encoded log (%d B)", len(raw), len(reencoded))
+	}
+	for cut := 0; cut <= len(raw); cut++ {
+		m := completeRecords(boundaries, cut)
+		checkRecovered(t, fmt.Sprintf("verbatim cut=%d", cut), raw[:cut], images[m])
 	}
 }
 

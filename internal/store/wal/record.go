@@ -18,9 +18,10 @@ import (
 //
 // length counts the kind byte plus the body; crc32 is IEEE over the kind
 // byte plus the body. Bodies reuse the wire payload codecs verbatim: a
-// recIngest body is exactly wire.EncodeIngestPayload's output and a recEvict
-// body wire.EncodeEvictPayload's — persistence and the wire share one binary
-// vocabulary (docs/WIRE.md).
+// recIngest body is a wire ingest payload — the one the station received,
+// when it applied every row, else wire.EncodeIngestPayload's encoding of the
+// applied rows — and a recEvict body wire.EncodeEvictPayload's output, so
+// persistence and the wire share one binary vocabulary (docs/WIRE.md).
 const headerSize = 8
 
 // MaxRecordBytes bounds one framed record. A length field beyond it is

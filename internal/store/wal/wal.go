@@ -208,9 +208,14 @@ func scanLog(data []byte) (good int64, records int) {
 }
 
 // encodeBatch maps a store batch to its record kind and wire payload body.
+// An ingest batch that carries the payload it was decoded from is logged as
+// those bytes, unencoded; only a partly applied batch is encoded again.
 func encodeBatch(b store.Batch) (byte, []byte, error) {
 	switch b.Op {
 	case store.OpIngest:
+		if b.Payload != nil {
+			return recIngest, b.Payload, nil
+		}
 		body, err := wire.EncodeIngestPayload(wire.Ingest{Persons: b.Persons, Locals: b.Locals})
 		if err != nil {
 			return 0, nil, fmt.Errorf("wal: %w", err)

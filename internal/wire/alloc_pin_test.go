@@ -1,8 +1,9 @@
 // AllocsPerRun pins: Message.AppendFrame (the hot-path frame renderer behind
 // every pooled send), held to 0 allocs/op; DecodeBatchQuery (every visited
 // station, every round), held to a ceiling that does not grow with the
-// filter; and the batch-reply codec, held to ceilings that do not grow with
-// the report count.
+// filter; the batch-reply codec, held to ceilings that do not grow with
+// the report count; and EncodeSummaryReply, held to its one payload
+// allocation.
 package wire
 
 import (
@@ -61,5 +62,25 @@ func TestAllocsBatchReplyCodec(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { replySink, _ = DecodeBatchReply(m) }); n > 2 {
 		t.Errorf("DecodeBatchReply of 5 000 reports allocates %v times per run; want at most 2", n)
+	}
+}
+
+var summarySink Message
+
+// TestAllocsEncodeSummaryReply pins the digest's way out at one allocation:
+// the payload, sized up front, with the words read in place.
+func TestAllocsEncodeSummaryReply(t *testing.T) {
+	words := make([]uint64, 1<<14)
+	for i := range words {
+		words[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	sr := SummaryReply{Station: 1 << 30, Length: 24, Residents: 1 << 40, Seed: ^uint64(0), Bits: 64 << 14, Hashes: 7, Inserted: ^uint64(0), Words: words}
+	if n := testing.AllocsPerRun(20, func() {
+		summarySink = EncodeSummaryReply(sr)
+	}); n != 1 {
+		t.Fatalf("EncodeSummaryReply allocates %v times per run; want 1", n)
+	}
+	if got, max := len(summarySink.Payload), summaryHeaderMax+8*len(words); got > max || cap(summarySink.Payload) != max {
+		t.Fatalf("payload %d B of capacity %d, want at most %d of exactly %d", got, cap(summarySink.Payload), max, max)
 	}
 }

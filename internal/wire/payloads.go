@@ -1079,9 +1079,16 @@ type SummaryReply struct {
 	Words     []uint64
 }
 
-// EncodeSummaryReply renders a station's routing summary.
+// summaryHeaderMax bounds a summary reply's bytes before the words: five
+// uvarint fields, the two 8-byte fields and the uvarint word count.
+const summaryHeaderMax = 6*binary.MaxVarintLen64 + 16
+
+// EncodeSummaryReply renders a station's routing summary into one payload
+// allocation sized up front, reading s.Words without retaining it.
+//
+// Allocation pin: alloc_pin_test.go holds it to 1 alloc/op.
 func EncodeSummaryReply(s SummaryReply) Message {
-	var w writer
+	w := writer{buf: make([]byte, 0, summaryHeaderMax+8*len(s.Words))}
 	w.uvarint(uint64(s.Station))
 	w.uvarint(uint64(s.Length))
 	w.uvarint(s.Residents)
