@@ -32,9 +32,8 @@ func benchPatterns(n int) map[core.PersonID]pattern.Pattern {
 // BenchmarkPlace is the one placement path behind Place, stream flushes
 // and heals, at R = 2 over in-process stations. /stream is the streaming
 // pipeline's default batch: 2 048 persons over 16 stations, about 256
-// copies per station exchange, on one goroutine. /bulk is a cold load:
-// 100 000 persons over 64 stations, about 3 125 copies per exchange, with
-// the Pick pass split over GOMAXPROCS workers.
+// copies per station exchange. /bulk is a cold load: 100 000 persons over
+// 64 stations, about 3 125 copies per exchange.
 func BenchmarkPlace(b *testing.B) {
 	for _, bc := range []struct {
 		name              string

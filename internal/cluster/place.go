@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -212,12 +211,6 @@ func (c *Cluster) aliveMembers() (ids []uint32, muxes []*transport.Mux) {
 	return ids, muxes
 }
 
-// pickParallelMin is the batch share per worker from which Place spreads its
-// Pick and ContentHash pass over GOMAXPROCS goroutines. It is a constant, not
-// a knob: stream-sized batches stay on one goroutine, a bulk load of 100 000
-// persons splits.
-const pickParallelMin = 4096
-
 // copyPlan is one Place call's grouping of its persons' copies, built in one
 // pass over the persons ascending: each person's Pick set as indexes into
 // the alive stations, the content hash its intent records, and one ingest
@@ -230,9 +223,7 @@ type copyPlan struct {
 }
 
 // planCopies groups persons (ascending, every pattern non-zero) by target
-// station over alive (ascending). The Pick and hash pass reads patterns from
-// several goroutines when the batch is large enough; the caller's map is
-// only read.
+// station over alive (ascending). The caller's map is only read.
 func planCopies(persons []core.PersonID, patterns map[core.PersonID]pattern.Pattern, alive []uint32, r int) copyPlan {
 	w := min(r, len(alive))
 	pl := copyPlan{
@@ -241,31 +232,14 @@ func planCopies(persons []core.PersonID, patterns map[core.PersonID]pattern.Patt
 		hashes:  make([]uint64, len(persons)),
 	}
 	locals := make([]pattern.Pattern, len(persons))
-	pick := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := persons[i]
-			pat := patterns[p]
-			locals[i] = pat
-			pl.hashes[i] = placement.ContentHash(pat)
-			for j, sid := range placement.Pick(p, alive, r) {
-				k, _ := slices.BinarySearch(alive, sid)
-				pl.targets[i*w+j] = uint32(k)
-			}
+	for i, p := range persons {
+		pat := patterns[p]
+		locals[i] = pat
+		pl.hashes[i] = placement.ContentHash(pat)
+		for j, sid := range placement.Pick(p, alive, r) {
+			k, _ := slices.BinarySearch(alive, sid)
+			pl.targets[i*w+j] = uint32(k)
 		}
-	}
-	if workers := min(runtime.GOMAXPROCS(0), len(persons)/pickParallelMin); workers > 1 {
-		var wg sync.WaitGroup
-		for k := 0; k < workers; k++ {
-			lo, hi := k*len(persons)/workers, (k+1)*len(persons)/workers
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pick(lo, hi)
-			}()
-		}
-		wg.Wait()
-	} else {
-		pick(0, len(persons))
 	}
 
 	counts := make([]int, len(alive))
@@ -320,10 +294,9 @@ func planCopies(persons []core.PersonID, patterns map[core.PersonID]pattern.Patt
 // stations' ingest rule (no measurable activity means no pattern).
 //
 // The persons are sorted once; their targets and content hashes are computed
-// into flat arrays (over several goroutines for a bulk batch) and each
-// target station's rows are appended in person order, so every station
-// receives one ingest exchange, already ascending, however many persons land
-// on it.
+// into flat arrays and each target station's rows are appended in person
+// order, so every station receives one ingest exchange, already ascending,
+// however many persons land on it.
 func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.Pattern, opts ...PlaceOption) (unplaced []core.PersonID, err error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -23,23 +22,15 @@ import (
 // exactly the copies a model derives from placement.Pick over the alive
 // stations, the persons that reached no station must come back as unplaced,
 // ascending, with their earlier intent restored, and the placement table
-// must hold every other person's factor and content hash. The bulk case is
-// large enough to split the Pick pass over several goroutines.
+// must hold every other person's factor and content hash.
 func TestPlaceMatchesPickModel(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { placeModelTrial(t, seed, 0) })
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { placeModelTrial(t, seed) })
 	}
-	t.Run("bulk", func(t *testing.T) {
-		if runtime.GOMAXPROCS(0) < 2 {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-		}
-		placeModelTrial(t, 99, 2*pickParallelMin+17)
-	})
 }
 
-// placeModelTrial runs one seeded trial; a positive bulk sizes its first
-// batch.
-func placeModelTrial(t *testing.T, seed int64, bulk int) {
+// placeModelTrial runs one seeded trial.
+func placeModelTrial(t *testing.T, seed int64) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
 	const length = 4
@@ -82,9 +73,6 @@ func placeModelTrial(t *testing.T, seed int64, bulk int) {
 	for round := 0; round < 6; round++ {
 		r := []int{1, 2, 3, n + rng.Intn(2)}[rng.Intn(4)]
 		size := 20 + rng.Intn(200)
-		if round == 0 && bulk > 0 {
-			size = bulk
-		}
 		batch := make(map[core.PersonID]pattern.Pattern, size)
 		earlier := make([]core.PersonID, 0, len(intents))
 		for p := range intents {

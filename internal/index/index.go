@@ -60,26 +60,11 @@ func positionSalt(seed uint64, pos int) uint64 {
 	return hash.Mix64(seed ^ (uint64(pos+1) * saltConst))
 }
 
-// maxSaltTable bounds a summary's precomputed salt table. A summary decoded
-// from the wire may declare any length; positions past the table derive
-// their salt per cell instead.
-const maxSaltTable = 1 << 12
-
-// positionSalts derives the salts of a summary's first positions, once per
-// summary, so Add and contains mix only the value per cell.
-func positionSalts(seed uint64, length int) []uint64 {
-	salts := make([]uint64, min(length, maxSaltTable))
-	for pos := range salts {
-		salts[pos] = positionSalt(seed, pos)
-	}
-	return salts
-}
-
-// key maps a (position, accumulated value) cell to the hashed element, given
-// the position's salt. Every position gets its own key space, so a value
-// observed at hour 3 never satisfies a probe for hour 7.
-func key(salt uint64, value int64) int64 {
-	return int64(hash.Mix64(uint64(value)) ^ salt)
+// key maps a (position, accumulated value) cell to the hashed element. Every
+// position gets its own key space, so a value observed at hour 3 never
+// satisfies a probe for hour 7.
+func key(seed uint64, pos int, value int64) int64 {
+	return int64(hash.Mix64(uint64(value)) ^ positionSalt(seed, pos))
 }
 
 // Summary is one station's routing summary: a Bloom filter containing the
@@ -97,20 +82,6 @@ type Summary struct {
 	seed      uint64
 	residents uint64
 	filter    *bloom.Filter
-	salts     []uint64 // positionSalts(seed, length); shared by clones, never written
-}
-
-// salt returns position pos's key-space salt.
-func (s *Summary) salt(pos int) uint64 {
-	if pos < len(s.salts) {
-		return s.salts[pos]
-	}
-	return positionSalt(s.seed, pos)
-}
-
-// newSummary assembles a summary around a filter, deriving its salts.
-func newSummary(length int, seed, residents uint64, f *bloom.Filter) *Summary {
-	return &Summary{length: length, seed: seed, residents: residents, filter: f, salts: positionSalts(seed, length)}
 }
 
 // New returns an empty summary for patterns of the given length, sized for
@@ -131,7 +102,7 @@ func New(length, expectedResidents int, fpTarget float64, seed uint64) (*Summary
 	if err != nil {
 		return nil, err
 	}
-	return newSummary(length, seed, 0, f), nil
+	return &Summary{length: length, seed: seed, filter: f}, nil
 }
 
 // MinFilterBits floors every summary's filter length: 64 bits keeps the
@@ -168,7 +139,7 @@ func NewUnion(length int, seed uint64, bits uint64, hashes int) (*Summary, error
 	if err != nil {
 		return nil, err
 	}
-	return newSummary(length, seed, 0, f), nil
+	return &Summary{length: length, seed: seed, filter: f}, nil
 }
 
 // Unionable reports whether child can be conservatively absorbed into s:
@@ -211,7 +182,7 @@ func Saturated(length int, seed uint64) *Summary {
 	if err != nil {
 		panic(fmt.Sprintf("index: saturated summary: %v", err))
 	}
-	return newSummary(length, seed, 1, f)
+	return &Summary{length: length, seed: seed, residents: 1, filter: f}
 }
 
 // Build constructs a summary over a station's resident patterns with the
@@ -242,15 +213,14 @@ func (s *Summary) Add(local pattern.Pattern) error {
 	run := int64(0)
 	for g, v := range local {
 		run += v
-		s.filter.Add(key(s.salt(g), run))
+		s.filter.Add(key(s.seed, g, run))
 	}
 	s.residents++
 	return nil
 }
 
 // Clone returns an independent deep copy, the basis of copy-on-write delta
-// updates at the coordinator. The filter's words are copied once; the
-// immutable position salts are shared.
+// updates at the coordinator. The filter's words are copied once.
 func (s *Summary) Clone() *Summary {
 	c := *s
 	c.filter = s.filter.Clone()
@@ -261,7 +231,7 @@ func (s *Summary) Clone() *Summary {
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (s *Summary) contains(pos int, value int64) bool {
-	return s.filter.Contains(key(s.salt(pos), value))
+	return s.filter.Contains(key(s.seed, pos, value))
 }
 
 // bandAdmit reports whether the digest has a summarized cell inside the
@@ -314,7 +284,7 @@ func FromParts(length int, seed uint64, words []uint64, bits uint64, hashes int,
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
-	return newSummary(length, seed, residents, f), nil
+	return &Summary{length: length, seed: seed, residents: residents, filter: f}, nil
 }
 
 // band is one admission condition: some resident value in [lo, hi] must

@@ -221,25 +221,6 @@ func TestCloneAndAddIsolation(t *testing.T) {
 	}
 }
 
-// TestFromPartsBoundsSaltTable: a summary decoded from the wire may declare
-// any pattern length. Its precomputed salt table stays bounded, and probes
-// past the table derive the same keys a full table would.
-func TestFromPartsBoundsSaltTable(t *testing.T) {
-	const length = 1 << 31
-	s, err := FromParts(length, DefaultSeed, make([]uint64, 1), 64, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.salts) != maxSaltTable {
-		t.Fatalf("salt table of %d entries for length %d, want %d", len(s.salts), length, maxSaltTable)
-	}
-	for _, pos := range []int{0, maxSaltTable - 1, maxSaltTable, length - 1} {
-		if got, want := s.salt(pos), positionSalt(DefaultSeed, pos); got != want {
-			t.Fatalf("salt(%d) = %x, want %x", pos, got, want)
-		}
-	}
-}
-
 // TestWireRoundtripParts pins FromParts against the accessors a wire codec
 // uses.
 func TestWireRoundtripParts(t *testing.T) {
