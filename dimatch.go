@@ -34,10 +34,10 @@ type (
 	Options = cluster.Options
 	// Member specifies one base station for NewCluster and AddStation: its
 	// ID plus either an in-process station (seeded with Patterns, durable
-	// through Store when set) or, with Link set, a remote station already
-	// serving on the other end of the link (Patterns and Store nil). The
-	// cluster takes ownership of Link and Store; a refused member has both
-	// closed.
+	// through Store when set) or, with Link set, a remote station or region
+	// coordinator already serving on the other end of the link (Patterns and
+	// Store nil), which the join handshake tells apart. The cluster takes
+	// ownership of Link and Store; a refused member has both closed.
 	Member = cluster.Member
 	// SearchOption configures a single Search call.
 	SearchOption = cluster.SearchOption
@@ -233,11 +233,13 @@ type Cluster struct {
 // the given members: in-process stations (seeded, or empty for a
 // placement-first deployment where every pattern arrives through Place or
 // Ingest; durable when a Store is set, recovering its residents first) and
-// remote ones over established links, in any mix. Link members are used as
-// they are, without a handshake. Member ids must be distinct
-// (ErrStationExists) and seed patterns patternLength long
-// (ErrLengthMismatch); a failed call closes every link and store it was
-// handed. Callers own Shutdown.
+// remote ones over established links, in any mix. Member ids must be
+// distinct (ErrStationExists) and seed patterns patternLength long
+// (ErrLengthMismatch). Link members pass AddStation's stats handshake, all
+// at once, and NewCluster waits for them: one that does not answer within
+// ten seconds, speaks another wire version or serves another pattern length
+// (ErrLengthMismatch) is refused. A failed call closes every link and store
+// it was handed. Callers own Shutdown.
 func NewCluster(opts Options, patternLength int, members ...Member) (*Cluster, error) {
 	inner, err := cluster.New(opts, patternLength, members...)
 	if err != nil {
@@ -329,7 +331,8 @@ func (c *Cluster) Placed() int { return c.inner.Placed() }
 // AddStation grows a running cluster with one member: an in-process
 // station (durable when m.Store is set — the rejoin path of a restarted
 // station, whose heal pass re-replicates only the delta it missed while
-// down) or a remote one over m.Link, which must pass a stats handshake.
+// down) or a remote one over m.Link, which must pass the stats handshake
+// NewCluster also runs.
 // Searches already in flight complete against the membership they started
 // with; later searches fan out to the new station too. Returns
 // ErrStationExists if the id is taken and ErrLengthMismatch if a seed,

@@ -127,11 +127,11 @@ func TestBatchingCostAccounting(t *testing.T) {
 	}
 }
 
-// TestForeignVersionPeerIsCountedFailed: a peer built from other source —
-// its frames stamped with a version this codec does not speak — is refused
-// at its first reply. The search neither hangs nor panics: the peer is
-// counted in StationsFailed, its link carries the typed wire.ErrBadVersion,
-// and the other stations' results are intact.
+// TestForeignVersionPeerIsCountedFailed: a peer that passed the join
+// handshake and then stamps its frames with a version this codec does not
+// speak is refused at its first such reply. The search neither hangs nor
+// panics: the peer is counted in StationsFailed, its link carries the typed
+// wire.ErrBadVersion, and the other stations' results are intact.
 func TestForeignVersionPeerIsCountedFailed(t *testing.T) {
 	goodCenter, goodStation := transport.Pipe(nil, nil)
 	go func() {
@@ -142,13 +142,15 @@ func TestForeignVersionPeerIsCountedFailed(t *testing.T) {
 	centerConn, peerConn := net.Pipe()
 	go func() {
 		defer peerConn.Close()
-		for {
+		for joined := false; ; joined = true {
 			req, err := wire.ReadMessage(peerConn)
 			if err != nil || req.Kind == wire.KindShutdown {
 				return
 			}
 			frame := wire.EncodeStatsReply(wire.StatsReply{Station: 2, Length: 3}).WithRequest(req.Request).Encode()
-			frame[2] = 3 // what a pre-collapse build stamped on batch frames
+			if joined {
+				frame[2] = 3 // what a pre-collapse build stamped on batch frames
+			}
 			if _, err := peerConn.Write(frame); err != nil {
 				return
 			}
@@ -226,9 +228,9 @@ func TestDesyncedBatchReplyIsTypedError(t *testing.T) {
 }
 
 // TestDesyncedBatchReplyBehindRegionIsTypedError: the same station behind a
-// region coordinator, whose parent sends it a batch round as to a plain
-// station. The region must refuse the member's reply as the root refuses a
-// direct one — it stamps its own echo, so nobody above it could tell.
+// region coordinator, whose parent delegates a route query to it. The
+// region's own search meets the desynced reply and must refuse it as the
+// root refuses a direct one, rather than answer its parent.
 func TestDesyncedBatchReplyBehindRegionIsTypedError(t *testing.T) {
 	inner, err := New(Options{}, 3, linkMembers(map[uint32]transport.Link{1: desyncedStation()})...)
 	if err != nil {
@@ -240,14 +242,10 @@ func TestDesyncedBatchReplyBehindRegionIsTypedError(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- ServeRegion(100, inner, regionEnd) }()
 
-	enc, err := core.NewEncoder(core.Params{Bits: 1 << 10, Hashes: 3, Samples: 3}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.AddQuery(core.Query{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}}}); err != nil {
-		t.Fatal(err)
-	}
-	round, err := wire.EncodeBatchQuery(wire.BatchQuery{Queries: []core.QueryID{1}, Filter: enc.Filter()})
+	round, err := wire.EncodeRouteQuery(wire.RouteQuery{
+		Queries: []core.Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}}}},
+		Params:  core.Params{Bits: 1 << 10, Hashes: 3, Samples: 3},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +264,8 @@ func TestDesyncedBatchReplyBehindRegionIsTypedError(t *testing.T) {
 			t.Fatalf("ServeRegion: err = %v, want wire.ErrBatchMismatch", err)
 		}
 	case reply := <-answered:
-		br, err := wire.DecodeBatchReply(reply)
-		t.Fatalf("the region forwarded a desynced member's reply as its own: %+v, %v", br, err)
+		rr, err := wire.DecodeRouteReply(reply)
+		t.Fatalf("the region answered over a desynced member's reply: %+v, %v", rr, err)
 	}
 }
 

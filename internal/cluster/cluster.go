@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"dimatch/internal/core"
 	"dimatch/internal/metrics"
@@ -51,10 +53,13 @@ type Options struct {
 // the epoch current at its start and fans out over exactly that station
 // set, so membership mutations can swap in the next epoch while searches
 // are in flight without racing them. ids ascend; muxes is parallel.
+// delegates marks the route delegates (region coordinators) among ids, nil
+// when there are none.
 type epoch struct {
-	version uint64
-	ids     []uint32
-	muxes   []*transport.Mux
+	version   uint64
+	ids       []uint32
+	muxes     []*transport.Mux
+	delegates map[uint32]bool
 
 	// stats caches the stations' KindStats replies for this epoch. Every
 	// mutation installs a fresh epoch, so a filled cache can never go
@@ -108,10 +113,9 @@ type Cluster struct {
 	// failed placement exchanges invalidate it; gen counts invalidations, so
 	// a placement that started before one cannot record over it.
 	layout placeLayout // dimatch:guardedby mu
-	// roles records what group routing may assume of each member's store
-	// (memberRole). A member missing from the map (a link member not yet
-	// asked) counts as addressed; Place asks it before its first push
-	// (resolveUnknown).
+	// roles records what each member is (memberRole), learned at its join:
+	// from an in-process member's residents or a link member's handshake.
+	// Only a public Ingest changes it afterwards, from empty to addressed.
 	roles map[uint32]memberRole // dimatch:guardedby mu
 
 	// summaries is the routing-summary cache: one probeable digest per
@@ -141,8 +145,7 @@ type Cluster struct {
 	serveErr []error // dimatch:guardedby serveMu
 }
 
-// memberRole is what group routing (route.go) may assume of a member's
-// store.
+// memberRole is what routing (route.go, wbf.go) may assume of a member.
 type memberRole uint8
 
 const (
@@ -153,9 +156,10 @@ const (
 	// with residents or received a public Ingest — so routing never skips
 	// one that admits.
 	roleAddressed
-	// roleDelegate members are region coordinators: copies placed on one
-	// live in a sub-cluster whose losses this coordinator cannot see, so
-	// group routing never trusts it to answer for a group.
+	// roleDelegate members are region coordinators: searches delegate to
+	// them with KindRouteQuery, their digest is never cached, and copies
+	// placed on one live in a sub-cluster whose losses this coordinator
+	// cannot see, so group routing never trusts it to answer for a group.
 	roleDelegate
 )
 
@@ -183,8 +187,9 @@ func statsRole(sr wire.StatsReply) memberRole {
 // (copied in; all-zero patterns are dropped) and, when Store is set, made
 // durable through it — it recovers the store's residents before joining and
 // owns the store from then on. With Link set the member is a remote station
-// already serving on the other end; Patterns and Store must then be nil. The
-// cluster takes ownership of Link and Store: a refused member has both
+// or region coordinator already serving on the other end; Patterns and Store
+// must then be nil, and the join handshake learns which of the two it is.
+// The cluster takes ownership of Link and Store: a refused member has both
 // closed.
 type Member struct {
 	ID       uint32
@@ -244,11 +249,17 @@ func (m Member) release() {
 	}
 }
 
+// handshakeTimeout bounds New's join handshakes: New takes no context, so a
+// link member that has not answered by then is refused.
+const handshakeTimeout = 10 * time.Second
+
 // New builds a cluster of patternLength-long patterns over the given
-// members. Link members are used as they are (no handshake); in-process
-// members are inert until Start. Every member is checked — ids distinct,
-// specs consistent, seed lengths matching — before any store is recovered,
-// and a failed call closes every link and store it was handed.
+// members. Every member is checked — ids distinct, specs consistent, seed
+// lengths matching — before any store is recovered. Link members then pass
+// AddStation's handshake, all at once and within handshakeTimeout: a member
+// that does not answer, holds patterns of another length or speaks another
+// wire version is refused. In-process members are inert until Start. A
+// failed call closes every link and store it was handed.
 func New(opts Options, length int, members ...Member) (*Cluster, error) {
 	c, err := assemble(opts, length, members)
 	if err != nil {
@@ -288,21 +299,31 @@ func assemble(opts Options, length int, members []Member) (*Cluster, error) {
 		roles:  make(map[uint32]memberRole),
 	}
 	muxes := make([]*transport.Mux, 0, len(members))
+	var linkIDs []uint32
+	var linkMuxes []*transport.Mux
 	for _, m := range members {
 		mux, st, err := m.wire(length)
 		if err != nil {
-			// The built muxes close their links; release closes them again,
-			// harmlessly, along with every store.
-			for _, m := range muxes {
-				_ = m.Close()
-			}
+			closeMuxes(muxes)
 			return nil, err
 		}
 		muxes = append(muxes, mux)
 		if st != nil {
 			c.pending = append(c.pending, st)
 			c.roles[m.ID] = residentRole(st.Residents())
+		} else {
+			linkIDs, linkMuxes = append(linkIDs, m.ID), append(linkMuxes, mux)
 		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), handshakeTimeout) //dimatch:allow ctxflow — New takes no context; handshakeTimeout bounds its joins instead
+	defer cancel()
+	roles, err := c.handshake(ctx, linkIDs, linkMuxes)
+	if err != nil {
+		closeMuxes(muxes)
+		return nil, err
+	}
+	for i, id := range linkIDs {
+		c.roles[id] = roles[i]
 	}
 	// Remote stations run their own Serve loops: a cluster with nothing to
 	// launch is live from construction (Start stays an idempotent no-op), and
@@ -323,14 +344,30 @@ func checkLengths(length int, what string, patterns map[core.PersonID]pattern.Pa
 	return nil
 }
 
+// closeMuxes closes what a failed New built; release then closes the links
+// again, harmlessly, along with every store.
+func closeMuxes(muxes []*transport.Mux) {
+	for _, m := range muxes {
+		_ = m.Close()
+	}
+}
+
 // installEpochLocked makes (ids, muxes) the live membership snapshot with a
-// fresh, empty stats cache. Callers hold c.mu (or own the cluster
-// exclusively during construction). Passing the previous epoch's slices
-// unchanged is how ingest/evict/kill invalidate the stats cache without
-// touching membership.
+// fresh, empty stats cache and the members' route delegates. Callers hold
+// c.mu (or own the cluster exclusively during construction). Passing the
+// previous epoch's slices unchanged is how ingest/evict/kill invalidate the
+// stats cache without touching membership.
 func (c *Cluster) installEpochLocked(ids []uint32, muxes []*transport.Mux) {
 	c.epochs++
 	c.ep = &epoch{version: c.epochs, ids: ids, muxes: muxes}
+	for _, id := range ids {
+		if c.roles[id] == roleDelegate {
+			if c.ep.delegates == nil {
+				c.ep.delegates = make(map[uint32]bool)
+			}
+			c.ep.delegates[id] = true
+		}
+	}
 }
 
 // currentEpoch returns the live membership snapshot.

@@ -11,11 +11,13 @@ import (
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 	"dimatch/internal/transport"
+	"dimatch/internal/wire"
 )
 
 // manualCluster builds a data center over explicit pipes: stations 0 and 1
-// of the paper scenario run real serve loops, station 2's link is returned
-// unserved so a test can stall, kill or revive it deterministically.
+// of the paper scenario run real serve loops, station 2 answers the join
+// handshake and its link is then returned unserved, so a test can stall,
+// kill or revive it deterministically.
 func manualCluster(t *testing.T, opts Options) (*Cluster, transport.Link) {
 	t.Helper()
 	data := paperScenario()
@@ -26,6 +28,7 @@ func manualCluster(t *testing.T, opts Options) (*Cluster, transport.Link) {
 		links[id] = center
 		if id == 2 {
 			silent = stationEnd
+			answerHandshake(silent, id, data[id])
 			continue
 		}
 		id, stationEnd := id, stationEnd
@@ -41,6 +44,21 @@ func manualCluster(t *testing.T, opts Options) (*Cluster, transport.Link) {
 	}
 	t.Cleanup(func() { _ = c.Shutdown() })
 	return c, silent
+}
+
+// answerHandshake answers the one stats frame a join sends over a station's
+// link, as a station holding locals would, and then leaves the link
+// unserved: the station goes silent right after joining.
+func answerHandshake(link transport.Link, id uint32, locals map[core.PersonID]pattern.Pattern) {
+	sr := wire.StatsReply{Station: id, Residents: uint64(len(locals))}
+	for _, l := range locals {
+		sr.Length = uint32(len(l))
+	}
+	go func() {
+		if msg, err := link.Recv(); err == nil {
+			_ = link.Send(wire.EncodeStatsReply(sr).WithRequest(msg.Request))
+		}
+	}()
 }
 
 // TestConcurrentSearchesMatchSequential is the redesign's core guarantee:
@@ -266,15 +284,12 @@ func TestKillStationMidSearch(t *testing.T) {
 // search in flight when Shutdown lands must surface ErrClusterClosed, not
 // an empty successful outcome.
 func TestShutdownDuringSearchReturnsClosed(t *testing.T) {
-	data := paperScenario()
-	links := make(map[uint32]transport.Link, 1)
-	center, _ := transport.Pipe(nil, nil) // station end never served: search stalls
-	links[0] = center
-	c, err := New(testOptions(), 3, linkMembers(links)...)
+	center, stationEnd := transport.Pipe(nil, nil)
+	answerHandshake(stationEnd, 0, paperScenario()[0]) // then never served: search stalls
+	c, err := New(testOptions(), 3, Member{ID: 0, Link: center})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = data
 
 	errc := make(chan error, 1)
 	go func() {

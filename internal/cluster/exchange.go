@@ -3,10 +3,12 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
+	"dimatch/internal/placement"
 	"dimatch/internal/transport"
 	"dimatch/internal/wire"
 )
@@ -90,39 +92,75 @@ func (c *Cluster) fanOut(ctx context.Context, ep *epoch, msg wire.Message, cost 
 
 // pullPatterns is the one raw-pattern pull: a KindDump fan-out over the
 // pinned epoch — persons restricts it, empty pulls whole stores — billed to
-// cost, handing every shipped (person, local pattern) to each in station
-// order. It serves the naive baseline, the verification phase, a region's
-// upward digest and the region's own dump forwarding under one rule for
-// what counts. Replicas of a placed person are identical full copies, so the
-// first shipped copy stands for all of them (station-addressed persons keep
-// every complementary piece). A pattern whose length differs from the
-// cluster's is skipped and flagged in foreign: stores behind links are
-// outside input no handshake has vetted, and such a pattern cannot satisfy
-// Eq. 2 against a length-c.length query anyway.
+// cost, handing every shipped (person, local pattern) to each. It serves the
+// naive baseline, the verification phase, a region's upward digest and the
+// region's own dump forwarding under one rule for what counts.
+// Station-addressed persons keep every complementary piece, handed over in
+// station order as the replies are read. A placed person's replicas are full
+// copies of one pattern, so one copy stands for all of them, handed over
+// after the fan-out, persons ascending: the copy whose placement.ContentHash
+// is the one the placement table recorded, as Rebalance counts a holder —
+// a replica whose ingest failed still holds the old pattern — or, when no
+// copy matches, the first in station order. A pattern whose length differs
+// from the cluster's is skipped and flagged in foreign: stores behind links
+// are outside input, and such a pattern cannot satisfy Eq. 2 against a
+// length-c.length query anyway.
 func (c *Cluster) pullPatterns(ctx context.Context, ep *epoch, persons []core.PersonID, cost *CostReport, each func(core.PersonID, pattern.Pattern)) (failed []int, foreign bool, err error) {
-	replicated := c.replicatedPred()
-	seen := make(map[core.PersonID]bool)
+	c.mu.Lock()
+	t := c.placeTab
+	c.mu.Unlock()
+	// picks holds, per reported person, nil when it is not placed — the
+	// table is read once per person and pull — or its copy so far.
+	type pick struct {
+		hash    uint64
+		local   pattern.Pattern
+		current bool
+	}
+	picks := make(map[core.PersonID]*pick)
 	failed, err = c.fanOut(ctx, ep, wire.EncodeDump(wire.Dump{Persons: persons}), cost, func(reply wire.Message) error {
 		data, err := wire.DecodeDumpReply(reply)
 		if err != nil {
 			return err
 		}
 		for i, p := range data.Persons {
-			if len(data.Locals[i]) != c.length {
+			l := data.Locals[i]
+			if len(l) != c.length {
 				foreign = true
 				continue
 			}
-			if replicated != nil && replicated(p) {
-				if seen[p] {
-					continue
+			pk, seen := picks[p]
+			if !seen && t != nil {
+				if e, placed := t.Get(p); placed {
+					pk = &pick{hash: e.Hash}
 				}
-				seen[p] = true
+				picks[p] = pk
 			}
-			each(p, data.Locals[i])
+			switch {
+			case pk == nil:
+				each(p, l)
+			case pk.current:
+			case placement.ContentHash(l) == pk.hash:
+				pk.local, pk.current = l, true
+			case pk.local == nil:
+				pk.local = l
+			}
 		}
 		return nil
 	})
-	return failed, foreign, err
+	if err != nil {
+		return failed, foreign, err
+	}
+	var placed []core.PersonID
+	for p, pk := range picks {
+		if pk != nil && pk.local != nil {
+			placed = append(placed, p)
+		}
+	}
+	slices.Sort(placed)
+	for _, p := range placed {
+		each(p, picks[p].local)
+	}
+	return failed, foreign, nil
 }
 
 // pullGlobals materializes global patterns from one pull (Eq. 1): the

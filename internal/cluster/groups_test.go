@@ -232,7 +232,7 @@ func TestGroupRoutingSiblingCoversFailedMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	var warm CostReport
-	plan := c.planRoute(ctx, c.currentEpoch(), nil, c.searchDefaults(), queries, &warm)
+	plan := c.planRoute(ctx, c.currentEpoch(), c.searchDefaults(), queries, &warm)
 	group := placement.Pick(17, ids, 2)
 	if len(plan.ep.ids) != 1 || !slices.Contains(group, plan.ep.ids[0]) {
 		t.Fatalf("plan visits %v, want one member of person 17's group %v", plan.ep.ids, group)

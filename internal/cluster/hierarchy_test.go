@@ -397,6 +397,64 @@ func TestMixedRootSearchMatchesFlat(t *testing.T) {
 	}
 }
 
+// TestRegionKindFixedAtJoin: a region that joins a running root by
+// AddStation is a route delegate from its handshake on, and a stats exchange
+// with it that fails afterwards changes nothing. The root never caches the
+// region's digest, so a resident the region's sub-cluster gains directly,
+// out of the root's sight, is found by routed searches exactly as by full
+// fan-out.
+func TestRegionKindFixedAtJoin(t *testing.T) {
+	ctx := context.Background()
+	links := make(map[uint32]transport.Link)
+	for id, locals := range map[uint32]map[core.PersonID]pattern.Pattern{
+		1: {7: {5010, 5011, 5012}},
+		2: {2: {2010, 2011, 2012}},
+	} {
+		center, stationEnd := transport.Pipe(nil, nil)
+		go func() { _ = ServeStation(id, locals, stationEnd) }()
+		links[id] = center
+	}
+	root, err := New(Options{}, 3, linkMembers(links)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = root.Shutdown() })
+	region := startCluster(t, Options{}, map[uint32]map[core.PersonID]pattern.Pattern{
+		10: {8: {6010, 6011, 6012}},
+		11: {9: {8010, 8011, 8012}},
+	})
+	rootEnd, regionEnd := transport.Pipe(nil, nil)
+	go func() { _ = ServeRegion(100, region, regionEnd) }()
+	if err := root.AddStation(ctx, Member{ID: 100, Link: &flakyStatsLink{Link: rootEnd}}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := root.Stats(ctx); err != nil || st.StationsFailed != 1 {
+		t.Fatalf("stats after the join: %+v, %v; want the region's exchange failed", st, err)
+	}
+
+	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{{5010, 5011, 5012}}}}
+	if _, err := root.Search(ctx, queries); err != nil {
+		t.Fatal(err)
+	}
+	if err := region.Ingest(ctx, 11, map[core.PersonID]pattern.Pattern{99: {5010, 5011, 5012}}); err != nil {
+		t.Fatal(err)
+	}
+	full, err := root.Search(ctx, queries, WithRouting(RoutingFull))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := full.Persons(1); !reflect.DeepEqual(got, []core.PersonID{7, 99}) {
+		t.Fatalf("full fan-out found %v, want [7 99] — test data drifted", got)
+	}
+	routed, err := root.Search(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(routed.PerQuery, full.PerQuery) {
+		t.Fatalf("routed %v, full fan-out %v", routed.PerQuery, full.PerQuery)
+	}
+}
+
 // TestHierarchicalClassicForwarding pins the drop-in-station property: the
 // BF and naive strategies (and WBF verification) never send a route frame,
 // only classic station kinds, and a region forwarding them to its members

@@ -283,8 +283,9 @@ func (c *Cluster) refusalLocked(id uint32) error {
 // A refused join — a closed cluster, a taken id (ErrStationExists), a bad
 // spec, seed patterns of a foreign length (ErrLengthMismatch) — is refused
 // before the store is recovered, and closes the member's link and store. A
-// link member must pass a stats handshake: it must answer, and patterns it
-// already holds must match the cluster's length. A durable member recovers
+// link member must pass the stats handshake New also runs: it must answer,
+// patterns it already holds must match the cluster's length, and its reply
+// says whether it is a region coordinator. A durable member recovers
 // before the cluster lock is taken, so replaying a large WAL never stalls
 // concurrent searches.
 //
@@ -329,9 +330,7 @@ func (c *Cluster) AddStation(ctx context.Context, m Member) error {
 
 // admit runs everything a join does before taking the membership lock: the
 // refusals that cost nothing, then wiring (recovery), then a link member's
-// handshake. role is what the member joins as: addressed when it holds
-// residents (seed patterns, a recovered store, a link peer's stats), a
-// delegate when a link peer says so.
+// handshake. role is what the member joins as (memberRole).
 func (c *Cluster) admit(ctx context.Context, m Member) (mux *transport.Mux, st *Station, role memberRole, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, 0, fmt.Errorf("%w: %w", ErrCancelled, err)
@@ -349,9 +348,13 @@ func (c *Cluster) admit(ctx context.Context, m Member) (mux *transport.Mux, st *
 	switch {
 	case err != nil:
 	case m.Link != nil:
-		var sr wire.StatsReply
-		sr, err = c.handshake(ctx, m.ID, mux) // on failure, release closes the link under the mux
-		role = statsRole(sr)
+		var roles []memberRole
+		roles, err = c.handshake(ctx, []uint32{m.ID}, []*transport.Mux{mux}) // on failure, release closes the link under the mux
+		if ctxErr := ctx.Err(); err != nil && ctxErr != nil {
+			err = fmt.Errorf("%w: %w", ErrCancelled, ctxErr)
+		} else if err == nil {
+			role = roles[0]
+		}
 	default:
 		role = residentRole(st.Residents())
 	}
@@ -369,24 +372,29 @@ func (c *Cluster) addMemberLocked(id uint32, mux *transport.Mux) {
 	c.installEpochLocked(ids, muxes)
 }
 
-// handshake is the stats exchange a link-joined station must pass. It
-// returns the station's stats reply.
-func (c *Cluster) handshake(ctx context.Context, id uint32, mux *transport.Mux) (wire.StatsReply, error) {
-	reply, err := mux.Roundtrip(ctx, wire.StatsMessage())
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return wire.StatsReply{}, fmt.Errorf("%w: %w", ErrCancelled, ctxErr)
+// handshake is the join exchange every link member passes, New's and
+// AddStation's: one stats round over muxes (parallel to ids), concurrently.
+// It returns each member's role, or the first refusal in ids order: a member
+// that does not answer, answers in another wire version or holds patterns
+// of a foreign length. Afterwards a member's kind is known for its whole
+// membership.
+func (c *Cluster) handshake(ctx context.Context, ids []uint32, muxes []*transport.Mux) ([]memberRole, error) {
+	roles := make([]memberRole, len(ids))
+	for i, r := range roundtripAll(ctx, muxes, wire.StatsMessage()) {
+		err := r.err
+		var sr wire.StatsReply
+		if err == nil {
+			sr, err = wire.DecodeStatsReply(r.reply)
 		}
-		return wire.StatsReply{}, fmt.Errorf("cluster: station %d handshake: %w", id, err)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: station %d handshake: %w", ids[i], err)
+		}
+		if sr.Length != 0 && int(sr.Length) != c.length {
+			return nil, fmt.Errorf("%w: station %d pattern length %d, cluster is %d", ErrLengthMismatch, ids[i], sr.Length, c.length)
+		}
+		roles[i] = statsRole(sr)
 	}
-	sr, err := wire.DecodeStatsReply(reply)
-	if err != nil {
-		return wire.StatsReply{}, fmt.Errorf("cluster: station %d handshake: %w", id, err)
-	}
-	if sr.Length != 0 && int(sr.Length) != c.length {
-		return wire.StatsReply{}, fmt.Errorf("%w: station %d pattern length %d, cluster is %d", ErrLengthMismatch, id, sr.Length, c.length)
-	}
-	return sr, nil
+	return roles, nil
 }
 
 // RemoveStation shrinks the membership of a running cluster: the station

@@ -119,42 +119,6 @@ func (c *Cluster) touchesPlaced(persons []core.PersonID) bool {
 	return false
 }
 
-// resolveUnknown asks every alive member whose role is not known yet (a
-// link member joined without a handshake) for its stats. It runs before
-// Place pushes a copy, the last moment an empty store still means "holds
-// nothing of its own"; a member that does not answer counts as addressed
-// from then on.
-func (c *Cluster) resolveUnknown(ctx context.Context, alive []uint32, muxes []*transport.Mux) {
-	var ids []uint32
-	var ask []*transport.Mux
-	c.mu.Lock()
-	for i, id := range alive {
-		if _, known := c.roles[id]; !known {
-			ids = append(ids, id)
-			ask = append(ask, muxes[i])
-		}
-	}
-	c.mu.Unlock()
-	if len(ids) == 0 {
-		return
-	}
-	results := roundtripAll(ctx, ask, wire.StatsMessage())
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, id := range ids {
-		if _, known := c.roles[id]; known {
-			continue // a public Ingest or a rejoin decided meanwhile
-		}
-		role := roleAddressed
-		if results[i].err == nil {
-			if sr, err := wire.DecodeStatsReply(results[i].reply); err == nil {
-				role = statsRole(sr)
-			}
-		}
-		c.roles[id] = role
-	}
-}
-
 // placementTable returns the cluster's placement table, creating it on first
 // use.
 func (c *Cluster) placementTable() *placement.Table {
@@ -315,7 +279,7 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 	if len(patterns) == 0 {
 		return nil, nil
 	}
-	alive, muxes, gen, clean := c.placementView()
+	alive, _, gen, clean := c.placementView()
 	if err = checkLengths(c.length, "place", patterns); err == nil && len(alive) == 0 {
 		err = ErrNoAliveStations
 	}
@@ -343,7 +307,6 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 	}
 	slices.Sort(persons)
 	plan := planCopies(persons, patterns, alive, cfg.replication)
-	c.resolveUnknown(ctx, alive, muxes)
 	// Record the intents BEFORE pushing any copy: a search starting between
 	// the first ingest and the table update would otherwise sum the replica
 	// reports (the person is not marked yet) and delete the person as

@@ -15,19 +15,17 @@ import (
 // Region adapts one whole Cluster into a station-shaped peer: a region
 // coordinator that owns a subtree of stations and answers a parent
 // coordinator over a single link. To the parent it looks like one very large
-// station — it aggregates stats, serves the union routing digest of its
-// subtree, and accepts every station kind by forwarding it to its own
-// members and merging the replies — plus the delegated search round: a
-// KindRouteQuery runs the full WBF search path over the region's stations
-// and answers raw per-person partial sums (KindRouteReply), leaving ranking,
-// thresholding and verification to the root. That division is what makes a
-// multi-tier topology's results provably identical to a flat fan-out
-// (docs/ROUTING.md).
+// station for stats, the routing digest of its subtree, ingest, evict and the
+// BF and dump pulls, each forwarded to its own members and merged. Its search
+// round is the delegated one: a KindRouteQuery runs the full WBF search path
+// over the region's stations and answers raw per-person partial sums
+// (KindRouteReply), leaving ranking, thresholding and verification to the
+// root. That division is what makes a multi-tier topology's results provably
+// identical to a flat fan-out (docs/ROUTING.md).
 //
-// The region advertises wire.FlagRouteDelegate in its stats replies, which
-// is what tells a parent it may delegate. Because every station kind is also
-// served, a parent that never saw the flag (its stats exchange failed) uses
-// the region as an ordinary big station and still gets exact results.
+// The region advertises wire.FlagRouteDelegate in its stats replies. A
+// parent reads the flag once, in the handshake of New or AddStation, and
+// from then on never sends the region a KindBatchQuery, which it refuses.
 type Region struct {
 	id   uint32
 	c    *Cluster
@@ -68,8 +66,6 @@ func (r *Region) Serve() error {
 		switch msg.Kind {
 		case wire.KindRouteQuery:
 			reply, err = r.handleRoute(ctx, msg)
-		case wire.KindBatchQuery:
-			reply, err = r.handleBatchForward(ctx, msg)
 		case wire.KindBFQuery:
 			reply, err = r.handleBFForward(ctx, msg)
 		case wire.KindDump:
@@ -157,8 +153,8 @@ func (r *Region) handleRoute(ctx context.Context, msg wire.Message) (*wire.Messa
 }
 
 // handleStats aggregates the subtree into one stats reply and advertises the
-// delegate capability. The parent caches this per epoch exactly as it would
-// a station's.
+// delegate capability, which a parent's join handshake reads. The parent
+// caches the storage figures per epoch exactly as it would a station's.
 func (r *Region) handleStats(ctx context.Context) (*wire.Message, error) {
 	st, err := r.c.Stats(ctx)
 	if err != nil {
@@ -184,43 +180,19 @@ func (r *Region) handleSummary(ctx context.Context) *wire.Message {
 	return &reply
 }
 
-// handleBatchForward forwards a batch round to every member
-// station and concatenates their reports. Report boundaries are preserved —
-// each report is one (person, weights) verdict from one station — so the
-// parent's aggregation sees exactly what it would see with the stations as
-// direct members. It checks each member's echo, since it stamps its own.
-func (r *Region) handleBatchForward(ctx context.Context, msg wire.Message) (*wire.Message, error) {
-	bq, err := wire.DecodeBatchQuery(msg)
-	if err != nil {
-		return nil, fmt.Errorf("region %d: %w", r.id, err)
-	}
-	var reports []core.Report
-	if err := r.forward(ctx, msg, func(reply wire.Message) error {
-		br, err := decodeRoundReply(reply, len(bq.Queries))
-		if err != nil {
-			return err
-		}
-		reports = append(reports, br.Reports...)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	reply := wire.EncodeBatchReply(wire.BatchReply{
-		Station: r.id,
-		Queries: uint32(len(bq.Queries)),
-		Reports: reports,
-	})
-	return &reply, nil
-}
-
-// handleBFForward forwards the BF baseline frame. Persons the region itself
-// placed (full replicas of one pattern) are reported once, so the parent's
-// station-count ranking is not inflated by region-internal replication.
+// handleBFForward forwards the BF baseline frame to every member station. A
+// member that fails the exchange is skipped — the parent's answer covers the
+// stations that answered, exactly as its own fan-out would — but a reply
+// that fails to decode is fatal: it means protocol corruption, not a dead
+// peer. Persons the region itself placed (full replicas of one pattern) are
+// reported once, so the parent's station-count ranking is not inflated by
+// region-internal replication.
 func (r *Region) handleBFForward(ctx context.Context, msg wire.Message) (*wire.Message, error) {
 	replicated := r.c.replicatedPred()
 	seen := make(map[core.PersonID]bool)
 	var persons []core.PersonID
-	if err := r.forward(ctx, msg, func(reply wire.Message) error {
+	fwd := wire.Message{Kind: msg.Kind, Payload: msg.Payload}
+	if _, err := r.c.fanOut(ctx, r.c.currentEpoch(), fwd, nil, func(reply wire.Message) error {
 		bm, err := wire.DecodeBFMatches(reply)
 		if err != nil {
 			return err
@@ -236,7 +208,7 @@ func (r *Region) handleBFForward(ctx context.Context, msg wire.Message) (*wire.M
 		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("region %d: %w", r.id, err)
 	}
 	reply := wire.EncodeBFMatches(wire.BFMatches{Station: r.id, Persons: persons})
 	return &reply, nil
@@ -244,7 +216,7 @@ func (r *Region) handleBFForward(ctx context.Context, msg wire.Message) (*wire.M
 
 // handleDumpForward forwards the raw-pattern pull — the parent's naive
 // shipment, verification fetch or re-replication pull. Region-placed persons
-// ship a single copy (their replicas are identical; the parent would
+// ship a single copy, the current one by pullPatterns' rule (the parent would
 // otherwise double their global); station-addressed persons keep every
 // complementary piece.
 func (r *Region) handleDumpForward(ctx context.Context, msg wire.Message) (*wire.Message, error) {
@@ -312,19 +284,6 @@ func (r *Region) handleEvict(ctx context.Context, msg wire.Message) (*wire.Messa
 	_, _ = r.c.evictGrouped(ctx, perStation, "region evict on")
 	reply := wire.EncodeAck(wire.Ack{Station: r.id, Applied: uint64(len(ev.Persons))})
 	return &reply, nil
-}
-
-// forward fans one frame to every member station and feeds each reply to
-// handle, in ascending station order. A member that fails the exchange is
-// skipped — the parent's answer covers the stations that answered, exactly
-// as its own fan-out would — but a reply that fails to decode or answers
-// another round is fatal: it means protocol corruption, not a dead peer.
-func (r *Region) forward(ctx context.Context, msg wire.Message, handle func(reply wire.Message) error) error {
-	fwd := wire.Message{Kind: msg.Kind, Payload: msg.Payload}
-	if _, err := r.c.fanOut(ctx, r.c.currentEpoch(), fwd, nil, handle); err != nil {
-		return fmt.Errorf("region %d: %w", r.id, err)
-	}
-	return nil
 }
 
 // upwardDigest caches the one subtree digest a region coordinator serves to

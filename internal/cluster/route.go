@@ -172,7 +172,7 @@ func (pl routePlan) siblings(visited, failed map[uint32]bool) map[uint32]bool {
 // planRoute is the routing step of a WBF search, one pass over the whole
 // pinned membership: it probes each member's summary with the query batch
 // and returns the epoch restricted to the members that must be visited,
-// charging summary-refresh traffic to cost. A route delegate (a region
+// charging summary-refresh traffic to cost. A route delegate of ep (a region
 // coordinator) differs from a plain station only in where its digest comes
 // from: it is fetched on every search and never cached, because a region's
 // membership churns invisibly to this coordinator.
@@ -191,7 +191,7 @@ func (pl routePlan) siblings(visited, failed map[uint32]bool) map[uint32]bool {
 //
 // On a clean replicated layout the group rule then narrows the kept set to
 // one member per candidate replica group (groupPlan).
-func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]bool, cfg searchConfig, queries []core.Query, cost *CostReport) routePlan {
+func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, queries []core.Query, cost *CostReport) routePlan {
 	all := routePlan{ep: ep}
 	if len(ep.ids) < 2 {
 		return all
@@ -226,7 +226,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]
 	var fetchIdx []int
 	var fetchMuxes []*transport.Mux
 	for i, id := range ep.ids {
-		if !delegate[id] {
+		if !ep.delegates[id] {
 			slots[i].sum, slots[i].gen = c.summaries.get(id)
 		}
 		if slots[i].sum == nil {
@@ -253,7 +253,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]
 		}
 		i := fetchIdx[fi]
 		slots[i].sum = sum
-		if !delegate[ep.ids[i]] {
+		if !ep.delegates[ep.ids[i]] {
 			c.summaries.put(ep.ids[i], slots[i].gen, sum)
 		}
 		// Refresh traffic fills a cluster-level cache shared by every
@@ -290,7 +290,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]
 		return all
 	}
 	var groups [][]uint32
-	if layout, r, addressed, alive, ok := c.groupView(ep); ok && len(delegate) == 0 {
+	if layout, r, addressed, alive, ok := c.groupView(ep); ok {
 		if visit, gs := groupPlan(ep.ids, admits, addressed, alive, layout, r); len(visit) > 0 {
 			included, groups = visit, gs
 		}
@@ -309,20 +309,20 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, delegate map[uint32]
 
 // groupView snapshots what the group rule needs over the pinned epoch: the
 // clean layout, the factor every placed person shares, and per member
-// whether it is addressed (unknown counts as addressed) and alive. ok is
-// false — plan without the rule — unless the layout is clean, the factor
-// uniform and at least 2, every layout station a member of ep, and no
-// member a route delegate.
+// whether it is addressed and alive. ok is false — plan without the rule —
+// unless no member of ep is a route delegate, the layout is clean, the
+// factor uniform and at least 2, and every layout station a member of ep.
 func (c *Cluster) groupView(ep *epoch) (layout []uint32, r int, addressed, alive []bool, ok bool) {
+	if len(ep.delegates) > 0 {
+		return nil, 0, nil, nil, false
+	}
 	c.mu.Lock()
 	t, lay := c.placeTab, c.layout
 	if lay.ok {
 		addressed = make([]bool, len(ep.ids))
 		alive = make([]bool, len(ep.ids))
 		for i, id := range ep.ids {
-			role, known := c.roles[id]
-			lay.ok = lay.ok && role != roleDelegate
-			addressed[i] = role == roleAddressed || !known
+			addressed[i] = c.roles[id] == roleAddressed
 			alive[i] = !c.dead[id]
 		}
 	}

@@ -274,16 +274,17 @@ func TestRoutedChurnNeverLosesRecall(t *testing.T) {
 	}
 }
 
-// flakyStatsLink is a center-side link whose first stats request fails at
-// send time while every other frame passes: the station behind it is healthy
-// but ends up with no entry in the epoch's stats snapshot.
+// flakyStatsLink is a center-side link whose second stats request — the
+// first after the join handshake — fails at send time while every other
+// frame passes: the peer behind it joins and is healthy, but its first stats
+// exchange after joining fails.
 type flakyStatsLink struct {
 	transport.Link
-	failed atomic.Bool
+	stats atomic.Int32
 }
 
 func (l *flakyStatsLink) Send(m wire.Message) error {
-	if m.Kind == wire.KindStats && l.failed.CompareAndSwap(false, true) {
+	if m.Kind == wire.KindStats && l.stats.Add(1) == 2 {
 		return errors.New("injected stats send failure")
 	}
 	return l.Link.Send(m)
@@ -297,10 +298,10 @@ func flakyStatsStation(id uint32, locals map[core.PersonID]pattern.Pattern) tran
 	return &flakyStatsLink{Link: center}
 }
 
-// TestStationWithoutStatsEntryIsPlain pins the one capability rule: the
-// epoch's stats snapshot is consulted only for capability flags, so a
-// station that failed the stats exchange once is a plain station — searched
-// with batch frames, summary-fetched and prunable like any other — and
+// TestStationWithoutStatsEntryIsPlain: a station that joined plain and
+// then failed the epoch's stats fetch stays a plain station — its kind comes
+// from the join handshake, not from the stats snapshot — so it is searched
+// with batch frames, summary-fetched and prunable like any other, and
 // results stay byte-equal to full fan-out.
 func TestStationWithoutStatsEntryIsPlain(t *testing.T) {
 	links := map[uint32]transport.Link{
@@ -526,7 +527,12 @@ func TestParseRoutingMode(t *testing.T) {
 // coordinator's planning cost per search and stations/op what it visits:
 // "addressed" holds 16 residents per station and admits only the station
 // holding the queried person; "placed-r2" places 1024 persons at R=2, where
-// the group rule visits one of the person's two replicas.
+// the group rule visits one of the person's two replicas. Their values lie
+// in [1, 50], so the query's band rejects most digests on its first value.
+// "point" stands for the live planner of the point_routed workload: 100 000
+// persons placed at R=2 (≈ 3 125 residents per station), 24 values uniform
+// in [1, 1 000 000], ε = 1, and one placed person's pattern as the query.
+// probes/op is SubtreeProbes, one per Admits evaluation.
 func BenchmarkPlanRoute(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	data := make(map[uint32]map[core.PersonID]pattern.Pattern, 64)
@@ -568,6 +574,28 @@ func BenchmarkPlanRoute(b *testing.B) {
 		}
 		benchPlanRoute(b, c, query, 1)
 	})
+	b.Run("point", func(b *testing.B) {
+		const persons = 100_000
+		rng := rand.New(rand.NewSource(1))
+		patterns := make(map[core.PersonID]pattern.Pattern, persons)
+		for p := core.PersonID(1); p <= persons; p++ {
+			pat := make(pattern.Pattern, 24)
+			for i := range pat {
+				pat[i] = rng.Int63n(1_000_000) + 1
+			}
+			patterns[p] = pat
+		}
+		c, err := New(Options{Params: core.Params{Epsilon: 1}}, 24, emptyMembers(ids)...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Start()
+		b.Cleanup(func() { _ = c.Shutdown() })
+		if _, err := c.Place(context.Background(), patterns, WithReplication(2)); err != nil {
+			b.Fatal(err)
+		}
+		benchPlanRoute(b, c, []core.Query{{ID: 1, Locals: []pattern.Pattern{patterns[persons/2]}}}, 1)
+	})
 }
 
 // benchPlanRoute warms c's digest cache with one planning pass, checks it
@@ -577,19 +605,21 @@ func benchPlanRoute(b *testing.B, c *Cluster, queries []core.Query, want int) {
 	ep := c.currentEpoch()
 	cfg := c.searchDefaults()
 	var warm CostReport
-	if plan := c.planRoute(ctx, ep, nil, cfg, queries, &warm); len(plan.ep.ids) != want || warm.SummaryRefreshes != len(ep.ids) {
+	if plan := c.planRoute(ctx, ep, cfg, queries, &warm); len(plan.ep.ids) != want || warm.SummaryRefreshes != len(ep.ids) {
 		b.Fatalf("warm-up pass visits %d stations after %d refreshes, want %d after %d", len(plan.ep.ids), warm.SummaryRefreshes, want, len(ep.ids))
 	}
-	visited := 0
+	visited, probes := 0, uint64(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var cost CostReport
-		routeSink = c.planRoute(ctx, ep, nil, cfg, queries, &cost)
+		routeSink = c.planRoute(ctx, ep, cfg, queries, &cost)
 		visited += len(routeSink.ep.ids)
+		probes += cost.SubtreeProbes
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
 	b.ReportMetric(float64(visited)/float64(b.N), "stations/op")
+	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 }
 
 var routeSink routePlan

@@ -19,11 +19,6 @@ type StationStats struct {
 	// PatternLength is the time-series length the station serves (0 when it
 	// holds no patterns).
 	PatternLength int
-	// Delegate reports whether the peer advertised wire.FlagRouteDelegate:
-	// it is a region coordinator fronting a whole sub-cluster and accepts
-	// KindRouteQuery rounds. A plain station would fail its serve loop on a
-	// route query, so only flagged peers are delegated to.
-	Delegate bool
 }
 
 // stationStats converts one stats reply into the snapshot's entry.
@@ -33,7 +28,6 @@ func stationStats(sr wire.StatsReply) StationStats {
 		Residents:     int(sr.Residents),
 		StorageBytes:  sr.StorageBytes,
 		PatternLength: int(sr.Length),
-		Delegate:      sr.Flags&wire.FlagRouteDelegate != 0,
 	}
 }
 

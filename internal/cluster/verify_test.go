@@ -2,11 +2,15 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 	"dimatch/internal/transport"
+	"dimatch/internal/wire"
 )
 
 // TestVerifyRemovesFalsePositives builds a scenario where the WBF pipeline
@@ -145,21 +149,68 @@ func TestVerifyPartialMatchSurvives(t *testing.T) {
 	}
 }
 
-// TestForeignLengthStoreIsSkipped: New does no length handshake with link
-// members, so a link-joined station can serve longer series than the cluster's. Its
-// shipped patterns are outside input: every reader of raw patterns skips
-// them (they cannot satisfy Eq. 2 against a length-3 query) instead of
-// indexing past a global, and the well-formed station's person is found.
+// lengthMaskLink hides a station's pattern length from the join handshake:
+// the first stats reply it carries reports length 3, so a station serving
+// longer series joins a length-3 cluster and ships its rows afterwards.
+type lengthMaskLink struct {
+	transport.Link
+	masked atomic.Bool
+}
+
+func (l *lengthMaskLink) Recv() (wire.Message, error) {
+	m, err := l.Link.Recv()
+	if err == nil && m.Kind == wire.KindStatsReply && l.masked.CompareAndSwap(false, true) {
+		sr, err := wire.DecodeStatsReply(m)
+		if err != nil {
+			return m, err
+		}
+		sr.Length = 3
+		m = wire.EncodeStatsReply(sr).WithRequest(m.Request)
+	}
+	return m, err
+}
+
+// TestForeignLengthStoreIsSkipped: New refuses a link member serving longer
+// series than the cluster's at its handshake, and closes its link. A peer
+// that passes the handshake and ships such rows afterwards is outside input
+// all the same: every reader of raw patterns skips them (they cannot satisfy
+// Eq. 2 against a length-3 query) instead of indexing past a global, and the
+// well-formed station's person is found.
 func TestForeignLengthStoreIsSkipped(t *testing.T) {
-	links := make(map[uint32]transport.Link)
-	for id, locals := range map[uint32]map[core.PersonID]pattern.Pattern{
+	stores := map[uint32]map[core.PersonID]pattern.Pattern{
 		0: {10: {3, 4, 5}},
 		1: {20: {3, 4, 5, 6}, 10: {1, 1, 1, 1}},
-	} {
-		center, stationEnd := transport.Pipe(nil, nil)
-		go func() { _ = ServeStation(id, locals, stationEnd) }()
-		links[id] = center
 	}
+	serve := func(mask bool) (links map[uint32]transport.Link, foreignDone chan struct{}) {
+		links = make(map[uint32]transport.Link)
+		foreignDone = make(chan struct{})
+		for id, locals := range stores {
+			center, stationEnd := transport.Pipe(nil, nil)
+			go func() {
+				_ = ServeStation(id, locals, stationEnd)
+				if id == 1 {
+					close(foreignDone)
+				}
+			}()
+			links[id] = center
+			if id == 1 && mask {
+				links[id] = &lengthMaskLink{Link: center}
+			}
+		}
+		return links, foreignDone
+	}
+
+	links, foreignDone := serve(false)
+	if _, err := New(testOptions(), 3, linkMembers(links)...); !errors.Is(err, ErrLengthMismatch) {
+		t.Fatalf("New over a length-4 station: err = %v, want ErrLengthMismatch", err)
+	}
+	select {
+	case <-foreignDone:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the refused station's link was left open")
+	}
+
+	links, _ = serve(true)
 	c, err := New(testOptions(), 3, linkMembers(links)...)
 	if err != nil {
 		t.Fatal(err)
@@ -177,6 +228,67 @@ func TestForeignLengthStoreIsSkipped(t *testing.T) {
 		}
 		if got := out.Persons(1); len(got) != 1 || got[0] != 10 {
 			t.Fatalf("%v: persons = %v, want [10]", out.Strategy, got)
+		}
+	}
+}
+
+// failIngestLink is a center-side link whose ingest frames fail at send time
+// while fail is set; every other frame passes.
+type failIngestLink struct {
+	transport.Link
+	fail atomic.Bool
+}
+
+func (l *failIngestLink) Send(m wire.Message) error {
+	if m.Kind == wire.KindIngest && l.fail.Load() {
+		return errors.New("injected ingest send failure")
+	}
+	return l.Link.Send(m)
+}
+
+// TestPulledReplicaIsTheCurrentCopy: a Place whose ingest failed on one
+// replica leaves that replica holding the person's old pattern, and nothing
+// heals it before the next membership change or Rebalance. The verified and
+// naive searches pull raw copies and must take the one the placement table
+// recorded, not the first in station order, so they agree with the plain
+// WBF answer.
+func TestPulledReplicaIsTheCurrentCopy(t *testing.T) {
+	ctx := context.Background()
+	links := make(map[uint32]transport.Link)
+	for _, id := range []uint32{1, 2} {
+		center, stationEnd := transport.Pipe(nil, nil)
+		go func() { _ = ServeStation(id, nil, stationEnd) }()
+		links[id] = center
+	}
+	stale := &failIngestLink{Link: links[1]}
+	links[1] = stale
+	c, err := New(testOptions(), 3, linkMembers(links)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Shutdown() })
+
+	if _, err := c.Place(ctx, map[core.PersonID]pattern.Pattern{5: {10, 20, 30}}, WithReplication(2)); err != nil {
+		t.Fatal(err)
+	}
+	stale.fail.Store(true)
+	unplaced, err := c.Place(ctx, map[core.PersonID]pattern.Pattern{5: {70, 80, 90}}, WithReplication(2))
+	if err == nil || len(unplaced) != 0 {
+		t.Fatalf("second Place: unplaced %v, err %v; want station 1's ingest to fail and person 5 placed", unplaced, err)
+	}
+
+	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{{70, 80, 90}}}}
+	for _, opts := range [][]SearchOption{
+		{WithStrategy(StrategyWBF)},
+		{WithStrategy(StrategyWBF), WithVerify(true)},
+		{WithStrategy(StrategyNaive)},
+	} {
+		out, err := c.Search(ctx, queries, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Persons(1); len(got) != 1 || got[0] != 5 {
+			t.Fatalf("%v (verify %v): persons = %v, want [5]", out.Strategy, len(opts) > 1, got)
 		}
 	}
 }

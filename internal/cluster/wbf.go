@@ -38,12 +38,10 @@ type wbfSearch struct {
 	agg                      *core.Aggregator
 	out                      *Outcome
 	reportBytes, filterBytes uint64
-	// delegate marks the route delegates among the members; plan is the
-	// routing step's answer, visited every member asked so far (the plan's,
-	// then the siblings standing in for failed ones).
-	delegate map[uint32]bool
-	plan     routePlan
-	visited  map[uint32]bool
+	// plan is the routing step's answer, visited every member asked so far
+	// (the plan's, then the siblings standing in for failed ones).
+	plan    routePlan
+	visited map[uint32]bool
 	// rounds are the batches' combined filters, built when a plain station
 	// is first asked and kept so a tail round or a sibling re-sends the
 	// same frames.
@@ -128,10 +126,9 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	// Verification below still uses the full epoch — a candidate's locals can
 	// live on stations that hold no within-band resident, and the verify
 	// fetch must see them all.
-	s.delegate = c.delegates(ctx, ep)
 	s.plan = routePlan{ep: ep}
 	if cfg.routing != RoutingFull {
-		s.plan = c.planRoute(ctx, ep, s.delegate, cfg, queries, &out.Cost)
+		s.plan = c.planRoute(ctx, ep, cfg, queries, &out.Cost)
 	}
 	for _, id := range s.plan.ep.ids {
 		s.visited[id] = true
@@ -177,15 +174,16 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 }
 
 // answer runs one phase of a search — the prefix or the tail round, over
-// persons in [from, to) — against members: plain stations get every round's
-// frame, route delegates the whole query set (the hierarchical tier: region
+// persons in [from, to) — against members of the pinned ep: plain stations
+// get every round's frame, ep's route delegates the whole query set (the hierarchical tier: region
 // coordinators answer raw partial sums). A member that fails leaves the
 // candidate replica groups it answered for uncovered; their other members
 // are then asked the same phase, before anything is ranked, and leave the
 // pruned count. It returns the deepest delegate's hop count.
 func (c *Cluster) answer(ctx context.Context, ep *epoch, s *wbfSearch, members *epoch, from, to core.PersonID) (maxHops int, err error) {
 	for {
-		stations, regions := members.split(s.delegate)
+		stations := members.filter(func(id uint32) bool { return !ep.delegates[id] })
+		regions := members.filter(func(id uint32) bool { return ep.delegates[id] })
 		if len(stations.ids) > 0 {
 			if err := c.buildRounds(s); err != nil {
 				return 0, err
@@ -299,49 +297,6 @@ func (b *prefixBound) learn(s *wbfSearch, queries []core.Query) {
 			b.reach, b.learned = reach, true
 		}
 	}
-}
-
-// delegates returns the pinned epoch's route delegates: the members whose
-// stats reply advertised wire.FlagRouteDelegate, nil when there are none. A
-// plain station would fail its serve loop on a KindRouteQuery, so only peers
-// that explicitly raised the flag are delegated to. A peer whose stats never
-// arrived stays plain — it is sent batch frames, which every delegate also
-// accepts (regions forward them to their stations), so misclassification
-// degrades cost, never correctness.
-func (c *Cluster) delegates(ctx context.Context, ep *epoch) map[uint32]bool {
-	st, err := c.epochStats(ctx, ep)
-	if err != nil {
-		return nil
-	}
-	var set map[uint32]bool
-	for _, s := range st.Stations {
-		if s.Delegate {
-			if set == nil {
-				set = make(map[uint32]bool)
-			}
-			set[s.Station] = true
-		}
-	}
-	return set
-}
-
-// split partitions the epoch into its plain stations and its route
-// delegates, each a sub-epoch of the same version.
-func (ep *epoch) split(delegate map[uint32]bool) (stations, regions *epoch) {
-	regions = &epoch{version: ep.version}
-	if len(delegate) == 0 {
-		return ep, regions
-	}
-	stations = &epoch{version: ep.version}
-	for i, id := range ep.ids {
-		side := stations
-		if delegate[id] {
-			side = regions
-		}
-		side.ids = append(side.ids, id)
-		side.muxes = append(side.muxes, ep.muxes[i])
-	}
-	return stations, regions
 }
 
 // filter returns the sub-epoch of ep's members that keep, ep itself when

@@ -161,19 +161,3 @@ func SumAll(patterns []Pattern) (Pattern, error) {
 	}
 	return out, nil
 }
-
-// Normalize returns p scaled so its mean is 1, as float64 values. It is
-// used only for plotting-oriented outputs (Figure 1a); the matching pipeline
-// never leaves integer space. A zero-sum pattern normalizes to all zeros.
-func (p Pattern) Normalize() []float64 {
-	out := make([]float64, len(p))
-	sum := p.Sum()
-	if sum == 0 {
-		return out
-	}
-	mean := float64(sum) / float64(len(p))
-	for i, v := range p {
-		out[i] = float64(v) / mean
-	}
-	return out
-}

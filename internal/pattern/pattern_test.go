@@ -2,7 +2,6 @@ package pattern
 
 import (
 	"errors"
-	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -196,21 +195,5 @@ func TestSumMaxNonNegative(t *testing.T) {
 	}
 	if (Pattern{-5, 3}).Max() != 3 {
 		t.Fatal("Max mishandles leading negative")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	p := Pattern{1, 2, 3}
-	norm := p.Normalize()
-	// Mean of {1,2,3} is 2, so normalized = {0.5, 1, 1.5}.
-	want := []float64{0.5, 1, 1.5}
-	for i := range want {
-		if math.Abs(norm[i]-want[i]) > 1e-12 {
-			t.Fatalf("Normalize[%d] = %v, want %v", i, norm[i], want[i])
-		}
-	}
-	zeros := Pattern{0, 0}.Normalize()
-	if zeros[0] != 0 || zeros[1] != 0 {
-		t.Fatal("Normalize of zero pattern should be zeros")
 	}
 }

@@ -400,9 +400,6 @@ func (s *Store) Generation() uint64 { return s.seq }
 // tail — zero after a clean shutdown.
 func (s *Store) TornBytes() int64 { return s.torn }
 
-// LogRecords reports how many batch records the active log holds.
-func (s *Store) LogRecords() int { return s.logRecords }
-
 // SnapshotBytes reports the current generation's snapshot size on disk,
 // zero at generation 0 (no snapshot yet).
 func (s *Store) SnapshotBytes() int64 {

@@ -1438,7 +1438,8 @@ type StatsReply struct {
 // FlagRouteDelegate marks a peer that answers KindRouteQuery — a region
 // coordinator fronting a subtree of stations rather than a plain station.
 // Sending a route query to a plain station would fail its serve loop, so the
-// root only delegates to peers that set this bit.
+// root only delegates to peers that set this bit in their join handshake,
+// and never sends them a KindBatchQuery.
 const FlagRouteDelegate = uint8(1)
 
 // EncodeStatsReply renders the stats answer.

@@ -54,11 +54,13 @@ func ServeStation(id uint32, locals map[PersonID]Pattern, link Link) error {
 // parent sends a shutdown or the link closes — the body of one middle tier
 // in a hierarchical deployment. The region fronts a whole running cluster:
 // to its parent it is one station-shaped peer that aggregates stats, serves
-// its subtree's union routing digest, forwards classic station frames to its
-// members, and — for parents that delegate (it advertises the capability in
-// its stats reply) — answers whole search rounds with raw partial sums the
-// parent merges, ranks and verifies. Results through any number of tiers are
-// identical to a flat fan-out over the same stations (docs/ROUTING.md).
+// its subtree's union routing digest, forwards ingest, evict and the BF and
+// raw-pattern pulls to its members, and answers whole search rounds with raw
+// partial sums the parent merges, ranks and verifies. It advertises that
+// capability in its stats reply, which the parent reads in its join
+// handshake (NewCluster or AddStation); it refuses a plain station's search
+// frame. Results through any number of tiers are identical to a flat fan-out
+// over the same stations (docs/ROUTING.md).
 //
 // The caller keeps ownership of the sub-cluster: ServeRegion returning does
 // not shut it down.
