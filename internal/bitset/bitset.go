@@ -97,8 +97,9 @@ func (s *Set) FillRatio() float64 {
 }
 
 // Words returns the underlying word storage, little-endian word order, for
-// serialization. The result is a read-only view, not a copy: do not modify
-// it, and do not keep it past the set's next Set, UnionWith or OrFoldFrom.
+// serialization. The result is a view, not a copy: only the set's owner may
+// write bits through it (bloom.Filter's probe loop does, below Len), and
+// nobody should keep it past the set's next Set, UnionWith or OrFoldFrom.
 // FromWords or Clone make an independent copy.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.

@@ -1,23 +1,52 @@
 // AllocsPerRun pins: the functions of this package held to 0 allocs/op.
 package bloom
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 var containsSink bool
 
+// pinKs are the hash counts the pins run at: the old 16-entry index buffer
+// escaped to the heap above 16, and maxWireK is what a BF query may carry.
+var pinKs = []int{1, 16, 17, maxWireK}
+
 func TestNoallocFilterContains(t *testing.T) {
-	f, err := New(1<<12, 4, 7)
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range pinKs {
+		t.Run(fmt.Sprint("k=", k), func(t *testing.T) {
+			f, err := New(1<<12, k, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := int64(0); v < 100; v++ {
+				f.Add(v * 3)
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				for v := int64(0); v < 50; v++ {
+					containsSink = f.Contains(v)
+				}
+			}); n != 0 {
+				t.Fatalf("(*Filter).Contains allocates %v times per run at k = %d; want 0", n, k)
+			}
+		})
 	}
-	for v := int64(0); v < 100; v++ {
-		f.Add(v * 3)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		for v := int64(0); v < 50; v++ {
-			containsSink = f.Contains(v)
-		}
-	}); n != 0 {
-		t.Fatalf("(*Filter).Contains allocates %v times per run; want 0", n)
+}
+
+func TestNoallocFilterAdd(t *testing.T) {
+	for _, k := range pinKs {
+		t.Run(fmt.Sprint("k=", k), func(t *testing.T) {
+			f, err := New(1<<12, k, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := int64(0)
+			if n := testing.AllocsPerRun(100, func() {
+				f.Add(v)
+				v++
+			}); n != 0 {
+				t.Fatalf("(*Filter).Add allocates %v times per run at k = %d; want 0", n, k)
+			}
+		})
 	}
 }

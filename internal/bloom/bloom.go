@@ -62,25 +62,38 @@ func FromParts(words []uint64, m uint64, k int, seed uint64, n uint64) (*Filter,
 	}, nil
 }
 
-// Add inserts v into the filter.
+// Add inserts v into the filter: it sets the k positions Family.Indexes
+// returns. It steps the double hash itself and sets each bit on the
+// filter's words, with no index buffer (which escaped to the heap above
+// k = 16) and no bounds-checked call per bit; every index is below m, so
+// it lies inside the words.
+//
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (f *Filter) Add(v int64) {
-	var buf [16]uint64
-	for _, idx := range f.family.Indexes(v, buf[:0]) {
-		f.bits.Set(idx)
+	words := f.bits.Words()
+	h, step := f.family.Base(v)
+	for i := f.family.K(); i > 0; i-- {
+		idx := f.family.Reduce(h)
+		words[idx/64] |= 1 << (idx % 64)
+		h += step
 	}
 	f.n++
 }
 
 // Contains reports whether v may be in the filter. False positives are
-// possible; false negatives are not.
+// possible; false negatives are not. It tests the positions Add sets, in
+// the same order, and stops at the first clear one.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (f *Filter) Contains(v int64) bool {
-	var buf [16]uint64
-	for _, idx := range f.family.Indexes(v, buf[:0]) {
-		if !f.bits.Test(idx) {
+	words := f.bits.Words()
+	h, step := f.family.Base(v)
+	for i := f.family.K(); i > 0; i-- {
+		idx := f.family.Reduce(h)
+		if words[idx/64]&(1<<(idx%64)) == 0 {
 			return false
 		}
+		h += step
 	}
 	return true
 }

@@ -1,9 +1,13 @@
 package bloom
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"dimatch/internal/hash"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -30,6 +34,63 @@ func TestNoFalseNegatives(t *testing.T) {
 	}
 	if f.N() != 200 {
 		t.Fatalf("N = %d, want 200", f.N())
+	}
+}
+
+// TestFilterProbesAreFamilyIndexes pins Add and Contains, which step the
+// double hash themselves, to hash.Family.Indexes: after some Adds the words
+// hold exactly the union of the added values' Indexes, a filter holding
+// exactly one value's Indexes contains it, and clearing any one of those
+// positions makes Contains false. Power-of-two m takes the mask reduction,
+// every other m the division; k covers 1..17 and the wire cap 512.
+func TestFilterProbesAreFamilyIndexes(t *testing.T) {
+	ks := []int{maxWireK}
+	for k := 1; k <= 17; k++ {
+		ks = append(ks, k)
+	}
+	for _, m := range []uint64{1, 64, 1 << 12, 1 << 20, 3, 1000, 1<<12 + 1} {
+		for _, k := range ks {
+			t.Run(fmt.Sprintf("m=%d/k=%d", m, k), func(t *testing.T) {
+				seed := m*31 + uint64(k)
+				fam := hash.NewFamily(seed, k, m)
+				f, err := New(m, k, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]uint64, len(f.Words()))
+				for v := int64(-3); v < 6; v++ {
+					f.Add(v * 0x9e3779b9)
+					for _, idx := range fam.Indexes(v*0x9e3779b9, nil) {
+						want[idx/64] |= 1 << (idx % 64)
+					}
+					if !slices.Equal(f.Words(), want) {
+						t.Fatalf("after Add(%d): words differ from the union of Family.Indexes", v*0x9e3779b9)
+					}
+				}
+
+				const v = int64(-77)
+				idxs := fam.Indexes(v, nil)
+				one := make([]uint64, len(want))
+				for _, idx := range idxs {
+					one[idx/64] |= 1 << (idx % 64)
+				}
+				g, err := FromParts(one, m, k, seed, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !g.Contains(v) {
+					t.Fatalf("Contains(%d) = false over exactly its Indexes", v)
+				}
+				words := g.Words() // g's own words: cleared and restored in place
+				for _, idx := range idxs {
+					words[idx/64] &^= 1 << (idx % 64)
+					if g.Contains(v) {
+						t.Fatalf("Contains(%d) = true with index %d cleared", v, idx)
+					}
+					words[idx/64] |= 1 << (idx % 64)
+				}
+			})
+		}
 	}
 }
 

@@ -338,10 +338,15 @@ func assemble(opts Options, length int, members []Member) (*Cluster, error) {
 func checkLengths(length int, what string, patterns map[core.PersonID]pattern.Pattern) error {
 	for p, l := range patterns {
 		if len(l) != length {
-			return fmt.Errorf("%w: %s person %d pattern length %d, cluster is %d", ErrLengthMismatch, what, p, len(l), length)
+			return lengthMismatch(what, p, len(l), length)
 		}
 	}
 	return nil
+}
+
+// lengthMismatch is checkLengths's error for one person's pattern.
+func lengthMismatch(what string, p core.PersonID, got, length int) error {
+	return fmt.Errorf("%w: %s person %d pattern length %d, cluster is %d", ErrLengthMismatch, what, p, got, length)
 }
 
 // closeMuxes closes what a failed New built; release then closes the links

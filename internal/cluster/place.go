@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -175,53 +176,55 @@ func (c *Cluster) aliveMembers() (ids []uint32, muxes []*transport.Mux) {
 	return ids, muxes
 }
 
-// copyPlan is one Place call's grouping of its persons' copies, built in one
-// pass over the persons ascending: each person's Pick set as indexes into
-// the alive stations, the content hash its intent records, and one ingest
-// per target station whose rows come out person-ascending.
+// placeRow is one person of a Place batch with the pattern it places.
+type placeRow struct {
+	p   core.PersonID
+	pat pattern.Pattern
+}
+
+// copyPlan is one Place call's grouping of its persons' copies: each
+// person's Pick set as indexes into the alive stations, the content hash its
+// intent records, and one ingest per target station whose rows come out
+// person-ascending.
 type copyPlan struct {
 	width      int      // copies per person: min(r, len(alive))
-	targets    []uint32 // targets[i*width:(i+1)*width] index alive for persons[i]
-	hashes     []uint64 // placement.ContentHash of persons[i]'s pattern
+	targets    []uint32 // targets[i*width:(i+1)*width] index alive for rows[i]
+	hashes     []uint64 // placement.ContentHash of rows[i].pat
 	perStation map[uint32]wire.Ingest
 }
 
-// planCopies groups persons (ascending, every pattern non-zero) by target
-// station over alive (ascending). The caller's map is only read.
-func planCopies(persons []core.PersonID, patterns map[core.PersonID]pattern.Pattern, alive []uint32, r int) copyPlan {
+// planCopies groups rows (person-ascending, every pattern non-zero) by
+// target station over alive (ascending). A person's targets are
+// placement.PickIndexes's, Pick's set, over salts computed once per call.
+func planCopies(rows []placeRow, alive []uint32, r int) copyPlan {
 	w := min(r, len(alive))
 	pl := copyPlan{
 		width:   w,
-		targets: make([]uint32, len(persons)*w),
-		hashes:  make([]uint64, len(persons)),
+		targets: make([]uint32, 0, len(rows)*w),
+		hashes:  make([]uint64, len(rows)),
 	}
-	locals := make([]pattern.Pattern, len(persons))
-	for i, p := range persons {
-		pat := patterns[p]
-		locals[i] = pat
-		pl.hashes[i] = placement.ContentHash(pat)
-		for j, sid := range placement.Pick(p, alive, r) {
-			k, _ := slices.BinarySearch(alive, sid)
-			pl.targets[i*w+j] = uint32(k)
-		}
+	salts := placement.AppendSalts(nil, alive)
+	for i, row := range rows {
+		pl.hashes[i] = placement.ContentHash(row.pat)
+		pl.targets = placement.PickIndexes(row.p, salts, r, pl.targets)
 	}
 
 	counts := make([]int, len(alive))
 	for _, k := range pl.targets {
 		counts[k]++
 	}
-	rows := make([]wire.Ingest, len(alive))
+	ingests := make([]wire.Ingest, len(alive))
 	for k, n := range counts {
-		rows[k] = wire.Ingest{Persons: make([]core.PersonID, 0, n), Locals: make([]pattern.Pattern, 0, n)}
+		ingests[k] = wire.Ingest{Persons: make([]core.PersonID, 0, n), Locals: make([]pattern.Pattern, 0, n)}
 	}
-	for i, p := range persons {
+	for i, row := range rows {
 		for _, k := range pl.targets[i*w : (i+1)*w] {
-			rows[k].Persons = append(rows[k].Persons, p)
-			rows[k].Locals = append(rows[k].Locals, locals[i])
+			ingests[k].Persons = append(ingests[k].Persons, row.p)
+			ingests[k].Locals = append(ingests[k].Locals, row.pat)
 		}
 	}
 	pl.perStation = make(map[uint32]wire.Ingest, len(alive))
-	for k, in := range rows {
+	for k, in := range ingests {
 		if len(in.Persons) > 0 {
 			pl.perStation[alive[k]] = in
 		}
@@ -257,10 +260,11 @@ func planCopies(persons []core.PersonID, patterns map[core.PersonID]pattern.Patt
 // retry exactly those. All-zero patterns are skipped entirely, matching the
 // stations' ingest rule (no measurable activity means no pattern).
 //
-// The persons are sorted once; their targets and content hashes are computed
-// into flat arrays and each target station's rows are appended in person
-// order, so every station receives one ingest exchange, already ascending,
-// however many persons land on it.
+// The caller's map is walked once into (person, pattern) rows, which are
+// sorted once; their targets and content hashes are computed into flat
+// arrays and each target station's rows are appended in person order, so
+// every station receives one ingest exchange, already ascending, however
+// many persons land on it.
 func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.Pattern, opts ...PlaceOption) (unplaced []core.PersonID, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -280,7 +284,22 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 		return nil, nil
 	}
 	alive, _, gen, clean := c.placementView()
-	if err = checkLengths(c.length, "place", patterns); err == nil && len(alive) == 0 {
+	// One pass over the caller's map checks every length and drops all-zero
+	// patterns: stations drop them on ingest (no measurable activity means no
+	// local pattern), and recording such a person as placed would leave an
+	// intent no copy can ever satisfy, counted Lost by every reconciliation
+	// forever.
+	rows := make([]placeRow, 0, len(patterns))
+	for p, pat := range patterns {
+		if len(pat) != c.length {
+			err = lengthMismatch("place", p, len(pat), c.length)
+			break
+		}
+		if pat.Sum() != 0 {
+			rows = append(rows, placeRow{p: p, pat: pat})
+		}
+	}
+	if err == nil && len(alive) == 0 {
 		err = ErrNoAliveStations
 	}
 	if err != nil {
@@ -291,22 +310,11 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 		slices.Sort(unplaced)
 		return unplaced, err
 	}
-
-	persons := make([]core.PersonID, 0, len(patterns))
-	for p, pat := range patterns {
-		// Stations drop all-zero patterns on ingest (no measurable activity
-		// means no local pattern); recording such a person as placed would
-		// leave an intent no copy can ever satisfy, counted Lost by every
-		// reconciliation forever.
-		if pat.Sum() != 0 {
-			persons = append(persons, p)
-		}
-	}
-	if len(persons) == 0 {
+	if len(rows) == 0 {
 		return nil, nil
 	}
-	slices.Sort(persons)
-	plan := planCopies(persons, patterns, alive, cfg.replication)
+	slices.SortFunc(rows, func(a, b placeRow) int { return cmp.Compare(a.p, b.p) })
+	plan := planCopies(rows, alive, cfg.replication)
 	// Record the intents BEFORE pushing any copy: a search starting between
 	// the first ingest and the table update would otherwise sum the replica
 	// reports (the person is not marked yet) and delete the person as
@@ -317,13 +325,13 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 	others := tab.Len() // persons placed by earlier calls, counted down below
 	prior := make(map[core.PersonID]placement.Entry)
 	refactored := false // a person's factor changes: its old copies may lie off the new set
-	for i, p := range persons {
-		if e, ok := tab.Get(p); ok {
-			prior[p] = e
+	for i, row := range rows {
+		if e, ok := tab.Get(row.p); ok {
+			prior[row.p] = e
 			others--
 			refactored = refactored || e.Factor != cfg.replication
 		}
-		tab.Set(p, placement.Entry{Factor: cfg.replication, Hash: plan.hashes[i]})
+		tab.Set(row.p, placement.Entry{Factor: cfg.replication, Hash: plan.hashes[i]})
 	}
 
 	failed, errs := c.ingestGrouped(ctx, plan.perStation, "place on")
@@ -337,7 +345,8 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 		c.recordLayout(gen, alive)
 	}
 
-	for i, p := range persons {
+	for i, row := range rows {
+		p := row.p
 		landed := false
 		for _, k := range plan.targets[i*plan.width : (i+1)*plan.width] {
 			if !failed[alive[k]] {

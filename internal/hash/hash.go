@@ -45,6 +45,7 @@ type Family struct {
 	seed2 uint64
 	k     int
 	m     uint64
+	mask  uint64 // m−1 when m is a power of two above 1, else 0
 }
 
 // NewFamily returns a hash family of k functions onto the range [0, m).
@@ -57,13 +58,17 @@ func NewFamily(seed uint64, k int, m uint64) Family {
 	if m == 0 {
 		panic("hash: m must be positive")
 	}
-	return Family{
+	f := Family{
 		// Derive two decorrelated seeds from the user seed.
 		seed1: Mix64(seed),
 		seed2: Mix64(seed ^ 0xa5a5a5a5a5a5a5a5),
 		k:     k,
 		m:     m,
 	}
+	if m&(m-1) == 0 {
+		f.mask = m - 1
+	}
+	return f
 }
 
 // K returns the number of hash functions in the family.
@@ -76,31 +81,36 @@ func (f Family) M() uint64 { return f.m }
 // extended slice. Passing a reusable dst avoids per-call allocations on the
 // hot path (stations hash every resident pattern against the filter).
 func (f Family) Indexes(v int64, dst []uint64) []uint64 {
-	h1, h2 := f.base(v)
+	h, step := f.Base(v)
 	for i := 0; i < f.k; i++ {
-		dst = append(dst, f.reduce(h1+uint64(i)*h2))
+		dst = append(dst, f.Reduce(h))
+		h += step
 	}
 	return dst
 }
 
 // Index returns the i-th hash of v, for i in [0, k).
 func (f Family) Index(v int64, i int) uint64 {
-	h1, h2 := f.base(v)
-	return f.reduce(h1 + uint64(i)*h2)
+	h1, h2 := f.Base(v)
+	return f.Reduce(h1 + uint64(i)*h2)
 }
 
-// reduce is h mod m, as a mask when m is a power of two (every digest).
-func (f Family) reduce(h uint64) uint64 {
-	if f.m&(f.m-1) == 0 {
-		return h & (f.m - 1)
+// Reduce maps a probe hash onto [0, m): h mod m, as a mask when m is a power
+// of two (every digest). The i-th index of v is Reduce(h1 + i·h2) over
+// Base(v), which is all Indexes computes; a caller that consumes the indexes
+// one at a time (bloom.Filter's probe loop) steps h1 by h2 itself instead of
+// filling a buffer.
+func (f Family) Reduce(h uint64) uint64 {
+	if f.mask != 0 {
+		return h & f.mask
 	}
 	return h % f.m
 }
 
-// base computes the two underlying hashes for the double-hashing scheme.
+// Base computes the two underlying hashes for the double-hashing scheme.
 // h2 is forced odd so that, for power-of-two m, the probe sequence visits m
 // distinct slots; for general m it simply avoids the degenerate h2 = 0.
-func (f Family) base(v int64) (h1, h2 uint64) {
+func (f Family) Base(v int64) (h1, h2 uint64) {
 	x := uint64(v)
 	h1 = Mix64(x ^ f.seed1)
 	h2 = Mix64(x^f.seed2) | 1

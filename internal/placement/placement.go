@@ -39,7 +39,27 @@ const stationSalt = 0x5bd1e995c3a90000
 // finalizer, so the scores of one person across stations — and of one
 // station across persons — are well distributed.
 func Score(p core.PersonID, station uint32) uint64 {
-	return hash.Mix64(uint64(p) ^ hash.Mix64(stationSalt^uint64(station)))
+	return saltedScore(p, salt(station))
+}
+
+// salt is the station's half of every rendezvous score.
+func salt(station uint32) uint64 {
+	return hash.Mix64(stationSalt ^ uint64(station))
+}
+
+// saltedScore is Score(p, s) given s's salt.
+func saltedScore(p core.PersonID, salt uint64) uint64 {
+	return hash.Mix64(uint64(p) ^ salt)
+}
+
+// AppendSalts appends each station's half of the rendezvous score, in ring
+// order, and returns the extended slice: PickIndexes's input, computed once
+// by a caller that picks for many persons over one membership.
+func AppendSalts(dst []uint64, ring []uint32) []uint64 {
+	for _, s := range ring {
+		dst = append(dst, salt(s))
+	}
+	return dst
 }
 
 // Rank returns the stations ordered by descending rendezvous score for
@@ -72,9 +92,10 @@ func Rank(p core.PersonID, stations []uint32) []uint32 {
 // highest rendezvous score — followed by the primary's r−1 successors in
 // ascending station-ID order, wrapping around. The set does not depend on
 // the order of stations. r <= 0 returns nil; r >= len(stations) returns
-// Rank's order of every station, r == 1 the primary alone. The primary is
-// one pass over the scores; stations given in ascending order (the
-// coordinator's membership always is) are used as the ring without sorting.
+// Rank's order of every station, r == 1 the primary alone. The set is
+// PickIndexes's over the sorted stations; stations given in ascending order
+// (the coordinator's membership always is) are used as the ring without
+// sorting.
 func Pick(p core.PersonID, stations []uint32, r int) []uint32 {
 	if r <= 0 || len(stations) == 0 {
 		return nil
@@ -87,19 +108,40 @@ func Pick(p core.PersonID, stations []uint32, r int) []uint32 {
 		ring = slices.Clone(stations)
 		slices.Sort(ring)
 	}
-	// Ties go to the lower id — unreachable in practice (Mix64 is a
-	// bijection), as in Rank.
-	primary, best := 0, Score(p, ring[0])
-	for i := 1; i < len(ring); i++ {
-		if sc := Score(p, ring[i]); sc > best {
+	salts := AppendSalts(make([]uint64, 0, 64), ring) // on the stack up to 64 stations
+	out := PickIndexes(p, salts, r, make([]uint32, 0, r))
+	for j, k := range out {
+		out[j] = ring[k]
+	}
+	return out
+}
+
+// PickIndexes appends person p's replica set as indexes into the ascending
+// ring whose AppendSalts are salts, and returns the extended slice: the
+// primary, the highest score (ties to the lower index, so the lower id —
+// unreachable in practice, Mix64 is a bijection, as in Rank), then its
+// successors wrapping around, min(r, len(salts)) indexes in all. r <= 0
+// appends nothing. It is the one definition of the replica set: Pick maps
+// these indexes to station IDs, and only when r covers the ring does Pick
+// instead list every station in Rank's order.
+func PickIndexes(p core.PersonID, salts []uint64, r int, dst []uint32) []uint32 {
+	w := min(r, len(salts))
+	if w <= 0 {
+		return dst
+	}
+	primary, best := 0, saltedScore(p, salts[0])
+	for i := 1; i < len(salts); i++ {
+		if sc := saltedScore(p, salts[i]); sc > best {
 			primary, best = i, sc
 		}
 	}
-	out := make([]uint32, r)
-	for j := range out {
-		out[j] = ring[(primary+j)%len(ring)]
+	for j, k := 0, primary; j < w; j, k = j+1, k+1 {
+		if k == len(salts) {
+			k = 0 // w <= len(salts): the chain wraps at most once
+		}
+		dst = append(dst, uint32(k))
 	}
-	return out
+	return dst
 }
 
 // ContentHash is the 64-bit digest of a placed pattern the Table keeps

@@ -103,6 +103,44 @@ func BenchmarkPick64R2(b *testing.B) {
 
 var pickSink []uint32
 
+// TestPickIndexesArePick holds the salted index pass to Pick: over random
+// ascending memberships with gaps in their IDs, up to beyond the 64
+// stations Pick salts on the stack, and r from 0 to beyond the membership,
+// PickIndexes appends after what dst holds exactly Pick's stations as
+// indexes into the ring — in Pick's order, or as a set where r covers the
+// ring and Pick lists Rank's order.
+func TestPickIndexesArePick(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(80)
+		ring := make([]uint32, n)
+		for i, id := 0, uint32(rng.Intn(5)); i < n; i, id = i+1, id+uint32(1+rng.Intn(1000)) {
+			ring[i] = id
+		}
+		salts := AppendSalts(nil, ring)
+		p := core.PersonID(rng.Uint64())
+		for _, r := range []int{0, 1, 2, 3, n - 1, n, n + 2} {
+			prefix := []uint32{7, 9}
+			got := PickIndexes(p, salts, r, slices.Clone(prefix))
+			if !slices.Equal(got[:2], prefix) {
+				t.Fatalf("%d stations, r=%d: dst's contents became %v", n, r, got[:2])
+			}
+			ids := make([]uint32, 0, len(got)-2)
+			for _, k := range got[2:] {
+				ids = append(ids, ring[k])
+			}
+			want := Pick(p, ring, r)
+			if r >= n {
+				slices.Sort(want)
+				slices.Sort(ids)
+			}
+			if !slices.Equal(ids, want) {
+				t.Fatalf("person %d, %d stations, r=%d: PickIndexes gives %v, Pick %v", p, n, r, ids, want)
+			}
+		}
+	}
+}
+
 // TestMinimalDisruption pins what chained sets keep of rendezvous hashing:
 // removing or adding a station changes only the replica sets it is (or
 // becomes) a member of, and a surviving primary keeps its place.

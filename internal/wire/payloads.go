@@ -1006,16 +1006,29 @@ func rowsSize(persons []core.PersonID, locals []pattern.Pattern) int {
 // writeRows appends the row count and then, per row, the person, the pattern
 // length and the zigzagged values. Callers size w from rowsSize: a bulk load
 // is megabytes of varints, and growing into it by doubling allocates several
-// times the payload.
+// times the payload. The values, almost every byte of a bulk load, are
+// written by hand up to three bytes each (binary.AppendUvarint's layout, see
+// rows_test.go) into a local slice, so the loop keeps the buffer in
+// registers instead of storing it back through w per varint.
 func writeRows(w *writer, persons []core.PersonID, locals []pattern.Pattern) {
-	w.uvarint(uint64(len(persons)))
+	b := binary.AppendUvarint(w.buf, uint64(len(persons)))
 	for i, p := range persons {
-		w.uvarint(uint64(p))
-		w.uvarint(uint64(len(locals[i])))
+		b = binary.AppendUvarint(b, uint64(p))
+		b = binary.AppendUvarint(b, uint64(len(locals[i])))
 		for _, v := range locals[i] {
-			w.uvarint(zigzag(v))
+			switch z := zigzag(v); {
+			case z < 1<<7:
+				b = append(b, byte(z))
+			case z < 1<<14:
+				b = append(b, byte(z)|0x80, byte(z>>7))
+			case z < 1<<21:
+				b = append(b, byte(z)|0x80, byte(z>>7)|0x80, byte(z>>14))
+			default:
+				b = binary.AppendUvarint(b, z)
+			}
 		}
 	}
+	w.buf = b
 }
 
 // readRows parses what writeRows wrote, which must be the rest of the
@@ -1028,6 +1041,13 @@ func writeRows(w *writer, persons []core.PersonID, locals []pattern.Pattern) {
 // values and never exceeds the payload's byte length, so it is no allocation
 // vector; rows that claim more than it are rejected. Each row is a capped
 // view, so an append on one pattern cannot bleed into its neighbor.
+//
+// A value of one to three bytes with three bytes left in the payload is
+// decoded inline; anything longer, and the last bytes, go through
+// reader.uvarint. The inline path accepts exactly the complete varints
+// binary.Uvarint accepts at those widths, with the same value, so the rows
+// and every error are those of reading each value through reader.uvarint
+// (rows_test.go holds the two to each other at every cut).
 func readRows(r *reader) ([]core.PersonID, []pattern.Pattern) {
 	n := r.count(2)
 	values := -2 * n
@@ -1042,6 +1062,7 @@ func readRows(r *reader) ([]core.PersonID, []pattern.Pattern) {
 	persons := make([]core.PersonID, 0, n)
 	locals := make([]pattern.Pattern, 0, n)
 	arena := make([]int64, values)
+	buf := r.buf
 	for i := 0; i < n && r.err == nil; i++ {
 		persons = append(persons, core.PersonID(r.uvarint()))
 		l := r.count(1)
@@ -1051,9 +1072,33 @@ func readRows(r *reader) ([]core.PersonID, []pattern.Pattern) {
 		}
 		row := arena[:l:l]
 		arena = arena[l:]
+		off := r.off
 		for j := range row {
+			if off+3 <= len(buf) {
+				b0, b1, b2 := buf[off], buf[off+1], buf[off+2]
+				switch {
+				case b0 < 0x80:
+					row[j] = unzigzag(uint64(b0))
+					off++
+					continue
+				case b1 < 0x80:
+					row[j] = unzigzag(uint64(b0&0x7f) | uint64(b1)<<7)
+					off += 2
+					continue
+				case b2 < 0x80:
+					row[j] = unzigzag(uint64(b0&0x7f) | uint64(b1&0x7f)<<7 | uint64(b2)<<14)
+					off += 3
+					continue
+				}
+			}
+			r.off = off
 			row[j] = unzigzag(r.uvarint())
+			if r.err != nil {
+				break
+			}
+			off = r.off
 		}
+		r.off = off
 		locals = append(locals, pattern.Pattern(row))
 	}
 	return persons, locals
