@@ -50,3 +50,22 @@ func TestNoallocFilterAdd(t *testing.T) {
 		})
 	}
 }
+
+func TestNoallocFilterHashed(t *testing.T) {
+	for _, k := range pinKs {
+		t.Run(fmt.Sprint("k=", k), func(t *testing.T) {
+			f, err := New(1<<12, k, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := uint64(0x9e3779b97f4a7c15)
+			if n := testing.AllocsPerRun(100, func() {
+				f.AddHash(h)
+				containsSink = f.ContainsHash(h + 1)
+				h += 0x632be59bd9b4e019
+			}); n != 0 {
+				t.Fatalf("(*Filter).AddHash/ContainsHash allocate %v times per run at k = %d; want 0", n, k)
+			}
+		})
+	}
+}

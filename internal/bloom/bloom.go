@@ -11,6 +11,7 @@ package bloom
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"dimatch/internal/bitset"
 	"dimatch/internal/hash"
@@ -70,14 +71,8 @@ func FromParts(words []uint64, m uint64, k int, seed uint64, n uint64) (*Filter,
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (f *Filter) Add(v int64) {
-	words := f.bits.Words()
 	h, step := f.family.Base(v)
-	for i := f.family.K(); i > 0; i-- {
-		idx := f.family.Reduce(h)
-		words[idx/64] |= 1 << (idx % 64)
-		h += step
-	}
-	f.n++
+	f.set(h, step)
 }
 
 // Contains reports whether v may be in the filter. False positives are
@@ -86,8 +81,43 @@ func (f *Filter) Add(v int64) {
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (f *Filter) Contains(v int64) bool {
-	words := f.bits.Words()
 	h, step := f.family.Base(v)
+	return f.test(h, step)
+}
+
+// AddHash inserts an element the caller already hashed to 64 well-mixed
+// bits (a routing digest's cell hash). The k positions step from that one
+// hash (Kirsch–Mitzenmacher, "Less Hashing, Same Performance"): h, then
+// h + i·h2 with h2 the same hash with its 32-bit halves swapped, forced
+// odd, each reduced as Family.Reduce does — a mask on a power-of-two
+// filter, so fold and expand (AbsorbFold) keep every element. The seed
+// plays no part: AddHash and Add are separate key spaces, and a filter
+// should be filled and probed through one of them only.
+//
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
+func (f *Filter) AddHash(h uint64) { f.set(h, bits.RotateLeft64(h, 32)|1) }
+
+// ContainsHash reports whether the element AddHash inserted as h may be in
+// the filter.
+//
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
+func (f *Filter) ContainsHash(h uint64) bool { return f.test(h, bits.RotateLeft64(h, 32)|1) }
+
+// set sets the k positions h, h+step, … (reduced) and counts one element.
+func (f *Filter) set(h, step uint64) {
+	words := f.bits.Words()
+	for i := f.family.K(); i > 0; i-- {
+		idx := f.family.Reduce(h)
+		words[idx/64] |= 1 << (idx % 64)
+		h += step
+	}
+	f.n++
+}
+
+// test reports whether all k positions set would set are set, stopping at
+// the first clear one.
+func (f *Filter) test(h, step uint64) bool {
+	words := f.bits.Words()
 	for i := f.family.K(); i > 0; i-- {
 		idx := f.family.Reduce(h)
 		if words[idx/64]&(1<<(idx%64)) == 0 {

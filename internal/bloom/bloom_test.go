@@ -3,6 +3,7 @@ package bloom
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -88,6 +89,88 @@ func TestFilterProbesAreFamilyIndexes(t *testing.T) {
 						t.Fatalf("Contains(%d) = true with index %d cleared", v, idx)
 					}
 					words[idx/64] |= 1 << (idx % 64)
+				}
+			})
+		}
+	}
+}
+
+// TestAddHashProbes pins the hashed entry point: AddHash(h) sets exactly
+// the positions h + i·h2 (mod m), h2 being h with its 32-bit halves swapped
+// and forced odd; ContainsHash is true on them and false with any one
+// cleared; and on power-of-two filters every added hash still tests
+// positive after a fold onto a smaller filter or an expand onto a larger one
+// probed with at most k hashes.
+func TestAddHashProbes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range []uint64{64, 1 << 12, 1000} {
+		for _, k := range []int{1, 7, 17} {
+			t.Run(fmt.Sprintf("m=%d/k=%d", m, k), func(t *testing.T) {
+				f, err := New(m, k, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var hs []uint64
+				want := make([]uint64, len(f.Words()))
+				for j := 0; j < 20; j++ {
+					h := rng.Uint64()
+					hs = append(hs, h)
+					f.AddHash(h)
+					step := h>>32 | h<<32 | 1
+					for i, x := 0, h; i < k; i, x = i+1, x+step {
+						idx := x % m
+						want[idx/64] |= 1 << (idx % 64)
+					}
+					if !slices.Equal(f.Words(), want) {
+						t.Fatalf("after AddHash(%#x): words differ from the stepped positions", h)
+					}
+				}
+				if f.N() != uint64(len(hs)) {
+					t.Fatalf("N = %d after %d AddHash calls", f.N(), len(hs))
+				}
+				one, err := New(m, k, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := hs[0]
+				one.AddHash(h)
+				words := one.Words()
+				for w := range words {
+					for b := 0; b < 64; b++ {
+						if words[w]&(1<<b) == 0 {
+							continue
+						}
+						words[w] &^= 1 << b
+						if one.ContainsHash(h) {
+							t.Fatalf("ContainsHash true with bit %d cleared", 64*w+b)
+						}
+						words[w] |= 1 << b
+					}
+				}
+				if !one.ContainsHash(h) {
+					t.Fatal("ContainsHash false over exactly its positions")
+				}
+				if m&(m-1) != 0 {
+					return
+				}
+				for _, to := range []uint64{64, m / 2, m * 4} {
+					if to < 64 {
+						continue
+					}
+					for _, tk := range []int{1, k} {
+						u, err := New(to, tk, 9)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := u.AbsorbFold(f); err != nil {
+							t.Fatal(err)
+						}
+						for _, h := range hs {
+							if !u.ContainsHash(h) {
+								t.Fatalf("%d-bit union at k = %d lost hash %#x of a %d-bit filter", to, tk, h, m)
+							}
+						}
+					}
 				}
 			})
 		}

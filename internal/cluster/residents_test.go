@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dimatch/internal/core"
@@ -158,8 +159,17 @@ func TestStationNeverAliasesCallerPatterns(t *testing.T) {
 // then had every row replaced five times over holds its cells once — about
 // 8·length + 32 bytes per resident plus chunk slack — and holds no more after
 // the fifth round than after the first. On the parent every decoded arena
-// (three slots per value) stayed alive while one of its rows survived.
+// (three slots per value) stayed alive while one of its rows survived. The
+// load runs both ways a station takes it: ascending batches that each land
+// after every resident, which the store adopts with their decoded arenas,
+// and descending batches, which it copies row by row.
 func TestStationHeapFlatUnderReplacement(t *testing.T) {
+	for _, load := range []string{"adopted", "copied"} {
+		t.Run(load, func(t *testing.T) { stationHeapUnderReplacement(t, load == "adopted") })
+	}
+}
+
+func stationHeapUnderReplacement(t *testing.T, adopted bool) {
 	const (
 		rows      = 40_000
 		length    = 24
@@ -193,6 +203,9 @@ func TestStationHeapFlatUnderReplacement(t *testing.T) {
 	persons := make([]core.PersonID, rows)
 	for i := range persons {
 		persons[i] = core.PersonID(i + 1)
+	}
+	if !adopted {
+		slices.Reverse(persons)
 	}
 	for at := 0; at < rows; at += batch {
 		if _, err := s.handleIngest(frame(persons[at : at+batch])); err != nil {

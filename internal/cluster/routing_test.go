@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -117,6 +118,99 @@ func TestRoutedSearchPrunesAndMatchesFullFanOut(t *testing.T) {
 	assertSameResults(t, "rounds of one", queries, full, single)
 	if single.Cost.StationsPruned != 3 || single.Cost.MessagesDown != 1 {
 		t.Fatalf("rounds-of-one routed search: %+v", single.Cost)
+	}
+}
+
+// TestRoutedMatchesFullAtEverySampleCount pins routing soundness across the
+// Params.Samples axis at the deployment's pattern length, 24: a digest covers
+// only the default sample positions (1, 3, …, 23), so searches sampling 8 or
+// 24 positions probe bands at positions it does not cover, which must count
+// as hits. At every sample count the routed answer equals RoutingFull's —
+// for exact, perturbed and split-person queries — and the full answer finds
+// every exact target, so equality is not two empty answers. The WBF is
+// position-salted: unsalted, a 24-position query's ε bands cover most of the
+// value range and full fan-out reports unrelated residents at full weight,
+// which a routing digest rightly prunes. The routed searches must also prune
+// some station between them: a plan that prunes every station falls back to
+// full fan-out, so a digest that wrongly denied them all would pass on
+// equality alone.
+func TestRoutedMatchesFullAtEverySampleCount(t *testing.T) {
+	const length, stations, residents = 24, 8, 25
+	rng := rand.New(rand.NewSource(24))
+	row := func() pattern.Pattern {
+		p := make(pattern.Pattern, length)
+		for g := range p {
+			p[g] = rng.Int63n(40)
+		}
+		p[rng.Intn(length)]++
+		return p
+	}
+	data := make(map[uint32]map[core.PersonID]pattern.Pattern)
+	for id := uint32(0); id < stations; id++ {
+		data[id] = make(map[core.PersonID]pattern.Pattern)
+		for j := 0; j < residents; j++ {
+			data[id][core.PersonID(100*id+uint32(j)+1)] = row()
+		}
+	}
+	// Persons 9001–9003 are split: one piece on each of two stations.
+	for p := core.PersonID(9001); p <= 9003; p++ {
+		a := uint32(rng.Intn(stations))
+		b := (a + 1 + uint32(rng.Intn(stations-1))) % stations
+		data[a][p], data[b][p] = row(), row()
+	}
+	var queries []core.Query
+	exact := make(map[core.QueryID]core.PersonID)
+	for i := 0; i < 6; i++ {
+		id := uint32(rng.Intn(stations))
+		p := core.PersonID(100*id + uint32(rng.Intn(residents)) + 1)
+		q := core.Query{ID: core.QueryID(len(queries) + 1), Locals: []pattern.Pattern{data[id][p].Clone()}}
+		exact[q.ID] = p
+		queries = append(queries, q)
+		near := data[id][p].Clone()
+		near[rng.Intn(length)]++ // one cell off: within ε = 1 at every position
+		queries = append(queries, core.Query{ID: core.QueryID(len(queries) + 1), Locals: []pattern.Pattern{near}})
+	}
+	for p := core.PersonID(9001); p <= 9003; p++ {
+		var locals []pattern.Pattern
+		for id := uint32(0); id < stations; id++ {
+			if l, ok := data[id][p]; ok {
+				locals = append(locals, l.Clone())
+			}
+		}
+		q := core.Query{ID: core.QueryID(len(queries) + 1), Locals: locals}
+		exact[q.ID] = p
+		queries = append(queries, q)
+	}
+	for _, samples := range []int{3, 8, 12, 24} {
+		t.Run(fmt.Sprint("samples=", samples), func(t *testing.T) {
+			c, err := newFromData(Options{Params: core.Params{Samples: samples, Epsilon: 1, Seed: 3, PositionSalted: true}}, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			t.Cleanup(func() { _ = c.Shutdown() })
+			ctx := context.Background()
+			pruned := 0
+			for _, q := range queries {
+				one := []core.Query{q}
+				full, err := c.Search(ctx, one, WithRouting(RoutingFull))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p, ok := exact[q.ID]; ok && !slices.ContainsFunc(full.PerQuery[q.ID], func(r core.Result) bool { return r.Person == p && r.Score() == 1 }) {
+					t.Fatalf("full fan-out missed person %d for query %d: %v", p, q.ID, full.PerQuery[q.ID])
+				}
+				routed, err := c.Search(ctx, one)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameResults(t, "routed", one, full, routed)
+				pruned += routed.Cost.StationsPruned
+			}
+			if pruned == 0 {
+				t.Fatal("no routed search pruned a station: the equality would hold for full fan-out alone")
+			}
+		})
 	}
 }
 

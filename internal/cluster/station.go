@@ -284,8 +284,13 @@ func (s *Station) handleIngest(msg wire.Message) (*wire.Message, error) {
 	if err != nil {
 		return nil, fmt.Errorf("station %d: %w", s.id, err)
 	}
-	// The decoded rows are this call's own: compact the applied ones to the
-	// front in place.
+	// The decoded rows are this call's own. A batch landing after every
+	// resident becomes the store's as it is.
+	if s.residents.AdoptRows(in.Persons, in.Locals) {
+		return s.ackApplied(store.Batch{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals, Payload: msg.Payload})
+	}
+	// Otherwise each row is copied in: compact the applied ones to the front
+	// in place.
 	n := 0
 	for i, p := range in.Persons {
 		if s.residents.Upsert(p, in.Locals[i]) {
@@ -362,9 +367,9 @@ func (s *Station) handleStats() *wire.Message {
 }
 
 // handleSummary answers the coordinator's routing-summary pull: a Bloom
-// digest of every resident's accumulated cells (see internal/index). The
-// digest is memoized until the next ingest or evict, so steady-state
-// refreshes cost one encode, not one store walk.
+// digest of every resident's accumulated cells at the sampled positions
+// (see internal/index). The digest is memoized until the next ingest or
+// evict, so steady-state refreshes cost one encode, not one store walk.
 func (s *Station) handleSummary() (*wire.Message, error) {
 	if err := s.ensureSummary(); err != nil {
 		return nil, err

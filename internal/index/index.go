@@ -8,12 +8,17 @@
 // that might hold a match. Here the hierarchy is one level deep — one
 // summary per station, cached at the coordinator — and the "membership"
 // being summarized is the set of discriminative cells of the station's
-// residents: every (position, accumulated value) pair of every resident
-// pattern. A query combination can only be matched by a resident whose
-// accumulated value sits inside the combination's ε band at every sampled
-// position, so a station whose summary shows no resident value inside the
-// band at even one sampled position cannot contribute a within-band report
-// and may be skipped.
+// residents: the (position, accumulated value) pair of every resident
+// pattern at each sampled position g — pattern.SampleIndexes(length,
+// core.DefaultSamples), the positions a default search compares at (the
+// paper's b = 12). A query combination can only be matched by a resident
+// whose accumulated value sits inside the combination's ε band at every
+// sampled position, so a station whose summary shows no resident value
+// inside the band at even one covered position cannot contribute a
+// within-band report and may be skipped. A band at a position the summary
+// does not cover (a search with another sample count) counts as a hit: it
+// can never prune, so routing stays sound for any sample count and prunes on
+// the covered subset.
 //
 // The summary is a plain Bloom filter, so it has false positives (a pruned
 // fan-out may still visit a station that reports nothing — a wasted probe)
@@ -60,19 +65,21 @@ func positionSalt(seed uint64, pos int) uint64 {
 	return hash.Mix64(seed ^ (uint64(pos+1) * saltConst))
 }
 
-// key maps a (position, accumulated value) cell to the hashed element. Every
-// position gets its own key space, so a value observed at hour 3 never
-// satisfies a probe for hour 7.
-func key(seed uint64, pos int, value int64) int64 {
-	return int64(hash.Mix64(uint64(value)) ^ positionSalt(seed, pos))
+// cellHash is the one hash of a (position, accumulated value) cell, given
+// the position's salt: every position gets its own key space, so a value
+// observed at hour 3 never satisfies a probe for hour 7. The filter steps
+// all k probes from it (bloom.Filter.AddHash).
+func cellHash(salt uint64, value int64) uint64 {
+	return hash.Mix64(uint64(value) ^ salt)
 }
 
 // Summary is one station's routing summary: a Bloom filter containing the
-// cell (g, acc[g]) of every resident pattern at every position g, where acc
-// is the resident's accumulated (prefix-sum) form. Covering every position —
-// not a fixed sample subset — is what keeps admission sound for any
-// per-search sample count: whatever positions a search samples, the summary
-// has the residents' values there.
+// cell (g, acc[g]) of every resident pattern at every covered position g,
+// where acc is the resident's accumulated (prefix-sum) form. The covered
+// positions are pattern.SampleIndexes(length, core.DefaultSamples), a pure
+// function of the length, so station, coordinator and region agree on them
+// without a wire field; a search sampling other positions is admitted on
+// those (Admits).
 //
 // A Summary is immutable from the coordinator's point of view once shared:
 // delta updates go through Clone + Add so concurrent probers never observe a
@@ -82,6 +89,27 @@ type Summary struct {
 	seed      uint64
 	residents uint64
 	filter    *bloom.Filter
+	// covered counts the covered positions; pos[:covered] are they,
+	// ascending, and salt[i] is pos[i]'s key-space salt. The arrays are
+	// fixed at core.DefaultSamples, whatever length a wire reply declares.
+	covered int
+	pos     [core.DefaultSamples]int
+	salt    [core.DefaultSamples]uint64
+}
+
+// newSummary wraps a filter as a summary of the given (positive) length,
+// deriving the covered positions and their salts.
+func newSummary(length int, seed uint64, residents uint64, f *bloom.Filter) (*Summary, error) {
+	positions, err := pattern.SampleIndexes(length, core.DefaultSamples)
+	if err != nil {
+		return nil, fmt.Errorf("index: %w", err)
+	}
+	s := &Summary{length: length, seed: seed, residents: residents, filter: f, covered: len(positions)}
+	for i, g := range positions {
+		s.pos[i] = g
+		s.salt[i] = positionSalt(seed, g)
+	}
+	return s, nil
 }
 
 // New returns an empty summary for patterns of the given length, sized for
@@ -97,12 +125,14 @@ func New(length, expectedResidents int, fpTarget float64, seed uint64) (*Summary
 	if expectedResidents < 0 {
 		expectedResidents = 0
 	}
-	m, k := bloom.OptimalParams(uint64(expectedResidents)*uint64(length), fpTarget)
+	// A summary of r residents holds r·min(length, DefaultSamples) cells.
+	covered := min(length, core.DefaultSamples)
+	m, k := bloom.OptimalParams(uint64(expectedResidents)*uint64(covered), fpTarget)
 	f, err := bloom.New(ceilPow2(m), k, seed)
 	if err != nil {
 		return nil, err
 	}
-	return &Summary{length: length, seed: seed, filter: f}, nil
+	return newSummary(length, seed, 0, f)
 }
 
 // MinFilterBits floors every summary's filter length: 64 bits keeps the
@@ -139,7 +169,7 @@ func NewUnion(length int, seed uint64, bits uint64, hashes int) (*Summary, error
 	if err != nil {
 		return nil, err
 	}
-	return &Summary{length: length, seed: seed, filter: f}, nil
+	return newSummary(length, seed, 0, f)
 }
 
 // Unionable reports whether child can be conservatively absorbed into s:
@@ -182,7 +212,11 @@ func Saturated(length int, seed uint64) *Summary {
 	if err != nil {
 		panic(fmt.Sprintf("index: saturated summary: %v", err))
 	}
-	return &Summary{length: length, seed: seed, residents: 1, filter: f}
+	s, err := newSummary(length, seed, 1, f)
+	if err != nil {
+		panic(fmt.Sprintf("index: saturated summary: %v", err))
+	}
+	return s
 }
 
 // Build constructs a summary over a station's resident patterns with the
@@ -201,19 +235,21 @@ func Build(length int, locals []pattern.Pattern) (*Summary, error) {
 	return s, nil
 }
 
-// Add inserts one resident pattern's cells. Adding beyond the sizing
-// estimate only raises the false-admit rate (wasted probes), never causes a
-// false prune.
+// Add inserts one resident pattern's cells at the covered positions, one
+// hash each. Adding beyond the sizing estimate only raises the false-admit
+// rate (wasted probes), never causes a false prune.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (s *Summary) Add(local pattern.Pattern) error {
 	if len(local) != s.length {
 		return fmt.Errorf("index: pattern length %d, summary wants %d", len(local), s.length)
 	}
-	run := int64(0)
-	for g, v := range local {
-		run += v
-		s.filter.Add(key(s.seed, g, run))
+	run, g := int64(0), 0
+	for i, p := range s.pos[:s.covered] {
+		for ; g <= p; g++ {
+			run += local[g]
+		}
+		s.filter.AddHash(cellHash(s.salt[i], run))
 	}
 	s.residents++
 	return nil
@@ -227,20 +263,20 @@ func (s *Summary) Clone() *Summary {
 	return &c
 }
 
-// contains probes one cell.
+// contains probes the cell (pos[i], value) of the i-th covered position.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
-func (s *Summary) contains(pos int, value int64) bool {
-	return s.filter.Contains(key(s.seed, pos, value))
+func (s *Summary) contains(i int, value int64) bool {
+	return s.filter.ContainsHash(cellHash(s.salt[i], value))
 }
 
 // bandAdmit reports whether the digest has a summarized cell inside the
-// band [lo, hi] at the given position.
+// band [lo, hi] at the i-th covered position.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
-func (s *Summary) bandAdmit(pos int, lo, hi int64) bool {
+func (s *Summary) bandAdmit(i int, lo, hi int64) bool {
 	for v := lo; v <= hi; v++ {
-		if s.contains(pos, v) {
+		if s.contains(i, v) {
 			return true
 		}
 	}
@@ -284,7 +320,7 @@ func FromParts(length int, seed uint64, words []uint64, bits uint64, hashes int,
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
-	return &Summary{length: length, seed: seed, residents: residents, filter: f}, nil
+	return newSummary(length, seed, residents, f)
 }
 
 // band is one admission condition: some resident value in [lo, hi] must
@@ -366,10 +402,12 @@ func (p Probe) Selective() bool { return p.selective }
 
 // Admits reports whether the summary's station might hold a resident
 // matching the probed query: some combination must have a summarized cell
-// inside its band at every sampled position. An unselective probe (over
-// budget) always admits; so does a summary built for a shorter pattern
-// length, since its cells are incomparable and pruning on them would be
-// unsound.
+// inside its band at every sampled position the summary covers. A band at a
+// position it does not cover counts as a hit, so a search with another
+// sample count prunes on the covered subset and never on the rest. An
+// unselective probe (over budget) always admits; so does a summary built
+// for a shorter pattern length, since its cells are incomparable and
+// pruning on them would be unsound.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (s *Summary) Admits(p Probe) bool {
@@ -383,11 +421,18 @@ func (s *Summary) Admits(p Probe) bool {
 	}
 combos:
 	for _, bands := range p.combos {
+		i := 0 // bands ascend by position, so one cursor finds each slot
 		for _, b := range bands {
 			if b.pos >= s.length {
 				return true // incomparable geometry: never prune on it
 			}
-			if !s.bandAdmit(b.pos, b.lo, b.hi) {
+			for i < s.covered && s.pos[i] < b.pos {
+				i++
+			}
+			if i == s.covered || s.pos[i] != b.pos {
+				continue // uncovered position: no cell to test, a hit
+			}
+			if !s.bandAdmit(i, b.lo, b.hi) {
 				continue combos
 			}
 		}

@@ -21,11 +21,14 @@ func randPattern(rng *rand.Rand, length int, maxVal int64) pattern.Pattern {
 // TestSummaryNeverPrunesBandMatches is the soundness pin: any resident
 // within the scaled ε band of a query combination at every position — in
 // particular every true Eq. 2 match — must be admitted by the summary, for
-// every sample count a search could use.
+// every sample count a search could use. At length 24 the summary covers
+// only the 12 default sample positions, so probes of 24 or 40 samples band
+// positions it holds no cell for.
 func TestSummaryNeverPrunesBandMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const length, eps = 12, 2
-	for trial := 0; trial < 200; trial++ {
+	const eps = 2
+	for trial := 0; trial < 400; trial++ {
+		length := 12 + 12*(trial%2)
 		target := randPattern(rng, length, 20)
 		// Perturb within the per-interval ε: still a true Eq. 2 match.
 		resident := target.Clone()
@@ -42,7 +45,7 @@ func TestSummaryNeverPrunesBandMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, samples := range []int{1, 3, 5, 12, 40} {
+		for _, samples := range []int{1, 3, 5, 12, 24, 40} {
 			probe, err := NewProbe(core.Query{ID: 1, Locals: []pattern.Pattern{target}}, samples, eps)
 			if err != nil {
 				t.Fatal(err)

@@ -16,10 +16,12 @@ const minChunkRows = 128
 
 // Residents is a station's resident store and the only holder of resident
 // patterns: persons ascending, every row the same length, cells in chunks the
-// store allocates itself. Upsert copies the caller's row in — over the old
-// cells when the person is already resident — so a decoded wire or WAL arena
-// dies with its message, a replaced row leaves nothing behind, and rows
-// loaded together sit contiguously in memory.
+// store allocates itself or adopts whole. Upsert copies the caller's row in —
+// over the old cells when the person is already resident — so a replaced row
+// leaves nothing behind and rows loaded together sit contiguously in memory.
+// AdoptRows instead keeps a decoded batch that lands after every resident as
+// it is, unless evicted rows wait for reuse: its exactly sized arena becomes
+// one more chunk.
 //
 // The copy-in rule has a flip side: the views Locals returns alias cells the
 // next Upsert may overwrite, so they are good for the caller's turn only —
@@ -140,6 +142,48 @@ func (r *Residents) insert(i int, p core.PersonID, local pattern.Pattern) {
 	r.locals = append(r.locals, nil)
 	copy(r.locals[i+1:], r.locals[i:])
 	r.locals[i] = row
+}
+
+// AdoptRows takes a batch of rows as they are, without copying, when every
+// row passes Upsert's rules and the batch lands after the last resident:
+// persons strictly ascending and above the last resident, no all-zero row,
+// every row of the residents' length (the first row's, into an empty store)
+// and capped at it. It also refuses while rows released by Evict wait for
+// reuse, so those are filled before any new cells are kept. It reports
+// whether it took the rows; a batch it refuses is left untouched, for the
+// caller to Upsert row by row.
+//
+// Taken rows are the store's and are overwritten in place by later upserts
+// like any other, so the caller must give them up — a freshly decoded batch
+// (wire.DecodeIngest sizes its cell arena exactly, so the rows hold no cells
+// beyond their own), not rows anybody else reads. The persons and locals
+// slices themselves stay the caller's.
+func (r *Residents) AdoptRows(persons []core.PersonID, locals []pattern.Pattern) bool {
+	if len(persons) != len(locals) || len(r.free) > 0 {
+		return false
+	}
+	if len(persons) == 0 {
+		return true
+	}
+	length, last := r.Length(), core.PersonID(0)
+	if n := len(r.persons); n > 0 {
+		last = r.persons[n-1]
+	} else {
+		length = len(locals[0])
+	}
+	for i, p := range persons {
+		l := locals[i]
+		if (i > 0 || len(r.persons) > 0) && p <= last {
+			return false
+		}
+		if len(l) != length || cap(l) != length || l.Sum() == 0 {
+			return false
+		}
+		last = p
+	}
+	r.persons = append(r.persons, persons...)
+	r.locals = append(r.locals, locals...)
+	return true
 }
 
 // Evict removes person p, keeping the row for the next new resident, and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dimatch/internal/core"
@@ -46,10 +47,66 @@ func checkAgainstModel(t *testing.T, step int, r *store.Residents, model map[cor
 	}
 }
 
+// bulkBatch draws a batch for AdoptRows over a store whose residents the
+// model holds, of the given kind: 0 and 1 qualify (persons ascending above
+// every resident, rows of the store's length in one exactly sized arena, as
+// wire decoding makes them); every other kind breaks one rule — 2 unsorted,
+// 3 a duplicate person, 4 an all-zero row, 5 a row of a foreign length, 6 a
+// person at or below the last resident, 7 a row with spare capacity — and
+// must fall back to the copy.
+func bulkBatch(rng *rand.Rand, kind, length int, model map[core.PersonID]pattern.Pattern) ([]core.PersonID, []pattern.Pattern) {
+	n := 2 + rng.Intn(4)
+	last := core.PersonID(0)
+	for p := range model {
+		last = max(last, p)
+	}
+	persons := make([]core.PersonID, n)
+	for i := range persons {
+		last += core.PersonID(2 + 2*rng.Intn(3))
+		persons[i] = last
+	}
+	arena := make([]int64, n*length)
+	locals := make([]pattern.Pattern, n)
+	for i := range locals {
+		locals[i] = arena[i*length : (i+1)*length : (i+1)*length]
+		for g := range locals[i] {
+			locals[i][g] = rng.Int63n(9) + 1
+		}
+	}
+	at := 1 + rng.Intn(n-1) // the rule breaks past the first row
+	switch kind {
+	case 2:
+		persons[at-1], persons[at] = persons[at], persons[at-1]
+	case 3:
+		persons[at] = persons[at-1]
+	case 4:
+		clear(locals[at])
+	case 5:
+		locals[at] = make(pattern.Pattern, length+1)
+		locals[at][0] = 1
+	case 6:
+		if len(model) > 0 {
+			for p := range model {
+				persons[0] = p // resident: at or below the last one
+				break
+			}
+		} else {
+			persons[at-1], persons[at] = persons[at], persons[at-1]
+		}
+	case 7:
+		locals[at] = append(make(pattern.Pattern, 0, length+4), locals[at]...)
+	}
+	return persons, locals
+}
+
 // TestResidentsAgainstMapModel drives seeded random upserts, replacements,
-// evictions, all-zero and foreign-length rows and the image round trips
-// against a plain map, checking every invariant after every step and that a
-// row an eviction released is the next one handed out.
+// evictions, all-zero and foreign-length rows, bulk batches and the image
+// round trips against a plain map, checking every invariant after every step
+// and that a row an eviction released is the next one handed out. A bulk
+// batch that qualifies must be adopted, rows and all, unless released rows
+// wait; any other must be refused untouched, and folding it row by row
+// through Upsert — what a station and a WAL replay do then — must reach the
+// model's state too, filling the released rows first.
 func TestResidentsAgainstMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -64,9 +121,84 @@ func TestResidentsAgainstMapModel(t *testing.T) {
 			}
 			return p
 		}
+		adoptions, deferred := 0, 0
+		// reused checks that a person new to the store took a released row
+		// while any waits.
+		reused := func(step int, q core.PersonID) {
+			if len(released) == 0 {
+				return
+			}
+			at, _ := r.Find(q)
+			if first := &r.Locals()[at][0]; !released[first] {
+				t.Fatalf("step %d: new person %d got a fresh row while %d released rows wait", step, q, len(released))
+			} else {
+				delete(released, first)
+			}
+		}
+		evict := func(step int, q core.PersonID) {
+			_, resident := model[q]
+			if resident && len(model) > 1 {
+				at, _ := r.Find(q)
+				released[&r.Locals()[at][0]] = true
+			}
+			if r.Evict(q) != resident {
+				t.Fatalf("step %d: Evict(%d) = %v, resident = %v", step, q, !resident, resident)
+			}
+			delete(model, q)
+			if len(model) == 0 {
+				released = map[*int64]bool{} // an emptied store lets its chunks go
+			}
+		}
 		for step := 0; step < 4000; step++ {
 			p := core.PersonID(rng.Intn(400) * 2) // even IDs, so p+1 is always a gap
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(24); {
+			case op >= 20: // bulk batch: adopted whole, or refused and upserted
+				// Bulk persons land above every resident, beyond the single
+				// ops' IDs below 800: expire them now and then, as a
+				// stream's TTL would, so the store keeps its size.
+				if r.Len() > 0 && r.Persons()[r.Len()-1] > 1600 {
+					for _, q := range slices.Clone(r.Persons()) {
+						if q >= 800 {
+							evict(step, q)
+						}
+					}
+				}
+				kind := rng.Intn(8)
+				persons, locals := bulkBatch(rng, kind, length, model)
+				before := slices.Clone(persons)
+				adopted := r.AdoptRows(persons, locals)
+				// A qualifying batch is refused while released rows wait:
+				// the copy below must fill those rows first.
+				if adopted != (kind < 2 && len(released) == 0) {
+					t.Fatalf("step %d: AdoptRows of a kind-%d batch with %d released rows waiting = %v", step, kind, len(released), adopted)
+				}
+				switch {
+				case adopted:
+					adoptions++
+				case kind < 2:
+					deferred++
+				}
+				if !slices.Equal(persons, before) {
+					t.Fatalf("step %d: AdoptRows rewrote the batch's persons", step)
+				}
+				if !adopted {
+					for i, q := range persons {
+						_, resident := model[q]
+						if r.Upsert(q, locals[i]) {
+							model[q] = locals[i].Clone()
+							if !resident {
+								reused(step, q)
+							}
+						}
+					}
+					break
+				}
+				for i, q := range persons {
+					model[q] = locals[i].Clone()
+					if at, _ := r.Find(q); &r.Locals()[at][0] != &locals[i][0] {
+						t.Fatalf("step %d: adopted person %d's row is a copy", step, q)
+					}
+				}
 			case op < 10: // upsert: new person or replacement
 				in := row(length)
 				_, resident := model[p]
@@ -75,27 +207,11 @@ func TestResidentsAgainstMapModel(t *testing.T) {
 				}
 				model[p] = in.Clone()
 				in[0] = -99 // the store copied: the caller's row is the caller's again
-				if !resident && len(released) > 0 {
-					at, _ := r.Find(p)
-					if first := &r.Locals()[at][0]; !released[first] {
-						t.Fatalf("step %d: new person %d got a fresh row while %d released rows wait", step, p, len(released))
-					} else {
-						delete(released, first)
-					}
+				if !resident {
+					reused(step, p)
 				}
 			case op < 15: // evict, resident or not
-				_, resident := model[p]
-				if resident && len(model) > 1 {
-					at, _ := r.Find(p)
-					released[&r.Locals()[at][0]] = true
-				}
-				if r.Evict(p) != resident {
-					t.Fatalf("step %d: Evict(%d) = %v, resident = %v", step, p, !resident, resident)
-				}
-				delete(model, p)
-				if len(model) == 0 {
-					released = map[*int64]bool{} // an emptied store lets its chunks go
-				}
+				evict(step, p)
 			case op == 15: // all-zero row
 				if r.Upsert(p, make(pattern.Pattern, length)) {
 					t.Fatalf("step %d: all-zero row applied", step)
@@ -144,6 +260,9 @@ func TestResidentsAgainstMapModel(t *testing.T) {
 				released = map[*int64]bool{}
 			}
 			checkAgainstModel(t, step, &r, model)
+		}
+		if adoptions == 0 || deferred == 0 {
+			t.Fatalf("seed %d: %d batches adopted, %d qualifying ones refused for waiting released rows: both paths must run", seed, adoptions, deferred)
 		}
 	}
 }

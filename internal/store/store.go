@@ -139,6 +139,17 @@ func (f *Fold) Apply(b Batch) error {
 	return nil
 }
 
+// ApplyDecoded is Apply for a batch decoded for this call alone — a WAL
+// record, a snapshot chunk — which the fold may keep: an ingest batch that
+// lands after every resident is taken as it is (Residents.AdoptRows), so
+// replaying a bulk-loaded log copies no row.
+func (f *Fold) ApplyDecoded(b Batch) error {
+	if b.Op == OpIngest && f.AdoptRows(b.Persons, b.Locals) {
+		return nil
+	}
+	return f.Apply(b)
+}
+
 // Memory is the default backend: state lives in process memory only, so a
 // station over it behaves exactly like a pre-persistence station — Recover
 // after a process restart finds nothing. It exists so the store contract has

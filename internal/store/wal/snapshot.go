@@ -80,7 +80,7 @@ func decodeSnapshot(data []byte) (store.Image, error) {
 			if err != nil {
 				return store.Image{}, fmt.Errorf("%w: residents: %w", ErrBadSnapshot, err)
 			}
-			if err := fold.Apply(store.Batch{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals}); err != nil {
+			if err := fold.ApplyDecoded(store.Batch{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals}); err != nil {
 				return store.Image{}, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 			}
 		case recDigest:

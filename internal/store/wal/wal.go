@@ -283,7 +283,7 @@ func (s *Store) Recover() (store.Image, error) {
 		if err != nil {
 			return store.Image{}, fmt.Errorf("%w at log byte %d", err, off)
 		}
-		if err := fold.Apply(batch); err != nil {
+		if err := fold.ApplyDecoded(batch); err != nil {
 			return store.Image{}, err
 		}
 		off += n

@@ -18,23 +18,23 @@ import (
 // immediately explores the interesting corrupt-field space instead of
 // rediscovering the magic number.
 const (
-	workedBatchQueryHex = "a7d10f0e2a000000" + "1a000000" +
+	workedBatchQueryHex = "a7d1100e2a000000" + "1a000000" +
 		"01" + "010103" + "4002020001050000000000000000" +
 		"0202040101" + "1c6472"
-	workedSummaryReplyHex = "a7d10f132a000000" + "1e000000" +
+	workedSummaryReplyHex = "a7d110132a000000" + "1e000000" +
 		"030201719a3d0cbfe5a75140000000000000000702" +
-		"010119402202542008"
+		"010389408022142804"
 	// A KindRouteQuery delegating a one-query round (auto-sized params,
 	// summary routing) and the region's KindRouteReply carrying one raw partial
 	// result.
-	workedRouteQueryHex = "a7d10f142a000000" + "25000000" +
+	workedRouteQueryHex = "a7d110142a000000" + "25000000" +
 		"01070204020400020400020204" +
 		"0000000000000000000000000000" +
 		"7b14ae47e17a843f" + "0000"
-	workedRouteReplyHex = "a7d10f152a000000" + "0c000000" +
+	workedRouteReplyHex = "a7d110152a000000" + "0c000000" +
 		"030502010001" + "010709181801"
 	// A KindBatchReply of three reports on two pointer lists.
-	workedBatchReplyHex = "a7d10f0f2a000000" + "0c000000" +
+	workedBatchReplyHex = "a7d1100f2a000000" + "0c000000" +
 		"030203" + "0200020f" + "05010407" + "13"
 )
 
@@ -49,7 +49,7 @@ const adaptiveSummaryHex = "000306719a3d0cbfe5a751000100000000000000120485aaaa04
 // each version byte earlier builds used (plus the next unassigned one) and
 // each retired kind byte — all of which must be rejected at the header.
 func addRetiredSeeds(f *testing.F, frame []byte) {
-	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16} { // all but Version
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17} { // all but Version
 		bad := append([]byte(nil), frame...)
 		bad[2] = v
 		f.Add(bad)

@@ -1107,12 +1107,12 @@ func readRows(r *reader) ([]core.PersonID, []pattern.Pattern) {
 // ---- routing: summary ----
 
 // SummaryReply carries one station's routing summary: the Bloom digest of
-// every resident pattern's accumulated cells, which the coordinator caches
-// and probes to decide whether a search batch needs to visit the station at
-// all. The filter parameters travel with the words so the coordinator
-// reconstructs the exact key space the station inserted into (index.FromParts
-// takes exactly these fields); Residents is diagnostic (how many patterns the
-// digest covers).
+// every resident pattern's accumulated cells at the positions Length implies
+// (index.Summary), which the coordinator caches and probes to decide whether
+// a search batch needs to visit the station at all. The filter parameters
+// travel with the words so the coordinator reconstructs the exact key space
+// the station inserted into (index.FromParts takes exactly these fields);
+// Residents is diagnostic (how many patterns the digest covers).
 type SummaryReply struct {
 	Station   uint32
 	Length    uint32

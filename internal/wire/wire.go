@@ -156,9 +156,10 @@ func (k Kind) String() string {
 // 11 while a filter shipped its bit array word by word, 12 while a query
 // frame shipped its weight rows and pointer lists as varints and a reply
 // every person gap as one, 13 while no query frame could carry a person
-// bound, 14 while kinds 22 and 23 carried adaptive digest parameters), so
-// none of their frames decode.
-const Version = uint8(15)
+// bound, 14 while kinds 22 and 23 carried adaptive digest parameters, 15
+// while a routing digest held every position's cell under four hashes),
+// so none of their frames decode.
+const Version = uint8(16)
 
 const (
 	magic      = uint16(0xD1A7)
