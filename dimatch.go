@@ -59,8 +59,8 @@ type (
 	Confusion = metrics.Confusion
 	// ToleranceMode selects how ε maps into the accumulated domain.
 	ToleranceMode = core.ToleranceMode
-	// ClusterStats is a cluster-wide storage snapshot fetched from the
-	// stations over the wire, cached per membership epoch.
+	// ClusterStats is a cluster-wide storage snapshot of the figures the
+	// stations last reported over the wire.
 	ClusterStats = cluster.Stats
 	// StationStats is one station's resident count and storage bytes, as
 	// reported by the station itself.
@@ -351,9 +351,10 @@ func (c *Cluster) RemoveStation(ctx context.Context, id uint32) error {
 	return c.inner.RemoveStation(ctx, id)
 }
 
-// Stats fetches every station's resident count and storage bytes over the
-// wire. The snapshot is cached per membership epoch: repeated calls between
-// mutations answer from the cache, and any mutation triggers a refetch.
+// Stats reports every station's resident count and storage bytes as the
+// station last reported them over the wire: at its join, then in its answer
+// to every ingest or evict. It sends no frame, and fails with ErrCancelled
+// when ctx is already done.
 func (c *Cluster) Stats(ctx context.Context) (*ClusterStats, error) {
 	return c.inner.Stats(ctx)
 }

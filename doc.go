@@ -139,9 +139,10 @@
 // kept in an epoch-versioned snapshot: a search pins the epoch current at
 // its start and fans out over exactly that station set, so a concurrent
 // membership change never disturbs it — an overlapping removal is counted
-// in CostReport.StationsFailed, never surfaced as an error. Stats fetches
-// every station's resident count and storage bytes over the wire, cached
-// per epoch.
+// in CostReport.StationsFailed, never surfaced as an error. Stats reports
+// every station's resident count and storage bytes as the station last
+// reported them: a station answers every ingest and evict with its
+// figures, so Stats sends no frame.
 //
 // # Replicated placement
 //

@@ -220,9 +220,9 @@ func ExampleCluster_Ingest() {
 	// residents after evict: 3
 }
 
-// ExampleCluster_Stats fetches the per-station storage snapshot the
-// stations report about themselves over the wire (cached per membership
-// epoch).
+// ExampleCluster_Stats reads the per-station storage snapshot the stations
+// report about themselves over the wire, with their answer to the join and
+// to every mutation.
 func ExampleCluster_Stats() {
 	c, err := exampleCity()
 	if err != nil {

@@ -103,8 +103,8 @@ func TestReadmeLifecycleSnippet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Per-station resident counts and storage bytes, fetched over the wire
-	// and cached per epoch.
+	// Per-station resident counts and storage bytes, as each station last
+	// reported them with its answer to a join or mutation.
 	st, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -60,12 +60,6 @@ type epoch struct {
 	ids       []uint32
 	muxes     []*transport.Mux
 	delegates map[uint32]bool
-
-	// stats caches the stations' KindStats replies for this epoch. Every
-	// mutation installs a fresh epoch, so a filled cache can never go
-	// stale.
-	statsMu sync.Mutex
-	stats   *Stats // dimatch:guardedby statsMu
 }
 
 // find returns the index of id in the epoch's membership, or -1.
@@ -87,7 +81,7 @@ func (ep *epoch) find(id uint32) int {
 // patterns, AddStation and RemoveStation grow and shrink the membership,
 // all while searches are in flight. Membership lives in an epoch-versioned
 // snapshot: an in-flight search works over the epoch it started with, a
-// mutation installs the next one.
+// membership change installs the next one.
 type Cluster struct {
 	opts   Options
 	length int
@@ -117,6 +111,11 @@ type Cluster struct {
 	// from an in-process member's residents or a link member's handshake.
 	// Only a public Ingest changes it afterwards, from empty to addressed.
 	roles map[uint32]memberRole // dimatch:guardedby mu
+	// figures holds each member's last stats reply: read at its join, then
+	// replaced by the reply to every mutation sent to it (mutate). Stats and
+	// each search's StationRawBytes read it; no stats exchange follows the
+	// join.
+	figures map[uint32]wire.StatsReply // dimatch:guardedby mu
 
 	// summaries is the routing-summary cache: one probeable digest per
 	// station, filled lazily by routed searches and kept honest by the
@@ -162,14 +161,6 @@ const (
 	// cannot see, so group routing never trusts it to answer for a group.
 	roleDelegate
 )
-
-// residentRole is the role of a plain station joining with n residents.
-func residentRole(n int) memberRole {
-	if n > 0 {
-		return roleAddressed
-	}
-	return roleEmpty
-}
 
 // statsRole is the role a member's stats reply shows.
 func statsRole(sr wire.StatsReply) memberRole {
@@ -293,10 +284,11 @@ func assemble(opts Options, length int, members []Member) (*Cluster, error) {
 		ids[i] = m.ID
 	}
 	c := &Cluster{
-		opts:   opts,
-		length: length,
-		dead:   make(map[uint32]bool),
-		roles:  make(map[uint32]memberRole),
+		opts:    opts,
+		length:  length,
+		dead:    make(map[uint32]bool),
+		roles:   make(map[uint32]memberRole),
+		figures: make(map[uint32]wire.StatsReply),
 	}
 	muxes := make([]*transport.Mux, 0, len(members))
 	var linkIDs []uint32
@@ -310,20 +302,23 @@ func assemble(opts Options, length int, members []Member) (*Cluster, error) {
 		muxes = append(muxes, mux)
 		if st != nil {
 			c.pending = append(c.pending, st)
-			c.roles[m.ID] = residentRole(st.Residents())
+			c.figures[m.ID] = st.stats()
 		} else {
 			linkIDs, linkMuxes = append(linkIDs, m.ID), append(linkMuxes, mux)
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), handshakeTimeout) //dimatch:allow ctxflow — New takes no context; handshakeTimeout bounds its joins instead
 	defer cancel()
-	roles, err := c.handshake(ctx, linkIDs, linkMuxes)
+	replies, err := c.handshake(ctx, linkIDs, linkMuxes)
 	if err != nil {
 		closeMuxes(muxes)
 		return nil, err
 	}
 	for i, id := range linkIDs {
-		c.roles[id] = roles[i]
+		c.figures[id] = replies[i]
+	}
+	for id, sr := range c.figures {
+		c.roles[id] = statsRole(sr)
 	}
 	// Remote stations run their own Serve loops: a cluster with nothing to
 	// launch is live from construction (Start stays an idempotent no-op), and
@@ -357,11 +352,9 @@ func closeMuxes(muxes []*transport.Mux) {
 	}
 }
 
-// installEpochLocked makes (ids, muxes) the live membership snapshot with a
-// fresh, empty stats cache and the members' route delegates. Callers hold
-// c.mu (or own the cluster exclusively during construction). Passing the
-// previous epoch's slices unchanged is how ingest/evict/kill invalidate the
-// stats cache without touching membership.
+// installEpochLocked makes (ids, muxes) the live membership snapshot, with
+// the members' route delegates, when the member set changes. Callers hold
+// c.mu (or own the cluster exclusively during construction).
 func (c *Cluster) installEpochLocked(ids []uint32, muxes []*transport.Mux) {
 	c.epochs++
 	c.ep = &epoch{version: c.epochs, ids: ids, muxes: muxes}

@@ -21,7 +21,7 @@ type exchanged struct {
 
 // roundtripAll sends msg to every mux concurrently and waits for each to
 // answer or fail; the results are parallel to muxes. Every coordinator
-// fan-out — search rounds, digest fetches, heal pulls, parameter rollouts,
+// fan-out — search rounds, digest fetches, heal pulls, join handshakes,
 // delegated rounds — runs through it, so this is the one goroutine that
 // performs a round trip and no caller holds a lock across it. A cancelled
 // ctx fails the round trips still pending; callers check ctx.Err() before

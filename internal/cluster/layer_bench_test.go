@@ -68,43 +68,66 @@ func BenchmarkPlace(b *testing.B) {
 
 // BenchmarkStationIngest times a durable station taking one 25 000-row
 // ingest frame of length-24 rows, the share of a 16-station bulk load at
-// R = 2 that one station receives: decode, upsert over the resident rows,
-// WAL append and fsync. The log is folded outside the timer every 32 ops
-// so it stays bounded.
+// R = 2 that one station receives: decode, store, WAL append and fsync.
+// /append is the streamed shape: every op's persons rank above every
+// resident, so the station adopts the decoded rows; every 8 ops the store
+// is emptied and the log folded outside the timer, which bounds memory.
+// /replace re-ingests the same persons every op, so each row is replaced in
+// place; the log is folded outside the timer every 32 ops.
 func BenchmarkStationIngest(b *testing.B) {
 	const rows = 25_000
-	st, err := wal.Open(filepath.Join(b.TempDir(), "station-1"), wal.Options{SnapshotEvery: -1, SnapshotBytes: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = st.Close() })
-	_, end := transport.Pipe(nil, nil)
-	s, err := NewStation(1, nil, end, st)
-	if err != nil {
-		b.Fatal(err)
-	}
 	patterns := benchPatterns(rows)
-	in := wire.Ingest{Persons: sortedKeys(patterns)}
-	for _, p := range in.Persons {
-		in.Locals = append(in.Locals, patterns[p])
-	}
-	msg, err := wire.EncodeIngest(in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(msg.Payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.handleIngest(msg); err != nil {
+	persons := sortedKeys(patterns)
+	frame := func(b *testing.B, offset core.PersonID) wire.Message {
+		in := wire.Ingest{Persons: make([]core.PersonID, len(persons))}
+		for i, p := range persons {
+			in.Persons[i] = p + offset
+			in.Locals = append(in.Locals, patterns[p])
+		}
+		msg, err := wire.EncodeIngest(in)
+		if err != nil {
 			b.Fatal(err)
 		}
-		if i%32 == 31 {
-			b.StopTimer()
-			if err := st.Snapshot(store.Image{Persons: s.residents.Persons(), Locals: s.residents.Locals()}); err != nil {
+		return msg
+	}
+	run := func(b *testing.B, frames []wire.Message, every int, empty bool) {
+		st, err := wal.Open(filepath.Join(b.TempDir(), "station-1"), wal.Options{SnapshotEvery: -1, SnapshotBytes: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { _ = st.Close() })
+		_, end := transport.Pipe(nil, nil)
+		s, err := NewStation(1, nil, end, st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(frames[0].Payload)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.handleIngest(frames[i%len(frames)]); err != nil {
 				b.Fatal(err)
 			}
-			b.StartTimer()
+			if i%every == every-1 {
+				b.StopTimer()
+				if empty {
+					s.residents = store.Residents{}
+				}
+				if err := st.Snapshot(store.Image{Persons: s.residents.Persons(), Locals: s.residents.Locals()}); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
 		}
 	}
+	b.Run("append", func(b *testing.B) {
+		frames := make([]wire.Message, 8)
+		for k := range frames {
+			frames[k] = frame(b, core.PersonID(k*rows))
+		}
+		run(b, frames, len(frames), true)
+	})
+	b.Run("replace", func(b *testing.B) {
+		run(b, []wire.Message{frame(b, 0)}, 32, false)
+	})
 }

@@ -110,15 +110,20 @@ func TestIngestReplacesExistingResident(t *testing.T) {
 	}
 }
 
-func TestStatsReportsAndCachesPerEpoch(t *testing.T) {
-	// Remote members over metered pipes, so the test can count the frames
-	// Stats sends.
-	down := &transport.Meter{}
+// TestStatsComeFromReplies: a station answers each mutation with its
+// figures, so an Ingest or Evict is one frame each way, Stats never sends a
+// frame after New, and Stats.Epoch moves only with the member set.
+func TestStatsComeFromReplies(t *testing.T) {
+	// Remote members over metered pipes, so the test can count frames.
+	down, up := &transport.Meter{}, &transport.Meter{}
+	serve := func(id uint32, locals map[core.PersonID]pattern.Pattern) transport.Link {
+		center, stationEnd := transport.Pipe(down, up)
+		go func() { _ = ServeStation(id, locals, stationEnd) }()
+		return center
+	}
 	var members []Member
 	for id, locals := range paperScenario() {
-		center, stationEnd := transport.Pipe(down, nil)
-		go func() { _ = ServeStation(id, locals, stationEnd) }()
-		members = append(members, Member{ID: id, Link: center})
+		members = append(members, Member{ID: id, Link: serve(id, locals)})
 	}
 	c, err := New(testOptions(), 3, members...)
 	if err != nil {
@@ -127,10 +132,30 @@ func TestStatsReportsAndCachesPerEpoch(t *testing.T) {
 	t.Cleanup(func() { _ = c.Shutdown() })
 	ctx := context.Background()
 
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	stats := func(what string) *Stats {
+		t.Helper()
+		quiet := down.Messages()
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := down.Messages(); got != quiet {
+			t.Fatalf("%s: Stats sent %d frames", what, got-quiet)
+		}
+		return st
 	}
+	exchange := func(what string, mutate func() error) {
+		t.Helper()
+		d, u := down.Messages(), up.Messages()
+		if err := mutate(); err != nil {
+			t.Fatal(err)
+		}
+		if dd, du := down.Messages()-d, up.Messages()-u; dd != 1 || du != 1 {
+			t.Fatalf("%s: %d frames down, %d up; want 1 and 1", what, dd, du)
+		}
+	}
+
+	st := stats("after New")
 	wantResidents := map[uint32]int{0: 4, 1: 2, 2: 2}
 	if len(st.Stations) != 3 || st.StationsFailed != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -149,51 +174,86 @@ func TestStatsReportsAndCachesPerEpoch(t *testing.T) {
 	if st.TotalResidents() != 8 || st.TotalStorageBytes() != paperScenarioRawBytes {
 		t.Fatalf("totals = %d residents, %d bytes", st.TotalResidents(), st.TotalStorageBytes())
 	}
+	epoch := st.Epoch
 
-	// Unchanged cluster: the snapshot is served from the epoch cache — no
-	// frames cross the links.
-	quiet := down.Messages()
-	st2, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	exchange("ingest", func() error {
+		return c.Ingest(ctx, 1, map[core.PersonID]pattern.Pattern{40: {9, 9, 9}})
+	})
+	st = stats("after an ingest")
+	if st.Epoch != epoch {
+		t.Fatalf("ingest moved the epoch %d -> %d", epoch, st.Epoch)
 	}
-	if got := down.Messages(); got != quiet {
-		t.Fatalf("cached Stats sent %d frames", got-quiet)
-	}
-	if st2.Epoch != st.Epoch || st2.TotalStorageBytes() != st.TotalStorageBytes() {
-		t.Fatalf("cached snapshot diverged: %+v vs %+v", st2, st)
-	}
-
-	// A mutation installs a fresh epoch whose cache is seeded from the old
-	// snapshot with the mutated station refreshed: totals update without a
-	// full stats fan-out.
-	if err := c.Ingest(ctx, 1, map[core.PersonID]pattern.Pattern{40: {9, 9, 9}}); err != nil {
-		t.Fatal(err)
-	}
-	quiet = down.Messages()
-	st3, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := down.Messages(); got != quiet {
-		t.Fatalf("post-mutation Stats sent %d frames despite the seeded cache", got-quiet)
-	}
-	if st3.Epoch <= st.Epoch {
-		t.Fatalf("epoch did not advance: %d -> %d", st.Epoch, st3.Epoch)
-	}
-	if st3.TotalResidents() != 9 || st3.TotalStorageBytes() != paperScenarioRawBytes+24 {
-		t.Fatalf("post-ingest totals = %d residents, %d bytes", st3.TotalResidents(), st3.TotalStorageBytes())
+	if st.TotalResidents() != 9 || st.TotalStorageBytes() != paperScenarioRawBytes+24 {
+		t.Fatalf("post-ingest totals = %d residents, %d bytes", st.TotalResidents(), st.TotalStorageBytes())
 	}
 
 	// The returned snapshot is the caller's to mutate: scribbling on it
-	// must not corrupt the shared cache.
-	st3.Stations[0].StorageBytes = 1
-	st4, err := c.Stats(ctx)
-	if err != nil {
+	// must not corrupt the figures table.
+	st.Stations[0].StorageBytes = 1
+	if st := stats("after a scribble"); st.Stations[0].StorageBytes == 1 {
+		t.Fatal("caller mutation leaked into the figures table")
+	}
+
+	exchange("evict", func() error { return c.Evict(ctx, 0, []core.PersonID{10, 11}) })
+	st = stats("after an evict")
+	if st.Epoch != epoch || st.TotalResidents() != 8 || st.TotalStorageBytes() != paperScenarioRawBytes {
+		t.Fatalf("post-evict snapshot %+v (epoch was %d), want 8 residents, %d bytes", st, epoch, paperScenarioRawBytes)
+	}
+
+	if err := c.KillStation(2); err != nil {
 		t.Fatal(err)
 	}
-	if st4.Stations[0].StorageBytes == 1 {
-		t.Fatal("caller mutation leaked into the epoch cache")
+	st = stats("after a kill")
+	if st.Epoch != epoch || st.StationsFailed != 1 || st.TotalResidents() != 6 {
+		t.Fatalf("post-kill snapshot %+v (epoch was %d), want station 2 failed", st, epoch)
+	}
+
+	if err := c.AddStation(ctx, Member{ID: 3, Link: serve(3, map[core.PersonID]pattern.Pattern{50: {1, 1, 1}})}); err != nil {
+		t.Fatal(err)
+	}
+	st = stats("after a join")
+	if st.Epoch <= epoch || st.TotalResidents() != 7 {
+		t.Fatalf("post-join snapshot %+v (epoch was %d), want a later epoch and 7 residents", st, epoch)
+	}
+	epoch = st.Epoch
+	if err := c.RemoveStation(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	st = stats("after a removal")
+	if st.Epoch <= epoch || st.TotalResidents() != 6 || len(st.Stations) != 2 {
+		t.Fatalf("post-removal snapshot %+v (epoch was %d), want a later epoch and station 3 gone", st, epoch)
+	}
+}
+
+// TestStatsExactAfterConcurrentIngests: concurrent mutations of one station
+// hand their replies over in any order, and Stats must still report the
+// figures after the last one applied, never an earlier reply's.
+func TestStatsExactAfterConcurrentIngests(t *testing.T) {
+	c := startCluster(t, testOptions(), paperScenario())
+	ctx := context.Background()
+	const rounds, writers = 300, 4
+	want := len(paperScenario()[0])
+	next := core.PersonID(1000)
+	for round := 0; round < rounds; round++ {
+		errs := make(chan error, writers)
+		for w := 0; w < writers; w++ {
+			p := next
+			next++
+			go func() { errs <- c.Ingest(ctx, 0, map[core.PersonID]pattern.Pattern{p: {1, 2, 3}}) }()
+		}
+		for w := 0; w < writers; w++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		want += writers
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Stations[0]; got.Station != 0 || got.Residents != want {
+			t.Fatalf("round %d: Stats reports %+v, want station 0 with %d residents", round, got, want)
+		}
 	}
 }
 

@@ -108,7 +108,7 @@ func TestFailedNewClosesEveryStore(t *testing.T) {
 }
 
 // TestRegionSkipsForeignLengthIngest: a region applies a station's rule to
-// an ingest frame — a foreign-length pattern is skipped and the rest acked —
+// an ingest frame — a foreign-length pattern is skipped and the rest applied —
 // instead of failing the whole frame and going dark.
 func TestRegionSkipsForeignLengthIngest(t *testing.T) {
 	sub, err := New(Options{}, 3, emptyMembers([]uint32{1, 2})...)
@@ -127,7 +127,7 @@ func TestRegionSkipsForeignLengthIngest(t *testing.T) {
 
 	got := ingestOverLink(t, center, []core.PersonID{1, 2}, []pattern.Pattern{{1, 2, 3}, {1, 2, 3, 4}})
 	if got != 1 {
-		t.Fatalf("Applied = %d, want 1 (the length-4 pattern skipped)", got)
+		t.Fatalf("Residents = %d, want 1 (the length-4 pattern skipped)", got)
 	}
 	if err := center.Send(wire.StatsMessage().WithRequest(2)); err != nil {
 		t.Fatal(err)

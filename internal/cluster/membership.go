@@ -38,9 +38,6 @@ func (c *Cluster) KillStation(id uint32) error {
 	c.invalidateLayoutLocked()
 	c.dead[id] = true
 	err := c.ep.muxes[i].Close()
-	// Same membership, fresh epoch: cached stats must stop counting the
-	// severed station.
-	c.installEpochLocked(c.ep.ids, c.ep.muxes)
 	c.mu.Unlock()
 	c.summaries.invalidate(id)
 	c.heal(context.Background()) //dimatch:allow ctxflow — KillStation is a ctx-less fault-injection API; healing must outlive the injected fault
@@ -161,7 +158,7 @@ func (c *Cluster) ingest(ctx context.Context, stationID uint32, in wire.Ingest, 
 	}
 	if err := c.mutate(ctx, stationID, msg); err != nil {
 		// The exchange failed, but the frame may still have been delivered
-		// and applied (a lost ack, a deadline while awaiting it). A cached
+		// and applied (a lost reply, a deadline while awaiting it). A cached
 		// digest missing an applied ingest would prune the station away
 		// from its new residents — the one staleness direction that loses
 		// recall — so the slot is invalidated on the error path too.
@@ -205,13 +202,11 @@ func (c *Cluster) evict(ctx context.Context, stationID uint32, persons []core.Pe
 	return nil
 }
 
-// mutate runs one acknowledged mutation exchange against a member station
-// and, on success, installs a fresh epoch. When the outgoing epoch already
-// holds a stats snapshot, the new epoch's cache is seeded from it with just
-// the mutated station's entry refreshed (one extra single-station
-// exchange), so churn workloads keep answering Stats — and the per-search
-// StationRawBytes lookup — from cache instead of paying a full stats
-// fan-out after every mutation.
+// mutate runs one mutation exchange against a member station. The station
+// answers with its figures after the mutation, which replace the member's
+// entry in c.figures while the same link still serves the id. Concurrent
+// mutations hand their replies over in any order, so a reply older (by Seq)
+// than the recorded one is dropped.
 func (c *Cluster) mutate(ctx context.Context, id uint32, msg wire.Message) error {
 	c.mu.Lock()
 	if c.closed {
@@ -233,30 +228,13 @@ func (c *Cluster) mutate(ctx context.Context, id uint32, msg wire.Message) error
 		}
 		return fmt.Errorf("cluster: station %d: %w", id, err)
 	}
-	if _, err := wire.DecodeAck(reply); err != nil {
+	sr, err := wire.DecodeStatsReply(reply)
+	if err != nil {
 		return fmt.Errorf("cluster: station %d: %w", id, err)
 	}
-
-	// The mutation is applied; the refresh below is best effort and must
-	// not fail it — on any miss the new epoch simply starts with a cold
-	// cache.
-	var fresh *wire.StatsReply
-	if reply, err := mux.Roundtrip(ctx, wire.StatsMessage()); err == nil {
-		if sr, err := wire.DecodeStatsReply(reply); err == nil {
-			fresh = &sr
-		}
-	}
 	c.mu.Lock()
-	if !c.closed {
-		prev := c.ep
-		c.installEpochLocked(prev.ids, prev.muxes)
-		// Seed only while the station is still a member: a concurrent
-		// RemoveStation must not resurrect its storage figures.
-		if fresh != nil && c.ep.find(fresh.Station) >= 0 {
-			if cached := prev.cachedStats(); cached != nil {
-				c.ep.seedStats(cached, *fresh)
-			}
-		}
+	if i := c.ep.find(id); i >= 0 && c.ep.muxes[i] == mux && sr.Seq >= c.figures[id].Seq {
+		c.figures[id] = sr
 	}
 	c.mu.Unlock()
 	return nil
@@ -300,7 +278,7 @@ func (c *Cluster) AddStation(ctx context.Context, m Member) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	mux, st, role, err := c.admit(ctx, m)
+	mux, st, sr, err := c.admit(ctx, m)
 	if err != nil {
 		m.release()
 		return err
@@ -320,7 +298,8 @@ func (c *Cluster) AddStation(ctx context.Context, m Member) error {
 		}
 	}
 	c.invalidateLayoutLocked()
-	c.roles[m.ID] = role
+	c.roles[m.ID] = statsRole(sr)
+	c.figures[m.ID] = sr
 	c.addMemberLocked(m.ID, mux)
 	c.mu.Unlock()
 	c.summaries.invalidate(m.ID)
@@ -330,10 +309,11 @@ func (c *Cluster) AddStation(ctx context.Context, m Member) error {
 
 // admit runs everything a join does before taking the membership lock: the
 // refusals that cost nothing, then wiring (recovery), then a link member's
-// handshake. role is what the member joins as (memberRole).
-func (c *Cluster) admit(ctx context.Context, m Member) (mux *transport.Mux, st *Station, role memberRole, err error) {
+// handshake. sr is the member's figures at its join, read from an
+// in-process station before it serves.
+func (c *Cluster) admit(ctx context.Context, m Member) (mux *transport.Mux, st *Station, sr wire.StatsReply, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, 0, fmt.Errorf("%w: %w", ErrCancelled, err)
+		return nil, nil, sr, fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
 	c.mu.Lock()
 	err = c.refusalLocked(m.ID)
@@ -342,23 +322,23 @@ func (c *Cluster) admit(ctx context.Context, m Member) (mux *transport.Mux, st *
 		err = m.check(c.length)
 	}
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, sr, err
 	}
 	mux, st, err = m.wire(c.length)
 	switch {
 	case err != nil:
 	case m.Link != nil:
-		var roles []memberRole
-		roles, err = c.handshake(ctx, []uint32{m.ID}, []*transport.Mux{mux}) // on failure, release closes the link under the mux
+		var replies []wire.StatsReply
+		replies, err = c.handshake(ctx, []uint32{m.ID}, []*transport.Mux{mux}) // on failure, release closes the link under the mux
 		if ctxErr := ctx.Err(); err != nil && ctxErr != nil {
 			err = fmt.Errorf("%w: %w", ErrCancelled, ctxErr)
 		} else if err == nil {
-			role = roles[0]
+			sr = replies[0]
 		}
 	default:
-		role = residentRole(st.Residents())
+		sr = st.stats()
 	}
-	return mux, st, role, err
+	return mux, st, sr, err
 }
 
 // addMemberLocked installs a new epoch with id inserted in order. Callers
@@ -374,12 +354,12 @@ func (c *Cluster) addMemberLocked(id uint32, mux *transport.Mux) {
 
 // handshake is the join exchange every link member passes, New's and
 // AddStation's: one stats round over muxes (parallel to ids), concurrently.
-// It returns each member's role, or the first refusal in ids order: a member
-// that does not answer, answers in another wire version or holds patterns
-// of a foreign length. Afterwards a member's kind is known for its whole
-// membership.
-func (c *Cluster) handshake(ctx context.Context, ids []uint32, muxes []*transport.Mux) ([]memberRole, error) {
-	roles := make([]memberRole, len(ids))
+// It returns each member's reply, or the first refusal in ids order: a
+// member that does not answer, answers in another wire version or holds
+// patterns of a foreign length. The reply fixes the member's kind for its
+// whole membership (statsRole) and seeds its figures.
+func (c *Cluster) handshake(ctx context.Context, ids []uint32, muxes []*transport.Mux) ([]wire.StatsReply, error) {
+	replies := make([]wire.StatsReply, len(ids))
 	for i, r := range roundtripAll(ctx, muxes, wire.StatsMessage()) {
 		err := r.err
 		var sr wire.StatsReply
@@ -392,9 +372,9 @@ func (c *Cluster) handshake(ctx context.Context, ids []uint32, muxes []*transpor
 		if sr.Length != 0 && int(sr.Length) != c.length {
 			return nil, fmt.Errorf("%w: station %d pattern length %d, cluster is %d", ErrLengthMismatch, ids[i], sr.Length, c.length)
 		}
-		roles[i] = statsRole(sr)
+		replies[i] = sr
 	}
-	return roles, nil
+	return replies, nil
 }
 
 // RemoveStation shrinks the membership of a running cluster: the station
@@ -424,6 +404,7 @@ func (c *Cluster) RemoveStation(ctx context.Context, id uint32) error {
 	c.invalidateLayoutLocked()
 	delete(c.dead, id)
 	delete(c.roles, id)
+	delete(c.figures, id)
 	ids := make([]uint32, 0, len(c.ep.ids)-1)
 	ids = append(append(ids, c.ep.ids[:i]...), c.ep.ids[i+1:]...)
 	muxes := make([]*transport.Mux, 0, len(c.ep.muxes)-1)

@@ -30,6 +30,9 @@ type Region struct {
 	id   uint32
 	c    *Cluster
 	link transport.Link
+	// seq counts the mutations answered (StatsReply.Seq); only Serve's loop
+	// touches it.
+	seq uint64
 }
 
 // NewRegion wraps a running cluster as a region coordinator answering on
@@ -152,9 +155,10 @@ func (r *Region) handleRoute(ctx context.Context, msg wire.Message) (*wire.Messa
 	return &reply, nil
 }
 
-// handleStats aggregates the subtree into one stats reply and advertises the
-// delegate capability, which a parent's join handshake reads. The parent
-// caches the storage figures per epoch exactly as it would a station's.
+// handleStats aggregates the subtree's figures, read from the region's own
+// table, into one stats reply and advertises the delegate capability, which
+// a parent's join handshake reads. It also answers every mutation, as a
+// station's does.
 func (r *Region) handleStats(ctx context.Context) (*wire.Message, error) {
 	st, err := r.c.Stats(ctx)
 	if err != nil {
@@ -166,6 +170,7 @@ func (r *Region) handleStats(ctx context.Context) (*wire.Message, error) {
 		StorageBytes: st.TotalStorageBytes(),
 		Length:       uint32(r.c.PatternLength()),
 		Flags:        wire.FlagRouteDelegate,
+		Seq:          r.seq,
 	})
 	return &reply, nil
 }
@@ -260,8 +265,8 @@ func (r *Region) handleIngest(ctx context.Context, msg wire.Message) (*wire.Mess
 	if _, err := r.c.Place(ctx, patterns, WithReplication(1)); err != nil {
 		return nil, fmt.Errorf("region %d: %w", r.id, err)
 	}
-	reply := wire.EncodeAck(wire.Ack{Station: r.id, Applied: uint64(len(patterns))})
-	return &reply, nil
+	r.seq++
+	return r.handleStats(ctx)
 }
 
 // handleEvict releases the parent's persons from the region: placed copies
@@ -282,8 +287,8 @@ func (r *Region) handleEvict(ctx context.Context, msg wire.Message) (*wire.Messa
 		perStation[sid] = ev.Persons
 	}
 	_, _ = r.c.evictGrouped(ctx, perStation, "region evict on")
-	reply := wire.EncodeAck(wire.Ack{Station: r.id, Applied: uint64(len(ev.Persons))})
-	return &reply, nil
+	r.seq++
+	return r.handleStats(ctx)
 }
 
 // upwardDigest caches the one subtree digest a region coordinator serves to

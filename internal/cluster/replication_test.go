@@ -402,10 +402,8 @@ func TestNewEmptyValidation(t *testing.T) {
 	}
 }
 
-// TestStatsRefreshAfterKillStation is the regression test for the stats
-// epoch cache: a kill must install a fresh epoch, so the next Stats call
-// refetches and reports the dead station as failed instead of serving its
-// stale resident counts.
+// TestStatsRefreshAfterKillStation: after a kill the next Stats call reports
+// the dead station as failed instead of serving its stale resident counts.
 func TestStatsRefreshAfterKillStation(t *testing.T) {
 	data := map[uint32]map[core.PersonID]pattern.Pattern{
 		1: {1: {1, 2, 3}},
@@ -433,9 +431,6 @@ func TestStatsRefreshAfterKillStation(t *testing.T) {
 	after, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if after.Epoch == before.Epoch {
-		t.Fatalf("epoch did not advance on kill (still %d)", after.Epoch)
 	}
 	if after.StationsFailed != 1 {
 		t.Fatalf("StationsFailed = %d, want 1 (the killed station)", after.StationsFailed)

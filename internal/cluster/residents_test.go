@@ -17,7 +17,7 @@ import (
 
 // ingestOverLink sends one KindIngest down a raw link — no coordinator, so
 // no length check stands between the frame and the station — and returns the
-// ack's Applied.
+// Residents of the stats reply that answers it.
 func ingestOverLink(t *testing.T, center transport.Link, persons []core.PersonID, locals []pattern.Pattern) uint64 {
 	t.Helper()
 	msg, err := wire.EncodeIngest(wire.Ingest{Persons: persons, Locals: locals})
@@ -31,16 +31,16 @@ func ingestOverLink(t *testing.T, center transport.Link, persons []core.PersonID
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack, err := wire.DecodeAck(reply)
+	sr, err := wire.DecodeStatsReply(reply)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ack.Applied
+	return sr.Residents
 }
 
 // TestDurableStationSurvivesForeignLengthIngest: a pattern whose length
 // differs from the residents' is skipped like an all-zero one — not applied,
-// not acked as applied, not persisted. The parent acked it and logged it;
+// not counted in the reply, not persisted. The parent acked it and logged it;
 // the station then died building its next digest and could not restart
 // ("recovered pattern length 4 alongside 3").
 func TestDurableStationSurvivesForeignLengthIngest(t *testing.T) {
@@ -86,10 +86,10 @@ func TestDurableStationSurvivesForeignLengthIngest(t *testing.T) {
 
 	center, done := serve()
 	if got := ingestOverLink(t, center, []core.PersonID{7}, []pattern.Pattern{{3, 1, 4}}); got != 1 {
-		t.Fatalf("3-cell ingest: Applied = %d, want 1", got)
+		t.Fatalf("3-cell ingest: Residents = %d, want 1", got)
 	}
-	if got := ingestOverLink(t, center, []core.PersonID{9}, []pattern.Pattern{{1, 5, 9, 2}}); got != 0 {
-		t.Fatalf("4-cell ingest beside 3-cell residents: Applied = %d, want 0", got)
+	if got := ingestOverLink(t, center, []core.PersonID{9}, []pattern.Pattern{{1, 5, 9, 2}}); got != 1 {
+		t.Fatalf("4-cell ingest beside 3-cell residents: Residents = %d, want 1", got)
 	}
 	// The digest pull walks every resident: mixed lengths killed the loop here.
 	if err := center.Send(wire.SummaryMessage().WithRequest(3)); err != nil {

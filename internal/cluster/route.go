@@ -257,9 +257,8 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 			c.summaries.put(ep.ids[i], slots[i].gen, sum)
 		}
 		// Refresh traffic fills a cluster-level cache shared by every
-		// search, so — like the per-epoch stats exchange — it is billed to
-		// the dedicated summary counters, not the search's
-		// dissemination/report totals.
+		// search, so it is billed to the dedicated summary counters, not
+		// the search's dissemination/report totals.
 		cost.SummaryRefreshes++
 		cost.SummaryBytesDown += uint64(req.EncodedSize())
 		cost.SummaryBytesUp += uint64(r.reply.EncodedSize())

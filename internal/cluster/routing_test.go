@@ -368,10 +368,9 @@ func TestRoutedChurnNeverLosesRecall(t *testing.T) {
 	}
 }
 
-// flakyStatsLink is a center-side link whose second stats request — the
-// first after the join handshake — fails at send time while every other
-// frame passes: the peer behind it joins and is healthy, but its first stats
-// exchange after joining fails.
+// flakyStatsLink is a center-side link that counts the stats requests sent
+// over it and fails the second — the first after the join handshake — at
+// send time, while every other frame passes.
 type flakyStatsLink struct {
 	transport.Link
 	stats atomic.Int32
@@ -392,11 +391,11 @@ func flakyStatsStation(id uint32, locals map[core.PersonID]pattern.Pattern) tran
 	return &flakyStatsLink{Link: center}
 }
 
-// TestStationWithoutStatsEntryIsPlain: a station that joined plain and
-// then failed the epoch's stats fetch stays a plain station — its kind comes
-// from the join handshake, not from the stats snapshot — so it is searched
-// with batch frames, summary-fetched and prunable like any other, and
-// results stay byte-equal to full fan-out.
+// TestStationWithoutStatsEntryIsPlain: a station that joined plain stays a
+// plain station — its kind comes from the join handshake, the one stats
+// exchange it ever sees — so it is searched with batch frames,
+// summary-fetched and prunable like any other, and results stay byte-equal
+// to full fan-out.
 func TestStationWithoutStatsEntryIsPlain(t *testing.T) {
 	links := map[uint32]transport.Link{
 		2: flakyStatsStation(2, map[core.PersonID]pattern.Pattern{20: {50, 60, 70}}),
@@ -418,12 +417,8 @@ func TestStationWithoutStatsEntryIsPlain(t *testing.T) {
 	defer c.Shutdown()
 	ctx := context.Background()
 
-	st, err := c.Stats(ctx)
-	if err != nil {
+	if _, err := c.Stats(ctx); err != nil {
 		t.Fatal(err)
-	}
-	if st.StationsFailed != 1 || len(st.Stations) != 2 {
-		t.Fatalf("stats snapshot %+v, want station 2 missing", st)
 	}
 
 	onFlaky := []core.Query{{ID: 1, Locals: []pattern.Pattern{{50, 60, 70}}}}
@@ -445,6 +440,9 @@ func TestStationWithoutStatsEntryIsPlain(t *testing.T) {
 		if routed.Cost.StationsPruned != 2 || routed.Cost.StationsFailed != 0 {
 			t.Fatalf("pruned %d failed %d, want 2 and 0", routed.Cost.StationsPruned, routed.Cost.StationsFailed)
 		}
+	}
+	if n := links[2].(*flakyStatsLink).stats.Load(); n != 1 {
+		t.Fatalf("station 2's link carried %d stats frames, want 1 (the join's)", n)
 	}
 }
 

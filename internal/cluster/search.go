@@ -271,10 +271,10 @@ type CostReport struct {
 	// query: the whole dataset for naive, the filter plus reports otherwise.
 	CenterStorageBytes uint64
 	// StationRawBytes is the raw local-pattern storage across stations,
-	// identical for all strategies (their own data). The stations report it
-	// themselves over the wire (cached per membership epoch), so in-process
-	// and link-backed clusters measure the same figure; a station that fails
-	// the stats exchange contributes 0.
+	// identical for all strategies (their own data). It is the sum of the
+	// figures the stations last reported themselves over the wire (see
+	// Stats), so in-process and link-backed clusters measure the same
+	// figure; a killed station contributes 0.
 	StationRawBytes uint64
 	// Elapsed is the wall-clock search duration.
 	Elapsed time.Duration
@@ -302,11 +302,10 @@ type CostReport struct {
 	StationsPruned int
 	// SummaryRefreshes counts the KindSummary exchanges this search
 	// triggered to (re)fill the coordinator's summary cache, and
-	// SummaryBytesDown / SummaryBytesUp their traffic. Like the per-epoch
-	// stats exchange, refresh traffic fills cluster-level state shared by
-	// every search, so it is billed here and NOT into the Bytes/Messages
-	// totals above; an operator weighs these against the exchanges routing
-	// pruned (docs/OPERATIONS.md).
+	// SummaryBytesDown / SummaryBytesUp their traffic. Refresh traffic
+	// fills cluster-level state shared by every search, so it is billed
+	// here and NOT into the Bytes/Messages totals above; an operator weighs
+	// these against the exchanges routing pruned (docs/OPERATIONS.md).
 	SummaryRefreshes int
 	SummaryBytesDown uint64
 	SummaryBytesUp   uint64
@@ -327,8 +326,7 @@ type CostReport struct {
 
 // TotalBytes returns the search's dissemination plus report traffic.
 // Summary-refresh traffic is billed separately (SummaryBytesDown/Up): it
-// fills a cluster-level cache shared by every search, like the per-epoch
-// stats exchange.
+// fills a cluster-level cache shared by every search.
 func (c CostReport) TotalBytes() uint64 { return c.BytesDown + c.BytesUp }
 
 // Outcome is one search's full result.
@@ -407,14 +405,7 @@ func (c *Cluster) Search(ctx context.Context, queries []core.Query, opts ...Sear
 	}
 
 	out.Strategy = cfg.strategy
-	// Elapsed is stamped before the stats lookup: storage bookkeeping must
-	// not inflate the latency figures the benchmarks report.
 	out.Cost.Elapsed = time.Since(start)
-	// Best effort: station storage is the stations' own report (cached per
-	// epoch); a search that already answered is not failed over
-	// bookkeeping.
-	if st, statsErr := c.epochStats(ctx, ep); statsErr == nil {
-		out.Cost.StationRawBytes = st.TotalStorageBytes()
-	}
+	out.Cost.StationRawBytes = c.stats(ep).TotalStorageBytes()
 	return out, nil
 }

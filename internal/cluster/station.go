@@ -50,10 +50,13 @@ type Station struct {
 	// on the same loop), so no locking is needed.
 	summary *index.Summary
 
-	// durable, when non-nil, persists every applied batch before its ack is
-	// sent (see NewStation). Nil keeps the pre-persistence behavior:
+	// durable, when non-nil, persists every applied batch before its reply
+	// is sent (see NewStation). Nil keeps the pre-persistence behavior:
 	// the resident store lives in this process's memory only.
 	durable store.Store
+
+	// seq counts the mutations answered since Serve began (StatsReply.Seq).
+	seq uint64
 }
 
 // NewStation builds a station from its seed patterns and, when st is
@@ -275,7 +278,7 @@ func (s *Station) handleDump(msg wire.Message) (*wire.Message, error) {
 // all-zero patterns (no measurable activity means no local pattern; removal
 // is the evict message's job) and patterns of a foreign length are skipped.
 // On a durable station the applied batch is appended to the store before the
-// ack is encoded: a batch the center saw acknowledged is never lost to a
+// reply is encoded: a batch the center saw answered is never lost to a
 // crash the store covers. When every received row applied, the batch carries
 // the received payload, which the WAL logs as is; otherwise it carries only
 // the applied rows.
@@ -308,7 +311,8 @@ func (s *Station) handleIngest(msg wire.Message) (*wire.Message, error) {
 // ackApplied finishes a mutation: when anything was applied the memoized
 // routing summary no longer covers the store (and Bloom filters cannot
 // delete, so an evict needs the rebuild as much as an ingest), and a durable
-// station persists the batch before the ack exists.
+// station persists the batch before the reply exists. The reply is the
+// station's stats after the mutation.
 func (s *Station) ackApplied(applied store.Batch) (*wire.Message, error) {
 	if len(applied.Persons) > 0 {
 		s.summary = nil
@@ -318,13 +322,13 @@ func (s *Station) ackApplied(applied store.Batch) (*wire.Message, error) {
 			}
 		}
 	}
-	reply := wire.EncodeAck(wire.Ack{Station: s.id, Applied: uint64(len(applied.Persons))})
-	return &reply, nil
+	s.seq++
+	return s.handleStats(), nil
 }
 
 // persist appends one applied batch to the durable store and lets it fold
 // the log into a snapshot of the residents when its thresholds say so.
-// Errors are fatal to the serve loop: the ack for this batch must never be
+// Errors are fatal to the serve loop: the reply to this batch must never be
 // sent if durability was promised and not delivered.
 func (s *Station) persist(b store.Batch) error {
 	if err := s.durable.Append(b); err != nil {
@@ -352,18 +356,24 @@ func (s *Station) handleEvict(msg wire.Message) (*wire.Message, error) {
 	return s.ackApplied(applied)
 }
 
-// handleStats reports the station's resident count and storage footprint.
-// The pattern length (0 when empty) lets the center sanity-check a joining
-// link against the cluster's time-series length.
+// handleStats reports the station's figures (stats). It also answers every
+// mutation, so the center's figures never need a stats exchange of their own.
 func (s *Station) handleStats() *wire.Message {
-	length := s.patternLength()
-	reply := wire.EncodeStatsReply(wire.StatsReply{
+	reply := wire.EncodeStatsReply(s.stats())
+	return &reply
+}
+
+// stats is the station's resident count, storage footprint and mutation
+// count. The pattern length (0 when empty) lets the center sanity-check a
+// joining link against the cluster's time-series length.
+func (s *Station) stats() wire.StatsReply {
+	return wire.StatsReply{
 		Station:      s.id,
 		Residents:    uint64(s.Residents()),
 		StorageBytes: s.StorageBytes(),
-		Length:       uint32(length),
-	})
-	return &reply
+		Length:       uint32(s.patternLength()),
+		Seq:          s.seq,
+	}
 }
 
 // handleSummary answers the coordinator's routing-summary pull: a Bloom

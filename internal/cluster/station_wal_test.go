@@ -69,25 +69,25 @@ func TestStationLogsReceivedPayload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ack, err := wire.DecodeAck(reply)
+		sr, err := wire.DecodeStatsReply(reply)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return msg, ack.Applied
+		return msg, sr.Residents
 	}
 
-	full, applied := ingest(wire.Ingest{
+	full, residents := ingest(wire.Ingest{
 		Persons: []core.PersonID{3, 5, 9},
 		Locals:  []pattern.Pattern{{1, 2, 3}, {0, 0, 1}, {4, 4, 4}},
 	})
-	if applied != 3 {
-		t.Fatalf("full batch: %d rows applied, want 3", applied)
+	if residents != 3 {
+		t.Fatalf("full batch: %d residents, want 3", residents)
 	}
-	if _, applied := ingest(wire.Ingest{
+	if _, residents := ingest(wire.Ingest{
 		Persons: []core.PersonID{4, 6, 7},
 		Locals:  []pattern.Pattern{{0, 0, 0}, {1, 2}, {7, 7, 7}},
-	}); applied != 1 {
-		t.Fatalf("partial batch: %d rows applied, want 1", applied)
+	}); residents != 4 {
+		t.Fatalf("partial batch: %d residents, want 4 (one row applied)", residents)
 	}
 	_ = mux.Send(wire.ShutdownMessage())
 	if err := <-done; err != nil {

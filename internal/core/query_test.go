@@ -153,11 +153,11 @@ func TestWeightRowsAdditive(t *testing.T) {
 			return false
 		}
 		for _, r := range rows {
-			if r.Denominator != num[pattern.Full(4)] {
+			if r.Denominator != num[0b1111] {
 				return false
 			}
 		}
-		return num[pattern.Full(4)] == global.Sum()
+		return num[0b1111] == global.Sum()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

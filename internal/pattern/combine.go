@@ -3,7 +3,6 @@ package pattern
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // MaxLocals bounds the number of local patterns a query set may carry.
@@ -18,12 +17,6 @@ type Subset uint32
 
 // Contains reports whether local j is in the subset.
 func (s Subset) Contains(j int) bool { return s&(1<<uint(j)) != 0 }
-
-// Card returns the number of locals in the subset.
-func (s Subset) Card() int { return bits.OnesCount32(uint32(s)) }
-
-// Full returns the subset containing all e locals.
-func Full(e int) Subset { return Subset(1<<uint(e)) - 1 }
 
 // String renders the subset as e.g. {0,2,3}.
 func (s Subset) String() string {

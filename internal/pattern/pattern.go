@@ -54,17 +54,6 @@ func (p Pattern) Sum() int64 {
 	return s
 }
 
-// Max returns the maximum value of p, or 0 for an empty pattern.
-func (p Pattern) Max() int64 {
-	var m int64
-	for i, v := range p {
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // IsNonNegative reports whether every value of p is >= 0.
 func (p Pattern) IsNonNegative() bool {
 	for _, v := range p {

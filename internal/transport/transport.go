@@ -62,15 +62,6 @@ func (m *Meter) Messages() uint64 {
 	return m.messages.Load()
 }
 
-// Reset zeroes the counters.
-func (m *Meter) Reset() {
-	if m == nil {
-		return
-	}
-	m.bytes.Store(0)
-	m.messages.Store(0)
-}
-
 // chanLink is the in-process implementation: frames flow through buffered
 // byte channels and are re-decoded on receipt, exercising the same codec
 // path as TCP.

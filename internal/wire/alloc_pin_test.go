@@ -15,7 +15,7 @@ import (
 var frameSink []byte
 
 func TestNoallocMessageAppendFrame(t *testing.T) {
-	m := Message{Kind: KindAck, Request: 7, Payload: []byte{1, 2, 3, 4}}
+	m := Message{Kind: KindStatsReply, Request: 7, Payload: []byte{1, 2, 3, 4}}
 	buf := make([]byte, 0, 64)
 	if n := testing.AllocsPerRun(100, func() {
 		frameSink = m.AppendFrame(buf[:0])

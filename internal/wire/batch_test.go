@@ -178,7 +178,7 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 	if got.Reports[0].Person != 10 || len(got.Reports[0].WeightIDs) != 2 || got.Reports[1].WeightIDs[0] != 1 {
 		t.Fatalf("reports %+v", got.Reports)
 	}
-	if _, err := DecodeBatchReply(Message{Kind: KindAck}); err == nil {
+	if _, err := DecodeBatchReply(Message{Kind: KindStatsReply}); err == nil {
 		t.Fatal("wrong kind accepted")
 	}
 	if _, err := DecodeBatchReply(Message{Kind: KindBatchReply, Payload: []byte{0x80}}); err == nil {
@@ -186,9 +186,10 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsReplyFixedLayout pins the one stats-reply layout: four uvarints
-// and the capability byte, always. A payload that stops before the byte (the
-// shape some pre-collapse builds sent) or carries one more is rejected.
+// TestStatsReplyFixedLayout pins the one stats-reply layout: four uvarints,
+// the capability byte and the uvarint Seq, always. A payload that stops
+// before the byte (the shape some pre-collapse builds sent) or before Seq
+// (Version 16's), or carries one byte more, is rejected.
 func TestStatsReplyFixedLayout(t *testing.T) {
 	var body []byte
 	body = binary.AppendUvarint(body, 9)  // station
@@ -196,9 +197,9 @@ func TestStatsReplyFixedLayout(t *testing.T) {
 	body = binary.AppendUvarint(body, 96) // storage bytes
 	body = binary.AppendUvarint(body, 3)  // length
 	for _, flags := range []uint8{0, FlagRouteDelegate} {
-		in := StatsReply{Station: 9, Residents: 4, StorageBytes: 96, Length: 3, Flags: flags}
+		in := StatsReply{Station: 9, Residents: 4, StorageBytes: 96, Length: 3, Flags: flags, Seq: 200}
 		m := EncodeStatsReply(in)
-		if want := append(append([]byte(nil), body...), flags); !bytes.Equal(m.Payload, want) {
+		if want := binary.AppendUvarint(append(append([]byte(nil), body...), flags), 200); !bytes.Equal(m.Payload, want) {
 			t.Fatalf("flags %d: payload % x, want % x", flags, m.Payload, want)
 		}
 		if got, err := DecodeStatsReply(m); err != nil || got != in {
@@ -208,7 +209,10 @@ func TestStatsReplyFixedLayout(t *testing.T) {
 	if _, err := DecodeStatsReply(Message{Kind: KindStatsReply, Payload: body}); err == nil {
 		t.Fatal("payload without the capability byte accepted")
 	}
-	if _, err := DecodeStatsReply(Message{Kind: KindStatsReply, Payload: append(append([]byte(nil), body...), 0, 1)}); err == nil {
-		t.Fatal("payload with a byte after the capability byte accepted")
+	if _, err := DecodeStatsReply(Message{Kind: KindStatsReply, Payload: append(append([]byte(nil), body...), 0)}); err == nil {
+		t.Fatal("payload without Seq accepted")
+	}
+	if _, err := DecodeStatsReply(Message{Kind: KindStatsReply, Payload: append(append([]byte(nil), body...), 0, 1, 1)}); err == nil {
+		t.Fatal("payload with a byte after Seq accepted")
 	}
 }

@@ -231,7 +231,7 @@ func TestWorkedBatchQueryHex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bounded = "a7d1100e2a000000" + "1c000000" + "01" + "010103" + "40020200010500000000000000" + "04" + "ac02" + "0202040101" + "1c6472"
+	const bounded = "a7d1110e2a000000" + "1c000000" + "01" + "010103" + "40020200010500000000000000" + "04" + "ac02" + "0202040101" + "1c6472"
 	if got := hex.EncodeToString(m.WithRequest(42).Encode()); got != bounded {
 		t.Fatalf("bounded batch-query frame drifted:\n got %s\nwant %s", got, bounded)
 	}

@@ -18,23 +18,23 @@ import (
 // immediately explores the interesting corrupt-field space instead of
 // rediscovering the magic number.
 const (
-	workedBatchQueryHex = "a7d1100e2a000000" + "1a000000" +
+	workedBatchQueryHex = "a7d1110e2a000000" + "1a000000" +
 		"01" + "010103" + "4002020001050000000000000000" +
 		"0202040101" + "1c6472"
-	workedSummaryReplyHex = "a7d110132a000000" + "1e000000" +
+	workedSummaryReplyHex = "a7d111132a000000" + "1e000000" +
 		"030201719a3d0cbfe5a75140000000000000000702" +
 		"010389408022142804"
 	// A KindRouteQuery delegating a one-query round (auto-sized params,
 	// summary routing) and the region's KindRouteReply carrying one raw partial
 	// result.
-	workedRouteQueryHex = "a7d110142a000000" + "25000000" +
+	workedRouteQueryHex = "a7d111142a000000" + "25000000" +
 		"01070204020400020400020204" +
 		"0000000000000000000000000000" +
 		"7b14ae47e17a843f" + "0000"
-	workedRouteReplyHex = "a7d110152a000000" + "0c000000" +
+	workedRouteReplyHex = "a7d111152a000000" + "0c000000" +
 		"030502010001" + "010709181801"
 	// A KindBatchReply of three reports on two pointer lists.
-	workedBatchReplyHex = "a7d1100f2a000000" + "0c000000" +
+	workedBatchReplyHex = "a7d1110f2a000000" + "0c000000" +
 		"030203" + "0200020f" + "05010407" + "13"
 )
 
@@ -49,12 +49,12 @@ const adaptiveSummaryHex = "000306719a3d0cbfe5a751000100000000000000120485aaaa04
 // each version byte earlier builds used (plus the next unassigned one) and
 // each retired kind byte — all of which must be rejected at the header.
 func addRetiredSeeds(f *testing.F, frame []byte) {
-	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17} { // all but Version
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18} { // all but Version
 		bad := append([]byte(nil), frame...)
 		bad[2] = v
 		f.Add(bad)
 	}
-	for _, k := range []byte{1, 3, 4, 6, 7, 22, 23} {
+	for _, k := range []byte{1, 3, 4, 6, 7, 13, 22, 23} {
 		bad := append([]byte(nil), frame...)
 		bad[3] = k
 		f.Add(bad)
@@ -81,7 +81,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(Message{Kind: KindStats, Request: 7}.Encode())
 	f.Add(Message{Kind: KindShutdown}.Encode())
 	f.Add(EncodeDump(Dump{Persons: []core.PersonID{1, 2, 3}}).WithRequest(9).Encode())
-	f.Add(EncodeAck(Ack{Station: 4, Applied: 2}).Encode())
+	f.Add(EncodeStatsReply(StatsReply{Station: 4, Residents: 2, StorageBytes: 48, Length: 3, Seq: 9}).WithRequest(3).Encode())
 	// Truncation seeds: a frame cut mid-header and mid-payload.
 	full := mustHex(f, workedBatchQueryHex)
 	f.Add(full[:7])
@@ -133,8 +133,9 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(uint8(KindSummaryReply), mustHex(f, workedSummaryReplyHex)[12:])
 	f.Add(uint8(KindDump), EncodeDump(Dump{Persons: []core.PersonID{1, 2, 3}}).Payload)
 	f.Add(uint8(KindEvict), EncodeEvict(Evict{Persons: []core.PersonID{9, 10}}).Payload)
-	f.Add(uint8(KindAck), EncodeAck(Ack{Station: 7, Applied: 2}).Payload)
 	f.Add(uint8(KindStatsReply), EncodeStatsReply(StatsReply{Station: 3, Residents: 5, StorageBytes: 80, Length: 24}).Payload)
+	f.Add(uint8(KindStatsReply), EncodeStatsReply(StatsReply{Station: 7, Residents: 2, StorageBytes: 48, Length: 3, Flags: FlagRouteDelegate, Seq: 300}).Payload)
+	f.Add(uint8(KindStatsReply), append(varints(3, 5, 80, 24), 0)) // Version 16's layout, without Seq
 	f.Add(uint8(KindBFMatches), EncodeBFMatches(BFMatches{Station: 2, Persons: []core.PersonID{11}}).Payload)
 	if dr, err := EncodeDumpReply(DumpReply{Station: 1, Persons: []core.PersonID{4}, Locals: []pattern.Pattern{{1, 2, 3}}}); err == nil {
 		f.Add(uint8(KindDumpReply), dr.Payload)
@@ -226,7 +227,7 @@ func FuzzDecodePayload(f *testing.F) {
 		k := Kind(kind%uint8(maxKind)) + 1
 		m := Message{Kind: k, Payload: payload}
 		switch k {
-		case 1, 3, 4, 6, 7:
+		case 1, 3, 4, 6, 7, 13:
 			// Retired values: rejected at the frame header, no decoder.
 		case KindBFQuery:
 			_, _ = DecodeBFQuery(m)
@@ -259,14 +260,6 @@ func FuzzDecodePayload(f *testing.F) {
 				}
 				if re != sr {
 					t.Fatalf("stats-reply roundtrip changed fields: %+v vs %+v", re, sr)
-				}
-			}
-		case KindAck:
-			a, err := DecodeAck(m)
-			if err == nil {
-				re, err := DecodeAck(EncodeAck(a))
-				if err != nil || re != a {
-					t.Fatalf("ack roundtrip: %+v, %v; want %+v", re, err, a)
 				}
 			}
 		case KindBatchQuery:

@@ -1367,7 +1367,7 @@ func DecodeRouteReply(m Message) (RouteReply, error) {
 	return out, nil
 }
 
-// ---- lifecycle: ingest / evict / stats / ack ----
+// ---- lifecycle: ingest / evict / stats ----
 
 // Ingest adds (or replaces) resident patterns at one station — the center
 // forwarding freshly observed call data. It travels over the target
@@ -1467,9 +1467,10 @@ func DecodeEvict(m Message) (Evict, error) {
 	return DecodeEvictPayload(m.Payload)
 }
 
-// StatsReply is one station's answer to KindStats: how many residents it
-// holds, the raw bytes they occupy, and the pattern length it serves (0 when
-// empty) — which doubles as a handshake check when a link joins a cluster.
+// StatsReply is a peer's answer to KindStats, KindIngest and KindEvict: how
+// many residents it holds, the raw bytes they occupy, and the pattern length
+// it serves (0 when empty) — which doubles as a handshake check when a link
+// joins a cluster.
 type StatsReply struct {
 	Station      uint32
 	Residents    uint64
@@ -1478,6 +1479,9 @@ type StatsReply struct {
 	// Flags carries the peer's capability bits (FlagRouteDelegate); zero is
 	// a plain station.
 	Flags uint8
+	// Seq counts the mutations the peer has answered since it began serving,
+	// so of two replies to concurrent mutations the later one is known.
+	Seq uint64
 }
 
 // FlagRouteDelegate marks a peer that answers KindRouteQuery — a region
@@ -1495,6 +1499,7 @@ func EncodeStatsReply(s StatsReply) Message {
 	w.uvarint(s.StorageBytes)
 	w.uvarint(uint64(s.Length))
 	w.u8(s.Flags)
+	w.uvarint(s.Seq)
 	return Message{Kind: KindStatsReply, Payload: w.buf}
 }
 
@@ -1510,37 +1515,10 @@ func DecodeStatsReply(m Message) (StatsReply, error) {
 		StorageBytes: r.uvarint(),
 		Length:       r.u32(),
 		Flags:        r.u8(),
+		Seq:          r.uvarint(),
 	}
 	if err := r.done(); err != nil {
 		return StatsReply{}, err
-	}
-	return out, nil
-}
-
-// Ack acknowledges an applied mutation: Applied counts the residents the
-// station actually inserted, replaced or removed.
-type Ack struct {
-	Station uint32
-	Applied uint64
-}
-
-// EncodeAck renders the acknowledgment.
-func EncodeAck(a Ack) Message {
-	var w writer
-	w.uvarint(uint64(a.Station))
-	w.uvarint(a.Applied)
-	return Message{Kind: KindAck, Payload: w.buf}
-}
-
-// DecodeAck parses the acknowledgment.
-func DecodeAck(m Message) (Ack, error) {
-	if m.Kind != KindAck {
-		return Ack{}, fmt.Errorf("wire: decoding %v as ack", m.Kind)
-	}
-	r := &reader{buf: m.Payload}
-	out := Ack{Station: r.u32(), Applied: r.uvarint()}
-	if err := r.done(); err != nil {
-		return Ack{}, err
 	}
 	return out, nil
 }

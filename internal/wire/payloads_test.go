@@ -179,7 +179,6 @@ func TestDecodersNeverPanicOnMutatedPayloads(t *testing.T) {
 			_, err := DecodeStatsReply(Message{Kind: KindStatsReply, Payload: m.Payload})
 			return err
 		},
-		func(m Message) error { _, err := DecodeAck(Message{Kind: KindAck, Payload: m.Payload}); return err },
 	}
 	// Deterministic byte mutations across the payload.
 	for step := 1; step < 97; step += 3 {
@@ -338,20 +337,12 @@ func TestEvictRoundTrip(t *testing.T) {
 }
 
 func TestStatsAckRoundTrip(t *testing.T) {
-	s := StatsReply{Station: 9, Residents: 1234, StorageBytes: 98765, Length: 8}
+	s := StatsReply{Station: 9, Residents: 1234, StorageBytes: 98765, Length: 8, Seq: 1 << 40}
 	gotS, err := DecodeStatsReply(EncodeStatsReply(s))
 	if err != nil || gotS != s {
 		t.Fatalf("stats reply: got %+v, %v; want %+v", gotS, err, s)
 	}
-	a := Ack{Station: 3, Applied: 17}
-	gotA, err := DecodeAck(EncodeAck(a))
-	if err != nil || gotA != a {
-		t.Fatalf("ack: got %+v, %v; want %+v", gotA, err, a)
-	}
-	if _, err := DecodeStatsReply(Message{Kind: KindAck}); err == nil {
-		t.Fatal("wrong kind accepted")
-	}
-	if _, err := DecodeAck(Message{Kind: KindStatsReply}); err == nil {
+	if _, err := DecodeStatsReply(Message{Kind: KindIngest}); err == nil {
 		t.Fatal("wrong kind accepted")
 	}
 }

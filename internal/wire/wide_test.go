@@ -78,7 +78,7 @@ func wideFields() []wideField {
 		return func(v uint64) []byte {
 			fields := []uint64{3, 5, 80, 24} // Station, Residents, StorageBytes, Length
 			fields[at] = v
-			return append(varints(fields...), 0)
+			return append(append(varints(fields...), 0), varints(1)...) // Flags, Seq
 		}
 	}
 	return []wideField{
@@ -101,7 +101,6 @@ func wideFields() []wideField {
 		{"route-reply stations", KindRouteReply, routeReply(11)},
 		{"stats-reply station", KindStatsReply, stats(0)},
 		{"stats-reply length", KindStatsReply, stats(3)},
-		{"ack station", KindAck, func(v uint64) []byte { return varints(v, 2) }},
 		{"batch-query id", KindBatchQuery, func(v uint64) []byte {
 			f := validRawFilter()
 			f.blocks[0][0] = v
@@ -130,8 +129,6 @@ func decodeAs(kind Kind, payload []byte) error {
 		_, err = DecodeRouteReply(m)
 	case KindStatsReply:
 		_, err = DecodeStatsReply(m)
-	case KindAck:
-		_, err = DecodeAck(m)
 	case KindBatchQuery:
 		_, err = DecodeBatchQuery(m)
 	case KindBatchReply:

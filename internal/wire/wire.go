@@ -44,8 +44,9 @@ type Kind uint8
 // Message kinds. The numeric values are the wire encoding and never change.
 // Retired values stay unassigned: 1 and 4 belonged to the per-query WBF
 // exchange, 3, 6 and 7 to the naive shipment and verification fetch that
-// KindDump/KindDumpReply now carry, 22 and 23 to the adaptive digest
-// parameter rollout.
+// KindDump/KindDumpReply now carry, 13 to the mutation acknowledgment that
+// KindStatsReply replaced, 22 and 23 to the adaptive digest parameter
+// rollout.
 const (
 	// KindBFQuery disseminates a plain Bloom filter plus pipeline params.
 	KindBFQuery Kind = 2
@@ -54,17 +55,15 @@ const (
 	// KindShutdown tells a station loop to exit cleanly.
 	KindShutdown Kind = 8
 	// KindIngest adds (or replaces) resident patterns at a station; the
-	// station answers with KindAck.
+	// station answers with its KindStatsReply, taken after the ingest applied.
 	KindIngest Kind = 9
-	// KindEvict removes residents from a station; answered with KindAck.
+	// KindEvict removes residents from a station; answered like KindIngest.
 	KindEvict Kind = 10
 	// KindStats asks a station for its resident count and storage footprint;
 	// answered with KindStatsReply.
 	KindStats Kind = 11
 	// KindStatsReply carries one station's resident count and storage bytes.
 	KindStatsReply Kind = 12
-	// KindAck acknowledges an applied mutation (ingest or evict).
-	KindAck Kind = 13
 	// KindBatchQuery disseminates one search round — the query-ID set and
 	// the combined WBF covering all of them — in a single request.
 	KindBatchQuery Kind = 14
@@ -102,7 +101,7 @@ const maxKind = KindRouteReply
 // before any payload is read.
 func (k Kind) known() bool {
 	switch k {
-	case 1, 3, 4, 6, 7:
+	case 1, 3, 4, 6, 7, 13:
 		return false
 	default:
 		return k >= KindBFQuery && k <= maxKind
@@ -125,8 +124,6 @@ func (k Kind) String() string {
 		return "stats"
 	case KindStatsReply:
 		return "stats-reply"
-	case KindAck:
-		return "ack"
 	case KindBatchQuery:
 		return "batch-query"
 	case KindBatchReply:
@@ -157,9 +154,10 @@ func (k Kind) String() string {
 // frame shipped its weight rows and pointer lists as varints and a reply
 // every person gap as one, 13 while no query frame could carry a person
 // bound, 14 while kinds 22 and 23 carried adaptive digest parameters, 15
-// while a routing digest held every position's cell under four hashes),
-// so none of their frames decode.
-const Version = uint8(16)
+// while a routing digest held every position's cell under four hashes, 16
+// while mutations were answered with KindAck), so none of their frames
+// decode.
+const Version = uint8(17)
 
 const (
 	magic      = uint16(0xD1A7)
