@@ -100,18 +100,10 @@ func (s *Set) FillRatio() float64 {
 // serialization. The result is a view, not a copy: only the set's owner may
 // write bits through it (bloom.Filter's probe loop does, below Len), and
 // nobody should keep it past the set's next Set, UnionWith or OrFoldFrom.
-// FromWords or Clone make an independent copy.
+// FromWords makes an independent copy.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (s *Set) Words() []uint64 { return s.words }
-
-// Clone returns a deep copy of the set: one word-array allocation.
-func (s *Set) Clone() *Set {
-	return &Set{
-		words: append([]uint64(nil), s.words...),
-		n:     s.n,
-	}
-}
 
 // Equal reports whether two sets have the same length and identical bits.
 func (s *Set) Equal(o *Set) bool {

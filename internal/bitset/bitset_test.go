@@ -122,19 +122,6 @@ func TestFromWordsCopies(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	s := New(64)
-	s.Set(5)
-	c := s.Clone()
-	c.Set(6)
-	if s.Test(6) {
-		t.Fatal("mutating clone affected original")
-	}
-	if !c.Test(5) {
-		t.Fatal("clone lost original bit")
-	}
-}
-
 func TestEqual(t *testing.T) {
 	a, b := New(64), New(64)
 	a.Set(3)

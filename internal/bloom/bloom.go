@@ -154,12 +154,6 @@ func (f *Filter) K() int { return f.family.K() }
 // filter's own words (bitset.Set.Words), not a copy. Do not modify it.
 func (f *Filter) Words() []uint64 { return f.bits.Words() }
 
-// Clone returns an independent deep copy of the filter, copying the bit
-// storage once.
-func (f *Filter) Clone() *Filter {
-	return &Filter{bits: f.bits.Clone(), family: f.family, n: f.n}
-}
-
 // FillRatio returns the fraction of set bits.
 func (f *Filter) FillRatio() float64 { return f.bits.FillRatio() }
 

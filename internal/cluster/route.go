@@ -36,8 +36,13 @@ func encodeSummary(s *index.Summary, station uint32) wire.Message {
 // holding the new resident, which is the one staleness that loses recall.
 // A summary lagging an evict merely admits a station that reports nothing
 // (a wasted probe), so eviction staleness is only a cost concern.
+//
+// A cached digest is mutated in place (noteIngest) under the write lock and
+// probed (planRoute's inclusion pass) under the read lock, so a planner sees
+// it from before an ingest's rows or after them, never half of them, and
+// concurrent searches still scan the digests side by side.
 type summaryCache struct {
-	mu      sync.Mutex
+	mu      sync.RWMutex
 	entries map[uint32]*index.Summary // dimatch:guardedby mu
 	gens    map[uint32]uint64         // dimatch:guardedby mu
 }
@@ -46,8 +51,8 @@ type summaryCache struct {
 // station's current generation. Callers that intend to fetch must read the
 // generation BEFORE sending the request and pass it to put.
 func (c *summaryCache) get(id uint32) (*index.Summary, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.entries[id], c.gens[id]
 }
 
@@ -70,8 +75,8 @@ func (c *summaryCache) put(id uint32, gen uint64, s *index.Summary) {
 // order. Region coordinators key their cached upward digest on it: any
 // mutation that bumps a member's generation forces a rebuild.
 func (c *summaryCache) genSnapshot(ids []uint32) []uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	gens := make([]uint64, len(ids))
 	for i, id := range ids {
 		gens[i] = c.gens[id]
@@ -94,7 +99,7 @@ func (c *summaryCache) invalidate(id uint32) {
 // noteIngest applies an ingest to the cached digest: the generation bumps
 // (so any in-flight pre-ingest fetch is discarded) and, when a digest is
 // cached with matching geometry, the ingested patterns' cells are added to
-// a copy — Bloom inserts are monotone, so the updated digest covers the
+// it in place — Bloom inserts are monotone, so the updated digest covers the
 // post-ingest store without a wire refresh. Without a usable cached digest
 // the slot is simply left invalidated.
 func (c *summaryCache) noteIngest(id uint32, locals []pattern.Pattern) {
@@ -108,26 +113,27 @@ func (c *summaryCache) noteIngest(id uint32, locals []pattern.Pattern) {
 	if cur == nil {
 		return
 	}
-	updated := cur.Clone()
+	// Stations drop all-zero patterns on ingest, so the digest skips them.
 	for _, l := range locals {
-		if l.Sum() == 0 {
-			continue // stations drop all-zero patterns on ingest
-		}
-		if updated.Add(l) != nil {
+		if len(l) != cur.Length() && l.Sum() != 0 {
 			// Geometry mismatch (e.g. the placeholder digest of a station
-			// that was empty): the digest cannot absorb the delta — drop it
-			// and let the next routed search refetch.
+			// that was empty): the digest cannot absorb the delta — drop it,
+			// untouched, and let the next routed search refetch.
 			delete(c.entries, id)
 			return
 		}
 	}
-	c.entries[id] = updated
+	for _, l := range locals {
+		if l.Sum() != 0 {
+			_ = cur.Add(l) // every length was checked above
+		}
+	}
 }
 
 // state snapshots the cache's memory footprint for Cluster.RoutingState.
 func (c *summaryCache) state() (entries int, digestBytes uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	for _, s := range c.entries {
 		digestBytes += s.SizeBytes()
 	}
@@ -264,11 +270,13 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 		cost.SummaryBytesUp += uint64(r.reply.EncodedSize())
 	}
 
-	// The inclusion pass: one flat scan of the members' digests. Every
-	// Admits evaluation counts into SubtreeProbes, the planning-cost figure
-	// the hierarchy test bounds.
+	// The inclusion pass: one flat scan of the members' digests, under the
+	// cache's read lock because noteIngest adds to cached digests in place.
+	// Every Admits evaluation counts into SubtreeProbes, the planning-cost
+	// figure the hierarchy test bounds.
 	admits := make([]bool, len(ep.ids))
 	included := make([]int, 0, len(ep.ids))
+	c.summaries.mu.RLock()
 	for i := range ep.ids {
 		sum := slots[i].sum
 		if sum == nil {
@@ -285,6 +293,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 			}
 		}
 	}
+	c.summaries.mu.RUnlock()
 	if len(included) == 0 {
 		return all
 	}

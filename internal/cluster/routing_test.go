@@ -7,10 +7,12 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"dimatch/internal/core"
+	"dimatch/internal/index"
 	"dimatch/internal/pattern"
 	"dimatch/internal/transport"
 	"dimatch/internal/wire"
@@ -292,6 +294,42 @@ func TestIngestDeltaUpdatesSummary(t *testing.T) {
 	}
 }
 
+// TestNoteIngestAddsInPlace pins the coordinator's delta update: an ingest
+// into a cached digest adds its rows to that digest itself — the cache keeps
+// the same summary, now admitting the new rows — and allocates nothing. A
+// batch with a row of a foreign length drops the entry and leaves the digest
+// untouched.
+func TestNoteIngestAddsInPlace(t *testing.T) {
+	sum, err := index.Build(3, []pattern.Pattern{{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c summaryCache
+	c.noteIngest(7, nil) // create the generation slot
+	_, gen := c.get(7)
+	c.put(7, gen, sum)
+	batch := []pattern.Pattern{{40, 50, 60}, {0, 0, 0}, {70, 80, 90}}
+	if n := testing.AllocsPerRun(50, func() { c.noteIngest(7, batch) }); n != 0 {
+		t.Fatalf("noteIngest into a cached digest allocates %v times per run; want 0", n)
+	}
+	got, _ := c.get(7)
+	probe, err := index.NewProbe(core.Query{ID: 1, Locals: []pattern.Pattern{{70, 80, 90}}}, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != sum || !sum.Admits(probe) {
+		t.Fatal("the cached digest was replaced or missed the ingested rows")
+	}
+	words := slices.Clone(sum.Words())
+	c.noteIngest(7, []pattern.Pattern{{5, 5, 5}, {1, 2}})
+	if got, _ := c.get(7); got != nil {
+		t.Fatal("a batch with a foreign-length row left the digest cached")
+	}
+	if !slices.Equal(sum.Words(), words) {
+		t.Fatal("a refused batch changed the digest")
+	}
+}
+
 // TestEvictInvalidatesSummary pins the eviction side: the digest is dropped
 // (next routed search refetches) and the evicted person stays gone; the
 // interim staleness can only waste probes, never resurrect results.
@@ -366,6 +404,137 @@ func TestRoutedChurnNeverLosesRecall(t *testing.T) {
 		}
 		assertSameResults(t, fmt.Sprintf("step %d", step), queries, full, routed)
 	}
+}
+
+// TestRoutedSearchDuringStreamedIngest races routed searches against the
+// in-place digest deltas (run it under -race): over a placed R = 2 cluster
+// with warmed digests, one goroutine places fresh persons batch by batch,
+// as a stream's flushes do, while four search for persons already placed.
+// A person whose placement returned must be found, no search may refetch a
+// digest — every delta landed in the cached one — and at the end routed
+// results equal full fan-out.
+func TestRoutedSearchDuringStreamedIngest(t *testing.T) {
+	ctx := context.Background()
+	const length, batches, perBatch = 6, 30, 4
+	rng := rand.New(rand.NewSource(5))
+	draw := func() pattern.Pattern {
+		pat := make(pattern.Pattern, length)
+		for i := range pat {
+			pat[i] = 1 + rng.Int63n(1000)
+		}
+		return pat
+	}
+	initial := make(map[core.PersonID]pattern.Pattern)
+	for p := core.PersonID(1); p <= 200; p++ {
+		initial[p] = draw()
+	}
+	fresh := make([]map[core.PersonID]pattern.Pattern, batches)
+	next := core.PersonID(1000)
+	for b := range fresh {
+		fresh[b] = make(map[core.PersonID]pattern.Pattern)
+		for k := 0; k < perBatch; k++ {
+			fresh[b][next] = draw()
+			next++
+		}
+	}
+	stations := []uint32{1, 2, 3, 4, 5, 6}
+	c := newPlacedCluster(t, stations, 2, initial)
+	warm, err := c.Search(ctx, []core.Query{{ID: 1, Locals: []pattern.Pattern{initial[1]}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Cost.SummaryRefreshes != len(stations) || c.RoutingState().Entries != len(stations) {
+		t.Fatalf("warm-up fetched %d digests and cached %d, want %d", warm.Cost.SummaryRefreshes, c.RoutingState().Entries, len(stations))
+	}
+
+	type placed struct {
+		person core.PersonID
+		pat    pattern.Pattern
+	}
+	var mu sync.Mutex
+	var done []placed // persons whose placement returned
+	for p, pat := range initial {
+		done = append(done, placed{p, pat})
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 5)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for _, batch := range fresh {
+			unplaced, err := c.Place(ctx, batch, WithReplication(2))
+			if err != nil || len(unplaced) > 0 {
+				errs <- fmt.Errorf("place: %v unplaced, %v", unplaced, err)
+				return
+			}
+			mu.Lock()
+			for p, pat := range batch {
+				done = append(done, placed{p, pat})
+			}
+			mu.Unlock()
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for searches := 0; ; searches++ {
+				select {
+				case <-stop:
+					if searches > 0 {
+						return
+					}
+				default:
+				}
+				mu.Lock()
+				// The newest placed person and a random earlier one.
+				want := []placed{done[len(done)-1], done[rng.Intn(len(done))]}
+				mu.Unlock()
+				queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{want[0].pat}}, {ID: 2, Locals: []pattern.Pattern{want[1].pat}}}
+				out, err := c.Search(ctx, queries)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if out.Cost.SummaryRefreshes != 0 {
+					errs <- fmt.Errorf("a search during the stream refetched %d digests", out.Cost.SummaryRefreshes)
+					return
+				}
+				for i, w := range want {
+					rs := out.PerQuery[queries[i].ID]
+					if !slices.ContainsFunc(rs, func(r core.Result) bool { return r.Person == w.person && r.Score() == 1 }) {
+						errs <- fmt.Errorf("placed person %d not found by a routed search: %+v", w.person, rs)
+						return
+					}
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	var queries []core.Query
+	for _, w := range done {
+		queries = append(queries, core.Query{ID: core.QueryID(len(queries) + 1), Locals: []pattern.Pattern{w.pat}})
+	}
+	full, err := c.Search(ctx, queries, WithRouting(RoutingFull))
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed, err := c.Search(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if routed.Cost.SummaryRefreshes != 0 {
+		t.Fatalf("the final routed search refetched %d digests", routed.Cost.SummaryRefreshes)
+	}
+	assertSameResults(t, "after the stream", queries, full, routed)
 }
 
 // flakyStatsLink is a center-side link that counts the stats requests sent

@@ -1,11 +1,11 @@
 // AllocsPerRun pins: (*Summary).Admits and (*Summary).contains, the
 // coordinator's per-station routing decision, and (*Summary).Add, the
-// station's digest build and the coordinator's delta update, held to 0
-// allocs/op; (*Summary).Clone held to one word array of bytes per op.
+// station's digest build and the coordinator's in-place delta update (one
+// row, and one flush-sized batch into a station-sized digest), held to 0
+// allocs/op.
 package index
 
 import (
-	"runtime"
 	"testing"
 
 	"dimatch/internal/core"
@@ -67,27 +67,18 @@ func TestNoallocSummaryAdd(t *testing.T) {
 	}
 }
 
-var cloneSink *Summary
-
-// TestSummaryCloneCopiesWordsOnce pins Clone's cost at one copy of the
-// filter's words: the bytes allocated per clone of a station-sized digest
-// may exceed the word array only by the small headers around it (a few
-// hundred bytes, more under the race detector), never by a second copy.
-func TestSummaryCloneCopiesWordsOnce(t *testing.T) {
-	s, err := New(24, 25000, 0, DefaultSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	words := uint64(8 * len(s.Words()))
-	const runs = 16
-	cloneSink = s.Clone() // warm up
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		cloneSink = s.Clone()
-	}
-	runtime.ReadMemStats(&after)
-	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp < words || perOp > words+4096 {
-		t.Fatalf("(*Summary).Clone allocates %d B per op; want one %d B word array (+ at most 4 KiB of headers)", perOp, words)
+// TestNoallocSummaryAddBatch pins the coordinator's delta update at its
+// real shape: one stream flush's rows added in place to a 25 000-resident
+// digest allocate nothing.
+func TestNoallocSummaryAddBatch(t *testing.T) {
+	s, batch := addBatchFixture(t)
+	if n := testing.AllocsPerRun(20, func() {
+		for _, l := range batch {
+			if err := s.Add(l); err != nil {
+				panic(err)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("adding a %d-row batch allocates %v times per run; want 0", len(batch), n)
 	}
 }

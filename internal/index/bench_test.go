@@ -32,17 +32,35 @@ func BenchmarkSummaryBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkSummaryClone is the copy behind every coordinator-side delta
-// update (summaryCache.noteIngest) of that station's digest.
-func BenchmarkSummaryClone(b *testing.B) {
+// addBatchFixture is a station's digest over benchLocals and one stream
+// flush of 227 fresh length-24 rows, the batch the coordinator adds to its
+// cached copy of that digest (summaryCache.noteIngest).
+func addBatchFixture(tb testing.TB) (*Summary, []pattern.Pattern) {
+	tb.Helper()
 	s, err := Build(24, benchLocals())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.SetBytes(int64(s.SizeBytes()))
+	rng := rand.New(rand.NewSource(2))
+	batch := make([]pattern.Pattern, 227)
+	for i := range batch {
+		batch[i] = randPattern(rng, 24, 50)
+		batch[i][0]++
+	}
+	return s, batch
+}
+
+// BenchmarkSummaryAddBatch is the coordinator-side delta update of that
+// station's digest: one flush's rows added in place.
+func BenchmarkSummaryAddBatch(b *testing.B) {
+	s, batch := addBatchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cloneSink = s.Clone()
+		for _, l := range batch {
+			if err := s.Add(l); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -81,9 +81,10 @@ func cellHash(salt uint64, value int64) uint64 {
 // without a wire field; a search sampling other positions is admitted on
 // those (Admits).
 //
-// A Summary is immutable from the coordinator's point of view once shared:
-// delta updates go through Clone + Add so concurrent probers never observe a
-// half-written filter.
+// A Summary does no locking. Once the coordinator caches one, it is mutated
+// (Add, one ingest's rows at a time) only under the cache's write lock and
+// probed (Admits) only under its read lock, so a concurrent prober never
+// observes a half-applied ingest.
 type Summary struct {
 	length    int
 	seed      uint64
@@ -253,14 +254,6 @@ func (s *Summary) Add(local pattern.Pattern) error {
 	}
 	s.residents++
 	return nil
-}
-
-// Clone returns an independent deep copy, the basis of copy-on-write delta
-// updates at the coordinator. The filter's words are copied once.
-func (s *Summary) Clone() *Summary {
-	c := *s
-	c.filter = s.filter.Clone()
-	return &c
 }
 
 // contains probes the cell (pos[i], value) of the i-th covered position.

@@ -2,7 +2,6 @@ package index
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"dimatch/internal/core"
@@ -178,49 +177,6 @@ func TestStaleAfterEvictOnlyWastesProbes(t *testing.T) {
 	}
 	if !stale.Admits(probe) {
 		t.Fatal("stale summary should still admit the evicted resident's band")
-	}
-}
-
-// TestCloneAndAddIsolation pins the copy-on-write contract behind the
-// coordinator's delta updates, both ways: a clone starts bit-identical to
-// its source in words of its own, an Add on the clone never shows in the
-// source, and an Add on the source after cloning never shows in the clone.
-func TestCloneAndAddIsolation(t *testing.T) {
-	base, err := Build(3, []pattern.Pattern{{1, 1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := base.Clone()
-	if !slices.Equal(clone.Words(), base.Words()) || clone.Inserted() != base.Inserted() ||
-		clone.Bits() != base.Bits() || clone.Hashes() != base.Hashes() {
-		t.Fatal("clone differs from its source")
-	}
-	if &clone.Words()[0] == &base.Words()[0] {
-		t.Fatal("clone shares its source's words")
-	}
-	if err := clone.Add(pattern.Pattern{7, 7, 7}); err != nil {
-		t.Fatal(err)
-	}
-	probe, err := NewProbe(core.Query{ID: 1, Locals: []pattern.Pattern{{7, 7, 7}}}, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !clone.Admits(probe) {
-		t.Fatal("clone missing the added resident")
-	}
-	if base.Admits(probe) {
-		t.Fatal("Add on the clone leaked into the base summary")
-	}
-	if base.Residents() != 1 || clone.Residents() != 2 {
-		t.Fatalf("residents base=%d clone=%d, want 1 and 2", base.Residents(), clone.Residents())
-	}
-
-	before := slices.Clone(clone.Words())
-	if err := base.Add(pattern.Pattern{2, 0, 5}); err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(clone.Words(), before) || clone.Residents() != 2 {
-		t.Fatal("Add on the base summary leaked into the clone")
 	}
 }
 

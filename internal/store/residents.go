@@ -21,7 +21,8 @@ const minChunkRows = 128
 // leaves nothing behind and rows loaded together sit contiguously in memory.
 // AdoptRows instead keeps a decoded batch that lands after every resident as
 // it is, unless evicted rows wait for reuse: its exactly sized arena becomes
-// one more chunk.
+// one more chunk, and into an empty store its persons and locals slices
+// become the store's own.
 //
 // The copy-in rule has a flip side: the views Locals returns alias cells the
 // next Upsert may overwrite, so they are good for the caller's turn only —
@@ -156,8 +157,10 @@ func (r *Residents) insert(i int, p core.PersonID, local pattern.Pattern) {
 // Taken rows are the store's and are overwritten in place by later upserts
 // like any other, so the caller must give them up — a freshly decoded batch
 // (wire.DecodeIngest sizes its cell arena exactly, so the rows hold no cells
-// beyond their own), not rows anybody else reads. The persons and locals
-// slices themselves stay the caller's.
+// beyond their own), not rows anybody else reads. The caller gives up the
+// persons and locals slices too: an empty store keeps them as its own, so
+// a bulk load costs no second header array, and later mutations rewrite
+// them.
 func (r *Residents) AdoptRows(persons []core.PersonID, locals []pattern.Pattern) bool {
 	if len(persons) != len(locals) || len(r.free) > 0 {
 		return false
@@ -180,6 +183,10 @@ func (r *Residents) AdoptRows(persons []core.PersonID, locals []pattern.Pattern)
 			return false
 		}
 		last = p
+	}
+	if len(r.persons) == 0 {
+		r.persons, r.locals = persons, locals
+		return true
 	}
 	r.persons = append(r.persons, persons...)
 	r.locals = append(r.locals, locals...)

@@ -11,6 +11,7 @@ import (
 	"dimatch/internal/index"
 	"dimatch/internal/pattern"
 	"dimatch/internal/store"
+	"dimatch/internal/store/wal"
 	"dimatch/internal/wire"
 )
 
@@ -265,6 +266,141 @@ func TestResidentsAgainstMapModel(t *testing.T) {
 			t.Fatalf("seed %d: %d batches adopted, %d qualifying ones refused for waiting released rows: both paths must run", seed, adoptions, deferred)
 		}
 	}
+}
+
+// TestAdoptRowsIntoEmptyStoreKeepsSlices pins AdoptRows' contract on an
+// empty store: a decoded batch's persons and locals slices become the
+// store's own, not copies; later upserts (new persons among the adopted
+// ones, replacements), evictions and a second adoption still match the map
+// model; and a WAL holding the same batches recovers the same image, both
+// replaying its log through Fold.ApplyDecoded and from a fold's snapshot.
+func TestAdoptRowsIntoEmptyStoreKeepsSlices(t *testing.T) {
+	const length = 4
+	rng := rand.New(rand.NewSource(7))
+	row := func() pattern.Pattern {
+		p := make(pattern.Pattern, length)
+		for i := range p {
+			p[i] = rng.Int63n(9) + 1
+		}
+		return p
+	}
+	decoded := func(persons ...core.PersonID) store.Batch {
+		locals := make([]pattern.Pattern, len(persons))
+		for i := range locals {
+			locals[i] = row()
+		}
+		payload, err := wire.EncodeIngestPayload(wire.Ingest{Persons: persons, Locals: locals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := wire.DecodeIngestPayload(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ingest(in.Persons, in.Locals)
+	}
+
+	var r store.Residents
+	model := map[core.PersonID]pattern.Pattern{}
+	var history []store.Batch
+	apply := func(step int, b store.Batch) {
+		switch b.Op {
+		case store.OpIngest:
+			for i, p := range b.Persons {
+				model[p] = b.Locals[i].Clone()
+			}
+		case store.OpEvict:
+			for _, p := range b.Persons {
+				delete(model, p)
+			}
+		}
+		// The log gets its own copy of what the store applied, since the
+		// adopted slices are the store's now.
+		c := store.Batch{Op: b.Op, Persons: slices.Clone(b.Persons)}
+		for _, l := range b.Locals {
+			c.Locals = append(c.Locals, l.Clone())
+		}
+		history = append(history, c)
+		checkAgainstModel(t, step, &r, model)
+	}
+
+	first := decoded(10, 20, 30, 40, 50)
+	if !r.AdoptRows(first.Persons, first.Locals) {
+		t.Fatal("empty store refused a qualifying decoded batch")
+	}
+	if &r.Persons()[0] != &first.Persons[0] || &r.Locals()[0] != &first.Locals[0] {
+		t.Fatal("AdoptRows into an empty store copied the batch's slices")
+	}
+	apply(0, first)
+
+	upserts := ingest([]core.PersonID{25, 30, 5}, []pattern.Pattern{row(), row(), row()})
+	for i, p := range upserts.Persons {
+		if !r.Upsert(p, upserts.Locals[i]) {
+			t.Fatalf("upsert of %d refused", p)
+		}
+	}
+	apply(1, upserts)
+
+	for _, p := range []core.PersonID{20, 50} {
+		if !r.Evict(p) {
+			t.Fatalf("evict of resident %d missed", p)
+		}
+	}
+	apply(2, evict(20, 50))
+
+	// Rows released by the evictions are reused before a batch is adopted.
+	refill := ingest([]core.PersonID{60, 70}, []pattern.Pattern{row(), row()})
+	for i, p := range refill.Persons {
+		if !r.Upsert(p, refill.Locals[i]) {
+			t.Fatalf("upsert of %d refused", p)
+		}
+	}
+	apply(3, refill)
+	second := decoded(80, 90)
+	if !r.AdoptRows(second.Persons, second.Locals) {
+		t.Fatal("a qualifying batch above every resident was refused")
+	}
+	apply(4, second)
+
+	// Replayed from the log alone: the first record lands in an empty fold,
+	// which adopts it through ApplyDecoded.
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{SnapshotEvery: -1, SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range history {
+		if err := w.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img, err := w.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replayed store.Residents
+	replayed.Adopt(img)
+	checkAgainstModel(t, len(history), &replayed, model)
+
+	// Folded: the snapshot of the store's own slices recovers the same image.
+	if err := w.Snapshot(store.Image{Persons: r.Persons(), Locals: r.Locals()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = w2.Close() }()
+	img, err = w2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var folded store.Residents
+	folded.Adopt(img)
+	checkAgainstModel(t, len(history)+1, &folded, model)
 }
 
 // TestResidentsLoadRejectsRaggedImage: persons and locals must be parallel.

@@ -154,11 +154,11 @@ func FuzzSnapshot(f *testing.F) {
 			}
 		}
 		// A decodable snapshot must roundtrip through the encoder.
-		re, err := encodeSnapshot(img)
-		if err != nil {
+		var re bytes.Buffer
+		if err := writeSnapshot(&re, img); err != nil {
 			t.Fatalf("re-encoding decoded snapshot: %v", err)
 		}
-		img2, err := decodeSnapshot(re)
+		img2, err := decodeSnapshot(re.Bytes())
 		if err != nil {
 			t.Fatalf("re-decoding encoded snapshot: %v", err)
 		}

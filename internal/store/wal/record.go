@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // Record framing, shared by the log and the snapshot body. Every record is
@@ -78,11 +79,16 @@ func recordHeader(kind byte, body []byte) [headerSize + 1]byte {
 	return hdr
 }
 
-// appendRecord frames body under kind onto dst.
-func appendRecord(dst []byte, kind byte, body []byte) []byte {
+// writeRecord frames body under kind onto w as two writes, header then
+// body, so the record is never staged in a buffer of its own. A failure
+// between them leaves a torn record, which readers detect like any other.
+func writeRecord(w io.Writer, kind byte, body []byte) error {
 	hdr := recordHeader(kind, body)
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(body)
+	return err
 }
 
 // readRecord decodes the first framed record in b, returning its kind, body

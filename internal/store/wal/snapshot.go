@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"dimatch/internal/store"
 	"dimatch/internal/wire"
@@ -28,27 +29,33 @@ const (
 	snapChunk = 4096
 )
 
-// encodeSnapshot renders a station image as a snapshot file body.
-func encodeSnapshot(img store.Image) ([]byte, error) {
-	buf := append([]byte(nil), snapMagic[:]...)
-	buf = append(buf, snapVersion)
+// writeSnapshot streams a station image to w as a snapshot file body, one
+// chunk record at a time: it holds one chunk's encoded rows, reused from
+// chunk to chunk, and never the whole file.
+func writeSnapshot(w io.Writer, img store.Image) error {
+	hdr := [snapHeaderSize]byte{4: snapVersion}
+	copy(hdr[:], snapMagic[:])
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	var body []byte
 	for start := 0; start < len(img.Persons); start += snapChunk {
-		end := start + snapChunk
-		if end > len(img.Persons) {
-			end = len(img.Persons)
-		}
-		body, err := wire.EncodeIngestPayload(wire.Ingest{
+		end := min(start+snapChunk, len(img.Persons))
+		var err error
+		body, err = wire.AppendIngestPayload(body[:0], wire.Ingest{
 			Persons: img.Persons[start:end],
 			Locals:  img.Locals[start:end],
 		})
 		if err != nil {
-			return nil, fmt.Errorf("wal: snapshot: %w", err)
+			return err
 		}
-		buf = appendRecord(buf, recResidents, body)
+		if err := writeRecord(w, recResidents, body); err != nil {
+			return err
+		}
 	}
 	var seal [8]byte
 	binary.LittleEndian.PutUint64(seal[:], uint64(len(img.Persons)))
-	return appendRecord(buf, recSeal, seal[:]), nil
+	return writeRecord(w, recSeal, seal[:])
 }
 
 // decodeSnapshot parses a snapshot file body back into a station image.

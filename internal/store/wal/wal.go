@@ -21,6 +21,7 @@
 package wal
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -299,17 +300,12 @@ func (s *Store) Append(b store.Batch) error {
 	if err != nil {
 		return err
 	}
-	// Header and body go out as two writes: staging them in one buffer would
-	// keep a second copy of the largest batch ever appended alive per station.
-	// A crash between the two leaves a torn tail like any other.
-	hdr := recordHeader(kind, body)
-	if _, err := s.log.Write(hdr[:]); err != nil {
+	// Staging header and body in one buffer would keep a second copy of the
+	// largest batch ever appended alive per station; writeRecord does not.
+	if err := writeRecord(s.log, kind, body); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	if _, err := s.log.Write(body); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	s.logBytes += int64(len(hdr) + len(body))
+	s.logBytes += int64(headerSize + 1 + len(body))
 	s.logRecords++
 	return s.syncLog()
 }
@@ -329,12 +325,8 @@ func (s *Store) syncLog() error {
 // treats it as fatal), because the generation bookkeeping may be mid-flight.
 func (s *Store) Snapshot(img store.Image) error {
 	next := s.seq + 1
-	data, err := encodeSnapshot(img)
-	if err != nil {
-		return err
-	}
 	tmp := s.snapPath(next) + ".tmp"
-	if err := writeFileSync(tmp, data); err != nil {
+	if err := writeSnapshotFile(tmp, img); err != nil {
 		_ = os.Remove(tmp)
 		return err
 	}
@@ -413,13 +405,22 @@ func (s *Store) SnapshotBytes() int64 {
 	return fi.Size()
 }
 
-// writeFileSync writes data to path and fsyncs it before returning.
-func writeFileSync(path string, data []byte) error {
+// snapshotSink is what a snapshot's temp file is written through: the file
+// itself. The failure tests substitute a writer that gives out partway.
+var snapshotSink = func(f *os.File) io.Writer { return f }
+
+// writeSnapshotFile creates path, streams img into it through one buffered
+// writer and fsyncs it before returning.
+func writeSnapshotFile(path string, img store.Image) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	_, werr := f.Write(data)
+	bw := bufio.NewWriter(snapshotSink(f))
+	werr := writeSnapshot(bw, img)
+	if werr == nil {
+		werr = bw.Flush()
+	}
 	if werr == nil {
 		werr = f.Sync()
 	}
@@ -427,7 +428,7 @@ func writeFileSync(path string, data []byte) error {
 		werr = cerr
 	}
 	if werr != nil {
-		return fmt.Errorf("wal: %w", werr)
+		return fmt.Errorf("wal: snapshot: %w", werr)
 	}
 	return nil
 }

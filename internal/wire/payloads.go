@@ -1381,10 +1381,23 @@ type Ingest struct {
 // message envelope. The station WAL (internal/store/wal) persists applied
 // batches in exactly this form, so persistence and the wire share one codec.
 func EncodeIngestPayload(in Ingest) ([]byte, error) {
+	return AppendIngestPayload(nil, in)
+}
+
+// AppendIngestPayload appends EncodeIngestPayload's bytes to dst, growing it
+// at most once, so a caller encoding batch after batch (a WAL fold's chunk
+// records) can reuse one buffer. A grown buffer is exactly the size needed
+// or twice the old capacity, whichever is larger: a payload encoded into nil
+// holds no spare bytes, and a reused buffer stops growing after a chunk or
+// two.
+func AppendIngestPayload(dst []byte, in Ingest) ([]byte, error) {
 	if len(in.Persons) != len(in.Locals) {
 		return nil, fmt.Errorf("wire: %d persons but %d locals", len(in.Persons), len(in.Locals))
 	}
-	w := writer{buf: make([]byte, 0, rowsSize(in.Persons, in.Locals))}
+	if n := len(dst) + rowsSize(in.Persons, in.Locals); cap(dst) < n {
+		dst = append(make([]byte, 0, max(n, 2*cap(dst))), dst...)
+	}
+	w := writer{buf: dst}
 	writeRows(&w, in.Persons, in.Locals)
 	return w.buf, nil
 }
