@@ -27,7 +27,11 @@ func New(n uint64) *Set {
 }
 
 // FromWords reconstructs a Set of n bits from its word representation, e.g.
-// after wire decoding. The slice is copied; the caller keeps ownership.
+// after wire decoding. The set adopts words, without a copy: the caller hands
+// the slice over and must not touch it afterwards. Every caller passes a
+// slice it has just built (the wire decoder's readWords, index.Saturated's
+// literal, the ablation's plain-Bloom view), so a copy would only double a
+// received digest.
 func FromWords(words []uint64, n uint64) (*Set, error) {
 	if want := (n + 63) / 64; uint64(len(words)) != want {
 		return nil, fmt.Errorf("bitset: %d words cannot hold exactly %d bits (want %d words)", len(words), n, want)
@@ -37,12 +41,7 @@ func FromWords(words []uint64, n uint64) (*Set, error) {
 			return nil, fmt.Errorf("bitset: bits set beyond length %d", n)
 		}
 	}
-	s := &Set{
-		words: make([]uint64, len(words)),
-		n:     n,
-	}
-	copy(s.words, words)
-	return s, nil
+	return &Set{words: words, n: n}, nil
 }
 
 // Len returns the number of bits the set holds.
@@ -100,7 +99,8 @@ func (s *Set) FillRatio() float64 {
 // serialization. The result is a view, not a copy: only the set's owner may
 // write bits through it (bloom.Filter's probe loop does, below Len), and
 // nobody should keep it past the set's next Set, UnionWith or OrFoldFrom.
-// FromWords makes an independent copy.
+// FromWords adopts the slice it is given, so a second set over a copy needs
+// the copy made first.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (s *Set) Words() []uint64 { return s.words }

@@ -110,17 +110,28 @@ func TestFromWordsValidation(t *testing.T) {
 	}
 }
 
-func TestFromWordsCopies(t *testing.T) {
-	words := []uint64{0}
-	s, err := FromWords(words, 64)
+// TestFromWordsAdopts pins the ownership contract: the set keeps the
+// caller's slice instead of copying it, so a received digest is held once,
+// and building it allocates only the Set itself.
+func TestFromWordsAdopts(t *testing.T) {
+	words := make([]uint64, 1024)
+	s, err := FromWords(words, 1024*64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	words[0] = ^uint64(0) // mutate the caller slice
-	if s.Count() != 0 {
-		t.Fatal("FromWords did not copy the input slice")
+	if &s.Words()[0] != &words[0] {
+		t.Fatal("FromWords copied the input slice")
+	}
+	s.Set(70)
+	if words[1] != 1<<6 {
+		t.Fatal("a bit set through the set is not in the adopted words")
+	}
+	if n := testing.AllocsPerRun(20, func() { setSink, _ = FromWords(words, 1024*64) }); n != 1 {
+		t.Fatalf("FromWords allocates %v times per run; want 1 (the Set)", n)
 	}
 }
+
+var setSink *Set
 
 func TestEqual(t *testing.T) {
 	a, b := New(64), New(64)

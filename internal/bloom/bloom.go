@@ -44,7 +44,9 @@ func New(m uint64, k int, seed uint64) (*Filter, error) {
 // so values beyond any useful configuration are corruption, not parameters.
 const maxWireK = 512
 
-// FromParts reconstructs a filter from serialized state (wire decoding).
+// FromParts reconstructs a filter from serialized state (wire decoding). The
+// filter adopts words (bitset.FromWords): the caller must not touch the
+// slice afterwards.
 func FromParts(words []uint64, m uint64, k int, seed uint64, n uint64) (*Filter, error) {
 	if k <= 0 || k > maxWireK {
 		return nil, fmt.Errorf("bloom: k = %d, want 1..%d", k, maxWireK)

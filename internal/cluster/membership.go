@@ -130,15 +130,16 @@ func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[cor
 	for i, p := range in.Persons {
 		in.Locals[i] = patterns[p]
 	}
-	return c.ingest(ctx, stationID, in, true)
+	return c.ingest(ctx, stationID, in, nil, true)
 }
 
-// ingest carries one ingest exchange of rows already person-ascending and of
-// the cluster's length: Ingest's, and the grouped copies Place and
-// reconciliation push with addressed false, which leaves the station
-// unaddressed.
-func (c *Cluster) ingest(ctx context.Context, stationID uint32, in wire.Ingest, addressed bool) error {
-	if len(in.Persons) == 0 {
+// ingest carries one ingest exchange of the rows of in that index lists
+// (every row when index is nil), person-ascending and of the cluster's
+// length: Ingest's, and the grouped copies Place and reconciliation push
+// from one shared row set with addressed false, which leaves the station
+// unaddressed. An addressed ingest passes every row.
+func (c *Cluster) ingest(ctx context.Context, stationID uint32, in wire.Ingest, index []int32, addressed bool) error {
+	if len(in.Persons) == 0 || index != nil && len(index) == 0 {
 		return nil
 	}
 	if addressed {
@@ -152,11 +153,11 @@ func (c *Cluster) ingest(ctx context.Context, stationID uint32, in wire.Ingest, 
 		}
 		c.mu.Unlock()
 	}
-	msg, err := wire.EncodeIngest(in)
+	payload, err := wire.AppendIngestPayload(nil, in, index)
 	if err != nil {
 		return err
 	}
-	if err := c.mutate(ctx, stationID, msg); err != nil {
+	if err := c.mutate(ctx, stationID, wire.Message{Kind: wire.KindIngest, Payload: payload}); err != nil {
 		// The exchange failed, but the frame may still have been delivered
 		// and applied (a lost reply, a deadline while awaiting it). A cached
 		// digest missing an applied ingest would prune the station away
@@ -169,7 +170,7 @@ func (c *Cluster) ingest(ctx context.Context, stationID uint32, in wire.Ingest, 
 	// (Bloom inserts are monotone) so routed searches keep pruning without
 	// a refresh round trip. See summaryCache.noteIngest for the staleness
 	// contract.
-	c.summaries.noteIngest(stationID, in.Locals)
+	c.summaries.noteIngest(stationID, in.Locals, index)
 	return nil
 }
 

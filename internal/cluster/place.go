@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -121,12 +120,12 @@ func (c *Cluster) touchesPlaced(persons []core.PersonID) bool {
 }
 
 // placementTable returns the cluster's placement table, creating it on first
-// use.
-func (c *Cluster) placementTable() *placement.Table {
+// use with room for hint persons: the first Place sizes it for its rows.
+func (c *Cluster) placementTable(hint int) *placement.Table {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.placeTab == nil {
-		c.placeTab = placement.NewTable()
+		c.placeTab = placement.NewTable(hint)
 	}
 	return c.placeTab
 }
@@ -176,57 +175,55 @@ func (c *Cluster) aliveMembers() (ids []uint32, muxes []*transport.Mux) {
 	return ids, muxes
 }
 
-// placeRow is one person of a Place batch with the pattern it places.
-type placeRow struct {
-	p   core.PersonID
-	pat pattern.Pattern
-}
-
 // copyPlan is one Place call's grouping of its persons' copies: each
 // person's Pick set as indexes into the alive stations, the content hash its
-// intent records, and one ingest per target station whose rows come out
-// person-ascending.
+// intent records, and each target station's rows as ascending indexes into
+// the call's person-ascending row set.
 type copyPlan struct {
-	width      int      // copies per person: min(r, len(alive))
-	targets    []uint32 // targets[i*width:(i+1)*width] index alive for rows[i]
-	hashes     []uint64 // placement.ContentHash of rows[i].pat
-	perStation map[uint32]wire.Ingest
+	width      int                // copies per person: min(r, len(alive))
+	targets    []uint32           // targets[i*width:(i+1)*width] index alive for row i
+	hashes     []uint64           // placement.ContentHash of row i's pattern
+	perStation map[uint32][]int32 // each target station's rows, ascending
 }
 
 // planCopies groups rows (person-ascending, every pattern non-zero) by
 // target station over alive (ascending). A person's targets are
 // placement.PickIndexes's, Pick's set, over salts computed once per call.
-func planCopies(rows []placeRow, alive []uint32, r int) copyPlan {
+// Every station's row list is a window of one index array, 4 bytes per
+// copy, filled by a counting pass over the targets.
+func planCopies(rows wire.Ingest, alive []uint32, r int) copyPlan {
 	w := min(r, len(alive))
 	pl := copyPlan{
 		width:   w,
-		targets: make([]uint32, 0, len(rows)*w),
-		hashes:  make([]uint64, len(rows)),
+		targets: make([]uint32, 0, len(rows.Persons)*w),
+		hashes:  make([]uint64, len(rows.Persons)),
 	}
 	salts := placement.AppendSalts(nil, alive)
-	for i, row := range rows {
-		pl.hashes[i] = placement.ContentHash(row.pat)
-		pl.targets = placement.PickIndexes(row.p, salts, r, pl.targets)
+	for i, p := range rows.Persons {
+		pl.hashes[i] = placement.ContentHash(rows.Locals[i])
+		pl.targets = placement.PickIndexes(p, salts, r, pl.targets)
 	}
 
-	counts := make([]int, len(alive))
+	// starts[k] is where station k's rows begin in index.
+	starts := make([]int, len(alive)+1)
 	for _, k := range pl.targets {
-		counts[k]++
+		starts[k+1]++
 	}
-	ingests := make([]wire.Ingest, len(alive))
-	for k, n := range counts {
-		ingests[k] = wire.Ingest{Persons: make([]core.PersonID, 0, n), Locals: make([]pattern.Pattern, 0, n)}
+	for k := range alive {
+		starts[k+1] += starts[k]
 	}
-	for i, row := range rows {
+	index := make([]int32, len(pl.targets))
+	fill := slices.Clone(starts[:len(alive)])
+	for i := range rows.Persons {
 		for _, k := range pl.targets[i*w : (i+1)*w] {
-			ingests[k].Persons = append(ingests[k].Persons, row.p)
-			ingests[k].Locals = append(ingests[k].Locals, row.pat)
+			index[fill[k]] = int32(i)
+			fill[k]++
 		}
 	}
-	pl.perStation = make(map[uint32]wire.Ingest, len(alive))
-	for k, in := range ingests {
-		if len(in.Persons) > 0 {
-			pl.perStation[alive[k]] = in
+	pl.perStation = make(map[uint32][]int32, len(alive))
+	for k, sid := range alive {
+		if lo, hi := starts[k], starts[k+1]; hi > lo {
+			pl.perStation[sid] = index[lo:hi:hi]
 		}
 	}
 	return pl
@@ -260,11 +257,11 @@ func planCopies(rows []placeRow, alive []uint32, r int) copyPlan {
 // retry exactly those. All-zero patterns are skipped entirely, matching the
 // stations' ingest rule (no measurable activity means no pattern).
 //
-// The caller's map is walked once into (person, pattern) rows, which are
-// sorted once; their targets and content hashes are computed into flat
-// arrays and each target station's rows are appended in person order, so
-// every station receives one ingest exchange, already ascending, however
-// many persons land on it.
+// The caller's map is walked once for its persons, which are sorted once
+// into one person-ascending row set; their targets and content hashes are
+// computed into flat arrays, and every target station receives one ingest
+// exchange encoded straight from that row set through the station's index
+// list, however many persons land on it.
 func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.Pattern, opts ...PlaceOption) (unplaced []core.PersonID, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -289,14 +286,14 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 	// local pattern), and recording such a person as placed would leave an
 	// intent no copy can ever satisfy, counted Lost by every reconciliation
 	// forever.
-	rows := make([]placeRow, 0, len(patterns))
+	rows := wire.Ingest{Persons: make([]core.PersonID, 0, len(patterns))}
 	for p, pat := range patterns {
 		if len(pat) != c.length {
 			err = lengthMismatch("place", p, len(pat), c.length)
 			break
 		}
 		if pat.Sum() != 0 {
-			rows = append(rows, placeRow{p: p, pat: pat})
+			rows.Persons = append(rows.Persons, p)
 		}
 	}
 	if err == nil && len(alive) == 0 {
@@ -310,10 +307,14 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 		slices.Sort(unplaced)
 		return unplaced, err
 	}
-	if len(rows) == 0 {
+	if len(rows.Persons) == 0 {
 		return nil, nil
 	}
-	slices.SortFunc(rows, func(a, b placeRow) int { return cmp.Compare(a.p, b.p) })
+	slices.Sort(rows.Persons)
+	rows.Locals = make([]pattern.Pattern, len(rows.Persons))
+	for i, p := range rows.Persons {
+		rows.Locals[i] = patterns[p]
+	}
 	plan := planCopies(rows, alive, cfg.replication)
 	// Record the intents BEFORE pushing any copy: a search starting between
 	// the first ingest and the table update would otherwise sum the replica
@@ -321,20 +322,20 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 	// over-matched. The early mark is harmless the other way around —
 	// max-dedup over zero or one reports ranks identically to summation.
 	// Persons whose every target fails are rolled back below.
-	tab := c.placementTable()
+	tab := c.placementTable(len(rows.Persons))
 	others := tab.Len() // persons placed by earlier calls, counted down below
 	prior := make(map[core.PersonID]placement.Entry)
 	refactored := false // a person's factor changes: its old copies may lie off the new set
-	for i, row := range rows {
-		if e, ok := tab.Get(row.p); ok {
-			prior[row.p] = e
+	for i, p := range rows.Persons {
+		if e, ok := tab.Get(p); ok {
+			prior[p] = e
 			others--
 			refactored = refactored || e.Factor != cfg.replication
 		}
-		tab.Set(row.p, placement.Entry{Factor: cfg.replication, Hash: plan.hashes[i]})
+		tab.Set(p, placement.Entry{Factor: cfg.replication, Hash: plan.hashes[i]})
 	}
 
-	failed, errs := c.ingestGrouped(ctx, plan.perStation, "place on")
+	failed, errs := c.ingestGrouped(ctx, rows, plan.perStation, "place on")
 	switch {
 	case len(errs) > 0 || refactored:
 		c.invalidateLayout()
@@ -345,8 +346,7 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 		c.recordLayout(gen, alive)
 	}
 
-	for i, row := range rows {
-		p := row.p
+	for i, p := range rows.Persons {
 		landed := false
 		for _, k := range plan.targets[i*plan.width : (i+1)*plan.width] {
 			if !failed[alive[k]] {
@@ -402,11 +402,12 @@ func groupedFanOut[T any](perStation map[uint32]T, what string, do func(sid uint
 }
 
 // ingestGrouped pushes one grouped ingest exchange per target station,
-// through the internal path that leaves the stations unaddressed. Each
-// station's rows must be person-ascending and of the cluster's length.
-func (c *Cluster) ingestGrouped(ctx context.Context, perStation map[uint32]wire.Ingest, what string) (failed map[uint32]bool, errs []error) {
-	return groupedFanOut(perStation, what, func(sid uint32, in wire.Ingest) error {
-		return c.ingest(ctx, sid, in, false)
+// through the internal path that leaves the stations unaddressed. rows is
+// person-ascending and of the cluster's length, and every station's frame is
+// encoded from it through the station's ascending index list.
+func (c *Cluster) ingestGrouped(ctx context.Context, rows wire.Ingest, perStation map[uint32][]int32, what string) (failed map[uint32]bool, errs []error) {
+	return groupedFanOut(perStation, what, func(sid uint32, index []int32) error {
+		return c.ingest(ctx, sid, rows, index, false)
 	})
 }
 
@@ -566,8 +567,10 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	// the same pass covers under-replication (a holder died), rebalancing (a
 	// new station joined the replica set), stale copies and topping up after
 	// the membership grew past a previously clamped factor.
-	// Walking the sorted keys appends every station's rows ascending.
-	adds := make(map[uint32]wire.Ingest)
+	// The persons some target lacks form one person-ascending row set,
+	// walked from the sorted keys, so every station's index list ascends.
+	var rows wire.Ingest
+	adds := make(map[uint32][]int32)
 	dels := make(map[uint32][]core.PersonID)
 	for _, p := range keys {
 		pat, ok := copies[p]
@@ -577,13 +580,16 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 		}
 		targets := placement.Pick(p, alive, intents[p].Factor)
 		targetSet := make(map[uint32]bool, len(targets))
+		row := -1
 		for _, sid := range targets {
 			targetSet[sid] = true
 			if !holders[p][sid] {
-				g := adds[sid]
-				g.Persons = append(g.Persons, p)
-				g.Locals = append(g.Locals, pat)
-				adds[sid] = g
+				if row < 0 {
+					row = len(rows.Persons)
+					rows.Persons = append(rows.Persons, p)
+					rows.Locals = append(rows.Locals, pat)
+				}
+				adds[sid] = append(adds[sid], int32(row))
 			}
 		}
 		for _, hs := range []map[uint32]bool{holders[p], stale[p]} {
@@ -598,10 +604,10 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	// Copied/Removed count completed work, not the plan: a partially failed
 	// pass must not report healing that never happened. Both phases fan out
 	// concurrently, one grouped exchange per station.
-	failedAdds, errs := c.ingestGrouped(ctx, adds, "re-replicate to")
-	for sid, g := range adds {
+	failedAdds, errs := c.ingestGrouped(ctx, rows, adds, "re-replicate to")
+	for sid, index := range adds {
 		if !failedAdds[sid] {
-			report.Copied += len(g.Persons)
+			report.Copied += len(index)
 		}
 	}
 	if len(errs) == 0 {

@@ -137,7 +137,7 @@ func placeModelTrial(t *testing.T, seed int64) {
 		if got := c.Placed(); got != len(intents) {
 			t.Fatalf("%s: Placed() = %d, want %d", label, got, len(intents))
 		}
-		tab := c.placementTable()
+		tab := c.placementTable(0)
 		for p, want := range intents {
 			if got, ok := tab.Get(p); !ok || got != want {
 				t.Fatalf("%s: person %d intent %+v (recorded %v), want %+v", label, p, got, ok, want)

@@ -101,8 +101,10 @@ func (c *summaryCache) invalidate(id uint32) {
 // cached with matching geometry, the ingested patterns' cells are added to
 // it in place — Bloom inserts are monotone, so the updated digest covers the
 // post-ingest store without a wire refresh. Without a usable cached digest
-// the slot is simply left invalidated.
-func (c *summaryCache) noteIngest(id uint32, locals []pattern.Pattern) {
+// the slot is simply left invalidated. The ingest's patterns are locals[i]
+// for each i of index, or all of locals when index is nil: a grouped ingest
+// reads its station's rows through the index list it was encoded from.
+func (c *summaryCache) noteIngest(id uint32, locals []pattern.Pattern, index []int32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.gens == nil {
@@ -113,9 +115,19 @@ func (c *summaryCache) noteIngest(id uint32, locals []pattern.Pattern) {
 	if cur == nil {
 		return
 	}
+	n := len(locals)
+	if index != nil {
+		n = len(index)
+	}
+	row := func(k int) pattern.Pattern {
+		if index != nil {
+			return locals[index[k]]
+		}
+		return locals[k]
+	}
 	// Stations drop all-zero patterns on ingest, so the digest skips them.
-	for _, l := range locals {
-		if len(l) != cur.Length() && l.Sum() != 0 {
+	for k := 0; k < n; k++ {
+		if l := row(k); len(l) != cur.Length() && l.Sum() != 0 {
 			// Geometry mismatch (e.g. the placeholder digest of a station
 			// that was empty): the digest cannot absorb the delta — drop it,
 			// untouched, and let the next routed search refetch.
@@ -123,8 +135,8 @@ func (c *summaryCache) noteIngest(id uint32, locals []pattern.Pattern) {
 			return
 		}
 	}
-	for _, l := range locals {
-		if l.Sum() != 0 {
+	for k := 0; k < n; k++ {
+		if l := row(k); l.Sum() != 0 {
 			_ = cur.Add(l) // every length was checked above
 		}
 	}

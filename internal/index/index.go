@@ -304,7 +304,9 @@ func (s *Summary) Words() []uint64 { return s.filter.Words() }
 // (docs/OPERATIONS.md).
 func (s *Summary) SizeBytes() uint64 { return s.filter.SizeBytes() }
 
-// FromParts reconstructs a received summary (wire decoding).
+// FromParts reconstructs a received summary (wire decoding). The summary
+// adopts words (bitset.FromWords): the caller must not touch the slice
+// afterwards, and the wire decoder hands over the slice it just read.
 func FromParts(length int, seed uint64, words []uint64, bits uint64, hashes int, inserted, residents uint64) (*Summary, error) {
 	if length <= 0 {
 		return nil, fmt.Errorf("index: summary pattern length %d, want > 0", length)

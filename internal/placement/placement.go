@@ -177,9 +177,10 @@ type Table struct {
 	factors map[int]int
 }
 
-// NewTable returns an empty placement table.
-func NewTable() *Table {
-	return &Table{entries: make(map[core.PersonID]Entry), factors: make(map[int]int)}
+// NewTable returns an empty placement table with room for capacity persons,
+// so a first bulk placement fills it without growing the map step by step.
+func NewTable(capacity int) *Table {
+	return &Table{entries: make(map[core.PersonID]Entry, capacity), factors: make(map[int]int)}
 }
 
 // Set records (or updates) a person's intent.

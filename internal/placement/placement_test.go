@@ -211,7 +211,7 @@ func TestDistribution(t *testing.T) {
 }
 
 func TestTable(t *testing.T) {
-	tab := NewTable()
+	tab := NewTable(0)
 	if tab.Len() != 0 || tab.Contains(1) {
 		t.Fatal("fresh table not empty")
 	}

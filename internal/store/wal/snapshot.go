@@ -45,7 +45,7 @@ func writeSnapshot(w io.Writer, img store.Image) error {
 		body, err = wire.AppendIngestPayload(body[:0], wire.Ingest{
 			Persons: img.Persons[start:end],
 			Locals:  img.Locals[start:end],
-		})
+		}, nil)
 		if err != nil {
 			return err
 		}

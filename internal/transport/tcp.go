@@ -16,10 +16,24 @@ type tcpLink struct {
 	sendMeter *Meter
 	recvMeter *Meter
 
-	sendMu    sync.Mutex
+	sendMu sync.Mutex
+	// hdr, vec and bufs are Send's writev scratch: the header, then views of
+	// it and of the payload being sent. Fields rather than locals, so a send
+	// allocates nothing; vec is cleared after each send so the link never
+	// holds a payload.
+	hdr  [wire.HeaderSize]byte // dimatch:guardedby sendMu
+	vec  [2][]byte             // dimatch:guardedby sendMu
+	bufs net.Buffers           // dimatch:guardedby sendMu
+
 	closeOnce sync.Once
 	closeErr  error
 }
+
+// readBufSize is a link's read buffer. Search frames fit it; a bulk frame
+// is read past it, because bufio.Reader hands a read at least as large as
+// its buffer straight to the connection, so the payload still lands in one
+// ReadFull.
+const readBufSize = 4 << 10
 
 // NewTCPLink wraps an established connection. Unlike the in-process pipe —
 // whose two ends share one process, so metering sends covers both
@@ -29,7 +43,7 @@ type tcpLink struct {
 func NewTCPLink(conn net.Conn, sendMeter, recvMeter *Meter) Link {
 	return &tcpLink{
 		conn:      conn,
-		r:         bufio.NewReaderSize(conn, 1<<16),
+		r:         bufio.NewReaderSize(conn, readBufSize),
 		sendMeter: sendMeter,
 		recvMeter: recvMeter,
 	}
@@ -75,28 +89,20 @@ func (l *Listener) Accept() (Link, error) {
 // Close stops the listener.
 func (l *Listener) Close() error { return l.ln.Close() }
 
-// frameBuf wraps the send buffer in a pointer so pool round-trips do not
-// themselves allocate (a bare []byte would be boxed on every Put).
-type frameBuf struct{ b []byte }
-
-// framePool recycles frame encode buffers across all TCP links in the
-// process: the batch pipeline sends one frame per round per station, and
-// without reuse every frame costs a fresh header+payload copy allocation.
-var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
-
+// Send writes the frame header and the payload in one writev, without
+// copying the payload into a frame buffer.
 func (l *tcpLink) Send(m wire.Message) error {
-	fb := framePool.Get().(*frameBuf)
-	frame := m.AppendFrame(fb.b[:0])
-	n := len(frame)
 	l.sendMu.Lock()
-	_, err := l.conn.Write(frame)
+	l.hdr = m.Header()
+	l.vec = [2][]byte{l.hdr[:], m.Payload}
+	l.bufs = l.vec[:]
+	_, err := l.bufs.WriteTo(l.conn)
+	l.vec = [2][]byte{}
 	l.sendMu.Unlock()
-	fb.b = frame[:0]
-	framePool.Put(fb)
 	if err != nil {
 		return fmt.Errorf("transport: send: %w", err)
 	}
-	l.sendMeter.Add(n)
+	l.sendMeter.Add(m.EncodedSize())
 	return nil
 }
 

@@ -63,8 +63,9 @@ func (m *Meter) Messages() uint64 {
 }
 
 // chanLink is the in-process implementation: frames flow through buffered
-// byte channels and are re-decoded on receipt, exercising the same codec
-// path as TCP.
+// byte channels and are re-decoded on receipt, exercising the same header
+// checks as TCP. A frame is rendered once, by Send; the receiver owns it
+// and takes the payload as a view of it.
 type chanLink struct {
 	out   chan<- []byte
 	in    <-chan []byte
@@ -120,26 +121,28 @@ func (l *chanLink) Recv() (wire.Message, error) {
 		if frame == nil {
 			return wire.Message{}, ErrClosed
 		}
-		m, err := wire.Decode(frame)
-		if err != nil {
-			return wire.Message{}, fmt.Errorf("transport: %w", err)
-		}
-		return m, nil
+		return decodeFrame(frame)
 	case <-l.peerDone:
 		// Drain anything the peer sent before closing.
 		select {
 		case frame := <-l.in:
 			if frame != nil {
-				m, err := wire.Decode(frame)
-				if err != nil {
-					return wire.Message{}, fmt.Errorf("transport: %w", err)
-				}
-				return m, nil
+				return decodeFrame(frame)
 			}
 		default:
 		}
 		return wire.Message{}, ErrClosed
 	}
+}
+
+// decodeFrame parses a frame the pipe handed over: Send rendered it for this
+// receiver alone, so the payload is a view of it, not a second copy.
+func decodeFrame(frame []byte) (wire.Message, error) {
+	m, err := wire.DecodeOwned(frame)
+	if err != nil {
+		return wire.Message{}, fmt.Errorf("transport: %w", err)
+	}
+	return m, nil
 }
 
 func (l *chanLink) Close() error {

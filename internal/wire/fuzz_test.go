@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dimatch/internal/core"
@@ -119,6 +121,50 @@ func FuzzDecode(f *testing.F) {
 		// bytes exactly.
 		if !bytes.Equal(m.Encode(), b) {
 			t.Fatalf("re-encode differs from the accepted frame: % x vs % x", m.Encode(), b)
+		}
+	})
+}
+
+// FuzzReadMessage drives the stream decoder with arbitrary bytes: it must
+// never panic, and a header declaring more payload than follows must not buy
+// memory. For any input below 4 MiB, every input this fuzzer builds, the
+// call allocates at most max(4 MiB, 2 × the bytes supplied), plus slack for
+// the error it returns. Past 4 MiB the doubling rule allocates buffers 4, 8,
+// …, B MiB, B only once B/2 MiB arrived, so the bound is 4 × the bytes.
+func FuzzReadMessage(f *testing.F) {
+	f.Add(mustHex(f, workedBatchQueryHex))
+	f.Add(mustHex(f, workedSummaryReplyHex))
+	f.Add(Message{Kind: KindShutdown}.Encode())
+	full := mustHex(f, workedBatchQueryHex)
+	f.Add(full[:7])
+	f.Add(full[:20])
+	for _, claim := range []uint32{readChunk - 1, readChunk + 1, MaxPayload} {
+		hdr := Message{Kind: KindIngest, Request: 1}.Header()
+		binary.LittleEndian.PutUint32(hdr[8:12], claim)
+		f.Add(hdr[:])
+		f.Add(append(hdr[:], make([]byte, 1000)...))
+	}
+	addRetiredSeeds(f, full)
+
+	const slack = 64 << 10
+	f.Fuzz(func(t *testing.T, b []byte) {
+		limit := max(readChunk, 2*len(b))
+		if len(b) >= readChunk {
+			limit = 4 * len(b)
+		}
+		r := bytes.NewReader(b)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := ReadMessage(r)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(limit+slack) {
+			t.Fatalf("%d input bytes: ReadMessage allocated %d bytes, want ≤ %d", len(b), got, limit+slack)
+		}
+		if err != nil {
+			return
+		}
+		if !m.Kind.known() || m.EncodedSize() > len(b) {
+			t.Fatalf("accepted %+v from %d bytes", m, len(b))
 		}
 	})
 }

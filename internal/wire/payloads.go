@@ -968,9 +968,9 @@ func EncodeDumpReply(d DumpReply) (Message, error) {
 	if len(d.Persons) != len(d.Locals) {
 		return Message{}, fmt.Errorf("wire: %d persons but %d locals", len(d.Persons), len(d.Locals))
 	}
-	w := writer{buf: make([]byte, 0, uvarintLen(uint64(d.Station))+rowsSize(d.Persons, d.Locals))}
+	w := writer{buf: make([]byte, 0, uvarintLen(uint64(d.Station))+rowsSize(d.Persons, d.Locals, nil))}
 	w.uvarint(uint64(d.Station))
-	writeRows(&w, d.Persons, d.Locals)
+	writeRows(&w, d.Persons, d.Locals, nil)
 	return Message{Kind: KindDumpReply, Payload: w.buf}, nil
 }
 
@@ -991,11 +991,20 @@ func DecodeDumpReply(m Message) (DumpReply, error) {
 // ---- (person, pattern) rows: the body shared by dump replies, ingest
 // requests, WAL ingest records and snapshot chunks ----
 
-// rowsSize returns the exact number of bytes writeRows will append.
-func rowsSize(persons []core.PersonID, locals []pattern.Pattern) int {
-	n := uvarintLen(uint64(len(persons)))
-	for i, p := range persons {
-		n += uvarintLen(uint64(p)) + uvarintLen(uint64(len(locals[i])))
+// rowsSize returns the exact number of bytes writeRows will append for the
+// same arguments.
+func rowsSize(persons []core.PersonID, locals []pattern.Pattern, rows []int32) int {
+	count := len(persons)
+	if rows != nil {
+		count = len(rows)
+	}
+	n := uvarintLen(uint64(count))
+	for k := 0; k < count; k++ {
+		i := k
+		if rows != nil {
+			i = int(rows[k])
+		}
+		n += uvarintLen(uint64(persons[i])) + uvarintLen(uint64(len(locals[i])))
 		for _, v := range locals[i] {
 			n += uvarintLen(zigzag(v))
 		}
@@ -1004,16 +1013,27 @@ func rowsSize(persons []core.PersonID, locals []pattern.Pattern) int {
 }
 
 // writeRows appends the row count and then, per row, the person, the pattern
-// length and the zigzagged values. Callers size w from rowsSize: a bulk load
-// is megabytes of varints, and growing into it by doubling allocates several
-// times the payload. The values, almost every byte of a bulk load, are
-// written by hand up to three bytes each (binary.AppendUvarint's layout, see
-// rows_test.go) into a local slice, so the loop keeps the buffer in
+// length and the zigzagged values. The rows are persons[i], locals[i] for
+// each i of rows in its order, or every row when rows is nil: a grouped
+// ingest encodes each station's frame straight from one shared row set
+// through the station's index list. Callers size w from rowsSize: a bulk
+// load is megabytes of varints, and growing into it by doubling allocates
+// several times the payload. The values, almost every byte of a bulk load,
+// are written by hand up to three bytes each (binary.AppendUvarint's layout,
+// see rows_test.go) into a local slice, so the loop keeps the buffer in
 // registers instead of storing it back through w per varint.
-func writeRows(w *writer, persons []core.PersonID, locals []pattern.Pattern) {
-	b := binary.AppendUvarint(w.buf, uint64(len(persons)))
-	for i, p := range persons {
-		b = binary.AppendUvarint(b, uint64(p))
+func writeRows(w *writer, persons []core.PersonID, locals []pattern.Pattern, rows []int32) {
+	count := len(persons)
+	if rows != nil {
+		count = len(rows)
+	}
+	b := binary.AppendUvarint(w.buf, uint64(count))
+	for k := 0; k < count; k++ {
+		i := k
+		if rows != nil {
+			i = int(rows[k])
+		}
+		b = binary.AppendUvarint(b, uint64(persons[i]))
 		b = binary.AppendUvarint(b, uint64(len(locals[i])))
 		for _, v := range locals[i] {
 			switch z := zigzag(v); {
@@ -1381,24 +1401,29 @@ type Ingest struct {
 // message envelope. The station WAL (internal/store/wal) persists applied
 // batches in exactly this form, so persistence and the wire share one codec.
 func EncodeIngestPayload(in Ingest) ([]byte, error) {
-	return AppendIngestPayload(nil, in)
+	return AppendIngestPayload(nil, in, nil)
 }
 
-// AppendIngestPayload appends EncodeIngestPayload's bytes to dst, growing it
-// at most once, so a caller encoding batch after batch (a WAL fold's chunk
-// records) can reuse one buffer. A grown buffer is exactly the size needed
-// or twice the old capacity, whichever is larger: a payload encoded into nil
-// holds no spare bytes, and a reused buffer stops growing after a chunk or
-// two.
-func AppendIngestPayload(dst []byte, in Ingest) ([]byte, error) {
+// AppendIngestPayload appends the payload of the ingest of rows
+// in.Persons[i], in.Locals[i] for each i of rows, in that order — or of
+// every row when rows is nil, EncodeIngestPayload's bytes — to dst, growing
+// it at most once. Each index must lie in range. A coordinator pushing one
+// shared, person-ascending row set to many stations passes each station's
+// ascending index list and gets that station's payload sized exactly, with
+// no per-station copy of the rows; a caller encoding batch after batch (a
+// WAL fold's chunk records) can reuse one buffer. A grown buffer is exactly
+// the size needed or twice the old capacity, whichever is larger: a payload
+// encoded into nil holds no spare bytes, and a reused buffer stops growing
+// after a chunk or two.
+func AppendIngestPayload(dst []byte, in Ingest, rows []int32) ([]byte, error) {
 	if len(in.Persons) != len(in.Locals) {
 		return nil, fmt.Errorf("wire: %d persons but %d locals", len(in.Persons), len(in.Locals))
 	}
-	if n := len(dst) + rowsSize(in.Persons, in.Locals); cap(dst) < n {
+	if n := len(dst) + rowsSize(in.Persons, in.Locals, rows); cap(dst) < n {
 		dst = append(make([]byte, 0, max(n, 2*cap(dst))), dst...)
 	}
 	w := writer{buf: dst}
-	writeRows(&w, in.Persons, in.Locals)
+	writeRows(&w, in.Persons, in.Locals, rows)
 	return w.buf, nil
 }
 

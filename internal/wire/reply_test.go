@@ -312,7 +312,7 @@ func hostileReplies() []hostileReply {
 
 func TestBatchReplyDecodeRejects(t *testing.T) {
 	worked := hostileReply{fields: workedReplyFields, stream: bitsOf(workedReplyStream)}.payload()
-	if !bytes.Equal(worked, mustHex(t, workedBatchReplyHex)[headerSize:]) {
+	if !bytes.Equal(worked, mustHex(t, workedBatchReplyHex)[HeaderSize:]) {
 		t.Fatalf("the spelled payload % x is not the worked frame's", worked)
 	}
 	if _, err := DecodeBatchReply(Message{Kind: KindBatchReply, Payload: worked}); err != nil {

@@ -103,7 +103,8 @@ func sameDecode(t *testing.T, label string, payload []byte) {
 // TestRowCodecMatchesAppendUvarint pins the row codec's fast paths to the
 // plain varint layout: boundary values encode byte for byte as
 // binary.AppendUvarint writes them, rowsSize is exact, and they decode back
-// to themselves.
+// to themselves. Encoding through an index list writes exactly the bytes of
+// the selected rows encoded on their own.
 func TestRowCodecMatchesAppendUvarint(t *testing.T) {
 	in := boundaryRows()
 	got, err := EncodeIngestPayload(in)
@@ -114,8 +115,22 @@ func TestRowCodecMatchesAppendUvarint(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("encoded rows\n%x\nwant\n%x", got, want)
 	}
-	if n := rowsSize(in.Persons, in.Locals); n != len(want) {
+	if n := rowsSize(in.Persons, in.Locals, nil); n != len(want) {
 		t.Fatalf("rowsSize = %d, encoded %d bytes", n, len(want))
+	}
+	for _, rows := range [][]int32{{}, {3}, {0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20}, {20, 19, 1, 1}} {
+		var sel Ingest
+		for _, i := range rows {
+			sel.Persons = append(sel.Persons, in.Persons[i])
+			sel.Locals = append(sel.Locals, in.Locals[i])
+		}
+		got, err := AppendIngestPayload(nil, in, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceRows(sel); !slices.Equal(got, want) || cap(got) != len(want) {
+			t.Fatalf("rows %v: encoded\n%x (cap %d)\nwant\n%x", rows, got, cap(got), want)
+		}
 	}
 	out, err := DecodeIngestPayload(got)
 	if err != nil {

@@ -85,7 +85,7 @@ func wideFields() []wideField {
 		{"bf-matches station", KindBFMatches, func(v uint64) []byte { return varints(v, 1, 11) }},
 		{"dump-reply station", KindDumpReply, func(v uint64) []byte {
 			w := writer{buf: varints(v)}
-			writeRows(&w, []core.PersonID{4}, []pattern.Pattern{{1, 2, 3}})
+			writeRows(&w, []core.PersonID{4}, []pattern.Pattern{{1, 2, 3}}, nil)
 			return w.buf
 		}},
 		{"summary station", KindSummaryReply, summary(0)},

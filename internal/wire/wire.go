@@ -160,14 +160,20 @@ func (k Kind) String() string {
 const Version = uint8(17)
 
 const (
-	magic      = uint16(0xD1A7)
-	headerSize = 12
+	magic = uint16(0xD1A7)
+	// HeaderSize is the fixed frame header's byte count.
+	HeaderSize = 12
 	// MaxPayload bounds a single frame; large enough for city-scale naive
 	// shipments, small enough to reject corrupt length fields.
 	MaxPayload = 1 << 30
 	// MaxBatchQueries bounds the query count of one batch frame, so a
 	// corrupt count is rejected before any allocation.
 	MaxBatchQueries = 4096
+	// readChunk bounds what ReadMessage allocates before payload bytes
+	// arrive. It covers every frame the benchmark workloads send (the
+	// largest, a bulk ingest, is ≈ 1.9 MB), so their payloads are still
+	// allocated once; a longer payload grows by doubling as its bytes arrive.
+	readChunk = 4 << 20
 )
 
 // Errors returned by frame decoding.
@@ -215,37 +221,42 @@ func (m Message) WithRequest(id uint32) Message {
 
 // EncodedSize returns the full frame size in bytes — the unit the cost
 // meters count.
-func (m Message) EncodedSize() int { return headerSize + len(m.Payload) }
+func (m Message) EncodedSize() int { return HeaderSize + len(m.Payload) }
 
 // Encode renders the frame.
 func (m Message) Encode() []byte {
-	out := make([]byte, 0, headerSize+len(m.Payload))
+	out := make([]byte, 0, HeaderSize+len(m.Payload))
 	return m.AppendFrame(out)
 }
 
-// AppendFrame appends the encoded frame to dst and returns the extended
-// slice — the pooled-buffer variant of Encode for send paths that reuse one
-// buffer across frames (transport's TCP link). With sufficient capacity it
-// performs no allocation.
-//
-// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
-func (m Message) AppendFrame(dst []byte) []byte {
-	buf := dst[:len(dst)]
-	var hdr [headerSize]byte
+// Header renders the frame header: the bytes AppendFrame writes before the
+// payload, and what a link writes beside the payload without copying it.
+func (m Message) Header() [HeaderSize]byte {
+	var hdr [HeaderSize]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], magic)
 	hdr[2] = Version
 	hdr[3] = uint8(m.Kind)
 	binary.LittleEndian.PutUint32(hdr[4:8], m.Request)
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(m.Payload)))
-	buf = append(buf, hdr[:]...)
-	return append(buf, m.Payload...)
+	return hdr
+}
+
+// AppendFrame appends the encoded frame to dst and returns the extended
+// slice — the reusable-buffer variant of Encode for callers that render one
+// frame after another into the same buffer. With sufficient capacity it
+// performs no allocation.
+//
+// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
+func (m Message) AppendFrame(dst []byte) []byte {
+	hdr := m.Header()
+	return append(append(dst, hdr[:]...), m.Payload...)
 }
 
 // parseHeader validates the fixed header shared by Decode and ReadMessage,
 // checking magic, then version, then kind, then length — so both report the
 // same typed error for the same bytes. It returns the message without its
 // payload, and the payload's declared length.
-func parseHeader(hdr *[headerSize]byte) (Message, uint32, error) {
+func parseHeader(hdr *[HeaderSize]byte) (Message, uint32, error) {
 	if binary.LittleEndian.Uint16(hdr[0:2]) != magic {
 		return Message{}, 0, ErrBadMagic
 	}
@@ -263,28 +274,47 @@ func parseHeader(hdr *[headerSize]byte) (Message, uint32, error) {
 	return Message{Kind: kind, Request: binary.LittleEndian.Uint32(hdr[4:8])}, n, nil
 }
 
-// Decode parses a frame from b, which must contain exactly one frame.
+// Decode parses a frame from b, which must contain exactly one frame. The
+// payload is a copy: b stays the caller's.
 func Decode(b []byte) (Message, error) {
-	if len(b) < headerSize {
-		return Message{}, ErrTruncated
-	}
-	m, n, err := parseHeader((*[headerSize]byte)(b))
+	m, err := DecodeOwned(b)
 	if err != nil {
 		return Message{}, err
 	}
-	if len(b) != headerSize+int(n) {
+	m.Payload = append(make([]byte, 0, len(m.Payload)), m.Payload...)
+	return m, nil
+}
+
+// DecodeOwned is Decode for a frame the caller hands over: the payload is a
+// subslice of b, not a copy, so b must not be written afterwards. The
+// in-process pipe, whose receiver owns every frame it is sent, decodes
+// this way.
+func DecodeOwned(b []byte) (Message, error) {
+	if len(b) < HeaderSize {
 		return Message{}, ErrTruncated
 	}
-	m.Payload = make([]byte, n)
-	copy(m.Payload, b[headerSize:])
+	m, n, err := parseHeader((*[HeaderSize]byte)(b))
+	if err != nil {
+		return Message{}, err
+	}
+	if len(b) != HeaderSize+int(n) {
+		return Message{}, ErrTruncated
+	}
+	m.Payload = b[HeaderSize:len(b):len(b)]
 	return m, nil
 }
 
 // ReadMessage reads exactly one frame from r. A stream that ends before the
 // first header byte returns the reader's error bare (io.EOF on a clean
 // close); one that ends inside a frame returns ErrTruncated.
+//
+// The declared length is not trusted with memory: the payload buffer starts
+// at min(length, 4 MiB), and past that doubles, capped at the length, only
+// as each buffer fills. A header claiming MaxPayload over a stream that then
+// ends costs 4 MiB, not 1 GiB; a payload of at most 4 MiB is allocated once,
+// at its exact size.
 func ReadMessage(r io.Reader) (Message, error) {
-	var hdr [headerSize]byte
+	var hdr [HeaderSize]byte
 	if n, err := io.ReadFull(r, hdr[:]); err != nil {
 		if n == 0 {
 			return Message{}, err
@@ -295,10 +325,21 @@ func ReadMessage(r io.Reader) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	m.Payload = make([]byte, n)
-	if _, err := io.ReadFull(r, m.Payload); err != nil {
-		return Message{}, fmt.Errorf("%w: %v", ErrTruncated, err)
+	buf := make([]byte, min(int(n), readChunk))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, buf[got:])
+		got += k
+		if err != nil {
+			return Message{}, fmt.Errorf("%w: %v", ErrTruncated, err)
+		}
+		if got == int(n) {
+			break
+		}
+		next := make([]byte, min(int(n), 2*got))
+		copy(next, buf)
+		buf = next
 	}
+	m.Payload = buf
 	return m, nil
 }
 

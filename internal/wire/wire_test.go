@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +116,51 @@ func TestReadWriteMessage(t *testing.T) {
 	}
 	if _, err := ReadMessage(&buf); err != io.EOF {
 		t.Fatalf("empty stream: err = %v, want bare io.EOF", err)
+	}
+}
+
+// TestReadMessageBoundsAllocation pins ReadMessage's growth rule. A header
+// declaring MaxPayload over a stream that then ends is refused as truncated
+// after allocating at most 8 MiB (it allocated the whole declared GiB before
+// reading a payload byte). A legitimate 1.9 MB frame, the size of a bulk
+// ingest, still costs one payload-sized allocation: besides it, only the
+// 12-byte header array, which escapes through the io.Reader call.
+func TestReadMessageBoundsAllocation(t *testing.T) {
+	hdr := Message{Kind: KindIngest, Request: 1}.Header()
+	binary.LittleEndian.PutUint32(hdr[8:12], MaxPayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadMessage(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Fatalf("a %d-byte header claiming %d payload bytes allocated %d bytes; want < 8 MiB", len(hdr), MaxPayload, got)
+	}
+
+	const size = 1_900_000
+	frame := Message{Kind: KindIngest, Request: 2, Payload: make([]byte, size)}.Encode()
+	r := bytes.NewReader(frame)
+	const runs = 10
+	read := func() {
+		r.Reset(frame)
+		m, err := ReadMessage(r)
+		if err != nil || len(m.Payload) != size {
+			t.Fatalf("bulk frame: %d bytes, %v", len(m.Payload), err)
+		}
+	}
+	read()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	perFrame := (after.TotalAlloc - before.TotalAlloc) / runs
+	// The large-object allocator rounds the payload up to whole 8 KiB pages.
+	if allocs != 2 || perFrame > size+8<<10+64 {
+		t.Fatalf("a 1.9 MB frame costs %d allocations of %d bytes in all; want the payload and the header", allocs, perFrame)
 	}
 }
 
