@@ -112,7 +112,9 @@ func TestDocsLocalLinks(t *testing.T) {
 // per-kind cluster constructors and joins a Member spec replaced; the
 // traffic-adaptive digest parameters and their rollout frames; the WAL's
 // unsynced-ack settings, the in-memory store constructor and the summary
-// codec's WAL-only payload half.
+// codec's WAL-only payload half; the analyzer packages folded into
+// internal/analyzers (a path, not a pass name or a file such as
+// lockstate.go).
 var removedRefs = []struct {
 	re   *regexp.Regexp
 	with string
@@ -124,6 +126,7 @@ var removedRefs = []struct {
 	{regexp.MustCompile(`NewEmptyCluster|NewStoredCluster|AddStoredStation|AddStationLink|NewStoredStation|cluster/stored\.go`), "the per-kind constructors and joins (NewCluster and AddStation take a Member)"},
 	{regexp.MustCompile(`RederiveParams|ResetParams|ParamState|TrafficSnapshot|ParamRollout|ParamPlan|TrafficProfile|AdaptWindow|ParamEpoch|KindParam(Update|Ack)|internal/adapt`), "the traffic-adaptive digest parameters (every routing digest is index.Build's static one)"},
 	{regexp.MustCompile(`SyncEvery|SyncInterval|NewMemoryStore|EncodeSummaryPayload|DecodeSummaryPayload`), "the unsynced-ack mode, NewMemoryStore and the WAL-only summary codec (every append is fsynced; a nil Store is in memory; the WAL persists no digest)"},
+	{regexp.MustCompile(`internal/analyzers/(analysis|analysistest|lockstate|ctxflow|epochpin|lockio|wirekind)([^\w.]|\.\W|\.?$)`), "the per-pass analyzer packages (internal/analyzers is one package, one file per pass)"},
 }
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every

@@ -1,9 +1,16 @@
-// Package ctxflow keeps cancellation flowing: library code must thread the
-// caller's context to every downstream wire call rather than minting its
-// own. Outside package main and _test.go files, context.Background() and
-// context.TODO() are findings — a search that invents a fresh context
-// cannot be cancelled by the caller that started it. The one structural
-// exception is the nil-guard at an exported boundary:
+package analyzers
+
+import (
+	"go/ast"
+	"go/types"
+)
+
+// ctxflow keeps cancellation flowing: library code must thread the caller's
+// context to every downstream wire call rather than minting its own.
+// Outside package main, context.Background() and context.TODO() are
+// findings — a search that invents a fresh context cannot be cancelled by
+// the caller that started it. The one structural exception is the
+// nil-guard at an exported boundary:
 //
 //	if ctx == nil {
 //		ctx = context.Background()
@@ -11,42 +18,20 @@
 //
 // A context.Context parameter that the function never reads is also a
 // finding: it advertises cancellation it does not deliver.
-package ctxflow
-
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-
-	"dimatch/internal/analyzers/analysis"
-)
-
-// Analyzer is the ctxflow pass.
-var Analyzer = &analysis.Analyzer{
-	Name: "ctxflow",
-	Doc:  "forbid context.Background/TODO in library paths and unused ctx parameters",
-	Run:  run,
-}
-
-func run(pass *analysis.Pass) error {
-	if pass.Pkg.Name() == "main" {
-		return nil // binaries own their root context
+func ctxflow(p *pass) {
+	if p.pkg.Name() == "main" {
+		return // binaries own their root context
 	}
-	for _, f := range pass.Files {
-		name := pass.Fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		exempt := nilGuardCalls(pass, f)
-		checkFreshContexts(pass, f, exempt)
-		checkUnusedParams(pass, f)
+	for _, f := range p.files {
+		exempt := nilGuardCalls(p, f)
+		checkFreshContexts(p, f, exempt)
+		checkUnusedParams(p, f)
 	}
-	return nil
 }
 
 // nilGuardCalls collects the context.Background()/TODO() calls inside the
 // blessed `if ctx == nil { ctx = context.Background() }` shape.
-func nilGuardCalls(pass *analysis.Pass, f *ast.File) map[*ast.CallExpr]bool {
+func nilGuardCalls(p *pass, f *ast.File) map[*ast.CallExpr]bool {
 	exempt := make(map[*ast.CallExpr]bool)
 	ast.Inspect(f, func(n ast.Node) bool {
 		ifs, ok := n.(*ast.IfStmt)
@@ -54,7 +39,7 @@ func nilGuardCalls(pass *analysis.Pass, f *ast.File) map[*ast.CallExpr]bool {
 			return true
 		}
 		cond, ok := ifs.Cond.(*ast.BinaryExpr)
-		if !ok || !isNilCheck(pass.TypesInfo, cond) {
+		if !ok || !isNilCheck(p.info, cond) {
 			return true
 		}
 		for _, stmt := range ifs.Body.List {
@@ -63,7 +48,7 @@ func nilGuardCalls(pass *analysis.Pass, f *ast.File) map[*ast.CallExpr]bool {
 				continue
 			}
 			for _, rhs := range as.Rhs {
-				if call, ok := rhs.(*ast.CallExpr); ok && freshContextCall(pass.TypesInfo, call) != "" {
+				if call, ok := rhs.(*ast.CallExpr); ok && freshContextCall(p.info, call) != "" {
 					exempt[call] = true
 				}
 			}
@@ -92,14 +77,14 @@ func isNilIdent(e ast.Expr) bool {
 	return ok && id.Name == "nil"
 }
 
-func checkFreshContexts(pass *analysis.Pass, f *ast.File, exempt map[*ast.CallExpr]bool) {
+func checkFreshContexts(p *pass, f *ast.File, exempt map[*ast.CallExpr]bool) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || exempt[call] {
 			return true
 		}
-		if name := freshContextCall(pass.TypesInfo, call); name != "" {
-			pass.Reportf(call.Pos(), "%s in a library path severs cancellation; thread the caller's ctx instead", name)
+		if name := freshContextCall(p.info, call); name != "" {
+			p.reportf(call.Pos(), "%s in a library path severs cancellation; thread the caller's ctx instead", name)
 		}
 		return true
 	})
@@ -124,26 +109,26 @@ func freshContextCall(info *types.Info, call *ast.CallExpr) string {
 
 // checkUnusedParams flags functions that accept a context.Context and never
 // read it.
-func checkUnusedParams(pass *analysis.Pass, f *ast.File) {
+func checkUnusedParams(p *pass, f *ast.File) {
 	for _, decl := range f.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
 		if !ok || fn.Body == nil || len(fn.Body.List) == 0 || fn.Type.Params == nil {
 			continue
 		}
 		for _, field := range fn.Type.Params.List {
-			if !isContextType(pass.TypesInfo.TypeOf(field.Type)) {
+			if !isContextType(p.info.TypeOf(field.Type)) {
 				continue
 			}
 			for _, name := range field.Names {
 				if name.Name == "_" {
 					continue
 				}
-				obj := pass.TypesInfo.Defs[name]
+				obj := p.info.Defs[name]
 				if obj == nil {
 					continue
 				}
-				if !objUsed(pass.TypesInfo, fn.Body, obj) {
-					pass.Reportf(name.Pos(), "ctx parameter %s is never used: the function advertises cancellation it does not deliver", name.Name)
+				if !objUsed(p.info, fn.Body, obj) {
+					p.reportf(name.Pos(), "ctx parameter %s is never used: the function advertises cancellation it does not deliver", name.Name)
 				}
 			}
 		}

@@ -1,39 +1,30 @@
-// Package lockio forbids blocking wire I/O while a mutex is held: no
-// Mux.Roundtrip and no link Send under any sync.Mutex or
-// sync.RWMutex. A roundtrip parks the caller until a remote station
-// answers; holding a cluster or summaryCache mutex across that wait is the
-// deadlock-by-distance class the routing generation guard (PR 5) exists to
-// avoid — every such wait must happen on a pinned snapshot outside the
-// critical section.
-//
-// The two deliberate exceptions in the tree (Mux.Send serializing frames
-// under its own sendMu, and Roundtrip's send goroutine doing the same)
-// carry //dimatch:allow lockio suppressions with rationale.
-package lockio
+package analyzers
 
 import (
 	"go/ast"
 	"go/types"
-
-	"dimatch/internal/analyzers/analysis"
-	"dimatch/internal/analyzers/lockstate"
+	"sort"
+	"strings"
 )
 
-// Analyzer is the lockio pass.
-var Analyzer = &analysis.Analyzer{
-	Name: "lockio",
-	Doc:  "forbid Mux roundtrips and link sends while a mutex is held",
-	Run:  run,
-}
-
-func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
+// lockio forbids blocking wire I/O while a mutex is held: no Mux.Roundtrip
+// and no link Send under any sync.Mutex or sync.RWMutex. A roundtrip parks
+// the caller until a remote station answers; holding a cluster or
+// summaryCache mutex across that wait is the deadlock-by-distance class the
+// routing generation guard exists to avoid — every such wait must happen on
+// a pinned snapshot outside the critical section.
+//
+// The two deliberate exceptions in the tree (Mux.Send serializing frames
+// under its own sendMu, and Roundtrip's send goroutine doing the same)
+// carry //dimatch:allow lockio suppressions with rationale.
+func lockio(p *pass) {
+	for _, f := range p.files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			lockstate.Walk(pass.TypesInfo, fn.Body, func(n ast.Node, held lockstate.Set) {
+			walkHeld(p.info, fn.Body, func(n ast.Node, held heldSet) {
 				if len(held) == 0 {
 					return
 				}
@@ -41,13 +32,12 @@ func run(pass *analysis.Pass) error {
 				if !ok {
 					return
 				}
-				if what := blockingIO(pass.TypesInfo, call); what != "" {
-					pass.Reportf(call.Pos(), "%s while %s is held: a blocked peer would wedge every goroutine waiting on the mutex", what, heldNames(held))
+				if what := blockingIO(p.info, call); what != "" {
+					p.reportf(call.Pos(), "%s while %s is held: a blocked peer would wedge every goroutine waiting on the mutex", what, heldNames(held))
 				}
 			})
 		}
 	}
-	return nil
 }
 
 // blockingIO classifies a call as forbidden-under-lock wire I/O: any
@@ -111,23 +101,11 @@ func typeName(t types.Type) string {
 	return t.String()
 }
 
-func heldNames(held lockstate.Set) string {
+func heldNames(held heldSet) string {
 	names := make([]string, 0, len(held))
 	for k := range held {
 		names = append(names, k)
 	}
-	if len(names) == 1 {
-		return names[0]
-	}
-	// Deterministic order for multi-mutex messages.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	out := names[0]
-	for _, n := range names[1:] {
-		out += ", " + n
-	}
-	return out
+	sort.Strings(names) // deterministic order for multi-mutex messages
+	return strings.Join(names, ", ")
 }

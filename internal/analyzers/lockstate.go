@@ -1,6 +1,6 @@
-// Package lockstate tracks which sync mutexes are held at each point of a
-// function body, for analyzers that enforce lock-discipline invariants
-// (lockio, epochpin).
+// This file tracks which sync mutexes are held at each point of a function
+// body, for the passes that enforce lock-discipline invariants (lockio,
+// epochpin).
 //
 // The tracking is a conservative source-order walk, not a full control-flow
 // analysis: a Lock() adds the mutex, a same-level Unlock() removes it, a
@@ -10,52 +10,40 @@
 // start empty — a closure or goroutine body runs under its own discipline.
 // The approximation errs toward "held", which for deadlock- and
 // guarded-field-checking is the safe direction.
-package lockstate
+
+package analyzers
 
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 )
 
-// Set is the set of held mutexes, keyed by the rendered receiver expression
-// ("c.mu", "m.sendMu"). ReadOnly reports whether only the read half is held.
-type Set map[string]bool
+// heldSet is the set of held mutexes, keyed by the rendered receiver
+// expression ("c.mu", "m.sendMu"). A key's value is true when only the read
+// half is held (RLock), false under Lock.
+type heldSet map[string]bool
 
-// Held reports whether the mutex named by expr (e.g. "c.mu") is held.
-func (s Set) Held(expr string) bool { return s[expr] }
-
-// clone returns an independent copy.
-func (s Set) clone() Set {
-	out := make(Set, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-// Walk traverses body in source order and calls visit for every expression
-// node with the set of mutexes held at that point. visit must not retain the
-// set; it is mutated as the walk proceeds.
-func Walk(info *types.Info, body *ast.BlockStmt, visit func(n ast.Node, held Set)) {
-	if body == nil {
-		return
-	}
-	walkStmts(info, body.List, make(Set), visit)
+// walkHeld traverses body in source order and calls visit for every
+// expression node with the set of mutexes held at that point. visit must
+// not retain the set; it is mutated as the walk proceeds.
+func walkHeld(info *types.Info, body *ast.BlockStmt, visit func(n ast.Node, held heldSet)) {
+	walkStmts(info, body.List, make(heldSet), visit)
 }
 
 // walkStmts processes a statement list against a mutable held set.
-func walkStmts(info *types.Info, stmts []ast.Stmt, held Set, visit func(ast.Node, Set)) {
+func walkStmts(info *types.Info, stmts []ast.Stmt, held heldSet, visit func(ast.Node, heldSet)) {
 	for _, s := range stmts {
 		walkStmt(info, s, held, visit)
 	}
 }
 
-func walkStmt(info *types.Info, s ast.Stmt, held Set, visit func(ast.Node, Set)) {
+func walkStmt(info *types.Info, s ast.Stmt, held heldSet, visit func(ast.Node, heldSet)) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
-		if key, lock, ok := mutexOp(info, s.X); ok {
+		if key, lock, read, ok := mutexOp(info, s.X); ok {
 			if lock {
-				held[key] = true
+				held[key] = read
 			} else {
 				delete(held, key)
 			}
@@ -64,22 +52,22 @@ func walkStmt(info *types.Info, s ast.Stmt, held Set, visit func(ast.Node, Set))
 		visitExprs(info, s.X, held, visit)
 	case *ast.DeferStmt:
 		// defer x.Unlock() pins x held for the rest of the function.
-		if _, lock, ok := mutexOp(info, s.Call); ok && !lock {
+		if _, lock, _, ok := mutexOp(info, s.Call); ok && !lock {
 			return
 		}
 		visitExprs(info, s.Call, held, visit)
 	case *ast.GoStmt:
 		visitExprs(info, s.Call, held, visit)
 	case *ast.BlockStmt:
-		walkStmts(info, s.List, held.clone(), visit)
+		walkStmts(info, s.List, maps.Clone(held), visit)
 	case *ast.IfStmt:
 		if s.Init != nil {
 			walkStmt(info, s.Init, held, visit)
 		}
 		visitExprs(info, s.Cond, held, visit)
-		walkStmts(info, s.Body.List, held.clone(), visit)
+		walkStmts(info, s.Body.List, maps.Clone(held), visit)
 		if s.Else != nil {
-			walkStmt(info, s.Else, held.clone(), visit)
+			walkStmt(info, s.Else, maps.Clone(held), visit)
 		}
 	case *ast.ForStmt:
 		if s.Init != nil {
@@ -89,12 +77,12 @@ func walkStmt(info *types.Info, s ast.Stmt, held Set, visit func(ast.Node, Set))
 			visitExprs(info, s.Cond, held, visit)
 		}
 		if s.Post != nil {
-			walkStmt(info, s.Post, held.clone(), visit)
+			walkStmt(info, s.Post, maps.Clone(held), visit)
 		}
-		walkStmts(info, s.Body.List, held.clone(), visit)
+		walkStmts(info, s.Body.List, maps.Clone(held), visit)
 	case *ast.RangeStmt:
 		visitExprs(info, s.X, held, visit)
-		walkStmts(info, s.Body.List, held.clone(), visit)
+		walkStmts(info, s.Body.List, maps.Clone(held), visit)
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			walkStmt(info, s.Init, held, visit)
@@ -107,7 +95,7 @@ func walkStmt(info *types.Info, s ast.Stmt, held Set, visit func(ast.Node, Set))
 				for _, e := range cc.List {
 					visitExprs(info, e, held, visit)
 				}
-				walkStmts(info, cc.Body, held.clone(), visit)
+				walkStmts(info, cc.Body, maps.Clone(held), visit)
 			}
 		}
 	case *ast.TypeSwitchStmt:
@@ -117,13 +105,13 @@ func walkStmt(info *types.Info, s ast.Stmt, held Set, visit func(ast.Node, Set))
 		walkStmt(info, s.Assign, held, visit)
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				walkStmts(info, cc.Body, held.clone(), visit)
+				walkStmts(info, cc.Body, maps.Clone(held), visit)
 			}
 		}
 	case *ast.SelectStmt:
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
-				inner := held.clone()
+				inner := maps.Clone(held)
 				if cc.Comm != nil {
 					walkStmt(info, cc.Comm, inner, visit)
 				}
@@ -156,10 +144,10 @@ func walkStmt(info *types.Info, s ast.Stmt, held Set, visit func(ast.Node, Set))
 // visitExprs reports every node under n with the current held set, walking
 // function-literal bodies with a fresh empty set (their code runs under its
 // own lock discipline, often on another goroutine).
-func visitExprs(info *types.Info, n ast.Node, held Set, visit func(ast.Node, Set)) {
+func visitExprs(info *types.Info, n ast.Node, held heldSet, visit func(ast.Node, heldSet)) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
-			walkStmts(info, lit.Body.List, make(Set), visit)
+			walkStmts(info, lit.Body.List, make(heldSet), visit)
 			return false
 		}
 		if n != nil {
@@ -170,33 +158,37 @@ func visitExprs(info *types.Info, n ast.Node, held Set, visit func(ast.Node, Set
 }
 
 // mutexOp reports whether e is a Lock/RLock (lock=true) or Unlock/RUnlock
-// (lock=false) call on a sync.Mutex or sync.RWMutex, and the rendered
-// receiver key ("c.mu").
-func mutexOp(info *types.Info, e ast.Expr) (key string, lock, ok bool) {
+// (lock=false) call on a sync.Mutex or sync.RWMutex, whether it is the read
+// half (RLock/RUnlock), and the rendered receiver key ("c.mu").
+func mutexOp(info *types.Info, e ast.Expr) (key string, lock, read, ok bool) {
 	call, okc := e.(*ast.CallExpr)
 	if !okc {
-		return "", false, false
+		return "", false, false, false
 	}
 	sel, oks := call.Fun.(*ast.SelectorExpr)
 	if !oks {
-		return "", false, false
+		return "", false, false, false
 	}
 	switch sel.Sel.Name {
-	case "Lock", "RLock":
+	case "Lock":
 		lock = true
-	case "Unlock", "RUnlock":
+	case "RLock":
+		lock, read = true, true
+	case "Unlock":
 		lock = false
+	case "RUnlock":
+		read = true
 	default:
-		return "", false, false
+		return "", false, false, false
 	}
 	if !isSyncMutex(info.TypeOf(sel.X)) {
-		return "", false, false
+		return "", false, false, false
 	}
-	key = ExprString(sel.X)
+	key = exprString(sel.X)
 	if key == "" {
-		return "", false, false
+		return "", false, false, false
 	}
-	return key, lock, true
+	return key, lock, read, true
 }
 
 // isSyncMutex reports whether t is sync.Mutex or sync.RWMutex (possibly via
@@ -219,20 +211,20 @@ func isSyncMutex(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-// ExprString renders a selector chain of identifiers ("c.cache.mu");
+// exprString renders a selector chain of identifiers ("c.cache.mu");
 // anything more complex (calls, indexes) renders as "".
-func ExprString(e ast.Expr) string {
+func exprString(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:
 		return e.Name
 	case *ast.SelectorExpr:
-		base := ExprString(e.X)
+		base := exprString(e.X)
 		if base == "" {
 			return ""
 		}
 		return base + "." + e.Sel.Name
 	case *ast.ParenExpr:
-		return ExprString(e.X)
+		return exprString(e.X)
 	}
 	return ""
 }

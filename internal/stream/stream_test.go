@@ -680,6 +680,47 @@ func TestStreamLaterSubmissionWins(t *testing.T) {
 	assertExactReplicas(t, c, n, pattern.Pattern{2, 2, 2})
 }
 
+// TestStreamAbandonsAfterRetryBudget pins the retry budget: with every
+// station dead, each Place call lands nothing, so every accepted person is
+// abandoned after maxFlushAttempts calls and Flush returns instead of
+// waiting for a placement that can never happen.
+func TestStreamAbandonsAfterRetryBudget(t *testing.T) {
+	ids := []uint32{1, 2, 3}
+	c := newStreamCluster(t, ids, 3)
+	in, err := New(c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	for _, id := range ids {
+		if err := c.KillStation(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	const n = 10
+	for p := core.PersonID(1); p <= n; p++ {
+		if err := in.Submit(ctx, p, pattern.Pattern{7, 8, 9}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := in.Flush(ctx); err != nil {
+		t.Fatalf("Flush = %v, want nil once the budget is spent", err)
+	}
+	rep := in.Report()
+	if rep.Accepted != n || rep.FlushFailures != n {
+		t.Fatalf("Accepted = %d, FlushFailures = %d, want %d abandoned of %d accepted", rep.Accepted, rep.FlushFailures, n, n)
+	}
+	if rep.FlushedPatterns != 0 {
+		t.Fatalf("FlushedPatterns = %d with every station dead, want 0", rep.FlushedPatterns)
+	}
+	if rep.Flushes == 0 || rep.Flushes%maxFlushAttempts != 0 {
+		t.Fatalf("Flushes = %d, want a positive multiple of %d: each batch spends the whole budget", rep.Flushes, maxFlushAttempts)
+	}
+}
+
 func TestAdmissionString(t *testing.T) {
 	if Block.String() != "block" || Shed.String() != "shed" {
 		t.Fatalf("Admission strings: %q, %q", Block, Shed)
