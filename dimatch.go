@@ -34,10 +34,10 @@ type (
 	Options = cluster.Options
 	// Member specifies one base station for NewCluster and AddStation: its
 	// ID plus either an in-process station (seeded with Patterns, durable
-	// through Store when set) or, with Link set, a remote station or region
-	// coordinator already serving on the other end of the link (Patterns and
-	// Store nil), which the join handshake tells apart. The cluster takes
-	// ownership of Link and Store; a refused member has both closed.
+	// through Store when set) or, with Link set, a remote station already
+	// serving on the other end of the link (Patterns and Store nil). The
+	// cluster takes ownership of Link and Store; a refused member has both
+	// closed.
 	Member = cluster.Member
 	// SearchOption configures a single Search call.
 	SearchOption = cluster.SearchOption
@@ -149,13 +149,10 @@ func WithBatching(n int) SearchOption { return cluster.WithBatching(n) }
 // group of placed copies, with the group's others asked if it fails —
 // stations without a usable summary are always visited and an all-pruned
 // plan falls back to full fan-out, so results and recall are identical to
-// RoutingFull; only the
-// wasted exchanges differ (CostReport.StationsPruned counts them,
-// CostReport.SubtreeProbes the digest evaluations planning cost). BF and
-// naive searches ignore the mode and always fan out fully. Against region
-// coordinators (see ServeRegion) summary routing prunes a whole region by the
-// one digest it serves upward, built from its members' raw residents, before
-// delegating. See docs/ROUTING.md.
+// RoutingFull; only the wasted exchanges differ (CostReport.StationsPruned
+// counts them, CostReport.SubtreeProbes the digest evaluations planning
+// cost). BF and naive searches ignore the mode and always fan out fully. See
+// docs/ROUTING.md.
 func WithRouting(m RoutingMode) SearchOption { return cluster.WithRouting(m) }
 
 // Sentinel errors returned by Search, re-exported for errors.Is checks.
@@ -374,9 +371,7 @@ func (c *Cluster) KillStation(id uint32) error { return c.inner.KillStation(id) 
 func (c *Cluster) Shutdown() error { return c.inner.Shutdown() }
 
 // RoutingState reports the coordinator's current routing-state footprint:
-// how many per-station digests are cached and their bytes. In a multi-tier
-// deployment each coordinator holds state for its own members only — the
-// sublinear per-coordinator figure TestTwoTierPlanningSublinearAt1024 pins.
+// how many per-station digests are cached and their bytes.
 func (c *Cluster) RoutingState() RoutingState { return c.inner.RoutingState() }
 
 // Stream starts a streaming ingest pipeline over the cluster and returns

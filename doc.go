@@ -90,28 +90,6 @@
 // and docs/OPERATIONS.md covers when routing pays and how summaries are
 // sized.
 //
-// # Hierarchical routing
-//
-// Past a few hundred stations the flat plan itself becomes the cost: the
-// coordinator probes and stores one digest per station. ServeRegion moves
-// whole subtrees out of process — a region coordinator is a full cluster
-// over its member stations that serves its parent like one big station,
-// answering delegated search rounds with raw partials the root
-// merges, ranks and verifies globally:
-//
-//	sub, err := dimatch.NewCluster(opts, length, members...)
-//	go dimatch.ServeRegion(regionID, sub, linkToParent)   // region process
-//	root, err := dimatch.NewCluster(opts, length, dimatch.Member{ID: regionID, Link: linkToRegion})
-//	out, err := root.Search(ctx, queries)
-//	fmt.Println(out.Cost.TierHops, out.Cost.SubtreeProbes)
-//
-// Every tier prunes conservatively, so routed results stay byte-identical
-// to a flat full fan-out. TestTwoTierPlanningSublinearAt1024 in
-// internal/cluster pins the effect at 1024 stations behind 32 regions (at
-// most 0.25·N digest probes per query across both tiers, and every
-// coordinator holding less routing state than the flat one) and
-// docs/ROUTING.md carries the design and the soundness argument.
-//
 // # Batched searches
 //
 // A WBF search ships its whole query set in one wire exchange per station

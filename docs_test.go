@@ -114,7 +114,7 @@ func TestDocsLocalLinks(t *testing.T) {
 // unsynced-ack settings, the in-memory store constructor and the summary
 // codec's WAL-only payload half; the analyzer packages folded into
 // internal/analyzers (a path, not a pass name or a file such as
-// lockstate.go).
+// lockstate.go); the region tier, its wire kinds and its tests.
 var removedRefs = []struct {
 	re   *regexp.Regexp
 	with string
@@ -127,6 +127,7 @@ var removedRefs = []struct {
 	{regexp.MustCompile(`RederiveParams|ResetParams|ParamState|TrafficSnapshot|ParamRollout|ParamPlan|TrafficProfile|AdaptWindow|ParamEpoch|KindParam(Update|Ack)|internal/adapt`), "the traffic-adaptive digest parameters (every routing digest is index.Build's static one)"},
 	{regexp.MustCompile(`SyncEvery|SyncInterval|NewMemoryStore|EncodeSummaryPayload|DecodeSummaryPayload`), "the unsynced-ack mode, NewMemoryStore and the WAL-only summary codec (every append is fsynced; a nil Store is in memory; the WAL persists no digest)"},
 	{regexp.MustCompile(`internal/analyzers/(analysis|analysistest|lockstate|ctxflow|epochpin|lockio|wirekind)([^\w.]|\.\W|\.?$)`), "the per-pass analyzer packages (internal/analyzers is one package, one file per pass)"},
+	{regexp.MustCompile(`ServeRegion|NewRegion|KindRoute(Query|Reply)|FlagRouteDelegate|TierHops|TestHierarchical|TestThreeTier|TestTwoTierPlanning`), "the region tier (flat only; see docs/ROUTING.md)"},
 }
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every
@@ -216,6 +217,66 @@ func TestDocsClusterFlags(t *testing.T) {
 	}
 }
 
+// ciGoTest matches one go test command line of the CI workflow; ciPackage
+// the package it targets; ciExact one -run or -fuzz pattern that names its
+// targets exactly, '^A$' or '^(A|B)$'.
+var (
+	ciGoTest  = regexp.MustCompile(`(?m)^\s*(?:run:\s*)?go test .*$`)
+	ciPackage = regexp.MustCompile(`\s(\./[\w./-]*|\.)(\s|$)`)
+	ciExact   = regexp.MustCompile(`-(?:run|fuzz) '\^\(?([\w|]+)\)?\$'`)
+)
+
+// TestDocsCITargetsExist pins the CI workflow to the tests: every name a go
+// test command selects exactly (-run or -fuzz '^(A|B)$') must be declared as
+// a func in a test file of the package the command targets. A deleted or
+// renamed test would otherwise leave a CI step that silently runs nothing.
+func TestDocsCITargetsExist(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := make(map[string]string) // package dir → its test files' text
+	names := 0
+	for _, line := range ciGoTest.FindAllString(string(ci), -1) {
+		exact := ciExact.FindAllStringSubmatch(line, -1)
+		if len(exact) == 0 {
+			continue
+		}
+		pkg := ciPackage.FindStringSubmatch(line)
+		if pkg == nil {
+			t.Errorf("ci.yml: %q names tests but no package", strings.TrimSpace(line))
+			continue
+		}
+		dir := filepath.FromSlash(pkg[1])
+		if _, ok := declared[dir]; !ok {
+			files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var text []byte
+			for _, f := range files {
+				body, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				text = append(text, body...)
+			}
+			declared[dir] = string(text)
+		}
+		for _, m := range exact {
+			for _, name := range strings.Split(m[1], "|") {
+				names++
+				if !strings.Contains(declared[dir], "\nfunc "+name+"(") {
+					t.Errorf("ci.yml runs %s in %s, which declares no such test", name, pkg[1])
+				}
+			}
+		}
+	}
+	if names == 0 {
+		t.Fatal("ci.yml names no test exactly: the guard matches nothing")
+	}
+}
+
 // wireKindConst matches one Kind constant declaration in internal/wire.
 var wireKindConst = regexp.MustCompile(`(?m)^\t(Kind\w+) +Kind = (\d+)$`)
 
@@ -301,8 +362,8 @@ func TestDocsWireWorkedFrames(t *testing.T) {
 		}
 		frames = append(frames, frame)
 	}
-	if len(frames) != 5 {
-		t.Fatalf("found %d worked frames in docs/WIRE.md, want 5", len(frames))
+	if len(frames) != 3 {
+		t.Fatalf("found %d worked frames in docs/WIRE.md, want 3", len(frames))
 	}
 
 	enc, err := core.NewEncoder(core.Params{Bits: 64, Hashes: 2, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5}, 2)

@@ -129,70 +129,6 @@ func ExampleWithRouting() {
 	// same answer: true
 }
 
-// ExampleCluster_Search_hierarchical delegates a search through region
-// coordinators: each region is a full cluster over its own stations,
-// served to the root like one big station (ServeRegion). The
-// root merges the regions' raw partials and ranks globally, so results
-// are identical to a flat fan-out — docs/ROUTING.md carries the design.
-func ExampleCluster_Search_hierarchical() {
-	ctx := context.Background()
-
-	regionA, err := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Member{ID: 1}, dimatch.Member{ID: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer regionA.Shutdown()
-	regionB, err := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Member{ID: 3}, dimatch.Member{ID: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer regionB.Shutdown()
-
-	ln, err := dimatch.Listen("127.0.0.1:0", nil, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dialA, _ := dimatch.Dial(ln.Addr(), nil, nil)
-	go dimatch.ServeRegion(100, regionA, dialA)
-	upA, _ := ln.Accept()
-	dialB, _ := dimatch.Dial(ln.Addr(), nil, nil)
-	go dimatch.ServeRegion(101, regionB, dialB)
-	upB, _ := ln.Accept()
-
-	root, err := dimatch.NewCluster(dimatch.Options{}, 3,
-		dimatch.Member{ID: 100, Link: upA}, dimatch.Member{ID: 101, Link: upB})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer root.Shutdown()
-
-	// R=2 over two regions: each person has a copy in both subtrees.
-	err = root.Place(ctx, map[dimatch.PersonID]dimatch.Pattern{
-		10: {3, 4, 5},
-		11: {500, 600, 700},
-	}, dimatch.WithReplication(2))
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	out, err := root.Search(ctx, []dimatch.Query{
-		{ID: 1, Locals: []dimatch.Pattern{{3, 4, 5}}},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range out.PerQuery[1] {
-		fmt.Printf("person %d scores %.1f\n", r.Person, r.Score())
-	}
-	fmt.Printf("tiers crossed: %d\n", out.Cost.TierHops)
-	// Output:
-	// person 10 scores 1.0
-	// tiers crossed: 2
-}
-
-// ExampleCluster_Ingest mutates a running cluster: freshly observed call
-// data lands at the station that saw it, and an eviction removes it again
-// — all while searches may be in flight.
 func ExampleCluster_Ingest() {
 	c, err := exampleCity()
 	if err != nil {

@@ -268,76 +268,6 @@ func TestReadmeRoutingSnippet(t *testing.T) {
 	}
 }
 
-// TestReadmeHierarchySnippet is the README "Hierarchical routing" block,
-// statement for statement, plus the section's claims: the search crosses
-// two tiers and returns exactly what a flat full fan-out would.
-func TestReadmeHierarchySnippet(t *testing.T) {
-	// ---- the snippet, statement for statement ----
-	ctx := context.Background()
-
-	// Two region coordinators, each a full cluster over its own stations.
-	regionA, _ := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Member{ID: 1}, dimatch.Member{ID: 2})
-	regionB, _ := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Member{ID: 3}, dimatch.Member{ID: 4})
-	defer regionA.Shutdown()
-	defer regionB.Shutdown()
-
-	// Each region serves its parent over a link, like one big station.
-	ln, _ := dimatch.Listen("127.0.0.1:0", nil, nil)
-	dialA, _ := dimatch.Dial(ln.Addr(), nil, nil)
-	go dimatch.ServeRegion(100, regionA, dialA)
-	upA, _ := ln.Accept()
-	dialB, _ := dimatch.Dial(ln.Addr(), nil, nil)
-	go dimatch.ServeRegion(101, regionB, dialB)
-	upB, _ := ln.Accept()
-
-	// The root drives the regions exactly like stations; placement
-	// replicates across them, so a whole region can die without losing
-	// recall.
-	root, _ := dimatch.NewCluster(dimatch.Options{}, 3,
-		dimatch.Member{ID: 100, Link: upA}, dimatch.Member{ID: 101, Link: upB})
-	defer root.Shutdown()
-	_ = root.Place(ctx, map[dimatch.PersonID]dimatch.Pattern{
-		10: {3, 4, 5},
-		11: {500, 600, 700},
-	}, dimatch.WithReplication(2))
-
-	// The round is delegated: each region runs the WBF
-	// pipeline on its own stations, the root merges, ranks and verifies
-	// the raw partials — results byte-identical to a flat fan-out.
-	out, _ := root.Search(ctx, []dimatch.Query{
-		{ID: 1, Locals: []dimatch.Pattern{{3, 4, 5}}},
-	})
-	fmt.Println(out.Persons(1), "across", out.Cost.TierHops, "tiers")
-	// ---- end of snippet ----
-
-	if out == nil {
-		t.Fatal("routed search failed")
-	}
-	if got := out.Persons(1); len(got) != 1 || got[0] != 10 {
-		t.Fatalf("routed search found %v, README promises person 10", got)
-	}
-	if out.Cost.TierHops != 2 {
-		t.Fatalf("TierHops = %d, want 2 (root + one region layer)", out.Cost.TierHops)
-	}
-
-	// "results byte-identical to a flat fan-out"
-	full, err := root.Search(ctx, []dimatch.Query{
-		{ID: 1, Locals: []dimatch.Pattern{{3, 4, 5}}},
-	}, dimatch.WithRouting(dimatch.RoutingFull))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, g := full.PerQuery[1], out.PerQuery[1]
-	if len(w) != len(g) {
-		t.Fatalf("README promises identical results: full %v vs routed %v", w, g)
-	}
-	for i := range w {
-		if w[i].Person != g[i].Person || w[i].Numerator != g[i].Numerator || w[i].Denominator != g[i].Denominator {
-			t.Fatalf("README promises identical results: full %v vs routed %v", w, g)
-		}
-	}
-}
-
 // TestReadmePlacementSnippet is the README "Replicated placement" block: an
 // empty cluster, Place with WithReplication(2), and the single-station-loss
 // guarantee the section claims.

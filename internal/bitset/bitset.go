@@ -29,9 +29,8 @@ func New(n uint64) *Set {
 // FromWords reconstructs a Set of n bits from its word representation, e.g.
 // after wire decoding. The set adopts words, without a copy: the caller hands
 // the slice over and must not touch it afterwards. Every caller passes a
-// slice it has just built (the wire decoder's readWords, index.Saturated's
-// literal, the ablation's plain-Bloom view), so a copy would only double a
-// received digest.
+// slice it has just built (the wire decoder's readWords, the ablation's
+// plain-Bloom view), so a copy would only double a received digest.
 func FromWords(words []uint64, n uint64) (*Set, error) {
 	if want := (n + 63) / 64; uint64(len(words)) != want {
 		return nil, fmt.Errorf("bitset: %d words cannot hold exactly %d bits (want %d words)", len(words), n, want)
@@ -120,8 +119,8 @@ func (s *Set) Equal(o *Set) bool {
 
 // UnionWith ORs o into s. Both sets must have the same length.
 //
-// Digest accumulation — Bloofi tree builds, hierarchy union summaries —
-// spends its time in this loop, so it is unrolled four words wide; the
+// Digest accumulation — Bloofi tree builds, summary unions — spends its
+// time in this loop, so it is unrolled four words wide; the
 // re-slice of s.words to o's length lets the compiler drop the bounds
 // checks inside the unrolled body.
 //

@@ -227,48 +227,6 @@ func TestDesyncedBatchReplyIsTypedError(t *testing.T) {
 	}
 }
 
-// TestDesyncedBatchReplyBehindRegionIsTypedError: the same station behind a
-// region coordinator, whose parent delegates a route query to it. The
-// region's own search meets the desynced reply and must refuse it as the
-// root refuses a direct one, rather than answer its parent.
-func TestDesyncedBatchReplyBehindRegionIsTypedError(t *testing.T) {
-	inner, err := New(Options{}, 3, linkMembers(map[uint32]transport.Link{1: desyncedStation()})...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inner.Shutdown()
-	rootEnd, regionEnd := transport.Pipe(nil, nil)
-	defer rootEnd.Close()
-	served := make(chan error, 1)
-	go func() { served <- ServeRegion(100, inner, regionEnd) }()
-
-	round, err := wire.EncodeRouteQuery(wire.RouteQuery{
-		Queries: []core.Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}}}},
-		Params:  core.Params{Bits: 1 << 10, Hashes: 3, Samples: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rootEnd.Send(round.WithRequest(1)); err != nil {
-		t.Fatal(err)
-	}
-	answered := make(chan wire.Message, 1)
-	go func() {
-		if reply, err := rootEnd.Recv(); err == nil {
-			answered <- reply
-		}
-	}()
-	select {
-	case err := <-served:
-		if !errors.Is(err, wire.ErrBatchMismatch) {
-			t.Fatalf("ServeRegion: err = %v, want wire.ErrBatchMismatch", err)
-		}
-	case reply := <-answered:
-		rr, err := wire.DecodeRouteReply(reply)
-		t.Fatalf("the region answered over a desynced member's reply: %+v, %v", rr, err)
-	}
-}
-
 // TestBatchQueriesClampsToWireLimit: a search larger than one frame's
 // query limit splits into multiple rounds instead of failing to encode.
 func TestBatchQueriesClampsToWireLimit(t *testing.T) {

@@ -53,13 +53,10 @@ type Options struct {
 // the epoch current at its start and fans out over exactly that station
 // set, so membership mutations can swap in the next epoch while searches
 // are in flight without racing them. ids ascend; muxes is parallel.
-// delegates marks the route delegates (region coordinators) among ids, nil
-// when there are none.
 type epoch struct {
-	version   uint64
-	ids       []uint32
-	muxes     []*transport.Mux
-	delegates map[uint32]bool
+	version uint64
+	ids     []uint32
+	muxes   []*transport.Mux
 }
 
 // find returns the index of id in the epoch's membership, or -1.
@@ -107,10 +104,12 @@ type Cluster struct {
 	// failed placement exchanges invalidate it; gen counts invalidations, so
 	// a placement that started before one cannot record over it.
 	layout placeLayout // dimatch:guardedby mu
-	// roles records what each member is (memberRole), learned at its join:
-	// from an in-process member's residents or a link member's handshake.
-	// Only a public Ingest changes it afterwards, from empty to addressed.
-	roles map[uint32]memberRole // dimatch:guardedby mu
+	// addressed marks the members that may hold residents of their own, so
+	// group routing never skips one that admits (route.go). A member is
+	// addressed when it joins with residents — read from an in-process
+	// member's store or a link member's handshake — or receives a public
+	// Ingest; every other member holds placed copies only.
+	addressed map[uint32]bool // dimatch:guardedby mu
 	// figures holds each member's last stats reply: read at its join, then
 	// replaced by the reply to every mutation sent to it (mutate). Stats and
 	// each search's StationRawBytes read it; no stats exchange follows the
@@ -122,11 +121,6 @@ type Cluster struct {
 	// mutation hooks (ingest delta-updates, evict and membership changes
 	// invalidate). See route.go.
 	summaries summaryCache
-
-	// upward is the cached subtree digest a region coordinator serves to its
-	// parent, keyed by the churn state it was built under. See
-	// Cluster.routingDigest (region.go).
-	upward upwardDigest
 
 	// prefix is the learned person-ID bound of capped searches' prefix
 	// rounds (wbf.go). Internally synchronized — searches share it.
@@ -144,42 +138,13 @@ type Cluster struct {
 	serveErr []error // dimatch:guardedby serveMu
 }
 
-// memberRole is what routing (route.go, wbf.go) may assume of a member.
-type memberRole uint8
-
-const (
-	// roleEmpty members hold placed copies only: they joined empty and
-	// received no public Ingest.
-	roleEmpty memberRole = iota + 1
-	// roleAddressed members may hold residents of their own — they joined
-	// with residents or received a public Ingest — so routing never skips
-	// one that admits.
-	roleAddressed
-	// roleDelegate members are region coordinators: searches delegate to
-	// them with KindRouteQuery, their digest is never cached, and copies
-	// placed on one live in a sub-cluster whose losses this coordinator
-	// cannot see, so group routing never trusts it to answer for a group.
-	roleDelegate
-)
-
-// statsRole is the role a member's stats reply shows.
-func statsRole(sr wire.StatsReply) memberRole {
-	switch {
-	case sr.Flags&wire.FlagRouteDelegate != 0:
-		return roleDelegate
-	case sr.Residents > 0:
-		return roleAddressed
-	}
-	return roleEmpty
-}
-
 // Member specifies one station of a cluster, for New and AddStation. With
 // Link nil the member is an in-process station: seeded with Patterns
 // (copied in; all-zero patterns are dropped) and, when Store is set, made
 // durable through it — it recovers the store's residents before joining and
 // owns the store from then on. With Link set the member is a remote station
-// or region coordinator already serving on the other end; Patterns and Store
-// must then be nil, and the join handshake learns which of the two it is.
+// already serving on the other end; Patterns and Store must then be nil, and
+// the join handshake learns whether it holds residents.
 // The cluster takes ownership of Link and Store: a refused member has both
 // closed.
 type Member struct {
@@ -284,11 +249,11 @@ func assemble(opts Options, length int, members []Member) (*Cluster, error) {
 		ids[i] = m.ID
 	}
 	c := &Cluster{
-		opts:    opts,
-		length:  length,
-		dead:    make(map[uint32]bool),
-		roles:   make(map[uint32]memberRole),
-		figures: make(map[uint32]wire.StatsReply),
+		opts:      opts,
+		length:    length,
+		dead:      make(map[uint32]bool),
+		addressed: make(map[uint32]bool),
+		figures:   make(map[uint32]wire.StatsReply),
 	}
 	muxes := make([]*transport.Mux, 0, len(members))
 	var linkIDs []uint32
@@ -318,7 +283,7 @@ func assemble(opts Options, length int, members []Member) (*Cluster, error) {
 		c.figures[id] = replies[i]
 	}
 	for id, sr := range c.figures {
-		c.roles[id] = statsRole(sr)
+		c.addressed[id] = sr.Residents > 0
 	}
 	// Remote stations run their own Serve loops: a cluster with nothing to
 	// launch is live from construction (Start stays an idempotent no-op), and
@@ -352,20 +317,12 @@ func closeMuxes(muxes []*transport.Mux) {
 	}
 }
 
-// installEpochLocked makes (ids, muxes) the live membership snapshot, with
-// the members' route delegates, when the member set changes. Callers hold
-// c.mu (or own the cluster exclusively during construction).
+// installEpochLocked makes (ids, muxes) the live membership snapshot when
+// the member set changes. Callers hold c.mu (or own the cluster exclusively
+// during construction).
 func (c *Cluster) installEpochLocked(ids []uint32, muxes []*transport.Mux) {
 	c.epochs++
 	c.ep = &epoch{version: c.epochs, ids: ids, muxes: muxes}
-	for _, id := range ids {
-		if c.roles[id] == roleDelegate {
-			if c.ep.delegates == nil {
-				c.ep.delegates = make(map[uint32]bool)
-			}
-			c.ep.delegates[id] = true
-		}
-	}
 }
 
 // currentEpoch returns the live membership snapshot.

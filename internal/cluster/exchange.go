@@ -21,8 +21,8 @@ type exchanged struct {
 
 // roundtripAll sends msg to every mux concurrently and waits for each to
 // answer or fail; the results are parallel to muxes. Every coordinator
-// fan-out — search rounds, digest fetches, heal pulls, join handshakes,
-// delegated rounds — runs through it, so this is the one goroutine that
+// fan-out — search rounds, digest fetches, heal pulls, join handshakes —
+// runs through it, so this is the one goroutine that
 // performs a round trip and no caller holds a lock across it. A cancelled
 // ctx fails the round trips still pending; callers check ctx.Err() before
 // reading a failure as a dead peer.
@@ -93,8 +93,7 @@ func (c *Cluster) fanOut(ctx context.Context, ep *epoch, msg wire.Message, cost 
 // pullPatterns is the one raw-pattern pull: a KindDump fan-out over the
 // pinned epoch — persons restricts it, empty pulls whole stores — billed to
 // cost, handing every shipped (person, local pattern) to each. It serves the
-// naive baseline, the verification phase, a region's upward digest and the
-// region's own dump forwarding under one rule for what counts.
+// naive baseline and the verification phase under one rule for what counts.
 // Station-addressed persons keep every complementary piece, handed over in
 // station order as the replies are read. A placed person's replicas are full
 // copies of one pattern, so one copy stands for all of them, handed over
@@ -102,10 +101,10 @@ func (c *Cluster) fanOut(ctx context.Context, ep *epoch, msg wire.Message, cost 
 // is the one the placement table recorded, as Rebalance counts a holder —
 // a replica whose ingest failed still holds the old pattern — or, when no
 // copy matches, the first in station order. A pattern whose length differs
-// from the cluster's is skipped and flagged in foreign: stores behind links
-// are outside input, and such a pattern cannot satisfy Eq. 2 against a
-// length-c.length query anyway.
-func (c *Cluster) pullPatterns(ctx context.Context, ep *epoch, persons []core.PersonID, cost *CostReport, each func(core.PersonID, pattern.Pattern)) (failed []int, foreign bool, err error) {
+// from the cluster's is skipped: stores behind links are outside input, and
+// such a pattern cannot satisfy Eq. 2 against a length-c.length query
+// anyway.
+func (c *Cluster) pullPatterns(ctx context.Context, ep *epoch, persons []core.PersonID, cost *CostReport, each func(core.PersonID, pattern.Pattern)) (failed []int, err error) {
 	c.mu.Lock()
 	t := c.placeTab
 	c.mu.Unlock()
@@ -125,7 +124,6 @@ func (c *Cluster) pullPatterns(ctx context.Context, ep *epoch, persons []core.Pe
 		for i, p := range data.Persons {
 			l := data.Locals[i]
 			if len(l) != c.length {
-				foreign = true
 				continue
 			}
 			pk, seen := picks[p]
@@ -148,7 +146,7 @@ func (c *Cluster) pullPatterns(ctx context.Context, ep *epoch, persons []core.Pe
 		return nil
 	})
 	if err != nil {
-		return failed, foreign, err
+		return failed, err
 	}
 	var placed []core.PersonID
 	for p, pk := range picks {
@@ -160,14 +158,14 @@ func (c *Cluster) pullPatterns(ctx context.Context, ep *epoch, persons []core.Pe
 	for _, p := range placed {
 		each(p, picks[p].local)
 	}
-	return failed, foreign, nil
+	return failed, nil
 }
 
 // pullGlobals materializes global patterns from one pull (Eq. 1): the
 // shipped pieces of each person sum position by position.
 func (c *Cluster) pullGlobals(ctx context.Context, ep *epoch, persons []core.PersonID, cost *CostReport) (globals map[core.PersonID]pattern.Pattern, failed []int, err error) {
 	globals = make(map[core.PersonID]pattern.Pattern, len(persons))
-	failed, _, err = c.pullPatterns(ctx, ep, persons, cost, func(p core.PersonID, l pattern.Pattern) {
+	failed, err = c.pullPatterns(ctx, ep, persons, cost, func(p core.PersonID, l pattern.Pattern) {
 		g := globals[p]
 		if g == nil {
 			g = make(pattern.Pattern, c.length)

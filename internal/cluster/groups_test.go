@@ -479,41 +479,6 @@ func sortedKeys(m map[core.PersonID]pattern.Pattern) []core.PersonID {
 	return out
 }
 
-// TestGroupRoutingLeavesRegionsToTheScan: copies placed on a region live in
-// its sub-cluster, which can lose them without the root seeing a failure
-// (a region places internally at R=1). The root therefore never lets one
-// region answer for a replica group: with a station lost inside a region,
-// routed answers still equal full fan-out for every person.
-func TestGroupRoutingLeavesRegionsToTheScan(t *testing.T) {
-	h := emptyHierarchy(t, 4, 2, 3)
-	ctx := context.Background()
-	patterns := make(map[core.PersonID]pattern.Pattern)
-	for p := core.PersonID(1); p <= 20; p++ {
-		patterns[p] = pattern.Pattern{int64(p) * 10, int64(p), int64(p) * 3}
-	}
-	if _, err := h.root.Place(ctx, patterns, WithReplication(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.regions[1].KillStation(h.regions[1].currentEpoch().ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	for p := core.PersonID(1); p <= 20; p++ {
-		q := []core.Query{{ID: 1, Locals: []pattern.Pattern{patterns[p]}}}
-		full, err := h.root.Search(ctx, q, WithRouting(RoutingFull))
-		if err != nil {
-			t.Fatal(err)
-		}
-		routed, err := h.root.Search(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, fmt.Sprintf("person %d", p), q, full, routed)
-		if got := full.PerQuery[1]; len(got) != 1 || got[0].Person != p {
-			t.Fatalf("person %d: full fan-out found %+v", p, got)
-		}
-	}
-}
-
 // TestGroupRoutingAfterFactorChange: lowering every person's factor in one
 // Place leaves the dropped replicas' old copies where the new, narrower
 // groups no longer look. Until a heal trims them the layout is not clean,

@@ -111,8 +111,9 @@ func TestIngestReplacesExistingResident(t *testing.T) {
 }
 
 // TestStatsComeFromReplies: a station answers each mutation with its
-// figures, so an Ingest or Evict is one frame each way, Stats never sends a
-// frame after New, and Stats.Epoch moves only with the member set.
+// figures, so an Ingest or Evict is one frame each way, a link member's join
+// is its one stats exchange, Stats never sends a frame, and Stats.Epoch
+// moves only with the member set.
 func TestStatsComeFromReplies(t *testing.T) {
 	// Remote members over metered pipes, so the test can count frames.
 	down, up := &transport.Meter{}, &transport.Meter{}
@@ -208,9 +209,9 @@ func TestStatsComeFromReplies(t *testing.T) {
 		t.Fatalf("post-kill snapshot %+v (epoch was %d), want station 2 failed", st, epoch)
 	}
 
-	if err := c.AddStation(ctx, Member{ID: 3, Link: serve(3, map[core.PersonID]pattern.Pattern{50: {1, 1, 1}})}); err != nil {
-		t.Fatal(err)
-	}
+	// A link member's join is one exchange: the stats handshake.
+	joining := serve(3, map[core.PersonID]pattern.Pattern{50: {1, 1, 1}})
+	exchange("join", func() error { return c.AddStation(ctx, Member{ID: 3, Link: joining}) })
 	st = stats("after a join")
 	if st.Epoch <= epoch || st.TotalResidents() != 7 {
 		t.Fatalf("post-join snapshot %+v (epoch was %d), want a later epoch and 7 residents", st, epoch)

@@ -107,57 +107,11 @@ func TestFailedNewClosesEveryStore(t *testing.T) {
 	}
 }
 
-// TestRegionSkipsForeignLengthIngest: a region applies a station's rule to
-// an ingest frame — a foreign-length pattern is skipped and the rest applied —
-// instead of failing the whole frame and going dark.
-func TestRegionSkipsForeignLengthIngest(t *testing.T) {
-	sub, err := New(Options{}, 3, emptyMembers([]uint32{1, 2})...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub.Start()
-	t.Cleanup(func() { _ = sub.Shutdown() })
-	center, regionEnd := transport.Pipe(nil, nil)
-	done := make(chan error, 1)
-	go func() {
-		err := ServeRegion(100, sub, regionEnd)
-		_ = regionEnd.Close() // a region that dies fails the test, not hangs it
-		done <- err
-	}()
-
-	got := ingestOverLink(t, center, []core.PersonID{1, 2}, []pattern.Pattern{{1, 2, 3}, {1, 2, 3, 4}})
-	if got != 1 {
-		t.Fatalf("Residents = %d, want 1 (the length-4 pattern skipped)", got)
-	}
-	if err := center.Send(wire.StatsMessage().WithRequest(2)); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := center.Recv()
-	if err != nil {
-		t.Fatalf("region stopped answering after the ingest: %v", err)
-	}
-	sr, err := wire.DecodeStatsReply(reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Residents != 1 || sr.Length != 3 {
-		t.Fatalf("region stats %+v, want 1 resident of length 3", sr)
-	}
-	if err := center.Send(wire.ShutdownMessage()); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("ServeRegion: %v", err)
-	}
-}
-
 // TestWithTargetFPSizesFilter: a tighter target FP grows an auto-sized WBF
-// filter and changes no answer, and a region-delegated search under the same
-// option answers like the flat cluster.
+// filter and changes no answer.
 func TestWithTargetFPSizesFilter(t *testing.T) {
 	ctx := context.Background()
-	data := hierData()
-	flat, err := newFromData(Options{}, data)
+	flat, err := newFromData(Options{}, separatedData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +136,21 @@ func TestWithTargetFPSizesFilter(t *testing.T) {
 	if len(def.PerQuery[1]) == 0 || len(def.PerQuery[2]) == 0 {
 		t.Fatal("probe queries found nothing — test data drifted")
 	}
+}
 
-	h := buildHierarchy(t, data, 3, 3, Options{})
-	delegated, err := h.root.Search(ctx, queries, WithTargetFP(0.001))
-	if err != nil {
-		t.Fatal(err)
+// separatedData builds 12 well-separated station stores (3 residents each,
+// magnitudes clustered per station) keyed by station id 0..11.
+func separatedData() map[uint32]map[core.PersonID]pattern.Pattern {
+	data := make(map[uint32]map[core.PersonID]pattern.Pattern)
+	pid := core.PersonID(1)
+	for s := uint32(0); s < 12; s++ {
+		st := make(map[core.PersonID]pattern.Pattern, 3)
+		base := int64(s)*1000 + 10
+		for j := int64(0); j < 3; j++ {
+			st[pid] = pattern.Pattern{base + j, base + 2*j + 1, base + 3*j + 2}
+			pid++
+		}
+		data[s] = st
 	}
-	assertSameResults(t, "delegated at target FP 0.001", queries, tight, delegated)
+	return data
 }

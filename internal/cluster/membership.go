@@ -145,8 +145,8 @@ func (c *Cluster) ingest(ctx context.Context, stationID uint32, in wire.Ingest, 
 	if addressed {
 		placed := c.touchesPlaced(in.Persons)
 		c.mu.Lock()
-		if c.ep.find(stationID) >= 0 && c.roles[stationID] != roleDelegate {
-			c.roles[stationID] = roleAddressed
+		if c.ep.find(stationID) >= 0 {
+			c.addressed[stationID] = true
 		}
 		if placed {
 			c.invalidateLayoutLocked()
@@ -263,10 +263,9 @@ func (c *Cluster) refusalLocked(id uint32) error {
 // spec, seed patterns of a foreign length (ErrLengthMismatch) — is refused
 // before the store is recovered, and closes the member's link and store. A
 // link member must pass the stats handshake New also runs: it must answer,
-// patterns it already holds must match the cluster's length, and its reply
-// says whether it is a region coordinator. A durable member recovers
-// before the cluster lock is taken, so replaying a large WAL never stalls
-// concurrent searches.
+// and patterns it already holds must match the cluster's length. A durable
+// member recovers before the cluster lock is taken, so replaying a large WAL
+// never stalls concurrent searches.
 //
 // The join installs the next epoch and runs the hooks every join owes: a
 // departed member may have left a digest under the same id, so the summary
@@ -299,7 +298,7 @@ func (c *Cluster) AddStation(ctx context.Context, m Member) error {
 		}
 	}
 	c.invalidateLayoutLocked()
-	c.roles[m.ID] = statsRole(sr)
+	c.addressed[m.ID] = sr.Residents > 0
 	c.figures[m.ID] = sr
 	c.addMemberLocked(m.ID, mux)
 	c.mu.Unlock()
@@ -357,8 +356,8 @@ func (c *Cluster) addMemberLocked(id uint32, mux *transport.Mux) {
 // AddStation's: one stats round over muxes (parallel to ids), concurrently.
 // It returns each member's reply, or the first refusal in ids order: a
 // member that does not answer, answers in another wire version or holds
-// patterns of a foreign length. The reply fixes the member's kind for its
-// whole membership (statsRole) and seeds its figures.
+// patterns of a foreign length. The reply says whether the member is
+// addressed and seeds its figures.
 func (c *Cluster) handshake(ctx context.Context, ids []uint32, muxes []*transport.Mux) ([]wire.StatsReply, error) {
 	replies := make([]wire.StatsReply, len(ids))
 	for i, r := range roundtripAll(ctx, muxes, wire.StatsMessage()) {
@@ -404,7 +403,7 @@ func (c *Cluster) RemoveStation(ctx context.Context, id uint32) error {
 	wasDead := c.dead[id]
 	c.invalidateLayoutLocked()
 	delete(c.dead, id)
-	delete(c.roles, id)
+	delete(c.addressed, id)
 	delete(c.figures, id)
 	ids := make([]uint32, 0, len(c.ep.ids)-1)
 	ids = append(append(ids, c.ep.ids[:i]...), c.ep.ids[i+1:]...)

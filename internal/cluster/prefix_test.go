@@ -198,8 +198,7 @@ func runPrefixScenario(t *testing.T, label string, c *Cluster, n int, verify boo
 // TestCappedSearchEqualsUncappedTruncated is the prefix rule's property test:
 // over random populations whose perfect matches sit low, only high, or fall
 // short of k, a capped search answers exactly the uncapped answer's first k —
-// flat, placed with two replicas, behind a region tier, verified, and in
-// rounds of two queries — and runs a tail round exactly when the prefix
+// flat, placed with two replicas, verified, and in rounds of two queries — and runs a tail round exactly when the prefix
 // cannot fill k at the top score.
 func TestCappedSearchEqualsUncappedTruncated(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -216,10 +215,6 @@ func TestCappedSearchEqualsUncappedTruncated(t *testing.T) {
 		})
 		t.Run(fmt.Sprintf("seed%d/verify", seed), func(t *testing.T) {
 			runPrefixScenario(t, "verify", startCluster(t, testOptions(), data), n, true)
-		})
-		t.Run(fmt.Sprintf("seed%d/regions", seed), func(t *testing.T) {
-			h := buildHierarchy(t, data, 2, 3, testOptions())
-			runPrefixScenario(t, "regions", h.root, n, false)
 		})
 		t.Run(fmt.Sprintf("seed%d/placed", seed), func(t *testing.T) {
 			c, err := New(testOptions(), 3, emptyMembers([]uint32{0, 1, 2, 3, 4})...)

@@ -71,19 +71,6 @@ func (c *summaryCache) put(id uint32, gen uint64, s *index.Summary) {
 	c.entries[id] = s
 }
 
-// genSnapshot returns each station's current generation, in the given
-// order. Region coordinators key their cached upward digest on it: any
-// mutation that bumps a member's generation forces a rebuild.
-func (c *summaryCache) genSnapshot(ids []uint32) []uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	gens := make([]uint64, len(ids))
-	for i, id := range ids {
-		gens[i] = c.gens[id]
-	}
-	return gens
-}
-
 // invalidate bumps the station's generation and drops its digest: the next
 // routed search refetches (and until then the station is never pruned).
 func (c *summaryCache) invalidate(id uint32) {
@@ -190,15 +177,11 @@ func (pl routePlan) siblings(visited, failed map[uint32]bool) map[uint32]bool {
 // planRoute is the routing step of a WBF search, one pass over the whole
 // pinned membership: it probes each member's summary with the query batch
 // and returns the epoch restricted to the members that must be visited,
-// charging summary-refresh traffic to cost. A route delegate of ep (a region
-// coordinator) differs from a plain station only in where its digest comes
-// from: it is fetched on every search and never cached, because a region's
-// membership churns invisibly to this coordinator.
-// The full epoch is returned — and nothing is pruned — whenever pruning
-// would be unsound or pointless: a single-member cluster, probes over
-// budget, or a plan that would exclude everything (stale summaries must
-// never turn a search into a silent no-op, so an empty candidate set falls
-// back to full fan-out).
+// charging summary-refresh traffic to cost. The full epoch is returned —
+// and nothing is pruned — whenever pruning would be unsound or pointless: a
+// single-member cluster, probes over budget, or a plan that would exclude
+// everything (stale summaries must never turn a search into a silent no-op,
+// so an empty candidate set falls back to full fan-out).
 //
 // Members are kept (never pruned) individually when their summary cannot
 // be fetched or when any query's probe admits them; an unselective probe
@@ -233,9 +216,8 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 		return all // nothing can prune: skip the summary traffic entirely
 	}
 
-	// Collect cached summaries and fetch the missing ones — every
-	// delegate's included — concurrently. Generations are read before the
-	// requests go out (see summaryCache).
+	// Collect cached summaries and fetch the missing ones concurrently.
+	// Generations are read before the requests go out (see summaryCache).
 	type slot struct {
 		sum *index.Summary
 		gen uint64
@@ -244,9 +226,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	var fetchIdx []int
 	var fetchMuxes []*transport.Mux
 	for i, id := range ep.ids {
-		if !ep.delegates[id] {
-			slots[i].sum, slots[i].gen = c.summaries.get(id)
-		}
+		slots[i].sum, slots[i].gen = c.summaries.get(id)
 		if slots[i].sum == nil {
 			fetchIdx = append(fetchIdx, i)
 			fetchMuxes = append(fetchMuxes, ep.muxes[i])
@@ -271,9 +251,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 		}
 		i := fetchIdx[fi]
 		slots[i].sum = sum
-		if !ep.delegates[ep.ids[i]] {
-			c.summaries.put(ep.ids[i], slots[i].gen, sum)
-		}
+		c.summaries.put(ep.ids[i], slots[i].gen, sum)
 		// Refresh traffic fills a cluster-level cache shared by every
 		// search, so it is billed to the dedicated summary counters, not
 		// the search's dissemination/report totals.
@@ -284,8 +262,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 
 	// The inclusion pass: one flat scan of the members' digests, under the
 	// cache's read lock because noteIngest adds to cached digests in place.
-	// Every Admits evaluation counts into SubtreeProbes, the planning-cost
-	// figure the hierarchy test bounds.
+	// Every Admits evaluation counts into SubtreeProbes.
 	admits := make([]bool, len(ep.ids))
 	included := make([]int, 0, len(ep.ids))
 	c.summaries.mu.RLock()
@@ -330,19 +307,16 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 // groupView snapshots what the group rule needs over the pinned epoch: the
 // clean layout, the factor every placed person shares, and per member
 // whether it is addressed and alive. ok is false — plan without the rule —
-// unless no member of ep is a route delegate, the layout is clean, the
-// factor uniform and at least 2, and every layout station a member of ep.
+// unless the layout is clean, the factor uniform and at least 2, and every
+// layout station a member of ep.
 func (c *Cluster) groupView(ep *epoch) (layout []uint32, r int, addressed, alive []bool, ok bool) {
-	if len(ep.delegates) > 0 {
-		return nil, 0, nil, nil, false
-	}
 	c.mu.Lock()
 	t, lay := c.placeTab, c.layout
 	if lay.ok {
 		addressed = make([]bool, len(ep.ids))
 		alive = make([]bool, len(ep.ids))
 		for i, id := range ep.ids {
-			addressed[i] = c.roles[id] == roleAddressed
+			addressed[i] = c.addressed[id]
 			alive[i] = !c.dead[id]
 		}
 	}
@@ -419,10 +393,9 @@ func groupPlan(ids []uint32, admits, addressed, alive []bool, layout []uint32, r
 }
 
 // RoutingState describes the coordinator's routing-state footprint: what
-// this node holds in memory to plan searches. In a flat deployment the
-// cached digests grow linearly with the station count; in a multi-tier one
-// each coordinator holds digests for its own children only, which is the
-// sublinear-state property TestTwoTierPlanningSublinearAt1024 pins.
+// this node holds in memory to plan searches. The cached digests grow
+// linearly with the station count, one per station whose digest a routed
+// search has fetched.
 type RoutingState struct {
 	// Entries is the number of cached per-station digests and
 	// CachedDigestBytes their total filter bytes.

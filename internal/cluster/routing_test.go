@@ -103,10 +103,10 @@ func TestRoutedSearchPrunesAndMatchesFullFanOut(t *testing.T) {
 	if warm.Cost.SummaryRefreshes != 0 || warm.Cost.StationsPruned != 3 {
 		t.Fatalf("warm routed search: %+v", warm.Cost)
 	}
-	// Planning is one digest evaluation per (probe, station) at one tier,
-	// over the four digests the cache now holds.
-	if warm.Cost.SubtreeProbes != 4 || warm.Cost.TierHops != 1 {
-		t.Fatalf("warm routed search: SubtreeProbes = %d, TierHops = %d; want 4 and 1", warm.Cost.SubtreeProbes, warm.Cost.TierHops)
+	// Planning is one digest evaluation per (probe, station), over the four
+	// digests the cache now holds.
+	if warm.Cost.SubtreeProbes != 4 {
+		t.Fatalf("warm routed search: SubtreeProbes = %d, want 4", warm.Cost.SubtreeProbes)
 	}
 	if st := c.RoutingState(); st.Entries != 4 || st.TotalBytes() == 0 || st.TotalBytes() != st.CachedDigestBytes {
 		t.Fatalf("RoutingState after routed searches: %+v", st)
@@ -560,11 +560,10 @@ func flakyStatsStation(id uint32, locals map[core.PersonID]pattern.Pattern) tran
 	return &flakyStatsLink{Link: center}
 }
 
-// TestStationWithoutStatsEntryIsPlain: a station that joined plain stays a
-// plain station — its kind comes from the join handshake, the one stats
-// exchange it ever sees — so it is searched with batch frames,
-// summary-fetched and prunable like any other, and results stay byte-equal
-// to full fan-out.
+// TestStationWithoutStatsEntryIsPlain: the join handshake is the one stats
+// exchange a station ever sees, so a station whose link would fail any later
+// stats request is searched with batch frames, summary-fetched and prunable
+// like any other, and results stay byte-equal to full fan-out.
 func TestStationWithoutStatsEntryIsPlain(t *testing.T) {
 	links := map[uint32]transport.Link{
 		2: flakyStatsStation(2, map[core.PersonID]pattern.Pattern{20: {50, 60, 70}}),
@@ -884,3 +883,82 @@ func benchPlanRoute(b *testing.B, c *Cluster, queries []core.Query, want int) {
 }
 
 var routeSink routePlan
+
+// TestRoutedMembershipChurnEquivalence is the churn sweep that also moves
+// the membership (run under -race): random ingests, evicts, station adds and
+// removes interleave with searches, and after every mutation the
+// summary-routed answer must equal the full fan-out answer on the same store.
+func TestRoutedMembershipChurnEquivalence(t *testing.T) {
+	c := routingTestCluster(t)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(7))
+	stations := []uint32{0, 1, 2, 3}
+	nextStation := uint32(4)
+	next := core.PersonID(1000)
+	type placedAt struct {
+		person  core.PersonID
+		station uint32
+	}
+	var live []placedAt
+
+	for step := 0; step < 50; step++ {
+		switch op := rng.Intn(10); {
+		case op == 0 && len(stations) < 8:
+			id := nextStation
+			nextStation++
+			if err := c.AddStation(ctx, Member{ID: id, Patterns: map[core.PersonID]pattern.Pattern{
+				next: {int64(rng.Intn(40)) + 1, int64(rng.Intn(40)), int64(rng.Intn(40))},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, placedAt{person: next, station: id})
+			next++
+			stations = append(stations, id)
+		case op == 1 && len(stations) > 2:
+			i := 4 + rng.Intn(len(stations)-4+1)
+			if i >= len(stations) {
+				break // only remove stations this sweep added
+			}
+			id := stations[i]
+			if err := c.RemoveStation(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+			stations = append(stations[:i], stations[i+1:]...)
+			kept := live[:0]
+			for _, l := range live {
+				if l.station != id {
+					kept = append(kept, l)
+				}
+			}
+			live = kept
+		case op < 6 || len(live) == 0:
+			p := next
+			next++
+			s := stations[rng.Intn(len(stations))]
+			pat := pattern.Pattern{int64(rng.Intn(40)) + 1, int64(rng.Intn(40)), int64(rng.Intn(40))}
+			if err := c.Ingest(ctx, s, map[core.PersonID]pattern.Pattern{p: pat}); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, placedAt{person: p, station: s})
+		default:
+			i := rng.Intn(len(live))
+			if err := c.Evict(ctx, live[i].station, []core.PersonID{live[i].person}); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		}
+		queries := []core.Query{
+			{ID: 1, Locals: []pattern.Pattern{{int64(rng.Intn(40)) + 1, int64(rng.Intn(40)), int64(rng.Intn(40))}}},
+			{ID: 2, Locals: []pattern.Pattern{{50, 60, 70}}},
+		}
+		full, err := c.Search(ctx, queries, WithRouting(RoutingFull))
+		if err != nil {
+			t.Fatal(err)
+		}
+		summary, err := c.Search(ctx, queries, WithRouting(RoutingSummary))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, fmt.Sprintf("summary step %d", step), queries, full, summary)
+	}
+}

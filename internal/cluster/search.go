@@ -134,23 +134,14 @@ type searchConfig struct {
 	targetFP  float64
 	batchSize int
 	routing   RoutingMode
-	// raw, set only by the region serve loop, skips ranking, verification,
-	// topK and minScore: the search returns every accumulated partial sum,
-	// person-ascending. A region answering a KindRouteQuery must not finalize
-	// Algorithm 3 — the root holds partials from other regions, and deleting
-	// or truncating here would change the merged outcome.
-	raw bool
-	// from and to bound a raw search to persons in [from, to), zero leaving
-	// an end open: the region serve loop forwards its parent's bound.
-	from, to core.PersonID
 }
 
 // capped reports whether a WBF search may answer from a person-ID prefix
 // first: a ranked search with a top-k and no score band. MinScore's band
 // admits sums above D, which the prefix rule's "nothing beats D" needs
-// excluded; a raw search has no k.
+// excluded.
 func (cfg searchConfig) capped() bool {
-	return !cfg.raw && cfg.topK > 0 && cfg.minScore <= 0
+	return cfg.topK > 0 && cfg.minScore <= 0
 }
 
 // SearchOption configures a single Search call.
@@ -209,27 +200,6 @@ func WithRouting(m RoutingMode) SearchOption {
 	return func(c *searchConfig) { c.routing = m }
 }
 
-// withParams installs the parent's already-resolved search parameters
-// verbatim. The region serve loop uses it so every tier sizes filters from
-// the same Params the root did — core.SizedParams is deterministic, but
-// pinning the resolved values removes even the dependency on that.
-func withParams(p core.Params) SearchOption {
-	return func(c *searchConfig) { c.params = p }
-}
-
-// withRaw puts the search in raw (partial-sum) mode; see searchConfig.raw.
-// Only the region serve loop sets it — exporting it would invite callers to
-// skip Algorithm 3's deletion step and read unranked sums as answers.
-func withRaw() SearchOption {
-	return func(c *searchConfig) { c.raw = true }
-}
-
-// withBound restricts a raw search to persons in [from, to); the region
-// serve loop uses it to answer its parent's prefix or tail round.
-func withBound(from, to core.PersonID) SearchOption {
-	return func(c *searchConfig) { c.from, c.to = from, to }
-}
-
 // searchDefaults resolves the cluster-level Options into a per-call config;
 // batching and routing have no cluster-level default and start from their
 // zero values (one round, RoutingSummary).
@@ -283,9 +253,9 @@ type CostReport struct {
 	StationsFailed int
 	// ReportsReceived counts candidate tuples received by the center.
 	ReportsReceived int
-	// Batches counts the rounds a WBF search sent to its directly searched
-	// stations: ceil(queries / batch size), or 0 when every member is a
-	// route delegate. 0 for BF/naive searches.
+	// Batches counts the rounds a WBF search sent to its stations:
+	// ceil(queries / batch size), or 0 when it asked no station. 0 for
+	// BF/naive searches.
 	Batches int
 	// TailRounds is 1 when a capped WBF search (WithTopK, no MinScore) had to
 	// re-send its rounds over persons at or above its prefix bound because
@@ -309,19 +279,10 @@ type CostReport struct {
 	SummaryRefreshes int
 	SummaryBytesDown uint64
 	SummaryBytesUp   uint64
-	// SubtreeProbes counts digest-membership evaluations the routing plan
-	// performed: one per (probe, digest) pair of the flat scan, at this
-	// coordinator (the root's probes on region digests included) and, summed
-	// in from their replies, at every region below it. It is the
-	// planning-cost figure TestTwoTierPlanningSublinearAt1024 bounds: flat
-	// planning grows linearly in the membership, two-tier planning
-	// sublinearly.
+	// SubtreeProbes counts the digest probes of the flat scan: one
+	// membership evaluation per (probe, digest) pair the routing plan
+	// performed. It grows linearly with the membership.
 	SubtreeProbes uint64
-	// TierHops is the coordinator depth this WBF search traversed: 1 for a
-	// flat cluster, 1 + the deepest delegate's own TierHops when route
-	// delegates (regions) answered. 0 for BF/naive searches, which never
-	// delegate.
-	TierHops int
 }
 
 // TotalBytes returns the search's dissemination plus report traffic.

@@ -42,24 +42,17 @@ type wbfSearch struct {
 	// (the plan's, then the siblings standing in for failed ones).
 	plan    routePlan
 	visited map[uint32]bool
-	// rounds are the batches' combined filters, built when a plain station
-	// is first asked and kept so a tail round or a sibling re-sends the
-	// same frames.
+	// rounds are the batches' combined filters, built once and kept so a
+	// tail round or a sibling re-sends the same frames.
 	rounds []wbfRound
 	// failed holds every member that failed an exchange of the search — the
 	// prefix round, the tail round or verification — so a member lost in two
 	// of them counts once.
 	failed map[uint32]bool
-	// regions holds, per region, the most pruned and failed member stations
-	// any of its replies reported: a region answering the prefix and the tail
-	// round reports its dead members in both.
-	regions map[uint32]regionCounts
 	// lo is the smallest person any report carried, once seen is set.
 	lo   core.PersonID
 	seen bool
 }
-
-type regionCounts struct{ pruned, failed int }
 
 // note records one reported person for the prefix bound's lo.
 func (s *wbfSearch) note(p core.PersonID) {
@@ -71,11 +64,7 @@ func (s *wbfSearch) note(p core.PersonID) {
 // rank finalizes every query from the aggregation so far.
 func (s *wbfSearch) rank(queries []core.Query) {
 	for _, q := range queries {
-		if s.cfg.raw {
-			s.out.PerQuery[q.ID] = rawResults(s.agg, q.ID)
-		} else {
-			s.out.PerQuery[q.ID] = rankWBF(s.cfg, s.agg, q.ID)
-		}
+		s.out.PerQuery[q.ID] = rankWBF(s.cfg, s.agg, q.ID)
 	}
 }
 
@@ -98,12 +87,12 @@ type wbfRound struct {
 // combined filter and one KindBatchQuery exchange per visited station;
 // every round's reports merge into one aggregation.
 //
-// A capped search (searchConfig.capped) first asks every station and region
-// only for persons below the learned bound P (prefixBound). Its answer is
-// final when every query holds k kept results at exactly D: a person below
-// P has been answered for by every reachable member, so its sum is final,
-// and no person at or above P can score above D or win a tie at D. Otherwise
-// one tail round re-sends every round's frame and route query over [P, ∞).
+// A capped search (searchConfig.capped) first asks every station only for
+// persons below the learned bound P (prefixBound). Its answer is final when
+// every query holds k kept results at exactly D: a person below P has been
+// answered for by every reachable member, so its sum is final, and no person
+// at or above P can score above D or win a tie at D. Otherwise one tail
+// round re-sends every round's frame over [P, ∞).
 func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, queries []core.Query) (*Outcome, error) {
 	s := &wbfSearch{
 		cfg:     cfg,
@@ -112,7 +101,6 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 		out:     &Outcome{PerQuery: make(map[core.QueryID][]core.Result, len(queries))},
 		visited: make(map[uint32]bool),
 		failed:  make(map[uint32]bool),
-		regions: make(map[uint32]regionCounts),
 	}
 	out := s.out
 	// Replica-aware aggregation: placed persons' replicas report the same
@@ -120,9 +108,8 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	// a replica that fails mid-fan-out is covered by any survivor.
 	s.agg.SetReplicated(c.replicatedPred())
 	// The routing step: probe the members' summaries and restrict the query
-	// fan-out to members that might answer — plain stations and region
-	// coordinators in one pass. Routing picks members; the bound picks
-	// persons.
+	// fan-out to members that might answer. Routing picks members; the bound
+	// picks persons.
 	// Verification below still uses the full epoch — a candidate's locals can
 	// live on stations that hold no within-band resident, and the verify
 	// fetch must see them all.
@@ -134,74 +121,56 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 		s.visited[id] = true
 	}
 
-	from, to := cfg.from, cfg.to // a region's search: its parent's bound
+	var to core.PersonID
 	capped := cfg.capped()
 	if capped {
 		to = c.prefix.bound()
 	}
-	maxHops, err := c.answer(ctx, ep, s, s.plan.ep, from, to)
-	if err != nil {
+	if err := c.answer(ctx, ep, s, s.plan.ep, 0, to); err != nil {
 		return nil, err
 	}
 	s.rank(queries)
 	if capped && to != 0 && !allFilled(out, queries, cfg.topK) {
 		out.Cost.TailRounds++
 		live := ep.filter(func(id uint32) bool { return s.visited[id] && !s.failed[id] })
-		hops, err := c.answer(ctx, ep, s, live, to, 0)
-		if err != nil {
+		if err := c.answer(ctx, ep, s, live, to, 0); err != nil {
 			return nil, err
 		}
-		maxHops = max(maxHops, hops)
 		s.rank(queries)
 	}
 	if capped {
 		c.prefix.learn(s, queries)
 	}
-	out.Cost.TierHops = 1 + maxHops
 	out.Cost.FilterBytes = s.filterBytes
 	out.Cost.CenterStorageBytes = s.filterBytes + s.reportBytes
-	if cfg.verify && !cfg.raw {
+	if cfg.verify {
 		if err := c.verifyWBF(ctx, ep, cfg, queries, out, s.failed); err != nil {
 			return nil, err
 		}
 	}
 	out.Cost.StationsFailed += len(s.failed)
-	for _, rc := range s.regions {
-		out.Cost.StationsPruned += rc.pruned
-		out.Cost.StationsFailed += rc.failed
-	}
 	return out, nil
 }
 
 // answer runs one phase of a search — the prefix or the tail round, over
-// persons in [from, to) — against members of the pinned ep: plain stations
-// get every round's frame, ep's route delegates the whole query set (the hierarchical tier: region
-// coordinators answer raw partial sums). A member that fails leaves the
-// candidate replica groups it answered for uncovered; their other members
-// are then asked the same phase, before anything is ranked, and leave the
-// pruned count. It returns the deepest delegate's hop count.
-func (c *Cluster) answer(ctx context.Context, ep *epoch, s *wbfSearch, members *epoch, from, to core.PersonID) (maxHops int, err error) {
-	for {
-		stations := members.filter(func(id uint32) bool { return !ep.delegates[id] })
-		regions := members.filter(func(id uint32) bool { return ep.delegates[id] })
-		if len(stations.ids) > 0 {
-			if err := c.buildRounds(s); err != nil {
-				return 0, err
-			}
-			for _, r := range s.rounds {
-				if err := c.sendRound(ctx, stations, s, r, from, to); err != nil {
-					return 0, err
-				}
+// persons in [from, to) — against members of the pinned ep: every member
+// gets every round's frame, and a phase with no member builds none. A
+// member that fails leaves the candidate replica groups it answered for
+// uncovered; their other members are then asked the same phase, before
+// anything is ranked, and leave the pruned count.
+func (c *Cluster) answer(ctx context.Context, ep *epoch, s *wbfSearch, members *epoch, from, to core.PersonID) error {
+	for len(members.ids) > 0 {
+		if err := c.buildRounds(s); err != nil {
+			return err
+		}
+		for _, r := range s.rounds {
+			if err := c.sendRound(ctx, members, s, r, from, to); err != nil {
+				return err
 			}
 		}
-		hops, err := c.fanDelegates(ctx, regions, s, s.queries, from, to)
-		if err != nil {
-			return 0, err
-		}
-		maxHops = max(maxHops, hops)
 		more := s.plan.siblings(s.visited, s.failed)
 		if len(more) == 0 {
-			return maxHops, nil
+			break
 		}
 		for id := range more {
 			s.visited[id] = true
@@ -209,6 +178,7 @@ func (c *Cluster) answer(ctx context.Context, ep *epoch, s *wbfSearch, members *
 		s.out.Cost.StationsPruned -= len(more)
 		members = ep.filter(func(id uint32) bool { return more[id] })
 	}
+	return nil
 }
 
 // buildRounds encodes the search's rounds once: one combined filter per
@@ -313,71 +283,6 @@ func (ep *epoch) filter(keep func(uint32) bool) *epoch {
 		return ep
 	}
 	return sub
-}
-
-// rawResults returns every accumulated partial for one query, person
-// ascending — the region's answer shape. No Algorithm 3 deletion, no topK,
-// no score band: finalizing is the root's job, after every region's partials
-// have merged.
-func rawResults(agg *core.Aggregator, q core.QueryID) []core.Result {
-	results := agg.Results(q)
-	sort.Slice(results, func(i, j int) bool { return results[i].Person < results[j].Person })
-	return results
-}
-
-// fanDelegates runs the hierarchical tier of one WBF search round: every
-// route delegate in regions receives the whole query set, bounded to persons
-// in [from, to), as a single KindRouteQuery and answers its region's raw
-// per-person partial sums, which merge into the shared aggregation exactly
-// as AddFrom would one tier down (core's Merge). Which regions are asked is
-// planRoute's decision; the exchange is billed to the search's
-// Bytes/Messages totals and a delegate whose exchange fails is counted in
-// s.failed exactly like a station.
-func (c *Cluster) fanDelegates(ctx context.Context, regions *epoch, s *wbfSearch, queries []core.Query, from, to core.PersonID) (maxHops int, err error) {
-	if len(regions.ids) == 0 {
-		return 0, nil
-	}
-	routeMsg, err := wire.EncodeRouteQuery(wire.RouteQuery{
-		Queries:   queries,
-		Params:    s.cfg.params,
-		TargetFP:  s.cfg.targetFP,
-		BatchSize: s.cfg.batchSize,
-		Routing:   uint8(s.cfg.routing),
-		From:      from,
-		To:        to,
-	})
-	if err != nil {
-		return 0, err
-	}
-	failed, err := c.fanOut(ctx, regions, routeMsg, &s.out.Cost, func(reply wire.Message) error {
-		rr, err := wire.DecodeRouteReply(reply)
-		if err != nil {
-			return err
-		}
-		s.out.Cost.SubtreeProbes += rr.Probes
-		rc := s.regions[rr.Region]
-		rc.pruned = max(rc.pruned, int(rr.Pruned))
-		rc.failed = max(rc.failed, int(rr.Failed))
-		s.regions[rr.Region] = rc
-		if int(rr.Hops) > maxHops {
-			maxHops = int(rr.Hops)
-		}
-		for _, r := range rr.Results {
-			s.out.Cost.ReportsReceived++
-			s.note(r.Person)
-			s.agg.Merge(core.QueryID(r.Query), core.Result{
-				Person:      core.PersonID(r.Person),
-				Numerator:   r.Numerator,
-				Denominator: r.Denominator,
-				Stations:    int(r.Stations),
-			})
-		}
-		return nil
-	})
-	for _, i := range failed {
-		s.failed[regions.ids[i]] = true
-	}
-	return maxHops, err
 }
 
 // buildRound encodes one batch's combined filter.

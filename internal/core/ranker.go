@@ -142,38 +142,6 @@ func (a *Aggregator) AddFrom(table []WeightEntry, r Report) error {
 	return nil
 }
 
-// Merge folds one already-aggregated partial result into the accumulation —
-// the root coordinator absorbing a region's raw per-person sums (wire
-// KindRouteReply). The fold mirrors AddFrom's semantics one tier up: a
-// non-replicated person's partials sum (stations hold complementary
-// pieces, and addition is associative across the region partition), a
-// replicated person keeps the single best partial and the largest station
-// count (regions hold independent copies of the same data — summing would
-// push a true match past 1). The partial's denominator installs the query's
-// global sum exactly as a weight table would.
-func (a *Aggregator) Merge(q QueryID, r Result) {
-	if r.Denominator != 0 {
-		a.denoms[q] = r.Denominator
-	}
-	persons := a.perQuery[q]
-	if persons == nil {
-		persons = make(map[PersonID]*personAgg)
-		a.perQuery[q] = persons
-	}
-	agg := persons[r.Person]
-	if agg == nil {
-		agg = &personAgg{}
-		persons[r.Person] = agg
-	}
-	if a.replicated != nil && a.replicated(r.Person) {
-		agg.numerator = max(agg.numerator, r.Numerator)
-		agg.stations = max(agg.stations, r.Stations)
-	} else {
-		agg.numerator += r.Numerator
-		agg.stations += r.Stations
-	}
-}
-
 // TopK finalizes one query with the paper's strict Algorithm 3: persons
 // with weight sum exceeding the denominator are deleted, the rest are
 // ranked by weight descending (person ID ascending on ties, for

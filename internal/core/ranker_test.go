@@ -388,27 +388,3 @@ func TestAggregatorReplicaDedupHighestWins(t *testing.T) {
 		t.Fatalf("result = %+v, want score 1 from one copy", res)
 	}
 }
-
-// TestAggregatorMergeReplicatedKeepsOneCopy: region partials of a replicated
-// person are copies of one pattern — the best numerator and the largest
-// station count win — while a split person's partials sum.
-func TestAggregatorMergeReplicatedKeepsOneCopy(t *testing.T) {
-	a := NewBatchAggregator()
-	a.SetReplicated(func(p PersonID) bool { return p == 9 })
-	for _, r := range []Result{
-		{Person: 9, Numerator: 6, Denominator: 12, Stations: 1},
-		{Person: 9, Numerator: 12, Denominator: 12, Stations: 1},
-		{Person: 7, Numerator: 6, Denominator: 12, Stations: 1},
-		{Person: 7, Numerator: 6, Denominator: 12, Stations: 2},
-	} {
-		a.Merge(1, r)
-	}
-	res := a.TopK(1, 0)
-	want := []Result{
-		{Person: 7, Numerator: 12, Denominator: 12, Stations: 3},
-		{Person: 9, Numerator: 12, Denominator: 12, Stations: 1},
-	}
-	if len(res) != len(want) || res[0] != want[0] || res[1] != want[1] {
-		t.Fatalf("merged = %+v, want %+v", res, want)
-	}
-}

@@ -77,8 +77,8 @@ func cellHash(salt uint64, value int64) uint64 {
 // cell (g, acc[g]) of every resident pattern at every covered position g,
 // where acc is the resident's accumulated (prefix-sum) form. The covered
 // positions are pattern.SampleIndexes(length, core.DefaultSamples), a pure
-// function of the length, so station, coordinator and region agree on them
-// without a wire field; a search sampling other positions is admitted on
+// function of the length, so station and coordinator agree on them without a
+// wire field; a search sampling other positions is admitted on
 // those (Admits).
 //
 // A Summary does no locking. Once the coordinator caches one, it is mutated
@@ -200,24 +200,6 @@ func (s *Summary) Absorb(child *Summary) error {
 	}
 	s.residents += child.residents
 	return nil
-}
-
-// Saturated returns a minimal summary that admits every selective probe: all
-// bits set, one accounted insertion. A region coordinator answers a summary
-// pull with it when it cannot assemble a sound aggregate digest (a station
-// refresh failed mid-build), so the tier above keeps visiting the subtree —
-// the conservative fallback required at every tier.
-func Saturated(length int, seed uint64) *Summary {
-	words := []uint64{^uint64(0)}
-	f, err := bloom.FromParts(words, 64, 1, seed, 1)
-	if err != nil {
-		panic(fmt.Sprintf("index: saturated summary: %v", err))
-	}
-	s, err := newSummary(length, seed, 1, f)
-	if err != nil {
-		panic(fmt.Sprintf("index: saturated summary: %v", err))
-	}
-	return s
 }
 
 // Build constructs a summary over a station's resident patterns with the

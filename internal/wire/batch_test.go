@@ -186,33 +186,34 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsReplyFixedLayout pins the one stats-reply layout: four uvarints,
-// the capability byte and the uvarint Seq, always. A payload that stops
-// before the byte (the shape some pre-collapse builds sent) or before Seq
-// (Version 16's), or carries one byte more, is rejected.
+// TestStatsReplyFixedLayout pins the one stats-reply layout: four uvarints
+// and the uvarint Seq, always. A payload that stops before Seq (Version
+// 16's), carries Version 17's flags byte before it, or carries one byte
+// more, is rejected.
 func TestStatsReplyFixedLayout(t *testing.T) {
 	var body []byte
 	body = binary.AppendUvarint(body, 9)  // station
 	body = binary.AppendUvarint(body, 4)  // residents
 	body = binary.AppendUvarint(body, 96) // storage bytes
 	body = binary.AppendUvarint(body, 3)  // length
-	for _, flags := range []uint8{0, FlagRouteDelegate} {
-		in := StatsReply{Station: 9, Residents: 4, StorageBytes: 96, Length: 3, Flags: flags, Seq: 200}
-		m := EncodeStatsReply(in)
-		if want := binary.AppendUvarint(append(append([]byte(nil), body...), flags), 200); !bytes.Equal(m.Payload, want) {
-			t.Fatalf("flags %d: payload % x, want % x", flags, m.Payload, want)
-		}
-		if got, err := DecodeStatsReply(m); err != nil || got != in {
-			t.Fatalf("flags %d: got %+v, %v", flags, got, err)
-		}
+	in := StatsReply{Station: 9, Residents: 4, StorageBytes: 96, Length: 3, Seq: 200}
+	m := EncodeStatsReply(in)
+	if want := binary.AppendUvarint(append([]byte(nil), body...), 200); !bytes.Equal(m.Payload, want) {
+		t.Fatalf("payload % x, want % x", m.Payload, want)
+	}
+	if got, err := DecodeStatsReply(m); err != nil || got != in {
+		t.Fatalf("got %+v, %v", got, err)
 	}
 	if _, err := DecodeStatsReply(Message{Kind: KindStatsReply, Payload: body}); err == nil {
-		t.Fatal("payload without the capability byte accepted")
-	}
-	if _, err := DecodeStatsReply(Message{Kind: KindStatsReply, Payload: append(append([]byte(nil), body...), 0)}); err == nil {
 		t.Fatal("payload without Seq accepted")
 	}
-	if _, err := DecodeStatsReply(Message{Kind: KindStatsReply, Payload: append(append([]byte(nil), body...), 0, 1, 1)}); err == nil {
+	for _, flags := range []byte{0, 1} {
+		v17 := binary.AppendUvarint(append(append([]byte(nil), body...), flags), 200)
+		if _, err := DecodeStatsReply(Message{Kind: KindStatsReply, Payload: v17}); err == nil {
+			t.Fatalf("Version 17's payload with flags %d accepted", flags)
+		}
+	}
+	if _, err := DecodeStatsReply(Message{Kind: KindStatsReply, Payload: append(append([]byte(nil), body...), 1, 1)}); err == nil {
 		t.Fatal("payload with a byte after Seq accepted")
 	}
 }

@@ -231,9 +231,34 @@ func TestWorkedBatchQueryHex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bounded = "a7d1110e2a000000" + "1c000000" + "01" + "010103" + "40020200010500000000000000" + "04" + "ac02" + "0202040101" + "1c6472"
+	const bounded = "a7d1120e2a000000" + "1c000000" + "01" + "010103" + "40020200010500000000000000" + "04" + "ac02" + "0202040101" + "1c6472"
 	if got := hex.EncodeToString(m.WithRequest(42).Encode()); got != bounded {
 		t.Fatalf("bounded batch-query frame drifted:\n got %s\nwant %s", got, bounded)
+	}
+}
+
+// TestQueryBoundRefusals: the query frame refuses a bound the encoder cannot
+// have written, and the BF baseline refuses any bound at all.
+func TestQueryBoundRefusals(t *testing.T) {
+	for _, b := range []struct {
+		flags uint8
+		bound []uint64
+	}{{flagFrom | flagTo, []uint64{9, 9}}, {flagFrom | flagTo, []uint64{9, 4}}, {flagFrom, []uint64{0}}, {flagTo, []uint64{0}}} {
+		raw := validRawFilter()
+		raw.flags, raw.bound = b.flags, b.bound
+		if err := decodeAs(KindBatchQuery, raw.payload()); !errors.Is(err, ErrBadBound) {
+			t.Errorf("batch query, flags %b bound %v: err = %v, want ErrBadBound", b.flags, b.bound, err)
+		}
+	}
+	if _, err := EncodeBatchQuery(BatchQuery{From: 5, To: 2}); !errors.Is(err, ErrBadBound) {
+		t.Errorf("batch query To < From encoded: err = %v, want ErrBadBound", err)
+	}
+	var w writer
+	writeParams(&w, core.Params{Bits: 64, Hashes: 1}, 0, 9)
+	w.buf = append(w.buf, varints(2, 0, 1)...)
+	w.u64(0)
+	if _, err := DecodeBFQuery(Message{Kind: KindBFQuery, Payload: w.buf}); !errors.Is(err, ErrBadBound) {
+		t.Errorf("bounded bf query: err = %v, want ErrBadBound", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -20,23 +21,14 @@ import (
 // immediately explores the interesting corrupt-field space instead of
 // rediscovering the magic number.
 const (
-	workedBatchQueryHex = "a7d1110e2a000000" + "1a000000" +
+	workedBatchQueryHex = "a7d1120e2a000000" + "1a000000" +
 		"01" + "010103" + "4002020001050000000000000000" +
 		"0202040101" + "1c6472"
-	workedSummaryReplyHex = "a7d111132a000000" + "1e000000" +
+	workedSummaryReplyHex = "a7d112132a000000" + "1e000000" +
 		"030201719a3d0cbfe5a75140000000000000000702" +
 		"010389408022142804"
-	// A KindRouteQuery delegating a one-query round (auto-sized params,
-	// summary routing) and the region's KindRouteReply carrying one raw partial
-	// result.
-	workedRouteQueryHex = "a7d111142a000000" + "25000000" +
-		"01070204020400020400020204" +
-		"0000000000000000000000000000" +
-		"7b14ae47e17a843f" + "0000"
-	workedRouteReplyHex = "a7d111152a000000" + "0c000000" +
-		"030502010001" + "010709181801"
 	// A KindBatchReply of three reports on two pointer lists.
-	workedBatchReplyHex = "a7d1110f2a000000" + "0c000000" +
+	workedBatchReplyHex = "a7d1120f2a000000" + "0c000000" +
 		"030203" + "0200020f" + "05010407" + "13"
 )
 
@@ -51,12 +43,12 @@ const adaptiveSummaryHex = "000306719a3d0cbfe5a751000100000000000000120485aaaa04
 // each version byte earlier builds used (plus the next unassigned one) and
 // each retired kind byte — all of which must be rejected at the header.
 func addRetiredSeeds(f *testing.F, frame []byte) {
-	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18} { // all but Version
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 19} { // all but Version
 		bad := append([]byte(nil), frame...)
 		bad[2] = v
 		f.Add(bad)
 	}
-	for _, k := range []byte{1, 3, 4, 6, 7, 13, 22, 23} {
+	for _, k := range []byte{1, 3, 4, 6, 7, 13, 20, 21, 22, 23} {
 		bad := append([]byte(nil), frame...)
 		bad[3] = k
 		f.Add(bad)
@@ -169,10 +161,15 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
+// retiredTop is the highest retired kind; FuzzDecodePayload dispatches over
+// every kind up to it.
+const retiredTop = 23
+
 // FuzzDecodePayload drives every payload decoder with arbitrary bytes
 // under its own kind: decoders must reject garbage with an error (the
 // reader's count guard bounds allocations), never panic, and — for the
-// fixed-shape payloads — survive a decode/encode/decode roundtrip.
+// fixed-shape payloads — survive a decode/encode/decode roundtrip. A
+// retired kind has no decoder: its frame must be refused at the header.
 func FuzzDecodePayload(f *testing.F) {
 	// Payloads of the worked frames (frame header stripped).
 	f.Add(uint8(KindBatchQuery)-1, mustHex(f, workedBatchQueryHex)[12:])
@@ -180,24 +177,17 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(uint8(KindDump), EncodeDump(Dump{Persons: []core.PersonID{1, 2, 3}}).Payload)
 	f.Add(uint8(KindEvict), EncodeEvict(Evict{Persons: []core.PersonID{9, 10}}).Payload)
 	f.Add(uint8(KindStatsReply), EncodeStatsReply(StatsReply{Station: 3, Residents: 5, StorageBytes: 80, Length: 24}).Payload)
-	f.Add(uint8(KindStatsReply), EncodeStatsReply(StatsReply{Station: 7, Residents: 2, StorageBytes: 48, Length: 3, Flags: FlagRouteDelegate, Seq: 300}).Payload)
-	f.Add(uint8(KindStatsReply), append(varints(3, 5, 80, 24), 0)) // Version 16's layout, without Seq
+	f.Add(uint8(KindStatsReply), EncodeStatsReply(StatsReply{Station: 7, Residents: 2, StorageBytes: 48, Length: 3, Seq: 300}).Payload)
+	f.Add(uint8(KindStatsReply), append(varints(3, 5, 80, 24), 1, 0xac, 0x02)) // Version 17's layout, with a flags byte before Seq
 	f.Add(uint8(KindBFMatches), EncodeBFMatches(BFMatches{Station: 2, Persons: []core.PersonID{11}}).Payload)
 	if dr, err := EncodeDumpReply(DumpReply{Station: 1, Persons: []core.PersonID{4}, Locals: []pattern.Pattern{{1, 2, 3}}}); err == nil {
 		f.Add(uint8(KindDumpReply), dr.Payload)
 		f.Add(uint8(5), dr.Payload) // dispatches to retired kind 6, which carried this payload
 	}
 	f.Add(uint8(KindDump), EncodeDump(Dump{}).Payload)
-	f.Add(uint8(KindRouteQuery), mustHex(f, workedRouteQueryHex)[12:])
-	f.Add(uint8(KindRouteReply), mustHex(f, workedRouteReplyHex)[12:])
-	f.Add(uint8(KindRouteReply), EncodeRouteReply(RouteReply{
-		Region:  2,
-		Results: []RouteResult{{Query: 1, Person: 9, Numerator: 12, Denominator: 12, Stations: 3}},
-		Probes:  5, Visited: 2, Pruned: 1, Hops: 1,
-	}).Payload)
 	// The retired kind bytes (the dispatch below maps seed byte b to kind
-	// b%maxKind+1).
-	for _, b := range []uint8{0, 2, 3, 5, 6} {
+	// b%retiredTop+1).
+	for _, b := range []uint8{0, 2, 3, 5, 6, 12, 19, 20, 21, 22} {
 		f.Add(b, mustHex(f, workedBatchQueryHex)[12:])
 	}
 	// The filter block's rejection matrix: two valid hand-spelled filters, one
@@ -217,13 +207,11 @@ func FuzzDecodePayload(f *testing.F) {
 	for _, tt := range hostileReplies() {
 		f.Add(uint8(KindBatchReply)-1, tt.payload())
 	}
-	// Every field a decoder keeps in 32 bits, sent wider; a route query
-	// naming one query twice.
+	// Every field a decoder keeps in 32 bits, sent wider.
 	for _, tt := range wideFields() {
 		f.Add(uint8(tt.kind)-1, tt.build(1<<32+7))
 	}
-	f.Add(uint8(KindRouteQuery)-1, routeQueryPayload(5, 5))
-	// Person bounds on both query kinds: From only, To only, both, and the
+	// Person bounds on the query frame: From only, To only, both, and the
 	// refusals — To ≤ From, an end sent as 0, an undefined flag bit.
 	for _, b := range []struct {
 		flags uint8
@@ -236,7 +224,6 @@ func FuzzDecodePayload(f *testing.F) {
 		raw := validRawFilter()
 		raw.flags, raw.bound = b.flags, b.bound
 		f.Add(uint8(KindBatchQuery)-1, raw.payload())
-		f.Add(uint8(KindRouteQuery)-1, boundedRouteQueryPayload(b.flags, b.bound, 5))
 	}
 	// A Version 14 adaptive digest, the same bytes with the adaptive tail cut
 	// off, and both again with hash count 3: the refused zero hash count, and
@@ -270,11 +257,14 @@ func FuzzDecodePayload(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
-		k := Kind(kind%uint8(maxKind)) + 1
+		k := Kind(kind%retiredTop) + 1
 		m := Message{Kind: k, Payload: payload}
 		switch k {
-		case 1, 3, 4, 6, 7, 13:
+		case 1, 3, 4, 6, 7, 13, 20, 21, 22, 23:
 			// Retired values: rejected at the frame header, no decoder.
+			if _, err := Decode(m.Encode()); !errors.Is(err, ErrBadKind) {
+				t.Fatalf("a frame of retired kind %d decodes with err = %v, want ErrBadKind", k, err)
+			}
 		case KindBFQuery:
 			_, _ = DecodeBFQuery(m)
 		case KindBFMatches:
@@ -342,37 +332,6 @@ func FuzzDecodePayload(f *testing.F) {
 			}
 		case KindSummaryReply:
 			_, _ = DecodeSummaryReply(m)
-		case KindRouteQuery:
-			rq, err := DecodeRouteQuery(m)
-			if err == nil {
-				enc, err := EncodeRouteQuery(rq)
-				if err != nil {
-					t.Fatalf("route-query re-encode failed: %v", err)
-				}
-				re, err := DecodeRouteQuery(enc)
-				if err != nil {
-					t.Fatalf("route-query re-decode failed: %v", err)
-				}
-				if len(re.Queries) != len(rq.Queries) || re.Params != rq.Params || re.Routing != rq.Routing || re.BatchSize != rq.BatchSize || re.From != rq.From || re.To != rq.To {
-					t.Fatalf("route-query roundtrip changed: %+v vs %+v", re, rq)
-				}
-			}
-		case KindRouteReply:
-			rr, err := DecodeRouteReply(m)
-			if err == nil {
-				re, err := DecodeRouteReply(EncodeRouteReply(rr))
-				if err != nil {
-					t.Fatalf("route-reply re-decode failed: %v", err)
-				}
-				if re.Region != rr.Region || re.Probes != rr.Probes || len(re.Results) != len(rr.Results) {
-					t.Fatalf("route-reply roundtrip changed: %+v vs %+v", re, rr)
-				}
-				for i := range re.Results {
-					if re.Results[i] != rr.Results[i] {
-						t.Fatalf("route-reply result %d changed: %+v vs %+v", i, re.Results[i], rr.Results[i])
-					}
-				}
-			}
 		case KindShutdown, KindStats, KindSummary:
 			// Bare request kinds carry no payload and have no decoder.
 		default:
@@ -387,8 +346,8 @@ func FuzzDecodePayload(f *testing.F) {
 // summing to zero, several queries to a filter, under a drawn person bound —
 // must decode to the filter the encoder sealed, array for array and weight
 // field for weight field, Mask and Denominator included, and to the same
-// bound. A reply of 64-bit persons, repeats, and
-// runs whose Rice parameter passes 32 bits must decode to the same report
+// bound. A reply of distinct 64-bit persons, dense and sparse, with runs
+// whose Rice parameter passes 32 bits must decode to the same report
 // multiset.
 func FuzzBatchRoundTrip(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 20120612} {
@@ -468,18 +427,25 @@ func FuzzBatchRoundTrip(f *testing.F) {
 			}
 		}
 		in := BatchReply{Station: rng.Uint32(), Queries: rng.Uint32(), Reports: make([]core.Report, 1+rng.Intn(300))}
-		for i := range in.Reports {
-			var p uint64
+		draw := func() uint64 {
 			switch rng.Intn(4) {
 			case 0:
-				p = rng.Uint64() // runs up to ~2⁶⁴: Rice parameters past 32 bits
+				return rng.Uint64() // runs up to ~2⁶⁴: Rice parameters past 32 bits
 			case 1:
-				p = uint64(rng.Intn(16)) // dense, with repeats
+				return uint64(rng.Intn(16)) // dense
 			case 2:
-				p = math.MaxUint64 - uint64(rng.Intn(3))
+				return math.MaxUint64 - uint64(rng.Intn(3))
 			default:
-				p = uint64(rng.Intn(1 << 20))
+				return uint64(rng.Intn(1 << 20))
 			}
+		}
+		drawn := make(map[uint64]bool, len(in.Reports))
+		for i := range in.Reports {
+			p := draw()
+			for drawn[p] { // a station reports a person once
+				p = draw()
+			}
+			drawn[p] = true
 			in.Reports[i] = core.Report{Person: core.PersonID(p), WeightIDs: lists[rng.Intn(len(lists))]}
 		}
 		got, err := DecodeBatchReply(EncodeBatchReply(in))

@@ -688,11 +688,7 @@ func groupReports(reports []core.Report, buf *[]uint64) (firsts, persons, bounds
 			group[i] = group[i-1]
 			continue
 		}
-		h := uint64(14695981039346656037) // FNV-1a, one step per pointer
-		for _, id := range ids {
-			h = (h ^ uint64(id)) * 1099511628211
-		}
-		j := h & uint64(len(slots)-1)
+		j := listHash(ids) & uint64(len(slots)-1)
 		for slots[j] != 0 && !slices.Equal(ids, reports[firsts[slots[j]-1]].WeightIDs) {
 			j = (j + 1) & uint64(len(slots)-1)
 		}
@@ -719,6 +715,15 @@ func groupReports(reports []core.Report, buf *[]uint64) (firsts, persons, bounds
 		}
 	}
 	return firsts, persons, bounds
+}
+
+// listHash is a pointer list's FNV-1a hash, one step per pointer.
+func listHash(ids []core.WeightID) uint64 {
+	h := uint64(14695981039346656037)
+	for _, id := range ids {
+		h = (h ^ uint64(id)) * 1099511628211
+	}
+	return h
 }
 
 // uvarintLen returns the encoded length of v as an unsigned varint.
@@ -759,15 +764,16 @@ func readEntry(r *reader, remaining int, arena *[]core.WeightID) (listLen uint64
 }
 
 // DecodeBatchReply parses the batch answer into two allocations bounded by
-// the bytes present: the pointer arena holds exactly the entries' pointers,
-// and the reports are at most 8 per byte left, since a report can cost a
-// single bit — a repeated person, which a region's concatenated replies may
-// carry, is a gap of 0 coded with parameter 0. The entries are read twice:
-// first to check them and count their pointers, then beside the stream to
-// fill the reports. They must account for exactly reportCount reports:
-// every list holds a pointer, a sent run length lies in [1, reports
-// remaining), and the last flag marks the entry that exhausts the count. The
-// stream's persons must ascend to their run's largest, and its pad bits be
+// the bytes present, and a third past 8 pointer lists: the pointer arena
+// holds exactly the entries' pointers, and the reports are at most 8 per
+// byte left, since no report costs less than a bit. The entries are read
+// twice: first to check them and count their pointers, then beside the
+// stream to fill the reports. They must account for exactly reportCount
+// reports: every list holds a pointer, a sent run length lies in [1,
+// reports remaining), and the last flag marks the entry that exhausts the
+// count. The stream's persons must strictly ascend to their run's largest
+// and no list may come twice — a station reports a person once, and a
+// repeat would count its weights twice — and the stream's pad bits must be
 // zero.
 func DecodeBatchReply(m Message) (BatchReply, error) {
 	if m.Kind != KindBatchReply {
@@ -780,11 +786,11 @@ func DecodeBatchReply(m Message) (BatchReply, error) {
 		return BatchReply{}, fmt.Errorf("wire: %d reports implausible for %d remaining bytes", reports, left)
 	}
 	n := int(reports)
-	entries, pointers := *r, uint64(0)
+	entries, pointers, lists := *r, uint64(0), 0
 	if r.err != nil {
 		return BatchReply{}, r.err
 	}
-	for done := 0; done < n; {
+	for done := 0; done < n; lists++ {
 		listLen, run, _, err := readEntry(r, n-done, nil)
 		if err != nil {
 			return BatchReply{}, err
@@ -793,19 +799,37 @@ func DecodeBatchReply(m Message) (BatchReply, error) {
 	}
 	out.Reports = make([]core.Report, n)
 	arena := make([]core.WeightID, 0, pointers)
+	// seen is an open-addressed table of the lists read so far, each slot 0
+	// or its list's arena offset + 1 and length; a few lists fit on the
+	// stack.
+	var small [16]uint64
+	seen := small[:]
+	if need := 2 * lists; need > len(seen) {
+		seen = make([]uint64, 1<<bits.Len(uint(need)))
+	}
 	br := bitReader{r: r}
 	for done := 0; done < n; {
 		lo := len(arena)
 		_, run, hi, _ := readEntry(&entries, n-done, &arena) // checked above
 		list := arena[lo:len(arena):len(arena)]
+		j := listHash(list) & uint64(len(seen)-1)
+		for ; seen[j] != 0; j = (j + 1) & uint64(len(seen)-1) {
+			if at := seen[j]&math.MaxUint32 - 1; slices.Equal(arena[at:at+seen[j]>>32], list) {
+				return BatchReply{}, fmt.Errorf("wire: reply sends pointer list %v twice", list)
+			}
+		}
+		seen[j] = uint64(lo+1) | uint64(len(list))<<32
 		rice, person := personRice(hi, run), uint64(0)
 		for k := done; k < done+run-1; k++ {
 			gap, ok := br.rice(rice, (hi-person)>>rice)
 			if r.err != nil {
 				return BatchReply{}, r.err
 			}
-			if !ok || gap > hi-person {
-				return BatchReply{}, fmt.Errorf("wire: reply person %d plus gap %d passes its run's largest, %d", person, gap, hi)
+			if !ok || gap >= hi-person {
+				return BatchReply{}, fmt.Errorf("wire: reply person %d plus gap %d reaches its run's largest, %d", person, gap, hi)
+			}
+			if gap == 0 && k > done {
+				return BatchReply{}, fmt.Errorf("wire: reply repeats person %d", person)
 			}
 			person += gap
 			out.Reports[k] = core.Report{Person: core.PersonID(person), WeightIDs: list}
@@ -910,8 +934,7 @@ func DecodeBFMatches(m Message) (BFMatches, error) {
 // of raw patterns sends it: the naive baseline (the paper's Approach 1, whole
 // store), the verification phase ("... sent to the data center for
 // aggregation and verification", Section I; the ranked candidates), the pull
-// half of re-replication (the placed persons) and a region's upward digest
-// (whole store).
+// half of re-replication (the placed persons).
 type Dump struct {
 	// Persons restricts the dump; empty means every resident. IDs are sent
 	// sorted and delta-encoded.
@@ -1192,201 +1215,6 @@ func DecodeSummaryReply(m Message) (SummaryReply, error) {
 	return out, nil
 }
 
-// ---- hierarchy: route delegation ----
-
-// RouteQuery delegates one whole search round to a region coordinator: the
-// raw queries plus every knob the region needs to resolve the exact same
-// filter parameters the root would (core.SizedParams is deterministic, so
-// shipping the knobs — not the filter — keeps the frame small and the
-// regions' results byte-identical to a direct search). The region runs the
-// full existing WBF search path over its own stations and answers with raw
-// per-person weight sums (KindRouteReply); ranking, thresholding and
-// verification stay at the root, which is what makes the delegated plan's
-// results provably equal to a flat fan-out.
-type RouteQuery struct {
-	// Queries is the search batch in search order, unique by ID: the
-	// decoder refuses a repeated ID with ErrBatchMismatch, since the
-	// region's search would refuse it too.
-	Queries []core.Query
-	// Params are the root's (possibly zero-valued) filter parameters before
-	// sizing; Bits == 0 means the region auto-sizes with TargetFP exactly
-	// like the root does.
-	Params core.Params
-	// TargetFP is the false-positive sizing target for auto-sized filters.
-	TargetFP float64
-	// BatchSize is the root's batching bound, forwarded so the region's
-	// station exchanges match a direct search's.
-	BatchSize int
-	// Routing is the region's fan-out mode, as a RoutingMode ordinal: 0
-	// summary, 1 full, and any other value is planned as summary. Either
-	// yields identical results; forwarding the root's choice keeps cost
-	// accounting comparable.
-	Routing uint8
-	// From and To bound the persons the region answers for to [From, To),
-	// as BatchQuery's do; the region forwards them to its own members.
-	From, To core.PersonID
-}
-
-// EncodeRouteQuery renders the delegated round. Queries are validated for
-// count only; the region re-validates them through its own search path. A
-// bound with To ≤ From is ErrBadBound.
-func EncodeRouteQuery(q RouteQuery) (Message, error) {
-	if len(q.Queries) == 0 {
-		return Message{}, fmt.Errorf("%w: zero queries", ErrBatchMismatch)
-	}
-	if len(q.Queries) > MaxBatchQueries {
-		return Message{}, fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, len(q.Queries), MaxBatchQueries)
-	}
-	if err := checkBound(q.From, q.To); err != nil {
-		return Message{}, err
-	}
-	var w writer
-	w.uvarint(uint64(len(q.Queries)))
-	for _, query := range q.Queries {
-		w.uvarint(uint64(query.ID))
-		w.uvarint(uint64(len(query.Locals)))
-		for _, local := range query.Locals {
-			w.uvarint(uint64(len(local)))
-			for _, v := range local {
-				w.uvarint(zigzag(v))
-			}
-		}
-	}
-	writeParams(&w, q.Params, q.From, q.To)
-	w.u64(math.Float64bits(q.TargetFP))
-	w.uvarint(zigzag(int64(q.BatchSize)))
-	w.u8(q.Routing)
-	return Message{Kind: KindRouteQuery, Payload: w.buf}, nil
-}
-
-// DecodeRouteQuery parses the delegated round. An ID above 32 bits or given
-// twice is refused, and so is a bound the encoder cannot have written
-// (readParams), so a malformed round fails here rather than in the region's
-// search.
-func DecodeRouteQuery(m Message) (RouteQuery, error) {
-	if m.Kind != KindRouteQuery {
-		return RouteQuery{}, fmt.Errorf("wire: decoding %v as route-query", m.Kind)
-	}
-	r := &reader{buf: m.Payload}
-	n := r.count(2)
-	if uint64(n) > MaxBatchQueries {
-		return RouteQuery{}, fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, n, MaxBatchQueries)
-	}
-	if r.err == nil && n == 0 {
-		return RouteQuery{}, fmt.Errorf("%w: zero queries", ErrBatchMismatch)
-	}
-	out := RouteQuery{Queries: make([]core.Query, 0, n)}
-	ids := make([]core.QueryID, 0, n)
-	for i := 0; i < n; i++ {
-		q := core.Query{ID: core.QueryID(r.u32())}
-		ids = append(ids, q.ID)
-		locals := r.count(1)
-		q.Locals = make([]pattern.Pattern, 0, locals)
-		for j := 0; j < locals; j++ {
-			l := r.count(1)
-			pat := make(pattern.Pattern, l)
-			for g := range pat {
-				pat[g] = unzigzag(r.uvarint())
-			}
-			q.Locals = append(q.Locals, pat)
-		}
-		out.Queries = append(out.Queries, q)
-	}
-	out.Params, out.From, out.To = readParams(r)
-	out.TargetFP = math.Float64frombits(r.u64())
-	out.BatchSize = int(unzigzag(r.uvarint()))
-	out.Routing = r.u8()
-	if err := r.done(); err != nil {
-		return RouteQuery{}, err
-	}
-	if q, ok := repeatedID(ids); ok {
-		return RouteQuery{}, fmt.Errorf("%w: duplicate query id %d", ErrBatchMismatch, q)
-	}
-	return out, nil
-}
-
-// RouteResult is one raw per-(query, person) partial from a region: the
-// summed weight numerator over the region's stations, before the root's
-// Algorithm 3 deletion and ranking.
-type RouteResult struct {
-	Query       core.QueryID
-	Person      core.PersonID
-	Numerator   int64
-	Denominator int64
-	Stations    uint32
-}
-
-// RouteReply answers a route query: the region's raw partial results plus
-// the routing counters the root folds into its CostReport.
-type RouteReply struct {
-	// Region is the answering region coordinator's station ID.
-	Region uint32
-	// Results are the raw partials, one per (query, person) the region's
-	// stations reported.
-	Results []RouteResult
-	// Probes counts the digest-probe (Admits) evaluations the region's own
-	// planning performed.
-	Probes uint64
-	// Pruned / Visited / Failed count the region's stations by fan-out fate.
-	Pruned  uint32
-	Visited uint32
-	Failed  uint32
-	// Hops is the tier depth below and including this region (1 for a region
-	// of plain stations).
-	Hops uint32
-}
-
-// EncodeRouteReply renders the region's answer.
-func EncodeRouteReply(rr RouteReply) Message {
-	var w writer
-	w.uvarint(uint64(rr.Region))
-	w.uvarint(rr.Probes)
-	w.uvarint(uint64(rr.Pruned))
-	w.uvarint(uint64(rr.Visited))
-	w.uvarint(uint64(rr.Failed))
-	w.uvarint(uint64(rr.Hops))
-	w.uvarint(uint64(len(rr.Results)))
-	for _, res := range rr.Results {
-		w.uvarint(uint64(res.Query))
-		w.uvarint(uint64(res.Person))
-		w.uvarint(zigzag(res.Numerator))
-		w.uvarint(zigzag(res.Denominator))
-		w.uvarint(uint64(res.Stations))
-	}
-	return Message{Kind: KindRouteReply, Payload: w.buf}
-}
-
-// DecodeRouteReply parses the region's answer.
-func DecodeRouteReply(m Message) (RouteReply, error) {
-	if m.Kind != KindRouteReply {
-		return RouteReply{}, fmt.Errorf("wire: decoding %v as route-reply", m.Kind)
-	}
-	r := &reader{buf: m.Payload}
-	out := RouteReply{
-		Region:  r.u32(),
-		Probes:  r.uvarint(),
-		Pruned:  r.u32(),
-		Visited: r.u32(),
-		Failed:  r.u32(),
-		Hops:    r.u32(),
-	}
-	n := r.count(5)
-	out.Results = make([]RouteResult, 0, n)
-	for i := 0; i < n; i++ {
-		out.Results = append(out.Results, RouteResult{
-			Query:       core.QueryID(r.u32()),
-			Person:      core.PersonID(r.uvarint()),
-			Numerator:   unzigzag(r.uvarint()),
-			Denominator: unzigzag(r.uvarint()),
-			Stations:    r.u32(),
-		})
-	}
-	if err := r.done(); err != nil {
-		return RouteReply{}, err
-	}
-	return out, nil
-}
-
 // ---- lifecycle: ingest / evict / stats ----
 
 // Ingest adds (or replaces) resident patterns at one station — the center
@@ -1514,20 +1342,10 @@ type StatsReply struct {
 	Residents    uint64
 	StorageBytes uint64
 	Length       uint32
-	// Flags carries the peer's capability bits (FlagRouteDelegate); zero is
-	// a plain station.
-	Flags uint8
 	// Seq counts the mutations the peer has answered since it began serving,
 	// so of two replies to concurrent mutations the later one is known.
 	Seq uint64
 }
-
-// FlagRouteDelegate marks a peer that answers KindRouteQuery — a region
-// coordinator fronting a subtree of stations rather than a plain station.
-// Sending a route query to a plain station would fail its serve loop, so the
-// root only delegates to peers that set this bit in their join handshake,
-// and never sends them a KindBatchQuery.
-const FlagRouteDelegate = uint8(1)
 
 // EncodeStatsReply renders the stats answer.
 func EncodeStatsReply(s StatsReply) Message {
@@ -1536,7 +1354,6 @@ func EncodeStatsReply(s StatsReply) Message {
 	w.uvarint(s.Residents)
 	w.uvarint(s.StorageBytes)
 	w.uvarint(uint64(s.Length))
-	w.u8(s.Flags)
 	w.uvarint(s.Seq)
 	return Message{Kind: KindStatsReply, Payload: w.buf}
 }
@@ -1552,7 +1369,6 @@ func DecodeStatsReply(m Message) (StatsReply, error) {
 		Residents:    r.uvarint(),
 		StorageBytes: r.uvarint(),
 		Length:       r.u32(),
-		Flags:        r.u8(),
 		Seq:          r.uvarint(),
 	}
 	if err := r.done(); err != nil {

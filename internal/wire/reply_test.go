@@ -145,8 +145,9 @@ func replyModel(b BatchReply) float64 {
 
 // TestBatchReplyAnyPersonOrder: persons travel as gaps within a list's run,
 // which the encoder sorts when a caller's order was not ascending —
-// descending, repeated and extreme IDs come back as the same multiset. The
-// run up to 2⁶⁴−1 codes its gaps with r = 61, past a packed field's 32 bits.
+// descending and extreme IDs, and a person on two lists, come back as the
+// same multiset. The run up to 2⁶⁴−1 codes its gaps with r = 61, past a
+// packed field's 32 bits.
 func TestBatchReplyAnyPersonOrder(t *testing.T) {
 	in := BatchReply{Station: 3, Queries: 1}
 	for i, p := range []core.PersonID{900, 901, 1030, 7, 7, math.MaxUint64, 0, 1 << 63, 12} {
@@ -161,12 +162,34 @@ func TestBatchReplyAnyPersonOrder(t *testing.T) {
 	}
 }
 
+// TestBatchReplyRefusesRepeatedPerson: a station reports a person once, so a
+// run naming one twice — mid-run, or again as the run's largest — is refused
+// rather than handed to an aggregator that would add its weights twice.
+func TestBatchReplyRefusesRepeatedPerson(t *testing.T) {
+	for _, tt := range []struct {
+		persons []core.PersonID
+		says    string
+	}{
+		{[]core.PersonID{7, 7}, "reaches its run's largest"},
+		{[]core.PersonID{7, 7, 9}, "repeats person 7"},
+		{[]core.PersonID{3, 9, 9}, "reaches its run's largest"},
+	} {
+		in := BatchReply{Station: 3, Queries: 1}
+		for _, p := range tt.persons {
+			in.Reports = append(in.Reports, core.Report{Person: p, WeightIDs: []core.WeightID{0}})
+		}
+		if _, err := DecodeBatchReply(EncodeBatchReply(in)); err == nil || !strings.Contains(err.Error(), tt.says) {
+			t.Fatalf("persons %v: err = %v, want one saying %q", tt.persons, err, tt.says)
+		}
+	}
+}
+
 // TestBatchReplyPropertyMultiset: over random replies — 1 to 4 000 reports,
-// lists drawn from a small weight table, persons in any order with repeats,
-// ascending as a station walks, or two ascending replies concatenated as a
-// region forwards them — decoding the encoded reply gives back the reports
-// as a multiset, and an aggregator fed the original and one fed the decoded
-// reports return identical Results and TopK, with and without SetReplicated.
+// lists drawn from a small weight table, distinct persons in any order or
+// ascending as a station walks — decoding the encoded reply gives back the
+// reports as a multiset, and an aggregator fed the original and one fed the
+// decoded reports return identical Results and TopK, with and without
+// SetReplicated.
 func TestBatchReplyPropertyMultiset(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var table []core.WeightEntry
@@ -193,16 +216,11 @@ func TestBatchReplyPropertyMultiset(t *testing.T) {
 		}
 		n := 1 + rng.Intn([]int{8, 300, 4000}[rng.Intn(3)])
 		persons := make([]core.PersonID, n)
-		for i := range persons {
-			persons[i] = core.PersonID(rng.Intn(2 * n))
+		for i, p := range rng.Perm(2 * n)[:n] {
+			persons[i] = core.PersonID(p)
 		}
-		switch shape := rng.Intn(3); shape {
-		case 1: // one station's walk
+		if rng.Intn(2) == 1 { // one station's walk
 			slices.Sort(persons)
-		case 2: // a region's concatenation of two stations' walks
-			cut := rng.Intn(n + 1)
-			slices.Sort(persons[:cut])
-			slices.Sort(persons[cut:])
 		}
 		in := BatchReply{Station: rng.Uint32(), Queries: uint32(1 + rng.Intn(4)), Reports: make([]core.Report, n)}
 		for i, p := range persons {
@@ -303,7 +321,15 @@ func hostileReplies() []hostileReply {
 		{"last flag before the count is exhausted", []uint64{3, 2, 3, 3, 0, 15}, append(bitsOf("1110 1   10 1"), 5, 1, 4, 7), "trailing"},
 		{"entry after the last", workedReplyFields, append(slices.Clone(stream), 3, 0, 8), "trailing"},
 		{"no entry flagged last", with(7, 4, 1, 4, 1, 7), stream, "last flag is unset"},
-		{"person overflows", workedReplyFields, bitsOf("1111 0 00"), "passes its run's largest"},
+		{"person overflows", workedReplyFields, bitsOf("1111 0 00"), "reaches its run's largest"},
+		// The run's other person is 15, its largest, again (gap 15, r = 2).
+		{"repeat of the run's largest", workedReplyFields, bitsOf("1110 11"), "reaches its run's largest"},
+		// Entry 0 carries a run of three up to 15 (r = 1): person 10, then a
+		// gap of 0 — person 10 again.
+		{"repeated person mid-run", []uint64{3, 2, 4, 2, 0, 3, 15, 5, 1, 4, 7}, bitsOf("111110 0 0 0"), "repeats person 10"},
+		// Two entries of list [0], each a run of person 5 alone: re-encoded,
+		// they would be one run naming person 5 twice.
+		{"list sent twice", []uint64{3, 1, 2, 2, 0, 1, 5, 3, 0, 5}, nil, "twice"},
 		{"truncated", workedReplyFields, nil, "short buffer"},
 		{"reports but no entries", []uint64{3, 2, 1}, nil, "implausible"},
 		{"nonzero pad bits", workedReplyFields, bitsOf(workedReplyStream + "001"), "pad bits"},

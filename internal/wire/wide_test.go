@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"errors"
-	"math"
 	"strings"
 	"testing"
 
@@ -26,29 +24,6 @@ func varints(vs ...uint64) []byte {
 	return w.buf
 }
 
-// routeQueryPayload spells a route query of one-local queries with the
-// given IDs.
-func routeQueryPayload(ids ...uint64) []byte {
-	return boundedRouteQueryPayload(0, nil, ids...)
-}
-
-// boundedRouteQueryPayload is routeQueryPayload with flags ORed into the
-// params flag byte and bound following it as uvarints, spelled as given.
-func boundedRouteQueryPayload(flags uint8, bound []uint64, ids ...uint64) []byte {
-	var w writer
-	w.uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		w.buf = append(w.buf, varints(id, 1, 1, zigzag(2))...)
-	}
-	writeParams(&w, core.Params{}, 0, 0)
-	w.buf[len(w.buf)-1] |= flags
-	w.buf = append(w.buf, varints(bound...)...)
-	w.u64(math.Float64bits(0.01))
-	w.uvarint(0)
-	w.u8(0)
-	return w.buf
-}
-
 // wideFields lists every field a decoder keeps in 32 bits, one payload each.
 // FuzzDecodePayload starts from each of them, wide.
 func wideFields() []wideField {
@@ -65,20 +40,11 @@ func wideFields() []wideField {
 			return w.buf
 		}
 	}
-	// Region, Probes, Pruned, Visited, Failed, Hops, one result: Query,
-	// Person, Numerator, Denominator (zigzag), Stations.
-	routeReply := func(at int) func(uint64) []byte {
-		return func(v uint64) []byte {
-			fields := []uint64{3, 5, 2, 1, 0, 1, 1, 7, 9, 24, 24, 1}
-			fields[at] = v
-			return varints(fields...)
-		}
-	}
 	stats := func(at int) func(uint64) []byte {
 		return func(v uint64) []byte {
 			fields := []uint64{3, 5, 80, 24} // Station, Residents, StorageBytes, Length
 			fields[at] = v
-			return append(append(varints(fields...), 0), varints(1)...) // Flags, Seq
+			return append(varints(fields...), varints(1)...) // Seq
 		}
 	}
 	return []wideField{
@@ -91,14 +57,6 @@ func wideFields() []wideField {
 		{"summary station", KindSummaryReply, summary(0)},
 		{"summary length", KindSummaryReply, summary(1)},
 		{"summary hashes", KindSummaryReply, summary(2)},
-		{"route-query id", KindRouteQuery, func(v uint64) []byte { return routeQueryPayload(v) }},
-		{"route-reply region", KindRouteReply, routeReply(0)},
-		{"route-reply pruned", KindRouteReply, routeReply(2)},
-		{"route-reply visited", KindRouteReply, routeReply(3)},
-		{"route-reply failed", KindRouteReply, routeReply(4)},
-		{"route-reply hops", KindRouteReply, routeReply(5)},
-		{"route-reply query", KindRouteReply, routeReply(7)},
-		{"route-reply stations", KindRouteReply, routeReply(11)},
 		{"stats-reply station", KindStatsReply, stats(0)},
 		{"stats-reply length", KindStatsReply, stats(3)},
 		{"batch-query id", KindBatchQuery, func(v uint64) []byte {
@@ -123,10 +81,6 @@ func decodeAs(kind Kind, payload []byte) error {
 		_, err = DecodeDumpReply(m)
 	case KindSummaryReply:
 		_, err = DecodeSummaryReply(m)
-	case KindRouteQuery:
-		_, err = DecodeRouteQuery(m)
-	case KindRouteReply:
-		_, err = DecodeRouteReply(m)
 	case KindStatsReply:
 		_, err = DecodeStatsReply(m)
 	case KindBatchQuery:
@@ -140,8 +94,8 @@ func decodeAs(kind Kind, payload []byte) error {
 }
 
 // TestDecodersRefuseWide32BitFields: a 32-bit field sent wider is an error,
-// not truncated into another value — a region's result for query 2³²+7
-// would otherwise merge into query 7 at the root.
+// not truncated into another value — a reply from station 2³²+7 would
+// otherwise read as station 7's.
 func TestDecodersRefuseWide32BitFields(t *testing.T) {
 	for _, tt := range wideFields() {
 		t.Run(tt.name, func(t *testing.T) {
@@ -159,17 +113,5 @@ func TestDecodersRefuseWide32BitFields(t *testing.T) {
 	f.blocks = append(f.blocks, []uint64{1 + 1<<32, 1, 4})
 	if err := decodeAs(KindBatchQuery, f.payload()); err == nil || !strings.Contains(err.Error(), "overflows 32 bits") {
 		t.Fatalf("batch query IDs 1 and 1+2³²: err = %v", err)
-	}
-}
-
-// TestRouteQueryRejectsDuplicateIDs: a round naming one query twice is
-// refused at decode, where a region's search would refuse it and end the
-// serve loop.
-func TestRouteQueryRejectsDuplicateIDs(t *testing.T) {
-	if err := decodeAs(KindRouteQuery, routeQueryPayload(5, 6)); err != nil {
-		t.Fatalf("IDs 5 and 6: %v", err)
-	}
-	if err := decodeAs(KindRouteQuery, routeQueryPayload(5, 6, 5)); !errors.Is(err, ErrBatchMismatch) {
-		t.Fatalf("IDs 5, 6 and 5: err = %v, want ErrBatchMismatch", err)
 	}
 }

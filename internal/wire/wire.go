@@ -21,9 +21,7 @@
 //
 // There is one protocol version. A frame stamped with any other version byte
 // is rejected with ErrBadVersion, so a peer built from different source is
-// refused at the first frame instead of half-understood. What a peer can do
-// beyond the station kinds is advertised as capability bits in its stats
-// reply (StatsReply.Flags); see docs/WIRE.md.
+// refused at the first frame instead of half-understood; see docs/WIRE.md.
 //
 // Payloads use unsigned varints for counts and small integers, raw 64-bit
 // words for bit arrays, and Rice-coded bit streams for the sorted IDs of the
@@ -45,8 +43,8 @@ type Kind uint8
 // Retired values stay unassigned: 1 and 4 belonged to the per-query WBF
 // exchange, 3, 6 and 7 to the naive shipment and verification fetch that
 // KindDump/KindDumpReply now carry, 13 to the mutation acknowledgment that
-// KindStatsReply replaced, 22 and 23 to the adaptive digest parameter
-// rollout.
+// KindStatsReply replaced, 20 and 21 to the region tier's delegated search
+// round, 22 and 23 to the adaptive digest parameter rollout.
 const (
 	// KindBFQuery disseminates a plain Bloom filter plus pipeline params.
 	KindBFQuery Kind = 2
@@ -72,8 +70,7 @@ const (
 	KindBatchReply Kind = 15
 	// KindDump asks a station for the raw local patterns of specific persons,
 	// or its whole store when the filter is empty — the one raw-pattern pull
-	// behind the naive baseline, the verification phase, re-replication and a
-	// region's upward digest.
+	// behind the naive baseline, the verification phase and re-replication.
 	KindDump Kind = 16
 	// KindDumpReply answers a dump with (person, local pattern) tuples plus
 	// the reporting station's ID.
@@ -84,17 +81,10 @@ const (
 	KindSummary Kind = 18
 	// KindSummaryReply carries one station's routing summary.
 	KindSummaryReply Kind = 19
-	// KindRouteQuery delegates a whole search round — raw queries plus the
-	// processing knobs — to a region coordinator, which fans it out over its
-	// own stations.
-	KindRouteQuery Kind = 20
-	// KindRouteReply answers a route query with the region's raw per-person
-	// weight sums and routing counters.
-	KindRouteReply Kind = 21
 )
 
 // maxKind is the highest assigned kind.
-const maxKind = KindRouteReply
+const maxKind = KindSummaryReply
 
 // known reports whether k is a kind this codec speaks. Anything else — the
 // retired values included — is rejected with ErrBadKind at the frame header,
@@ -136,10 +126,6 @@ func (k Kind) String() string {
 		return "summary"
 	case KindSummaryReply:
 		return "summary-reply"
-	case KindRouteQuery:
-		return "route-query"
-	case KindRouteReply:
-		return "route-reply"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -155,9 +141,10 @@ func (k Kind) String() string {
 // every person gap as one, 13 while no query frame could carry a person
 // bound, 14 while kinds 22 and 23 carried adaptive digest parameters, 15
 // while a routing digest held every position's cell under four hashes, 16
-// while mutations were answered with KindAck), so none of their frames
-// decode.
-const Version = uint8(17)
+// while mutations were answered with KindAck, 17 while kinds 20 and 21
+// carried the region tier's delegated rounds and a stats reply a flags
+// byte), so none of their frames decode.
+const Version = uint8(18)
 
 const (
 	magic = uint16(0xD1A7)

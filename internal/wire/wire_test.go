@@ -67,6 +67,8 @@ func TestFrameHeaderErrors(t *testing.T) {
 		{"retired kind 6", set(3, 6), ErrBadKind},
 		{"retired kind 7", set(3, 7), ErrBadKind},
 		{"retired kind 13", set(3, 13), ErrBadKind},
+		{"retired kind 20", set(3, 20), ErrBadKind},
+		{"retired kind 21", set(3, 21), ErrBadKind},
 		{"retired kind 22", set(3, 22), ErrBadKind},
 		{"retired kind 23", set(3, 23), ErrBadKind},
 		{"kind past maxKind", set(3, uint8(maxKind)+1), ErrBadKind},

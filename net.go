@@ -1,9 +1,6 @@
 package dimatch
 
-import (
-	"dimatch/internal/cluster"
-	"dimatch/internal/transport"
-)
+import "dimatch/internal/transport"
 
 // Networked-deployment vocabulary: the same data center logic can drive
 // base stations over real TCP connections instead of in-process pipes.
@@ -48,22 +45,4 @@ func NewClusterWithLinks(opts Options, links map[uint32]Link, patternLength int,
 // remote station process.
 func ServeStation(id uint32, locals map[PersonID]Pattern, link Link) error {
 	return ServeStoredStation(id, locals, link, nil)
-}
-
-// ServeRegion runs a region coordinator over an established link until the
-// parent sends a shutdown or the link closes — the body of one middle tier
-// in a hierarchical deployment. The region fronts a whole running cluster:
-// to its parent it is one station-shaped peer that aggregates stats, serves
-// its subtree's union routing digest, forwards ingest, evict and the BF and
-// raw-pattern pulls to its members, and answers whole search rounds with raw
-// partial sums the parent merges, ranks and verifies. It advertises that
-// capability in its stats reply, which the parent reads in its join
-// handshake (NewCluster or AddStation); it refuses a plain station's search
-// frame. Results through any number of tiers are identical to a flat fan-out
-// over the same stations (docs/ROUTING.md).
-//
-// The caller keeps ownership of the sub-cluster: ServeRegion returning does
-// not shut it down.
-func ServeRegion(id uint32, sub *Cluster, link Link) error {
-	return cluster.ServeRegion(id, sub.inner, link)
 }
