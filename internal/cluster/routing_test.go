@@ -696,24 +696,17 @@ func TestIngestFailureInvalidatesSummary(t *testing.T) {
 			if err != nil {
 				return
 			}
-			var reply *wire.Message
+			var reply wire.Message
 			switch msg.Kind {
-			case wire.KindStats:
-				reply = st.handleStats()
-			case wire.KindSummary:
-				reply, err = st.handleSummary()
-			case wire.KindBatchQuery:
-				reply, err = st.handleBatch(msg)
+			case wire.KindStats, wire.KindSummary, wire.KindBatchQuery:
+				reply, err = st.handle(msg)
 			case wire.KindIngest:
 				// Apply for real, then answer with a frame the coordinator
 				// cannot decode as an Ack — the applied-but-unacknowledged
 				// failure.
 				if _, err = st.handleIngest(msg); err == nil {
-					r := wire.StatsMessage()
-					reply = &r
+					reply = wire.StatsMessage()
 				}
-			case wire.KindShutdown:
-				return
 			default:
 				return
 			}

@@ -57,6 +57,42 @@ type Station struct {
 
 	// seq counts the mutations answered since Serve began (StatsReply.Seq).
 	seq uint64
+
+	// round is the search rounds' scratch, reused from one KindBatchQuery
+	// to the next; only the Serve loop touches it.
+	round roundScratch
+}
+
+// roundScratch is what a station reuses across search rounds: the decoded
+// query (its IDs and its filter's arrays, sample positions and keyer), the
+// walk's matchers, reports and pointer arenas, and the reply's grouping
+// index and payload. A warm round allocates only for the walk's worker
+// goroutines, beside the frame its link read. Between rounds it holds at
+// most roundScratchMax bytes: a round that grew it past that drops it once
+// its reply is sent.
+type roundScratch struct {
+	query wire.BatchQuery
+	walk  core.Walk
+	reply wire.ReplyEncoder
+}
+
+// roundScratchMax bounds what a station keeps between rounds. On the
+// largest station of the benchmark's city (3 618 residents) a 1-query round
+// keeps ≈ 8 KiB and a 16-query round ≈ 205 KiB, so both stay warm; a round
+// larger than this pays its own allocations, as every round did before the
+// scratch (TestStationRoundScratchBounded).
+const roundScratchMax = 512 << 10
+
+// bytes returns the capacity the scratch holds.
+func (r *roundScratch) bytes() int {
+	return 4*cap(r.query.Queries) + r.query.Filter.HeapBytes() + r.walk.Bytes() + r.reply.Bytes()
+}
+
+// trim drops the scratch when it holds more than roundScratchMax bytes.
+func (r *roundScratch) trim() {
+	if r.bytes() > roundScratchMax {
+		*r = roundScratch{}
+	}
 }
 
 // NewStation builds a station from its seed patterns and, when st is
@@ -155,35 +191,41 @@ func (s *Station) serveLoop() error {
 			}
 			return fmt.Errorf("station %d: %w", s.id, err)
 		}
-		var reply *wire.Message
-		switch msg.Kind {
-		case wire.KindBatchQuery:
-			reply, err = s.handleBatch(msg)
-		case wire.KindBFQuery:
-			reply, err = s.handleBF(msg)
-		case wire.KindDump:
-			reply, err = s.handleDump(msg)
-		case wire.KindIngest:
-			reply, err = s.handleIngest(msg)
-		case wire.KindEvict:
-			reply, err = s.handleEvict(msg)
-		case wire.KindStats:
-			reply = s.handleStats()
-		case wire.KindSummary:
-			reply, err = s.handleSummary()
-		case wire.KindShutdown:
+		if msg.Kind == wire.KindShutdown {
 			return nil
-		default:
-			err = fmt.Errorf("station %d: unexpected message %v", s.id, msg.Kind)
 		}
+		reply, err := s.handle(msg)
 		if err != nil {
 			return err
 		}
-		if reply != nil {
-			if err := s.link.Send(reply.WithRequest(msg.Request)); err != nil {
-				return fmt.Errorf("station %d: %w", s.id, err)
-			}
+		if err := s.link.Send(reply.WithRequest(msg.Request)); err != nil {
+			return fmt.Errorf("station %d: %w", s.id, err)
 		}
+		// The link keeps no payload once Send returns, so the reply's
+		// buffers are free for the next round.
+		s.round.trim()
+	}
+}
+
+// handle answers one center message other than a shutdown.
+func (s *Station) handle(msg wire.Message) (wire.Message, error) {
+	switch msg.Kind {
+	case wire.KindBatchQuery:
+		return s.handleBatch(msg)
+	case wire.KindBFQuery:
+		return s.handleBF(msg)
+	case wire.KindDump:
+		return s.handleDump(msg)
+	case wire.KindIngest:
+		return s.handleIngest(msg)
+	case wire.KindEvict:
+		return s.handleEvict(msg)
+	case wire.KindStats:
+		return s.handleStats(), nil
+	case wire.KindSummary:
+		return s.handleSummary()
+	default:
+		return wire.Message{}, fmt.Errorf("station %d: unexpected message %v", s.id, msg.Kind)
 	}
 }
 
@@ -191,59 +233,59 @@ func (s *Station) serveLoop() error {
 // round's person bound [From, To) admits: a single walk over that slice of
 // the person-ascending store, fanned across a GOMAXPROCS-bounded worker
 // pool, probes the round's combined filter once per resident and answers
-// every query of the round in one reply.
-func (s *Station) handleBatch(msg wire.Message) (*wire.Message, error) {
-	bq, err := wire.DecodeBatchQuery(msg)
-	if err != nil {
-		return nil, fmt.Errorf("station %d: %w", s.id, err)
+// every query of the round in one reply. The query, the walk and the reply
+// live in the station's round scratch; the reply's payload is valid until
+// the next round.
+func (s *Station) handleBatch(msg wire.Message) (wire.Message, error) {
+	r := &s.round
+	if err := wire.DecodeBatchQueryInto(&r.query, msg); err != nil {
+		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
-	persons, locals := s.residents.Range(bq.From, bq.To)
-	reports, err := core.MatchResidents(bq.Filter, persons, locals, 0)
+	persons, locals := s.residents.Range(r.query.From, r.query.To)
+	reports, err := r.walk.Match(r.query.Filter, persons, locals, 0)
 	if err != nil {
-		return nil, fmt.Errorf("station %d: %w", s.id, err)
+		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
-	reply := wire.EncodeBatchReply(wire.BatchReply{
+	return r.reply.Encode(wire.BatchReply{
 		Station: s.id,
-		Queries: uint32(len(bq.Queries)),
+		Queries: uint32(len(r.query.Queries)),
 		Reports: reports,
-	})
-	return &reply, nil
+	}), nil
 }
 
 // handleBF is the baseline: an all-bits-set pattern is reported by bare ID.
-func (s *Station) handleBF(msg wire.Message) (*wire.Message, error) {
+func (s *Station) handleBF(msg wire.Message) (wire.Message, error) {
 	q, err := wire.DecodeBFQuery(msg)
 	if err != nil {
-		return nil, fmt.Errorf("station %d: %w", s.id, err)
+		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
 	matcher, err := core.NewBFMatcher(q.Filter, q.Params, q.Length)
 	if err != nil {
-		return nil, fmt.Errorf("station %d: %w", s.id, err)
+		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
 	var persons []core.PersonID
 	if s.residents.Length() == q.Length {
 		for i, local := range s.residents.Locals() {
 			ok, err := matcher.Match(local)
 			if err != nil {
-				return nil, fmt.Errorf("station %d: %w", s.id, err)
+				return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 			}
 			if ok {
 				persons = append(persons, s.residents.Persons()[i])
 			}
 		}
 	}
-	reply := wire.EncodeBFMatches(wire.BFMatches{Station: s.id, Persons: persons})
-	return &reply, nil
+	return wire.EncodeBFMatches(wire.BFMatches{Station: s.id, Persons: persons}), nil
 }
 
 // handleDump ships the raw local patterns of the requested persons — or the
 // whole store when the filter is empty: the naive strategy's shipment, the
 // verification phase's candidate fetch, the re-replication pull. Persons the
 // station does not hold are simply absent from the reply.
-func (s *Station) handleDump(msg wire.Message) (*wire.Message, error) {
+func (s *Station) handleDump(msg wire.Message) (wire.Message, error) {
 	req, err := wire.DecodeDump(msg)
 	if err != nil {
-		return nil, fmt.Errorf("station %d: %w", s.id, err)
+		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
 	persons := s.residents.Persons()
 	locals := s.residents.Locals()
@@ -268,9 +310,9 @@ func (s *Station) handleDump(msg wire.Message) (*wire.Message, error) {
 		Locals:  locals,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("station %d: %w", s.id, err)
+		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
-	return &reply, nil
+	return reply, nil
 }
 
 // handleIngest inserts or replaces resident patterns — the station absorbing
@@ -282,10 +324,10 @@ func (s *Station) handleDump(msg wire.Message) (*wire.Message, error) {
 // crash the store covers. When every received row applied, the batch carries
 // the received payload, which the WAL logs as is; otherwise it carries only
 // the applied rows.
-func (s *Station) handleIngest(msg wire.Message) (*wire.Message, error) {
+func (s *Station) handleIngest(msg wire.Message) (wire.Message, error) {
 	in, err := wire.DecodeIngest(msg)
 	if err != nil {
-		return nil, fmt.Errorf("station %d: %w", s.id, err)
+		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
 	// The decoded rows are this call's own. A batch landing after every
 	// resident becomes the store's as it is.
@@ -313,12 +355,12 @@ func (s *Station) handleIngest(msg wire.Message) (*wire.Message, error) {
 // delete, so an evict needs the rebuild as much as an ingest), and a durable
 // station persists the batch before the reply exists. The reply is the
 // station's stats after the mutation.
-func (s *Station) ackApplied(applied store.Batch) (*wire.Message, error) {
+func (s *Station) ackApplied(applied store.Batch) (wire.Message, error) {
 	if len(applied.Persons) > 0 {
 		s.summary = nil
 		if s.durable != nil {
 			if err := s.persist(applied); err != nil {
-				return nil, err
+				return wire.Message{}, err
 			}
 		}
 	}
@@ -342,10 +384,10 @@ func (s *Station) persist(b store.Batch) error {
 
 // handleEvict removes residents — expired data, opted-out subscribers, or a
 // person handed off to another station. Unknown persons are ignored.
-func (s *Station) handleEvict(msg wire.Message) (*wire.Message, error) {
+func (s *Station) handleEvict(msg wire.Message) (wire.Message, error) {
 	ev, err := wire.DecodeEvict(msg)
 	if err != nil {
-		return nil, fmt.Errorf("station %d: %w", s.id, err)
+		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
 	applied := store.Batch{Op: store.OpEvict}
 	for _, p := range ev.Persons {
@@ -358,9 +400,8 @@ func (s *Station) handleEvict(msg wire.Message) (*wire.Message, error) {
 
 // handleStats reports the station's figures (stats). It also answers every
 // mutation, so the center's figures never need a stats exchange of their own.
-func (s *Station) handleStats() *wire.Message {
-	reply := wire.EncodeStatsReply(s.stats())
-	return &reply
+func (s *Station) handleStats() wire.Message {
+	return wire.EncodeStatsReply(s.stats())
 }
 
 // stats is the station's resident count, storage footprint and mutation
@@ -380,12 +421,11 @@ func (s *Station) stats() wire.StatsReply {
 // digest of every resident's accumulated cells at the sampled positions
 // (see internal/index). The digest is memoized until the next ingest or
 // evict, so steady-state refreshes cost one encode, not one store walk.
-func (s *Station) handleSummary() (*wire.Message, error) {
+func (s *Station) handleSummary() (wire.Message, error) {
 	if err := s.ensureSummary(); err != nil {
-		return nil, err
+		return wire.Message{}, err
 	}
-	reply := encodeSummary(s.summary, s.id)
-	return &reply, nil
+	return encodeSummary(s.summary, s.id), nil
 }
 
 // ensureSummary (re)builds the memoized routing digest when a mutation

@@ -52,6 +52,9 @@ type wbfSearch struct {
 	// lo is the smallest person any report carried, once seen is set.
 	lo   core.PersonID
 	seen bool
+	// reply is every station reply's decode destination in turn: its reports
+	// are folded into agg before the next reply is decoded.
+	reply wire.BatchReply
 }
 
 // note records one reported person for the prefix bound's lo.
@@ -321,11 +324,10 @@ func (c *Cluster) sendRound(ctx context.Context, ep *epoch, s *wbfSearch, r wbfR
 	}
 	failed, err := c.fanOut(ctx, ep, batchMsg, &s.out.Cost, func(reply wire.Message) error {
 		s.reportBytes += uint64(reply.EncodedSize())
-		br, err := decodeRoundReply(reply, len(r.ids))
-		if err != nil {
+		if err := decodeRoundReply(&s.reply, reply, len(r.ids)); err != nil {
 			return err
 		}
-		for _, rep := range br.Reports {
+		for _, rep := range s.reply.Reports {
 			s.out.Cost.ReportsReceived++
 			s.note(rep.Person)
 			if err := s.agg.AddFrom(r.filter.Weights(), rep); err != nil {
@@ -341,14 +343,15 @@ func (c *Cluster) sendRound(ctx context.Context, ep *epoch, s *wbfSearch, r wbfR
 }
 
 // decodeRoundReply decodes one station's answer to a round of the given
-// number of queries, refusing one whose echo names another count: the peer
-// matched a different batch, and its pointers index another weight table.
-func decodeRoundReply(reply wire.Message, queries int) (wire.BatchReply, error) {
-	br, err := wire.DecodeBatchReply(reply)
+// number of queries into br, refusing one whose echo names another count:
+// the peer matched a different batch, and its pointers index another weight
+// table.
+func decodeRoundReply(br *wire.BatchReply, reply wire.Message, queries int) error {
+	err := wire.DecodeBatchReplyInto(br, reply)
 	if err == nil && int(br.Queries) != queries {
 		err = fmt.Errorf("cluster: station %d answered %d queries, round has %d: %w", br.Station, br.Queries, queries, wire.ErrBatchMismatch)
 	}
-	return br, err
+	return err
 }
 
 // verifyWBF runs the verification phase: pull every ranked candidate's

@@ -62,9 +62,10 @@ func TestNoallocFilterprobe(t *testing.T) {
 	}
 }
 
-// TestNoallocAggregatorAddFrom: crediting a person the aggregation already
-// holds allocates nothing, replicated or summed — the per-query minima of a
-// report live in a stack array, not a map per report.
+// TestNoallocAggregatorAddFrom: crediting a person allocates nothing per
+// report, replicated or summed — the per-query minima of a report live in a
+// stack array, and its entries are appended to one flat slice whose
+// doublings, spread over the 100 reports, round to 0 per report.
 func TestNoallocAggregatorAddFrom(t *testing.T) {
 	table := buildPaperFilter(t, testParams()).Weights()
 	r := Report{Person: 7, WeightIDs: []WeightID{0, 1, 2}}

@@ -28,7 +28,14 @@ type Matcher struct {
 
 // NewMatcher returns a matcher probing the given filter.
 func NewMatcher(f *Filter) *Matcher {
-	return &Matcher{filter: f, sampleIdx: f.sampleIdx}
+	m := new(Matcher)
+	m.reset(f)
+	return m
+}
+
+// reset points m at another filter, keeping its grown scratch.
+func (m *Matcher) reset(f *Filter) {
+	m.filter, m.sampleIdx = f, f.sampleIdx
 }
 
 // sampledAccumulate computes the accumulated (prefix-sum) values of p at the

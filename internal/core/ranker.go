@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // PersonID identifies an object (mobile phone) across the whole network.
@@ -49,29 +49,40 @@ func (r Result) Score() float64 {
 // (AddFrom). The accumulation merges
 // cleanly because a weight's meaning — this combination's share of this
 // query's global sum — does not depend on which filter carried it.
+//
+// Credits are kept flat: AddFrom appends one (query, person, numerator)
+// entry per query a report credits, and the first ranking after it sorts
+// the entries by query and person and folds each pair's run into one entry,
+// so the cost is a sort of the reports, not a map insertion per report.
 type Aggregator struct {
-	// perQuery[q][person] accumulates the weight numerator and the station
-	// count for one person under query q.
-	perQuery map[QueryID]map[PersonID]*personAgg
-	denoms   map[QueryID]int64
+	// cands[:folded] hold one entry per (query, person), ascending; the rest
+	// are AddFrom's appends since the last fold.
+	cands  []candidate
+	folded int
+	denoms map[QueryID]int64
+	// lastQ and lastD are the last denominator written, to skip rewriting it
+	// for every pointer of a run of reports on one query.
+	lastQ QueryID
+	lastD int64
 	// replicated, when set, marks persons whose stations hold full copies of
 	// one pattern rather than complementary pieces; see SetReplicated.
 	replicated func(PersonID) bool
 }
 
-type personAgg struct {
+// candidate is one person's credit under one query: a report's (stations 1)
+// or, folded, the sum of its reports'.
+type candidate struct {
+	query     QueryID
+	stations  int32
+	person    PersonID
 	numerator int64
-	stations  int
 }
 
 // NewBatchAggregator returns an empty aggregator. It holds no weight table:
 // every report is resolved explicitly with AddFrom, so one aggregation can
 // merge reports that probed different filters.
 func NewBatchAggregator() *Aggregator {
-	return &Aggregator{
-		perQuery: make(map[QueryID]map[PersonID]*personAgg),
-		denoms:   make(map[QueryID]int64),
-	}
+	return &Aggregator{denoms: make(map[QueryID]int64)}
 }
 
 // SetReplicated marks which persons are replicated: their stations hold full
@@ -85,7 +96,9 @@ func NewBatchAggregator() *Aggregator {
 // carried), not the replicas that answered: a routed search visits one
 // replica per group, a full fan-out every replica, and the two must rank
 // identical Results. A nil predicate (the default) restores the pure
-// summation model.
+// summation model. The predicate is asked when a ranking folds a person
+// reported more than once, so it must answer the same for a person
+// throughout the aggregation.
 func (a *Aggregator) SetReplicated(pred func(PersonID) bool) {
 	a.replicated = pred
 }
@@ -114,76 +127,135 @@ func (a *Aggregator) AddFrom(table []WeightEntry, r Report) error {
 		}
 		// Denominators are per query, not per filter — every table that
 		// mentions a query agrees on its global sum.
-		a.denoms[w.Query] = w.Denominator
+		if len(a.denoms) == 0 || w.Query != a.lastQ || w.Denominator != a.lastD {
+			a.denoms[w.Query], a.lastQ, a.lastD = w.Denominator, w.Query, w.Denominator
+		}
 	}
-	dedup := a.replicated != nil && a.replicated(r.Person)
 	for _, m := range minPerQuery {
-		persons := a.perQuery[m.Query]
-		if persons == nil {
-			persons = make(map[PersonID]*personAgg)
-			a.perQuery[m.Query] = persons
-		}
-		agg := persons[r.Person]
-		if agg == nil {
-			agg = &personAgg{}
-			persons[r.Person] = agg
-		}
-		if dedup {
-			// Replicas report the same underlying pattern: the highest score
-			// wins, duplicates are not summed (which would push a true match
-			// past 1 and delete it under Algorithm 3).
-			agg.numerator = max(agg.numerator, m.Numerator)
-			agg.stations = max(agg.stations, 1)
-		} else {
-			agg.numerator += m.Numerator
-			agg.stations++
-		}
+		a.cands = append(a.cands, candidate{query: m.Query, stations: 1, person: r.Person, numerator: m.Numerator})
 	}
 	return nil
+}
+
+// fold sorts the entries appended since the last fold in with the folded
+// ones and merges every (query, person) run into its first entry. Replicas
+// report the same underlying pattern, so a replicated person's highest
+// numerator wins and its station count is one copy's; summing them would
+// push a true match past 1 and delete it under Algorithm 3.
+func (a *Aggregator) fold() {
+	if a.folded == len(a.cands) {
+		return
+	}
+	c := a.cands
+	slices.SortFunc(c, func(x, y candidate) int {
+		if x.query != y.query {
+			return cmp.Compare(x.query, y.query)
+		}
+		return cmp.Compare(x.person, y.person)
+	})
+	out := 0
+	for i := 0; i < len(c); {
+		acc, j := c[i], i+1
+		if j < len(c) && c[j].query == acc.query && c[j].person == acc.person {
+			dedup := a.replicated != nil && a.replicated(acc.person)
+			for ; j < len(c) && c[j].query == acc.query && c[j].person == acc.person; j++ {
+				if dedup {
+					acc.numerator, acc.stations = max(acc.numerator, c[j].numerator), max(acc.stations, c[j].stations)
+				} else {
+					acc.numerator, acc.stations = acc.numerator+c[j].numerator, acc.stations+c[j].stations
+				}
+			}
+		}
+		c[out] = acc
+		out++
+		i = j
+	}
+	a.cands, a.folded = c[:out], out
+}
+
+// run returns query q's folded entries, person ascending.
+func (a *Aggregator) run(q QueryID) []candidate {
+	a.fold()
+	lo, _ := slices.BinarySearchFunc(a.cands, q, func(c candidate, q QueryID) int { return cmp.Compare(c.query, q) })
+	hi := lo
+	for hi < len(a.cands) && a.cands[hi].query == q {
+		hi++
+	}
+	return a.cands[lo:hi]
+}
+
+// result is c as a Result of a query with denominator denom.
+func (c candidate) result(denom int64) Result {
+	return Result{Person: c.person, Numerator: c.numerator, Denominator: denom, Stations: int(c.stations)}
+}
+
+// ranksAbove is TopK's order: weight descending, person ascending on ties.
+func ranksAbove(x, y Result) bool {
+	return x.Numerator > y.Numerator || x.Numerator == y.Numerator && x.Person < y.Person
 }
 
 // TopK finalizes one query with the paper's strict Algorithm 3: persons
 // with weight sum exceeding the denominator are deleted, the rest are
 // ranked by weight descending (person ID ascending on ties, for
-// determinism) and the first k returned. k <= 0 means no limit.
+// determinism) and the first k returned. k <= 0 means no limit. A bounded
+// heap keeps the k best, so only they are sorted.
 func (a *Aggregator) TopK(q QueryID, k int) []Result {
-	results := a.Results(q)
-	kept := results[:0]
-	for _, r := range results {
-		if r.Numerator > r.Denominator {
+	run, denom := a.run(q), a.denoms[q]
+	if k <= 0 || k > len(run) {
+		k = len(run)
+	}
+	// heap is a min-heap under ranksAbove: heap[0] is the worst kept.
+	heap := make([]Result, 0, k)
+	for _, c := range run {
+		if c.numerator > denom {
 			continue // Algorithm 3 line 3: over-matched, aggregate differs
 		}
-		kept = append(kept, r)
-	}
-	results = kept
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Numerator != results[j].Numerator {
-			return results[i].Numerator > results[j].Numerator
+		r := c.result(denom)
+		switch {
+		case len(heap) < k:
+			heap = append(heap, r)
+			for i := len(heap) - 1; i > 0 && ranksAbove(heap[(i-1)/2], heap[i]); i = (i - 1) / 2 {
+				heap[i], heap[(i-1)/2] = heap[(i-1)/2], heap[i]
+			}
+		case ranksAbove(r, heap[0]):
+			heap[0] = r
+			for i := 0; ; {
+				least := i
+				for _, ch := range [2]int{2*i + 1, 2*i + 2} {
+					if ch < len(heap) && ranksAbove(heap[least], heap[ch]) {
+						least = ch
+					}
+				}
+				if least == i {
+					break
+				}
+				heap[i], heap[least] = heap[least], heap[i]
+				i = least
+			}
 		}
-		return results[i].Person < results[j].Person
-	})
-	if k > 0 && len(results) > k {
-		results = results[:k]
 	}
-	return results
+	slices.SortFunc(heap, func(x, y Result) int {
+		switch {
+		case ranksAbove(x, y):
+			return -1
+		case ranksAbove(y, x):
+			return 1
+		}
+		return 0
+	})
+	return heap
 }
 
-// Results returns every accumulated candidate for a query, unordered and
-// unfiltered — including persons whose weight sum exceeds 1. Callers that
-// tolerate ε-induced attribution error (a piece crediting the neighbouring
-// combination) can band-filter around 1 instead of applying the strict
-// deletion.
+// Results returns every accumulated candidate for a query, unfiltered —
+// including persons whose weight sum exceeds 1 — person ascending. Callers
+// that tolerate ε-induced attribution error (a piece crediting the
+// neighbouring combination) can band-filter around 1 instead of applying
+// the strict deletion.
 func (a *Aggregator) Results(q QueryID) []Result {
-	denom := a.denoms[q]
-	persons := a.perQuery[q]
-	results := make([]Result, 0, len(persons))
-	for p, agg := range persons {
-		results = append(results, Result{
-			Person:      p,
-			Numerator:   agg.numerator,
-			Denominator: denom,
-			Stations:    agg.stations,
-		})
+	run, denom := a.run(q), a.denoms[q]
+	results := make([]Result, len(run))
+	for i, c := range run {
+		results[i] = c.result(denom)
 	}
 	return results
 }
@@ -191,10 +263,12 @@ func (a *Aggregator) Results(q QueryID) []Result {
 // Queries returns the query IDs that received at least one report, in
 // ascending order.
 func (a *Aggregator) Queries() []QueryID {
-	out := make([]QueryID, 0, len(a.perQuery))
-	for q := range a.perQuery {
-		out = append(out, q)
+	a.fold()
+	var out []QueryID
+	for _, c := range a.cands {
+		if len(out) == 0 || out[len(out)-1] != c.query {
+			out = append(out, c.query)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"dimatch/internal/pattern"
@@ -148,56 +149,6 @@ func TestTopKTieBreakByPerson(t *testing.T) {
 	}
 	if top3 := a.TopK(1, 3); len(top3) != 3 || top3[2].Person != 60 || top3[2].Numerator != top3[2].Denominator {
 		t.Fatalf("TopK(3) = %+v, want persons 10, 40, 60 at 12/12", top3)
-	}
-}
-
-// BenchmarkAggregateRank is the coordinator's merge of one query at the
-// city_fanout shape: 64 station replies, each a few person-ascending runs
-// sharing one pointer list, folded in with AddFrom and ranked with TopK(10).
-// 5 200 reports is a full-range search, 800 a prefix round's share.
-func BenchmarkAggregateRank(b *testing.B) {
-	enc, err := NewEncoder(testParams(), 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := enc.AddQuery(Query{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}, {2, 2, 2}, {4, 0, 1}, {0, 3, 3}}}); err != nil {
-		b.Fatal(err)
-	}
-	table := enc.Filter().Weights()
-	for _, n := range []int{5200, 800} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		var replies [][]Report
-		for s := 0; s < 64; s++ {
-			var reply []Report
-			for run := 0; run < 3; run++ {
-				ids := []WeightID{WeightID(rng.Intn(len(table)))}
-				persons := make([]PersonID, n/64/3)
-				for i := range persons {
-					persons[i] = PersonID(rng.Intn(20_000 * n / 5200))
-				}
-				slices.Sort(persons)
-				for _, p := range persons {
-					reply = append(reply, Report{Person: p, WeightIDs: ids})
-				}
-			}
-			replies = append(replies, reply)
-		}
-		b.Run(fmt.Sprintf("reports=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a := NewBatchAggregator()
-				for _, reply := range replies {
-					for _, r := range reply {
-						if err := a.AddFrom(table, r); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				if len(a.TopK(1, 10)) == 0 {
-					b.Fatal("nothing ranked")
-				}
-			}
-		})
 	}
 }
 
@@ -386,5 +337,134 @@ func TestAggregatorReplicaDedupHighestWins(t *testing.T) {
 	res := a.TopK(1, 10)
 	if len(res) != 1 || res[0].Score() != 1.0 || res[0].Stations != 1 {
 		t.Fatalf("result = %+v, want score 1 from one copy", res)
+	}
+}
+
+// mapAggregator is Algorithm 3's aggregation as a map per query of a running
+// sum per person, updated report by report: the model the flat aggregator
+// is held to.
+type mapAggregator struct {
+	sums       map[QueryID]map[PersonID]*Result
+	denoms     map[QueryID]int64
+	replicated func(PersonID) bool
+}
+
+func (m *mapAggregator) add(table []WeightEntry, r Report) error {
+	least := make(map[QueryID]WeightEntry)
+	for _, id := range r.WeightIDs {
+		if int(id) >= len(table) {
+			return fmt.Errorf("dangling %d", id)
+		}
+		w := table[id]
+		if l, ok := least[w.Query]; !ok || w.Numerator < l.Numerator {
+			least[w.Query] = w
+		}
+		m.denoms[w.Query] = w.Denominator
+	}
+	for q, w := range least {
+		if m.sums[q] == nil {
+			m.sums[q] = make(map[PersonID]*Result)
+		}
+		sum := m.sums[q][r.Person]
+		if sum == nil {
+			sum = &Result{Person: r.Person}
+			m.sums[q][r.Person] = sum
+		}
+		if m.replicated != nil && m.replicated(r.Person) {
+			sum.Numerator, sum.Stations = max(sum.Numerator, w.Numerator), 1
+		} else {
+			sum.Numerator, sum.Stations = sum.Numerator+w.Numerator, sum.Stations+1
+		}
+	}
+	return nil
+}
+
+// results lists q's sums person ascending.
+func (m *mapAggregator) results(q QueryID) []Result {
+	out := []Result{}
+	for _, r := range m.sums[q] {
+		out = append(out, Result{Person: r.Person, Numerator: r.Numerator, Denominator: m.denoms[q], Stations: r.Stations})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Person < out[j].Person })
+	return out
+}
+
+// topK deletes sums above the denominator, sorts the rest and keeps k.
+func (m *mapAggregator) topK(q QueryID, k int) []Result {
+	kept := []Result{}
+	for _, r := range m.results(q) {
+		if r.Numerator <= r.Denominator {
+			kept = append(kept, r)
+		}
+	}
+	sort.Slice(kept, func(i, j int) bool {
+		if kept[i].Numerator != kept[j].Numerator {
+			return kept[i].Numerator > kept[j].Numerator
+		}
+		return kept[i].Person < kept[j].Person
+	})
+	if k > 0 && len(kept) > k {
+		kept = kept[:k]
+	}
+	return kept
+}
+
+// TestAggregatorMatchesMapModel holds the flat aggregator to the map model
+// over random rounds: several weight tables of one set of queries, reports
+// of one to three pointers (a dangling one now and then), persons reported
+// by many stations, summed or replicated, and rankings between the rounds,
+// so a ranking folds reports into entries an earlier ranking folded.
+// Results, TopK at every k and Queries agree after every round.
+func TestAggregatorMatchesMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		queries := 1 + rng.Intn(5)
+		denoms := make([]int64, queries)
+		for q := range denoms {
+			denoms[q] = 10 + rng.Int63n(30)
+		}
+		var pred func(PersonID) bool
+		if seed%2 == 0 {
+			pred = func(p PersonID) bool { return p%3 == 0 }
+		}
+		a := NewBatchAggregator()
+		a.SetReplicated(pred)
+		model := &mapAggregator{sums: make(map[QueryID]map[PersonID]*Result), denoms: make(map[QueryID]int64), replicated: pred}
+		for round := 0; round < 4; round++ {
+			table := make([]WeightEntry, 1+rng.Intn(12))
+			for i := range table {
+				q := rng.Intn(queries)
+				table[i] = WeightEntry{Query: QueryID(q + 1), Numerator: 1 + rng.Int63n(denoms[q]), Denominator: denoms[q]}
+			}
+			for range rng.Intn(300) {
+				ids := make([]WeightID, 1+rng.Intn(3))
+				for i := range ids {
+					ids[i] = WeightID(rng.Intn(len(table) + len(table)/8))
+				}
+				slices.Sort(ids)
+				r := Report{Person: PersonID(rng.Intn(60)), WeightIDs: slices.Compact(ids)}
+				if err, want := a.AddFrom(table, r), model.add(table, r); (err == nil) != (want == nil) {
+					t.Fatalf("seed %d: AddFrom(%v) = %v, model %v", seed, r, err, want)
+				}
+			}
+			var want []QueryID
+			for q := range model.sums {
+				want = append(want, q)
+			}
+			slices.Sort(want)
+			if got := a.Queries(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d round %d: Queries %v, model %v", seed, round, got, want)
+			}
+			for q := QueryID(1); q <= QueryID(queries); q++ {
+				if got, want := a.Results(q), model.results(q); !slices.Equal(got, want) {
+					t.Fatalf("seed %d round %d query %d: Results\n%v\nmodel\n%v", seed, round, q, got, want)
+				}
+				for _, k := range []int{0, 1, 3, 7, 100} {
+					if got, want := a.TopK(q, k), model.topK(q, k); !slices.Equal(got, want) {
+						t.Fatalf("seed %d round %d query %d: TopK(%d)\n%v\nmodel\n%v", seed, round, q, k, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -83,6 +83,7 @@ func RiceParam(m, set uint64) uint {
 // is shared by the WBF and the BF baseline so both hash identically.
 type keyer struct {
 	salted bool
+	seed   uint64 // the salts' seed, when salted
 	salts  []uint64
 }
 
@@ -91,11 +92,16 @@ func newKeyer(p Params, slots int) keyer {
 	if !k.salted {
 		return k
 	}
-	k.salts = make([]uint64, slots)
+	k.seed, k.salts = p.Seed, make([]uint64, slots)
 	for i := range k.salts {
 		k.salts[i] = hash.Mix64(p.Seed ^ (uint64(i+1) * 0x8f3c9d1b5a7e42d1))
 	}
 	return k
+}
+
+// serves reports whether k is the keyer newKeyer(p, slots) would build.
+func (k keyer) serves(p Params, slots int) bool {
+	return k.salted == p.PositionSalted && (!k.salted || k.seed == p.Seed && len(k.salts) == slots)
 }
 
 // key returns the hashed element for a value observed at a sample slot.
@@ -121,24 +127,38 @@ func (k keyer) space(slot int) int {
 // newFilter returns a filter with its pipeline state set and no bits yet;
 // seal or FromParts fills in the arrays.
 func newFilter(p Params, length int) (*Filter, error) {
+	f := new(Filter)
+	if err := f.reset(p, length); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// reset sets f's pipeline state for params p and the given length. The
+// sample positions depend on the length and the sample count alone, and the
+// keyer on the seed, the salting and the slot count, so a filter refilled
+// for a repeat of either keeps what it already holds.
+func (f *Filter) reset(p Params, length int) error {
 	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if length <= 0 {
-		return nil, fmt.Errorf("core: filter pattern length %d, want > 0", length)
+		return fmt.Errorf("core: filter pattern length %d, want > 0", length)
 	}
-	idx, err := pattern.SampleIndexes(length, p.Samples)
-	if err != nil {
-		return nil, err
+	if f.sampleIdx == nil || length != f.length || p.Samples != f.params.Samples {
+		idx, err := pattern.SampleIndexes(length, p.Samples)
+		if err != nil {
+			return err
+		}
+		f.sampleIdx = idx
 	}
-	return &Filter{
-		params:    p,
-		length:    length,
-		sampleIdx: idx,
-		family:    hash.NewFamily(p.Seed, p.Hashes, p.Bits),
-		keys:      newKeyer(p, len(idx)),
-	}, nil
+	if !f.keys.serves(p, len(f.sampleIdx)) {
+		f.keys = newKeyer(p, len(f.sampleIdx))
+	}
+	f.params, f.length = p, length
+	f.family = hash.NewFamily(p.Seed, p.Hashes, p.Bits)
+	return nil
 }
 
 // seal builds the arrays from the encoder's (bit<<32 | weight) pairs. Sorted,
@@ -178,7 +198,8 @@ func (f *Filter) seal(pairs []uint64) {
 // pos[dir[b]:dir[b+1]]. The positions must ascend below Bits.
 func (f *Filter) buildDir() {
 	f.shift = RiceParam(f.params.Bits, uint64(len(f.pos)))
-	f.dir = make([]uint32, (f.params.Bits-1)>>f.shift+2)
+	f.dir = resize(f.dir, int((f.params.Bits-1)>>f.shift+2))
+	clear(f.dir)
 	for _, p := range f.pos {
 		f.dir[p>>f.shift+1]++
 	}
@@ -309,49 +330,83 @@ func (f *Filter) SizeBytes() uint64 {
 	return size
 }
 
+// HeapBytes returns the capacity of f's arrays in bytes, 0 for a nil f: what
+// a filter refilled through SetParts keeps from one frame to the next.
+func (f *Filter) HeapBytes() int {
+	if f == nil {
+		return 0
+	}
+	const entry = 24 // a WeightEntry's size
+	return 4*(cap(f.pos)+cap(f.dir)+cap(f.codes)+cap(f.offs)+cap(f.ids)) +
+		entry*cap(f.weights) + 8*(cap(f.sampleIdx)+cap(f.keys.salts))
+}
+
 // FromParts reconstructs a Filter from its serialized arrays, which it keeps
-// (no copy), validating all that probing relies on: the positions ascend
-// strictly below Bits, every set bit has a code naming a list, and every list
-// is non-empty, strictly ascending and within the weight table.
+// (no copy); SetParts validates them.
 func FromParts(p Params, length int, positions []uint32, weights []WeightEntry, offs []uint32, ids []WeightID, codes []uint32, inserted uint64) (*Filter, error) {
-	f, err := newFilter(p, length)
-	if err != nil {
+	f := new(Filter)
+	if err := f.SetParts(p, length, positions, weights, offs, ids, codes, inserted); err != nil {
 		return nil, err
 	}
+	return f, nil
+}
+
+// SetParts makes f the filter of the given serialized arrays, which it keeps
+// (no copy), validating all that probing relies on: the positions ascend
+// strictly below Bits, every set bit has a code naming a list, and every list
+// is non-empty, strictly ascending and within the weight table. It keeps f's
+// sample positions, keyer and directory where the new filter can use them
+// (reset), so a decoder refilling one filter per frame — handing back the
+// arrays Positions, Lists and Weights returned, overwritten — allocates
+// nothing once they have grown. After an error f must not be probed until a
+// SetParts succeeds.
+func (f *Filter) SetParts(p Params, length int, positions []uint32, weights []WeightEntry, offs []uint32, ids []WeightID, codes []uint32, inserted uint64) error {
+	if err := f.reset(p, length); err != nil {
+		return err
+	}
 	if len(positions) != len(codes) {
-		return nil, fmt.Errorf("core: %d set bits but %d list codes", len(positions), len(codes))
+		return fmt.Errorf("core: %d set bits but %d list codes", len(positions), len(codes))
 	}
 	for i, pos := range positions {
 		if i > 0 && positions[i-1] >= pos {
-			return nil, fmt.Errorf("core: set bit %d does not ascend past %d", pos, positions[i-1])
+			return fmt.Errorf("core: set bit %d does not ascend past %d", pos, positions[i-1])
 		}
 	}
 	if n := len(positions); n > 0 && uint64(positions[n-1]) >= p.Bits {
-		return nil, fmt.Errorf("core: bits set beyond length %d", p.Bits)
+		return fmt.Errorf("core: bits set beyond length %d", p.Bits)
 	}
-	f.pos, f.weights, f.offs, f.ids, f.codes, f.inserted = positions, weights, offs, ids, codes, inserted
+	f.pos, f.weights, f.offs, f.ids, f.codes, f.inserted, f.distinct = positions, weights, offs, ids, codes, inserted, 0
 	if len(offs) == 0 || offs[0] != 0 || int(offs[len(offs)-1]) != len(ids) {
-		return nil, fmt.Errorf("core: dictionary offsets do not span its %d pointers", len(ids))
+		return fmt.Errorf("core: dictionary offsets do not span its %d pointers", len(ids))
 	}
 	for d := 0; d+1 < len(offs); d++ {
 		if offs[d] >= offs[d+1] || int(offs[d+1]) > len(ids) {
-			return nil, fmt.Errorf("core: pointer list %d is empty or overruns the dictionary", d)
+			return fmt.Errorf("core: pointer list %d is empty or overruns the dictionary", d)
 		}
 		list := ids[offs[d]:offs[d+1]]
 		for j, id := range list {
 			if int(id) >= len(weights) {
-				return nil, fmt.Errorf("core: dangling weight pointer %d in list %d", id, d)
+				return fmt.Errorf("core: dangling weight pointer %d in list %d", id, d)
 			}
 			if j > 0 && list[j-1] >= id {
-				return nil, fmt.Errorf("core: unsorted pointer list %d", d)
+				return fmt.Errorf("core: unsorted pointer list %d", d)
 			}
 		}
 	}
 	for _, code := range codes {
 		if int(code) >= len(offs)-1 {
-			return nil, fmt.Errorf("core: list code %d but %d dictionary lists", code, len(offs)-1)
+			return fmt.Errorf("core: list code %d but %d dictionary lists", code, len(offs)-1)
 		}
 	}
 	f.buildDir() // sized by the set bits: a forged Bits cannot inflate it
-	return f, nil
+	return nil
+}
+
+// resize returns s at length n, in s's own array when it has the capacity.
+// The elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }

@@ -25,7 +25,7 @@ func statsStation(link Link) {
 }
 
 // tcpPair returns the two ends of a loopback TCP link.
-func tcpPair(b *testing.B) (center, station Link) {
+func tcpPair(b testing.TB) (center, station Link) {
 	b.Helper()
 	ln, err := Listen("127.0.0.1:0", nil, nil)
 	if err != nil {
@@ -62,9 +62,9 @@ func BenchmarkMuxRoundtrip(b *testing.B) {
 	}{{"point", 370}, {"bulk", 2 << 20}}
 	links := []struct {
 		name string
-		pair func(*testing.B) (Link, Link)
+		pair func(testing.TB) (Link, Link)
 	}{
-		{"pipe", func(*testing.B) (Link, Link) { return Pipe(nil, nil) }},
+		{"pipe", func(testing.TB) (Link, Link) { return Pipe(nil, nil) }},
 		{"tcp", tcpPair},
 	}
 	for _, l := range links {

@@ -23,6 +23,10 @@ var ErrClosed = errors.New("transport: link closed")
 // Link is one end of a bidirectional, ordered message pipe.
 type Link interface {
 	// Send transmits one message. It is safe for one goroutine at a time.
+	// A link never keeps m.Payload after Send returns — the pipe renders the
+	// frame into a buffer of its own, TCP has written it — so a sender may
+	// reuse the payload's buffer at once: a station renders every search
+	// round's reply into one (TestSendDoesNotRetainPayload).
 	Send(m wire.Message) error
 	// Recv blocks until a message arrives or the link closes.
 	Recv() (wire.Message, error)

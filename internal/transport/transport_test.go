@@ -220,6 +220,54 @@ func TestTCPRecvAfterPeerClose(t *testing.T) {
 	server.Close()
 }
 
+// TestSendDoesNotRetainPayload pins Link.Send's contract: once Send returns,
+// the sender may overwrite the payload — a station renders every round's
+// reply into one buffer — and the peer still reads the bytes that were
+// sent. Eight frames go out through one buffer, overwritten after each Send,
+// before the peer reads any.
+func TestSendDoesNotRetainPayload(t *testing.T) {
+	for _, link := range []struct {
+		name string
+		pair func(testing.TB) (Link, Link)
+	}{
+		{"pipe", func(testing.TB) (Link, Link) { return Pipe(nil, nil) }},
+		{"tcp", tcpPair},
+	} {
+		t.Run(link.name, func(t *testing.T) {
+			a, b := link.pair(t)
+			defer a.Close()
+			defer b.Close()
+			const frames = 8
+			buf := make([]byte, 1<<10)
+			for i := 0; i < frames; i++ {
+				for j := range buf {
+					buf[j] = byte(i + j)
+				}
+				if err := a.Send(wire.Message{Kind: wire.KindBatchReply, Request: uint32(i), Payload: buf}); err != nil {
+					t.Fatal(err)
+				}
+				for j := range buf {
+					buf[j] = 0xff
+				}
+			}
+			for i := 0; i < frames; i++ {
+				m, err := b.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.Request != uint32(i) || len(m.Payload) != len(buf) {
+					t.Fatalf("frame %d: request %d, %d B", i, m.Request, len(m.Payload))
+				}
+				for j, c := range m.Payload {
+					if c != byte(i+j) {
+						t.Fatalf("frame %d byte %d reads %#x, sent %#x: the link kept the payload past Send", i, j, c, byte(i+j))
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestDialFailure(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1", nil, nil); err == nil {
 		t.Fatal("expected connection failure")

@@ -1,8 +1,9 @@
 // AllocsPerRun pins: Message.AppendFrame (the hot-path frame renderer behind
 // every pooled send), held to 0 allocs/op; DecodeBatchQuery (every visited
 // station, every round), held to a ceiling that does not grow with the
-// filter; the batch-reply codec, held to ceilings that do not grow with
-// the report count; and EncodeSummaryReply, held to its one payload
+// filter on a fresh destination and to 0 on a warm one; the batch-reply
+// codec, held to ceilings that do not grow with the report count, and to 0
+// on a warm encoder; and EncodeSummaryReply, held to its one payload
 // allocation.
 package wire
 
@@ -24,11 +25,24 @@ func TestNoallocMessageAppendFrame(t *testing.T) {
 	}
 }
 
-// TestAllocsDecodeBatchQuery is a ceiling, not a zero: a decoded filter is a
-// fixed handful of arrays however many bits it sets (the point shape sets
-// 324), where a pointer list per set bit cost two allocations each.
+// TestAllocsDecodeBatchQuery is a ceiling, not a zero, on a fresh
+// destination: a decoded filter is a fixed handful of arrays however many
+// bits it sets (the point shape sets 324), where a pointer list per set bit
+// cost two allocations each. Into a destination that already decoded a
+// larger frame — a station's, from one round to the next — it is a zero.
 func TestAllocsDecodeBatchQuery(t *testing.T) {
-	for _, s := range frameShapes(t) {
+	shapes := frameShapes(t)
+	var warm BatchQuery
+	for _, s := range shapes {
+		m, err := EncodeBatchQuery(s.batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeBatchQueryInto(&warm, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range shapes {
 		m, err := EncodeBatchQuery(s.batch)
 		if err != nil {
 			t.Fatal(err)
@@ -40,14 +54,21 @@ func TestAllocsDecodeBatchQuery(t *testing.T) {
 		} else {
 			t.Logf("%s: %v allocs", s.name, n)
 		}
+		if n := testing.AllocsPerRun(20, func() {
+			if err := DecodeBatchQueryInto(&warm, m); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("DecodeBatchQueryInto a warm destination, %s shape, allocates %v times per run; want 0", s.name, n)
+		}
 	}
 }
 
-// TestAllocsBatchReplyCodec: 5 000 reports on 3 pointer lists encode into one
-// exactly sized payload — the working buffers are pooled, so the ceiling
-// leaves room for a pool emptied by a collection or thinned by -race — and
-// decode into two allocations, the reports and one pointer arena the reports
-// of a list share, where a slice per report cost 5 000.
+// TestAllocsBatchReplyCodec: 5 000 reports on 3 pointer lists encode with
+// the grouping index and the payload's growth as the only allocations on a
+// fresh encoder and none on a warm one, and decode into two allocations,
+// the reports and one pointer arena the reports of a list share, where a
+// slice per report cost 5 000.
 func TestAllocsBatchReplyCodec(t *testing.T) {
 	lists := [][]core.WeightID{{0}, {1}, {0, 2}}
 	b := BatchReply{Station: 9, Queries: 2, Reports: make([]core.Report, 5000)}
@@ -59,6 +80,11 @@ func TestAllocsBatchReplyCodec(t *testing.T) {
 		t.Errorf("EncodeBatchReply of 5 000 reports allocates %v times per run; want at most 16", n)
 	} else {
 		t.Logf("encode: %v allocs", n)
+	}
+	var e ReplyEncoder
+	e.Encode(b)
+	if n := testing.AllocsPerRun(20, func() { messageSink = e.Encode(b) }); n != 0 {
+		t.Errorf("a warm ReplyEncoder allocates %v times per run for 5 000 reports; want 0", n)
 	}
 	if n := testing.AllocsPerRun(20, func() { replySink, _ = DecodeBatchReply(m) }); n > 2 {
 		t.Errorf("DecodeBatchReply of 5 000 reports allocates %v times per run; want at most 2", n)

@@ -168,7 +168,8 @@ const retiredTop = 23
 // FuzzDecodePayload drives every payload decoder with arbitrary bytes
 // under its own kind: decoders must reject garbage with an error (the
 // reader's count guard bounds allocations), never panic, and — for the
-// fixed-shape payloads — survive a decode/encode/decode roundtrip. A
+// fixed-shape payloads — survive a decode/encode/decode roundtrip. A batch
+// query decodes into used destinations exactly as into a fresh one. A
 // retired kind has no decoder: its frame must be refused at the header.
 func FuzzDecodePayload(f *testing.F) {
 	// Payloads of the worked frames (frame header stripped).
@@ -299,6 +300,11 @@ func FuzzDecodePayload(f *testing.F) {
 				}
 			}
 		case KindBatchQuery:
+			// Into a destination that last held another frame, or whose last
+			// decode failed half-way, the decode is the fresh one.
+			for _, prime := range usedPrimes() {
+				checkUsedDecode(t, prime, payload)
+			}
 			if bq, err := DecodeBatchQuery(m); err == nil {
 				// An accepted filter is one the encoder can write, and what
 				// it writes decodes to the same arrays (same bytes again).
@@ -355,51 +361,8 @@ func FuzzBatchRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		length := 1 + rng.Intn(6)
-		queries := make([]core.Query, 1+rng.Intn(4))
-		for i := range queries {
-			locals := make([]pattern.Pattern, 1+rng.Intn(6))
-			for j := range locals {
-				locals[j] = make(pattern.Pattern, length)
-				if rng.Intn(3) > 0 { // the others sum to zero
-					for g := range locals[j] {
-						locals[j][g] = rng.Int63n(40)
-					}
-				}
-			}
-			locals[rng.Intn(len(locals))][0]++ // a nonzero total
-			queries[i] = core.Query{ID: core.QueryID(rng.Uint32()&^7 | uint32(i)), Locals: locals}
-		}
-		base := core.Params{Samples: 1 + rng.Intn(4), Epsilon: rng.Int63n(3), Seed: rng.Uint64(), PositionSalted: rng.Intn(2) == 0}
-		params, err := core.SizedParams(base, length, queries, []float64{0.01, 0.2}[rng.Intn(2)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := core.NewEncoder(params, length)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := make([]core.QueryID, len(queries))
-		for i, q := range queries {
-			if err := enc.AddQuery(q); err != nil {
-				t.Fatal(err)
-			}
-			ids[i] = q.ID
-		}
-		filter := enc.Filter()
-		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] }) // declared in any order
-		// A person bound: none, From only, To only, or both with To > From.
-		var from, to core.PersonID
-		switch rng.Intn(4) {
-		case 1:
-			from = core.PersonID(1 + rng.Uint64()>>uint(rng.Intn(64)))
-		case 2:
-			to = core.PersonID(1 + rng.Uint64()>>uint(rng.Intn(64)))
-		case 3:
-			from = core.PersonID(1 + rng.Uint64()>>uint(2+rng.Intn(62)))
-			to = from + 1 + core.PersonID(rng.Uint64()>>uint(2+rng.Intn(62)))
-		}
-		m, err := EncodeBatchQuery(BatchQuery{Queries: ids, Filter: filter, From: from, To: to})
+		batch, queries := randomBatch(t, rng)
+		m, err := EncodeBatchQuery(batch)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
@@ -407,11 +370,11 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if !sameFilter(bq.Filter, filter) {
+		if !sameFilter(bq.Filter, batch.Filter) {
 			t.Fatalf("the decoded filter differs from the encoder's")
 		}
-		if bq.From != from || bq.To != to {
-			t.Fatalf("decoded bound [%d, %d), want [%d, %d)", bq.From, bq.To, from, to)
+		if bq.From != batch.From || bq.To != batch.To {
+			t.Fatalf("decoded bound [%d, %d), want [%d, %d)", bq.From, bq.To, batch.From, batch.To)
 		}
 		for i, q := range queries {
 			if bq.Queries[i] != q.ID {
@@ -456,6 +419,59 @@ func FuzzBatchRoundTrip(f *testing.F) {
 			t.Fatalf("the decoded reply's reports differ from the %d sent", len(in.Reports))
 		}
 	})
+}
+
+// randomBatch draws a batch round for FuzzBatchRoundTrip: encoder-built
+// queries of up to six locals each, some of them summing to zero, several
+// queries to a filter of a drawn length, salting and sizing, declared in
+// any order, under a drawn person bound. It returns the queries in the
+// weight table's order.
+func randomBatch(t testing.TB, rng *rand.Rand) (BatchQuery, []core.Query) {
+	t.Helper()
+	length := 1 + rng.Intn(6)
+	queries := make([]core.Query, 1+rng.Intn(4))
+	for i := range queries {
+		locals := make([]pattern.Pattern, 1+rng.Intn(6))
+		for j := range locals {
+			locals[j] = make(pattern.Pattern, length)
+			if rng.Intn(3) > 0 { // the others sum to zero
+				for g := range locals[j] {
+					locals[j][g] = rng.Int63n(40)
+				}
+			}
+		}
+		locals[rng.Intn(len(locals))][0]++ // a nonzero total
+		queries[i] = core.Query{ID: core.QueryID(rng.Uint32()&^7 | uint32(i)), Locals: locals}
+	}
+	base := core.Params{Samples: 1 + rng.Intn(4), Epsilon: rng.Int63n(3), Seed: rng.Uint64(), PositionSalted: rng.Intn(2) == 0}
+	params, err := core.SizedParams(base, length, queries, []float64{0.01, 0.2}[rng.Intn(2)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := core.NewEncoder(params, length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]core.QueryID, len(queries))
+	for i, q := range queries {
+		if err := enc.AddQuery(q); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = q.ID
+	}
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] }) // declared in any order
+	// A person bound: none, From only, To only, or both with To > From.
+	var from, to core.PersonID
+	switch rng.Intn(4) {
+	case 1:
+		from = core.PersonID(1 + rng.Uint64()>>uint(rng.Intn(64)))
+	case 2:
+		to = core.PersonID(1 + rng.Uint64()>>uint(rng.Intn(64)))
+	case 3:
+		from = core.PersonID(1 + rng.Uint64()>>uint(2+rng.Intn(62)))
+		to = from + 1 + core.PersonID(rng.Uint64()>>uint(2+rng.Intn(62)))
+	}
+	return BatchQuery{Queries: ids, Filter: enc.Filter(), From: from, To: to}, queries
 }
 
 // checkRows holds an accepted row payload to the arena's bound — the cells

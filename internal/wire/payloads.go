@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"dimatch/internal/bloom"
 	"dimatch/internal/core"
@@ -383,16 +382,16 @@ func readBlock(r *reader, sums *[pattern.MaxLocals]int64) (core.QueryID, int, er
 	return id, int(e), nil
 }
 
-// readFilter reconstructs a WBF from r into a handful of exactly-sized arrays
-// that core.FromParts validates and keeps, setting the frame's person bound on
-// out as it passes the params. Its weight table is rebuilt from the blocks of
-// out.Queries that start at blocks, which readBlock accepted and which derive
-// rows rows. Every array is bounded by the bytes present before it is
-// allocated: the table by the pointers, since every row is some list's
-// pointer, and the lists, pointers and set bits by the least each costs in
-// the bit stream — a Rice code's terminator and low bits, plus a set bit's
-// code. That is at most 8 lists, pointers or rows per remaining byte.
-func readFilter(r *reader, blocks reader, out *BatchQuery, rows uint64) (*core.Filter, error) {
+// readFilter reconstructs a WBF from r into out.Filter, refilling its arrays
+// (grown when they are short) for core's SetParts to validate and keep, and setting the frame's person bound on out as it passes the
+// params. Its weight table is rebuilt from the blocks of out.Queries that
+// start at blocks, which readBlock accepted and which derive rows rows.
+// Every array is bounded by the bytes present before it is allocated: the
+// table by the pointers, since every row is some list's pointer, and the
+// lists, pointers and set bits by the least each costs in the bit stream — a
+// Rice code's terminator and low bits, plus a set bit's code. That is at most
+// 8 lists, pointers or rows per remaining byte.
+func readFilter(r *reader, blocks reader, out *BatchQuery, rows uint64) error {
 	var p core.Params
 	p, out.From, out.To = readParams(r)
 	queries := len(out.Queries)
@@ -400,83 +399,95 @@ func readFilter(r *reader, blocks reader, out *BatchQuery, rows uint64) (*core.F
 	inserted := r.uvarint()
 	set, lists, pointers := r.uvarint(), r.uvarint(), r.uvarint()
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	// Bits bounds the positions' Rice parameter at 31.
 	if p.Bits == 0 || p.Bits > core.MaxBits {
-		return nil, fmt.Errorf("wire: filter declares %d bits, want 1..%d", p.Bits, uint64(core.MaxBits))
+		return fmt.Errorf("wire: filter declares %d bits, want 1..%d", p.Bits, uint64(core.MaxBits))
 	}
 	left := 8 * uint64(len(r.buf)-r.off) // bits
 	if set > p.Bits || pointers > left {
-		return nil, fmt.Errorf("wire: %d set bits in %d bits and %d pointers in %d remaining bytes: %w", set, p.Bits, pointers, left/8, ErrTruncated)
+		return fmt.Errorf("wire: %d set bits in %d bits and %d pointers in %d remaining bytes: %w", set, p.Bits, pointers, left/8, ErrTruncated)
 	}
 	if lists > pointers {
-		return nil, fmt.Errorf("wire: %d pointer lists of %d pointers: a list is empty", lists, pointers)
+		return fmt.Errorf("wire: %d pointer lists of %d pointers: a list is empty", lists, pointers)
 	}
 	if rows > pointers {
-		return nil, fmt.Errorf("wire: %d weight rows implausible for %d pointers: every row is pointed to", rows, pointers)
+		return fmt.Errorf("wire: %d weight rows implausible for %d pointers: every row is pointed to", rows, pointers)
 	}
 	lenRice, idRice := dictRice(rows, lists, pointers)
 	rice, width := core.RiceParam(p.Bits, set), codeWidth(int(lists))
 	if least := lists*uint64(lenRice+1) + pointers*uint64(idRice+1) + set*uint64(rice+1+width); least > left {
-		return nil, fmt.Errorf("wire: %d lists, %d pointers and %d set bits take %d bits, %d remain: %w", lists, pointers, set, least, left, ErrTruncated)
+		return fmt.Errorf("wire: %d lists, %d pointers and %d set bits take %d bits, %d remain: %w", lists, pointers, set, least, left, ErrTruncated)
 	}
 
-	weights := make([]core.WeightEntry, 0, rows)
+	f := out.Filter
+	weights := resize(f.Weights(), int(rows))[:0]
 	var sums [pattern.MaxLocals]int64
 	for range queries {
 		id, e, _ := readBlock(&blocks, &sums) // accepted once already
 		weights = core.WeightRows(weights, id, sums[:e])
 	}
 
-	offs, ids := make([]uint32, lists+1), make([]core.WeightID, pointers)
+	codes, offs, ids := f.Lists()
+	offs, ids = resize(offs, int(lists+1)), resize(ids, int(pointers))
+	offs[0] = 0
 	br := bitReader{r: r}
 	k := uint64(0) // pointers read
 	for d := uint64(1); d <= lists; d++ {
 		room := pointers - k - (lists - d) // every later list holds one at least
 		n, ok := br.rice(lenRice, (room-1)>>lenRice)
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
 		if !ok || n >= room {
-			return nil, fmt.Errorf("wire: pointer list %d is longer than the %d pointers left for it", d-1, room)
+			return fmt.Errorf("wire: pointer list %d is longer than the %d pointers left for it", d-1, room)
 		}
 		for next, end := uint64(0), k+n+1; k < end; k++ { // next: one past the previous ID
 			gap, ok := br.rice(idRice, (rows-next)>>idRice)
 			if r.err != nil {
-				return nil, r.err
+				return r.err
 			}
 			if !ok || gap >= rows-next {
-				return nil, fmt.Errorf("wire: pointer list %d points past the %d weight rows", d-1, rows)
+				return fmt.Errorf("wire: pointer list %d points past the %d weight rows", d-1, rows)
 			}
 			ids[k], next = core.WeightID(next+gap), next+gap+1
 		}
 		offs[d] = uint32(k)
 	}
 	if k != pointers {
-		return nil, fmt.Errorf("wire: the pointer lists hold %d of the %d pointers declared", k, pointers)
+		return fmt.Errorf("wire: the pointer lists hold %d of the %d pointers declared", k, pointers)
 	}
 
-	positions, codes := make([]uint32, set), make([]uint32, set)
+	positions, codes := resize(f.Positions(), int(set)), resize(codes, int(set))
 	next := uint64(0) // one past the previous set bit
 	for i := range positions {
 		gap, ok := br.rice(rice, p.Bits>>rice)
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
 		if !ok || next+gap >= p.Bits {
-			return nil, fmt.Errorf("wire: set bit %d lies beyond the filter's %d bits", i, p.Bits)
+			return fmt.Errorf("wire: set bit %d lies beyond the filter's %d bits", i, p.Bits)
 		}
 		positions[i], next = uint32(next+gap), next+gap+1
 		codes[i] = uint32(br.bits(width))
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if !br.finish() {
-		return nil, fmt.Errorf("wire: nonzero pad bits after %d set bits", set)
+		return fmt.Errorf("wire: nonzero pad bits after %d set bits", set)
 	}
-	return core.FromParts(p, length, positions, weights, offs, ids, codes, inserted)
+	return f.SetParts(p, length, positions, weights, offs, ids, codes, inserted)
+}
+
+// resize returns s at length n, in s's own array when it has the capacity
+// and in an exactly sized one otherwise. The elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // BatchQuery is one search round for one station: the IDs of every query in
@@ -535,12 +546,14 @@ func EncodeBatchQuery(b BatchQuery) (Message, error) {
 	return Message{Kind: KindBatchQuery, Payload: w.buf}, nil
 }
 
-// repeatedID returns an ID ids holds twice, if any.
+// repeatedID returns an ID ids holds twice, if any. Up to 64 IDs sort on
+// the stack.
 func repeatedID(ids []core.QueryID) (core.QueryID, bool) {
 	if len(ids) < 2 {
 		return 0, false
 	}
-	sorted := slices.Clone(ids)
+	var stack [64]core.QueryID
+	sorted := append(stack[:0], ids...)
 	slices.Sort(sorted)
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] == sorted[i-1] {
@@ -554,34 +567,49 @@ func repeatedID(ids []core.QueryID) (core.QueryID, bool) {
 // bounded by MaxBatchQueries, every query block by readBlock, the IDs must
 // be unique (ErrBatchMismatch), the bound must be one the encoder writes
 // (readParams), and the filter reconstructs through readFilter's and
-// core.FromParts' validation. The blocks are read twice:
+// core's SetParts validation. The blocks are read twice:
 // once for the IDs and the row count their sums derive — 2^e − 2^z for e
 // locals of which z sum to zero — and, once readFilter has held that count
 // to the frame, again to derive the rows. Corrupt payloads fail with typed
-// errors — never a panic.
+// errors — never a panic. It is DecodeBatchQueryInto a fresh BatchQuery.
 func DecodeBatchQuery(m Message) (BatchQuery, error) {
+	var out BatchQuery
+	if err := DecodeBatchQueryInto(&out, m); err != nil {
+		return BatchQuery{}, err
+	}
+	return out, nil
+}
+
+// DecodeBatchQueryInto is DecodeBatchQuery into dst: its query IDs and its
+// filter's arrays are refilled in place, and grown only when the frame
+// needs more than they hold, so a station decoding one frame per round into
+// one BatchQuery allocates nothing once they have grown. Whatever still
+// reads dst's previous filter must be done with it. After an error dst holds
+// no usable batch, but decoding into it again gives what a fresh decode
+// gives.
+func DecodeBatchQueryInto(dst *BatchQuery, m Message) error {
 	if m.Kind != KindBatchQuery {
-		return BatchQuery{}, fmt.Errorf("wire: decoding %v as batch-query", m.Kind)
+		return fmt.Errorf("wire: decoding %v as batch-query", m.Kind)
 	}
 	r := &reader{buf: m.Payload}
 	n := r.uvarint()
 	if r.err != nil {
-		return BatchQuery{}, r.err
+		return r.err
 	}
 	if n > MaxBatchQueries {
-		return BatchQuery{}, fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, n, MaxBatchQueries)
+		return fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, n, MaxBatchQueries)
 	}
 	if n == 0 {
-		return BatchQuery{}, fmt.Errorf("%w: zero queries", ErrBatchMismatch)
+		return fmt.Errorf("%w: zero queries", ErrBatchMismatch)
 	}
 	blocks := *r
-	out := BatchQuery{Queries: make([]core.QueryID, n)}
+	dst.Queries = resize(dst.Queries, int(n))
 	rows := uint64(0)
 	var sums [pattern.MaxLocals]int64
-	for i := range out.Queries {
+	for i := range dst.Queries {
 		id, e, err := readBlock(r, &sums)
 		if err != nil {
-			return BatchQuery{}, err
+			return err
 		}
 		zeros := 0
 		for _, s := range sums[:e] {
@@ -589,20 +617,18 @@ func DecodeBatchQuery(m Message) (BatchQuery, error) {
 				zeros++
 			}
 		}
-		out.Queries[i], rows = id, rows+1<<e-1<<zeros
+		dst.Queries[i], rows = id, rows+1<<e-1<<zeros
 	}
-	if q, ok := repeatedID(out.Queries); ok {
-		return BatchQuery{}, fmt.Errorf("%w: duplicate query id %d", ErrBatchMismatch, q)
+	if q, ok := repeatedID(dst.Queries); ok {
+		return fmt.Errorf("%w: duplicate query id %d", ErrBatchMismatch, q)
 	}
-	f, err := readFilter(r, blocks, &out, rows)
-	if err != nil {
-		return BatchQuery{}, err
+	if dst.Filter == nil {
+		dst.Filter = new(core.Filter)
 	}
-	if err := r.done(); err != nil {
-		return BatchQuery{}, err
+	if err := readFilter(r, blocks, dst, rows); err != nil {
+		return err
 	}
-	out.Filter = f
-	return out, nil
+	return r.done()
 }
 
 // BatchReply answers a batch round: one station's (person, weight-pointer)
@@ -616,18 +642,36 @@ type BatchReply struct {
 	// travel grouped by list, so their order is not kept: decoded, a list's
 	// reports come together, person ascending, sharing its read-only slice.
 	Reports []core.Report
+	// arena backs the decoded reports' pointer lists, kept for the next
+	// DecodeBatchReplyInto.
+	arena []core.WeightID
 }
 
 // EncodeBatchReply renders the batch answer as one entry per distinct
 // pointer list, in first-use order: the list, how many reports carry it (not
 // sent for the last) and their largest person. One bit stream follows the
 // last entry: per entry, its run's other persons ascending, as gaps
-// Rice-coded with the parameter personRice derives from the entry. It writes
-// into recycled buffers and copies out one exactly sized payload.
+// Rice-coded with the parameter personRice derives from the entry. It is
+// ReplyEncoder.Encode on a fresh encoder, so the payload is the caller's.
 func EncodeBatchReply(b BatchReply) Message {
-	bufs := replyScratch.Get().(*replyBufs)
-	firsts, persons, bounds := groupReports(b.Reports, &bufs.index)
-	w := writer{buf: bufs.payload[:0]}
+	var e ReplyEncoder
+	return e.Encode(b)
+}
+
+// ReplyEncoder renders batch replies into buffers it keeps for the next
+// one: the report grouping's index and the payload. A station keeps one
+// across its rounds, so a warm encoder allocates nothing.
+type ReplyEncoder struct {
+	index   []uint64
+	payload []byte
+}
+
+// Encode renders b as EncodeBatchReply does. The payload is e's own: it is
+// valid until the next Encode, so the message must be sent (a link keeps no
+// payload once Send returns) or copied before then.
+func (e *ReplyEncoder) Encode(b BatchReply) Message {
+	firsts, persons, bounds := groupReports(b.Reports, &e.index)
+	w := writer{buf: e.payload[:0]}
 	w.uvarint(uint64(b.Station))
 	w.uvarint(uint64(b.Queries))
 	w.uvarint(uint64(len(persons)))
@@ -653,20 +697,12 @@ func EncodeBatchReply(b BatchReply) Message {
 		}
 	}
 	bw.flush()
-	payload := make([]byte, len(w.buf))
-	copy(payload, w.buf)
-	bufs.payload = w.buf
-	replyScratch.Put(bufs)
-	return Message{Kind: KindBatchReply, Payload: payload}
+	e.payload = w.buf
+	return Message{Kind: KindBatchReply, Payload: w.buf}
 }
 
-// replyBufs are EncodeBatchReply's working arrays, recycled across replies.
-type replyBufs struct {
-	index   []uint64
-	payload []byte
-}
-
-var replyScratch = sync.Pool{New: func() any { return new(replyBufs) }}
+// Bytes returns the capacity e holds between replies, in bytes.
+func (e *ReplyEncoder) Bytes() int { return 8*cap(e.index) + cap(e.payload) }
 
 // groupReports groups the reports by pointer list, in first-use order, in
 // buf: list g is report firsts[g]'s, its persons persons[bounds[g]:
@@ -774,31 +810,46 @@ func readEntry(r *reader, remaining int, arena *[]core.WeightID) (listLen uint64
 // count. The stream's persons must strictly ascend to their run's largest
 // and no list may come twice — a station reports a person once, and a
 // repeat would count its weights twice — and the stream's pad bits must be
-// zero.
+// zero. It is DecodeBatchReplyInto a fresh BatchReply.
 func DecodeBatchReply(m Message) (BatchReply, error) {
+	var out BatchReply
+	if err := DecodeBatchReplyInto(&out, m); err != nil {
+		return BatchReply{}, err
+	}
+	return out, nil
+}
+
+// DecodeBatchReplyInto is DecodeBatchReply into dst: its reports and their
+// pointer arena are refilled in place, and grown only when the frame needs
+// more than they hold, so a coordinator decoding every reply of a search
+// into one BatchReply allocates for the largest. Whatever still reads dst's
+// previous reports must be done with them. After an error dst holds no
+// usable reply.
+func DecodeBatchReplyInto(dst *BatchReply, m Message) error {
 	if m.Kind != KindBatchReply {
-		return BatchReply{}, fmt.Errorf("wire: decoding %v as batch-reply", m.Kind)
+		return fmt.Errorf("wire: decoding %v as batch-reply", m.Kind)
 	}
 	r := &reader{buf: m.Payload}
-	out := BatchReply{Station: r.u32(), Queries: r.u32()}
+	dst.Station, dst.Queries = r.u32(), r.u32()
 	reports := r.uvarint()
 	if left := len(r.buf) - r.off; r.err == nil && reports > 8*uint64(left) {
-		return BatchReply{}, fmt.Errorf("wire: %d reports implausible for %d remaining bytes", reports, left)
+		return fmt.Errorf("wire: %d reports implausible for %d remaining bytes", reports, left)
 	}
 	n := int(reports)
 	entries, pointers, lists := *r, uint64(0), 0
 	if r.err != nil {
-		return BatchReply{}, r.err
+		return r.err
 	}
 	for done := 0; done < n; lists++ {
 		listLen, run, _, err := readEntry(r, n-done, nil)
 		if err != nil {
-			return BatchReply{}, err
+			return err
 		}
 		pointers, done = pointers+listLen, done+run
 	}
-	out.Reports = make([]core.Report, n)
-	arena := make([]core.WeightID, 0, pointers)
+	dst.Reports = resize(dst.Reports, n)
+	dst.arena = resize(dst.arena, int(pointers))[:0]
+	arena := dst.arena
 	// seen is an open-addressed table of the lists read so far, each slot 0
 	// or its list's arena offset + 1 and length; a few lists fit on the
 	// stack.
@@ -815,7 +866,7 @@ func DecodeBatchReply(m Message) (BatchReply, error) {
 		j := listHash(list) & uint64(len(seen)-1)
 		for ; seen[j] != 0; j = (j + 1) & uint64(len(seen)-1) {
 			if at := seen[j]&math.MaxUint32 - 1; slices.Equal(arena[at:at+seen[j]>>32], list) {
-				return BatchReply{}, fmt.Errorf("wire: reply sends pointer list %v twice", list)
+				return fmt.Errorf("wire: reply sends pointer list %v twice", list)
 			}
 		}
 		seen[j] = uint64(lo+1) | uint64(len(list))<<32
@@ -823,27 +874,24 @@ func DecodeBatchReply(m Message) (BatchReply, error) {
 		for k := done; k < done+run-1; k++ {
 			gap, ok := br.rice(rice, (hi-person)>>rice)
 			if r.err != nil {
-				return BatchReply{}, r.err
+				return r.err
 			}
 			if !ok || gap >= hi-person {
-				return BatchReply{}, fmt.Errorf("wire: reply person %d plus gap %d reaches its run's largest, %d", person, gap, hi)
+				return fmt.Errorf("wire: reply person %d plus gap %d reaches its run's largest, %d", person, gap, hi)
 			}
 			if gap == 0 && k > done {
-				return BatchReply{}, fmt.Errorf("wire: reply repeats person %d", person)
+				return fmt.Errorf("wire: reply repeats person %d", person)
 			}
 			person += gap
-			out.Reports[k] = core.Report{Person: core.PersonID(person), WeightIDs: list}
+			dst.Reports[k] = core.Report{Person: core.PersonID(person), WeightIDs: list}
 		}
-		out.Reports[done+run-1] = core.Report{Person: core.PersonID(hi), WeightIDs: list}
+		dst.Reports[done+run-1] = core.Report{Person: core.PersonID(hi), WeightIDs: list}
 		done += run
 	}
 	if !br.finish() {
-		return BatchReply{}, fmt.Errorf("wire: nonzero pad bits after %d reports", n)
+		return fmt.Errorf("wire: nonzero pad bits after %d reports", n)
 	}
-	if err := r.done(); err != nil {
-		return BatchReply{}, err
-	}
-	return out, nil
+	return r.done()
 }
 
 // ---- BF query dissemination ----
