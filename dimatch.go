@@ -232,17 +232,16 @@ type Cluster struct {
 // Ingest; durable when a Store is set, recovering its residents first) and
 // remote ones over established links, in any mix. Member ids must be
 // distinct (ErrStationExists) and seed patterns patternLength long
-// (ErrLengthMismatch). Link members pass AddStation's stats handshake, all
-// at once, and NewCluster waits for them: one that does not answer within
-// ten seconds, speaks another wire version or serves another pattern length
-// (ErrLengthMismatch) is refused. A failed call closes every link and store
-// it was handed. Callers own Shutdown.
+// (ErrLengthMismatch). Every member, in-process or remote, passes
+// AddStation's stats handshake, all at once, and NewCluster waits for them:
+// one that does not answer within ten seconds, speaks another wire version
+// or holds another pattern length (ErrLengthMismatch) is refused. A failed
+// call closes every link and store it was handed. Callers own Shutdown.
 func NewCluster(opts Options, patternLength int, members ...Member) (*Cluster, error) {
 	inner, err := cluster.New(opts, patternLength, members...)
 	if err != nil {
 		return nil, err
 	}
-	inner.Start()
 	return &Cluster{inner: inner}, nil
 }
 
@@ -328,14 +327,13 @@ func (c *Cluster) Placed() int { return c.inner.Placed() }
 // AddStation grows a running cluster with one member: an in-process
 // station (durable when m.Store is set — the rejoin path of a restarted
 // station, whose heal pass re-replicates only the delta it missed while
-// down) or a remote one over m.Link, which must pass the stats handshake
+// down) or a remote one over m.Link. Either must pass the stats handshake
 // NewCluster also runs.
 // Searches already in flight complete against the membership they started
 // with; later searches fan out to the new station too. Returns
 // ErrStationExists if the id is taken and ErrLengthMismatch if a seed,
 // recovered or remote pattern's length differs from the cluster's; a
-// refused member is refused before its store is recovered, and has its
-// link and store closed.
+// refused member has its link and store closed before the call returns.
 func (c *Cluster) AddStation(ctx context.Context, m Member) error {
 	return c.inner.AddStation(ctx, m)
 }

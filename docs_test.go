@@ -114,7 +114,8 @@ func TestDocsLocalLinks(t *testing.T) {
 // unsynced-ack settings, the in-memory store constructor and the summary
 // codec's WAL-only payload half; the analyzer packages folded into
 // internal/analyzers (a path, not a pass name or a file such as
-// lockstate.go); the region tier, its wire kinds and its tests.
+// lockstate.go); the region tier, its wire kinds and its tests; the
+// in-process members that waited for a separate Start to serve.
 var removedRefs = []struct {
 	re   *regexp.Regexp
 	with string
@@ -128,6 +129,7 @@ var removedRefs = []struct {
 	{regexp.MustCompile(`SyncEvery|SyncInterval|NewMemoryStore|EncodeSummaryPayload|DecodeSummaryPayload`), "the unsynced-ack mode, NewMemoryStore and the WAL-only summary codec (every append is fsynced; a nil Store is in memory; the WAL persists no digest)"},
 	{regexp.MustCompile(`internal/analyzers/(analysis|analysistest|lockstate|ctxflow|epochpin|lockio|wirekind)([^\w.]|\.\W|\.?$)`), "the per-pass analyzer packages (internal/analyzers is one package, one file per pass)"},
 	{regexp.MustCompile(`ServeRegion|NewRegion|KindRoute(Query|Reply)|FlagRouteDelegate|TierHops|TestHierarchical|TestThreeTier|TestTwoTierPlanning`), "the region tier (flat only; see docs/ROUTING.md)"},
+	{regexp.MustCompile(`Cluster\)?\.Start\b|serveLocked|inert until .?Start`), "the inert-until-Start cluster (every member serves from its join and joins through the stats handshake)"},
 }
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every

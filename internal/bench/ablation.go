@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"dimatch"
 	"dimatch/internal/bloom"
 	"dimatch/internal/cdr"
 	"dimatch/internal/cluster"
@@ -54,14 +55,13 @@ func runVariant(ctx context.Context, cfg AblationConfig, name string, params cor
 	if err != nil {
 		return AblationRow{}, err
 	}
-	cl, err := cluster.New(cluster.Options{Params: params, MinScore: minScore}, d.Length(), cluster.Members(stationData(d))...)
+	cl, err := cluster.New(cluster.Options{Params: params, MinScore: minScore}, d.Length(), cluster.Members(dimatch.StationData(d))...)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	cl.Start()
 	defer cl.Shutdown() //nolint:errcheck // benchmark teardown
 
-	var refs []cdr.PersonID
+	var refs []core.PersonID
 	for _, c := range cdr.Categories() {
 		refs = append(refs, pickReferences(d, c, 1)...)
 	}
@@ -70,7 +70,7 @@ func runVariant(ctx context.Context, cfg AblationConfig, name string, params cor
 	}
 	queries := make([]core.Query, len(refs))
 	for i, ref := range refs {
-		queries[i] = queryFor(d, core.QueryID(i+1), ref)
+		queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), ref)
 	}
 	out, err := cl.Search(ctx, queries, cluster.WithStrategy(cluster.StrategyWBF))
 	if err != nil {
@@ -78,7 +78,7 @@ func runVariant(ctx context.Context, cfg AblationConfig, name string, params cor
 	}
 	var total metrics.Confusion
 	for i, ref := range refs {
-		total.Add(scoreQuery(out, core.QueryID(i+1), ref, relevantSet(d, ref)))
+		total.Add(scoreQuery(out, core.QueryID(i+1), ref, dimatch.RelevantSet(d, ref)))
 	}
 	return AblationRow{
 		Name:      name,
@@ -179,7 +179,7 @@ func SizingSweep(ctx context.Context, cfg AblationConfig, bitSizes []uint64) ([]
 	if err != nil {
 		return nil, err
 	}
-	var refs []cdr.PersonID
+	var refs []core.PersonID
 	for _, c := range cdr.Categories() {
 		refs = append(refs, pickReferences(d, c, 1)...)
 	}
@@ -198,7 +198,7 @@ func SizingSweep(ctx context.Context, cfg AblationConfig, bitSizes []uint64) ([]
 			return nil, err
 		}
 		for i, ref := range refs {
-			if err := enc.AddQuery(queryFor(d, core.QueryID(i+1), ref)); err != nil {
+			if err := enc.AddQuery(dimatch.QueryFromPerson(d, core.QueryID(i+1), ref)); err != nil {
 				return nil, err
 			}
 		}

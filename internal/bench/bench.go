@@ -26,7 +26,6 @@ import (
 	"dimatch/internal/cluster"
 	"dimatch/internal/core"
 	"dimatch/internal/metrics"
-	"dimatch/internal/pattern"
 )
 
 // Series is one labelled curve of a figure.
@@ -36,43 +35,24 @@ type Series struct {
 	Y     []float64
 }
 
-// stationData converts a dataset to the cluster's input form.
-func stationData(d *cdr.Dataset) map[uint32]map[core.PersonID]pattern.Pattern {
-	out := make(map[uint32]map[core.PersonID]pattern.Pattern)
-	for _, s := range d.StationIDs() {
-		locals := d.StationLocals(s)
-		m := make(map[core.PersonID]pattern.Pattern, len(locals))
-		for p, l := range locals {
-			m[core.PersonID(p)] = l
-		}
-		out[uint32(s)] = m
-	}
-	return out
-}
-
-// queryFor builds the query pattern set of one person.
-func queryFor(d *cdr.Dataset, id core.QueryID, person cdr.PersonID) core.Query {
-	return core.Query{ID: id, Locals: d.QueryLocalsOf(person)}
-}
-
 // pickReferences returns up to n persons of a category whose role anchors
 // occupy distinct stations (their locals expose the category's full split).
 // A query built from a person whose anchors collapsed onto one station has
 // merged locals that other members' separate pieces cannot partition, so a
 // provider would choose clean exemplars; if the category has too few, the
 // remainder is filled with merged members.
-func pickReferences(d *cdr.Dataset, c cdr.Category, n int) []cdr.PersonID {
+func pickReferences(d *cdr.Dataset, c cdr.Category, n int) []core.PersonID {
 	ids := d.PersonsInCategory(c)
-	var clean, merged []cdr.PersonID
+	var clean, merged []core.PersonID
 	for _, id := range ids {
 		p, err := d.PersonByID(id)
 		if err != nil {
 			continue
 		}
 		if len(d.LocalsOf(id)) == len(p.Anchors) {
-			clean = append(clean, id)
+			clean = append(clean, core.PersonID(id))
 		} else {
-			merged = append(merged, id)
+			merged = append(merged, core.PersonID(id))
 		}
 	}
 	out := append(clean, merged...)
@@ -82,29 +62,12 @@ func pickReferences(d *cdr.Dataset, c cdr.Category, n int) []cdr.PersonID {
 	return out
 }
 
-// relevantSet returns the ground-truth relevant persons for a query built
-// from the given person (same category, excluding the person).
-func relevantSet(d *cdr.Dataset, person cdr.PersonID) []core.PersonID {
-	p, err := d.PersonByID(person)
-	if err != nil {
-		return nil
-	}
-	var out []core.PersonID
-	for _, other := range d.PersonsInCategory(p.Category) {
-		if other == person {
-			continue
-		}
-		out = append(out, core.PersonID(other))
-	}
-	return out
-}
-
 // scoreQuery evaluates one query's retrieved list against ground truth,
 // excluding the reference person from both sides.
-func scoreQuery(out *cluster.Outcome, q core.QueryID, ref cdr.PersonID, relevant []core.PersonID) metrics.Confusion {
+func scoreQuery(out *cluster.Outcome, q core.QueryID, ref core.PersonID, relevant []core.PersonID) metrics.Confusion {
 	var retrieved []core.PersonID
 	for _, r := range out.PerQuery[q] {
-		if r.Person == core.PersonID(ref) {
+		if r.Person == ref {
 			continue
 		}
 		retrieved = append(retrieved, r.Person)

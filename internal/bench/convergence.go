@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"dimatch"
 	"dimatch/internal/cdr"
 	"dimatch/internal/cluster"
 	"dimatch/internal/core"
@@ -79,7 +80,7 @@ func Convergence(ctx context.Context, cfg ConvergenceConfig) ([]ConvergencePoint
 	type group struct {
 		city *cdr.Dataset
 		cl   *cluster.Cluster
-		refs []cdr.PersonID
+		refs []core.PersonID
 	}
 	groups := make([]*group, 0, cfg.Groups)
 	defer func() {
@@ -113,13 +114,12 @@ func Convergence(ctx context.Context, cfg ConvergenceConfig) ([]ConvergencePoint
 				},
 				MinScore: 0.9,
 			}
-			cl, err := cluster.New(opts, d.Length(), cluster.Members(stationData(d))...)
+			cl, err := cluster.New(opts, d.Length(), cluster.Members(dimatch.StationData(d))...)
 			if err != nil {
 				return nil, err
 			}
-			cl.Start()
 
-			var refs []cdr.PersonID
+			var refs []core.PersonID
 			for _, c := range cdr.Categories() {
 				refs = append(refs, pickReferences(d, c, 1)...)
 			}
@@ -128,7 +128,7 @@ func Convergence(ctx context.Context, cfg ConvergenceConfig) ([]ConvergencePoint
 			}
 			queries := make([]core.Query, len(refs))
 			for i, ref := range refs {
-				queries[i] = queryFor(d, core.QueryID(i+1), ref)
+				queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), ref)
 			}
 			out, err := cl.Search(ctx, queries, cluster.WithStrategy(cluster.StrategyWBF))
 			if err != nil {
@@ -137,7 +137,7 @@ func Convergence(ctx context.Context, cfg ConvergenceConfig) ([]ConvergencePoint
 			}
 			var total metrics.Confusion
 			for i, ref := range refs {
-				total.Add(scoreQuery(out, core.QueryID(i+1), ref, relevantSet(d, ref)))
+				total.Add(scoreQuery(out, core.QueryID(i+1), ref, dimatch.RelevantSet(d, ref)))
 			}
 			point.Accuracy = append(point.Accuracy, total.F1())
 			if err := cl.Shutdown(); err != nil {

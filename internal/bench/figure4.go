@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"dimatch"
 	"dimatch/internal/cdr"
 	"dimatch/internal/cluster"
 	"dimatch/internal/core"
@@ -110,7 +111,7 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := stationData(d)
+	data := dimatch.StationData(d)
 
 	maxA := 0
 	for _, a := range cfg.PatternCounts {
@@ -140,14 +141,13 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl.Start()
 	defer cl.Shutdown() //nolint:errcheck // benchmark teardown
 
 	points := make([]Figure4Point, 0, len(cfg.PatternCounts))
 	for _, a := range cfg.PatternCounts {
 		queries := make([]core.Query, a)
 		for i := 0; i < a; i++ {
-			queries[i] = queryFor(d, core.QueryID(i+1), refPool[i])
+			queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), refPool[i])
 		}
 		point := Figure4Point{
 			Patterns:           a,
@@ -180,7 +180,7 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 				}
 				relevant := oracle[:0:0]
 				for _, p := range oracle {
-					if p != core.PersonID(ref) {
+					if p != ref {
 						relevant = append(relevant, p)
 					}
 				}

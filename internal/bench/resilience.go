@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"dimatch"
 	"dimatch/internal/cdr"
 	"dimatch/internal/cluster"
 	"dimatch/internal/core"
@@ -51,20 +52,19 @@ func Resilience(ctx context.Context, cfg AblationConfig, killSteps []int, strat 
 			PositionSalted: true,
 		},
 		MinScore: 0.9,
-	}, d.Length(), cluster.Members(stationData(d))...)
+	}, d.Length(), cluster.Members(dimatch.StationData(d))...)
 	if err != nil {
 		return nil, err
 	}
-	cl.Start()
 	defer cl.Shutdown() //nolint:errcheck // benchmark teardown
 
-	var refs []cdr.PersonID
+	var refs []core.PersonID
 	for _, c := range cdr.Categories() {
 		refs = append(refs, pickReferences(d, c, 1)...)
 	}
 	queries := make([]core.Query, len(refs))
 	for i, ref := range refs {
-		queries[i] = queryFor(d, core.QueryID(i+1), ref)
+		queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), ref)
 	}
 
 	stations := d.StationIDs()
@@ -86,7 +86,7 @@ func Resilience(ctx context.Context, cfg AblationConfig, killSteps []int, strat 
 		}
 		var total metrics.Confusion
 		for i, ref := range refs {
-			total.Add(scoreQuery(out, core.QueryID(i+1), ref, relevantSet(d, ref)))
+			total.Add(scoreQuery(out, core.QueryID(i+1), ref, dimatch.RelevantSet(d, ref)))
 		}
 		rows = append(rows, ResilienceRow{
 			StationsKilled: killed,

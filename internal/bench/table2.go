@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"dimatch"
 	"dimatch/internal/cdr"
 	"dimatch/internal/cluster"
 	"dimatch/internal/core"
@@ -85,20 +86,19 @@ func TableII(ctx context.Context, cfg TableIIConfig) ([]TableIIRow, error) {
 			},
 			MinScore: 0.9,
 			Verify:   cfg.Verify,
-		}, d.Length(), cluster.Members(stationData(d))...)
+		}, d.Length(), cluster.Members(dimatch.StationData(d))...)
 		if err != nil {
 			return nil, err
 		}
-		cl.Start()
 
 		// Reference persons cycle the categories, preferring exemplars
 		// whose anchors expose the full category split.
 		perCat := (cfg.QueriesPerDay + 5) / 6
-		pools := make([][]cdr.PersonID, 0, 6)
+		pools := make([][]core.PersonID, 0, 6)
 		for _, c := range cdr.Categories() {
 			pools = append(pools, pickReferences(d, c, perCat))
 		}
-		var refs []cdr.PersonID
+		var refs []core.PersonID
 		for round := 0; len(refs) < cfg.QueriesPerDay; round++ {
 			added := false
 			for _, pool := range pools {
@@ -113,7 +113,7 @@ func TableII(ctx context.Context, cfg TableIIConfig) ([]TableIIRow, error) {
 		}
 		queries := make([]core.Query, len(refs))
 		for i, ref := range refs {
-			queries[i] = queryFor(d, core.QueryID(i+1), ref)
+			queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), ref)
 		}
 		out, err := cl.Search(ctx, queries, cluster.WithStrategy(cluster.StrategyWBF))
 		if err != nil {
@@ -122,7 +122,7 @@ func TableII(ctx context.Context, cfg TableIIConfig) ([]TableIIRow, error) {
 		}
 		var total metrics.Confusion
 		for i, ref := range refs {
-			total.Add(scoreQuery(out, core.QueryID(i+1), ref, relevantSet(d, ref)))
+			total.Add(scoreQuery(out, core.QueryID(i+1), ref, dimatch.RelevantSet(d, ref)))
 		}
 		if err := cl.Shutdown(); err != nil {
 			return nil, err

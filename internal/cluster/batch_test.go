@@ -30,7 +30,6 @@ func batchTestCluster(t *testing.T) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	t.Cleanup(func() { _ = c.Shutdown() })
 	return c
 }

@@ -83,13 +83,11 @@ type Cluster struct {
 	opts   Options
 	length int
 
-	mu      sync.Mutex
-	ep      *epoch          // dimatch:guardedby mu — searches pin a snapshot via pinEpoch, never read this live
-	epochs  uint64          // dimatch:guardedby mu — version counter feeding ep.version
-	pending []*Station      // dimatch:guardedby mu — in-process stations awaiting Start
-	dead    map[uint32]bool // dimatch:guardedby mu
-	started bool            // dimatch:guardedby mu
-	closed  bool            // dimatch:guardedby mu
+	mu     sync.Mutex
+	ep     *epoch          // dimatch:guardedby mu — searches pin a snapshot via pinEpoch, never read this live
+	epochs uint64          // dimatch:guardedby mu — version counter feeding ep.version
+	dead   map[uint32]bool // dimatch:guardedby mu
+	closed bool            // dimatch:guardedby mu
 
 	// placeTab tracks persons under automatic placement (see Place); nil
 	// until the first Place call, so station-addressed clusters pay nothing.
@@ -106,11 +104,10 @@ type Cluster struct {
 	layout placeLayout // dimatch:guardedby mu
 	// addressed marks the members that may hold residents of their own, so
 	// group routing never skips one that admits (route.go). A member is
-	// addressed when it joins with residents — read from an in-process
-	// member's store or a link member's handshake — or receives a public
-	// Ingest; every other member holds placed copies only.
+	// addressed when its join handshake reports residents or it receives a
+	// public Ingest; every other member holds placed copies only.
 	addressed map[uint32]bool // dimatch:guardedby mu
-	// figures holds each member's last stats reply: read at its join, then
+	// figures holds each member's last stats reply: its handshake's, then
 	// replaced by the reply to every mutation sent to it (mutate). Stats and
 	// each search's StationRawBytes read it; no stats exchange follows the
 	// join.
@@ -143,8 +140,9 @@ type Cluster struct {
 // (copied in; all-zero patterns are dropped) and, when Store is set, made
 // durable through it — it recovers the store's residents before joining and
 // owns the store from then on. With Link set the member is a remote station
-// already serving on the other end; Patterns and Store must then be nil, and
-// the join handshake learns whether it holds residents.
+// already serving on the other end; Patterns and Store must then be nil.
+// Either way the member joins through the stats handshake, which learns
+// whether it holds residents and refuses patterns of a foreign length.
 // The cluster takes ownership of Link and Store: a refused member has both
 // closed.
 type Member struct {
@@ -173,29 +171,48 @@ func (m Member) check(length int) error {
 	return checkLengths(length, fmt.Sprintf("station %d", m.ID), m.Patterns)
 }
 
-// wire builds the center-side mux of a checked member and, for an
-// in-process member, the station Start will serve over a pipe. A durable
-// member recovers here; residents recovered at a foreign length refuse it.
-func (m Member) wire(length int) (*transport.Mux, *Station, error) {
+// wire builds the center-side mux of a checked member: over its link, or
+// over a pipe to an in-process station that recovers here, takes m.Store and
+// serves at once under c.wg, closing the store and then done when it exits
+// (done is nil for a link member). A closed cluster starts no station, so
+// none outlives Shutdown's wait.
+func (c *Cluster) wire(m *Member) (mux *transport.Mux, done <-chan struct{}, err error) {
 	if m.Link != nil {
 		return transport.NewMux(m.Link), nil, nil
 	}
 	center, stationEnd := transport.Pipe(nil, nil)
 	st, err := NewStation(m.ID, m.Patterns, stationEnd, m.Store)
-	if err == nil {
-		if l := st.patternLength(); l != 0 && l != length {
-			err = fmt.Errorf("%w: station %d recovered pattern length %d, cluster is %d", ErrLengthMismatch, m.ID, l, length)
-		}
-	}
 	if err != nil {
 		_ = center.Close()
 		return nil, nil, err
 	}
-	return transport.NewMux(center), st, nil
+	m.Store = nil
+	c.mu.Lock()
+	closed := c.closed
+	if !closed {
+		c.wg.Add(1)
+	}
+	c.mu.Unlock()
+	if closed {
+		_ = center.Close()
+		_ = st.Serve() // returns at once over the closed pipe, closing the store
+		return nil, nil, ErrClusterClosed
+	}
+	exited := make(chan struct{})
+	go func() {
+		defer c.wg.Done()
+		if err := st.Serve(); err != nil {
+			c.serveMu.Lock()
+			c.serveErr = append(c.serveErr, err)
+			c.serveMu.Unlock()
+		}
+		close(exited)
+	}()
+	return transport.NewMux(center), exited, nil
 }
 
-// release closes what a refused member handed the cluster: its link and its
-// store.
+// release closes what a refused member handed the cluster and no station
+// took: its link, and its store unless wire gave it to a station.
 func (m Member) release() {
 	if m.Link != nil {
 		_ = m.Link.Close()
@@ -206,17 +223,18 @@ func (m Member) release() {
 }
 
 // handshakeTimeout bounds New's join handshakes: New takes no context, so a
-// link member that has not answered by then is refused.
+// member that has not answered by then is refused.
 const handshakeTimeout = 10 * time.Second
 
 // New builds a cluster of patternLength-long patterns over the given
 // members. Every member is checked — ids distinct, specs consistent, seed
-// lengths matching — before any store is recovered. Link members then pass
-// AddStation's handshake, all at once and within handshakeTimeout: a member
-// that does not answer, holds patterns of another length or speaks another
-// wire version is refused. In-process members are inert until Start. A
-// failed call closes every link and store it was handed.
+// lengths matching — before any store is recovered. Every member is then
+// wired, in-process stations serving at once, and all pass AddStation's
+// handshake together, within handshakeTimeout: a member that does not
+// answer, holds patterns of another length or speaks another wire version is
+// refused. A failed call closes every link and store it was handed.
 func New(opts Options, length int, members ...Member) (*Cluster, error) {
+	members = append([]Member(nil), members...)
 	c, err := assemble(opts, length, members)
 	if err != nil {
 		for _, m := range members {
@@ -226,6 +244,7 @@ func New(opts Options, length int, members ...Member) (*Cluster, error) {
 	return c, err
 }
 
+// assemble is New over its own copy of the members, which it sorts by id.
 func assemble(opts Options, length int, members []Member) (*Cluster, error) {
 	if len(members) == 0 {
 		return nil, errors.New("cluster: no stations")
@@ -233,10 +252,6 @@ func assemble(opts Options, length int, members []Member) (*Cluster, error) {
 	if length <= 0 {
 		return nil, fmt.Errorf("cluster: pattern length %d, want > 0", length)
 	}
-	if opts.TargetFP == 0 {
-		opts.TargetFP = core.DefaultTargetFP
-	}
-	members = append([]Member(nil), members...)
 	sort.Slice(members, func(i, j int) bool { return members[i].ID < members[j].ID })
 	ids := make([]uint32, len(members))
 	for i, m := range members {
@@ -256,39 +271,25 @@ func assemble(opts Options, length int, members []Member) (*Cluster, error) {
 		figures:   make(map[uint32]wire.StatsReply),
 	}
 	muxes := make([]*transport.Mux, 0, len(members))
-	var linkIDs []uint32
-	var linkMuxes []*transport.Mux
-	for _, m := range members {
-		mux, st, err := m.wire(length)
+	for i := range members {
+		mux, _, err := c.wire(&members[i])
 		if err != nil {
-			closeMuxes(muxes)
+			c.closeMuxes(muxes)
 			return nil, err
 		}
 		muxes = append(muxes, mux)
-		if st != nil {
-			c.pending = append(c.pending, st)
-			c.figures[m.ID] = st.stats()
-		} else {
-			linkIDs, linkMuxes = append(linkIDs, m.ID), append(linkMuxes, mux)
-		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), handshakeTimeout) //dimatch:allow ctxflow — New takes no context; handshakeTimeout bounds its joins instead
 	defer cancel()
-	replies, err := c.handshake(ctx, linkIDs, linkMuxes)
+	replies, err := c.handshake(ctx, ids, muxes)
 	if err != nil {
-		closeMuxes(muxes)
+		c.closeMuxes(muxes)
 		return nil, err
 	}
-	for i, id := range linkIDs {
+	for i, id := range ids {
 		c.figures[id] = replies[i]
+		c.addressed[id] = replies[i].Residents > 0
 	}
-	for id, sr := range c.figures {
-		c.addressed[id] = sr.Residents > 0
-	}
-	// Remote stations run their own Serve loops: a cluster with nothing to
-	// launch is live from construction (Start stays an idempotent no-op), and
-	// stations added later via AddStation are served immediately.
-	c.started = len(c.pending) == 0
 	c.installEpochLocked(ids, muxes)
 	return c, nil
 }
@@ -309,12 +310,14 @@ func lengthMismatch(what string, p core.PersonID, got, length int) error {
 	return fmt.Errorf("%w: %s person %d pattern length %d, cluster is %d", ErrLengthMismatch, what, p, got, length)
 }
 
-// closeMuxes closes what a failed New built; release then closes the links
-// again, harmlessly, along with every store.
-func closeMuxes(muxes []*transport.Mux) {
+// closeMuxes closes what a failed New built and waits for the stations it
+// started, which close their stores on the way out; release then closes the
+// links again, harmlessly, and every store no station took.
+func (c *Cluster) closeMuxes(muxes []*transport.Mux) {
 	for _, m := range muxes {
 		_ = m.Close()
 	}
+	c.wg.Wait()
 }
 
 // installEpochLocked makes (ids, muxes) the live membership snapshot when
@@ -349,33 +352,6 @@ func (c *Cluster) pinEpoch() (*epoch, error) {
 func ServeStation(id uint32, locals map[core.PersonID]pattern.Pattern, link transport.Link) error {
 	s, _ := NewStation(id, locals, link, nil) // without a store nothing can fail
 	return s.Serve()
-}
-
-// serveLocked launches one in-process station goroutine. Callers hold c.mu.
-func (c *Cluster) serveLocked(s *Station) {
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		if err := s.Serve(); err != nil {
-			c.serveMu.Lock()
-			c.serveErr = append(c.serveErr, err)
-			c.serveMu.Unlock()
-		}
-	}()
-}
-
-// Start launches the station goroutines. It is idempotent.
-func (c *Cluster) Start() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.started {
-		return
-	}
-	c.started = true
-	for _, s := range c.pending {
-		c.serveLocked(s)
-	}
-	c.pending = nil
 }
 
 // Stations returns the number of member stations (dead or alive).

@@ -15,7 +15,7 @@ func newTestPipe() (transport.Link, transport.Link) {
 	return transport.Pipe(nil, nil)
 }
 
-// newFromData builds an inert cluster over station-major test data at the
+// newFromData builds a cluster over station-major test data at the
 // pattern length its first pattern has (0, refused, when it holds none).
 func newFromData(opts Options, data map[uint32]map[core.PersonID]pattern.Pattern) (*Cluster, error) {
 	length := 0
@@ -100,7 +100,6 @@ func startCluster(t *testing.T, opts Options, data map[uint32]map[core.PersonID]
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	t.Cleanup(func() {
 		if err := c.Shutdown(); err != nil {
 			t.Errorf("shutdown: %v", err)

@@ -123,7 +123,6 @@ func TestHealRepairsStaleReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	t.Cleanup(func() { _ = c.Shutdown() })
 
 	const n = 40

@@ -51,7 +51,6 @@ func BenchmarkPlace(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c.Start()
 			b.Cleanup(func() { _ = c.Shutdown() })
 			batch := benchPatterns(bc.persons)
 			ctx := context.Background()

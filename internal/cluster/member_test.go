@@ -22,6 +22,16 @@ type countingStore struct {
 
 func newCountingStore() *countingStore { return &countingStore{Store: store.NewMemory()} }
 
+// foreignStore is a counting store that recovers one resident of length 4.
+func foreignStore(t *testing.T) *countingStore {
+	t.Helper()
+	s := newCountingStore()
+	if err := s.Append(store.Batch{Op: store.OpIngest, Persons: []core.PersonID{5}, Locals: []pattern.Pattern{{1, 2, 3, 4}}}); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func (s *countingStore) Recover() (store.Image, error) {
 	s.recovers++
 	if s.recoverErr != nil {
@@ -37,6 +47,9 @@ func (s *countingStore) Close() error {
 
 // TestRefusedMemberClosesItsStore: a join refused for a taken id or a closed
 // cluster is refused before the store is recovered, and the store is closed.
+// A durable member whose recovered residents have a foreign length is refused
+// by its handshake after its station was built, and its store is closed by
+// the time AddStation returns.
 func TestRefusedMemberClosesItsStore(t *testing.T) {
 	ctx := context.Background()
 	c := startCluster(t, testOptions(), paperScenario())
@@ -62,6 +75,17 @@ func TestRefusedMemberClosesItsStore(t *testing.T) {
 		t.Fatal("refused member's link left open")
 	}
 
+	foreign := foreignStore(t)
+	if err := c.AddStation(ctx, Member{ID: 9, Store: foreign}); !errors.Is(err, ErrLengthMismatch) {
+		t.Fatalf("foreign recovered length err = %v, want ErrLengthMismatch", err)
+	}
+	if foreign.recovers != 1 || foreign.closes != 1 {
+		t.Fatalf("foreign recovered length: Recover %d, Close %d times, want 1 and 1", foreign.recovers, foreign.closes)
+	}
+	if c.Stations() != 3 {
+		t.Fatalf("refused member joined: %d stations, want 3", c.Stations())
+	}
+
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +96,20 @@ func TestRefusedMemberClosesItsStore(t *testing.T) {
 	if late.recovers != 0 || late.closes != 1 {
 		t.Fatalf("closed cluster: Recover %d, Close %d times, want 0 and 1", late.recovers, late.closes)
 	}
+	// A cluster that closes after admit's refusal check starts no station:
+	// the one wire builds exits at once and closes its store.
+	raced := newCountingStore()
+	if _, _, err := c.wire(&Member{ID: 9, Store: raced}); !errors.Is(err, ErrClusterClosed) {
+		t.Fatalf("wiring into a closed cluster err = %v, want ErrClusterClosed", err)
+	}
+	if raced.recovers != 1 || raced.closes != 1 {
+		t.Fatalf("wiring into a closed cluster: Recover %d, Close %d times, want 1 and 1", raced.recovers, raced.closes)
+	}
 }
 
 // TestFailedNewClosesEveryStore: when one member fails inside New, the
 // stores of the members recovered before it — and after it — are closed
-// too.
+// too, including when the failure is a built station's handshake.
 func TestFailedNewClosesEveryStore(t *testing.T) {
 	early, broken, later := newCountingStore(), newCountingStore(), newCountingStore()
 	broken.recoverErr = errors.New("disk on fire")
@@ -97,6 +130,17 @@ func TestFailedNewClosesEveryStore(t *testing.T) {
 		}
 	}
 
+	// A store recovering residents of a foreign length fails the handshake
+	// after every station was built; each station has closed its store when
+	// New returns.
+	foreign, fine := foreignStore(t), newCountingStore()
+	if _, err := New(Options{}, 3, Member{ID: 1, Store: fine}, Member{ID: 2, Store: foreign}); !errors.Is(err, ErrLengthMismatch) {
+		t.Fatalf("foreign recovered length err = %v, want ErrLengthMismatch", err)
+	}
+	if foreign.closes != 1 || fine.closes != 1 {
+		t.Fatalf("foreign recovered length: closes %d/%d, want 1/1", foreign.closes, fine.closes)
+	}
+
 	// A duplicate id is refused before anything is recovered.
 	a, b := newCountingStore(), newCountingStore()
 	if _, err := New(Options{}, 3, Member{ID: 1, Store: a}, Member{ID: 1, Store: b}); !errors.Is(err, ErrStationExists) {
@@ -115,7 +159,6 @@ func TestWithTargetFPSizesFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat.Start()
 	t.Cleanup(func() { _ = flat.Shutdown() })
 	queries := []core.Query{
 		{ID: 1, Locals: []pattern.Pattern{{2010, 2011, 2012}}},

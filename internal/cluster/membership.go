@@ -261,9 +261,9 @@ func (c *Cluster) refusalLocked(id uint32) error {
 //
 // A refused join — a closed cluster, a taken id (ErrStationExists), a bad
 // spec, seed patterns of a foreign length (ErrLengthMismatch) — is refused
-// before the store is recovered, and closes the member's link and store. A
-// link member must pass the stats handshake New also runs: it must answer,
-// and patterns it already holds must match the cluster's length. A durable
+// before the store is recovered, and closes the member's link and store.
+// Every member must then pass the stats handshake New also runs: it must
+// answer, and patterns it holds must match the cluster's length. A durable
 // member recovers before the cluster lock is taken, so replaying a large WAL
 // never stalls concurrent searches.
 //
@@ -278,40 +278,37 @@ func (c *Cluster) AddStation(ctx context.Context, m Member) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	mux, st, sr, err := c.admit(ctx, m)
-	if err != nil {
-		m.release()
-		return err
-	}
-	c.mu.Lock()
-	if err := c.refusalLocked(m.ID); err != nil {
-		c.mu.Unlock()
-		_ = mux.Close()
-		m.release()
-		return err
-	}
-	if st != nil {
-		if c.started {
-			c.serveLocked(st)
-		} else {
-			c.pending = append(c.pending, st)
+	mux, done, sr, err := c.admit(ctx, &m)
+	if err == nil {
+		c.mu.Lock()
+		if err = c.refusalLocked(m.ID); err == nil {
+			c.invalidateLayoutLocked()
+			c.addressed[m.ID] = sr.Residents > 0
+			c.figures[m.ID] = sr
+			c.addMemberLocked(m.ID, mux)
 		}
+		c.mu.Unlock()
 	}
-	c.invalidateLayoutLocked()
-	c.addressed[m.ID] = sr.Residents > 0
-	c.figures[m.ID] = sr
-	c.addMemberLocked(m.ID, mux)
-	c.mu.Unlock()
+	if err != nil {
+		if mux != nil {
+			_ = mux.Close()
+		}
+		if done != nil {
+			<-done
+		}
+		m.release()
+		return err
+	}
 	c.summaries.invalidate(m.ID)
 	c.heal(ctx)
 	return nil
 }
 
 // admit runs everything a join does before taking the membership lock: the
-// refusals that cost nothing, then wiring (recovery), then a link member's
-// handshake. sr is the member's figures at its join, read from an
-// in-process station before it serves.
-func (c *Cluster) admit(ctx context.Context, m Member) (mux *transport.Mux, st *Station, sr wire.StatsReply, err error) {
+// refusals that cost nothing, then wiring (recovery; an in-process station
+// starts serving), then the handshake, whose reply sr seeds the figures. A
+// refusal after wiring still returns mux and done for AddStation to release.
+func (c *Cluster) admit(ctx context.Context, m *Member) (mux *transport.Mux, done <-chan struct{}, sr wire.StatsReply, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, sr, fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
@@ -321,24 +318,20 @@ func (c *Cluster) admit(ctx context.Context, m Member) (mux *transport.Mux, st *
 	if err == nil {
 		err = m.check(c.length)
 	}
+	if err == nil {
+		mux, done, err = c.wire(m)
+	}
 	if err != nil {
 		return nil, nil, sr, err
 	}
-	mux, st, err = m.wire(c.length)
-	switch {
-	case err != nil:
-	case m.Link != nil:
-		var replies []wire.StatsReply
-		replies, err = c.handshake(ctx, []uint32{m.ID}, []*transport.Mux{mux}) // on failure, release closes the link under the mux
-		if ctxErr := ctx.Err(); err != nil && ctxErr != nil {
+	replies, err := c.handshake(ctx, []uint32{m.ID}, []*transport.Mux{mux})
+	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
 			err = fmt.Errorf("%w: %w", ErrCancelled, ctxErr)
-		} else if err == nil {
-			sr = replies[0]
 		}
-	default:
-		sr = st.stats()
+		return mux, done, sr, err
 	}
-	return mux, st, sr, err
+	return mux, done, replies[0], nil
 }
 
 // addMemberLocked installs a new epoch with id inserted in order. Callers
@@ -352,7 +345,7 @@ func (c *Cluster) addMemberLocked(id uint32, mux *transport.Mux) {
 	c.installEpochLocked(ids, muxes)
 }
 
-// handshake is the join exchange every link member passes, New's and
+// handshake is the join exchange every member passes, New's and
 // AddStation's: one stats round over muxes (parallel to ids), concurrently.
 // It returns each member's reply, or the first refusal in ids order: a
 // member that does not answer, answers in another wire version or holds
@@ -410,14 +403,6 @@ func (c *Cluster) RemoveStation(ctx context.Context, id uint32) error {
 	muxes := make([]*transport.Mux, 0, len(c.ep.muxes)-1)
 	muxes = append(append(muxes, c.ep.muxes[:i]...), c.ep.muxes[i+1:]...)
 	c.installEpochLocked(ids, muxes)
-	// A pending (never-started) in-process station must not be launched
-	// after its link is gone.
-	for j, s := range c.pending {
-		if s.ID() == id {
-			c.pending = append(c.pending[:j], c.pending[j+1:]...)
-			break
-		}
-	}
 	c.mu.Unlock()
 	c.summaries.invalidate(id)
 	if !wasDead {

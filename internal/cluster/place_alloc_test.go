@@ -42,7 +42,6 @@ func TestPlaceAllocatesPerCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	t.Cleanup(func() { _ = c.Shutdown() })
 
 	var before, after runtime.MemStats

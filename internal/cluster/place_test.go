@@ -55,7 +55,6 @@ func placeModelTrial(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	t.Cleanup(func() { _ = c.Shutdown() })
 	if rng.Intn(3) == 0 {
 		if err := c.KillStation(uint32(1 + rng.Intn(n))); err != nil {

@@ -221,7 +221,6 @@ func TestCappedSearchEqualsUncappedTruncated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.Start()
 			t.Cleanup(func() { _ = c.Shutdown() })
 			if _, err := c.Place(context.Background(), l.globals(rand.New(rand.NewSource(seed))), WithReplication(2)); err != nil {
 				t.Fatal(err)

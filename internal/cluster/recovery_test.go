@@ -72,14 +72,12 @@ func TestRecoveryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	durable.Start()
 	t.Cleanup(func() { _ = durable.Shutdown() })
 
 	twin, err := New(Options{}, 3, emptyMembers(ids)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin.Start()
 	t.Cleanup(func() { _ = twin.Shutdown() })
 
 	rng := rand.New(rand.NewSource(42))
@@ -301,7 +299,6 @@ func TestRecoveryDeltaOnlyRebalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	t.Cleanup(func() { _ = c.Shutdown() })
 
 	placed := make(map[core.PersonID]pattern.Pattern, 40)
@@ -333,22 +330,24 @@ func TestRecoveryDeltaOnlyRebalance(t *testing.T) {
 
 	// Rejoin by hand — AddStation's steps for a durable member, with the heal
 	// replaced by an explicit Rebalance so the report is observable.
-	st := openWAL(t, dir, 2)
-	center, stationEnd := transport.Pipe(nil, nil)
-	station, err := NewStation(2, nil, stationEnd, st)
+	m := Member{ID: 2, Store: openWAL(t, dir, 2)}
+	mux, _, err := c.wire(&m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if station.patternLength() != 2 {
-		t.Fatalf("recovered pattern length %d, want 2 — WAL came back empty?", station.patternLength())
+	replies, err := c.handshake(ctx, []uint32{2}, []*transport.Mux{mux})
+	if err != nil {
+		t.Fatal(err)
 	}
-	recovered := station.Residents()
+	if replies[0].Length != 2 {
+		t.Fatalf("recovered pattern length %d, want 2 — WAL came back empty?", replies[0].Length)
+	}
+	recovered := replies[0].Residents
 	if recovered == 0 {
 		t.Fatal("station 2 recovered no residents")
 	}
 	c.mu.Lock()
-	c.serveLocked(station)
-	c.addMemberLocked(2, transport.NewMux(center))
+	c.addMemberLocked(2, mux)
 	c.mu.Unlock()
 	c.summaries.invalidate(2)
 

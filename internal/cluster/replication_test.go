@@ -34,7 +34,6 @@ func newPlacedCluster(t *testing.T, stations []uint32, r int, patterns map[core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	t.Cleanup(func() { _ = c.Shutdown() })
 	if _, err := c.Place(context.Background(), patterns, WithReplication(r)); err != nil {
 		t.Fatal(err)
@@ -413,7 +412,6 @@ func TestStatsRefreshAfterKillStation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	defer c.Shutdown()
 	ctx := context.Background()
 

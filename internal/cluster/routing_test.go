@@ -33,7 +33,6 @@ func routingTestCluster(t *testing.T) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	t.Cleanup(func() { _ = c.Shutdown() })
 	return c
 }
@@ -189,7 +188,6 @@ func TestRoutedMatchesFullAtEverySampleCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.Start()
 			t.Cleanup(func() { _ = c.Shutdown() })
 			ctx := context.Background()
 			pruned := 0
@@ -622,7 +620,6 @@ func TestRoutingPlacedReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	defer c.Shutdown()
 	ctx := context.Background()
 
@@ -811,7 +808,6 @@ func BenchmarkPlanRoute(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c.Start()
 		b.Cleanup(func() { _ = c.Shutdown() })
 		benchPlanRoute(b, c, query, 1)
 	})
@@ -820,7 +816,6 @@ func BenchmarkPlanRoute(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c.Start()
 		b.Cleanup(func() { _ = c.Shutdown() })
 		if _, err := c.Place(context.Background(), patterns, WithReplication(2)); err != nil {
 			b.Fatal(err)
@@ -842,7 +837,6 @@ func BenchmarkPlanRoute(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c.Start()
 		b.Cleanup(func() { _ = c.Shutdown() })
 		if _, err := c.Place(context.Background(), patterns, WithReplication(2)); err != nil {
 			b.Fatal(err)

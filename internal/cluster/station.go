@@ -11,11 +11,13 @@
 //
 // The data center does three things to a station — disseminate a filter,
 // collect reports, pull raw local patterns — and each exists once: every
-// concurrent exchange runs through roundtripAll/fanOut, every raw-pattern
-// pull is a KindDump (exchange.go). The coordinator is laid out as
-// cluster.go (the type and its construction), membership.go (lifecycle,
-// mutation, the join path), stats.go, search.go, wbf.go (the DI-matching
-// pipeline), route.go (the one pruning pass) and baselines.go (BF, naive).
+// concurrent round trip runs through roundtripAll/fanOut, every raw-pattern
+// pull is a KindDump (exchange.go), and mutations pushed to many stations at
+// once (Place, the heal) run through groupedFanOut (place.go). The
+// coordinator is laid out as cluster.go (the type and its construction),
+// membership.go (lifecycle, mutation, the one join path), stats.go,
+// search.go, wbf.go (the DI-matching pipeline), route.go (the one pruning
+// pass) and baselines.go (BF, naive).
 package cluster
 
 import (
@@ -150,9 +152,6 @@ func (s *Station) seed(locals map[core.PersonID]pattern.Pattern) store.Batch {
 	}
 	return b
 }
-
-// ID returns the station identifier.
-func (s *Station) ID() uint32 { return s.id }
 
 // patternLength returns the resident patterns' shared length, 0 when empty.
 func (s *Station) patternLength() int { return s.residents.Length() }

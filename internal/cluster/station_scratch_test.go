@@ -173,7 +173,6 @@ func TestStationRepliesMatchFreshStation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	ctx := context.Background()
 
 	var wg sync.WaitGroup

@@ -13,7 +13,6 @@ func newHooksCluster(t *testing.T, stations []uint32) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	t.Cleanup(func() { _ = c.Shutdown() })
 	return c
 }

@@ -65,7 +65,6 @@ func checkRetiredDigestSnapshot(t *testing.T, fixture []byte) {
 	if err != nil {
 		t.Fatalf("station refused its recovered store: %v", err)
 	}
-	c.Start()
 	defer func() { _ = c.Shutdown() }()
 	ctx := context.Background()
 	stats, err := c.Stats(ctx)

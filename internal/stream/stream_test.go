@@ -32,7 +32,6 @@ func newStreamCluster(t *testing.T, stations []uint32, length int) *cluster.Clus
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	t.Cleanup(func() { _ = c.Shutdown() })
 	return c
 }
@@ -746,7 +745,6 @@ func TestStreamFlushDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	t.Cleanup(func() { _ = c.Shutdown() })
 
 	in, err := New(c, Options{})
