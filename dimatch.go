@@ -14,7 +14,11 @@ import (
 // surface is a single import.
 type (
 	// Pattern is an integer communication-pattern time series (one value
-	// per interval, Definition 1 of the paper).
+	// per interval, Definition 1 of the paper). A cluster takes values
+	// that fit an int32 (math.MinInt32 to math.MaxInt32): stations keep
+	// each in an int32 cell, and a pattern holding any other value is
+	// refused with ErrValueRange. Sums and accumulated values are taken in
+	// 64 bits.
 	Pattern = pattern.Pattern
 	// Query is one pattern set to search for: the local patterns whose
 	// element-wise sum is the global pattern that defines a match.
@@ -179,6 +183,12 @@ var (
 	// ErrNoAliveStations reports a Place or Rebalance call on a cluster whose
 	// member stations are all dead.
 	ErrNoAliveStations = cluster.ErrNoAliveStations
+	// ErrValueRange reports a pattern holding a value an int32 cannot
+	// hold, given to Place, Ingest, Ingestor.Submit, NewCluster,
+	// AddStation or a station's seed. Stations keep each value in an int32
+	// cell, so the call is refused before any exchange and nothing of it is
+	// placed or applied.
+	ErrValueRange = cluster.ErrValueRange
 )
 
 // Streaming admission modes, re-exported. StreamBlock (the default) makes a
@@ -269,8 +279,9 @@ func (c *Cluster) Search(ctx context.Context, queries []Query, opts ...SearchOpt
 // cluster — the center routing freshly observed call data to the station
 // that saw it. The mutation travels the station's own request/reply loop,
 // so it applies between exchanges and never races an in-flight search.
-// Pattern lengths must match the cluster's (ErrLengthMismatch otherwise);
-// all-zero patterns are dropped by the station. A routed search never skips
+// Pattern lengths must match the cluster's (ErrLengthMismatch otherwise) and
+// values fit an int32 (ErrValueRange otherwise; nothing is
+// sent); all-zero patterns are dropped by the station. A routed search never skips
 // a station that received an Ingest as a redundant replica.
 func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[PersonID]Pattern) error {
 	return c.inner.Ingest(ctx, stationID, patterns)
@@ -296,6 +307,10 @@ func (c *Cluster) Evict(ctx context.Context, stationID uint32, persons []PersonI
 // changes trigger re-replication and rebalancing so the requested factor is
 // maintained without the caller naming stations. A person must be either
 // placed or station-addressed, never both; Unplace releases them back.
+//
+// A pattern of a foreign length or holding a value an int32 cannot hold
+// fails the whole call before any exchange
+// (ErrLengthMismatch, ErrValueRange): nothing is placed.
 //
 // A partly failed call returns the failed station exchanges joined. A
 // person who reached at least one station stays placed (reconciliation

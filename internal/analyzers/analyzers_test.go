@@ -391,6 +391,12 @@ func EncodeThing(v int) error {
 // DecodeLen has no error result; discarding it is not a finding.
 func DecodeLen(b []byte) int { return len(b) }
 
+// DecodeAs mimics a generic decoder its callers instantiate explicitly.
+func DecodeAs[T ~int](b []byte) (T, error) {
+	v, err := DecodeThing(b)
+	return T(v), err
+}
+
 type wireError string
 
 func (e wireError) Error() string { return string(e) }
@@ -427,6 +433,8 @@ func sloppy(b []byte) int {
 	wire.DecodeThing(b)          // want "result of DecodeThing is discarded"
 	v, _ := wire.DecodeThing(b)  // want "error result of DecodeThing is assigned to _"
 	wire.EncodeThing(v)          // want "result of EncodeThing is discarded"
+	wire.DecodeAs[int](b)        // want "result of DecodeAs is discarded"
+	_, _ = wire.DecodeAs[int](b) // want "error result of DecodeAs is assigned to _"
 	return v + wire.DecodeLen(b) // no error result: not a finding
 }
 

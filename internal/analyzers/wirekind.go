@@ -85,7 +85,7 @@ func codecErrIndex(p *pass, call *ast.CallExpr) int {
 		return -1
 	}
 	var obj types.Object
-	switch fun := call.Fun.(type) {
+	switch fun := codecFun(call).(type) {
 	case *ast.Ident:
 		obj = p.info.Uses[fun]
 	case *ast.SelectorExpr:
@@ -107,8 +107,20 @@ func codecErrIndex(p *pass, call *ast.CallExpr) int {
 	return -1
 }
 
-func codecName(call *ast.CallExpr) string {
+// codecFun is the called function's expression, without the type arguments
+// of an explicitly instantiated generic codec (wire.DecodeIngest[[]int32]).
+func codecFun(call *ast.CallExpr) ast.Expr {
 	switch fun := call.Fun.(type) {
+	case *ast.IndexExpr:
+		return fun.X
+	case *ast.IndexListExpr:
+		return fun.X
+	}
+	return call.Fun
+}
+
+func codecName(call *ast.CallExpr) string {
+	switch fun := codecFun(call).(type) {
 	case *ast.Ident:
 		return fun.Name
 	case *ast.SelectorExpr:

@@ -163,12 +163,12 @@ func Members(data map[uint32]map[core.PersonID]pattern.Pattern) []Member {
 
 // check refuses a member spec before anything is recovered or wired: a link
 // member carrying seed patterns or a store, or seed patterns of a foreign
-// length.
+// length or holding a value out of range.
 func (m Member) check(length int) error {
 	if m.Link != nil && (m.Patterns != nil || m.Store != nil) {
 		return fmt.Errorf("cluster: station %d: a link member takes no patterns or store", m.ID)
 	}
-	return checkLengths(length, fmt.Sprintf("station %d", m.ID), m.Patterns)
+	return checkPatterns(length, fmt.Sprintf("station %d", m.ID), m.Patterns)
 }
 
 // wire builds the center-side mux of a checked member: over its link, or
@@ -294,20 +294,37 @@ func assemble(opts Options, length int, members []Member) (*Cluster, error) {
 	return c, nil
 }
 
-// checkLengths reports the first pattern whose length differs from the
-// cluster's, as an ErrLengthMismatch naming what was being done.
-func checkLengths(length int, what string, patterns map[core.PersonID]pattern.Pattern) error {
+// checkPatterns reports the first pattern whose length differs from the
+// cluster's, as an ErrLengthMismatch, or else the first holding a value out
+// of range (checkRange), naming what was being done.
+func checkPatterns(length int, what string, patterns map[core.PersonID]pattern.Pattern) error {
 	for p, l := range patterns {
 		if len(l) != length {
 			return lengthMismatch(what, p, len(l), length)
 		}
 	}
+	return checkRange(what, patterns)
+}
+
+// checkRange reports the first pattern holding a value an int32 cannot
+// hold as an ErrValueRange naming what was being done.
+func checkRange(what string, patterns map[core.PersonID]pattern.Pattern) error {
+	for p, l := range patterns {
+		if !l.InRange() {
+			return valueRange(what, p)
+		}
+	}
 	return nil
 }
 
-// lengthMismatch is checkLengths's error for one person's pattern.
+// lengthMismatch is checkPatterns's error for one person's pattern.
 func lengthMismatch(what string, p core.PersonID, got, length int) error {
 	return fmt.Errorf("%w: %s person %d pattern length %d, cluster is %d", ErrLengthMismatch, what, p, got, length)
+}
+
+// valueRange is checkRange's error for one person's pattern.
+func valueRange(what string, p core.PersonID) error {
+	return fmt.Errorf("%w: %s person %d", ErrValueRange, what, p)
 }
 
 // closeMuxes closes what a failed New built and waits for the stations it
@@ -350,7 +367,10 @@ func (c *Cluster) pinEpoch() (*epoch, error) {
 // until the center sends a shutdown or the link closes — the body of a
 // remote station process.
 func ServeStation(id uint32, locals map[core.PersonID]pattern.Pattern, link transport.Link) error {
-	s, _ := NewStation(id, locals, link, nil) // without a store nothing can fail
+	s, err := NewStation(id, locals, link, nil)
+	if err != nil {
+		return err
+	}
 	return s.Serve()
 }
 

@@ -112,7 +112,7 @@ func BenchmarkStationIngest(b *testing.B) {
 				if empty {
 					s.residents = store.Residents{}
 				}
-				if err := st.Snapshot(store.Image{Persons: s.residents.Persons(), Locals: s.residents.Locals()}); err != nil {
+				if err := st.SnapshotCells(store.CellImage{Persons: s.residents.Persons(), Locals: s.residents.Locals()}); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()

@@ -26,18 +26,18 @@ func newCountingStore() *countingStore { return &countingStore{Store: store.NewM
 func foreignStore(t *testing.T) *countingStore {
 	t.Helper()
 	s := newCountingStore()
-	if err := s.Append(store.Batch{Op: store.OpIngest, Persons: []core.PersonID{5}, Locals: []pattern.Pattern{{1, 2, 3, 4}}}); err != nil {
+	if err := s.AppendCells(store.CellBatch{Op: store.OpIngest, Persons: []core.PersonID{5}, Locals: [][]int32{{1, 2, 3, 4}}}); err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-func (s *countingStore) Recover() (store.Image, error) {
+func (s *countingStore) RecoverCells() (store.CellImage, error) {
 	s.recovers++
 	if s.recoverErr != nil {
-		return store.Image{}, s.recoverErr
+		return store.CellImage{}, s.recoverErr
 	}
-	return s.Store.Recover()
+	return s.Store.RecoverCells()
 }
 
 func (s *countingStore) Close() error {

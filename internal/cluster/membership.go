@@ -107,7 +107,8 @@ func (c *Cluster) Shutdown() error {
 // routing freshly observed call data to the station that saw it. The
 // mutation travels the same request/reply loop as queries, so the station
 // applies it between exchanges and no search observes a half-applied store.
-// Pattern lengths must match the cluster's. All-zero patterns are dropped
+// Pattern lengths must match the cluster's and values fit an int32
+// (ErrValueRange). All-zero patterns are dropped
 // by the station (no measurable activity means no local pattern). The
 // station is addressed from then on: routing never skips it as a redundant
 // replica (planRoute).
@@ -118,7 +119,7 @@ func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[cor
 	if len(patterns) == 0 {
 		return nil
 	}
-	if err := checkLengths(c.length, "ingest", patterns); err != nil {
+	if err := checkPatterns(c.length, "ingest", patterns); err != nil {
 		return err
 	}
 	in := wire.Ingest{Persons: make([]core.PersonID, 0, len(patterns))}

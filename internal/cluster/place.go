@@ -281,15 +281,19 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 		return nil, nil
 	}
 	alive, _, gen, clean := c.placementView()
-	// One pass over the caller's map checks every length and drops all-zero
-	// patterns: stations drop them on ingest (no measurable activity means no
-	// local pattern), and recording such a person as placed would leave an
-	// intent no copy can ever satisfy, counted Lost by every reconciliation
-	// forever.
+	// One pass over the caller's map checks every length and value range
+	// and drops all-zero patterns: stations drop them on ingest (no
+	// measurable activity means no local pattern), and recording such a
+	// person as placed would leave an intent no copy can ever satisfy,
+	// counted Lost by every reconciliation forever.
 	rows := wire.Ingest{Persons: make([]core.PersonID, 0, len(patterns))}
 	for p, pat := range patterns {
 		if len(pat) != c.length {
 			err = lengthMismatch("place", p, len(pat), c.length)
+			break
+		}
+		if !pat.InRange() {
+			err = valueRange("place", p)
 			break
 		}
 		if pat.Sum() != 0 {

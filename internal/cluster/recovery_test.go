@@ -169,11 +169,10 @@ func TestRecoveryEquivalence(t *testing.T) {
 }
 
 // TestStoredStationDigestRecovery pins digest byte-identity across a
-// restart: the store persists no digest, and the one a restarted station
-// rebuilds on its first summary pull — after a fold, and again after
-// post-fold appends — is byte-identical to the pre-crash one, because
-// index.Build is deterministic in the resident set. A folding persist builds
-// no digest: the memo stays nil until a pull.
+// restart: neither the store nor the station keeps a digest, and the one a
+// restarted station builds for its first summary pull — after a fold, and
+// again after post-fold appends — is byte-identical to the pre-crash one,
+// because index.Build is deterministic in the resident set.
 func TestStoredStationDigestRecovery(t *testing.T) {
 	dir := t.TempDir()
 	restart := func(opts wal.Options) (*Station, *wal.Store) {
@@ -186,9 +185,6 @@ func TestStoredStationDigestRecovery(t *testing.T) {
 		s, err := NewStation(1, nil, stationEnd, st)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if s.summary != nil {
-			t.Fatal("restarted station holds a digest before any pull")
 		}
 		return s, st
 	}
@@ -211,16 +207,12 @@ func TestStoredStationDigestRecovery(t *testing.T) {
 		return reply.Payload
 	}
 
-	// Every record folds: the ingest's persist snapshots the residents and
-	// leaves the digest memo nil.
+	// Every record folds: the ingest's persist snapshots the residents.
 	s, st := restart(wal.Options{SnapshotEvery: 1, SnapshotBytes: -1})
 	ingest(s, 7, pattern.Pattern{3, -1, 4})
 	ingest(s, 9, pattern.Pattern{2, 2, 2})
 	if st.Generation() == 0 {
 		t.Fatal("persist never folded despite SnapshotEvery=1")
-	}
-	if s.summary != nil {
-		t.Fatal("a folding persist built the digest")
 	}
 	want := pull(s)
 	if err := st.Close(); err != nil {
@@ -271,16 +263,15 @@ func BenchmarkStationFold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	row := make(pattern.Pattern, length)
+	row := make([]int32, length)
 	var snapBytes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := core.PersonID(i%residents + 1)
-		copy(row, locals[p])
+		row = pattern.AppendCells(row[:0], locals[p])
 		row[i%length]++
 		s.residents.Upsert(p, row)
-		s.summary = nil
-		if err := s.persist(store.Batch{Op: store.OpIngest, Persons: []core.PersonID{p}, Locals: []pattern.Pattern{row}}); err != nil {
+		if err := s.persist(store.CellBatch{Op: store.OpIngest, Persons: []core.PersonID{p}, Locals: [][]int32{row}}); err != nil {
 			b.Fatal(err)
 		}
 		snapBytes += st.SnapshotBytes()

@@ -63,6 +63,10 @@ var (
 	// ErrNoAliveStations is returned by Place and Rebalance when every
 	// member station is dead — there is nowhere to put (or pull) a copy.
 	ErrNoAliveStations = errors.New("cluster: no alive stations")
+	// ErrValueRange is returned by Place, Ingest, New, AddStation and
+	// NewStation for a pattern holding a value an int32 cannot hold — the
+	// width of a station's cell; nothing of the call is placed or applied.
+	ErrValueRange = errors.New("cluster: pattern value outside int32")
 )
 
 // ParseStrategy is the inverse of Strategy.String: it maps "naive", "bf" and
@@ -240,11 +244,12 @@ type CostReport struct {
 	// CenterStorageBytes is what the data center must keep to answer the
 	// query: the whole dataset for naive, the filter plus reports otherwise.
 	CenterStorageBytes uint64
-	// StationRawBytes is the raw local-pattern storage across stations,
-	// identical for all strategies (their own data). It is the sum of the
-	// figures the stations last reported themselves over the wire (see
-	// Stats), so in-process and link-backed clusters measure the same
-	// figure; a killed station contributes 0.
+	// StationRawBytes is the raw local-pattern storage across stations at
+	// the paper's 8 bytes per value, identical for all strategies (their
+	// own data) and not what the stations' int32 stores hold. It is the
+	// sum of the figures the stations last reported themselves over the
+	// wire (see Stats), so in-process and link-backed clusters measure the
+	// same figure; a killed station contributes 0.
 	StationRawBytes uint64
 	// Elapsed is the wall-clock search duration.
 	Elapsed time.Duration

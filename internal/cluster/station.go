@@ -41,16 +41,12 @@ type Station struct {
 	id   uint32
 	link transport.Link
 
-	// residents holds the station's resident patterns, person-ID ascending
-	// for deterministic replies. It owns its rows — everything applied is
-	// copied in — and only the Serve loop touches it after construction.
+	// residents holds the station's resident patterns as int32 cells,
+	// person-ID ascending for deterministic replies. It owns its rows —
+	// everything applied is copied in or adopted whole — and only the Serve
+	// loop touches it after construction. Every reader below takes its rows
+	// as they are; nothing widens them to int64.
 	residents store.Residents
-
-	// summary memoizes the routing summary between store mutations, so a
-	// coordinator refreshing after every search round does not rebuild the
-	// digest per request. Only the Serve loop touches it (mutations arrive
-	// on the same loop), so no locking is needed.
-	summary *index.Summary
 
 	// durable, when non-nil, persists every applied batch before its reply
 	// is sent (see NewStation). Nil keeps the pre-persistence behavior:
@@ -80,7 +76,7 @@ type roundScratch struct {
 
 // roundScratchMax bounds what a station keeps between rounds. On the
 // largest station of the benchmark's city (3 618 residents) a 1-query round
-// keeps ≈ 8 KiB and a 16-query round ≈ 205 KiB, so both stay warm; a round
+// keeps ≈ 6 KiB and a 16-query round ≈ 154 KiB, so both stay warm; a round
 // larger than this pays its own allocations, as every round did before the
 // scratch (TestStationRoundScratchBounded).
 const roundScratchMax = 512 << 10
@@ -101,17 +97,21 @@ func (r *roundScratch) trim() {
 // non-nil, a durable backend. A durable station recovers its residents
 // first, then applies and persists the seed on top; restarting a
 // crashed station is NewStation with nil locals over the same backend, and
-// the station owns the store from then on — Serve closes it on exit. A nil
-// st keeps the residents in this process's memory only, and cannot fail.
+// the station owns the store from then on — Serve closes it on exit.
 //
-// The seed is copied in, so the caller's map stays the caller's. All-zero
-// patterns are dropped: a person with no measurable activity at the station
-// has no local pattern there (and would otherwise spuriously probe the
-// filters at accumulated value zero).
+// The seed is copied in, so the caller's map stays the caller's. A seed
+// value an int32 cannot hold fails with ErrValueRange before anything
+// is recovered or applied; a nil st then cannot fail. All-zero patterns are
+// dropped: a person with no measurable activity at the station has no local
+// pattern there (and would otherwise spuriously probe the filters at
+// accumulated value zero).
 func NewStation(id uint32, locals map[core.PersonID]pattern.Pattern, link transport.Link, st store.Store) (*Station, error) {
+	if err := checkRange(fmt.Sprintf("station %d seed", id), locals); err != nil {
+		return nil, err
+	}
 	s := &Station{id: id, link: link, durable: st}
 	if st != nil {
-		img, err := st.Recover()
+		img, err := st.RecoverCells()
 		if err != nil {
 			return nil, fmt.Errorf("station %d: recover: %w", id, err)
 		}
@@ -126,7 +126,7 @@ func NewStation(id uint32, locals map[core.PersonID]pattern.Pattern, link transp
 	}
 	if b := s.seed(locals); len(b.Persons) > 0 {
 		if st != nil {
-			if err := st.Append(b); err != nil {
+			if err := st.AppendCells(b); err != nil {
 				return nil, fmt.Errorf("station %d: persist seed: %w", id, err)
 			}
 		}
@@ -134,21 +134,27 @@ func NewStation(id uint32, locals map[core.PersonID]pattern.Pattern, link transp
 	return s, nil
 }
 
-// seed upserts locals in person order — sorted first, so the store appends
-// instead of shifting — and returns the batch of what was applied, views of
-// the caller's patterns.
-func (s *Station) seed(locals map[core.PersonID]pattern.Pattern) store.Batch {
+// seed upserts locals (NewStation checked their range) in person order —
+// sorted first, so the store appends instead of shifting — each through one
+// reused int32 row, and returns the batch of what was applied: views of the
+// store's rows, good until its next mutation.
+func (s *Station) seed(locals map[core.PersonID]pattern.Pattern) store.CellBatch {
 	persons := make([]core.PersonID, 0, len(locals))
 	for p := range locals {
 		persons = append(persons, p)
 	}
 	sort.Slice(persons, func(i, j int) bool { return persons[i] < persons[j] })
-	b := store.Batch{Op: store.OpIngest}
+	b := store.CellBatch{Op: store.OpIngest}
+	var row []int32
 	for _, p := range persons {
-		if s.residents.Upsert(p, locals[p]) {
+		row = pattern.AppendCells(row[:0], locals[p])
+		if s.residents.Upsert(p, row) {
 			b.Persons = append(b.Persons, p)
-			b.Locals = append(b.Locals, locals[p])
 		}
+	}
+	for _, p := range b.Persons {
+		i, _ := s.residents.Find(p)
+		b.Locals = append(b.Locals, s.residents.Locals()[i])
 	}
 	return b
 }
@@ -159,8 +165,9 @@ func (s *Station) patternLength() int { return s.residents.Length() }
 // Residents returns the number of stored local patterns.
 func (s *Station) Residents() int { return s.residents.Len() }
 
-// StorageBytes returns the bytes the station dedicates to its raw local
-// patterns (8 bytes per value), the baseline storage every strategy pays.
+// StorageBytes returns the bytes of the station's raw local patterns at the
+// paper's 8 bytes per value, the baseline storage every strategy pays — not
+// what its int32 store holds (store.Residents.HeapBytes).
 func (s *Station) StorageBytes() uint64 { return s.residents.Bytes() }
 
 // Serve processes center messages until a shutdown message arrives or the
@@ -241,7 +248,7 @@ func (s *Station) handleBatch(msg wire.Message) (wire.Message, error) {
 		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
 	persons, locals := s.residents.Range(r.query.From, r.query.To)
-	reports, err := r.walk.Match(r.query.Filter, persons, locals, 0)
+	reports, err := core.WalkMatch(&r.walk, r.query.Filter, persons, locals, 0)
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
@@ -265,7 +272,7 @@ func (s *Station) handleBF(msg wire.Message) (wire.Message, error) {
 	var persons []core.PersonID
 	if s.residents.Length() == q.Length {
 		for i, local := range s.residents.Locals() {
-			ok, err := matcher.Match(local)
+			ok, err := core.MatchBF(matcher, local)
 			if err != nil {
 				return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 			}
@@ -303,7 +310,7 @@ func (s *Station) handleDump(msg wire.Message) (wire.Message, error) {
 			}
 		}
 	}
-	reply, err := wire.EncodeDumpReply(wire.DumpReply{
+	reply, err := wire.EncodeDumpReply(wire.DumpReplyOf[[]int32, int32]{
 		Station: s.id,
 		Persons: persons,
 		Locals:  locals,
@@ -322,16 +329,18 @@ func (s *Station) handleDump(msg wire.Message) (wire.Message, error) {
 // reply is encoded: a batch the center saw answered is never lost to a
 // crash the store covers. When every received row applied, the batch carries
 // the received payload, which the WAL logs as is; otherwise it carries only
-// the applied rows.
+// the applied rows. The frame decodes straight into int32 cells, and a
+// value an int32 cannot hold fails the decode rather than being stored as
+// another.
 func (s *Station) handleIngest(msg wire.Message) (wire.Message, error) {
-	in, err := wire.DecodeIngest(msg)
+	in, err := wire.DecodeIngest[[]int32](msg)
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
 	// The decoded rows are this call's own. A batch landing after every
 	// resident becomes the store's as it is.
 	if s.residents.AdoptRows(in.Persons, in.Locals) {
-		return s.ackApplied(store.Batch{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals, Payload: msg.Payload})
+		return s.ackApplied(store.CellBatch{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals, Payload: msg.Payload})
 	}
 	// Otherwise each row is copied in: compact the applied ones to the front
 	// in place.
@@ -342,25 +351,20 @@ func (s *Station) handleIngest(msg wire.Message) (wire.Message, error) {
 			n++
 		}
 	}
-	applied := store.Batch{Op: store.OpIngest, Persons: in.Persons[:n], Locals: in.Locals[:n]}
+	applied := store.CellBatch{Op: store.OpIngest, Persons: in.Persons[:n], Locals: in.Locals[:n]}
 	if n == len(in.Persons) {
 		applied.Payload = msg.Payload
 	}
 	return s.ackApplied(applied)
 }
 
-// ackApplied finishes a mutation: when anything was applied the memoized
-// routing summary no longer covers the store (and Bloom filters cannot
-// delete, so an evict needs the rebuild as much as an ingest), and a durable
+// ackApplied finishes a mutation: when anything was applied a durable
 // station persists the batch before the reply exists. The reply is the
 // station's stats after the mutation.
-func (s *Station) ackApplied(applied store.Batch) (wire.Message, error) {
-	if len(applied.Persons) > 0 {
-		s.summary = nil
-		if s.durable != nil {
-			if err := s.persist(applied); err != nil {
-				return wire.Message{}, err
-			}
+func (s *Station) ackApplied(applied store.CellBatch) (wire.Message, error) {
+	if len(applied.Persons) > 0 && s.durable != nil {
+		if err := s.persist(applied); err != nil {
+			return wire.Message{}, err
 		}
 	}
 	s.seq++
@@ -371,11 +375,11 @@ func (s *Station) ackApplied(applied store.Batch) (wire.Message, error) {
 // the log into a snapshot of the residents when its thresholds say so.
 // Errors are fatal to the serve loop: the reply to this batch must never be
 // sent if durability was promised and not delivered.
-func (s *Station) persist(b store.Batch) error {
-	if err := s.durable.Append(b); err != nil {
+func (s *Station) persist(b store.CellBatch) error {
+	if err := s.durable.AppendCells(b); err != nil {
 		return fmt.Errorf("station %d: %w", s.id, err)
 	}
-	if _, err := s.durable.Compact(store.Image{Persons: s.residents.Persons(), Locals: s.residents.Locals()}); err != nil {
+	if _, err := s.durable.Compact(store.CellImage{Persons: s.residents.Persons(), Locals: s.residents.Locals()}); err != nil {
 		return fmt.Errorf("station %d: %w", s.id, err)
 	}
 	return nil
@@ -388,7 +392,7 @@ func (s *Station) handleEvict(msg wire.Message) (wire.Message, error) {
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
-	applied := store.Batch{Op: store.OpEvict}
+	applied := store.CellBatch{Op: store.OpEvict}
 	for _, p := range ev.Persons {
 		if s.residents.Evict(p) {
 			applied.Persons = append(applied.Persons, p)
@@ -418,23 +422,12 @@ func (s *Station) stats() wire.StatsReply {
 
 // handleSummary answers the coordinator's routing-summary pull: a Bloom
 // digest of every resident's accumulated cells at the sampled positions
-// (see internal/index). The digest is memoized until the next ingest or
-// evict, so steady-state refreshes cost one encode, not one store walk.
-func (s *Station) handleSummary() (wire.Message, error) {
-	if err := s.ensureSummary(); err != nil {
-		return wire.Message{}, err
-	}
-	return encodeSummary(s.summary, s.id), nil
-}
-
-// ensureSummary (re)builds the memoized routing digest when a mutation
-// dropped it or the station just started. index.Build is deterministic in
-// the resident set, which is what makes a digest rebuilt after recovery
+// (see internal/index), built, encoded and dropped. The coordinator pulls
+// only into an empty or invalidated cache slot, so a kept digest would be
+// read once and then held for nothing. index.Build is deterministic in the
+// resident set, which is what makes a digest rebuilt after recovery
 // byte-identical to the pre-crash one.
-func (s *Station) ensureSummary() error {
-	if s.summary != nil {
-		return nil
-	}
+func (s *Station) handleSummary() (wire.Message, error) {
 	length := s.patternLength()
 	if length == 0 {
 		// An empty store has no length of its own; a 1-cell summary with
@@ -443,8 +436,7 @@ func (s *Station) ensureSummary() error {
 	}
 	sum, err := index.Build(length, s.residents.Locals())
 	if err != nil {
-		return fmt.Errorf("station %d: %w", s.id, err)
+		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
-	s.summary = sum
-	return nil
+	return encodeSummary(sum, s.id), nil
 }

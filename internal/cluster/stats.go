@@ -15,7 +15,9 @@ type StationStats struct {
 	Station uint32
 	// Residents is the number of local patterns the station holds.
 	Residents int
-	// StorageBytes is the raw bytes those patterns occupy (8 per value).
+	// StorageBytes is the raw bytes those patterns occupy at the paper's 8
+	// per value, the storage every strategy is charged; the station's int32
+	// store holds about half.
 	StorageBytes uint64
 	// PatternLength is the time-series length the station serves (0 when it
 	// holds no patterns).

@@ -1,4 +1,4 @@
-// AllocsPerRun pins: (*Matcher).Match, (*Matcher).sampledAccumulate,
+// AllocsPerRun pins: (*Matcher).Match, sampledAccumulate,
 // (*Filter).probe and intersectSorted — the per-resident station probe path —
 // held to 0 allocs/op after one warm-up call grows the matcher's scratch
 // buffers.
@@ -34,9 +34,11 @@ func warmMatcher(t *testing.T) (*Matcher, pattern.Pattern) {
 func TestNoallocMatcherMatch(t *testing.T) {
 	m, p := warmMatcher(t)
 	miss := pattern.Pattern{9, 9, 9}
+	cells := pattern.AppendCells(nil, p) // a station's row
 	if n := testing.AllocsPerRun(100, func() {
 		matchSink, boolSink, _ = m.Match(p)
 		matchSink, boolSink, _ = m.Match(miss)
+		matchSink, boolSink, _ = matchRow(m, cells)
 	}); n != 0 {
 		t.Fatalf("(*Matcher).Match allocates %v times per run; want 0", n)
 	}
@@ -44,16 +46,18 @@ func TestNoallocMatcherMatch(t *testing.T) {
 
 func TestNoallocMatchersampledAccumulate(t *testing.T) {
 	m, p := warmMatcher(t)
+	cells := pattern.AppendCells(nil, p) // a station's row
 	if n := testing.AllocsPerRun(100, func() {
-		valsSink = m.sampledAccumulate(p)
+		valsSink = sampledAccumulate(m, p)
+		valsSink = sampledAccumulate(m, cells)
 	}); n != 0 {
-		t.Fatalf("(*Matcher).sampledAccumulate allocates %v times per run; want 0", n)
+		t.Fatalf("sampledAccumulate allocates %v times per run; want 0", n)
 	}
 }
 
 func TestNoallocFilterprobe(t *testing.T) {
 	m, p := warmMatcher(t)
-	vals := m.sampledAccumulate(p)
+	vals := sampledAccumulate(m, p)
 	scratch := make([]WeightID, 0, 8)
 	if n := testing.AllocsPerRun(100, func() {
 		weightSink, boolSink = m.filter.probe(0, vals[0], scratch[:0])

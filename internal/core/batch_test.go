@@ -1,8 +1,12 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"dimatch/internal/cdr"
 	"dimatch/internal/pattern"
 )
 
@@ -83,10 +87,10 @@ func TestMatchResidentsMatchesSerialWalk(t *testing.T) {
 
 func TestMatchResidentsEdgeCases(t *testing.T) {
 	f := batchFilter(t, []Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3, 4}}}})
-	if _, err := MatchResidents(f, []PersonID{1}, nil, 0); err == nil {
+	if _, err := MatchResidents(f, []PersonID{1}, []pattern.Pattern(nil), 0); err == nil {
 		t.Fatal("mismatched parallel slices accepted")
 	}
-	got, err := MatchResidents(f, nil, nil, 0)
+	got, err := MatchResidents(f, nil, []pattern.Pattern(nil), 0)
 	if err != nil || got != nil {
 		t.Fatalf("empty store: %v, %v", got, err)
 	}
@@ -217,5 +221,78 @@ func BenchmarkMatcherProbe(b *testing.B) {
 		if _, _, err := m.Match(p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWalkHoldsReportsOnce: on a 16-query round over the largest station of
+// a benchmark-shaped city (20 000 persons, 64 stations, 3 days × 8
+// intervals), a 2-worker walk reports byte-for-byte what a 1-worker walk
+// does and holds each report once: it keeps no more than the 1-worker walk
+// plus its second worker's scratch — matcher buffers and the slack its hits
+// and pointer arena grew with.
+func TestWalkHoldsReportsOnce(t *testing.T) {
+	const persons = 20_000
+	city, err := cdr.Generate(cdr.Config{Seed: 20120612, Persons: persons, Stations: 64, Days: 3, IntervalsPerDay: 8, VolumeLevels: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var largest map[cdr.PersonID]pattern.Pattern
+	for _, s := range city.StationIDs() {
+		if l := city.StationLocals(s); len(l) > len(largest) {
+			largest = l
+		}
+	}
+	ids := make([]PersonID, 0, len(largest))
+	for p := range largest {
+		ids = append(ids, PersonID(p))
+	}
+	slices.Sort(ids)
+	rows := make([][]int32, len(ids))
+	for i, p := range ids {
+		rows[i] = pattern.AppendCells(nil, largest[cdr.PersonID(p)])
+	}
+	rng := rand.New(rand.NewSource(1))
+	var queries []Query
+	for len(queries) < 16 {
+		if locals := city.QueryLocalsOf(cdr.PersonID(rng.Intn(persons))); len(locals) >= 2 {
+			queries = append(queries, Query{ID: QueryID(len(queries) + 1), Locals: locals})
+		}
+	}
+	params, err := SizedParams(Params{}, city.Length(), queries, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := NewEncoder(params, city.Length())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		if err := enc.AddQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var one, two Walk
+	want, err := WalkMatch(&one, enc.Filter(), ids, rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := WalkMatch(&two, enc.Filter(), ids, rows, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 100 {
+		t.Fatalf("the round reports %d residents: too few to tell", len(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("2-worker walk reports %d residents, 1-worker %d, or other pointers", len(got), len(want))
+	}
+	scratch := 0
+	for _, wk := range two.workers {
+		scratch += 4*(cap(wk.m.current)+cap(wk.m.probeBuf)) + 8*cap(wk.m.valBuf) +
+			8*(cap(wk.hits)-len(wk.hits)) + 4*(cap(wk.arena)-len(wk.arena))
+	}
+	t.Logf("%d residents, %d reports: 1 worker keeps %d B, 2 workers %d B, of which per-worker scratch %d B", len(ids), len(want), one.Bytes(), two.Bytes(), scratch)
+	if two.Bytes() > one.Bytes()+scratch {
+		t.Fatalf("2 workers keep %d B, over the 1-worker walk's %d B plus %d B of per-worker scratch", two.Bytes(), one.Bytes(), scratch)
 	}
 }

@@ -38,18 +38,19 @@ func (m *Matcher) reset(f *Filter) {
 	m.filter, m.sampleIdx = f, f.sampleIdx
 }
 
-// sampledAccumulate computes the accumulated (prefix-sum) values of p at the
-// matcher's sample positions in one pass, without materializing the full
-// accumulated series — the per-resident allocation the probe path used to
-// pay. Sample indexes ascend by construction (pattern.SampleIndexes).
+// sampledAccumulate computes the accumulated (prefix-sum) values of row p
+// at the matcher's sample positions in one pass, in int64 whatever the
+// row's cell type, without materializing the full accumulated series — the
+// per-resident allocation the probe path used to pay. Sample indexes ascend
+// by construction (pattern.SampleIndexes).
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
-func (m *Matcher) sampledAccumulate(p pattern.Pattern) []int64 {
+func sampledAccumulate[R pattern.Row[C], C pattern.Cell](m *Matcher, p R) []int64 {
 	vals := m.valBuf[:0]
 	run := int64(0)
 	next := 0
 	for i, v := range p {
-		run += v
+		run += int64(v)
 		for next < len(m.sampleIdx) && m.sampleIdx[next] == i {
 			vals = append(vals, run)
 			next++
@@ -72,11 +73,17 @@ func (m *Matcher) sampledAccumulate(p pattern.Pattern) []int64 {
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (m *Matcher) Match(p pattern.Pattern) (ids []WeightID, ok bool, err error) {
+	return matchRow(m, p)
+}
+
+// matchRow is Match on a row of any cell type: a station's walk probes its
+// int32 rows through it.
+func matchRow[R pattern.Row[C], C pattern.Cell](m *Matcher, p R) (ids []WeightID, ok bool, err error) {
 	if len(p) != m.filter.length {
 		// cold path: caller bug, never taken per-resident
 		return nil, false, fmt.Errorf("core: pattern length %d, filter wants %d", len(p), m.filter.length)
 	}
-	vals := m.sampledAccumulate(p)
+	vals := sampledAccumulate(m, p)
 	current := m.current[:0]
 	for slot, v := range vals {
 		found, bitsOK := m.filter.probe(slot, v, m.probeBuf[:0])
@@ -191,17 +198,21 @@ func NewBFMatcher(f *bloom.Filter, params Params, patternLength int) (*BFMatcher
 }
 
 // Match reports whether the pattern qualifies under the plain Bloom filter.
-func (m *BFMatcher) Match(p pattern.Pattern) (bool, error) {
+func (m *BFMatcher) Match(p pattern.Pattern) (bool, error) { return MatchBF(m, p) }
+
+// MatchBF is BFMatcher.Match on a row of any cell type — a station's int32
+// rows. It accumulates in int64 and probes each sampled position as the
+// prefix sum reaches it, so it allocates nothing.
+func MatchBF[R pattern.Row[C], C pattern.Cell](m *BFMatcher, p R) (bool, error) {
 	if len(p) != m.length {
 		return false, fmt.Errorf("core: pattern length %d, filter wants %d", len(p), m.length)
 	}
-	acc := p.Accumulate()
-	vals, err := acc.SampleAt(m.sample)
-	if err != nil {
-		return false, err
-	}
-	for slot, v := range vals {
-		if !m.filter.Contains(m.keys.key(slot, v)) {
+	run, g := int64(0), 0
+	for slot, pos := range m.sample {
+		for ; g <= pos; g++ {
+			run += int64(p[g])
+		}
+		if !m.filter.Contains(m.keys.key(slot, run)) {
 			return false, nil
 		}
 	}

@@ -58,8 +58,12 @@ func TestNoallocSummarybandAdmit(t *testing.T) {
 func TestNoallocSummaryAdd(t *testing.T) {
 	s, _ := buildPinFixture(t)
 	row := pattern.Pattern{4, 0, 9}
+	cells := []int32{4, 0, 9} // a station's row, as Build adds it
 	if n := testing.AllocsPerRun(100, func() {
 		if err := s.Add(row); err != nil {
+			panic(err)
+		}
+		if err := addRow(s, cells); err != nil {
 			panic(err)
 		}
 	}); n != 0 {

@@ -204,14 +204,16 @@ func (s *Summary) Absorb(child *Summary) error {
 
 // Build constructs a summary over a station's resident patterns with the
 // default seed and false-positive target — what a station does to answer a
-// summary request.
-func Build(length int, locals []pattern.Pattern) (*Summary, error) {
+// summary request. The rows may be of either cell type: a station digests
+// its int32 store, and the digest of equal values is byte-identical either
+// way, since cells are accumulated in int64.
+func Build[R pattern.Row[C], C pattern.Cell](length int, locals []R) (*Summary, error) {
 	s, err := New(length, len(locals), DefaultFPTarget, DefaultSeed)
 	if err != nil {
 		return nil, err
 	}
 	for _, l := range locals {
-		if err := s.Add(l); err != nil {
+		if err := addRow(s, l); err != nil {
 			return nil, err
 		}
 	}
@@ -223,14 +225,17 @@ func Build(length int, locals []pattern.Pattern) (*Summary, error) {
 // rate (wasted probes), never causes a false prune.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
-func (s *Summary) Add(local pattern.Pattern) error {
+func (s *Summary) Add(local pattern.Pattern) error { return addRow(s, local) }
+
+// addRow is Add on a row of any cell type.
+func addRow[R pattern.Row[C], C pattern.Cell](s *Summary, local R) error {
 	if len(local) != s.length {
 		return fmt.Errorf("index: pattern length %d, summary wants %d", len(local), s.length)
 	}
 	run, g := int64(0), 0
 	for i, p := range s.pos[:s.covered] {
 		for ; g <= p; g++ {
-			run += local[g]
+			run += int64(local[g])
 		}
 		s.filter.AddHash(cellHash(s.salt[i], run))
 	}

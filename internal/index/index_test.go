@@ -218,7 +218,7 @@ func TestProbeBudget(t *testing.T) {
 	if probe.Selective() {
 		t.Fatal("probe over MaxProbeValues still claims to be selective")
 	}
-	s, err := Build(64, nil)
+	s, err := Build(64, []pattern.Pattern(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestProbeBudget(t *testing.T) {
 // TestEmptyStationIsPruned: a station with no residents can never report;
 // its summary admits nothing selective.
 func TestEmptyStationIsPruned(t *testing.T) {
-	s, err := Build(3, nil)
+	s, err := Build(3, []pattern.Pattern(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,13 +46,7 @@ func (p Pattern) Equal(q Pattern) bool {
 // Sum returns the sum of all values. For a non-negative pattern this equals
 // the maximum of its accumulated form, which is exactly the weight numerator
 // the paper assigns to the pattern (see Weight in combine.go).
-func (p Pattern) Sum() int64 {
-	var s int64
-	for _, v := range p {
-		s += v
-	}
-	return s
-}
+func (p Pattern) Sum() int64 { return RowSum(p) }
 
 // IsNonNegative reports whether every value of p is >= 0.
 func (p Pattern) IsNonNegative() bool {

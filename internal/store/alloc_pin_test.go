@@ -10,13 +10,12 @@ import (
 	"testing"
 
 	"dimatch/internal/core"
-	"dimatch/internal/pattern"
 )
 
 func pinnedResidents() *Residents {
 	r := &Residents{}
 	for p := core.PersonID(1); p <= 300; p++ {
-		r.Upsert(p*3, pattern.Pattern{int64(p), 2, 3, 4})
+		r.Upsert(p*3, []int32{int32(p), 2, 3, 4})
 	}
 	return r
 }
@@ -39,7 +38,7 @@ func TestNoallocResidentsFind(t *testing.T) {
 
 func TestNoallocResidentsUpsert(t *testing.T) {
 	r := pinnedResidents()
-	row := pattern.Pattern{9, 9, 9, 9}
+	row := []int32{9, 9, 9, 9}
 	if n := testing.AllocsPerRun(100, func() {
 		if !r.Upsert(450, row) || r.Upsert(450, row[:3]) {
 			t.Fatal("replace refused, or a foreign-length row applied")
@@ -63,7 +62,7 @@ func TestNoallocResidentsRowAccess(t *testing.T) {
 	r := pinnedResidents()
 	if n := testing.AllocsPerRun(100, func() {
 		i, _ := r.Find(450)
-		cellSink = int64(r.Persons()[i]) + r.Locals()[i][0]
+		cellSink = int64(r.Persons()[i]) + int64(r.Locals()[i][0])
 	}); n != 0 {
 		t.Fatalf("(*Residents).Persons / (*Residents).Locals allocate %v times per run; want 0", n)
 	}

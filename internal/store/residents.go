@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"unsafe"
 
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
@@ -14,11 +15,13 @@ import (
 // 127 rows of a smaller one.
 const minChunkRows = 128
 
-// Residents is a station's resident store and the only holder of resident
-// patterns: persons ascending, every row the same length, cells in chunks the
-// store allocates itself or adopts whole. Upsert copies the caller's row in —
-// over the old cells when the person is already resident — so a replaced row
-// leaves nothing behind and rows loaded together sit contiguously in memory.
+// ResidentsOf is a resident store of rows R: persons ascending, every row the
+// same length, cells in chunks the store allocates itself or adopts whole.
+// A station's is Residents, whose cells are int32; WAL recovery into
+// Patterns runs the same code over int64 cells. Upsert copies the caller's
+// row in — over the old cells when the person is already resident — so a
+// replaced row leaves nothing behind and rows loaded together sit
+// contiguously in memory.
 // AdoptRows instead keeps a decoded batch that lands after every resident as
 // it is, unless evicted rows wait for reuse: its exactly sized arena becomes
 // one more chunk, and into an empty store its persons and locals slices
@@ -27,49 +30,72 @@ const minChunkRows = 128
 // The copy-in rule has a flip side: the views Locals returns alias cells the
 // next Upsert may overwrite, so they are good for the caller's turn only —
 // walk them, encode them, but copy (Image) anything that must outlive the
-// next mutation. Like the station it serves, a Residents is single-owner and
+// next mutation. Like the station it serves, a store is single-owner and
 // does no locking.
-type Residents struct {
+type ResidentsOf[R pattern.Row[C], C pattern.Cell] struct {
 	persons []core.PersonID
-	locals  []pattern.Pattern // locals[i] is persons[i]'s row, a capped view into a chunk
-	tail    []int64           // cells of the newest chunk not yet handed out
-	free    []pattern.Pattern // rows released by Evict, handed out before the tail
+	locals  []R // locals[i] is persons[i]'s row, a capped view into a chunk
+	tail    []C // cells of the newest chunk not yet handed out
+	free    []R // rows released by Evict, handed out before the tail
 }
 
+// Residents is a station's resident store and the only holder of its
+// resident patterns, one int32 per cell: a length-24 resident costs
+// 4·24 cells + a 24-byte row header + an 8-byte person (HeapBytes). Values
+// an int32 cannot hold never reach it — the API rejects them and the
+// station's row decoder refuses them — and the station never widens it to
+// int64: its walk, digest, replies and WAL read these rows as they are.
+type Residents = ResidentsOf[[]int32, int32]
+
 // Len returns the resident count.
-func (r *Residents) Len() int { return len(r.persons) }
+func (r *ResidentsOf[R, C]) Len() int { return len(r.persons) }
 
 // Length returns the residents' shared row length, 0 while the store is empty.
-func (r *Residents) Length() int {
+func (r *ResidentsOf[R, C]) Length() int {
 	if len(r.locals) == 0 {
 		return 0
 	}
 	return len(r.locals[0])
 }
 
-// Bytes returns the bytes of raw pattern cells held (8 per cell) — the
-// baseline storage the paper charges every strategy.
-func (r *Residents) Bytes() uint64 {
+// Bytes returns the raw pattern bytes held at the paper's 8 bytes per value —
+// the baseline storage the paper charges every strategy, whatever width the
+// store keeps its cells at (HeapBytes is what it holds).
+func (r *ResidentsOf[R, C]) Bytes() uint64 {
 	return 8 * uint64(len(r.locals)) * uint64(r.Length())
+}
+
+// HeapBytes returns the bytes the store holds: its cells (resident rows,
+// rows kept for reuse and the newest chunk's tail), its row headers and its
+// persons.
+func (r *ResidentsOf[R, C]) HeapBytes() uint64 {
+	var (
+		cell C
+		row  R
+	)
+	cells := uint64(len(r.locals)+len(r.free))*uint64(r.Length()) + uint64(cap(r.tail))
+	return cells*uint64(unsafe.Sizeof(cell)) +
+		uint64(unsafe.Sizeof(row))*uint64(cap(r.locals)+cap(r.free)) +
+		uint64(unsafe.Sizeof(core.PersonID(0)))*uint64(cap(r.persons))
 }
 
 // Persons returns the resident person IDs, ascending. The slice is the
 // store's own: read it, do not keep it across a mutation.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
-func (r *Residents) Persons() []core.PersonID { return r.persons }
+func (r *ResidentsOf[R, C]) Persons() []core.PersonID { return r.persons }
 
 // Locals returns the rows parallel to Persons, under the same rule — and the
 // rows themselves are overwritten in place by a later Upsert of their person.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
-func (r *Residents) Locals() []pattern.Pattern { return r.locals }
+func (r *ResidentsOf[R, C]) Locals() []R { return r.locals }
 
 // Find returns the index of person p in Persons and whether p is resident;
 // for an absent p the index is where p would be inserted.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
-func (r *Residents) Find(p core.PersonID) (int, bool) {
+func (r *ResidentsOf[R, C]) Find(p core.PersonID) (int, bool) {
 	lo, hi := 0, len(r.persons)
 	if hi == 0 || p > r.persons[hi-1] {
 		// Sorted loads (snapshot chunks, Rebalance copies, Image) append:
@@ -92,7 +118,7 @@ func (r *Residents) Find(p core.PersonID) (int, bool) {
 // bounded search round walks. The views follow Persons' and Locals' rule.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
-func (r *Residents) Range(from, to core.PersonID) ([]core.PersonID, []pattern.Pattern) {
+func (r *ResidentsOf[R, C]) Range(from, to core.PersonID) ([]core.PersonID, []R) {
 	lo, _ := r.Find(from)
 	hi := len(r.persons)
 	if to != 0 {
@@ -111,8 +137,8 @@ func (r *Residents) Range(from, to core.PersonID) ([]core.PersonID, []pattern.Pa
 // takes its length from the first row applied.
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
-func (r *Residents) Upsert(p core.PersonID, local pattern.Pattern) bool {
-	if local.Sum() == 0 || (len(r.locals) > 0 && len(local) != len(r.locals[0])) {
+func (r *ResidentsOf[R, C]) Upsert(p core.PersonID, local R) bool {
+	if pattern.RowSum(local) == 0 || (len(r.locals) > 0 && len(local) != len(r.locals[0])) {
 		return false
 	}
 	i, resident := r.Find(p)
@@ -125,16 +151,16 @@ func (r *Residents) Upsert(p core.PersonID, local pattern.Pattern) bool {
 }
 
 // insert copies local into a fresh row and opens slot i for it.
-func (r *Residents) insert(i int, p core.PersonID, local pattern.Pattern) {
-	var row pattern.Pattern
+func (r *ResidentsOf[R, C]) insert(i int, p core.PersonID, local R) {
+	var row R
 	if n := len(r.free); n > 0 {
 		row, r.free[n-1] = r.free[n-1], nil
 		r.free = r.free[:n-1]
 	} else {
 		if len(r.tail) < len(local) {
-			r.tail = make([]int64, max(minChunkRows, len(r.persons)/8)*len(local))
+			r.tail = make([]C, max(minChunkRows, len(r.persons)/8)*len(local))
 		}
-		row, r.tail = r.tail[:len(local):len(local)], r.tail[len(local):]
+		row, r.tail = R(r.tail[:len(local):len(local)]), r.tail[len(local):]
 	}
 	copy(row, local)
 	r.persons = append(r.persons, 0)
@@ -161,7 +187,7 @@ func (r *Residents) insert(i int, p core.PersonID, local pattern.Pattern) {
 // persons and locals slices too: an empty store keeps them as its own, so
 // a bulk load costs no second header array, and later mutations rewrite
 // them.
-func (r *Residents) AdoptRows(persons []core.PersonID, locals []pattern.Pattern) bool {
+func (r *ResidentsOf[R, C]) AdoptRows(persons []core.PersonID, locals []R) bool {
 	if len(persons) != len(locals) || len(r.free) > 0 {
 		return false
 	}
@@ -179,7 +205,7 @@ func (r *Residents) AdoptRows(persons []core.PersonID, locals []pattern.Pattern)
 		if (i > 0 || len(r.persons) > 0) && p <= last {
 			return false
 		}
-		if len(l) != length || cap(l) != length || l.Sum() == 0 {
+		if len(l) != length || cap(l) != length || pattern.RowSum(l) == 0 {
 			return false
 		}
 		last = p
@@ -196,13 +222,13 @@ func (r *Residents) AdoptRows(persons []core.PersonID, locals []pattern.Pattern)
 // Evict removes person p, keeping the row for the next new resident, and
 // reports whether p was resident. An emptied store lets its chunks go and
 // accepts a new row length.
-func (r *Residents) Evict(p core.PersonID) bool {
+func (r *ResidentsOf[R, C]) Evict(p core.PersonID) bool {
 	i, resident := r.Find(p)
 	if !resident {
 		return false
 	}
 	if len(r.persons) == 1 {
-		*r = Residents{}
+		*r = ResidentsOf[R, C]{}
 		return true
 	}
 	r.free = append(r.free, r.locals[i])
@@ -218,14 +244,14 @@ func (r *Residents) Evict(p core.PersonID) bool {
 // through Upsert so a hand-built image cannot smuggle in unsorted, duplicate,
 // all-zero or foreign-length entries. The rows land in one exactly sized
 // chunk.
-func (r *Residents) Load(img Image) error {
+func (r *ResidentsOf[R, C]) Load(img ImageOf[R, C]) error {
 	n := len(img.Persons)
 	if n != len(img.Locals) {
 		return fmt.Errorf("store: image with %d persons but %d locals", n, len(img.Locals))
 	}
-	*r = Residents{persons: make([]core.PersonID, 0, n), locals: make([]pattern.Pattern, 0, n)}
+	*r = ResidentsOf[R, C]{persons: make([]core.PersonID, 0, n), locals: make([]R, 0, n)}
 	if n > 0 {
-		r.tail = make([]int64, n*len(img.Locals[0]))
+		r.tail = make([]C, n*len(img.Locals[0]))
 	}
 	for i, p := range img.Persons {
 		r.Upsert(p, img.Locals[i])
@@ -235,24 +261,24 @@ func (r *Residents) Load(img Image) error {
 
 // Image returns a deep copy of the residents: nothing done to the store later
 // shows through it.
-func (r *Residents) Image() Image {
-	var c Residents
-	_ = c.Load(Image{Persons: r.persons, Locals: r.locals}) // parallel by construction
+func (r *ResidentsOf[R, C]) Image() ImageOf[R, C] {
+	var c ResidentsOf[R, C]
+	_ = c.Load(ImageOf[R, C]{Persons: r.persons, Locals: r.locals}) // parallel by construction
 	return c.Take()
 }
 
 // Take moves the residents out, leaving the store empty. Single-owner
 // recovery paths use it to hand the result off without Image's copy.
-func (r *Residents) Take() Image {
-	img := Image{Persons: r.persons, Locals: r.locals}
-	*r = Residents{}
+func (r *ResidentsOf[R, C]) Take() ImageOf[R, C] {
+	img := ImageOf[R, C]{Persons: r.persons, Locals: r.locals}
+	*r = ResidentsOf[R, C]{}
 	return img
 }
 
-// Adopt replaces the store's state with an image another Residents produced
+// Adopt replaces the store's state with an image another store produced
 // (Take or Image) and the caller gives up — its rows become the store's and
 // will be overwritten in place. Nothing is re-validated or copied; an image
 // from anywhere else, or one somebody still reads, must go through Load.
-func (r *Residents) Adopt(img Image) {
-	*r = Residents{persons: img.Persons, locals: img.Locals}
+func (r *ResidentsOf[R, C]) Adopt(img ImageOf[R, C]) {
+	*r = ResidentsOf[R, C]{persons: img.Persons, locals: img.Locals}
 }

@@ -2,6 +2,8 @@ package store_test
 
 import (
 	"bytes"
+	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -18,7 +20,7 @@ import (
 // checkAgainstModel holds r to the model after every step: persons strictly
 // ascending, rows parallel, equal to the model's and capped at their length,
 // the derived figures right, Find right for residents and for the gaps.
-func checkAgainstModel(t *testing.T, step int, r *store.Residents, model map[core.PersonID]pattern.Pattern) {
+func checkAgainstModel(t *testing.T, step int, r *store.Residents, model map[core.PersonID][]int32) {
 	t.Helper()
 	persons, locals := r.Persons(), r.Locals()
 	if len(persons) != len(model) || len(locals) != len(model) || r.Len() != len(model) {
@@ -29,7 +31,7 @@ func checkAgainstModel(t *testing.T, step int, r *store.Residents, model map[cor
 		if i > 0 && persons[i-1] >= p {
 			t.Fatalf("step %d: persons not ascending at %d: %d then %d", step, i, persons[i-1], p)
 		}
-		if !locals[i].Equal(model[p]) {
+		if !slices.Equal(locals[i], model[p]) {
 			t.Fatalf("step %d: person %d holds %v, model %v", step, p, locals[i], model[p])
 		}
 		if cap(locals[i]) != len(locals[i]) {
@@ -55,7 +57,7 @@ func checkAgainstModel(t *testing.T, step int, r *store.Residents, model map[cor
 // 3 a duplicate person, 4 an all-zero row, 5 a row of a foreign length, 6 a
 // person at or below the last resident, 7 a row with spare capacity — and
 // must fall back to the copy.
-func bulkBatch(rng *rand.Rand, kind, length int, model map[core.PersonID]pattern.Pattern) ([]core.PersonID, []pattern.Pattern) {
+func bulkBatch(rng *rand.Rand, kind, length int, model map[core.PersonID][]int32) ([]core.PersonID, [][]int32) {
 	n := 2 + rng.Intn(4)
 	last := core.PersonID(0)
 	for p := range model {
@@ -66,13 +68,11 @@ func bulkBatch(rng *rand.Rand, kind, length int, model map[core.PersonID]pattern
 		last += core.PersonID(2 + 2*rng.Intn(3))
 		persons[i] = last
 	}
-	arena := make([]int64, n*length)
-	locals := make([]pattern.Pattern, n)
+	arena := make([]int32, n*length)
+	locals := make([][]int32, n)
 	for i := range locals {
 		locals[i] = arena[i*length : (i+1)*length : (i+1)*length]
-		for g := range locals[i] {
-			locals[i][g] = rng.Int63n(9) + 1
-		}
+		drawCells(rng, locals[i])
 	}
 	at := 1 + rng.Intn(n-1) // the rule breaks past the first row
 	switch kind {
@@ -83,7 +83,7 @@ func bulkBatch(rng *rand.Rand, kind, length int, model map[core.PersonID]pattern
 	case 4:
 		clear(locals[at])
 	case 5:
-		locals[at] = make(pattern.Pattern, length+1)
+		locals[at] = make([]int32, length+1)
 		locals[at][0] = 1
 	case 6:
 		if len(model) > 0 {
@@ -95,15 +95,36 @@ func bulkBatch(rng *rand.Rand, kind, length int, model map[core.PersonID]pattern
 			persons[at-1], persons[at] = persons[at], persons[at-1]
 		}
 	case 7:
-		locals[at] = append(make(pattern.Pattern, 0, length+4), locals[at]...)
+		locals[at] = append(make([]int32, 0, length+4), locals[at]...)
 	}
 	return persons, locals
 }
 
+// drawCells fills row with cells in 1..9, but for a cell past the first at
+// ±math.MaxInt32 or math.MinInt32 now and then: the edges of the int32
+// domain. A row they and the small cells cancel to zero is nudged off it, so
+// no row sums to zero.
+func drawCells(rng *rand.Rand, row []int32) {
+	for g := range row {
+		switch {
+		case g > 0 && rng.Intn(6) == 0:
+			row[g] = []int32{math.MaxInt32, -math.MaxInt32, math.MinInt32}[rng.Intn(3)]
+		default:
+			row[g] = int32(rng.Intn(9) + 1)
+		}
+	}
+	if pattern.RowSum(row) == 0 {
+		row[0]++
+	}
+}
+
 // TestResidentsAgainstMapModel drives seeded random upserts, replacements,
 // evictions, all-zero and foreign-length rows, bulk batches and the image
-// round trips against a plain map, checking every invariant after every step
-// and that a row an eviction released is the next one handed out. A bulk
+// round trips against a plain map, with cells at the edges of the int32
+// domain, checking every invariant after every step and that a row an
+// eviction released is the next one handed out. After every seed the store
+// goes through a WAL — appended, snapshotted — and recovers to the model
+// in int32 rows and in Patterns. A bulk
 // batch that qualifies must be adopted, rows and all, unless released rows
 // wait; any other must be refused untouched, and folding it row by row
 // through Upsert — what a station and a WAL replay do then — must reach the
@@ -112,14 +133,12 @@ func TestResidentsAgainstMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var r store.Residents
-		model := map[core.PersonID]pattern.Pattern{}
-		released := map[*int64]bool{} // first cells of rows evicted and not yet reused
+		model := map[core.PersonID][]int32{}
+		released := map[*int32]bool{} // first cells of rows evicted and not yet reused
 		length := 3
-		row := func(n int) pattern.Pattern {
-			p := make(pattern.Pattern, n)
-			for i := range p {
-				p[i] = rng.Int63n(9) + 1
-			}
+		row := func(n int) []int32 {
+			p := make([]int32, n)
+			drawCells(rng, p)
 			return p
 		}
 		adoptions, deferred := 0, 0
@@ -147,7 +166,7 @@ func TestResidentsAgainstMapModel(t *testing.T) {
 			}
 			delete(model, q)
 			if len(model) == 0 {
-				released = map[*int64]bool{} // an emptied store lets its chunks go
+				released = map[*int32]bool{} // an emptied store lets its chunks go
 			}
 		}
 		for step := 0; step < 4000; step++ {
@@ -186,7 +205,7 @@ func TestResidentsAgainstMapModel(t *testing.T) {
 					for i, q := range persons {
 						_, resident := model[q]
 						if r.Upsert(q, locals[i]) {
-							model[q] = locals[i].Clone()
+							model[q] = slices.Clone(locals[i])
 							if !resident {
 								reused(step, q)
 							}
@@ -195,7 +214,7 @@ func TestResidentsAgainstMapModel(t *testing.T) {
 					break
 				}
 				for i, q := range persons {
-					model[q] = locals[i].Clone()
+					model[q] = slices.Clone(locals[i])
 					if at, _ := r.Find(q); &r.Locals()[at][0] != &locals[i][0] {
 						t.Fatalf("step %d: adopted person %d's row is a copy", step, q)
 					}
@@ -206,7 +225,7 @@ func TestResidentsAgainstMapModel(t *testing.T) {
 				if !r.Upsert(p, in) {
 					t.Fatalf("step %d: well-formed upsert of %d refused", step, p)
 				}
-				model[p] = in.Clone()
+				model[p] = slices.Clone(in)
 				in[0] = -99 // the store copied: the caller's row is the caller's again
 				if !resident {
 					reused(step, p)
@@ -214,7 +233,7 @@ func TestResidentsAgainstMapModel(t *testing.T) {
 			case op < 15: // evict, resident or not
 				evict(step, p)
 			case op == 15: // all-zero row
-				if r.Upsert(p, make(pattern.Pattern, length)) {
+				if r.Upsert(p, make([]int32, length)) {
 					t.Fatalf("step %d: all-zero row applied", step)
 				}
 			case op == 16: // foreign length: applied only by an empty store
@@ -233,7 +252,7 @@ func TestResidentsAgainstMapModel(t *testing.T) {
 					t.Fatalf("step %d: Take left %d residents behind", step, r.Len())
 				}
 				r.Adopt(img)
-				released = map[*int64]bool{}
+				released = map[*int32]bool{}
 			case op == 18: // Image / Load: an independent copy, and back
 				img := r.Image()
 				for q := range model {
@@ -245,12 +264,12 @@ func TestResidentsAgainstMapModel(t *testing.T) {
 				}
 				checkAgainstModel(t, step, &again, model) // the rewrite did not show through img
 				r = again
-				released = map[*int64]bool{}
+				released = map[*int32]bool{}
 			default: // Load of a hand-built image: the rules apply, not the order
-				img := store.Image{}
+				img := store.CellImage{}
 				for q, l := range model {
 					img.Persons = append(img.Persons, q, q+1, q+3)
-					img.Locals = append(img.Locals, l, make(pattern.Pattern, length), row(length+2))
+					img.Locals = append(img.Locals, l, make([]int32, length), row(length+2))
 				}
 				if len(img.Persons) > 0 && len(img.Locals[0]) != length {
 					t.Fatalf("step %d: test bug: first image row must carry the model's length", step)
@@ -258,14 +277,70 @@ func TestResidentsAgainstMapModel(t *testing.T) {
 				if err := r.Load(img); err != nil {
 					t.Fatal(err)
 				}
-				released = map[*int64]bool{}
+				released = map[*int32]bool{}
 			}
 			checkAgainstModel(t, step, &r, model)
 		}
 		if adoptions == 0 || deferred == 0 {
 			t.Fatalf("seed %d: %d batches adopted, %d qualifying ones refused for waiting released rows: both paths must run", seed, adoptions, deferred)
 		}
+		checkWALRecovers(t, &r, model)
 	}
+}
+
+// checkWALRecovers logs r's residents to a fresh WAL as a station does — one
+// ingest batch of its rows, then an evict of its first person — recovers
+// them through a reopen, then snapshots r and recovers again: each time
+// every row must come back as the model holds it, in int32 rows and, widened,
+// in Patterns.
+func checkWALRecovers(t *testing.T, r *store.Residents, model map[core.PersonID][]int32) {
+	t.Helper()
+	if r.Len() == 0 {
+		return
+	}
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{SnapshotEvery: -1, SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := r.Persons()[0]
+	if err := w.AppendCells(store.CellBatch{Op: store.OpIngest, Persons: r.Persons(), Locals: r.Locals()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendCells(store.CellBatch{Op: store.OpEvict, Persons: []core.PersonID{first}}); err != nil {
+		t.Fatal(err)
+	}
+	recovered := func(label string, want map[core.PersonID][]int32) {
+		t.Helper()
+		img, err := w.RecoverCells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got store.Residents
+		got.Adopt(img)
+		checkAgainstModel(t, -1, &got, want)
+		wide, err := w.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(wide.Persons, img.Persons) || !reflect.DeepEqual(wide.Locals, widen(img.Locals)) {
+			t.Fatalf("%s: Pattern recovery differs from the int32 one", label)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = wal.Open(dir, wal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = w.Close() }()
+	rest := maps.Clone(model)
+	delete(rest, first)
+	recovered("log", rest)
+	if err := w.SnapshotCells(store.CellImage{Persons: r.Persons(), Locals: r.Locals()}); err != nil {
+		t.Fatal(err)
+	}
+	recovered("snapshot", model)
 }
 
 // TestAdoptRowsIntoEmptyStoreKeepsSlices pins AdoptRows' contract on an
@@ -277,37 +352,35 @@ func TestResidentsAgainstMapModel(t *testing.T) {
 func TestAdoptRowsIntoEmptyStoreKeepsSlices(t *testing.T) {
 	const length = 4
 	rng := rand.New(rand.NewSource(7))
-	row := func() pattern.Pattern {
-		p := make(pattern.Pattern, length)
-		for i := range p {
-			p[i] = rng.Int63n(9) + 1
-		}
+	row := func() []int32 {
+		p := make([]int32, length)
+		drawCells(rng, p)
 		return p
 	}
-	decoded := func(persons ...core.PersonID) store.Batch {
-		locals := make([]pattern.Pattern, len(persons))
+	decoded := func(persons ...core.PersonID) store.CellBatch {
+		locals := make([][]int32, len(persons))
 		for i := range locals {
 			locals[i] = row()
 		}
-		payload, err := wire.EncodeIngestPayload(wire.Ingest{Persons: persons, Locals: locals})
+		payload, err := wire.EncodeIngestPayload(wire.IngestOf[[]int32, int32]{Persons: persons, Locals: locals})
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, err := wire.DecodeIngestPayload(payload)
+		in, err := wire.DecodeIngestPayload[[]int32](payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ingest(in.Persons, in.Locals)
+		return store.CellBatch{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals}
 	}
 
 	var r store.Residents
-	model := map[core.PersonID]pattern.Pattern{}
-	var history []store.Batch
-	apply := func(step int, b store.Batch) {
+	model := map[core.PersonID][]int32{}
+	var history []store.CellBatch
+	apply := func(step int, b store.CellBatch) {
 		switch b.Op {
 		case store.OpIngest:
 			for i, p := range b.Persons {
-				model[p] = b.Locals[i].Clone()
+				model[p] = slices.Clone(b.Locals[i])
 			}
 		case store.OpEvict:
 			for _, p := range b.Persons {
@@ -316,9 +389,9 @@ func TestAdoptRowsIntoEmptyStoreKeepsSlices(t *testing.T) {
 		}
 		// The log gets its own copy of what the store applied, since the
 		// adopted slices are the store's now.
-		c := store.Batch{Op: b.Op, Persons: slices.Clone(b.Persons)}
+		c := store.CellBatch{Op: b.Op, Persons: slices.Clone(b.Persons)}
 		for _, l := range b.Locals {
-			c.Locals = append(c.Locals, l.Clone())
+			c.Locals = append(c.Locals, slices.Clone(l))
 		}
 		history = append(history, c)
 		checkAgainstModel(t, step, &r, model)
@@ -333,7 +406,7 @@ func TestAdoptRowsIntoEmptyStoreKeepsSlices(t *testing.T) {
 	}
 	apply(0, first)
 
-	upserts := ingest([]core.PersonID{25, 30, 5}, []pattern.Pattern{row(), row(), row()})
+	upserts := store.CellBatch{Op: store.OpIngest, Persons: []core.PersonID{25, 30, 5}, Locals: [][]int32{row(), row(), row()}}
 	for i, p := range upserts.Persons {
 		if !r.Upsert(p, upserts.Locals[i]) {
 			t.Fatalf("upsert of %d refused", p)
@@ -349,7 +422,7 @@ func TestAdoptRowsIntoEmptyStoreKeepsSlices(t *testing.T) {
 	apply(2, evict(20, 50))
 
 	// Rows released by the evictions are reused before a batch is adopted.
-	refill := ingest([]core.PersonID{60, 70}, []pattern.Pattern{row(), row()})
+	refill := store.CellBatch{Op: store.OpIngest, Persons: []core.PersonID{60, 70}, Locals: [][]int32{row(), row()}}
 	for i, p := range refill.Persons {
 		if !r.Upsert(p, refill.Locals[i]) {
 			t.Fatalf("upsert of %d refused", p)
@@ -370,11 +443,11 @@ func TestAdoptRowsIntoEmptyStoreKeepsSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range history {
-		if err := w.Append(b); err != nil {
+		if err := w.AppendCells(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	img, err := w.Recover()
+	img, err := w.RecoverCells()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +456,7 @@ func TestAdoptRowsIntoEmptyStoreKeepsSlices(t *testing.T) {
 	checkAgainstModel(t, len(history), &replayed, model)
 
 	// Folded: the snapshot of the store's own slices recovers the same image.
-	if err := w.Snapshot(store.Image{Persons: r.Persons(), Locals: r.Locals()}); err != nil {
+	if err := w.SnapshotCells(store.CellImage{Persons: r.Persons(), Locals: r.Locals()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -394,7 +467,7 @@ func TestAdoptRowsIntoEmptyStoreKeepsSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = w2.Close() }()
-	img, err = w2.Recover()
+	img, err = w2.RecoverCells()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,10 +476,56 @@ func TestAdoptRowsIntoEmptyStoreKeepsSlices(t *testing.T) {
 	checkAgainstModel(t, len(history)+1, &folded, model)
 }
 
+// TestResidentsHeapBytesPin pins what a bulk-loaded station store holds: at
+// most 1.15 × n × (4·L + 28) bytes for n residents of length L — int32
+// cells, a row header and a person each — whether the rows arrive as one
+// decoded ingest frame the store adopts or through Load. Bytes keeps the
+// paper's 8 bytes per value, whatever the store holds.
+func TestResidentsHeapBytesPin(t *testing.T) {
+	const n = 10_000
+	rng := rand.New(rand.NewSource(2))
+	for _, length := range []int{1, 24, 168} {
+		in := wire.Ingest{}
+		for i := 0; i < n; i++ {
+			row := make(pattern.Pattern, length)
+			for g := range row {
+				row[g] = rng.Int63n(1_000_000) + 1
+			}
+			in.Persons = append(in.Persons, core.PersonID(3*i+1))
+			in.Locals = append(in.Locals, row)
+		}
+		payload, err := wire.EncodeIngestPayload(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := wire.DecodeIngestPayload[[]int32](payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var adopted, loaded store.Residents
+		if !adopted.AdoptRows(decoded.Persons, decoded.Locals) {
+			t.Fatal("an empty store refused a decoded frame")
+		}
+		if err := loaded.Load(store.CellImage{Persons: in.Persons, Locals: cells(in.Locals)}); err != nil {
+			t.Fatal(err)
+		}
+		limit := uint64(1.15 * float64(n*(4*length+28)))
+		for name, r := range map[string]*store.Residents{"adopted": &adopted, "loaded": &loaded} {
+			if got := r.HeapBytes(); got > limit {
+				t.Errorf("length %d, %s: HeapBytes %d over %d", length, name, got, limit)
+			}
+			if got, want := r.Bytes(), uint64(8*n*length); got != want {
+				t.Errorf("length %d, %s: Bytes %d, want the paper's %d", length, name, got, want)
+			}
+		}
+		t.Logf("length %d: %d residents hold %d B adopted, %d B loaded (limit %d)", length, n, adopted.HeapBytes(), loaded.HeapBytes(), limit)
+	}
+}
+
 // TestResidentsLoadRejectsRaggedImage: persons and locals must be parallel.
 func TestResidentsLoadRejectsRaggedImage(t *testing.T) {
 	var r store.Residents
-	if err := r.Load(store.Image{Persons: []core.PersonID{1, 2}, Locals: []pattern.Pattern{{1}}}); err == nil {
+	if err := r.Load(store.CellImage{Persons: []core.PersonID{1, 2}, Locals: [][]int32{{1}}}); err == nil {
 		t.Fatal("image with 2 persons and 1 local loaded")
 	}
 }
@@ -416,20 +535,20 @@ func TestResidentsLoadRejectsRaggedImage(t *testing.T) {
 // under whoever holds the image.
 func TestMemoryRecoverIsIndependent(t *testing.T) {
 	m := store.NewMemory()
-	if err := m.Append(ingest([]core.PersonID{4, 8}, []pattern.Pattern{pat(1, 2, 3), pat(4, 5, 6)})); err != nil {
+	if err := m.AppendCells(ingest([]core.PersonID{4, 8}, []pattern.Pattern{pat(1, 2, 3), pat(4, 5, 6)})); err != nil {
 		t.Fatal(err)
 	}
-	img, err := m.Recover()
+	img, err := m.RecoverCells()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Append(ingest([]core.PersonID{4, 6}, []pattern.Pattern{pat(7, 7, 7), pat(9, 9, 9)})); err != nil {
+	if err := m.AppendCells(ingest([]core.PersonID{4, 6}, []pattern.Pattern{pat(7, 7, 7), pat(9, 9, 9)})); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Append(evict(8)); err != nil {
+	if err := m.AppendCells(evict(8)); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(img.Persons, []core.PersonID{4, 8}) || !reflect.DeepEqual(img.Locals, []pattern.Pattern{pat(1, 2, 3), pat(4, 5, 6)}) {
+	if !reflect.DeepEqual(img.Persons, []core.PersonID{4, 8}) || !reflect.DeepEqual(widen(img.Locals), []pattern.Pattern{pat(1, 2, 3), pat(4, 5, 6)}) {
 		t.Fatalf("image changed under later appends: %v %v", img.Persons, img.Locals)
 	}
 	wantImage(t, m, []core.PersonID{4, 6}, []pattern.Pattern{pat(7, 7, 7), pat(9, 9, 9)})
@@ -492,12 +611,13 @@ func (fx walkFixture) churned(tb testing.TB) *store.Residents {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(5))
 	var r store.Residents
-	junk := make(pattern.Pattern, fx.length)
+	rows := cells(fx.rows)
+	junk := make([]int32, fx.length)
 	for i := range junk {
 		junk[i] = 1
 	}
 	for _, i := range rng.Perm(len(fx.persons)) {
-		first := fx.rows[i]
+		first := rows[i]
 		if i%3 == 0 {
 			first = junk // replaced in place below
 		}
@@ -510,7 +630,7 @@ func (fx walkFixture) churned(tb testing.TB) *store.Residents {
 	}
 	for _, i := range rng.Perm(len(fx.persons)) {
 		if i%3 == 0 || i%10 == 0 {
-			r.Upsert(fx.persons[i], fx.rows[i])
+			r.Upsert(fx.persons[i], rows[i])
 		}
 	}
 	if r.Len() != len(fx.persons) {
@@ -520,8 +640,8 @@ func (fx walkFixture) churned(tb testing.TB) *store.Residents {
 }
 
 // TestWalkersSeeStoreViewsAsPlainSlices: core.MatchResidents and index.Build
-// take the store's Persons/Locals views; what they compute over them is
-// byte-equal to what they compute over the same rows as plain slices.
+// take the store's int32 Persons/Locals views; what they compute over them
+// is byte-equal to what they compute over the same rows as plain Patterns.
 func TestWalkersSeeStoreViewsAsPlainSlices(t *testing.T) {
 	for _, dense := range []bool{false, true} {
 		fx := newWalkFixture(t, dense, 1500)
@@ -596,13 +716,14 @@ func BenchmarkMatchResidents(b *testing.B) {
 	}{{"sparse", false}, {"dense", true}} {
 		fx := newWalkFixture(b, shape.dense, 25_000)
 		r := fx.churned(b)
-		scattered := make([]pattern.Pattern, len(fx.rows))
-		for _, i := range rand.New(rand.NewSource(3)).Perm(len(fx.rows)) {
-			scattered[i] = fx.rows[i].Clone()
+		rows := cells(fx.rows)
+		scattered := make([][]int32, len(rows))
+		for _, i := range rand.New(rand.NewSource(3)).Perm(len(rows)) {
+			scattered[i] = slices.Clone(rows[i])
 		}
 		for _, layout := range []struct {
 			name   string
-			locals []pattern.Pattern
+			locals [][]int32
 		}{{"store", r.Locals()}, {"scattered", scattered}} {
 			b.Run(shape.name+"/"+layout.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -645,6 +766,7 @@ func BenchmarkMatchResidentsPrefix(b *testing.B) {
 // a streamed workload) and a sorted bulk load into an empty store.
 func BenchmarkResidentsUpsert(b *testing.B) {
 	fx := newWalkFixture(b, false, 25_000)
+	rows := cells(fx.rows)
 	order := rand.New(rand.NewSource(9)).Perm(len(fx.persons))
 	b.Run("replace", func(b *testing.B) {
 		r := fx.churned(b)
@@ -652,7 +774,7 @@ func BenchmarkResidentsUpsert(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := order[i%len(order)]
-			r.Upsert(fx.persons[k], fx.rows[(k+1)%len(fx.rows)])
+			r.Upsert(fx.persons[k], rows[(k+1)%len(rows)])
 		}
 	})
 	b.Run("load", func(b *testing.B) {
@@ -660,7 +782,7 @@ func BenchmarkResidentsUpsert(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var r store.Residents
 			for k, p := range fx.persons {
-				r.Upsert(p, fx.rows[k])
+				r.Upsert(p, rows[k])
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(fx.persons)), "ns/row")

@@ -8,12 +8,14 @@
 // in-memory backend, fsynced before the ack for the snapshot+WAL backend in
 // the wal subpackage.
 //
-// The contract is deliberately small. Recover replays the durable state into
-// a full station image; Append records one applied batch; Snapshot replaces
-// the durable state wholesale; Compact lets the backend fold its log into a
-// fresh snapshot when its own thresholds say the log has grown past its
-// keep. Stores are single-owner: the station serve loop is the only caller
-// after construction, so implementations need no internal locking.
+// The contract is deliberately small. RecoverCells replays the durable state
+// into a full station image; AppendCells records one applied batch;
+// SnapshotCells replaces the durable state wholesale; Compact lets the
+// backend fold its log into a fresh snapshot when its own thresholds say the
+// log has grown past its keep. Every method speaks the station's int32
+// cells, so a station never widens its store to talk to its backend. Stores
+// are single-owner: the station serve loop is the only caller after
+// construction, so implementations need no internal locking.
 package store
 
 import (
@@ -45,7 +47,7 @@ func (o Op) String() string {
 	}
 }
 
-// Batch is one applied station mutation, recorded after the station's apply
+// BatchOf is one applied station mutation in rows R, recorded after the station's apply
 // rules already ran: an OpIngest batch holds only patterns that were
 // actually inserted or replaced (never all-zero or foreign-length ones), an
 // OpEvict batch only persons that were actually resident. Locals is parallel
@@ -56,71 +58,87 @@ func (o Op) String() string {
 // the station sets it only when it applied every row it received. A backend
 // that records ingest batches as wire payloads may write it verbatim instead
 // of encoding the rows again; every other backend ignores it.
-type Batch struct {
+type BatchOf[R pattern.Row[C], C pattern.Cell] struct {
 	Op      Op
 	Persons []core.PersonID
-	Locals  []pattern.Pattern
+	Locals  []R
 	Payload []byte
 }
 
-// Image is a complete station state: the resident store in person-ascending
-// order. It is the exchange form between a station, its backend and tests —
-// plain slices, either views of a Residents good until its next mutation
-// (what the station hands Compact) or an independent copy (what Recover
-// returns). Nothing derived from the residents is part of it: the station
-// rebuilds its routing digest from them, byte-identically, because
-// index.Build is deterministic in the resident set.
-type Image struct {
+// Batch is a batch in Pattern rows, the form tests and tools append.
+type Batch = BatchOf[pattern.Pattern, int64]
+
+// CellBatch is a batch in a station's int32 rows, the form it persists.
+type CellBatch = BatchOf[[]int32, int32]
+
+// ImageOf is a complete station state in rows R: the resident store in
+// person-ascending order. It is the exchange form between a station, its
+// backend and tests — plain slices, either views of a store good until its
+// next mutation (what the station hands Compact) or an independent copy
+// (what a recovery returns). Nothing derived from the residents is part of
+// it: the station rebuilds its routing digest from them, byte-identically,
+// because index.Build is deterministic in the resident set.
+type ImageOf[R pattern.Row[C], C pattern.Cell] struct {
 	Persons []core.PersonID
-	Locals  []pattern.Pattern
+	Locals  []R
 }
 
+// Image is an image in Pattern rows, the form tests and tools read and
+// write.
+type Image = ImageOf[pattern.Pattern, int64]
+
+// CellImage is an image in a station's int32 rows.
+type CellImage = ImageOf[[]int32, int32]
+
 // Residents returns the image's resident count.
-func (img Image) Residents() int { return len(img.Persons) }
+func (img ImageOf[R, C]) Residents() int { return len(img.Persons) }
 
 // Store is the station persistence contract.
 //
 // Implementations are not goroutine-safe: the owning station serve loop
 // serializes all calls, mirroring how the resident store itself is owned.
 type Store interface {
-	// Recover replays the durable state into a station image the caller may
-	// keep: nothing appended later shows through it. It is safe to call at
-	// any point (not just startup); batches appended since the last snapshot
-	// are folded in.
-	Recover() (Image, error)
+	// RecoverCells replays the durable state into a station image the
+	// caller may keep: nothing appended later shows through it. It is safe
+	// to call at any point (not just startup); batches appended since the
+	// last snapshot are folded in.
+	RecoverCells() (CellImage, error)
 
-	// Append records one applied batch. The station calls it before sending
-	// the mutation's ack, so a batch the center saw acknowledged is exactly
-	// as durable as the backend.
-	Append(Batch) error
+	// AppendCells records one applied batch. The station calls it before
+	// sending the mutation's ack, so a batch the center saw acknowledged is
+	// exactly as durable as the backend.
+	AppendCells(CellBatch) error
 
-	// Snapshot replaces the durable state with the image, folding away any
-	// appended log. The image is the caller's and may change once Snapshot
-	// returns; a backend that keeps it copies it.
-	Snapshot(Image) error
+	// SnapshotCells replaces the durable state with the image, folding away
+	// any appended log. The image is the caller's and may change once
+	// SnapshotCells returns; a backend that keeps it copies it.
+	SnapshotCells(CellImage) error
 
 	// Compact snapshots the image when the backend's thresholds say the
 	// appended log has grown past its keep, and reports whether it did. The
-	// image is the caller's current state and, as for Snapshot, stays the
-	// caller's.
-	Compact(Image) (bool, error)
+	// image is the caller's current state and, as for SnapshotCells, stays
+	// the caller's.
+	Compact(CellImage) (bool, error)
 
 	// Close releases the backend, flushing anything buffered.
 	Close() error
 }
 
-// Fold accumulates batches into a Residents with exactly the station's apply
-// semantics — they are Residents' own: all-zero and foreign-length ingest
-// patterns are skipped, evicts of absent persons are ignored, and persons
-// stay sorted ascending. WAL replay, snapshot decode and the in-memory
-// backend share it, so every backend recovers precisely the state the
-// station would have held.
-type Fold struct {
-	Residents
+// FoldOf accumulates batches of rows R into a store with exactly the
+// station's apply semantics — they are the store's own: all-zero and
+// foreign-length ingest patterns are skipped, evicts of absent persons are
+// ignored, and persons stay sorted ascending. WAL replay, snapshot decode
+// and the in-memory backend share it, so every backend recovers precisely
+// the state the station would have held.
+type FoldOf[R pattern.Row[C], C pattern.Cell] struct {
+	ResidentsOf[R, C]
 }
 
+// Fold is a fold into a station's int32 store.
+type Fold = FoldOf[[]int32, int32]
+
 // Apply folds one batch in.
-func (f *Fold) Apply(b Batch) error {
+func (f *FoldOf[R, C]) Apply(b BatchOf[R, C]) error {
 	switch b.Op {
 	case OpIngest:
 		if len(b.Persons) != len(b.Locals) {
@@ -143,7 +161,7 @@ func (f *Fold) Apply(b Batch) error {
 // record, a snapshot chunk — which the fold may keep: an ingest batch that
 // lands after every resident is taken as it is (Residents.AdoptRows), so
 // replaying a bulk-loaded log copies no row.
-func (f *Fold) ApplyDecoded(b Batch) error {
+func (f *FoldOf[R, C]) ApplyDecoded(b BatchOf[R, C]) error {
 	if b.Op == OpIngest && f.AdoptRows(b.Persons, b.Locals) {
 		return nil
 	}
@@ -162,17 +180,17 @@ type Memory struct {
 // NewMemory returns an empty in-memory store.
 func NewMemory() *Memory { return &Memory{} }
 
-// Recover returns the folded state of everything applied so far.
-func (m *Memory) Recover() (Image, error) { return m.fold.Image(), nil }
+// RecoverCells returns the folded state of everything applied so far.
+func (m *Memory) RecoverCells() (CellImage, error) { return m.fold.Image(), nil }
 
-// Append folds the batch in.
-func (m *Memory) Append(b Batch) error { return m.fold.Apply(b) }
+// AppendCells folds the batch in.
+func (m *Memory) AppendCells(b CellBatch) error { return m.fold.Apply(b) }
 
-// Snapshot replaces the state with the image.
-func (m *Memory) Snapshot(img Image) error { return m.fold.Load(img) }
+// SnapshotCells replaces the state with the image.
+func (m *Memory) SnapshotCells(img CellImage) error { return m.fold.Load(img) }
 
 // Compact is a no-op: there is no log to fold.
-func (m *Memory) Compact(Image) (bool, error) { return false, nil }
+func (m *Memory) Compact(CellImage) (bool, error) { return false, nil }
 
 // Close is a no-op.
 func (m *Memory) Close() error { return nil }

@@ -28,32 +28,51 @@ func backends(t *testing.T) map[string]func(t *testing.T) store.Store {
 
 func pat(vs ...int64) pattern.Pattern { return pattern.Pattern(vs) }
 
-func ingest(persons []core.PersonID, locals []pattern.Pattern) store.Batch {
-	return store.Batch{Op: store.OpIngest, Persons: persons, Locals: locals}
+// cells narrows in-range patterns to a station's int32 rows.
+func cells(locals []pattern.Pattern) [][]int32 {
+	out := make([][]int32, len(locals))
+	for i, l := range locals {
+		out[i] = pattern.AppendCells(nil, l)
+	}
+	return out
 }
 
-func evict(persons ...core.PersonID) store.Batch {
-	return store.Batch{Op: store.OpEvict, Persons: persons}
+// widen is cells' inverse.
+func widen(locals [][]int32) []pattern.Pattern {
+	var out []pattern.Pattern
+	for _, l := range locals {
+		p := make(pattern.Pattern, len(l))
+		for i, v := range l {
+			p[i] = int64(v)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+func ingest(persons []core.PersonID, locals []pattern.Pattern) store.CellBatch {
+	return store.CellBatch{Op: store.OpIngest, Persons: persons, Locals: cells(locals)}
+}
+
+func evict(persons ...core.PersonID) store.CellBatch {
+	return store.CellBatch{Op: store.OpEvict, Persons: persons}
 }
 
 // wantImage asserts the recovered residents match.
 func wantImage(t *testing.T, s store.Store, persons []core.PersonID, locals []pattern.Pattern) {
 	t.Helper()
-	img, err := s.Recover()
+	img, err := s.RecoverCells()
 	if err != nil {
-		t.Fatalf("Recover: %v", err)
+		t.Fatalf("RecoverCells: %v", err)
 	}
 	if len(img.Persons) == 0 {
 		img.Persons = nil
 	}
-	if len(img.Locals) == 0 {
-		img.Locals = nil
+	if got := widen(img.Locals); !reflect.DeepEqual(got, locals) {
+		t.Fatalf("recovered locals %v, want %v", got, locals)
 	}
 	if !reflect.DeepEqual(img.Persons, persons) {
 		t.Fatalf("recovered persons %v, want %v", img.Persons, persons)
-	}
-	if !reflect.DeepEqual(img.Locals, locals) {
-		t.Fatalf("recovered locals %v, want %v", img.Locals, locals)
 	}
 }
 
@@ -67,7 +86,7 @@ func TestStoreContract(t *testing.T) {
 
 			// Appends fold with station semantics: sorted, zero-sum skipped,
 			// upsert replaces.
-			if err := s.Append(ingest(
+			if err := s.AppendCells(ingest(
 				[]core.PersonID{7, 3, 5},
 				[]pattern.Pattern{pat(1, 2), pat(3, 4), pat(0, 0)},
 			)); err != nil {
@@ -77,14 +96,14 @@ func TestStoreContract(t *testing.T) {
 				[]core.PersonID{3, 7},
 				[]pattern.Pattern{pat(3, 4), pat(1, 2)})
 
-			if err := s.Append(ingest(
+			if err := s.AppendCells(ingest(
 				[]core.PersonID{3, 9},
 				[]pattern.Pattern{pat(8, 8), pat(5, 5)},
 			)); err != nil {
 				t.Fatalf("Append: %v", err)
 			}
 			// Evicts of absent persons are ignored.
-			if err := s.Append(evict(7, 100)); err != nil {
+			if err := s.AppendCells(evict(7, 100)); err != nil {
 				t.Fatalf("Append: %v", err)
 			}
 			wantImage(t, s,
@@ -92,20 +111,20 @@ func TestStoreContract(t *testing.T) {
 				[]pattern.Pattern{pat(8, 8), pat(5, 5)})
 
 			// Snapshot replaces the durable state; appends fold on top of it.
-			if err := s.Snapshot(store.Image{
+			if err := s.SnapshotCells(store.CellImage{
 				Persons: []core.PersonID{42},
-				Locals:  []pattern.Pattern{pat(4, 2)},
+				Locals:  cells([]pattern.Pattern{pat(4, 2)}),
 			}); err != nil {
 				t.Fatalf("Snapshot: %v", err)
 			}
 			wantImage(t, s, []core.PersonID{42}, []pattern.Pattern{pat(4, 2)})
-			if err := s.Append(evict(42)); err != nil {
+			if err := s.AppendCells(evict(42)); err != nil {
 				t.Fatalf("Append: %v", err)
 			}
 			wantImage(t, s, nil, nil)
 
 			// Unknown ops are typed errors.
-			if err := s.Append(store.Batch{Op: 99}); err == nil {
+			if err := s.AppendCells(store.CellBatch{Op: 99}); err == nil {
 				t.Fatal("Append of unknown op succeeded")
 			}
 		})
@@ -120,13 +139,13 @@ func TestWALSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wal.Open: %v", err)
 	}
-	if err := s.Append(ingest(
+	if err := s.AppendCells(ingest(
 		[]core.PersonID{1, 2},
 		[]pattern.Pattern{pat(1, 1), pat(2, 2)},
 	)); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := s.Append(evict(1)); err != nil {
+	if err := s.AppendCells(evict(1)); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 	// No Close: simulate the process dying without a clean shutdown. Every
@@ -153,12 +172,12 @@ func TestWALCompactFolds(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		p := core.PersonID(i)
 		l := pat(int64(i), int64(i))
-		if err := s.Append(ingest([]core.PersonID{p}, []pattern.Pattern{l})); err != nil {
+		if err := s.AppendCells(ingest([]core.PersonID{p}, []pattern.Pattern{l})); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 		wantPersons = append(wantPersons, p)
 		wantLocals = append(wantLocals, l)
-		folded, err := s.Compact(store.Image{Persons: wantPersons, Locals: wantLocals})
+		folded, err := s.Compact(store.CellImage{Persons: wantPersons, Locals: cells(wantLocals)})
 		if err != nil {
 			t.Fatalf("Compact: %v", err)
 		}

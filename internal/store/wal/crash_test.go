@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,7 +18,8 @@ import (
 
 // matrixBatches builds a small, varied batch history: inserts, replacements,
 // evicts, a batch that is entirely skipped (all-zero), interleaved so every
-// prefix is a distinct store state.
+// prefix is a distinct store state. One row sits at the int32 edges, the
+// widest values a station's cells take.
 func matrixBatches() []store.Batch {
 	return []store.Batch{
 		{Op: store.OpIngest, Persons: []core.PersonID{5, 2}, Locals: []pattern.Pattern{{1, 1}, {2, 2}}},
@@ -30,6 +32,7 @@ func matrixBatches() []store.Batch {
 		{Op: store.OpEvict, Persons: []core.PersonID{5}},
 		{Op: store.OpIngest, Persons: []core.PersonID{21, 22, 23}, Locals: []pattern.Pattern{{1, 2}, {3, 4}, {5, 6}}},
 		{Op: store.OpEvict, Persons: []core.PersonID{22, 1}},
+		{Op: store.OpIngest, Persons: []core.PersonID{3, 30}, Locals: []pattern.Pattern{{math.MaxInt32, math.MinInt32}, {math.MinInt32, 5}}},
 	}
 }
 
@@ -37,7 +40,7 @@ func matrixBatches() []store.Batch {
 // exact store state after the first m batches applied.
 func prefixImages(t *testing.T, batches []store.Batch) []store.Image {
 	t.Helper()
-	var fold store.Fold
+	var fold store.FoldOf[pattern.Pattern, int64]
 	images := []store.Image{fold.Image()}
 	for _, b := range batches {
 		if err := fold.Apply(b); err != nil {
@@ -89,8 +92,9 @@ func completeRecords(boundaries []int, n int) int {
 	return m
 }
 
-// checkRecovered opens a directory holding the given log bytes, recovers,
-// and asserts the result is exactly the m-batch prefix state — then appends
+// checkRecovered opens a directory holding the given log bytes, recovers
+// into Pattern rows and into a station's int32 rows (recoverBoth), and
+// asserts the result is exactly the m-batch prefix state — then appends
 // one more batch and recovers again, proving the truncated store is live.
 func checkRecovered(t *testing.T, label string, logBytes []byte, want store.Image) {
 	t.Helper()
@@ -104,10 +108,7 @@ func checkRecovered(t *testing.T, label string, logBytes []byte, want store.Imag
 		t.Fatalf("%s: Open: %v", label, err)
 	}
 	defer s.Close()
-	img, err := s.Recover()
-	if err != nil {
-		t.Fatalf("%s: Recover: %v", label, err)
-	}
+	img := recoverBoth(t, label, s)
 	if !sameResidents(img, want) {
 		t.Fatalf("%s: recovered %d residents %v, want %d %v",
 			label, len(img.Persons), img.Persons, len(want.Persons), want.Persons)
@@ -126,11 +127,8 @@ func checkRecovered(t *testing.T, label string, logBytes []byte, want store.Imag
 	if err := s.Append(extra); err != nil {
 		t.Fatalf("%s: post-recovery Append: %v", label, err)
 	}
-	img2, err := s.Recover()
-	if err != nil {
-		t.Fatalf("%s: post-append Recover: %v", label, err)
-	}
-	var fold store.Fold
+	img2 := recoverBoth(t, label+" post-append", s)
+	var fold store.FoldOf[pattern.Pattern, int64]
 	if err := fold.Load(want); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -140,6 +138,43 @@ func checkRecovered(t *testing.T, label string, logBytes []byte, want store.Imag
 	if !sameResidents(img2, fold.Image()) {
 		t.Fatalf("%s: post-append recovery diverged", label)
 	}
+}
+
+// recoverBoth recovers s into Pattern rows (Recover) and into a station's
+// int32 rows (RecoverCells, what a station runs), fails unless the two hold
+// the same values, and returns the Pattern image.
+func recoverBoth(t *testing.T, label string, s *Store) store.Image {
+	t.Helper()
+	img, err := s.Recover()
+	if err != nil {
+		t.Fatalf("%s: Recover: %v", label, err)
+	}
+	cells, err := s.RecoverCells()
+	if err != nil {
+		t.Fatalf("%s: RecoverCells: %v", label, err)
+	}
+	if !sameResidents(widenImage(cells), img) {
+		t.Fatalf("%s: RecoverCells gave %v %v, Recover %v %v", label, cells.Persons, cells.Locals, img.Persons, img.Locals)
+	}
+	return img
+}
+
+// widenImage returns img with its rows as Patterns.
+func widenImage(img store.CellImage) store.Image {
+	out := store.Image{Persons: img.Persons}
+	for _, l := range img.Locals {
+		out.Locals = append(out.Locals, widen(l))
+	}
+	return out
+}
+
+// widen returns an int32 row as a Pattern.
+func widen(row []int32) pattern.Pattern {
+	p := make(pattern.Pattern, len(row))
+	for i, v := range row {
+		p[i] = int64(v)
+	}
+	return p
 }
 
 func sameResidents(a, b store.Image) bool {
@@ -280,7 +315,7 @@ func TestCrashPointWithSnapshot(t *testing.T) {
 	}
 
 	// Fold the expected prefixes on top of the snapshot base.
-	var fold store.Fold
+	var fold store.FoldOf[pattern.Pattern, int64]
 	if err := fold.Load(base); err != nil {
 		t.Fatalf("fold: %v", err)
 	}
@@ -304,10 +339,7 @@ func TestCrashPointWithSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: Open: %v", cut, err)
 		}
-		img, err := s2.Recover()
-		if err != nil {
-			t.Fatalf("cut=%d: Recover: %v", cut, err)
-		}
+		img := recoverBoth(t, fmt.Sprintf("cut=%d", cut), s2)
 		m := completeRecords(boundaries, cut)
 		if !sameResidents(img, images[m]) {
 			t.Fatalf("cut=%d: recovered %v, want prefix %d = %v", cut, img.Persons, m, images[m].Persons)
@@ -386,5 +418,38 @@ func TestRecoverRefusesUndecodableRecord(t *testing.T) {
 				t.Fatalf("Recover: %v, want %v", err, tc.wantIs)
 			}
 		})
+	}
+}
+
+// TestRecoverCellsRefusesWideValue: a log record or a snapshot holding a
+// value an int32 cannot hold — written by a build whose stations kept int64
+// cells — recovers in Pattern rows, but a station's int32 recovery fails
+// with wire.ErrCellRange instead of storing another value.
+func TestRecoverCellsRefusesWideValue(t *testing.T) {
+	wide := store.Image{Persons: []core.PersonID{4, 6}, Locals: []pattern.Pattern{{1, 2}, {1 << 31, 1}}}
+	for _, viaSnapshot := range []bool{false, true} {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{SnapshotEvery: -1, SnapshotBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if viaSnapshot {
+			err = s.Snapshot(wide)
+		} else {
+			err = s.Append(store.Batch{Op: store.OpIngest, Persons: wide.Persons, Locals: wide.Locals})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := s.Recover()
+		if err != nil || !sameResidents(img, wide) {
+			t.Fatalf("snapshot %v: Recover = %v, %v; want %v", viaSnapshot, img.Locals, err, wide.Locals)
+		}
+		if cells, err := s.RecoverCells(); !errors.Is(err, wire.ErrCellRange) {
+			t.Fatalf("snapshot %v: RecoverCells = %v, %v; want ErrCellRange", viaSnapshot, cells.Locals, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

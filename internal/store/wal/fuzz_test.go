@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dimatch/internal/core"
@@ -89,15 +90,20 @@ func FuzzWALRecord(f *testing.F) {
 		// The frame is intact; the body must decode cleanly or fail typed
 		// (wire decode errors are wrapped but never panic), and a decodable
 		// batch must survive an encode/decode roundtrip.
-		batch, err := decodeBatch(kind, body)
+		batch, err := decodeBatch[pattern.Pattern](kind, body)
+		cells, cellErr := decodeBatch[[]int32](kind, body)
+		sameCells(t, batch.Locals, err, cells.Locals, cellErr)
 		if err != nil {
 			return
+		}
+		if cellErr != nil && !slices.ContainsFunc(batch.Locals, func(l pattern.Pattern) bool { return !l.InRange() }) {
+			t.Fatalf("int32 decode refused a record of in-range rows: %v", cellErr)
 		}
 		k2, body2, err := encodeBatch(batch)
 		if err != nil {
 			t.Fatalf("re-encoding decoded batch: %v", err)
 		}
-		batch2, err := decodeBatch(k2, body2)
+		batch2, err := decodeBatch[pattern.Pattern](k2, body2)
 		if err != nil {
 			t.Fatalf("re-decoding encoded batch: %v", err)
 		}
@@ -135,7 +141,9 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add(mustHex(f, adaptedSnapshotHex))
 	f.Add(mustHex(f, staticSnapshotHex))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		img, err := decodeSnapshot(data)
+		img, err := decodeSnapshot[pattern.Pattern](data)
+		cells, cellErr := decodeSnapshot[[]int32](data)
+		sameCells(t, img.Locals, err, cells.Locals, cellErr)
 		if err != nil {
 			if !errors.Is(err, ErrBadSnapshot) {
 				t.Fatalf("snapshot decode error not typed ErrBadSnapshot: %v", err)
@@ -158,7 +166,7 @@ func FuzzSnapshot(f *testing.F) {
 		if err := writeSnapshot(&re, img); err != nil {
 			t.Fatalf("re-encoding decoded snapshot: %v", err)
 		}
-		img2, err := decodeSnapshot(re.Bytes())
+		img2, err := decodeSnapshot[pattern.Pattern](re.Bytes())
 		if err != nil {
 			t.Fatalf("re-decoding encoded snapshot: %v", err)
 		}
@@ -170,4 +178,30 @@ func FuzzSnapshot(f *testing.F) {
 
 func imgResidents(img store.Image) store.Image {
 	return store.Image{Persons: img.Persons, Locals: img.Locals}
+}
+
+// sameCells holds a station's int32 decode of some bytes to the Pattern
+// decode of the same bytes: both fail, or the int32 one holds the same
+// values, or it alone fails, with wire.ErrCellRange.
+func sameCells(t *testing.T, wide []pattern.Pattern, err error, cells [][]int32, cellErr error) {
+	t.Helper()
+	switch {
+	case err != nil:
+		if cellErr == nil {
+			t.Fatalf("int32 decode took what the Pattern decode refused (%v)", err)
+		}
+	case cellErr != nil:
+		if !errors.Is(cellErr, wire.ErrCellRange) {
+			t.Fatalf("int32 decode failed on bytes the Pattern decode took: %v", cellErr)
+		}
+	default:
+		if len(cells) != len(wide) {
+			t.Fatalf("int32 decode gave %d rows, the Pattern decode %d", len(cells), len(wide))
+		}
+		for i, l := range cells {
+			if !widen(l).Equal(wide[i]) {
+				t.Fatalf("row %d: int32 decode %v, Pattern decode %v", i, l, wide[i])
+			}
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"dimatch/internal/pattern"
 	"dimatch/internal/store"
 	"dimatch/internal/wire"
 )
@@ -32,7 +33,7 @@ const (
 // writeSnapshot streams a station image to w as a snapshot file body, one
 // chunk record at a time: it holds one chunk's encoded rows, reused from
 // chunk to chunk, and never the whole file.
-func writeSnapshot(w io.Writer, img store.Image) error {
+func writeSnapshot[R pattern.Row[C], C pattern.Cell](w io.Writer, img store.ImageOf[R, C]) error {
 	hdr := [snapHeaderSize]byte{4: snapVersion}
 	copy(hdr[:], snapMagic[:])
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -42,7 +43,7 @@ func writeSnapshot(w io.Writer, img store.Image) error {
 	for start := 0; start < len(img.Persons); start += snapChunk {
 		end := min(start+snapChunk, len(img.Persons))
 		var err error
-		body, err = wire.AppendIngestPayload(body[:0], wire.Ingest{
+		body, err = wire.AppendIngestPayload(body[:0], wire.IngestOf[R, C]{
 			Persons: img.Persons[start:end],
 			Locals:  img.Locals[start:end],
 		}, nil)
@@ -58,58 +59,60 @@ func writeSnapshot(w io.Writer, img store.Image) error {
 	return writeRecord(w, recSeal, seal[:])
 }
 
-// decodeSnapshot parses a snapshot file body back into a station image.
+// decodeSnapshot parses a snapshot file body back into a station image of
+// rows R.
 // Every failure is typed under ErrBadSnapshot: snapshots are written
 // atomically, so damage here is disk rot, not a crash artifact, and the
 // loader refuses it rather than recovering a silently incomplete store.
-func decodeSnapshot(data []byte) (store.Image, error) {
+func decodeSnapshot[R pattern.Row[C], C pattern.Cell](data []byte) (store.ImageOf[R, C], error) {
+	var zero store.ImageOf[R, C]
 	if len(data) < snapHeaderSize {
-		return store.Image{}, fmt.Errorf("%w: %d byte header", ErrBadSnapshot, len(data))
+		return zero, fmt.Errorf("%w: %d byte header", ErrBadSnapshot, len(data))
 	}
 	if [4]byte(data[0:4]) != snapMagic {
-		return store.Image{}, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
+		return zero, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
 	if data[4] != snapVersion {
-		return store.Image{}, fmt.Errorf("%w: version %d", ErrBadSnapshot, data[4])
+		return zero, fmt.Errorf("%w: version %d", ErrBadSnapshot, data[4])
 	}
-	var fold store.Fold
+	var fold store.FoldOf[R, C]
 	sealed := int64(-1)
 	off := snapHeaderSize
 	for off < len(data) {
 		kind, body, n, err := readRecord(data[off:])
 		if err != nil {
-			return store.Image{}, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+			return zero, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 		}
 		off += n
 		switch kind {
 		case recResidents:
-			in, err := wire.DecodeIngestPayload(body)
+			in, err := wire.DecodeIngestPayload[R](body)
 			if err != nil {
-				return store.Image{}, fmt.Errorf("%w: residents: %w", ErrBadSnapshot, err)
+				return zero, fmt.Errorf("%w: residents: %w", ErrBadSnapshot, err)
 			}
-			if err := fold.ApplyDecoded(store.Batch{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals}); err != nil {
-				return store.Image{}, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+			if err := fold.ApplyDecoded(store.BatchOf[R, C]{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals}); err != nil {
+				return zero, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 			}
 		case recDigest:
 			// Derived state an older build persisted: the station rebuilds
 			// its digest from the residents, so the body is never read.
 		case recSeal:
 			if len(body) != 8 {
-				return store.Image{}, fmt.Errorf("%w: %d byte seal", ErrBadSnapshot, len(body))
+				return zero, fmt.Errorf("%w: %d byte seal", ErrBadSnapshot, len(body))
 			}
 			sealed = int64(binary.LittleEndian.Uint64(body))
 			if off != len(data) {
-				return store.Image{}, fmt.Errorf("%w: %d bytes after seal", ErrBadSnapshot, len(data)-off)
+				return zero, fmt.Errorf("%w: %d bytes after seal", ErrBadSnapshot, len(data)-off)
 			}
 		default:
-			return store.Image{}, fmt.Errorf("%w: record kind 0x%02x", ErrBadSnapshot, kind)
+			return zero, fmt.Errorf("%w: record kind 0x%02x", ErrBadSnapshot, kind)
 		}
 	}
 	if sealed < 0 {
-		return store.Image{}, fmt.Errorf("%w: missing seal", ErrBadSnapshot)
+		return zero, fmt.Errorf("%w: missing seal", ErrBadSnapshot)
 	}
 	if int64(fold.Len()) != sealed {
-		return store.Image{}, fmt.Errorf("%w: sealed %d residents, decoded %d", ErrBadSnapshot, sealed, fold.Len())
+		return zero, fmt.Errorf("%w: sealed %d residents, decoded %d", ErrBadSnapshot, sealed, fold.Len())
 	}
 	return fold.Take(), nil
 }

@@ -40,7 +40,7 @@ func TestSnapshotDropsAdaptiveDigest(t *testing.T) {
 // checkRetiredDigestSnapshot decodes one fixture, then boots a station over
 // it beside a second member and searches every recovered resident.
 func checkRetiredDigestSnapshot(t *testing.T, fixture []byte) {
-	img, err := decodeSnapshot(fixture)
+	img, err := decodeSnapshot[pattern.Pattern](fixture)
 	if err != nil {
 		t.Fatalf("decodeSnapshot: %v", err)
 	}

@@ -139,7 +139,7 @@ func (f *failAfter) Write(p []byte) (int, error) {
 func TestSnapshotWriteFailureKeepsPreviousGeneration(t *testing.T) {
 	base := residentImage(snapChunk+1, 1)
 	batches := matrixBatches()
-	var fold store.Fold
+	var fold store.FoldOf[pattern.Pattern, int64]
 	if err := fold.Load(base); err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,7 @@ import (
 	"strconv"
 	"strings"
 
+	"dimatch/internal/pattern"
 	"dimatch/internal/store"
 	"dimatch/internal/wire"
 )
@@ -57,6 +58,9 @@ func (o Options) withDefaults() Options {
 
 // Store is the snapshot+WAL backend. It implements store.Store and, like
 // every backend, is single-owner: the station serve loop serializes calls.
+// Beside the contract's int32 methods it reads and writes Pattern rows
+// (Recover, Append, Snapshot) for tools and tests: the same code, the same
+// bytes.
 type Store struct {
 	dir  string
 	opts Options
@@ -211,13 +215,13 @@ func scanLog(data []byte) (good int64, records int) {
 // encodeBatch maps a store batch to its record kind and wire payload body.
 // An ingest batch that carries the payload it was decoded from is logged as
 // those bytes, unencoded; only a partly applied batch is encoded again.
-func encodeBatch(b store.Batch) (byte, []byte, error) {
+func encodeBatch[R pattern.Row[C], C pattern.Cell](b store.BatchOf[R, C]) (byte, []byte, error) {
 	switch b.Op {
 	case store.OpIngest:
 		if b.Payload != nil {
 			return recIngest, b.Payload, nil
 		}
-		body, err := wire.EncodeIngestPayload(wire.Ingest{Persons: b.Persons, Locals: b.Locals})
+		body, err := wire.EncodeIngestPayload(wire.IngestOf[R, C]{Persons: b.Persons, Locals: b.Locals})
 		if err != nil {
 			return 0, nil, fmt.Errorf("wal: %w", err)
 		}
@@ -230,37 +234,44 @@ func encodeBatch(b store.Batch) (byte, []byte, error) {
 }
 
 // decodeBatch maps a log record back to the batch it recorded.
-func decodeBatch(kind byte, body []byte) (store.Batch, error) {
+func decodeBatch[R pattern.Row[C], C pattern.Cell](kind byte, body []byte) (store.BatchOf[R, C], error) {
 	switch kind {
 	case recIngest:
-		in, err := wire.DecodeIngestPayload(body)
+		in, err := wire.DecodeIngestPayload[R](body)
 		if err != nil {
-			return store.Batch{}, fmt.Errorf("wal: ingest record: %w", err)
+			return store.BatchOf[R, C]{}, fmt.Errorf("wal: ingest record: %w", err)
 		}
-		return store.Batch{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals}, nil
+		return store.BatchOf[R, C]{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals}, nil
 	case recEvict:
 		ev, err := wire.DecodeEvictPayload(body)
 		if err != nil {
-			return store.Batch{}, fmt.Errorf("wal: evict record: %w", err)
+			return store.BatchOf[R, C]{}, fmt.Errorf("wal: evict record: %w", err)
 		}
-		return store.Batch{Op: store.OpEvict, Persons: ev.Persons}, nil
+		return store.BatchOf[R, C]{Op: store.OpEvict, Persons: ev.Persons}, nil
 	default:
-		return store.Batch{}, fmt.Errorf("%w: 0x%02x", ErrBadKind, kind)
+		return store.BatchOf[R, C]{}, fmt.Errorf("%w: 0x%02x", ErrBadKind, kind)
 	}
 }
 
-// Recover replays the durable state: the generation's snapshot (if any) plus
-// every log record. Open truncated the torn tail, so every record left is
-// one the station acked; one that does not decode fails recovery with a
-// typed error rather than hiding the batches after it.
-func (s *Store) Recover() (store.Image, error) {
-	var fold store.Fold
+// RecoverCells replays the durable state into a station's int32 rows; see
+// recoverImage.
+func (s *Store) RecoverCells() (store.CellImage, error) { return recoverImage[[]int32](s) }
+
+// Recover is RecoverCells into Pattern rows.
+func (s *Store) Recover() (store.Image, error) { return recoverImage[pattern.Pattern](s) }
+
+// recoverImage replays the durable state: the generation's snapshot (if
+// any) plus every log record. Open truncated the torn tail, so every record
+// left is one the station acked; one that does not decode fails recovery
+// with a typed error rather than hiding the batches after it.
+func recoverImage[R pattern.Row[C], C pattern.Cell](s *Store) (store.ImageOf[R, C], error) {
+	var fold store.FoldOf[R, C]
 	snap, err := os.ReadFile(s.snapPath(s.seq))
 	switch {
 	case err == nil:
-		img, derr := decodeSnapshot(snap)
+		img, derr := decodeSnapshot[R](snap)
 		if derr != nil {
-			return store.Image{}, derr
+			return store.ImageOf[R, C]{}, derr
 		}
 		// The decoder's own fold produced the image, so its invariants hold
 		// and the slices can be adopted without the Load re-validation pass.
@@ -268,34 +279,40 @@ func (s *Store) Recover() (store.Image, error) {
 	case os.IsNotExist(err):
 		// Generation 0 never has a snapshot: recovery starts empty.
 	default:
-		return store.Image{}, fmt.Errorf("wal: %w", err)
+		return store.ImageOf[R, C]{}, fmt.Errorf("wal: %w", err)
 	}
 
 	data, err := os.ReadFile(s.logPath(s.seq))
 	if err != nil {
-		return store.Image{}, fmt.Errorf("wal: %w", err)
+		return store.ImageOf[R, C]{}, fmt.Errorf("wal: %w", err)
 	}
 	for off := 0; off < len(data); {
 		kind, body, n, err := readRecord(data[off:])
 		if err != nil {
-			return store.Image{}, fmt.Errorf("%w at log byte %d", err, off)
+			return store.ImageOf[R, C]{}, fmt.Errorf("%w at log byte %d", err, off)
 		}
-		batch, err := decodeBatch(kind, body)
+		batch, err := decodeBatch[R](kind, body)
 		if err != nil {
-			return store.Image{}, fmt.Errorf("%w at log byte %d", err, off)
+			return store.ImageOf[R, C]{}, fmt.Errorf("%w at log byte %d", err, off)
 		}
 		if err := fold.ApplyDecoded(batch); err != nil {
-			return store.Image{}, err
+			return store.ImageOf[R, C]{}, err
 		}
 		off += n
 	}
 	return fold.Take(), nil
 }
 
-// Append frames one applied batch onto the log and fsyncs it. The station
-// calls it before acking, so an Append error is fatal to the serve loop —
+// AppendCells frames one applied batch onto the log and fsyncs it. The
+// station calls it before acking, so an error is fatal to the serve loop —
 // the center never sees an ack for a batch that is not on disk.
-func (s *Store) Append(b store.Batch) error {
+func (s *Store) AppendCells(b store.CellBatch) error { return appendBatch(s, b) }
+
+// Append is AppendCells for a batch of Pattern rows: the same record bytes.
+func (s *Store) Append(b store.Batch) error { return appendBatch(s, b) }
+
+// appendBatch is AppendCells over rows R.
+func appendBatch[R pattern.Row[C], C pattern.Cell](s *Store, b store.BatchOf[R, C]) error {
 	kind, body, err := encodeBatch(b)
 	if err != nil {
 		return err
@@ -317,13 +334,21 @@ func (s *Store) syncLog() error {
 	return nil
 }
 
-// Snapshot folds the image into a fresh generation: temp-write + fsync +
-// atomic rename for the snapshot, then a new empty log, then the old
+// SnapshotCells folds the image into a fresh generation; see
+// snapshotImage.
+func (s *Store) SnapshotCells(img store.CellImage) error { return snapshotImage(s, img) }
+
+// Snapshot is SnapshotCells for an image of Pattern rows: the same file
+// bytes.
+func (s *Store) Snapshot(img store.Image) error { return snapshotImage(s, img) }
+
+// snapshotImage folds the image into a fresh generation: temp-write + fsync
+// + atomic rename for the snapshot, then a new empty log, then the old
 // generation is removed. A crash at any point leaves either the old
-// generation intact or the new snapshot complete — never a half state. A
-// Snapshot error leaves the store unusable for further appends (the station
-// treats it as fatal), because the generation bookkeeping may be mid-flight.
-func (s *Store) Snapshot(img store.Image) error {
+// generation intact or the new snapshot complete — never a half state. An
+// error leaves the store unusable for further appends (the station treats
+// it as fatal), because the generation bookkeeping may be mid-flight.
+func snapshotImage[R pattern.Row[C], C pattern.Cell](s *Store, img store.ImageOf[R, C]) error {
 	next := s.seq + 1
 	tmp := s.snapPath(next) + ".tmp"
 	if err := writeSnapshotFile(tmp, img); err != nil {
@@ -357,13 +382,13 @@ func (s *Store) Snapshot(img store.Image) error {
 
 // Compact folds the log into a snapshot of img once it exceeds the
 // configured record or byte threshold.
-func (s *Store) Compact(img store.Image) (bool, error) {
+func (s *Store) Compact(img store.CellImage) (bool, error) {
 	byRecords := s.opts.SnapshotEvery > 0 && s.logRecords >= s.opts.SnapshotEvery
 	byBytes := s.opts.SnapshotBytes > 0 && s.logBytes >= s.opts.SnapshotBytes
 	if !byRecords && !byBytes {
 		return false, nil
 	}
-	if err := s.Snapshot(img); err != nil {
+	if err := s.SnapshotCells(img); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -411,7 +436,7 @@ var snapshotSink = func(f *os.File) io.Writer { return f }
 
 // writeSnapshotFile creates path, streams img into it through one buffered
 // writer and fsyncs it before returning.
-func writeSnapshotFile(path string, img store.Image) error {
+func writeSnapshotFile[R pattern.Row[C], C pattern.Cell](path string, img store.ImageOf[R, C]) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)

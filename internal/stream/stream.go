@@ -190,7 +190,8 @@ func New(c *cluster.Cluster, opts Options) (*Ingestor, error) {
 
 // Submit admits one (person, pattern) into the pipeline. The pattern is
 // cloned, so the caller may reuse its slice. Length mismatches return an
-// error wrapping cluster.ErrLengthMismatch; all-zero patterns are skipped
+// error wrapping cluster.ErrLengthMismatch, a value an int32 cannot hold
+// one wrapping cluster.ErrValueRange; all-zero patterns are skipped
 // silently (no measurable activity means no pattern — the stations' own
 // ingest rule). When the intake queue is full, Block admission waits for
 // space (bounded by ctx) and Shed admission returns ErrOverloaded with the
@@ -213,6 +214,10 @@ func (in *Ingestor) Submit(ctx context.Context, person core.PersonID, pat patter
 		in.counters.Rejected.Add(1)
 		return fmt.Errorf("%w: stream person %d pattern length %d, cluster is %d",
 			cluster.ErrLengthMismatch, person, len(pat), in.c.PatternLength())
+	}
+	if !pat.InRange() {
+		in.counters.Rejected.Add(1)
+		return fmt.Errorf("%w: stream person %d", cluster.ErrValueRange, person)
 	}
 	if pat.Sum() == 0 {
 		in.counters.Rejected.Add(1)

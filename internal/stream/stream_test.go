@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -166,6 +167,40 @@ func TestStreamValidationAndClose(t *testing.T) {
 	}
 	if err := in.Flush(ctx); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Flush after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestStreamRejectsValueOutOfRange: a pattern holding 2³¹ or −2³¹−1 is
+// refused at Submit with cluster.ErrValueRange and accounted rejected, and
+// nothing of it reaches a station; the int32 edges are accepted and applied.
+func TestStreamRejectsValueOutOfRange(t *testing.T) {
+	c := newStreamCluster(t, []uint32{1, 2}, 4)
+	in, err := New(c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	ctx := context.Background()
+	for i, bad := range []pattern.Pattern{{1, 1 << 31, 1, 1}, {-(1 << 31) - 1, 1, 1, 1}} {
+		if err := in.Submit(ctx, core.PersonID(i+1), bad); !errors.Is(err, cluster.ErrValueRange) {
+			t.Fatalf("Submit of %v = %v, want ErrValueRange", bad, err)
+		}
+	}
+	if err := in.Submit(ctx, 3, pattern.Pattern{math.MaxInt32, math.MinInt32, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rep := in.Report(); rep.Rejected != 2 || rep.Accepted != 1 {
+		t.Fatalf("accounting = %+v, want 2 rejected, 1 accepted", rep)
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Placed() != 1 || st.TotalResidents() != min(2, cluster.DefaultReplication) {
+		t.Fatalf("%d placed, %d residents; want the one accepted person and its copies", c.Placed(), st.TotalResidents())
 	}
 }
 

@@ -274,7 +274,7 @@ func FuzzDecodePayload(f *testing.F) {
 				roundtripBFMatches(t, bm)
 			}
 		case KindIngest:
-			if in, err := DecodeIngest(m); err == nil {
+			if in, err := DecodeIngest[pattern.Pattern](m); err == nil {
 				checkRows(t, payload, in.Persons, in.Locals)
 			}
 		case KindEvict:
@@ -496,7 +496,7 @@ func checkRows(t *testing.T, payload []byte, persons []core.PersonID, locals []p
 	if err != nil {
 		t.Fatalf("rows re-encode failed: %v", err)
 	}
-	re, err := DecodeIngestPayload(enc)
+	re, err := DecodeIngestPayload[pattern.Pattern](enc)
 	if err != nil {
 		t.Fatalf("rows re-decode failed: %v", err)
 	}

@@ -1025,17 +1025,21 @@ func DecodeDump(m Message) (Dump, error) {
 	return out, nil
 }
 
-// DumpReply is a station's answer to KindDump: the requested (person, local
-// pattern) tuples it actually holds, person-ID ascending. Persons the
-// station does not hold are simply absent.
-type DumpReply struct {
+// DumpReplyOf is a station's answer to KindDump: the requested (person,
+// local pattern) tuples it actually holds, person-ID ascending, in rows R.
+// Persons the station does not hold are simply absent. A station encodes
+// its int32 rows; the coordinator decodes a DumpReply.
+type DumpReplyOf[R pattern.Row[C], C pattern.Cell] struct {
 	Station uint32
 	Persons []core.PersonID
-	Locals  []pattern.Pattern
+	Locals  []R
 }
 
+// DumpReply is a dump answer in Pattern rows.
+type DumpReply = DumpReplyOf[pattern.Pattern, int64]
+
 // EncodeDumpReply renders the dump answer.
-func EncodeDumpReply(d DumpReply) (Message, error) {
+func EncodeDumpReply[R pattern.Row[C], C pattern.Cell](d DumpReplyOf[R, C]) (Message, error) {
 	if len(d.Persons) != len(d.Locals) {
 		return Message{}, fmt.Errorf("wire: %d persons but %d locals", len(d.Persons), len(d.Locals))
 	}
@@ -1052,7 +1056,7 @@ func DecodeDumpReply(m Message) (DumpReply, error) {
 	}
 	r := &reader{buf: m.Payload}
 	out := DumpReply{Station: r.u32()}
-	out.Persons, out.Locals = readRows(r)
+	out.Persons, out.Locals = readRows[pattern.Pattern](r)
 	if err := r.done(); err != nil {
 		return DumpReply{}, err
 	}
@@ -1064,7 +1068,7 @@ func DecodeDumpReply(m Message) (DumpReply, error) {
 
 // rowsSize returns the exact number of bytes writeRows will append for the
 // same arguments.
-func rowsSize(persons []core.PersonID, locals []pattern.Pattern, rows []int32) int {
+func rowsSize[R pattern.Row[C], C pattern.Cell](persons []core.PersonID, locals []R, rows []int32) int {
 	count := len(persons)
 	if rows != nil {
 		count = len(rows)
@@ -1077,7 +1081,7 @@ func rowsSize(persons []core.PersonID, locals []pattern.Pattern, rows []int32) i
 		}
 		n += uvarintLen(uint64(persons[i])) + uvarintLen(uint64(len(locals[i])))
 		for _, v := range locals[i] {
-			n += uvarintLen(zigzag(v))
+			n += uvarintLen(zigzag(int64(v)))
 		}
 	}
 	return n
@@ -1093,7 +1097,7 @@ func rowsSize(persons []core.PersonID, locals []pattern.Pattern, rows []int32) i
 // are written by hand up to three bytes each (binary.AppendUvarint's layout,
 // see rows_test.go) into a local slice, so the loop keeps the buffer in
 // registers instead of storing it back through w per varint.
-func writeRows(w *writer, persons []core.PersonID, locals []pattern.Pattern, rows []int32) {
+func writeRows[R pattern.Row[C], C pattern.Cell](w *writer, persons []core.PersonID, locals []R, rows []int32) {
 	count := len(persons)
 	if rows != nil {
 		count = len(rows)
@@ -1107,7 +1111,7 @@ func writeRows(w *writer, persons []core.PersonID, locals []pattern.Pattern, row
 		b = binary.AppendUvarint(b, uint64(persons[i]))
 		b = binary.AppendUvarint(b, uint64(len(locals[i])))
 		for _, v := range locals[i] {
-			switch z := zigzag(v); {
+			switch z := zigzag(int64(v)); {
 			case z < 1<<7:
 				b = append(b, byte(z))
 			case z < 1<<14:
@@ -1139,7 +1143,11 @@ func writeRows(w *writer, persons []core.PersonID, locals []pattern.Pattern, row
 // binary.Uvarint accepts at those widths, with the same value, so the rows
 // and every error are those of reading each value through reader.uvarint
 // (rows_test.go holds the two to each other at every cut).
-func readRows(r *reader) ([]core.PersonID, []pattern.Pattern) {
+//
+// Rows of int32 cells — a station's — take only values an int32 holds: a
+// longer value fails the read, so a station never stores a value other than
+// the one sent. Only the long path can carry one: three bytes hold 21 bits.
+func readRows[R pattern.Row[C], C pattern.Cell](r *reader) ([]core.PersonID, []R) {
 	n := r.count(2)
 	values := -2 * n
 	for _, b := range r.buf[r.off:] {
@@ -1151,8 +1159,8 @@ func readRows(r *reader) ([]core.PersonID, []pattern.Pattern) {
 		values = 0 // fewer varints than the rows need: the reads below fail
 	}
 	persons := make([]core.PersonID, 0, n)
-	locals := make([]pattern.Pattern, 0, n)
-	arena := make([]int64, values)
+	locals := make([]R, 0, n)
+	arena := make([]C, values)
 	buf := r.buf
 	for i := 0; i < n && r.err == nil; i++ {
 		persons = append(persons, core.PersonID(r.uvarint()))
@@ -1169,28 +1177,31 @@ func readRows(r *reader) ([]core.PersonID, []pattern.Pattern) {
 				b0, b1, b2 := buf[off], buf[off+1], buf[off+2]
 				switch {
 				case b0 < 0x80:
-					row[j] = unzigzag(uint64(b0))
+					row[j] = C(unzigzag(uint64(b0)))
 					off++
 					continue
 				case b1 < 0x80:
-					row[j] = unzigzag(uint64(b0&0x7f) | uint64(b1)<<7)
+					row[j] = C(unzigzag(uint64(b0&0x7f) | uint64(b1)<<7))
 					off += 2
 					continue
 				case b2 < 0x80:
-					row[j] = unzigzag(uint64(b0&0x7f) | uint64(b1&0x7f)<<7 | uint64(b2)<<14)
+					row[j] = C(unzigzag(uint64(b0&0x7f) | uint64(b1&0x7f)<<7 | uint64(b2)<<14))
 					off += 3
 					continue
 				}
 			}
 			r.off = off
-			row[j] = unzigzag(r.uvarint())
+			v := unzigzag(r.uvarint())
+			if row[j] = C(v); r.err == nil && int64(row[j]) != v {
+				r.fail(fmt.Errorf("%w: %d", ErrCellRange, v))
+			}
 			if r.err != nil {
 				break
 			}
 			off = r.off
 		}
 		r.off = off
-		locals = append(locals, pattern.Pattern(row))
+		locals = append(locals, R(row))
 	}
 	return persons, locals
 }
@@ -1265,18 +1276,22 @@ func DecodeSummaryReply(m Message) (SummaryReply, error) {
 
 // ---- lifecycle: ingest / evict / stats ----
 
-// Ingest adds (or replaces) resident patterns at one station — the center
-// forwarding freshly observed call data. It travels over the target
-// station's own link, so no station field is needed.
-type Ingest struct {
+// IngestOf adds (or replaces) resident patterns at one station — the center
+// forwarding freshly observed call data — in rows R. It travels over the
+// target station's own link, so no station field is needed. The bytes are
+// the same for either cell type; a station decodes into int32 rows.
+type IngestOf[R pattern.Row[C], C pattern.Cell] struct {
 	Persons []core.PersonID
-	Locals  []pattern.Pattern
+	Locals  []R
 }
+
+// Ingest is an ingest in Pattern rows: the coordinator's.
+type Ingest = IngestOf[pattern.Pattern, int64]
 
 // EncodeIngestPayload renders an ingest batch's payload bytes without the
 // message envelope. The station WAL (internal/store/wal) persists applied
 // batches in exactly this form, so persistence and the wire share one codec.
-func EncodeIngestPayload(in Ingest) ([]byte, error) {
+func EncodeIngestPayload[R pattern.Row[C], C pattern.Cell](in IngestOf[R, C]) ([]byte, error) {
 	return AppendIngestPayload(nil, in, nil)
 }
 
@@ -1291,7 +1306,7 @@ func EncodeIngestPayload(in Ingest) ([]byte, error) {
 // the size needed or twice the old capacity, whichever is larger: a payload
 // encoded into nil holds no spare bytes, and a reused buffer stops growing
 // after a chunk or two.
-func AppendIngestPayload(dst []byte, in Ingest, rows []int32) ([]byte, error) {
+func AppendIngestPayload[R pattern.Row[C], C pattern.Cell](dst []byte, in IngestOf[R, C], rows []int32) ([]byte, error) {
 	if len(in.Persons) != len(in.Locals) {
 		return nil, fmt.Errorf("wire: %d persons but %d locals", len(in.Persons), len(in.Locals))
 	}
@@ -1304,7 +1319,7 @@ func AppendIngestPayload(dst []byte, in Ingest, rows []int32) ([]byte, error) {
 }
 
 // EncodeIngest renders the ingest request.
-func EncodeIngest(in Ingest) (Message, error) {
+func EncodeIngest[R pattern.Row[C], C pattern.Cell](in IngestOf[R, C]) (Message, error) {
 	payload, err := EncodeIngestPayload(in)
 	if err != nil {
 		return Message{}, err
@@ -1312,23 +1327,27 @@ func EncodeIngest(in Ingest) (Message, error) {
 	return Message{Kind: KindIngest, Payload: payload}, nil
 }
 
-// DecodeIngestPayload parses an ingest batch's payload bytes.
-func DecodeIngestPayload(payload []byte) (Ingest, error) {
+// DecodeIngestPayload parses an ingest batch's payload bytes into rows R
+// (the caller names R: DecodeIngestPayload[[]int32] for a station's cells,
+// which rejects a value an int32 cannot hold). The rows share one exactly
+// sized arena, and each is capped.
+func DecodeIngestPayload[R pattern.Row[C], C pattern.Cell](payload []byte) (IngestOf[R, C], error) {
 	r := &reader{buf: payload}
-	var out Ingest
-	out.Persons, out.Locals = readRows(r)
+	var out IngestOf[R, C]
+	out.Persons, out.Locals = readRows[R](r)
 	if err := r.done(); err != nil {
-		return Ingest{}, err
+		return IngestOf[R, C]{}, err
 	}
 	return out, nil
 }
 
-// DecodeIngest parses the ingest request.
-func DecodeIngest(m Message) (Ingest, error) {
+// DecodeIngest parses the ingest request into rows R, as
+// DecodeIngestPayload does.
+func DecodeIngest[R pattern.Row[C], C pattern.Cell](m Message) (IngestOf[R, C], error) {
 	if m.Kind != KindIngest {
-		return Ingest{}, fmt.Errorf("wire: decoding %v as ingest", m.Kind)
+		return IngestOf[R, C]{}, fmt.Errorf("wire: decoding %v as ingest", m.Kind)
 	}
-	return DecodeIngestPayload(m.Payload)
+	return DecodeIngestPayload[R](m.Payload)
 }
 
 // Evict removes residents from one station. Person IDs are sent sorted and

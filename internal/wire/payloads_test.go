@@ -171,7 +171,7 @@ func TestDecodersNeverPanicOnMutatedPayloads(t *testing.T) {
 		},
 		func(m Message) error { _, err := DecodeDump(Message{Kind: KindDump, Payload: m.Payload}); return err },
 		func(m Message) error {
-			_, err := DecodeIngest(Message{Kind: KindIngest, Payload: m.Payload})
+			_, err := DecodeIngest[pattern.Pattern](Message{Kind: KindIngest, Payload: m.Payload})
 			return err
 		},
 		func(m Message) error { _, err := DecodeEvict(Message{Kind: KindEvict, Payload: m.Payload}); return err },
@@ -221,7 +221,7 @@ func TestIngestRoundTrip(t *testing.T) {
 	if m.Kind != KindIngest {
 		t.Fatalf("kind = %v", m.Kind)
 	}
-	got, err := DecodeIngest(m)
+	got, err := DecodeIngest[pattern.Pattern](m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestIngestRoundTrip(t *testing.T) {
 	if _, err := EncodeIngest(Ingest{Persons: []core.PersonID{1}}); err == nil {
 		t.Fatal("mismatched persons/locals accepted")
 	}
-	if _, err := DecodeIngest(Message{Kind: KindDump}); err == nil {
+	if _, err := DecodeIngest[pattern.Pattern](Message{Kind: KindDump}); err == nil {
 		t.Fatal("wrong kind accepted")
 	}
 }
@@ -297,7 +297,7 @@ func TestRowCodecAllocatesWhatItHolds(t *testing.T) {
 	held := uint64(rows * (8*length + 8 + 24)) // cells, person, row header
 	for name, decode := range map[string]func() ([]pattern.Pattern, error){
 		"ingest": func() ([]pattern.Pattern, error) {
-			out, err := DecodeIngestPayload(payload)
+			out, err := DecodeIngestPayload[pattern.Pattern](payload)
 			return out.Locals, err
 		},
 		"dump reply": func() ([]pattern.Pattern, error) {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -90,7 +91,7 @@ func referenceReadRows(payload []byte) (Ingest, error) {
 // payload: the same rows, or errors with the same text.
 func sameDecode(t *testing.T, label string, payload []byte) {
 	t.Helper()
-	got, gotErr := DecodeIngestPayload(payload)
+	got, gotErr := DecodeIngestPayload[pattern.Pattern](payload)
 	want, wantErr := referenceReadRows(payload)
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("%s: error %v, the reference %v", label, gotErr, wantErr)
@@ -132,7 +133,7 @@ func TestRowCodecMatchesAppendUvarint(t *testing.T) {
 			t.Fatalf("rows %v: encoded\n%x (cap %d)\nwant\n%x", rows, got, cap(got), want)
 		}
 	}
-	out, err := DecodeIngestPayload(got)
+	out, err := DecodeIngestPayload[pattern.Pattern](got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +164,98 @@ func TestRowCodecCutsFailAsReference(t *testing.T) {
 			mutated[i] = b
 			sameDecode(t, fmt.Sprintf("byte %d set to %#x", i, b), mutated)
 		}
+	}
+}
+
+// sameCellDecode fails unless a station's int32 decode of payload agrees
+// with the int64 decode: the same rows where every value fits an int32, the
+// same error where the int64 decode fails, and a refusal where a value does
+// not fit.
+func sameCellDecode(t *testing.T, label string, payload []byte) {
+	t.Helper()
+	wide, wideErr := DecodeIngestPayload[pattern.Pattern](payload)
+	narrow, narrowErr := DecodeIngestPayload[[]int32](payload)
+	fits := wideErr == nil
+	for _, l := range wide.Locals {
+		for _, v := range l {
+			fits = fits && v >= math.MinInt32 && v <= math.MaxInt32
+		}
+	}
+	switch {
+	case wideErr != nil:
+		// The int32 decode fails where the int64 one does, or earlier on a
+		// value it cannot hold.
+		if narrowErr == nil || (narrowErr.Error() != wideErr.Error() && !errors.Is(narrowErr, ErrCellRange)) {
+			t.Fatalf("%s: int32 decode error %v, the int64 decode's %v", label, narrowErr, wideErr)
+		}
+	case !fits:
+		if !errors.Is(narrowErr, ErrCellRange) {
+			t.Fatalf("%s: int32 decode of a value an int32 cannot hold: %v, want ErrCellRange", label, narrowErr)
+		}
+	case narrowErr != nil:
+		t.Fatalf("%s: int32 decode refused in-range rows: %v", label, narrowErr)
+	default:
+		if !slices.Equal(narrow.Persons, wide.Persons) || len(narrow.Locals) != len(wide.Locals) {
+			t.Fatalf("%s: int32 decode has other persons", label)
+		}
+		for i, l := range narrow.Locals {
+			if len(l) != cap(l) || !slices.Equal(pattern.AppendCells(nil, wide.Locals[i]), l) {
+				t.Fatalf("%s: row %d decodes to %v in int32 cells, %v in int64", label, i, l, wide.Locals[i])
+			}
+		}
+	}
+}
+
+// TestCellRowDecoderAgrees: the int32 row decoder a station reads ingest
+// frames, WAL records and snapshot chunks with agrees with the int64 one on
+// the in-range boundary rows — the widths' edges and the int32 edges — cut at every
+// byte and with every byte overwritten as TestRowCodecCutsFailAsReference
+// does, and refuses a frame holding 2³¹, −2³¹−1 or a wider value while the
+// int64 decoder takes it.
+func TestCellRowDecoderAgrees(t *testing.T) {
+	var in Ingest
+	for i, l := range boundaryRows().Locals {
+		row := pattern.Pattern{}
+		for _, v := range l {
+			if v >= math.MinInt32 && v <= math.MaxInt32 {
+				row = append(row, v)
+			}
+		}
+		in.Persons = append(in.Persons, core.PersonID(i))
+		in.Locals = append(in.Locals, row)
+	}
+	in.Persons = append(in.Persons, 99)
+	in.Locals = append(in.Locals, pattern.Pattern{math.MaxInt32, math.MinInt32, -math.MaxInt32, 1})
+	payload, err := EncodeIngestPayload(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := DecodeIngestPayload[[]int32](payload)
+	if err != nil || len(out.Locals) != len(in.Locals) {
+		t.Fatalf("in-range rows: %d rows, %v", len(out.Locals), err)
+	}
+	for cut := 0; cut <= len(payload); cut++ {
+		sameCellDecode(t, fmt.Sprintf("cut at %d of %d", cut, len(payload)), payload[:cut])
+	}
+	for i := range payload {
+		for _, b := range []byte{0x80, 0x00, 0xff} {
+			mutated := slices.Clone(payload)
+			mutated[i] = b
+			sameCellDecode(t, fmt.Sprintf("byte %d set to %#x", i, b), mutated)
+		}
+	}
+	for _, v := range []int64{1 << 31, -(1 << 31) - 1, math.MaxInt64, math.MinInt64} {
+		m, err := EncodeIngest(Ingest{Persons: []core.PersonID{1, 2}, Locals: []pattern.Pattern{{1, 2}, {3, v}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeIngest[pattern.Pattern](m); err != nil {
+			t.Fatalf("int64 decode of %d: %v", v, err)
+		}
+		if _, err := DecodeIngest[[]int32](m); !errors.Is(err, ErrCellRange) {
+			t.Fatalf("a frame holding %d decoded into int32 cells: %v, want ErrCellRange", v, err)
+		}
+		sameCellDecode(t, fmt.Sprintf("value %d", v), m.Payload)
 	}
 }
 
@@ -198,7 +291,7 @@ func BenchmarkIngestCodec(b *testing.B) {
 		b.SetBytes(int64(len(m.Payload)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ingestSink, _ = DecodeIngest(m)
+			ingestSink, _ = DecodeIngest[pattern.Pattern](m)
 		}
 	})
 }

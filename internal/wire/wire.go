@@ -187,7 +187,11 @@ var (
 	ErrBadBound = errors.New("wire: person bound malformed")
 	// ErrNoHashes rejects a summary whose hash-count field is 0: a digest
 	// hashes every cell at least once, so no station encodes one.
-	ErrNoHashes    = errors.New("wire: summary hash count 0")
+	ErrNoHashes = errors.New("wire: summary hash count 0")
+	// ErrCellRange rejects a row value a station's int32 cell cannot hold
+	// (an ingest frame, WAL record or snapshot chunk read into int32 rows):
+	// the station refuses the frame rather than store another value.
+	ErrCellRange   = errors.New("wire: row value outside int32")
 	errShortBuffer = errors.New("wire: short buffer")
 )
 
