@@ -78,13 +78,9 @@ type (
 	StreamOptions = stream.Options
 	// Ingestor is a running streaming ingest pipeline (see Stream).
 	Ingestor = stream.Ingestor
-	// StreamAdmission selects what a saturated pipeline does with new
-	// submissions: StreamBlock or StreamShed.
-	StreamAdmission = stream.Admission
-	// StreamStats is a streaming pipeline's health snapshot: admission,
-	// flush and eviction totals. Returned by Ingestor.Report and surfaced
-	// (summed across pipelines) in ClusterStats.Stream.
-	StreamStats = metrics.StreamStats
+	// StreamStats is a streaming pipeline's admission and flush totals, as
+	// Ingestor.Report returns them.
+	StreamStats = stream.Stats
 )
 
 // Strategies, re-exported.
@@ -191,23 +187,8 @@ var (
 	ErrValueRange = cluster.ErrValueRange
 )
 
-// Streaming admission modes, re-exported. StreamBlock (the default) makes a
-// saturated pipeline's Submit wait for queue space — backpressure on the
-// producer; StreamShed makes it drop the submission with ErrOverloaded, the
-// drop accounted in StreamStats.Shed.
-const (
-	StreamBlock = stream.Block
-	StreamShed  = stream.Shed
-)
-
-// Streaming sentinel errors, re-exported for errors.Is checks.
-var (
-	// ErrOverloaded reports a shed-mode Submit that found the pipeline's
-	// intake queue full; the submission was dropped and accounted.
-	ErrOverloaded = stream.ErrOverloaded
-	// ErrStreamClosed reports a Submit or Flush on a closed Ingestor.
-	ErrStreamClosed = stream.ErrClosed
-)
+// ErrStreamClosed reports a Submit or Flush on a closed Ingestor.
+var ErrStreamClosed = stream.ErrClosed
 
 // Tolerance modes, re-exported. ToleranceScaled guarantees no false
 // negatives with respect to the per-interval ε; ToleranceAbsolute is the
@@ -388,15 +369,14 @@ func (c *Cluster) Shutdown() error { return c.inner.Shutdown() }
 func (c *Cluster) RoutingState() RoutingState { return c.inner.RoutingState() }
 
 // Stream starts a streaming ingest pipeline over the cluster and returns
-// its Ingestor: one bounded intake queue with explicit admission control
-// (StreamBlock waits, StreamShed drops with ErrOverloaded), drained by one
-// flusher into batches that it hands to Place. Streamed patterns are
+// its Ingestor: one bounded intake queue, whose Submit waits for space
+// (bounded by its ctx) while the queue is full, drained by one flusher into
+// latest-wins batches that it hands to Place. Streamed patterns are
 // therefore placed exactly like Place'd ones — searches dedupe their replica
-// reports and membership changes re-replicate them — and
-// StreamOptions.TTL adds deadline-wheel eviction so stations self-trim
-// under sustained load. Any number of pipelines may run over one cluster;
-// each registers its health into ClusterStats.Stream until closed. The
-// caller owns Close, which drains accepted patterns before stopping.
+// reports, membership changes re-replicate them and Unplace expires them.
+// Any number of pipelines may run over one cluster; each reads its own
+// totals through Ingestor.Report. The caller owns Close, which drains
+// accepted patterns before stopping.
 func (c *Cluster) Stream(opts StreamOptions) (*Ingestor, error) {
 	return stream.New(c.inner, opts)
 }

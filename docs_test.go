@@ -115,7 +115,8 @@ func TestDocsLocalLinks(t *testing.T) {
 // codec's WAL-only payload half; the analyzer packages folded into
 // internal/analyzers (a path, not a pass name or a file such as
 // lockstate.go); the region tier, its wire kinds and its tests; the
-// in-process members that waited for a separate Start to serve.
+// in-process members that waited for a separate Start to serve; the
+// streaming pipeline's deadline wheel and its cluster-side stats registry.
 var removedRefs = []struct {
 	re   *regexp.Regexp
 	with string
@@ -130,6 +131,7 @@ var removedRefs = []struct {
 	{regexp.MustCompile(`internal/analyzers/(analysis|analysistest|lockstate|ctxflow|epochpin|lockio|wirekind)([^\w.]|\.\W|\.?$)`), "the per-pass analyzer packages (internal/analyzers is one package, one file per pass)"},
 	{regexp.MustCompile(`ServeRegion|NewRegion|KindRoute(Query|Reply)|FlagRouteDelegate|TierHops|TestHierarchical|TestThreeTier|TestTwoTierPlanning`), "the region tier (flat only; see docs/ROUTING.md)"},
 	{regexp.MustCompile(`Cluster\)?\.Start\b|serveLocked|inert until .?Start`), "the inert-until-Start cluster (every member serves from its join and joins through the stats handshake)"},
+	{regexp.MustCompile(`TTLEvictions|RegisterStreamStats|MergeStreamStats|Stats\.Stream\b|stream/ttl\.go|stream_hooks\.go`), "the stream TTL wheel and stats registry (expiry is Unplace; Ingestor.Report reads a pipeline's counters)"},
 }
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every

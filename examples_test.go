@@ -7,7 +7,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"dimatch"
 )
@@ -354,10 +353,7 @@ func TestReadmeStreamingSnippet(t *testing.T) {
 
 	// A pipeline: Submit never assembles maps or names stations — each
 	// pattern rides a bounded queue to its 2-station replica group.
-	in, _ := c.Stream(dimatch.StreamOptions{
-		Admission: dimatch.StreamBlock, // StreamShed returns ErrOverloaded instead
-		TTL:       time.Minute,         // 0 means patterns never expire
-	})
+	in, _ := c.Stream(dimatch.StreamOptions{Replication: 2})
 	for p := dimatch.PersonID(1); p <= 16; p++ {
 		_ = in.Submit(ctx, p, dimatch.Pattern{3, 4, 5})
 	}
@@ -366,7 +362,7 @@ func TestReadmeStreamingSnippet(t *testing.T) {
 	out, _ := c.Search(ctx, []dimatch.Query{
 		{ID: 1, Locals: []dimatch.Pattern{{3, 4, 5}}},
 	})
-	rep := in.Report() // accepted, shed, flushes, failures, evictions
+	rep := in.Report() // submitted, accepted, blocked, flushes, failures
 	_ = in.Close()     // final drain: every acked pattern has landed
 	// ---- end of snippet ----
 
@@ -381,10 +377,10 @@ func TestReadmeStreamingSnippet(t *testing.T) {
 	if st, err := c.Stats(ctx); err != nil || st.TotalResidents() != 32 {
 		t.Fatalf("stats %+v, %v: README promises 16 persons × 2 replicas in storage", st, err)
 	}
-	if rep.Accepted != 16 || rep.Shed != 0 || rep.FlushFailures != 0 {
-		t.Fatalf("report %+v, README promises 16 accepted, nothing shed or lost", rep)
+	if rep.Accepted != 16 || rep.FlushFailures != 0 {
+		t.Fatalf("report %+v, README promises 16 accepted, nothing lost", rep)
 	}
-	if rep.Accepted+rep.Shed+rep.Rejected != rep.Submitted {
+	if rep.Accepted+rep.Rejected != rep.Submitted {
 		t.Fatalf("accounting does not balance: %+v", rep)
 	}
 }

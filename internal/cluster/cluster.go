@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dimatch/internal/core"
-	"dimatch/internal/metrics"
 	"dimatch/internal/pattern"
 	"dimatch/internal/placement"
 	"dimatch/internal/store"
@@ -123,13 +122,6 @@ type Cluster struct {
 	// rounds (wbf.go). Internally synchronized — searches share it.
 	prefix prefixBound
 
-	// Registered streaming-pipeline health providers (see stream_hooks.go).
-	// hookMu is leaf-level — never held while c.mu is taken or a provider
-	// runs.
-	hookMu      sync.Mutex
-	streamStats map[uint64]func() *metrics.StreamStats // dimatch:guardedby hookMu
-	hookSeq     uint64                                 // dimatch:guardedby hookMu
-
 	wg       sync.WaitGroup
 	serveMu  sync.Mutex
 	serveErr []error // dimatch:guardedby serveMu
@@ -201,7 +193,12 @@ func (c *Cluster) wire(m *Member) (mux *transport.Mux, done <-chan struct{}, err
 	exited := make(chan struct{})
 	go func() {
 		defer c.wg.Done()
-		if err := st.Serve(); err != nil {
+		err := st.Serve()
+		// Close the station's end on every way out: a station that stopped
+		// on an error then fails the center's pending round trips instead of
+		// leaving them waiting for replies.
+		_ = stationEnd.Close()
+		if err != nil {
 			c.serveMu.Lock()
 			c.serveErr = append(c.serveErr, err)
 			c.serveMu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
@@ -43,6 +44,60 @@ func (s *countingStore) RecoverCells() (store.CellImage, error) {
 func (s *countingStore) Close() error {
 	s.closes++
 	return s.Store.Close()
+}
+
+// appendFailStore is an in-memory store whose every append fails.
+type appendFailStore struct {
+	store.Store
+	err error
+}
+
+func (s *appendFailStore) AppendCells(store.CellBatch) error { return s.err }
+
+// TestFailedServeFailsPendingExchanges: a station whose store refuses an
+// append stops serving, and its link closes with it. The Ingest that hit it
+// returns an error instead of waiting for a reply, the next search counts
+// the station failed, and Shutdown returns the store's error. A watchdog
+// bounds the whole sequence: without the link closing, Ingest waits forever.
+func TestFailedServeFailsPendingExchanges(t *testing.T) {
+	boom := errors.New("append refused")
+	inner := store.NewMemory()
+	if err := inner.AppendCells(store.CellBatch{Op: store.OpIngest, Persons: []core.PersonID{1}, Locals: [][]int32{{1, 2, 3}}}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(testOptions(), 3,
+		Member{ID: 1, Store: &appendFailStore{Store: inner, err: boom}},
+		Member{ID: 2, Patterns: map[core.PersonID]pattern.Pattern{2: {1, 2, 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ingestErr, searchErr, shutdownErr error
+	var out *Outcome
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ctx := context.Background()
+		ingestErr = c.Ingest(ctx, 1, map[core.PersonID]pattern.Pattern{3: {1, 2, 3}})
+		out, searchErr = c.Search(ctx, []core.Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}}}})
+		shutdownErr = c.Shutdown()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an exchange with the station whose Serve failed was still waiting after 10s")
+	}
+	if ingestErr == nil {
+		t.Fatal("Ingest into the failing station returned nil")
+	}
+	if searchErr != nil {
+		t.Fatalf("search after the failure: %v", searchErr)
+	}
+	if out.Cost.StationsFailed != 1 {
+		t.Fatalf("StationsFailed = %d, want 1", out.Cost.StationsFailed)
+	}
+	if !errors.Is(shutdownErr, boom) {
+		t.Fatalf("Shutdown = %v, want the store's error", shutdownErr)
+	}
 }
 
 // TestRefusedMemberClosesItsStore: a join refused for a taken id or a closed
@@ -196,4 +251,29 @@ func separatedData() map[uint32]map[core.PersonID]pattern.Pattern {
 		data[s] = st
 	}
 	return data
+}
+
+// TestAliveStationIDs: the alive members come back ascending, as a copy,
+// and a killed station drops out.
+func TestAliveStationIDs(t *testing.T) {
+	c, err := New(Options{}, 3, emptyMembers([]uint32{5, 1, 3})...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Shutdown() })
+	got := c.AliveStationIDs()
+	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
+		t.Fatalf("AliveStationIDs() = %v, want ascending {1,3,5}", got)
+	}
+	// The slice must be a copy: mutating it cannot corrupt the epoch.
+	got[0] = 99
+	if again := c.AliveStationIDs(); again[0] != 1 {
+		t.Fatal("AliveStationIDs aliased the epoch's member slice")
+	}
+	if err = c.KillStation(3); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.AliveStationIDs(); len(got) != 2 || got[0] != 1 || got[1] != 5 {
+		t.Fatalf("after kill, AliveStationIDs() = %v, want {1,5}", got)
+	}
 }

@@ -15,6 +15,13 @@ import (
 	"dimatch/internal/wire"
 )
 
+// AliveStationIDs returns the current epoch's non-dead member stations in
+// ascending order: a streaming pipeline refuses to start over none.
+func (c *Cluster) AliveStationIDs() []uint32 {
+	ids, _ := c.aliveMembers()
+	return append([]uint32(nil), ids...)
+}
+
 // KillStation severs one station's link, simulating a failure. The station
 // stays a member — the data center is not told: subsequent (and in-flight)
 // searches discover the failure when their exchange fails and count it in

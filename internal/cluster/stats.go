@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"dimatch/internal/metrics"
 	"dimatch/internal/wire"
 )
 
@@ -47,11 +46,6 @@ type Stats struct {
 	Stations []StationStats
 	// StationsFailed counts the members killed by KillStation.
 	StationsFailed int
-	// Stream is the merged health snapshot of every streaming ingest
-	// pipeline currently registered on the cluster (see
-	// RegisterStreamStats): admission, flush and eviction totals, read live
-	// on every Stats call. It is nil when no pipeline is attached.
-	Stream *metrics.StreamStats
 }
 
 // TotalResidents sums the resident counts across reporting stations.
@@ -87,9 +81,7 @@ func (c *Cluster) Stats(ctx context.Context) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := c.stats(ep)
-	st.Stream = c.streamHealth()
-	return st, nil
+	return c.stats(ep), nil
 }
 
 // stats reads the figures of ep's members from the table.

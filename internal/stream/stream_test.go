@@ -13,6 +13,7 @@ import (
 	"dimatch/internal/cluster"
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
+	"dimatch/internal/store"
 	"dimatch/internal/store/wal"
 )
 
@@ -97,7 +98,7 @@ func TestStreamSubmitFlushSearch(t *testing.T) {
 	}
 
 	rep := in.Report()
-	if rep.Submitted != n || rep.Accepted != n || rep.Shed != 0 || rep.Rejected != 0 {
+	if rep.Submitted != n || rep.Accepted != n || rep.Rejected != 0 {
 		t.Fatalf("accounting = %+v, want %d submitted and accepted", rep, n)
 	}
 	if rep.FlushedPatterns != n {
@@ -204,75 +205,54 @@ func TestStreamRejectsValueOutOfRange(t *testing.T) {
 	}
 }
 
-// TestStreamShedAccounting saturates a deliberately tiny pipeline in shed
-// mode and verifies overload drops instead of blocking, with every drop
-// accounted: Accepted + Shed + Rejected == Submitted, exactly.
-func TestStreamShedAccounting(t *testing.T) {
-	c := newStreamCluster(t, []uint32{1}, 4)
-	in, err := New(c, Options{
-		QueueCap:    1,
-		FlushBatch:  1,
-		Admission:   Shed,
-		Replication: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				p := core.PersonID(1 + g*500 + i)
-				_ = in.Submit(ctx, p, pattern.Pattern{1, 2, 3, 4})
-			}
-		}()
-	}
-	wg.Wait()
-	if err := in.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	rep := in.Report()
-	if rep.Shed == 0 {
-		t.Fatalf("Shed = 0 over %d submissions through a 1-deep queue; backpressure never engaged", rep.Submitted)
-	}
-	if rep.Accepted+rep.Shed+rep.Rejected != rep.Submitted {
-		t.Fatalf("accounting broken: accepted %d + shed %d + rejected %d != submitted %d",
-			rep.Accepted, rep.Shed, rep.Rejected, rep.Submitted)
-	}
-	if rep.FlushFailures != 0 {
-		t.Fatalf("FlushFailures = %d, want 0 (shed drops at admission, never after)", rep.FlushFailures)
-	}
-	// Everything accepted must be searchable.
-	got := searchPersons(t, c, pattern.Pattern{1, 2, 3, 4})
-	if uint64(len(got)) != rep.Accepted {
-		t.Fatalf("retrieved %d persons, want the %d accepted", len(got), rep.Accepted)
-	}
+// gatedStore is an in-memory store whose appends wait for gate to close:
+// a station over it holds every ingest ack, and with it the flush, until
+// the test opens the gate.
+type gatedStore struct {
+	store.Store
+	gate chan struct{}
 }
 
-// TestStreamBlockAccounting: the same saturation in block mode sheds
-// nothing — every submission waits its turn and lands.
+func (s *gatedStore) AppendCells(b store.CellBatch) error {
+	<-s.gate
+	return s.Store.AppendCells(b)
+}
+
+// TestStreamBlockAccounting saturates the pipeline: every station holds its
+// ingest acks, so the first flush stays out while producers fill the queue.
+// At most one batch and one queue of distinct persons fit before a Submit
+// must wait, so Blocked is positive; nothing is dropped, every submission
+// lands, and Accepted + Rejected == Submitted exactly.
 func TestStreamBlockAccounting(t *testing.T) {
-	c := newStreamCluster(t, []uint32{1, 2}, 4)
-	in, err := New(c, Options{
-		QueueCap:    1,
-		FlushBatch:  1,
-		Admission:   Block,
-		Replication: 1,
-	})
+	gate := make(chan struct{})
+	members := make([]cluster.Member, 2)
+	for i := range members {
+		members[i] = cluster.Member{ID: uint32(i + 1), Store: &gatedStore{Store: store.NewMemory(), gate: gate}}
+	}
+	c, err := cluster.New(streamOptions(), 4, members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Shutdown() })
+	in, err := New(c, Options{Replication: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer in.Close()
 	ctx := context.Background()
 
-	const n = 400
+	// Open the gate once a producer has waited, or fail after a bound.
+	opened := make(chan struct{})
+	go func() {
+		defer close(opened)
+		defer close(gate)
+		for end := time.Now().Add(10 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
+			if in.Report().Blocked > 0 {
+				return
+			}
+		}
+	}()
+	const n = flushBatch + queueCap + 64
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		g := g
@@ -282,26 +262,30 @@ func TestStreamBlockAccounting(t *testing.T) {
 			for i := 0; i < n/4; i++ {
 				p := core.PersonID(1 + g*(n/4) + i)
 				if err := in.Submit(ctx, p, pattern.Pattern{2, 2, 2, 2}); err != nil {
-					t.Errorf("block-mode Submit failed: %v", err)
+					t.Errorf("Submit failed: %v", err)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	<-opened
 	if err := in.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 
 	rep := in.Report()
-	if rep.Shed != 0 {
-		t.Fatalf("Shed = %d in block mode, want 0", rep.Shed)
-	}
 	if rep.Accepted != n || rep.Submitted != n {
 		t.Fatalf("accounting = %+v, want %d accepted", rep, n)
 	}
+	if rep.Accepted+rep.Rejected != rep.Submitted {
+		t.Fatalf("accounting broken: accepted %d + rejected %d != submitted %d", rep.Accepted, rep.Rejected, rep.Submitted)
+	}
 	if rep.Blocked == 0 {
-		t.Fatalf("Blocked = 0 over %d submissions through a 1-deep queue; expected waits", n)
+		t.Fatalf("Blocked = 0 over %d submissions while the first flush was held; expected waits", n)
+	}
+	if rep.FlushFailures != 0 {
+		t.Fatalf("FlushFailures = %d, want 0", rep.FlushFailures)
 	}
 	got := searchPersons(t, c, pattern.Pattern{2, 2, 2, 2})
 	if len(got) != n {
@@ -309,102 +293,15 @@ func TestStreamBlockAccounting(t *testing.T) {
 	}
 }
 
-// TestStreamTTLChurn: TTL-expired patterns stop matching, the stations'
-// resident stores shrink, placement intents are released, and eviction is
-// accounted — while a refreshed person out-lives their original deadline.
-func TestStreamTTLChurn(t *testing.T) {
-	c := newStreamCluster(t, []uint32{1, 2, 3}, 4)
-	const ttl = 400 * time.Millisecond
-	in, err := New(c, Options{TTL: ttl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	ctx := context.Background()
-
-	// A static population placed outside the TTL pipeline: expiry must evict
-	// exactly the streamed cohort and leave these alone.
-	const static = 5
-	placed := make(map[core.PersonID]pattern.Pattern, static)
-	for p := core.PersonID(900); p < 900+static; p++ {
-		placed[p] = pattern.Pattern{7, 7, 7, 7}
-	}
-	if _, err := c.Place(ctx, placed); err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 30
-	for p := core.PersonID(100); p < 100+n; p++ {
-		if err := in.Submit(ctx, p, pattern.Pattern{1, 2, 3, 4}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := in.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := searchPersons(t, c, pattern.Pattern{1, 2, 3, 4}); len(got) != n {
-		t.Fatalf("retrieved %d persons before expiry, want %d", len(got), n)
-	}
-
-	// Keep one person alive by resubmitting them halfway through the TTL.
-	time.Sleep(ttl / 2)
-	if err := in.Submit(ctx, 100, pattern.Pattern{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Everyone but the refreshed person expires within one TTL + sweep
-	// slack; poll rather than assume scheduling precision.
-	deadline := time.Now().Add(10 * ttl)
-	for {
-		if in.Report().TTLEvictions >= n-1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("TTLEvictions = %d after %v, want >= %d", in.Report().TTLEvictions, 10*ttl, n-1)
-		}
-		time.Sleep(ttl / 20)
-	}
-	got := searchPersons(t, c, pattern.Pattern{1, 2, 3, 4})
-	for p := core.PersonID(101); p < 100+n; p++ {
-		if _, ok := got[p]; ok {
-			t.Fatalf("person %d still matches after TTL expiry", p)
-		}
-	}
-	if _, ok := got[100]; !ok {
-		t.Fatalf("refreshed person 100 expired with the cohort; resubmission must extend the deadline")
-	}
-
-	// Expiry must release storage and placement, not just search results.
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cluster.DefaultReplication * (1 + static) // person 100's copies and the static population's
-	if st.TotalResidents() != want {
-		t.Fatalf("TotalResidents = %d after churn, want %d", st.TotalResidents(), want)
-	}
-	if got := c.Placed(); got != 1+static {
-		t.Fatalf("Placed() = %d after churn, want %d", got, 1+static)
-	}
-	if got := searchPersons(t, c, pattern.Pattern{7, 7, 7, 7}); len(got) != static {
-		t.Fatalf("retrieved %d of the %d static persons after TTL churn", len(got), static)
-	}
-	if rep := in.Report(); rep.TTLEvictions != n-1 {
-		t.Fatalf("TTLEvictions = %d, want exactly the %d-person expired cohort", rep.TTLEvictions, n-1)
-	}
-}
-
 // TestStreamRemoveStationMidStream: removing stations under sustained
 // ingest must not lose a single acked pattern, and once the removal and a
 // Flush have returned every person is back at exactly R copies — the
 // removal's heal runs after any flush already in flight, so nothing is left
-// to settle later.
+// to settle later. The producer flushes every 8 submissions, so many small
+// Place calls run around the removal.
 func TestStreamRemoveStationMidStream(t *testing.T) {
 	c := newStreamCluster(t, []uint32{1, 2, 3, 4}, 4)
-	in, err := New(c, Options{FlushBatch: 8, FlushInterval: time.Millisecond})
+	in, err := New(c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +314,11 @@ func TestStreamRemoveStationMidStream(t *testing.T) {
 	go func() {
 		defer close(done)
 		for p := core.PersonID(1); p <= n; p++ {
-			if err := in.Submit(ctx, p, pattern.Pattern{1, 2, 3, 4}); err != nil {
+			err := in.Submit(ctx, p, pattern.Pattern{1, 2, 3, 4})
+			if err == nil && p%8 == 0 {
+				err = in.Flush(ctx)
+			}
+			if err != nil {
 				select {
 				case errs <- fmt.Errorf("submit %d: %w", p, err):
 				default:
@@ -469,7 +370,7 @@ func TestStreamRemoveStationMidStream(t *testing.T) {
 // streamed across it a single acked copy.
 func TestStreamSearchInterleaving(t *testing.T) {
 	c := newStreamCluster(t, []uint32{1, 2, 3, 4, 5}, 4)
-	in, err := New(c, Options{FlushBatch: 16, FlushInterval: time.Millisecond})
+	in, err := New(c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,82 +474,16 @@ func TestStreamSearchInterleaving(t *testing.T) {
 	}
 }
 
-// TestStreamStatsSurface: Cluster.Stats carries the merged pipeline health
-// while pipelines are registered and drops it after the last Close.
-func TestStreamStatsSurface(t *testing.T) {
-	c := newStreamCluster(t, []uint32{1, 2}, 4)
-	ctx := context.Background()
-
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Stream != nil {
-		t.Fatalf("Stats.Stream = %+v before any pipeline, want nil", st.Stream)
-	}
-
-	a, err := New(c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := core.PersonID(1); p <= 10; p++ {
-		if err := a.Submit(ctx, p, pattern.Pattern{1, 2, 3, 4}); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Submit(ctx, p+100, pattern.Pattern{1, 2, 3, 4}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err = c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Stream == nil {
-		t.Fatal("Stats.Stream nil with two pipelines registered")
-	}
-	if st.Stream.Accepted != 20 || st.Stream.FlushedPatterns != 20 {
-		t.Fatalf("merged stream stats = %+v, want 20 accepted and placed across both pipelines", st.Stream)
-	}
-
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Stream != nil {
-		t.Fatalf("Stats.Stream = %+v after Close, want nil", st.Stream)
-	}
-}
-
 // TestStreamRerouteOnKill pins a kill between two cohorts: the first is
-// placed and then loses the victim's copies, the second is parked in the
-// flusher's batch (a batch that neither fills nor times out) when the kill
-// lands. Once KillStation and Flush have returned, both cohorts hold exactly
-// R copies on the survivors — the kill's heal restored the first, and the
-// second was placed over the survivors only.
+// placed and then loses the victim's copies, the second is submitted just
+// before the kill, so it normally sits in the flusher's batch — a batch of
+// far fewer than flushBatch persons, held up to flushInterval — when the
+// kill lands. Once KillStation and Flush have returned, both cohorts hold
+// exactly R copies on the survivors: the kill's heal restored the first, and
+// the second was placed over the survivors only or healed with the first.
 func TestStreamRerouteOnKill(t *testing.T) {
 	c := newStreamCluster(t, []uint32{1, 2, 3, 4}, 3)
-	in, err := New(c, Options{
-		FlushBatch:    1 << 20,     // never fill a batch...
-		FlushInterval: time.Hour,   // ...and never time one out: only
-		FlushTimeout:  time.Second, // Flush dispatches
-	})
+	in, err := New(c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,10 +518,11 @@ func TestStreamRerouteOnKill(t *testing.T) {
 
 // TestStreamLaterSubmissionWins pins the flush order: a person submitted in
 // two consecutive flushes holds the later pattern on every replica, never
-// the earlier one, however the two Place calls and their retries fall.
+// the earlier one, however the two Place calls and their retries fall. A
+// Flush after every Submit gives each submission its own Place call.
 func TestStreamLaterSubmissionWins(t *testing.T) {
 	c := newStreamCluster(t, []uint32{1, 2, 3, 4}, 3)
-	in, err := New(c, Options{FlushBatch: 1}) // one person per Place call
+	in, err := New(c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -695,15 +531,14 @@ func TestStreamLaterSubmissionWins(t *testing.T) {
 
 	const n = 40
 	for p := core.PersonID(1); p <= n; p++ {
-		if err := in.Submit(ctx, p, pattern.Pattern{1, 1, 1}); err != nil {
-			t.Fatal(err)
+		for _, pat := range []pattern.Pattern{{1, 1, 1}, {2, 2, 2}} {
+			if err := in.Submit(ctx, p, pat); err != nil {
+				t.Fatal(err)
+			}
+			if err := in.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := in.Submit(ctx, p, pattern.Pattern{2, 2, 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := in.Flush(ctx); err != nil {
-		t.Fatal(err)
 	}
 	if rep := in.Report(); rep.Flushes < 2*n {
 		t.Fatalf("Flushes = %d, want at least %d: each submission its own Place call", rep.Flushes, 2*n)
@@ -752,15 +587,6 @@ func TestStreamAbandonsAfterRetryBudget(t *testing.T) {
 	}
 	if rep.Flushes == 0 || rep.Flushes%maxFlushAttempts != 0 {
 		t.Fatalf("Flushes = %d, want a positive multiple of %d: each batch spends the whole budget", rep.Flushes, maxFlushAttempts)
-	}
-}
-
-func TestAdmissionString(t *testing.T) {
-	if Block.String() != "block" || Shed.String() != "shed" {
-		t.Fatalf("Admission strings: %q, %q", Block, Shed)
-	}
-	if got := Admission(42).String(); got != "Admission(42)" {
-		t.Fatalf("unknown admission String() = %q", got)
 	}
 }
 
@@ -819,6 +645,87 @@ func TestStreamFlushDurable(t *testing.T) {
 	rep := in.Report()
 	if rep.FlushFailures != 0 {
 		t.Fatalf("FlushFailures = %d, want 0 — recovery must not need a resubmit", rep.FlushFailures)
+	}
+}
+
+// TestStreamSubmitRacingClose: submitters over distinct persons race Close.
+// A Submit that returned nil was accepted before Close set closed, so
+// Close's drain owes it a terminal state: once Close returns, every nil
+// Submit is counted in FlushedPatterns + FlushFailures, and Accepted +
+// Rejected == Submitted exactly.
+func TestStreamSubmitRacingClose(t *testing.T) {
+	c := newStreamCluster(t, []uint32{1, 2, 3}, 4)
+	ctx := context.Background()
+	for round := 0; round < 10; round++ {
+		in, err := New(c, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const submitters = 4
+		var acked [submitters]uint64
+		var wg sync.WaitGroup
+		for g := range submitters {
+			// Submitter g takes every submitters-th person of the round's
+			// own range, so no person is submitted twice.
+			first := core.PersonID(round)<<32 | core.PersonID(g)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for p := first; ; p += submitters {
+					err := in.Submit(ctx, p, pattern.Pattern{3, 1, 4, 1})
+					if errors.Is(err, ErrClosed) {
+						return
+					}
+					if err != nil {
+						t.Errorf("Submit: %v", err)
+						return
+					}
+					acked[g]++
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%4) * time.Millisecond)
+		if err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rep := in.Report()
+		wg.Wait()
+		var sum uint64
+		for _, n := range acked {
+			sum += n
+		}
+		if settled := rep.FlushedPatterns + rep.FlushFailures; settled != sum || rep.Accepted != sum {
+			t.Fatalf("round %d: %d Submits returned nil, Accepted %d, FlushedPatterns + FlushFailures = %d once Close returned",
+				round, sum, rep.Accepted, settled)
+		}
+		if rep := in.Report(); rep.Accepted+rep.Rejected != rep.Submitted {
+			t.Fatalf("round %d: accepted %d + rejected %d != submitted %d", round, rep.Accepted, rep.Rejected, rep.Submitted)
+		}
+	}
+}
+
+// TestStreamCountersSnapshot: Report copies the live counters, field by
+// field, and the copy does not move with them.
+func TestStreamCountersSnapshot(t *testing.T) {
+	var c counters
+	c.submitted.Store(10)
+	c.accepted.Store(7)
+	c.rejected.Store(3)
+	c.blocked.Store(2)
+	c.flushes.Store(5)
+	c.flushedPatterns.Store(6)
+	c.flushFailures.Store(1)
+	got := c.snapshot()
+	want := Stats{
+		Submitted: 10, Accepted: 7, Rejected: 3, Blocked: 2,
+		Flushes: 5, FlushedPatterns: 6, FlushFailures: 1,
+	}
+	if got != want {
+		t.Fatalf("snapshot() = %+v, want %+v", got, want)
+	}
+	c.accepted.Add(100)
+	if got.Accepted != 7 {
+		t.Fatal("snapshot aliased the live counters")
 	}
 }
 

@@ -60,7 +60,7 @@ func TestWritePathAllocationPerUpsert(t *testing.T) {
 	if got := c.RoutingState().Entries; got != len(stations) || warm.Cost.SummaryRefreshes != len(stations) {
 		t.Fatalf("%d digests cached after %d refreshes, want %d", got, warm.Cost.SummaryRefreshes, len(stations))
 	}
-	in, err := New(c, Options{QueueCap: perFlush, FlushBatch: perFlush, Replication: 2})
+	in, err := New(c, Options{Replication: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
