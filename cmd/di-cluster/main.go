@@ -41,7 +41,6 @@ func main() {
 		topK      = flag.Int("topk", 10, "center: result size")
 		strategy  = flag.String("strategy", "wbf", "center: search strategy (naive, bf, wbf)")
 		queries   = flag.Int("queries", 1, "center: total queries in the search batch (the reference person, padded with further references)")
-		batch     = flag.Int("batch", 0, "center: WithBatching bound: 0 packs all queries into one wire exchange per station, n>=1 splits into rounds of n queries")
 		routing   = flag.String("routing", "summary", "center: fan-out routing mode: summary (prune stations via a scan of the cached summaries) or full (classic every-station fan-out)")
 		timeout   = flag.Duration("timeout", time.Minute, "center: per-search deadline (0 for none)")
 		storeKind = flag.String("store", "memory", "station: resident store backend: memory or wal")
@@ -64,7 +63,7 @@ func main() {
 			route, err = dimatch.ParseRoutingMode(*routing)
 		}
 		if err == nil {
-			err = runCenter(cfg, *listen, *stations, dimatch.PersonID(*ref), *topK, strat, *timeout, *queries, *batch, route)
+			err = runCenter(cfg, *listen, *stations, dimatch.PersonID(*ref), *topK, strat, *timeout, *queries, route)
 		}
 	case "station":
 		err = runStation(cfg, *connect, uint32(*station), *stations, *storeKind, *dir, *empty)
@@ -81,7 +80,7 @@ func main() {
 // Stations identify themselves by sending their index as the first byte
 // sequence of the demo protocol — here simplified: accept order must match
 // station start order, so start stations 0..n-1 in sequence.
-func runCenter(cfg dimatch.CityConfig, listenAddr string, stationCount int, ref dimatch.PersonID, topK int, strat dimatch.Strategy, timeout time.Duration, queryCount, batch int, routing dimatch.RoutingMode) error {
+func runCenter(cfg dimatch.CityConfig, listenAddr string, stationCount int, ref dimatch.PersonID, topK int, strat dimatch.Strategy, timeout time.Duration, queryCount int, routing dimatch.RoutingMode) error {
 	city, err := dimatch.GenerateCity(cfg)
 	if err != nil {
 		return err
@@ -124,8 +123,7 @@ func runCenter(cfg dimatch.CityConfig, listenAddr string, stationCount int, ref 
 	}
 	searchQueries := centerQueries(city, ref, queryCount)
 	out, err := c.Search(ctx, searchQueries,
-		dimatch.WithStrategy(strat), dimatch.WithTopK(topK), dimatch.WithBatching(batch),
-		dimatch.WithRouting(routing))
+		dimatch.WithStrategy(strat), dimatch.WithTopK(topK), dimatch.WithRouting(routing))
 	if err != nil {
 		return err
 	}
@@ -134,9 +132,8 @@ func runCenter(cfg dimatch.CityConfig, listenAddr string, stationCount int, ref 
 	for _, r := range out.PerQuery[1] {
 		fmt.Printf("  person %-6d weight %.3f (%d stations)\n", r.Person, r.Score(), r.Stations)
 	}
-	fmt.Printf("center: dissemination %d B / %d msgs, reports %d B / %d msgs, %d batched rounds, elapsed %v\n",
-		out.Cost.BytesDown, out.Cost.MessagesDown, out.Cost.BytesUp, out.Cost.MessagesUp,
-		out.Cost.Batches, out.Cost.Elapsed)
+	fmt.Printf("center: dissemination %d B / %d msgs, reports %d B / %d msgs, elapsed %v\n",
+		out.Cost.BytesDown, out.Cost.MessagesDown, out.Cost.BytesUp, out.Cost.MessagesUp, out.Cost.Elapsed)
 	fmt.Printf("center: routing %s: %d stations pruned, %d summary refreshes (%d B)\n",
 		routing, out.Cost.StationsPruned, out.Cost.SummaryRefreshes,
 		out.Cost.SummaryBytesDown+out.Cost.SummaryBytesUp)

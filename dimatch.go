@@ -130,19 +130,6 @@ func WithVerify(v bool) SearchOption { return cluster.WithVerify(v) }
 // WithMinScore drops WBF and naive results scoring below the threshold.
 func WithMinScore(s float64) SearchOption { return cluster.WithMinScore(s) }
 
-// WithTargetFP overrides the auto-sizing false-positive target; outside
-// (0, 1) → 0.01, the default.
-func WithTargetFP(fp float64) SearchOption { return cluster.WithTargetFP(fp) }
-
-// WithBatching bounds how many queries a WBF search packs into one round.
-// n <= 0 (the default) packs the whole query set into a single exchange per
-// station; n >= 1 splits it into rounds of at most n queries, each with its
-// own combined filter. Batching changes traffic and latency; true matches
-// rank identically at every batch size, though with auto-sized filters
-// (Params.Bits == 0) the per-round sizing can shift which rare Bloom false
-// positives slip through.
-func WithBatching(n int) SearchOption { return cluster.WithBatching(n) }
-
 // WithRouting selects the fan-out routing mode for one WBF search (default
 // RoutingSummary). Summary routing sends each query batch only to stations
 // whose cached routing summary admits a possible match — one replica per
@@ -162,6 +149,10 @@ var (
 	// ErrLengthMismatch reports a query whose time-series length does not
 	// match the cluster's.
 	ErrLengthMismatch = cluster.ErrLengthMismatch
+	// ErrBadQueries reports a query set holding one query ID twice, or a
+	// WBF search of more queries than one frame carries (4 096). Nothing
+	// is exchanged.
+	ErrBadQueries = cluster.ErrBadQueries
 	// ErrClusterClosed reports a Search after Shutdown.
 	ErrClusterClosed = cluster.ErrClusterClosed
 	// ErrCancelled reports a cancelled or timed-out search; it wraps the
@@ -245,7 +236,7 @@ func Members(stationData map[uint32]map[PersonID]Pattern) []Member {
 // Search runs one batch of queries and returns ranked results and cost
 // accounting. With no options it runs a WBF search under the cluster's
 // Options; per-call options (WithStrategy, WithTopK, WithVerify,
-// WithMinScore, WithTargetFP) override those defaults for this call only.
+// WithMinScore, WithRouting) override those defaults for this call only.
 //
 // Search honors ctx — cancellation or timeout abandons the in-flight
 // fan-out round and returns an error wrapping ErrCancelled and ctx.Err()

@@ -85,20 +85,21 @@
 //
 // The repository benchmark's point_routed workload (benchmark/) reports the
 // saving on a selective workload as msgs_per_query — at 64 stations a
-// single-target search exchanges 4 messages, a query and a reply for each
+// single-target search exchanges 2 messages, a query and a reply for one
 // of the target's 2 replica stations, where full fan-out exchanges 128 —
 // and docs/OPERATIONS.md covers when routing pays and how summaries are
 // sized.
 //
 // # Batched searches
 //
-// A WBF search ships its whole query set in one wire exchange per station
-// by default; each station answers the round with a single walk over its
-// resident store, parallelized across a bounded worker pool.
-// WithBatching(n) bounds the round per call: 0 packs everything into one
-// round, n >= 1 splits into rounds of n queries. Batching changes traffic
-// and latency, not the ranking of true matches (auto-sized filters can shift
-// which rare Bloom false positives slip through, as any resizing does).
+// A WBF search ships its whole query set in one wire exchange per station;
+// each station answers it with a single walk over its resident store,
+// parallelized across a bounded worker pool. One frame carries at most
+// 4 096 queries: a larger WBF search, or any search holding one query ID
+// twice, is refused with ErrBadQueries before any exchange. Separate Search
+// calls send fewer queries per exchange and rank true matches the same
+// (auto-sized filters can shift which rare Bloom false positives slip
+// through, as any resizing does).
 //
 // # Live clusters
 //

@@ -5,6 +5,7 @@ package dimatch_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -178,10 +179,10 @@ func TestReadmeStrategyTable(t *testing.T) {
 	}
 }
 
-// TestReadmeBatchingClaims backs the "Batched searches" section: default
-// batching packs a multi-query search into one exchange per station,
-// WithBatching(n) splits it into rounds of n, and results are identical
-// either way.
+// TestReadmeBatchingClaims backs the "Batched searches" section: a
+// multi-query search is one exchange per station, separate Search calls
+// answer each query identically, and a repeated query ID is refused with
+// ErrBadQueries.
 func TestReadmeBatchingClaims(t *testing.T) {
 	data := map[uint32]map[dimatch.PersonID]dimatch.Pattern{
 		0: {10: {1, 2, 3}},
@@ -203,28 +204,27 @@ func TestReadmeBatchingClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := c.Search(ctx, queries, dimatch.WithBatching(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batched.Cost.MessagesDown != 2 || batched.Cost.Batches != 1 {
-		t.Fatalf("batched: %d msgs down, %d rounds; want one exchange per station",
-			batched.Cost.MessagesDown, batched.Cost.Batches)
-	}
-	if split.Cost.MessagesDown != 4 || split.Cost.Batches != 2 {
-		t.Fatalf("rounds of two: %d msgs down, %d rounds; want two exchanges per station",
-			split.Cost.MessagesDown, split.Cost.Batches)
+	if batched.Cost.MessagesDown != 2 {
+		t.Fatalf("batched: %d msgs down; want one exchange per station", batched.Cost.MessagesDown)
 	}
 	for _, q := range queries {
-		b, l := batched.PerQuery[q.ID], split.PerQuery[q.ID]
+		alone, err := c.Search(ctx, []dimatch.Query{q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, l := batched.PerQuery[q.ID], alone.PerQuery[q.ID]
 		if len(b) != len(l) {
 			t.Fatalf("query %d: %d vs %d results", q.ID, len(b), len(l))
 		}
 		for i := range b {
 			if b[i].Person != l[i].Person || b[i].Numerator != l[i].Numerator {
-				t.Fatalf("query %d result %d differs between round sizes", q.ID, i)
+				t.Fatalf("query %d result %d differs searched alone", q.ID, i)
 			}
 		}
+	}
+	queries[2].ID = queries[0].ID
+	if _, err := c.Search(ctx, queries); !errors.Is(err, dimatch.ErrBadQueries) {
+		t.Fatalf("repeated query ID: err = %v, want ErrBadQueries", err)
 	}
 }
 

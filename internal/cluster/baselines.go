@@ -97,7 +97,7 @@ func (c *Cluster) bfParams(cfg searchConfig, queries []core.Query) (core.Params,
 		return p, err
 	}
 	n, err := core.EstimateInsertions(p, c.length, queries)
-	p.Bits, p.Hashes = bloom.OptimalParams(n, cfg.targetFP)
+	p.Bits, p.Hashes = bloom.OptimalParams(n, c.opts.TargetFP)
 	return p, err
 }
 

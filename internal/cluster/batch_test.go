@@ -44,10 +44,10 @@ func batchTestQueries() []core.Query {
 	}
 }
 
-// TestRoundSizesMatchSingleRound pins the central equivalence: every round
-// size — one query per round, split rounds, exactly the set, and the
-// all-in-one default — returns a result set byte-equal to the single
-// all-in-one round, at recall 1.0 against the oracle.
+// TestRoundSizesMatchSingleRound pins the central equivalence: the query set
+// searched in rounds of every size — separate Search calls of one, two or
+// three queries, and the whole set — answers every query exactly as the
+// single all-in-one round does, at recall 1.0 against the oracle.
 func TestRoundSizesMatchSingleRound(t *testing.T) {
 	c := batchTestCluster(t)
 	queries := batchTestQueries()
@@ -76,53 +76,87 @@ func TestRoundSizesMatchSingleRound(t *testing.T) {
 		}
 	}
 
-	for _, n := range []int{1, 2, 3, len(queries), 0} {
-		got, err := c.Search(ctx, queries, WithBatching(n))
-		if err != nil {
-			t.Fatalf("round size %d: %v", n, err)
+	for _, n := range []int{1, 2, 3, len(queries)} {
+		got := make(map[core.QueryID][]core.Result, len(queries))
+		for rest := queries; len(rest) > 0; {
+			round := rest[:min(n, len(rest))]
+			rest = rest[len(round):]
+			out, err := c.Search(ctx, round)
+			if err != nil {
+				t.Fatalf("round size %d: %v", n, err)
+			}
+			for id, rs := range out.PerQuery {
+				got[id] = rs
+			}
 		}
-		if !reflect.DeepEqual(got.PerQuery, want.PerQuery) {
-			t.Fatalf("round size %d: results %v, want %v", n, got.PerQuery, want.PerQuery)
+		if !reflect.DeepEqual(got, want.PerQuery) {
+			t.Fatalf("round size %d: results %v, want %v", n, got, want.PerQuery)
 		}
 	}
 }
 
-// TestBatchingCostAccounting pins the messages-per-query contract: one
-// exchange per station per round, at every round size.
+// TestBatchingCostAccounting pins the messages-per-query contract: a
+// multi-query search is one exchange per station.
 func TestBatchingCostAccounting(t *testing.T) {
 	c := batchTestCluster(t)
 	queries := batchTestQueries() // 5 queries over 3 stations
-	ctx := context.Background()
+	t.Run("default one round", func(t *testing.T) {
+		out, err := c.Search(context.Background(), queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Cost.MessagesDown != 3 || out.Cost.MessagesUp != 3 {
+			t.Fatalf("messages %d down, %d up; want 3 and 3, one exchange per station", out.Cost.MessagesDown, out.Cost.MessagesUp)
+		}
+		if out.Cost.FilterBytes == 0 || out.Cost.TotalBytes() == 0 {
+			t.Fatal("cost tallies empty")
+		}
+	})
+}
 
-	tests := []struct {
-		name        string
-		opts        []SearchOption
-		wantDown    uint64
-		wantBatches int
-	}{
-		{name: "default one round", opts: nil, wantDown: 3, wantBatches: 1},
-		{name: "rounds of two", opts: []SearchOption{WithBatching(2)}, wantDown: 9, wantBatches: 3},
-		{name: "rounds of one", opts: []SearchOption{WithBatching(1)}, wantDown: 15, wantBatches: 5},
+// TestSearchRefusesRepeatedQueryIDs: a query set holding one ID twice is
+// refused with ErrBadQueries by every strategy before any exchange — the
+// fresh cluster's routing cache stays empty — where it would merge two
+// queries' reports into one answer or keep only the last query's.
+func TestSearchRefusesRepeatedQueryIDs(t *testing.T) {
+	c := batchTestCluster(t)
+	queries := batchTestQueries()
+	queries[3].ID = queries[0].ID
+	for _, s := range []Strategy{StrategyWBF, StrategyBF, StrategyNaive} {
+		if _, err := c.Search(context.Background(), queries, WithStrategy(s)); !errors.Is(err, ErrBadQueries) {
+			t.Fatalf("%v: err = %v, want ErrBadQueries", s, err)
+		}
 	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			out, err := c.Search(ctx, queries, tt.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out.Cost.MessagesDown != tt.wantDown {
-				t.Fatalf("MessagesDown = %d, want %d", out.Cost.MessagesDown, tt.wantDown)
-			}
-			if out.Cost.MessagesUp != tt.wantDown {
-				t.Fatalf("MessagesUp = %d, want %d (one reply per request)", out.Cost.MessagesUp, tt.wantDown)
-			}
-			if out.Cost.Batches != tt.wantBatches {
-				t.Fatalf("Batches = %d, want %d", out.Cost.Batches, tt.wantBatches)
-			}
-			if out.Cost.FilterBytes == 0 || out.Cost.TotalBytes() == 0 {
-				t.Fatal("cost tallies empty")
-			}
-		})
+	if st := c.RoutingState(); st.Entries != 0 {
+		t.Fatalf("RoutingState().Entries = %d after refused searches, want 0", st.Entries)
+	}
+}
+
+// TestWBFQueryLimit: a WBF search carries its whole query set in one frame,
+// so one query more than wire.MaxBatchQueries is refused with ErrBadQueries
+// before any exchange, and exactly that many are answered.
+func TestWBFQueryLimit(t *testing.T) {
+	c := batchTestCluster(t)
+	queries := make([]core.Query, wire.MaxBatchQueries+1)
+	for i := range queries {
+		queries[i] = core.Query{ID: core.QueryID(i + 1), Locals: []pattern.Pattern{{int64(i), 2, 3}}}
+	}
+	ctx := context.Background()
+	if _, err := c.Search(ctx, queries); !errors.Is(err, ErrBadQueries) {
+		t.Fatalf("%d queries: err = %v, want ErrBadQueries", len(queries), err)
+	}
+	if st := c.RoutingState(); st.Entries != 0 {
+		t.Fatalf("RoutingState().Entries = %d after the refused search, want 0", st.Entries)
+	}
+	out, err := c.Search(ctx, queries[:wire.MaxBatchQueries])
+	if err != nil {
+		t.Fatalf("%d queries: %v", wire.MaxBatchQueries, err)
+	}
+	if visited := 3 - out.Cost.StationsPruned; out.Cost.MessagesDown != uint64(visited) {
+		t.Fatalf("MessagesDown = %d, want %d: one frame per visited station", out.Cost.MessagesDown, visited)
+	}
+	if got := out.Persons(2); len(got) != 1 || got[0] != 10 {
+		t.Fatalf("query 2 ({1, 2, 3}) persons %v, want [10]", got)
 	}
 }
 
@@ -223,24 +257,5 @@ func TestDesyncedBatchReplyIsTypedError(t *testing.T) {
 	_, err = c.Search(context.Background(), []core.Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}}}})
 	if !errors.Is(err, wire.ErrBatchMismatch) {
 		t.Fatalf("desynced batch reply: err = %v, want wire.ErrBatchMismatch", err)
-	}
-}
-
-// TestBatchQueriesClampsToWireLimit: a search larger than one frame's
-// query limit splits into multiple rounds instead of failing to encode.
-func TestBatchQueriesClampsToWireLimit(t *testing.T) {
-	queries := make([]core.Query, wire.MaxBatchQueries+5)
-	rounds := batchQueries(queries, 0)
-	if len(rounds) != 2 || len(rounds[0]) != wire.MaxBatchQueries || len(rounds[1]) != 5 {
-		t.Fatalf("rounds %d/%v, want [MaxBatchQueries, 5]", len(rounds), []int{len(rounds[0])})
-	}
-	if rounds := batchQueries(queries, wire.MaxBatchQueries*3); len(rounds) != 2 {
-		t.Fatalf("oversized explicit bound not clamped: %d rounds", len(rounds))
-	}
-	if rounds := batchQueries(queries[:10], 0); len(rounds) != 1 || len(rounds[0]) != 10 {
-		t.Fatalf("small set split needlessly: %d rounds", len(rounds))
-	}
-	if rounds := batchQueries(queries[:10], 3); len(rounds) != 4 {
-		t.Fatalf("explicit bound ignored: %d rounds", len(rounds))
 	}
 }

@@ -328,7 +328,7 @@ func TestAutoSizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, k := bloom.OptimalParams(n, cfg.targetFP); wbf.Hashes != 1 || bf.Bits != m || bf.Hashes != k {
+	if m, k := bloom.OptimalParams(n, c.opts.TargetFP); wbf.Hashes != 1 || bf.Bits != m || bf.Hashes != k {
 		t.Fatalf("WBF sized (m %d, k %d), BF (m %d, k %d); want k = 1 and BF (m %d, k %d)", wbf.Bits, wbf.Hashes, bf.Bits, bf.Hashes, m, k)
 	}
 }

@@ -206,27 +206,26 @@ func TestFailedNewClosesEveryStore(t *testing.T) {
 	}
 }
 
-// TestWithTargetFPSizesFilter: a tighter target FP grows an auto-sized WBF
-// filter and changes no answer.
+// TestWithTargetFPSizesFilter: a tighter Options.TargetFP grows an
+// auto-sized WBF filter and changes no answer.
 func TestWithTargetFPSizesFilter(t *testing.T) {
-	ctx := context.Background()
-	flat, err := newFromData(Options{}, separatedData())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = flat.Shutdown() })
 	queries := []core.Query{
 		{ID: 1, Locals: []pattern.Pattern{{2010, 2011, 2012}}},
 		{ID: 2, Locals: []pattern.Pattern{{9011, 9013, 9015}}},
 	}
-	def, err := flat.Search(ctx, queries, WithRouting(RoutingFull))
-	if err != nil {
-		t.Fatal(err)
+	search := func(fp float64) *Outcome {
+		c, err := newFromData(Options{TargetFP: fp}, separatedData())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Shutdown() })
+		out, err := c.Search(context.Background(), queries, WithRouting(RoutingFull))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	tight, err := flat.Search(ctx, queries, WithRouting(RoutingFull), WithTargetFP(0.001))
-	if err != nil {
-		t.Fatal(err)
-	}
+	def, tight := search(0), search(0.001)
 	if tight.Cost.FilterBytes <= def.Cost.FilterBytes {
 		t.Fatalf("FilterBytes at FP 0.001 = %d, not above the default's %d", tight.Cost.FilterBytes, def.Cost.FilterBytes)
 	}

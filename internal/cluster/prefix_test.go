@@ -198,8 +198,8 @@ func runPrefixScenario(t *testing.T, label string, c *Cluster, n int, verify boo
 // TestCappedSearchEqualsUncappedTruncated is the prefix rule's property test:
 // over random populations whose perfect matches sit low, only high, or fall
 // short of k, a capped search answers exactly the uncapped answer's first k —
-// flat, placed with two replicas, verified, and in rounds of two queries — and runs a tail round exactly when the prefix
-// cannot fill k at the top score.
+// flat, placed with two replicas and verified — and runs a tail round
+// exactly when the prefix cannot fill k at the top score.
 func TestCappedSearchEqualsUncappedTruncated(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -230,19 +230,16 @@ func TestCappedSearchEqualsUncappedTruncated(t *testing.T) {
 	}
 }
 
-// TestCappedSearchBatched: five queries in rounds of two re-send all three
-// rounds' frames in the tail, and Batches keeps counting the rounds alone.
+// TestCappedSearchBatched: a capped search of five queries is one frame per
+// station, and its tail re-sends that one frame to every station.
 func TestCappedSearchBatched(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	l := newPrefixLayout(rng, 240)
 	c := startCluster(t, testOptions(), l.stationData(rng, 4))
 	queries := []core.Query{prefixQuery(1), prefixQuery(4), prefixQuery(5), prefixQuery(6), prefixQuery(7)}
 	learn := []core.Query{prefixQuery(1)}
-	checkCapped(t, "learn", c, learn, 5, false, WithBatching(2))
-	cost := checkCapped(t, "batched", c, queries, 5, false, WithBatching(2), WithRouting(RoutingFull))
-	if cost.Batches != 3 {
-		t.Fatalf("Batches = %d, want 3 rounds of at most two queries", cost.Batches)
-	}
+	checkCapped(t, "learn", c, learn, 5, false)
+	cost := checkCapped(t, "batched", c, queries, 5, false, WithRouting(RoutingFull))
 	// Queries 4 to 7 match nobody perfectly, so the tail runs.
 	if cost.TailRounds != 1 {
 		t.Fatalf("TailRounds = %d, want 1", cost.TailRounds)
@@ -251,8 +248,8 @@ func TestCappedSearchBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := uint64(2 * 3 * len(st.Stations)); cost.MessagesDown != want {
-		t.Fatalf("MessagesDown = %d, want %d: three rounds, each sent twice to every station", cost.MessagesDown, want)
+	if want := uint64(2 * len(st.Stations)); cost.MessagesDown != want {
+		t.Fatalf("MessagesDown = %d, want %d: the frame sent twice to every station", cost.MessagesDown, want)
 	}
 }
 

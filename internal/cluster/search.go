@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dimatch/internal/core"
+	"dimatch/internal/wire"
 )
 
 // Strategy selects how a search is executed across the cluster.
@@ -45,6 +46,10 @@ var (
 	// ErrLengthMismatch is returned when a query's time-series length does
 	// not match the cluster's.
 	ErrLengthMismatch = errors.New("cluster: query length mismatch")
+	// ErrBadQueries is returned when a search's query set holds one query ID
+	// twice, or when a WBF search holds more queries than one frame carries
+	// (wire.MaxBatchQueries). Nothing is exchanged.
+	ErrBadQueries = errors.New("cluster: query set refused")
 	// ErrClusterClosed is returned by Search after Shutdown.
 	ErrClusterClosed = errors.New("cluster: cluster closed")
 	// ErrCancelled is returned when the search's context is cancelled or
@@ -130,14 +135,12 @@ func ParseRoutingMode(s string) (RoutingMode, error) {
 // searchConfig is one search's resolved knobs: the cluster Options provide
 // the defaults, per-call SearchOptions override them.
 type searchConfig struct {
-	strategy  Strategy
-	params    core.Params
-	topK      int
-	minScore  float64
-	verify    bool
-	targetFP  float64
-	batchSize int
-	routing   RoutingMode
+	strategy Strategy
+	params   core.Params
+	topK     int
+	minScore float64
+	verify   bool
+	routing  RoutingMode
 }
 
 // capped reports whether a WBF search may answer from a person-ID prefix
@@ -178,21 +181,6 @@ func WithVerify(v bool) SearchOption {
 	return func(c *searchConfig) { c.verify = v }
 }
 
-// WithTargetFP overrides the false-positive sizing target used when
-// Params.Bits is zero. Values outside (0, 1) fall back to the default 0.01.
-func WithTargetFP(fp float64) SearchOption {
-	return func(c *searchConfig) { c.targetFP = fp }
-}
-
-// WithBatching bounds how many queries a WBF search packs into one round.
-// n <= 0 (the default) packs the whole query set into a single
-// KindBatchQuery exchange per station; n >= 1 splits the set into rounds of
-// at most n queries, each with its own combined filter. BF and naive
-// searches already move one frame per station and ignore the setting.
-func WithBatching(n int) SearchOption {
-	return func(c *searchConfig) { c.batchSize = n }
-}
-
 // WithRouting selects the fan-out routing mode for this call (default
 // RoutingSummary). Routing applies to WBF searches only: BF and naive
 // searches always fan out to every station — the naive strategy needs every
@@ -205,8 +193,7 @@ func WithRouting(m RoutingMode) SearchOption {
 }
 
 // searchDefaults resolves the cluster-level Options into a per-call config;
-// batching and routing have no cluster-level default and start from their
-// zero values (one round, RoutingSummary).
+// routing has no cluster-level default and starts from RoutingSummary.
 func (c *Cluster) searchDefaults() searchConfig {
 	return searchConfig{
 		strategy: StrategyWBF,
@@ -214,19 +201,18 @@ func (c *Cluster) searchDefaults() searchConfig {
 		topK:     c.opts.TopK,
 		minScore: c.opts.MinScore,
 		verify:   c.opts.Verify,
-		targetFP: c.opts.TargetFP,
 	}
 }
 
-// resolveParams returns the search parameters, auto-sizing the filter to the
-// config's false-positive target if Bits is unset. A target outside (0, 1)
+// resolveParams returns the search parameters, auto-sizing the filter to
+// Options.TargetFP if Bits is unset. A target outside (0, 1)
 // means the 0.01 default (core.SizedParams).
 func (c *Cluster) resolveParams(cfg searchConfig, queries []core.Query) (core.Params, error) {
 	p := cfg.params
 	if p.Bits != 0 {
 		return p, nil
 	}
-	return core.SizedParams(p, c.length, queries, cfg.targetFP)
+	return core.SizedParams(p, c.length, queries, c.opts.TargetFP)
 }
 
 // CostReport quantifies one search, feeding Figures 4b-4d. Counts are
@@ -258,12 +244,8 @@ type CostReport struct {
 	StationsFailed int
 	// ReportsReceived counts candidate tuples received by the center.
 	ReportsReceived int
-	// Batches counts the rounds a WBF search sent to its stations:
-	// ceil(queries / batch size), or 0 when it asked no station. 0 for
-	// BF/naive searches.
-	Batches int
 	// TailRounds is 1 when a capped WBF search (WithTopK, no MinScore) had to
-	// re-send its rounds over persons at or above its prefix bound because
+	// re-send its frame over persons at or above its prefix bound because
 	// the prefix could not fill every query's top-k at the top score, else 0.
 	TailRounds int
 	// StationsPruned counts member stations the summary-routing step
@@ -318,7 +300,7 @@ func (o *Outcome) Persons(q core.QueryID) []core.PersonID {
 
 // Search runs one batch of queries and returns ranked results plus cost
 // accounting. The variadic options override the cluster's defaults for this
-// call only (strategy, top-K, verification, score threshold, sizing target);
+// call only (strategy, top-K, verification, score threshold, routing);
 // with no options it runs a WBF search under the cluster Options.
 //
 // Search honors ctx: cancellation or timeout abandons the in-flight fan-out
@@ -338,6 +320,10 @@ func (c *Cluster) Search(ctx context.Context, queries []core.Query, opts ...Sear
 	if len(queries) == 0 {
 		return nil, ErrNoQueries
 	}
+	if cfg.strategy == StrategyWBF && len(queries) > wire.MaxBatchQueries {
+		return nil, fmt.Errorf("%w: %d WBF queries, one frame carries at most %d", ErrBadQueries, len(queries), wire.MaxBatchQueries)
+	}
+	ids := make(map[core.QueryID]bool, len(queries))
 	for _, q := range queries {
 		if err := q.Validate(); err != nil {
 			return nil, err
@@ -345,6 +331,10 @@ func (c *Cluster) Search(ctx context.Context, queries []core.Query, opts ...Sear
 		if q.Length() != c.length {
 			return nil, fmt.Errorf("%w: query %d length %d, cluster is %d", ErrLengthMismatch, q.ID, q.Length(), c.length)
 		}
+		if ids[q.ID] {
+			return nil, fmt.Errorf("%w: query ID %d appears twice", ErrBadQueries, q.ID)
+		}
+		ids[q.ID] = true
 	}
 	ep, err := c.pinEpoch()
 	if err != nil {

@@ -11,40 +11,22 @@ import (
 	"dimatch/internal/wire"
 )
 
-// batchQueries splits the query set into rounds of at most size queries.
-// size <= 0 means one round carrying everything, clamped to the wire
-// protocol's per-frame query limit so arbitrarily large searches still
-// encode (they just take multiple rounds).
-func batchQueries(queries []core.Query, size int) [][]core.Query {
-	if size <= 0 || size > wire.MaxBatchQueries {
-		size = wire.MaxBatchQueries
-	}
-	if size >= len(queries) {
-		return [][]core.Query{queries}
-	}
-	out := make([][]core.Query, 0, (len(queries)+size-1)/size)
-	for len(queries) > size {
-		out = append(out, queries[:size])
-		queries = queries[size:]
-	}
-	return append(out, queries)
-}
-
 // wbfSearch is one WBF search's state across its rounds: the shared
 // aggregation, the outcome its exchanges are billed to, and what they saw.
 type wbfSearch struct {
-	cfg                      searchConfig
-	queries                  []core.Query
-	agg                      *core.Aggregator
-	out                      *Outcome
-	reportBytes, filterBytes uint64
+	cfg         searchConfig
+	queries     []core.Query
+	agg         *core.Aggregator
+	out         *Outcome
+	reportBytes uint64
 	// plan is the routing step's answer, visited every member asked so far
 	// (the plan's, then the siblings standing in for failed ones).
 	plan    routePlan
 	visited map[uint32]bool
-	// rounds are the batches' combined filters, built once and kept so a
-	// tail round or a sibling re-sends the same frames.
-	rounds []wbfRound
+	// ids and filter are the search's query IDs and combined filter, built
+	// once and kept so a tail round or a sibling re-sends the same frame.
+	ids    []core.QueryID
+	filter *core.Filter
 	// failed holds every member that failed an exchange of the search — the
 	// prefix round, the tail round or verification — so a member lost in two
 	// of them counts once.
@@ -78,24 +60,16 @@ func filledAtTop(results []core.Result, k int) bool {
 	return len(results) >= k && results[k-1].Numerator == results[k-1].Denominator
 }
 
-// wbfRound is one batch of a search: its query IDs and combined filter, kept
-// so a tail round re-sends the same frame under another bound.
-type wbfRound struct {
-	ids    []core.QueryID
-	filter *core.Filter
-}
-
-// searchWBF is the paper's DI-matching pipeline end to end, executed as a
-// sequence of rounds. Each round packs up to batchSize queries into one
-// combined filter and one KindBatchQuery exchange per visited station;
-// every round's reports merge into one aggregation.
+// searchWBF is the paper's DI-matching pipeline end to end: every query is
+// packed into one combined filter, sent in one KindBatchQuery exchange per
+// visited station, and every report merges into one aggregation.
 //
 // A capped search (searchConfig.capped) first asks every station only for
 // persons below the learned bound P (prefixBound). Its answer is final when
 // every query holds k kept results at exactly D: a person below P has been
 // answered for by every reachable member, so its sum is final, and no person
 // at or above P can score above D or win a tie at D. Otherwise one tail
-// round re-sends every round's frame over [P, ∞).
+// round re-sends the frame over [P, ∞).
 func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, queries []core.Query) (*Outcome, error) {
 	s := &wbfSearch{
 		cfg:     cfg,
@@ -144,8 +118,7 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	if capped {
 		c.prefix.learn(s, queries)
 	}
-	out.Cost.FilterBytes = s.filterBytes
-	out.Cost.CenterStorageBytes = s.filterBytes + s.reportBytes
+	out.Cost.CenterStorageBytes = out.Cost.FilterBytes + s.reportBytes
 	if cfg.verify {
 		if err := c.verifyWBF(ctx, ep, cfg, queries, out, s.failed); err != nil {
 			return nil, err
@@ -157,19 +130,17 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 
 // answer runs one phase of a search — the prefix or the tail round, over
 // persons in [from, to) — against members of the pinned ep: every member
-// gets every round's frame, and a phase with no member builds none. A
+// gets the search's frame, and a phase with no member builds none. A
 // member that fails leaves the candidate replica groups it answered for
 // uncovered; their other members are then asked the same phase, before
 // anything is ranked, and leave the pruned count.
 func (c *Cluster) answer(ctx context.Context, ep *epoch, s *wbfSearch, members *epoch, from, to core.PersonID) error {
 	for len(members.ids) > 0 {
-		if err := c.buildRounds(s); err != nil {
+		if err := c.encode(s); err != nil {
 			return err
 		}
-		for _, r := range s.rounds {
-			if err := c.sendRound(ctx, members, s, r, from, to); err != nil {
-				return err
-			}
+		if err := c.sendRound(ctx, members, s, from, to); err != nil {
+			return err
 		}
 		more := s.plan.siblings(s.visited, s.failed)
 		if len(more) == 0 {
@@ -180,24 +151,6 @@ func (c *Cluster) answer(ctx context.Context, ep *epoch, s *wbfSearch, members *
 		}
 		s.out.Cost.StationsPruned -= len(more)
 		members = ep.filter(func(id uint32) bool { return more[id] })
-	}
-	return nil
-}
-
-// buildRounds encodes the search's rounds once: one combined filter per
-// batch of at most batchSize queries.
-func (c *Cluster) buildRounds(s *wbfSearch) error {
-	if s.rounds != nil {
-		return nil
-	}
-	for _, batch := range batchQueries(s.queries, s.cfg.batchSize) {
-		r, err := c.buildRound(s.cfg, batch)
-		if err != nil {
-			return err
-		}
-		s.filterBytes += r.filter.SizeBytes()
-		s.out.Cost.Batches++
-		s.rounds = append(s.rounds, r)
 	}
 	return nil
 }
@@ -288,49 +241,54 @@ func (ep *epoch) filter(keep func(uint32) bool) *epoch {
 	return sub
 }
 
-// buildRound encodes one batch's combined filter.
-func (c *Cluster) buildRound(cfg searchConfig, batch []core.Query) (wbfRound, error) {
-	params, err := c.resolveParams(cfg, batch)
+// encode builds the search's combined filter once, the first time a phase
+// has a member to ask.
+func (c *Cluster) encode(s *wbfSearch) error {
+	if s.filter != nil {
+		return nil
+	}
+	params, err := c.resolveParams(s.cfg, s.queries)
 	if err != nil {
-		return wbfRound{}, err
+		return err
 	}
 	enc, err := core.NewEncoder(params, c.length)
 	if err != nil {
-		return wbfRound{}, err
+		return err
 	}
-	r := wbfRound{ids: make([]core.QueryID, 0, len(batch))}
-	for _, q := range batch {
+	ids := make([]core.QueryID, 0, len(s.queries))
+	for _, q := range s.queries {
 		if err := enc.AddQuery(q); err != nil {
-			return wbfRound{}, err
+			return err
 		}
-		r.ids = append(r.ids, q.ID)
+		ids = append(ids, q.ID)
 	}
-	r.filter = enc.Filter()
-	return r, nil
+	s.ids, s.filter = ids, enc.Filter()
+	s.out.Cost.FilterBytes = s.filter.SizeBytes()
+	return nil
 }
 
-// sendRound sends one round's combined filter, bounded to persons in
+// sendRound sends the search's combined filter, bounded to persons in
 // [from, to), to every station of ep in one KindBatchQuery frame each, and
 // feeds every report into the search's aggregation. Stations that fail are
 // recorded in s.failed — never fatal. An epoch with no stations sends
 // nothing.
-func (c *Cluster) sendRound(ctx context.Context, ep *epoch, s *wbfSearch, r wbfRound, from, to core.PersonID) error {
+func (c *Cluster) sendRound(ctx context.Context, ep *epoch, s *wbfSearch, from, to core.PersonID) error {
 	if len(ep.ids) == 0 {
 		return nil
 	}
-	batchMsg, err := wire.EncodeBatchQuery(wire.BatchQuery{Queries: r.ids, Filter: r.filter, From: from, To: to})
+	batchMsg, err := wire.EncodeBatchQuery(wire.BatchQuery{Queries: s.ids, Filter: s.filter, From: from, To: to})
 	if err != nil {
 		return err
 	}
 	failed, err := c.fanOut(ctx, ep, batchMsg, &s.out.Cost, func(reply wire.Message) error {
 		s.reportBytes += uint64(reply.EncodedSize())
-		if err := decodeRoundReply(&s.reply, reply, len(r.ids)); err != nil {
+		if err := decodeRoundReply(&s.reply, reply, len(s.ids)); err != nil {
 			return err
 		}
 		for _, rep := range s.reply.Reports {
 			s.out.Cost.ReportsReceived++
 			s.note(rep.Person)
-			if err := s.agg.AddFrom(r.filter.Weights(), rep); err != nil {
+			if err := s.agg.AddFrom(s.filter.Weights(), rep); err != nil {
 				return err
 			}
 		}

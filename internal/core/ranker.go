@@ -44,11 +44,10 @@ func (r Result) Score() float64 {
 // (their aggregate pattern must differ from the query's global), ranks the
 // rest by weight descending and returns the top-K.
 //
-// An aggregation can span several filters: a search split into rounds
-// resolves each round's replies against that round's combined weight table
-// (AddFrom). The accumulation merges
-// cleanly because a weight's meaning — this combination's share of this
-// query's global sum — does not depend on which filter carried it.
+// An aggregation can span several filters, each report resolved against
+// its own filter's weight table (AddFrom). The accumulation merges cleanly
+// because a weight's meaning — this combination's share of this query's
+// global sum — does not depend on which filter carried it.
 //
 // Credits are kept flat: AddFrom appends one (query, person, numerator)
 // entry per query a report credits, and the first ranking after it sorts
