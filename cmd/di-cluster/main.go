@@ -123,7 +123,7 @@ func runCenter(cfg dimatch.CityConfig, listenAddr string, stationCount int, ref 
 	}
 	searchQueries := centerQueries(city, ref, queryCount)
 	out, err := c.Search(ctx, searchQueries,
-		dimatch.WithStrategy(strat), dimatch.WithTopK(topK), dimatch.WithRouting(routing))
+		dimatch.WithStrategy(strat), dimatch.WithRouting(routing))
 	if err != nil {
 		return err
 	}

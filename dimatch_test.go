@@ -176,7 +176,7 @@ func TestPublicHelpers(t *testing.T) {
 	if Similar(Pattern{1, 2}, Pattern{3, 2}, 1) {
 		t.Fatal("Similar beyond eps passed")
 	}
-	acc := Accumulate(Pattern{1, 2, 3})
+	acc := Pattern{1, 2, 3}.Accumulate()
 	if !acc.Equal(Pattern{1, 3, 6}) {
 		t.Fatalf("Accumulate = %v", acc)
 	}

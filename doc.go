@@ -60,12 +60,12 @@
 // in-flight fan-out round and returns an error wrapping ErrCancelled
 // without disturbing the station links — and is safe to call from any
 // number of goroutines over one cluster: every station link multiplexes
-// concurrent searches by wire request ID. Per-call options override the
-// cluster's defaults for a single search:
+// concurrent searches by wire request ID. Per-call options choose one
+// search's strategy, verification and routing; top-K and the score
+// threshold are cluster Options:
 //
 //	out, err := c.Search(ctx, queries,
-//		dimatch.WithStrategy(dimatch.StrategyBF),
-//		dimatch.WithTopK(5),
+//		dimatch.WithStrategy(dimatch.StrategyWBF),
 //		dimatch.WithVerify(true))
 //
 // # Routed searches

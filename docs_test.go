@@ -117,7 +117,10 @@ func TestDocsLocalLinks(t *testing.T) {
 // lockstate.go); the region tier, its wire kinds and its tests; the
 // in-process members that waited for a separate Start to serve; the
 // streaming pipeline's deadline wheel and its cluster-side stats registry;
-// the per-call round split and false-positive target.
+// the per-call round split and false-positive target; the stream package
+// (the pipeline is internal/cluster/stream.go), its alive-members hook, the
+// second setters of top-k, score threshold and verification, and the
+// facade's Accumulate.
 var removedRefs = []struct {
 	re   *regexp.Regexp
 	with string
@@ -134,6 +137,7 @@ var removedRefs = []struct {
 	{regexp.MustCompile(`Cluster\)?\.Start\b|serveLocked|inert until .?Start`), "the inert-until-Start cluster (every member serves from its join and joins through the stats handshake)"},
 	{regexp.MustCompile(`TTLEvictions|RegisterStreamStats|MergeStreamStats|Stats\.Stream\b|stream/ttl\.go|stream_hooks\.go`), "the stream TTL wheel and stats registry (expiry is Unplace; Ingestor.Report reads a pipeline's counters)"},
 	{regexp.MustCompile(`WithBatching|WithTargetFP|Cost(Report)?\.Batches\b`), "the round split and per-call FP target (a WBF search is one round; separate Search calls send fewer queries; Options.TargetFP sizes filters)"},
+	{regexp.MustCompile(`internal/stream|AliveStationIDs|WithTopK|WithMinScore|Options\.Verify\b|dimatch\.Accumulate\b`), "the stream package and the second search-knob setters (Cluster.Stream lives in internal/cluster; TopK and MinScore are Options, verification is WithVerify, Accumulate is Pattern's method)"},
 }
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every

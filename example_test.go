@@ -10,9 +10,9 @@ import (
 
 // exampleCity is a two-station toy city of 3-interval patterns: person 10's
 // global pattern {3,4,5} is split across the stations, person 11 holds it
-// whole.
-func exampleCity() (*dimatch.Cluster, error) {
-	return dimatch.NewCluster(dimatch.Options{}, 3,
+// whole. The cluster runs under opts.
+func exampleCity(opts dimatch.Options) (*dimatch.Cluster, error) {
+	return dimatch.NewCluster(opts, 3,
 		dimatch.Member{ID: 0, Patterns: map[dimatch.PersonID]dimatch.Pattern{10: {1, 2, 3}}},
 		dimatch.Member{ID: 1, Patterns: map[dimatch.PersonID]dimatch.Pattern{10: {2, 2, 2}, 11: {3, 4, 5}}},
 	)
@@ -22,7 +22,7 @@ func exampleCity() (*dimatch.Cluster, error) {
 // two local pieces, and both the split person (10) and the person holding
 // the identical global pattern outright (11) score a complete partition.
 func ExampleCluster_Search() {
-	c, err := exampleCity()
+	c, err := exampleCity(dimatch.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,21 +41,17 @@ func ExampleCluster_Search() {
 	// person 11 scores 1.0 across 1 stations
 }
 
-// ExampleCluster_Search_options overrides the cluster defaults for one
-// call: keep only the best answer and verify it exactly against fetched
-// patterns.
+// ExampleCluster_Search_options keeps only the best answer, a cluster
+// Option, and verifies it exactly against fetched patterns for one call.
 func ExampleCluster_Search_options() {
-	c, err := exampleCity()
+	c, err := exampleCity(dimatch.Options{TopK: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer c.Shutdown()
 
 	q := dimatch.Query{ID: 1, Locals: []dimatch.Pattern{{1, 2, 3}, {2, 2, 2}}}
-	out, err := c.Search(context.Background(), []dimatch.Query{q},
-		dimatch.WithTopK(1),
-		dimatch.WithVerify(true),
-	)
+	out, err := c.Search(context.Background(), []dimatch.Query{q}, dimatch.WithVerify(true))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -130,7 +126,7 @@ func ExampleWithRouting() {
 }
 
 func ExampleCluster_Ingest() {
-	c, err := exampleCity()
+	c, err := exampleCity(dimatch.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -160,7 +156,7 @@ func ExampleCluster_Ingest() {
 // report about themselves over the wire, with their answer to the join and
 // to every mutation.
 func ExampleCluster_Stats() {
-	c, err := exampleCity()
+	c, err := exampleCity(dimatch.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -85,7 +85,6 @@ func TableII(ctx context.Context, cfg TableIIConfig) ([]TableIIRow, error) {
 				PositionSalted: true,
 			},
 			MinScore: 0.9,
-			Verify:   cfg.Verify,
 		}, d.Length(), cluster.Members(dimatch.StationData(d))...)
 		if err != nil {
 			return nil, err
@@ -115,7 +114,7 @@ func TableII(ctx context.Context, cfg TableIIConfig) ([]TableIIRow, error) {
 		for i, ref := range refs {
 			queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), ref)
 		}
-		out, err := cl.Search(ctx, queries, cluster.WithStrategy(cluster.StrategyWBF))
+		out, err := cl.Search(ctx, queries, cluster.WithStrategy(cluster.StrategyWBF), cluster.WithVerify(cfg.Verify))
 		if err != nil {
 			_ = cl.Shutdown()
 			return nil, err

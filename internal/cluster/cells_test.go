@@ -130,7 +130,7 @@ func TestPatternValueRange(t *testing.T) {
 	}
 	for _, bad := range []pattern.Pattern{{1 << 31, 0, 0}, {0, 0, -(1 << 31) - 1}} {
 		batch := map[core.PersonID]pattern.Pattern{900: {1, 1, 1}, 901: bad}
-		if unplaced, err := c.Place(ctx, batch); !errors.Is(err, ErrValueRange) || len(unplaced) != len(batch) {
+		if unplaced, err := c.place(ctx, batch); !errors.Is(err, ErrValueRange) || len(unplaced) != len(batch) {
 			t.Fatalf("Place of %v: err %v, %d of %d unplaced; want ErrValueRange and all", bad, err, len(unplaced), len(batch))
 		}
 		if err := c.Ingest(ctx, 0, batch); !errors.Is(err, ErrValueRange) {
@@ -157,7 +157,7 @@ func TestPatternValueRange(t *testing.T) {
 		901: {math.MinInt32, math.MaxInt32, 2},
 		902: {-math.MaxInt32, math.MaxInt32, 1},
 	}
-	if _, err := c.Place(ctx, extremes); err != nil {
+	if err := c.Place(ctx, extremes); err != nil {
 		t.Fatal(err)
 	}
 	out, err := c.Search(ctx, []core.Query{{ID: 1, Locals: []pattern.Pattern{extremes[900]}}}, WithVerify(true))

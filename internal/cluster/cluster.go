@@ -16,8 +16,9 @@ import (
 	"dimatch/internal/wire"
 )
 
-// Options configures a cluster's default search knobs. Every knob can be
-// overridden per call with a SearchOption.
+// Options configures a cluster's search knobs: the pipeline parameters,
+// top-K, score threshold and filter sizing. Strategy, verification and
+// routing are chosen per call with a SearchOption.
 type Options struct {
 	// Params carries the pipeline knobs (samples b, hashes k, ε, seed...).
 	// If Params.Bits is zero the filter is auto-sized per search to TargetFP
@@ -26,9 +27,12 @@ type Options struct {
 	// (bloom.OptimalParams), as the paper prices it.
 	Params core.Params
 	// TopK limits each query's answer; <= 0 returns all qualified persons.
-	// With TopK > 0 and no MinScore a WBF search answers from a person-ID
-	// prefix first, with a tail round only when the prefix cannot fill every
-	// query's k at the top score (see WithTopK).
+	// With TopK > 0 and no MinScore a WBF search asks its stations first
+	// only for persons below a bound the cluster learns from earlier
+	// searches, and runs one tail round over the rest only when that prefix
+	// cannot fill every query's k at the top score. Its answer equals the
+	// uncapped answer's first k either way (CostReport.TailRounds counts the
+	// tail rounds; docs/OPERATIONS.md, "Capped searches").
 	TopK int
 	// MinScore drops WBF and naive results scoring below the threshold
 	// (0 keeps everything). A person whose local matches partition the
@@ -36,13 +40,6 @@ type Options struct {
 	// matches. The BF baseline has no weights and cannot honor MinScore —
 	// one of its fundamental weaknesses.
 	MinScore float64
-	// Verify enables the verification phase on WBF searches: the center
-	// fetches the ranked candidates' local patterns from the stations,
-	// materializes their globals and keeps only exact Eq. 2 matches. It
-	// trades a second, candidate-sized round trip (still far below the
-	// naive shipment) for eliminating residual false positives — the
-	// "aggregation and verification" step of the paper's Section I.
-	Verify bool
 	// TargetFP is the value-level false-positive rate filters are sized for
 	// when Params.Bits == 0; outside (0, 1) → 0.01, the default.
 	TargetFP float64

@@ -63,25 +63,35 @@ func answerHandshake(link transport.Link, id uint32, locals map[core.PersonID]pa
 
 // TestConcurrentSearchesMatchSequential is the redesign's core guarantee:
 // many searches with different strategies and per-call options over one
-// cluster return exactly what they return sequentially — no frame
-// interleaving, no cross-talk. Run under -race.
+// cluster — and, for the top-1 and score-threshold Options, over two more —
+// return exactly what they return sequentially — no frame interleaving, no
+// cross-talk. Run under -race.
 func TestConcurrentSearchesMatchSequential(t *testing.T) {
 	c := startCluster(t, testOptions(), paperScenario())
+	top1Opts, minScoreOpts := testOptions(), testOptions()
+	top1Opts.TopK = 1
+	minScoreOpts.MinScore = 0.9
+	top1 := startCluster(t, top1Opts, paperScenario())
+	minScore := startCluster(t, minScoreOpts, paperScenario())
 	queries := []core.Query{paperQuery()}
 
-	configs := map[string][]SearchOption{
-		"wbf":          {WithStrategy(StrategyWBF)},
-		"wbf-top1":     {WithStrategy(StrategyWBF), WithTopK(1)},
-		"wbf-minscore": {WithStrategy(StrategyWBF), WithMinScore(0.9)},
-		"wbf-verify":   {WithStrategy(StrategyWBF), WithVerify(true)},
-		"bf":           {WithStrategy(StrategyBF)},
-		"naive":        {WithStrategy(StrategyNaive)},
+	type config struct {
+		c    *Cluster
+		opts []SearchOption
+	}
+	configs := map[string]config{
+		"wbf":          {c, []SearchOption{WithStrategy(StrategyWBF)}},
+		"wbf-top1":     {top1, []SearchOption{WithStrategy(StrategyWBF)}},
+		"wbf-minscore": {minScore, []SearchOption{WithStrategy(StrategyWBF)}},
+		"wbf-verify":   {c, []SearchOption{WithStrategy(StrategyWBF), WithVerify(true)}},
+		"bf":           {c, []SearchOption{WithStrategy(StrategyBF)}},
+		"naive":        {c, []SearchOption{WithStrategy(StrategyNaive)}},
 	}
 
 	// Sequential baseline.
 	want := make(map[string][]core.PersonID, len(configs))
-	for name, opts := range configs {
-		out, err := c.Search(context.Background(), queries, opts...)
+	for name, cfg := range configs {
+		out, err := cfg.c.Search(context.Background(), queries, cfg.opts...)
 		if err != nil {
 			t.Fatalf("%s sequential: %v", name, err)
 		}
@@ -93,12 +103,12 @@ func TestConcurrentSearchesMatchSequential(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, rounds*len(configs))
 	for r := 0; r < rounds; r++ {
-		for name, opts := range configs {
-			name, opts := name, opts
+		for name, cfg := range configs {
+			name, cfg := name, cfg
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				out, err := c.Search(context.Background(), queries, opts...)
+				out, err := cfg.c.Search(context.Background(), queries, cfg.opts...)
 				if err != nil {
 					errs <- fmt.Errorf("%s: %v", name, err)
 					return

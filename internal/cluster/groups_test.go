@@ -132,14 +132,14 @@ func TestHealRepairsStaleReplica(t *testing.T) {
 		v1[p] = pattern.Pattern{int64(p), int64(2 * p), 7}
 		v2[p] = pattern.Pattern{int64(p) + 500, int64(2*p) + 500, 9}
 	}
-	if _, err := c.Place(ctx, v1, WithReplication(2)); err != nil {
+	if err := c.Place(ctx, v1, WithReplication(2)); err != nil {
 		t.Fatal(err)
 	}
 	// Take away one of person 1's replicas, upsert everyone, bring the
 	// station back from its WAL — which still holds the v1 copies.
 	away := placement.Pick(1, ids, 2)[1]
 	restartStationAround(t, c, dir, away, func() {
-		if _, err := c.Place(ctx, v2, WithReplication(2)); err != nil {
+		if err := c.Place(ctx, v2, WithReplication(2)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -221,7 +221,7 @@ func TestGroupRoutingSiblingCoversFailedMember(t *testing.T) {
 	for p := core.PersonID(1); p <= 30; p++ {
 		patterns[p] = pattern.Pattern{int64(p) * 10, int64(p), int64(p) * 3}
 	}
-	if _, err := c.Place(ctx, patterns, WithReplication(2)); err != nil {
+	if err := c.Place(ctx, patterns, WithReplication(2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -346,7 +346,7 @@ func groupRoutingTrial(t *testing.T, seed int64) {
 			if rng.Intn(3) == 0 { // the placement's push may fail once
 				links[pick(alive)].arm(wire.KindIngest)
 			}
-			unplaced, _ := c.Place(ctx, batch, WithReplication(2))
+			unplaced, _ := c.place(ctx, batch, WithReplication(2))
 			for p, pat := range batch {
 				if !slices.Contains(unplaced, p) {
 					current[p] = pat
@@ -495,7 +495,7 @@ func TestGroupRoutingAfterFactorChange(t *testing.T) {
 		after[p] = pat
 	}
 	after[7] = pattern.Pattern{70, 80, 90}
-	if _, err := c.Place(ctx, after, WithReplication(2)); err != nil {
+	if err := c.Place(ctx, after, WithReplication(2)); err != nil {
 		t.Fatal(err)
 	}
 	// Refetched digests no longer carry the overwritten copies' cells.

@@ -57,7 +57,7 @@ func BenchmarkPlace(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Place(ctx, batch, WithReplication(2)); err != nil {
+				if err := c.Place(ctx, batch, WithReplication(2)); err != nil {
 					b.Fatal(err)
 				}
 			}

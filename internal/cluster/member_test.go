@@ -252,27 +252,30 @@ func separatedData() map[uint32]map[core.PersonID]pattern.Pattern {
 	return data
 }
 
-// TestAliveStationIDs: the alive members come back ascending, as a copy,
-// and a killed station drops out.
+// TestAliveStationIDs: aliveMembers returns the alive members ascending,
+// each with its mux, as a copy, and a killed station drops out.
 func TestAliveStationIDs(t *testing.T) {
 	c, err := New(Options{}, 3, emptyMembers([]uint32{5, 1, 3})...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Shutdown() })
-	got := c.AliveStationIDs()
+	got, muxes := c.aliveMembers()
 	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("AliveStationIDs() = %v, want ascending {1,3,5}", got)
+		t.Fatalf("aliveMembers() = %v, want ascending {1,3,5}", got)
+	}
+	if len(muxes) != len(got) {
+		t.Fatalf("aliveMembers() returned %d muxes for %d ids", len(muxes), len(got))
 	}
 	// The slice must be a copy: mutating it cannot corrupt the epoch.
 	got[0] = 99
-	if again := c.AliveStationIDs(); again[0] != 1 {
-		t.Fatal("AliveStationIDs aliased the epoch's member slice")
+	if again, _ := c.aliveMembers(); again[0] != 1 {
+		t.Fatal("aliveMembers aliased the epoch's member slice")
 	}
 	if err = c.KillStation(3); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.AliveStationIDs(); len(got) != 2 || got[0] != 1 || got[1] != 5 {
-		t.Fatalf("after kill, AliveStationIDs() = %v, want {1,5}", got)
+	if got, _ := c.aliveMembers(); len(got) != 2 || got[0] != 1 || got[1] != 5 {
+		t.Fatalf("after kill, aliveMembers() = %v, want {1,5}", got)
 	}
 }

@@ -15,13 +15,6 @@ import (
 	"dimatch/internal/wire"
 )
 
-// AliveStationIDs returns the current epoch's non-dead member stations in
-// ascending order: a streaming pipeline refuses to start over none.
-func (c *Cluster) AliveStationIDs() []uint32 {
-	ids, _ := c.aliveMembers()
-	return append([]uint32(nil), ids...)
-}
-
 // KillStation severs one station's link, simulating a failure. The station
 // stays a member — the data center is not told: subsequent (and in-flight)
 // searches discover the failure when their exchange fails and count it in
@@ -114,11 +107,11 @@ func (c *Cluster) Shutdown() error {
 // routing freshly observed call data to the station that saw it. The
 // mutation travels the same request/reply loop as queries, so the station
 // applies it between exchanges and no search observes a half-applied store.
-// Pattern lengths must match the cluster's and values fit an int32
-// (ErrValueRange). All-zero patterns are dropped
-// by the station (no measurable activity means no local pattern). The
-// station is addressed from then on: routing never skips it as a redundant
-// replica (planRoute).
+// Pattern lengths must match the cluster's (ErrLengthMismatch) and values
+// fit an int32 (ErrValueRange); otherwise nothing is sent. All-zero
+// patterns are dropped by the station (no measurable activity means no
+// local pattern). The station is addressed from then on: routing never
+// skips it as a redundant replica (planRoute).
 func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[core.PersonID]pattern.Pattern) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -185,7 +178,9 @@ func (c *Cluster) ingest(ctx context.Context, stationID uint32, in wire.Ingest, 
 // Evict removes residents from one station — expired retention windows,
 // opted-out subscribers, or data handed off elsewhere. Unknown persons are
 // ignored. Like Ingest, the mutation serializes through the station's
-// request/reply loop.
+// request/reply loop. Evict does not release a placed person from
+// management — reconciliation will restore their evicted copy; use Unplace
+// for that.
 func (c *Cluster) Evict(ctx context.Context, stationID uint32, persons []core.PersonID) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -271,9 +266,11 @@ func (c *Cluster) refusalLocked(id uint32) error {
 // spec, seed patterns of a foreign length (ErrLengthMismatch) — is refused
 // before the store is recovered, and closes the member's link and store.
 // Every member must then pass the stats handshake New also runs: it must
-// answer, and patterns it holds must match the cluster's length. A durable
-// member recovers before the cluster lock is taken, so replaying a large WAL
-// never stalls concurrent searches.
+// answer, and the patterns it holds, seeded, recovered or remote, must
+// match the cluster's length (ErrLengthMismatch). A refused member has its
+// link and store closed before the call returns. A durable member recovers
+// before the cluster lock is taken, so replaying a large WAL never stalls
+// concurrent searches.
 //
 // The join installs the next epoch and runs the hooks every join owes: a
 // departed member may have left a digest under the same id, so the summary

@@ -243,26 +243,39 @@ func planCopies(rows wire.Ingest, alive []uint32, r int) copyPlan {
 //
 // A placed person's replicas hold full copies of one pattern, so the search
 // aggregation dedupes their reports (highest score wins) instead of summing
-// them. Consequently a person must be either placed or station-addressed,
-// never both: Place records the person as managed, and reconciliation will
-// move their copies to the replica group, clobbering any
-// station-addressed copy under the same ID. Use Unplace to release a person
-// back to manual management.
+// them, a routed search visits one replica per group and a replica lost
+// mid-search is covered by the others. Consequently a person must be either
+// placed or station-addressed, never both: Place records the person as
+// managed, and reconciliation will move their copies to the replica group,
+// clobbering any station-addressed copy under the same ID. Use Unplace to
+// release a person back to manual management.
 //
-// Partial failure is not fatal: a person who reached at least one station is
-// recorded as placed (reconciliation restores the missing copies on the next
-// membership change or Rebalance call); the error joins every failed station
-// exchange. unplaced lists the persons who reached no station, ascending —
-// all of them when the call fails before any exchange — so a caller can
-// retry exactly those. All-zero patterns are skipped entirely, matching the
-// stations' ingest rule (no measurable activity means no pattern).
+// A pattern of a foreign length or holding a value an int32 cannot hold
+// fails the whole call before any exchange (ErrLengthMismatch,
+// ErrValueRange): nothing is placed. All-zero patterns are skipped
+// entirely, matching the stations' ingest rule (no measurable activity
+// means no pattern).
+//
+// Partial failure is not fatal: the error joins every failed station
+// exchange. A person who reached at least one station is recorded as placed
+// (reconciliation restores the missing copies on the next membership change
+// or Rebalance call); a person who reached none is rolled back to their
+// earlier placement, if any.
+func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.Pattern, opts ...PlaceOption) error {
+	_, err := c.place(ctx, patterns, opts...)
+	return err
+}
+
+// place is Place that also returns the persons who reached no station,
+// ascending — all of them when the call fails before any exchange — so the
+// stream's flusher retries exactly those.
 //
 // The caller's map is walked once for its persons, which are sorted once
 // into one person-ascending row set; their targets and content hashes are
 // computed into flat arrays, and every target station receives one ingest
 // exchange encoded straight from that row set through the station's index
 // list, however many persons land on it.
-func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.Pattern, opts ...PlaceOption) (unplaced []core.PersonID, err error) {
+func (c *Cluster) place(ctx context.Context, patterns map[core.PersonID]pattern.Pattern, opts ...PlaceOption) (unplaced []core.PersonID, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

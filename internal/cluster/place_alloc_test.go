@@ -47,7 +47,7 @@ func TestPlaceAllocatesPerCopy(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	unplaced, err := c.Place(context.Background(), patterns, WithReplication(r))
+	unplaced, err := c.place(context.Background(), patterns, WithReplication(r))
 	runtime.ReadMemStats(&after)
 	if err != nil || len(unplaced) != 0 {
 		t.Fatalf("Place: %d unplaced, %v", len(unplaced), err)

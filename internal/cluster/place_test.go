@@ -99,7 +99,7 @@ func placeModelTrial(t *testing.T, seed int64) {
 			}
 		}
 
-		unplaced, err := c.Place(ctx, batch, WithReplication(r))
+		unplaced, err := c.place(ctx, batch, WithReplication(r))
 		for _, l := range links {
 			l.disarm()
 		}

@@ -102,14 +102,21 @@ func (l prefixLayout) globals(rng *rand.Rand) map[core.PersonID]pattern.Pattern 
 	return out
 }
 
+// withTopK sets one search's top-k, as Options.TopK sets every search's: the
+// scenarios below change k between searches that share one learned bound,
+// which two clusters could not.
+func withTopK(k int) SearchOption {
+	return func(c *searchConfig) { c.topK = k }
+}
+
 // wantCapped is what a capped search of k must answer: the uncapped
-// (WithTopK(0)) answer's first k, and — verifying — those of them the
+// (withTopK(0)) answer's first k, and — verifying — those of them the
 // uncapped verified answer keeps: verification filters the truncated top-k
 // without backfill.
 func wantCapped(t *testing.T, c *Cluster, queries []core.Query, k int, verify bool, opts ...SearchOption) map[core.QueryID][]core.Result {
 	t.Helper()
 	ctx := context.Background()
-	all, err := c.Search(ctx, queries, append([]SearchOption{WithTopK(0), WithVerify(false)}, opts...)...)
+	all, err := c.Search(ctx, queries, append([]SearchOption{withTopK(0), WithVerify(false)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +125,7 @@ func wantCapped(t *testing.T, c *Cluster, queries []core.Query, k int, verify bo
 	}
 	var kept *Outcome
 	if verify {
-		if kept, err = c.Search(ctx, queries, append([]SearchOption{WithTopK(0), WithVerify(true)}, opts...)...); err != nil {
+		if kept, err = c.Search(ctx, queries, append([]SearchOption{withTopK(0), WithVerify(true)}, opts...)...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +158,7 @@ func wantCapped(t *testing.T, c *Cluster, queries []core.Query, k int, verify bo
 func checkCapped(t *testing.T, label string, c *Cluster, queries []core.Query, k int, verify bool, opts ...SearchOption) CostReport {
 	t.Helper()
 	want := wantCapped(t, c, queries, k, verify, opts...)
-	got, err := c.Search(context.Background(), queries, append([]SearchOption{WithTopK(k), WithVerify(verify)}, opts...)...)
+	got, err := c.Search(context.Background(), queries, append([]SearchOption{withTopK(k), WithVerify(verify)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +178,7 @@ func runPrefixScenario(t *testing.T, label string, c *Cluster, n int, verify boo
 	if cost := checkCapped(t, label+" first", c, low, k, verify, opts...); cost.TailRounds != 0 {
 		t.Fatalf("%s: the first capped search ran a tail round", label)
 	}
-	full, err := c.Search(ctx, low, append([]SearchOption{WithTopK(0), WithVerify(false)}, opts...)...)
+	full, err := c.Search(ctx, low, append([]SearchOption{withTopK(0), WithVerify(false)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +229,7 @@ func TestCappedSearchEqualsUncappedTruncated(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = c.Shutdown() })
-			if _, err := c.Place(context.Background(), l.globals(rand.New(rand.NewSource(seed))), WithReplication(2)); err != nil {
+			if err := c.Place(context.Background(), l.globals(rand.New(rand.NewSource(seed))), WithReplication(2)); err != nil {
 				t.Fatal(err)
 			}
 			runPrefixScenario(t, "placed", c, n, false)
@@ -275,7 +282,7 @@ func TestCappedSearchesShareTheBound(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				set := (g + i) % len(sets)
-				out, err := c.Search(context.Background(), sets[set], WithTopK(5))
+				out, err := c.Search(context.Background(), sets[set], withTopK(5))
 				if err != nil {
 					errs <- err
 					return
@@ -332,9 +339,7 @@ func TestStationsFailedCountsEveryLostStation(t *testing.T) {
 	}
 	links[1] = kindFailLink{links[1], wire.KindDump}
 	links[2] = kindFailLink{links[2], wire.KindBatchQuery}
-	opts := testOptions()
-	opts.Verify = true
-	c, err := New(opts, 3, linkMembers(links)...)
+	c, err := New(testOptions(), 3, linkMembers(links)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +347,7 @@ func TestStationsFailedCountsEveryLostStation(t *testing.T) {
 	if err := links[3].Close(); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Search(context.Background(), []core.Query{paperQuery()}, WithRouting(RoutingFull))
+	out, err := c.Search(context.Background(), []core.Query{paperQuery()}, WithRouting(RoutingFull), WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -296,7 +296,7 @@ func TestRecoveryDeltaOnlyRebalance(t *testing.T) {
 	for i := 1; i <= 40; i++ {
 		placed[core.PersonID(i)] = pattern.Pattern{int64(i), int64(i + 1)}
 	}
-	if _, err := c.Place(ctx, placed, WithReplication(2)); err != nil {
+	if err := c.Place(ctx, placed, WithReplication(2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -315,7 +315,7 @@ func TestRecoveryDeltaOnlyRebalance(t *testing.T) {
 	for i := 41; i <= 45; i++ {
 		late[core.PersonID(i)] = pattern.Pattern{int64(i), int64(i + 1)}
 	}
-	if _, err := c.Place(ctx, late, WithReplication(2)); err != nil {
+	if err := c.Place(ctx, late, WithReplication(2)); err != nil {
 		t.Fatal(err)
 	}
 

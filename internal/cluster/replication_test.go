@@ -35,7 +35,7 @@ func newPlacedCluster(t *testing.T, stations []uint32, r int, patterns map[core.
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Shutdown() })
-	if _, err := c.Place(context.Background(), patterns, WithReplication(r)); err != nil {
+	if err := c.Place(context.Background(), patterns, WithReplication(r)); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -327,15 +327,15 @@ func TestUnplace(t *testing.T) {
 func TestPlaceValidation(t *testing.T) {
 	c := newPlacedCluster(t, []uint32{1, 2}, 2, map[core.PersonID]pattern.Pattern{7: {1, 2, 3, 4}})
 	ctx := context.Background()
-	if _, err := c.Place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2}}); !errors.Is(err, ErrLengthMismatch) {
+	if err := c.Place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2}}); !errors.Is(err, ErrLengthMismatch) {
 		t.Fatalf("short pattern: err = %v, want ErrLengthMismatch", err)
 	}
-	if _, err := c.Place(ctx, nil); err != nil {
+	if err := c.Place(ctx, nil); err != nil {
 		t.Fatalf("empty place: %v", err)
 	}
 	// An all-zero pattern is skipped (stations would drop it on ingest), so
 	// no unsatisfiable intent is recorded and reconciliation stays clean.
-	if _, err := c.Place(ctx, map[core.PersonID]pattern.Pattern{42: {0, 0, 0, 0}}); err != nil {
+	if err := c.Place(ctx, map[core.PersonID]pattern.Pattern{42: {0, 0, 0, 0}}); err != nil {
 		t.Fatalf("zero-sum place: %v", err)
 	}
 	if c.Placed() != 1 {
@@ -350,7 +350,7 @@ func TestPlaceValidation(t *testing.T) {
 	if err := c.KillStation(2); err != nil {
 		t.Fatal(err)
 	}
-	unplaced, err := c.Place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2, 3, 4}})
+	unplaced, err := c.place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2, 3, 4}})
 	if !errors.Is(err, ErrNoAliveStations) || len(unplaced) != 1 || unplaced[0] != 9 {
 		t.Fatalf("all dead: unplaced %v, err = %v, want [9] and ErrNoAliveStations", unplaced, err)
 	}
@@ -365,20 +365,20 @@ func TestPlaceReportsUnplaced(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	unplaced, err := c.Place(cancelled, batch)
+	unplaced, err := c.place(cancelled, batch)
 	if err == nil || !slices.Equal(unplaced, []core.PersonID{8, 9}) {
 		t.Fatalf("cancelled place: unplaced %v, err %v, want both persons, ascending, and an error", unplaced, err)
 	}
 	// A batch refused before any exchange names every person, ascending.
 	bad := map[core.PersonID]pattern.Pattern{30: {1, 2}, 10: {1, 2, 3, 4}, 20: {4, 3, 2, 1}}
-	if unplaced, err := c.Place(context.Background(), bad); !errors.Is(err, ErrLengthMismatch) || !slices.Equal(unplaced, []core.PersonID{10, 20, 30}) {
+	if unplaced, err := c.place(context.Background(), bad); !errors.Is(err, ErrLengthMismatch) || !slices.Equal(unplaced, []core.PersonID{10, 20, 30}) {
 		t.Fatalf("refused place: unplaced %v, err %v, want [10 20 30] and ErrLengthMismatch", unplaced, err)
 	}
 	if c.Placed() != 1 {
 		t.Fatalf("Placed() = %d after a place that landed nothing, want the 1 prior person", c.Placed())
 	}
 
-	unplaced, err = c.Place(context.Background(), batch)
+	unplaced, err = c.place(context.Background(), batch)
 	if err != nil || len(unplaced) != 0 {
 		t.Fatalf("healthy place: unplaced %v, err %v, want none", unplaced, err)
 	}
@@ -512,7 +512,7 @@ func TestReplicatedPredKeepsOneModelPerPerson(t *testing.T) {
 	if err := c.Unplace(ctx, []core.PersonID{7}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2, 3, 4}}, WithReplication(2)); err != nil {
+	if err := c.Place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2, 3, 4}}, WithReplication(2)); err != nil {
 		t.Fatal(err)
 	}
 	if !pred(7) {

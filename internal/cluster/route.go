@@ -406,7 +406,8 @@ type RoutingState struct {
 // TotalBytes returns the coordinator's whole routing-state footprint.
 func (s RoutingState) TotalBytes() uint64 { return s.CachedDigestBytes }
 
-// RoutingState snapshots the coordinator's current routing-state footprint.
+// RoutingState snapshots the coordinator's current routing-state footprint:
+// how many per-station digests are cached and their bytes.
 func (c *Cluster) RoutingState() RoutingState {
 	entries, digestBytes := c.summaries.state()
 	return RoutingState{Entries: entries, CachedDigestBytes: digestBytes}

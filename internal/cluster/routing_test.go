@@ -452,7 +452,7 @@ func TestRoutedSearchDuringStreamedIngest(t *testing.T) {
 		defer wg.Done()
 		defer close(stop)
 		for _, batch := range fresh {
-			unplaced, err := c.Place(ctx, batch, WithReplication(2))
+			unplaced, err := c.place(ctx, batch, WithReplication(2))
 			if err != nil || len(unplaced) > 0 {
 				errs <- fmt.Errorf("place: %v unplaced, %v", unplaced, err)
 				return
@@ -617,7 +617,7 @@ func TestRoutingPlacedReplicas(t *testing.T) {
 	for p := core.PersonID(1); p <= 30; p++ {
 		patterns[p] = pattern.Pattern{int64(p) * 10, int64(p), int64(p) * 3}
 	}
-	if _, err := c.Place(ctx, patterns, WithReplication(2)); err != nil {
+	if err := c.Place(ctx, patterns, WithReplication(2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -807,7 +807,7 @@ func BenchmarkPlanRoute(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { _ = c.Shutdown() })
-		if _, err := c.Place(context.Background(), patterns, WithReplication(2)); err != nil {
+		if err := c.Place(context.Background(), patterns, WithReplication(2)); err != nil {
 			b.Fatal(err)
 		}
 		benchPlanRoute(b, c, query, 1)
@@ -828,7 +828,7 @@ func BenchmarkPlanRoute(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { _ = c.Shutdown() })
-		if _, err := c.Place(context.Background(), patterns, WithReplication(2)); err != nil {
+		if err := c.Place(context.Background(), patterns, WithReplication(2)); err != nil {
 			b.Fatal(err)
 		}
 		benchPlanRoute(b, c, []core.Query{{ID: 1, Locals: []pattern.Pattern{patterns[persons/2]}}}, 1)

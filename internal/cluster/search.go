@@ -133,7 +133,7 @@ func ParseRoutingMode(s string) (RoutingMode, error) {
 }
 
 // searchConfig is one search's resolved knobs: the cluster Options provide
-// the defaults, per-call SearchOptions override them.
+// params, topK and minScore, per-call SearchOptions the rest.
 type searchConfig struct {
 	strategy Strategy
 	params   core.Params
@@ -159,24 +159,13 @@ func WithStrategy(s Strategy) SearchOption {
 	return func(c *searchConfig) { c.strategy = s }
 }
 
-// WithTopK limits each query's answer; <= 0 returns all qualified persons.
-// A WBF search with k > 0 and no MinScore asks its stations first only for
-// persons below a bound the cluster learns from earlier searches, and runs
-// one tail round over the rest only when that prefix cannot fill every
-// query's k at the top score. Its answer equals the uncapped answer's first
-// k either way (docs/OPERATIONS.md, "Capped searches").
-func WithTopK(k int) SearchOption {
-	return func(c *searchConfig) { c.topK = k }
-}
-
-// WithMinScore drops WBF and naive results scoring below the threshold
-// (0 keeps everything). See Options.MinScore for the semantics.
-func WithMinScore(s float64) SearchOption {
-	return func(c *searchConfig) { c.minScore = s }
-}
-
 // WithVerify enables (or disables) the verification phase on WBF searches
-// for this call. See Options.Verify for the semantics.
+// for this call (default off): the center fetches the ranked candidates'
+// local patterns from the stations, materializes their globals and keeps
+// only exact Eq. 2 matches. It trades a second, candidate-sized round trip
+// (still far below the naive shipment) for eliminating residual false
+// positives — the "aggregation and verification" step of the paper's
+// Section I.
 func WithVerify(v bool) SearchOption {
 	return func(c *searchConfig) { c.verify = v }
 }
@@ -200,7 +189,6 @@ func (c *Cluster) searchDefaults() searchConfig {
 		params:   c.opts.Params,
 		topK:     c.opts.TopK,
 		minScore: c.opts.MinScore,
-		verify:   c.opts.Verify,
 	}
 }
 
@@ -244,9 +232,10 @@ type CostReport struct {
 	StationsFailed int
 	// ReportsReceived counts candidate tuples received by the center.
 	ReportsReceived int
-	// TailRounds is 1 when a capped WBF search (WithTopK, no MinScore) had to
-	// re-send its frame over persons at or above its prefix bound because
-	// the prefix could not fill every query's top-k at the top score, else 0.
+	// TailRounds is 1 when a capped WBF search (Options.TopK, no MinScore)
+	// had to re-send its frame over persons at or above its prefix bound
+	// because the prefix could not fill every query's top-k at the top
+	// score, else 0.
 	TailRounds int
 	// StationsPruned counts member stations the summary-routing step
 	// excluded from this search's query fan-out: their cached summaries
@@ -299,16 +288,19 @@ func (o *Outcome) Persons(q core.QueryID) []core.PersonID {
 }
 
 // Search runs one batch of queries and returns ranked results plus cost
-// accounting. The variadic options override the cluster's defaults for this
-// call only (strategy, top-K, verification, score threshold, routing);
-// with no options it runs a WBF search under the cluster Options.
+// accounting. The variadic options choose this call's strategy (default
+// StrategyWBF), verification (default off) and routing (default
+// RoutingSummary); top-K, score threshold and filter parameters come from
+// the cluster Options.
 //
 // Search honors ctx: cancellation or timeout abandons the in-flight fan-out
 // round and returns an error wrapping both ErrCancelled and ctx.Err(),
 // leaving the links usable for subsequent searches. Any number of Search
-// calls may run concurrently over one cluster, and concurrent mutations are
-// safe: the search pins the membership epoch current at its start and every
-// fan-out round covers exactly that station set.
+// calls may run concurrently over one cluster — each link serializes
+// outgoing frames and routes replies back to the owning search by wire
+// request ID — and concurrent mutations are safe: the search pins the
+// membership epoch current at its start and every fan-out round covers
+// exactly that station set.
 func (c *Cluster) Search(ctx context.Context, queries []core.Query, opts ...SearchOption) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -17,7 +17,8 @@
 // coordinator is laid out as cluster.go (the type and its construction),
 // membership.go (lifecycle, mutation, the one join path), stats.go,
 // search.go, wbf.go (the DI-matching pipeline), route.go (the one pruning
-// pass) and baselines.go (BF, naive).
+// pass), baselines.go (BF, naive), place.go (replicated placement and its
+// heal) and stream.go (the streaming ingest pipeline in front of Place).
 package cluster
 
 import (

@@ -144,36 +144,42 @@ func (l *teeLink) Close() error {
 
 // TestStationRepliesMatchFreshStation: a station reusing its round scratch
 // answers byte for byte as a station decoding every round on fresh buffers,
-// over concurrent capped and uncapped searches of one to four queries — so
-// frames of every size reuse one scratch — interleaved with ingests and
-// evicts of the residents they walk. Every frame the
-// coordinator sends goes to both, in one order, so their stores stay equal.
+// over concurrent searches of one to four queries — so frames of every size
+// reuse one scratch — interleaved with ingests and evicts of the residents
+// they walk. The searches go at random to a capped cluster (top-5: full,
+// prefix and tail rounds) or an uncapped one over the same data, and every
+// mutation to both. Every frame a coordinator sends goes to both a station
+// and its fresh twin, in one order, so their stores stay equal.
 func TestStationRepliesMatchFreshStation(t *testing.T) {
 	const persons = 1200
 	city, data := scratchCity(t, persons, 8)
-	var members []Member
 	var tees []*teeLink
-	for id, locals := range data {
-		center, end := transport.Pipe(nil, nil)
-		refCenter, refEnd := transport.Pipe(nil, nil)
-		st, err := NewStation(id, locals, end, nil)
+	build := func(opts Options) *Cluster {
+		var members []Member
+		for id, locals := range data {
+			center, end := transport.Pipe(nil, nil)
+			refCenter, refEnd := transport.Pipe(nil, nil)
+			st, err := NewStation(id, locals, end, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewStation(id, locals, refEnd, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() { _ = st.Serve() }()
+			go serveFresh(ref, refEnd)
+			tee := &teeLink{Link: center, ref: refCenter}
+			tees = append(tees, tee)
+			members = append(members, Member{ID: id, Link: tee})
+		}
+		c, err := New(opts, city.Length(), members...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewStation(id, locals, refEnd, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = st.Serve() }()
-		go serveFresh(ref, refEnd)
-		tee := &teeLink{Link: center, ref: refCenter}
-		tees = append(tees, tee)
-		members = append(members, Member{ID: id, Link: tee})
+		return c
 	}
-	c, err := New(Options{TopK: 5}, city.Length(), members...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clusters := []*Cluster{build(Options{TopK: 5}), build(Options{})}
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -185,11 +191,7 @@ func TestStationRepliesMatchFreshStation(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 12; i++ {
 				queries := cityQueries(city, rng, 1+rng.Intn(4), persons)
-				var opts []SearchOption
-				if rng.Intn(2) == 0 {
-					opts = append(opts, WithTopK(0))
-				}
-				if _, err := c.Search(ctx, queries, opts...); err != nil {
+				if _, err := clusters[rng.Intn(2)].Search(ctx, queries); err != nil {
 					errs <- err
 					return
 				}
@@ -209,18 +211,22 @@ func TestStationRepliesMatchFreshStation(t *testing.T) {
 			id := ids[rng.Intn(len(ids))]
 			p := core.PersonID(rng.Intn(persons))
 			if i%3 == 2 {
-				if err := c.Evict(ctx, id, []core.PersonID{p, p + 1}); err != nil {
-					errs <- err
-					return
+				for _, c := range clusters {
+					if err := c.Evict(ctx, id, []core.PersonID{p, p + 1}); err != nil {
+						errs <- err
+						return
+					}
 				}
 				continue
 			}
 			// The person takes over another person's locals here: a pattern
 			// the queries can match.
 			locals := city.QueryLocalsOf(cdr.PersonID(rng.Intn(persons)))
-			if err := c.Ingest(ctx, id, map[core.PersonID]pattern.Pattern{p: locals[0]}); err != nil {
-				errs <- err
-				return
+			for _, c := range clusters {
+				if err := c.Ingest(ctx, id, map[core.PersonID]pattern.Pattern{p: locals[0]}); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}
 	}()
@@ -229,8 +235,10 @@ func TestStationRepliesMatchFreshStation(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if err := c.Shutdown(); err != nil {
-		t.Fatal(err)
+	for _, c := range clusters {
+		if err := c.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	batches := 0
 	for _, tee := range tees {

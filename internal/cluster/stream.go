@@ -1,22 +1,4 @@
-// Package stream is a streaming ingest pipeline in front of the cluster's
-// Place.
-//
-// Submit admits a pattern into one bounded intake queue. One flusher
-// goroutine drains the queue into a latest-wins batch of at most flushBatch
-// persons and hands the batch to Cluster.Place, which picks every person's
-// replica group, records the placement intent and pushes one grouped,
-// acknowledged ingest exchange per station. Streamed persons are therefore
-// placed exactly like Place'd ones. Place holds the cluster's heal lock, so
-// a membership change's heal always runs after any flush already in flight
-// and re-replicates whatever that flush stranded on a departed station; the
-// persons a flush landed nowhere are retried, in order, before the next
-// batch.
-//
-// Backpressure is the bounded intake: while a flush is out the queue fills
-// and Submit waits for space, bounded by its ctx — a producer that must not
-// wait passes a ctx with a deadline. Expiring a streamed person is the
-// caller's Cluster.Unplace.
-package stream
+package cluster
 
 import (
 	"context"
@@ -26,13 +8,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dimatch/internal/cluster"
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 )
 
-// ErrClosed reports a Submit or Flush after Close.
-var ErrClosed = errors.New("stream: ingestor closed")
+// ErrStreamClosed reports a Submit or Flush after Close.
+var ErrStreamClosed = errors.New("stream: ingestor closed")
 
 const (
 	// queueCap bounds the intake queue, in patterns.
@@ -58,18 +39,18 @@ const (
 	closeDrainTimeout = 30 * time.Second
 )
 
-// Options configures one streaming pipeline.
-type Options struct {
+// StreamOptions configures one streaming pipeline.
+type StreamOptions struct {
 	// Replication is the number of stations each pattern is copied to
-	// (Place's WithReplication, default cluster.DefaultReplication).
+	// (Place's WithReplication, default DefaultReplication).
 	// Clamped to the alive membership.
 	Replication int
 }
 
-// Stats is a point-in-time snapshot of a pipeline's admission and flush
+// StreamStats is a point-in-time snapshot of a pipeline's admission and flush
 // totals, as Ingestor.Report returns it. Each counter is exact on its own;
 // Accepted + Rejected == Submitted holds once no Submit is in flight.
-type Stats struct {
+type StreamStats struct {
 	// Submitted counts every Submit call, whatever its outcome.
 	Submitted uint64 `json:"submitted"`
 	// Accepted counts submissions admitted into the pipeline.
@@ -90,15 +71,15 @@ type Stats struct {
 	FlushFailures uint64 `json:"flush_failures"`
 }
 
-// counters is the live, lock-free form of Stats: Submit callers and the
-// flusher update it concurrently.
-type counters struct {
+// streamCounters is the live, lock-free form of StreamStats: Submit callers
+// and the flusher update it concurrently.
+type streamCounters struct {
 	submitted, accepted, rejected, blocked  atomic.Uint64
 	flushes, flushedPatterns, flushFailures atomic.Uint64
 }
 
-func (c *counters) snapshot() Stats {
-	return Stats{
+func (c *streamCounters) snapshot() StreamStats {
+	return StreamStats{
 		Submitted:       c.submitted.Load(),
 		Accepted:        c.accepted.Load(),
 		Rejected:        c.rejected.Load(),
@@ -109,15 +90,15 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-// item is one admitted submission. The pattern is cloned at Submit.
-type item struct {
+// streamItem is one admitted submission. The pattern is cloned at Submit.
+type streamItem struct {
 	person core.PersonID
 	pat    pattern.Pattern
 }
 
-// entry is one person's slot in a batch: the latest submitted pattern, and
-// how many accepted submissions placing it settles.
-type entry struct {
+// streamEntry is one person's slot in a batch: the latest submitted
+// pattern, and how many accepted submissions placing it settles.
+type streamEntry struct {
 	pat  pattern.Pattern
 	subs int64
 }
@@ -125,7 +106,7 @@ type entry struct {
 // Ingestor is a running streaming pipeline over one cluster. All methods
 // are safe for concurrent use; any number of goroutines may Submit.
 type Ingestor struct {
-	c           *cluster.Cluster
+	c           *Cluster
 	replication int
 
 	// ctx is the pipeline's lifetime: the flusher runs until Close cancels
@@ -133,30 +114,49 @@ type Ingestor struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	intake chan item
+	intake chan streamItem
 	kick   chan struct{} // capacity 1: "flush what you hold now"
 	done   chan struct{} // closed when the flusher exits
 
 	// closeMu makes a Submit's closed check and its enqueue one step with
 	// respect to Close: Submit holds it for reading, Close takes it for
 	// writing to set closed, so every submission Close's drain can miss
-	// was refused with ErrClosed.
+	// was refused with ErrStreamClosed.
 	closeMu sync.RWMutex
 	closed  atomic.Bool
 
-	counters counters
+	counters streamCounters
 	// pending counts accepted submissions not yet in a terminal state
 	// (placed or abandoned); Flush waits for it to reach zero.
 	pending atomic.Int64
 }
 
-// New starts a streaming pipeline over the cluster.
-func New(c *cluster.Cluster, opts Options) (*Ingestor, error) {
+// Stream starts a streaming ingest pipeline over the cluster and returns
+// its Ingestor, or ErrNoAliveStations when no member is alive.
+//
+// Submit admits a pattern into one bounded intake queue. One flusher
+// goroutine drains the queue into a latest-wins batch of at most flushBatch
+// persons and hands the batch to Place, which picks every person's replica
+// group, records the placement intent and pushes one grouped, acknowledged
+// ingest exchange per station. Streamed patterns are therefore placed
+// exactly like Place'd ones: searches dedupe their replica reports,
+// membership changes re-replicate them and Unplace expires them. Place
+// holds the heal lock, so a membership change's heal always runs after any
+// flush already in flight and re-replicates whatever that flush stranded on
+// a departed station; the persons a flush landed nowhere are retried, in
+// order, before the next batch.
+//
+// Backpressure is the bounded intake: while a flush is out the queue fills
+// and Submit waits for space, bounded by its ctx — a producer that must not
+// wait passes a ctx with a deadline. Any number of pipelines may run over
+// one cluster; each reads its own totals through Ingestor.Report. The
+// caller owns Close, which drains accepted patterns before stopping.
+func (c *Cluster) Stream(opts StreamOptions) (*Ingestor, error) {
 	if opts.Replication <= 0 {
-		opts.Replication = cluster.DefaultReplication
+		opts.Replication = DefaultReplication
 	}
-	if len(c.AliveStationIDs()) == 0 {
-		return nil, cluster.ErrNoAliveStations
+	if alive, _ := c.aliveMembers(); len(alive) == 0 {
+		return nil, ErrNoAliveStations
 	}
 	//dimatch:allow ctxflow — the pipeline outlives any one caller's context; Close cancels it after the final drain
 	ctx, cancel := context.WithCancel(context.Background())
@@ -165,7 +165,7 @@ func New(c *cluster.Cluster, opts Options) (*Ingestor, error) {
 		replication: opts.Replication,
 		ctx:         ctx,
 		cancel:      cancel,
-		intake:      make(chan item, queueCap),
+		intake:      make(chan streamItem, queueCap),
 		kick:        make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
@@ -175,12 +175,12 @@ func New(c *cluster.Cluster, opts Options) (*Ingestor, error) {
 
 // Submit admits one (person, pattern) into the pipeline. The pattern is
 // cloned, so the caller may reuse its slice. Length mismatches return an
-// error wrapping cluster.ErrLengthMismatch, a value an int32 cannot hold
-// one wrapping cluster.ErrValueRange; all-zero patterns are skipped
+// error wrapping ErrLengthMismatch, a value an int32 cannot hold
+// one wrapping ErrValueRange; all-zero patterns are skipped
 // silently (no measurable activity means no pattern — the stations' own
 // ingest rule). When the intake queue is full Submit waits for space,
 // bounded by ctx, and a ctx that ends first returns an error wrapping
-// cluster.ErrCancelled. Admission is not application: an accepted pattern
+// ErrCancelled. Admission is not application: an accepted pattern
 // reaches its stations on the next flush; call Flush for a barrier.
 func (in *Ingestor) Submit(ctx context.Context, person core.PersonID, pat pattern.Pattern) error {
 	if ctx == nil {
@@ -191,26 +191,26 @@ func (in *Ingestor) Submit(ctx context.Context, person core.PersonID, pat patter
 	defer in.closeMu.RUnlock()
 	if in.closed.Load() {
 		in.counters.rejected.Add(1)
-		return ErrClosed
+		return ErrStreamClosed
 	}
 	if err := ctx.Err(); err != nil {
 		in.counters.rejected.Add(1)
-		return fmt.Errorf("%w: %w", cluster.ErrCancelled, err)
+		return fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
 	if len(pat) != in.c.PatternLength() {
 		in.counters.rejected.Add(1)
 		return fmt.Errorf("%w: stream person %d pattern length %d, cluster is %d",
-			cluster.ErrLengthMismatch, person, len(pat), in.c.PatternLength())
+			ErrLengthMismatch, person, len(pat), in.c.PatternLength())
 	}
 	if !pat.InRange() {
 		in.counters.rejected.Add(1)
-		return fmt.Errorf("%w: stream person %d", cluster.ErrValueRange, person)
+		return fmt.Errorf("%w: stream person %d", ErrValueRange, person)
 	}
 	if pat.Sum() == 0 {
 		in.counters.rejected.Add(1)
 		return nil
 	}
-	it := item{person: person, pat: pat.Clone()}
+	it := streamItem{person: person, pat: pat.Clone()}
 
 	// The pending count rises before the submission can possibly reach a
 	// terminal state, so Flush never observes a spurious zero.
@@ -227,7 +227,7 @@ func (in *Ingestor) Submit(ctx context.Context, person core.PersonID, pat patter
 		case <-ctx.Done():
 			in.pending.Add(-1)
 			in.counters.rejected.Add(1)
-			return fmt.Errorf("%w: %w", cluster.ErrCancelled, ctx.Err())
+			return fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
 		}
 	}
 	in.counters.accepted.Add(1)
@@ -241,7 +241,7 @@ func (in *Ingestor) Submit(ctx context.Context, person core.PersonID, pat patter
 // the wait; quiesce producers first for a strict barrier.
 func (in *Ingestor) Flush(ctx context.Context) error {
 	if in.closed.Load() {
-		return ErrClosed
+		return ErrStreamClosed
 	}
 	return in.drain(ctx)
 }
@@ -260,16 +260,16 @@ func (in *Ingestor) drain(ctx context.Context) error {
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("%w: %w", cluster.ErrCancelled, ctx.Err())
+			return fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
 		case <-in.ctx.Done():
-			return ErrClosed
+			return ErrStreamClosed
 		case <-ticker.C:
 		}
 	}
 	return nil
 }
 
-// Close drains the pipeline and stops it: new Submits fail with ErrClosed,
+// Close drains the pipeline and stops it: new Submits fail with ErrStreamClosed,
 // a Submit already past its closed check finishes its enqueue first,
 // everything accepted is flushed (bounded by closeDrainTimeout) and the
 // flusher exits. Close is idempotent; the first call's drain error (if any)
@@ -292,7 +292,7 @@ func (in *Ingestor) Close() error {
 
 // Report snapshots the pipeline's admission and flush totals. It is the one
 // read of the counters.
-func (in *Ingestor) Report() *Stats {
+func (in *Ingestor) Report() *StreamStats {
 	s := in.counters.snapshot()
 	return &s
 }
@@ -328,12 +328,12 @@ func (in *Ingestor) flusher() {
 // collect blocks for the next batch, latest submission per person wins. It
 // returns once flushBatch persons are held, flushInterval has passed since
 // the first arrived or a Flush kicked, and nil once the pipeline stops.
-func (in *Ingestor) collect() map[core.PersonID]*entry {
-	batch := make(map[core.PersonID]*entry)
-	add := func(it item) {
+func (in *Ingestor) collect() map[core.PersonID]*streamEntry {
+	batch := make(map[core.PersonID]*streamEntry)
+	add := func(it streamItem) {
 		e := batch[it.person]
 		if e == nil {
-			e = &entry{}
+			e = &streamEntry{}
 			batch[it.person] = e
 		}
 		e.pat = it.pat
@@ -371,7 +371,7 @@ func (in *Ingestor) collect() map[core.PersonID]*entry {
 // flush places one batch. The persons a Place call landed nowhere are
 // retried at once — before any later batch, so a person's earlier pattern
 // can never overwrite a later one — until maxFlushAttempts calls are spent.
-func (in *Ingestor) flush(batch map[core.PersonID]*entry) {
+func (in *Ingestor) flush(batch map[core.PersonID]*streamEntry) {
 	patterns := make(map[core.PersonID]pattern.Pattern, len(batch))
 	for p, e := range batch {
 		patterns[p] = e.pat
@@ -382,7 +382,7 @@ func (in *Ingestor) flush(batch map[core.PersonID]*entry) {
 		// stations is Place's partial success, topped up by the next
 		// reconciliation pass (every membership change runs one).
 		ctx, cancel := context.WithTimeout(in.ctx, flushTimeout)
-		unplaced, _ := in.c.Place(ctx, patterns, cluster.WithReplication(in.replication))
+		unplaced, _ := in.c.place(ctx, patterns, WithReplication(in.replication))
 		cancel()
 		in.counters.flushes.Add(1)
 		retry := make(map[core.PersonID]pattern.Pattern, len(unplaced))

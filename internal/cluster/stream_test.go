@@ -1,4 +1,4 @@
-package stream
+package cluster
 
 import (
 	"context"
@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"dimatch/internal/cluster"
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 	"dimatch/internal/store"
@@ -19,18 +18,18 @@ import (
 
 // streamOptions sizes the filter explicitly so the small populations of
 // these tests cannot hit Bloom false positives.
-func streamOptions() cluster.Options {
-	return cluster.Options{Params: core.Params{Bits: 1 << 16, Hashes: 4, Samples: 4, Epsilon: 0, Seed: 1}}
+func streamOptions() Options {
+	return Options{Params: core.Params{Bits: 1 << 16, Hashes: 4, Samples: 4, Epsilon: 0, Seed: 1}}
 }
 
 // newStreamCluster stands up an empty in-process cluster.
-func newStreamCluster(t *testing.T, stations []uint32, length int) *cluster.Cluster {
+func newStreamCluster(t *testing.T, stations []uint32, length int) *Cluster {
 	t.Helper()
-	members := make([]cluster.Member, len(stations))
+	members := make([]Member, len(stations))
 	for i, id := range stations {
-		members[i] = cluster.Member{ID: id}
+		members[i] = Member{ID: id}
 	}
-	c, err := cluster.New(streamOptions(), length, members...)
+	c, err := New(streamOptions(), length, members...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +38,7 @@ func newStreamCluster(t *testing.T, stations []uint32, length int) *cluster.Clus
 }
 
 // searchPersons runs one single-local query and returns the retrieved set.
-func searchPersons(t *testing.T, c *cluster.Cluster, local pattern.Pattern) map[core.PersonID]core.Result {
+func searchPersons(t *testing.T, c *Cluster, local pattern.Pattern) map[core.PersonID]core.Result {
 	t.Helper()
 	out, err := c.Search(context.Background(), []core.Query{
 		{ID: 1, Locals: []pattern.Pattern{local}},
@@ -56,7 +55,7 @@ func searchPersons(t *testing.T, c *cluster.Cluster, local pattern.Pattern) map[
 
 func TestStreamSubmitFlushSearch(t *testing.T) {
 	c := newStreamCluster(t, []uint32{1, 2, 3, 4}, 4)
-	in, err := New(c, Options{})
+	in, err := c.Stream(StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +89,8 @@ func TestStreamSubmitFlushSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := n * cluster.DefaultReplication; st.TotalResidents() != want {
-		t.Fatalf("stations hold %d residents, want %d persons × %d replicas", st.TotalResidents(), n, cluster.DefaultReplication)
+	if want := n * DefaultReplication; st.TotalResidents() != want {
+		t.Fatalf("stations hold %d residents, want %d persons × %d replicas", st.TotalResidents(), n, DefaultReplication)
 	}
 	if got := c.Placed(); got != n {
 		t.Fatalf("Placed() = %d, want %d (streamed persons are placement-managed)", got, n)
@@ -116,9 +115,10 @@ func TestStreamSubmitFlushSearch(t *testing.T) {
 // min(R, alive) copies of want on the alive stations, and nothing else is
 // resident: the state a membership change's heal owes every acked person
 // once the change and a Flush have returned.
-func assertExactReplicas(t *testing.T, c *cluster.Cluster, n int, want pattern.Pattern) {
+func assertExactReplicas(t *testing.T, c *Cluster, n int, want pattern.Pattern) {
 	t.Helper()
-	r := min(cluster.DefaultReplication, len(c.AliveStationIDs()))
+	alive, _ := c.aliveMembers()
+	r := min(DefaultReplication, len(alive))
 	st, err := c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -139,13 +139,13 @@ func assertExactReplicas(t *testing.T, c *cluster.Cluster, n int, want pattern.P
 
 func TestStreamValidationAndClose(t *testing.T) {
 	c := newStreamCluster(t, []uint32{1, 2}, 4)
-	in, err := New(c, Options{})
+	in, err := c.Stream(StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 
-	if err := in.Submit(ctx, 1, pattern.Pattern{1, 2}); !errors.Is(err, cluster.ErrLengthMismatch) {
+	if err := in.Submit(ctx, 1, pattern.Pattern{1, 2}); !errors.Is(err, ErrLengthMismatch) {
 		t.Fatalf("short pattern error = %v, want ErrLengthMismatch", err)
 	}
 	// All-zero patterns are skipped silently (stations drop them anyway).
@@ -163,27 +163,27 @@ func TestStreamValidationAndClose(t *testing.T) {
 	if err := in.Close(); err != nil {
 		t.Fatalf("second Close = %v, want nil (idempotent)", err)
 	}
-	if err := in.Submit(ctx, 3, pattern.Pattern{1, 2, 3, 4}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	if err := in.Submit(ctx, 3, pattern.Pattern{1, 2, 3, 4}); !errors.Is(err, ErrStreamClosed) {
+		t.Fatalf("Submit after Close = %v, want ErrStreamClosed", err)
 	}
-	if err := in.Flush(ctx); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Flush after Close = %v, want ErrClosed", err)
+	if err := in.Flush(ctx); !errors.Is(err, ErrStreamClosed) {
+		t.Fatalf("Flush after Close = %v, want ErrStreamClosed", err)
 	}
 }
 
 // TestStreamRejectsValueOutOfRange: a pattern holding 2³¹ or −2³¹−1 is
-// refused at Submit with cluster.ErrValueRange and accounted rejected, and
+// refused at Submit with ErrValueRange and accounted rejected, and
 // nothing of it reaches a station; the int32 edges are accepted and applied.
 func TestStreamRejectsValueOutOfRange(t *testing.T) {
 	c := newStreamCluster(t, []uint32{1, 2}, 4)
-	in, err := New(c, Options{})
+	in, err := c.Stream(StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer in.Close()
 	ctx := context.Background()
 	for i, bad := range []pattern.Pattern{{1, 1 << 31, 1, 1}, {-(1 << 31) - 1, 1, 1, 1}} {
-		if err := in.Submit(ctx, core.PersonID(i+1), bad); !errors.Is(err, cluster.ErrValueRange) {
+		if err := in.Submit(ctx, core.PersonID(i+1), bad); !errors.Is(err, ErrValueRange) {
 			t.Fatalf("Submit of %v = %v, want ErrValueRange", bad, err)
 		}
 	}
@@ -200,7 +200,7 @@ func TestStreamRejectsValueOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Placed() != 1 || st.TotalResidents() != min(2, cluster.DefaultReplication) {
+	if c.Placed() != 1 || st.TotalResidents() != min(2, DefaultReplication) {
 		t.Fatalf("%d placed, %d residents; want the one accepted person and its copies", c.Placed(), st.TotalResidents())
 	}
 }
@@ -225,16 +225,16 @@ func (s *gatedStore) AppendCells(b store.CellBatch) error {
 // lands, and Accepted + Rejected == Submitted exactly.
 func TestStreamBlockAccounting(t *testing.T) {
 	gate := make(chan struct{})
-	members := make([]cluster.Member, 2)
+	members := make([]Member, 2)
 	for i := range members {
-		members[i] = cluster.Member{ID: uint32(i + 1), Store: &gatedStore{Store: store.NewMemory(), gate: gate}}
+		members[i] = Member{ID: uint32(i + 1), Store: &gatedStore{Store: store.NewMemory(), gate: gate}}
 	}
-	c, err := cluster.New(streamOptions(), 4, members...)
+	c, err := New(streamOptions(), 4, members...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Shutdown() })
-	in, err := New(c, Options{Replication: 1})
+	in, err := c.Stream(StreamOptions{Replication: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestStreamBlockAccounting(t *testing.T) {
 // Place calls run around the removal.
 func TestStreamRemoveStationMidStream(t *testing.T) {
 	c := newStreamCluster(t, []uint32{1, 2, 3, 4}, 4)
-	in, err := New(c, Options{})
+	in, err := c.Stream(StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestStreamRemoveStationMidStream(t *testing.T) {
 // streamed across it a single acked copy.
 func TestStreamSearchInterleaving(t *testing.T) {
 	c := newStreamCluster(t, []uint32{1, 2, 3, 4, 5}, 4)
-	in, err := New(c, Options{})
+	in, err := c.Stream(StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +483,7 @@ func TestStreamSearchInterleaving(t *testing.T) {
 // the second was placed over the survivors only or healed with the first.
 func TestStreamRerouteOnKill(t *testing.T) {
 	c := newStreamCluster(t, []uint32{1, 2, 3, 4}, 3)
-	in, err := New(c, Options{})
+	in, err := c.Stream(StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +522,7 @@ func TestStreamRerouteOnKill(t *testing.T) {
 // Flush after every Submit gives each submission its own Place call.
 func TestStreamLaterSubmissionWins(t *testing.T) {
 	c := newStreamCluster(t, []uint32{1, 2, 3, 4}, 3)
-	in, err := New(c, Options{})
+	in, err := c.Stream(StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +556,7 @@ func TestStreamLaterSubmissionWins(t *testing.T) {
 func TestStreamAbandonsAfterRetryBudget(t *testing.T) {
 	ids := []uint32{1, 2, 3}
 	c := newStreamCluster(t, ids, 3)
-	in, err := New(c, Options{})
+	in, err := c.Stream(StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,17 +598,17 @@ func TestStreamFlushDurable(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	ids := []uint32{1, 2, 3}
-	members := make([]cluster.Member, len(ids))
+	members := make([]Member, len(ids))
 	for i, id := range ids {
-		members[i] = cluster.Member{ID: id, Store: openWAL(t, dir, id)}
+		members[i] = Member{ID: id, Store: openStreamWAL(t, dir, id)}
 	}
-	c, err := cluster.New(streamOptions(), 3, members...)
+	c, err := New(streamOptions(), 3, members...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Shutdown() })
 
-	in, err := New(c, Options{})
+	in, err := c.Stream(StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +633,7 @@ func TestStreamFlushDurable(t *testing.T) {
 		if err := c.RemoveStation(ctx, id); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.AddStation(ctx, cluster.Member{ID: id, Store: openWAL(t, dir, id)}); err != nil {
+		if err := c.AddStation(ctx, Member{ID: id, Store: openStreamWAL(t, dir, id)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -657,7 +657,7 @@ func TestStreamSubmitRacingClose(t *testing.T) {
 	c := newStreamCluster(t, []uint32{1, 2, 3}, 4)
 	ctx := context.Background()
 	for round := 0; round < 10; round++ {
-		in, err := New(c, Options{})
+		in, err := c.Stream(StreamOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -673,7 +673,7 @@ func TestStreamSubmitRacingClose(t *testing.T) {
 				defer wg.Done()
 				for p := first; ; p += submitters {
 					err := in.Submit(ctx, p, pattern.Pattern{3, 1, 4, 1})
-					if errors.Is(err, ErrClosed) {
+					if errors.Is(err, ErrStreamClosed) {
 						return
 					}
 					if err != nil {
@@ -707,7 +707,7 @@ func TestStreamSubmitRacingClose(t *testing.T) {
 // TestStreamCountersSnapshot: Report copies the live counters, field by
 // field, and the copy does not move with them.
 func TestStreamCountersSnapshot(t *testing.T) {
-	var c counters
+	var c streamCounters
 	c.submitted.Store(10)
 	c.accepted.Store(7)
 	c.rejected.Store(3)
@@ -716,7 +716,7 @@ func TestStreamCountersSnapshot(t *testing.T) {
 	c.flushedPatterns.Store(6)
 	c.flushFailures.Store(1)
 	got := c.snapshot()
-	want := Stats{
+	want := StreamStats{
 		Submitted: 10, Accepted: 7, Rejected: 3, Blocked: 2,
 		Flushes: 5, FlushedPatterns: 6, FlushFailures: 1,
 	}
@@ -729,8 +729,8 @@ func TestStreamCountersSnapshot(t *testing.T) {
 	}
 }
 
-// openWAL opens one station's WAL store under dir.
-func openWAL(t *testing.T, dir string, id uint32) *wal.Store {
+// openStreamWAL opens one station's WAL store under dir.
+func openStreamWAL(t *testing.T, dir string, id uint32) *wal.Store {
 	t.Helper()
 	s, err := wal.Open(filepath.Join(dir, fmt.Sprintf("station-%d", id)), wal.Options{})
 	if err != nil {

@@ -61,9 +61,8 @@ func TestVerifyRemovesFalsePositives(t *testing.T) {
 	}
 
 	// With verification it is gone and the true matches survive.
-	opts.Verify = true
 	cv := startCluster(t, opts, data)
-	out, err = cv.Search(context.Background(), []core.Query{query}, WithStrategy(StrategyWBF))
+	out, err = cv.Search(context.Background(), []core.Query{query}, WithStrategy(StrategyWBF), WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +79,13 @@ func TestVerifyRemovesFalsePositives(t *testing.T) {
 }
 
 func TestVerifyAccountsCostsAndKeepsExactMatches(t *testing.T) {
-	base := testOptions()
-	verified := base
-	verified.Verify = true
-
-	c1 := startCluster(t, base, paperScenario())
+	c1 := startCluster(t, testOptions(), paperScenario())
 	plain, err := c1.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(StrategyWBF))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := startCluster(t, verified, paperScenario())
-	ver, err := c2.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(StrategyWBF))
+	c2 := startCluster(t, testOptions(), paperScenario())
+	ver, err := c2.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(StrategyWBF), WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +107,10 @@ func TestVerifyAccountsCostsAndKeepsExactMatches(t *testing.T) {
 }
 
 func TestVerifyNoCandidatesIsNoop(t *testing.T) {
-	opts := testOptions()
-	opts.Verify = true
-	c := startCluster(t, opts, paperScenario())
+	c := startCluster(t, testOptions(), paperScenario())
 	// A query matching nobody.
 	q := core.Query{ID: 5, Locals: []pattern.Pattern{{90, 90, 90}}}
-	out, err := c.Search(context.Background(), []core.Query{q}, WithStrategy(StrategyWBF))
+	out, err := c.Search(context.Background(), []core.Query{q}, WithStrategy(StrategyWBF), WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +125,12 @@ func TestVerifyPartialMatchSurvives(t *testing.T) {
 	// NOT match the query global {3,4,5}: strict verification removes
 	// partial matches. This is the documented semantics: Verify answers the
 	// exact IPM question.
-	opts := testOptions()
-	opts.Verify = true
-	c := startCluster(t, opts, map[uint32]map[core.PersonID]pattern.Pattern{
+	c := startCluster(t, testOptions(), map[uint32]map[core.PersonID]pattern.Pattern{
 		0: {14: {1, 2, 3}},
 		1: {10: {1, 2, 3}},
 		2: {10: {2, 2, 2}},
 	})
-	out, err := c.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(StrategyWBF))
+	out, err := c.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(StrategyWBF), WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +259,11 @@ func TestPulledReplicaIsTheCurrentCopy(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = c.Shutdown() })
 
-	if _, err := c.Place(ctx, map[core.PersonID]pattern.Pattern{5: {10, 20, 30}}, WithReplication(2)); err != nil {
+	if err := c.Place(ctx, map[core.PersonID]pattern.Pattern{5: {10, 20, 30}}, WithReplication(2)); err != nil {
 		t.Fatal(err)
 	}
 	stale.fail.Store(true)
-	unplaced, err := c.Place(ctx, map[core.PersonID]pattern.Pattern{5: {70, 80, 90}}, WithReplication(2))
+	unplaced, err := c.place(ctx, map[core.PersonID]pattern.Pattern{5: {70, 80, 90}}, WithReplication(2))
 	if err == nil || len(unplaced) != 0 {
 		t.Fatalf("second Place: unplaced %v, err %v; want station 1's ingest to fail and person 5 placed", unplaced, err)
 	}

@@ -1,4 +1,4 @@
-package stream
+package cluster
 
 import (
 	"context"
@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"dimatch/internal/cluster"
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 )
@@ -50,7 +49,7 @@ func TestWritePathAllocationPerUpsert(t *testing.T) {
 	for p := core.PersonID(1); p <= initial; p++ {
 		seed[p] = draw()
 	}
-	if unplaced, err := c.Place(ctx, seed, cluster.WithReplication(2)); err != nil || len(unplaced) > 0 {
+	if unplaced, err := c.place(ctx, seed, WithReplication(2)); err != nil || len(unplaced) > 0 {
 		t.Fatalf("Place: %v unplaced, %v", unplaced, err)
 	}
 	warm, err := c.Search(ctx, []core.Query{{ID: 1, Locals: []pattern.Pattern{seed[1]}}})
@@ -60,7 +59,7 @@ func TestWritePathAllocationPerUpsert(t *testing.T) {
 	if got := c.RoutingState().Entries; got != len(stations) || warm.Cost.SummaryRefreshes != len(stations) {
 		t.Fatalf("%d digests cached after %d refreshes, want %d", got, warm.Cost.SummaryRefreshes, len(stations))
 	}
-	in, err := New(c, Options{Replication: 2})
+	in, err := c.Stream(StreamOptions{Replication: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

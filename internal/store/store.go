@@ -8,11 +8,11 @@
 // in-memory backend, fsynced before the ack for the snapshot+WAL backend in
 // the wal subpackage.
 //
-// The contract is deliberately small. RecoverCells replays the durable state
-// into a full station image; AppendCells records one applied batch;
-// SnapshotCells replaces the durable state wholesale; Compact lets the
-// backend fold its log into a fresh snapshot when its own thresholds say the
-// log has grown past its keep. Every method speaks the station's int32
+// The contract is the four calls a station makes. RecoverCells replays the
+// durable state into a full station image; AppendCells records one applied
+// batch; Compact lets the backend fold its log into a fresh snapshot when
+// its own thresholds say the log has grown past its keep; Close releases
+// it. Every method speaks the station's int32
 // cells, so a station never widens its store to talk to its backend. Stores
 // are single-owner: the station serve loop is the only caller after
 // construction, so implementations need no internal locking.
@@ -109,15 +109,10 @@ type Store interface {
 	// exactly as durable as the backend.
 	AppendCells(CellBatch) error
 
-	// SnapshotCells replaces the durable state with the image, folding away
-	// any appended log. The image is the caller's and may change once
-	// SnapshotCells returns; a backend that keeps it copies it.
-	SnapshotCells(CellImage) error
-
 	// Compact snapshots the image when the backend's thresholds say the
-	// appended log has grown past its keep, and reports whether it did. The
-	// image is the caller's current state and, as for SnapshotCells, stays
-	// the caller's.
+	// appended log has grown past its keep, folding that log away, and
+	// reports whether it did. The image is the caller's current state and
+	// may change once Compact returns; a backend that keeps it copies it.
 	Compact(CellImage) (bool, error)
 
 	// Close releases the backend, flushing anything buffered.
@@ -186,7 +181,8 @@ func (m *Memory) RecoverCells() (CellImage, error) { return m.fold.Image(), nil 
 // AppendCells folds the batch in.
 func (m *Memory) AppendCells(b CellBatch) error { return m.fold.Apply(b) }
 
-// SnapshotCells replaces the state with the image.
+// SnapshotCells replaces the state with the image: the reference for the
+// WAL backend's own SnapshotCells in the contract tests.
 func (m *Memory) SnapshotCells(img CellImage) error { return m.fold.Load(img) }
 
 // Compact is a no-op: there is no log to fold.

@@ -10,13 +10,20 @@ import (
 	"dimatch/internal/store/wal"
 )
 
+// snapshotStore is a backend that can also replace its durable state
+// wholesale, as both implementations can.
+type snapshotStore interface {
+	store.Store
+	SnapshotCells(store.CellImage) error
+}
+
 // backends enumerates every store implementation under one contract: the
 // in-memory default is the trivially correct reference, and the WAL backend
 // must recover exactly what it would.
-func backends(t *testing.T) map[string]func(t *testing.T) store.Store {
-	return map[string]func(t *testing.T) store.Store{
-		"memory": func(t *testing.T) store.Store { return store.NewMemory() },
-		"wal": func(t *testing.T) store.Store {
+func backends(t *testing.T) map[string]func(t *testing.T) snapshotStore {
+	return map[string]func(t *testing.T) snapshotStore{
+		"memory": func(t *testing.T) snapshotStore { return store.NewMemory() },
+		"wal": func(t *testing.T) snapshotStore {
 			s, err := wal.Open(t.TempDir(), wal.Options{})
 			if err != nil {
 				t.Fatalf("wal.Open: %v", err)

@@ -120,7 +120,7 @@ func (m *Mux) Roundtrip(ctx context.Context, msg wire.Message) (wire.Message, er
 			sendDone <- err
 			return
 		}
-		//dimatch:allow lockio — sendMu exists precisely to serialize link writes; Send is non-blocking on the pipe transport
+		//dimatch:allow lockio — sendMu serializes link writes, which can block (a TCP Send is a writev); this goroutine sends for Roundtrip, which honours the caller's ctx while a write blocks, and Close releases a stalled write
 		sendDone <- m.link.Send(msg.WithRequest(id))
 	}()
 	select {
@@ -162,7 +162,7 @@ func (m *Mux) forget(id uint32) {
 func (m *Mux) Send(msg wire.Message) error {
 	m.sendMu.Lock()
 	defer m.sendMu.Unlock()
-	//dimatch:allow lockio — sendMu exists precisely to serialize link writes; Send is non-blocking on the pipe transport
+	//dimatch:allow lockio — sendMu serializes link writes, which can block (a TCP Send is a writev); the one caller, stopMux, sends from its own goroutine under a grace timer, and Close releases a stalled write
 	return m.link.Send(msg.WithRequest(0))
 }
 

@@ -33,8 +33,8 @@ func TestConcurrentSearchesPublicAPI(t *testing.T) {
 		name string
 		opts []SearchOption
 	}{
-		{"wbf-top5", []SearchOption{WithStrategy(StrategyWBF), WithTopK(5)}},
-		{"naive-all", []SearchOption{WithStrategy(StrategyNaive), WithMinScore(0)}},
+		{"wbf-verify", []SearchOption{WithStrategy(StrategyWBF), WithVerify(true)}},
+		{"naive-full", []SearchOption{WithStrategy(StrategyNaive), WithRouting(RoutingFull)}},
 	}
 
 	sequential := make([][]PersonID, len(calls))

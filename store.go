@@ -14,9 +14,10 @@ import (
 // fsyncs every batch before the ack and stores nothing but the acked
 // batches.
 type (
-	// Store is the station persistence contract (append / snapshot /
-	// recover / compact / close). Implementations are single-owner: the
-	// station serve loop is the only caller after construction.
+	// Store is the station persistence contract: the four calls a station
+	// makes (recover / append / compact / close). Implementations are
+	// single-owner: the station serve loop is the only caller after
+	// construction.
 	Store = store.Store
 	// WALOptions sets the snapshot+WAL backend's compaction thresholds
 	// (SnapshotEvery records or SnapshotBytes log bytes); the zero value
