@@ -50,8 +50,9 @@ type (
 	// docs/ROUTING.md).
 	RoutingMode = cluster.RoutingMode
 	// RoutingState reports the coordinator's routing-state footprint: the
-	// number of cached per-station digests and their bytes. It is the
-	// per-coordinator figure TestTwoTierPlanningSublinearAt1024 bounds.
+	// number of cached per-station digests and their bytes, one digest per
+	// station a routed search has fetched. The benchmark reports its total
+	// as cluster.routing_state_bytes.
 	RoutingState = cluster.RoutingState
 	// Outcome is a search's ranked results plus cost accounting.
 	Outcome = cluster.Outcome

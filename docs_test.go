@@ -28,6 +28,33 @@ func docFiles(t *testing.T) []string {
 	return append(files, more...)
 }
 
+// programFiles returns the non-test Go files outside benchmark/ (whose
+// sources are frozen with the benchmark) and outside dot-directories: the
+// program's comments, which removedRefs guards as it guards the docs.
+func programFiles(t *testing.T) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") || path == "benchmark" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 // mdLink matches inline markdown links: [text](target).
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
@@ -104,11 +131,11 @@ func TestDocsLocalLinks(t *testing.T) {
 	}
 }
 
-// removedRefs match what deleted tooling left in prose: the recorded-baseline
-// bench stack's BENCH_*.json files and di-bench's -<name>-out/-<name>-check
-// flag pairs; the di-lint binary and the two ways it ran; the in-coordinator
-// digest-tree routing mode and the two Options fields nobody set; the
-// streaming pipeline's per-station shards and the hooks they needed; the
+// removedRefs match what deleted tooling left in prose and in program
+// comments: the recorded-baseline bench stack's BENCH_*.json files and
+// di-bench's -<name>-out/-<name>-check flag pairs; the di-lint binary and
+// the two ways it ran; the in-coordinator digest-tree routing mode and the
+// two Options fields nobody set; the streaming pipeline's per-station shards and the hooks they needed; the
 // per-kind cluster constructors and joins a Member spec replaced; the
 // traffic-adaptive digest parameters and their rollout frames; the WAL's
 // unsynced-ack settings, the in-memory store constructor and the summary
@@ -142,8 +169,9 @@ var removedRefs = []struct {
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every
 // workload and end-to-end metric BENCHMARK.json declares is named in the
-// README, so neither can ship undocumented, and no guarded doc still points
-// at removed baseline files, flags or binaries.
+// README, so neither can ship undocumented, and no guarded doc and no
+// program file still points at removed baseline files, flags, binaries,
+// APIs or tests.
 func TestDocsBenchmarkReferenced(t *testing.T) {
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
@@ -168,7 +196,7 @@ func TestDocsBenchmarkReferenced(t *testing.T) {
 			t.Errorf("README.md does not mention `%s` from BENCHMARK.json", n.Name)
 		}
 	}
-	for _, f := range docFiles(t) {
+	for _, f := range append(docFiles(t), programFiles(t)...) {
 		body, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)

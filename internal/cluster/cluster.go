@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -309,6 +310,33 @@ func checkRange(what string, patterns map[core.PersonID]pattern.Pattern) error {
 		}
 	}
 	return nil
+}
+
+// sortedPersons returns the persons of patterns ascending, or the first
+// pattern whose length differs from the cluster's as an ErrLengthMismatch
+// naming what was being done. It reads each pattern's length, not its cells:
+// Place and Ingest then read every pattern once, in person order.
+func sortedPersons(what string, length int, patterns map[core.PersonID]pattern.Pattern) ([]core.PersonID, error) {
+	persons := make([]core.PersonID, 0, len(patterns))
+	for p, l := range patterns {
+		if len(l) != length {
+			return nil, lengthMismatch(what, p, len(l), length)
+		}
+		persons = append(persons, p)
+	}
+	slices.Sort(persons)
+	return persons, nil
+}
+
+// allPersons returns the persons of patterns ascending: what a Place that
+// failed before any exchange leaves unplaced.
+func allPersons(patterns map[core.PersonID]pattern.Pattern) []core.PersonID {
+	persons := make([]core.PersonID, 0, len(patterns))
+	for p := range patterns {
+		persons = append(persons, p)
+	}
+	slices.Sort(persons)
+	return persons
 }
 
 // lengthMismatch is checkPatterns's error for one person's pattern.

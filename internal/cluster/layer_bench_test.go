@@ -65,14 +65,17 @@ func BenchmarkPlace(b *testing.B) {
 	}
 }
 
-// BenchmarkStationIngest times a durable station taking one 25 000-row
-// ingest frame of length-24 rows, the share of a 16-station bulk load at
-// R = 2 that one station receives: decode, store, WAL append and fsync.
-// /append is the streamed shape: every op's persons rank above every
-// resident, so the station adopts the decoded rows; every 8 ops the store
-// is emptied and the log folded outside the timer, which bounds memory.
-// /replace re-ingests the same persons every op, so each row is replaced in
-// place; the log is folded outside the timer every 32 ops.
+// BenchmarkStationIngest times a station taking one 25 000-row ingest frame
+// of length-24 rows, the share of a 16-station bulk load at R = 2 that one
+// station receives. /append and /replace are durable: decode, store, WAL
+// append and fsync. /append is the streamed shape: every op's persons rank
+// above every resident, so the station adopts the decoded rows; every 8 ops
+// the store is emptied and the log folded outside the timer, which bounds
+// memory. /replace re-ingests the same persons every op, so each row is
+// replaced in place; the log is folded outside the timer every 32 ops.
+// /memory is /append on a station with a nil store, as the benchmark's
+// in-memory workloads run theirs: decode and store only, the store emptied
+// outside the timer every 8 ops.
 func BenchmarkStationIngest(b *testing.B) {
 	const rows = 25_000
 	patterns := benchPatterns(rows)
@@ -89,12 +92,26 @@ func BenchmarkStationIngest(b *testing.B) {
 		}
 		return msg
 	}
-	run := func(b *testing.B, frames []wire.Message, every int, empty bool) {
-		st, err := wal.Open(filepath.Join(b.TempDir(), "station-1"), wal.Options{SnapshotEvery: -1, SnapshotBytes: -1})
-		if err != nil {
-			b.Fatal(err)
+	appendFrames := func(b *testing.B) []wire.Message {
+		frames := make([]wire.Message, 8)
+		for k := range frames {
+			frames[k] = frame(b, core.PersonID(k*rows))
 		}
-		b.Cleanup(func() { _ = st.Close() })
+		return frames
+	}
+	run := func(b *testing.B, frames []wire.Message, every int, empty, durable bool) {
+		var (
+			log *wal.Store
+			st  store.Store // nil: the station is in memory
+		)
+		if durable {
+			var err error
+			if log, err = wal.Open(filepath.Join(b.TempDir(), "station-1"), wal.Options{SnapshotEvery: -1, SnapshotBytes: -1}); err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { _ = log.Close() })
+			st = log
+		}
 		_, end := transport.Pipe(nil, nil)
 		s, err := NewStation(1, nil, end, st)
 		if err != nil {
@@ -112,21 +129,24 @@ func BenchmarkStationIngest(b *testing.B) {
 				if empty {
 					s.residents = store.Residents{}
 				}
-				if err := st.SnapshotCells(store.CellImage{Persons: s.residents.Persons(), Locals: s.residents.Locals()}); err != nil {
-					b.Fatal(err)
+				if log != nil {
+					if err := log.SnapshotCells(store.CellImage{Persons: s.residents.Persons(), Locals: s.residents.Locals()}); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.StartTimer()
 			}
 		}
 	}
 	b.Run("append", func(b *testing.B) {
-		frames := make([]wire.Message, 8)
-		for k := range frames {
-			frames[k] = frame(b, core.PersonID(k*rows))
-		}
-		run(b, frames, len(frames), true)
+		frames := appendFrames(b)
+		run(b, frames, len(frames), true, true)
 	})
 	b.Run("replace", func(b *testing.B) {
-		run(b, []wire.Message{frame(b, 0)}, 32, false)
+		run(b, []wire.Message{frame(b, 0)}, 32, false, true)
+	})
+	b.Run("memory", func(b *testing.B) {
+		frames := appendFrames(b)
+		run(b, frames, len(frames), true, false)
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -119,27 +118,34 @@ func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[cor
 	if len(patterns) == 0 {
 		return nil
 	}
-	if err := checkPatterns(c.length, "ingest", patterns); err != nil {
+	// Every length is checked before any cell is read, so a batch with both
+	// faults fails ErrLengthMismatch. Then each pattern is read once, in
+	// person order, for its range and its encoded size.
+	persons, err := sortedPersons("ingest", c.length, patterns)
+	if err != nil {
 		return err
 	}
-	in := wire.Ingest{Persons: make([]core.PersonID, 0, len(patterns))}
-	for p := range patterns {
-		in.Persons = append(in.Persons, p)
+	in := wire.Ingest{Persons: persons, Locals: make([]pattern.Pattern, len(persons))}
+	var share rowShare
+	for i, p := range persons {
+		pat := patterns[p]
+		if !pat.InRange() {
+			return valueRange("ingest", p)
+		}
+		in.Locals[i] = pat
+		share.bytes += wire.RowSize(p, pat)
 	}
-	slices.Sort(in.Persons)
-	in.Locals = make([]pattern.Pattern, len(in.Persons))
-	for i, p := range in.Persons {
-		in.Locals[i] = patterns[p]
-	}
-	return c.ingest(ctx, stationID, in, nil, true)
+	return c.ingest(ctx, stationID, in, share, true)
 }
 
-// ingest carries one ingest exchange of the rows of in that index lists
-// (every row when index is nil), person-ascending and of the cluster's
-// length: Ingest's, and the grouped copies Place and reconciliation push
-// from one shared row set with addressed false, which leaves the station
-// unaddressed. An addressed ingest passes every row.
-func (c *Cluster) ingest(ctx context.Context, stationID uint32, in wire.Ingest, index []int32, addressed bool) error {
+// ingest carries one ingest exchange of the rows of in that share lists
+// (every row when its index is nil), person-ascending and of the cluster's
+// length, in a frame sized from the share's bytes: Ingest's, and the
+// grouped copies Place and reconciliation push from one shared row set with
+// addressed false, which leaves the station unaddressed. An addressed
+// ingest passes every row.
+func (c *Cluster) ingest(ctx context.Context, stationID uint32, in wire.Ingest, share rowShare, addressed bool) error {
+	index := share.index
 	if len(in.Persons) == 0 || index != nil && len(index) == 0 {
 		return nil
 	}
@@ -154,7 +160,7 @@ func (c *Cluster) ingest(ctx context.Context, stationID uint32, in wire.Ingest, 
 		}
 		c.mu.Unlock()
 	}
-	payload, err := wire.AppendIngestPayload(nil, in, index)
+	payload, err := wire.AppendSizedIngestPayload(nil, in, index, share.bytes)
 	if err != nil {
 		return err
 	}

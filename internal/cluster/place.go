@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -175,34 +176,102 @@ func (c *Cluster) aliveMembers() (ids []uint32, muxes []*transport.Mux) {
 	return ids, muxes
 }
 
-// copyPlan is one Place call's grouping of its persons' copies: each
-// person's Pick set as indexes into the alive stations, the content hash its
-// intent records, and each target station's rows as ascending indexes into
-// the call's person-ascending row set.
-type copyPlan struct {
-	width      int                // copies per person: min(r, len(alive))
-	targets    []uint32           // targets[i*width:(i+1)*width] index alive for row i
-	hashes     []uint64           // placement.ContentHash of row i's pattern
-	perStation map[uint32][]int32 // each target station's rows, ascending
+// rowShare is one station's share of a person-ascending row set: the rows'
+// ascending indexes (nil for every row) and the sum of their encoded sizes
+// (wire.RowSize), which sizes the station's frame without a second read of
+// the cells.
+type rowShare struct {
+	index []int32
+	bytes int
 }
 
-// planCopies groups rows (person-ascending, every pattern non-zero) by
-// target station over alive (ascending). A person's targets are
-// placement.PickIndexes's, Pick's set, over salts computed once per call.
+// copyPlan is one Place call's grouping of its persons' copies: the kept
+// rows, person-ascending, each person's Pick set as indexes into the alive
+// stations, the content hash its intent records, and each target station's
+// share of the rows.
+type copyPlan struct {
+	rows       wire.Ingest
+	width      int                 // copies per person: min(r, len(alive))
+	targets    []uint32            // targets[i*width:(i+1)*width] index alive for row i
+	hashes     []uint64            // placement.ContentHash of row i's pattern
+	perStation map[uint32]rowShare // each target station's rows
+}
+
+// passRows is how many persons one goroutine of Place's pass takes at
+// least: a batch below it, which every stream flush is, stays on the calling
+// goroutine.
+const passRows = 4096
+
+// passWorkers returns how many goroutines Place's pass over n persons runs
+// on: min(GOMAXPROCS, ⌈n/passRows⌉).
+func passWorkers(n int) int {
+	return min(runtime.GOMAXPROCS(0), (n+passRows-1)/passRows)
+}
+
+// passPart is one goroutine's range of the sorted persons, [lo, hi). Its
+// kept rows are written from lo on, and bytes sums their encoded sizes per
+// alive station.
+type passPart struct {
+	lo, hi, kept int
+	bytes        []int
+	err          error
+}
+
+// planCopies reads each person of persons (ascending, every pattern of the
+// cluster's length) exactly once: it checks the int32 range, drops all-zero
+// patterns, hashes the content, picks the targets (placement.PickIndexes
+// over salts computed once per call) and sizes the row. The pass runs on
+// workers goroutines, each over a contiguous range of persons writing at
+// its own offsets, and the gaps the dropped rows leave are then closed, so
+// the plan is the same for any worker count. persons becomes the plan's
+// row set. A value an int32 cannot hold fails the plan with the lowest such
+// person.
+//
 // Every station's row list is a window of one index array, 4 bytes per
 // copy, filled by a counting pass over the targets.
-func planCopies(rows wire.Ingest, alive []uint32, r int) copyPlan {
-	w := min(r, len(alive))
+func planCopies(persons []core.PersonID, patterns map[core.PersonID]pattern.Pattern, alive []uint32, r, workers int) (copyPlan, error) {
+	n, w := len(persons), min(r, len(alive))
 	pl := copyPlan{
+		rows:    wire.Ingest{Persons: persons, Locals: make([]pattern.Pattern, n)},
 		width:   w,
-		targets: make([]uint32, 0, len(rows.Persons)*w),
-		hashes:  make([]uint64, len(rows.Persons)),
+		targets: make([]uint32, n*w),
+		hashes:  make([]uint64, n),
 	}
 	salts := placement.AppendSalts(nil, alive)
-	for i, p := range rows.Persons {
-		pl.hashes[i] = placement.ContentHash(rows.Locals[i])
-		pl.targets = placement.PickIndexes(p, salts, r, pl.targets)
+	parts := make([]passPart, max(workers, 1))
+	var wg sync.WaitGroup
+	for j := range parts {
+		pt := &parts[j]
+		*pt = passPart{lo: j * n / len(parts), hi: (j + 1) * n / len(parts), bytes: make([]int, len(alive))}
+		if j == len(parts)-1 {
+			pl.pass(pt, patterns, salts, r)
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pl.pass(pt, patterns, salts, r)
+		}()
 	}
+	wg.Wait()
+
+	kept := 0
+	stationBytes := make([]int, len(alive))
+	for _, pt := range parts {
+		if pt.err != nil {
+			return copyPlan{}, pt.err
+		}
+		copy(persons[kept:], persons[pt.lo:pt.lo+pt.kept])
+		copy(pl.rows.Locals[kept:], pl.rows.Locals[pt.lo:pt.lo+pt.kept])
+		copy(pl.hashes[kept:], pl.hashes[pt.lo:pt.lo+pt.kept])
+		copy(pl.targets[kept*w:], pl.targets[pt.lo*w:(pt.lo+pt.kept)*w])
+		kept += pt.kept
+		for k, b := range pt.bytes {
+			stationBytes[k] += b
+		}
+	}
+	pl.rows.Persons, pl.rows.Locals = persons[:kept], pl.rows.Locals[:kept]
+	pl.hashes, pl.targets = pl.hashes[:kept], pl.targets[:kept*w]
 
 	// starts[k] is where station k's rows begin in index.
 	starts := make([]int, len(alive)+1)
@@ -214,19 +283,49 @@ func planCopies(rows wire.Ingest, alive []uint32, r int) copyPlan {
 	}
 	index := make([]int32, len(pl.targets))
 	fill := slices.Clone(starts[:len(alive)])
-	for i := range rows.Persons {
+	for i := 0; i < kept; i++ {
 		for _, k := range pl.targets[i*w : (i+1)*w] {
 			index[fill[k]] = int32(i)
 			fill[k]++
 		}
 	}
-	pl.perStation = make(map[uint32][]int32, len(alive))
+	pl.perStation = make(map[uint32]rowShare, len(alive))
 	for k, sid := range alive {
 		if lo, hi := starts[k], starts[k+1]; hi > lo {
-			pl.perStation[sid] = index[lo:hi:hi]
+			pl.perStation[sid] = rowShare{index: index[lo:hi:hi], bytes: stationBytes[k]}
 		}
 	}
-	return pl
+	return pl, nil
+}
+
+// pass is one goroutine's share of planCopies's pass: persons pt.lo up to
+// pt.hi, each pattern read once. It stops at the first pattern holding a
+// value an int32 cannot hold.
+func (pl *copyPlan) pass(pt *passPart, patterns map[core.PersonID]pattern.Pattern, salts []uint64, r int) {
+	w, out := pl.width, pt.lo
+	for i := pt.lo; i < pt.hi; i++ {
+		p := pl.rows.Persons[i]
+		pat := patterns[p]
+		if !pat.InRange() {
+			pt.err = valueRange("place", p)
+			return
+		}
+		// Stations drop all-zero patterns on ingest (no measurable activity
+		// means no local pattern), and recording such a person as placed
+		// would leave an intent no copy can ever satisfy, counted Lost by
+		// every reconciliation forever.
+		if pat.Sum() == 0 {
+			continue
+		}
+		pl.rows.Persons[out], pl.rows.Locals[out] = p, pat
+		pl.hashes[out] = placement.ContentHash(pat)
+		size := wire.RowSize(p, pat)
+		for _, k := range placement.PickIndexes(p, salts, r, pl.targets[out*w:out*w:(out+1)*w]) {
+			pt.bytes[k] += size
+		}
+		out++
+	}
+	pt.kept = out - pt.lo
 }
 
 // Place ingests patterns under automatic placement: each person's pattern is
@@ -270,11 +369,14 @@ func (c *Cluster) Place(ctx context.Context, patterns map[core.PersonID]pattern.
 // ascending — all of them when the call fails before any exchange — so the
 // stream's flusher retries exactly those.
 //
-// The caller's map is walked once for its persons, which are sorted once
-// into one person-ascending row set; their targets and content hashes are
-// computed into flat arrays, and every target station receives one ingest
-// exchange encoded straight from that row set through the station's index
-// list, however many persons land on it.
+// The caller's map is walked once for its persons and their lengths, which
+// reads no cell, and the persons are sorted once. One pass then reads each
+// pattern once (planCopies), split across cores for a bulk load, into one
+// person-ascending row set with flat arrays of targets and content hashes
+// and each station's frame size. The intents are recorded under one table
+// lock, and every target station receives one ingest exchange encoded
+// straight from the row set through the station's index list, however many
+// persons land on it.
 func (c *Cluster) place(ctx context.Context, patterns map[core.PersonID]pattern.Pattern, opts ...PlaceOption) (unplaced []core.PersonID, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -294,45 +396,21 @@ func (c *Cluster) place(ctx context.Context, patterns map[core.PersonID]pattern.
 		return nil, nil
 	}
 	alive, _, gen, clean := c.placementView()
-	// One pass over the caller's map checks every length and value range
-	// and drops all-zero patterns: stations drop them on ingest (no
-	// measurable activity means no local pattern), and recording such a
-	// person as placed would leave an intent no copy can ever satisfy,
-	// counted Lost by every reconciliation forever.
-	rows := wire.Ingest{Persons: make([]core.PersonID, 0, len(patterns))}
-	for p, pat := range patterns {
-		if len(pat) != c.length {
-			err = lengthMismatch("place", p, len(pat), c.length)
-			break
-		}
-		if !pat.InRange() {
-			err = valueRange("place", p)
-			break
-		}
-		if pat.Sum() != 0 {
-			rows.Persons = append(rows.Persons, p)
-		}
+	persons, err := sortedPersons("place", c.length, patterns)
+	var plan copyPlan
+	if err == nil {
+		plan, err = planCopies(persons, patterns, alive, cfg.replication, passWorkers(len(persons)))
 	}
 	if err == nil && len(alive) == 0 {
 		err = ErrNoAliveStations
 	}
 	if err != nil {
-		unplaced = make([]core.PersonID, 0, len(patterns))
-		for p := range patterns {
-			unplaced = append(unplaced, p)
-		}
-		slices.Sort(unplaced)
-		return unplaced, err
+		return allPersons(patterns), err
 	}
+	rows := plan.rows
 	if len(rows.Persons) == 0 {
 		return nil, nil
 	}
-	slices.Sort(rows.Persons)
-	rows.Locals = make([]pattern.Pattern, len(rows.Persons))
-	for i, p := range rows.Persons {
-		rows.Locals[i] = patterns[p]
-	}
-	plan := planCopies(rows, alive, cfg.replication)
 	// Record the intents BEFORE pushing any copy: a search starting between
 	// the first ingest and the table update would otherwise sum the replica
 	// reports (the person is not marked yet) and delete the person as
@@ -340,16 +418,14 @@ func (c *Cluster) place(ctx context.Context, patterns map[core.PersonID]pattern.
 	// max-dedup over zero or one reports ranks identically to summation.
 	// Persons whose every target fails are rolled back below.
 	tab := c.placementTable(len(rows.Persons))
-	others := tab.Len() // persons placed by earlier calls, counted down below
-	prior := make(map[core.PersonID]placement.Entry)
-	refactored := false // a person's factor changes: its old copies may lie off the new set
-	for i, p := range rows.Persons {
-		if e, ok := tab.Get(p); ok {
-			prior[p] = e
-			others--
-			refactored = refactored || e.Factor != cfg.replication
-		}
-		tab.Set(p, placement.Entry{Factor: cfg.replication, Hash: plan.hashes[i]})
+	before := tab.Len()
+	prior := tab.Record(rows.Persons, cfg.replication, plan.hashes)
+	plan.hashes = nil // recorded: not held through the fan-out's frames
+
+	others := before - len(prior) // persons placed by earlier calls only
+	refactored := false           // a person's factor changes: its old copies may lie off the new set
+	for _, e := range prior {
+		refactored = refactored || e.Factor != cfg.replication
 	}
 
 	failed, errs := c.ingestGrouped(ctx, rows, plan.perStation, "place on")
@@ -421,10 +497,11 @@ func groupedFanOut[T any](perStation map[uint32]T, what string, do func(sid uint
 // ingestGrouped pushes one grouped ingest exchange per target station,
 // through the internal path that leaves the stations unaddressed. rows is
 // person-ascending and of the cluster's length, and every station's frame is
-// encoded from it through the station's ascending index list.
-func (c *Cluster) ingestGrouped(ctx context.Context, rows wire.Ingest, perStation map[uint32][]int32, what string) (failed map[uint32]bool, errs []error) {
-	return groupedFanOut(perStation, what, func(sid uint32, index []int32) error {
-		return c.ingest(ctx, sid, rows, index, false)
+// encoded from it through the station's ascending index list, sized from
+// its share's bytes.
+func (c *Cluster) ingestGrouped(ctx context.Context, rows wire.Ingest, perStation map[uint32]rowShare, what string) (failed map[uint32]bool, errs []error) {
+	return groupedFanOut(perStation, what, func(sid uint32, share rowShare) error {
+		return c.ingest(ctx, sid, rows, share, false)
 	})
 }
 
@@ -587,7 +664,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	// The persons some target lacks form one person-ascending row set,
 	// walked from the sorted keys, so every station's index list ascends.
 	var rows wire.Ingest
-	adds := make(map[uint32][]int32)
+	adds := make(map[uint32]rowShare)
 	dels := make(map[uint32][]core.PersonID)
 	for _, p := range keys {
 		pat, ok := copies[p]
@@ -597,16 +674,19 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 		}
 		targets := placement.Pick(p, alive, intents[p].Factor)
 		targetSet := make(map[uint32]bool, len(targets))
-		row := -1
+		row, size := -1, 0
 		for _, sid := range targets {
 			targetSet[sid] = true
 			if !holders[p][sid] {
 				if row < 0 {
-					row = len(rows.Persons)
+					row, size = len(rows.Persons), wire.RowSize(p, pat)
 					rows.Persons = append(rows.Persons, p)
 					rows.Locals = append(rows.Locals, pat)
 				}
-				adds[sid] = append(adds[sid], int32(row))
+				share := adds[sid]
+				share.index = append(share.index, int32(row))
+				share.bytes += size
+				adds[sid] = share
 			}
 		}
 		for _, hs := range []map[uint32]bool{holders[p], stale[p]} {
@@ -622,9 +702,9 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	// pass must not report healing that never happened. Both phases fan out
 	// concurrently, one grouped exchange per station.
 	failedAdds, errs := c.ingestGrouped(ctx, rows, adds, "re-replicate to")
-	for sid, index := range adds {
+	for sid, share := range adds {
 		if !failedAdds[sid] {
-			report.Copied += len(index)
+			report.Copied += len(share.index)
 		}
 	}
 	if len(errs) == 0 {

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"dimatch/internal/core"
@@ -171,4 +174,130 @@ func stationHoldings(t *testing.T, c *Cluster) map[uint32]map[core.PersonID]patt
 		out[sid] = got
 	}
 	return out
+}
+
+// TestPlaceSplitMatchesOneWorker pins Place's split pass to its one-worker
+// form: 20 483 persons over 9 stations, every thirteenth pattern all-zero
+// and int32-edge cells spread over the whole range, planned on one worker
+// and on 2, 3, 5 and 7. Every plan keeps the same rows, hashes and targets;
+// each station's frame is byte-identical to the one-worker frame and sized
+// exactly; each target set is placement.Pick's. A value of 2³¹ in the last
+// range fails every split with ErrValueRange naming the lowest offending
+// person, and fails Place with nothing placed and every person unplaced,
+// ascending.
+func TestPlaceSplitMatchesOneWorker(t *testing.T) {
+	const persons, length, r = 5*passRows + 3, 6, 2
+	alive := []uint32{2, 3, 5, 8, 13, 21, 34, 55, 89}
+	rng := rand.New(rand.NewSource(7))
+	patterns := make(map[core.PersonID]pattern.Pattern, persons)
+	sorted := make([]core.PersonID, 0, persons)
+	for i := 0; i < persons; i++ {
+		p := core.PersonID(3*i + 1)
+		pat := make(pattern.Pattern, length)
+		if i%13 != 0 {
+			for j := range pat {
+				pat[j] = rng.Int63n(20_000) - 1_000
+			}
+			switch i % 11 {
+			case 1:
+				pat[1+rng.Intn(length-1)] = math.MinInt32
+			case 2:
+				pat[1+rng.Intn(length-1)] = math.MaxInt32
+			}
+			if pat.Sum() == 0 {
+				pat[0]++ // kept: only every thirteenth row is dropped
+			}
+		}
+		patterns[p] = pat
+		sorted = append(sorted, p)
+	}
+	plan := func(workers int) copyPlan {
+		t.Helper()
+		pl, err := planCopies(slices.Clone(sorted), patterns, alive, r, workers)
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		return pl
+	}
+	frames := func(pl copyPlan) map[uint32][]byte {
+		t.Helper()
+		out := make(map[uint32][]byte, len(pl.perStation))
+		for sid, share := range pl.perStation {
+			b, err := wire.AppendSizedIngestPayload(nil, pl.rows, share.index, share.bytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(b) != cap(b) {
+				t.Fatalf("station %d: frame of %d bytes in a buffer of %d", sid, len(b), cap(b))
+			}
+			out[sid] = b
+		}
+		return out
+	}
+
+	one := plan(1)
+	if want := persons - (persons+12)/13; len(one.rows.Persons) != want {
+		t.Fatalf("one worker kept %d rows, want %d", len(one.rows.Persons), want)
+	}
+	for i, p := range one.rows.Persons {
+		pat := one.rows.Locals[i]
+		if !pat.Equal(patterns[p]) || pat.Sum() == 0 || one.hashes[i] != placement.ContentHash(pat) {
+			t.Fatalf("row %d (person %d): pattern, zero drop or hash differs from the caller's", i, p)
+		}
+		var got []uint32
+		for _, k := range one.targets[i*one.width : (i+1)*one.width] {
+			got = append(got, alive[k])
+		}
+		if want := placement.Pick(p, alive, r); !slices.Equal(got, want) {
+			t.Fatalf("person %d targets %v, Pick says %v", p, got, want)
+		}
+	}
+	oneFrames := frames(one)
+	for _, workers := range []int{2, 3, 5, 7} {
+		split := plan(workers)
+		if !slices.Equal(split.rows.Persons, one.rows.Persons) || !slices.Equal(split.hashes, one.hashes) || !slices.Equal(split.targets, one.targets) {
+			t.Fatalf("%d workers: rows, hashes or targets differ from one worker's", workers)
+		}
+		if !maps.EqualFunc(frames(split), oneFrames, slices.Equal[[]byte]) {
+			t.Fatalf("%d workers: a station's frame differs from one worker's", workers)
+		}
+	}
+
+	// 2³¹ in the last range of every split, and at a lower person in the
+	// second-to-last range of the seven-way split.
+	last, lower := sorted[persons-1], sorted[5*persons/7+1]
+	patterns[last] = slices.Clone(patterns[last])
+	patterns[last][length-1] = 1 << 31
+	for _, workers := range []int{1, 2, 3, 5, 7} {
+		if _, err := planCopies(slices.Clone(sorted), patterns, alive, r, workers); !errors.Is(err, ErrValueRange) || !strings.Contains(err.Error(), fmt.Sprintf("person %d", last)) {
+			t.Fatalf("%d workers, 2³¹ at person %d: err %v", workers, last, err)
+		}
+	}
+	patterns[lower] = slices.Clone(patterns[lower])
+	patterns[lower][0] = 1 << 31
+	if _, err := planCopies(slices.Clone(sorted), patterns, alive, r, 7); !errors.Is(err, ErrValueRange) || !strings.Contains(err.Error(), fmt.Sprintf("person %d", lower)) {
+		t.Fatalf("2³¹ at persons %d and %d: err %v, want it to name %d", lower, last, err, lower)
+	}
+	delete(patterns, lower)
+
+	ctx := context.Background()
+	c, err := New(placedOptions(), length, emptyMembers(alive)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Shutdown() })
+	unplaced, err := c.place(ctx, patterns, WithReplication(r))
+	if !errors.Is(err, ErrValueRange) {
+		t.Fatalf("Place with 2³¹ at person %d: err %v, want ErrValueRange", last, err)
+	}
+	if want := allPersons(patterns); !slices.Equal(unplaced, want) || !slices.IsSorted(unplaced) {
+		t.Fatalf("Place left %d of %d persons unplaced, want all, ascending", len(unplaced), len(want))
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Placed() != 0 || st.TotalResidents() != 0 {
+		t.Fatalf("refused Place left %d placed and %d residents", c.Placed(), st.TotalResidents())
+	}
 }

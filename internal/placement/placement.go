@@ -194,6 +194,30 @@ func (t *Table) Set(p core.PersonID, e Entry) {
 	t.mu.Unlock()
 }
 
+// Record sets the intent of every persons[i], all distinct, to factor and
+// hashes[i] under one lock, and returns the intents it replaced (nil when
+// it replaced none). A person is looked up first only when the table held
+// anyone before the call: a cold bulk placement only inserts.
+func (t *Table) Record(persons []core.PersonID, factor int, hashes []uint64) (prior map[core.PersonID]Entry) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	lookup := len(t.entries) > 0
+	for i, p := range persons {
+		if lookup {
+			if old, ok := t.entries[p]; ok {
+				if prior == nil {
+					prior = make(map[core.PersonID]Entry)
+				}
+				prior[p] = old
+				t.dropFactorLocked(old.Factor)
+			}
+		}
+		t.entries[p] = Entry{Factor: factor, Hash: hashes[i]}
+	}
+	t.factors[factor] += len(persons)
+	return prior
+}
+
 // Remove forgets a person; reconciliation will no longer manage them.
 func (t *Table) Remove(p core.PersonID) {
 	t.mu.Lock()

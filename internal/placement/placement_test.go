@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -249,6 +250,35 @@ func TestTable(t *testing.T) {
 	}
 	if len(snap) != 2 {
 		t.Fatal("snapshot mutated by Remove")
+	}
+}
+
+// TestTableRecord: a batch recorded under one lock equals the same Sets, and
+// returns exactly the intents it replaced — none into an empty table.
+func TestTableRecord(t *testing.T) {
+	tab := NewTable(0)
+	if prior := tab.Record([]core.PersonID{1, 2, 3}, 2, []uint64{11, 12, 13}); prior != nil {
+		t.Fatalf("Record into an empty table replaced %v", prior)
+	}
+	tab.Set(9, Entry{Factor: 3, Hash: 99})
+	prior := tab.Record([]core.PersonID{2, 4, 9}, 1, []uint64{22, 24, 29})
+	want := map[core.PersonID]Entry{2: {Factor: 2, Hash: 12}, 9: {Factor: 3, Hash: 99}}
+	if !maps.Equal(prior, want) {
+		t.Fatalf("Record replaced %v, want %v", prior, want)
+	}
+	ref := NewTable(0)
+	for p, e := range map[core.PersonID]Entry{1: {2, 11}, 2: {1, 22}, 3: {2, 13}, 4: {1, 24}, 9: {1, 29}} {
+		ref.Set(p, e)
+	}
+	if !maps.Equal(tab.Snapshot(), ref.Snapshot()) {
+		t.Fatalf("table %v, want %v", tab.Snapshot(), ref.Snapshot())
+	}
+	if !maps.Equal(tab.factors, ref.factors) {
+		t.Fatalf("factor counts %v, want %v", tab.factors, ref.factors)
+	}
+	tab.Record([]core.PersonID{1, 3}, 1, []uint64{0, 0})
+	if r, ok := tab.Uniform(); !ok || r != 1 {
+		t.Fatalf("Uniform() = %d, %v after every person moved to factor 1", r, ok)
 	}
 }
 

@@ -1067,7 +1067,7 @@ func DecodeDumpReply(m Message) (DumpReply, error) {
 // requests, WAL ingest records and snapshot chunks ----
 
 // rowsSize returns the exact number of bytes writeRows will append for the
-// same arguments.
+// same arguments: the row count's varint and each row's RowSize.
 func rowsSize[R pattern.Row[C], C pattern.Cell](persons []core.PersonID, locals []R, rows []int32) int {
 	count := len(persons)
 	if rows != nil {
@@ -1079,10 +1079,20 @@ func rowsSize[R pattern.Row[C], C pattern.Cell](persons []core.PersonID, locals 
 		if rows != nil {
 			i = int(rows[k])
 		}
-		n += uvarintLen(uint64(persons[i])) + uvarintLen(uint64(len(locals[i])))
-		for _, v := range locals[i] {
-			n += uvarintLen(zigzag(int64(v)))
-		}
+		n += RowSize(persons[i], locals[i])
+	}
+	return n
+}
+
+// RowSize returns the bytes writeRows spends on one row: the person, the
+// pattern length and the zigzagged values. A frame's rows follow the varint
+// of their count, so a caller that sized each row when it read it sizes any
+// frame of those rows without reading a cell again
+// (AppendSizedIngestPayload).
+func RowSize[R pattern.Row[C], C pattern.Cell](person core.PersonID, row R) int {
+	n := uvarintLen(uint64(person)) + uvarintLen(uint64(len(row)))
+	for _, v := range row {
+		n += uvarintLen(zigzag(int64(v)))
 	}
 	return n
 }
@@ -1091,11 +1101,12 @@ func rowsSize[R pattern.Row[C], C pattern.Cell](persons []core.PersonID, locals 
 // length and the zigzagged values. The rows are persons[i], locals[i] for
 // each i of rows in its order, or every row when rows is nil: a grouped
 // ingest encodes each station's frame straight from one shared row set
-// through the station's index list. Callers size w from rowsSize: a bulk
-// load is megabytes of varints, and growing into it by doubling allocates
-// several times the payload. The values, almost every byte of a bulk load,
-// are written by hand up to three bytes each (binary.AppendUvarint's layout,
-// see rows_test.go) into a local slice, so the loop keeps the buffer in
+// through the station's index list. Callers size w from rowsSize, or from
+// the rows' RowSizes summed when they were read: a bulk load is megabytes
+// of varints, and growing into it by doubling allocates several times the
+// payload. The values, almost every byte of a bulk load, are written by
+// hand up to three bytes each (binary.AppendUvarint's layout, see
+// rows_test.go) into a local slice, so the loop keeps the buffer in
 // registers instead of storing it back through w per varint.
 func writeRows[R pattern.Row[C], C pattern.Cell](w *writer, persons []core.PersonID, locals []R, rows []int32) {
 	count := len(persons)
@@ -1310,12 +1321,34 @@ func AppendIngestPayload[R pattern.Row[C], C pattern.Cell](dst []byte, in Ingest
 	if len(in.Persons) != len(in.Locals) {
 		return nil, fmt.Errorf("wire: %d persons but %d locals", len(in.Persons), len(in.Locals))
 	}
-	if n := len(dst) + rowsSize(in.Persons, in.Locals, rows); cap(dst) < n {
+	return appendIngestRows(dst, in, rows, rowsSize(in.Persons, in.Locals, rows)), nil
+}
+
+// AppendSizedIngestPayload is AppendIngestPayload for a caller that already
+// holds rowBytes, the sum of RowSize over the rows it names: the payload is
+// sized from it, so each row's cells are read once, to be written. A
+// coordinator sizes every row in the pass that checks it and sums each
+// station's share; a wrong rowBytes costs a regrowth, never a wrong byte.
+func AppendSizedIngestPayload[R pattern.Row[C], C pattern.Cell](dst []byte, in IngestOf[R, C], rows []int32, rowBytes int) ([]byte, error) {
+	if len(in.Persons) != len(in.Locals) {
+		return nil, fmt.Errorf("wire: %d persons but %d locals", len(in.Persons), len(in.Locals))
+	}
+	count := len(in.Persons)
+	if rows != nil {
+		count = len(rows)
+	}
+	return appendIngestRows(dst, in, rows, uvarintLen(uint64(count))+rowBytes), nil
+}
+
+// appendIngestRows appends the rows' payload, size bytes, to dst, growing it
+// at most once.
+func appendIngestRows[R pattern.Row[C], C pattern.Cell](dst []byte, in IngestOf[R, C], rows []int32, size int) []byte {
+	if n := len(dst) + size; cap(dst) < n {
 		dst = append(make([]byte, 0, max(n, 2*cap(dst))), dst...)
 	}
 	w := writer{buf: dst}
 	writeRows(&w, in.Persons, in.Locals, rows)
-	return w.buf, nil
+	return w.buf
 }
 
 // EncodeIngest renders the ingest request.

@@ -146,6 +146,67 @@ func TestRowCodecMatchesAppendUvarint(t *testing.T) {
 	sameDecode(t, "non-minimal varints", padded)
 }
 
+// TestRowSizesSumToFrame pins RowSize to the frame it sizes: over rows of
+// the int32 domain's width boundaries, the count's varint plus the rows'
+// RowSizes is rowsSize and the encoded length, whole and through index
+// lists, and AppendSizedIngestPayload given that sum writes
+// AppendIngestPayload's bytes into a buffer of exactly their length.
+func TestRowSizesSumToFrame(t *testing.T) {
+	values := []int64{0, 63, -63, 64, -64, 8191, -8191, 8192, -8192, 1 << 20, -(1 << 20), math.MinInt32, math.MaxInt32}
+	var in Ingest
+	for i, v := range values {
+		in.Persons = append(in.Persons, core.PersonID(i)<<(3*i))
+		in.Locals = append(in.Locals, pattern.Pattern{v, v, v, 0})
+	}
+	in.Persons = append(in.Persons, math.MaxUint64)
+	in.Locals = append(in.Locals, pattern.Pattern(slices.Clone(values)))
+	cells := IngestOf[[]int32, int32]{Persons: in.Persons}
+	for _, l := range in.Locals {
+		row := make([]int32, len(l))
+		for j, v := range l {
+			row[j] = int32(v)
+		}
+		cells.Locals = append(cells.Locals, row)
+	}
+	for _, rows := range [][]int32{nil, {}, {3}, {0, 2, 4, 6, 8, 10, 12}, {13, 12, 1, 1}} {
+		count, rowBytes := len(in.Persons), 0
+		if rows != nil {
+			count = len(rows)
+		}
+		for k := 0; k < count; k++ {
+			i := k
+			if rows != nil {
+				i = int(rows[k])
+			}
+			if a, b := RowSize(in.Persons[i], in.Locals[i]), RowSize(cells.Persons[i], cells.Locals[i]); a != b {
+				t.Fatalf("row %d: RowSize %d over int64 cells, %d over int32", i, a, b)
+			}
+			rowBytes += RowSize(in.Persons[i], in.Locals[i])
+		}
+		want, err := AppendIngestPayload(nil, in, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := uvarintLen(uint64(count)) + rowBytes
+		if n := rowsSize(in.Persons, in.Locals, rows); size != n || size != len(want) {
+			t.Fatalf("rows %v: count varint + RowSizes = %d, rowsSize %d, encoded %d bytes", rows, size, n, len(want))
+		}
+		got, err := AppendSizedIngestPayload(nil, in, rows, rowBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromCells, err := AppendSizedIngestPayload(nil, cells, rows, rowBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range [][]byte{got, fromCells} {
+			if !slices.Equal(b, want) || cap(b) != len(b) {
+				t.Fatalf("rows %v: sized payload\n%x (cap %d)\nwant\n%x", rows, b, cap(b), want)
+			}
+		}
+	}
+}
+
 // TestRowCodecCutsFailAsReference: a row payload cut at every byte, or with
 // one byte overwritten by a varint continuation, an end byte or a 0xff,
 // decodes to the same rows or the same error as the one-value-at-a-time
