@@ -142,9 +142,24 @@
 // their surviving current copies and rebalances the ones whose replica
 // groups changed. Rebalance runs a pass on demand and reports
 // it; Unplace releases persons back to station-addressed management.
-// TestEverySingleKillKeepsResultsAtR2 in internal/cluster pins the
+// TestEverySingleKillKeepsResultsAtR2 (replication_test.go) pins the
 // resulting guarantee: at replication 2, killing any single station leaves
 // the result set equal to the healthy cluster's.
+//
+// # Code layout
+//
+// The package is the paper's system: one data center N0 over l base
+// stations, in-process ones served by goroutines (the paper used one thread
+// per station) over metered links, so a search measures real serialized
+// traffic. The center does three things to a station — disseminate a
+// filter, collect reports, pull raw local patterns — and each exists once:
+// round trips run through fanOut, pulls are a KindDump (exchange.go), and
+// mutations pushed to many stations run through groupedFanOut (place.go).
+// The rest: cluster.go (the type, its construction), membership.go
+// (lifecycle, the one join path), stats.go, search.go, wbf.go (the
+// DI-matching pipeline), route.go (the one pruning pass), baselines.go (BF,
+// naive), oracle.go, stream.go (streaming ingest in front of Place) and
+// station.go (the station's serve loop).
 //
 // A deterministic city-scale synthetic CDR generator (GenerateCity) stands
 // in for the paper's proprietary dataset, and StrategyNaive / StrategyBF

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -145,9 +146,10 @@ func TestDocsLocalLinks(t *testing.T) {
 // in-process members that waited for a separate Start to serve; the
 // streaming pipeline's deadline wheel and its cluster-side stats registry;
 // the per-call round split and false-positive target; the stream package
-// (the pipeline is internal/cluster/stream.go), its alive-members hook, the
-// second setters of top-k, score threshold and verification, and the
-// facade's Accumulate.
+// (the pipeline is stream.go), its alive-members hook, the second setters
+// of top-k, score threshold and verification, and the facade's Accumulate;
+// the cluster's files under internal/cluster and the go doc pointer into
+// them (the cluster is package dimatch).
 var removedRefs = []struct {
 	re   *regexp.Regexp
 	with string
@@ -164,7 +166,8 @@ var removedRefs = []struct {
 	{regexp.MustCompile(`Cluster\)?\.Start\b|serveLocked|inert until .?Start`), "the inert-until-Start cluster (every member serves from its join and joins through the stats handshake)"},
 	{regexp.MustCompile(`TTLEvictions|RegisterStreamStats|MergeStreamStats|Stats\.Stream\b|stream/ttl\.go|stream_hooks\.go`), "the stream TTL wheel and stats registry (expiry is Unplace; Ingestor.Report reads a pipeline's counters)"},
 	{regexp.MustCompile(`WithBatching|WithTargetFP|Cost(Report)?\.Batches\b`), "the round split and per-call FP target (a WBF search is one round; separate Search calls send fewer queries; Options.TargetFP sizes filters)"},
-	{regexp.MustCompile(`internal/stream|AliveStationIDs|WithTopK|WithMinScore|Options\.Verify\b|dimatch\.Accumulate\b`), "the stream package and the second search-knob setters (Cluster.Stream lives in internal/cluster; TopK and MinScore are Options, verification is WithVerify, Accumulate is Pattern's method)"},
+	{regexp.MustCompile(`internal/stream|AliveStationIDs|WithTopK|WithMinScore|Options\.Verify\b|dimatch\.Accumulate\b`), "the stream package and the second search-knob setters (Cluster.Stream lives in stream.go; TopK and MinScore are Options, verification is WithVerify, Accumulate is Pattern's method)"},
+	{regexp.MustCompile(`internal/cluster/\w+\.go|dimatch/internal/cluster Cluster`), "the cluster's move into package dimatch (its files are at the module root; go doc dimatch.Cluster.Search)"},
 }
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every
@@ -205,6 +208,23 @@ func TestDocsBenchmarkReferenced(t *testing.T) {
 			if m := r.re.Find(body); m != nil {
 				t.Errorf("%s still mentions %q, removed with %s", f, m, r.with)
 			}
+		}
+	}
+}
+
+// TestDocsGoDocResolves pins the public package's reference docs to go doc:
+// each symbol, a method among them, prints with its own doc sentence, so
+// none is an alias go doc cannot follow into an internal package.
+func TestDocsGoDocResolves(t *testing.T) {
+	for _, sym := range []string{"dimatch.Cluster.Search", "dimatch.Outcome", "dimatch.CostReport", "dimatch.Ingestor.Submit"} {
+		out, err := exec.Command("go", "doc", sym).CombinedOutput()
+		if err != nil {
+			t.Errorf("go doc %s: %v\n%s", sym, err, out)
+			continue
+		}
+		name := sym[strings.LastIndexByte(sym, '.')+1:]
+		if !strings.Contains(string(out), "\n    "+name+" ") {
+			t.Errorf("go doc %s prints no doc sentence for %s:\n%s", sym, name, out)
 		}
 	}
 }

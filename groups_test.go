@@ -1,0 +1,525 @@
+package dimatch
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"dimatch/internal/placement"
+	"dimatch/internal/transport"
+	"dimatch/internal/wire"
+)
+
+// failOnceLink is a center-side link that fails the send of the next frame
+// of an armed kind, once; every other frame passes. The exchange fails and
+// the link stays usable.
+type failOnceLink struct {
+	Link
+	armed atomic.Int32 // the armed wire.Kind + 1; 0 when idle
+}
+
+func (l *failOnceLink) arm(k wire.Kind) { l.armed.Store(int32(k) + 1) }
+func (l *failOnceLink) disarm()         { l.armed.Store(0) }
+
+func (l *failOnceLink) Send(m wire.Message) error {
+	if l.armed.CompareAndSwap(int32(m.Kind)+1, 0) {
+		return errors.New("injected send failure")
+	}
+	return l.Link.Send(m)
+}
+
+// linkStation serves a station over a pipe, seeded with seed and durable
+// through its WAL under dir when dir is set, and returns the member for its
+// center end and a channel closed once the station has exited (and closed
+// its store).
+func linkStation(t *testing.T, dir string, id uint32, seed map[PersonID]Pattern) (Member, *failOnceLink, chan struct{}) {
+	t.Helper()
+	center, end := transport.Pipe(nil, nil)
+	var st *station
+	var err error
+	if dir != "" {
+		st, err = newStation(id, seed, end, openWAL(t, dir, id))
+	} else {
+		st, err = newStation(id, seed, end, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = st.Serve()
+	}()
+	l := &failOnceLink{Link: center}
+	return Member{ID: id, Link: l}, l, done
+}
+
+// TestGroupPlan pins the group rule on a 6-station ring at R=2: one member
+// per candidate group, addressed admitting members always, a dead member
+// never chosen, and admitting members outside every candidate group
+// skipped.
+func TestGroupPlan(t *testing.T) {
+	ids := []uint32{1, 2, 3, 4, 5, 6}
+	yes := func(on ...uint32) []bool {
+		out := make([]bool, len(ids))
+		for _, id := range on {
+			out[id-1] = true
+		}
+		return out
+	}
+	allAlive := yes(ids...)
+	for _, tc := range []struct {
+		name      string
+		admits    []bool
+		addressed []bool
+		alive     []bool
+		visit     []uint32
+		groups    [][]uint32
+	}{
+		{"one group", yes(3, 4), yes(), allAlive, []uint32{4}, [][]uint32{{3, 4}}},
+		{"chain shares a member", yes(2, 3, 4), yes(), allAlive, []uint32{3}, [][]uint32{{2, 3}, {3, 4}}},
+		{"wraps around", yes(6, 1), yes(), allAlive, []uint32{1}, [][]uint32{{6, 1}}},
+		{"lone admit is no group", yes(2, 5), yes(), allAlive, nil, nil},
+		{"addressed covers", yes(3, 4), yes(3), allAlive, []uint32{3}, [][]uint32{{3, 4}}},
+		{"addressed outside groups", yes(1, 3, 4), yes(1), allAlive, []uint32{1, 4}, [][]uint32{{3, 4}}},
+		{"dead member skipped", yes(3), yes(), yes(1, 2, 3, 5, 6), []uint32{3}, [][]uint32{{3}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			visit, groups := groupPlan(ids, tc.admits, tc.addressed, tc.alive, ids, 2)
+			var got []uint32
+			for _, i := range visit {
+				got = append(got, ids[i])
+			}
+			if !slices.Equal(got, tc.visit) {
+				t.Fatalf("visit %v, want %v", got, tc.visit)
+			}
+			if len(groups) != len(tc.groups) {
+				t.Fatalf("groups %v, want %v", groups, tc.groups)
+			}
+			for i := range groups {
+				if !slices.Equal(groups[i], tc.groups[i]) {
+					t.Fatalf("groups %v, want %v", groups, tc.groups)
+				}
+			}
+		})
+	}
+}
+
+// TestHealRepairsStaleReplica: a replica that was away while its person was
+// placed again must not serve the old pattern once it rejoins. The heal
+// compares every pulled copy with the content hash Place recorded and
+// re-ingests the current copy over the stale one.
+func TestHealRepairsStaleReplica(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	ids := []uint32{1, 2, 3, 4}
+	c, err := NewCluster(placedOptions(), 3, walMembers(t, dir, ids)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Shutdown() })
+
+	const n = 40
+	v1 := make(map[PersonID]Pattern, n)
+	v2 := make(map[PersonID]Pattern, n)
+	for p := PersonID(1); p <= n; p++ {
+		v1[p] = Pattern{int64(p), int64(2 * p), 7}
+		v2[p] = Pattern{int64(p) + 500, int64(2*p) + 500, 9}
+	}
+	if err := c.Place(ctx, v1, WithReplication(2)); err != nil {
+		t.Fatal(err)
+	}
+	// Take away one of person 1's replicas, upsert everyone, bring the
+	// station back from its WAL — which still holds the v1 copies.
+	away := placement.Pick(1, ids, 2)[1]
+	restartStationAround(t, c, dir, away, func() {
+		if err := c.Place(ctx, v2, WithReplication(2)); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	queries := func(v map[PersonID]Pattern) []Query {
+		qs := make([]Query, 0, n)
+		for p := PersonID(1); p <= n; p++ {
+			qs = append(qs, Query{ID: QueryID(p), Locals: []Pattern{v[p]}})
+		}
+		return qs
+	}
+	for _, mode := range []RoutingMode{RoutingFull, RoutingSummary} {
+		old, err := c.Search(ctx, queries(v1), WithRouting(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := PersonID(1); p <= n; p++ {
+			if got := old.PerQuery[QueryID(p)]; len(got) != 0 {
+				t.Fatalf("%v search for person %d's old pattern returned %+v", mode, p, got)
+			}
+		}
+		cur, err := c.Search(ctx, queries(v2), WithRouting(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := PersonID(1); p <= n; p++ {
+			got := cur.PerQuery[QueryID(p)]
+			if len(got) != 1 || got[0].Person != p || got[0].Score() != 1 {
+				t.Fatalf("%v search for person %d's current pattern returned %+v", mode, p, got)
+			}
+		}
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TotalResidents() != 2*n {
+		t.Fatalf("stations hold %d residents, want %d persons × 2 replicas", st.TotalResidents(), n)
+	}
+}
+
+// restartStationAround is restartStation with between run while the station
+// is out of the membership.
+func restartStationAround(t *testing.T, c *Cluster, dir string, id uint32, between func()) {
+	t.Helper()
+	ctx := context.Background()
+	if err := c.KillStation(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RemoveStation(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	between()
+	if err := c.AddStation(ctx, Member{ID: id, Store: openWAL(t, dir, id)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGroupRoutingSiblingCoversFailedMember: the one replica a routed
+// search chose fails the round; its group's other member is asked the same
+// round before ranking, so the answer stays whole, and the failure is
+// counted.
+func TestGroupRoutingSiblingCoversFailedMember(t *testing.T) {
+	ctx := context.Background()
+	ids := []uint32{1, 2, 3, 4, 5, 6}
+	links := make(map[uint32]*failOnceLink, len(ids))
+	var members []Member
+	for _, id := range ids {
+		m, l, _ := linkStation(t, "", id, nil)
+		links[id] = l
+		members = append(members, m)
+	}
+	c, err := NewCluster(placedOptions(), 3, members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Shutdown() })
+	patterns := make(map[PersonID]Pattern, 30)
+	for p := PersonID(1); p <= 30; p++ {
+		patterns[p] = Pattern{int64(p) * 10, int64(p), int64(p) * 3}
+	}
+	if err := c.Place(ctx, patterns, WithReplication(2)); err != nil {
+		t.Fatal(err)
+	}
+
+	queries := []Query{{ID: 1, Locals: []Pattern{patterns[17]}}}
+	full, err := c.Search(ctx, queries, WithRouting(RoutingFull))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var warm CostReport
+	plan := c.planRoute(ctx, c.currentEpoch(), c.searchDefaults(), queries, &warm)
+	group := placement.Pick(17, ids, 2)
+	if len(plan.ep.ids) != 1 || !slices.Contains(group, plan.ep.ids[0]) {
+		t.Fatalf("plan visits %v, want one member of person 17's group %v", plan.ep.ids, group)
+	}
+	chosen := plan.ep.ids[0]
+	links[chosen].arm(wire.KindBatchQuery)
+	defer links[chosen].disarm()
+
+	routed, err := c.Search(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "sibling", queries, full, routed)
+	if got := routed.PerQuery[1]; len(got) != 1 || got[0].Person != 17 || got[0].Score() != 1 || got[0].Stations != 1 {
+		t.Fatalf("routed answer %+v, want person 17 at score 1 from one copy", got)
+	}
+	if routed.Cost.StationsFailed != 1 {
+		t.Fatalf("StationsFailed = %d, want 1 (the chosen member)", routed.Cost.StationsFailed)
+	}
+	// Visited = the chosen member and its sibling; only the sibling answered.
+	if routed.Cost.StationsPruned != len(ids)-2 || routed.Cost.MessagesUp != 1 {
+		t.Fatalf("pruned %d with %d replies, want %d pruned and the sibling's one reply", routed.Cost.StationsPruned, routed.Cost.MessagesUp, len(ids)-2)
+	}
+}
+
+// TestGroupRoutingMatchesFull is the group rule's property pin: over random
+// place, upsert, unplace, kill, remove, re-add-from-WAL and station-addressed
+// ingest operations on 4–9 stations at R=2 — with some stations addressed
+// and a link that fails one exchange — a routed search after every
+// operation returns exactly what RoutingFull returns over the same
+// reachable replicas. Run under -race in CI.
+func TestGroupRoutingMatchesFull(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { groupRoutingTrial(t, seed) })
+	}
+}
+
+func groupRoutingTrial(t *testing.T, seed int64) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(seed))
+	dir := t.TempDir()
+	const length = 4
+	randPattern := func() Pattern {
+		pat := make(Pattern, length)
+		for i := range pat {
+			pat[i] = 1 + rng.Int63n(1000)
+		}
+		return pat
+	}
+
+	n := 4 + rng.Intn(6)
+	links := make(map[uint32]*failOnceLink)
+	done := make(map[uint32]chan struct{})
+	var members []Member
+	nextAddressed := PersonID(10000) // station-addressed persons
+	var ingestedOn []uint32          // stations holding some of them
+	addressed := make(map[PersonID]Pattern)
+	for id := uint32(1); id <= uint32(n); id++ {
+		var seedPats map[PersonID]Pattern
+		if rng.Intn(3) == 0 {
+			seedPats = map[PersonID]Pattern{nextAddressed: randPattern()}
+			addressed[nextAddressed] = seedPats[nextAddressed]
+			nextAddressed++
+			ingestedOn = append(ingestedOn, id)
+		}
+		m, l, d := linkStation(t, dir, id, seedPats)
+		members = append(members, m)
+		links[id], done[id] = l, d
+	}
+	c, err := NewCluster(placedOptions(), length, members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Shutdown() })
+
+	current := make(map[PersonID]Pattern) // placed persons
+	var stale []Pattern                   // superseded patterns
+	removed := make(map[uint32]bool)
+	memberIDs := func(aliveOnly bool) []uint32 {
+		var out []uint32
+		c.mu.Lock()
+		for _, id := range c.ep.ids {
+			if !aliveOnly || !c.dead[id] {
+				out = append(out, id)
+			}
+		}
+		c.mu.Unlock()
+		return out
+	}
+	pick := func(ids []uint32) uint32 { return ids[rng.Intn(len(ids))] }
+
+	clean := 0
+	for step := 0; step < 40; step++ {
+		alive := memberIDs(true)
+		op := rng.Intn(8)
+		// A membership change's heal may fail one pull, push or evict.
+		healKinds := []wire.Kind{wire.KindDump, wire.KindIngest, wire.KindEvict}
+		if op >= 3 && op <= 5 && rng.Intn(3) == 0 {
+			links[pick(alive)].arm(healKinds[rng.Intn(len(healKinds))])
+		}
+		var what string
+		switch {
+		case op <= 1 || len(current) == 0: // place or upsert
+			batch := make(map[PersonID]Pattern)
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				p := PersonID(1 + rng.Intn(30))
+				if old, ok := current[p]; ok {
+					stale = append(stale, old)
+				}
+				batch[p] = randPattern()
+			}
+			if rng.Intn(3) == 0 { // the placement's push may fail once
+				links[pick(alive)].arm(wire.KindIngest)
+			}
+			unplaced, _ := c.place(ctx, batch, WithReplication(2))
+			for p, pat := range batch {
+				if !slices.Contains(unplaced, p) {
+					current[p] = pat
+				}
+			}
+			what = fmt.Sprintf("place %d", len(batch))
+		case op == 2:
+			ps := sortedKeys(current)
+			p := ps[rng.Intn(len(ps))]
+			if rng.Intn(3) == 0 { // the eviction may fail once
+				links[pick(alive)].arm(wire.KindEvict)
+			}
+			if err := c.Unplace(ctx, []PersonID{p}); err == nil {
+				stale = append(stale, current[p])
+				delete(current, p)
+			}
+			what = fmt.Sprintf("unplace %d", p)
+		case op == 3 && len(alive) > 3:
+			id := pick(alive)
+			if err := c.KillStation(id); err != nil {
+				t.Fatal(err)
+			}
+			what = fmt.Sprintf("kill %d", id)
+		case op == 4 && len(memberIDs(false)) > 3:
+			id := pick(memberIDs(false))
+			if err := c.KillStation(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RemoveStation(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+			<-done[id] // the station closed its WAL
+			removed[id] = true
+			what = fmt.Sprintf("remove %d", id)
+		case op == 5 && len(removed) > 0:
+			var ids []uint32
+			for r := range removed {
+				ids = append(ids, r)
+			}
+			slices.Sort(ids)
+			id := pick(ids)
+			m, l, d := linkStation(t, dir, id, nil)
+			if err := c.AddStation(ctx, m); err != nil {
+				t.Fatal(err)
+			}
+			links[id], done[id] = l, d
+			delete(removed, id)
+			what = fmt.Sprintf("re-add %d", id)
+		case op == 6:
+			// Mostly onto a station already addressed, so that most stay
+			// unaddressed and the group rule keeps skipping them.
+			id := pick(alive)
+			if on := slices.DeleteFunc(slices.Clone(ingestedOn), func(s uint32) bool { return !slices.Contains(alive, s) }); len(on) > 0 && rng.Intn(4) > 0 {
+				id = pick(on)
+			}
+			ingestedOn = append(ingestedOn, id)
+			addressed[nextAddressed] = randPattern()
+			if err := c.Ingest(ctx, id, map[PersonID]Pattern{nextAddressed: addressed[nextAddressed]}); err != nil {
+				t.Fatal(err)
+			}
+			nextAddressed++
+			what = fmt.Sprintf("ingest on %d", id)
+		default: // a heal whose pull, push or evict may fail once
+			links[pick(alive)].arm(healKinds[rng.Intn(len(healKinds))])
+			_, _ = c.Rebalance(ctx)
+			what = "rebalance"
+		}
+		for _, l := range links {
+			l.disarm()
+		}
+
+		// One query per placed person, a superseded pattern and an
+		// addressed person, in one search.
+		var queries []Query
+		add := func(pat Pattern) {
+			queries = append(queries, Query{ID: QueryID(len(queries) + 1), Locals: []Pattern{pat}})
+		}
+		for _, p := range sortedKeys(current) {
+			add(current[p])
+		}
+		if len(stale) > 0 {
+			add(stale[rng.Intn(len(stale))])
+		}
+		if len(addressed) > 0 {
+			ps := sortedKeys(addressed)
+			add(addressed[ps[rng.Intn(len(ps))]])
+		}
+		if _, _, _, _, ok := c.groupView(c.currentEpoch()); ok {
+			clean++
+		}
+		// Sometimes the round fails at one alive member, in both searches.
+		var flaky *failOnceLink
+		if rng.Intn(3) == 0 {
+			flaky = links[pick(memberIDs(true))]
+			flaky.arm(wire.KindBatchQuery)
+		}
+		routed, err := c.Search(ctx, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flaky != nil {
+			flaky.arm(wire.KindBatchQuery)
+		}
+		full, err := c.Search(ctx, queries, WithRouting(RoutingFull))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flaky != nil {
+			flaky.disarm()
+		}
+		for _, q := range queries {
+			w, g := full.PerQuery[q.ID], routed.PerQuery[q.ID]
+			if !slices.Equal(w, g) {
+				t.Fatalf("step %d (%s) query %d: routed %+v, full %+v", step, what, q.ID, g, w)
+			}
+		}
+	}
+	if clean == 0 {
+		t.Fatal("the layout was never clean: the group rule was not exercised")
+	}
+}
+
+func sortedKeys(m map[PersonID]Pattern) []PersonID {
+	out := make([]PersonID, 0, len(m))
+	for p := range m {
+		out = append(out, p)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestGroupRoutingAfterFactorChange: lowering every person's factor in one
+// Place leaves the dropped replicas' old copies where the new, narrower
+// groups no longer look. Until a heal trims them the layout is not clean,
+// and routed answers still equal full fan-out's.
+func TestGroupRoutingAfterFactorChange(t *testing.T) {
+	ctx := context.Background()
+	ids := []uint32{1, 2, 3, 4, 5}
+	before := make(map[PersonID]Pattern)
+	for p := PersonID(7); p <= 20; p++ {
+		before[p] = Pattern{int64(p), int64(p) * 3, 11}
+	}
+	c := newPlacedCluster(t, ids, 3, before)
+	after := make(map[PersonID]Pattern, len(before))
+	for p, pat := range before {
+		after[p] = pat
+	}
+	after[7] = Pattern{70, 80, 90}
+	if err := c.Place(ctx, after, WithReplication(2)); err != nil {
+		t.Fatal(err)
+	}
+	// Refetched digests no longer carry the overwritten copies' cells.
+	for _, id := range ids {
+		c.summaries.invalidate(id)
+	}
+	// Person 7's old copy survives on its dropped third replica; ask for it
+	// beside a person whose new group does not include that station.
+	dropped := placement.Pick(7, ids, 3)[2]
+	q := []Query{{ID: 1, Locals: []Pattern{before[7]}}}
+	for p := PersonID(8); p <= 20; p++ {
+		if !slices.Contains(placement.Pick(p, ids, 2), dropped) {
+			q = append(q, Query{ID: 2, Locals: []Pattern{after[p]}})
+			break
+		}
+	}
+	full, err := c.Search(ctx, q, WithRouting(RoutingFull))
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed, err := c.Search(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "after the factor change", q, full, routed)
+	if len(q) != 2 || len(full.PerQuery[1]) != 1 {
+		t.Fatalf("full fan-out found %+v for %d queries, want the old copy on the dropped replica", full.PerQuery[1], len(q))
+	}
+}

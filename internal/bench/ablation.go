@@ -8,7 +8,6 @@ import (
 	"dimatch"
 	"dimatch/internal/bloom"
 	"dimatch/internal/cdr"
-	"dimatch/internal/cluster"
 	"dimatch/internal/core"
 	"dimatch/internal/metrics"
 )
@@ -55,7 +54,7 @@ func runVariant(ctx context.Context, cfg AblationConfig, name string, params cor
 	if err != nil {
 		return AblationRow{}, err
 	}
-	cl, err := cluster.New(cluster.Options{Params: params, MinScore: minScore}, d.Length(), cluster.Members(dimatch.StationData(d))...)
+	cl, err := dimatch.NewCluster(dimatch.Options{Params: params, MinScore: minScore}, d.Length(), dimatch.Members(dimatch.StationData(d))...)
 	if err != nil {
 		return AblationRow{}, err
 	}
@@ -72,7 +71,7 @@ func runVariant(ctx context.Context, cfg AblationConfig, name string, params cor
 	for i, ref := range refs {
 		queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), ref)
 	}
-	out, err := cl.Search(ctx, queries, cluster.WithStrategy(cluster.StrategyWBF))
+	out, err := cl.Search(ctx, queries, dimatch.WithStrategy(dimatch.StrategyWBF))
 	if err != nil {
 		return AblationRow{}, err
 	}

@@ -22,8 +22,8 @@ import (
 	"fmt"
 	"io"
 
+	"dimatch"
 	"dimatch/internal/cdr"
-	"dimatch/internal/cluster"
 	"dimatch/internal/core"
 	"dimatch/internal/metrics"
 )
@@ -64,7 +64,7 @@ func pickReferences(d *cdr.Dataset, c cdr.Category, n int) []core.PersonID {
 
 // scoreQuery evaluates one query's retrieved list against ground truth,
 // excluding the reference person from both sides.
-func scoreQuery(out *cluster.Outcome, q core.QueryID, ref core.PersonID, relevant []core.PersonID) metrics.Confusion {
+func scoreQuery(out *dimatch.Outcome, q core.QueryID, ref core.PersonID, relevant []core.PersonID) metrics.Confusion {
 	var retrieved []core.PersonID
 	for _, r := range out.PerQuery[q] {
 		if r.Person == ref {

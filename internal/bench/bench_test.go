@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"dimatch/internal/cluster"
+	"dimatch"
 )
 
 func TestFigure1aShape(t *testing.T) {
@@ -142,36 +142,36 @@ func TestFigure4SmallSweep(t *testing.T) {
 	// 4(a): naive precision is 1; WBF stays close; BF degrades as the
 	// fixed filter fills.
 	for _, p := range points {
-		if p.Precision[cluster.StrategyNaive] < 0.999 {
-			t.Fatalf("naive precision %.3f != 1", p.Precision[cluster.StrategyNaive])
+		if p.Precision[dimatch.StrategyNaive] < 0.999 {
+			t.Fatalf("naive precision %.3f != 1", p.Precision[dimatch.StrategyNaive])
 		}
-		if p.Precision[cluster.StrategyWBF] < 0.9 {
-			t.Fatalf("WBF precision %.3f below 0.9 at a=%d", p.Precision[cluster.StrategyWBF], p.Patterns)
+		if p.Precision[dimatch.StrategyWBF] < 0.9 {
+			t.Fatalf("WBF precision %.3f below 0.9 at a=%d", p.Precision[dimatch.StrategyWBF], p.Patterns)
 		}
 	}
 	if last.FilterFill <= first.FilterFill {
 		t.Fatal("filter fill did not grow with patterns")
 	}
-	if last.Precision[cluster.StrategyBF] >= first.Precision[cluster.StrategyBF] &&
-		last.Precision[cluster.StrategyBF] > 0.5 {
+	if last.Precision[dimatch.StrategyBF] >= first.Precision[dimatch.StrategyBF] &&
+		last.Precision[dimatch.StrategyBF] > 0.5 {
 		t.Fatalf("BF did not degrade: %.3f -> %.3f",
-			first.Precision[cluster.StrategyBF], last.Precision[cluster.StrategyBF])
+			first.Precision[dimatch.StrategyBF], last.Precision[dimatch.StrategyBF])
 	}
-	if last.Precision[cluster.StrategyWBF] <= last.Precision[cluster.StrategyBF] {
+	if last.Precision[dimatch.StrategyWBF] <= last.Precision[dimatch.StrategyBF] {
 		t.Fatal("WBF should beat BF at high load")
 	}
 
 	// 4(c): WBF uplink well below naive's shipment at every point.
 	for _, p := range points {
-		if p.BytesUp[cluster.StrategyWBF]*2 > p.BytesUp[cluster.StrategyNaive] {
+		if p.BytesUp[dimatch.StrategyWBF]*2 > p.BytesUp[dimatch.StrategyNaive] {
 			t.Fatalf("a=%d: WBF uplink %d not well below naive %d",
-				p.Patterns, p.BytesUp[cluster.StrategyWBF], p.BytesUp[cluster.StrategyNaive])
+				p.Patterns, p.BytesUp[dimatch.StrategyWBF], p.BytesUp[dimatch.StrategyNaive])
 		}
 	}
 
 	// 4(d): naive center storage constant in a; WBF storage grows with the
 	// query load, not the data.
-	if float64(last.CenterStorage[cluster.StrategyNaive]) > 1.2*float64(first.CenterStorage[cluster.StrategyNaive]) {
+	if float64(last.CenterStorage[dimatch.StrategyNaive]) > 1.2*float64(first.CenterStorage[dimatch.StrategyNaive]) {
 		t.Fatal("naive storage should not grow with patterns")
 	}
 
@@ -242,7 +242,7 @@ func TestAblationTolerance(t *testing.T) {
 }
 
 func TestResilienceDegradesGracefully(t *testing.T) {
-	rows, err := Resilience(context.Background(), AblationConfig{Persons: 120}, []int{0, 8, 24}, cluster.StrategyWBF)
+	rows, err := Resilience(context.Background(), AblationConfig{Persons: 120}, []int{0, 8, 24}, dimatch.StrategyWBF)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"dimatch"
 	"dimatch/internal/cdr"
-	"dimatch/internal/cluster"
 	"dimatch/internal/core"
 	"dimatch/internal/metrics"
 )
@@ -79,7 +78,7 @@ func Convergence(ctx context.Context, cfg ConvergenceConfig) ([]ConvergencePoint
 
 	type group struct {
 		city *cdr.Dataset
-		cl   *cluster.Cluster
+		cl   *dimatch.Cluster
 		refs []core.PersonID
 	}
 	groups := make([]*group, 0, cfg.Groups)
@@ -103,7 +102,7 @@ func Convergence(ctx context.Context, cfg ConvergenceConfig) ([]ConvergencePoint
 			if err != nil {
 				return nil, err
 			}
-			opts := cluster.Options{
+			opts := dimatch.Options{
 				Params: core.Params{
 					Bits:           1 << 18,
 					Hashes:         5,
@@ -114,7 +113,7 @@ func Convergence(ctx context.Context, cfg ConvergenceConfig) ([]ConvergencePoint
 				},
 				MinScore: 0.9,
 			}
-			cl, err := cluster.New(opts, d.Length(), cluster.Members(dimatch.StationData(d))...)
+			cl, err := dimatch.NewCluster(opts, d.Length(), dimatch.Members(dimatch.StationData(d))...)
 			if err != nil {
 				return nil, err
 			}
@@ -130,7 +129,7 @@ func Convergence(ctx context.Context, cfg ConvergenceConfig) ([]ConvergencePoint
 			for i, ref := range refs {
 				queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), ref)
 			}
-			out, err := cl.Search(ctx, queries, cluster.WithStrategy(cluster.StrategyWBF))
+			out, err := cl.Search(ctx, queries, dimatch.WithStrategy(dimatch.StrategyWBF))
 			if err != nil {
 				_ = cl.Shutdown()
 				return nil, err

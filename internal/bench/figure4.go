@@ -8,7 +8,6 @@ import (
 
 	"dimatch"
 	"dimatch/internal/cdr"
-	"dimatch/internal/cluster"
 	"dimatch/internal/core"
 	"dimatch/internal/metrics"
 )
@@ -67,20 +66,20 @@ func (c Figure4Config) withDefaults() Figure4Config {
 // precision, time, communication and storage at one query-batch size.
 type Figure4Point struct {
 	Patterns  int
-	Precision map[cluster.Strategy]float64
-	Elapsed   map[cluster.Strategy]time.Duration
+	Precision map[dimatch.Strategy]float64
+	Elapsed   map[dimatch.Strategy]time.Duration
 	// BytesUp is station->center traffic; BytesDissemination is one copy
 	// of the query message (broadcast-effective downlink).
-	BytesUp            map[cluster.Strategy]uint64
-	BytesDissemination map[cluster.Strategy]uint64
+	BytesUp            map[dimatch.Strategy]uint64
+	BytesDissemination map[dimatch.Strategy]uint64
 	// CenterStorage is what the center must hold to answer (the whole
 	// dataset for naive; filter plus reports otherwise).
-	CenterStorage map[cluster.Strategy]uint64
+	CenterStorage map[dimatch.Strategy]uint64
 	// FilterFill is the WBF bit-array fill ratio, the degradation driver.
 	FilterFill float64
 }
 
-var figure4Strategies = []cluster.Strategy{cluster.StrategyNaive, cluster.StrategyBF, cluster.StrategyWBF}
+var figure4Strategies = []dimatch.Strategy{dimatch.StrategyNaive, dimatch.StrategyBF, dimatch.StrategyWBF}
 
 // Figure4 runs the sweep in the paper's exact-matching regime (ε = 0, the
 // unsalted scheme the paper describes): a service provider searches for
@@ -124,7 +123,7 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 		return nil, fmt.Errorf("bench: %d queries requested but category holds %d persons", maxA, len(refPool))
 	}
 
-	opts := cluster.Options{
+	opts := dimatch.Options{
 		Params: core.Params{
 			Bits:    cfg.FilterBits,
 			Hashes:  5,
@@ -137,7 +136,7 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 		// Only complete partitions (weight sum exactly 1) are answers.
 		MinScore: 0.999,
 	}
-	cl, err := cluster.New(opts, d.Length(), cluster.Members(data)...)
+	cl, err := dimatch.NewCluster(opts, d.Length(), dimatch.Members(data)...)
 	if err != nil {
 		return nil, err
 	}
@@ -151,14 +150,14 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 		}
 		point := Figure4Point{
 			Patterns:           a,
-			Precision:          make(map[cluster.Strategy]float64, 3),
-			Elapsed:            make(map[cluster.Strategy]time.Duration, 3),
-			BytesUp:            make(map[cluster.Strategy]uint64, 3),
-			BytesDissemination: make(map[cluster.Strategy]uint64, 3),
-			CenterStorage:      make(map[cluster.Strategy]uint64, 3),
+			Precision:          make(map[dimatch.Strategy]float64, 3),
+			Elapsed:            make(map[dimatch.Strategy]time.Duration, 3),
+			BytesUp:            make(map[dimatch.Strategy]uint64, 3),
+			BytesDissemination: make(map[dimatch.Strategy]uint64, 3),
+			CenterStorage:      make(map[dimatch.Strategy]uint64, 3),
 		}
 		for _, strat := range figure4Strategies {
-			out, err := cl.Search(ctx, queries, cluster.WithStrategy(strat))
+			out, err := cl.Search(ctx, queries, dimatch.WithStrategy(strat))
 			if err != nil {
 				return nil, err
 			}
@@ -174,7 +173,7 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 			var total metrics.Confusion
 			for i := 0; i < scored; i++ {
 				ref := refPool[i]
-				oracle, err := cluster.Oracle(data, queries[i], 0, 0)
+				oracle, err := dimatch.Oracle(data, queries[i], 0, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -188,7 +187,7 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 			}
 			point.Precision[strat] = total.Precision()
 
-			if strat == cluster.StrategyWBF {
+			if strat == dimatch.StrategyWBF {
 				// Rebuild the filter once to read its fill (cheap relative
 				// to the search itself).
 				enc, err := core.NewEncoder(opts.Params, cl.PatternLength())
@@ -215,31 +214,31 @@ func RenderFigure4(w io.Writer, points []Figure4Point) {
 	fmt.Fprintf(w, "%10s %10s %10s %10s %10s\n", "patterns", "naive", "bf", "wbf", "wbf-fill")
 	for _, p := range points {
 		fmt.Fprintf(w, "%10d %10.3f %10.3f %10.3f %10.3f\n", p.Patterns,
-			p.Precision[cluster.StrategyNaive], p.Precision[cluster.StrategyBF],
-			p.Precision[cluster.StrategyWBF], p.FilterFill)
+			p.Precision[dimatch.StrategyNaive], p.Precision[dimatch.StrategyBF],
+			p.Precision[dimatch.StrategyWBF], p.FilterFill)
 	}
 	fmt.Fprintln(w, "\nFigure 4(b): time cost vs number of patterns (ms)")
 	fmt.Fprintf(w, "%10s %10s %10s %10s\n", "patterns", "naive", "bf", "wbf")
 	for _, p := range points {
 		fmt.Fprintf(w, "%10d %10.1f %10.1f %10.1f\n", p.Patterns,
-			ms(p.Elapsed[cluster.StrategyNaive]), ms(p.Elapsed[cluster.StrategyBF]),
-			ms(p.Elapsed[cluster.StrategyWBF]))
+			ms(p.Elapsed[dimatch.StrategyNaive]), ms(p.Elapsed[dimatch.StrategyBF]),
+			ms(p.Elapsed[dimatch.StrategyWBF]))
 	}
 	fmt.Fprintln(w, "\nFigure 4(c): communication cost vs number of patterns (fraction of naive; uplink + one dissemination)")
 	fmt.Fprintf(w, "%10s %10s %10s %10s %14s\n", "patterns", "naive", "bf", "wbf", "naive-bytes")
 	for _, p := range points {
-		naive := float64(p.BytesUp[cluster.StrategyNaive] + p.BytesDissemination[cluster.StrategyNaive])
-		bf := float64(p.BytesUp[cluster.StrategyBF] + p.BytesDissemination[cluster.StrategyBF])
-		wbf := float64(p.BytesUp[cluster.StrategyWBF] + p.BytesDissemination[cluster.StrategyWBF])
+		naive := float64(p.BytesUp[dimatch.StrategyNaive] + p.BytesDissemination[dimatch.StrategyNaive])
+		bf := float64(p.BytesUp[dimatch.StrategyBF] + p.BytesDissemination[dimatch.StrategyBF])
+		wbf := float64(p.BytesUp[dimatch.StrategyWBF] + p.BytesDissemination[dimatch.StrategyWBF])
 		fmt.Fprintf(w, "%10d %10.3f %10.3f %10.3f %14.0f\n", p.Patterns, 1.0, bf/naive, wbf/naive, naive)
 	}
 	fmt.Fprintln(w, "\nFigure 4(d): center storage cost vs number of patterns (fraction of naive)")
 	fmt.Fprintf(w, "%10s %10s %10s %10s %14s\n", "patterns", "naive", "bf", "wbf", "naive-bytes")
 	for _, p := range points {
-		naive := float64(p.CenterStorage[cluster.StrategyNaive])
+		naive := float64(p.CenterStorage[dimatch.StrategyNaive])
 		fmt.Fprintf(w, "%10d %10.3f %10.3f %10.3f %14.0f\n", p.Patterns, 1.0,
-			float64(p.CenterStorage[cluster.StrategyBF])/naive,
-			float64(p.CenterStorage[cluster.StrategyWBF])/naive, naive)
+			float64(p.CenterStorage[dimatch.StrategyBF])/naive,
+			float64(p.CenterStorage[dimatch.StrategyWBF])/naive, naive)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"dimatch"
 	"dimatch/internal/cdr"
-	"dimatch/internal/cluster"
 	"dimatch/internal/core"
 	"dimatch/internal/metrics"
 )
@@ -27,9 +26,9 @@ type ResilienceRow struct {
 // (zero selects the WBF default). Losing a station loses the local pieces
 // it held — affected persons' weight sums fall below 1, so recall decays
 // while precision holds (the surviving evidence is still exact).
-func Resilience(ctx context.Context, cfg AblationConfig, killSteps []int, strat cluster.Strategy) ([]ResilienceRow, error) {
+func Resilience(ctx context.Context, cfg AblationConfig, killSteps []int, strat dimatch.Strategy) ([]ResilienceRow, error) {
 	if strat == 0 {
-		strat = cluster.StrategyWBF
+		strat = dimatch.StrategyWBF
 	}
 	cfg = cfg.withDefaults()
 	if len(killSteps) == 0 {
@@ -42,7 +41,7 @@ func Resilience(ctx context.Context, cfg AblationConfig, killSteps []int, strat 
 	if err != nil {
 		return nil, err
 	}
-	cl, err := cluster.New(cluster.Options{
+	cl, err := dimatch.NewCluster(dimatch.Options{
 		Params: core.Params{
 			Bits:           1 << 18,
 			Hashes:         5,
@@ -52,7 +51,7 @@ func Resilience(ctx context.Context, cfg AblationConfig, killSteps []int, strat 
 			PositionSalted: true,
 		},
 		MinScore: 0.9,
-	}, d.Length(), cluster.Members(dimatch.StationData(d))...)
+	}, d.Length(), dimatch.Members(dimatch.StationData(d))...)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +79,7 @@ func Resilience(ctx context.Context, cfg AblationConfig, killSteps []int, strat 
 			}
 			killed++
 		}
-		out, err := cl.Search(ctx, queries, cluster.WithStrategy(strat))
+		out, err := cl.Search(ctx, queries, dimatch.WithStrategy(strat))
 		if err != nil {
 			return nil, err
 		}

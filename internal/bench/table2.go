@@ -7,7 +7,6 @@ import (
 
 	"dimatch"
 	"dimatch/internal/cdr"
-	"dimatch/internal/cluster"
 	"dimatch/internal/core"
 	"dimatch/internal/metrics"
 )
@@ -75,7 +74,7 @@ func TableII(ctx context.Context, cfg TableIIConfig) ([]TableIIRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cl, err := cluster.New(cluster.Options{
+		cl, err := dimatch.NewCluster(dimatch.Options{
 			Params: core.Params{
 				Bits:           1 << 18,
 				Hashes:         5,
@@ -85,7 +84,7 @@ func TableII(ctx context.Context, cfg TableIIConfig) ([]TableIIRow, error) {
 				PositionSalted: true,
 			},
 			MinScore: 0.9,
-		}, d.Length(), cluster.Members(dimatch.StationData(d))...)
+		}, d.Length(), dimatch.Members(dimatch.StationData(d))...)
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +113,7 @@ func TableII(ctx context.Context, cfg TableIIConfig) ([]TableIIRow, error) {
 		for i, ref := range refs {
 			queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), ref)
 		}
-		out, err := cl.Search(ctx, queries, cluster.WithStrategy(cluster.StrategyWBF), cluster.WithVerify(cfg.Verify))
+		out, err := cl.Search(ctx, queries, dimatch.WithStrategy(dimatch.StrategyWBF), dimatch.WithVerify(cfg.Verify))
 		if err != nil {
 			_ = cl.Shutdown()
 			return nil, err

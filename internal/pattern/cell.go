@@ -33,6 +33,18 @@ func RowSum[R Row[C], C Cell](row R) int64 {
 	return s
 }
 
+// AllZero reports whether every value of row is zero: a person with no
+// measurable activity, whose row stations and placement drop. A row whose
+// non-zero values cancel out is not all-zero.
+func AllZero[R Row[C], C Cell](row R) bool {
+	for _, v := range row {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // AppendCells appends p's values to dst as int32 cells. The caller has
 // checked p.InRange: a value outside it would wrap.
 func AppendCells(dst []int32, p Pattern) []int32 {

@@ -189,3 +189,16 @@ func TestSumMaxNonNegative(t *testing.T) {
 		t.Fatal("IsNonNegative true for negative pattern")
 	}
 }
+
+func TestAllZero(t *testing.T) {
+	for _, p := range []Pattern{nil, {}, {0, 0, 0}} {
+		if !AllZero(p) {
+			t.Fatalf("AllZero(%v) = false", p)
+		}
+	}
+	for _, p := range []Pattern{{5, -5, 0}, {0, 0, 1}} {
+		if AllZero(p) || AllZero([]int32{int32(p[0]), int32(p[1]), int32(p[2])}) {
+			t.Fatalf("AllZero(%v) = true", p)
+		}
+	}
+}

@@ -138,7 +138,7 @@ func (r *ResidentsOf[R, C]) Range(from, to core.PersonID) ([]core.PersonID, []R)
 //
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func (r *ResidentsOf[R, C]) Upsert(p core.PersonID, local R) bool {
-	if pattern.RowSum(local) == 0 || (len(r.locals) > 0 && len(local) != len(r.locals[0])) {
+	if pattern.AllZero(local) || (len(r.locals) > 0 && len(local) != len(r.locals[0])) {
 		return false
 	}
 	i, resident := r.Find(p)
@@ -205,7 +205,7 @@ func (r *ResidentsOf[R, C]) AdoptRows(persons []core.PersonID, locals []R) bool 
 		if (i > 0 || len(r.persons) > 0) && p <= last {
 			return false
 		}
-		if len(l) != length || cap(l) != length || pattern.RowSum(l) == 0 {
+		if len(l) != length || cap(l) != length || pattern.AllZero(l) {
 			return false
 		}
 		last = p

@@ -1,13 +1,9 @@
 package wal
 
 import (
-	"context"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
-	"dimatch/internal/cluster"
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 )
@@ -28,64 +24,28 @@ const (
 		"0900000089901f531f0600000000000000"
 )
 
+// retiredDigestSnapshots names the two fixtures above, and
+// retiredDigestPersons/Locals are the residents each holds.
+var (
+	retiredDigestSnapshots = map[string]string{"adaptive": adaptedSnapshotHex, "static": staticSnapshotHex}
+	retiredDigestPersons   = []core.PersonID{10, 11, 12, 13, 14, 15}
+	retiredDigestLocals    = []pattern.Pattern{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {2, 4, 6}, {3, 5, 7}, {8, 9, 10}}
+)
+
 // TestSnapshotDropsAdaptiveDigest: a snapshot carrying a retired digest
-// record, adaptive or static, recovers every resident, and the recovered
-// station serves a fresh digest the coordinator can probe.
+// record, adaptive or static, decodes to every resident and nothing else.
+// The recovered station's search and fresh digest are pinned by
+// TestRetiredDigestSnapshotServesSearch.
 func TestSnapshotDropsAdaptiveDigest(t *testing.T) {
-	for name, fixtureHex := range map[string]string{"adaptive": adaptedSnapshotHex, "static": staticSnapshotHex} {
-		t.Run(name, func(t *testing.T) { checkRetiredDigestSnapshot(t, mustHex(t, fixtureHex)) })
-	}
-}
-
-// checkRetiredDigestSnapshot decodes one fixture, then boots a station over
-// it beside a second member and searches every recovered resident.
-func checkRetiredDigestSnapshot(t *testing.T, fixture []byte) {
-	img, err := decodeSnapshot[pattern.Pattern](fixture)
-	if err != nil {
-		t.Fatalf("decodeSnapshot: %v", err)
-	}
-	wantPersons := []core.PersonID{10, 11, 12, 13, 14, 15}
-	wantLocals := []pattern.Pattern{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {2, 4, 6}, {3, 5, 7}, {8, 9, 10}}
-	if !reflect.DeepEqual(img.Persons, wantPersons) || !reflect.DeepEqual(img.Locals, wantLocals) {
-		t.Fatalf("recovered %v %v, want %v %v", img.Persons, img.Locals, wantPersons, wantLocals)
-	}
-
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000001.snap"), fixture, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two members, so the routed search fetches and probes both digests.
-	c, err := cluster.New(cluster.Options{}, 3,
-		cluster.Member{ID: 1, Store: st},
-		cluster.Member{ID: 2, Patterns: map[core.PersonID]pattern.Pattern{20: {100, 100, 100}}})
-	if err != nil {
-		t.Fatalf("station refused its recovered store: %v", err)
-	}
-	defer func() { _ = c.Shutdown() }()
-	ctx := context.Background()
-	stats, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stats.TotalResidents(); got != 7 {
-		t.Fatalf("cluster holds %d residents, want 6 recovered + 1", got)
-	}
-	for i, local := range wantLocals {
-		out, err := c.Search(ctx, []core.Query{{ID: 1, Locals: []pattern.Pattern{local}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs := out.PerQuery[1]; len(rs) == 0 || rs[0].Person != wantPersons[i] || rs[0].Score() != 1 {
-			t.Fatalf("query for person %d answered %v", wantPersons[i], rs)
-		}
-	}
-	// Both digests decoded and were cached: the recovered station served a
-	// fresh one.
-	if n := c.RoutingState().Entries; n != 2 {
-		t.Fatalf("%d digests cached, want 2", n)
+	for name, fixtureHex := range retiredDigestSnapshots {
+		t.Run(name, func(t *testing.T) {
+			img, err := decodeSnapshot[pattern.Pattern](mustHex(t, fixtureHex))
+			if err != nil {
+				t.Fatalf("decodeSnapshot: %v", err)
+			}
+			if !reflect.DeepEqual(img.Persons, retiredDigestPersons) || !reflect.DeepEqual(img.Locals, retiredDigestLocals) {
+				t.Fatalf("recovered %v %v, want %v %v", img.Persons, img.Locals, retiredDigestPersons, retiredDigestLocals)
+			}
+		})
 	}
 }

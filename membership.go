@@ -1,0 +1,422 @@
+package dimatch
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+	"sync"
+	"time"
+
+	"dimatch/internal/transport"
+	"dimatch/internal/wire"
+)
+
+// KillStation severs one station's link, simulating a failure. The station
+// stays a member — the data center is not told: subsequent (and in-flight)
+// searches discover the failure when their exchange fails and count it in
+// CostReport.StationsFailed. Use RemoveStation for a deliberate departure.
+//
+// When patterns are placed (see Place), the kill triggers a reconciliation
+// pass: copies the dead station held are re-replicated from their surviving
+// replicas onto the persons' new replica groups, restoring the requested
+// replication factor.
+func (c *Cluster) KillStation(id uint32) error {
+	c.mu.Lock()
+	i := c.ep.find(id)
+	if i < 0 {
+		c.mu.Unlock()
+		return fmt.Errorf("%w: station %d", ErrUnknownStation, id)
+	}
+	if c.dead[id] {
+		c.mu.Unlock()
+		return nil
+	}
+	c.invalidateLayoutLocked()
+	c.dead[id] = true
+	err := c.ep.muxes[i].Close()
+	c.mu.Unlock()
+	c.summaries.invalidate(id)
+	c.heal(context.Background()) //dimatch:allow ctxflow — KillStation is a ctx-less fault-injection API; healing must outlive the injected fault
+	return err
+}
+
+// shutdownGrace bounds how long a shutdown frame may take to be accepted
+// before the link is closed out from under the station. A stalled link
+// (dead TCP peer, abandoned send holding the mux's send slot) would
+// otherwise block Shutdown or RemoveStation forever.
+const shutdownGrace = 100 * time.Millisecond
+
+// stopMux sends a best-effort shutdown frame — bounded by shutdownGrace and
+// ctx — then closes the mux, which also unblocks any send stalled on it.
+func stopMux(ctx context.Context, m *transport.Mux) {
+	sent := make(chan struct{})
+	go func() {
+		_ = m.Send(wire.ShutdownMessage())
+		close(sent)
+	}()
+	select {
+	case <-sent:
+	case <-time.After(shutdownGrace):
+	case <-ctx.Done():
+	}
+	_ = m.Close()
+}
+
+// Shutdown stops all stations and waits for their goroutines to exit.
+// Subsequent Search calls return ErrClusterClosed. The cluster lock is not
+// held while frames are sent, so concurrent Search and KillStation calls
+// cannot deadlock against a stalled station; each station gets a bounded
+// grace to accept the shutdown frame, after which its link is closed (which
+// also unblocks any send stalled on it).
+func (c *Cluster) Shutdown() error {
+	c.mu.Lock()
+	c.closed = true
+	var toStop []*transport.Mux
+	for i, id := range c.ep.ids {
+		if c.dead[id] {
+			continue
+		}
+		c.dead[id] = true
+		toStop = append(toStop, c.ep.muxes[i])
+	}
+	c.mu.Unlock()
+
+	var stopWg sync.WaitGroup
+	for _, m := range toStop {
+		m := m
+		stopWg.Add(1)
+		go func() {
+			defer stopWg.Done()
+			stopMux(context.Background(), m) //dimatch:allow ctxflow — Shutdown tears the cluster down unconditionally; shutdownGrace bounds it instead of a ctx
+		}()
+	}
+	stopWg.Wait()
+	c.wg.Wait()
+	c.serveMu.Lock()
+	defer c.serveMu.Unlock()
+	return errors.Join(c.serveErr...)
+}
+
+// ---- live mutation: ingest, evict, membership ----
+
+// Ingest adds (or replaces) resident patterns at one station — the center
+// routing freshly observed call data to the station that saw it. The
+// mutation travels the same request/reply loop as queries, so the station
+// applies it between exchanges and no search observes a half-applied store.
+// Pattern lengths must match the cluster's (ErrLengthMismatch) and values
+// fit an int32 (ErrValueRange); otherwise nothing is sent. All-zero
+// patterns are dropped by the station (no measurable activity means no
+// local pattern). The station is addressed from then on: routing never
+// skips it as a redundant replica (planRoute).
+func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[PersonID]Pattern) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if len(patterns) == 0 {
+		return nil
+	}
+	// Every length is checked before any cell is read, so a batch with both
+	// faults fails ErrLengthMismatch. Then each pattern is read once, in
+	// person order, for its range and its encoded size.
+	persons, err := sortedPersons("ingest", c.length, patterns)
+	if err != nil {
+		return err
+	}
+	in := wire.Ingest{Persons: persons, Locals: make([]Pattern, len(persons))}
+	var share rowShare
+	for i, p := range persons {
+		pat := patterns[p]
+		if !pat.InRange() {
+			return valueRange("ingest", p)
+		}
+		in.Locals[i] = pat
+		share.bytes += wire.RowSize(p, pat)
+	}
+	return c.ingest(ctx, stationID, in, share, true)
+}
+
+// ingest carries one ingest exchange of the rows of in that share lists
+// (every row when its index is nil), person-ascending and of the cluster's
+// length, in a frame sized from the share's bytes: Ingest's, and the
+// grouped copies Place and reconciliation push from one shared row set with
+// addressed false, which leaves the station unaddressed. An addressed
+// ingest passes every row.
+func (c *Cluster) ingest(ctx context.Context, stationID uint32, in wire.Ingest, share rowShare, addressed bool) error {
+	index := share.index
+	if len(in.Persons) == 0 || index != nil && len(index) == 0 {
+		return nil
+	}
+	if addressed {
+		placed := c.touchesPlaced(in.Persons)
+		c.mu.Lock()
+		if c.ep.find(stationID) >= 0 {
+			c.addressed[stationID] = true
+		}
+		if placed {
+			c.invalidateLayoutLocked()
+		}
+		c.mu.Unlock()
+	}
+	payload, err := wire.AppendSizedIngestPayload(nil, in, index, share.bytes)
+	if err != nil {
+		return err
+	}
+	if err := c.mutate(ctx, stationID, wire.Message{Kind: wire.KindIngest, Payload: payload}); err != nil {
+		// The exchange failed, but the frame may still have been delivered
+		// and applied (a lost reply, a deadline while awaiting it). A cached
+		// digest missing an applied ingest would prune the station away
+		// from its new residents — the one staleness direction that loses
+		// recall — so the slot is invalidated on the error path too.
+		c.summaries.invalidate(stationID)
+		return err
+	}
+	// The station's routing summary grew: delta-update the cached digest
+	// (Bloom inserts are monotone) so routed searches keep pruning without
+	// a refresh round trip. See summaryCache.noteIngest for the staleness
+	// contract.
+	c.summaries.noteIngest(stationID, in.Locals, index)
+	return nil
+}
+
+// Evict removes residents from one station — expired retention windows,
+// opted-out subscribers, or data handed off elsewhere. Unknown persons are
+// ignored. Like Ingest, the mutation serializes through the station's
+// request/reply loop. Evict does not release a placed person from
+// management — reconciliation will restore their evicted copy; use Unplace
+// for that.
+func (c *Cluster) Evict(ctx context.Context, stationID uint32, persons []PersonID) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if c.touchesPlaced(persons) {
+		c.invalidateLayout()
+	}
+	return c.evict(ctx, stationID, persons)
+}
+
+// evict is Evict for the placement paths, which keep the layout themselves.
+func (c *Cluster) evict(ctx context.Context, stationID uint32, persons []PersonID) error {
+	if len(persons) == 0 {
+		return nil
+	}
+	if err := c.mutate(ctx, stationID, wire.EncodeEvict(wire.Evict{Persons: persons})); err != nil {
+		return err
+	}
+	// Bloom digests cannot delete: drop the cached summary and let the next
+	// routed search refetch. Keeping the stale digest would only waste
+	// probes, but it would also never shrink.
+	c.summaries.invalidate(stationID)
+	return nil
+}
+
+// mutate runs one mutation exchange against a member station. The station
+// answers with its figures after the mutation, which replace the member's
+// entry in c.figures while the same link still serves the id. Concurrent
+// mutations hand their replies over in any order, so a reply older (by Seq)
+// than the recorded one is dropped.
+func (c *Cluster) mutate(ctx context.Context, id uint32, msg wire.Message) error {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return ErrClusterClosed
+	}
+	i := c.ep.find(id)
+	if i < 0 {
+		c.mu.Unlock()
+		return fmt.Errorf("%w: station %d", ErrUnknownStation, id)
+	}
+	mux := c.ep.muxes[i]
+	c.mu.Unlock()
+
+	reply, err := mux.Roundtrip(ctx, msg)
+	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return fmt.Errorf("%w: %w", ErrCancelled, ctxErr)
+		}
+		return fmt.Errorf("cluster: station %d: %w", id, err)
+	}
+	sr, err := wire.DecodeStatsReply(reply)
+	if err != nil {
+		return fmt.Errorf("cluster: station %d: %w", id, err)
+	}
+	c.mu.Lock()
+	if i := c.ep.find(id); i >= 0 && c.ep.muxes[i] == mux && sr.Seq >= c.figures[id].Seq {
+		c.figures[id] = sr
+	}
+	c.mu.Unlock()
+	return nil
+}
+
+// refusalLocked reports why id cannot join right now — a closed cluster or a
+// taken id — or nil. Callers hold c.mu.
+func (c *Cluster) refusalLocked(id uint32) error {
+	if c.closed {
+		return ErrClusterClosed
+	}
+	if c.ep.find(id) >= 0 {
+		return fmt.Errorf("%w: station %d", ErrStationExists, id)
+	}
+	return nil
+}
+
+// AddStation grows the membership of a running cluster with one member —
+// an in-process station (seeded, durable when m.Store is set: the rejoin
+// path of a restarted station) or a remote one over m.Link. Searches already
+// in flight complete against their own epoch; searches started after the
+// call fan out to the new station too.
+//
+// A refused join — a closed cluster, a taken id (ErrStationExists), a bad
+// spec, seed patterns of a foreign length (ErrLengthMismatch) — is refused
+// before the store is recovered, and closes the member's link and store.
+// Every member must then pass the stats handshake NewCluster also runs: it must
+// answer, and the patterns it holds, seeded, recovered or remote, must
+// match the cluster's length (ErrLengthMismatch). A refused member has its
+// link and store closed before the call returns. A durable member recovers
+// before the cluster lock is taken, so replaying a large WAL never stalls
+// concurrent searches.
+//
+// The join installs the next epoch and runs the hooks every join owes: a
+// departed member may have left a digest under the same id, so the summary
+// slot starts cold; and when patterns are placed (see Place), a
+// reconciliation pass rebalances exactly the placed patterns whose replica
+// groups changed — the groups the newcomer joins (and a recovered station
+// is topped up with only what it missed or holds stale), and nothing else
+// moves.
+func (c *Cluster) AddStation(ctx context.Context, m Member) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	mux, done, sr, err := c.admit(ctx, &m)
+	if err == nil {
+		c.mu.Lock()
+		if err = c.refusalLocked(m.ID); err == nil {
+			c.invalidateLayoutLocked()
+			c.addressed[m.ID] = sr.Residents > 0
+			c.figures[m.ID] = sr
+			c.addMemberLocked(m.ID, mux)
+		}
+		c.mu.Unlock()
+	}
+	if err != nil {
+		if mux != nil {
+			_ = mux.Close()
+		}
+		if done != nil {
+			<-done
+		}
+		m.release()
+		return err
+	}
+	c.summaries.invalidate(m.ID)
+	c.heal(ctx)
+	return nil
+}
+
+// admit runs everything a join does before taking the membership lock: the
+// refusals that cost nothing, then wiring (recovery; an in-process station
+// starts serving), then the handshake, whose reply sr seeds the figures. A
+// refusal after wiring still returns mux and done for AddStation to release.
+func (c *Cluster) admit(ctx context.Context, m *Member) (mux *transport.Mux, done <-chan struct{}, sr wire.StatsReply, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, sr, fmt.Errorf("%w: %w", ErrCancelled, err)
+	}
+	c.mu.Lock()
+	err = c.refusalLocked(m.ID)
+	c.mu.Unlock()
+	if err == nil {
+		err = m.check(c.length)
+	}
+	if err == nil {
+		mux, done, err = c.wire(m)
+	}
+	if err != nil {
+		return nil, nil, sr, err
+	}
+	replies, err := c.handshake(ctx, []uint32{m.ID}, []*transport.Mux{mux})
+	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			err = fmt.Errorf("%w: %w", ErrCancelled, ctxErr)
+		}
+		return mux, done, sr, err
+	}
+	return mux, done, replies[0], nil
+}
+
+// addMemberLocked installs a new epoch with id inserted in order. Callers
+// hold c.mu and have verified id is not a member.
+func (c *Cluster) addMemberLocked(id uint32, mux *transport.Mux) {
+	i := sort.Search(len(c.ep.ids), func(i int) bool { return c.ep.ids[i] >= id })
+	ids := make([]uint32, 0, len(c.ep.ids)+1)
+	ids = append(append(append(ids, c.ep.ids[:i]...), id), c.ep.ids[i:]...)
+	muxes := make([]*transport.Mux, 0, len(c.ep.muxes)+1)
+	muxes = append(append(append(muxes, c.ep.muxes[:i]...), mux), c.ep.muxes[i:]...)
+	c.installEpochLocked(ids, muxes)
+}
+
+// handshake is the join exchange every member passes, NewCluster's and
+// AddStation's: one stats round over muxes (parallel to ids), concurrently.
+// It returns each member's reply, or the first refusal in ids order: a
+// member that does not answer, answers in another wire version or holds
+// patterns of a foreign length. The reply says whether the member is
+// addressed and seeds its figures.
+func (c *Cluster) handshake(ctx context.Context, ids []uint32, muxes []*transport.Mux) ([]wire.StatsReply, error) {
+	replies := make([]wire.StatsReply, len(ids))
+	for i, r := range roundtripAll(ctx, muxes, wire.StatsMessage()) {
+		err := r.err
+		var sr wire.StatsReply
+		if err == nil {
+			sr, err = wire.DecodeStatsReply(r.reply)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("cluster: station %d handshake: %w", ids[i], err)
+		}
+		if sr.Length != 0 && int(sr.Length) != c.length {
+			return nil, fmt.Errorf("%w: station %d pattern length %d, cluster is %d", ErrLengthMismatch, ids[i], sr.Length, c.length)
+		}
+		replies[i] = sr
+	}
+	return replies, nil
+}
+
+// RemoveStation shrinks the membership of a running cluster: the station
+// leaves the next epoch, receives a best-effort shutdown frame (bounded by
+// ctx and a grace period) and its link is closed. A search already in
+// flight over a previous epoch sees the closure as a failed exchange and
+// counts it in CostReport.StationsFailed — removal is never a search error.
+// When patterns are placed (see Place), the departure triggers a
+// reconciliation pass that re-replicates the copies the station held from
+// their surviving replicas onto the new replica groups.
+func (c *Cluster) RemoveStation(ctx context.Context, id uint32) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return ErrClusterClosed
+	}
+	i := c.ep.find(id)
+	if i < 0 {
+		c.mu.Unlock()
+		return fmt.Errorf("%w: station %d", ErrUnknownStation, id)
+	}
+	mux := c.ep.muxes[i]
+	wasDead := c.dead[id]
+	c.invalidateLayoutLocked()
+	delete(c.dead, id)
+	delete(c.addressed, id)
+	delete(c.figures, id)
+	ids := make([]uint32, 0, len(c.ep.ids)-1)
+	ids = append(append(ids, c.ep.ids[:i]...), c.ep.ids[i+1:]...)
+	muxes := make([]*transport.Mux, 0, len(c.ep.muxes)-1)
+	muxes = append(append(muxes, c.ep.muxes[:i]...), c.ep.muxes[i+1:]...)
+	c.installEpochLocked(ids, muxes)
+	c.mu.Unlock()
+	c.summaries.invalidate(id)
+	if !wasDead {
+		stopMux(ctx, mux)
+	}
+	c.heal(ctx)
+	return nil
+}

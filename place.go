@@ -1,0 +1,742 @@
+package dimatch
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"time"
+
+	"dimatch/internal/pattern"
+	"dimatch/internal/placement"
+	"dimatch/internal/transport"
+	"dimatch/internal/wire"
+)
+
+// DefaultReplication is the replica count Place uses when WithReplication is
+// not given: every placed pattern survives any single station failure.
+const DefaultReplication = 2
+
+// healTimeout bounds the synchronous reconciliation a membership change
+// triggers, so a stalled station cannot wedge KillStation or RemoveStation.
+const healTimeout = 30 * time.Second
+
+// placeConfig is one Place call's resolved knobs.
+type placeConfig struct {
+	replication int
+}
+
+// PlaceOption configures a single Place call (see WithReplication).
+type PlaceOption func(*placeConfig)
+
+// WithReplication sets how many stations receive a copy of each placed
+// pattern (default DefaultReplication). r is clamped to the number of alive
+// stations at execution time, but the requested factor is what the table
+// records: when the membership later grows, reconciliation tops placements
+// back up to r.
+func WithReplication(r int) PlaceOption {
+	return func(c *placeConfig) { c.replication = r }
+}
+
+// HealReport summarizes one reconciliation pass — re-replication and
+// rebalancing — over the placed patterns (see Rebalance).
+type HealReport struct {
+	// Placed is the number of persons under automatic placement when the
+	// pass started.
+	Placed int
+	// Copied counts (person, station) copies ingested: onto a station that
+	// newly joined the person's replica set, or over a stale copy.
+	Copied int
+	// Removed counts (person, station) copies evicted from stations that
+	// are no longer in the person's replica set.
+	Removed int
+	// Lost counts placed persons with no reachable current copy anywhere —
+	// their pattern cannot be restored. They stay in the table, so a later
+	// pass retries if a holder was only transiently unreachable.
+	Lost int
+}
+
+// placeLayout is the cluster's clean-layout record (Cluster.layout).
+type placeLayout struct {
+	ids []uint32 // sorted; meaningful only while ok
+	ok  bool
+	gen uint64
+}
+
+// invalidateLayoutLocked drops the clean-layout record: until a heal
+// restores it, routed searches plan without the group rule. Callers hold
+// c.mu.
+func (c *Cluster) invalidateLayoutLocked() {
+	c.layout = placeLayout{gen: c.layout.gen + 1}
+}
+
+func (c *Cluster) invalidateLayout() {
+	c.mu.Lock()
+	c.invalidateLayoutLocked()
+	c.mu.Unlock()
+}
+
+// placementView snapshots what a placement pass works over: the alive
+// members, and the layout generation and validity it started under.
+func (c *Cluster) placementView() (ids []uint32, muxes []*transport.Mux, gen uint64, clean bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, id := range c.ep.ids {
+		if !c.dead[id] {
+			ids = append(ids, id)
+			muxes = append(muxes, c.ep.muxes[i])
+		}
+	}
+	return ids, muxes, c.layout.gen, c.layout.ok
+}
+
+// recordLayout marks alive as the clean layout, unless an invalidation
+// happened since the pass that placed over it read gen.
+func (c *Cluster) recordLayout(gen uint64, alive []uint32) {
+	c.mu.Lock()
+	if c.layout.gen == gen {
+		c.layout = placeLayout{ids: alive, ok: true, gen: gen}
+	}
+	c.mu.Unlock()
+}
+
+// touchesPlaced reports whether any of persons is under automatic
+// placement. A public Ingest or Evict of a placed person makes its copies
+// differ, so the caller invalidates the layout.
+func (c *Cluster) touchesPlaced(persons []PersonID) bool {
+	c.mu.Lock()
+	t := c.placeTab
+	c.mu.Unlock()
+	if t == nil {
+		return false
+	}
+	for _, p := range persons {
+		if t.Contains(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// placementTable returns the cluster's placement table, creating it on first
+// use with room for hint persons: the first Place sizes it for its rows.
+func (c *Cluster) placementTable(hint int) *placement.Table {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.placeTab == nil {
+		c.placeTab = placement.NewTable(hint)
+	}
+	return c.placeTab
+}
+
+// replicatedPred returns the predicate marking placed persons for the
+// replica-aware aggregation, or nil when nothing is placed — the zero-cost
+// path every purely station-addressed cluster stays on. The predicate
+// remembers its first answer per person: a Place or Unplace landing
+// mid-aggregation must not flip a person between the max-dedup and
+// summation models halfway through their reports (summing onto an already
+// maxed numerator would push a true match past 1 and delete it). The memo
+// grows with the persons reported, not the persons placed, and is not
+// synchronized: every caller consults the predicate from fanOut's serial
+// reply handler.
+func (c *Cluster) replicatedPred() func(PersonID) bool {
+	c.mu.Lock()
+	t := c.placeTab
+	c.mu.Unlock()
+	if t == nil || t.Len() == 0 {
+		return nil
+	}
+	memo := make(map[PersonID]bool)
+	return func(p PersonID) bool {
+		v, ok := memo[p]
+		if !ok {
+			v = t.Contains(p)
+			memo[p] = v
+		}
+		return v
+	}
+}
+
+// Placed returns the number of persons under automatic placement.
+func (c *Cluster) Placed() int {
+	c.mu.Lock()
+	t := c.placeTab
+	c.mu.Unlock()
+	if t == nil {
+		return 0
+	}
+	return t.Len()
+}
+
+// aliveMembers snapshots the current epoch's non-dead stations.
+func (c *Cluster) aliveMembers() (ids []uint32, muxes []*transport.Mux) {
+	ids, muxes, _, _ = c.placementView()
+	return ids, muxes
+}
+
+// rowShare is one station's share of a person-ascending row set: the rows'
+// ascending indexes (nil for every row) and the sum of their encoded sizes
+// (wire.RowSize), which sizes the station's frame without a second read of
+// the cells.
+type rowShare struct {
+	index []int32
+	bytes int
+}
+
+// copyPlan is one Place call's grouping of its persons' copies: the kept
+// rows, person-ascending, each person's Pick set as indexes into the alive
+// stations, the content hash its intent records, and each target station's
+// share of the rows.
+type copyPlan struct {
+	rows       wire.Ingest
+	width      int                 // copies per person: min(r, len(alive))
+	targets    []uint32            // targets[i*width:(i+1)*width] index alive for row i
+	hashes     []uint64            // placement.ContentHash of row i's pattern
+	perStation map[uint32]rowShare // each target station's rows
+}
+
+// passRows is how many persons one goroutine of Place's pass takes at
+// least: a batch below it, which every stream flush is, stays on the calling
+// goroutine.
+const passRows = 4096
+
+// passWorkers returns how many goroutines Place's pass over n persons runs
+// on: min(GOMAXPROCS, ⌈n/passRows⌉).
+func passWorkers(n int) int {
+	return min(runtime.GOMAXPROCS(0), (n+passRows-1)/passRows)
+}
+
+// passPart is one goroutine's range of the sorted persons, [lo, hi). Its
+// kept rows are written from lo on, and bytes sums their encoded sizes per
+// alive station.
+type passPart struct {
+	lo, hi, kept int
+	bytes        []int
+	err          error
+}
+
+// planCopies reads each person of persons (ascending, every pattern of the
+// cluster's length) exactly once: it checks the int32 range, drops all-zero
+// patterns, hashes the content, picks the targets (placement.PickIndexes
+// over salts computed once per call) and sizes the row. The pass runs on
+// workers goroutines, each over a contiguous range of persons writing at
+// its own offsets, and the gaps the dropped rows leave are then closed, so
+// the plan is the same for any worker count. persons becomes the plan's
+// row set. A value an int32 cannot hold fails the plan with the lowest such
+// person.
+//
+// Every station's row list is a window of one index array, 4 bytes per
+// copy, filled by a counting pass over the targets.
+func planCopies(persons []PersonID, patterns map[PersonID]Pattern, alive []uint32, r, workers int) (copyPlan, error) {
+	n, w := len(persons), min(r, len(alive))
+	pl := copyPlan{
+		rows:    wire.Ingest{Persons: persons, Locals: make([]Pattern, n)},
+		width:   w,
+		targets: make([]uint32, n*w),
+		hashes:  make([]uint64, n),
+	}
+	salts := placement.AppendSalts(nil, alive)
+	parts := make([]passPart, max(workers, 1))
+	var wg sync.WaitGroup
+	for j := range parts {
+		pt := &parts[j]
+		*pt = passPart{lo: j * n / len(parts), hi: (j + 1) * n / len(parts), bytes: make([]int, len(alive))}
+		if j == len(parts)-1 {
+			pl.pass(pt, patterns, salts, r)
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pl.pass(pt, patterns, salts, r)
+		}()
+	}
+	wg.Wait()
+
+	kept := 0
+	stationBytes := make([]int, len(alive))
+	for _, pt := range parts {
+		if pt.err != nil {
+			return copyPlan{}, pt.err
+		}
+		copy(persons[kept:], persons[pt.lo:pt.lo+pt.kept])
+		copy(pl.rows.Locals[kept:], pl.rows.Locals[pt.lo:pt.lo+pt.kept])
+		copy(pl.hashes[kept:], pl.hashes[pt.lo:pt.lo+pt.kept])
+		copy(pl.targets[kept*w:], pl.targets[pt.lo*w:(pt.lo+pt.kept)*w])
+		kept += pt.kept
+		for k, b := range pt.bytes {
+			stationBytes[k] += b
+		}
+	}
+	pl.rows.Persons, pl.rows.Locals = persons[:kept], pl.rows.Locals[:kept]
+	pl.hashes, pl.targets = pl.hashes[:kept], pl.targets[:kept*w]
+
+	// starts[k] is where station k's rows begin in index.
+	starts := make([]int, len(alive)+1)
+	for _, k := range pl.targets {
+		starts[k+1]++
+	}
+	for k := range alive {
+		starts[k+1] += starts[k]
+	}
+	index := make([]int32, len(pl.targets))
+	fill := slices.Clone(starts[:len(alive)])
+	for i := 0; i < kept; i++ {
+		for _, k := range pl.targets[i*w : (i+1)*w] {
+			index[fill[k]] = int32(i)
+			fill[k]++
+		}
+	}
+	pl.perStation = make(map[uint32]rowShare, len(alive))
+	for k, sid := range alive {
+		if lo, hi := starts[k], starts[k+1]; hi > lo {
+			pl.perStation[sid] = rowShare{index: index[lo:hi:hi], bytes: stationBytes[k]}
+		}
+	}
+	return pl, nil
+}
+
+// pass is one goroutine's share of planCopies's pass: persons pt.lo up to
+// pt.hi, each pattern read once. It stops at the first pattern holding a
+// value an int32 cannot hold.
+func (pl *copyPlan) pass(pt *passPart, patterns map[PersonID]Pattern, salts []uint64, r int) {
+	w, out := pl.width, pt.lo
+	for i := pt.lo; i < pt.hi; i++ {
+		p := pl.rows.Persons[i]
+		pat := patterns[p]
+		if !pat.InRange() {
+			pt.err = valueRange("place", p)
+			return
+		}
+		// Stations drop all-zero patterns on ingest (no measurable activity
+		// means no local pattern), and recording such a person as placed
+		// would leave an intent no copy can ever satisfy, counted Lost by
+		// every reconciliation forever.
+		if pattern.AllZero(pat) {
+			continue
+		}
+		pl.rows.Persons[out], pl.rows.Locals[out] = p, pat
+		pl.hashes[out] = placement.ContentHash(pat)
+		size := wire.RowSize(p, pat)
+		for _, k := range placement.PickIndexes(p, salts, r, pl.targets[out*w:out*w:(out+1)*w]) {
+			pt.bytes[k] += size
+		}
+		out++
+	}
+	pt.kept = out - pt.lo
+}
+
+// Place ingests patterns under automatic placement: each person's pattern is
+// copied to its chained replica set over the currently alive membership —
+// the station that wins the rendezvous (HRW) hash of (person, station) and
+// its r−1 successors in station-ID order (placement.Pick), r per
+// WithReplication (default DefaultReplication). Place serializes with
+// reconciliation passes (and with Unplace), so an in-flight heal cannot
+// interleave stale copies with a placement in progress. Unlike the
+// station-addressed Ingest, the caller names no station — placement is the
+// coordinator's job, and it is self-healing: when the membership changes,
+// reconciliation re-replicates under-replicated patterns onto the survivors
+// and rebalances the ones whose replica groups changed.
+//
+// A placed person's replicas hold full copies of one pattern, so the search
+// aggregation dedupes their reports (highest score wins) instead of summing
+// them, a routed search visits one replica per group and a replica lost
+// mid-search is covered by the others. Consequently a person must be either
+// placed or station-addressed, never both: Place records the person as
+// managed, and reconciliation will move their copies to the replica group,
+// clobbering any station-addressed copy under the same ID. Use Unplace to
+// release a person back to manual management.
+//
+// A pattern of a foreign length or holding a value an int32 cannot hold
+// fails the whole call before any exchange (ErrLengthMismatch,
+// ErrValueRange): nothing is placed. All-zero patterns are skipped
+// entirely, matching the stations' ingest rule (no measurable activity
+// means no pattern).
+//
+// Partial failure is not fatal: the error joins every failed station
+// exchange. A person who reached at least one station is recorded as placed
+// (reconciliation restores the missing copies on the next membership change
+// or Rebalance call); a person who reached none is rolled back to their
+// earlier placement, if any.
+func (c *Cluster) Place(ctx context.Context, patterns map[PersonID]Pattern, opts ...PlaceOption) error {
+	_, err := c.place(ctx, patterns, opts...)
+	return err
+}
+
+// place is Place that also returns the persons who reached no station,
+// ascending — all of them when the call fails before any exchange — so the
+// stream's flusher retries exactly those.
+//
+// The caller's map is walked once for its persons and their lengths, which
+// reads no cell, and the persons are sorted once. One pass then reads each
+// pattern once (planCopies), split across cores for a bulk load, into one
+// person-ascending row set with flat arrays of targets and content hashes
+// and each station's frame size. The intents are recorded under one table
+// lock, and every target station receives one ingest exchange encoded
+// straight from the row set through the station's index list, however many
+// persons land on it.
+func (c *Cluster) place(ctx context.Context, patterns map[PersonID]Pattern, opts ...PlaceOption) (unplaced []PersonID, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// Serialize against reconciliation: a heal that pulled copies before
+	// this call must not push them back over the fresh placement after it.
+	c.healMu.Lock()
+	defer c.healMu.Unlock()
+	cfg := placeConfig{replication: DefaultReplication}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.replication <= 0 {
+		cfg.replication = DefaultReplication
+	}
+	if len(patterns) == 0 {
+		return nil, nil
+	}
+	alive, _, gen, clean := c.placementView()
+	persons, err := sortedPersons("place", c.length, patterns)
+	var plan copyPlan
+	if err == nil {
+		plan, err = planCopies(persons, patterns, alive, cfg.replication, passWorkers(len(persons)))
+	}
+	if err == nil && len(alive) == 0 {
+		err = ErrNoAliveStations
+	}
+	if err != nil {
+		return allPersons(patterns), err
+	}
+	rows := plan.rows
+	if len(rows.Persons) == 0 {
+		return nil, nil
+	}
+	// Record the intents BEFORE pushing any copy: a search starting between
+	// the first ingest and the table update would otherwise sum the replica
+	// reports (the person is not marked yet) and delete the person as
+	// over-matched. The early mark is harmless the other way around —
+	// max-dedup over zero or one reports ranks identically to summation.
+	// Persons whose every target fails are rolled back below.
+	tab := c.placementTable(len(rows.Persons))
+	before := tab.Len()
+	prior := tab.Record(rows.Persons, cfg.replication, plan.hashes)
+	plan.hashes = nil // recorded: not held through the fan-out's frames
+
+	others := before - len(prior) // persons placed by earlier calls only
+	refactored := false           // a person's factor changes: its old copies may lie off the new set
+	for _, e := range prior {
+		refactored = refactored || e.Factor != cfg.replication
+	}
+
+	failed, errs := c.ingestGrouped(ctx, rows, plan.perStation, "place on")
+	switch {
+	case len(errs) > 0 || refactored:
+		c.invalidateLayout()
+	case clean || others == 0:
+		// Every placed person now sits on its Pick set over alive: the
+		// earlier ones because the layout was clean, or because there are
+		// none.
+		c.recordLayout(gen, alive)
+	}
+
+	for i, p := range rows.Persons {
+		landed := false
+		for _, k := range plan.targets[i*plan.width : (i+1)*plan.width] {
+			if !failed[alive[k]] {
+				landed = true
+				break
+			}
+		}
+		if !landed {
+			// Nothing of this person reached any station: restore whatever
+			// intent existed before the call, factor and content both.
+			if e, ok := prior[p]; ok {
+				tab.Set(p, e)
+			} else {
+				tab.Remove(p)
+			}
+			unplaced = append(unplaced, p)
+		}
+	}
+	return unplaced, errors.Join(errs...)
+}
+
+// groupedFanOut runs one mutation exchange per station concurrently — a
+// heal after a kill must not pay one sequential round trip per surviving
+// station — and reports the stations whose exchange failed, errors in
+// ascending station order.
+func groupedFanOut[T any](perStation map[uint32]T, what string, do func(sid uint32, payload T) error) (failed map[uint32]bool, errs []error) {
+	stations := make([]uint32, 0, len(perStation))
+	for sid := range perStation {
+		stations = append(stations, sid)
+	}
+	slices.Sort(stations)
+
+	perErr := make([]error, len(stations))
+	var wg sync.WaitGroup
+	for i, sid := range stations {
+		i, sid := i, sid
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			perErr[i] = do(sid, perStation[sid])
+		}()
+	}
+	wg.Wait()
+
+	failed = make(map[uint32]bool)
+	for i, sid := range stations {
+		if perErr[i] != nil {
+			failed[sid] = true
+			errs = append(errs, fmt.Errorf("%s station %d: %w", what, sid, perErr[i]))
+		}
+	}
+	return failed, errs
+}
+
+// ingestGrouped pushes one grouped ingest exchange per target station,
+// through the internal path that leaves the stations unaddressed. rows is
+// person-ascending and of the cluster's length, and every station's frame is
+// encoded from it through the station's ascending index list, sized from
+// its share's bytes.
+func (c *Cluster) ingestGrouped(ctx context.Context, rows wire.Ingest, perStation map[uint32]rowShare, what string) (failed map[uint32]bool, errs []error) {
+	return groupedFanOut(perStation, what, func(sid uint32, share rowShare) error {
+		return c.ingest(ctx, sid, rows, share, false)
+	})
+}
+
+// evictGrouped is ingestGrouped's counterpart: one concurrent evict
+// exchange per station.
+func (c *Cluster) evictGrouped(ctx context.Context, perStation map[uint32][]PersonID, what string) (failed map[uint32]bool, errs []error) {
+	return groupedFanOut(perStation, what, func(sid uint32, persons []PersonID) error {
+		return c.evict(ctx, sid, persons)
+	})
+}
+
+// Unplace releases persons from automatic placement: their copies are
+// evicted from every alive station and the placement table forgets them.
+// Persons that were never placed are ignored. On a failed eviction the table
+// keeps the affected persons (their copies may still exist, so the
+// replica-aware dedup must stay in force) and the error is returned; calling
+// Unplace again retries.
+func (c *Cluster) Unplace(ctx context.Context, persons []PersonID) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// Serialize against reconciliation: an in-flight heal could otherwise
+	// re-ingest copies it pulled before this eviction, leaving orphaned,
+	// unmanaged replicas of a person Unplace reported released.
+	c.healMu.Lock()
+	defer c.healMu.Unlock()
+	c.mu.Lock()
+	t := c.placeTab
+	c.mu.Unlock()
+	if t == nil {
+		return nil
+	}
+	placed := make([]PersonID, 0, len(persons))
+	for _, p := range persons {
+		if t.Contains(p) {
+			placed = append(placed, p)
+		}
+	}
+	if len(placed) == 0 {
+		return nil
+	}
+	alive, _ := c.aliveMembers()
+	perStation := make(map[uint32][]PersonID, len(alive))
+	for _, sid := range alive {
+		perStation[sid] = placed
+	}
+	if _, errs := c.evictGrouped(ctx, perStation, "unplace on"); len(errs) > 0 {
+		// Some copies of the kept persons may be gone: their replicas differ.
+		c.invalidateLayout()
+		return errors.Join(errs...)
+	}
+	for _, p := range placed {
+		t.Remove(p)
+	}
+	return nil
+}
+
+// Rebalance runs one reconciliation pass over the placed patterns: it pulls
+// the placed persons' copies from the alive stations (KindDump), recomputes
+// every person's replica set over the alive membership, ingests the missing
+// copies onto new targets and evicts stale copies from stations that are no
+// longer targets. A copy counts only if it matches the content hash the
+// placement table recorded at the last Place: a replica that missed an
+// upsert (it was away when the person was placed again) is re-ingested with
+// the current copy, never taken as one. Membership changes trigger this
+// automatically; calling it explicitly is useful after transient failures or
+// to inspect the placement's health.
+//
+// The pass is conservative: stale copies are only evicted when every missing
+// copy was ingested successfully, so a partially failed pass never reduces a
+// pattern's replica count. Persons with no reachable current copy are
+// counted in HealReport.Lost, their copies are left alone, and they stay in
+// the table for later retries. A pass that pulled from every alive station,
+// lost nothing and failed no exchange leaves the layout clean: routed
+// searches may then visit one replica per group (planRoute).
+func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// One pass at a time: concurrent membership changes queue their heals
+	// rather than interleaving conflicting move plans.
+	c.healMu.Lock()
+	defer c.healMu.Unlock()
+
+	c.mu.Lock()
+	closed, t := c.closed, c.placeTab
+	c.mu.Unlock()
+	alive, muxes, gen, _ := c.placementView()
+	if closed {
+		return HealReport{}, ErrClusterClosed
+	}
+	if t == nil || t.Len() == 0 {
+		return HealReport{}, nil
+	}
+	// One snapshot drives the whole pass: deriving the dump filter from a
+	// second table read would let a concurrent Unplace strand a person in
+	// intents but out of the filter, spuriously counted as lost.
+	intents := t.Snapshot()
+	keys := make([]PersonID, 0, len(intents))
+	for p := range intents {
+		keys = append(keys, p)
+	}
+	slices.Sort(keys)
+	report := HealReport{Placed: len(intents)}
+
+	if len(alive) == 0 {
+		report.Lost = len(intents)
+		return report, ErrNoAliveStations
+	}
+
+	// Pull the placed persons' copies from every alive station.
+	results := roundtripAll(ctx, muxes, wire.EncodeDump(wire.Dump{Persons: keys}))
+	if err := ctx.Err(); err != nil {
+		c.invalidateLayout()
+		return report, fmt.Errorf("%w: %w", ErrCancelled, err)
+	}
+
+	// holders[p] are the stations holding p's current copy, stale[p] those
+	// holding any other.
+	holders := make(map[PersonID]map[uint32]bool, len(intents))
+	stale := make(map[PersonID]map[uint32]bool)
+	copies := make(map[PersonID]Pattern, len(intents))
+	pulledAll := true
+	for i, r := range results {
+		if r.err != nil {
+			pulledAll = false
+			continue
+		}
+		reply, err := wire.DecodeDumpReply(r.reply)
+		if err != nil {
+			pulledAll = false
+			continue
+		}
+		for j, p := range reply.Persons {
+			e, placed := intents[p]
+			if !placed {
+				continue
+			}
+			l := reply.Locals[j]
+			into := stale
+			if len(l) == c.length && placement.ContentHash(l) == e.Hash {
+				into = holders
+				if _, ok := copies[p]; !ok {
+					copies[p] = l
+				}
+			}
+			hs := into[p]
+			if hs == nil {
+				hs = make(map[uint32]bool, 2)
+				into[p] = hs
+			}
+			hs[alive[i]] = true
+		}
+	}
+
+	// Plan the moves: every person's targets are recomputed from scratch, so
+	// the same pass covers under-replication (a holder died), rebalancing (a
+	// new station joined the replica set), stale copies and topping up after
+	// the membership grew past a previously clamped factor.
+	// The persons some target lacks form one person-ascending row set,
+	// walked from the sorted keys, so every station's index list ascends.
+	var rows wire.Ingest
+	adds := make(map[uint32]rowShare)
+	dels := make(map[uint32][]PersonID)
+	for _, p := range keys {
+		pat, ok := copies[p]
+		if !ok {
+			report.Lost++
+			continue
+		}
+		targets := placement.Pick(p, alive, intents[p].Factor)
+		targetSet := make(map[uint32]bool, len(targets))
+		row, size := -1, 0
+		for _, sid := range targets {
+			targetSet[sid] = true
+			if !holders[p][sid] {
+				if row < 0 {
+					row, size = len(rows.Persons), wire.RowSize(p, pat)
+					rows.Persons = append(rows.Persons, p)
+					rows.Locals = append(rows.Locals, pat)
+				}
+				share := adds[sid]
+				share.index = append(share.index, int32(row))
+				share.bytes += size
+				adds[sid] = share
+			}
+		}
+		for _, hs := range []map[uint32]bool{holders[p], stale[p]} {
+			for sid := range hs {
+				if !targetSet[sid] {
+					dels[sid] = append(dels[sid], p)
+				}
+			}
+		}
+	}
+
+	// Copied/Removed count completed work, not the plan: a partially failed
+	// pass must not report healing that never happened. Both phases fan out
+	// concurrently, one grouped exchange per station.
+	failedAdds, errs := c.ingestGrouped(ctx, rows, adds, "re-replicate to")
+	for sid, share := range adds {
+		if !failedAdds[sid] {
+			report.Copied += len(share.index)
+		}
+	}
+	if len(errs) == 0 {
+		// A failed ingest means the plan is stale; keep the extra copies.
+		failedDels, delErrs := c.evictGrouped(ctx, dels, "rebalance evict on")
+		errs = delErrs
+		for sid, ps := range dels {
+			if !failedDels[sid] {
+				report.Removed += len(ps)
+			}
+		}
+	}
+	if len(errs) == 0 && pulledAll && report.Lost == 0 {
+		c.recordLayout(gen, alive)
+	} else {
+		c.invalidateLayout()
+	}
+	return report, errors.Join(errs...)
+}
+
+// heal is the membership-change hook: a best-effort, bounded reconciliation.
+// It always queues on healMu, even while nothing is placed, so it runs after
+// any Place already in flight — a Place that computed its targets over the
+// old membership and whose copies the change stranded. A pass over an empty
+// table returns at once, so purely station-addressed clusters pay one lock.
+// Errors are swallowed — reconciliation is idempotent and the next
+// membership change (or an explicit Rebalance) retries.
+func (c *Cluster) heal(ctx context.Context) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, cancel := context.WithTimeout(ctx, healTimeout)
+	defer cancel()
+	_, _ = c.Rebalance(ctx)
+}

@@ -1,7 +1,6 @@
 package dimatch
 
 import (
-	"dimatch/internal/cluster"
 	"dimatch/internal/store"
 	"dimatch/internal/store/wal"
 )
@@ -38,7 +37,7 @@ func OpenWALStore(dir string, opts WALOptions) (Store, error) { return wal.Open(
 // recovers from st first and owns it from then on, closing it when the loop
 // exits; a nil st keeps the residents in memory only.
 func ServeStoredStation(id uint32, locals map[PersonID]Pattern, link Link, st Store) error {
-	s, err := cluster.NewStation(id, locals, link, st)
+	s, err := newStation(id, locals, link, st)
 	if err != nil {
 		return err
 	}
