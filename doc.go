@@ -142,9 +142,9 @@
 // their surviving current copies and rebalances the ones whose replica
 // groups changed. Rebalance runs a pass on demand and reports
 // it; Unplace releases persons back to station-addressed management.
-// TestEverySingleKillKeepsResultsAtR2 (replication_test.go) pins the
-// resulting guarantee: at replication 2, killing any single station leaves
-// the result set equal to the healthy cluster's.
+// TestEverySingleKillKeepsResultsAtR2 (internal/cluster's replication tests)
+// pins the resulting guarantee: at replication 2, killing any single
+// station leaves the result set equal to the healthy cluster's.
 //
 // # Code layout
 //
@@ -159,7 +159,8 @@
 // (lifecycle, the one join path), stats.go, search.go, wbf.go (the
 // DI-matching pipeline), route.go (the one pruning pass), baselines.go (BF,
 // naive), oracle.go, stream.go (streaming ingest in front of Place) and
-// station.go (the station's serve loop).
+// station.go (the station's serve loop). The tests that need only the
+// exported API are black-box tests in internal/cluster.
 //
 // A deterministic city-scale synthetic CDR generator (GenerateCity) stands
 // in for the paper's proprietary dataset, and StrategyNaive / StrategyBF

@@ -1,14 +1,12 @@
-package cluster
+package cluster_test
 
 import (
 	"context"
 	"errors"
-	"net"
 	"reflect"
 	"testing"
 
-	"dimatch/internal/core"
-	"dimatch/internal/pattern"
+	"dimatch"
 	"dimatch/internal/transport"
 	"dimatch/internal/wire"
 )
@@ -16,17 +14,17 @@ import (
 // batchTestData splits person 10 across two stations and gives every other
 // person a global no other query sums to, so each query's oracle answer is
 // exactly what local matching can reach.
-func batchTestData() map[uint32]map[core.PersonID]pattern.Pattern {
-	return map[uint32]map[core.PersonID]pattern.Pattern{
+func batchTestData() map[uint32]map[dimatch.PersonID]dimatch.Pattern {
+	return map[uint32]map[dimatch.PersonID]dimatch.Pattern{
 		0: {10: {1, 2, 3}, 11: {3, 4, 6}},
 		1: {10: {2, 2, 2}, 12: {9, 9, 9}},
 		2: {13: {5, 0, 5}, 14: {1, 1, 1}},
 	}
 }
 
-func batchTestCluster(t *testing.T) *Cluster {
+func batchTestCluster(t *testing.T) *dimatch.Cluster {
 	t.Helper()
-	c, err := newFromData(Options{}, batchTestData())
+	c, err := newFromData(dimatch.Options{}, batchTestData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,13 +32,13 @@ func batchTestCluster(t *testing.T) *Cluster {
 	return c
 }
 
-func batchTestQueries() []core.Query {
-	return []core.Query{
-		{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}, {2, 2, 2}}},
-		{ID: 2, Locals: []pattern.Pattern{{3, 4, 6}}},
-		{ID: 3, Locals: []pattern.Pattern{{9, 9, 9}}},
-		{ID: 4, Locals: []pattern.Pattern{{5, 0, 5}}},
-		{ID: 5, Locals: []pattern.Pattern{{1, 1, 1}}},
+func batchTestQueries() []dimatch.Query {
+	return []dimatch.Query{
+		{ID: 1, Locals: []dimatch.Pattern{{1, 2, 3}, {2, 2, 2}}},
+		{ID: 2, Locals: []dimatch.Pattern{{3, 4, 6}}},
+		{ID: 3, Locals: []dimatch.Pattern{{9, 9, 9}}},
+		{ID: 4, Locals: []dimatch.Pattern{{5, 0, 5}}},
+		{ID: 5, Locals: []dimatch.Pattern{{1, 1, 1}}},
 	}
 }
 
@@ -58,14 +56,14 @@ func TestRoundSizesMatchSingleRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range queries {
-		truth, err := Oracle(batchTestData(), q, 0, 0)
+		truth, err := dimatch.Oracle(batchTestData(), q, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(truth) == 0 {
 			t.Fatalf("query %d matches nothing; test data broken", q.ID)
 		}
-		got := make(map[core.PersonID]bool)
+		got := make(map[dimatch.PersonID]bool)
 		for _, p := range want.Persons(q.ID) {
 			got[p] = true
 		}
@@ -77,7 +75,7 @@ func TestRoundSizesMatchSingleRound(t *testing.T) {
 	}
 
 	for _, n := range []int{1, 2, 3, len(queries)} {
-		got := make(map[core.QueryID][]core.Result, len(queries))
+		got := make(map[dimatch.QueryID][]dimatch.Result, len(queries))
 		for rest := queries; len(rest) > 0; {
 			round := rest[:min(n, len(rest))]
 			rest = rest[len(round):]
@@ -122,8 +120,8 @@ func TestSearchRefusesRepeatedQueryIDs(t *testing.T) {
 	c := batchTestCluster(t)
 	queries := batchTestQueries()
 	queries[3].ID = queries[0].ID
-	for _, s := range []Strategy{StrategyWBF, StrategyBF, StrategyNaive} {
-		if _, err := c.Search(context.Background(), queries, WithStrategy(s)); !errors.Is(err, ErrBadQueries) {
+	for _, s := range []dimatch.Strategy{dimatch.StrategyWBF, dimatch.StrategyBF, dimatch.StrategyNaive} {
+		if _, err := c.Search(context.Background(), queries, dimatch.WithStrategy(s)); !errors.Is(err, dimatch.ErrBadQueries) {
 			t.Fatalf("%v: err = %v, want ErrBadQueries", s, err)
 		}
 	}
@@ -137,12 +135,12 @@ func TestSearchRefusesRepeatedQueryIDs(t *testing.T) {
 // before any exchange, and exactly that many are answered.
 func TestWBFQueryLimit(t *testing.T) {
 	c := batchTestCluster(t)
-	queries := make([]core.Query, wire.MaxBatchQueries+1)
+	queries := make([]dimatch.Query, wire.MaxBatchQueries+1)
 	for i := range queries {
-		queries[i] = core.Query{ID: core.QueryID(i + 1), Locals: []pattern.Pattern{{int64(i), 2, 3}}}
+		queries[i] = dimatch.Query{ID: dimatch.QueryID(i + 1), Locals: []dimatch.Pattern{{int64(i), 2, 3}}}
 	}
 	ctx := context.Background()
-	if _, err := c.Search(ctx, queries); !errors.Is(err, ErrBadQueries) {
+	if _, err := c.Search(ctx, queries); !errors.Is(err, dimatch.ErrBadQueries) {
 		t.Fatalf("%d queries: err = %v, want ErrBadQueries", len(queries), err)
 	}
 	if st := c.RoutingState(); st.Entries != 0 {
@@ -160,65 +158,24 @@ func TestWBFQueryLimit(t *testing.T) {
 	}
 }
 
-// TestForeignVersionPeerIsCountedFailed: a peer that passed the join
-// handshake and then stamps its frames with a version this codec does not
-// speak is refused at its first such reply. The search neither hangs nor
-// panics: the peer is counted in StationsFailed, its link carries the typed
-// wire.ErrBadVersion, and the other stations' results are intact.
-func TestForeignVersionPeerIsCountedFailed(t *testing.T) {
-	goodCenter, goodStation := transport.Pipe(nil, nil)
-	go func() {
-		_ = ServeStation(1, map[core.PersonID]pattern.Pattern{10: {1, 2, 3}, 11: {3, 4, 5}}, goodStation)
-	}()
-	// The foreign peer needs a byte-level link: the version lives in the
-	// encoded frame, which the in-process pipe never produces.
-	centerConn, peerConn := net.Pipe()
-	go func() {
-		defer peerConn.Close()
-		for joined := false; ; joined = true {
-			req, err := wire.ReadMessage(peerConn)
-			if err != nil || req.Kind == wire.KindShutdown {
-				return
-			}
-			frame := wire.EncodeStatsReply(wire.StatsReply{Station: 2, Length: 3}).WithRequest(req.Request).Encode()
-			if joined {
-				frame[2] = 3 // what a pre-collapse build stamped on batch frames
-			}
-			if _, err := peerConn.Write(frame); err != nil {
-				return
-			}
-		}
-	}()
-
-	c, err := New(Options{}, 3, linkMembers(map[uint32]transport.Link{
-		1: goodCenter,
-		2: transport.NewTCPLink(centerConn, nil, nil),
-	})...)
+// TestDesyncedBatchReplyIsTypedError: a station echoing the wrong query
+// count fails the search with a descriptive error, not a panic.
+func TestDesyncedBatchReplyIsTypedError(t *testing.T) {
+	c, err := dimatch.NewCluster(dimatch.Options{}, 3, linkMembers(map[uint32]dimatch.Link{1: desyncedStation()})...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
 
-	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{{3, 4, 5}}}}
-	out, err := c.Search(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Cost.StationsFailed != 1 {
-		t.Fatalf("StationsFailed = %d, want 1", out.Cost.StationsFailed)
-	}
-	if got := out.Persons(1); len(got) != 1 || got[0] != 11 {
-		t.Fatalf("query 1 persons %v, want [11] from the healthy station", got)
-	}
-	ep := c.currentEpoch()
-	if err := ep.muxes[ep.find(2)].Err(); !errors.Is(err, wire.ErrBadVersion) {
-		t.Fatalf("foreign peer's link error = %v, want wire.ErrBadVersion", err)
+	_, err = c.Search(context.Background(), []dimatch.Query{{ID: 1, Locals: []dimatch.Pattern{{1, 2, 3}}}})
+	if !errors.Is(err, wire.ErrBatchMismatch) {
+		t.Fatalf("desynced batch reply: err = %v, want wire.ErrBatchMismatch", err)
 	}
 }
 
 // desyncedStation serves a fake station that answers every batch round with
 // an echo of 99 queries, and returns the center's end of its link.
-func desyncedStation() transport.Link {
+func desyncedStation() dimatch.Link {
 	center, stationEnd := transport.Pipe(nil, nil)
 	go func() {
 		for {
@@ -243,19 +200,4 @@ func desyncedStation() transport.Link {
 		}
 	}()
 	return center
-}
-
-// TestDesyncedBatchReplyIsTypedError: a station echoing the wrong query
-// count fails the search with a descriptive error, not a panic.
-func TestDesyncedBatchReplyIsTypedError(t *testing.T) {
-	c, err := New(Options{}, 3, linkMembers(map[uint32]transport.Link{1: desyncedStation()})...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-
-	_, err = c.Search(context.Background(), []core.Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}}}})
-	if !errors.Is(err, wire.ErrBatchMismatch) {
-		t.Fatalf("desynced batch reply: err = %v, want wire.ErrBatchMismatch", err)
-	}
 }

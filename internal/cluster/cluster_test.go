@@ -1,23 +1,26 @@
-package cluster
+package cluster_test
 
 import (
 	"context"
 	"errors"
 	"testing"
 
-	"dimatch/internal/bloom"
-	"dimatch/internal/core"
-	"dimatch/internal/pattern"
+	"dimatch"
 	"dimatch/internal/transport"
 )
 
-func newTestPipe() (transport.Link, transport.Link) {
+// The helpers below build clusters through dimatch's exported API. The root
+// package's white-box tests keep their own copies under the same names: a
+// helper in package dimatch's tests is not importable from here, and a
+// helper package importing dimatch cannot serve those tests.
+
+func newTestPipe() (dimatch.Link, dimatch.Link) {
 	return transport.Pipe(nil, nil)
 }
 
 // newFromData builds a cluster over station-major test data at the
 // pattern length its first pattern has (0, refused, when it holds none).
-func newFromData(opts Options, data map[uint32]map[core.PersonID]pattern.Pattern) (*Cluster, error) {
+func newFromData(opts dimatch.Options, data map[uint32]map[dimatch.PersonID]dimatch.Pattern) (*dimatch.Cluster, error) {
 	length := 0
 	for _, locals := range data {
 		for _, l := range locals {
@@ -28,23 +31,23 @@ func newFromData(opts Options, data map[uint32]map[core.PersonID]pattern.Pattern
 			break
 		}
 	}
-	return New(opts, length, Members(data)...)
+	return dimatch.NewCluster(opts, length, dimatch.Members(data)...)
 }
 
 // linkMembers lists one remote member per established link.
-func linkMembers(links map[uint32]transport.Link) []Member {
-	ms := make([]Member, 0, len(links))
+func linkMembers(links map[uint32]dimatch.Link) []dimatch.Member {
+	ms := make([]dimatch.Member, 0, len(links))
 	for id, l := range links {
-		ms = append(ms, Member{ID: id, Link: l})
+		ms = append(ms, dimatch.Member{ID: id, Link: l})
 	}
 	return ms
 }
 
 // emptyMembers lists one in-process member per id, each holding nothing.
-func emptyMembers(ids []uint32) []Member {
-	ms := make([]Member, len(ids))
+func emptyMembers(ids []uint32) []dimatch.Member {
+	ms := make([]dimatch.Member, len(ids))
 	for i, id := range ids {
-		ms[i] = Member{ID: id}
+		ms[i] = dimatch.Member{ID: id}
 	}
 	return ms
 }
@@ -59,8 +62,8 @@ func emptyMembers(ids []uint32) []Member {
 //	           aggregate {9,12,15}, must be deleted by the sum>1 rule)
 //	person 13: unrelated {7,1,9} at station 0 (no match)
 //	person 14: {1,2,3} at station 0 only (partial: weight 1/2)
-func paperScenario() map[uint32]map[core.PersonID]pattern.Pattern {
-	return map[uint32]map[core.PersonID]pattern.Pattern{
+func paperScenario() map[uint32]map[dimatch.PersonID]dimatch.Pattern {
+	return map[uint32]map[dimatch.PersonID]dimatch.Pattern{
 		0: {
 			10: {1, 2, 3},
 			12: {3, 4, 5},
@@ -78,13 +81,13 @@ func paperScenario() map[uint32]map[core.PersonID]pattern.Pattern {
 	}
 }
 
-func paperQuery() core.Query {
-	return core.Query{ID: 1, Locals: []pattern.Pattern{{1, 2, 3}, {2, 2, 2}}}
+func paperQuery() dimatch.Query {
+	return dimatch.Query{ID: 1, Locals: []dimatch.Pattern{{1, 2, 3}, {2, 2, 2}}}
 }
 
-func testOptions() Options {
-	return Options{
-		Params: core.Params{
+func testOptions() dimatch.Options {
+	return dimatch.Options{
+		Params: dimatch.Params{
 			Bits:    1 << 14,
 			Hashes:  4,
 			Samples: 3,
@@ -94,7 +97,7 @@ func testOptions() Options {
 	}
 }
 
-func startCluster(t *testing.T, opts Options, data map[uint32]map[core.PersonID]pattern.Pattern) *Cluster {
+func startCluster(t *testing.T, opts dimatch.Options, data map[uint32]map[dimatch.PersonID]dimatch.Pattern) *dimatch.Cluster {
 	t.Helper()
 	c, err := newFromData(opts, data)
 	if err != nil {
@@ -108,9 +111,52 @@ func startCluster(t *testing.T, opts Options, data map[uint32]map[core.PersonID]
 	return c
 }
 
+// assertSameResults fails unless the two outcomes rank identically for
+// every query.
+func assertSameResults(t *testing.T, label string, queries []dimatch.Query, want, got *dimatch.Outcome) {
+	t.Helper()
+	for _, q := range queries {
+		w, g := want.PerQuery[q.ID], got.PerQuery[q.ID]
+		if len(w) != len(g) {
+			t.Fatalf("%s query %d: %d results, want %d (%v vs %v)", label, q.ID, len(g), len(w), g, w)
+		}
+		for i := range w {
+			if w[i].Person != g[i].Person || w[i].Numerator != g[i].Numerator || w[i].Denominator != g[i].Denominator {
+				t.Fatalf("%s query %d result %d: %+v, want %+v", label, q.ID, i, g[i], w[i])
+			}
+		}
+	}
+}
+
+// placedOptions sizes the filter explicitly so the tiny populations of these
+// tests cannot hit Bloom false positives.
+func placedOptions() dimatch.Options {
+	return dimatch.Options{Params: dimatch.Params{Bits: 1 << 16, Hashes: 4, Samples: 4, Epsilon: 0, Seed: 1}}
+}
+
+// newPlacedCluster stands up an empty in-process cluster and places the
+// given patterns with replication r.
+func newPlacedCluster(t *testing.T, stations []uint32, r int, patterns map[dimatch.PersonID]dimatch.Pattern) *dimatch.Cluster {
+	t.Helper()
+	length := 0
+	for _, p := range patterns {
+		length = len(p)
+		break
+	}
+	c, err := dimatch.NewCluster(placedOptions(), length, emptyMembers(stations)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Shutdown() })
+	if err := c.Place(context.Background(), patterns, dimatch.WithReplication(r)); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestWBFSearchPaperScenario(t *testing.T) {
 	c := startCluster(t, testOptions(), paperScenario())
-	out, err := c.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(StrategyWBF))
+	out, err := c.Search(context.Background(), []dimatch.Query{paperQuery()}, dimatch.WithStrategy(dimatch.StrategyWBF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +195,11 @@ func TestNaiveMatchesOracle(t *testing.T) {
 	data := paperScenario()
 	c := startCluster(t, testOptions(), data)
 	q := paperQuery()
-	out, err := c.Search(context.Background(), []core.Query{q}, WithStrategy(StrategyNaive))
+	out, err := c.Search(context.Background(), []dimatch.Query{q}, dimatch.WithStrategy(dimatch.StrategyNaive))
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := Oracle(data, q, 0, 0)
+	oracle, err := dimatch.Oracle(data, q, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,15 +225,15 @@ func TestBFSearchSupersetOfWBF(t *testing.T) {
 	data := paperScenario()
 	c := startCluster(t, testOptions(), data)
 	q := paperQuery()
-	wbf, err := c.Search(context.Background(), []core.Query{q}, WithStrategy(StrategyWBF))
+	wbf, err := c.Search(context.Background(), []dimatch.Query{q}, dimatch.WithStrategy(dimatch.StrategyWBF))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := c.Search(context.Background(), []core.Query{q}, WithStrategy(StrategyBF))
+	bf, err := c.Search(context.Background(), []dimatch.Query{q}, dimatch.WithStrategy(dimatch.StrategyBF))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bfSet := make(map[core.PersonID]bool)
+	bfSet := make(map[dimatch.PersonID]bool)
 	for _, r := range bf.PerQuery[1] {
 		bfSet[r.Person] = true
 	}
@@ -212,13 +258,13 @@ func TestCommunicationOrdering(t *testing.T) {
 	// shipment. Dissemination (the filter) dominates WBF's downlink, so
 	// compare uplink traffic, which is what grows with data size.
 	c := startCluster(t, testOptions(), paperScenario())
-	q := []core.Query{paperQuery()}
+	q := []dimatch.Query{paperQuery()}
 
-	naive, err := c.Search(context.Background(), q, WithStrategy(StrategyNaive))
+	naive, err := c.Search(context.Background(), q, dimatch.WithStrategy(dimatch.StrategyNaive))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wbf, err := c.Search(context.Background(), q, WithStrategy(StrategyWBF))
+	wbf, err := c.Search(context.Background(), q, dimatch.WithStrategy(dimatch.StrategyWBF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,41 +275,41 @@ func TestCommunicationOrdering(t *testing.T) {
 
 func TestSearchValidation(t *testing.T) {
 	c := startCluster(t, testOptions(), paperScenario())
-	if _, err := c.Search(context.Background(), nil, WithStrategy(StrategyWBF)); err == nil {
+	if _, err := c.Search(context.Background(), nil, dimatch.WithStrategy(dimatch.StrategyWBF)); err == nil {
 		t.Fatal("empty query batch accepted")
 	}
-	if _, err := c.Search(context.Background(), []core.Query{{ID: 1}}, WithStrategy(StrategyWBF)); err == nil {
+	if _, err := c.Search(context.Background(), []dimatch.Query{{ID: 1}}, dimatch.WithStrategy(dimatch.StrategyWBF)); err == nil {
 		t.Fatal("invalid query accepted")
 	}
-	badLen := core.Query{ID: 1, Locals: []pattern.Pattern{{1, 2}}}
-	if _, err := c.Search(context.Background(), []core.Query{badLen}, WithStrategy(StrategyWBF)); err == nil {
+	badLen := dimatch.Query{ID: 1, Locals: []dimatch.Pattern{{1, 2}}}
+	if _, err := c.Search(context.Background(), []dimatch.Query{badLen}, dimatch.WithStrategy(dimatch.StrategyWBF)); err == nil {
 		t.Fatal("length-mismatched query accepted")
 	}
-	if _, err := c.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(Strategy(99))); err == nil {
+	if _, err := c.Search(context.Background(), []dimatch.Query{paperQuery()}, dimatch.WithStrategy(dimatch.Strategy(99))); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Options{}, 3); err == nil {
+	if _, err := dimatch.NewCluster(dimatch.Options{}, 3); err == nil {
 		t.Fatal("no stations accepted")
 	}
-	if _, err := New(Options{}, 0, Member{ID: 1}); err == nil {
+	if _, err := dimatch.NewCluster(dimatch.Options{}, 0, dimatch.Member{ID: 1}); err == nil {
 		t.Fatal("pattern length 0 accepted")
 	}
-	if _, err := New(Options{}, 3, Member{ID: 1}, Member{ID: 1}); !errors.Is(err, ErrStationExists) {
+	if _, err := dimatch.NewCluster(dimatch.Options{}, 3, dimatch.Member{ID: 1}, dimatch.Member{ID: 1}); !errors.Is(err, dimatch.ErrStationExists) {
 		t.Fatalf("duplicate ids err = %v, want ErrStationExists", err)
 	}
-	mixed := []Member{
-		{ID: 0, Patterns: map[core.PersonID]pattern.Pattern{1: {1, 2}}},
-		{ID: 1, Patterns: map[core.PersonID]pattern.Pattern{2: {1, 2, 3}}},
+	mixed := []dimatch.Member{
+		{ID: 0, Patterns: map[dimatch.PersonID]dimatch.Pattern{1: {1, 2}}},
+		{ID: 1, Patterns: map[dimatch.PersonID]dimatch.Pattern{2: {1, 2, 3}}},
 	}
-	if _, err := New(Options{}, 3, mixed...); !errors.Is(err, ErrLengthMismatch) {
+	if _, err := dimatch.NewCluster(dimatch.Options{}, 3, mixed...); !errors.Is(err, dimatch.ErrLengthMismatch) {
 		t.Fatalf("mixed pattern lengths err = %v, want ErrLengthMismatch", err)
 	}
 	center, _ := newTestPipe()
-	linked := Member{ID: 2, Link: center, Patterns: map[core.PersonID]pattern.Pattern{}}
-	if _, err := New(Options{}, 3, linked); err == nil {
+	linked := dimatch.Member{ID: 2, Link: center, Patterns: map[dimatch.PersonID]dimatch.Pattern{}}
+	if _, err := dimatch.NewCluster(dimatch.Options{}, 3, linked); err == nil {
 		t.Fatal("link member with seed patterns accepted")
 	}
 }
@@ -280,7 +326,7 @@ func TestKillStationDegradesGracefully(t *testing.T) {
 	if err := c.KillStation(99); err == nil {
 		t.Fatal("unknown station accepted")
 	}
-	out, err := c.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(StrategyWBF))
+	out, err := c.Search(context.Background(), []dimatch.Query{paperQuery()}, dimatch.WithStrategy(dimatch.StrategyWBF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,46 +345,12 @@ func TestKillStationDegradesGracefully(t *testing.T) {
 	}
 }
 
-func TestAutoSizing(t *testing.T) {
-	opts := testOptions()
-	opts.Params.Bits = 0 // request auto-sizing
-	opts.Params.Hashes = 0
-	c := startCluster(t, opts, paperScenario())
-	q := []core.Query{paperQuery()}
-	for _, strat := range []Strategy{StrategyWBF, StrategyBF} {
-		out, err := c.Search(context.Background(), q, WithStrategy(strat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out.PerQuery[1]) == 0 {
-			t.Fatalf("auto-sized %v search returned nothing", strat)
-		}
-	}
-	// The WBF is sized for the wire (one hash), the BF baseline for memory.
-	cfg := c.searchDefaults()
-	wbf, err := c.resolveParams(cfg, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf, err := c.bfParams(cfg, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := core.EstimateInsertions(wbf, c.length, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m, k := bloom.OptimalParams(n, c.opts.TargetFP); wbf.Hashes != 1 || bf.Bits != m || bf.Hashes != k {
-		t.Fatalf("WBF sized (m %d, k %d), BF (m %d, k %d); want k = 1 and BF (m %d, k %d)", wbf.Bits, wbf.Hashes, bf.Bits, bf.Hashes, m, k)
-	}
-}
-
 func TestTopKTruncation(t *testing.T) {
 	opts := testOptions()
 	opts.TopK = 1
 	c := startCluster(t, opts, paperScenario())
-	for _, strat := range []Strategy{StrategyWBF, StrategyBF, StrategyNaive} {
-		out, err := c.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(strat))
+	for _, strat := range []dimatch.Strategy{dimatch.StrategyWBF, dimatch.StrategyBF, dimatch.StrategyNaive} {
+		out, err := c.Search(context.Background(), []dimatch.Query{paperQuery()}, dimatch.WithStrategy(strat))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +367,7 @@ func TestEpsilonToleranceEndToEnd(t *testing.T) {
 	// coincidences (the paper's unsalted scheme admits a few more
 	// candidates; that difference is measured by the ablation bench).
 	opts.Params.PositionSalted = true
-	data := map[uint32]map[core.PersonID]pattern.Pattern{
+	data := map[uint32]map[dimatch.PersonID]dimatch.Pattern{
 		0: {
 			20: {1, 2, 3}, // exact local
 			21: {2, 2, 3}, // within ε of local {1,2,3}
@@ -367,11 +379,11 @@ func TestEpsilonToleranceEndToEnd(t *testing.T) {
 		},
 	}
 	c := startCluster(t, opts, data)
-	out, err := c.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(StrategyWBF))
+	out, err := c.Search(context.Background(), []dimatch.Query{paperQuery()}, dimatch.WithStrategy(dimatch.StrategyWBF))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make(map[core.PersonID]bool)
+	got := make(map[dimatch.PersonID]bool)
 	for _, r := range out.PerQuery[1] {
 		got[r.Person] = true
 	}
@@ -386,11 +398,11 @@ func TestEpsilonToleranceEndToEnd(t *testing.T) {
 func TestMultiQuerySearch(t *testing.T) {
 	data := paperScenario()
 	c := startCluster(t, testOptions(), data)
-	queries := []core.Query{
+	queries := []dimatch.Query{
 		paperQuery(),
-		{ID: 2, Locals: []pattern.Pattern{{7, 1, 9}}}, // person 13's pattern
+		{ID: 2, Locals: []dimatch.Pattern{{7, 1, 9}}}, // person 13's pattern
 	}
-	out, err := c.Search(context.Background(), queries, WithStrategy(StrategyWBF))
+	out, err := c.Search(context.Background(), queries, dimatch.WithStrategy(dimatch.StrategyWBF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,39 +431,25 @@ func TestMultiQuerySearch(t *testing.T) {
 func TestRepeatedSearches(t *testing.T) {
 	c := startCluster(t, testOptions(), paperScenario())
 	for i := 0; i < 3; i++ {
-		for _, strat := range []Strategy{StrategyWBF, StrategyBF, StrategyNaive} {
-			if _, err := c.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(strat)); err != nil {
+		for _, strat := range []dimatch.Strategy{dimatch.StrategyWBF, dimatch.StrategyBF, dimatch.StrategyNaive} {
+			if _, err := c.Search(context.Background(), []dimatch.Query{paperQuery()}, dimatch.WithStrategy(strat)); err != nil {
 				t.Fatalf("round %d %v: %v", i, strat, err)
 			}
 		}
 	}
 }
 
-func TestStationSkipsZeroPatterns(t *testing.T) {
-	link1, _ := newTestPipe()
-	s, _ := NewStation(0, map[core.PersonID]pattern.Pattern{
-		1: {0, 0, 0},
-		2: {1, 2, 3},
-	}, link1, nil)
-	if s.Residents() != 1 {
-		t.Fatalf("Residents = %d, want 1 (zero pattern dropped)", s.Residents())
-	}
-	if s.StorageBytes() != 24 {
-		t.Fatalf("StorageBytes = %d, want 24", s.StorageBytes())
-	}
-}
-
 func TestStrategyStrings(t *testing.T) {
-	if StrategyNaive.String() != "naive" || StrategyBF.String() != "bf" || StrategyWBF.String() != "wbf" {
+	if dimatch.StrategyNaive.String() != "naive" || dimatch.StrategyBF.String() != "bf" || dimatch.StrategyWBF.String() != "wbf" {
 		t.Fatal("strategy names wrong")
 	}
-	if Strategy(9).String() == "" {
+	if dimatch.Strategy(9).String() == "" {
 		t.Fatal("unknown strategy should render")
 	}
 }
 
 func TestOracleValidation(t *testing.T) {
-	if _, err := Oracle(nil, core.Query{}, 0, 0); err == nil {
+	if _, err := dimatch.Oracle(nil, dimatch.Query{}, 0, 0); err == nil {
 		t.Fatal("invalid query accepted")
 	}
 }

@@ -1,4 +1,4 @@
-package dimatch
+package cluster_test
 
 import (
 	"context"
@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dimatch"
 	"dimatch/internal/transport"
 	"dimatch/internal/wire"
 )
@@ -16,11 +17,11 @@ import (
 // of the paper scenario run real serve loops, station 2 answers the join
 // handshake and its link is then returned unserved, so a test can stall,
 // kill or revive it deterministically.
-func manualCluster(t *testing.T, opts Options) (*Cluster, Link) {
+func manualCluster(t *testing.T, opts dimatch.Options) (*dimatch.Cluster, dimatch.Link) {
 	t.Helper()
 	data := paperScenario()
-	links := make(map[uint32]Link, 3)
-	var silent Link
+	links := make(map[uint32]dimatch.Link, 3)
+	var silent dimatch.Link
 	for _, id := range []uint32{0, 1, 2} {
 		center, stationEnd := transport.Pipe(nil, nil)
 		links[id] = center
@@ -31,12 +32,12 @@ func manualCluster(t *testing.T, opts Options) (*Cluster, Link) {
 		}
 		id, stationEnd := id, stationEnd
 		go func() {
-			if err := ServeStation(id, data[id], stationEnd); err != nil {
+			if err := dimatch.ServeStation(id, data[id], stationEnd); err != nil {
 				t.Errorf("station %d: %v", id, err)
 			}
 		}()
 	}
-	c, err := NewCluster(opts, 3, linkMembers(links)...)
+	c, err := dimatch.NewCluster(opts, 3, linkMembers(links)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func manualCluster(t *testing.T, opts Options) (*Cluster, Link) {
 // answerHandshake answers the one stats frame a join sends over a station's
 // link, as a station holding locals would, and then leaves the link
 // unserved: the station goes silent right after joining.
-func answerHandshake(link Link, id uint32, locals map[PersonID]Pattern) {
+func answerHandshake(link dimatch.Link, id uint32, locals map[dimatch.PersonID]dimatch.Pattern) {
 	sr := wire.StatsReply{Station: id, Residents: uint64(len(locals))}
 	for _, l := range locals {
 		sr.Length = uint32(len(l))
@@ -71,23 +72,23 @@ func TestConcurrentSearchesMatchSequential(t *testing.T) {
 	minScoreOpts.MinScore = 0.9
 	top1 := startCluster(t, top1Opts, paperScenario())
 	minScore := startCluster(t, minScoreOpts, paperScenario())
-	queries := []Query{paperQuery()}
+	queries := []dimatch.Query{paperQuery()}
 
 	type config struct {
-		c    *Cluster
-		opts []SearchOption
+		c    *dimatch.Cluster
+		opts []dimatch.SearchOption
 	}
 	configs := map[string]config{
-		"wbf":          {c, []SearchOption{WithStrategy(StrategyWBF)}},
-		"wbf-top1":     {top1, []SearchOption{WithStrategy(StrategyWBF)}},
-		"wbf-minscore": {minScore, []SearchOption{WithStrategy(StrategyWBF)}},
-		"wbf-verify":   {c, []SearchOption{WithStrategy(StrategyWBF), WithVerify(true)}},
-		"bf":           {c, []SearchOption{WithStrategy(StrategyBF)}},
-		"naive":        {c, []SearchOption{WithStrategy(StrategyNaive)}},
+		"wbf":          {c, []dimatch.SearchOption{dimatch.WithStrategy(dimatch.StrategyWBF)}},
+		"wbf-top1":     {top1, []dimatch.SearchOption{dimatch.WithStrategy(dimatch.StrategyWBF)}},
+		"wbf-minscore": {minScore, []dimatch.SearchOption{dimatch.WithStrategy(dimatch.StrategyWBF)}},
+		"wbf-verify":   {c, []dimatch.SearchOption{dimatch.WithStrategy(dimatch.StrategyWBF), dimatch.WithVerify(true)}},
+		"bf":           {c, []dimatch.SearchOption{dimatch.WithStrategy(dimatch.StrategyBF)}},
+		"naive":        {c, []dimatch.SearchOption{dimatch.WithStrategy(dimatch.StrategyNaive)}},
 	}
 
 	// Sequential baseline.
-	want := make(map[string][]PersonID, len(configs))
+	want := make(map[string][]dimatch.PersonID, len(configs))
 	for name, cfg := range configs {
 		out, err := cfg.c.Search(context.Background(), queries, cfg.opts...)
 		if err != nil {
@@ -143,7 +144,7 @@ func TestConcurrentSearchesMatchSequential(t *testing.T) {
 // per live station per round, however many other searches are in flight.
 func TestPerSearchCostIsolation(t *testing.T) {
 	c := startCluster(t, testOptions(), paperScenario())
-	queries := []Query{paperQuery()}
+	queries := []dimatch.Query{paperQuery()}
 	stations := uint64(c.Stations())
 
 	var wg sync.WaitGroup
@@ -174,19 +175,19 @@ func TestPerSearchCostIsolation(t *testing.T) {
 // dropped.
 func TestSearchCancellationPromptAndClean(t *testing.T) {
 	c, silent := manualCluster(t, testOptions())
-	queries := []Query{paperQuery()}
+	queries := []dimatch.Query{paperQuery()}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Search(ctx, queries, WithStrategy(StrategyWBF))
+		_, err := c.Search(ctx, queries, dimatch.WithStrategy(dimatch.StrategyWBF))
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the fan-out reach the silent station
 	cancel()
 	select {
 	case err := <-errc:
-		if !errors.Is(err, ErrCancelled) {
+		if !errors.Is(err, dimatch.ErrCancelled) {
 			t.Fatalf("err = %v, want ErrCancelled", err)
 		}
 		if !errors.Is(err, context.Canceled) {
@@ -199,11 +200,11 @@ func TestSearchCancellationPromptAndClean(t *testing.T) {
 	// Revive station 2: it first drains the abandoned query (its reply is
 	// dropped by the dispatcher), then serves the new search.
 	go func() {
-		if err := ServeStation(2, paperScenario()[2], silent); err != nil {
+		if err := dimatch.ServeStation(2, paperScenario()[2], silent); err != nil {
 			t.Errorf("revived station: %v", err)
 		}
 	}()
-	out, err := c.Search(context.Background(), queries, WithStrategy(StrategyWBF))
+	out, err := c.Search(context.Background(), queries, dimatch.WithStrategy(dimatch.StrategyWBF))
 	if err != nil {
 		t.Fatalf("search after cancellation: %v", err)
 	}
@@ -227,8 +228,8 @@ func TestSearchAlreadyCancelled(t *testing.T) {
 	c := startCluster(t, testOptions(), paperScenario())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.Search(ctx, []Query{paperQuery()})
-	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
+	_, err := c.Search(ctx, []dimatch.Query{paperQuery()})
+	if !errors.Is(err, dimatch.ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCancelled wrapping context.Canceled", err)
 	}
 }
@@ -238,15 +239,15 @@ func TestSearchAlreadyCancelled(t *testing.T) {
 // the dead station, and keep the surviving stations' results.
 func TestKillStationMidSearch(t *testing.T) {
 	c, _ := manualCluster(t, testOptions())
-	queries := []Query{paperQuery()}
+	queries := []dimatch.Query{paperQuery()}
 
 	type result struct {
-		out *Outcome
+		out *dimatch.Outcome
 		err error
 	}
 	resc := make(chan result, 1)
 	go func() {
-		out, err := c.Search(context.Background(), queries, WithStrategy(StrategyWBF))
+		out, err := c.Search(context.Background(), queries, dimatch.WithStrategy(dimatch.StrategyWBF))
 		resc <- result{out, err}
 	}()
 	time.Sleep(10 * time.Millisecond) // the fan-out is now waiting on station 2
@@ -294,14 +295,14 @@ func TestKillStationMidSearch(t *testing.T) {
 func TestShutdownDuringSearchReturnsClosed(t *testing.T) {
 	center, stationEnd := transport.Pipe(nil, nil)
 	answerHandshake(stationEnd, 0, paperScenario()[0]) // then never served: search stalls
-	c, err := NewCluster(testOptions(), 3, Member{ID: 0, Link: center})
+	c, err := dimatch.NewCluster(testOptions(), 3, dimatch.Member{ID: 0, Link: center})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Search(context.Background(), []Query{paperQuery()})
+		_, err := c.Search(context.Background(), []dimatch.Query{paperQuery()})
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // the fan-out is now awaiting a reply
@@ -310,7 +311,7 @@ func TestShutdownDuringSearchReturnsClosed(t *testing.T) {
 	}
 	select {
 	case err := <-errc:
-		if !errors.Is(err, ErrClusterClosed) {
+		if !errors.Is(err, dimatch.ErrClusterClosed) {
 			t.Fatalf("err = %v, want ErrClusterClosed", err)
 		}
 	case <-time.After(2 * time.Second):
@@ -321,14 +322,14 @@ func TestShutdownDuringSearchReturnsClosed(t *testing.T) {
 // TestSearchSentinelErrors pins the typed error surface.
 func TestSearchSentinelErrors(t *testing.T) {
 	c := startCluster(t, testOptions(), paperScenario())
-	if _, err := c.Search(context.Background(), nil); !errors.Is(err, ErrNoQueries) {
+	if _, err := c.Search(context.Background(), nil); !errors.Is(err, dimatch.ErrNoQueries) {
 		t.Fatalf("empty batch err = %v, want ErrNoQueries", err)
 	}
-	badLen := Query{ID: 1, Locals: []Pattern{{1, 2}}}
-	if _, err := c.Search(context.Background(), []Query{badLen}); !errors.Is(err, ErrLengthMismatch) {
+	badLen := dimatch.Query{ID: 1, Locals: []dimatch.Pattern{{1, 2}}}
+	if _, err := c.Search(context.Background(), []dimatch.Query{badLen}); !errors.Is(err, dimatch.ErrLengthMismatch) {
 		t.Fatalf("length mismatch err = %v, want ErrLengthMismatch", err)
 	}
-	if _, err := c.Search(context.Background(), []Query{paperQuery()}, WithStrategy(Strategy(99))); !errors.Is(err, ErrUnknownStrategy) {
+	if _, err := c.Search(context.Background(), []dimatch.Query{paperQuery()}, dimatch.WithStrategy(dimatch.Strategy(99))); !errors.Is(err, dimatch.ErrUnknownStrategy) {
 		t.Fatalf("unknown strategy err = %v, want ErrUnknownStrategy", err)
 	}
 
@@ -338,23 +339,23 @@ func TestSearchSentinelErrors(t *testing.T) {
 	if err := closed.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := closed.Search(context.Background(), []Query{paperQuery()}); !errors.Is(err, ErrClusterClosed) {
+	if _, err := closed.Search(context.Background(), []dimatch.Query{paperQuery()}); !errors.Is(err, dimatch.ErrClusterClosed) {
 		t.Fatalf("closed cluster err = %v, want ErrClusterClosed", err)
 	}
 }
 
 // TestParseStrategy pins the Strategy.String inverse.
 func TestParseStrategy(t *testing.T) {
-	for _, s := range []Strategy{StrategyNaive, StrategyBF, StrategyWBF} {
-		got, err := ParseStrategy(s.String())
+	for _, s := range []dimatch.Strategy{dimatch.StrategyNaive, dimatch.StrategyBF, dimatch.StrategyWBF} {
+		got, err := dimatch.ParseStrategy(s.String())
 		if err != nil || got != s {
 			t.Fatalf("ParseStrategy(%q) = %v, %v", s.String(), got, err)
 		}
 	}
-	if got, err := ParseStrategy("  WBF "); err != nil || got != StrategyWBF {
+	if got, err := dimatch.ParseStrategy("  WBF "); err != nil || got != dimatch.StrategyWBF {
 		t.Fatalf("case/space-insensitive parse failed: %v, %v", got, err)
 	}
-	if _, err := ParseStrategy("quantum"); !errors.Is(err, ErrUnknownStrategy) {
+	if _, err := dimatch.ParseStrategy("quantum"); !errors.Is(err, dimatch.ErrUnknownStrategy) {
 		t.Fatalf("err = %v, want ErrUnknownStrategy", err)
 	}
 }

@@ -1,4 +1,4 @@
-package dimatch
+package cluster_test
 
 import (
 	"context"
@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dimatch"
 	"dimatch/internal/transport"
 )
 
@@ -20,13 +21,13 @@ func TestIngestEvictVisibleToSearch(t *testing.T) {
 
 	// Person 30 splits the query exactly like person 10 — but is not
 	// resident yet.
-	if err := c.Ingest(ctx, 0, map[PersonID]Pattern{30: {1, 2, 3}}); err != nil {
+	if err := c.Ingest(ctx, 0, map[dimatch.PersonID]dimatch.Pattern{30: {1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Ingest(ctx, 1, map[PersonID]Pattern{30: {2, 2, 2}}); err != nil {
+	if err := c.Ingest(ctx, 1, map[dimatch.PersonID]dimatch.Pattern{30: {2, 2, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Search(ctx, []Query{q}, WithStrategy(StrategyWBF), WithVerify(true))
+	out, err := c.Search(ctx, []dimatch.Query{q}, dimatch.WithStrategy(dimatch.StrategyWBF), dimatch.WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +46,10 @@ func TestIngestEvictVisibleToSearch(t *testing.T) {
 
 	// Evicting one half degrades them to a partial match; evicting both
 	// removes them entirely.
-	if err := c.Evict(ctx, 1, []PersonID{30}); err != nil {
+	if err := c.Evict(ctx, 1, []dimatch.PersonID{30}); err != nil {
 		t.Fatal(err)
 	}
-	out, err = c.Search(ctx, []Query{q}, WithStrategy(StrategyWBF))
+	out, err = c.Search(ctx, []dimatch.Query{q}, dimatch.WithStrategy(dimatch.StrategyWBF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +58,10 @@ func TestIngestEvictVisibleToSearch(t *testing.T) {
 			t.Fatal("person 30 still scores 1 after half their data was evicted")
 		}
 	}
-	if err := c.Evict(ctx, 0, []PersonID{30}); err != nil {
+	if err := c.Evict(ctx, 0, []dimatch.PersonID{30}); err != nil {
 		t.Fatal(err)
 	}
-	out, err = c.Search(ctx, []Query{q}, WithStrategy(StrategyWBF))
+	out, err = c.Search(ctx, []dimatch.Query{q}, dimatch.WithStrategy(dimatch.StrategyWBF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +79,10 @@ func TestIngestReplacesExistingResident(t *testing.T) {
 	// Person 13 currently holds {7,1,9} at station 0 and never matches the
 	// paper query; replacing their pattern with the query's station-0 half
 	// upgrades them to a partial match.
-	if err := c.Ingest(ctx, 0, map[PersonID]Pattern{13: {1, 2, 3}}); err != nil {
+	if err := c.Ingest(ctx, 0, map[dimatch.PersonID]dimatch.Pattern{13: {1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Search(ctx, []Query{paperQuery()}, WithStrategy(StrategyWBF))
+	out, err := c.Search(ctx, []dimatch.Query{paperQuery()}, dimatch.WithStrategy(dimatch.StrategyWBF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,24 +115,24 @@ func TestIngestReplacesExistingResident(t *testing.T) {
 // moves only with the member set.
 func TestStatsComeFromReplies(t *testing.T) {
 	// Remote members over metered pipes, so the test can count frames.
-	down, up := &Meter{}, &Meter{}
-	serve := func(id uint32, locals map[PersonID]Pattern) Link {
+	down, up := &dimatch.Meter{}, &dimatch.Meter{}
+	serve := func(id uint32, locals map[dimatch.PersonID]dimatch.Pattern) dimatch.Link {
 		center, stationEnd := transport.Pipe(down, up)
-		go func() { _ = ServeStation(id, locals, stationEnd) }()
+		go func() { _ = dimatch.ServeStation(id, locals, stationEnd) }()
 		return center
 	}
-	var members []Member
+	var members []dimatch.Member
 	for id, locals := range paperScenario() {
-		members = append(members, Member{ID: id, Link: serve(id, locals)})
+		members = append(members, dimatch.Member{ID: id, Link: serve(id, locals)})
 	}
-	c, err := NewCluster(testOptions(), 3, members...)
+	c, err := dimatch.NewCluster(testOptions(), 3, members...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Shutdown() })
 	ctx := context.Background()
 
-	stats := func(what string) *ClusterStats {
+	stats := func(what string) *dimatch.ClusterStats {
 		t.Helper()
 		quiet := down.Messages()
 		st, err := c.Stats(ctx)
@@ -176,7 +177,7 @@ func TestStatsComeFromReplies(t *testing.T) {
 	epoch := st.Epoch
 
 	exchange("ingest", func() error {
-		return c.Ingest(ctx, 1, map[PersonID]Pattern{40: {9, 9, 9}})
+		return c.Ingest(ctx, 1, map[dimatch.PersonID]dimatch.Pattern{40: {9, 9, 9}})
 	})
 	st = stats("after an ingest")
 	if st.Epoch != epoch {
@@ -193,7 +194,7 @@ func TestStatsComeFromReplies(t *testing.T) {
 		t.Fatal("caller mutation leaked into the figures table")
 	}
 
-	exchange("evict", func() error { return c.Evict(ctx, 0, []PersonID{10, 11}) })
+	exchange("evict", func() error { return c.Evict(ctx, 0, []dimatch.PersonID{10, 11}) })
 	st = stats("after an evict")
 	if st.Epoch != epoch || st.TotalResidents() != 8 || st.TotalStorageBytes() != paperScenarioRawBytes {
 		t.Fatalf("post-evict snapshot %+v (epoch was %d), want 8 residents, %d bytes", st, epoch, paperScenarioRawBytes)
@@ -208,8 +209,8 @@ func TestStatsComeFromReplies(t *testing.T) {
 	}
 
 	// A link member's join is one exchange: the stats handshake.
-	joining := serve(3, map[PersonID]Pattern{50: {1, 1, 1}})
-	exchange("join", func() error { return c.AddStation(ctx, Member{ID: 3, Link: joining}) })
+	joining := serve(3, map[dimatch.PersonID]dimatch.Pattern{50: {1, 1, 1}})
+	exchange("join", func() error { return c.AddStation(ctx, dimatch.Member{ID: 3, Link: joining}) })
 	st = stats("after a join")
 	if st.Epoch <= epoch || st.TotalResidents() != 7 {
 		t.Fatalf("post-join snapshot %+v (epoch was %d), want a later epoch and 7 residents", st, epoch)
@@ -232,13 +233,13 @@ func TestStatsExactAfterConcurrentIngests(t *testing.T) {
 	ctx := context.Background()
 	const rounds, writers = 300, 4
 	want := len(paperScenario()[0])
-	next := PersonID(1000)
+	next := dimatch.PersonID(1000)
 	for round := 0; round < rounds; round++ {
 		errs := make(chan error, writers)
 		for w := 0; w < writers; w++ {
 			p := next
 			next++
-			go func() { errs <- c.Ingest(ctx, 0, map[PersonID]Pattern{p: {1, 2, 3}}) }()
+			go func() { errs <- c.Ingest(ctx, 0, map[dimatch.PersonID]dimatch.Pattern{p: {1, 2, 3}}) }()
 		}
 		for w := 0; w < writers; w++ {
 			if err := <-errs; err != nil {
@@ -261,7 +262,7 @@ func TestStatsExactAfterConcurrentIngests(t *testing.T) {
 // StationRawBytes, both sourced from the stations' own stats replies.
 func TestStationRawBytesMatchesOverLinks(t *testing.T) {
 	ctx := context.Background()
-	q := []Query{paperQuery()}
+	q := []dimatch.Query{paperQuery()}
 
 	inProc := startCluster(t, testOptions(), paperScenario())
 	outA, err := inProc.Search(ctx, q)
@@ -270,18 +271,18 @@ func TestStationRawBytesMatchesOverLinks(t *testing.T) {
 	}
 
 	data := paperScenario()
-	links := make(map[uint32]Link, len(data))
+	links := make(map[uint32]dimatch.Link, len(data))
 	for id := range data {
 		center, stationEnd := transport.Pipe(nil, nil)
 		links[id] = center
 		id, stationEnd := id, stationEnd
 		go func() {
-			if err := ServeStation(id, data[id], stationEnd); err != nil {
+			if err := dimatch.ServeStation(id, data[id], stationEnd); err != nil {
 				t.Errorf("station %d: %v", id, err)
 			}
 		}()
 	}
-	linked, err := NewCluster(testOptions(), 3, linkMembers(links)...)
+	linked, err := dimatch.NewCluster(testOptions(), 3, linkMembers(links)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,18 +306,18 @@ func TestStationRawBytesMatchesOverLinks(t *testing.T) {
 func TestConcurrentIngestSearch(t *testing.T) {
 	c := startCluster(t, testOptions(), paperScenario())
 	ctx := context.Background()
-	queries := []Query{paperQuery()}
+	queries := []dimatch.Query{paperQuery()}
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			if err := c.Ingest(ctx, 0, map[PersonID]Pattern{50: {2, 2, 2}}); err != nil {
+			if err := c.Ingest(ctx, 0, map[dimatch.PersonID]dimatch.Pattern{50: {2, 2, 2}}); err != nil {
 				t.Errorf("ingest: %v", err)
 				return
 			}
-			if err := c.Evict(ctx, 0, []PersonID{50}); err != nil {
+			if err := c.Evict(ctx, 0, []dimatch.PersonID{50}); err != nil {
 				t.Errorf("evict: %v", err)
 				return
 			}
@@ -327,7 +328,7 @@ func TestConcurrentIngestSearch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				out, err := c.Search(ctx, queries, WithStrategy(StrategyWBF))
+				out, err := c.Search(ctx, queries, dimatch.WithStrategy(dimatch.StrategyWBF))
 				if err != nil {
 					t.Errorf("search: %v", err)
 					return
@@ -357,15 +358,15 @@ func TestConcurrentIngestSearch(t *testing.T) {
 // to the shrunken membership only.
 func TestRemoveStationDuringFanOut(t *testing.T) {
 	c, _ := manualCluster(t, testOptions())
-	queries := []Query{paperQuery()}
+	queries := []dimatch.Query{paperQuery()}
 
 	type result struct {
-		out *Outcome
+		out *dimatch.Outcome
 		err error
 	}
 	resc := make(chan result, 1)
 	go func() {
-		out, err := c.Search(context.Background(), queries, WithStrategy(StrategyWBF))
+		out, err := c.Search(context.Background(), queries, dimatch.WithStrategy(dimatch.StrategyWBF))
 		resc <- result{out, err}
 	}()
 	time.Sleep(10 * time.Millisecond) // the fan-out is now waiting on station 2
@@ -403,22 +404,22 @@ func TestLifecycleSentinelErrors(t *testing.T) {
 	c := startCluster(t, testOptions(), paperScenario())
 	ctx := context.Background()
 
-	if err := c.Ingest(ctx, 99, map[PersonID]Pattern{1: {1, 2, 3}}); !errors.Is(err, ErrUnknownStation) {
+	if err := c.Ingest(ctx, 99, map[dimatch.PersonID]dimatch.Pattern{1: {1, 2, 3}}); !errors.Is(err, dimatch.ErrUnknownStation) {
 		t.Fatalf("ingest unknown station err = %v, want ErrUnknownStation", err)
 	}
-	if err := c.Ingest(ctx, 0, map[PersonID]Pattern{1: {1, 2}}); !errors.Is(err, ErrLengthMismatch) {
+	if err := c.Ingest(ctx, 0, map[dimatch.PersonID]dimatch.Pattern{1: {1, 2}}); !errors.Is(err, dimatch.ErrLengthMismatch) {
 		t.Fatalf("ingest short pattern err = %v, want ErrLengthMismatch", err)
 	}
-	if err := c.Evict(ctx, 99, []PersonID{1}); !errors.Is(err, ErrUnknownStation) {
+	if err := c.Evict(ctx, 99, []dimatch.PersonID{1}); !errors.Is(err, dimatch.ErrUnknownStation) {
 		t.Fatalf("evict unknown station err = %v, want ErrUnknownStation", err)
 	}
-	if err := c.AddStation(ctx, Member{ID: 0}); !errors.Is(err, ErrStationExists) {
+	if err := c.AddStation(ctx, dimatch.Member{ID: 0}); !errors.Is(err, dimatch.ErrStationExists) {
 		t.Fatalf("duplicate AddStation err = %v, want ErrStationExists", err)
 	}
-	if err := c.AddStation(ctx, Member{ID: 7, Patterns: map[PersonID]Pattern{1: {1, 2, 3, 4}}}); !errors.Is(err, ErrLengthMismatch) {
+	if err := c.AddStation(ctx, dimatch.Member{ID: 7, Patterns: map[dimatch.PersonID]dimatch.Pattern{1: {1, 2, 3, 4}}}); !errors.Is(err, dimatch.ErrLengthMismatch) {
 		t.Fatalf("AddStation long pattern err = %v, want ErrLengthMismatch", err)
 	}
-	if err := c.RemoveStation(ctx, 99); !errors.Is(err, ErrUnknownStation) {
+	if err := c.RemoveStation(ctx, 99); !errors.Is(err, dimatch.ErrUnknownStation) {
 		t.Fatalf("remove unknown station err = %v, want ErrUnknownStation", err)
 	}
 
@@ -434,16 +435,16 @@ func TestLifecycleSentinelErrors(t *testing.T) {
 	if err := closed.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if err := closed.Ingest(ctx, 0, map[PersonID]Pattern{1: {1, 2, 3}}); !errors.Is(err, ErrClusterClosed) {
+	if err := closed.Ingest(ctx, 0, map[dimatch.PersonID]dimatch.Pattern{1: {1, 2, 3}}); !errors.Is(err, dimatch.ErrClusterClosed) {
 		t.Fatalf("ingest after shutdown err = %v, want ErrClusterClosed", err)
 	}
-	if err := closed.AddStation(ctx, Member{ID: 9}); !errors.Is(err, ErrClusterClosed) {
+	if err := closed.AddStation(ctx, dimatch.Member{ID: 9}); !errors.Is(err, dimatch.ErrClusterClosed) {
 		t.Fatalf("AddStation after shutdown err = %v, want ErrClusterClosed", err)
 	}
-	if err := closed.RemoveStation(ctx, 0); !errors.Is(err, ErrClusterClosed) {
+	if err := closed.RemoveStation(ctx, 0); !errors.Is(err, dimatch.ErrClusterClosed) {
 		t.Fatalf("RemoveStation after shutdown err = %v, want ErrClusterClosed", err)
 	}
-	if _, err := closed.Stats(ctx); !errors.Is(err, ErrClusterClosed) {
+	if _, err := closed.Stats(ctx); !errors.Is(err, dimatch.ErrClusterClosed) {
 		t.Fatalf("Stats after shutdown err = %v, want ErrClusterClosed", err)
 	}
 }
@@ -456,22 +457,22 @@ func TestAddStationLinkHandshake(t *testing.T) {
 	// rejected by the stats handshake.
 	center, stationEnd := transport.Pipe(nil, nil)
 	go func() {
-		_ = ServeStation(9, map[PersonID]Pattern{70: {1, 2, 3, 4}}, stationEnd)
+		_ = dimatch.ServeStation(9, map[dimatch.PersonID]dimatch.Pattern{70: {1, 2, 3, 4}}, stationEnd)
 	}()
-	if err := c.AddStation(ctx, Member{ID: 9, Link: center}); !errors.Is(err, ErrLengthMismatch) {
+	if err := c.AddStation(ctx, dimatch.Member{ID: 9, Link: center}); !errors.Is(err, dimatch.ErrLengthMismatch) {
 		t.Fatalf("mismatched link err = %v, want ErrLengthMismatch", err)
 	}
 
 	// A compatible one joins and serves searches.
 	center, stationEnd = transport.Pipe(nil, nil)
 	go func() {
-		_ = ServeStation(9, map[PersonID]Pattern{70: {3, 4, 5}}, stationEnd)
+		_ = dimatch.ServeStation(9, map[dimatch.PersonID]dimatch.Pattern{70: {3, 4, 5}}, stationEnd)
 	}()
-	if err := c.AddStation(ctx, Member{ID: 9, Link: center}); err != nil {
+	if err := c.AddStation(ctx, dimatch.Member{ID: 9, Link: center}); err != nil {
 		t.Fatal(err)
 	}
-	q := Query{ID: 2, Locals: []Pattern{{3, 4, 5}}}
-	out, err := c.Search(ctx, []Query{q}, WithStrategy(StrategyWBF), WithVerify(true))
+	q := dimatch.Query{ID: 2, Locals: []dimatch.Pattern{{3, 4, 5}}}
+	out, err := c.Search(ctx, []dimatch.Query{q}, dimatch.WithStrategy(dimatch.StrategyWBF), dimatch.WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,22 +496,22 @@ func TestLiveMutationEndToEnd(t *testing.T) {
 
 	// Search A pins the 3-station epoch and stalls on silent station 2.
 	type result struct {
-		out *Outcome
+		out *dimatch.Outcome
 		err error
 	}
 	resA := make(chan result, 1)
 	go func() {
-		out, err := c.Search(ctx, []Query{paperQuery()}, WithStrategy(StrategyWBF))
+		out, err := c.Search(ctx, []dimatch.Query{paperQuery()}, dimatch.WithStrategy(dimatch.StrategyWBF))
 		resA <- result{out, err}
 	}()
 	time.Sleep(10 * time.Millisecond) // A's fan-out is now in flight
 
 	// Mutations land while A is in flight: person 20's pieces will span the
 	// ingested store (station 0) and the brand-new station 3.
-	if err := c.Ingest(ctx, 0, map[PersonID]Pattern{20: {5, 0, 1}}); err != nil {
+	if err := c.Ingest(ctx, 0, map[dimatch.PersonID]dimatch.Pattern{20: {5, 0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddStation(ctx, Member{ID: 3, Patterns: map[PersonID]Pattern{20: {1, 4, 2}}}); err != nil {
+	if err := c.AddStation(ctx, dimatch.Member{ID: 3, Patterns: map[dimatch.PersonID]dimatch.Pattern{20: {1, 4, 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stations(); got != 4 {
@@ -520,7 +521,7 @@ func TestLiveMutationEndToEnd(t *testing.T) {
 	// Revive station 2 so both the pinned search and new searches can hear
 	// from it.
 	go func() {
-		if err := ServeStation(2, paperScenario()[2], silent); err != nil {
+		if err := dimatch.ServeStation(2, paperScenario()[2], silent); err != nil {
 			t.Errorf("revived station: %v", err)
 		}
 	}()
@@ -530,8 +531,8 @@ func TestLiveMutationEndToEnd(t *testing.T) {
 	// is forced off: the message-count assertions below pin full fan-out
 	// coverage of the new epoch (summary routing would legitimately skip
 	// the stations that cannot answer; routing_test.go covers that).
-	qB := Query{ID: 2, Locals: []Pattern{{5, 0, 1}, {1, 4, 2}}}
-	outB, err := c.Search(ctx, []Query{qB}, WithStrategy(StrategyWBF), WithVerify(true), WithRouting(RoutingFull))
+	qB := dimatch.Query{ID: 2, Locals: []dimatch.Pattern{{5, 0, 1}, {1, 4, 2}}}
+	outB, err := c.Search(ctx, []dimatch.Query{qB}, dimatch.WithStrategy(dimatch.StrategyWBF), dimatch.WithVerify(true), dimatch.WithRouting(dimatch.RoutingFull))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,66 +1,36 @@
-package cluster
+package cluster_test
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
-	"dimatch/internal/core"
-	"dimatch/internal/pattern"
+	"dimatch"
 	"dimatch/internal/placement"
 )
 
-// placedOptions sizes the filter explicitly so the tiny populations of these
-// tests cannot hit Bloom false positives.
-func placedOptions() Options {
-	return Options{Params: core.Params{Bits: 1 << 16, Hashes: 4, Samples: 4, Epsilon: 0, Seed: 1}}
-}
-
-// newPlacedCluster stands up an empty in-process cluster and places the
-// given patterns with replication r.
-func newPlacedCluster(t *testing.T, stations []uint32, r int, patterns map[core.PersonID]pattern.Pattern) *Cluster {
-	t.Helper()
-	length := 0
-	for _, p := range patterns {
-		length = len(p)
-		break
-	}
-	c, err := New(placedOptions(), length, emptyMembers(stations)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Shutdown() })
-	if err := c.Place(context.Background(), patterns, WithReplication(r)); err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // holdersOf returns the r stations a person's replicas live on.
-func holdersOf(p core.PersonID, stations []uint32, r int) []uint32 {
+func holdersOf(p dimatch.PersonID, stations []uint32, r int) []uint32 {
 	return placement.Pick(p, stations, r)
 }
 
 func TestPlaceReplicatedSearch(t *testing.T) {
 	stations := []uint32{1, 2, 3, 4}
-	patterns := map[core.PersonID]pattern.Pattern{
+	patterns := map[dimatch.PersonID]dimatch.Pattern{
 		200: {9, 9, 9, 9},
 	}
-	for p := core.PersonID(100); p < 110; p++ {
-		patterns[p] = pattern.Pattern{1, 2, 3, 4}
+	for p := dimatch.PersonID(100); p < 110; p++ {
+		patterns[p] = dimatch.Pattern{1, 2, 3, 4}
 	}
 	c := newPlacedCluster(t, stations, 2, patterns)
 	if got := c.Placed(); got != len(patterns) {
 		t.Fatalf("Placed() = %d, want %d", got, len(patterns))
 	}
 
-	out, err := c.Search(context.Background(), []core.Query{
-		{ID: 1, Locals: []pattern.Pattern{{1, 2, 3, 4}}},
+	out, err := c.Search(context.Background(), []dimatch.Query{
+		{ID: 1, Locals: []dimatch.Pattern{{1, 2, 3, 4}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +66,7 @@ func TestPlaceReplicatedSearch(t *testing.T) {
 // highest, not sum them (deletion) or keep the lower.
 func TestReplicaDedupDifferentScores(t *testing.T) {
 	stations := []uint32{1, 2, 3, 4}
-	c := newPlacedCluster(t, stations, 2, map[core.PersonID]pattern.Pattern{
+	c := newPlacedCluster(t, stations, 2, map[dimatch.PersonID]dimatch.Pattern{
 		50: {3, 3, 3, 3},
 	})
 	ctx := context.Background()
@@ -105,12 +75,12 @@ func TestReplicaDedupDifferentScores(t *testing.T) {
 	// second local (weight 8/12), while the intact replica matches the full
 	// combination (weight 1).
 	holders := holdersOf(50, stations, 2)
-	if err := c.Ingest(ctx, holders[1], map[core.PersonID]pattern.Pattern{50: {2, 2, 2, 2}}); err != nil {
+	if err := c.Ingest(ctx, holders[1], map[dimatch.PersonID]dimatch.Pattern{50: {2, 2, 2, 2}}); err != nil {
 		t.Fatal(err)
 	}
 
-	out, err := c.Search(ctx, []core.Query{
-		{ID: 1, Locals: []pattern.Pattern{{1, 1, 1, 1}, {2, 2, 2, 2}}},
+	out, err := c.Search(ctx, []dimatch.Query{
+		{ID: 1, Locals: []dimatch.Pattern{{1, 1, 1, 1}, {2, 2, 2, 2}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,13 +117,13 @@ func TestReplicaDedupDifferentScores(t *testing.T) {
 // the removal leaves every placement back at R=2.
 func TestSearchOverlappingRemoveStation(t *testing.T) {
 	stations := []uint32{1, 2, 3, 4, 5}
-	patterns := make(map[core.PersonID]pattern.Pattern)
-	for p := core.PersonID(100); p < 120; p++ {
-		patterns[p] = pattern.Pattern{1, 2, 3, 4}
+	patterns := make(map[dimatch.PersonID]dimatch.Pattern)
+	for p := dimatch.PersonID(100); p < 120; p++ {
+		patterns[p] = dimatch.Pattern{1, 2, 3, 4}
 	}
 	c := newPlacedCluster(t, stations, 2, patterns)
 	ctx := context.Background()
-	query := []core.Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3, 4}}}}
+	query := []dimatch.Query{{ID: 1, Locals: []dimatch.Pattern{{1, 2, 3, 4}}}}
 
 	victim := holdersOf(100, stations, 2)[0]
 	var wg sync.WaitGroup
@@ -170,11 +140,11 @@ func TestSearchOverlappingRemoveStation(t *testing.T) {
 					errs <- err
 					return
 				}
-				found := make(map[core.PersonID]bool)
+				found := make(map[dimatch.PersonID]bool)
 				for _, r := range out.PerQuery[1] {
 					found[r.Person] = true
 				}
-				for p := core.PersonID(100); p < 120; p++ {
+				for p := dimatch.PersonID(100); p < 120; p++ {
 					if !found[p] {
 						errs <- errors.New("person lost during replica removal")
 						return
@@ -215,13 +185,13 @@ func TestSearchOverlappingRemoveStation(t *testing.T) {
 // fresh copy was made.
 func TestReReplicationRestoresR(t *testing.T) {
 	stations := []uint32{1, 2, 3, 4, 5}
-	patterns := make(map[core.PersonID]pattern.Pattern)
-	for p := core.PersonID(100); p < 130; p++ {
-		patterns[p] = pattern.Pattern{1, 2, 3, 4}
+	patterns := make(map[dimatch.PersonID]dimatch.Pattern)
+	for p := dimatch.PersonID(100); p < 130; p++ {
+		patterns[p] = dimatch.Pattern{1, 2, 3, 4}
 	}
 	c := newPlacedCluster(t, stations, 2, patterns)
 	ctx := context.Background()
-	query := []core.Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3, 4}}}}
+	query := []dimatch.Query{{ID: 1, Locals: []dimatch.Pattern{{1, 2, 3, 4}}}}
 
 	holders := holdersOf(100, stations, 2)
 	if err := c.KillStation(holders[0]); err != nil {
@@ -245,14 +215,14 @@ func TestReReplicationRestoresR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := make(map[core.PersonID]bool)
+	found := make(map[dimatch.PersonID]bool)
 	for _, r := range out.PerQuery[1] {
 		found[r.Person] = true
 		if r.Score() != 1.0 {
 			t.Fatalf("person %d scored %.3f after re-replication", r.Person, r.Score())
 		}
 	}
-	for p := core.PersonID(100); p < 130; p++ {
+	for p := dimatch.PersonID(100); p < 130; p++ {
 		if !found[p] {
 			t.Fatalf("person %d lost after two kills despite re-replication", p)
 		}
@@ -263,7 +233,7 @@ func TestReReplicationRestoresR(t *testing.T) {
 // is clamped at execution, but the requested factor is recorded — when the
 // membership grows, reconciliation tops placements back up.
 func TestPlaceClampAndTopUp(t *testing.T) {
-	c := newPlacedCluster(t, []uint32{1}, 2, map[core.PersonID]pattern.Pattern{
+	c := newPlacedCluster(t, []uint32{1}, 2, map[dimatch.PersonID]dimatch.Pattern{
 		7: {1, 2, 3, 4},
 	})
 	ctx := context.Background()
@@ -278,7 +248,7 @@ func TestPlaceClampAndTopUp(t *testing.T) {
 	}
 
 	// Growing the membership triggers the top-up to R=2.
-	if err := c.AddStation(ctx, Member{ID: 2}); err != nil {
+	if err := c.AddStation(ctx, dimatch.Member{ID: 2}); err != nil {
 		t.Fatal(err)
 	}
 	st, err = c.Stats(ctx)
@@ -293,7 +263,7 @@ func TestPlaceClampAndTopUp(t *testing.T) {
 	if err := c.KillStation(1); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Search(ctx, []core.Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3, 4}}}})
+	out, err := c.Search(ctx, []dimatch.Query{{ID: 1, Locals: []dimatch.Pattern{{1, 2, 3, 4}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,18 +274,18 @@ func TestPlaceClampAndTopUp(t *testing.T) {
 
 func TestUnplace(t *testing.T) {
 	stations := []uint32{1, 2, 3}
-	c := newPlacedCluster(t, stations, 2, map[core.PersonID]pattern.Pattern{
+	c := newPlacedCluster(t, stations, 2, map[dimatch.PersonID]dimatch.Pattern{
 		7: {1, 2, 3, 4},
 		8: {1, 2, 3, 4},
 	})
 	ctx := context.Background()
-	if err := c.Unplace(ctx, []core.PersonID{7, 99}); err != nil {
+	if err := c.Unplace(ctx, []dimatch.PersonID{7, 99}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Placed(); got != 1 {
 		t.Fatalf("Placed() = %d, want 1", got)
 	}
-	out, err := c.Search(ctx, []core.Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3, 4}}}})
+	out, err := c.Search(ctx, []dimatch.Query{{ID: 1, Locals: []dimatch.Pattern{{1, 2, 3, 4}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,79 +294,16 @@ func TestUnplace(t *testing.T) {
 	}
 }
 
-func TestPlaceValidation(t *testing.T) {
-	c := newPlacedCluster(t, []uint32{1, 2}, 2, map[core.PersonID]pattern.Pattern{7: {1, 2, 3, 4}})
-	ctx := context.Background()
-	if err := c.Place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2}}); !errors.Is(err, ErrLengthMismatch) {
-		t.Fatalf("short pattern: err = %v, want ErrLengthMismatch", err)
-	}
-	if err := c.Place(ctx, nil); err != nil {
-		t.Fatalf("empty place: %v", err)
-	}
-	// An all-zero pattern is skipped (stations would drop it on ingest), so
-	// no unsatisfiable intent is recorded and reconciliation stays clean.
-	if err := c.Place(ctx, map[core.PersonID]pattern.Pattern{42: {0, 0, 0, 0}}); err != nil {
-		t.Fatalf("zero-sum place: %v", err)
-	}
-	if c.Placed() != 1 {
-		t.Fatalf("Placed() = %d after zero-sum place, want 1", c.Placed())
-	}
-	if rep, err := c.Rebalance(ctx); err != nil || rep.Lost != 0 {
-		t.Fatalf("Rebalance after zero-sum place = %+v, %v", rep, err)
-	}
-	if err := c.KillStation(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.KillStation(2); err != nil {
-		t.Fatal(err)
-	}
-	unplaced, err := c.place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2, 3, 4}})
-	if !errors.Is(err, ErrNoAliveStations) || len(unplaced) != 1 || unplaced[0] != 9 {
-		t.Fatalf("all dead: unplaced %v, err = %v, want [9] and ErrNoAliveStations", unplaced, err)
-	}
-}
-
-// TestPlaceReportsUnplaced pins the retry contract the streaming pipeline
-// relies on: Place names exactly the persons it landed nowhere and rolls
-// their intents back, and names nobody when every person landed.
-func TestPlaceReportsUnplaced(t *testing.T) {
-	c := newPlacedCluster(t, []uint32{1, 2, 3}, 2, map[core.PersonID]pattern.Pattern{7: {1, 2, 3, 4}})
-	batch := map[core.PersonID]pattern.Pattern{8: {5, 6, 7, 8}, 9: {9, 9, 9, 9}}
-
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	unplaced, err := c.place(cancelled, batch)
-	if err == nil || !slices.Equal(unplaced, []core.PersonID{8, 9}) {
-		t.Fatalf("cancelled place: unplaced %v, err %v, want both persons, ascending, and an error", unplaced, err)
-	}
-	// A batch refused before any exchange names every person, ascending.
-	bad := map[core.PersonID]pattern.Pattern{30: {1, 2}, 10: {1, 2, 3, 4}, 20: {4, 3, 2, 1}}
-	if unplaced, err := c.place(context.Background(), bad); !errors.Is(err, ErrLengthMismatch) || !slices.Equal(unplaced, []core.PersonID{10, 20, 30}) {
-		t.Fatalf("refused place: unplaced %v, err %v, want [10 20 30] and ErrLengthMismatch", unplaced, err)
-	}
-	if c.Placed() != 1 {
-		t.Fatalf("Placed() = %d after a place that landed nothing, want the 1 prior person", c.Placed())
-	}
-
-	unplaced, err = c.place(context.Background(), batch)
-	if err != nil || len(unplaced) != 0 {
-		t.Fatalf("healthy place: unplaced %v, err %v, want none", unplaced, err)
-	}
-	if c.Placed() != 3 {
-		t.Fatalf("Placed() = %d, want 3", c.Placed())
-	}
-}
-
-// TestNewEmptyValidation checks New's validation for a cluster of empty
+// TestNewEmptyValidation checks NewCluster's validation for a cluster of empty
 // stations built under placed options.
 func TestNewEmptyValidation(t *testing.T) {
-	if _, err := New(placedOptions(), 4, emptyMembers(nil)...); err == nil {
+	if _, err := dimatch.NewCluster(placedOptions(), 4, emptyMembers(nil)...); err == nil {
 		t.Fatal("no stations accepted")
 	}
-	if _, err := New(placedOptions(), 4, emptyMembers([]uint32{1, 1})...); !errors.Is(err, ErrStationExists) {
+	if _, err := dimatch.NewCluster(placedOptions(), 4, emptyMembers([]uint32{1, 1})...); !errors.Is(err, dimatch.ErrStationExists) {
 		t.Fatal("duplicate station accepted")
 	}
-	if _, err := New(placedOptions(), 0, emptyMembers([]uint32{1})...); err == nil {
+	if _, err := dimatch.NewCluster(placedOptions(), 0, emptyMembers([]uint32{1})...); err == nil {
 		t.Fatal("zero length accepted")
 	}
 }
@@ -404,7 +311,7 @@ func TestNewEmptyValidation(t *testing.T) {
 // TestStatsRefreshAfterKillStation: after a kill the next Stats call reports
 // the dead station as failed instead of serving its stale resident counts.
 func TestStatsRefreshAfterKillStation(t *testing.T) {
-	data := map[uint32]map[core.PersonID]pattern.Pattern{
+	data := map[uint32]map[dimatch.PersonID]dimatch.Pattern{
 		1: {1: {1, 2, 3}},
 		2: {2: {4, 5, 6}, 3: {7, 8, 9}},
 	}
@@ -451,13 +358,13 @@ func TestStatsRefreshAfterKillStation(t *testing.T) {
 // vacuously.
 func TestEverySingleKillKeepsResultsAtR2(t *testing.T) {
 	stations := []uint32{1, 2, 3, 4, 5}
-	patterns := map[core.PersonID]pattern.Pattern{200: {9, 9, 9, 9}}
-	for p := core.PersonID(100); p < 130; p++ {
-		patterns[p] = pattern.Pattern{1, 2, 3, 4}
+	patterns := map[dimatch.PersonID]dimatch.Pattern{200: {9, 9, 9, 9}}
+	for p := dimatch.PersonID(100); p < 130; p++ {
+		patterns[p] = dimatch.Pattern{1, 2, 3, 4}
 	}
 	ctx := context.Background()
-	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{{1, 2, 3, 4}}}}
-	search := func(c *Cluster) *Outcome {
+	queries := []dimatch.Query{{ID: 1, Locals: []dimatch.Pattern{{1, 2, 3, 4}}}}
+	search := func(c *dimatch.Cluster) *dimatch.Outcome {
 		t.Helper()
 		out, err := c.Search(ctx, queries)
 		if err != nil {
@@ -491,85 +398,5 @@ func TestEverySingleKillKeepsResultsAtR2(t *testing.T) {
 	}
 	if got := len(search(c).PerQuery[1]); got >= 30 {
 		t.Fatalf("R=1 cluster still found %d persons after losing person 100's only holder", got)
-	}
-}
-
-// TestReplicatedPredKeepsOneModelPerPerson pins what the aggregation needs
-// from the placed-person predicate: whatever one closure answered for a
-// person first, it keeps answering, even when a Place or Unplace lands
-// between two calls — a person must not move between the max-dedup and the
-// summation model halfway through their reports.
-func TestReplicatedPredKeepsOneModelPerPerson(t *testing.T) {
-	c := newPlacedCluster(t, []uint32{1, 2, 3}, 2, map[core.PersonID]pattern.Pattern{
-		7: {1, 2, 3, 4},
-		8: {1, 2, 3, 4},
-	})
-	ctx := context.Background()
-	pred := c.replicatedPred()
-	if !pred(7) || pred(9) {
-		t.Fatalf("pred(7), pred(9) = %v, %v; want placed, not placed", pred(7), pred(9))
-	}
-	if err := c.Unplace(ctx, []core.PersonID{7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Place(ctx, map[core.PersonID]pattern.Pattern{9: {1, 2, 3, 4}}, WithReplication(2)); err != nil {
-		t.Fatal(err)
-	}
-	if !pred(7) {
-		t.Fatal("person 7 flipped to the summation model when Unplace landed mid-aggregation")
-	}
-	if pred(9) {
-		t.Fatal("person 9 flipped to the dedup model when Place landed mid-aggregation")
-	}
-	if fresh := c.replicatedPred(); fresh(7) || !fresh(9) || !fresh(8) {
-		t.Fatalf("a fresh predicate answers %v, %v, %v for persons 7, 9, 8; want the table as it stands", fresh(7), fresh(9), fresh(8))
-	}
-}
-
-// TestSearchAllocationIndependentOfPlaced: a point search pays for the
-// persons it hears about, not for every person the coordinator has placed.
-// The same query over the same four stations allocates about as much with
-// 50 000 persons placed as with 500; copying the placement table per search
-// made it two orders of magnitude more.
-func TestSearchAllocationIndependentOfPlaced(t *testing.T) {
-	const length = 8
-	ctx := context.Background()
-	target := pattern.Pattern{900_001, 900_002, 900_003, 900_004, 900_005, 900_006, 900_007, 900_008}
-	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{target}}}
-	searchBytes := func(placed int) uint64 {
-		rng := rand.New(rand.NewSource(1))
-		patterns := make(map[core.PersonID]pattern.Pattern, placed)
-		for p := core.PersonID(1); p < core.PersonID(placed); p++ {
-			l := make(pattern.Pattern, length)
-			for j := range l {
-				l[j] = rng.Int63n(800_000)
-			}
-			patterns[p] = l
-		}
-		patterns[core.PersonID(placed)] = target
-		c := newPlacedCluster(t, []uint32{1, 2, 3, 4}, 2, patterns)
-		search := func() {
-			out, err := c.Search(ctx, queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res := out.PerQuery[1]; len(res) != 1 || res[0].Person != core.PersonID(placed) {
-				t.Fatalf("%d placed: results = %+v, want only person %d", placed, res, placed)
-			}
-		}
-		search() // fills the routing-summary cache
-		const runs = 5
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			search()
-		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / runs
-	}
-	small, large := searchBytes(500), searchBytes(50_000)
-	t.Logf("bytes allocated per search: %d with 500 placed, %d with 50 000 placed", small, large)
-	if large >= 2*small {
-		t.Fatalf("a search allocates %d bytes with 50 000 persons placed, %d with 500: the cost follows the placement table, not the answer", large, small)
 	}
 }

@@ -1,7 +1,8 @@
 // Package cluster keeps one forwarder, ServeStation, for benchmark/layers.go,
-// which imports it by this path. The cluster itself is package dimatch; the
-// benchmark change that moves layers.go onto dimatch.ServeStation deletes
-// this package.
+// which imports it by this path; the benchmark change that moves layers.go
+// onto dimatch.ServeStation deletes this file. The cluster itself is package
+// dimatch. This package's tests are dimatch's black-box tests, which use only
+// its exported API; the tests that reach unexported state are at the root.
 package cluster
 
 import (

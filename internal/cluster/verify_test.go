@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"context"
@@ -7,8 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"dimatch/internal/core"
-	"dimatch/internal/pattern"
+	"dimatch"
 	"dimatch/internal/transport"
 	"dimatch/internal/wire"
 )
@@ -23,8 +22,8 @@ func TestVerifyRemovesFalsePositives(t *testing.T) {
 	// combination in accumulated space (acc {4,13,27} vs {4,12,24}: diffs
 	// 0,1,3 within bands 1,2,3) — but per-interval diffs are 0,1,2, which
 	// violates Eq. 2 at ε=1. Persons 10/11 are true matches.
-	opts := Options{
-		Params: core.Params{
+	opts := dimatch.Options{
+		Params: dimatch.Params{
 			Bits:           1 << 14,
 			Hashes:         4,
 			Samples:        3,
@@ -34,7 +33,7 @@ func TestVerifyRemovesFalsePositives(t *testing.T) {
 		},
 		MinScore: 0.9,
 	}
-	data := map[uint32]map[core.PersonID]pattern.Pattern{
+	data := map[uint32]map[dimatch.PersonID]dimatch.Pattern{
 		0: {
 			10: {2, 4, 6},
 			30: {4, 9, 14},
@@ -44,15 +43,15 @@ func TestVerifyRemovesFalsePositives(t *testing.T) {
 			11: {4, 8, 12},
 		},
 	}
-	query := core.Query{ID: 1, Locals: []pattern.Pattern{{2, 4, 6}, {2, 4, 6}}}
+	query := dimatch.Query{ID: 1, Locals: []dimatch.Pattern{{2, 4, 6}, {2, 4, 6}}}
 
 	// Without verification the artifact is reported.
 	c := startCluster(t, opts, data)
-	out, err := c.Search(context.Background(), []core.Query{query}, WithStrategy(StrategyWBF))
+	out, err := c.Search(context.Background(), []dimatch.Query{query}, dimatch.WithStrategy(dimatch.StrategyWBF))
 	if err != nil {
 		t.Fatal(err)
 	}
-	unverified := make(map[core.PersonID]bool)
+	unverified := make(map[dimatch.PersonID]bool)
 	for _, r := range out.PerQuery[1] {
 		unverified[r.Person] = true
 	}
@@ -62,11 +61,11 @@ func TestVerifyRemovesFalsePositives(t *testing.T) {
 
 	// With verification it is gone and the true matches survive.
 	cv := startCluster(t, opts, data)
-	out, err = cv.Search(context.Background(), []core.Query{query}, WithStrategy(StrategyWBF), WithVerify(true))
+	out, err = cv.Search(context.Background(), []dimatch.Query{query}, dimatch.WithStrategy(dimatch.StrategyWBF), dimatch.WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	verified := make(map[core.PersonID]bool)
+	verified := make(map[dimatch.PersonID]bool)
 	for _, r := range out.PerQuery[1] {
 		verified[r.Person] = true
 	}
@@ -80,12 +79,12 @@ func TestVerifyRemovesFalsePositives(t *testing.T) {
 
 func TestVerifyAccountsCostsAndKeepsExactMatches(t *testing.T) {
 	c1 := startCluster(t, testOptions(), paperScenario())
-	plain, err := c1.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(StrategyWBF))
+	plain, err := c1.Search(context.Background(), []dimatch.Query{paperQuery()}, dimatch.WithStrategy(dimatch.StrategyWBF))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c2 := startCluster(t, testOptions(), paperScenario())
-	ver, err := c2.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(StrategyWBF), WithVerify(true))
+	ver, err := c2.Search(context.Background(), []dimatch.Query{paperQuery()}, dimatch.WithStrategy(dimatch.StrategyWBF), dimatch.WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +108,8 @@ func TestVerifyAccountsCostsAndKeepsExactMatches(t *testing.T) {
 func TestVerifyNoCandidatesIsNoop(t *testing.T) {
 	c := startCluster(t, testOptions(), paperScenario())
 	// A query matching nobody.
-	q := core.Query{ID: 5, Locals: []pattern.Pattern{{90, 90, 90}}}
-	out, err := c.Search(context.Background(), []core.Query{q}, WithStrategy(StrategyWBF), WithVerify(true))
+	q := dimatch.Query{ID: 5, Locals: []dimatch.Pattern{{90, 90, 90}}}
+	out, err := c.Search(context.Background(), []dimatch.Query{q}, dimatch.WithStrategy(dimatch.StrategyWBF), dimatch.WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +124,12 @@ func TestVerifyPartialMatchSurvives(t *testing.T) {
 	// NOT match the query global {3,4,5}: strict verification removes
 	// partial matches. This is the documented semantics: Verify answers the
 	// exact IPM question.
-	c := startCluster(t, testOptions(), map[uint32]map[core.PersonID]pattern.Pattern{
+	c := startCluster(t, testOptions(), map[uint32]map[dimatch.PersonID]dimatch.Pattern{
 		0: {14: {1, 2, 3}},
 		1: {10: {1, 2, 3}},
 		2: {10: {2, 2, 2}},
 	})
-	out, err := c.Search(context.Background(), []core.Query{paperQuery()}, WithStrategy(StrategyWBF), WithVerify(true))
+	out, err := c.Search(context.Background(), []dimatch.Query{paperQuery()}, dimatch.WithStrategy(dimatch.StrategyWBF), dimatch.WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +143,7 @@ func TestVerifyPartialMatchSurvives(t *testing.T) {
 // the first stats reply it carries reports length 3, so a station serving
 // longer series joins a length-3 cluster and ships its rows afterwards.
 type lengthMaskLink struct {
-	transport.Link
+	dimatch.Link
 	masked atomic.Bool
 }
 
@@ -161,24 +160,24 @@ func (l *lengthMaskLink) Recv() (wire.Message, error) {
 	return m, err
 }
 
-// TestForeignLengthStoreIsSkipped: New refuses a link member serving longer
-// series than the cluster's at its handshake, and closes its link. A peer
-// that passes the handshake and ships such rows afterwards is outside input
-// all the same: every reader of raw patterns skips them (they cannot satisfy
-// Eq. 2 against a length-3 query) instead of indexing past a global, and the
-// well-formed station's person is found.
+// TestForeignLengthStoreIsSkipped: NewCluster refuses a link member serving
+// longer series than the cluster's at its handshake, and closes its link. A
+// peer that passes the handshake and ships such rows afterwards is outside
+// input all the same: every reader of raw patterns skips them (they cannot
+// satisfy Eq. 2 against a length-3 query) instead of indexing past a
+// global, and the well-formed station's person is found.
 func TestForeignLengthStoreIsSkipped(t *testing.T) {
-	stores := map[uint32]map[core.PersonID]pattern.Pattern{
+	stores := map[uint32]map[dimatch.PersonID]dimatch.Pattern{
 		0: {10: {3, 4, 5}},
 		1: {20: {3, 4, 5, 6}, 10: {1, 1, 1, 1}},
 	}
-	serve := func(mask bool) (links map[uint32]transport.Link, foreignDone chan struct{}) {
-		links = make(map[uint32]transport.Link)
+	serve := func(mask bool) (links map[uint32]dimatch.Link, foreignDone chan struct{}) {
+		links = make(map[uint32]dimatch.Link)
 		foreignDone = make(chan struct{})
 		for id, locals := range stores {
 			center, stationEnd := transport.Pipe(nil, nil)
 			go func() {
-				_ = ServeStation(id, locals, stationEnd)
+				_ = dimatch.ServeStation(id, locals, stationEnd)
 				if id == 1 {
 					close(foreignDone)
 				}
@@ -192,8 +191,8 @@ func TestForeignLengthStoreIsSkipped(t *testing.T) {
 	}
 
 	links, foreignDone := serve(false)
-	if _, err := New(testOptions(), 3, linkMembers(links)...); !errors.Is(err, ErrLengthMismatch) {
-		t.Fatalf("New over a length-4 station: err = %v, want ErrLengthMismatch", err)
+	if _, err := dimatch.NewCluster(testOptions(), 3, linkMembers(links)...); !errors.Is(err, dimatch.ErrLengthMismatch) {
+		t.Fatalf("NewCluster over a length-4 station: err = %v, want ErrLengthMismatch", err)
 	}
 	select {
 	case <-foreignDone:
@@ -202,16 +201,16 @@ func TestForeignLengthStoreIsSkipped(t *testing.T) {
 	}
 
 	links, _ = serve(true)
-	c, err := New(testOptions(), 3, linkMembers(links)...)
+	c, err := dimatch.NewCluster(testOptions(), 3, linkMembers(links)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Shutdown() })
-	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{{3, 4, 5}}}}
-	for _, opts := range [][]SearchOption{
-		{WithStrategy(StrategyNaive)},
-		{WithStrategy(StrategyWBF), WithVerify(true)},
-		{WithStrategy(StrategyBF)},
+	queries := []dimatch.Query{{ID: 1, Locals: []dimatch.Pattern{{3, 4, 5}}}}
+	for _, opts := range [][]dimatch.SearchOption{
+		{dimatch.WithStrategy(dimatch.StrategyNaive)},
+		{dimatch.WithStrategy(dimatch.StrategyWBF), dimatch.WithVerify(true)},
+		{dimatch.WithStrategy(dimatch.StrategyBF)},
 	} {
 		out, err := c.Search(context.Background(), queries, opts...)
 		if err != nil {
@@ -219,67 +218,6 @@ func TestForeignLengthStoreIsSkipped(t *testing.T) {
 		}
 		if got := out.Persons(1); len(got) != 1 || got[0] != 10 {
 			t.Fatalf("%v: persons = %v, want [10]", out.Strategy, got)
-		}
-	}
-}
-
-// failIngestLink is a center-side link whose ingest frames fail at send time
-// while fail is set; every other frame passes.
-type failIngestLink struct {
-	transport.Link
-	fail atomic.Bool
-}
-
-func (l *failIngestLink) Send(m wire.Message) error {
-	if m.Kind == wire.KindIngest && l.fail.Load() {
-		return errors.New("injected ingest send failure")
-	}
-	return l.Link.Send(m)
-}
-
-// TestPulledReplicaIsTheCurrentCopy: a Place whose ingest failed on one
-// replica leaves that replica holding the person's old pattern, and nothing
-// heals it before the next membership change or Rebalance. The verified and
-// naive searches pull raw copies and must take the one the placement table
-// recorded, not the first in station order, so they agree with the plain
-// WBF answer.
-func TestPulledReplicaIsTheCurrentCopy(t *testing.T) {
-	ctx := context.Background()
-	links := make(map[uint32]transport.Link)
-	for _, id := range []uint32{1, 2} {
-		center, stationEnd := transport.Pipe(nil, nil)
-		go func() { _ = ServeStation(id, nil, stationEnd) }()
-		links[id] = center
-	}
-	stale := &failIngestLink{Link: links[1]}
-	links[1] = stale
-	c, err := New(testOptions(), 3, linkMembers(links)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Shutdown() })
-
-	if err := c.Place(ctx, map[core.PersonID]pattern.Pattern{5: {10, 20, 30}}, WithReplication(2)); err != nil {
-		t.Fatal(err)
-	}
-	stale.fail.Store(true)
-	unplaced, err := c.place(ctx, map[core.PersonID]pattern.Pattern{5: {70, 80, 90}}, WithReplication(2))
-	if err == nil || len(unplaced) != 0 {
-		t.Fatalf("second Place: unplaced %v, err %v; want station 1's ingest to fail and person 5 placed", unplaced, err)
-	}
-
-	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{{70, 80, 90}}}}
-	for _, opts := range [][]SearchOption{
-		{WithStrategy(StrategyWBF)},
-		{WithStrategy(StrategyWBF), WithVerify(true)},
-		{WithStrategy(StrategyNaive)},
-	} {
-		out, err := c.Search(ctx, queries, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := out.Persons(1); len(got) != 1 || got[0] != 5 {
-			t.Fatalf("%v (verify %v): persons = %v, want [5]", out.Strategy, len(opts) > 1, got)
 		}
 	}
 }
