@@ -221,3 +221,72 @@ func TestZeroSumPatternsAreKept(t *testing.T) {
 	}
 	residents(map[uint32]int{1: 5, 2: 3})
 }
+
+// TestFilterStrategiesAnswerByPieces: Oracle and the naive strategy match a
+// person's global pattern, while WBF and BF match each station's piece
+// against the combinations of the query's locals. A person whose pieces are
+// not such combinations is found by the naive strategy alone, whatever the
+// sign of its cells; a negative piece can never be a local, because
+// Query.Validate refuses one.
+func TestFilterStrategiesAnswerByPieces(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{Params: Params{Bits: 4096, Hashes: 3, PositionSalted: true}}
+	for _, tc := range []struct {
+		name   string
+		pieces [2]Pattern // person 7 at stations 1 and 2; the sum is {5, 1, 1}
+		locals []Pattern
+		found  map[Strategy]bool
+	}{
+		{
+			name:   "negative piece, one local",
+			pieces: [2]Pattern{{5, -5, 0}, {0, 6, 1}},
+			locals: []Pattern{{5, 1, 1}},
+			found:  map[Strategy]bool{StrategyNaive: true},
+		},
+		{
+			// Unsalted, {5, 0, 0} accumulates to 5 at every sample and so
+			// hits the query's first sample's band at the others: a
+			// cross-position false positive, not a match.
+			name:   "non-negative pieces, one local",
+			pieces: [2]Pattern{{5, 0, 0}, {0, 1, 1}},
+			locals: []Pattern{{5, 1, 1}},
+			found:  map[Strategy]bool{StrategyNaive: true},
+		},
+		{
+			name:   "the pieces as the locals",
+			pieces: [2]Pattern{{5, 0, 0}, {0, 1, 1}},
+			locals: []Pattern{{5, 0, 0}, {0, 1, 1}},
+			found:  map[Strategy]bool{StrategyNaive: true, StrategyWBF: true, StrategyBF: true},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := map[uint32]map[PersonID]Pattern{1: {7: tc.pieces[0]}, 2: {7: tc.pieces[1]}}
+			c, err := newFromData(opts, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = c.Shutdown() }()
+			q := Query{ID: 1, Locals: tc.locals}
+			if oracle, err := Oracle(data, q, 0, 0); err != nil || len(oracle) != 1 || oracle[0] != 7 {
+				t.Fatalf("Oracle = %v, %v; want [7]", oracle, err)
+			}
+			for _, st := range []Strategy{StrategyNaive, StrategyWBF, StrategyBF} {
+				out, err := c.Search(ctx, []Query{q}, WithStrategy(st))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs := out.PerQuery[1]
+				if found := len(rs) == 1 && rs[0].Person == 7; found != tc.found[st] || len(rs) > 1 {
+					t.Fatalf("%v answered %v; want person 7 found: %v", st, rs, tc.found[st])
+				}
+				if st == StrategyWBF && tc.found[st] && (rs[0].Score() != 1 || rs[0].Stations != 2) {
+					t.Fatalf("WBF scored person 7 %v from %d stations, want 1 from 2", rs[0].Score(), rs[0].Stations)
+				}
+			}
+		})
+	}
+	q := Query{ID: 1, Locals: []Pattern{{5, -5, 0}, {0, 6, 1}}}
+	if err := q.Validate(); err == nil || err.Error() != "core: local 0 has negative values" {
+		t.Fatalf("a negative local validated: %v", err)
+	}
+}

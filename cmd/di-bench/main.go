@@ -110,14 +110,6 @@ var experiments = []struct {
 		bench.RenderAblation(w, "Ablation: position salting at ε > 0", rows)
 		return nil
 	}},
-	{"tolerance", func(w io.Writer, quick bool, _ dimatch.Strategy) error {
-		rows, err := bench.AblationTolerance(context.Background(), ablationConfig(quick))
-		if err != nil {
-			return err
-		}
-		bench.RenderAblation(w, "Ablation: scaled vs absolute ε bands", rows)
-		return nil
-	}},
 	{"sizing", func(w io.Writer, quick bool, _ dimatch.Strategy) error {
 		rows, err := bench.SizingSweep(context.Background(), ablationConfig(quick), nil)
 		if err != nil {

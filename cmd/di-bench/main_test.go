@@ -19,7 +19,6 @@ var titles = map[string]string{
 	"fig4":       "Figure 4(a)",
 	"table2":     "Table II",
 	"salting":    "position salting",
-	"tolerance":  "scaled vs absolute",
 	"sizing":     "Filter sizing sweep",
 	"resilience": "Failure injection",
 }

@@ -31,16 +31,6 @@ type (
 	Result = core.Result
 	// Confusion scores retrieved-vs-relevant sets (precision/recall/F1).
 	Confusion = metrics.Confusion
-	// ToleranceMode selects how ε maps into the accumulated domain.
-	ToleranceMode = core.ToleranceMode
-)
-
-// Tolerance modes, re-exported. ToleranceScaled guarantees no false
-// negatives with respect to the per-interval ε; ToleranceAbsolute is the
-// tighter, cheaper ablation.
-const (
-	ToleranceScaled   = core.ToleranceScaled
-	ToleranceAbsolute = core.ToleranceAbsolute
 )
 
 // DefaultSamples is the paper's converged sample count b = 12.

@@ -68,6 +68,11 @@
 //		dimatch.WithStrategy(dimatch.StrategyWBF),
 //		dimatch.WithVerify(true))
 //
+// WBF and BF match each station's piece of a person against the
+// combinations of the query's locals, the naive strategy the summed global.
+// Queries take non-negative locals while stored cells may be any int32, so
+// only StrategyNaive is exact for a person with a negative piece.
+//
 // # Routed searches
 //
 // Summary routing is on by default: every station can answer a

@@ -149,7 +149,8 @@ func TestDocsLocalLinks(t *testing.T) {
 // (the pipeline is stream.go), its alive-members hook, the second setters
 // of top-k, score threshold and verification, and the facade's Accumulate;
 // the cluster's files under internal/cluster and the go doc pointer into
-// them (the cluster is package dimatch).
+// them (the cluster is package dimatch); the ε tolerance mode and its
+// ablation.
 var removedRefs = []struct {
 	re   *regexp.Regexp
 	with string
@@ -168,6 +169,7 @@ var removedRefs = []struct {
 	{regexp.MustCompile(`WithBatching|WithTargetFP|Cost(Report)?\.Batches\b`), "the round split and per-call FP target (a WBF search is one round; separate Search calls send fewer queries; Options.TargetFP sizes filters)"},
 	{regexp.MustCompile(`internal/stream|AliveStationIDs|WithTopK|WithMinScore|Options\.Verify\b|dimatch\.Accumulate\b`), "the stream package and the second search-knob setters (Cluster.Stream lives in stream.go; TopK and MinScore are Options, verification is WithVerify, Accumulate is Pattern's method)"},
 	{regexp.MustCompile(`internal/cluster/\w+\.go|dimatch/internal/cluster Cluster`), "the cluster's move into package dimatch (its files are at the module root; go doc dimatch.Cluster.Search)"},
+	{regexp.MustCompile(`ToleranceMode|ToleranceAbsolute|ToleranceScaled|-run tolerance`), "the ε tolerance mode and its ablation (every band is core.Band's scaled ε·(g+1))"},
 }
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every
@@ -424,7 +426,7 @@ func TestDocsWireWorkedFrames(t *testing.T) {
 		t.Fatalf("found %d worked frames in docs/WIRE.md, want 3", len(frames))
 	}
 
-	enc, err := core.NewEncoder(core.Params{Bits: 64, Hashes: 2, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5}, 2)
+	enc, err := core.NewEncoder(core.Params{Bits: 64, Hashes: 2, Samples: 2, Seed: 5}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

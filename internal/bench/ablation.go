@@ -122,37 +122,6 @@ func AblationSalting(ctx context.Context, cfg AblationConfig) ([]AblationRow, er
 	return rows, nil
 }
 
-// AblationTolerance measures core.ToleranceMode: scaled (no false negatives)
-// versus absolute (cheaper, lossy) ε banding.
-func AblationTolerance(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
-	cfg = cfg.withDefaults()
-	base := core.Params{
-		Bits:           1 << 18,
-		Hashes:         5,
-		Samples:        core.DefaultSamples,
-		Epsilon:        1,
-		Seed:           cfg.Seed,
-		PositionSalted: true,
-	}
-	rows := make([]AblationRow, 0, 2)
-	for _, v := range []struct {
-		name string
-		mode core.ToleranceMode
-	}{
-		{name: "scaled bands (default)", mode: core.ToleranceScaled},
-		{name: "absolute bands", mode: core.ToleranceAbsolute},
-	} {
-		p := base
-		p.Tolerance = v.mode
-		row, err := runVariant(ctx, cfg, v.name, p, 0.9)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // SizingRow is one point of the filter-sizing sweep.
 type SizingRow struct {
 	Bits       uint64

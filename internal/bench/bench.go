@@ -13,7 +13,6 @@
 //	                   vs number of patterns, per strategy
 //	TableII            E9: per-day effectiveness
 //	AblationSalting    position salting at ε > 0
-//	AblationTolerance  scaled vs absolute ε bands
 //	SizingSweep        analytic vs measured filter false positives
 //	Resilience         search quality vs killed base stations
 package bench

@@ -225,22 +225,6 @@ func TestAblationSalting(t *testing.T) {
 	}
 }
 
-func TestAblationTolerance(t *testing.T) {
-	rows, err := AblationTolerance(context.Background(), AblationConfig{Persons: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	scaled, absolute := rows[0], rows[1]
-	// Scaled bands guarantee no false negatives: recall at least matches
-	// the absolute variant.
-	if scaled.Recall < absolute.Recall-1e-9 {
-		t.Fatalf("scaled recall %.3f below absolute %.3f", scaled.Recall, absolute.Recall)
-	}
-}
-
 func TestResilienceDegradesGracefully(t *testing.T) {
 	rows, err := Resilience(context.Background(), AblationConfig{Persons: 120}, []int{0, 8, 24}, dimatch.StrategyWBF)
 	if err != nil {

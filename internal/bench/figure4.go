@@ -130,8 +130,7 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 			Samples: core.DefaultSamples,
 			Epsilon: 0, // exact matching: the regime where the paper's
 			// unsalted scheme is sound (see core.Params.PositionSalted)
-			Seed:      cfg.Seed,
-			Tolerance: core.ToleranceScaled,
+			Seed: cfg.Seed,
 		},
 		// Only complete partitions (weight sum exactly 1) are answers.
 		MinScore: 0.999,

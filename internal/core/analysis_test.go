@@ -27,7 +27,7 @@ func TestAnalyzeBasicShape(t *testing.T) {
 // TestDistinctKeysMatchesHashedKeySet: the distinct-key count the encoder
 // derives from its bands is the size of the set of every key it hashed,
 // over random batches salted and unsalted, with overlapping bands (ε up to
-// 3, both tolerance modes) and repeated values across combinations.
+// 3) and repeated values across combinations.
 func TestDistinctKeysMatchesHashedKeySet(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for round := 0; round < 100; round++ {
@@ -37,7 +37,6 @@ func TestDistinctKeysMatchesHashedKeySet(t *testing.T) {
 			Hashes:         3,
 			Samples:        1 + rng.Intn(length),
 			Epsilon:        []int64{0, 1, 3}[rng.Intn(3)],
-			Tolerance:      []ToleranceMode{ToleranceScaled, ToleranceAbsolute}[rng.Intn(2)],
 			Seed:           rng.Uint64(),
 			PositionSalted: rng.Intn(2) == 0,
 		}, length)
@@ -59,7 +58,7 @@ func TestDistinctKeysMatchesHashedKeySet(t *testing.T) {
 			err := q.EachCombination(func(_ pattern.Subset, _ int64, combined pattern.Pattern) error {
 				acc := combined.Accumulate()
 				for slot, g := range enc.sample {
-					tol := enc.params.band(g)
+					tol := Band(enc.params.Epsilon, g)
 					for v := max(acc[g]-tol, 0); v <= acc[g]+tol; v++ {
 						keys[enc.filter.keys.key(slot, v)] = true
 					}

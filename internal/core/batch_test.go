@@ -14,12 +14,11 @@ import (
 func batchFilter(t testing.TB, queries []Query) *Filter {
 	t.Helper()
 	params := Params{
-		Bits:      1 << 14,
-		Hashes:    3,
-		Samples:   4,
-		Epsilon:   0,
-		Tolerance: ToleranceScaled,
-		Seed:      7,
+		Bits:    1 << 14,
+		Hashes:  3,
+		Samples: 4,
+		Epsilon: 0,
+		Seed:    7,
 	}
 	enc, err := NewEncoder(params, 4)
 	if err != nil {

@@ -100,7 +100,7 @@ func (e *Encoder) forEachBand(p pattern.Pattern, yield func(slot int, lo, hi int
 		return err
 	}
 	for slot, v := range vals {
-		tol := e.params.band(e.sample[slot])
+		tol := Band(e.params.Epsilon, e.sample[slot])
 		yield(slot, max(v-tol, 0), v+tol)
 	}
 	return nil
@@ -148,8 +148,8 @@ func distinctKeys(lows, ends [][]int64) uint64 {
 
 // EstimateInsertions predicts the number of hashed values for sizing a
 // filter before encoding: per query, (2^e - 1) combinations × b samples ×
-// the mean band width. The estimate is exact for ToleranceAbsolute and an
-// upper bound for ToleranceScaled (bands are clipped at zero).
+// the mean band width. It is an upper bound: the encoder clips bands at
+// zero.
 func EstimateInsertions(p Params, patternLength int, queries []Query) (uint64, error) {
 	p = p.withDefaults()
 	idx, err := pattern.SampleIndexes(patternLength, p.Samples)
@@ -158,7 +158,7 @@ func EstimateInsertions(p Params, patternLength int, queries []Query) (uint64, e
 	}
 	var perPattern uint64
 	for _, g := range idx {
-		perPattern += uint64(2*p.band(g) + 1)
+		perPattern += uint64(2*Band(p.Epsilon, g) + 1)
 	}
 	var total uint64
 	for _, q := range queries {

@@ -193,8 +193,7 @@ func TestMatchLengthMismatch(t *testing.T) {
 
 func TestPropertyNoFalseNegatives(t *testing.T) {
 	// Invariant: any pattern within per-interval ε of an encoded combination
-	// matches under ToleranceScaled. This is the WBF's no-false-negative
-	// guarantee (see ToleranceMode).
+	// matches. This is the WBF's no-false-negative guarantee (see Band).
 	p := testParams()
 	p.Bits = 1 << 16
 	p.Epsilon = 2

@@ -7,35 +7,6 @@ package core
 
 import "fmt"
 
-// ToleranceMode selects how the per-interval tolerance ε of Eq. 2 is mapped
-// into the accumulated domain when "all possible approximate values" are
-// hashed (Algorithm 1).
-type ToleranceMode int
-
-const (
-	// ToleranceScaled hashes the band ±ε·(g+1) around the accumulated value
-	// at original interval g. Any pattern within per-interval ε of a query
-	// combination stays inside this band at every sample, so matching has no
-	// false negatives with respect to Eq. 2. This is the default.
-	ToleranceScaled ToleranceMode = iota + 1
-	// ToleranceAbsolute hashes the flat band ±ε at every sample. Cheaper and
-	// tighter, but a pattern can drift beyond ±ε in accumulated space while
-	// honouring Eq. 2 per interval, so false negatives become possible.
-	// Kept as an ablation (di-bench -run tolerance).
-	ToleranceAbsolute
-)
-
-func (m ToleranceMode) String() string {
-	switch m {
-	case ToleranceScaled:
-		return "scaled"
-	case ToleranceAbsolute:
-		return "absolute"
-	default:
-		return fmt.Sprintf("ToleranceMode(%d)", int(m))
-	}
-}
-
 // Params carries every knob of the WBF pipeline. The notation mirrors the
 // paper's Table I: m filter bits, k hash functions, b sample points, ε
 // approximation tolerance.
@@ -50,9 +21,6 @@ type Params struct {
 	// Epsilon is ε, the per-interval matching tolerance of Eq. 2 (ε = 0
 	// demands exact matching).
 	Epsilon int64
-	// Tolerance selects the accumulated-domain interpretation of ε.
-	// Zero value means ToleranceScaled.
-	Tolerance ToleranceMode
 	// Seed fixes the hash family so the data center and every base station
 	// derive identical bit positions.
 	Seed uint64
@@ -97,32 +65,20 @@ func (p Params) Validate() error {
 	if p.Epsilon < 0 {
 		return fmt.Errorf("core: Params.Epsilon = %d, want >= 0", p.Epsilon)
 	}
-	switch p.Tolerance {
-	case ToleranceScaled, ToleranceAbsolute:
-	default:
-		return fmt.Errorf("core: unknown tolerance mode %d", int(p.Tolerance))
-	}
 	return nil
 }
 
 // withDefaults fills zero-value fields that have well-defined defaults.
 func (p Params) withDefaults() Params {
-	if p.Tolerance == 0 {
-		p.Tolerance = ToleranceScaled
-	}
 	if p.Samples == 0 {
 		p.Samples = DefaultSamples
 	}
 	return p
 }
 
-// band returns the inclusive half-width of the hashed value band for a
-// sample at original interval index g.
-func (p Params) band(g int) int64 {
-	switch p.Tolerance {
-	case ToleranceAbsolute:
-		return p.Epsilon
-	default:
-		return p.Epsilon * int64(g+1)
-	}
-}
+// Band returns the inclusive half-width ε·(g+1) of the value band hashed
+// for a sample at original interval index g: the accumulated-domain image
+// of Eq. 2's per-interval ε. A pattern within ε of a query combination at
+// every interval stays inside this band at every sample, so neither the
+// WBF nor a routing digest built on it has false negatives.
+func Band(eps int64, g int) int64 { return eps * int64(g+1) }

@@ -1,12 +1,9 @@
 package core
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestParamsValidate(t *testing.T) {
-	valid := Params{Bits: 1024, Hashes: 4, Samples: 12, Epsilon: 1, Tolerance: ToleranceScaled}
+	valid := Params{Bits: 1024, Hashes: 4, Samples: 12, Epsilon: 1}
 	if err := valid.Validate(); err != nil {
 		t.Fatalf("valid params rejected: %v", err)
 	}
@@ -19,7 +16,9 @@ func TestParamsValidate(t *testing.T) {
 		{name: "negative hashes", mutate: func(p *Params) { p.Hashes = -2 }},
 		{name: "zero samples", mutate: func(p *Params) { p.Samples = 0 }},
 		{name: "negative epsilon", mutate: func(p *Params) { p.Epsilon = -1 }},
-		{name: "bad tolerance", mutate: func(p *Params) { p.Tolerance = 99 }},
+		{name: "bits above MaxBits", mutate: func(p *Params) { p.Bits = MaxBits + 1 }},
+		{name: "hashes above MaxHashes", mutate: func(p *Params) { p.Hashes = MaxHashes + 1 }},
+		{name: "samples above MaxSamples", mutate: func(p *Params) { p.Samples = MaxSamples + 1 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -34,38 +33,24 @@ func TestParamsValidate(t *testing.T) {
 
 func TestParamsWithDefaults(t *testing.T) {
 	p := Params{Bits: 64, Hashes: 2}.withDefaults()
-	if p.Tolerance != ToleranceScaled {
-		t.Fatalf("default tolerance = %v", p.Tolerance)
-	}
 	if p.Samples != DefaultSamples {
 		t.Fatalf("default samples = %d, want %d", p.Samples, DefaultSamples)
 	}
 	// Explicit values survive.
-	p = Params{Bits: 64, Hashes: 2, Samples: 3, Tolerance: ToleranceAbsolute}.withDefaults()
-	if p.Samples != 3 || p.Tolerance != ToleranceAbsolute {
+	p = Params{Bits: 64, Hashes: 2, Samples: 3}.withDefaults()
+	if p.Samples != 3 {
 		t.Fatal("withDefaults clobbered explicit values")
 	}
 }
 
 func TestBand(t *testing.T) {
-	scaled := Params{Epsilon: 2, Tolerance: ToleranceScaled}
-	if got := scaled.band(0); got != 2 {
-		t.Fatalf("scaled band(0) = %d, want 2", got)
+	if got := Band(2, 0); got != 2 {
+		t.Fatalf("Band(2, 0) = %d, want 2", got)
 	}
-	if got := scaled.band(4); got != 10 {
-		t.Fatalf("scaled band(4) = %d, want 10 (= ε·(g+1))", got)
+	if got := Band(2, 4); got != 10 {
+		t.Fatalf("Band(2, 4) = %d, want 10 (= ε·(g+1))", got)
 	}
-	abs := Params{Epsilon: 2, Tolerance: ToleranceAbsolute}
-	if got := abs.band(4); got != 2 {
-		t.Fatalf("absolute band(4) = %d, want 2", got)
-	}
-}
-
-func TestToleranceModeString(t *testing.T) {
-	if ToleranceScaled.String() != "scaled" || ToleranceAbsolute.String() != "absolute" {
-		t.Fatal("mode strings wrong")
-	}
-	if !strings.Contains(ToleranceMode(42).String(), "42") {
-		t.Fatal("unknown mode string should carry the value")
+	if got := Band(0, 9); got != 0 {
+		t.Fatalf("Band(0, 9) = %d, want 0 (exact matching)", got)
 	}
 }

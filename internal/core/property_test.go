@@ -32,7 +32,7 @@ func newRefFilter(t *testing.T, f *core.Filter, queries []core.Query) refFilter 
 			}
 			acc := combined.Accumulate()
 			for slot, g := range f.SampleIndexes() {
-				tol := eps * int64(g+1) // ToleranceScaled
+				tol := eps * int64(g+1) // the scaled band, restated
 				for v := max(acc[g]-tol, 0); v <= acc[g]+tol; v++ {
 					for _, bit := range f.Indexes(slot, v) {
 						if list := ref.slots[bit]; len(list) == 0 || list[len(list)-1] != id {

@@ -10,12 +10,11 @@ import (
 
 func testParams() Params {
 	return Params{
-		Bits:      1 << 14,
-		Hashes:    4,
-		Samples:   3,
-		Epsilon:   0,
-		Tolerance: ToleranceScaled,
-		Seed:      7,
+		Bits:    1 << 14,
+		Hashes:  4,
+		Samples: 3,
+		Epsilon: 0,
+		Seed:    7,
 	}
 }
 

@@ -331,11 +331,11 @@ type Probe struct {
 var errOverBudget = errors.New("index: probe over budget")
 
 // NewProbe builds a query's admission test for the given per-search sample
-// count and tolerance ε. Bands use the scaled (per-position) widening
-// ε·(g+1) — the accumulated-domain superset of the per-interval Eq. 2
-// tolerance — so the test admits every station that could report the query
-// under either tolerance mode. A probe whose total band volume exceeds
-// MaxProbeValues is returned unselective rather than failing the search.
+// count and tolerance ε. Each band is ±core.Band(ε, g) around the
+// accumulated value, the encoder's band before its clip at zero, so the
+// test admits every station that could report the query. A probe whose
+// total band volume exceeds MaxProbeValues is returned unselective rather
+// than failing the search.
 func NewProbe(q core.Query, samples int, eps int64) (Probe, error) {
 	if err := q.Validate(); err != nil {
 		return Probe{}, err
@@ -356,7 +356,7 @@ func NewProbe(q core.Query, samples int, eps int64) (Probe, error) {
 		acc := combined.Accumulate()
 		bands := make([]band, len(positions))
 		for i, g := range positions {
-			tol := eps * int64(g+1)
+			tol := core.Band(eps, g)
 			bands[i] = band{pos: g, lo: acc[g] - tol, hi: acc[g] + tol}
 			budget -= 2*tol + 1
 			if budget < 0 {

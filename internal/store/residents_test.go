@@ -572,7 +572,7 @@ func newWalkFixture(tb testing.TB, dense bool, residents int) walkFixture {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(11))
 	fx := walkFixture{length: 24}
-	params := core.Params{Bits: 1 << 16, Hashes: 3, Samples: 8, Epsilon: 1, Tolerance: core.ToleranceScaled, Seed: 7}
+	params := core.Params{Bits: 1 << 16, Hashes: 3, Samples: 8, Epsilon: 1, Seed: 7}
 	if dense {
 		params.Epsilon = 0
 	}

@@ -394,8 +394,8 @@ func TestRecoverRefusesUndecodableRecord(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.TornBytes() != 0 {
-				t.Fatalf("Open truncated %d bytes of a well-framed record", s.TornBytes())
+			if s.torn != 0 {
+				t.Fatalf("Open truncated %d bytes of a well-framed record", s.torn)
 			}
 			second := store.Batch{Op: store.OpIngest, Persons: []core.PersonID{2}, Locals: []pattern.Pattern{{2, 2}}}
 			if err := s.Append(second); err != nil {

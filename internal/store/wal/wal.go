@@ -413,10 +413,6 @@ func (s *Store) Dir() string { return s.dir }
 // Generation returns the current snapshot/log generation.
 func (s *Store) Generation() uint64 { return s.seq }
 
-// TornBytes reports how many trailing log bytes Open discarded as a torn
-// tail — zero after a clean shutdown.
-func (s *Store) TornBytes() int64 { return s.torn }
-
 // SnapshotBytes reports the current generation's snapshot size on disk,
 // zero at generation 0 (no snapshot yet).
 func (s *Store) SnapshotBytes() int64 {

@@ -59,7 +59,7 @@ func TestBatchQueryEncodeErrors(t *testing.T) {
 	// Tables that cannot travel as local sums: a row whose denominator is not
 	// its query's total, a mask wider than MaxLocals, a negative sum, and
 	// rows no pointer list names (three rows, one pointer).
-	p := core.Params{Bits: 64, Hashes: 1, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5}
+	p := core.Params{Bits: 64, Hashes: 1, Samples: 2, Seed: 5}
 	for name, weights := range map[string][]core.WeightEntry{
 		"foreign denominator": {{Query: 1, Mask: 1, Numerator: 1, Denominator: 5}},
 		"mask past MaxLocals": {{Query: 1, Mask: 1 << 21, Numerator: 1, Denominator: 1}},

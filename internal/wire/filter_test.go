@@ -79,15 +79,16 @@ func frameShapes(t testing.TB) []frameShape {
 // within 3 % of frameModel's prediction, and holds each filter to the sizing
 // target: an absent value probes present with probability at most 1 %. A
 // decoded filter must equal the encoder's in every array and weight field
-// and re-encode byte for byte. An unbounded frame is as long as in version
-// 13; a person bound adds exactly its ends' uvarints, its presence riding on
-// the params flag byte. Version 12 sent the weight rows and the
+// and re-encode byte for byte. An unbounded frame is one byte shorter than
+// in versions 13–18, whose params block carried a tolerance byte; a person
+// bound adds exactly its ends' uvarints, its presence riding on the params
+// flag byte. Version 12 sent the weight rows and the
 // dictionary as varints (371, 193 and 2 041 B for these three filters);
 // version 11 the memory-sized bit array word by word (433, 512 and 4 895 B);
 // version 9 a delta-coded index and a pointer list per set bit (5 331, 1 111
 // and 11 493 B).
 func TestFilterFrameSizes(t *testing.T) {
-	want := map[string]int{"point": 359, "city": 121, "batch16": 1121}
+	want := map[string]int{"point": 358, "city": 120, "batch16": 1120}
 	for _, s := range frameShapes(t) {
 		m, err := EncodeBatchQuery(s.batch)
 		if err != nil {
@@ -182,7 +183,7 @@ func frameModel(b BatchQuery) float64 {
 			}
 		}
 	}
-	n += uvarintLen(p.Bits) + uvarintLen(uint64(p.Hashes)) + uvarintLen(uint64(p.Samples)) + uvarintLen(uint64(p.Epsilon)) + 1 + 8 + 1
+	n += uvarintLen(p.Bits) + uvarintLen(uint64(p.Hashes)) + uvarintLen(uint64(p.Samples)) + uvarintLen(uint64(p.Epsilon)) + 8 + 1
 	for _, end := range []core.PersonID{b.From, b.To} {
 		if end != 0 {
 			n += uvarintLen(uint64(end))
@@ -211,7 +212,7 @@ func frameModel(b BatchQuery) float64 {
 // TestWorkedBatchQueryHex pins the docs/WIRE.md worked batch-query frame to
 // the live encoder.
 func TestWorkedBatchQueryHex(t *testing.T) {
-	enc, err := core.NewEncoder(core.Params{Bits: 64, Hashes: 2, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5}, 2)
+	enc, err := core.NewEncoder(core.Params{Bits: 64, Hashes: 2, Samples: 2, Seed: 5}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestWorkedBatchQueryHex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bounded = "a7d1120e2a000000" + "1c000000" + "01" + "010103" + "40020200010500000000000000" + "04" + "ac02" + "0202040101" + "1c6472"
+	const bounded = "a7d1130e2a000000" + "1b000000" + "01" + "010103" + "400202000500000000000000" + "04" + "ac02" + "0202040101" + "1c6472"
 	if got := hex.EncodeToString(m.WithRequest(42).Encode()); got != bounded {
 		t.Fatalf("bounded batch-query frame drifted:\n got %s\nwant %s", got, bounded)
 	}
@@ -336,7 +337,7 @@ func (f rawFilter) payload() []byte {
 			w.uvarint(v)
 		}
 	}
-	writeParams(&w, core.Params{Bits: f.bits, Hashes: 1, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5}, 0, 0)
+	writeParams(&w, core.Params{Bits: f.bits, Hashes: 1, Samples: 2, Seed: 5}, 0, 0)
 	w.buf[len(w.buf)-1] |= f.flags
 	w.buf = append(w.buf, varints(f.bound...)...)
 	w.uvarint(2) // pattern length

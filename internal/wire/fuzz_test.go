@@ -21,14 +21,14 @@ import (
 // immediately explores the interesting corrupt-field space instead of
 // rediscovering the magic number.
 const (
-	workedBatchQueryHex = "a7d1120e2a000000" + "1a000000" +
-		"01" + "010103" + "4002020001050000000000000000" +
+	workedBatchQueryHex = "a7d1130e2a000000" + "19000000" +
+		"01" + "010103" + "40020200050000000000000000" +
 		"0202040101" + "1c6472"
-	workedSummaryReplyHex = "a7d112132a000000" + "1e000000" +
+	workedSummaryReplyHex = "a7d113132a000000" + "1e000000" +
 		"030201719a3d0cbfe5a75140000000000000000702" +
 		"010389408022142804"
 	// A KindBatchReply of three reports on two pointer lists.
-	workedBatchReplyHex = "a7d1120f2a000000" + "0c000000" +
+	workedBatchReplyHex = "a7d1130f2a000000" + "0c000000" +
 		"030203" + "0200020f" + "05010407" + "13"
 )
 
@@ -43,7 +43,7 @@ const adaptiveSummaryHex = "000306719a3d0cbfe5a751000100000000000000120485aaaa04
 // each version byte earlier builds used (plus the next unassigned one) and
 // each retired kind byte — all of which must be rejected at the header.
 func addRetiredSeeds(f *testing.F, frame []byte) {
-	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 19} { // all but Version
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20} { // all but Version
 		bad := append([]byte(nil), frame...)
 		bad[2] = v
 		f.Add(bad)

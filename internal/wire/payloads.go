@@ -33,7 +33,6 @@ func writeParams(w *writer, p core.Params, from, to core.PersonID) {
 	w.uvarint(uint64(p.Hashes))
 	w.uvarint(uint64(p.Samples))
 	w.uvarint(uint64(p.Epsilon))
-	w.u8(uint8(p.Tolerance))
 	w.u64(p.Seed)
 	flags := boolByte(p.PositionSalted)
 	if from != 0 {
@@ -56,12 +55,11 @@ func writeParams(w *writer, p core.Params, from, to core.PersonID) {
 // From (ErrBadBound), so a block it accepts is one the encoder writes.
 func readParams(r *reader) (p core.Params, from, to core.PersonID) {
 	p = core.Params{
-		Bits:      r.uvarint(),
-		Hashes:    int(r.uvarint()),
-		Samples:   int(r.uvarint()),
-		Epsilon:   int64(r.uvarint()),
-		Tolerance: core.ToleranceMode(r.u8()),
-		Seed:      r.u64(),
+		Bits:    r.uvarint(),
+		Hashes:  int(r.uvarint()),
+		Samples: int(r.uvarint()),
+		Epsilon: int64(r.uvarint()),
+		Seed:    r.u64(),
 	}
 	flags := r.u8()
 	if flags&^(flagSalted|flagFrom|flagTo) != 0 {

@@ -17,7 +17,6 @@ func buildFilter(t *testing.T) *core.Filter {
 		Hashes:         3,
 		Samples:        3,
 		Epsilon:        1,
-		Tolerance:      core.ToleranceScaled,
 		Seed:           99,
 		PositionSalted: true,
 	}
@@ -106,7 +105,7 @@ func TestBFQueryRoundTrip(t *testing.T) {
 	for v := int64(0); v < 50; v++ {
 		bf.Add(v * 3)
 	}
-	params := core.Params{Bits: 1 << 10, Hashes: 4, Samples: 5, Epsilon: 2, Tolerance: core.ToleranceAbsolute, Seed: 5}
+	params := core.Params{Bits: 1 << 10, Hashes: 4, Samples: 5, Epsilon: 2, Seed: 5}
 	m := EncodeBFQuery(BFQuery{Filter: bf, Params: params, Length: 9})
 	got, err := DecodeBFQuery(m)
 	if err != nil {

@@ -143,8 +143,9 @@ func (k Kind) String() string {
 // while a routing digest held every position's cell under four hashes, 16
 // while mutations were answered with KindAck, 17 while kinds 20 and 21
 // carried the region tier's delegated rounds and a stats reply a flags
-// byte), so none of their frames decode.
-const Version = uint8(18)
+// byte, 18 while a params block carried a tolerance byte), so none of their
+// frames decode.
+const Version = uint8(19)
 
 const (
 	magic = uint16(0xD1A7)
