@@ -30,7 +30,7 @@ func TestForeignVersionPeerIsCountedFailed(t *testing.T) {
 			if err != nil || req.Kind == wire.KindShutdown {
 				return
 			}
-			frame := wire.EncodeStatsReply(wire.StatsReply{Station: 2, Length: 3}).WithRequest(req.Request).Encode()
+			frame := wire.EncodeStatsReply(wire.StatsReply{Length: 3}).WithRequest(req.Request).Encode()
 			if joined {
 				frame[2] = 3 // what a pre-collapse build stamped on batch frames
 			}

@@ -150,7 +150,8 @@ func TestDocsLocalLinks(t *testing.T) {
 // of top-k, score threshold and verification, and the facade's Accumulate;
 // the cluster's files under internal/cluster and the go doc pointer into
 // them (the cluster is package dimatch); the ε tolerance mode and its
-// ablation.
+// ablation; the WBF's distinct-key count and the summary reply's resident
+// count.
 var removedRefs = []struct {
 	re   *regexp.Regexp
 	with string
@@ -170,6 +171,7 @@ var removedRefs = []struct {
 	{regexp.MustCompile(`internal/stream|AliveStationIDs|WithTopK|WithMinScore|Options\.Verify\b|dimatch\.Accumulate\b`), "the stream package and the second search-knob setters (Cluster.Stream lives in stream.go; TopK and MinScore are Options, verification is WithVerify, Accumulate is Pattern's method)"},
 	{regexp.MustCompile(`internal/cluster/\w+\.go|dimatch/internal/cluster Cluster`), "the cluster's move into package dimatch (its files are at the module root; go doc dimatch.Cluster.Search)"},
 	{regexp.MustCompile(`ToleranceMode|ToleranceAbsolute|ToleranceScaled|-run tolerance`), "the ε tolerance mode and its ablation (every band is core.Band's scaled ε·(g+1))"},
+	{regexp.MustCompile(`DistinctKeys|SummaryReply\.Residents`), "the fields no reader read (core.Analyze measures the filter's fill; a summary reply carries no resident count)"},
 }
 
 // TestDocsBenchmarkReferenced pins the docs/benchmark contract: every

@@ -72,7 +72,9 @@ func (c *Cluster) fanOut(ctx context.Context, ep *epoch, msg wire.Message, cost 
 			cost.MessagesUp++
 		}
 		if handleErr == nil {
-			handleErr = handle(r.reply)
+			if err := handle(r.reply); err != nil {
+				handleErr = fmt.Errorf("cluster: station %d: %w", ep.ids[i], err)
+			}
 		}
 	}
 	if len(results) > 0 && len(failed) == len(results) {

@@ -181,7 +181,7 @@ func SizingSweep(ctx context.Context, cfg AblationConfig, bitSizes []uint64) ([]
 		for _, pos := range filter.Positions() {
 			words[pos/64] |= 1 << (pos % 64)
 		}
-		bf, err := bloom.FromParts(words, params.Bits, params.Hashes, params.Seed, filter.Inserted())
+		bf, err := bloom.FromParts(words, params.Bits, params.Hashes, params.Seed, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dimatch"
@@ -159,7 +160,8 @@ func TestWBFQueryLimit(t *testing.T) {
 }
 
 // TestDesyncedBatchReplyIsTypedError: a station echoing the wrong query
-// count fails the search with a descriptive error, not a panic.
+// count fails the search with a descriptive error naming the member, not
+// the ID the station's reply claims, and not a panic.
 func TestDesyncedBatchReplyIsTypedError(t *testing.T) {
 	c, err := dimatch.NewCluster(dimatch.Options{}, 3, linkMembers(map[uint32]dimatch.Link{1: desyncedStation()})...)
 	if err != nil {
@@ -168,8 +170,8 @@ func TestDesyncedBatchReplyIsTypedError(t *testing.T) {
 	defer c.Shutdown()
 
 	_, err = c.Search(context.Background(), []dimatch.Query{{ID: 1, Locals: []dimatch.Pattern{{1, 2, 3}}}})
-	if !errors.Is(err, wire.ErrBatchMismatch) {
-		t.Fatalf("desynced batch reply: err = %v, want wire.ErrBatchMismatch", err)
+	if !errors.Is(err, wire.ErrBatchMismatch) || !strings.Contains(err.Error(), "station 1:") {
+		t.Fatalf("desynced batch reply: err = %v, want wire.ErrBatchMismatch naming station 1", err)
 	}
 }
 
@@ -186,9 +188,9 @@ func desyncedStation() dimatch.Link {
 			var reply wire.Message
 			switch msg.Kind {
 			case wire.KindStats:
-				reply = wire.EncodeStatsReply(wire.StatsReply{Station: 1, Length: 3})
+				reply = wire.EncodeStatsReply(wire.StatsReply{Length: 3})
 			case wire.KindBatchQuery:
-				reply = wire.EncodeBatchReply(wire.BatchReply{Station: 1, Queries: 99})
+				reply = wire.EncodeBatchReply(wire.BatchReply{Station: 99, Queries: 99})
 			case wire.KindShutdown:
 				return
 			default:

@@ -27,7 +27,7 @@ func manualCluster(t *testing.T, opts dimatch.Options) (*dimatch.Cluster, dimatc
 		links[id] = center
 		if id == 2 {
 			silent = stationEnd
-			answerHandshake(silent, id, data[id])
+			answerHandshake(silent, data[id])
 			continue
 		}
 		id, stationEnd := id, stationEnd
@@ -48,8 +48,8 @@ func manualCluster(t *testing.T, opts dimatch.Options) (*dimatch.Cluster, dimatc
 // answerHandshake answers the one stats frame a join sends over a station's
 // link, as a station holding locals would, and then leaves the link
 // unserved: the station goes silent right after joining.
-func answerHandshake(link dimatch.Link, id uint32, locals map[dimatch.PersonID]dimatch.Pattern) {
-	sr := wire.StatsReply{Station: id, Residents: uint64(len(locals))}
+func answerHandshake(link dimatch.Link, locals map[dimatch.PersonID]dimatch.Pattern) {
+	sr := wire.StatsReply{Residents: uint64(len(locals))}
 	for _, l := range locals {
 		sr.Length = uint32(len(l))
 	}
@@ -294,7 +294,7 @@ func TestKillStationMidSearch(t *testing.T) {
 // an empty successful outcome.
 func TestShutdownDuringSearchReturnsClosed(t *testing.T) {
 	center, stationEnd := transport.Pipe(nil, nil)
-	answerHandshake(stationEnd, 0, paperScenario()[0]) // then never served: search stalls
+	answerHandshake(stationEnd, paperScenario()[0]) // then never served: search stalls
 	c, err := dimatch.NewCluster(testOptions(), 3, dimatch.Member{ID: 0, Link: center})
 	if err != nil {
 		t.Fatal(err)

@@ -225,6 +225,35 @@ func TestStatsComeFromReplies(t *testing.T) {
 	}
 }
 
+// TestStatsNameTheMember: a station's figures are filed under the ID the
+// membership gives it, whatever ID the station serves under, from its join
+// handshake and from every mutation's reply.
+func TestStatsNameTheMember(t *testing.T) {
+	center, stationEnd := transport.Pipe(nil, nil)
+	go func() { _ = dimatch.ServeStation(99, paperScenario()[0], stationEnd) }()
+	c, err := dimatch.NewCluster(testOptions(), 3, dimatch.Member{ID: 7, Link: center})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Shutdown() })
+	ctx := context.Background()
+	check := func(what string, residents int) {
+		t.Helper()
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Stations) != 1 || st.Stations[0].Station != 7 || st.Stations[0].Residents != residents {
+			t.Fatalf("%s: stations %+v, want member 7 holding %d", what, st.Stations, residents)
+		}
+	}
+	check("after the join", len(paperScenario()[0]))
+	if err := c.Ingest(ctx, 7, map[dimatch.PersonID]dimatch.Pattern{40: {9, 9, 9}}); err != nil {
+		t.Fatal(err)
+	}
+	check("after an ingest", len(paperScenario()[0])+1)
+}
+
 // TestStatsExactAfterConcurrentIngests: concurrent mutations of one station
 // hand their replies over in any order, and Stats must still report the
 // figures after the last one applied, never an earlier reply's.

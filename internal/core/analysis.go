@@ -7,11 +7,14 @@ import "math"
 // filter only guarantees a false-positive lower bound, while the WBF's
 // weight-consistency check multiplies in an additional pruning factor.
 //
-// Model, using the paper's notation (Table I): with m bits, k hashes and n
-// inserted values, the probability a probed absent value appears present is
-// the standard q = (1 - p)^k with p = (1-1/m)^(kn). A spurious pattern whose
-// sampled values are all absent from the filter must pass b independent
-// sampled points, so
+// Model, using the paper's notation (Table I): with k hashes, the
+// probability a probed absent value appears present is the standard
+// q = (1 - p)^k, where p is the fraction of the filter's m bits that are 0.
+// p is measured on the built filter, not predicted from the inserted values
+// as (1-1/m)^(kn): overlapping ε bands and repeated combination values
+// insert one key many times but set its bits once, and the fill sees that.
+// A spurious pattern whose sampled values are all absent from the filter
+// must pass b independent sampled points, so
 //
 //	FP_BF(pattern) <= q^b.
 //
@@ -32,7 +35,7 @@ import "math"
 // positives are therefore far below BF's on realistic workloads even though
 // both share the same hash-collision bound.
 type Analysis struct {
-	// BitZeroProb is p, the probability a given bit stays 0.
+	// BitZeroProb is p, the fraction of the filter's bits that are 0.
 	BitZeroProb float64
 	// ValueFPProb is q, the probability one absent value probes as present.
 	ValueFPProb float64
@@ -46,14 +49,12 @@ type Analysis struct {
 
 // Analyze computes the false-positive model for a built filter.
 func Analyze(f *Filter) Analysis {
-	m := float64(f.params.Bits)
-	k := float64(f.params.Hashes)
-	n := float64(f.DistinctKeys())
+	fill := f.FillRatio()
 	b := float64(len(f.sampleIdx))
 	w := len(f.weights)
 
-	p := math.Pow(1-1/m, k*n)
-	q := math.Pow(1-p, k)
+	p := 1 - fill
+	q := math.Pow(fill, float64(f.params.Hashes)) // not (1-p)^k: 1-(1-fill) rounds
 	bf := math.Pow(q, b)
 	wbf := bf
 	if w > 1 && b > 1 {

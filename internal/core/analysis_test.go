@@ -24,57 +24,6 @@ func TestAnalyzeBasicShape(t *testing.T) {
 	}
 }
 
-// TestDistinctKeysMatchesHashedKeySet: the distinct-key count the encoder
-// derives from its bands is the size of the set of every key it hashed,
-// over random batches salted and unsalted, with overlapping bands (ε up to
-// 3) and repeated values across combinations.
-func TestDistinctKeysMatchesHashedKeySet(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	for round := 0; round < 100; round++ {
-		length := 3 + rng.Intn(10)
-		enc, err := NewEncoder(Params{
-			Bits:           1 << 12,
-			Hashes:         3,
-			Samples:        1 + rng.Intn(length),
-			Epsilon:        []int64{0, 1, 3}[rng.Intn(3)],
-			Seed:           rng.Uint64(),
-			PositionSalted: rng.Intn(2) == 0,
-		}, length)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys := make(map[int64]bool)
-		for id, n := QueryID(1), QueryID(1+rng.Intn(8)); id <= n; id++ {
-			q := Query{ID: id}
-			for l := 1 + rng.Intn(3); l > 0; l-- {
-				q.Locals = append(q.Locals, randomPattern(rng, length, 6))
-			}
-			if q.Validate() != nil {
-				continue
-			}
-			if err := enc.AddQuery(q); err != nil {
-				t.Fatal(err)
-			}
-			err := q.EachCombination(func(_ pattern.Subset, _ int64, combined pattern.Pattern) error {
-				acc := combined.Accumulate()
-				for slot, g := range enc.sample {
-					tol := Band(enc.params.Epsilon, g)
-					for v := max(acc[g]-tol, 0); v <= acc[g]+tol; v++ {
-						keys[enc.filter.keys.key(slot, v)] = true
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got, want := enc.Filter().DistinctKeys(), uint64(len(keys)); got != want {
-			t.Fatalf("round %d (salted %v, ε %d): %d distinct keys from the bands, %d hashed", round, enc.params.PositionSalted, enc.params.Epsilon, got, want)
-		}
-	}
-}
-
 func TestValueLevelFPNearAnalytic(t *testing.T) {
 	// The q = (1-p)^k model covers hash-collision false positives: probes of
 	// values that were never inserted. Verify the measured rate on

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"dimatch/internal/bloom"
 	"dimatch/internal/pattern"
@@ -18,13 +17,11 @@ import (
 //  4. sample b points per combination and hash every value in the
 //     ε-tolerance band into the WBF, attaching the weight pointer.
 type Encoder struct {
-	params  Params
+	params  Params // the filter's, and ε: the bands the encoder hashes
 	length  int
 	sample  []int
 	filter  *Filter
-	pairs   []uint64  // bit<<32 | weight pointer, one per bit a value hashed to
-	lows    [][]int64 // per key space, each band's first value, for the FP model
-	ends    [][]int64 // per key space, one past each band's last value
+	pairs   []uint64 // bit<<32 | weight pointer, one per bit a value hashed to
 	queries map[QueryID]bool
 	sealed  bool
 }
@@ -37,13 +34,11 @@ func NewEncoder(params Params, patternLength int) (*Encoder, error) {
 		return nil, err
 	}
 	return &Encoder{
-		params:  f.params,
+		params:  params.withDefaults(),
 		length:  patternLength,
 		sample:  f.sampleIdx,
 		filter:  f,
 		queries: make(map[QueryID]bool),
-		lows:    make([][]int64, len(f.sampleIdx)),
-		ends:    make([][]int64, len(f.sampleIdx)),
 	}, nil
 }
 
@@ -73,15 +68,11 @@ func (e *Encoder) AddQuery(q Query) error {
 			return err
 		}
 		err = e.forEachBand(combined, func(slot int, lo, hi int64) {
-			if s := f.keys.space(slot); lo <= hi {
-				e.lows[s], e.ends[s] = append(e.lows[s], lo), append(e.ends[s], hi+1)
-			}
 			for u := lo; u <= hi; u++ {
 				var buf [16]uint64
 				for _, bit := range f.family.Indexes(f.keys.key(slot, u), buf[:0]) {
 					e.pairs = append(e.pairs, bit<<32|uint64(id))
 				}
-				f.inserted++
 			}
 		})
 		if err != nil {
@@ -111,39 +102,10 @@ func (e *Encoder) forEachBand(p pattern.Pattern, yield func(slot int, lo, hi int
 func (e *Encoder) Filter() *Filter {
 	if !e.sealed {
 		e.sealed = true
-		e.filter.distinct = distinctKeys(e.lows, e.ends)
 		e.filter.seal(e.pairs)
-		e.pairs, e.lows, e.ends = nil, nil, nil
+		e.pairs = nil
 	}
 	return e.filter
-}
-
-// distinctKeys counts the distinct keys the bands hashed: per key space, the
-// length of the union of its bands — the set a map of the hashed keys would
-// hold, up to 64-bit key collisions. Sorted apart, the k-th band start lies
-// below the k-th band end, so one merge walks the union's segments.
-func distinctKeys(lows, ends [][]int64) uint64 {
-	var n uint64
-	for s, starts := range lows {
-		stops := ends[s]
-		slices.Sort(starts)
-		slices.Sort(stops)
-		from, j := int64(0), 0
-		for i, lo := range starts {
-			for ; stops[j] <= lo; j++ {
-				if j+1 == i { // the last open band closes: a segment ends
-					n += uint64(stops[j] - from)
-				}
-			}
-			if j == i { // nothing open: a segment starts
-				from = lo
-			}
-		}
-		if len(stops) > 0 {
-			n += uint64(stops[len(stops)-1] - from)
-		}
-	}
-	return n
 }
 
 // EstimateInsertions predicts the number of hashed values for sizing a

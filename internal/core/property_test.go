@@ -20,10 +20,9 @@ type refFilter struct {
 	slots map[uint64][]core.WeightID
 }
 
-func newRefFilter(t *testing.T, f *core.Filter, queries []core.Query) refFilter {
+func newRefFilter(t *testing.T, f *core.Filter, eps int64, queries []core.Query) refFilter {
 	t.Helper()
 	ref := refFilter{f: f, slots: make(map[uint64][]core.WeightID)}
-	eps := f.Params().Epsilon
 	id := core.WeightID(0)
 	for _, q := range queries {
 		err := q.EachCombination(func(mask pattern.Subset, _ int64, combined pattern.Pattern) error {
@@ -181,7 +180,7 @@ func TestFilterMatchesMapPerBitReference(t *testing.T) {
 		}
 		f := enc.Filter()
 
-		ref := newRefFilter(t, f, queries)
+		ref := newRefFilter(t, f, eps, queries)
 		if got := bitLists(f); !reflect.DeepEqual(got, ref.slots) {
 			t.Fatalf("round %d: the filter sets\n%v\nthe reference\n%v", round, got, ref.slots)
 		}

@@ -61,8 +61,6 @@ type Filter struct {
 	ids       []WeightID // arena of the distinct lists, each strictly ascending
 	weights   []WeightEntry
 	family    hash.Family
-	inserted  uint64 // total value insertions (with band expansion)
-	distinct  uint64 // distinct hashed keys (what the FP model sees)
 	keys      keyer
 }
 
@@ -94,7 +92,7 @@ func newKeyer(p Params, slots int) keyer {
 	}
 	k.seed, k.salts = p.Seed, make([]uint64, slots)
 	for i := range k.salts {
-		k.salts[i] = hash.Mix64(p.Seed ^ (uint64(i+1) * 0x8f3c9d1b5a7e42d1))
+		k.salts[i] = hash.PositionSalt(p.Seed, i)
 	}
 	return k
 }
@@ -115,15 +113,6 @@ func (k keyer) key(slot int, value int64) int64 {
 	return int64(hash.Mix64(uint64(value)) ^ k.salts[slot])
 }
 
-// space names the key space a slot's values hash in: the slot's own when
-// salted; without salting a value is one key at every slot.
-func (k keyer) space(slot int) int {
-	if k.salted {
-		return slot
-	}
-	return 0
-}
-
 // newFilter returns a filter with its pipeline state set and no bits yet;
 // seal or FromParts fills in the arrays.
 func newFilter(p Params, length int) (*Filter, error) {
@@ -137,12 +126,15 @@ func newFilter(p Params, length int) (*Filter, error) {
 // reset sets f's pipeline state for params p and the given length. The
 // sample positions depend on the length and the sample count alone, and the
 // keyer on the seed, the salting and the slot count, so a filter refilled
-// for a repeat of either keeps what it already holds.
+// for a repeat of either keeps what it already holds. The filter keeps ε as
+// 0: its bits already hold the bands the encoder hashed, and no probe reads
+// it.
 func (f *Filter) reset(p Params, length int) error {
 	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
 		return err
 	}
+	p.Epsilon = 0
 	if length <= 0 {
 		return fmt.Errorf("core: filter pattern length %d, want > 0", length)
 	}
@@ -271,7 +263,7 @@ func intersectSorted(a, b []WeightID) []WeightID {
 	return out
 }
 
-// Params returns the filter's parameters.
+// Params returns the filter's parameters, with Epsilon 0 (reset).
 func (f *Filter) Params() Params { return f.params }
 
 // Length returns the time-series length the filter encodes.
@@ -290,20 +282,6 @@ func (f *Filter) Weight(id WeightID) (WeightEntry, error) {
 		return WeightEntry{}, fmt.Errorf("core: weight id %d out of range [0,%d)", id, len(f.weights))
 	}
 	return f.weights[id], nil
-}
-
-// Inserted returns the number of value insertions performed, including band
-// expansion (the paper's n = a·b scaled by the ε bands).
-func (f *Filter) Inserted() uint64 { return f.inserted }
-
-// DistinctKeys returns the number of distinct hashed keys — the n of the
-// false-positive model (overlapping ε bands and repeated combination values
-// insert the same key many times but set bits once).
-func (f *Filter) DistinctKeys() uint64 {
-	if f.distinct == 0 {
-		return f.inserted // reconstructed filters fall back to the upper bound
-	}
-	return f.distinct
 }
 
 // FillRatio returns the fraction of set bits.
@@ -343,9 +321,9 @@ func (f *Filter) HeapBytes() int {
 
 // FromParts reconstructs a Filter from its serialized arrays, which it keeps
 // (no copy); SetParts validates them.
-func FromParts(p Params, length int, positions []uint32, weights []WeightEntry, offs []uint32, ids []WeightID, codes []uint32, inserted uint64) (*Filter, error) {
+func FromParts(p Params, length int, positions []uint32, weights []WeightEntry, offs []uint32, ids []WeightID, codes []uint32) (*Filter, error) {
 	f := new(Filter)
-	if err := f.SetParts(p, length, positions, weights, offs, ids, codes, inserted); err != nil {
+	if err := f.SetParts(p, length, positions, weights, offs, ids, codes); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -360,7 +338,7 @@ func FromParts(p Params, length int, positions []uint32, weights []WeightEntry, 
 // arrays Positions, Lists and Weights returned, overwritten — allocates
 // nothing once they have grown. After an error f must not be probed until a
 // SetParts succeeds.
-func (f *Filter) SetParts(p Params, length int, positions []uint32, weights []WeightEntry, offs []uint32, ids []WeightID, codes []uint32, inserted uint64) error {
+func (f *Filter) SetParts(p Params, length int, positions []uint32, weights []WeightEntry, offs []uint32, ids []WeightID, codes []uint32) error {
 	if err := f.reset(p, length); err != nil {
 		return err
 	}
@@ -375,7 +353,7 @@ func (f *Filter) SetParts(p Params, length int, positions []uint32, weights []We
 	if n := len(positions); n > 0 && uint64(positions[n-1]) >= p.Bits {
 		return fmt.Errorf("core: bits set beyond length %d", p.Bits)
 	}
-	f.pos, f.weights, f.offs, f.ids, f.codes, f.inserted, f.distinct = positions, weights, offs, ids, codes, inserted, 0
+	f.pos, f.weights, f.offs, f.ids, f.codes = positions, weights, offs, ids, codes
 	if len(offs) == 0 || offs[0] != 0 || int(offs[len(offs)-1]) != len(ids) {
 		return fmt.Errorf("core: dictionary offsets do not span its %d pointers", len(ids))
 	}

@@ -105,7 +105,7 @@ func TestFilterRoundTripThroughParts(t *testing.T) {
 	p.Epsilon = 1
 	f := buildPaperFilter(t, p)
 	positions, weights, offs, ids, codes := cloneParts(f)
-	g, err := FromParts(p, f.Length(), positions, weights, offs, ids, codes, f.Inserted())
+	g, err := FromParts(p, f.Length(), positions, weights, offs, ids, codes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ func TestFilterRoundTripThroughParts(t *testing.T) {
 			}
 		}
 	}
-	if g.Inserted() != f.Inserted() || g.SizeBytes() != f.SizeBytes() || g.FillRatio() != f.FillRatio() {
-		t.Fatal("inserted count, model size or fill ratio lost")
+	if g.Params() != f.Params() || g.SizeBytes() != f.SizeBytes() || g.FillRatio() != f.FillRatio() {
+		t.Fatal("params, model size or fill ratio lost")
 	}
 }
 
@@ -177,7 +177,7 @@ func TestFromPartsRejectsCorruption(t *testing.T) {
 			x := parts{p: p}
 			x.pos, x.weights, x.offs, x.ids, x.codes = cloneParts(f)
 			tt.mutate(&x)
-			_, err := FromParts(x.p, f.Length(), x.pos, x.weights, x.offs, x.ids, x.codes, f.Inserted())
+			_, err := FromParts(x.p, f.Length(), x.pos, x.weights, x.offs, x.ids, x.codes)
 			if err == nil || !strings.Contains(err.Error(), tt.want) {
 				t.Fatalf("err = %v, want one naming %q", err, tt.want)
 			}
@@ -185,7 +185,7 @@ func TestFromPartsRejectsCorruption(t *testing.T) {
 	}
 	// The untouched arrays are accepted: the matrix fails on the mutations.
 	positions, weights, offs, ids, codes := cloneParts(f)
-	if _, err := FromParts(p, f.Length(), positions, weights, offs, ids, codes, f.Inserted()); err != nil {
+	if _, err := FromParts(p, f.Length(), positions, weights, offs, ids, codes); err != nil {
 		t.Fatalf("clean parts rejected: %v", err)
 	}
 }

@@ -36,6 +36,15 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// PositionSalt returns the key-space salt of position i (from 0) under
+// seed: Mix64(seed ^ (i+1)·c) for an odd 64-bit multiplier c that spreads
+// the positions across the key space. A position-salted WBF salts sample
+// slot i with it and a routing digest pattern position i, so a value keyed
+// at one position never satisfies a probe at another.
+func PositionSalt(seed uint64, i int) uint64 {
+	return Mix64(seed ^ (uint64(i+1) * 0x8f3c9d1b5a7e42d1))
+}
+
 // Family is a deterministic family of k hash functions over signed 64-bit
 // values, mapping each value to k indices in [0, m).
 //

@@ -56,15 +56,6 @@ const DefaultFPTarget = 0.01
 // routing degrades to full fan-out rather than burning coordinator CPU.
 const MaxProbeValues = 1 << 16
 
-// saltConst spreads position salts across the key space (an odd 64-bit
-// multiplier, the same construction core's position-salted keyer uses).
-const saltConst = 0x8f3c9d1b5a7e42d1
-
-// positionSalt derives the key-space salt of one pattern position.
-func positionSalt(seed uint64, pos int) uint64 {
-	return hash.Mix64(seed ^ (uint64(pos+1) * saltConst))
-}
-
 // cellHash is the one hash of a (position, accumulated value) cell, given
 // the position's salt: every position gets its own key space, so a value
 // observed at hour 3 never satisfies a probe for hour 7. The filter steps
@@ -86,10 +77,9 @@ func cellHash(salt uint64, value int64) uint64 {
 // probed (Admits) only under its read lock, so a concurrent prober never
 // observes a half-applied ingest.
 type Summary struct {
-	length    int
-	seed      uint64
-	residents uint64
-	filter    *bloom.Filter
+	length int
+	seed   uint64
+	filter *bloom.Filter
 	// covered counts the covered positions; pos[:covered] are they,
 	// ascending, and salt[i] is pos[i]'s key-space salt. The arrays are
 	// fixed at core.DefaultSamples, whatever length a wire reply declares.
@@ -100,15 +90,15 @@ type Summary struct {
 
 // newSummary wraps a filter as a summary of the given (positive) length,
 // deriving the covered positions and their salts.
-func newSummary(length int, seed uint64, residents uint64, f *bloom.Filter) (*Summary, error) {
+func newSummary(length int, seed uint64, f *bloom.Filter) (*Summary, error) {
 	positions, err := pattern.SampleIndexes(length, core.DefaultSamples)
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
-	s := &Summary{length: length, seed: seed, residents: residents, filter: f, covered: len(positions)}
+	s := &Summary{length: length, seed: seed, filter: f, covered: len(positions)}
 	for i, g := range positions {
 		s.pos[i] = g
-		s.salt[i] = positionSalt(seed, g)
+		s.salt[i] = hash.PositionSalt(seed, g)
 	}
 	return s, nil
 }
@@ -133,7 +123,7 @@ func New(length, expectedResidents int, fpTarget float64, seed uint64) (*Summary
 	if err != nil {
 		return nil, err
 	}
-	return newSummary(length, seed, 0, f)
+	return newSummary(length, seed, f)
 }
 
 // MinFilterBits floors every summary's filter length: 64 bits keeps the
@@ -170,7 +160,7 @@ func NewUnion(length int, seed uint64, bits uint64, hashes int) (*Summary, error
 	if err != nil {
 		return nil, err
 	}
-	return newSummary(length, seed, 0, f)
+	return newSummary(length, seed, f)
 }
 
 // Unionable reports whether child can be conservatively absorbed into s:
@@ -187,19 +177,15 @@ func (s *Summary) Unionable(child *Summary) bool {
 }
 
 // Absorb ORs child into s (fold or expand, depending on which geometry is
-// larger) and accounts its residents. After a successful Absorb, every probe
-// the child admits is admitted by s too — the union is strictly
-// conservative. Children that fail Unionable are rejected; the caller must
-// leave their station un-pruned instead.
+// larger). After a successful Absorb, every probe the child admits is
+// admitted by s too — the union is strictly conservative. Children that
+// fail Unionable are rejected; the caller must leave their station
+// un-pruned instead.
 func (s *Summary) Absorb(child *Summary) error {
 	if !s.Unionable(child) {
 		return fmt.Errorf("index: cannot union summaries (seed/length/geometry mismatch)")
 	}
-	if err := s.filter.AbsorbFold(child.filter); err != nil {
-		return err
-	}
-	s.residents += child.residents
-	return nil
+	return s.filter.AbsorbFold(child.filter)
 }
 
 // Build constructs a summary over a station's resident patterns with the
@@ -239,7 +225,6 @@ func addRow[R pattern.Row[C], C pattern.Cell](s *Summary, local R) error {
 		}
 		s.filter.AddHash(cellHash(s.salt[i], run))
 	}
-	s.residents++
 	return nil
 }
 
@@ -269,9 +254,6 @@ func (s *Summary) Length() int { return s.length }
 // Seed returns the summary's key-space seed.
 func (s *Summary) Seed() uint64 { return s.seed }
 
-// Residents returns the number of patterns added.
-func (s *Summary) Residents() uint64 { return s.residents }
-
 // Bits returns the filter length in bits.
 func (s *Summary) Bits() uint64 { return s.filter.M() }
 
@@ -294,7 +276,7 @@ func (s *Summary) SizeBytes() uint64 { return s.filter.SizeBytes() }
 // FromParts reconstructs a received summary (wire decoding). The summary
 // adopts words (bitset.FromWords): the caller must not touch the slice
 // afterwards, and the wire decoder hands over the slice it just read.
-func FromParts(length int, seed uint64, words []uint64, bits uint64, hashes int, inserted, residents uint64) (*Summary, error) {
+func FromParts(length int, seed uint64, words []uint64, bits uint64, hashes int, inserted uint64) (*Summary, error) {
 	if length <= 0 {
 		return nil, fmt.Errorf("index: summary pattern length %d, want > 0", length)
 	}
@@ -302,7 +284,7 @@ func FromParts(length int, seed uint64, words []uint64, bits uint64, hashes int,
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
-	return newSummary(length, seed, residents, f)
+	return newSummary(length, seed, f)
 }
 
 // band is one admission condition: some resident value in [lo, hi] must

@@ -187,7 +187,7 @@ func TestWireRoundtripParts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FromParts(s.Length(), s.Seed(), append([]uint64(nil), s.Words()...), s.Bits(), s.Hashes(), s.Inserted(), s.Residents())
+	got, err := FromParts(s.Length(), s.Seed(), append([]uint64(nil), s.Words()...), s.Bits(), s.Hashes(), s.Inserted())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +198,9 @@ func TestWireRoundtripParts(t *testing.T) {
 	if !got.Admits(probe) {
 		t.Fatal("reconstructed summary lost its cells")
 	}
-	if got.Residents() != 2 || got.SizeBytes() != s.SizeBytes() {
-		t.Fatalf("reconstructed metadata %d residents / %d B, want %d / %d",
-			got.Residents(), got.SizeBytes(), s.Residents(), s.SizeBytes())
+	if got.Inserted() != s.Inserted() || got.SizeBytes() != s.SizeBytes() {
+		t.Fatalf("reconstructed metadata %d inserted / %d B, want %d / %d",
+			got.Inserted(), got.SizeBytes(), s.Inserted(), s.SizeBytes())
 	}
 }
 

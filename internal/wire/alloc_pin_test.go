@@ -100,7 +100,7 @@ func TestAllocsEncodeSummaryReply(t *testing.T) {
 	for i := range words {
 		words[i] = uint64(i) * 0x9e3779b97f4a7c15
 	}
-	sr := SummaryReply{Station: 1 << 30, Length: 24, Residents: 1 << 40, Seed: ^uint64(0), Bits: 64 << 14, Hashes: 7, Inserted: ^uint64(0), Words: words}
+	sr := SummaryReply{Length: 24, Seed: ^uint64(0), Bits: 64 << 14, Hashes: 7, Inserted: ^uint64(0), Words: words}
 	if n := testing.AllocsPerRun(20, func() {
 		summarySink = EncodeSummaryReply(sr)
 	}); n != 1 {

@@ -67,7 +67,7 @@ func TestBatchQueryEncodeErrors(t *testing.T) {
 		"unpointed row":       core.WeightRows(nil, 1, []int64{1, 2}),
 	} {
 		// One set bit, carrying the one list [0].
-		g, err := core.FromParts(p, 2, []uint32{3}, weights, []uint32{0, 1}, []core.WeightID{0}, []uint32{0}, 1)
+		g, err := core.FromParts(p, 2, []uint32{3}, weights, []uint32{0, 1}, []core.WeightID{0}, []uint32{0})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -186,17 +186,16 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsReplyFixedLayout pins the one stats-reply layout: four uvarints
+// TestStatsReplyFixedLayout pins the one stats-reply layout: three uvarints
 // and the uvarint Seq, always. A payload that stops before Seq (Version
 // 16's), carries Version 17's flags byte before it, or carries one byte
 // more, is rejected.
 func TestStatsReplyFixedLayout(t *testing.T) {
 	var body []byte
-	body = binary.AppendUvarint(body, 9)  // station
 	body = binary.AppendUvarint(body, 4)  // residents
 	body = binary.AppendUvarint(body, 96) // storage bytes
 	body = binary.AppendUvarint(body, 3)  // length
-	in := StatsReply{Station: 9, Residents: 4, StorageBytes: 96, Length: 3, Seq: 200}
+	in := StatsReply{Residents: 4, StorageBytes: 96, Length: 3, Seq: 200}
 	m := EncodeStatsReply(in)
 	if want := binary.AppendUvarint(append([]byte(nil), body...), 200); !bytes.Equal(m.Payload, want) {
 		t.Fatalf("payload % x, want % x", m.Payload, want)

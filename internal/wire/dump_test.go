@@ -39,7 +39,6 @@ func TestDumpRoundTrip(t *testing.T) {
 
 func TestDumpReplyRoundTrip(t *testing.T) {
 	in := DumpReply{
-		Station: 7,
 		Persons: []core.PersonID{1, 5},
 		Locals:  []pattern.Pattern{{1, -2, 3}, {0, 4, 0}},
 	}
@@ -51,8 +50,8 @@ func TestDumpReplyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Station != in.Station || len(out.Persons) != 2 {
-		t.Fatalf("got station %d, %d persons", out.Station, len(out.Persons))
+	if len(out.Persons) != 2 {
+		t.Fatalf("got %d persons", len(out.Persons))
 	}
 	for i := range in.Persons {
 		if out.Persons[i] != in.Persons[i] || !out.Locals[i].Equal(in.Locals[i]) {
@@ -72,7 +71,6 @@ func TestDumpReplyRoundTrip(t *testing.T) {
 // panic — the same guarantee the other decoders give.
 func TestDumpDecodeCorrupt(t *testing.T) {
 	m, err := EncodeDumpReply(DumpReply{
-		Station: 3,
 		Persons: []core.PersonID{1, 2, 9},
 		Locals:  []pattern.Pattern{{5, 6}, {7, 8}, {9, 10}},
 	})

@@ -79,16 +79,17 @@ func frameShapes(t testing.TB) []frameShape {
 // within 3 % of frameModel's prediction, and holds each filter to the sizing
 // target: an absent value probes present with probability at most 1 %. A
 // decoded filter must equal the encoder's in every array and weight field
-// and re-encode byte for byte. An unbounded frame is one byte shorter than
-// in versions 13–18, whose params block carried a tolerance byte; a person
-// bound adds exactly its ends' uvarints, its presence riding on the params
-// flag byte. Version 12 sent the weight rows and the
+// and re-encode byte for byte. A person bound adds exactly its ends'
+// uvarints, its presence riding on the params flag byte. Version 19's params
+// block carried ε and its filter header the insertion count (358, 120 and
+// 1 120 B for these three filters), and versions 13–18 a tolerance byte
+// besides. Version 12 sent the weight rows and the
 // dictionary as varints (371, 193 and 2 041 B for these three filters);
 // version 11 the memory-sized bit array word by word (433, 512 and 4 895 B);
 // version 9 a delta-coded index and a pointer list per set bit (5 331, 1 111
 // and 11 493 B).
 func TestFilterFrameSizes(t *testing.T) {
-	want := map[string]int{"point": 358, "city": 120, "batch16": 1120}
+	want := map[string]int{"point": 355, "city": 118, "batch16": 1117}
 	for _, s := range frameShapes(t) {
 		m, err := EncodeBatchQuery(s.batch)
 		if err != nil {
@@ -149,7 +150,7 @@ func TestFilterFrameSizes(t *testing.T) {
 func sameFilter(a, b *core.Filter) bool {
 	ac, ao, ai := a.Lists()
 	bc, bo, bi := b.Lists()
-	return a.Params() == b.Params() && a.Length() == b.Length() && a.Inserted() == b.Inserted() &&
+	return a.Params() == b.Params() && a.Length() == b.Length() &&
 		slices.Equal(a.Positions(), b.Positions()) && slices.Equal(ac, bc) && slices.Equal(ao, bo) &&
 		slices.Equal(ai, bi) && slices.Equal(a.Weights(), b.Weights())
 }
@@ -183,13 +184,13 @@ func frameModel(b BatchQuery) float64 {
 			}
 		}
 	}
-	n += uvarintLen(p.Bits) + uvarintLen(uint64(p.Hashes)) + uvarintLen(uint64(p.Samples)) + uvarintLen(uint64(p.Epsilon)) + 8 + 1
+	n += uvarintLen(p.Bits) + uvarintLen(uint64(p.Hashes)) + uvarintLen(uint64(p.Samples)) + 8 + 1
 	for _, end := range []core.PersonID{b.From, b.To} {
 		if end != 0 {
 			n += uvarintLen(uint64(end))
 		}
 	}
-	n += uvarintLen(uint64(f.Length())) + uvarintLen(f.Inserted())
+	n += uvarintLen(uint64(f.Length()))
 	n += uvarintLen(uint64(len(codes))) + uvarintLen(uint64(len(offs)-1)) + uvarintLen(uint64(len(ids)))
 
 	lenRice, idRice := dictRice(uint64(len(weights)), uint64(len(offs)-1), uint64(len(ids)))
@@ -232,7 +233,7 @@ func TestWorkedBatchQueryHex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bounded = "a7d1130e2a000000" + "1b000000" + "01" + "010103" + "400202000500000000000000" + "04" + "ac02" + "0202040101" + "1c6472"
+	const bounded = "a7d1140e2a000000" + "19000000" + "01" + "010103" + "4002020500000000000000" + "04" + "ac02" + "02040101" + "1c6472"
 	if got := hex.EncodeToString(m.WithRequest(42).Encode()); got != bounded {
 		t.Fatalf("bounded batch-query frame drifted:\n got %s\nwant %s", got, bounded)
 	}
@@ -341,7 +342,6 @@ func (f rawFilter) payload() []byte {
 	w.buf[len(w.buf)-1] |= f.flags
 	w.buf = append(w.buf, varints(f.bound...)...)
 	w.uvarint(2) // pattern length
-	w.uvarint(2) // inserted
 	w.uvarint(f.setCount)
 	w.uvarint(f.lists)
 	w.uvarint(f.pointers)

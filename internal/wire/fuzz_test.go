@@ -21,14 +21,14 @@ import (
 // immediately explores the interesting corrupt-field space instead of
 // rediscovering the magic number.
 const (
-	workedBatchQueryHex = "a7d1130e2a000000" + "19000000" +
-		"01" + "010103" + "40020200050000000000000000" +
-		"0202040101" + "1c6472"
-	workedSummaryReplyHex = "a7d113132a000000" + "1e000000" +
-		"030201719a3d0cbfe5a75140000000000000000702" +
+	workedBatchQueryHex = "a7d1140e2a000000" + "17000000" +
+		"01" + "010103" + "400202050000000000000000" +
+		"02040101" + "1c6472"
+	workedSummaryReplyHex = "a7d114132a000000" + "1c000000" +
+		"02719a3d0cbfe5a75140000000000000000702" +
 		"010389408022142804"
 	// A KindBatchReply of three reports on two pointer lists.
-	workedBatchReplyHex = "a7d1130f2a000000" + "0c000000" +
+	workedBatchReplyHex = "a7d1140f2a000000" + "0c000000" +
 		"030203" + "0200020f" + "05010407" + "13"
 )
 
@@ -43,7 +43,7 @@ const adaptiveSummaryHex = "000306719a3d0cbfe5a751000100000000000000120485aaaa04
 // each version byte earlier builds used (plus the next unassigned one) and
 // each retired kind byte — all of which must be rejected at the header.
 func addRetiredSeeds(f *testing.F, frame []byte) {
-	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20} { // all but Version
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 21} { // all but Version
 		bad := append([]byte(nil), frame...)
 		bad[2] = v
 		f.Add(bad)
@@ -75,7 +75,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(Message{Kind: KindStats, Request: 7}.Encode())
 	f.Add(Message{Kind: KindShutdown}.Encode())
 	f.Add(EncodeDump(Dump{Persons: []core.PersonID{1, 2, 3}}).WithRequest(9).Encode())
-	f.Add(EncodeStatsReply(StatsReply{Station: 4, Residents: 2, StorageBytes: 48, Length: 3, Seq: 9}).WithRequest(3).Encode())
+	f.Add(EncodeStatsReply(StatsReply{Residents: 2, StorageBytes: 48, Length: 3, Seq: 9}).WithRequest(3).Encode())
 	// Truncation seeds: a frame cut mid-header and mid-payload.
 	full := mustHex(f, workedBatchQueryHex)
 	f.Add(full[:7])
@@ -174,18 +174,26 @@ const retiredTop = 23
 func FuzzDecodePayload(f *testing.F) {
 	// Payloads of the worked frames (frame header stripped).
 	f.Add(uint8(KindBatchQuery)-1, mustHex(f, workedBatchQueryHex)[12:])
-	f.Add(uint8(KindSummaryReply), mustHex(f, workedSummaryReplyHex)[12:])
-	f.Add(uint8(KindDump), EncodeDump(Dump{Persons: []core.PersonID{1, 2, 3}}).Payload)
-	f.Add(uint8(KindEvict), EncodeEvict(Evict{Persons: []core.PersonID{9, 10}}).Payload)
-	f.Add(uint8(KindStatsReply), EncodeStatsReply(StatsReply{Station: 3, Residents: 5, StorageBytes: 80, Length: 24}).Payload)
-	f.Add(uint8(KindStatsReply), EncodeStatsReply(StatsReply{Station: 7, Residents: 2, StorageBytes: 48, Length: 3, Seq: 300}).Payload)
-	f.Add(uint8(KindStatsReply), append(varints(3, 5, 80, 24), 1, 0xac, 0x02)) // Version 17's layout, with a flags byte before Seq
-	f.Add(uint8(KindBFMatches), EncodeBFMatches(BFMatches{Station: 2, Persons: []core.PersonID{11}}).Payload)
-	if dr, err := EncodeDumpReply(DumpReply{Station: 1, Persons: []core.PersonID{4}, Locals: []pattern.Pattern{{1, 2, 3}}}); err == nil {
-		f.Add(uint8(KindDumpReply), dr.Payload)
-		f.Add(uint8(5), dr.Payload) // dispatches to retired kind 6, which carried this payload
+	f.Add(uint8(KindSummaryReply)-1, mustHex(f, workedSummaryReplyHex)[12:])
+	f.Add(uint8(KindDump)-1, EncodeDump(Dump{Persons: []core.PersonID{1, 2, 3}}).Payload)
+	f.Add(uint8(KindEvict)-1, EncodeEvict(Evict{Persons: []core.PersonID{9, 10}}).Payload)
+	f.Add(uint8(KindStatsReply)-1, EncodeStatsReply(StatsReply{Residents: 5, StorageBytes: 80, Length: 24}).Payload)
+	f.Add(uint8(KindStatsReply)-1, EncodeStatsReply(StatsReply{Residents: 2, StorageBytes: 48, Length: 3, Seq: 300}).Payload)
+	f.Add(uint8(KindStatsReply)-1, append(varints(3, 5, 80, 24), 1, 0xac, 0x02)) // Version 17's layout, with a flags byte before Seq
+	f.Add(uint8(KindBFMatches)-1, EncodeBFMatches(BFMatches{Persons: []core.PersonID{11}}).Payload)
+	dr, err := EncodeDumpReply(DumpReply{Persons: []core.PersonID{4}, Locals: []pattern.Pattern{{1, 2, 3}}})
+	if err != nil {
+		f.Fatal(err)
 	}
-	f.Add(uint8(KindDump), EncodeDump(Dump{}).Payload)
+	f.Add(uint8(KindDumpReply)-1, dr.Payload)
+	f.Add(uint8(5), dr.Payload) // dispatches to retired kind 6, which carried this payload
+	f.Add(uint8(KindDump)-1, EncodeDump(Dump{}).Payload)
+	// Version 19's layouts of the replies that carried a station first, the
+	// summary its resident count after its length besides.
+	f.Add(uint8(KindDumpReply)-1, append(varints(1), dr.Payload...))
+	f.Add(uint8(KindStatsReply)-1, varints(3, 5, 80, 24, 9))
+	f.Add(uint8(KindBFMatches)-1, varints(2, 1, 11))
+	f.Add(uint8(KindSummaryReply)-1, mustHex(f, "030201719a3d0cbfe5a75140000000000000000702010389408022142804"))
 	// The retired kind bytes (the dispatch below maps seed byte b to kind
 	// b%retiredTop+1).
 	for _, b := range []uint8{0, 2, 3, 5, 6, 12, 19, 20, 21, 22} {
@@ -238,11 +246,11 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(uint8(KindSummaryReply)-1, withHashes)
 	}
 	noHashes := mustHex(f, workedSummaryReplyHex)[12:]
-	noHashes[19] = 0
+	noHashes[17] = 0
 	f.Add(uint8(KindSummaryReply)-1, noHashes)
 	// A routing digest and a BF query of zero bits and no words.
-	f.Add(uint8(KindSummaryReply)-1, append(varints(3, 2, 1), append(make([]byte, 16), 7, 0, 0)...))
-	f.Add(uint8(KindBFQuery)-1, append(varints(0, 3, 2, 0, 1), append(make([]byte, 9), 2, 0, 0)...))
+	f.Add(uint8(KindSummaryReply)-1, append(varints(2), append(make([]byte, 16), 7, 0, 0)...))
+	f.Add(uint8(KindBFQuery)-1, append(varints(0, 3, 2), append(make([]byte, 9), 2, 0)...))
 	// Row payloads whose varint count (what sizes the value arena) disagrees
 	// with their row count and row lengths.
 	for _, rows := range [][]byte{
@@ -254,7 +262,7 @@ func FuzzDecodePayload(f *testing.F) {
 		append([]byte{1, 7, 3}, bytes.Repeat([]byte{0x80}, 24)...), // no terminator at all
 	} {
 		f.Add(uint8(KindIngest)-1, rows)
-		f.Add(uint8(KindDumpReply)-1, append([]byte{4}, rows...))
+		f.Add(uint8(KindDumpReply)-1, rows)
 	}
 
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
@@ -516,7 +524,7 @@ func roundtripBFMatches(t *testing.T, bm BFMatches) {
 	if err != nil {
 		t.Fatalf("bf-matches re-decode failed: %v", err)
 	}
-	if re.Station != bm.Station || !personsEqual(re.Persons, bm.Persons) {
+	if !personsEqual(re.Persons, bm.Persons) {
 		t.Fatalf("bf-matches roundtrip changed: %+v vs %+v", re, bm)
 	}
 }

@@ -32,7 +32,6 @@ func writeParams(w *writer, p core.Params, from, to core.PersonID) {
 	w.uvarint(p.Bits)
 	w.uvarint(uint64(p.Hashes))
 	w.uvarint(uint64(p.Samples))
-	w.uvarint(uint64(p.Epsilon))
 	w.u64(p.Seed)
 	flags := boolByte(p.PositionSalted)
 	if from != 0 {
@@ -58,7 +57,6 @@ func readParams(r *reader) (p core.Params, from, to core.PersonID) {
 		Bits:    r.uvarint(),
 		Hashes:  int(r.uvarint()),
 		Samples: int(r.uvarint()),
-		Epsilon: int64(r.uvarint()),
 		Seed:    r.u64(),
 	}
 	flags := r.u8()
@@ -165,8 +163,8 @@ func sumsCarryWeights(sums []int64) bool {
 
 // writeFilter renders a WBF into w as core.Filter holds it, less its weight
 // table (writeQueries' blocks): params with the frame's person bound, length,
-// insertions, the set-bit, dictionary-list and pointer counts, and then one
-// bit stream. The stream holds the dictionary — per distinct pointer list its
+// the set-bit, dictionary-list and pointer counts, and then one bit stream.
+// The stream holds the dictionary — per distinct pointer list its
 // length less one, Rice-coded, then its IDs as Rice-coded gaps — and then,
 // per set bit in ascending order, its Rice-coded gap and its dictionary code
 // at codeWidth bits. No Rice parameter is sent: each follows from the counts.
@@ -174,7 +172,6 @@ func writeFilter(w *writer, f *core.Filter, from, to core.PersonID) {
 	p := f.Params()
 	writeParams(w, p, from, to)
 	w.uvarint(uint64(f.Length()))
-	w.uvarint(f.Inserted())
 	positions := f.Positions()
 	codes, offs, ids := f.Lists()
 	lists := len(offs) - 1
@@ -394,7 +391,6 @@ func readFilter(r *reader, blocks reader, out *BatchQuery, rows uint64) error {
 	p, out.From, out.To = readParams(r)
 	queries := len(out.Queries)
 	length := int(r.uvarint())
-	inserted := r.uvarint()
 	set, lists, pointers := r.uvarint(), r.uvarint(), r.uvarint()
 	if r.err != nil {
 		return r.err
@@ -476,7 +472,7 @@ func readFilter(r *reader, blocks reader, out *BatchQuery, rows uint64) error {
 	if !br.finish() {
 		return fmt.Errorf("wire: nonzero pad bits after %d set bits", set)
 	}
-	return f.SetParts(p, length, positions, weights, offs, ids, codes, inserted)
+	return f.SetParts(p, length, positions, weights, offs, ids, codes)
 }
 
 // resize returns s at length n, in s's own array when it has the capacity
@@ -633,6 +629,9 @@ func DecodeBatchQueryInto(dst *BatchQuery, m Message) error {
 // reports covering every query of the batch, plus an echo of the batch's
 // query count so the center can detect a desynchronized peer.
 type BatchReply struct {
+	// Station names the answering station. The coordinator knows it from
+	// the exchange and reads nothing here; the field stays while the
+	// benchmark's replay of the search pipeline sets it.
 	Station uint32
 	// Queries echoes the number of queries the station matched against.
 	Queries uint32
@@ -907,7 +906,6 @@ func EncodeBFQuery(q BFQuery) Message {
 	var w writer
 	writeParams(&w, q.Params, 0, 0)
 	w.uvarint(uint64(q.Length))
-	w.uvarint(q.Filter.N())
 	writeWords(&w, q.Filter.Words())
 	return Message{Kind: KindBFQuery, Payload: w.buf}
 }
@@ -924,12 +922,11 @@ func DecodeBFQuery(m Message) (BFQuery, error) {
 		return BFQuery{}, fmt.Errorf("%w: a bf-query takes none, this one is [%d, %d)", ErrBadBound, from, to)
 	}
 	length := int(r.uvarint())
-	n := r.uvarint()
 	words := readWords(r)
 	if err := r.done(); err != nil {
 		return BFQuery{}, err
 	}
-	f, err := bloom.FromParts(words, p.Bits, p.Hashes, p.Seed, n)
+	f, err := bloom.FromParts(words, p.Bits, p.Hashes, p.Seed, 0)
 	if err != nil {
 		return BFQuery{}, err
 	}
@@ -940,14 +937,12 @@ func DecodeBFQuery(m Message) (BFQuery, error) {
 
 // BFMatches is the baseline's report: bare person IDs, no weights.
 type BFMatches struct {
-	Station uint32
 	Persons []core.PersonID
 }
 
 // EncodeBFMatches renders the baseline match list.
 func EncodeBFMatches(b BFMatches) Message {
 	var w writer
-	w.uvarint(uint64(b.Station))
 	w.uvarint(uint64(len(b.Persons)))
 	for _, p := range b.Persons {
 		w.uvarint(uint64(p))
@@ -961,9 +956,7 @@ func DecodeBFMatches(m Message) (BFMatches, error) {
 		return BFMatches{}, fmt.Errorf("wire: decoding %v as bf-matches", m.Kind)
 	}
 	r := &reader{buf: m.Payload}
-	out := BFMatches{Station: r.u32()}
-	n := r.count(1)
-	out.Persons = make([]core.PersonID, n)
+	out := BFMatches{Persons: make([]core.PersonID, r.count(1))}
 	for i := range out.Persons {
 		out.Persons[i] = core.PersonID(r.uvarint())
 	}
@@ -1028,7 +1021,6 @@ func DecodeDump(m Message) (Dump, error) {
 // Persons the station does not hold are simply absent. A station encodes
 // its int32 rows; the coordinator decodes a DumpReply.
 type DumpReplyOf[R pattern.Row[C], C pattern.Cell] struct {
-	Station uint32
 	Persons []core.PersonID
 	Locals  []R
 }
@@ -1041,8 +1033,7 @@ func EncodeDumpReply[R pattern.Row[C], C pattern.Cell](d DumpReplyOf[R, C]) (Mes
 	if len(d.Persons) != len(d.Locals) {
 		return Message{}, fmt.Errorf("wire: %d persons but %d locals", len(d.Persons), len(d.Locals))
 	}
-	w := writer{buf: make([]byte, 0, uvarintLen(uint64(d.Station))+rowsSize(d.Persons, d.Locals, nil))}
-	w.uvarint(uint64(d.Station))
+	w := writer{buf: make([]byte, 0, rowsSize(d.Persons, d.Locals, nil))}
 	writeRows(&w, d.Persons, d.Locals, nil)
 	return Message{Kind: KindDumpReply, Payload: w.buf}, nil
 }
@@ -1053,7 +1044,7 @@ func DecodeDumpReply(m Message) (DumpReply, error) {
 		return DumpReply{}, fmt.Errorf("wire: decoding %v as dump-reply", m.Kind)
 	}
 	r := &reader{buf: m.Payload}
-	out := DumpReply{Station: r.u32()}
+	var out DumpReply
 	out.Persons, out.Locals = readRows[pattern.Pattern](r)
 	if err := r.done(); err != nil {
 		return DumpReply{}, err
@@ -1222,22 +1213,20 @@ func readRows[R pattern.Row[C], C pattern.Cell](r *reader) ([]core.PersonID, []R
 // (index.Summary), which the coordinator caches and probes to decide whether
 // a search batch needs to visit the station at all. The filter parameters
 // travel with the words so the coordinator reconstructs the exact key space
-// the station inserted into (index.FromParts takes exactly these fields);
-// Residents is diagnostic (how many patterns the digest covers).
+// the station inserted into (index.FromParts takes exactly these fields).
+// Inserted is 0 only for a station that holds no residents.
 type SummaryReply struct {
-	Station   uint32
-	Length    uint32
-	Residents uint64
-	Seed      uint64
-	Bits      uint64
-	Hashes    uint32
-	Inserted  uint64
-	Words     []uint64
+	Length   uint32
+	Seed     uint64
+	Bits     uint64
+	Hashes   uint32
+	Inserted uint64
+	Words    []uint64
 }
 
-// summaryHeaderMax bounds a summary reply's bytes before the words: five
+// summaryHeaderMax bounds a summary reply's bytes before the words: three
 // uvarint fields, the two 8-byte fields and the uvarint word count.
-const summaryHeaderMax = 6*binary.MaxVarintLen64 + 16
+const summaryHeaderMax = 4*binary.MaxVarintLen64 + 16
 
 // EncodeSummaryReply renders a station's routing summary into one payload
 // allocation sized up front, reading s.Words without retaining it.
@@ -1245,9 +1234,7 @@ const summaryHeaderMax = 6*binary.MaxVarintLen64 + 16
 // Allocation pin: alloc_pin_test.go holds it to 1 alloc/op.
 func EncodeSummaryReply(s SummaryReply) Message {
 	w := writer{buf: make([]byte, 0, summaryHeaderMax+8*len(s.Words))}
-	w.uvarint(uint64(s.Station))
 	w.uvarint(uint64(s.Length))
-	w.uvarint(s.Residents)
 	w.u64(s.Seed)
 	w.u64(s.Bits)
 	w.uvarint(uint64(s.Hashes))
@@ -1265,13 +1252,11 @@ func DecodeSummaryReply(m Message) (SummaryReply, error) {
 	}
 	r := &reader{buf: m.Payload}
 	out := SummaryReply{
-		Station:   r.u32(),
-		Length:    r.u32(),
-		Residents: r.uvarint(),
-		Seed:      r.u64(),
-		Bits:      r.u64(),
-		Hashes:    r.u32(),
-		Inserted:  r.uvarint(),
+		Length:   r.u32(),
+		Seed:     r.u64(),
+		Bits:     r.u64(),
+		Hashes:   r.u32(),
+		Inserted: r.uvarint(),
 	}
 	if r.err == nil && out.Hashes == 0 {
 		return SummaryReply{}, ErrNoHashes
@@ -1436,7 +1421,6 @@ func DecodeEvict(m Message) (Evict, error) {
 // it serves (0 when empty) — which doubles as a handshake check when a link
 // joins a cluster.
 type StatsReply struct {
-	Station      uint32
 	Residents    uint64
 	StorageBytes uint64
 	Length       uint32
@@ -1448,7 +1432,6 @@ type StatsReply struct {
 // EncodeStatsReply renders the stats answer.
 func EncodeStatsReply(s StatsReply) Message {
 	var w writer
-	w.uvarint(uint64(s.Station))
 	w.uvarint(s.Residents)
 	w.uvarint(s.StorageBytes)
 	w.uvarint(uint64(s.Length))
@@ -1463,7 +1446,6 @@ func DecodeStatsReply(m Message) (StatsReply, error) {
 	}
 	r := &reader{buf: m.Payload}
 	out := StatsReply{
-		Station:      r.u32(),
 		Residents:    r.uvarint(),
 		StorageBytes: r.uvarint(),
 		Length:       r.u32(),

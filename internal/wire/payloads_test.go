@@ -55,11 +55,11 @@ func TestFilterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := bq.Filter
-	if got.Params() != f.Params() {
-		t.Fatalf("params: %+v vs %+v", got.Params(), f.Params())
+	if want := f.Params(); got.Params() != want || want.Epsilon != 0 {
+		t.Fatalf("params: %+v vs %+v, want ε 0 on both", got.Params(), want)
 	}
-	if got.Length() != f.Length() || got.Inserted() != f.Inserted() {
-		t.Fatal("length/inserted lost")
+	if got.Length() != f.Length() {
+		t.Fatal("length lost")
 	}
 	if len(got.Weights()) != len(f.Weights()) {
 		t.Fatal("weight table size changed")
@@ -111,11 +111,10 @@ func TestBFQueryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Params != params || got.Length != 9 {
+	want := params
+	want.Epsilon = 0 // no station reads it: the frame does not carry it
+	if got.Params != want || got.Length != 9 {
 		t.Fatalf("params/length lost: %+v", got)
-	}
-	if got.Filter.N() != bf.N() {
-		t.Fatal("insert count lost")
 	}
 	for v := int64(0); v < 200; v++ {
 		if got.Filter.Contains(v) != bf.Contains(v) {
@@ -128,12 +127,12 @@ func TestBFQueryRoundTrip(t *testing.T) {
 }
 
 func TestBFMatchesRoundTrip(t *testing.T) {
-	in := BFMatches{Station: 3, Persons: []core.PersonID{5, 1, 1 << 50}}
+	in := BFMatches{Persons: []core.PersonID{5, 1, 1 << 50}}
 	got, err := DecodeBFMatches(EncodeBFMatches(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Station != 3 || len(got.Persons) != 3 {
+	if len(got.Persons) != 3 {
 		t.Fatalf("got %+v", got)
 	}
 	for i := range in.Persons {
@@ -287,7 +286,7 @@ func TestRowCodecAllocatesWhatItHolds(t *testing.T) {
 	}
 	var reply Message
 	dumpBytes, dumpAllocs := allocated(func() {
-		reply, _ = EncodeDumpReply(DumpReply{Station: 3, Persons: in.Persons, Locals: in.Locals})
+		reply, _ = EncodeDumpReply(DumpReply{Persons: in.Persons, Locals: in.Locals})
 	})
 	if slack := uint64(len(reply.Payload)) / 8; dumpBytes > uint64(len(reply.Payload))+slack || dumpAllocs > 2 {
 		t.Fatalf("encoding a %d byte dump reply allocated %d bytes in %d allocations", len(reply.Payload), dumpBytes, dumpAllocs)
@@ -336,7 +335,7 @@ func TestEvictRoundTrip(t *testing.T) {
 }
 
 func TestStatsAckRoundTrip(t *testing.T) {
-	s := StatsReply{Station: 9, Residents: 1234, StorageBytes: 98765, Length: 8, Seq: 1 << 40}
+	s := StatsReply{Residents: 1234, StorageBytes: 98765, Length: 8, Seq: 1 << 40}
 	gotS, err := DecodeStatsReply(EncodeStatsReply(s))
 	if err != nil || gotS != s {
 		t.Fatalf("stats reply: got %+v, %v; want %+v", gotS, err, s)

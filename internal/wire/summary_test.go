@@ -11,16 +11,14 @@ import (
 )
 
 // summaryOf is the summary reply of a station serving digest s.
-func summaryOf(s *index.Summary, station uint32) SummaryReply {
+func summaryOf(s *index.Summary) SummaryReply {
 	return SummaryReply{
-		Station:   station,
-		Length:    uint32(s.Length()),
-		Residents: s.Residents(),
-		Seed:      s.Seed(),
-		Bits:      s.Bits(),
-		Hashes:    uint32(s.Hashes()),
-		Inserted:  s.Inserted(),
-		Words:     s.Words(),
+		Length:   uint32(s.Length()),
+		Seed:     s.Seed(),
+		Bits:     s.Bits(),
+		Hashes:   uint32(s.Hashes()),
+		Inserted: s.Inserted(),
+		Words:    s.Words(),
 	}
 }
 
@@ -29,7 +27,7 @@ func TestSummaryReplyRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := EncodeSummaryReply(summaryOf(s, 7))
+	msg := EncodeSummaryReply(summaryOf(s))
 	decoded, err := Decode(msg.WithRequest(9).Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -38,10 +36,10 @@ func TestSummaryReplyRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Station != 7 || sr.Residents != 2 || int(sr.Length) != 4 {
-		t.Fatalf("header %+v, want station 7, 2 residents, length 4", sr)
+	if sr.Inserted != 2*4 || int(sr.Length) != 4 {
+		t.Fatalf("header %+v, want 8 cells inserted, length 4", sr)
 	}
-	got, err := index.FromParts(int(sr.Length), sr.Seed, sr.Words, sr.Bits, int(sr.Hashes), sr.Inserted, sr.Residents)
+	got, err := index.FromParts(int(sr.Length), sr.Seed, sr.Words, sr.Bits, int(sr.Hashes), sr.Inserted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +66,7 @@ func TestWorkedSummaryHex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := hex.EncodeToString(EncodeSummaryReply(summaryOf(s, 3)).WithRequest(42).Encode())
+	got := hex.EncodeToString(EncodeSummaryReply(summaryOf(s)).WithRequest(42).Encode())
 	if got != workedSummaryReplyHex {
 		t.Fatalf("summary-reply worked frame drifted:\n got %s\nwant %s", got, workedSummaryReplyHex)
 	}
@@ -82,7 +80,7 @@ func TestSummaryReplyRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := EncodeSummaryReply(summaryOf(s, 1))
+	msg := EncodeSummaryReply(summaryOf(s))
 	for cut := 1; cut < len(msg.Payload); cut++ {
 		bad := Message{Kind: KindSummaryReply, Payload: msg.Payload[:cut]}
 		if _, err := DecodeSummaryReply(bad); err == nil {

@@ -3,9 +3,6 @@ package wire
 import (
 	"strings"
 	"testing"
-
-	"dimatch/internal/core"
-	"dimatch/internal/pattern"
 )
 
 // wideField is one payload with one 32-bit field set to v: valid for a v
@@ -29,36 +26,28 @@ func varints(vs ...uint64) []byte {
 func wideFields() []wideField {
 	summary := func(at int) func(uint64) []byte {
 		return func(v uint64) []byte {
-			fields := []uint64{3, 2, 7} // Station, Length, Hashes
+			fields := []uint64{2, 7} // Length, Hashes
 			fields[at] = v
 			var w writer
-			w.buf = varints(fields[0], fields[1], 1)
+			w.buf = varints(fields[0])
 			w.u64(5)
 			w.u64(64)
-			w.buf = append(w.buf, varints(fields[2], 2)...)
+			w.buf = append(w.buf, varints(fields[1], 2)...)
 			writeWords(&w, []uint64{0x0820540222401901})
 			return w.buf
 		}
 	}
 	stats := func(at int) func(uint64) []byte {
 		return func(v uint64) []byte {
-			fields := []uint64{3, 5, 80, 24} // Station, Residents, StorageBytes, Length
+			fields := []uint64{5, 80, 24} // Residents, StorageBytes, Length
 			fields[at] = v
 			return append(varints(fields...), varints(1)...) // Seq
 		}
 	}
 	return []wideField{
-		{"bf-matches station", KindBFMatches, func(v uint64) []byte { return varints(v, 1, 11) }},
-		{"dump-reply station", KindDumpReply, func(v uint64) []byte {
-			w := writer{buf: varints(v)}
-			writeRows(&w, []core.PersonID{4}, []pattern.Pattern{{1, 2, 3}}, nil)
-			return w.buf
-		}},
-		{"summary station", KindSummaryReply, summary(0)},
-		{"summary length", KindSummaryReply, summary(1)},
-		{"summary hashes", KindSummaryReply, summary(2)},
-		{"stats-reply station", KindStatsReply, stats(0)},
-		{"stats-reply length", KindStatsReply, stats(3)},
+		{"summary length", KindSummaryReply, summary(0)},
+		{"summary hashes", KindSummaryReply, summary(1)},
+		{"stats-reply length", KindStatsReply, stats(2)},
 		{"batch-query id", KindBatchQuery, func(v uint64) []byte {
 			f := validRawFilter()
 			f.blocks[0][0] = v
@@ -75,10 +64,6 @@ func decodeAs(kind Kind, payload []byte) error {
 	m := Message{Kind: kind, Payload: payload}
 	var err error
 	switch kind {
-	case KindBFMatches:
-		_, err = DecodeBFMatches(m)
-	case KindDumpReply:
-		_, err = DecodeDumpReply(m)
 	case KindSummaryReply:
 		_, err = DecodeSummaryReply(m)
 	case KindStatsReply:

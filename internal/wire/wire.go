@@ -143,9 +143,10 @@ func (k Kind) String() string {
 // while a routing digest held every position's cell under four hashes, 16
 // while mutations were answered with KindAck, 17 while kinds 20 and 21
 // carried the region tier's delegated rounds and a stats reply a flags
-// byte, 18 while a params block carried a tolerance byte), so none of their
-// frames decode.
-const Version = uint8(19)
+// byte, 18 while a params block carried a tolerance byte, 19 while a params
+// block carried ε, a query frame its insertion count and every reply but the
+// batch reply its station), so none of their frames decode.
+const Version = uint8(20)
 
 const (
 	magic = uint16(0xD1A7)

@@ -12,17 +12,15 @@ import (
 	"dimatch/internal/wire"
 )
 
-// encodeSummary renders a routing digest as the summary reply of station.
-func encodeSummary(s *index.Summary, station uint32) wire.Message {
+// encodeSummary renders a routing digest as a summary reply.
+func encodeSummary(s *index.Summary) wire.Message {
 	return wire.EncodeSummaryReply(wire.SummaryReply{
-		Station:   station,
-		Length:    uint32(s.Length()),
-		Residents: s.Residents(),
-		Seed:      s.Seed(),
-		Bits:      s.Bits(),
-		Hashes:    uint32(s.Hashes()),
-		Inserted:  s.Inserted(),
-		Words:     s.Words(),
+		Length:   uint32(s.Length()),
+		Seed:     s.Seed(),
+		Bits:     s.Bits(),
+		Hashes:   uint32(s.Hashes()),
+		Inserted: s.Inserted(),
+		Words:    s.Words(),
 	})
 }
 
@@ -245,7 +243,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 		if err != nil {
 			continue // corruption must never prune
 		}
-		sum, err := index.FromParts(int(sr.Length), sr.Seed, sr.Words, sr.Bits, int(sr.Hashes), sr.Inserted, sr.Residents)
+		sum, err := index.FromParts(int(sr.Length), sr.Seed, sr.Words, sr.Bits, int(sr.Hashes), sr.Inserted)
 		if err != nil {
 			continue
 		}

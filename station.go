@@ -261,7 +261,7 @@ func (s *station) handleBF(msg wire.Message) (wire.Message, error) {
 			}
 		}
 	}
-	return wire.EncodeBFMatches(wire.BFMatches{Station: s.id, Persons: persons}), nil
+	return wire.EncodeBFMatches(wire.BFMatches{Persons: persons}), nil
 }
 
 // handleDump ships the raw local patterns of the requested persons — or the
@@ -291,7 +291,6 @@ func (s *station) handleDump(msg wire.Message) (wire.Message, error) {
 		}
 	}
 	reply, err := wire.EncodeDumpReply(wire.DumpReplyOf[[]int32, int32]{
-		Station: s.id,
 		Persons: persons,
 		Locals:  locals,
 	})
@@ -392,7 +391,6 @@ func (s *station) handleStats() wire.Message {
 // joining link against the cluster's time-series length.
 func (s *station) stats() wire.StatsReply {
 	return wire.StatsReply{
-		Station:      s.id,
 		Residents:    uint64(s.Residents()),
 		StorageBytes: s.StorageBytes(),
 		Length:       uint32(s.patternLength()),
@@ -418,5 +416,5 @@ func (s *station) handleSummary() (wire.Message, error) {
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
-	return encodeSummary(sum, s.id), nil
+	return encodeSummary(sum), nil
 }

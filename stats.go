@@ -10,7 +10,8 @@ import (
 // StationStats is one station's resident data, as reported by the station
 // itself over the wire.
 type StationStats struct {
-	// Station is the reporting station's ID.
+	// Station is the member's ID in the cluster's membership, the station
+	// whose exchange carried the figures; a reply names no station.
 	Station uint32
 	// Residents is the number of local patterns the station holds.
 	Residents int
@@ -23,10 +24,10 @@ type StationStats struct {
 	PatternLength int
 }
 
-// stationStats converts one stats reply into the snapshot's entry.
-func stationStats(sr wire.StatsReply) StationStats {
+// stationStats converts member id's stats reply into the snapshot's entry.
+func stationStats(id uint32, sr wire.StatsReply) StationStats {
 	return StationStats{
-		Station:       sr.Station,
+		Station:       id,
 		Residents:     int(sr.Residents),
 		StorageBytes:  sr.StorageBytes,
 		PatternLength: int(sr.Length),
@@ -95,7 +96,7 @@ func (c *Cluster) stats(ep *epoch) *ClusterStats {
 		case c.dead[id]:
 			st.StationsFailed++
 		case ok:
-			st.Stations = append(st.Stations, stationStats(sr))
+			st.Stations = append(st.Stations, stationStats(id, sr))
 		}
 	}
 	return st

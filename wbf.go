@@ -307,7 +307,7 @@ func (c *Cluster) sendRound(ctx context.Context, ep *epoch, s *wbfSearch, from, 
 func decodeRoundReply(br *wire.BatchReply, reply wire.Message, queries int) error {
 	err := wire.DecodeBatchReplyInto(br, reply)
 	if err == nil && int(br.Queries) != queries {
-		err = fmt.Errorf("cluster: station %d answered %d queries, round has %d: %w", br.Station, br.Queries, queries, wire.ErrBatchMismatch)
+		err = fmt.Errorf("answered %d queries, round has %d: %w", br.Queries, queries, wire.ErrBatchMismatch)
 	}
 	return err
 }
