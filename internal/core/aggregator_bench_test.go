@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -22,8 +23,8 @@ type aggRound struct {
 // cityAggRound builds a round of nq queries, each a city person's locals,
 // over every station of city: each station walks its residents, and its
 // reports go through the reply codec so they arrive in wire order.
-func cityAggRound(b *testing.B, city *cdr.Dataset, nq int) aggRound {
-	b.Helper()
+func cityAggRound(tb testing.TB, city *cdr.Dataset, nq int) aggRound {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(1))
 	var queries []core.Query
 	for len(queries) < nq {
@@ -33,16 +34,16 @@ func cityAggRound(b *testing.B, city *cdr.Dataset, nq int) aggRound {
 	}
 	params, err := core.SizedParams(core.Params{}, city.Length(), queries, 0.01)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	enc, err := core.NewEncoder(params, city.Length())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	r := aggRound{}
 	for _, q := range queries {
 		if err := enc.AddQuery(q); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		r.queries = append(r.queries, q.ID)
 	}
@@ -61,54 +62,104 @@ func cityAggRound(b *testing.B, city *cdr.Dataset, nq int) aggRound {
 		}
 		reports, err := core.MatchResidents(f, persons, locals, 1)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		reply, err := wire.DecodeBatchReply(wire.EncodeBatchReply(wire.BatchReply{Station: uint32(s), Queries: uint32(nq), Reports: reports}))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		r.replies = append(r.replies, reply.Reports)
 	}
 	return r
 }
 
-// BenchmarkAggregator is the coordinator's merge of one search round: every
-// report of 64 stations' replies folded in with AddFrom, then every query
-// ranked with TopK(10). The city is the benchmark's — 20 000 persons, 3
-// days × 8 intervals — and the rounds are city_fanout's (one query) and
-// batch_verify's (16) over the full person range.
-func BenchmarkAggregator(b *testing.B) {
+// aggCity is the benchmark's city: 20 000 persons, 64 stations, 3 days × 8
+// intervals.
+func aggCity(tb testing.TB) *cdr.Dataset {
+	tb.Helper()
 	city, err := cdr.Generate(cdr.Config{Seed: 20120612, Persons: 20_000, Stations: 64, Days: 3, IntervalsPerDay: 8, VolumeLevels: 17})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return city
+}
+
+// aggregate folds every report of r into a, then ranks every query with
+// TopK(10).
+func aggregate(tb testing.TB, a *core.Aggregator, r aggRound) {
+	for _, reply := range r.replies {
+		for _, rep := range reply {
+			if err := a.AddFrom(r.table, rep); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	for _, q := range r.queries {
+		if len(a.TopK(q, 10)) == 0 {
+			tb.Fatalf("query %d ranked nothing", q)
+		}
+	}
+}
+
+// BenchmarkAggregator is the coordinator's merge of one search round: every
+// report of 64 stations' replies folded in with AddFrom, then every query
+// ranked with TopK(10). The city is the benchmark's (aggCity), and the
+// rounds are city_fanout's (one query) and batch_verify's (16) over the
+// full person range, each on a new aggregator; warm is batch_verify's round
+// on one aggregator Reset between rounds, as the coordinator reuses it
+// across searches.
+func BenchmarkAggregator(b *testing.B) {
+	city := aggCity(b)
 	for _, shape := range []struct {
 		name    string
 		queries int
-	}{{"city_fanout", 1}, {"batch_verify", 16}} {
+		warm    bool
+	}{{"city_fanout", 1, false}, {"batch_verify", 16, false}, {"warm", 16, true}} {
 		r := cityAggRound(b, city, shape.queries)
 		reports := 0
 		for _, reply := range r.replies {
 			reports += len(reply)
 		}
 		b.Run(shape.name, func(b *testing.B) {
+			a := core.NewBatchAggregator()
+			if shape.warm {
+				aggregate(b, a, r)
+				b.ResetTimer()
+			}
 			b.ReportAllocs()
 			b.ReportMetric(float64(reports), "reports/op")
 			for i := 0; i < b.N; i++ {
-				a := core.NewBatchAggregator()
-				for _, reply := range r.replies {
-					for _, rep := range reply {
-						if err := a.AddFrom(r.table, rep); err != nil {
-							b.Fatal(err)
-						}
-					}
+				if shape.warm {
+					a.Reset()
+				} else {
+					a = core.NewBatchAggregator()
 				}
-				for _, q := range r.queries {
-					if len(a.TopK(q, 10)) == 0 {
-						b.Fatalf("query %d ranked nothing", q)
-					}
-				}
+				aggregate(b, a, r)
 			}
 		})
+	}
+}
+
+// TestAggregatorRoundAllocs pins what aggregating batch_verify's full-range
+// 16-query round costs in memory: a new aggregator allocates under half of
+// the 8 783 952 B that one entry per credited query cost, and a warm one —
+// Reset after an earlier round, as the coordinator reuses it — allocates
+// only the ranked answers, one heap per TopK.
+func TestAggregatorRoundAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the benchmark's 20 000-person city")
+	}
+	r := cityAggRound(t, aggCity(t), 16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	aggregate(t, core.NewBatchAggregator(), r)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8_783_952/2 {
+		t.Errorf("a new aggregation of the round allocates %d B; want at most %d", got, 8_783_952/2)
+	}
+	warm := core.NewBatchAggregator()
+	aggregate(t, warm, r)
+	if n := testing.AllocsPerRun(5, func() { warm.Reset(); aggregate(t, warm, r) }); n > float64(len(r.queries)) {
+		t.Errorf("a warm aggregation of the round allocates %v times; want at most %d, one per query", n, len(r.queries))
 	}
 }

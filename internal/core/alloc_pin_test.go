@@ -67,9 +67,10 @@ func TestNoallocFilterprobe(t *testing.T) {
 }
 
 // TestNoallocAggregatorAddFrom: crediting a person allocates nothing per
-// report, replicated or summed — the per-query minima of a report live in a
-// stack array, and its entries are appended to one flat slice whose
-// doublings, spread over the 100 reports, round to 0 per report.
+// report, replicated or summed — a report that carries the previous
+// report's pointer list reuses its resolution, and its one entry is
+// appended to a slice whose doublings, spread over the 100 reports, round
+// to 0 per report.
 func TestNoallocAggregatorAddFrom(t *testing.T) {
 	table := buildPaperFilter(t, testParams()).Weights()
 	r := Report{Person: 7, WeightIDs: []WeightID{0, 1, 2}}

@@ -49,39 +49,82 @@ func (r Result) Score() float64 {
 // because a weight's meaning — this combination's share of this query's
 // global sum — does not depend on which filter carried it.
 //
-// Credits are kept flat: AddFrom appends one (query, person, numerator)
-// entry per query a report credits, and the first ranking after it sorts
-// the entries by query and person and folds each pair's run into one entry,
-// so the cost is a sort of the reports, not a map insertion per report.
+// An aggregation holds one entry per report: its person and where its
+// resolved credit list — one least numerator per query it credits — sits in
+// a shared buffer. A station's reply carries one pointer list for a run of
+// persons, so a list is resolved once per run, not once per report. The
+// first ranking after an AddFrom sorts the entries by person once and folds
+// every query's sums from them, so the cost is a sort of the reports, not
+// a map insertion or an entry per credited query. Reset empties an
+// aggregation for the next one and keeps every buffer.
 type Aggregator struct {
-	// cands[:folded] hold one entry per (query, person), ascending; the rest
-	// are AddFrom's appends since the last fold.
-	cands  []candidate
-	folded int
-	denoms map[QueryID]int64
-	// lastQ and lastD are the last denominator written, to skip rewriting it
-	// for every pointer of a run of reports on one query.
-	lastQ QueryID
-	lastD int64
+	// entries hold one entry per report, person ascending up to the last
+	// fold, then AddFrom's appends; dirty is set while any are unfolded.
+	entries []entry
+	dirty   bool
+	// credits holds every resolved pointer list back to back.
+	credits []credit
+	// slots numbers the queries seen, in order of first sight, into queries.
+	slots   map[QueryID]uint32
+	queries []querySlot
+	// cands holds the last fold's candidates, query slot by slot, each
+	// slot's person ascending.
+	cands []candidate
+	// table and ids are the last resolved list's weight table and a copy of
+	// its pointers — a caller's reply buffer is overwritten between replies,
+	// so a run is recognised by contents, not by slice — and at, n its
+	// credits. Before any list resolves they stand for the empty list.
+	table []WeightEntry
+	ids   []WeightID
+	at, n uint32
 	// replicated, when set, marks persons whose stations hold full copies of
 	// one pattern rather than complementary pieces; see SetReplicated.
 	replicated func(PersonID) bool
 }
 
-// candidate is one person's credit under one query: a report's (stations 1)
-// or, folded, the sum of its reports'.
+// querySlot is one query of the aggregation: its denominator and its
+// folded candidates, cands[lo:hi]. mark is the fold's scratch.
+type querySlot struct {
+	denom  int64
+	lo, hi int
+	mark   int
+}
+
+// entry is one report: its person and its credit list, credits[at:at+n].
+type entry struct {
+	person PersonID
+	at, n  uint32
+}
+
+// credit is one query's least numerator in a report's pointer list.
+type credit struct {
+	slot      uint32
+	numerator int64
+}
+
+// candidate is one person's credit under one query: the sum of its
+// reports' (or, replicated, the best one).
 type candidate struct {
-	query     QueryID
-	stations  int32
 	person    PersonID
 	numerator int64
+	stations  int32
 }
 
 // NewBatchAggregator returns an empty aggregator. It holds no weight table:
 // every report is resolved explicitly with AddFrom, so one aggregation can
 // merge reports that probed different filters.
 func NewBatchAggregator() *Aggregator {
-	return &Aggregator{denoms: make(map[QueryID]int64)}
+	return &Aggregator{slots: make(map[QueryID]uint32)}
+}
+
+// Reset empties the aggregation and forgets the replicated predicate and
+// the last weight table, keeping every buffer's capacity for the next.
+func (a *Aggregator) Reset() {
+	a.entries, a.dirty, a.credits = a.entries[:0], false, a.credits[:0]
+	clear(a.slots)
+	a.queries, a.cands = a.queries[:0], a.cands[:0]
+	a.table, a.ids, a.at, a.n = nil, a.ids[:0], 0, 0
+	a.replicated = nil
 }
 
 // SetReplicated marks which persons are replicated: their stations hold full
@@ -91,13 +134,12 @@ func NewBatchAggregator() *Aggregator {
 // so their weights must not be summed — the aggregation keeps the single
 // best (highest-numerator) report instead, and a replica that fails
 // mid-fan-out is covered by any surviving replica at full score. Stations
-// is the station count of one copy (the largest any report or partial
-// carried), not the replicas that answered: a routed search visits one
-// replica per group, a full fan-out every replica, and the two must rank
-// identical Results. A nil predicate (the default) restores the pure
-// summation model. The predicate is asked when a ranking folds a person
-// reported more than once, so it must answer the same for a person
-// throughout the aggregation.
+// is the station count of one copy (1), not the replicas that answered: a
+// routed search visits one replica per group, a full fan-out every replica,
+// and the two must rank identical Results. A nil predicate (the default)
+// restores the pure summation model. The predicate is asked when a ranking
+// folds a person reported more than once, so it must answer the same for a
+// person throughout the aggregation.
 func (a *Aggregator) SetReplicated(pred func(PersonID) bool) {
 	a.replicated = pred
 }
@@ -108,79 +150,151 @@ func (a *Aggregator) SetReplicated(pred func(PersonID) bool) {
 // pattern (the pattern is within tolerance of more than one combination),
 // the smallest numerator is credited: crediting more than the pattern's
 // certain share could push a true match's sum past 1 and delete it, while
-// under-crediting only lowers its rank.
+// under-crediting only lowers its rank. A report whose table and pointers
+// equal the previous report's reuses its resolution, so a table must not
+// change in place while an aggregation resolves against it.
 func (a *Aggregator) AddFrom(table []WeightEntry, r Report) error {
-	// minPerQuery holds each query's least-numerator entry: few, so a stack array.
-	var stack [8]WeightEntry
-	minPerQuery := stack[:0]
-	for _, id := range r.WeightIDs {
-		if int(id) >= len(table) {
-			return fmt.Errorf("core: report for person %d has dangling weight pointer %d", r.Person, id)
-		}
-		w := table[id]
-		switch i := slices.IndexFunc(minPerQuery, func(m WeightEntry) bool { return m.Query == w.Query }); {
-		case i < 0:
-			minPerQuery = append(minPerQuery, w)
-		case w.Numerator < minPerQuery[i].Numerator:
-			minPerQuery[i] = w
-		}
-		// Denominators are per query, not per filter — every table that
-		// mentions a query agrees on its global sum.
-		if len(a.denoms) == 0 || w.Query != a.lastQ || w.Denominator != a.lastD {
-			a.denoms[w.Query], a.lastQ, a.lastD = w.Denominator, w.Query, w.Denominator
+	if !sameTable(table, a.table) || !slices.Equal(r.WeightIDs, a.ids) {
+		if err := a.resolve(table, r); err != nil {
+			return err
 		}
 	}
-	for _, m := range minPerQuery {
-		a.cands = append(a.cands, candidate{query: m.Query, stations: 1, person: r.Person, numerator: m.Numerator})
+	if a.n > 0 {
+		if len(a.entries) == cap(a.entries) {
+			// Double: append's gentler growth past 256 entries would copy
+			// a large aggregation's entries several times over.
+			grown := make([]entry, len(a.entries), max(2*len(a.entries), 256))
+			a.entries = grown[:copy(grown, a.entries)]
+		}
+		a.entries = append(a.entries, entry{person: r.Person, at: a.at, n: a.n})
+		a.dirty = true
 	}
 	return nil
 }
 
-// fold sorts the entries appended since the last fold in with the folded
-// ones and merges every (query, person) run into its first entry. Replicas
-// report the same underlying pattern, so a replicated person's highest
-// numerator wins and its station count is one copy's; summing them would
-// push a true match past 1 and delete it under Algorithm 3.
+// sameTable reports whether x and y are one slice.
+func sameTable(x, y []WeightEntry) bool {
+	return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
+}
+
+// resolve appends r's credit list — each query's least numerator among its
+// pointers — and makes it the list the next reports are compared with.
+func (a *Aggregator) resolve(table []WeightEntry, r Report) error {
+	for _, id := range r.WeightIDs {
+		if int(id) >= len(table) {
+			return fmt.Errorf("core: report for person %d has dangling weight pointer %d", r.Person, id)
+		}
+	}
+	at := len(a.credits)
+	for _, id := range r.WeightIDs {
+		w := table[id]
+		s := a.slot(w.Query)
+		// Denominators are per query, not per filter — every table that
+		// mentions a query agrees on its global sum.
+		a.queries[s].denom = w.Denominator
+		switch i := slices.IndexFunc(a.credits[at:], func(c credit) bool { return c.slot == s }); {
+		case i < 0:
+			a.credits = append(a.credits, credit{slot: s, numerator: w.Numerator})
+		case w.Numerator < a.credits[at+i].numerator:
+			a.credits[at+i].numerator = w.Numerator
+		}
+	}
+	a.table, a.ids = table, append(a.ids[:0], r.WeightIDs...)
+	a.at, a.n = uint32(at), uint32(len(a.credits)-at)
+	return nil
+}
+
+// slot returns q's slot, numbering it on first sight.
+func (a *Aggregator) slot(q QueryID) uint32 {
+	s, ok := a.slots[q]
+	if !ok {
+		s = uint32(len(a.queries))
+		a.slots[q] = s
+		a.queries = append(a.queries, querySlot{})
+	}
+	return s
+}
+
+// fold sorts the entries by person and rebuilds every query's candidates
+// from them in two passes over the credits: the first counts each query's
+// persons, so the candidates fill one exactly sized buffer, and the second
+// folds them. A person's entries are adjacent, so each query's candidates
+// come out person ascending and a person's credit merges into the last
+// one. Replicas report the same underlying pattern, so a replicated
+// person's highest numerator wins and its station count stays one copy's;
+// summing them would push a true match past 1 and delete it under
+// Algorithm 3.
 func (a *Aggregator) fold() {
-	if a.folded == len(a.cands) {
+	if !a.dirty {
 		return
 	}
-	c := a.cands
-	slices.SortFunc(c, func(x, y candidate) int {
-		if x.query != y.query {
-			return cmp.Compare(x.query, y.query)
-		}
-		return cmp.Compare(x.person, y.person)
-	})
-	out := 0
-	for i := 0; i < len(c); {
-		acc, j := c[i], i+1
-		if j < len(c) && c[j].query == acc.query && c[j].person == acc.person {
-			dedup := a.replicated != nil && a.replicated(acc.person)
-			for ; j < len(c) && c[j].query == acc.query && c[j].person == acc.person; j++ {
-				if dedup {
-					acc.numerator, acc.stations = max(acc.numerator, c[j].numerator), max(acc.stations, c[j].stations)
-				} else {
-					acc.numerator, acc.stations = acc.numerator+c[j].numerator, acc.stations+c[j].stations
+	a.dirty = false
+	e, qs := a.entries, a.queries
+	slices.SortFunc(e, func(x, y entry) int { return cmp.Compare(x.person, y.person) })
+	for s := range qs {
+		qs[s].hi, qs[s].mark = 0, -1
+	}
+	for i, j := 0, 0; i < len(e); i = j {
+		j = personEnd(e, i)
+		for _, x := range e[i:j] {
+			for _, c := range a.credits[x.at : x.at+x.n] {
+				if q := &qs[c.slot]; q.mark != i {
+					q.mark, q.hi = i, q.hi+1
 				}
 			}
 		}
-		c[out] = acc
-		out++
-		i = j
 	}
-	a.cands, a.folded = c[:out], out
+	total := 0
+	for s := range qs {
+		qs[s].lo, qs[s].hi, total = total, total, total+qs[s].hi
+	}
+	if cap(a.cands) < total {
+		a.cands = make([]candidate, total)
+	}
+	a.cands = a.cands[:total]
+	for i, j := 0, 0; i < len(e); i = j {
+		p := e[i].person
+		j = personEnd(e, i)
+		dedup := j-i > 1 && a.replicated != nil && a.replicated(p)
+		for _, x := range e[i:j] {
+			for _, c := range a.credits[x.at : x.at+x.n] {
+				q := &qs[c.slot]
+				if q.hi == q.lo || a.cands[q.hi-1].person != p {
+					a.cands[q.hi] = candidate{person: p, numerator: c.numerator, stations: 1}
+					q.hi++
+					continue
+				}
+				if last := &a.cands[q.hi-1]; dedup {
+					last.numerator = max(last.numerator, c.numerator)
+				} else {
+					last.numerator += c.numerator
+					last.stations++
+				}
+			}
+		}
+	}
 }
 
-// run returns query q's folded entries, person ascending.
-func (a *Aggregator) run(q QueryID) []candidate {
-	a.fold()
-	lo, _ := slices.BinarySearchFunc(a.cands, q, func(c candidate, q QueryID) int { return cmp.Compare(c.query, q) })
-	hi := lo
-	for hi < len(a.cands) && a.cands[hi].query == q {
-		hi++
+// personEnd returns the end of the run of entries from e[i] on that share
+// its person.
+func personEnd(e []entry, i int) int {
+	j := i + 1
+	for j < len(e) && e[j].person == e[i].person {
+		j++
 	}
-	return a.cands[lo:hi]
+	return j
+}
+
+// run returns query q's folded candidates, person ascending, and its
+// denominator.
+func (a *Aggregator) run(q QueryID) ([]candidate, int64) {
+	a.fold()
+	s, ok := a.slots[q]
+	if !ok {
+		return nil, 0
+	}
+	qs := a.queries[s]
+	return a.cands[qs.lo:qs.hi], qs.denom
 }
 
 // result is c as a Result of a query with denominator denom.
@@ -199,7 +313,7 @@ func ranksAbove(x, y Result) bool {
 // determinism) and the first k returned. k <= 0 means no limit. A bounded
 // heap keeps the k best, so only they are sorted.
 func (a *Aggregator) TopK(q QueryID, k int) []Result {
-	run, denom := a.run(q), a.denoms[q]
+	run, denom := a.run(q)
 	if k <= 0 || k > len(run) {
 		k = len(run)
 	}
@@ -251,23 +365,10 @@ func (a *Aggregator) TopK(q QueryID, k int) []Result {
 // neighbouring combination) can band-filter around 1 instead of applying
 // the strict deletion.
 func (a *Aggregator) Results(q QueryID) []Result {
-	run, denom := a.run(q), a.denoms[q]
+	run, denom := a.run(q)
 	results := make([]Result, len(run))
 	for i, c := range run {
 		results[i] = c.result(denom)
 	}
 	return results
-}
-
-// Queries returns the query IDs that received at least one report, in
-// ascending order.
-func (a *Aggregator) Queries() []QueryID {
-	a.fold()
-	var out []QueryID
-	for _, c := range a.cands {
-		if len(out) == 0 || out[len(out)-1] != c.query {
-			out = append(out, c.query)
-		}
-	}
-	return out
 }

@@ -190,9 +190,37 @@ func TestAggregatorSeparatesQueries(t *testing.T) {
 	if len(r2) != 1 || r2[0].Score() != 1.0 {
 		t.Fatalf("query 2 results = %+v", r2)
 	}
-	qs := a.Queries()
-	if len(qs) != 2 || qs[0] != 1 || qs[1] != 2 {
-		t.Fatalf("Queries() = %v", qs)
+}
+
+// TestAggregatorResetForgets: an aggregation after Reset ranks as a new
+// aggregator's, even when its first report names the weight table and
+// pointer list the previous aggregation ended on.
+func TestAggregatorResetForgets(t *testing.T) {
+	f := rankerFixture(t)
+	reports := []Report{
+		{Person: 7, WeightIDs: []WeightID{weightIDFor(t, f, 1, 0b01)}},
+		{Person: 7, WeightIDs: []WeightID{weightIDFor(t, f, 1, 0b10), weightIDFor(t, f, 2, 0b01)}},
+	}
+	fresh, reused := NewBatchAggregator(), NewBatchAggregator()
+	reused.SetReplicated(func(PersonID) bool { return true })
+	for _, r := range append(reports, reports[1]) {
+		mustAdd(t, reused, f, r)
+	}
+	reused.TopK(1, 0)
+	reused.Reset()
+	for _, r := range reports[1:] {
+		mustAdd(t, fresh, f, r)
+		mustAdd(t, reused, f, r)
+	}
+	mustAdd(t, fresh, f, reports[0])
+	mustAdd(t, reused, f, reports[0])
+	for q := QueryID(1); q <= 2; q++ {
+		if got, want := reused.Results(q), fresh.Results(q); !slices.Equal(got, want) {
+			t.Fatalf("query %d after Reset: %+v, want %+v", q, got, want)
+		}
+	}
+	if res := reused.TopK(1, 0); len(res) != 1 || res[0].Score() != 1 || res[0].Stations != 2 {
+		t.Fatalf("TopK after Reset = %+v, want person 7 at 1 from 2 stations, summed", res)
 	}
 }
 
@@ -409,13 +437,19 @@ func (m *mapAggregator) topK(q QueryID, k int) []Result {
 	return kept
 }
 
-// TestAggregatorMatchesMapModel holds the flat aggregator to the map model
-// over random rounds: several weight tables of one set of queries, reports
-// of one to three pointers (a dangling one now and then), persons reported
-// by many stations, summed or replicated, and rankings between the rounds,
-// so a ranking folds reports into entries an earlier ranking folded.
-// Results, TopK at every k and Queries agree after every round.
+// TestAggregatorMatchesMapModel holds the aggregator to the map model over
+// random rounds: several weight tables of one set of queries, persons
+// reported by many stations, summed or replicated, and rankings between the
+// rounds, so a ranking folds reports into entries an earlier ranking
+// folded. Each round's reports arrive as decoded replies do: runs of reports
+// sharing one pointer list of one to three pointers (a dangling one now and
+// then), every list a slice of one buffer that the next reply overwrites.
+// A fresh aggregator and one Reset after serving the previous seed's
+// aggregation are both checked: Results and TopK at every k agree with the
+// model after every round.
 func TestAggregatorMatchesMapModel(t *testing.T) {
+	warm := NewBatchAggregator()
+	var buf []WeightID // the reply buffer, overwritten reply by reply
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		queries := 1 + rng.Intn(5)
@@ -427,8 +461,11 @@ func TestAggregatorMatchesMapModel(t *testing.T) {
 		if seed%2 == 0 {
 			pred = func(p PersonID) bool { return p%3 == 0 }
 		}
-		a := NewBatchAggregator()
-		a.SetReplicated(pred)
+		warm.Reset()
+		aggs := map[string]*Aggregator{"fresh": NewBatchAggregator(), "reset": warm}
+		for _, a := range aggs {
+			a.SetReplicated(pred)
+		}
 		model := &mapAggregator{sums: make(map[QueryID]map[PersonID]*Result), denoms: make(map[QueryID]int64), replicated: pred}
 		for round := 0; round < 4; round++ {
 			table := make([]WeightEntry, 1+rng.Intn(12))
@@ -436,32 +473,41 @@ func TestAggregatorMatchesMapModel(t *testing.T) {
 				q := rng.Intn(queries)
 				table[i] = WeightEntry{Query: QueryID(q + 1), Numerator: 1 + rng.Int63n(denoms[q]), Denominator: denoms[q]}
 			}
-			for range rng.Intn(300) {
-				ids := make([]WeightID, 1+rng.Intn(3))
-				for i := range ids {
-					ids[i] = WeightID(rng.Intn(len(table) + len(table)/8))
+			for range rng.Intn(40) {
+				// One reply: one to three runs, each a list in buf and the
+				// reports that share it.
+				buf = buf[:0]
+				var reports []Report
+				for range 1 + rng.Intn(3) {
+					lo := len(buf)
+					for range 1 + rng.Intn(3) {
+						buf = append(buf, WeightID(rng.Intn(len(table)+len(table)/8)))
+					}
+					slices.Sort(buf[lo:])
+					buf = append(buf[:lo], slices.Compact(buf[lo:])...)
+					list := buf[lo:len(buf):len(buf)]
+					for range 1 + rng.Intn(12) {
+						reports = append(reports, Report{Person: PersonID(rng.Intn(60)), WeightIDs: list})
+					}
 				}
-				slices.Sort(ids)
-				r := Report{Person: PersonID(rng.Intn(60)), WeightIDs: slices.Compact(ids)}
-				if err, want := a.AddFrom(table, r), model.add(table, r); (err == nil) != (want == nil) {
-					t.Fatalf("seed %d: AddFrom(%v) = %v, model %v", seed, r, err, want)
+				for _, r := range reports {
+					want := model.add(table, r)
+					for name, a := range aggs {
+						if err := a.AddFrom(table, r); (err == nil) != (want == nil) {
+							t.Fatalf("seed %d %s: AddFrom(%v) = %v, model %v", seed, name, r, err, want)
+						}
+					}
 				}
 			}
-			var want []QueryID
-			for q := range model.sums {
-				want = append(want, q)
-			}
-			slices.Sort(want)
-			if got := a.Queries(); !slices.Equal(got, want) {
-				t.Fatalf("seed %d round %d: Queries %v, model %v", seed, round, got, want)
-			}
-			for q := QueryID(1); q <= QueryID(queries); q++ {
-				if got, want := a.Results(q), model.results(q); !slices.Equal(got, want) {
-					t.Fatalf("seed %d round %d query %d: Results\n%v\nmodel\n%v", seed, round, q, got, want)
-				}
-				for _, k := range []int{0, 1, 3, 7, 100} {
-					if got, want := a.TopK(q, k), model.topK(q, k); !slices.Equal(got, want) {
-						t.Fatalf("seed %d round %d query %d: TopK(%d)\n%v\nmodel\n%v", seed, round, q, k, got, want)
+			for name, a := range aggs {
+				for q := QueryID(1); q <= QueryID(queries); q++ {
+					if got, want := a.Results(q), model.results(q); !slices.Equal(got, want) {
+						t.Fatalf("seed %d round %d %s query %d: Results\n%v\nmodel\n%v", seed, round, name, q, got, want)
+					}
+					for _, k := range []int{0, 1, 3, 7, 100} {
+						if got, want := a.TopK(q, k), model.topK(q, k); !slices.Equal(got, want) {
+							t.Fatalf("seed %d round %d %s query %d: TopK(%d)\n%v\nmodel\n%v", seed, round, name, q, k, got, want)
+						}
 					}
 				}
 			}

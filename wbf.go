@@ -60,6 +60,15 @@ func filledAtTop(results []Result, k int) bool {
 	return len(results) >= k && results[k-1].Numerator == results[k-1].Denominator
 }
 
+// aggregators recycles WBF searches' aggregations, every buffer kept, so a
+// search after the first grows none. Ranked answers never alias an
+// aggregator's buffers. The pool is package-level, not a Cluster field: a
+// pool joins the runtime's pool list on its first Put, so as a field it
+// would keep each shut-down Cluster — placement table and digests — alive
+// through the next garbage collection. Reset drops the predicate and weight
+// table, so a pooled aggregator holds no cluster either.
+var aggregators = sync.Pool{New: func() any { return core.NewBatchAggregator() }}
+
 // searchWBF is the paper's DI-matching pipeline end to end: every query is
 // packed into one combined filter, sent in one KindBatchQuery exchange per
 // visited station, and every report merges into one aggregation.
@@ -71,10 +80,15 @@ func filledAtTop(results []Result, k int) bool {
 // at or above P can score above D or win a tie at D. Otherwise one tail
 // round re-sends the frame over [P, ∞).
 func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, queries []Query) (*Outcome, error) {
+	agg := aggregators.Get().(*core.Aggregator)
+	defer func() {
+		agg.Reset()
+		aggregators.Put(agg)
+	}()
 	s := &wbfSearch{
 		cfg:     cfg,
 		queries: queries,
-		agg:     core.NewBatchAggregator(),
+		agg:     agg,
 		out:     &Outcome{PerQuery: make(map[QueryID][]Result, len(queries))},
 		visited: make(map[uint32]bool),
 		failed:  make(map[uint32]bool),
