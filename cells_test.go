@@ -169,12 +169,8 @@ func TestPatternValueRange(t *testing.T) {
 	if !found {
 		t.Fatalf("verified search for the extreme pattern: %v, want person 900 at score 1", out.PerQuery[1])
 	}
-	ep, err := c.pinEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
 	pulled := map[PersonID]Pattern{}
-	if _, err := c.pullPatterns(ctx, ep, []PersonID{900, 901, 902}, &CostReport{}, func(p PersonID, l Pattern) {
+	if _, err := c.pullPatterns(ctx, c.currentEpoch(), []PersonID{900, 901, 902}, &CostReport{}, func(p PersonID, l Pattern) {
 		pulled[p] = l
 	}); err != nil {
 		t.Fatal(err)

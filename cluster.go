@@ -117,6 +117,8 @@ type Cluster struct {
 	// rounds (wbf.go). Internally synchronized — searches share it.
 	prefix prefixBound
 
+	moves moveFence // dimatch:guardedby mu
+
 	wg       sync.WaitGroup
 	serveMu  sync.Mutex
 	serveErr []error // dimatch:guardedby serveMu
@@ -378,15 +380,28 @@ func (c *Cluster) currentEpoch() *epoch {
 	return c.ep
 }
 
-// pinEpoch returns the live membership snapshot for an operation to work
-// over, or ErrClusterClosed after Shutdown.
-func (c *Cluster) pinEpoch() (*epoch, error) {
+// pinEpoch returns the live membership snapshot for a search, registered in
+// the move generation (moveFence) until leaveSearch, or ErrClusterClosed.
+func (c *Cluster) pinEpoch() (*epoch, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, ErrClusterClosed
+		return nil, 0, ErrClusterClosed
 	}
-	return c.ep, nil
+	c.moves.cur++
+	return c.ep, c.moves.gen, nil
+}
+
+// leaveSearch ends the registration pinEpoch made in generation gen.
+func (c *Cluster) leaveSearch(gen uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if gen == c.moves.gen {
+		c.moves.cur--
+	} else if c.moves.old--; c.moves.old == 0 && c.moves.drained != nil {
+		close(c.moves.drained)
+		c.moves.drained = nil
+	}
 }
 
 // Stations returns the number of member stations (dead or alive).

@@ -1,11 +1,14 @@
 package dimatch
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -179,8 +182,9 @@ func TestHealRepairsStaleReplica(t *testing.T) {
 	}
 }
 
-// restartStationAround is restartStation with between run while the station
-// is out of the membership.
+// restartStationAround is the crash-and-rejoin path: it severs the link (the
+// in-process stand-in for kill -9), drops the member, runs between, and
+// rejoins through recovery from the same WAL directory.
 func restartStationAround(t *testing.T, c *Cluster, dir string, id uint32, between func()) {
 	t.Helper()
 	ctx := context.Background()
@@ -255,12 +259,24 @@ func TestGroupRoutingSiblingCoversFailedMember(t *testing.T) {
 	}
 }
 
-// TestGroupRoutingMatchesFull is the group rule's property pin: over random
-// place, upsert, unplace, kill, remove, re-add-from-WAL and station-addressed
-// ingest operations on 4–9 stations at R=2 — with some stations addressed
-// and a link that fails one exchange — a routed search after every
-// operation returns exactly what RoutingFull returns over the same
-// reachable replicas. Run under -race in CI.
+// TestGroupRoutingMatchesFull is the cluster's churn driver, where the
+// result invariant is stated once. Each seed runs 40 random operations on
+// 4–9 WAL-backed stations at R=2: place, upsert, unplace, station-addressed
+// ingest and evict, kill, remove with and without a kill, re-add from the
+// WAL, restart from the WAL, join of a fresh seeded station and rebalance,
+// some of them with one exchange of a chosen kind failing. After every
+// operation:
+//   - a routed search returns exactly what RoutingFull returns over the
+//     same reachable replicas, for every placed and addressed person and a
+//     superseded pattern, sometimes with one member failing the round;
+//   - when no fault was armed and the layout is clean, every alive
+//     station's whole store equals the model: its addressed persons and the
+//     placed persons whose Pick set over the alive members holds it, each
+//     with its current pattern.
+//
+// While a fault-free membership change or rebalance runs from a clean
+// layout, routed searches beside it must find every placed person. A
+// failing seed logs its operations. Run under -race in CI.
 func TestGroupRoutingMatchesFull(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { groupRoutingTrial(t, seed) })
@@ -279,58 +295,130 @@ func groupRoutingTrial(t *testing.T, seed int64) {
 		}
 		return pat
 	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	n := 4 + rng.Intn(6)
 	links := make(map[uint32]*failOnceLink)
 	done := make(map[uint32]chan struct{})
+	join := func(id uint32, seed map[PersonID]Pattern) Member {
+		m, l, d := linkStation(t, dir, id, seed)
+		links[id], done[id] = l, d
+		return m
+	}
+	addressed := make(map[uint32]map[PersonID]Pattern) // each station's own persons
+	nextAddressed := PersonID(10000)
+	address := func(id uint32) map[PersonID]Pattern { // one more person on id
+		if addressed[id] == nil {
+			addressed[id] = make(map[PersonID]Pattern)
+		}
+		p := nextAddressed
+		nextAddressed++
+		addressed[id][p] = randPattern()
+		return map[PersonID]Pattern{p: addressed[id][p]}
+	}
 	var members []Member
-	nextAddressed := PersonID(10000) // station-addressed persons
-	var ingestedOn []uint32          // stations holding some of them
-	addressed := make(map[PersonID]Pattern)
+	n := 4 + rng.Intn(6)
 	for id := uint32(1); id <= uint32(n); id++ {
 		var seedPats map[PersonID]Pattern
 		if rng.Intn(3) == 0 {
-			seedPats = map[PersonID]Pattern{nextAddressed: randPattern()}
-			addressed[nextAddressed] = seedPats[nextAddressed]
-			nextAddressed++
-			ingestedOn = append(ingestedOn, id)
+			seedPats = address(id)
 		}
-		m, l, d := linkStation(t, dir, id, seedPats)
-		members = append(members, m)
-		links[id], done[id] = l, d
+		members = append(members, join(id, seedPats))
 	}
 	c, err := NewCluster(placedOptions(), length, members...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(err)
 	t.Cleanup(func() { _ = c.Shutdown() })
+	var ops []string
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("operations up to the failure:\n%s", strings.Join(ops, "\n"))
+		}
+	})
 
 	current := make(map[PersonID]Pattern) // placed persons
 	var stale []Pattern                   // superseded patterns
 	removed := make(map[uint32]bool)
-	memberIDs := func(aliveOnly bool) []uint32 {
-		var out []uint32
-		c.mu.Lock()
-		for _, id := range c.ep.ids {
-			if !aliveOnly || !c.dead[id] {
-				out = append(out, id)
-			}
-		}
-		c.mu.Unlock()
-		return out
+	// Unplace evicts from the alive stations only, so a station that was
+	// down or removed keeps its copy and brings it back when it rejoins: a
+	// fault not mended yet. The store check accepts such a copy.
+	type copyOn struct {
+		station uint32
+		person  PersonID
+	}
+	strays := make(map[copyOn]Pattern)
+	fresh := uint32(100) // the next never-used station ID
+	aliveIDs := func() []uint32 {
+		ids, _ := c.aliveMembers()
+		return ids
 	}
 	pick := func(ids []uint32) uint32 { return ids[rng.Intn(len(ids))] }
+	withAddressed := func(ids []uint32) []uint32 {
+		return slices.DeleteFunc(slices.Clone(ids), func(id uint32) bool { return len(addressed[id]) == 0 })
+	}
+	cleanLayout := func() bool {
+		_, _, _, _, ok := c.groupView(c.currentEpoch())
+		return ok
+	}
+	var what string // the current operation
+	// beside runs a membership change or rebalance. From a fault-free,
+	// clean start, routed searches for every placed person run until it
+	// returns, and each must find them all.
+	beside := func(fault bool, op func()) {
+		if fault || len(current) == 0 || !cleanLayout() {
+			op()
+			return
+		}
+		persons := sortedKeys(current)
+		queries := make([]Query, len(persons))
+		for i, p := range persons {
+			queries[i] = Query{ID: QueryID(i + 1), Locals: []Pattern{current[p]}}
+		}
+		stop, errc := make(chan struct{}), make(chan error, 1)
+		go func() {
+			for {
+				out, err := c.Search(ctx, queries)
+				for i, p := range persons {
+					if err == nil && !slices.ContainsFunc(out.PerQuery[queries[i].ID], func(r Result) bool { return r.Person == p && r.Score() == 1 }) {
+						err = fmt.Errorf("person %d lost: %+v", p, out.PerQuery[queries[i].ID])
+					}
+				}
+				select {
+				case <-stop:
+				default:
+					if err == nil {
+						continue
+					}
+				}
+				errc <- err
+				return
+			}
+		}()
+		op()
+		close(stop)
+		if err := <-errc; err != nil {
+			t.Fatalf("a search beside %s: %v", what, err)
+		}
+	}
 
 	clean := 0
 	for step := 0; step < 40; step++ {
-		alive := memberIDs(true)
-		op := rng.Intn(8)
-		// A membership change's heal may fail one pull, push or evict.
-		healKinds := []wire.Kind{wire.KindDump, wire.KindIngest, wire.KindEvict}
-		if op >= 3 && op <= 5 && rng.Intn(3) == 0 {
-			links[pick(alive)].arm(healKinds[rng.Intn(len(healKinds))])
+		alive, all := aliveIDs(), c.currentEpoch().ids
+		op := rng.Intn(12)
+		fault := false
+		arm := func(k wire.Kind) {
+			links[pick(alive)].arm(k)
+			fault = true
 		}
-		var what string
+		// A membership change's heal, or a rebalance, may fail one pull,
+		// push or evict.
+		healKinds := []wire.Kind{wire.KindDump, wire.KindIngest, wire.KindEvict}
+		if op >= 3 && op != 6 && op != 7 && rng.Intn(3) == 0 {
+			arm(healKinds[rng.Intn(len(healKinds))])
+		}
 		switch {
 		case op <= 1 || len(current) == 0: // place or upsert
 			batch := make(map[PersonID]Pattern)
@@ -342,7 +430,7 @@ func groupRoutingTrial(t *testing.T, seed int64) {
 				batch[p] = randPattern()
 			}
 			if rng.Intn(3) == 0 { // the placement's push may fail once
-				links[pick(alive)].arm(wire.KindIngest)
+				arm(wire.KindIngest)
 			}
 			unplaced, _ := c.place(ctx, batch, WithReplication(2))
 			for p, pat := range batch {
@@ -350,74 +438,119 @@ func groupRoutingTrial(t *testing.T, seed int64) {
 					current[p] = pat
 				}
 			}
-			what = fmt.Sprintf("place %d", len(batch))
+			what = fmt.Sprintf("place %v", sortedKeys(batch))
 		case op == 2:
 			ps := sortedKeys(current)
 			p := ps[rng.Intn(len(ps))]
 			if rng.Intn(3) == 0 { // the eviction may fail once
-				links[pick(alive)].arm(wire.KindEvict)
+				arm(wire.KindEvict)
 			}
 			if err := c.Unplace(ctx, []PersonID{p}); err == nil {
+				for _, id := range append(sortedKeys(removed), all...) {
+					if !slices.Contains(alive, id) {
+						strays[copyOn{id, p}] = current[p]
+					}
+				}
 				stale = append(stale, current[p])
 				delete(current, p)
 			}
 			what = fmt.Sprintf("unplace %d", p)
 		case op == 3 && len(alive) > 3:
 			id := pick(alive)
-			if err := c.KillStation(id); err != nil {
-				t.Fatal(err)
-			}
 			what = fmt.Sprintf("kill %d", id)
-		case op == 4 && len(memberIDs(false)) > 3:
-			id := pick(memberIDs(false))
-			if err := c.KillStation(id); err != nil {
-				t.Fatal(err)
+			beside(fault, func() { must(c.KillStation(id)) })
+		case (op == 4 || op == 9 && len(alive) > 3) && len(all) > 3:
+			id := pick(all)
+			if op == 9 { // an alive station leaves without a kill
+				id = pick(alive)
 			}
-			if err := c.RemoveStation(ctx, id); err != nil {
-				t.Fatal(err)
-			}
+			what = fmt.Sprintf("remove %d (killed first: %v)", id, op == 4)
+			beside(fault, func() {
+				if op == 4 {
+					must(c.KillStation(id))
+				}
+				must(c.RemoveStation(ctx, id))
+			})
 			<-done[id] // the station closed its WAL
 			removed[id] = true
-			what = fmt.Sprintf("remove %d", id)
-		case op == 5 && len(removed) > 0:
-			var ids []uint32
-			for r := range removed {
-				ids = append(ids, r)
+		case op == 5 && len(removed) > 0 || op == 8 && len(all) < 10 || op == 10 && len(alive) > 3:
+			var id uint32
+			var seedPats map[PersonID]Pattern
+			switch op {
+			case 5: // a removed station rejoins from its WAL
+				id = pick(sortedKeys(removed))
+				delete(removed, id)
+				what = fmt.Sprintf("re-add %d", id)
+			case 8: // a new station joins with a person of its own
+				id, seedPats = fresh, address(fresh)
+				fresh++
+				what = fmt.Sprintf("add fresh %d", id)
+			default: // a live station restarts from its WAL
+				id = pick(alive)
+				if on := withAddressed(alive); len(on) > 0 && rng.Intn(2) == 0 {
+					id = pick(on)
+				}
+				what = fmt.Sprintf("restart %d", id)
 			}
-			slices.Sort(ids)
-			id := pick(ids)
-			m, l, d := linkStation(t, dir, id, nil)
-			if err := c.AddStation(ctx, m); err != nil {
-				t.Fatal(err)
-			}
-			links[id], done[id] = l, d
-			delete(removed, id)
-			what = fmt.Sprintf("re-add %d", id)
+			beside(fault, func() {
+				if op == 10 {
+					must(c.KillStation(id))
+					must(c.RemoveStation(ctx, id))
+					<-done[id]
+				}
+				must(c.AddStation(ctx, join(id, seedPats)))
+			})
 		case op == 6:
 			// Mostly onto a station already addressed, so that most stay
 			// unaddressed and the group rule keeps skipping them.
 			id := pick(alive)
-			if on := slices.DeleteFunc(slices.Clone(ingestedOn), func(s uint32) bool { return !slices.Contains(alive, s) }); len(on) > 0 && rng.Intn(4) > 0 {
+			if on := withAddressed(alive); len(on) > 0 && rng.Intn(4) > 0 {
 				id = pick(on)
 			}
-			ingestedOn = append(ingestedOn, id)
-			addressed[nextAddressed] = randPattern()
-			if err := c.Ingest(ctx, id, map[PersonID]Pattern{nextAddressed: addressed[nextAddressed]}); err != nil {
-				t.Fatal(err)
-			}
-			nextAddressed++
+			must(c.Ingest(ctx, id, address(id)))
 			what = fmt.Sprintf("ingest on %d", id)
-		default: // a heal whose pull, push or evict may fail once
-			links[pick(alive)].arm(healKinds[rng.Intn(len(healKinds))])
-			_, _ = c.Rebalance(ctx)
+		case op == 7 && len(withAddressed(alive)) > 0:
+			id := pick(withAddressed(alive))
+			ps := sortedKeys(addressed[id])
+			p := ps[rng.Intn(len(ps))]
+			must(c.Evict(ctx, id, []PersonID{p}))
+			delete(addressed[id], p)
+			what = fmt.Sprintf("evict %d from %d", p, id)
+		default:
 			what = "rebalance"
+			beside(fault, func() { _, _ = c.Rebalance(ctx) })
 		}
 		for _, l := range links {
 			l.disarm()
 		}
+		ops = append(ops, fmt.Sprintf("step %d: %s (fault armed: %v)", step, what, fault))
 
-		// One query per placed person, a superseded pattern and an
-		// addressed person, in one search.
+		if cleanLayout() {
+			clean++
+		}
+		if alive := aliveIDs(); !fault && cleanLayout() {
+			for _, id := range alive {
+				want := make(map[PersonID]Pattern)
+				maps.Copy(want, addressed[id])
+				for p, pat := range current {
+					if slices.Contains(placement.Pick(p, alive, 2), id) {
+						want[p] = pat
+					}
+				}
+				got := dumpStation(t, c, id)
+				for p, pat := range got {
+					if _, ok := want[p]; !ok && strays[copyOn{id, p}].Equal(pat) {
+						want[p] = pat
+					}
+				}
+				if !maps.EqualFunc(got, want, Pattern.Equal) {
+					t.Fatalf("step %d (%s): station %d holds %v, want %v", step, what, id, got, want)
+				}
+			}
+		}
+
+		// One query per placed and addressed person and a superseded
+		// pattern, in one search.
 		var queries []Query
 		add := func(pat Pattern) {
 			queries = append(queries, Query{ID: QueryID(len(queries) + 1), Locals: []Pattern{pat}})
@@ -428,36 +561,29 @@ func groupRoutingTrial(t *testing.T, seed int64) {
 		if len(stale) > 0 {
 			add(stale[rng.Intn(len(stale))])
 		}
-		if len(addressed) > 0 {
-			ps := sortedKeys(addressed)
-			add(addressed[ps[rng.Intn(len(ps))]])
-		}
-		if _, _, _, _, ok := c.groupView(c.currentEpoch()); ok {
-			clean++
+		for _, id := range sortedKeys(addressed) {
+			for _, p := range sortedKeys(addressed[id]) {
+				add(addressed[id][p])
+			}
 		}
 		// Sometimes the round fails at one alive member, in both searches.
 		var flaky *failOnceLink
 		if rng.Intn(3) == 0 {
-			flaky = links[pick(memberIDs(true))]
+			flaky = links[pick(aliveIDs())]
 			flaky.arm(wire.KindBatchQuery)
 		}
 		routed, err := c.Search(ctx, queries)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(err)
 		if flaky != nil {
 			flaky.arm(wire.KindBatchQuery)
 		}
 		full, err := c.Search(ctx, queries, WithRouting(RoutingFull))
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(err)
 		if flaky != nil {
 			flaky.disarm()
 		}
 		for _, q := range queries {
-			w, g := full.PerQuery[q.ID], routed.PerQuery[q.ID]
-			if !slices.Equal(w, g) {
+			if w, g := full.PerQuery[q.ID], routed.PerQuery[q.ID]; !slices.Equal(w, g) {
 				t.Fatalf("step %d (%s) query %d: routed %+v, full %+v", step, what, q.ID, g, w)
 			}
 		}
@@ -467,8 +593,32 @@ func groupRoutingTrial(t *testing.T, seed int64) {
 	}
 }
 
-func sortedKeys(m map[PersonID]Pattern) []PersonID {
-	out := make([]PersonID, 0, len(m))
+// dumpStation returns member id's whole store, by a KindDump through the
+// cluster's mux for it.
+func dumpStation(t *testing.T, c *Cluster, id uint32) map[PersonID]Pattern {
+	t.Helper()
+	ep := c.currentEpoch()
+	i := ep.find(id)
+	if i < 0 {
+		t.Fatalf("station %d is not a member", id)
+	}
+	reply, err := ep.muxes[i].Roundtrip(context.Background(), wire.EncodeDump(wire.Dump{}))
+	if err != nil {
+		t.Fatalf("dump of station %d: %v", id, err)
+	}
+	d, err := wire.DecodeDumpReply(reply)
+	if err != nil {
+		t.Fatalf("dump of station %d: %v", id, err)
+	}
+	out := make(map[PersonID]Pattern, len(d.Persons))
+	for j, p := range d.Persons {
+		out[p] = d.Locals[j]
+	}
+	return out
+}
+
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
 	for p := range m {
 		out = append(out, p)
 	}

@@ -288,56 +288,6 @@ func TestEvictInvalidatesSummary(t *testing.T) {
 	}
 }
 
-// TestRoutedChurnNeverLosesRecall is the stale-summary correctness sweep
-// (run it under -race): random ingests and evicts interleave with routed
-// searches, and after every mutation the routed answer must equal the full
-// fan-out answer on the same store — summaries may only ever waste probes.
-func TestRoutedChurnNeverLosesRecall(t *testing.T) {
-	c := routingTestCluster(t)
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(3))
-	stations := []uint32{0, 1, 2, 3}
-	next := dimatch.PersonID(1000)
-	type placedAt struct {
-		person  dimatch.PersonID
-		station uint32
-	}
-	var live []placedAt
-
-	for step := 0; step < 60; step++ {
-		switch {
-		case len(live) == 0 || rng.Intn(2) == 0:
-			p := next
-			next++
-			s := stations[rng.Intn(len(stations))]
-			pat := dimatch.Pattern{rng.Int63n(40) + 1, rng.Int63n(40), rng.Int63n(40)}
-			if err := c.Ingest(ctx, s, map[dimatch.PersonID]dimatch.Pattern{p: pat}); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, placedAt{person: p, station: s})
-		default:
-			i := rng.Intn(len(live)) // delete a random live person
-			if err := c.Evict(ctx, live[i].station, []dimatch.PersonID{live[i].person}); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live[:i], live[i+1:]...)
-		}
-		queries := []dimatch.Query{
-			{ID: 1, Locals: []dimatch.Pattern{{rng.Int63n(40) + 1, rng.Int63n(40), rng.Int63n(40)}}},
-			{ID: 2, Locals: []dimatch.Pattern{{50, 60, 70}}},
-		}
-		full, err := c.Search(ctx, queries, dimatch.WithRouting(dimatch.RoutingFull))
-		if err != nil {
-			t.Fatal(err)
-		}
-		routed, err := c.Search(ctx, queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, fmt.Sprintf("step %d", step), queries, full, routed)
-	}
-}
-
 // flakyStatsLink is a center-side link that counts the stats requests sent
 // over it and fails the second — the first after the join handshake — at
 // send time, while every other frame passes.
@@ -497,84 +447,5 @@ func TestParseRoutingMode(t *testing.T) {
 	}
 	if dimatch.RoutingSummary.String() != "summary" || dimatch.RoutingFull.String() != "full" {
 		t.Fatal("RoutingMode.String drifted")
-	}
-}
-
-// TestRoutedMembershipChurnEquivalence is the churn sweep that also moves
-// the membership (run under -race): random ingests, evicts, station adds and
-// removes interleave with searches, and after every mutation the
-// summary-routed answer must equal the full fan-out answer on the same store.
-func TestRoutedMembershipChurnEquivalence(t *testing.T) {
-	c := routingTestCluster(t)
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(7))
-	stations := []uint32{0, 1, 2, 3}
-	nextStation := uint32(4)
-	next := dimatch.PersonID(1000)
-	type placedAt struct {
-		person  dimatch.PersonID
-		station uint32
-	}
-	var live []placedAt
-
-	for step := 0; step < 50; step++ {
-		switch op := rng.Intn(10); {
-		case op == 0 && len(stations) < 8:
-			id := nextStation
-			nextStation++
-			if err := c.AddStation(ctx, dimatch.Member{ID: id, Patterns: map[dimatch.PersonID]dimatch.Pattern{
-				next: {int64(rng.Intn(40)) + 1, int64(rng.Intn(40)), int64(rng.Intn(40))},
-			}}); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, placedAt{person: next, station: id})
-			next++
-			stations = append(stations, id)
-		case op == 1 && len(stations) > 2:
-			i := 4 + rng.Intn(len(stations)-4+1)
-			if i >= len(stations) {
-				break // only remove stations this sweep added
-			}
-			id := stations[i]
-			if err := c.RemoveStation(ctx, id); err != nil {
-				t.Fatal(err)
-			}
-			stations = append(stations[:i], stations[i+1:]...)
-			kept := live[:0]
-			for _, l := range live {
-				if l.station != id {
-					kept = append(kept, l)
-				}
-			}
-			live = kept
-		case op < 6 || len(live) == 0:
-			p := next
-			next++
-			s := stations[rng.Intn(len(stations))]
-			pat := dimatch.Pattern{int64(rng.Intn(40)) + 1, int64(rng.Intn(40)), int64(rng.Intn(40))}
-			if err := c.Ingest(ctx, s, map[dimatch.PersonID]dimatch.Pattern{p: pat}); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, placedAt{person: p, station: s})
-		default:
-			i := rng.Intn(len(live))
-			if err := c.Evict(ctx, live[i].station, []dimatch.PersonID{live[i].person}); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live[:i], live[i+1:]...)
-		}
-		queries := []dimatch.Query{
-			{ID: 1, Locals: []dimatch.Pattern{{int64(rng.Intn(40)) + 1, int64(rng.Intn(40)), int64(rng.Intn(40))}}},
-			{ID: 2, Locals: []dimatch.Pattern{{50, 60, 70}}},
-		}
-		full, err := c.Search(ctx, queries, dimatch.WithRouting(dimatch.RoutingFull))
-		if err != nil {
-			t.Fatal(err)
-		}
-		summary, err := c.Search(ctx, queries, dimatch.WithRouting(dimatch.RoutingSummary))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, fmt.Sprintf("summary step %d", step), queries, full, summary)
 	}
 }

@@ -163,3 +163,58 @@ func TestAggregatorRoundAllocs(t *testing.T) {
 		t.Errorf("a warm aggregation of the round allocates %v times; want at most %d, one per query", n, len(r.queries))
 	}
 }
+
+// TestAggregationIgnoresReplyOrder: one round's decoded replies, fed to the
+// aggregator in shuffled station orders, rank exactly as in station order —
+// Results and TopK at every k equal, summed and replicated alike — on a
+// fresh aggregator and on one Reset between orders, as the coordinator
+// reuses it. A search may then take its replies in arrival order.
+func TestAggregationIgnoresReplyOrder(t *testing.T) {
+	city, err := cdr.Generate(cdr.Config{Seed: 7, Persons: 2_000, Stations: 16, Days: 3, IntervalsPerDay: 8, VolumeLevels: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := cityAggRound(t, city, 8)
+	order := make([]int, len(r.replies))
+	for i := range order {
+		order[i] = i
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, pred := range []func(core.PersonID) bool{nil, func(p core.PersonID) bool { return p%2 == 0 }} {
+		rank := func(a *core.Aggregator) (out [][]core.Result) {
+			a.Reset()
+			a.SetReplicated(pred)
+			for _, i := range order {
+				for _, rep := range r.replies[i] {
+					if err := a.AddFrom(r.table, rep); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, q := range r.queries {
+				out = append(out, a.Results(q))
+				for _, k := range []int{0, 1, 3, 10, 100} {
+					out = append(out, a.TopK(q, k))
+				}
+			}
+			return out
+		}
+		slices.Sort(order)
+		want := rank(core.NewBatchAggregator())
+		if len(want[0]) == 0 {
+			t.Fatal("the round ranked nothing for its first query")
+		}
+		warm := core.NewBatchAggregator()
+		for trial := 0; trial < 8; trial++ {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			for name, a := range map[string]*core.Aggregator{"fresh": core.NewBatchAggregator(), "reset": warm} {
+				got := rank(a)
+				for i := range want {
+					if !slices.Equal(got[i], want[i]) {
+						t.Fatalf("replicated %v, %s aggregator, station order %v: ranking %d\n%v\nin station order\n%v", pred != nil, name, order, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -152,7 +152,8 @@ func (a *Aggregator) SetReplicated(pred func(PersonID) bool) {
 // certain share could push a true match's sum past 1 and delete it, while
 // under-crediting only lowers its rank. A report whose table and pointers
 // equal the previous report's reuses its resolution, so a table must not
-// change in place while an aggregation resolves against it.
+// change in place while an aggregation resolves against it. Results and TopK
+// do not depend on the order the reports, or the stations' replies, arrive in.
 func (a *Aggregator) AddFrom(table []WeightEntry, r Report) error {
 	if !sameTable(table, a.table) || !slices.Equal(r.WeightIDs, a.ids) {
 		if err := a.resolve(table, r); err != nil {

@@ -572,11 +572,13 @@ func (c *Cluster) Unplace(ctx context.Context, persons []PersonID) error {
 //
 // The pass is conservative: stale copies are only evicted when every missing
 // copy was ingested successfully, so a partially failed pass never reduces a
-// pattern's replica count. Persons with no reachable current copy are
-// counted in HealReport.Lost, their copies are left alone, and they stay in
-// the table for later retries. A pass that pulled from every alive station,
-// lost nothing and failed no exchange leaves the layout clean: routed
-// searches may then visit one replica per group (planRoute).
+// pattern's replica count, and only once every search that started before
+// the copies landed has returned (moveFence): if ctx ends first, they stay.
+// Persons with no reachable current copy are counted in HealReport.Lost,
+// their copies are left alone, and they stay in the table for later retries.
+// A pass that pulled from every alive station, lost nothing and failed no
+// exchange leaves the layout clean: routed searches may then visit one
+// replica per group (planRoute).
 func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -707,8 +709,13 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 			report.Copied += len(share.index)
 		}
 	}
+	// A failed ingest (a stale plan) or fence keeps the extra copies.
+	if len(errs) == 0 && len(dels) > 0 {
+		if err := c.fenceMoves(ctx); err != nil {
+			errs = []error{err}
+		}
+	}
 	if len(errs) == 0 {
-		// A failed ingest means the plan is stale; keep the extra copies.
 		failedDels, delErrs := c.evictGrouped(ctx, dels, "rebalance evict on")
 		errs = delErrs
 		for sid, ps := range dels {
@@ -723,6 +730,38 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 		c.invalidateLayout()
 	}
 	return report, errors.Join(errs...)
+}
+
+// moveFence is the grace period between a pass's copies and its evicts. A
+// search registers, from pinEpoch to return, in the move generation current
+// at its start; a pass advances it once its copies have landed and evicts
+// once every earlier search, which may have read a new holder too early, has
+// returned. New searches never wait: a hung search stalls only the evicts.
+type moveFence struct {
+	gen      uint64
+	cur, old int           // searches registered in gen, and in earlier ones
+	drained  chan struct{} // closed, for a waiting pass, once old is 0
+}
+
+// fenceMoves advances the move generation and awaits the earlier searches.
+func (c *Cluster) fenceMoves(ctx context.Context) error {
+	c.mu.Lock()
+	c.moves.gen++
+	c.moves.old, c.moves.cur = c.moves.old+c.moves.cur, 0
+	if c.moves.old > 0 && c.moves.drained == nil {
+		c.moves.drained = make(chan struct{})
+	}
+	drained := c.moves.drained // nil exactly when old is 0
+	c.mu.Unlock()
+	if drained == nil {
+		return nil
+	}
+	select {
+	case <-drained:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("rebalance evict fenced: %w: %w", ErrCancelled, ctx.Err())
+	}
 }
 
 // heal is the membership-change hook: a best-effort, bounded reconciliation.

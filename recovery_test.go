@@ -39,134 +39,6 @@ func walMembers(t *testing.T, dir string, ids []uint32) []Member {
 	return ms
 }
 
-// restartStation is the crash-and-rejoin path under test: sever the link
-// (the in-process stand-in for kill -9), drop the member, reopen the same
-// WAL directory, and rejoin through recovery. Churn is sequential and every
-// batch is acked after its append, so the store on disk holds exactly the
-// batches the cluster saw acknowledged.
-func restartStation(t *testing.T, c *Cluster, dir string, id uint32) {
-	t.Helper()
-	ctx := context.Background()
-	if err := c.KillStation(id); err != nil {
-		t.Fatalf("KillStation(%d): %v", id, err)
-	}
-	if err := c.RemoveStation(ctx, id); err != nil {
-		t.Fatalf("RemoveStation(%d): %v", id, err)
-	}
-	if err := c.AddStation(ctx, Member{ID: id, Store: openWAL(t, dir, id)}); err != nil {
-		t.Fatalf("AddStation(%d): %v", id, err)
-	}
-}
-
-// TestRecoveryEquivalence is the property pin: a cluster whose stations are
-// hard-stopped and recovered from their WALs at random churn points must be
-// observationally identical — residents, digests, search results — to a twin
-// that never restarted. Run under -race in CI.
-func TestRecoveryEquivalence(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	ids := []uint32{0, 1, 2, 3}
-
-	durable, err := NewCluster(Options{}, 3, walMembers(t, dir, ids)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = durable.Shutdown() })
-
-	twin, err := NewCluster(Options{}, 3, emptyMembers(ids)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = twin.Shutdown() })
-
-	rng := rand.New(rand.NewSource(42))
-	restartAt := map[int]bool{23: true, 47: true, 71: true}
-	next := PersonID(1)
-	type placedAt struct {
-		person  PersonID
-		station uint32
-	}
-	var live []placedAt
-
-	both := func(op func(c *Cluster) error) {
-		t.Helper()
-		if err := op(durable); err != nil {
-			t.Fatalf("durable: %v", err)
-		}
-		if err := op(twin); err != nil {
-			t.Fatalf("twin: %v", err)
-		}
-	}
-
-	for step := 0; step < 90; step++ {
-		if restartAt[step] {
-			restartStation(t, durable, dir, ids[rng.Intn(len(ids))])
-		}
-		switch {
-		case len(live) == 0 || rng.Intn(3) > 0:
-			p := next
-			next++
-			s := ids[rng.Intn(len(ids))]
-			pat := Pattern{rng.Int63n(900) + 1, rng.Int63n(900), rng.Int63n(900)}
-			both(func(c *Cluster) error {
-				return c.Ingest(ctx, s, map[PersonID]Pattern{p: pat})
-			})
-			live = append(live, placedAt{person: p, station: s})
-		default:
-			i := rng.Intn(len(live))
-			both(func(c *Cluster) error {
-				return c.Evict(ctx, live[i].station, []PersonID{live[i].person})
-			})
-			live = append(live[:i], live[i+1:]...)
-		}
-
-		if step%15 != 14 {
-			continue
-		}
-		queries := []Query{
-			{ID: 1, Locals: []Pattern{{rng.Int63n(900) + 1, rng.Int63n(900), rng.Int63n(900)}}},
-			{ID: 2, Locals: []Pattern{{5, 6, 7}}},
-		}
-		wantOut, err := twin.Search(ctx, queries, WithRouting(RoutingFull))
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := durable.Search(ctx, queries, WithRouting(RoutingFull))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, fmt.Sprintf("step %d full", step), queries, wantOut, full)
-		routed, err := durable.Search(ctx, queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, fmt.Sprintf("step %d routed", step), queries, wantOut, routed)
-	}
-
-	// Per-station residents must agree exactly: recovery restored each
-	// station's set, not just the union.
-	dStats, err := durable.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tStats, err := twin.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dStats.StationsFailed != 0 || tStats.StationsFailed != 0 {
-		t.Fatalf("stats failures: durable %d, twin %d", dStats.StationsFailed, tStats.StationsFailed)
-	}
-	if len(dStats.Stations) != len(tStats.Stations) {
-		t.Fatalf("station counts differ: %d vs %d", len(dStats.Stations), len(tStats.Stations))
-	}
-	for i := range dStats.Stations {
-		d, w := dStats.Stations[i], tStats.Stations[i]
-		if d.Station != w.Station || d.Residents != w.Residents || d.StorageBytes != w.StorageBytes {
-			t.Fatalf("station %d diverged after recovery: %+v vs twin %+v", d.Station, d, w)
-		}
-	}
-}
-
 // TestStoredStationDigestRecovery pins digest byte-identity across a
 // restart: neither the store nor the station keeps a digest, and the one a
 // restarted station builds for its first summary pull — after a fold, and

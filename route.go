@@ -213,6 +213,8 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	if !selective {
 		return all // nothing can prune: skip the summary traffic entirely
 	}
+	// Read before the digests: a heal records its layout after its pushes.
+	layout, r, addressed, alive, grouped := c.groupView(ep)
 
 	// Collect cached summaries and fetch the missing ones concurrently.
 	// Generations are read before the requests go out (see summaryCache).
@@ -285,7 +287,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 		return all
 	}
 	var groups [][]uint32
-	if layout, r, addressed, alive, ok := c.groupView(ep); ok {
+	if grouped {
 		if visit, gs := groupPlan(ep.ids, admits, addressed, alive, layout, r); len(visit) > 0 {
 			included, groups = visit, gs
 		}

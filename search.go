@@ -341,10 +341,11 @@ func (c *Cluster) Search(ctx context.Context, queries []Query, opts ...SearchOpt
 		}
 		ids[q.ID] = true
 	}
-	ep, err := c.pinEpoch()
+	ep, gen, err := c.pinEpoch()
 	if err != nil {
 		return nil, err
 	}
+	defer c.leaveSearch(gen)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCancelled, err)
 	}

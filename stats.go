@@ -78,9 +78,11 @@ func (c *Cluster) Stats(ctx context.Context) (*ClusterStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
-	ep, err := c.pinEpoch()
-	if err != nil {
-		return nil, err
+	c.mu.Lock()
+	ep, closed := c.ep, c.closed
+	c.mu.Unlock()
+	if closed {
+		return nil, ErrClusterClosed
 	}
 	return c.stats(ep), nil
 }
