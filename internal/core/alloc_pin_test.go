@@ -1,10 +1,11 @@
 // AllocsPerRun pins: (*Matcher).Match, sampledAccumulate,
-// (*Filter).probe and intersectSorted — the per-resident station probe path —
-// held to 0 allocs/op after one warm-up call grows the matcher's scratch
-// buffers.
+// (*stateTable).walk and intersectSorted — the per-resident station probe
+// path — held to 0 allocs/op after one warm-up call grows the matcher's
+// scratch buffers and its transition table.
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"dimatch/internal/pattern"
@@ -15,6 +16,7 @@ var (
 	boolSink   bool
 	valsSink   []int64
 	weightSink []WeightID
+	stateSink  uint32
 )
 
 // warmMatcher builds the paper's running-example filter and a matcher that
@@ -55,14 +57,30 @@ func TestNoallocMatchersampledAccumulate(t *testing.T) {
 	}
 }
 
-func TestNoallocFilterprobe(t *testing.T) {
+// TestNoallocTableWalk: a warm transition table walks a row, hit or miss,
+// allocating nothing, whether it remembers every step or, with its cap at
+// one step, is cleared before every row.
+func TestNoallocTableWalk(t *testing.T) {
 	m, p := warmMatcher(t)
-	vals := sampledAccumulate(m, p)
-	scratch := make([]WeightID, 0, 8)
-	if n := testing.AllocsPerRun(100, func() {
-		weightSink, boolSink = m.filter.probe(0, vals[0], scratch[:0])
-	}); n != 0 {
-		t.Fatalf("(*Filter).probe allocates %v times per run; want 0", n)
+	rows := [][]int64{sampledAccumulate(m, p), {9, 18, 27}, {2, 4, 6}}
+	for i, row := range rows {
+		rows[i] = slices.Clone(row)
+	}
+	for _, limit := range []int{tableCap, 1} {
+		restore := SetTableCap(limit)
+		walk := func() {
+			for _, row := range rows {
+				if m.table.full() {
+					m.table.reset()
+				}
+				stateSink = m.table.walk(m.filter, row)
+			}
+		}
+		walk()
+		if n := testing.AllocsPerRun(100, walk); n != 0 {
+			t.Fatalf("cap %d: (*stateTable).walk allocates %v times per %d rows; want 0", limit, n, len(rows))
+		}
+		restore()
 	}
 }
 

@@ -60,7 +60,7 @@ func TestValueLevelFPNearAnalytic(t *testing.T) {
 	hits := 0
 	for i := 0; i < trials; i++ {
 		v := 10_000 + rng.Int63n(1<<40)
-		if _, ok := f.probe(0, v, nil); ok {
+		if _, ok := f.probe(0, v); ok {
 			hits++
 		}
 	}

@@ -34,8 +34,11 @@ func MatchResidents[R pattern.Row[C], C pattern.Cell](f *Filter, persons []Perso
 
 // Walk is MatchResidents' scratch, kept for the next walk: per worker a warm
 // Matcher, its hits and its pointer arena, and the reports stitched from
-// every worker's hits. A station keeps one across its search rounds, so a
-// warm walk allocates only for its worker goroutines. It holds each report
+// every worker's hits. Each worker's Matcher borrows a transition table from
+// a process-wide pool for the walk's duration and hands it back at the end,
+// so the tables cost one per walk in progress, not one per Walk. A station
+// keeps one Walk across its search rounds, so a warm walk allocates only
+// for its worker goroutines. It holds each report
 // once, whatever the worker count, plus 8 bytes of hit per report and the
 // reports' pointers (Bytes); WalkMatch's result is the Walk's own and is
 // valid until the next walk. A Walk is not safe for concurrent use.
@@ -111,19 +114,25 @@ func WalkMatch[R pattern.Row[C], C pattern.Cell](w *Walk, f *Filter, persons []P
 }
 
 // Bytes returns the capacity w holds between walks, in bytes: its reports,
-// its hits, its arenas and its matchers' scratch.
+// its hits, its arenas and its matchers' sampled values. The matchers'
+// transition tables are the pool's between walks, not w's.
 func (w *Walk) Bytes() int {
 	const report = 32 // a Report's size
 	n := report * cap(w.reports)
 	for _, wk := range w.workers {
-		n += 8*cap(wk.hits) + 4*(cap(wk.arena)+cap(wk.m.current)+cap(wk.m.probeBuf)) + 8*cap(wk.m.valBuf)
+		n += 8*cap(wk.hits) + 4*cap(wk.arena) + 8*cap(wk.m.valBuf)
 	}
 	return n
 }
 
 // matchRange is one worker's serial walk over a chunk of the store into its
-// hits and their pointer arena.
+// hits and their pointer arena, on a transition table borrowed from the pool.
 func matchRange[R pattern.Row[C], C pattern.Cell](wk *walker, f *Filter, locals []R) {
+	wk.m.table = borrowTable()
+	defer func() {
+		returnTable(wk.m.table)
+		wk.m.table = nil
+	}()
 	wk.m.reset(f)
 	wk.hits, wk.arena, wk.err = wk.hits[:0], wk.arena[:0], nil
 	for i, local := range locals {

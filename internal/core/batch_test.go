@@ -287,7 +287,7 @@ func TestWalkHoldsReportsOnce(t *testing.T) {
 	}
 	scratch := 0
 	for _, wk := range two.workers {
-		scratch += 4*(cap(wk.m.current)+cap(wk.m.probeBuf)) + 8*cap(wk.m.valBuf) +
+		scratch += 8*cap(wk.m.valBuf) +
 			8*(cap(wk.hits)-len(wk.hits)) + 4*(cap(wk.arena)-len(wk.arena))
 	}
 	t.Logf("%d residents, %d reports: 1 worker keeps %d B, 2 workers %d B, of which per-worker scratch %d B", len(ids), len(want), one.Bytes(), two.Bytes(), scratch)

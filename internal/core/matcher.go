@@ -13,29 +13,38 @@ import (
 // sampled, probes the received WBF and reports the pattern's weight(s) iff
 // every sampled point is present with a common weight.
 //
-// All per-pattern scratch (the sampled accumulated values, the candidate
-// pointer sets) lives on the Matcher and is reused across Match calls, so a
+// It probes through a transition table over the filter's dictionary codes
+// (stateTable): a row's sampled slots are probed last-first, each set bit's
+// code moves the row to the next interned pointer set, and each distinct
+// (set, list) intersection runs once per table, not once per resident. A
+// Matcher from NewMatcher owns its table; a walk's matchers borrow one from
+// a process-wide pool for the walk's duration. The table is cleared between
+// rows once it passes its cap.
+//
+// All per-pattern scratch (the sampled accumulated values, the table's
+// states) lives on the Matcher and is reused across Match calls, so a
 // station walking thousands of residents allocates nothing on the probe
 // path after warm-up. That also means a Matcher is not safe for concurrent
 // use; create one per goroutine (MatchResidents does exactly that).
 type Matcher struct {
 	filter    *Filter
 	sampleIdx []int // ascending; pinned at construction
-	current   []WeightID
-	probeBuf  []WeightID
+	table     *stateTable
 	valBuf    []int64
 }
 
 // NewMatcher returns a matcher probing the given filter.
 func NewMatcher(f *Filter) *Matcher {
-	m := new(Matcher)
+	m := &Matcher{table: new(stateTable)}
 	m.reset(f)
 	return m
 }
 
-// reset points m at another filter, keeping its grown scratch.
+// reset points m at another filter, keeping its grown scratch, and empties
+// its table: the table's codes name the old filter's lists.
 func (m *Matcher) reset(f *Filter) {
 	m.filter, m.sampleIdx = f, f.sampleIdx
+	m.table.reset()
 }
 
 // sampledAccumulate computes the accumulated (prefix-sum) values of row p
@@ -47,14 +56,12 @@ func (m *Matcher) reset(f *Filter) {
 // Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
 func sampledAccumulate[R pattern.Row[C], C pattern.Cell](m *Matcher, p R) []int64 {
 	vals := m.valBuf[:0]
-	run := int64(0)
-	next := 0
-	for i, v := range p {
-		run += int64(v)
-		for next < len(m.sampleIdx) && m.sampleIdx[next] == i {
-			vals = append(vals, run)
-			next++
+	run, g := int64(0), 0
+	for _, pos := range m.sampleIdx {
+		for ; g <= pos; g++ {
+			run += int64(p[g])
 		}
+		vals = append(vals, run)
 	}
 	m.valBuf = vals[:0] // keep grown capacity for the next pattern
 	return vals
@@ -83,31 +90,14 @@ func matchRow[R pattern.Row[C], C pattern.Cell](m *Matcher, p R) (ids []WeightID
 		// cold path: caller bug, never taken per-resident
 		return nil, false, fmt.Errorf("core: pattern length %d, filter wants %d", len(p), m.filter.length)
 	}
-	vals := sampledAccumulate(m, p)
-	current := m.current[:0]
-	for slot, v := range vals {
-		found, bitsOK := m.filter.probe(slot, v, m.probeBuf[:0])
-		if !bitsOK {
-			return nil, false, nil
-		}
-		m.probeBuf = found[:0] // keep any grown capacity for the next probe
-		if slot == 0 {
-			current = append(current, found...)
-			// The append may have grown the buffer; persist it immediately so
-			// a later-slot rejection (the common case on partially-matching
-			// residents) still keeps the capacity for the next pattern.
-			m.current = current
-		} else {
-			// found and current live in distinct buffers, so the in-place
-			// intersection of current never reads clobbered memory.
-			current = intersectSorted(current, found)
-		}
-		if len(current) == 0 {
-			return nil, false, nil
-		}
+	if m.table.full() {
+		m.table.reset() // a row boundary: no state of the table is in use
 	}
-	m.current = current
-	return current, true, nil
+	s := m.table.walk(m.filter, sampledAccumulate(m, p))
+	if s == stateReject {
+		return nil, false, nil
+	}
+	return m.table.set(s), true, nil
 }
 
 // SelectClosestWeights reduces a Match result to at most one weight pointer

@@ -114,9 +114,11 @@ func bitLists(f *core.Filter) map[uint64][]core.WeightID {
 // filter, that filter after a trip over the wire and the map-per-bit
 // reference set the same bits with the same pointer lists, and a station gets
 // the same reports from all three; and SizeBytes, computed from the sparse
-// arrays, is still the list-per-bit cost model. Filters are auto-sized (one
-// hash, sparse) or, one round in three, explicitly sized with up to four
-// hashes and often crowded, where the Rice parameter bottoms out at 0.
+// arrays, is still the list-per-bit cost model. Round r hashes each value
+// with 1 + r mod 5 functions into an auto-sized filter or, one round in
+// three, a shrunken and often crowded one, where the Rice parameter bottoms
+// out at 0. The residents repeat signatures, and the walk is also run with
+// its transition table capped low enough to be cleared between rows.
 func TestFilterMatchesMapPerBitReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for round := 0; round < 60; round++ {
@@ -153,6 +155,10 @@ func TestFilterMatchesMapPerBitReference(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// Repeated signatures: a walk meets most of its steps again.
+		for n := rng.Intn(len(locals) + 1); n > 0; n-- {
+			locals = append(locals, locals[rng.Intn(len(locals))])
+		}
 		persons := make([]core.PersonID, len(locals))
 		for i := range persons {
 			persons[i] = core.PersonID(10 + 7*i)
@@ -164,8 +170,9 @@ func TestFilterMatchesMapPerBitReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		params.Hashes = 1 + round%5
 		if rng.Intn(3) == 0 {
-			params.Bits, params.Hashes = 1+uint64(rng.Intn(int(params.Bits))), 1+rng.Intn(4)
+			params.Bits = 1 + uint64(rng.Intn(int(params.Bits)))
 		}
 		enc, err := core.NewEncoder(params, length)
 		if err != nil {
@@ -196,7 +203,18 @@ func TestFilterMatchesMapPerBitReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d (ε=%d, %d queries, salted %v): encoder's filter reports\n%v\nthe reference\n%v", round, eps, len(queries), base.PositionSalted, got, want)
+			t.Fatalf("round %d (ε=%d, k=%d, %d queries, salted %v): encoder's filter reports\n%v\nthe reference\n%v", round, eps, params.Hashes, len(queries), base.PositionSalted, got, want)
+		}
+		for _, limit := range []int{0, 1, 3} {
+			restore := core.SetTableCap(limit)
+			got, err := core.MatchResidents(f, persons, locals, 2)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: with the table capped at %d steps the filter reports\n%v\nthe reference\n%v", round, limit, got, want)
+			}
 		}
 
 		m, err := wire.EncodeBatchQuery(wire.BatchQuery{Queries: ids, Filter: f})

@@ -200,45 +200,17 @@ func (f *Filter) buildDir() {
 	}
 }
 
-// list returns the pointer list hanging off bit idx, or false if the bit is
-// unset. A bucket holds under one set bit on average, so the scan is short.
-func (f *Filter) list(idx uint64) ([]WeightID, bool) {
+// code returns the dictionary code of bit idx's pointer list, or false if the
+// bit is unset. A bucket holds under one set bit on average, so the scan is
+// short.
+func (f *Filter) code(idx uint64) (uint32, bool) {
 	b := idx >> f.shift
 	for i, end := f.dir[b], f.dir[b+1]; i < end && uint64(f.pos[i]) <= idx; i++ {
 		if uint64(f.pos[i]) == idx {
-			code := f.codes[i]
-			return f.ids[f.offs[code]:f.offs[code+1]], true
+			return f.codes[i], true
 		}
 	}
-	return nil, false
-}
-
-// probe looks one value up. It returns (nil, false) if any bit is unset —
-// the value is definitely absent — and otherwise the sorted intersection of
-// the weight-pointer lists across the k bits: the weights every probed bit
-// agrees on.
-//
-// Allocation-free: alloc_pin_test.go holds it to 0 allocs/op.
-func (f *Filter) probe(slot int, value int64, scratch []WeightID) ([]WeightID, bool) {
-	var buf [16]uint64
-	out := scratch[:0]
-	for j, idx := range f.family.Indexes(f.keys.key(slot, value), buf[:0]) {
-		list, ok := f.list(idx)
-		switch {
-		case !ok:
-			return nil, false
-		case j == 0:
-			out = append(out, list...)
-		default:
-			out = intersectSorted(out, list)
-		}
-		if len(out) == 0 {
-			// All bits so far set but no common weight: a hash-collision
-			// artifact; the WBF rejects it where a plain BF would accept.
-			return nil, false
-		}
-	}
-	return out, true
+	return 0, false
 }
 
 // intersectSorted intersects two ascending WeightID slices in place of a,

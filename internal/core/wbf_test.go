@@ -65,11 +65,11 @@ func TestFilterProbeKnownValues(t *testing.T) {
 	f := buildPaperFilter(t, testParams())
 	// Accumulated forms: {1,3,6}, {2,4,6}, {3,7,12}; with Samples=3 and
 	// length 3 every position is sampled.
-	ids, ok := f.probe(0, 1, nil)
+	ids, ok := f.probe(0, 1)
 	if !ok || len(ids) == 0 {
 		t.Fatal("accumulated value 1 at slot 0 should be present")
 	}
-	if _, ok := f.probe(0, 100, nil); ok {
+	if _, ok := f.probe(0, 100); ok {
 		t.Fatal("value 100 should be absent")
 	}
 }
@@ -113,8 +113,8 @@ func TestFilterRoundTripThroughParts(t *testing.T) {
 	// over a sweep covering present and absent values.
 	for slot := 0; slot < 3; slot++ {
 		for v := int64(0); v < 40; v++ {
-			wa, oka := f.probe(slot, v, nil)
-			wb, okb := g.probe(slot, v, nil)
+			wa, oka := f.probe(slot, v)
+			wb, okb := g.probe(slot, v)
 			if oka != okb || !slices.Equal(wa, wb) {
 				t.Fatalf("probe(%d,%d) diverged after round trip: %v,%v vs %v,%v", slot, v, wa, oka, wb, okb)
 			}

@@ -160,3 +160,33 @@ func BenchmarkStationIngest(b *testing.B) {
 		run(b, frames, len(frames), true, false)
 	})
 }
+
+// BenchmarkStationRound is one uncapped search round through handleBatch on
+// the largest station of cityStation's 20 000-person city: the frame's
+// decode, the walk over every resident and the reply's encode. /city is a
+// one-query round, as city_fanout sends each station; /batch16 a 16-query
+// round, as batch_verify sends. Both report ns per resident walked.
+func BenchmarkStationRound(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		queries int
+	}{
+		{"city", 1},
+		{"batch16", 16},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			st, msg := cityStation(b, bc.queries)
+			if _, err := st.handleBatch(msg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.handleBatch(msg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*st.Residents()), "ns/resident")
+		})
+	}
+}
