@@ -33,7 +33,7 @@ func (c *Cluster) searchBF(ctx context.Context, ep *epoch, cfg searchConfig, que
 	out := &Outcome{PerQuery: make(map[QueryID][]Result, len(queries))}
 	msg := wire.EncodeBFQuery(wire.BFQuery{Filter: filter, Params: params, Length: c.length})
 	var reportBytes uint64
-	failed, err := c.fanOut(ctx, ep, msg, &out.Cost, func(reply wire.Message) error {
+	failed, err := c.fanOut(ctx, ep, msg, &out.Cost, func(_ int, reply wire.Message) error {
 		batch, err := wire.DecodeBFMatches(reply)
 		if err != nil {
 			return err

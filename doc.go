@@ -158,8 +158,9 @@
 // per station) over metered links, so a search measures real serialized
 // traffic. The center does three things to a station — disseminate a
 // filter, collect reports, pull raw local patterns — and each exists once:
-// round trips run through fanOut, pulls are a KindDump (exchange.go), and
-// mutations pushed to many stations run through groupedFanOut (place.go).
+// every round trip runs through one exchange (exchange.go), which hands
+// each reply to its caller as it lands, pulls are a KindDump, and every
+// ingest and evict is one mutate (membership.go).
 // The rest: cluster.go (the type, its construction), membership.go
 // (lifecycle, the one join path), stats.go, search.go, wbf.go (the
 // DI-matching pipeline), route.go (the one pruning pass), baselines.go (BF,

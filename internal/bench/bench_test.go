@@ -123,6 +123,9 @@ func TestConvergenceShape(t *testing.T) {
 	}
 }
 
+// TestFigure4SmallSweep runs the sweep at toy scale. Figure4 fails when a
+// repeated search ships other bytes or returns another answer than the
+// first, so a pass also holds every repeat to the first search's values.
 func TestFigure4SmallSweep(t *testing.T) {
 	points, err := Figure4(context.Background(), Figure4Config{
 		Persons:       1500,

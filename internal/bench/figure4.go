@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"reflect"
+	"slices"
 	"time"
 
 	"dimatch"
@@ -62,12 +64,16 @@ func (c Figure4Config) withDefaults() Figure4Config {
 	return c
 }
 
+// figure4Repeats is how many times each strategy searches at each point.
+const figure4Repeats = 5
+
 // Figure4Point is one x-position of Figures 4a-4d: every strategy's
 // precision, time, communication and storage at one query-batch size.
 type Figure4Point struct {
 	Patterns  int
 	Precision map[dimatch.Strategy]float64
-	Elapsed   map[dimatch.Strategy]time.Duration
+	// Elapsed is the median of figure4Repeats searches on the warm cluster.
+	Elapsed map[dimatch.Strategy]time.Duration
 	// BytesUp is station->center traffic; BytesDissemination is one copy
 	// of the query message (broadcast-effective downlink).
 	BytesUp            map[dimatch.Strategy]uint64
@@ -156,11 +162,25 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 			CenterStorage:      make(map[dimatch.Strategy]uint64, 3),
 		}
 		for _, strat := range figure4Strategies {
-			out, err := cl.Search(ctx, queries, dimatch.WithStrategy(strat))
-			if err != nil {
-				return nil, err
+			// Bytes and precision are the first search's, and every repeat
+			// must ship the same bytes and give the same answer.
+			var out *dimatch.Outcome
+			elapsed := make([]time.Duration, figure4Repeats)
+			for i := range elapsed {
+				o, err := cl.Search(ctx, queries, dimatch.WithStrategy(strat))
+				if err != nil {
+					return nil, err
+				}
+				if out == nil {
+					out = o
+				} else if o.Cost.BytesUp != out.Cost.BytesUp || o.Cost.BytesDown != out.Cost.BytesDown ||
+					o.Cost.CenterStorageBytes != out.Cost.CenterStorageBytes || !reflect.DeepEqual(o.PerQuery, out.PerQuery) {
+					return nil, fmt.Errorf("bench: %v at %d patterns: repeat %d differs from the first search", strat, a, i)
+				}
+				elapsed[i] = o.Cost.Elapsed
 			}
-			point.Elapsed[strat] = out.Cost.Elapsed
+			slices.Sort(elapsed)
+			point.Elapsed[strat] = elapsed[len(elapsed)/2]
 			point.BytesUp[strat] = out.Cost.BytesUp
 			point.BytesDissemination[strat] = out.Cost.BytesDown / uint64(cl.Stations())
 			point.CenterStorage[strat] = out.Cost.CenterStorageBytes

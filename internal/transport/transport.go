@@ -106,13 +106,15 @@ func (l *chanLink) Send(m wire.Message) error {
 		return ErrClosed
 	default:
 	}
+	// Counted before the hand-over, which may let the peer's reply end a
+	// round trip whose caller reads the meter; a racing close may count it.
+	l.meter.Add(len(frame))
 	select {
 	case <-l.done:
 		return ErrClosed
 	case <-l.peerDone:
 		return ErrClosed
 	case l.out <- frame:
-		l.meter.Add(len(frame))
 		return nil
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -84,7 +85,6 @@ func (c *Cluster) Shutdown() error {
 
 	var stopWg sync.WaitGroup
 	for _, m := range toStop {
-		m := m
 		stopWg.Add(1)
 		go func() {
 			defer stopWg.Done()
@@ -133,50 +133,47 @@ func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[Per
 		in.Locals[i] = pat
 		share.bytes += wire.RowSize(p, pat)
 	}
-	return c.ingest(ctx, stationID, in, share, true)
+	placed := c.touchesPlaced(in.Persons)
+	c.mu.Lock()
+	if c.ep.find(stationID) >= 0 {
+		c.addressed[stationID] = true
+	}
+	if placed {
+		c.invalidateLayoutLocked()
+	}
+	c.mu.Unlock()
+	_, err = c.ingest(ctx, "ingest", in, map[uint32]rowShare{stationID: share})
+	return err
 }
 
-// ingest carries one ingest exchange of the rows of in that share lists
-// (every row when its index is nil), person-ascending and of the cluster's
-// length, in a frame sized from the share's bytes: Ingest's, and the
-// grouped copies Place and reconciliation push from one shared row set with
-// addressed false, which leaves the station unaddressed. An addressed
-// ingest passes every row.
-func (c *Cluster) ingest(ctx context.Context, stationID uint32, in wire.Ingest, share rowShare, addressed bool) error {
-	index := share.index
-	if len(in.Persons) == 0 || index != nil && len(index) == 0 {
-		return nil
-	}
-	if addressed {
-		placed := c.touchesPlaced(in.Persons)
-		c.mu.Lock()
-		if c.ep.find(stationID) >= 0 {
-			c.addressed[stationID] = true
+// ingest is the one ingest path, Ingest's and the grouped copies of Place
+// and reconciliation (which leave the stations unaddressed), over mutate:
+// each station of perStation gets the rows of in (person-ascending, of the
+// cluster's length) that its share lists, every row for a nil index, in a
+// frame sized from the share's bytes.
+func (c *Cluster) ingest(ctx context.Context, what string, in wire.Ingest, perStation map[uint32]rowShare) (map[uint32]bool, error) {
+	ids := stationsOf(perStation)
+	return c.mutate(ctx, ids, what, func(i int) (wire.Message, error) {
+		share := perStation[ids[i]]
+		payload, err := wire.AppendSizedIngestPayload(nil, in, share.index, share.bytes)
+		return wire.Message{Kind: wire.KindIngest, Payload: payload}, err
+	}, func(i int, err error) {
+		if err != nil {
+			// The exchange failed, but the frame may still have been
+			// delivered and applied (a lost reply, a deadline while awaiting
+			// it). A cached digest missing an applied ingest would prune the
+			// station away from its new residents — the one staleness
+			// direction that loses recall — so the slot is invalidated on the
+			// error path too.
+			c.summaries.invalidate(ids[i])
+		} else {
+			// The station's routing summary grew: delta-update the cached
+			// digest (Bloom inserts are monotone) so routed searches keep
+			// pruning without a refresh round trip. See
+			// summaryCache.noteIngest for the staleness contract.
+			c.summaries.noteIngest(ids[i], in.Locals, perStation[ids[i]].index)
 		}
-		if placed {
-			c.invalidateLayoutLocked()
-		}
-		c.mu.Unlock()
-	}
-	payload, err := wire.AppendSizedIngestPayload(nil, in, index, share.bytes)
-	if err != nil {
-		return err
-	}
-	if err := c.mutate(ctx, stationID, wire.Message{Kind: wire.KindIngest, Payload: payload}); err != nil {
-		// The exchange failed, but the frame may still have been delivered
-		// and applied (a lost reply, a deadline while awaiting it). A cached
-		// digest missing an applied ingest would prune the station away
-		// from its new residents — the one staleness direction that loses
-		// recall — so the slot is invalidated on the error path too.
-		c.summaries.invalidate(stationID)
-		return err
-	}
-	// The station's routing summary grew: delta-update the cached digest
-	// (Bloom inserts are monotone) so routed searches keep pruning without
-	// a refresh round trip. See summaryCache.noteIngest for the staleness
-	// contract.
-	c.summaries.noteIngest(stationID, in.Locals, index)
-	return nil
+	})
 }
 
 // Evict removes residents from one station — expired retention windows,
@@ -189,63 +186,92 @@ func (c *Cluster) Evict(ctx context.Context, stationID uint32, persons []PersonI
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if c.touchesPlaced(persons) {
-		c.invalidateLayout()
-	}
-	return c.evict(ctx, stationID, persons)
-}
-
-// evict is Evict for the placement paths, which keep the layout themselves.
-func (c *Cluster) evict(ctx context.Context, stationID uint32, persons []PersonID) error {
 	if len(persons) == 0 {
 		return nil
 	}
-	if err := c.mutate(ctx, stationID, wire.EncodeEvict(wire.Evict{Persons: persons})); err != nil {
-		return err
+	if c.touchesPlaced(persons) {
+		c.invalidateLayout()
 	}
-	// Bloom digests cannot delete: drop the cached summary and let the next
-	// routed search refetch. Keeping the stale digest would only waste
-	// probes, but it would also never shrink.
-	c.summaries.invalidate(stationID)
-	return nil
+	_, err := c.evict(ctx, "evict", map[uint32][]PersonID{stationID: persons})
+	return err
 }
 
-// mutate runs one mutation exchange against a member station. The station
-// answers with its figures after the mutation, which replace the member's
-// entry in c.figures while the same link still serves the id. Concurrent
-// mutations hand their replies over in any order, so a reply older (by Seq)
-// than the recorded one is dropped.
-func (c *Cluster) mutate(ctx context.Context, id uint32, msg wire.Message) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClusterClosed
-	}
-	i := c.ep.find(id)
-	if i < 0 {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: station %d", ErrUnknownStation, id)
-	}
-	mux := c.ep.muxes[i]
-	c.mu.Unlock()
-
-	reply, err := mux.Roundtrip(ctx, msg)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return fmt.Errorf("%w: %w", ErrCancelled, ctxErr)
+// evict is the one evict path, Evict's and the grouped evicts of Unplace
+// and reconciliation (which keep the layout themselves), over mutate.
+func (c *Cluster) evict(ctx context.Context, what string, perStation map[uint32][]PersonID) (map[uint32]bool, error) {
+	ids := stationsOf(perStation)
+	return c.mutate(ctx, ids, what, func(i int) (wire.Message, error) {
+		return wire.EncodeEvict(wire.Evict{Persons: perStation[ids[i]]}), nil
+	}, func(i int, err error) {
+		if err == nil {
+			// Bloom digests cannot delete: drop the cached summary and let
+			// the next routed search refetch. Keeping the stale digest would
+			// only waste probes, but it would also never shrink.
+			c.summaries.invalidate(ids[i])
 		}
-		return fmt.Errorf("cluster: station %d: %w", id, err)
+	})
+}
+
+// stationsOf returns the stations of perStation ascending.
+func stationsOf[T any](perStation map[uint32]T) []uint32 {
+	ids := make([]uint32, 0, len(perStation))
+	for id := range perStation {
+		ids = append(ids, id)
 	}
-	sr, err := wire.DecodeStatsReply(reply)
-	if err != nil {
-		return fmt.Errorf("cluster: station %d: %w", id, err)
-	}
+	slices.Sort(ids)
+	return ids
+}
+
+// mutate is the one mutation exchange: each station ids[i] (ascending) of
+// the current epoch gets frame(i), and landed hears its outcome as it
+// lands. A station answers with its figures, which replace its c.figures
+// entry while the same link serves the id, unless older (by Seq) than the
+// recorded reply. It returns the failed stations, and ErrClusterClosed or
+// each failure as "what station N: …" in station order, wrapping
+// ErrUnknownStation or, once ctx has ended, ErrCancelled.
+func (c *Cluster) mutate(ctx context.Context, ids []uint32, what string, frame func(i int) (wire.Message, error), landed func(i int, err error)) (failed map[uint32]bool, err error) {
 	c.mu.Lock()
-	if i := c.ep.find(id); i >= 0 && c.ep.muxes[i] == mux && sr.Seq >= c.figures[id].Seq {
-		c.figures[id] = sr
-	}
+	closed, ep := c.closed, c.ep
 	c.mu.Unlock()
-	return nil
+	muxes := make([]*transport.Mux, len(ids))
+	for i, id := range ids {
+		if j := ep.find(id); j >= 0 {
+			muxes[i] = ep.muxes[j]
+		}
+	}
+	failed = make(map[uint32]bool)
+	errs := make([]error, len(ids))
+	exchange(ctx, muxes, func(i int) (wire.Message, error) {
+		switch {
+		case closed:
+			return wire.Message{}, ErrClusterClosed
+		case muxes[i] == nil:
+			return wire.Message{}, ErrUnknownStation
+		}
+		return frame(i)
+	}, func(i int, reply wire.Message, err error) {
+		var sr wire.StatsReply
+		if err == nil {
+			sr, err = wire.DecodeStatsReply(reply)
+		} else if ctxErr := ctx.Err(); ctxErr != nil {
+			err = fmt.Errorf("%w: %w", ErrCancelled, ctxErr)
+		}
+		if err != nil {
+			failed[ids[i]] = true
+			errs[i] = fmt.Errorf("%s station %d: %w", what, ids[i], err)
+		} else {
+			c.mu.Lock()
+			if j := c.ep.find(ids[i]); j >= 0 && c.ep.muxes[j] == muxes[i] && sr.Seq >= c.figures[ids[i]].Seq {
+				c.figures[ids[i]] = sr
+			}
+			c.mu.Unlock()
+		}
+		landed(i, errs[i])
+	})
+	if closed && len(ids) > 0 {
+		return failed, ErrClusterClosed
+	}
+	return failed, errors.Join(errs...)
 }
 
 // refusalLocked reports why id cannot join right now — a closed cluster or a
@@ -356,25 +382,27 @@ func (c *Cluster) addMemberLocked(id uint32, mux *transport.Mux) {
 
 // handshake is the join exchange every member passes, NewCluster's and
 // AddStation's: one stats round over muxes (parallel to ids), concurrently.
-// It returns each member's reply, or the first refusal in ids order: a
-// member that does not answer, answers in another wire version or holds
-// patterns of a foreign length. The reply says whether the member is
-// addressed and seeds its figures.
+// It returns each member's reply, or the first refusal in ids order
+// whatever order the replies land in: a member that does not answer,
+// answers in another wire version or holds patterns of a foreign length.
+// The reply says whether the member is addressed and seeds its figures.
 func (c *Cluster) handshake(ctx context.Context, ids []uint32, muxes []*transport.Mux) ([]wire.StatsReply, error) {
 	replies := make([]wire.StatsReply, len(ids))
-	for i, r := range roundtripAll(ctx, muxes, wire.StatsMessage()) {
-		err := r.err
-		var sr wire.StatsReply
+	errs := make([]error, len(ids))
+	exchange(ctx, muxes, func(int) (wire.Message, error) { return wire.StatsMessage(), nil }, func(i int, reply wire.Message, err error) {
 		if err == nil {
-			sr, err = wire.DecodeStatsReply(r.reply)
+			replies[i], err = wire.DecodeStatsReply(reply)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("cluster: station %d handshake: %w", ids[i], err)
+			errs[i] = fmt.Errorf("cluster: station %d handshake: %w", ids[i], err)
+		} else if l := replies[i].Length; l != 0 && int(l) != c.length {
+			errs[i] = fmt.Errorf("%w: station %d pattern length %d, cluster is %d", ErrLengthMismatch, ids[i], l, c.length)
 		}
-		if sr.Length != 0 && int(sr.Length) != c.length {
-			return nil, fmt.Errorf("%w: station %d pattern length %d, cluster is %d", ErrLengthMismatch, ids[i], sr.Length, c.length)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		replies[i] = sr
 	}
 	return replies, nil
 }

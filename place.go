@@ -2,7 +2,6 @@ package dimatch
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -428,9 +427,9 @@ func (c *Cluster) place(ctx context.Context, patterns map[PersonID]Pattern, opts
 		refactored = refactored || e.Factor != cfg.replication
 	}
 
-	failed, errs := c.ingestGrouped(ctx, rows, plan.perStation, "place on")
+	failed, err := c.ingest(ctx, "place on", rows, plan.perStation)
 	switch {
-	case len(errs) > 0 || refactored:
+	case err != nil || refactored:
 		c.invalidateLayout()
 	case clean || others == 0:
 		// Every placed person now sits on its Pick set over alive: the
@@ -458,59 +457,7 @@ func (c *Cluster) place(ctx context.Context, patterns map[PersonID]Pattern, opts
 			unplaced = append(unplaced, p)
 		}
 	}
-	return unplaced, errors.Join(errs...)
-}
-
-// groupedFanOut runs one mutation exchange per station concurrently — a
-// heal after a kill must not pay one sequential round trip per surviving
-// station — and reports the stations whose exchange failed, errors in
-// ascending station order.
-func groupedFanOut[T any](perStation map[uint32]T, what string, do func(sid uint32, payload T) error) (failed map[uint32]bool, errs []error) {
-	stations := make([]uint32, 0, len(perStation))
-	for sid := range perStation {
-		stations = append(stations, sid)
-	}
-	slices.Sort(stations)
-
-	perErr := make([]error, len(stations))
-	var wg sync.WaitGroup
-	for i, sid := range stations {
-		i, sid := i, sid
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			perErr[i] = do(sid, perStation[sid])
-		}()
-	}
-	wg.Wait()
-
-	failed = make(map[uint32]bool)
-	for i, sid := range stations {
-		if perErr[i] != nil {
-			failed[sid] = true
-			errs = append(errs, fmt.Errorf("%s station %d: %w", what, sid, perErr[i]))
-		}
-	}
-	return failed, errs
-}
-
-// ingestGrouped pushes one grouped ingest exchange per target station,
-// through the internal path that leaves the stations unaddressed. rows is
-// person-ascending and of the cluster's length, and every station's frame is
-// encoded from it through the station's ascending index list, sized from
-// its share's bytes.
-func (c *Cluster) ingestGrouped(ctx context.Context, rows wire.Ingest, perStation map[uint32]rowShare, what string) (failed map[uint32]bool, errs []error) {
-	return groupedFanOut(perStation, what, func(sid uint32, share rowShare) error {
-		return c.ingest(ctx, sid, rows, share, false)
-	})
-}
-
-// evictGrouped is ingestGrouped's counterpart: one concurrent evict
-// exchange per station.
-func (c *Cluster) evictGrouped(ctx context.Context, perStation map[uint32][]PersonID, what string) (failed map[uint32]bool, errs []error) {
-	return groupedFanOut(perStation, what, func(sid uint32, persons []PersonID) error {
-		return c.evict(ctx, sid, persons)
-	})
+	return unplaced, err
 }
 
 // Unplace releases persons from automatic placement: their copies are
@@ -518,7 +465,10 @@ func (c *Cluster) evictGrouped(ctx context.Context, perStation map[uint32][]Pers
 // Persons that were never placed are ignored. On a failed eviction the table
 // keeps the affected persons (their copies may still exist, so the
 // replica-aware dedup must stay in force) and the error is returned; calling
-// Unplace again retries.
+// Unplace again retries. A station that is down or removed while Unplace
+// runs keeps its copy in its store (a WAL keeps it across restarts) and
+// serves it again, unmanaged, after it rejoins: unplace before removing a
+// station, or clear its WAL before re-adding it.
 func (c *Cluster) Unplace(ctx context.Context, persons []PersonID) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -548,10 +498,10 @@ func (c *Cluster) Unplace(ctx context.Context, persons []PersonID) error {
 	for _, sid := range alive {
 		perStation[sid] = placed
 	}
-	if _, errs := c.evictGrouped(ctx, perStation, "unplace on"); len(errs) > 0 {
+	if _, err := c.evict(ctx, "unplace on", perStation); err != nil {
 		// Some copies of the kept persons may be gone: their replicas differ.
 		c.invalidateLayout()
-		return errors.Join(errs...)
+		return err
 	}
 	for _, p := range placed {
 		t.Remove(p)
@@ -614,28 +564,22 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 		return report, ErrNoAliveStations
 	}
 
-	// Pull the placed persons' copies from every alive station.
-	results := roundtripAll(ctx, muxes, wire.EncodeDump(wire.Dump{Persons: keys}))
-	if err := ctx.Err(); err != nil {
-		c.invalidateLayout()
-		return report, fmt.Errorf("%w: %w", ErrCancelled, err)
-	}
-
-	// holders[p] are the stations holding p's current copy, stale[p] those
-	// holding any other.
+	// Pull the placed persons' copies from every alive station, folding
+	// each reply as it lands. holders[p] are the stations holding p's
+	// current copy, stale[p] those holding any other.
 	holders := make(map[PersonID]map[uint32]bool, len(intents))
 	stale := make(map[PersonID]map[uint32]bool)
 	copies := make(map[PersonID]Pattern, len(intents))
 	pulledAll := true
-	for i, r := range results {
-		if r.err != nil {
-			pulledAll = false
-			continue
+	pull := wire.EncodeDump(wire.Dump{Persons: keys})
+	exchange(ctx, muxes, func(int) (wire.Message, error) { return pull, nil }, func(i int, r wire.Message, err error) {
+		var reply wire.DumpReply
+		if err == nil {
+			reply, err = wire.DecodeDumpReply(r)
 		}
-		reply, err := wire.DecodeDumpReply(r.reply)
 		if err != nil {
 			pulledAll = false
-			continue
+			return
 		}
 		for j, p := range reply.Persons {
 			e, placed := intents[p]
@@ -657,6 +601,10 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 			}
 			hs[alive[i]] = true
 		}
+	})
+	if err := ctx.Err(); err != nil {
+		c.invalidateLayout()
+		return report, fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
 
 	// Plan the moves: every person's targets are recomputed from scratch, so
@@ -703,33 +651,31 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	// Copied/Removed count completed work, not the plan: a partially failed
 	// pass must not report healing that never happened. Both phases fan out
 	// concurrently, one grouped exchange per station.
-	failedAdds, errs := c.ingestGrouped(ctx, rows, adds, "re-replicate to")
+	failedAdds, err := c.ingest(ctx, "re-replicate to", rows, adds)
 	for sid, share := range adds {
 		if !failedAdds[sid] {
 			report.Copied += len(share.index)
 		}
 	}
 	// A failed ingest (a stale plan) or fence keeps the extra copies.
-	if len(errs) == 0 && len(dels) > 0 {
-		if err := c.fenceMoves(ctx); err != nil {
-			errs = []error{err}
-		}
+	if err == nil && len(dels) > 0 {
+		err = c.fenceMoves(ctx)
 	}
-	if len(errs) == 0 {
-		failedDels, delErrs := c.evictGrouped(ctx, dels, "rebalance evict on")
-		errs = delErrs
+	if err == nil {
+		var failedDels map[uint32]bool
+		failedDels, err = c.evict(ctx, "rebalance evict on", dels)
 		for sid, ps := range dels {
 			if !failedDels[sid] {
 				report.Removed += len(ps)
 			}
 		}
 	}
-	if len(errs) == 0 && pulledAll && report.Lost == 0 {
+	if err == nil && pulledAll && report.Lost == 0 {
 		c.recordLayout(gen, alive)
 	} else {
 		c.invalidateLayout()
 	}
-	return report, errors.Join(errs...)
+	return report, err
 }
 
 // moveFence is the grace period between a pass's copies and its evicts. A

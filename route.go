@@ -232,22 +232,19 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 			fetchMuxes = append(fetchMuxes, ep.muxes[i])
 		}
 	}
+	// Each digest is installed as it lands (put drops a stale one).
 	req := wire.SummaryMessage()
-	fetched := roundtripAll(ctx, fetchMuxes, req)
-	if ctx.Err() != nil {
-		return all // cancelled mid-refresh: the round itself will surface it
-	}
-	for fi, r := range fetched {
-		if r.err != nil {
-			continue // unreachable: the member stays unpruned
-		}
-		sr, err := wire.DecodeSummaryReply(r.reply)
+	exchange(ctx, fetchMuxes, func(int) (wire.Message, error) { return req, nil }, func(fi int, reply wire.Message, err error) {
 		if err != nil {
-			continue // corruption must never prune
+			return // unreachable: the member stays unpruned
+		}
+		sr, err := wire.DecodeSummaryReply(reply)
+		if err != nil {
+			return // corruption must never prune
 		}
 		sum, err := index.FromParts(int(sr.Length), sr.Seed, sr.Words, sr.Bits, int(sr.Hashes), sr.Inserted)
 		if err != nil {
-			continue
+			return
 		}
 		i := fetchIdx[fi]
 		slots[i].sum = sum
@@ -257,7 +254,10 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 		// the search's dissemination/report totals.
 		cost.SummaryRefreshes++
 		cost.SummaryBytesDown += uint64(req.EncodedSize())
-		cost.SummaryBytesUp += uint64(r.reply.EncodedSize())
+		cost.SummaryBytesUp += uint64(reply.EncodedSize())
+	})
+	if ctx.Err() != nil {
+		return all // cancelled mid-refresh: the round itself will surface it
 	}
 
 	// The inclusion pass: one flat scan of the members' digests, under the

@@ -294,7 +294,7 @@ func (c *Cluster) sendRound(ctx context.Context, ep *epoch, s *wbfSearch, from, 
 	if err != nil {
 		return err
 	}
-	failed, err := c.fanOut(ctx, ep, batchMsg, &s.out.Cost, func(reply wire.Message) error {
+	failed, err := c.fanOut(ctx, ep, batchMsg, &s.out.Cost, func(_ int, reply wire.Message) error {
 		s.reportBytes += uint64(reply.EncodedSize())
 		if err := decodeRoundReply(&s.reply, reply, len(s.ids)); err != nil {
 			return err
