@@ -53,6 +53,9 @@ type epoch struct {
 	muxes   []*transport.Mux
 }
 
+// up reports whether member i's link is up: its mux has not failed.
+func (ep *epoch) up(i int) bool { return ep.muxes[i].Err() == nil }
+
 // find returns the index of id in the epoch's membership, or -1.
 func (ep *epoch) find(id uint32) int {
 	i := sort.Search(len(ep.ids), func(i int) bool { return ep.ids[i] >= id })
@@ -78,10 +81,9 @@ type Cluster struct {
 	length int
 
 	mu     sync.Mutex
-	ep     *epoch          // dimatch:guardedby mu — searches pin a snapshot via pinEpoch, never read this live
-	epochs uint64          // dimatch:guardedby mu — version counter feeding ep.version
-	dead   map[uint32]bool // dimatch:guardedby mu
-	closed bool            // dimatch:guardedby mu
+	ep     *epoch // dimatch:guardedby mu — searches pin a snapshot via pinEpoch, never read this live
+	epochs uint64 // dimatch:guardedby mu — version counter feeding ep.version
+	closed bool   // dimatch:guardedby mu
 
 	// placeTab tracks persons under automatic placement (see Place); nil
 	// until the first Place call, so station-addressed clusters pay nothing.
@@ -92,9 +94,10 @@ type Cluster struct {
 
 	// layout is what group routing (route.go) trusts: the sorted alive set
 	// of the last placement that completed, under which every placed person
-	// holds current copies exactly on its Pick set. Membership changes and
-	// failed placement exchanges invalidate it; gen counts invalidations, so
-	// a placement that started before one cannot record over it.
+	// holds current copies exactly on its Pick set, while every station it
+	// names is up (layoutHeldLocked). Joins, removals and failed placement
+	// exchanges invalidate it; gen counts invalidations, so a placement
+	// that started before one cannot record over it.
 	layout placeLayout // dimatch:guardedby mu
 	// addressed marks the members that may hold residents of their own, so
 	// group routing never skips one that admits (route.go). A member is
@@ -267,7 +270,6 @@ func assemble(opts Options, length int, members []Member) (*Cluster, error) {
 	c := &Cluster{
 		opts:      opts,
 		length:    length,
-		dead:      make(map[uint32]bool),
 		addressed: make(map[uint32]bool),
 		figures:   make(map[uint32]wire.StatsReply),
 	}
@@ -404,7 +406,7 @@ func (c *Cluster) leaveSearch(gen uint64) {
 	}
 }
 
-// Stations returns the number of member stations (dead or alive).
+// Stations returns the number of member stations, up or down.
 func (c *Cluster) Stations() int { return len(c.currentEpoch().ids) }
 
 // PatternLength returns the cluster's time-series length.

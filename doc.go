@@ -145,7 +145,8 @@
 // covered by the others, and every membership change triggers a
 // reconciliation pass that re-replicates under-replicated patterns from
 // their surviving current copies and rebalances the ones whose replica
-// groups changed. Rebalance runs a pass on demand and reports
+// groups changed; a member whose link is lost is left out, and the next pass
+// heals around it. Rebalance runs a pass on demand and reports
 // it; Unplace releases persons back to station-addressed management.
 // TestEverySingleKillKeepsResultsAtR2 (internal/cluster's replication tests)
 // pins the resulting guarantee: at replication 2, killing any single

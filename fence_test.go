@@ -265,7 +265,7 @@ func TestRebalanceEvictWaitsForSearches(t *testing.T) {
 	if stationHolds(t, c, x, p) {
 		t.Fatalf("station %d still holds person %d after the heal", x, p)
 	}
-	if _, _, _, _, ok := c.groupView(c.currentEpoch()); !ok {
+	if _, _, _, ok := c.groupView(c.currentEpoch()); !ok {
 		t.Fatal("the heal left the layout unclean")
 	}
 }
@@ -285,7 +285,7 @@ func TestRebalanceFenceTimesOut(t *testing.T) {
 	if !stationHolds(t, c, x, p) {
 		t.Fatalf("the heal evicted person %d from station %d under a search it did not wait for", p, x)
 	}
-	if _, _, _, _, ok := c.groupView(c.currentEpoch()); ok {
+	if _, _, _, ok := c.groupView(c.currentEpoch()); ok {
 		t.Fatal("the layout is clean with the stale copy in place")
 	}
 	openGate(g)
@@ -299,7 +299,7 @@ func TestRebalanceFenceTimesOut(t *testing.T) {
 	if rep.Removed != 1 || rep.Copied != 0 || stationHolds(t, c, x, p) {
 		t.Fatalf("the next Rebalance = %+v, want the stale copy on station %d evicted and nothing copied", rep, x)
 	}
-	if _, _, _, _, ok := c.groupView(c.currentEpoch()); !ok {
+	if _, _, _, ok := c.groupView(c.currentEpoch()); !ok {
 		t.Fatal("the next Rebalance left the layout unclean")
 	}
 }
@@ -345,7 +345,7 @@ func TestRoutedPlanReadsLayoutBeforeDigests(t *testing.T) {
 	if err := <-removed; err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, ok := c.groupView(c.currentEpoch()); !ok {
+	if _, _, _, ok := c.groupView(c.currentEpoch()); !ok {
 		t.Fatal("the heal left the layout unclean")
 	}
 	openGate(digest)

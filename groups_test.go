@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dimatch/internal/placement"
 	"dimatch/internal/transport"
@@ -19,10 +21,12 @@ import (
 
 // failOnceLink is a center-side link that fails the send of the next frame
 // of an armed kind, once; every other frame passes. The exchange fails and
-// the link stays usable.
+// the link stays usable. station is the pipe's other end: closing it loses
+// the link for real, with no call into the cluster.
 type failOnceLink struct {
 	Link
-	armed atomic.Int32 // the armed wire.Kind + 1; 0 when idle
+	station Link
+	armed   atomic.Int32 // the armed wire.Kind + 1; 0 when idle
 }
 
 func (l *failOnceLink) arm(k wire.Kind) { l.armed.Store(int32(k) + 1) }
@@ -57,14 +61,26 @@ func linkStation(t *testing.T, dir string, id uint32, seed map[PersonID]Pattern)
 		defer close(done)
 		_ = st.Serve()
 	}()
-	l := &failOnceLink{Link: center}
+	l := &failOnceLink{Link: center, station: end}
 	return Member{ID: id, Link: l}, l, done
 }
 
+// awaitDown waits until the cluster's mux for member id has failed, as it
+// does once the station's end of the link is closed.
+func awaitDown(t *testing.T, c *Cluster, id uint32) {
+	t.Helper()
+	ep := c.currentEpoch()
+	m := ep.muxes[ep.find(id)]
+	for deadline := time.Now().Add(10 * time.Second); m.Err() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("station %d: the lost link did not fail its mux in 10s", id)
+		}
+	}
+}
+
 // TestGroupPlan pins the group rule on a 6-station ring at R=2: one member
-// per candidate group, addressed admitting members always, a dead member
-// never chosen, and admitting members outside every candidate group
-// skipped.
+// per candidate group, addressed admitting members always, and admitting
+// members outside every candidate group skipped.
 func TestGroupPlan(t *testing.T) {
 	ids := []uint32{1, 2, 3, 4, 5, 6}
 	yes := func(on ...uint32) []bool {
@@ -74,25 +90,22 @@ func TestGroupPlan(t *testing.T) {
 		}
 		return out
 	}
-	allAlive := yes(ids...)
 	for _, tc := range []struct {
 		name      string
 		admits    []bool
 		addressed []bool
-		alive     []bool
 		visit     []uint32
 		groups    [][]uint32
 	}{
-		{"one group", yes(3, 4), yes(), allAlive, []uint32{4}, [][]uint32{{3, 4}}},
-		{"chain shares a member", yes(2, 3, 4), yes(), allAlive, []uint32{3}, [][]uint32{{2, 3}, {3, 4}}},
-		{"wraps around", yes(6, 1), yes(), allAlive, []uint32{1}, [][]uint32{{6, 1}}},
-		{"lone admit is no group", yes(2, 5), yes(), allAlive, nil, nil},
-		{"addressed covers", yes(3, 4), yes(3), allAlive, []uint32{3}, [][]uint32{{3, 4}}},
-		{"addressed outside groups", yes(1, 3, 4), yes(1), allAlive, []uint32{1, 4}, [][]uint32{{3, 4}}},
-		{"dead member skipped", yes(3), yes(), yes(1, 2, 3, 5, 6), []uint32{3}, [][]uint32{{3}}},
+		{"one group", yes(3, 4), yes(), []uint32{4}, [][]uint32{{3, 4}}},
+		{"chain shares a member", yes(2, 3, 4), yes(), []uint32{3}, [][]uint32{{2, 3}, {3, 4}}},
+		{"wraps around", yes(6, 1), yes(), []uint32{1}, [][]uint32{{6, 1}}},
+		{"lone admit is no group", yes(2, 5), yes(), nil, nil},
+		{"addressed covers", yes(3, 4), yes(3), []uint32{3}, [][]uint32{{3, 4}}},
+		{"addressed outside groups", yes(1, 3, 4), yes(1), []uint32{1, 4}, [][]uint32{{3, 4}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			visit, groups := groupPlan(ids, tc.admits, tc.addressed, tc.alive, ids, 2)
+			visit, groups := groupPlan(ids, tc.admits, tc.addressed, ids, 2)
 			var got []uint32
 			for _, i := range visit {
 				got = append(got, ids[i])
@@ -197,6 +210,123 @@ func restartStationAround(t *testing.T, c *Cluster, dir string, id uint32, betwe
 	between()
 	if err := c.AddStation(ctx, Member{ID: id, Store: openWAL(t, dir, id)}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLinkLossHealsLikeKill runs twins over 16 pipe-linked stations with
+// 400 persons placed at R=2: one kills station 3, the other closes the
+// station's end of its link, which nothing reports to the cluster, and then
+// rebalances once. The lost link must be healed as the kill is: the same
+// copies pushed, R current copies of every placed person on the members
+// still up, a clean layout, one failed member in Stats, and a routed point
+// search that costs and answers what it does after the kill.
+func TestLinkLossHealsLikeKill(t *testing.T) {
+	ctx := context.Background()
+	const length, r, victim = 4, 2, 3
+	rng := rand.New(rand.NewSource(1))
+	placed := make(map[PersonID]Pattern, 400)
+	for p := PersonID(1); p <= 400; p++ {
+		pat := make(Pattern, length)
+		for i := range pat {
+			pat[i] = 1 + rng.Int63n(1000)
+		}
+		placed[p] = pat
+	}
+	// held is every member's store whose link is up, by station.
+	held := func(c *Cluster) map[uint32]map[PersonID]Pattern {
+		ids, _ := c.aliveMembers()
+		out := make(map[uint32]map[PersonID]Pattern, len(ids))
+		for _, id := range ids {
+			out[id] = dumpStation(t, c, id)
+		}
+		return out
+	}
+	twin := func(sever bool) (copied int, out *Outcome) {
+		var members []Member
+		var victimLink *failOnceLink
+		for id := uint32(1); id <= 16; id++ {
+			m, l, _ := linkStation(t, "", id, nil)
+			members = append(members, m)
+			if id == victim {
+				victimLink = l
+			}
+		}
+		c, err := NewCluster(placedOptions(), length, members...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Shutdown() })
+		if err := c.Place(ctx, placed, WithReplication(r)); err != nil {
+			t.Fatal(err)
+		}
+		before := held(c)
+		if sever {
+			_ = victimLink.station.Close()
+			awaitDown(t, c, victim)
+			rep, err := c.Rebalance(ctx)
+			if err != nil {
+				t.Fatalf("rebalance after the link loss: %v", err)
+			}
+			copied = rep.Copied
+		} else {
+			if err := c.KillStation(victim); err != nil {
+				t.Fatal(err)
+			}
+			// The kill's own pass reports nothing: count the copies it
+			// left on the survivors that they did not hold before.
+			for id, got := range held(c) {
+				for p, pat := range got {
+					if !before[id][p].Equal(pat) {
+						copied++
+					}
+				}
+			}
+		}
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.StationsFailed != 1 || len(st.Stations) != 15 {
+			t.Fatalf("sever %v: Stats counts %d failed and %d up, want 1 and 15", sever, st.StationsFailed, len(st.Stations))
+		}
+		copies := make(map[PersonID]int, len(placed))
+		for _, got := range held(c) {
+			for p, pat := range got {
+				if placed[p].Equal(pat) {
+					copies[p]++
+				}
+			}
+		}
+		for p := range placed {
+			if copies[p] != r {
+				t.Fatalf("sever %v: person %d has %d current copies on up members, want %d", sever, p, copies[p], r)
+			}
+		}
+		if _, _, _, clean := c.placementView(); !clean {
+			t.Fatalf("sever %v: the layout is not clean after the heal", sever)
+		}
+		out, err = c.Search(ctx, []Query{{ID: 1, Locals: []Pattern{placed[42]}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return copied, out
+	}
+	killCopied, killed := twin(false)
+	severCopied, severed := twin(true)
+	if killCopied == 0 || severCopied != killCopied {
+		t.Fatalf("the heal copied %d after the link loss, %d after the kill", severCopied, killCopied)
+	}
+	if severed.Cost.MessagesUp != killed.Cost.MessagesUp || severed.Cost.MessagesDown != killed.Cost.MessagesDown ||
+		severed.Cost.StationsPruned != killed.Cost.StationsPruned || severed.Cost.StationsFailed != killed.Cost.StationsFailed {
+		t.Fatalf("routed search after the link loss: %d up, %d down, %d pruned, %d failed; after the kill: %d, %d, %d, %d",
+			severed.Cost.MessagesUp, severed.Cost.MessagesDown, severed.Cost.StationsPruned, severed.Cost.StationsFailed,
+			killed.Cost.MessagesUp, killed.Cost.MessagesDown, killed.Cost.StationsPruned, killed.Cost.StationsFailed)
+	}
+	if !reflect.DeepEqual(severed.PerQuery, killed.PerQuery) {
+		t.Fatalf("answers differ: after the link loss %+v, after the kill %+v", severed.PerQuery, killed.PerQuery)
+	}
+	if !slices.ContainsFunc(killed.PerQuery[1], func(res Result) bool { return res.Person == 42 && res.Score() == 1 }) {
+		t.Fatalf("person 42 not found: %+v", killed.PerQuery[1])
 	}
 }
 
@@ -339,17 +469,20 @@ func groupRoutingTrial(t *testing.T, seed int64) {
 		}
 	})
 
-	current := make(map[PersonID]Pattern) // placed persons
-	var stale []Pattern                   // superseded patterns
+	current := make(map[PersonID]Pattern)    // placed persons
+	var stale []Pattern                      // superseded patterns
+	versions := make(map[PersonID][]Pattern) // every pattern placed per person
 	removed := make(map[uint32]bool)
 	// Unplace evicts from the alive stations only, so a station that was
 	// down or removed keeps its copy and brings it back when it rejoins: a
-	// fault not mended yet. The store check accepts such a copy.
+	// fault not mended yet. That copy is whichever version last reached the
+	// station, a superseded one when an upsert's push to it failed. The store
+	// check accepts such a copy.
 	type copyOn struct {
 		station uint32
 		person  PersonID
 	}
-	strays := make(map[copyOn]Pattern)
+	strays := make(map[copyOn][]Pattern)
 	fresh := uint32(100) // the next never-used station ID
 	aliveIDs := func() []uint32 {
 		ids, _ := c.aliveMembers()
@@ -360,7 +493,7 @@ func groupRoutingTrial(t *testing.T, seed int64) {
 		return slices.DeleteFunc(slices.Clone(ids), func(id uint32) bool { return len(addressed[id]) == 0 })
 	}
 	cleanLayout := func() bool {
-		_, _, _, _, ok := c.groupView(c.currentEpoch())
+		_, _, _, ok := c.groupView(c.currentEpoch())
 		return ok
 	}
 	var what string // the current operation
@@ -407,7 +540,7 @@ func groupRoutingTrial(t *testing.T, seed int64) {
 	clean := 0
 	for step := 0; step < 40; step++ {
 		alive, all := aliveIDs(), c.currentEpoch().ids
-		op := rng.Intn(12)
+		op := rng.Intn(13)
 		fault := false
 		arm := func(k wire.Kind) {
 			links[pick(alive)].arm(k)
@@ -416,7 +549,7 @@ func groupRoutingTrial(t *testing.T, seed int64) {
 		// A membership change's heal, or a rebalance, may fail one pull,
 		// push or evict.
 		healKinds := []wire.Kind{wire.KindDump, wire.KindIngest, wire.KindEvict}
-		if op >= 3 && op != 6 && op != 7 && rng.Intn(3) == 0 {
+		if op >= 3 && op != 6 && op != 7 && op != 11 && rng.Intn(3) == 0 {
 			arm(healKinds[rng.Intn(len(healKinds))])
 		}
 		switch {
@@ -436,6 +569,7 @@ func groupRoutingTrial(t *testing.T, seed int64) {
 			for p, pat := range batch {
 				if !slices.Contains(unplaced, p) {
 					current[p] = pat
+					versions[p] = append(versions[p], pat)
 				}
 			}
 			what = fmt.Sprintf("place %v", sortedKeys(batch))
@@ -448,7 +582,7 @@ func groupRoutingTrial(t *testing.T, seed int64) {
 			if err := c.Unplace(ctx, []PersonID{p}); err == nil {
 				for _, id := range append(sortedKeys(removed), all...) {
 					if !slices.Contains(alive, id) {
-						strays[copyOn{id, p}] = current[p]
+						strays[copyOn{id, p}] = versions[p]
 					}
 				}
 				stale = append(stale, current[p])
@@ -500,6 +634,16 @@ func groupRoutingTrial(t *testing.T, seed int64) {
 				}
 				must(c.AddStation(ctx, join(id, seedPats)))
 			})
+		case op == 11 && len(alive) > 3:
+			// A member's link is lost for real: nothing tells the cluster,
+			// which leaves the member out once its mux fails, like a kill,
+			// and heals around it on the next rebalance or membership change.
+			id := pick(alive)
+			what = fmt.Sprintf("sever %d", id)
+			beside(fault, func() {
+				_ = links[id].station.Close()
+				awaitDown(t, c, id)
+			})
 		case op == 6:
 			// Mostly onto a station already addressed, so that most stay
 			// unaddressed and the group rule keeps skipping them.
@@ -539,7 +683,7 @@ func groupRoutingTrial(t *testing.T, seed int64) {
 				}
 				got := dumpStation(t, c, id)
 				for p, pat := range got {
-					if _, ok := want[p]; !ok && strays[copyOn{id, p}].Equal(pat) {
+					if _, ok := want[p]; !ok && slices.ContainsFunc(strays[copyOn{id, p}], pat.Equal) {
 						want[p] = pat
 					}
 				}

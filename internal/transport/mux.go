@@ -19,7 +19,8 @@ import (
 type Mux struct {
 	link Link
 
-	sendMu sync.Mutex // serializes frames onto the link
+	sendMu    sync.Mutex // serializes frames onto the link
+	closeOnce sync.Once  // the link is closed once, however often Close runs
 
 	mu      sync.Mutex
 	pending map[uint32]chan wire.Message // dimatch:guardedby mu
@@ -173,10 +174,10 @@ func (m *Mux) Err() error {
 	return m.err
 }
 
-// Close closes the underlying link and fails every pending and future
-// exchange with ErrClosed.
-func (m *Mux) Close() error {
-	err := m.link.Close()
+// Close closes the underlying link, on the first call only, and fails every
+// pending and future exchange with ErrClosed.
+func (m *Mux) Close() (err error) {
+	m.closeOnce.Do(func() { err = m.link.Close() })
 	m.fail(ErrClosed)
 	return err
 }

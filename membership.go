@@ -13,15 +13,16 @@ import (
 	"dimatch/internal/wire"
 )
 
-// KillStation severs one station's link, simulating a failure. The station
-// stays a member — the data center is not told: subsequent (and in-flight)
-// searches discover the failure when their exchange fails and count it in
-// CostReport.StationsFailed. Use RemoveStation for a deliberate departure.
-//
-// When patterns are placed (see Place), the kill triggers a reconciliation
-// pass: copies the dead station held are re-replicated from their surviving
-// replicas onto the persons' new replica groups, restoring the requested
-// replication factor.
+// KillStation severs one station's link, simulating a failure, and heals
+// around it. The station stays a member, down just as one whose link is
+// lost for real: placement and group routing leave it out, Stats counts it
+// in StationsFailed, and a search that visits it counts it in
+// CostReport.StationsFailed. When patterns are placed (see Place), a
+// reconciliation pass runs before KillStation returns: the station's copies
+// are re-replicated from their surviving replicas, restoring the requested
+// replication factor; a link lost for real gets that pass from the next
+// Rebalance or membership change, or from KillStation, which on a link
+// already down only heals. Use RemoveStation for a deliberate departure.
 func (c *Cluster) KillStation(id uint32) error {
 	c.mu.Lock()
 	i := c.ep.find(id)
@@ -29,12 +30,6 @@ func (c *Cluster) KillStation(id uint32) error {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: station %d", ErrUnknownStation, id)
 	}
-	if c.dead[id] {
-		c.mu.Unlock()
-		return nil
-	}
-	c.invalidateLayoutLocked()
-	c.dead[id] = true
 	err := c.ep.muxes[i].Close()
 	c.mu.Unlock()
 	c.summaries.invalidate(id)
@@ -48,18 +43,21 @@ func (c *Cluster) KillStation(id uint32) error {
 // otherwise block Shutdown or RemoveStation forever.
 const shutdownGrace = 100 * time.Millisecond
 
-// stopMux sends a best-effort shutdown frame — bounded by shutdownGrace and
-// ctx — then closes the mux, which also unblocks any send stalled on it.
+// stopMux sends a member whose link is up a best-effort shutdown frame —
+// bounded by shutdownGrace and ctx — then closes the mux, which also
+// unblocks any send stalled on it and releases a link lost for real.
 func stopMux(ctx context.Context, m *transport.Mux) {
-	sent := make(chan struct{})
-	go func() {
-		_ = m.Send(wire.ShutdownMessage())
-		close(sent)
-	}()
-	select {
-	case <-sent:
-	case <-time.After(shutdownGrace):
-	case <-ctx.Done():
+	if m.Err() == nil {
+		sent := make(chan struct{})
+		go func() {
+			_ = m.Send(wire.ShutdownMessage())
+			close(sent)
+		}()
+		select {
+		case <-sent:
+		case <-time.After(shutdownGrace):
+		case <-ctx.Done():
+		}
 	}
 	_ = m.Close()
 }
@@ -67,20 +65,13 @@ func stopMux(ctx context.Context, m *transport.Mux) {
 // Shutdown stops all stations and waits for their goroutines to exit.
 // Subsequent Search calls return ErrClusterClosed. The cluster lock is not
 // held while frames are sent, so concurrent Search and KillStation calls
-// cannot deadlock against a stalled station; each station gets a bounded
-// grace to accept the shutdown frame, after which its link is closed (which
-// also unblocks any send stalled on it).
+// cannot deadlock against a stalled station; each member whose link is up
+// gets a bounded grace to accept the shutdown frame, after which every link
+// is closed (which also unblocks any send stalled on it).
 func (c *Cluster) Shutdown() error {
 	c.mu.Lock()
 	c.closed = true
-	var toStop []*transport.Mux
-	for i, id := range c.ep.ids {
-		if c.dead[id] {
-			continue
-		}
-		c.dead[id] = true
-		toStop = append(toStop, c.ep.muxes[i])
-	}
+	toStop := c.ep.muxes
 	c.mu.Unlock()
 
 	var stopWg sync.WaitGroup
@@ -309,6 +300,10 @@ func (c *Cluster) refusalLocked(id uint32) error {
 // groups changed — the groups the newcomer joins (and a recovered station
 // is topped up with only what it missed or holds stale), and nothing else
 // moves.
+//
+// Stations do not know which residents are placed copies, so a member whose
+// handshake reports any joins addressed: a durable station rejoining with
+// placed copies only is visited whenever its digest admits (see Unplace).
 func (c *Cluster) AddStation(ctx context.Context, m Member) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -430,9 +425,7 @@ func (c *Cluster) RemoveStation(ctx context.Context, id uint32) error {
 		return fmt.Errorf("%w: station %d", ErrUnknownStation, id)
 	}
 	mux := c.ep.muxes[i]
-	wasDead := c.dead[id]
 	c.invalidateLayoutLocked()
-	delete(c.dead, id)
 	delete(c.addressed, id)
 	delete(c.figures, id)
 	ids := make([]uint32, 0, len(c.ep.ids)-1)
@@ -442,9 +435,7 @@ func (c *Cluster) RemoveStation(ctx context.Context, id uint32) error {
 	c.installEpochLocked(ids, muxes)
 	c.mu.Unlock()
 	c.summaries.invalidate(id)
-	if !wasDead {
-		stopMux(ctx, mux)
-	}
+	stopMux(ctx, mux)
 	c.heal(ctx)
 	return nil
 }

@@ -77,18 +77,32 @@ func (c *Cluster) invalidateLayout() {
 	c.mu.Unlock()
 }
 
-// placementView snapshots what a placement pass works over: the alive
+// placementView snapshots what a placement pass works over: the up
 // members, and the layout generation and validity it started under.
 func (c *Cluster) placementView() (ids []uint32, muxes []*transport.Mux, gen uint64, clean bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, id := range c.ep.ids {
-		if !c.dead[id] {
+		if c.ep.up(i) {
 			ids = append(ids, id)
 			muxes = append(muxes, c.ep.muxes[i])
 		}
 	}
-	return ids, muxes, c.layout.gen, c.layout.ok
+	return ids, muxes, c.layout.gen, c.layoutHeldLocked(c.ep)
+}
+
+// layoutHeldLocked reports whether the recorded layout is clean over ep:
+// recorded, and every station it names a member of ep whose link is up.
+func (c *Cluster) layoutHeldLocked(ep *epoch) bool {
+	if !c.layout.ok {
+		return false
+	}
+	for _, id := range c.layout.ids {
+		if i := ep.find(id); i < 0 || !ep.up(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // recordLayout marks alive as the clean layout, unless an invalidation
@@ -169,7 +183,7 @@ func (c *Cluster) Placed() int {
 	return t.Len()
 }
 
-// aliveMembers snapshots the current epoch's non-dead stations.
+// aliveMembers snapshots the current epoch's members whose link is up.
 func (c *Cluster) aliveMembers() (ids []uint32, muxes []*transport.Mux) {
 	ids, muxes, _, _ = c.placementView()
 	return ids, muxes
@@ -517,8 +531,8 @@ func (c *Cluster) Unplace(ctx context.Context, persons []PersonID) error {
 // placement table recorded at the last Place: a replica that missed an
 // upsert (it was away when the person was placed again) is re-ingested with
 // the current copy, never taken as one. Membership changes trigger this
-// automatically; calling it explicitly is useful after transient failures or
-// to inspect the placement's health.
+// automatically; call it after transient failures or a lost link, or to
+// inspect the placement's health.
 //
 // The pass is conservative: stale copies are only evicted when every missing
 // copy was ingested successfully, so a partially failed pass never reduces a
@@ -613,21 +627,22 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	// the membership grew past a previously clamped factor.
 	// The persons some target lacks form one person-ascending row set,
 	// walked from the sorted keys, so every station's index list ascends.
+	// Pick sets come as in Place: indexes into alive, salted once per pass.
 	var rows wire.Ingest
 	adds := make(map[uint32]rowShare)
 	dels := make(map[uint32][]PersonID)
+	salts := placement.AppendSalts(nil, alive)
+	var targets []uint32
 	for _, p := range keys {
 		pat, ok := copies[p]
 		if !ok {
 			report.Lost++
 			continue
 		}
-		targets := placement.Pick(p, alive, intents[p].Factor)
-		targetSet := make(map[uint32]bool, len(targets))
+		targets = placement.PickIndexes(p, salts, intents[p].Factor, targets[:0])
 		row, size := -1, 0
-		for _, sid := range targets {
-			targetSet[sid] = true
-			if !holders[p][sid] {
+		for _, k := range targets {
+			if sid := alive[k]; !holders[p][sid] {
 				if row < 0 {
 					row, size = len(rows.Persons), wire.RowSize(p, pat)
 					rows.Persons = append(rows.Persons, p)
@@ -641,7 +656,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 		}
 		for _, hs := range []map[uint32]bool{holders[p], stale[p]} {
 			for sid := range hs {
-				if !targetSet[sid] {
+				if !slices.ContainsFunc(targets, func(k uint32) bool { return alive[k] == sid }) {
 					dels[sid] = append(dels[sid], p)
 				}
 			}
@@ -718,9 +733,6 @@ func (c *Cluster) fenceMoves(ctx context.Context) error {
 // Errors are swallowed — reconciliation is idempotent and the next
 // membership change (or an explicit Rebalance) retries.
 func (c *Cluster) heal(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, cancel := context.WithTimeout(ctx, healTimeout)
 	defer cancel()
 	_, _ = c.Rebalance(ctx)

@@ -139,8 +139,8 @@ func (c *summaryCache) state() (entries int, digestBytes uint64) {
 
 // routePlan is planRoute's answer: the members a WBF search visits first
 // and, when the group rule chose them, the candidate replica groups they
-// stand for — each group's alive members, every one of which holds a copy
-// of every person placed on the group.
+// stand for — each group's members, every one of which holds a copy of
+// every person placed on the group.
 type routePlan struct {
 	ep     *epoch
 	groups [][]uint32
@@ -214,7 +214,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 		return all // nothing can prune: skip the summary traffic entirely
 	}
 	// Read before the digests: a heal records its layout after its pushes.
-	layout, r, addressed, alive, grouped := c.groupView(ep)
+	layout, r, addressed, grouped := c.groupView(ep)
 
 	// Collect cached summaries and fetch the missing ones concurrently.
 	// Generations are read before the requests go out (see summaryCache).
@@ -288,7 +288,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	}
 	var groups [][]uint32
 	if grouped {
-		if visit, gs := groupPlan(ep.ids, admits, addressed, alive, layout, r); len(visit) > 0 {
+		if visit, gs := groupPlan(ep.ids, admits, addressed, layout, r); len(visit) > 0 {
 			included, groups = visit, gs
 		}
 	}
@@ -306,48 +306,40 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 
 // groupView snapshots what the group rule needs over the pinned epoch: the
 // clean layout, the factor every placed person shares, and per member
-// whether it is addressed and alive. ok is false — plan without the rule —
-// unless the layout is clean, the factor uniform and at least 2, and every
-// layout station a member of ep.
-func (c *Cluster) groupView(ep *epoch) (layout []uint32, r int, addressed, alive []bool, ok bool) {
+// whether it is addressed. ok is false — plan without the rule — unless the
+// layout is clean over ep (every station it names a member of ep whose link
+// is up) and the factor uniform and at least 2.
+func (c *Cluster) groupView(ep *epoch) (layout []uint32, r int, addressed []bool, ok bool) {
 	c.mu.Lock()
-	t, lay := c.placeTab, c.layout
-	if lay.ok {
+	t, lay, held := c.placeTab, c.layout, c.layoutHeldLocked(ep)
+	if held {
 		addressed = make([]bool, len(ep.ids))
-		alive = make([]bool, len(ep.ids))
 		for i, id := range ep.ids {
 			addressed[i] = c.addressed[id]
-			alive[i] = !c.dead[id]
 		}
 	}
 	c.mu.Unlock()
-	if !lay.ok || t == nil {
-		return nil, 0, nil, nil, false
+	if !held || t == nil {
+		return nil, 0, nil, false
 	}
 	if r, ok = t.Uniform(); !ok || r < 2 {
-		return nil, 0, nil, nil, false
+		return nil, 0, nil, false
 	}
-	for _, id := range lay.ids {
-		if ep.find(id) < 0 {
-			return nil, 0, nil, nil, false
-		}
-	}
-	return lay.ids, r, addressed, alive, true
+	return lay.ids, r, addressed, true
 }
 
 // groupPlan is the group rule. On a clean layout every placed person's
 // copies lie on one replica group — a primary and its r−1 successors over
-// the layout's ring — so a group can hold a match only if every alive
-// member's digest admits (admits, parallel to ids, is the inclusion scan's
-// verdict), and any one alive member answers for it. The plan visits every
+// the layout's ring, every one of them up — so a group can hold a match only
+// if every member's digest admits (admits, parallel to ids, is the inclusion
+// scan's verdict), and any one member answers for it. The plan visits every
 // addressed member that admits (it may hold residents of its own), then
 // walks the candidate groups in ring order and, for each not yet covered by
-// a chosen member, chooses its last alive member, which also covers the
-// next groups along the ring. An admitting member in no candidate group
-// that is not addressed holds no possible match and is skipped. It returns
-// the chosen indexes into ids, ascending, and the candidate groups' alive
-// members.
-func groupPlan(ids []uint32, admits, addressed, alive []bool, layout []uint32, r int) (visit []int, groups [][]uint32) {
+// a chosen member, chooses its last member, which also covers the next
+// groups along the ring. An admitting member in no candidate group that is
+// not addressed holds no possible match and is skipped. It returns the
+// chosen indexes into ids, ascending, and the candidate groups' members.
+func groupPlan(ids []uint32, admits, addressed []bool, layout []uint32, r int) (visit []int, groups [][]uint32) {
 	pos := make([]int, len(layout)) // layout station → index into ids
 	for j, id := range layout {
 		pos[j] = sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
@@ -364,20 +356,17 @@ func groupPlan(ids []uint32, admits, addressed, alive []bool, layout []uint32, r
 	for g := 0; g < starts; g++ {
 		candidate, covered, last := true, false, -1
 		for j := 0; j < w && candidate; j++ {
-			if i := pos[(g+j)%n]; alive[i] {
-				candidate = admits[i]
-				covered = covered || chosen[i]
-				last = i
-			}
+			i := pos[(g+j)%n]
+			candidate = admits[i]
+			covered = covered || chosen[i]
+			last = i
 		}
 		if !candidate || last < 0 {
 			continue
 		}
-		members := make([]uint32, 0, w)
-		for j := 0; j < w; j++ {
-			if i := pos[(g+j)%n]; alive[i] {
-				members = append(members, ids[i])
-			}
+		members := make([]uint32, w)
+		for j := range members {
+			members[j] = ids[pos[(g+j)%n]]
 		}
 		groups = append(groups, members)
 		if !covered {

@@ -66,7 +66,7 @@ var (
 	// id is already taken.
 	ErrStationExists = errors.New("cluster: station already exists")
 	// ErrNoAliveStations is returned by Place and Rebalance when every
-	// member station is dead — there is nowhere to put (or pull) a copy.
+	// member's link is down — there is nowhere to put (or pull) a copy.
 	ErrNoAliveStations = errors.New("cluster: no alive stations")
 	// ErrValueRange is returned by Place, Ingest, Ingestor.Submit,
 	// NewCluster, AddStation and a station's seed for a pattern holding a
@@ -235,7 +235,7 @@ type CostReport struct {
 	// own data) and not what the stations' int32 stores hold. It is the
 	// sum of the figures the stations last reported themselves over the
 	// wire (see Stats), so in-process and link-backed clusters measure the
-	// same figure; a killed station contributes 0.
+	// same figure; a station whose link is down contributes 0.
 	StationRawBytes uint64
 	// Elapsed is the wall-clock search duration.
 	Elapsed time.Duration

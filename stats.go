@@ -37,7 +37,7 @@ func stationStats(id uint32, sr wire.StatsReply) StationStats {
 // ClusterStats is a cluster-wide storage snapshot of the figures the stations
 // report about themselves over the wire: each member's answer to its join
 // handshake, replaced by its answer to every ingest or evict since. Stations
-// appear in ascending-ID order; a member killed by KillStation is counted in
+// appear in ascending-ID order; a member whose link is down is counted in
 // StationsFailed and omitted from Stations.
 type ClusterStats struct {
 	// Epoch is the membership epoch the snapshot belongs to; it advances
@@ -45,7 +45,7 @@ type ClusterStats struct {
 	Epoch uint64
 	// Stations holds the per-station figures, ascending by station ID.
 	Stations []StationStats
-	// StationsFailed counts the members killed by KillStation.
+	// StationsFailed counts the members whose link is down, killed or lost.
 	StationsFailed int
 }
 
@@ -92,10 +92,10 @@ func (c *Cluster) stats(ep *epoch) *ClusterStats {
 	st := &ClusterStats{Epoch: ep.version, Stations: make([]StationStats, 0, len(ep.ids))}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range ep.ids {
+	for i, id := range ep.ids {
 		sr, ok := c.figures[id]
 		switch {
-		case c.dead[id]:
+		case !ep.up(i):
 			st.StationsFailed++
 		case ok:
 			st.Stations = append(st.Stations, stationStats(id, sr))
