@@ -1034,7 +1034,7 @@ func EncodeDumpReply[R pattern.Row[C], C pattern.Cell](d DumpReplyOf[R, C]) (Mes
 		return Message{}, fmt.Errorf("wire: %d persons but %d locals", len(d.Persons), len(d.Locals))
 	}
 	w := writer{buf: make([]byte, 0, rowsSize(d.Persons, d.Locals, nil))}
-	writeRows(&w, d.Persons, d.Locals, nil)
+	writeRows(&w, d.Persons, d.Locals, nil, nil)
 	return Message{Kind: KindDumpReply, Payload: w.buf}, nil
 }
 
@@ -1096,8 +1096,9 @@ func RowSize[R pattern.Row[C], C pattern.Cell](person core.PersonID, row R) int 
 // payload. The values, almost every byte of a bulk load, are written by
 // hand up to three bytes each (binary.AppendUvarint's layout, see
 // rows_test.go) into a local slice, so the loop keeps the buffer in
-// registers instead of storing it back through w per varint.
-func writeRows[R pattern.Row[C], C pattern.Cell](w *writer, persons []core.PersonID, locals []R, rows []int32) {
+// registers instead of storing it back through w per varint. A non-nil each
+// hears the index of every row once its values are written.
+func writeRows[R pattern.Row[C], C pattern.Cell](w *writer, persons []core.PersonID, locals []R, rows []int32, each func(i int)) {
 	count := len(persons)
 	if rows != nil {
 		count = len(rows)
@@ -1121,6 +1122,9 @@ func writeRows[R pattern.Row[C], C pattern.Cell](w *writer, persons []core.Perso
 			default:
 				b = binary.AppendUvarint(b, z)
 			}
+		}
+		if each != nil {
+			each(i)
 		}
 	}
 	w.buf = b
@@ -1149,12 +1153,7 @@ func writeRows[R pattern.Row[C], C pattern.Cell](w *writer, persons []core.Perso
 // the one sent. Only the long path can carry one: three bytes hold 21 bits.
 func readRows[R pattern.Row[C], C pattern.Cell](r *reader) ([]core.PersonID, []R) {
 	n := r.count(2)
-	values := -2 * n
-	for _, b := range r.buf[r.off:] {
-		if b < 0x80 {
-			values++
-		}
-	}
+	values := -2*n + endBytes(r.buf[r.off:])
 	if values < 0 {
 		values = 0 // fewer varints than the rows need: the reads below fail
 	}
@@ -1204,6 +1203,22 @@ func readRows[R pattern.Row[C], C pattern.Cell](r *reader) ([]core.PersonID, []R
 		locals = append(locals, R(row))
 	}
 	return persons, locals
+}
+
+// endBytes counts the bytes of b below 0x80, the last byte of every varint:
+// eight at a time, a byte's clear top bit set in ^x's 0x80 lane, then the
+// tail one by one.
+func endBytes(b []byte) int {
+	n := 0
+	for ; len(b) >= 8; b = b[8:] {
+		n += bits.OnesCount64(^binary.LittleEndian.Uint64(b) & 0x8080808080808080)
+	}
+	for _, c := range b {
+		if c < 0x80 {
+			n++
+		}
+	}
+	return n
 }
 
 // ---- routing: summary ----
@@ -1304,7 +1319,7 @@ func AppendIngestPayload[R pattern.Row[C], C pattern.Cell](dst []byte, in Ingest
 	if len(in.Persons) != len(in.Locals) {
 		return nil, fmt.Errorf("wire: %d persons but %d locals", len(in.Persons), len(in.Locals))
 	}
-	return appendIngestRows(dst, in, rows, rowsSize(in.Persons, in.Locals, rows)), nil
+	return appendIngestRows(dst, in, rows, rowsSize(in.Persons, in.Locals, rows), nil), nil
 }
 
 // AppendSizedIngestPayload is AppendIngestPayload for a caller that already
@@ -1312,7 +1327,10 @@ func AppendIngestPayload[R pattern.Row[C], C pattern.Cell](dst []byte, in Ingest
 // sized from it, so each row's cells are read once, to be written. A
 // coordinator sizes every row in the pass that checks it and sums each
 // station's share; a wrong rowBytes costs a regrowth, never a wrong byte.
-func AppendSizedIngestPayload[R pattern.Row[C], C pattern.Cell](dst []byte, in IngestOf[R, C], rows []int32, rowBytes int) ([]byte, error) {
+// A non-nil each is handed the index (into in) of every row just written,
+// in frame order, so a caller that digests the rows reads each one while it
+// is still hot from the write.
+func AppendSizedIngestPayload[R pattern.Row[C], C pattern.Cell](dst []byte, in IngestOf[R, C], rows []int32, rowBytes int, each func(i int)) ([]byte, error) {
 	if len(in.Persons) != len(in.Locals) {
 		return nil, fmt.Errorf("wire: %d persons but %d locals", len(in.Persons), len(in.Locals))
 	}
@@ -1320,17 +1338,17 @@ func AppendSizedIngestPayload[R pattern.Row[C], C pattern.Cell](dst []byte, in I
 	if rows != nil {
 		count = len(rows)
 	}
-	return appendIngestRows(dst, in, rows, uvarintLen(uint64(count))+rowBytes), nil
+	return appendIngestRows(dst, in, rows, uvarintLen(uint64(count))+rowBytes, each), nil
 }
 
 // appendIngestRows appends the rows' payload, size bytes, to dst, growing it
 // at most once.
-func appendIngestRows[R pattern.Row[C], C pattern.Cell](dst []byte, in IngestOf[R, C], rows []int32, size int) []byte {
+func appendIngestRows[R pattern.Row[C], C pattern.Cell](dst []byte, in IngestOf[R, C], rows []int32, size int, each func(i int)) []byte {
 	if n := len(dst) + size; cap(dst) < n {
 		dst = append(make([]byte, 0, max(n, 2*cap(dst))), dst...)
 	}
 	w := writer{buf: dst}
-	writeRows(&w, in.Persons, in.Locals, rows)
+	writeRows(&w, in.Persons, in.Locals, rows, each)
 	return w.buf
 }
 

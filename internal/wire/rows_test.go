@@ -191,11 +191,11 @@ func TestRowSizesSumToFrame(t *testing.T) {
 		if n := rowsSize(in.Persons, in.Locals, rows); size != n || size != len(want) {
 			t.Fatalf("rows %v: count varint + RowSizes = %d, rowsSize %d, encoded %d bytes", rows, size, n, len(want))
 		}
-		got, err := AppendSizedIngestPayload(nil, in, rows, rowBytes)
+		got, err := AppendSizedIngestPayload(nil, in, rows, rowBytes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromCells, err := AppendSizedIngestPayload(nil, cells, rows, rowBytes)
+		fromCells, err := AppendSizedIngestPayload(nil, cells, rows, rowBytes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

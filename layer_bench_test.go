@@ -75,6 +75,53 @@ func BenchmarkPlace(b *testing.B) {
 	}
 }
 
+// BenchmarkColdSetup is a cold cluster's set-up up to its first answer:
+// BenchmarkPlace/bulk's 100 000 persons placed at R = 2 into 64 fresh
+// in-process stations, then one routed point search, which routes on the
+// stations' digests. The cluster is built (and the last one shut down)
+// outside the timer.
+func BenchmarkColdSetup(b *testing.B) {
+	stations := make([]uint32, 64)
+	for i := range stations {
+		stations[i] = uint32(i + 1)
+	}
+	boot := func() *Cluster {
+		c, err := NewCluster(placedOptions(), 24, emptyMembers(stations)...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
+	}
+	batch := benchPatterns(100_000)
+	q := []Query{{ID: 1, Locals: []Pattern{batch[4242]}}}
+	ctx := context.Background()
+	var c *Cluster
+	b.Cleanup(func() {
+		if c != nil {
+			_ = c.Shutdown()
+		}
+	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if c != nil {
+			_ = c.Shutdown()
+		}
+		c = boot()
+		b.StartTimer()
+		if err := c.Place(ctx, batch, WithReplication(2)); err != nil {
+			b.Fatal(err)
+		}
+		out, err := c.Search(ctx, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out.PerQuery[1]) == 0 {
+			b.Fatal("the routed search found nothing")
+		}
+	}
+}
+
 // BenchmarkStationIngest times a station taking one 25 000-row ingest frame
 // of length-24 rows, the share of a 16-station bulk load at R = 2 that one
 // station receives. /append and /replace are durable: decode, store, WAL

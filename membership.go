@@ -9,6 +9,8 @@ import (
 	"sync"
 	"time"
 
+	"dimatch/internal/index"
+	"dimatch/internal/pattern"
 	"dimatch/internal/transport"
 	"dimatch/internal/wire"
 )
@@ -142,13 +144,41 @@ func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[Per
 // each station of perStation gets the rows of in (person-ascending, of the
 // cluster's length) that its share lists, every row for a nil index, in a
 // frame sized from the share's bytes.
+//
+// A station the coordinator knows is empty (its figures count no resident)
+// has its routing digest built here, on its exchange goroutine, each row
+// added as it is encoded: sized and seeded as index.Build sizes the
+// station's own, so once the ack counts exactly the rows sent the two are
+// byte-equal, and the next routed search pulls nothing (summaryCache.handOver).
 func (c *Cluster) ingest(ctx context.Context, what string, in wire.Ingest, perStation map[uint32]rowShare) (map[uint32]bool, error) {
 	ids := stationsOf(perStation)
+	empty := make([]bool, len(ids))
+	c.mu.Lock()
+	for i, id := range ids {
+		empty[i] = c.figures[id].Residents == 0
+	}
+	c.mu.Unlock()
+	digests := make([]*index.Summary, len(ids))
+	gens := make([]uint64, len(ids))
 	return c.mutate(ctx, ids, what, func(i int) (wire.Message, error) {
 		share := perStation[ids[i]]
-		payload, err := wire.AppendSizedIngestPayload(nil, in, share.index, share.bytes)
+		var each func(int)
+		if empty[i] {
+			// The generation is read before the frame goes out (see put).
+			_, gens[i] = c.summaries.get(ids[i])
+			if sum, err := index.New(c.length, share.rows(len(in.Persons)), index.DefaultFPTarget, index.DefaultSeed); err == nil {
+				digests[i] = sum
+				each = func(k int) {
+					// Stations drop all-zero patterns on ingest; so does the digest.
+					if l := in.Locals[k]; !pattern.AllZero(l) {
+						_ = sum.Add(l) // every row is of the cluster's length
+					}
+				}
+			}
+		}
+		payload, err := wire.AppendSizedIngestPayload(nil, in, share.index, share.bytes, each)
 		return wire.Message{Kind: wire.KindIngest, Payload: payload}, err
-	}, func(i int, err error) {
+	}, func(i int, sr wire.StatsReply, err error) {
 		if err != nil {
 			// The exchange failed, but the frame may still have been
 			// delivered and applied (a lost reply, a deadline while awaiting
@@ -157,13 +187,20 @@ func (c *Cluster) ingest(ctx context.Context, what string, in wire.Ingest, perSt
 			// direction that loses recall — so the slot is invalidated on the
 			// error path too.
 			c.summaries.invalidate(ids[i])
-		} else {
-			// The station's routing summary grew: delta-update the cached
-			// digest (Bloom inserts are monotone) so routed searches keep
-			// pruning without a refresh round trip. See
-			// summaryCache.noteIngest for the staleness contract.
-			c.summaries.noteIngest(ids[i], in.Locals, perStation[ids[i]].index)
+			return
 		}
+		// The station's routing summary grew. A digest built here stands
+		// for the station's store only if the station holds exactly the
+		// rows sent: an all-zero row it dropped, or residents it held
+		// unbeknown to its figures, leave it to the delta update
+		// (noteIngest: Bloom inserts are monotone), so routed searches keep
+		// pruning without a refresh round trip.
+		share := perStation[ids[i]]
+		sum := digests[i]
+		if sr.Residents != uint64(share.rows(len(in.Persons))) {
+			sum = nil
+		}
+		c.summaries.handOver(ids[i], gens[i], sum, in.Locals, share.index)
 	})
 }
 
@@ -193,7 +230,7 @@ func (c *Cluster) evict(ctx context.Context, what string, perStation map[uint32]
 	ids := stationsOf(perStation)
 	return c.mutate(ctx, ids, what, func(i int) (wire.Message, error) {
 		return wire.EncodeEvict(wire.Evict{Persons: perStation[ids[i]]}), nil
-	}, func(i int, err error) {
+	}, func(i int, _ wire.StatsReply, err error) {
 		if err == nil {
 			// Bloom digests cannot delete: drop the cached summary and let
 			// the next routed search refetch. Keeping the stale digest would
@@ -215,12 +252,12 @@ func stationsOf[T any](perStation map[uint32]T) []uint32 {
 
 // mutate is the one mutation exchange: each station ids[i] (ascending) of
 // the current epoch gets frame(i), and landed hears its outcome as it
-// lands. A station answers with its figures, which replace its c.figures
-// entry while the same link serves the id, unless older (by Seq) than the
-// recorded reply. It returns the failed stations, and ErrClusterClosed or
+// lands: the station's figures, or the error. The figures replace the
+// station's c.figures entry while the same link serves the id, unless
+// older (by Seq) than the recorded reply. It returns the failed stations, and ErrClusterClosed or
 // each failure as "what station N: …" in station order, wrapping
 // ErrUnknownStation or, once ctx has ended, ErrCancelled.
-func (c *Cluster) mutate(ctx context.Context, ids []uint32, what string, frame func(i int) (wire.Message, error), landed func(i int, err error)) (failed map[uint32]bool, err error) {
+func (c *Cluster) mutate(ctx context.Context, ids []uint32, what string, frame func(i int) (wire.Message, error), landed func(i int, sr wire.StatsReply, err error)) (failed map[uint32]bool, err error) {
 	c.mu.Lock()
 	closed, ep := c.closed, c.ep
 	c.mu.Unlock()
@@ -257,7 +294,7 @@ func (c *Cluster) mutate(ctx context.Context, ids []uint32, what string, frame f
 			}
 			c.mu.Unlock()
 		}
-		landed(i, errs[i])
+		landed(i, sr, errs[i])
 	})
 	if closed && len(ids) > 0 {
 		return failed, ErrClusterClosed

@@ -198,6 +198,14 @@ type rowShare struct {
 	bytes int
 }
 
+// rows returns how many rows the share lists of a row set of n.
+func (s rowShare) rows(n int) int {
+	if s.index != nil {
+		return len(s.index)
+	}
+	return n
+}
+
 // copyPlan is one Place call's grouping of its persons' copies: the kept
 // rows, person-ascending, each person's Pick set as indexes into the alive
 // stations, the content hash its intent records, and each target station's

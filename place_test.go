@@ -221,7 +221,7 @@ func TestPlaceSplitMatchesOneWorker(t *testing.T) {
 		t.Helper()
 		out := make(map[uint32][]byte, len(pl.perStation))
 		for sid, share := range pl.perStation {
-			b, err := wire.AppendSizedIngestPayload(nil, pl.rows, share.index, share.bytes)
+			b, err := wire.AppendSizedIngestPayload(nil, pl.rows, share.index, share.bytes, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

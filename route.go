@@ -92,6 +92,35 @@ func (c *summaryCache) invalidate(id uint32) {
 func (c *summaryCache) noteIngest(id uint32, locals []Pattern, index []int32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.noteIngestLocked(id, locals, index)
+}
+
+// handOver is noteIngest for an acked ingest whose digest s the coordinator
+// built while encoding the rows (Cluster.ingest), nil when the ack did not
+// count exactly the rows sent. s is installed in place of the slot's digest
+// when the generation read before the frame went out, gen, still stands,
+// and the generation bumps; so a concurrent ingest, evict or pull of the
+// same station either invalidates s or never sees it. Otherwise it is
+// noteIngest.
+func (c *summaryCache) handOver(id uint32, gen uint64, s *index.Summary, locals []Pattern, rows []int32) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s == nil || c.gens[id] != gen {
+		c.noteIngestLocked(id, locals, rows)
+		return
+	}
+	if c.gens == nil {
+		c.gens = make(map[uint32]uint64)
+	}
+	c.gens[id]++
+	if c.entries == nil {
+		c.entries = make(map[uint32]*index.Summary)
+	}
+	c.entries[id] = s
+}
+
+// noteIngestLocked is noteIngest under c.mu.
+func (c *summaryCache) noteIngestLocked(id uint32, locals []Pattern, index []int32) {
 	if c.gens == nil {
 		c.gens = make(map[uint32]uint64)
 	}
@@ -383,9 +412,9 @@ func groupPlan(ids []uint32, admits, addressed []bool, layout []uint32, r int) (
 
 // RoutingState describes the coordinator's routing-state footprint: what
 // this node holds in memory to plan searches. The cached digests grow
-// linearly with the station count, one per station whose digest a routed
-// search has fetched. The benchmark reports its total as
-// cluster.routing_state_bytes.
+// linearly with the station count, one per station whose digest an ingest
+// into it while empty handed over or a routed search has fetched. The
+// benchmark reports its total as cluster.routing_state_bytes.
 type RoutingState struct {
 	// Entries is the number of cached per-station digests and
 	// CachedDigestBytes their total filter bytes.

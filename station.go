@@ -402,9 +402,11 @@ func (s *station) stats() wire.StatsReply {
 // digest of every resident's accumulated cells at the sampled positions
 // (see internal/index), built, encoded and dropped. The coordinator pulls
 // only into an empty or invalidated cache slot, so a kept digest would be
-// read once and then held for nothing. index.Build is deterministic in the
-// resident set, which is what makes a digest rebuilt after recovery
-// byte-identical to the pre-crash one.
+// read once and then held for nothing; a station filled from empty is not
+// pulled at all until then, its digest built by the coordinator while
+// encoding the ingest (Cluster.ingest). index.Build is deterministic in the
+// resident set, which is what makes a digest rebuilt after recovery, or
+// handed over, byte-identical to this one.
 func (s *station) handleSummary() (wire.Message, error) {
 	length := s.patternLength()
 	if length == 0 {
