@@ -78,8 +78,8 @@
 // Summary routing is on by default: every station can answer a
 // summary pull with a compact Bloom digest of its residents' accumulated
 // cells, the coordinator caches the digests (an ingest into an empty
-// station hands its digest over, later ingests delta-update it, evict and
-// membership changes invalidate it), and each WBF search visits
+// station hands its digest over, ingests delta-update one a search has
+// read, evict and membership changes invalidate it), and each WBF search visits
 // only the stations whose digest admits a possible match. Pruning is
 // strictly conservative — stations without a usable digest are always
 // visited and an all-pruned plan falls back to full fan-out — so results

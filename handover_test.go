@@ -2,6 +2,7 @@ package dimatch
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -284,4 +285,161 @@ func TestHandOverRacesPlace(t *testing.T) {
 		}
 	}
 	assertSameResults(t, fmt.Sprintf("%d queries after the race", len(queries)), queries, full, routed)
+}
+
+// TestHandOverAfterResidentsItDidNotSee: an ingest that saw station 1 empty
+// must not install its digest when the station holds a row it did not add,
+// another ingest's person 11. "frame held": its frame is held back until
+// the other ingest has placed 11 and handed its digest over. "ack held": the
+// other ingest's frame lands first but its ack is held, so the coordinator
+// still counts the station empty when this one's ack lands, and no digest
+// may be cached then. With an all-zero row for person 11, which the station
+// drops, the station acks as many residents as the ingest sent rows. Every
+// time a routed search must find person 11 as full fan-out does, though
+// station 2 holds an equal pattern and would be visited alone.
+func TestHandOverAfterResidentsItDidNotSee(t *testing.T) {
+	ctx := context.Background()
+	alone := map[PersonID]Pattern{10: {5, 1, 7, 2}}
+	withZero := map[PersonID]Pattern{10: {5, 1, 7, 2}, 11: {0, 0, 0, 0}}
+	other := Pattern{40, 30, 20, 10}
+	for _, tc := range []struct {
+		name      string
+		frameHeld bool
+		mine      map[PersonID]Pattern
+	}{
+		{name: "frame held, all-zero row", frameHeld: true, mine: withZero},
+		{name: "ack held", mine: alone},
+		{name: "ack held, all-zero row", mine: withZero},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			center, end := transport.Pipe(nil, nil)
+			st, err := newStation(1, nil, end, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() { _ = st.Serve() }()
+			hl := newHoldLink(center)
+			m2, _, _ := linkStation(t, "", 2, map[PersonID]Pattern{60: other})
+			c, err := NewCluster(placedOptions(), 4, Member{ID: 1, Link: hl}, m2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Shutdown()
+
+			gate := newGate(t)
+			held := make(chan error, 1)
+			if tc.frameHeld {
+				hl.holdSends(wire.KindIngest, gate)
+				go func() { held <- c.Ingest(ctx, 1, tc.mine) }()
+				<-hl.held
+				hl.holdSends(wire.KindIngest, nil)
+				if err := c.Ingest(ctx, 1, map[PersonID]Pattern{11: other}); err != nil {
+					t.Fatal(err)
+				}
+				openGate(gate)
+				if err := <-held; err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				hl.holdReceipts(wire.KindStatsReply, gate)
+				go func() { held <- c.Ingest(ctx, 1, map[PersonID]Pattern{11: other}) }()
+				<-hl.held
+				hl.holdReceipts(wire.KindStatsReply, nil)
+				if err := c.Ingest(ctx, 1, tc.mine); err != nil {
+					t.Fatal(err)
+				}
+				if sum, _ := c.summaries.get(1); sum != nil {
+					t.Fatalf("station 1 holds a digest of %d insertions, though its ack counted a resident the ingest did not send", sum.Inserted())
+				}
+				openGate(gate)
+				if err := <-held; err != nil {
+					t.Fatal(err)
+				}
+			}
+			q := []Query{{ID: 1, Locals: []Pattern{other}}}
+			routed, err := c.Search(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := c.Search(ctx, q, WithRouting(RoutingFull))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !found(routed, 11) {
+				t.Fatalf("the routed search missed person 11: %v", routed.PerQuery[1])
+			}
+			assertSameResults(t, tc.name, q, full, routed)
+		})
+	}
+}
+
+// TestHandOverOutgrownIsPulled: a digest handed over for the first of
+// several batches into empty stations (a Place in chunks, a stream's
+// flushes) is sized for that batch alone. The first routed search, for one
+// placed person, must prune and send as it does over digests pulled from
+// the stations: one replica visited.
+func TestHandOverOutgrownIsPulled(t *testing.T) {
+	ctx := context.Background()
+	patterns := benchPatterns(2400)
+	persons := sortedKeys(patterns)
+	// A first batch of 16 persons, then the rest in 4 batches.
+	cuts := []int{0, 16, 612, 1208, 1804, len(persons)}
+	queries := []Query{{ID: 1, Locals: []Pattern{patterns[1000]}}}
+	stations := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, tc := range []struct {
+		name string
+		load func(c *Cluster, batch map[PersonID]Pattern) error
+	}{
+		{name: "place in chunks", load: func(c *Cluster, batch map[PersonID]Pattern) error {
+			return c.Place(ctx, batch, WithReplication(2))
+		}},
+		{name: "stream", load: func(c *Cluster, batch map[PersonID]Pattern) error {
+			in, err := c.Stream(StreamOptions{Replication: 2})
+			if err != nil {
+				return err
+			}
+			for _, p := range sortedKeys(batch) {
+				if err := in.Submit(ctx, p, batch[p]); err != nil {
+					return err
+				}
+			}
+			return errors.Join(in.Flush(ctx), in.Close())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(placedOptions(), 24, emptyMembers(stations)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Shutdown()
+			for b := 0; b+1 < len(cuts); b++ {
+				batch := make(map[PersonID]Pattern, cuts[b+1]-cuts[b])
+				for _, p := range persons[cuts[b]:cuts[b+1]] {
+					batch[p] = patterns[p]
+				}
+				if err := tc.load(c, batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			first, err := c.Search(ctx, queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range stations {
+				c.summaries.invalidate(id)
+			}
+			pulled, err := c.Search(ctx, queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pulled.Cost.SummaryRefreshes != len(stations) || pulled.Cost.StationsPruned == 0 {
+				t.Fatalf("the search over pulled digests refreshed %d and pruned %d stations", pulled.Cost.SummaryRefreshes, pulled.Cost.StationsPruned)
+			}
+			if first.Cost.StationsPruned != pulled.Cost.StationsPruned || first.Cost.MessagesUp != pulled.Cost.MessagesUp {
+				t.Fatalf("the first routed search pruned %d stations and sent %d messages up; over pulled digests it prunes %d and sends %d",
+					first.Cost.StationsPruned, first.Cost.MessagesUp, pulled.Cost.StationsPruned, pulled.Cost.MessagesUp)
+			}
+			assertSameResults(t, tc.name, queries, pulled, first)
+		})
+	}
 }

@@ -148,10 +148,18 @@ func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[Per
 // A station the coordinator knows is empty (its figures count no resident)
 // has its routing digest built here, on its exchange goroutine, each row
 // added as it is encoded: sized and seeded as index.Build sizes the
-// station's own, so once the ack counts exactly the rows sent the two are
-// byte-equal, and the next routed search pulls nothing (summaryCache.handOver).
+// station's own, so once the ack counts exactly the rows sent, every one of
+// them kept, the two are byte-equal, and the next routed search pulls
+// nothing (summaryCache.handOver).
 func (c *Cluster) ingest(ctx context.Context, what string, in wire.Ingest, perStation map[uint32]rowShare) (map[uint32]bool, error) {
 	ids := stationsOf(perStation)
+	// Each generation is read before the figures: an ingest whose ack
+	// lands after the emptiness read below has bumped it by the time this
+	// one's digest could be installed (see put).
+	gens := make([]uint64, len(ids))
+	for i, id := range ids {
+		_, gens[i] = c.summaries.get(id)
+	}
 	empty := make([]bool, len(ids))
 	c.mu.Lock()
 	for i, id := range ids {
@@ -159,19 +167,18 @@ func (c *Cluster) ingest(ctx context.Context, what string, in wire.Ingest, perSt
 	}
 	c.mu.Unlock()
 	digests := make([]*index.Summary, len(ids))
-	gens := make([]uint64, len(ids))
+	kept := make([]int, len(ids))
 	return c.mutate(ctx, ids, what, func(i int) (wire.Message, error) {
 		share := perStation[ids[i]]
 		var each func(int)
 		if empty[i] {
-			// The generation is read before the frame goes out (see put).
-			_, gens[i] = c.summaries.get(ids[i])
 			if sum, err := index.New(c.length, share.rows(len(in.Persons)), index.DefaultFPTarget, index.DefaultSeed); err == nil {
 				digests[i] = sum
 				each = func(k int) {
 					// Stations drop all-zero patterns on ingest; so does the digest.
 					if l := in.Locals[k]; !pattern.AllZero(l) {
 						_ = sum.Add(l) // every row is of the cluster's length
+						kept[i]++
 					}
 				}
 			}
@@ -191,13 +198,14 @@ func (c *Cluster) ingest(ctx context.Context, what string, in wire.Ingest, perSt
 		}
 		// The station's routing summary grew. A digest built here stands
 		// for the station's store only if the station holds exactly the
-		// rows sent: an all-zero row it dropped, or residents it held
-		// unbeknown to its figures, leave it to the delta update
+		// rows it added, and was sized for them: residents beyond them
+		// (another ingest's, or ones the figures did not count yet), or an
+		// all-zero row the station dropped, leave it to the delta update
 		// (noteIngest: Bloom inserts are monotone), so routed searches keep
 		// pruning without a refresh round trip.
 		share := perStation[ids[i]]
 		sum := digests[i]
-		if sr.Residents != uint64(share.rows(len(in.Persons))) {
+		if sent := share.rows(len(in.Persons)); kept[i] != sent || sr.Residents != uint64(sent) {
 			sum = nil
 		}
 		c.summaries.handOver(ids[i], gens[i], sum, in.Locals, share.index)

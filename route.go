@@ -39,10 +39,21 @@ func encodeSummary(s *index.Summary) wire.Message {
 // probed (planRoute's inclusion pass) under the read lock, so a planner sees
 // it from before an ingest's rows or after them, never half of them, and
 // concurrent searches still scan the digests side by side.
+//
+// A digest handed over by an ingest into an empty station (handOver) stands
+// in for the pull the first routed search would have made, and is sized for
+// the one batch that filled the station. Until a routed search has read it
+// (markRead), it is marked in unread, and an ingest that reaches the slot
+// drops it instead of adding to it: a small first batch, a stream flush or
+// one chunk of a Place, would otherwise leave a digest sized for a few rows
+// to absorb the whole station, set nearly every bit and admit every query.
+// Dropped, the slot is pulled by the first routed search, sized for the
+// station's residents then.
 type summaryCache struct {
 	mu      sync.RWMutex
 	entries map[uint32]*index.Summary // dimatch:guardedby mu
 	gens    map[uint32]uint64         // dimatch:guardedby mu
+	unread  map[uint32]bool           // dimatch:guardedby mu
 }
 
 // get returns the cached summary for a station (nil if absent) and the
@@ -67,6 +78,18 @@ func (c *summaryCache) put(id uint32, gen uint64, s *index.Summary) {
 		c.entries = make(map[uint32]*index.Summary)
 	}
 	c.entries[id] = s
+	delete(c.unread, id)
+}
+
+// markRead records that a routed search read the digest cached for id at
+// generation gen: a handed-over one then absorbs ingests as a pulled one
+// does.
+func (c *summaryCache) markRead(id uint32, gen uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.gens[id] == gen {
+		delete(c.unread, id)
+	}
 }
 
 // invalidate bumps the station's generation and drops its digest: the next
@@ -79,6 +102,7 @@ func (c *summaryCache) invalidate(id uint32) {
 	}
 	c.gens[id]++
 	delete(c.entries, id)
+	delete(c.unread, id)
 }
 
 // noteIngest applies an ingest to the cached digest: the generation bumps
@@ -100,8 +124,8 @@ func (c *summaryCache) noteIngest(id uint32, locals []Pattern, index []int32) {
 // count exactly the rows sent. s is installed in place of the slot's digest
 // when the generation read before the frame went out, gen, still stands,
 // and the generation bumps; so a concurrent ingest, evict or pull of the
-// same station either invalidates s or never sees it. Otherwise it is
-// noteIngest.
+// same station either invalidates s or never sees it. s stays unread until
+// a routed search reads it. Otherwise it is noteIngest.
 func (c *summaryCache) handOver(id uint32, gen uint64, s *index.Summary, locals []Pattern, rows []int32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -117,6 +141,10 @@ func (c *summaryCache) handOver(id uint32, gen uint64, s *index.Summary, locals 
 		c.entries = make(map[uint32]*index.Summary)
 	}
 	c.entries[id] = s
+	if c.unread == nil {
+		c.unread = make(map[uint32]bool)
+	}
+	c.unread[id] = true
 }
 
 // noteIngestLocked is noteIngest under c.mu.
@@ -125,6 +153,13 @@ func (c *summaryCache) noteIngestLocked(id uint32, locals []Pattern, index []int
 		c.gens = make(map[uint32]uint64)
 	}
 	c.gens[id]++
+	if c.unread[id] {
+		// A handed-over digest no routed search has read: sized for the
+		// batch that filled the station, so it is dropped, not grown.
+		delete(c.entries, id)
+		delete(c.unread, id)
+		return
+	}
 	cur := c.entries[id]
 	if cur == nil {
 		return
@@ -295,6 +330,7 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	admits := make([]bool, len(ep.ids))
 	included := make([]int, 0, len(ep.ids))
 	c.summaries.mu.RLock()
+	unread := len(c.summaries.unread) > 0
 	for i := range ep.ids {
 		sum := slots[i].sum
 		if sum == nil {
@@ -312,6 +348,13 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 		}
 	}
 	c.summaries.mu.RUnlock()
+	if unread {
+		for i, id := range ep.ids {
+			if slots[i].sum != nil {
+				c.summaries.markRead(id, slots[i].gen)
+			}
+		}
+	}
 	if len(included) == 0 {
 		return all
 	}
