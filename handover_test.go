@@ -92,21 +92,23 @@ func TestPlaceHandsOverDigests(t *testing.T) {
 }
 
 // TestNoHandOverUnlessExact: the coordinator installs no digest of its own
-// for an ingest into a station that already held residents, for one whose
-// ack counts fewer residents than rows sent (an all-zero row the station
-// dropped), or for a failed exchange; the next routed search pulls the
-// station's digest and finds the ingested person if the station holds it.
+// for an ingest into a station that already held residents, or for a
+// failed exchange; the next routed search pulls the station's digest and
+// finds the ingested person if the station holds it. An all-zero row never
+// leaves the coordinator, so the ack counts exactly the rows sent: station
+// 1's digest is handed over, and the next search pulls station 2's alone.
 func TestNoHandOverUnlessExact(t *testing.T) {
 	ctx := context.Background()
 	pat := Pattern{5, 1, 7, 2}
 	for _, tc := range []struct {
-		name  string
-		seed  map[PersonID]Pattern // station 1's residents before the ingest
-		batch map[PersonID]Pattern
-		fail  bool // the ingest frame's send fails
+		name       string
+		seed       map[PersonID]Pattern // station 1's residents before the ingest
+		batch      map[PersonID]Pattern
+		fail       bool // the ingest frame's send fails
+		handedOver bool // station 1's digest is the coordinator's own
 	}{
 		{name: "station held residents", seed: map[PersonID]Pattern{50: {9, 9, 9, 9}}, batch: map[PersonID]Pattern{10: pat}},
-		{name: "all-zero row dropped", batch: map[PersonID]Pattern{10: pat, 11: {0, 0, 0, 0}}},
+		{name: "all-zero row dropped", batch: map[PersonID]Pattern{10: pat, 11: {0, 0, 0, 0}}, handedOver: true},
 		{name: "exchange failed", batch: map[PersonID]Pattern{10: pat}, fail: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -123,16 +125,20 @@ func TestNoHandOverUnlessExact(t *testing.T) {
 			if err := c.Ingest(ctx, 1, tc.batch); (err != nil) != tc.fail {
 				t.Fatalf("Ingest: %v", err)
 			}
-			if sum, _ := c.summaries.get(1); sum != nil {
-				t.Fatalf("a digest is cached for station 1 after the ingest (%d inserted)", sum.Inserted())
+			if sum, _ := c.summaries.get(1); (sum != nil) != tc.handedOver {
+				t.Fatalf("digest cached for station 1 after the ingest: %v, want %v", sum != nil, tc.handedOver)
 			}
 			out, err := c.Search(ctx, []Query{{ID: 1, Locals: []Pattern{pat}}})
 			if err != nil {
 				t.Fatal(err)
 			}
+			pulls := 2
+			if tc.handedOver {
+				pulls = 1
+			}
 			// A failed send never reached the station: person 10 is not there.
-			if out.Cost.SummaryRefreshes != 2 || found(out, 10) == tc.fail {
-				t.Fatalf("the next routed search pulled %d digests (want 2) and found person 10: %v", out.Cost.SummaryRefreshes, found(out, 10))
+			if out.Cost.SummaryRefreshes != pulls || found(out, 10) == tc.fail {
+				t.Fatalf("the next routed search pulled %d digests (want %d) and found person 10: %v", out.Cost.SummaryRefreshes, pulls, found(out, 10))
 			}
 		})
 	}

@@ -202,6 +202,3 @@ func (e *BFEncoder) AddQuery(q Query) error {
 
 // Filter returns the built baseline filter.
 func (e *BFEncoder) Filter() *bloom.Filter { return e.filter }
-
-// SampleIndexes returns the sample positions, identical to the WBF's.
-func (e *BFEncoder) SampleIndexes() []int { return e.inner.sample }

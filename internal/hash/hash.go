@@ -83,9 +83,6 @@ func NewFamily(seed uint64, k int, m uint64) Family {
 // K returns the number of hash functions in the family.
 func (f Family) K() int { return f.k }
 
-// M returns the size of the index range.
-func (f Family) M() uint64 { return f.m }
-
 // Indexes appends the k bit indices for value v to dst and returns the
 // extended slice. Passing a reusable dst avoids per-call allocations on the
 // hot path (stations hash every resident pattern against the filter).

@@ -90,9 +90,6 @@ type Image = ImageOf[pattern.Pattern, int64]
 // CellImage is an image in a station's int32 rows.
 type CellImage = ImageOf[[]int32, int32]
 
-// Residents returns the image's resident count.
-func (img ImageOf[R, C]) Residents() int { return len(img.Persons) }
-
 // Store is the station persistence contract.
 //
 // Implementations are not goroutine-safe: the owning station serve loop

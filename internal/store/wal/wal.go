@@ -407,9 +407,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Generation returns the current snapshot/log generation.
 func (s *Store) Generation() uint64 { return s.seq }
 

@@ -982,7 +982,24 @@ type Dump struct {
 
 // EncodeDump renders the pull request.
 func EncodeDump(d Dump) Message {
-	sorted := append([]core.PersonID(nil), d.Persons...)
+	return Message{Kind: KindDump, Payload: encodePersons(d.Persons)}
+}
+
+// DecodeDump parses the pull request. An empty list decodes nil: the whole
+// store.
+func DecodeDump(m Message) (Dump, error) {
+	if m.Kind != KindDump {
+		return Dump{}, fmt.Errorf("wire: decoding %v as dump", m.Kind)
+	}
+	persons, err := decodePersons(m.Payload)
+	return Dump{Persons: persons}, err
+}
+
+// encodePersons renders a person list — the body of Dump and Evict — as
+// its count and then the IDs ascending, each as its delta from the one
+// before. The caller's slice is not reordered.
+func encodePersons(persons []core.PersonID) []byte {
+	sorted := append([]core.PersonID(nil), persons...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var w writer
 	w.uvarint(uint64(len(sorted)))
@@ -991,29 +1008,26 @@ func EncodeDump(d Dump) Message {
 		w.uvarint(uint64(p) - prev)
 		prev = uint64(p)
 	}
-	return Message{Kind: KindDump, Payload: w.buf}
+	return w.buf
 }
 
-// DecodeDump parses the pull request.
-func DecodeDump(m Message) (Dump, error) {
-	if m.Kind != KindDump {
-		return Dump{}, fmt.Errorf("wire: decoding %v as dump", m.Kind)
-	}
-	r := &reader{buf: m.Payload}
+// decodePersons parses encodePersons's bytes; an empty list decodes nil.
+func decodePersons(payload []byte) ([]core.PersonID, error) {
+	r := &reader{buf: payload}
 	n := r.count(1)
-	out := Dump{}
+	var persons []core.PersonID
 	if n > 0 {
-		out.Persons = make([]core.PersonID, n)
+		persons = make([]core.PersonID, n)
 	}
 	prev := uint64(0)
-	for i := range out.Persons {
+	for i := range persons {
 		prev += r.uvarint()
-		out.Persons[i] = core.PersonID(prev)
+		persons[i] = core.PersonID(prev)
 	}
 	if err := r.done(); err != nil {
-		return Dump{}, err
+		return nil, err
 	}
-	return out, nil
+	return persons, nil
 }
 
 // DumpReplyOf is a station's answer to KindDump: the requested (person,
@@ -1392,18 +1406,7 @@ type Evict struct {
 
 // EncodeEvictPayload renders an evict batch's payload bytes without the
 // message envelope (sorted, delta-encoded) — shared with the station WAL.
-func EncodeEvictPayload(e Evict) []byte {
-	sorted := append([]core.PersonID(nil), e.Persons...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var w writer
-	w.uvarint(uint64(len(sorted)))
-	prev := uint64(0)
-	for _, p := range sorted {
-		w.uvarint(uint64(p) - prev)
-		prev = uint64(p)
-	}
-	return w.buf
-}
+func EncodeEvictPayload(e Evict) []byte { return encodePersons(e.Persons) }
 
 // EncodeEvict renders the evict request.
 func EncodeEvict(e Evict) Message {
@@ -1412,18 +1415,8 @@ func EncodeEvict(e Evict) Message {
 
 // DecodeEvictPayload parses an evict batch's payload bytes.
 func DecodeEvictPayload(payload []byte) (Evict, error) {
-	r := &reader{buf: payload}
-	n := r.count(1)
-	out := Evict{Persons: make([]core.PersonID, n)}
-	prev := uint64(0)
-	for i := range out.Persons {
-		prev += r.uvarint()
-		out.Persons[i] = core.PersonID(prev)
-	}
-	if err := r.done(); err != nil {
-		return Evict{}, err
-	}
-	return out, nil
+	persons, err := decodePersons(payload)
+	return Evict{Persons: persons}, err
 }
 
 // DecodeEvict parses the evict request.

@@ -99,32 +99,38 @@ func (c *Cluster) Shutdown() error {
 // applies it between exchanges and no search observes a half-applied store.
 // Pattern lengths must match the cluster's (ErrLengthMismatch) and values
 // fit an int32 (ErrValueRange); otherwise nothing is sent. All-zero
-// patterns are dropped by the station (no measurable activity means no
-// local pattern). The station is addressed from then on: routing never
+// patterns are dropped before sending (no measurable activity means no
+// local pattern, the stations' own ingest rule), so a batch of only those
+// sends nothing. The station is addressed from then on: routing never
 // skips it as a redundant replica (planRoute).
 func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[PersonID]Pattern) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(patterns) == 0 {
-		return nil
-	}
 	// Every length is checked before any cell is read, so a batch with both
 	// faults fails ErrLengthMismatch. Then each pattern is read once, in
-	// person order, for its range and its encoded size.
+	// person order, for its range, whether it is all zero and its encoded
+	// size; the kept rows are compacted in place, as Place's pass does.
 	persons, err := sortedPersons("ingest", c.length, patterns)
 	if err != nil {
 		return err
 	}
-	in := wire.Ingest{Persons: persons, Locals: make([]Pattern, len(persons))}
+	in := wire.Ingest{Persons: persons[:0], Locals: make([]Pattern, 0, len(persons))}
 	var share rowShare
-	for i, p := range persons {
+	for _, p := range persons {
 		pat := patterns[p]
 		if !pat.InRange() {
 			return valueRange("ingest", p)
 		}
-		in.Locals[i] = pat
+		if pattern.AllZero(pat) {
+			continue
+		}
+		in.Persons = append(in.Persons, p)
+		in.Locals = append(in.Locals, pat)
 		share.bytes += wire.RowSize(p, pat)
+	}
+	if len(in.Persons) == 0 {
+		return nil
 	}
 	placed := c.touchesPlaced(in.Persons)
 	c.mu.Lock()
@@ -148,9 +154,10 @@ func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[Per
 // A station the coordinator knows is empty (its figures count no resident)
 // has its routing digest built here, on its exchange goroutine, each row
 // added as it is encoded: sized and seeded as index.Build sizes the
-// station's own, so once the ack counts exactly the rows sent, every one of
-// them kept, the two are byte-equal, and the next routed search pulls
-// nothing (summaryCache.handOver).
+// station's own, so once the ack counts exactly the rows sent (no caller
+// sends an all-zero row, so the station keeps every one), the two are
+// byte-equal, and the next routed search pulls nothing
+// (summaryCache.handOver).
 func (c *Cluster) ingest(ctx context.Context, what string, in wire.Ingest, perStation map[uint32]rowShare) (map[uint32]bool, error) {
 	ids := stationsOf(perStation)
 	// Each generation is read before the figures: an ingest whose ack
@@ -167,7 +174,6 @@ func (c *Cluster) ingest(ctx context.Context, what string, in wire.Ingest, perSt
 	}
 	c.mu.Unlock()
 	digests := make([]*index.Summary, len(ids))
-	kept := make([]int, len(ids))
 	return c.mutate(ctx, ids, what, func(i int) (wire.Message, error) {
 		share := perStation[ids[i]]
 		var each func(int)
@@ -175,11 +181,7 @@ func (c *Cluster) ingest(ctx context.Context, what string, in wire.Ingest, perSt
 			if sum, err := index.New(c.length, share.rows(len(in.Persons)), index.DefaultFPTarget, index.DefaultSeed); err == nil {
 				digests[i] = sum
 				each = func(k int) {
-					// Stations drop all-zero patterns on ingest; so does the digest.
-					if l := in.Locals[k]; !pattern.AllZero(l) {
-						_ = sum.Add(l) // every row is of the cluster's length
-						kept[i]++
-					}
+					_ = sum.Add(in.Locals[k]) // every row is of the cluster's length
 				}
 			}
 		}
@@ -199,13 +201,12 @@ func (c *Cluster) ingest(ctx context.Context, what string, in wire.Ingest, perSt
 		// The station's routing summary grew. A digest built here stands
 		// for the station's store only if the station holds exactly the
 		// rows it added, and was sized for them: residents beyond them
-		// (another ingest's, or ones the figures did not count yet), or an
-		// all-zero row the station dropped, leave it to the delta update
-		// (noteIngest: Bloom inserts are monotone), so routed searches keep
-		// pruning without a refresh round trip.
+		// (another ingest's, or ones the figures did not count yet) leave it
+		// to the delta update (noteIngest: Bloom inserts are monotone), so
+		// routed searches keep pruning without a refresh round trip.
 		share := perStation[ids[i]]
 		sum := digests[i]
-		if sent := share.rows(len(in.Persons)); kept[i] != sent || sr.Residents != uint64(sent) {
+		if sr.Residents != uint64(share.rows(len(in.Persons))) {
 			sum = nil
 		}
 		c.summaries.handOver(ids[i], gens[i], sum, in.Locals, share.index)

@@ -7,7 +7,6 @@ import (
 
 	"dimatch/internal/core"
 	"dimatch/internal/index"
-	"dimatch/internal/pattern"
 	"dimatch/internal/transport"
 	"dimatch/internal/wire"
 )
@@ -174,9 +173,8 @@ func (c *summaryCache) noteIngestLocked(id uint32, locals []Pattern, index []int
 		}
 		return locals[k]
 	}
-	// Stations drop all-zero patterns on ingest, so the digest skips them.
 	for k := 0; k < n; k++ {
-		if l := row(k); len(l) != cur.Length() && !pattern.AllZero(l) {
+		if l := row(k); len(l) != cur.Length() {
 			// Geometry mismatch (e.g. the placeholder digest of a station
 			// that was empty): the digest cannot absorb the delta — drop it,
 			// untouched, and let the next routed search refetch.
@@ -185,9 +183,7 @@ func (c *summaryCache) noteIngestLocked(id uint32, locals []Pattern, index []int
 		}
 	}
 	for k := 0; k < n; k++ {
-		if l := row(k); !pattern.AllZero(l) {
-			_ = cur.Add(l) // every length was checked above
-		}
+		_ = cur.Add(row(k)) // every length was checked above
 	}
 }
 

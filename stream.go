@@ -19,8 +19,8 @@ const (
 	queueCap = 1024
 	// flushBatch is the most persons one flush — one Place call — carries:
 	// about 256 copies per station exchange at R = 2 over 16 stations. The
-	// flusher flushes when its batch fills, flushInterval elapses or Flush
-	// asks, whichever is first.
+	// flusher flushes when its batch fills, flushInterval elapses or it
+	// reads a barrier, whichever is first.
 	flushBatch = 2048
 	// flushInterval bounds how long the flusher holds a non-empty batch: the
 	// freshness bound for a trickle workload.
@@ -66,7 +66,8 @@ type StreamStats struct {
 	Flushes         uint64 `json:"flushes"`
 	FlushedPatterns uint64 `json:"flushed_patterns"`
 	// FlushFailures counts accepted submissions abandoned after exhausting
-	// their flush retry budget — the only way an accepted pattern is lost.
+	// their flush retry budget, or still queued when Close's final drain
+	// timed out — the only ways an accepted pattern is lost.
 	FlushFailures uint64 `json:"flush_failures"`
 }
 
@@ -89,17 +90,21 @@ func (c *streamCounters) snapshot() StreamStats {
 	}
 }
 
-// streamItem is one admitted submission. The pattern is cloned at Submit.
+// streamItem is one entry of the intake: an admitted submission, its
+// pattern cloned at Submit, or, when barrier is set, a Flush's or Close's
+// barrier, which the flusher closes once every submission queued ahead of
+// it is placed or abandoned.
 type streamItem struct {
-	person PersonID
-	pat    Pattern
+	person  PersonID
+	pat     Pattern
+	barrier chan struct{}
 }
 
 // streamEntry is one person's slot in a batch: the latest submitted
 // pattern, and how many accepted submissions placing it settles.
 type streamEntry struct {
 	pat  Pattern
-	subs int64
+	subs uint64
 }
 
 // Ingestor is a running streaming pipeline over one cluster. All methods
@@ -114,20 +119,16 @@ type Ingestor struct {
 	cancel context.CancelFunc
 
 	intake chan streamItem
-	kick   chan struct{} // capacity 1: "flush what you hold now"
 	done   chan struct{} // closed when the flusher exits
 
-	// closeMu makes a Submit's closed check and its enqueue one step with
-	// respect to Close: Submit holds it for reading, Close takes it for
-	// writing to set closed, so every submission Close's drain can miss
-	// was refused with ErrStreamClosed.
+	// closeMu makes a Submit's or Flush's closed check and its enqueue one
+	// step with respect to Close: they hold it for reading, Close takes it
+	// for writing to set closed, so nothing is enqueued behind Close's
+	// barrier, and every barrier is in the intake before the flusher stops.
 	closeMu sync.RWMutex
 	closed  atomic.Bool
 
 	counters streamCounters
-	// pending counts accepted submissions not yet in a terminal state
-	// (placed or abandoned); Flush waits for it to reach zero.
-	pending atomic.Int64
 }
 
 // Stream starts a streaming ingest pipeline over the cluster and returns
@@ -148,8 +149,10 @@ type Ingestor struct {
 // Backpressure is the bounded intake: while a flush is out the queue fills
 // and Submit waits for space, bounded by its ctx — a producer that must not
 // wait passes a ctx with a deadline. Any number of pipelines may run over
-// one cluster; each reads its own totals through Ingestor.Report. The
-// caller owns Close, which drains accepted patterns before stopping.
+// one cluster; each reads its own totals through Ingestor.Report. Flush
+// and Close queue a barrier behind what was accepted before them, so
+// producers that keep submitting never extend their wait. The caller owns
+// Close, which drains accepted patterns before stopping.
 func (c *Cluster) Stream(opts StreamOptions) (*Ingestor, error) {
 	if opts.Replication <= 0 {
 		opts.Replication = DefaultReplication
@@ -165,7 +168,6 @@ func (c *Cluster) Stream(opts StreamOptions) (*Ingestor, error) {
 		ctx:         ctx,
 		cancel:      cancel,
 		intake:      make(chan streamItem, queueCap),
-		kick:        make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
 	go in.flusher()
@@ -210,10 +212,6 @@ func (in *Ingestor) Submit(ctx context.Context, person PersonID, pat Pattern) er
 		return nil
 	}
 	it := streamItem{person: person, pat: pat.Clone()}
-
-	// The pending count rises before the submission can possibly reach a
-	// terminal state, so Flush never observes a spurious zero.
-	in.pending.Add(1)
 	select {
 	case in.intake <- it:
 	default:
@@ -224,7 +222,6 @@ func (in *Ingestor) Submit(ctx context.Context, person PersonID, pat Pattern) er
 		select {
 		case in.intake <- it:
 		case <-ctx.Done():
-			in.pending.Add(-1)
 			in.counters.rejected.Add(1)
 			return fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
 		}
@@ -234,45 +231,48 @@ func (in *Ingestor) Submit(ctx context.Context, person PersonID, pat Pattern) er
 }
 
 // Flush is the barrier: it returns once every submission accepted before
-// the call is in a terminal state — placed or abandoned after its retry
-// budget. The flusher is kicked so a partial batch goes out immediately
-// rather than waiting for its interval. Submissions racing the call extend
-// the wait; quiesce producers first for a strict barrier.
+// the call is in a terminal state — placed, or abandoned after its retry
+// budget or by a Close whose final drain timed out. It queues a barrier
+// behind those submissions, which ends the flusher's batch there, so a
+// partial batch goes out at once rather than waiting for its interval.
+// Submissions accepted after the call do not extend the wait.
 func (in *Ingestor) Flush(ctx context.Context) error {
-	if in.closed.Load() {
-		return ErrStreamClosed
-	}
-	return in.drain(ctx)
-}
-
-// drain is Flush without the closed check — Close's own final barrier.
-func (in *Ingestor) drain(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ticker := time.NewTicker(time.Millisecond)
-	defer ticker.Stop()
-	for in.pending.Load() > 0 {
-		select {
-		case in.kick <- struct{}{}:
-		default: // a kick is already pending
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
-		case <-in.ctx.Done():
-			return ErrStreamClosed
-		case <-ticker.C:
-		}
+	in.closeMu.RLock()
+	if in.closed.Load() {
+		in.closeMu.RUnlock()
+		return ErrStreamClosed
 	}
-	return nil
+	return in.barrier(ctx, in.closeMu.RUnlock)
+}
+
+// barrier queues a barrier behind every item already in the intake and
+// waits until the flusher closes it, both bounded by ctx. release runs
+// once the enqueue is over, whatever its outcome: Flush holds its read lock
+// through its closed check and enqueue only.
+func (in *Ingestor) barrier(ctx context.Context, release func()) error {
+	b := make(chan struct{})
+	select {
+	case in.intake <- streamItem{barrier: b}:
+	case <-ctx.Done():
+		b = nil // never queued: the wait below ends with ctx
+	}
+	release()
+	select {
+	case <-b:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
+	}
 }
 
 // Close drains the pipeline and stops it: new Submits fail with ErrStreamClosed,
 // a Submit already past its closed check finishes its enqueue first,
-// everything accepted is flushed (bounded by closeDrainTimeout) and the
-// flusher exits. Close is idempotent; the first call's drain error (if any)
-// is returned.
+// everything accepted is flushed (a final barrier, bounded by
+// closeDrainTimeout) and the flusher exits. Close is idempotent; the first
+// call's drain error (if any) is returned.
 func (in *Ingestor) Close() error {
 	in.closeMu.Lock()
 	already := in.closed.Swap(true)
@@ -282,7 +282,7 @@ func (in *Ingestor) Close() error {
 	}
 	//dimatch:allow ctxflow — Close is the pipeline's ctx-less teardown API; closeDrainTimeout bounds the final drain instead of a caller ctx
 	ctx, cancel := context.WithTimeout(context.Background(), closeDrainTimeout)
-	err := in.drain(ctx)
+	err := in.barrier(ctx, func() {})
 	cancel()
 	in.cancel()
 	<-in.done
@@ -296,28 +296,32 @@ func (in *Ingestor) Report() *StreamStats {
 	return &s
 }
 
-// abandon accounts n accepted submissions as lost.
-func (in *Ingestor) abandon(n int64) {
-	in.counters.flushFailures.Add(uint64(n))
-	in.pending.Add(-n)
-}
-
-// flusher is the pipeline's one worker: collect a batch, place it, repeat.
-// On shutdown anything left in the intake (a drain that timed out) is
-// abandoned, keeping the pending count truthful.
+// flusher is the pipeline's one worker: collect a batch, place it, close
+// the barrier that ended it, repeat. On shutdown the submissions left in
+// the intake (a drain that timed out) are abandoned and the barriers left
+// there closed.
 func (in *Ingestor) flusher() {
 	defer close(in.done)
 	for {
-		batch := in.collect()
+		batch, barrier := in.collect()
 		if batch == nil {
 			break
 		}
-		in.flush(batch)
+		if len(batch) > 0 {
+			in.flush(batch)
+		}
+		if barrier != nil {
+			close(barrier)
+		}
 	}
 	for {
 		select {
-		case <-in.intake:
-			in.abandon(1)
+		case it := <-in.intake:
+			if it.barrier != nil {
+				close(it.barrier)
+			} else {
+				in.counters.flushFailures.Add(1)
+			}
 		default:
 			return
 		}
@@ -325,46 +329,38 @@ func (in *Ingestor) flusher() {
 }
 
 // collect blocks for the next batch, latest submission per person wins. It
-// returns once flushBatch persons are held, flushInterval has passed since
-// the first arrived or a Flush kicked, and nil once the pipeline stops.
-func (in *Ingestor) collect() map[PersonID]*streamEntry {
+// returns once flushBatch persons are held or flushInterval has passed
+// since the first arrived; a barrier ends the batch at once, empty or not,
+// and is returned with it. Both are nil once the pipeline stops.
+func (in *Ingestor) collect() (map[PersonID]*streamEntry, chan struct{}) {
 	batch := make(map[PersonID]*streamEntry)
-	add := func(it streamItem) {
-		e := batch[it.person]
-		if e == nil {
-			e = &streamEntry{}
-			batch[it.person] = e
-		}
-		e.pat = it.pat
-		e.subs++
-	}
-	for len(batch) == 0 {
-		select {
-		case it := <-in.intake:
-			add(it)
-		case <-in.kick: // nothing held, nothing to flush
-		case <-in.ctx.Done():
-			return nil
-		}
-	}
-	timer := time.NewTimer(flushInterval)
-	defer timer.Stop()
+	var timeout <-chan time.Time // armed by the batch's first submission
 	for len(batch) < flushBatch {
 		select {
 		case it := <-in.intake:
-			add(it)
-		case <-timer.C:
-			return batch
-		case <-in.kick:
-			return batch
+			if it.barrier != nil {
+				return batch, it.barrier
+			}
+			if timeout == nil {
+				timeout = time.After(flushInterval)
+			}
+			e := batch[it.person]
+			if e == nil {
+				e = &streamEntry{}
+				batch[it.person] = e
+			}
+			e.pat = it.pat
+			e.subs++
+		case <-timeout:
+			return batch, nil
 		case <-in.ctx.Done():
 			for _, e := range batch {
-				in.abandon(e.subs)
+				in.counters.flushFailures.Add(e.subs)
 			}
-			return nil
+			return nil, nil
 		}
 	}
-	return batch
+	return batch, nil
 }
 
 // flush places one batch. The persons a Place call landed nowhere are
@@ -393,14 +389,13 @@ func (in *Ingestor) flush(batch map[PersonID]*streamEntry) {
 				continue
 			}
 			in.counters.flushedPatterns.Add(1)
-			in.pending.Add(-batch[p].subs)
 		}
 		if len(retry) == 0 {
 			return
 		}
 		if attempt == maxFlushAttempts || in.ctx.Err() != nil {
 			for p := range retry {
-				in.abandon(batch[p].subs)
+				in.counters.flushFailures.Add(batch[p].subs)
 			}
 			return
 		}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -699,6 +700,79 @@ func TestStreamSubmitRacingClose(t *testing.T) {
 		if rep := in.Report(); rep.Accepted+rep.Rejected != rep.Submitted {
 			t.Fatalf("round %d: accepted %d + rejected %d != submitted %d", round, rep.Accepted, rep.Rejected, rep.Submitted)
 		}
+	}
+}
+
+// TestStreamFlushUnderLoad: two producers submit distinct persons without
+// pause. A Flush waits only for what was accepted before it, so it returns
+// well inside its 3 s budget, and a routed search then finds every person
+// accepted before the call. Close under the same load returns, and settles
+// every accepted submission: Accepted == FlushedPatterns + FlushFailures.
+func TestStreamFlushUnderLoad(t *testing.T) {
+	c := newStreamCluster(t, []uint32{1, 2, 3, 4}, 4)
+	in, err := c.Stream(StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want := Pattern{1, 2, 3, 4}
+
+	const producers = 2
+	var acked [producers]atomic.Uint64
+	running := make(chan struct{})
+	var once sync.Once
+	var wg sync.WaitGroup
+	for g := range producers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Producer g's k-th accepted person is g + producers·k + 1.
+			for p := PersonID(g + 1); ; p += producers {
+				err := in.Submit(ctx, p, want)
+				if errors.Is(err, ErrStreamClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("Submit: %v", err)
+					return
+				}
+				if acked[g].Add(1) == flushBatch {
+					once.Do(func() { close(running) })
+				}
+			}
+		}()
+	}
+	<-running
+
+	var before [producers]uint64
+	for g := range acked {
+		before[g] = acked[g].Load()
+	}
+	fctx, cancel := context.WithTimeout(ctx, 3*time.Second)
+	err = in.Flush(fctx)
+	cancel()
+	if err != nil {
+		t.Fatalf("Flush under load: %v", err)
+	}
+	got := searchPersons(t, c, want)
+	for g, n := range before {
+		for k := range n {
+			if p := PersonID(g+1) + PersonID(k*producers); got[p].Person != p {
+				t.Fatalf("person %d, accepted before Flush, is not found after it (%d of %d found)", p, len(got), before[0]+before[1])
+			}
+		}
+	}
+
+	if err := in.Close(); err != nil {
+		t.Fatalf("Close under load: %v", err)
+	}
+	wg.Wait()
+	rep := in.Report()
+	if rep.Accepted != rep.FlushedPatterns+rep.FlushFailures {
+		t.Fatalf("Close returned with Accepted %d, FlushedPatterns + FlushFailures = %d", rep.Accepted, rep.FlushedPatterns+rep.FlushFailures)
+	}
+	if rep.Accepted+rep.Rejected != rep.Submitted {
+		t.Fatalf("accepted %d + rejected %d != submitted %d", rep.Accepted, rep.Rejected, rep.Submitted)
 	}
 }
 
