@@ -389,6 +389,45 @@ func TestGroupRoutingSiblingCoversFailedMember(t *testing.T) {
 	}
 }
 
+// TestRefusedMutationKeepsLayout: an Ingest or Evict naming a station that
+// is not a member is refused before it touches the placement layout, so a
+// routed point search keeps the group rule and sends as many frames after
+// the refusal as before it.
+func TestRefusedMutationKeepsLayout(t *testing.T) {
+	ctx := context.Background()
+	patterns := make(map[PersonID]Pattern, 200)
+	for p := PersonID(1); p <= 200; p++ {
+		patterns[p] = Pattern{int64(p) * 10, int64(p), int64(p) * 3}
+	}
+	c := newPlacedCluster(t, []uint32{1, 2, 3, 4, 5, 6, 7, 8}, 2, patterns)
+	queries := []Query{{ID: 1, Locals: []Pattern{patterns[17]}}}
+	down := func() uint64 {
+		t.Helper()
+		out, err := c.Search(ctx, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Cost.MessagesDown
+	}
+	down() // the first routed search may pull digests
+	want := down()
+	for _, tc := range []struct {
+		what string
+		call func() error
+	}{
+		{"ingest", func() error { return c.Ingest(ctx, 999, map[PersonID]Pattern{17: {1, 2, 3}}) }},
+		{"evict", func() error { return c.Evict(ctx, 999, []PersonID{17}) }},
+	} {
+		err := tc.call()
+		if !errors.Is(err, ErrUnknownStation) || !strings.HasPrefix(err.Error(), tc.what+" station 999: ") {
+			t.Fatalf("%s at a non-member: err = %v, want %q wrapping ErrUnknownStation", tc.what, err, tc.what+" station 999: …")
+		}
+		if got := down(); got != want {
+			t.Fatalf("after the refused %s a routed search sent %d frames, want %d", tc.what, got, want)
+		}
+	}
+}
+
 // TestGroupRoutingMatchesFull is the cluster's churn driver, where the
 // result invariant is stated once. Each seed runs 40 random operations on
 // 4–9 WAL-backed stations at R=2: place, upsert, unplace, station-addressed

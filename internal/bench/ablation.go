@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -9,29 +10,25 @@ import (
 	"dimatch/internal/bloom"
 	"dimatch/internal/cdr"
 	"dimatch/internal/core"
-	"dimatch/internal/metrics"
 )
 
 // AblationConfig parameterizes the design-choice ablations: the choices this
-// reproduction made where the paper is silent (position salting, the
-// accumulated-domain ε band, filter sizing) and the failure injection.
+// reproduction made where the paper is silent (position salting, filter
+// sizing) and the failure injection. Each runs over the city of seed 1 and
+// scores one reference per category.
 type AblationConfig struct {
-	Seed          uint64
-	Persons       int
-	QueriesScored int
+	// Persons sizes the city (default 300).
+	Persons int
 }
 
-func (c AblationConfig) withDefaults() AblationConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
+// ablationCity generates the ablation city and its references, one per
+// category.
+func ablationCity(cfg AblationConfig) (*cdr.Dataset, []core.PersonID, error) {
+	d, err := genCity(1, cmp.Or(cfg.Persons, 300), nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	if c.Persons == 0 {
-		c.Persons = 300
-	}
-	if c.QueriesScored == 0 {
-		c.QueriesScored = 6
-	}
-	return c
+	return d, references(d, oneEach), nil
 }
 
 // AblationRow is one configuration's effectiveness and cost.
@@ -44,40 +41,12 @@ type AblationRow struct {
 	Reports   int
 }
 
-// runVariant executes one parameter variant over a fresh city and scores
-// one query per category.
-func runVariant(ctx context.Context, cfg AblationConfig, name string, params core.Params, minScore float64) (AblationRow, error) {
-	city := cdr.DefaultConfig()
-	city.Seed = cfg.Seed
-	city.Persons = cfg.Persons
-	d, err := cdr.Generate(city)
+// runVariant scores one WBF search of refs over a fresh cluster of d
+// searching with params.
+func runVariant(ctx context.Context, d *cdr.Dataset, refs []core.PersonID, name string, params core.Params) (AblationRow, error) {
+	total, out, err := scoreOnce(ctx, d, params, refs)
 	if err != nil {
 		return AblationRow{}, err
-	}
-	cl, err := dimatch.NewCluster(dimatch.Options{Params: params, MinScore: minScore}, d.Length(), dimatch.Members(dimatch.StationData(d))...)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	defer cl.Shutdown() //nolint:errcheck // benchmark teardown
-
-	var refs []core.PersonID
-	for _, c := range cdr.Categories() {
-		refs = append(refs, pickReferences(d, c, 1)...)
-	}
-	if len(refs) > cfg.QueriesScored {
-		refs = refs[:cfg.QueriesScored]
-	}
-	queries := make([]core.Query, len(refs))
-	for i, ref := range refs {
-		queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), ref)
-	}
-	out, err := cl.Search(ctx, queries, dimatch.WithStrategy(dimatch.StrategyWBF))
-	if err != nil {
-		return AblationRow{}, err
-	}
-	var total metrics.Confusion
-	for i, ref := range refs {
-		total.Add(scoreQuery(out, core.QueryID(i+1), ref, dimatch.RelevantSet(d, ref)))
 	}
 	return AblationRow{
 		Name:      name,
@@ -93,27 +62,23 @@ func runVariant(ctx context.Context, cfg AblationConfig, name string, params cor
 // unsalted keys at ε = 1, plus the unsalted exact-matching (ε = 0) case
 // where the original scheme is sound.
 func AblationSalting(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
-	cfg = cfg.withDefaults()
-	base := core.Params{
-		Bits:    1 << 18,
-		Hashes:  5,
-		Samples: core.DefaultSamples,
-		Seed:    cfg.Seed,
+	d, refs, err := ablationCity(cfg)
+	if err != nil {
+		return nil, err
 	}
 	variants := []struct {
-		name     string
-		mutate   func(*core.Params)
-		minScore float64
+		name   string
+		mutate func(*core.Params)
 	}{
-		{name: "salted eps=1 (default)", mutate: func(p *core.Params) { p.PositionSalted = true; p.Epsilon = 1 }, minScore: 0.9},
-		{name: "unsalted eps=1 (paper)", mutate: func(p *core.Params) { p.Epsilon = 1 }, minScore: 0.9},
-		{name: "unsalted eps=0 (paper, exact)", mutate: func(p *core.Params) {}, minScore: 0.9},
+		{name: "salted eps=1 (default)", mutate: func(p *core.Params) {}},
+		{name: "unsalted eps=1 (paper)", mutate: func(p *core.Params) { p.PositionSalted = false }},
+		{name: "unsalted eps=0 (paper, exact)", mutate: func(p *core.Params) { p.PositionSalted = false; p.Epsilon = 0 }},
 	}
 	rows := make([]AblationRow, 0, len(variants))
 	for _, v := range variants {
-		p := base
+		p := effectiveParams(1, core.DefaultSamples)
 		v.mutate(&p)
-		row, err := runVariant(ctx, cfg, v.name, p, v.minScore)
+		row, err := runVariant(ctx, d, refs, v.name, p)
 		if err != nil {
 			return nil, err
 		}
@@ -136,31 +101,17 @@ type SizingRow struct {
 // sizes — the empirical side of the paper's "upper bound tightness"
 // discussion (Section V).
 func SizingSweep(ctx context.Context, cfg AblationConfig, bitSizes []uint64) ([]SizingRow, error) {
-	cfg = cfg.withDefaults()
 	if len(bitSizes) == 0 {
 		bitSizes = []uint64{1 << 14, 1 << 16, 1 << 18, 1 << 20}
 	}
-	city := cdr.DefaultConfig()
-	city.Seed = cfg.Seed
-	city.Persons = cfg.Persons
-	d, err := cdr.Generate(city)
+	d, refs, err := ablationCity(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var refs []core.PersonID
-	for _, c := range cdr.Categories() {
-		refs = append(refs, pickReferences(d, c, 1)...)
-	}
 	rows := make([]SizingRow, 0, len(bitSizes))
 	for _, bits := range bitSizes {
-		params := core.Params{
-			Bits:           bits,
-			Hashes:         5,
-			Samples:        core.DefaultSamples,
-			Epsilon:        1,
-			Seed:           cfg.Seed,
-			PositionSalted: true,
-		}
+		params := effectiveParams(1, core.DefaultSamples)
+		params.Bits = bits
 		enc, err := core.NewEncoder(params, d.Length())
 		if err != nil {
 			return nil, err
@@ -192,7 +143,7 @@ func SizingSweep(ctx context.Context, cfg AblationConfig, bitSizes []uint64) ([]
 		}
 
 		// Precision at this sizing through the full pipeline.
-		row, err := runVariant(ctx, cfg, fmt.Sprintf("m=%d", bits), params, 0.9)
+		row, err := runVariant(ctx, d, refs, fmt.Sprintf("m=%d", bits), params)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,6 +116,10 @@ func TestConvergenceShape(t *testing.T) {
 	}
 	if points[2].Accuracy[0] < 0.85 {
 		t.Fatalf("stable-b accuracy %.2f too low", points[2].Accuracy[0])
+	}
+	// The groups are independent cities, so some b tells them apart.
+	if !slices.ContainsFunc(points, func(p ConvergencePoint) bool { return p.Spread() > 0 }) {
+		t.Fatalf("every group scored alike at every b, as one city would: %+v", points)
 	}
 	var buf bytes.Buffer
 	RenderConvergence(&buf, points)
@@ -280,5 +285,33 @@ func TestSizingSweep(t *testing.T) {
 	RenderSizing(&buf, rows)
 	if !strings.Contains(buf.String(), "sizing") {
 		t.Fatal("render missing title")
+	}
+}
+
+// TestStudiesShareOneRun: at one AblationConfig, Resilience with no station
+// killed, AblationSalting's salted row and SizingSweep at the default 2^18
+// bits each search the same city with the same pipeline and references, so
+// they must agree.
+func TestStudiesShareOneRun(t *testing.T) {
+	ctx := context.Background()
+	cfg := AblationConfig{Persons: 120}
+	res, err := Resilience(ctx, cfg, []int{0}, dimatch.StrategyWBF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	salting, err := AblationSalting(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizing, err := SizingSweep(ctx, cfg, []uint64{1 << 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, salted := res[0], salting[0]
+	if healthy.Precision != salted.Precision || healthy.Recall != salted.Recall || healthy.F1 != salted.F1 {
+		t.Fatalf("resilience at 0 killed %+v, salted ablation %+v: want equal precision, recall and F1", healthy, salted)
+	}
+	if sizing[0].Precision != salted.Precision {
+		t.Fatalf("sizing at 2^18 bits has precision %v, salted ablation %v", sizing[0].Precision, salted.Precision)
 	}
 }

@@ -5,16 +5,15 @@ import (
 	"fmt"
 	"io"
 
-	"dimatch"
 	"dimatch/internal/cdr"
 	"dimatch/internal/core"
-	"dimatch/internal/metrics"
 )
 
 // ConvergenceConfig parameterizes the sample-count study of Section V-B:
 // "when the number of sample values is 5, the accuracy rates in different
 // groups of data become converged, and when [it] is 12, the accuracy rates
-// ... become stable".
+// ... become stable". Group g's city is seeded 1 + 101·(g-1), and each
+// group's search scores one reference per category.
 type ConvergenceConfig struct {
 	// Groups is the number of independent data groups (the paper uses four
 	// days of data; we use four seeds). Default 4.
@@ -23,10 +22,6 @@ type ConvergenceConfig struct {
 	SampleCounts []int
 	// Persons per group (default 120).
 	Persons int
-	// QueriesScored per group per point (default 6, one per category).
-	QueriesScored int
-	// Seed of the first group.
-	Seed uint64
 }
 
 func (c ConvergenceConfig) withDefaults() ConvergenceConfig {
@@ -38,12 +33,6 @@ func (c ConvergenceConfig) withDefaults() ConvergenceConfig {
 	}
 	if c.Persons == 0 {
 		c.Persons = 120
-	}
-	if c.QueriesScored == 0 {
-		c.QueriesScored = 6
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -72,76 +61,29 @@ func (p ConvergencePoint) Spread() float64 {
 }
 
 // Convergence runs the study. Patterns are four days long (16 intervals)
-// so the b sweep has room above the paper's stable point of 12.
+// so the b sweep has room above the paper's stable point of 12. Each
+// group's city is generated once; each b searches it over a fresh cluster,
+// since the filter pipeline depends on b.
 func Convergence(ctx context.Context, cfg ConvergenceConfig) ([]ConvergencePoint, error) {
 	cfg = cfg.withDefaults()
-
-	type group struct {
-		city *cdr.Dataset
-		cl   *dimatch.Cluster
-		refs []core.PersonID
-	}
-	groups := make([]*group, 0, cfg.Groups)
-	defer func() {
-		for _, g := range groups {
-			_ = g.cl.Shutdown()
+	cities := make([]*cdr.Dataset, cfg.Groups)
+	refs := make([][]core.PersonID, cfg.Groups)
+	for gi := range cities {
+		d, err := genCity(1+uint64(gi)*101, cfg.Persons, func(c *cdr.Config) { c.Days = 4 })
+		if err != nil {
+			return nil, err
 		}
-	}()
-
+		cities[gi], refs[gi] = d, references(d, oneEach)
+	}
 	points := make([]ConvergencePoint, 0, len(cfg.SampleCounts))
 	for _, b := range cfg.SampleCounts {
 		point := ConvergencePoint{Samples: b}
-		for gi := 0; gi < cfg.Groups; gi++ {
-			// Build each group lazily once; rebuild the cluster per b by
-			// recreating options (the filter pipeline depends on b).
-			city := cdr.DefaultConfig()
-			city.Seed = cfg.Seed + uint64(gi)*101
-			city.Persons = cfg.Persons
-			city.Days = 4
-			d, err := cdr.Generate(city)
+		for gi, d := range cities {
+			total, _, err := scoreOnce(ctx, d, effectiveParams(1, b), refs[gi])
 			if err != nil {
 				return nil, err
-			}
-			opts := dimatch.Options{
-				Params: core.Params{
-					Bits:           1 << 18,
-					Hashes:         5,
-					Samples:        b,
-					Epsilon:        1,
-					Seed:           cfg.Seed,
-					PositionSalted: true,
-				},
-				MinScore: 0.9,
-			}
-			cl, err := dimatch.NewCluster(opts, d.Length(), dimatch.Members(dimatch.StationData(d))...)
-			if err != nil {
-				return nil, err
-			}
-
-			var refs []core.PersonID
-			for _, c := range cdr.Categories() {
-				refs = append(refs, pickReferences(d, c, 1)...)
-			}
-			if len(refs) > cfg.QueriesScored {
-				refs = refs[:cfg.QueriesScored]
-			}
-			queries := make([]core.Query, len(refs))
-			for i, ref := range refs {
-				queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), ref)
-			}
-			out, err := cl.Search(ctx, queries, dimatch.WithStrategy(dimatch.StrategyWBF))
-			if err != nil {
-				_ = cl.Shutdown()
-				return nil, err
-			}
-			var total metrics.Confusion
-			for i, ref := range refs {
-				total.Add(scoreQuery(out, core.QueryID(i+1), ref, dimatch.RelevantSet(d, ref)))
 			}
 			point.Accuracy = append(point.Accuracy, total.F1())
-			if err := cl.Shutdown(); err != nil {
-				return nil, err
-			}
 		}
 		points = append(points, point)
 	}

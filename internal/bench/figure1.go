@@ -9,11 +9,11 @@ import (
 	"dimatch/internal/pattern"
 )
 
-// Figure1aConfig parameterizes the periodicity/divisibility figure.
+// Figure1aConfig parameterizes the periodicity/divisibility figures
+// (Figure1a and Figure3), drawn from the city of seed 1.
 type Figure1aConfig struct {
-	// Seed and Persons size the underlying city; zero values take the
-	// defaults (seed 1, 310 persons — the paper's study population).
-	Seed    uint64
+	// Persons sizes the city; zero takes the default 310, the paper's
+	// study population.
 	Persons int
 }
 
@@ -22,37 +22,23 @@ type Figure1aConfig struct {
 // is the category's mean global pattern normalized to mean 1 (the paper
 // normalizes "to the mean value").
 func Figure1a(cfg Figure1aConfig) ([]Series, error) {
-	city := cdr.DefaultConfig()
-	if cfg.Seed != 0 {
-		city.Seed = cfg.Seed
-	}
-	if cfg.Persons != 0 {
-		city.Persons = cfg.Persons
-	}
-	city.Days = 2
-	d, err := cdr.Generate(city)
-	if err != nil {
-		return nil, err
-	}
-	return categorySeries(d, false), nil
+	return categoryFigure(cfg, 2, false)
 }
 
 // Figure3 reproduces Figure 3: the accumulated category patterns over one
 // week, where the categories become divisible over time.
 func Figure3(cfg Figure1aConfig) ([]Series, error) {
-	city := cdr.DefaultConfig()
-	if cfg.Seed != 0 {
-		city.Seed = cfg.Seed
-	}
-	if cfg.Persons != 0 {
-		city.Persons = cfg.Persons
-	}
-	city.Days = 7
-	d, err := cdr.Generate(city)
+	return categoryFigure(cfg, 7, true)
+}
+
+// categoryFigure generates a city of days days and draws its category
+// curves (categorySeries).
+func categoryFigure(cfg Figure1aConfig, days int, accumulate bool) ([]Series, error) {
+	d, err := genCity(1, cfg.Persons, func(c *cdr.Config) { c.Days = days })
 	if err != nil {
 		return nil, err
 	}
-	return categorySeries(d, true), nil
+	return categorySeries(d, accumulate), nil
 }
 
 // categorySeries builds one curve per category, optionally accumulated.
@@ -89,13 +75,11 @@ func categorySeries(d *cdr.Dataset, accumulate bool) []Series {
 	return out
 }
 
-// Figure1bConfig parameterizes the local-similarity CDF.
+// Figure1bConfig parameterizes the local-similarity CDF, drawn from the
+// city of seed 1.
 type Figure1bConfig struct {
-	Seed    uint64
+	// Persons sizes the city (default 310).
 	Persons int
-	// Epsilon is the similarity tolerance for both the global pair filter
-	// and the per-local comparison (default 4).
-	Epsilon int64
 }
 
 // Figure1bResult carries the CDF plus the headline statistic the paper
@@ -113,22 +97,13 @@ type Figure1bResult struct {
 // global patterns, the CDF of how many of one person's local patterns have
 // an ε-similar counterpart among the other's.
 func Figure1b(cfg Figure1bConfig) (*Figure1bResult, error) {
-	city := cdr.DefaultConfig()
-	if cfg.Seed != 0 {
-		city.Seed = cfg.Seed
-	}
-	if cfg.Persons != 0 {
-		city.Persons = cfg.Persons
-	}
-	eps := cfg.Epsilon
-	if eps == 0 {
-		eps = 4
-	}
-	d, err := cdr.Generate(city)
+	// eps is the similarity tolerance of both the global pair filter and
+	// the per-local comparison.
+	const eps = 4
+	d, err := genCity(1, cfg.Persons, nil)
 	if err != nil {
 		return nil, err
 	}
-
 	var counts []int
 	atLeastOne := 0
 	for _, c := range cdr.Categories() {

@@ -17,10 +17,8 @@ import (
 // Figure4Config parameterizes the accuracy/efficiency sweep (Figures
 // 4a-4d): a growing batch of query pattern sets against a fixed city and a
 // fixed-size filter, so the Bloom baseline degrades with load exactly as in
-// the paper.
+// the paper. The city and the query draw are those of seed 1.
 type Figure4Config struct {
-	// Seed fixes the city and the query draw.
-	Seed uint64
 	// Persons sizes the population (default 20_000 — large enough that the
 	// naive shipment dominates the filter, as at the paper's scale).
 	Persons int
@@ -43,9 +41,6 @@ type Figure4Config struct {
 }
 
 func (c Figure4Config) withDefaults() Figure4Config {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	if c.Persons == 0 {
 		c.Persons = 20_000
 	}
@@ -96,37 +91,47 @@ var figure4Strategies = []dimatch.Strategy{dimatch.StrategyNaive, dimatch.Strate
 // as the paper's Figure 4(a) shows.
 func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 	cfg = cfg.withDefaults()
-	city := cdr.DefaultConfig()
-	city.Seed = cfg.Seed
-	city.Persons = cfg.Persons
-	city.Stations = cfg.Stations
-	// A week-long window: report traffic is per-match and does not grow
-	// with pattern length, while the naive shipment does — the same length
-	// asymmetry the paper's month-scale windows exhibit.
-	city.Days = 7
-	// The provider queries a minority segment, as in the paper's scenario;
-	// report traffic scales with the segment's size, the naive shipment
-	// with the whole population.
-	city.CategoryWeights = []float64{0.04, 0.192, 0.192, 0.192, 0.192, 0.192}
-	// Exact-matching regime: no per-interval jitter; diversity via volume
-	// levels instead.
-	city.Noise = 0
-	city.VolumeLevels = 17
-	d, err := cdr.Generate(city)
+	d, err := genCity(1, cfg.Persons, func(c *cdr.Config) {
+		c.Stations = cfg.Stations
+		// A week-long window: report traffic is per-match and does not
+		// grow with pattern length, while the naive shipment does — the
+		// same length asymmetry the paper's month-scale windows exhibit.
+		c.Days = 7
+		// The provider queries a minority segment, as in the paper's
+		// scenario; report traffic scales with the segment's size, the
+		// naive shipment with the whole population.
+		c.CategoryWeights = []float64{0.04, 0.192, 0.192, 0.192, 0.192, 0.192}
+		// Exact-matching regime: no per-interval jitter; diversity via
+		// volume levels instead.
+		c.Noise = 0
+		c.VolumeLevels = 17
+	})
 	if err != nil {
 		return nil, err
 	}
 	data := dimatch.StationData(d)
 
-	maxA := 0
-	for _, a := range cfg.PatternCounts {
-		if a > maxA {
-			maxA = a
-		}
-	}
+	maxA := slices.Max(cfg.PatternCounts)
 	refPool := pickReferences(d, cdr.OfficeWorker, maxA)
 	if maxA > len(refPool) {
 		return nil, fmt.Errorf("bench: %d queries requested but category holds %d persons", maxA, len(refPool))
+	}
+	// Query i+1 is built from refPool[i] at every point, so each point
+	// searches a prefix of queries, and a scored query's ground truth
+	// (the exact IPM answer, its reference left out) is the same at every
+	// point and for every strategy.
+	queries := make([]core.Query, maxA)
+	relevant := make([][]core.PersonID, min(cfg.QueriesScored, maxA))
+	for i, ref := range refPool {
+		queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), ref)
+		if i >= len(relevant) {
+			continue
+		}
+		oracle, err := dimatch.Oracle(data, queries[i], 0, 0)
+		if err != nil {
+			return nil, err
+		}
+		relevant[i] = slices.DeleteFunc(oracle, func(p core.PersonID) bool { return p == ref })
 	}
 
 	opts := dimatch.Options{
@@ -136,7 +141,7 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 			Samples: core.DefaultSamples,
 			Epsilon: 0, // exact matching: the regime where the paper's
 			// unsalted scheme is sound (see core.Params.PositionSalted)
-			Seed: cfg.Seed,
+			Seed: 1,
 		},
 		// Only complete partitions (weight sum exactly 1) are answers.
 		MinScore: 0.999,
@@ -149,10 +154,6 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 
 	points := make([]Figure4Point, 0, len(cfg.PatternCounts))
 	for _, a := range cfg.PatternCounts {
-		queries := make([]core.Query, a)
-		for i := 0; i < a; i++ {
-			queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), refPool[i])
-		}
 		point := Figure4Point{
 			Patterns:           a,
 			Precision:          make(map[dimatch.Strategy]float64, 3),
@@ -167,7 +168,7 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 			var out *dimatch.Outcome
 			elapsed := make([]time.Duration, figure4Repeats)
 			for i := range elapsed {
-				o, err := cl.Search(ctx, queries, dimatch.WithStrategy(strat))
+				o, err := cl.Search(ctx, queries[:a], dimatch.WithStrategy(strat))
 				if err != nil {
 					return nil, err
 				}
@@ -185,24 +186,9 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 			point.BytesDissemination[strat] = out.Cost.BytesDown / uint64(cl.Stations())
 			point.CenterStorage[strat] = out.Cost.CenterStorageBytes
 
-			scored := cfg.QueriesScored
-			if scored > a {
-				scored = a
-			}
 			var total metrics.Confusion
-			for i := 0; i < scored; i++ {
-				ref := refPool[i]
-				oracle, err := dimatch.Oracle(data, queries[i], 0, 0)
-				if err != nil {
-					return nil, err
-				}
-				relevant := oracle[:0:0]
-				for _, p := range oracle {
-					if p != ref {
-						relevant = append(relevant, p)
-					}
-				}
-				total.Add(scoreQuery(out, core.QueryID(i+1), ref, relevant))
+			for i := range min(len(relevant), a) {
+				total.Add(scoreQuery(out, core.QueryID(i+1), refPool[i], relevant[i]))
 			}
 			point.Precision[strat] = total.Precision()
 
@@ -213,7 +199,7 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]Figure4Point, error) {
 				if err != nil {
 					return nil, err
 				}
-				for _, q := range queries {
+				for _, q := range queries[:a] {
 					if err := enc.AddQuery(q); err != nil {
 						return nil, err
 					}

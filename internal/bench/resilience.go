@@ -6,9 +6,7 @@ import (
 	"io"
 
 	"dimatch"
-	"dimatch/internal/cdr"
 	"dimatch/internal/core"
-	"dimatch/internal/metrics"
 )
 
 // ResilienceRow is one point of the failure-injection experiment: search
@@ -30,41 +28,18 @@ func Resilience(ctx context.Context, cfg AblationConfig, killSteps []int, strat 
 	if strat == 0 {
 		strat = dimatch.StrategyWBF
 	}
-	cfg = cfg.withDefaults()
 	if len(killSteps) == 0 {
 		killSteps = []int{0, 4, 8, 16, 32}
 	}
-	city := cdr.DefaultConfig()
-	city.Seed = cfg.Seed
-	city.Persons = cfg.Persons
-	d, err := cdr.Generate(city)
+	d, refs, err := ablationCity(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cl, err := dimatch.NewCluster(dimatch.Options{
-		Params: core.Params{
-			Bits:           1 << 18,
-			Hashes:         5,
-			Samples:        core.DefaultSamples,
-			Epsilon:        1,
-			Seed:           cfg.Seed,
-			PositionSalted: true,
-		},
-		MinScore: 0.9,
-	}, d.Length(), dimatch.Members(dimatch.StationData(d))...)
+	cl, err := cityCluster(d, effectiveParams(1, core.DefaultSamples))
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Shutdown() //nolint:errcheck // benchmark teardown
-
-	var refs []core.PersonID
-	for _, c := range cdr.Categories() {
-		refs = append(refs, pickReferences(d, c, 1)...)
-	}
-	queries := make([]core.Query, len(refs))
-	for i, ref := range refs {
-		queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), ref)
-	}
 
 	stations := d.StationIDs()
 	killed := 0
@@ -79,13 +54,9 @@ func Resilience(ctx context.Context, cfg AblationConfig, killSteps []int, strat 
 			}
 			killed++
 		}
-		out, err := cl.Search(ctx, queries, dimatch.WithStrategy(strat))
+		total, _, err := searchScored(ctx, cl, d, refs, strat)
 		if err != nil {
 			return nil, err
-		}
-		var total metrics.Confusion
-		for i, ref := range refs {
-			total.Add(scoreQuery(out, core.QueryID(i+1), ref, dimatch.RelevantSet(d, ref)))
 		}
 		rows = append(rows, ResilienceRow{
 			StationsKilled: killed,

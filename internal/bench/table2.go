@@ -5,15 +5,15 @@ import (
 	"fmt"
 	"io"
 
-	"dimatch"
 	"dimatch/internal/cdr"
 	"dimatch/internal/core"
-	"dimatch/internal/metrics"
 )
 
 // TableIIConfig parameterizes the effectiveness evaluation on the labelled
 // study population (paper Data set 2: 310 persons over four days, March
-// 28-31 2009, six ground-truth categories).
+// 28-31 2009, six ground-truth categories). Window k, counting from 0, is
+// the city of seed 328 + k (March 28th onward), and every window searches
+// without the verification phase.
 type TableIIConfig struct {
 	// Persons per day window (default 310, the paper's population).
 	Persons int
@@ -22,12 +22,6 @@ type TableIIConfig struct {
 	// QueriesPerDay is how many reference persons are queried per window
 	// (default 12, two per category).
 	QueriesPerDay int
-	// Seed of the first window.
-	Seed uint64
-	// Verify enables the candidate-verification phase (exact Eq. 2 check on
-	// fetched globals) — eliminates residual false positives for a small
-	// extra round trip.
-	Verify bool
 }
 
 func (c TableIIConfig) withDefaults() TableIIConfig {
@@ -39,9 +33,6 @@ func (c TableIIConfig) withDefaults() TableIIConfig {
 	}
 	if c.QueriesPerDay == 0 {
 		c.QueriesPerDay = 12
-	}
-	if c.Seed == 0 {
-		c.Seed = 328 // March 28th
 	}
 	return c
 }
@@ -63,69 +54,20 @@ func TableII(ctx context.Context, cfg TableIIConfig) ([]TableIIRow, error) {
 		"March 28th, 2009", "March 29th, 2009", "March 30th, 2009", "March 31st, 2009",
 		"day 5", "day 6", "day 7",
 	}
+	const seed = 328 // March 28th
 	rows := make([]TableIIRow, 0, cfg.Days)
 	for day := 0; day < cfg.Days; day++ {
-		city := cdr.DefaultConfig()
-		city.Seed = cfg.Seed + uint64(day)
-		city.Persons = cfg.Persons
-		city.Days = 1
-		city.IntervalsPerDay = 4 // the paper's 6-hour figure resolution
-		d, err := cdr.Generate(city)
+		d, err := genCity(seed+uint64(day), cfg.Persons, func(c *cdr.Config) {
+			c.Days = 1
+			c.IntervalsPerDay = 4 // the paper's 6-hour figure resolution
+		})
 		if err != nil {
 			return nil, err
 		}
-		cl, err := dimatch.NewCluster(dimatch.Options{
-			Params: core.Params{
-				Bits:           1 << 18,
-				Hashes:         5,
-				Samples:        core.DefaultSamples,
-				Epsilon:        1,
-				Seed:           cfg.Seed,
-				PositionSalted: true,
-			},
-			MinScore: 0.9,
-		}, d.Length(), dimatch.Members(dimatch.StationData(d))...)
+		total, _, err := scoreOnce(ctx, d, effectiveParams(seed, core.DefaultSamples), references(d, cfg.QueriesPerDay))
 		if err != nil {
 			return nil, err
 		}
-
-		// Reference persons cycle the categories, preferring exemplars
-		// whose anchors expose the full category split.
-		perCat := (cfg.QueriesPerDay + 5) / 6
-		pools := make([][]core.PersonID, 0, 6)
-		for _, c := range cdr.Categories() {
-			pools = append(pools, pickReferences(d, c, perCat))
-		}
-		var refs []core.PersonID
-		for round := 0; len(refs) < cfg.QueriesPerDay; round++ {
-			added := false
-			for _, pool := range pools {
-				if round < len(pool) && len(refs) < cfg.QueriesPerDay {
-					refs = append(refs, pool[round])
-					added = true
-				}
-			}
-			if !added {
-				break
-			}
-		}
-		queries := make([]core.Query, len(refs))
-		for i, ref := range refs {
-			queries[i] = dimatch.QueryFromPerson(d, core.QueryID(i+1), ref)
-		}
-		out, err := cl.Search(ctx, queries, dimatch.WithStrategy(dimatch.StrategyWBF), dimatch.WithVerify(cfg.Verify))
-		if err != nil {
-			_ = cl.Shutdown()
-			return nil, err
-		}
-		var total metrics.Confusion
-		for i, ref := range refs {
-			total.Add(scoreQuery(out, core.QueryID(i+1), ref, dimatch.RelevantSet(d, ref)))
-		}
-		if err := cl.Shutdown(); err != nil {
-			return nil, err
-		}
-
 		name := fmt.Sprintf("day %d", day+1)
 		if day < len(dayNames) {
 			name = dayNames[day]

@@ -137,7 +137,8 @@ func FuzzSnapshot(f *testing.F) {
 	sealFlip := mustHex(f, workedSnapshotHex)
 	sealFlip[len(sealFlip)-8] ^= 0x01
 	f.Add(sealFlip)
-	// Retired digest records: adaptive (hash count 0) and static.
+	// Snapshots carrying a retired 0x12 digest record, which the loader
+	// refuses: adaptive (hash count 0) and static.
 	f.Add(mustHex(f, adaptedSnapshotHex))
 	f.Add(mustHex(f, staticSnapshotHex))
 	f.Fuzz(func(t *testing.T, data []byte) {

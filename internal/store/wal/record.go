@@ -37,7 +37,6 @@ const (
 	recEvict  byte = 0x02 // body: wire evict payload (applied removals)
 
 	recResidents byte = 0x11 // snapshot: one chunk of the resident store (ingest payload)
-	recDigest    byte = 0x12 // snapshot, retired: a routing digest, skipped unread
 	recSeal      byte = 0x1f // snapshot terminator: u64 LE total resident count
 )
 

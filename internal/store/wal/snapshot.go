@@ -15,9 +15,7 @@ import (
 // (each body a wire ingest payload) and a mandatory recSeal terminator whose
 // body is the u64 LE total resident count. The seal lets the loader
 // distinguish a complete snapshot from one a sector-level failure cut short
-// even though the rename was atomic. Snapshots written before the digest left
-// the store may also hold one retired recDigest record, which the loader
-// skips.
+// even though the rename was atomic.
 
 var snapMagic = [4]byte{'D', '1', 'S', 'N'}
 
@@ -93,9 +91,6 @@ func decodeSnapshot[R pattern.Row[C], C pattern.Cell](data []byte) (store.ImageO
 			if err := fold.ApplyDecoded(store.BatchOf[R, C]{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals}); err != nil {
 				return zero, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 			}
-		case recDigest:
-			// Derived state an older build persisted: the station rebuilds
-			// its digest from the residents, so the body is never read.
 		case recSeal:
 			if len(body) != 8 {
 				return zero, fmt.Errorf("%w: %d byte seal", ErrBadSnapshot, len(body))

@@ -1,10 +1,10 @@
 package wal
 
 import (
-	"reflect"
+	"errors"
+	"strings"
 	"testing"
 
-	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 )
 
@@ -24,27 +24,15 @@ const (
 		"0900000089901f531f0600000000000000"
 )
 
-// retiredDigestSnapshots names the two fixtures above, and
-// retiredDigestPersons/Locals are the residents each holds.
-var (
-	retiredDigestSnapshots = map[string]string{"adaptive": adaptedSnapshotHex, "static": staticSnapshotHex}
-	retiredDigestPersons   = []core.PersonID{10, 11, 12, 13, 14, 15}
-	retiredDigestLocals    = []pattern.Pattern{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {2, 4, 6}, {3, 5, 7}, {8, 9, 10}}
-)
-
-// TestSnapshotDropsAdaptiveDigest: a snapshot carrying a retired digest
-// record, adaptive or static, decodes to every resident and nothing else.
-// The recovered station's search and fresh digest are pinned by
-// TestRetiredDigestSnapshotServesSearch.
+// TestSnapshotDropsAdaptiveDigest: the 0x12 digest record is retired, so a
+// snapshot carrying one, adaptive or static, is refused with the loader's
+// typed unknown-kind error rather than recovered.
 func TestSnapshotDropsAdaptiveDigest(t *testing.T) {
-	for name, fixtureHex := range retiredDigestSnapshots {
+	for name, fixtureHex := range map[string]string{"adaptive": adaptedSnapshotHex, "static": staticSnapshotHex} {
 		t.Run(name, func(t *testing.T) {
-			img, err := decodeSnapshot[pattern.Pattern](mustHex(t, fixtureHex))
-			if err != nil {
-				t.Fatalf("decodeSnapshot: %v", err)
-			}
-			if !reflect.DeepEqual(img.Persons, retiredDigestPersons) || !reflect.DeepEqual(img.Locals, retiredDigestLocals) {
-				t.Fatalf("recovered %v %v, want %v %v", img.Persons, img.Locals, retiredDigestPersons, retiredDigestLocals)
+			_, err := decodeSnapshot[pattern.Pattern](mustHex(t, fixtureHex))
+			if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "record kind 0x12") {
+				t.Fatalf("decodeSnapshot: err = %v, want ErrBadSnapshot: record kind 0x12", err)
 			}
 		})
 	}

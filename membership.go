@@ -132,6 +132,9 @@ func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[Per
 	if len(in.Persons) == 0 {
 		return nil
 	}
+	if err := c.knownStation("ingest", stationID); err != nil {
+		return err
+	}
 	placed := c.touchesPlaced(in.Persons)
 	c.mu.Lock()
 	if c.ep.find(stationID) >= 0 {
@@ -226,6 +229,9 @@ func (c *Cluster) Evict(ctx context.Context, stationID uint32, persons []PersonI
 	if len(persons) == 0 {
 		return nil
 	}
+	if err := c.knownStation("evict", stationID); err != nil {
+		return err
+	}
 	if c.touchesPlaced(persons) {
 		c.invalidateLayout()
 	}
@@ -247,6 +253,19 @@ func (c *Cluster) evict(ctx context.Context, what string, perStation map[uint32]
 			c.summaries.invalidate(ids[i])
 		}
 	})
+}
+
+// knownStation refuses a public Ingest or Evict naming a station that is
+// not a member of the open cluster, with mutate's "what station N: …"
+// error, before the call touches the placement layout. A closed cluster is
+// left to mutate, which refuses it with ErrClusterClosed.
+func (c *Cluster) knownStation(what string, id uint32) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.closed && c.ep.find(id) < 0 {
+		return fmt.Errorf("%s station %d: %w", what, id, ErrUnknownStation)
+	}
+	return nil
 }
 
 // stationsOf returns the stations of perStation ascending.
