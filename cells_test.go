@@ -57,16 +57,10 @@ func TestStationAllocatesNoInt64Image(t *testing.T) {
 	int64Image := uint64(8 * residents * length)
 
 	fresh := map[PersonID]Pattern{1: seed[2], 3: seed[4], 5: seed[6]}
-	ingest, err := wire.EncodeIngest(wire.Ingest{
-		Persons: []PersonID{1, 3, 5},
-		Locals:  []Pattern{fresh[1], fresh[3], fresh[5]},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ingest := ingestFrame(t, []PersonID{1, 3, 5}, []Pattern{fresh[1], fresh[3], fresh[5]})
 	queries := []Query{{ID: 1, Locals: []Pattern{seed[20]}}, {ID: 2, Locals: []Pattern{seed[400]}}}
 	round := roundFrame(t, length, queries, 0, 0)
-	dump := wire.EncodeDump(wire.Dump{Persons: []PersonID{2, 4, 6, 8000}})
+	dump := wire.Message{Kind: wire.KindDump, Payload: wire.EncodePersons([]PersonID{2, 4, 6, 8000})}
 	for _, op := range []struct {
 		name string
 		do   func() (wire.Message, error)

@@ -118,13 +118,14 @@ func (c *Cluster) pullPatterns(ctx context.Context, ep *epoch, persons []PersonI
 		current bool
 	}
 	picks := make(map[PersonID]*pick)
-	failed, err = c.fanOut(ctx, ep, wire.EncodeDump(wire.Dump{Persons: persons}), cost, func(st int, reply wire.Message) error {
-		data, err := wire.DecodeDumpReply(reply)
+	pull := wire.Message{Kind: wire.KindDump, Payload: wire.EncodePersons(persons)}
+	failed, err = c.fanOut(ctx, ep, pull, cost, func(st int, reply wire.Message) error {
+		shipped, locals, err := decodeDumpReply(reply)
 		if err != nil {
 			return err
 		}
-		for i, p := range data.Persons {
-			l := data.Locals[i]
+		for i, p := range shipped {
+			l := locals[i]
 			if len(l) != c.length {
 				continue
 			}
@@ -178,4 +179,13 @@ func (c *Cluster) pullGlobals(ctx context.Context, ep *epoch, persons []PersonID
 		}
 	})
 	return globals, failed, err
+}
+
+// decodeDumpReply parses a station's answer to a KindDump — the requested
+// rows it holds, person-ascending — and refuses a reply of any other kind.
+func decodeDumpReply(m wire.Message) ([]PersonID, []Pattern, error) {
+	if m.Kind != wire.KindDumpReply {
+		return nil, nil, fmt.Errorf("wire: decoding %v as dump-reply", m.Kind)
+	}
+	return wire.DecodeRows[Pattern](m.Payload)
 }

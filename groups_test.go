@@ -785,17 +785,17 @@ func dumpStation(t *testing.T, c *Cluster, id uint32) map[PersonID]Pattern {
 	if i < 0 {
 		t.Fatalf("station %d is not a member", id)
 	}
-	reply, err := ep.muxes[i].Roundtrip(context.Background(), wire.EncodeDump(wire.Dump{}))
+	reply, err := ep.muxes[i].Roundtrip(context.Background(), wire.Message{Kind: wire.KindDump, Payload: wire.EncodePersons(nil)})
 	if err != nil {
 		t.Fatalf("dump of station %d: %v", id, err)
 	}
-	d, err := wire.DecodeDumpReply(reply)
+	persons, locals, err := decodeDumpReply(reply)
 	if err != nil {
 		t.Fatalf("dump of station %d: %v", id, err)
 	}
-	out := make(map[PersonID]Pattern, len(d.Persons))
-	for j, p := range d.Persons {
-		out[p] = d.Locals[j]
+	out := make(map[PersonID]Pattern, len(persons))
+	for j, p := range persons {
+		out[p] = locals[j]
 	}
 	return out
 }

@@ -108,7 +108,7 @@ func codecErrIndex(p *pass, call *ast.CallExpr) int {
 }
 
 // codecFun is the called function's expression, without the type arguments
-// of an explicitly instantiated generic codec (wire.DecodeIngest[[]int32]).
+// of an explicitly instantiated generic codec (wire.DecodeRows[[]int32]).
 func codecFun(call *ast.CallExpr) ast.Expr {
 	switch fun := call.Fun.(type) {
 	case *ast.IndexExpr:

@@ -182,7 +182,7 @@ func (r *ResidentsOf[R, C]) insert(i int, p core.PersonID, local R) {
 //
 // Taken rows are the store's and are overwritten in place by later upserts
 // like any other, so the caller must give them up — a freshly decoded batch
-// (wire.DecodeIngest sizes its cell arena exactly, so the rows hold no cells
+// (wire.DecodeRows sizes its cell arena exactly, so the rows hold no cells
 // beyond their own), not rows anybody else reads. The caller gives up the
 // persons and locals slices too: an empty store keeps them as its own, so
 // a bulk load costs no second header array, and later mutations rewrite

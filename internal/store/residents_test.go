@@ -362,15 +362,15 @@ func TestAdoptRowsIntoEmptyStoreKeepsSlices(t *testing.T) {
 		for i := range locals {
 			locals[i] = row()
 		}
-		payload, err := wire.EncodeIngestPayload(wire.IngestOf[[]int32, int32]{Persons: persons, Locals: locals})
+		payload, err := wire.EncodeRows(nil, persons, locals, nil, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, err := wire.DecodeIngestPayload[[]int32](payload)
+		persons, locals, err = wire.DecodeRows[[]int32](payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return store.CellBatch{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals}
+		return store.CellBatch{Op: store.OpIngest, Persons: persons, Locals: locals}
 	}
 
 	var r store.Residents
@@ -485,28 +485,29 @@ func TestResidentsHeapBytesPin(t *testing.T) {
 	const n = 10_000
 	rng := rand.New(rand.NewSource(2))
 	for _, length := range []int{1, 24, 168} {
-		in := wire.Ingest{}
+		var persons []core.PersonID
+		var locals []pattern.Pattern
 		for i := 0; i < n; i++ {
 			row := make(pattern.Pattern, length)
 			for g := range row {
 				row[g] = rng.Int63n(1_000_000) + 1
 			}
-			in.Persons = append(in.Persons, core.PersonID(3*i+1))
-			in.Locals = append(in.Locals, row)
+			persons = append(persons, core.PersonID(3*i+1))
+			locals = append(locals, row)
 		}
-		payload, err := wire.EncodeIngestPayload(in)
+		payload, err := wire.EncodeRows(nil, persons, locals, nil, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := wire.DecodeIngestPayload[[]int32](payload)
+		decodedPersons, decodedLocals, err := wire.DecodeRows[[]int32](payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var adopted, loaded store.Residents
-		if !adopted.AdoptRows(decoded.Persons, decoded.Locals) {
+		if !adopted.AdoptRows(decodedPersons, decodedLocals) {
 			t.Fatal("an empty store refused a decoded frame")
 		}
-		if err := loaded.Load(store.CellImage{Persons: in.Persons, Locals: cells(in.Locals)}); err != nil {
+		if err := loaded.Load(store.CellImage{Persons: persons, Locals: cells(locals)}); err != nil {
 			t.Fatal(err)
 		}
 		limit := uint64(1.15 * float64(n*(4*length+28)))

@@ -215,7 +215,7 @@ func verbatimBatches(t *testing.T) []store.Batch {
 		if b.Op != store.OpIngest || b.Locals[0].Sum() == 0 {
 			continue
 		}
-		payload, err := wire.EncodeIngestPayload(wire.Ingest{Persons: b.Persons, Locals: b.Locals})
+		payload, err := wire.EncodeRows(nil, b.Persons, b.Locals, nil, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ import (
 // record: length u32 LE | crc32(IEEE over kind+body) LE | kind u8 | body.
 const (
 	// An ingest record: persons 7 and 9 with patterns [3,-1,4] and [2,2,2]
-	// (the body is exactly wire.EncodeIngestPayload's output).
+	// (the body is exactly wire.EncodeRows's output).
 	workedIngestRecordHex = "0c0000007df0ab94010207030601080903040404"
 	// An evict record: persons {7, 9}, sorted and delta-encoded.
 	workedEvictRecordHex = "040000001234862902020702"
@@ -39,17 +39,14 @@ func mustHex(t interface{ Fatalf(string, ...any) }, s string) []byte {
 // TestWorkedRecordHex pins the worked constants to the live encoders, so the
 // documented hex cannot drift from what the store actually writes.
 func TestWorkedRecordHex(t *testing.T) {
-	inBody, err := wire.EncodeIngestPayload(wire.Ingest{
-		Persons: []core.PersonID{7, 9},
-		Locals:  []pattern.Pattern{{3, -1, 4}, {2, 2, 2}},
-	})
+	inBody, err := wire.EncodeRows(nil, []core.PersonID{7, 9}, []pattern.Pattern{{3, -1, 4}, {2, 2, 2}}, nil, 0, nil)
 	if err != nil {
-		t.Fatalf("EncodeIngestPayload: %v", err)
+		t.Fatalf("EncodeRows: %v", err)
 	}
 	if got := appendRecord(nil, recIngest, inBody); !bytes.Equal(got, mustHex(t, workedIngestRecordHex)) {
 		t.Errorf("worked ingest record drifted:\n got %x\nwant %s", got, workedIngestRecordHex)
 	}
-	evBody := wire.EncodeEvictPayload(wire.Evict{Persons: []core.PersonID{9, 7}})
+	evBody := wire.EncodePersons([]core.PersonID{9, 7})
 	if got := appendRecord(nil, recEvict, evBody); !bytes.Equal(got, mustHex(t, workedEvictRecordHex)) {
 		t.Errorf("worked evict record drifted:\n got %x\nwant %s", got, workedEvictRecordHex)
 	}

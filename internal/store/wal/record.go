@@ -19,10 +19,11 @@ import (
 //
 // length counts the kind byte plus the body; crc32 is IEEE over the kind
 // byte plus the body. Bodies reuse the wire payload codecs verbatim: a
-// recIngest body is a wire ingest payload — the one the station received,
-// when it applied every row, else wire.EncodeIngestPayload's encoding of the
-// applied rows — and a recEvict body wire.EncodeEvictPayload's output, so
-// persistence and the wire share one binary vocabulary (docs/WIRE.md).
+// recIngest body is a wire row set — the ingest payload the station
+// received, when it applied every row, else wire.EncodeRows's encoding of
+// the applied rows — and a recEvict body a wire person list
+// (wire.EncodePersons), so persistence and the wire share one binary
+// vocabulary (docs/WIRE.md).
 const headerSize = 8
 
 // MaxRecordBytes bounds one framed record. A length field beyond it is
@@ -33,10 +34,10 @@ const MaxRecordBytes = 64 << 20
 // Record kinds. Log records carry applied station batches; snapshot records
 // carry the folded image.
 const (
-	recIngest byte = 0x01 // body: wire ingest payload (applied upserts)
-	recEvict  byte = 0x02 // body: wire evict payload (applied removals)
+	recIngest byte = 0x01 // body: wire row set (applied upserts)
+	recEvict  byte = 0x02 // body: wire person list (applied removals)
 
-	recResidents byte = 0x11 // snapshot: one chunk of the resident store (ingest payload)
+	recResidents byte = 0x11 // snapshot: one chunk of the resident store (row set)
 	recSeal      byte = 0x1f // snapshot terminator: u64 LE total resident count
 )
 

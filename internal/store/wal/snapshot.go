@@ -12,7 +12,7 @@ import (
 
 // Snapshot file layout: a 5-byte header (magic "D1SN", version 1) followed
 // by framed records — the resident store chunked into recResidents records
-// (each body a wire ingest payload) and a mandatory recSeal terminator whose
+// (each body a wire row set) and a mandatory recSeal terminator whose
 // body is the u64 LE total resident count. The seal lets the loader
 // distinguish a complete snapshot from one a sector-level failure cut short
 // even though the rename was atomic.
@@ -41,10 +41,7 @@ func writeSnapshot[R pattern.Row[C], C pattern.Cell](w io.Writer, img store.Imag
 	for start := 0; start < len(img.Persons); start += snapChunk {
 		end := min(start+snapChunk, len(img.Persons))
 		var err error
-		body, err = wire.AppendIngestPayload(body[:0], wire.IngestOf[R, C]{
-			Persons: img.Persons[start:end],
-			Locals:  img.Locals[start:end],
-		}, nil)
+		body, err = wire.EncodeRows(body[:0], img.Persons[start:end], img.Locals[start:end], nil, 0, nil)
 		if err != nil {
 			return err
 		}
@@ -84,11 +81,11 @@ func decodeSnapshot[R pattern.Row[C], C pattern.Cell](data []byte) (store.ImageO
 		off += n
 		switch kind {
 		case recResidents:
-			in, err := wire.DecodeIngestPayload[R](body)
+			persons, locals, err := wire.DecodeRows[R](body)
 			if err != nil {
 				return zero, fmt.Errorf("%w: residents: %w", ErrBadSnapshot, err)
 			}
-			if err := fold.ApplyDecoded(store.BatchOf[R, C]{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals}); err != nil {
+			if err := fold.ApplyDecoded(store.BatchOf[R, C]{Op: store.OpIngest, Persons: persons, Locals: locals}); err != nil {
 				return zero, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 			}
 		case recSeal:

@@ -37,10 +37,7 @@ func encodeSnapshot(img store.Image) ([]byte, error) {
 		if end > len(img.Persons) {
 			end = len(img.Persons)
 		}
-		body, err := wire.EncodeIngestPayload(wire.Ingest{
-			Persons: img.Persons[start:end],
-			Locals:  img.Locals[start:end],
-		})
+		body, err := wire.EncodeRows(nil, img.Persons[start:end], img.Locals[start:end], nil, 0, nil)
 		if err != nil {
 			return nil, fmt.Errorf("wal: snapshot: %w", err)
 		}

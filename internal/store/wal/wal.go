@@ -221,13 +221,13 @@ func encodeBatch[R pattern.Row[C], C pattern.Cell](b store.BatchOf[R, C]) (byte,
 		if b.Payload != nil {
 			return recIngest, b.Payload, nil
 		}
-		body, err := wire.EncodeIngestPayload(wire.IngestOf[R, C]{Persons: b.Persons, Locals: b.Locals})
+		body, err := wire.EncodeRows(nil, b.Persons, b.Locals, nil, 0, nil)
 		if err != nil {
 			return 0, nil, fmt.Errorf("wal: %w", err)
 		}
 		return recIngest, body, nil
 	case store.OpEvict:
-		return recEvict, wire.EncodeEvictPayload(wire.Evict{Persons: b.Persons}), nil
+		return recEvict, wire.EncodePersons(b.Persons), nil
 	default:
 		return 0, nil, fmt.Errorf("%w: batch op %v", ErrBadKind, b.Op)
 	}
@@ -237,17 +237,17 @@ func encodeBatch[R pattern.Row[C], C pattern.Cell](b store.BatchOf[R, C]) (byte,
 func decodeBatch[R pattern.Row[C], C pattern.Cell](kind byte, body []byte) (store.BatchOf[R, C], error) {
 	switch kind {
 	case recIngest:
-		in, err := wire.DecodeIngestPayload[R](body)
+		persons, locals, err := wire.DecodeRows[R](body)
 		if err != nil {
 			return store.BatchOf[R, C]{}, fmt.Errorf("wal: ingest record: %w", err)
 		}
-		return store.BatchOf[R, C]{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals}, nil
+		return store.BatchOf[R, C]{Op: store.OpIngest, Persons: persons, Locals: locals}, nil
 	case recEvict:
-		ev, err := wire.DecodeEvictPayload(body)
+		persons, err := wire.DecodePersons(body)
 		if err != nil {
 			return store.BatchOf[R, C]{}, fmt.Errorf("wal: evict record: %w", err)
 		}
-		return store.BatchOf[R, C]{Op: store.OpEvict, Persons: ev.Persons}, nil
+		return store.BatchOf[R, C]{Op: store.OpEvict, Persons: persons}, nil
 	default:
 		return store.BatchOf[R, C]{}, fmt.Errorf("%w: 0x%02x", ErrBadKind, kind)
 	}

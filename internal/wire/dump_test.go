@@ -1,95 +1,89 @@
 package wire
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 )
 
+// encodePersons and decodePersons name the person-list codec beside
+// writeRows and readRows, the unexported row-set codec, for
+// TestWorkedIngestDumpEvictHex.
+var encodePersons, decodePersons = EncodePersons, DecodePersons
+
 func TestDumpRoundTrip(t *testing.T) {
-	in := Dump{Persons: []core.PersonID{90, 4, 17}}
-	out, err := DecodeDump(EncodeDump(in))
+	payload := EncodePersons([]core.PersonID{90, 4, 17})
+	if !bytes.Equal(payload, mustHex(t, workedDumpHex)[HeaderSize:]) {
+		t.Fatalf("dump body %x drifted from the worked frame", payload)
+	}
+	out, err := DecodePersons(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []core.PersonID{4, 17, 90} // sent sorted
-	if len(out.Persons) != len(want) {
-		t.Fatalf("got %d persons, want %d", len(out.Persons), len(want))
-	}
-	for i, p := range want {
-		if out.Persons[i] != p {
-			t.Fatalf("person[%d] = %d, want %d", i, out.Persons[i], p)
-		}
+	if want := []core.PersonID{4, 17, 90}; !slices.Equal(out, want) { // sent sorted
+		t.Fatalf("got %v, want %v", out, want)
 	}
 
 	// Empty filter means "everything" and must round-trip as empty.
-	all, err := DecodeDump(EncodeDump(Dump{}))
+	all, err := DecodePersons(EncodePersons(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all.Persons) != 0 {
-		t.Fatalf("empty dump decoded %d persons", len(all.Persons))
-	}
-
-	if _, err := DecodeDump(StatsMessage()); err == nil {
-		t.Fatal("decoding a stats message as dump succeeded")
+	if all != nil {
+		t.Fatalf("empty dump decoded %v, want nil", all)
 	}
 }
 
+// TestDumpReplyRoundTrip: a station's int32 rows encode to the worked dump
+// reply's body, the bytes the same rows in Pattern cells encode to, and
+// decode back in either cell type.
 func TestDumpReplyRoundTrip(t *testing.T) {
-	in := DumpReply{
-		Persons: []core.PersonID{1, 5},
-		Locals:  []pattern.Pattern{{1, -2, 3}, {0, 4, 0}},
-	}
-	m, err := EncodeDumpReply(in)
+	persons := []core.PersonID{1, 5}
+	cells := [][]int32{{1, -2, 3}, {0, 4, 0}}
+	want := []pattern.Pattern{{1, -2, 3}, {0, 4, 0}}
+	payload, err := EncodeRows(nil, persons, cells, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeDumpReply(m)
+	if !bytes.Equal(payload, mustHex(t, workedDumpReplyHex)[HeaderSize:]) {
+		t.Fatalf("dump-reply body %x drifted from the worked frame", payload)
+	}
+	if wide, err := EncodeRows(nil, persons, want, nil, 0, nil); err != nil || !bytes.Equal(wide, payload) {
+		t.Fatalf("Pattern rows encoded %x (%v), want %x", wide, err, payload)
+	}
+	gotPersons, got, err := DecodeRows[pattern.Pattern](payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Persons) != 2 {
-		t.Fatalf("got %d persons", len(out.Persons))
+	if !slices.Equal(gotPersons, persons) || !slices.EqualFunc(got, want, pattern.Pattern.Equal) {
+		t.Fatalf("got %v %v, want %v %v", gotPersons, got, persons, want)
 	}
-	for i := range in.Persons {
-		if out.Persons[i] != in.Persons[i] || !out.Locals[i].Equal(in.Locals[i]) {
-			t.Fatalf("tuple %d mismatch: %d %v", i, out.Persons[i], out.Locals[i])
-		}
-	}
-
-	if _, err := EncodeDumpReply(DumpReply{Persons: []core.PersonID{1}}); err == nil {
-		t.Fatal("mismatched persons/locals encoded successfully")
-	}
-	if _, err := DecodeDumpReply(StatsMessage()); err == nil {
-		t.Fatal("decoding a stats message as dump-reply succeeded")
+	_, gotCells, err := DecodeRows[[]int32](payload)
+	if err != nil || !slices.EqualFunc(gotCells, cells, slices.Equal[[]int32]) {
+		t.Fatalf("int32 rows %v (%v), want %v", gotCells, err, cells)
 	}
 }
 
 // TestDumpDecodeCorrupt: truncations and bit flips fail with errors, never
 // panic — the same guarantee the other decoders give.
 func TestDumpDecodeCorrupt(t *testing.T) {
-	m, err := EncodeDumpReply(DumpReply{
-		Persons: []core.PersonID{1, 2, 9},
-		Locals:  []pattern.Pattern{{5, 6}, {7, 8}, {9, 10}},
-	})
+	payload, err := EncodeRows(nil, []core.PersonID{1, 2, 9}, []pattern.Pattern{{5, 6}, {7, 8}, {9, 10}}, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := 0; cut < len(m.Payload); cut++ {
-		trunc := Message{Kind: KindDumpReply, Payload: m.Payload[:cut]}
-		if _, err := DecodeDumpReply(trunc); err == nil && cut < len(m.Payload) {
-			// Some prefixes decode as valid shorter replies only if they end
-			// exactly on a tuple boundary AND the count matches; the reader's
-			// done() check makes that impossible here because the count is
-			// fixed at 3.
+	for cut := 0; cut < len(payload); cut++ {
+		// A prefix could decode as a valid shorter row set only if it ended
+		// on a row boundary AND the count matched; the count is fixed at 3.
+		if _, _, err := DecodeRows[pattern.Pattern](payload[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded successfully", cut)
 		}
 	}
-	for i := 0; i < len(m.Payload); i++ {
-		mut := Message{Kind: KindDumpReply, Payload: append([]byte(nil), m.Payload...)}
-		mut.Payload[i] ^= 0xff
-		_, _ = DecodeDumpReply(mut) // must not panic
+	for i := 0; i < len(payload); i++ {
+		mut := append([]byte(nil), payload...)
+		mut[i] ^= 0xff
+		_, _, _ = DecodeRows[pattern.Pattern](mut) // must not panic
 	}
 }

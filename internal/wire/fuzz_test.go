@@ -74,7 +74,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(mustHex(f, workedBatchReplyHex))
 	f.Add(Message{Kind: KindStats, Request: 7}.Encode())
 	f.Add(Message{Kind: KindShutdown}.Encode())
-	f.Add(EncodeDump(Dump{Persons: []core.PersonID{1, 2, 3}}).WithRequest(9).Encode())
+	f.Add(Message{Kind: KindDump, Payload: EncodePersons([]core.PersonID{1, 2, 3})}.WithRequest(9).Encode())
 	f.Add(EncodeStatsReply(StatsReply{Residents: 2, StorageBytes: 48, Length: 3, Seq: 9}).WithRequest(3).Encode())
 	// Truncation seeds: a frame cut mid-header and mid-payload.
 	full := mustHex(f, workedBatchQueryHex)
@@ -175,22 +175,22 @@ func FuzzDecodePayload(f *testing.F) {
 	// Payloads of the worked frames (frame header stripped).
 	f.Add(uint8(KindBatchQuery)-1, mustHex(f, workedBatchQueryHex)[12:])
 	f.Add(uint8(KindSummaryReply)-1, mustHex(f, workedSummaryReplyHex)[12:])
-	f.Add(uint8(KindDump)-1, EncodeDump(Dump{Persons: []core.PersonID{1, 2, 3}}).Payload)
-	f.Add(uint8(KindEvict)-1, EncodeEvict(Evict{Persons: []core.PersonID{9, 10}}).Payload)
+	f.Add(uint8(KindDump)-1, EncodePersons([]core.PersonID{1, 2, 3}))
+	f.Add(uint8(KindEvict)-1, EncodePersons([]core.PersonID{9, 10}))
 	f.Add(uint8(KindStatsReply)-1, EncodeStatsReply(StatsReply{Residents: 5, StorageBytes: 80, Length: 24}).Payload)
 	f.Add(uint8(KindStatsReply)-1, EncodeStatsReply(StatsReply{Residents: 2, StorageBytes: 48, Length: 3, Seq: 300}).Payload)
 	f.Add(uint8(KindStatsReply)-1, append(varints(3, 5, 80, 24), 1, 0xac, 0x02)) // Version 17's layout, with a flags byte before Seq
 	f.Add(uint8(KindBFMatches)-1, EncodeBFMatches(BFMatches{Persons: []core.PersonID{11}}).Payload)
-	dr, err := EncodeDumpReply(DumpReply{Persons: []core.PersonID{4}, Locals: []pattern.Pattern{{1, 2, 3}}})
+	dr, err := EncodeRows(nil, []core.PersonID{4}, []pattern.Pattern{{1, 2, 3}}, nil, 0, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(uint8(KindDumpReply)-1, dr.Payload)
-	f.Add(uint8(5), dr.Payload) // dispatches to retired kind 6, which carried this payload
-	f.Add(uint8(KindDump)-1, EncodeDump(Dump{}).Payload)
+	f.Add(uint8(KindDumpReply)-1, dr)
+	f.Add(uint8(5), dr) // dispatches to retired kind 6, which carried this payload
+	f.Add(uint8(KindDump)-1, EncodePersons(nil))
 	// Version 19's layouts of the replies that carried a station first, the
 	// summary its resident count after its length besides.
-	f.Add(uint8(KindDumpReply)-1, append(varints(1), dr.Payload...))
+	f.Add(uint8(KindDumpReply)-1, append(varints(1), dr...))
 	f.Add(uint8(KindStatsReply)-1, varints(3, 5, 80, 24, 9))
 	f.Add(uint8(KindBFMatches)-1, varints(2, 1, 11))
 	f.Add(uint8(KindSummaryReply)-1, mustHex(f, "030201719a3d0cbfe5a75140000000000000000702010389408022142804"))
@@ -281,19 +281,19 @@ func FuzzDecodePayload(f *testing.F) {
 			if err == nil {
 				roundtripBFMatches(t, bm)
 			}
-		case KindIngest:
-			if in, err := DecodeIngest[pattern.Pattern](m); err == nil {
-				checkRows(t, payload, in.Persons, in.Locals)
+		case KindIngest, KindDumpReply:
+			if persons, locals, err := DecodeRows[pattern.Pattern](payload); err == nil {
+				checkRows(t, payload, persons, locals)
 			}
-		case KindEvict:
-			ev, err := DecodeEvict(m)
+		case KindDump, KindEvict:
+			ps, err := DecodePersons(payload)
 			if err == nil {
-				re, err := DecodeEvict(EncodeEvict(ev))
+				re, err := DecodePersons(EncodePersons(ps))
 				if err != nil {
-					t.Fatalf("evict re-decode failed: %v", err)
+					t.Fatalf("person-list re-decode failed: %v", err)
 				}
-				if !personsEqual(re.Persons, ev.Persons) {
-					t.Fatalf("evict roundtrip changed persons: %v vs %v", re.Persons, ev.Persons)
+				if !personsEqual(re, ps) {
+					t.Fatalf("person-list roundtrip changed persons: %v vs %v", re, ps)
 				}
 			}
 		case KindStatsReply:
@@ -337,12 +337,6 @@ func FuzzDecodePayload(f *testing.F) {
 				if re.Station != br.Station || re.Queries != br.Queries || !sameReports(re.Reports, br.Reports) {
 					t.Fatalf("batch-reply roundtrip changed the (person, list) multiset:\n%+v\nvs\n%+v", re, br)
 				}
-			}
-		case KindDump:
-			_, _ = DecodeDump(m)
-		case KindDumpReply:
-			if dr, err := DecodeDumpReply(m); err == nil {
-				checkRows(t, payload, dr.Persons, dr.Locals)
 			}
 		case KindSummaryReply:
 			_, _ = DecodeSummaryReply(m)
@@ -500,20 +494,20 @@ func checkRows(t *testing.T, payload []byte, persons []core.PersonID, locals []p
 	if cells > len(payload) {
 		t.Fatalf("%d cells decoded from a %d byte payload", cells, len(payload))
 	}
-	enc, err := EncodeIngestPayload(Ingest{Persons: persons, Locals: locals})
+	enc, err := EncodeRows(nil, persons, locals, nil, 0, nil)
 	if err != nil {
 		t.Fatalf("rows re-encode failed: %v", err)
 	}
-	re, err := DecodeIngestPayload[pattern.Pattern](enc)
+	rePersons, reLocals, err := DecodeRows[pattern.Pattern](enc)
 	if err != nil {
 		t.Fatalf("rows re-decode failed: %v", err)
 	}
-	if !personsEqual(re.Persons, persons) || len(re.Locals) != len(locals) {
-		t.Fatalf("rows roundtrip changed persons: %v vs %v", re.Persons, persons)
+	if !personsEqual(rePersons, persons) || len(reLocals) != len(locals) {
+		t.Fatalf("rows roundtrip changed persons: %v vs %v", rePersons, persons)
 	}
 	for i := range locals {
-		if !re.Locals[i].Equal(locals[i]) {
-			t.Fatalf("rows roundtrip changed row %d: %v vs %v", i, re.Locals[i], locals[i])
+		if !reLocals[i].Equal(locals[i]) {
+			t.Fatalf("rows roundtrip changed row %d: %v vs %v", i, reLocals[i], locals[i])
 		}
 	}
 }

@@ -966,39 +966,33 @@ func DecodeBFMatches(m Message) (BFMatches, error) {
 	return out, nil
 }
 
-// ---- raw-pattern pull: dump ----
-
-// Dump asks a station for the raw local patterns of specific persons, or —
-// with an empty person filter — for its entire resident store. Every reader
+// ---- raw patterns: person lists and row sets ----
+//
+// Every exchange of raw local patterns carries one of two bodies, and the
+// station WAL (internal/store/wal) logs and snapshots the same bytes, so
+// persistence and the wire share one binary vocabulary. The codecs read and
+// write bodies only: setting and checking a frame's kind is the caller's.
+//
+// A person list is the body of KindDump, KindEvict and the WAL's evict
+// records. KindDump asks a station for the raw local patterns of specific
+// persons or, with an empty list, of its entire resident store; every reader
 // of raw patterns sends it: the naive baseline (the paper's Approach 1, whole
 // store), the verification phase ("... sent to the data center for
 // aggregation and verification", Section I; the ranked candidates), the pull
-// half of re-replication (the placed persons).
-type Dump struct {
-	// Persons restricts the dump; empty means every resident. IDs are sent
-	// sorted and delta-encoded.
-	Persons []core.PersonID
-}
+// half of re-replication (the placed persons). KindEvict removes residents.
+//
+// A row set — (person, local pattern) rows — is the body of KindIngest (the
+// center forwarding freshly observed call data to a station, over that
+// station's own link), of KindDumpReply (the requested rows a station holds,
+// person-ID ascending; persons it does not hold are simply absent), of the
+// WAL's ingest records and of its snapshot chunks. The bytes are the same
+// for either cell type: a station encodes and decodes int32 rows, the
+// coordinator Pattern rows.
 
-// EncodeDump renders the pull request.
-func EncodeDump(d Dump) Message {
-	return Message{Kind: KindDump, Payload: encodePersons(d.Persons)}
-}
-
-// DecodeDump parses the pull request. An empty list decodes nil: the whole
-// store.
-func DecodeDump(m Message) (Dump, error) {
-	if m.Kind != KindDump {
-		return Dump{}, fmt.Errorf("wire: decoding %v as dump", m.Kind)
-	}
-	persons, err := decodePersons(m.Payload)
-	return Dump{Persons: persons}, err
-}
-
-// encodePersons renders a person list — the body of Dump and Evict — as
-// its count and then the IDs ascending, each as its delta from the one
-// before. The caller's slice is not reordered.
-func encodePersons(persons []core.PersonID) []byte {
+// EncodePersons renders a person list as its count and then the IDs
+// ascending, each as its delta from the one before. The caller's slice is
+// not reordered.
+func EncodePersons(persons []core.PersonID) []byte {
 	sorted := append([]core.PersonID(nil), persons...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var w writer
@@ -1011,8 +1005,8 @@ func encodePersons(persons []core.PersonID) []byte {
 	return w.buf
 }
 
-// decodePersons parses encodePersons's bytes; an empty list decodes nil.
-func decodePersons(payload []byte) ([]core.PersonID, error) {
+// DecodePersons parses EncodePersons's bytes; an empty list decodes nil.
+func DecodePersons(payload []byte) ([]core.PersonID, error) {
 	r := &reader{buf: payload}
 	n := r.count(1)
 	var persons []core.PersonID
@@ -1030,44 +1024,55 @@ func decodePersons(payload []byte) ([]core.PersonID, error) {
 	return persons, nil
 }
 
-// DumpReplyOf is a station's answer to KindDump: the requested (person,
-// local pattern) tuples it actually holds, person-ID ascending, in rows R.
-// Persons the station does not hold are simply absent. A station encodes
-// its int32 rows; the coordinator decodes a DumpReply.
-type DumpReplyOf[R pattern.Row[C], C pattern.Cell] struct {
-	Persons []core.PersonID
-	Locals  []R
+// EncodeRows appends the row set persons[i], locals[i] for each i of index,
+// in that order — or of every row when index is nil — to dst, growing it at
+// most once. Each index must lie in range. A coordinator pushing one shared,
+// person-ascending row set to many stations passes each station's ascending
+// index list and gets that station's body with no per-station copy of the
+// rows; a caller encoding batch after batch (a WAL fold's chunk records) can
+// reuse one buffer. A grown buffer is exactly the size needed or twice the
+// old capacity, whichever is larger: a body encoded into nil holds no spare
+// bytes, and a reused buffer stops growing after a chunk or two.
+//
+// A non-zero rowBytes is the sum of RowSize over the rows named: the body is
+// sized from it, so each row's cells are read once, to be written. A
+// coordinator sizes every row in the pass that checks it and sums each
+// station's share; a wrong rowBytes costs a regrowth, never a wrong byte.
+// At 0 the rows are sized here (no row is 0 bytes). A non-nil each is handed
+// the index (into persons) of every row just written, in body order, so a
+// caller that digests the rows reads each one while it is still hot from the
+// write.
+func EncodeRows[R pattern.Row[C], C pattern.Cell](dst []byte, persons []core.PersonID, locals []R, index []int32, rowBytes int, each func(i int)) ([]byte, error) {
+	if len(persons) != len(locals) {
+		return nil, fmt.Errorf("wire: %d persons but %d locals", len(persons), len(locals))
+	}
+	count := len(persons)
+	if index != nil {
+		count = len(index)
+	}
+	size := uvarintLen(uint64(count)) + rowBytes
+	if rowBytes == 0 {
+		size = rowsSize(persons, locals, index)
+	}
+	if n := len(dst) + size; cap(dst) < n {
+		dst = append(make([]byte, 0, max(n, 2*cap(dst))), dst...)
+	}
+	w := writer{buf: dst}
+	writeRows(&w, persons, locals, index, each)
+	return w.buf, nil
 }
 
-// DumpReply is a dump answer in Pattern rows.
-type DumpReply = DumpReplyOf[pattern.Pattern, int64]
-
-// EncodeDumpReply renders the dump answer.
-func EncodeDumpReply[R pattern.Row[C], C pattern.Cell](d DumpReplyOf[R, C]) (Message, error) {
-	if len(d.Persons) != len(d.Locals) {
-		return Message{}, fmt.Errorf("wire: %d persons but %d locals", len(d.Persons), len(d.Locals))
-	}
-	w := writer{buf: make([]byte, 0, rowsSize(d.Persons, d.Locals, nil))}
-	writeRows(&w, d.Persons, d.Locals, nil, nil)
-	return Message{Kind: KindDumpReply, Payload: w.buf}, nil
-}
-
-// DecodeDumpReply parses the dump answer.
-func DecodeDumpReply(m Message) (DumpReply, error) {
-	if m.Kind != KindDumpReply {
-		return DumpReply{}, fmt.Errorf("wire: decoding %v as dump-reply", m.Kind)
-	}
-	r := &reader{buf: m.Payload}
-	var out DumpReply
-	out.Persons, out.Locals = readRows[pattern.Pattern](r)
+// DecodeRows parses a row set into rows R (the caller names R:
+// DecodeRows[[]int32] for a station's cells, which rejects a value an int32
+// cannot hold). The rows share one exactly sized arena, and each is capped.
+func DecodeRows[R pattern.Row[C], C pattern.Cell](payload []byte) ([]core.PersonID, []R, error) {
+	r := &reader{buf: payload}
+	persons, locals := readRows[R](r)
 	if err := r.done(); err != nil {
-		return DumpReply{}, err
+		return nil, nil, err
 	}
-	return out, nil
+	return persons, locals, nil
 }
-
-// ---- (person, pattern) rows: the body shared by dump replies, ingest
-// requests, WAL ingest records and snapshot chunks ----
 
 // rowsSize returns the exact number of bytes writeRows will append for the
 // same arguments: the row count's varint and each row's RowSize.
@@ -1090,8 +1095,7 @@ func rowsSize[R pattern.Row[C], C pattern.Cell](persons []core.PersonID, locals 
 // RowSize returns the bytes writeRows spends on one row: the person, the
 // pattern length and the zigzagged values. A frame's rows follow the varint
 // of their count, so a caller that sized each row when it read it sizes any
-// frame of those rows without reading a cell again
-// (AppendSizedIngestPayload).
+// frame of those rows without reading a cell again (EncodeRows's rowBytes).
 func RowSize[R pattern.Row[C], C pattern.Cell](person core.PersonID, row R) int {
 	n := uvarintLen(uint64(person)) + uvarintLen(uint64(len(row)))
 	for _, v := range row {
@@ -1297,135 +1301,7 @@ func DecodeSummaryReply(m Message) (SummaryReply, error) {
 	return out, nil
 }
 
-// ---- lifecycle: ingest / evict / stats ----
-
-// IngestOf adds (or replaces) resident patterns at one station — the center
-// forwarding freshly observed call data — in rows R. It travels over the
-// target station's own link, so no station field is needed. The bytes are
-// the same for either cell type; a station decodes into int32 rows.
-type IngestOf[R pattern.Row[C], C pattern.Cell] struct {
-	Persons []core.PersonID
-	Locals  []R
-}
-
-// Ingest is an ingest in Pattern rows: the coordinator's.
-type Ingest = IngestOf[pattern.Pattern, int64]
-
-// EncodeIngestPayload renders an ingest batch's payload bytes without the
-// message envelope. The station WAL (internal/store/wal) persists applied
-// batches in exactly this form, so persistence and the wire share one codec.
-func EncodeIngestPayload[R pattern.Row[C], C pattern.Cell](in IngestOf[R, C]) ([]byte, error) {
-	return AppendIngestPayload(nil, in, nil)
-}
-
-// AppendIngestPayload appends the payload of the ingest of rows
-// in.Persons[i], in.Locals[i] for each i of rows, in that order — or of
-// every row when rows is nil, EncodeIngestPayload's bytes — to dst, growing
-// it at most once. Each index must lie in range. A coordinator pushing one
-// shared, person-ascending row set to many stations passes each station's
-// ascending index list and gets that station's payload sized exactly, with
-// no per-station copy of the rows; a caller encoding batch after batch (a
-// WAL fold's chunk records) can reuse one buffer. A grown buffer is exactly
-// the size needed or twice the old capacity, whichever is larger: a payload
-// encoded into nil holds no spare bytes, and a reused buffer stops growing
-// after a chunk or two.
-func AppendIngestPayload[R pattern.Row[C], C pattern.Cell](dst []byte, in IngestOf[R, C], rows []int32) ([]byte, error) {
-	if len(in.Persons) != len(in.Locals) {
-		return nil, fmt.Errorf("wire: %d persons but %d locals", len(in.Persons), len(in.Locals))
-	}
-	return appendIngestRows(dst, in, rows, rowsSize(in.Persons, in.Locals, rows), nil), nil
-}
-
-// AppendSizedIngestPayload is AppendIngestPayload for a caller that already
-// holds rowBytes, the sum of RowSize over the rows it names: the payload is
-// sized from it, so each row's cells are read once, to be written. A
-// coordinator sizes every row in the pass that checks it and sums each
-// station's share; a wrong rowBytes costs a regrowth, never a wrong byte.
-// A non-nil each is handed the index (into in) of every row just written,
-// in frame order, so a caller that digests the rows reads each one while it
-// is still hot from the write.
-func AppendSizedIngestPayload[R pattern.Row[C], C pattern.Cell](dst []byte, in IngestOf[R, C], rows []int32, rowBytes int, each func(i int)) ([]byte, error) {
-	if len(in.Persons) != len(in.Locals) {
-		return nil, fmt.Errorf("wire: %d persons but %d locals", len(in.Persons), len(in.Locals))
-	}
-	count := len(in.Persons)
-	if rows != nil {
-		count = len(rows)
-	}
-	return appendIngestRows(dst, in, rows, uvarintLen(uint64(count))+rowBytes, each), nil
-}
-
-// appendIngestRows appends the rows' payload, size bytes, to dst, growing it
-// at most once.
-func appendIngestRows[R pattern.Row[C], C pattern.Cell](dst []byte, in IngestOf[R, C], rows []int32, size int, each func(i int)) []byte {
-	if n := len(dst) + size; cap(dst) < n {
-		dst = append(make([]byte, 0, max(n, 2*cap(dst))), dst...)
-	}
-	w := writer{buf: dst}
-	writeRows(&w, in.Persons, in.Locals, rows, each)
-	return w.buf
-}
-
-// EncodeIngest renders the ingest request.
-func EncodeIngest[R pattern.Row[C], C pattern.Cell](in IngestOf[R, C]) (Message, error) {
-	payload, err := EncodeIngestPayload(in)
-	if err != nil {
-		return Message{}, err
-	}
-	return Message{Kind: KindIngest, Payload: payload}, nil
-}
-
-// DecodeIngestPayload parses an ingest batch's payload bytes into rows R
-// (the caller names R: DecodeIngestPayload[[]int32] for a station's cells,
-// which rejects a value an int32 cannot hold). The rows share one exactly
-// sized arena, and each is capped.
-func DecodeIngestPayload[R pattern.Row[C], C pattern.Cell](payload []byte) (IngestOf[R, C], error) {
-	r := &reader{buf: payload}
-	var out IngestOf[R, C]
-	out.Persons, out.Locals = readRows[R](r)
-	if err := r.done(); err != nil {
-		return IngestOf[R, C]{}, err
-	}
-	return out, nil
-}
-
-// DecodeIngest parses the ingest request into rows R, as
-// DecodeIngestPayload does.
-func DecodeIngest[R pattern.Row[C], C pattern.Cell](m Message) (IngestOf[R, C], error) {
-	if m.Kind != KindIngest {
-		return IngestOf[R, C]{}, fmt.Errorf("wire: decoding %v as ingest", m.Kind)
-	}
-	return DecodeIngestPayload[R](m.Payload)
-}
-
-// Evict removes residents from one station. Person IDs are sent sorted and
-// delta-encoded, like Dump.
-type Evict struct {
-	Persons []core.PersonID
-}
-
-// EncodeEvictPayload renders an evict batch's payload bytes without the
-// message envelope (sorted, delta-encoded) — shared with the station WAL.
-func EncodeEvictPayload(e Evict) []byte { return encodePersons(e.Persons) }
-
-// EncodeEvict renders the evict request.
-func EncodeEvict(e Evict) Message {
-	return Message{Kind: KindEvict, Payload: EncodeEvictPayload(e)}
-}
-
-// DecodeEvictPayload parses an evict batch's payload bytes.
-func DecodeEvictPayload(payload []byte) (Evict, error) {
-	persons, err := decodePersons(payload)
-	return Evict{Persons: persons}, err
-}
-
-// DecodeEvict parses the evict request.
-func DecodeEvict(m Message) (Evict, error) {
-	if m.Kind != KindEvict {
-		return Evict{}, fmt.Errorf("wire: decoding %v as evict", m.Kind)
-	}
-	return DecodeEvictPayload(m.Payload)
-}
+// ---- lifecycle: stats ----
 
 // StatsReply is a peer's answer to KindStats, KindIngest and KindEvict: how
 // many residents it holds, the raw bytes they occupy, and the pattern length

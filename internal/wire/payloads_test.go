@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dimatch/internal/bloom"
@@ -163,16 +165,9 @@ func TestDecodersNeverPanicOnMutatedPayloads(t *testing.T) {
 			_, err := DecodeBFMatches(Message{Kind: KindBFMatches, Payload: m.Payload})
 			return err
 		},
-		func(m Message) error {
-			_, err := DecodeDumpReply(Message{Kind: KindDumpReply, Payload: m.Payload})
-			return err
-		},
-		func(m Message) error { _, err := DecodeDump(Message{Kind: KindDump, Payload: m.Payload}); return err },
-		func(m Message) error {
-			_, err := DecodeIngest[pattern.Pattern](Message{Kind: KindIngest, Payload: m.Payload})
-			return err
-		},
-		func(m Message) error { _, err := DecodeEvict(Message{Kind: KindEvict, Payload: m.Payload}); return err },
+		func(m Message) error { _, _, err := DecodeRows[pattern.Pattern](m.Payload); return err },
+		func(m Message) error { _, _, err := DecodeRows[[]int32](m.Payload); return err },
+		func(m Message) error { _, err := DecodePersons(m.Payload); return err },
 		func(m Message) error {
 			_, err := DecodeStatsReply(Message{Kind: KindStatsReply, Payload: m.Payload})
 			return err
@@ -207,40 +202,42 @@ func TestTrivialMessages(t *testing.T) {
 	}
 }
 
+// TestIngestRoundTrip: EncodeRows writes the worked ingest body through an
+// index list, sized from the caller's summed RowSizes or by itself, and
+// DecodeRows reads any row set back; persons and locals of different lengths
+// are refused.
 func TestIngestRoundTrip(t *testing.T) {
-	in := Ingest{
-		Persons: []core.PersonID{3, 1, 400},
-		Locals:  []pattern.Pattern{{1, -2, 3}, {0, 0, 7}, {9, 9, 9}},
+	want := mustHex(t, workedIngestHex)[HeaderSize:]
+	rowBytes := 0
+	for _, i := range workedShare {
+		rowBytes += RowSize(workedPersons[i], workedLocals[i])
 	}
-	m, err := EncodeIngest(in)
+	for _, size := range []int{rowBytes, 0} {
+		var heard []int
+		got, err := EncodeRows(nil, workedPersons, workedLocals, workedShare, size, func(i int) { heard = append(heard, i) })
+		if err != nil || !bytes.Equal(got, want) || cap(got) != len(got) {
+			t.Fatalf("rowBytes %d: body %x (cap %d, err %v), want exactly %x", size, got, cap(got), err, want)
+		}
+		if !slices.Equal(heard, []int{0, 2}) {
+			t.Fatalf("rowBytes %d: each heard %v, want [0 2]", size, heard)
+		}
+	}
+
+	inPersons := []core.PersonID{3, 1, 400}
+	inLocals := []pattern.Pattern{{1, -2, 3}, {0, 0, 7}, {9, 9, 9}}
+	payload, err := EncodeRows(nil, inPersons, inLocals, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Kind != KindIngest {
-		t.Fatalf("kind = %v", m.Kind)
-	}
-	got, err := DecodeIngest[pattern.Pattern](m)
+	persons, locals, err := DecodeRows[pattern.Pattern](payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Persons) != len(in.Persons) {
-		t.Fatalf("got %v", got.Persons)
+	if !slices.Equal(persons, inPersons) || !slices.EqualFunc(locals, inLocals, pattern.Pattern.Equal) {
+		t.Fatalf("got %v %v, want %v %v", persons, locals, inPersons, inLocals)
 	}
-	for i, p := range in.Persons {
-		if got.Persons[i] != p {
-			t.Fatalf("person %d: got %v, want %v", i, got.Persons, in.Persons)
-		}
-		for j, v := range in.Locals[i] {
-			if got.Locals[i][j] != v {
-				t.Fatalf("local %d: got %v, want %v", i, got.Locals[i], in.Locals[i])
-			}
-		}
-	}
-	if _, err := EncodeIngest(Ingest{Persons: []core.PersonID{1}}); err == nil {
+	if _, err := EncodeRows(nil, []core.PersonID{1}, []pattern.Pattern(nil), nil, 0, nil); err == nil {
 		t.Fatal("mismatched persons/locals accepted")
-	}
-	if _, err := DecodeIngest[pattern.Pattern](Message{Kind: KindDump}); err == nil {
-		t.Fatal("wrong kind accepted")
 	}
 }
 
@@ -252,12 +249,14 @@ func TestIngestRoundTrip(t *testing.T) {
 // row). Counted, not timed: bytes and allocations per call.
 func TestRowCodecAllocatesWhatItHolds(t *testing.T) {
 	const rows, length = 2000, 24
-	in := Ingest{Persons: make([]core.PersonID, rows), Locals: make([]pattern.Pattern, rows)}
-	for i := range in.Persons {
-		in.Persons[i] = core.PersonID(100_000 + i)
-		in.Locals[i] = make(pattern.Pattern, length)
-		for j := range in.Locals[i] {
-			in.Locals[i][j] = int64(20_000 + 37*i + j) // zigzags to three bytes
+	persons, locals := make([]core.PersonID, rows), make([]pattern.Pattern, rows)
+	cells := make([][]int32, rows)
+	for i := range persons {
+		persons[i] = core.PersonID(100_000 + i)
+		locals[i], cells[i] = make(pattern.Pattern, length), make([]int32, length)
+		for j := range locals[i] {
+			cells[i][j] = int32(20_000 + 37*i + j) // zigzags to three bytes
+			locals[i][j] = int64(cells[i][j])
 		}
 	}
 	// The counters are process-wide, so another goroutine allocating meanwhile
@@ -277,37 +276,38 @@ func TestRowCodecAllocatesWhatItHolds(t *testing.T) {
 	}
 
 	var payload []byte
-	encBytes, encAllocs := allocated(func() { payload, _ = EncodeIngestPayload(in) })
+	encBytes, encAllocs := allocated(func() { payload, _ = EncodeRows(nil, persons, locals, nil, 0, nil) })
 	if len(payload) < 3*rows*length || cap(payload) != len(payload) {
 		t.Fatalf("payload len %d cap %d: want three-byte values and an exact buffer", len(payload), cap(payload))
 	}
 	if slack := uint64(len(payload)) / 8; encBytes > uint64(len(payload))+slack || encAllocs > 2 {
 		t.Fatalf("encoding a %d byte payload allocated %d bytes in %d allocations", len(payload), encBytes, encAllocs)
 	}
-	var reply Message
-	dumpBytes, dumpAllocs := allocated(func() {
-		reply, _ = EncodeDumpReply(DumpReply{Persons: in.Persons, Locals: in.Locals})
-	})
-	if slack := uint64(len(reply.Payload)) / 8; dumpBytes > uint64(len(reply.Payload))+slack || dumpAllocs > 2 {
-		t.Fatalf("encoding a %d byte dump reply allocated %d bytes in %d allocations", len(reply.Payload), dumpBytes, dumpAllocs)
+	var reply []byte
+	dumpBytes, dumpAllocs := allocated(func() { reply, _ = EncodeRows(nil, persons, cells, nil, 0, nil) })
+	if !bytes.Equal(reply, payload) {
+		t.Fatal("int32 rows encoded other bytes than the same Pattern rows")
+	}
+	if slack := uint64(len(reply)) / 8; dumpBytes > uint64(len(reply))+slack || dumpAllocs > 2 {
+		t.Fatalf("encoding a %d byte dump reply allocated %d bytes in %d allocations", len(reply), dumpBytes, dumpAllocs)
 	}
 
 	held := uint64(rows * (8*length + 8 + 24)) // cells, person, row header
 	for name, decode := range map[string]func() ([]pattern.Pattern, error){
 		"ingest": func() ([]pattern.Pattern, error) {
-			out, err := DecodeIngestPayload[pattern.Pattern](payload)
-			return out.Locals, err
+			_, got, err := DecodeRows[pattern.Pattern](payload)
+			return got, err
 		},
 		"dump reply": func() ([]pattern.Pattern, error) {
-			out, err := DecodeDumpReply(reply)
-			return out.Locals, err
+			_, got, err := DecodeRows[pattern.Pattern](reply)
+			return got, err
 		},
 	} {
-		var locals []pattern.Pattern
+		var got []pattern.Pattern
 		var err error
-		decBytes, decAllocs := allocated(func() { locals, err = decode() })
-		if err != nil || len(locals) != rows || !locals[rows-1].Equal(in.Locals[rows-1]) {
-			t.Fatalf("%s decode: %d rows, %v", name, len(locals), err)
+		decBytes, decAllocs := allocated(func() { got, err = decode() })
+		if err != nil || len(got) != rows || !got[rows-1].Equal(locals[rows-1]) {
+			t.Fatalf("%s decode: %d rows, %v", name, len(got), err)
 		}
 		if decBytes > held+held/8 || decAllocs > 8 {
 			t.Fatalf("%s decode allocated %d bytes in %d allocations to hold %d", name, decBytes, decAllocs, held)
@@ -315,22 +315,22 @@ func TestRowCodecAllocatesWhatItHolds(t *testing.T) {
 	}
 }
 
+// TestEvictRoundTrip: a person list is sent sorted, whatever the caller's
+// order, and leaves the caller's slice as it was.
 func TestEvictRoundTrip(t *testing.T) {
-	got, err := DecodeEvict(EncodeEvict(Evict{Persons: []core.PersonID{50, 2, 2000}}))
+	in := []core.PersonID{50, 2, 2000}
+	got, err := DecodePersons(EncodePersons(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []core.PersonID{2, 50, 2000} // sorted by the delta encoding
-	if len(got.Persons) != len(want) {
-		t.Fatalf("got %v", got.Persons)
+	if want := []core.PersonID{2, 50, 2000}; !slices.Equal(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
 	}
-	for i := range want {
-		if got.Persons[i] != want[i] {
-			t.Fatalf("got %v, want %v", got.Persons, want)
-		}
+	if !slices.Equal(in, []core.PersonID{50, 2, 2000}) {
+		t.Fatalf("caller's list reordered to %v", in)
 	}
-	if _, err := DecodeEvict(Message{Kind: KindDump}); err == nil {
-		t.Fatal("wrong kind accepted")
+	if !bytes.Equal(EncodePersons([]core.PersonID{9, 7}), mustHex(t, workedEvictHex)[HeaderSize:]) {
+		t.Fatal("person list drifted from the worked evict body")
 	}
 }
 

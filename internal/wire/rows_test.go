@@ -20,12 +20,18 @@ var rowBoundaryValues = []int64{
 	1 << 20, -(1 << 20), 1<<20 - 1, 1 << 21, math.MaxInt64, -math.MaxInt64, math.MinInt64,
 }
 
+// rowSet is a test's row set: Persons[i]'s pattern is Locals[i].
+type rowSet struct {
+	Persons []core.PersonID
+	Locals  []pattern.Pattern
+}
+
 // boundaryRows is one row per boundary value, that value repeated, under
 // person IDs that cross the same widths, a row of every value, and a last
 // row whose one- and two-byte values end the payload, so the decoder meets
 // short values with fewer than three bytes left.
-func boundaryRows() Ingest {
-	var in Ingest
+func boundaryRows() rowSet {
+	var in rowSet
 	persons := []core.PersonID{0, 127, 128, 16383, 16384, 1<<21 - 1, 1 << 21, math.MaxUint64}
 	for i, v := range rowBoundaryValues {
 		in.Persons = append(in.Persons, persons[i%len(persons)])
@@ -40,7 +46,7 @@ func boundaryRows() Ingest {
 
 // referenceRows encodes rows value by value with binary.AppendUvarint: the
 // layout writeRows must produce byte for byte.
-func referenceRows(in Ingest) []byte {
+func referenceRows(in rowSet) []byte {
 	b := binary.AppendUvarint(nil, uint64(len(in.Persons)))
 	for i, p := range in.Persons {
 		b = binary.AppendUvarint(b, uint64(p))
@@ -56,7 +62,7 @@ func referenceRows(in Ingest) []byte {
 // through reader.uvarint, one value at a time, and the value arena is sized
 // and checked the same way. The row decoder must equal it, in values and in
 // errors.
-func referenceReadRows(payload []byte) (Ingest, error) {
+func referenceReadRows(payload []byte) (rowSet, error) {
 	r := &reader{buf: payload}
 	n := r.count(2)
 	values := -2 * n
@@ -66,7 +72,7 @@ func referenceReadRows(payload []byte) (Ingest, error) {
 		}
 	}
 	arena := make([]int64, max(values, 0))
-	var out Ingest
+	var out rowSet
 	for i := 0; i < n && r.err == nil; i++ {
 		out.Persons = append(out.Persons, core.PersonID(r.uvarint()))
 		l := r.count(1)
@@ -82,7 +88,7 @@ func referenceReadRows(payload []byte) (Ingest, error) {
 		out.Locals = append(out.Locals, row)
 	}
 	if err := r.done(); err != nil {
-		return Ingest{}, err
+		return rowSet{}, err
 	}
 	return out, nil
 }
@@ -91,12 +97,12 @@ func referenceReadRows(payload []byte) (Ingest, error) {
 // payload: the same rows, or errors with the same text.
 func sameDecode(t *testing.T, label string, payload []byte) {
 	t.Helper()
-	got, gotErr := DecodeIngestPayload[pattern.Pattern](payload)
+	gotPersons, gotLocals, gotErr := DecodeRows[pattern.Pattern](payload)
 	want, wantErr := referenceReadRows(payload)
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("%s: error %v, the reference %v", label, gotErr, wantErr)
 	}
-	if gotErr == nil && (!slices.Equal(got.Persons, want.Persons) || !slices.EqualFunc(got.Locals, want.Locals, pattern.Pattern.Equal)) {
+	if gotErr == nil && (!slices.Equal(gotPersons, want.Persons) || !slices.EqualFunc(gotLocals, want.Locals, pattern.Pattern.Equal)) {
 		t.Fatalf("%s: rows differ from the reference decode", label)
 	}
 }
@@ -108,7 +114,7 @@ func sameDecode(t *testing.T, label string, payload []byte) {
 // the selected rows encoded on their own.
 func TestRowCodecMatchesAppendUvarint(t *testing.T) {
 	in := boundaryRows()
-	got, err := EncodeIngestPayload(in)
+	got, err := EncodeRows(nil, in.Persons, in.Locals, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +126,12 @@ func TestRowCodecMatchesAppendUvarint(t *testing.T) {
 		t.Fatalf("rowsSize = %d, encoded %d bytes", n, len(want))
 	}
 	for _, rows := range [][]int32{{}, {3}, {0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20}, {20, 19, 1, 1}} {
-		var sel Ingest
+		var sel rowSet
 		for _, i := range rows {
 			sel.Persons = append(sel.Persons, in.Persons[i])
 			sel.Locals = append(sel.Locals, in.Locals[i])
 		}
-		got, err := AppendIngestPayload(nil, in, rows)
+		got, err := EncodeRows(nil, in.Persons, in.Locals, rows, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,12 +139,12 @@ func TestRowCodecMatchesAppendUvarint(t *testing.T) {
 			t.Fatalf("rows %v: encoded\n%x (cap %d)\nwant\n%x", rows, got, cap(got), want)
 		}
 	}
-	out, err := DecodeIngestPayload[pattern.Pattern](got)
+	persons, locals, err := DecodeRows[pattern.Pattern](got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(out.Persons, in.Persons) || !slices.EqualFunc(out.Locals, in.Locals, pattern.Pattern.Equal) {
-		t.Fatalf("decoded %v %v, want %v %v", out.Persons, out.Locals, in.Persons, in.Locals)
+	if !slices.Equal(persons, in.Persons) || !slices.EqualFunc(locals, in.Locals, pattern.Pattern.Equal) {
+		t.Fatalf("decoded %v %v, want %v %v", persons, locals, in.Persons, in.Locals)
 	}
 	// Non-minimal varints (a zero continued by 0x80 bytes) are legal input
 	// to binary.Uvarint and decode to the same values on both paths.
@@ -149,24 +155,24 @@ func TestRowCodecMatchesAppendUvarint(t *testing.T) {
 // TestRowSizesSumToFrame pins RowSize to the frame it sizes: over rows of
 // the int32 domain's width boundaries, the count's varint plus the rows'
 // RowSizes is rowsSize and the encoded length, whole and through index
-// lists, and AppendSizedIngestPayload given that sum writes
-// AppendIngestPayload's bytes into a buffer of exactly their length.
+// lists, and EncodeRows given that sum writes the bytes it writes when it
+// sums the sizes itself, into a buffer of exactly their length.
 func TestRowSizesSumToFrame(t *testing.T) {
 	values := []int64{0, 63, -63, 64, -64, 8191, -8191, 8192, -8192, 1 << 20, -(1 << 20), math.MinInt32, math.MaxInt32}
-	var in Ingest
+	var in rowSet
 	for i, v := range values {
 		in.Persons = append(in.Persons, core.PersonID(i)<<(3*i))
 		in.Locals = append(in.Locals, pattern.Pattern{v, v, v, 0})
 	}
 	in.Persons = append(in.Persons, math.MaxUint64)
 	in.Locals = append(in.Locals, pattern.Pattern(slices.Clone(values)))
-	cells := IngestOf[[]int32, int32]{Persons: in.Persons}
+	var cells [][]int32
 	for _, l := range in.Locals {
 		row := make([]int32, len(l))
 		for j, v := range l {
 			row[j] = int32(v)
 		}
-		cells.Locals = append(cells.Locals, row)
+		cells = append(cells, row)
 	}
 	for _, rows := range [][]int32{nil, {}, {3}, {0, 2, 4, 6, 8, 10, 12}, {13, 12, 1, 1}} {
 		count, rowBytes := len(in.Persons), 0
@@ -178,12 +184,12 @@ func TestRowSizesSumToFrame(t *testing.T) {
 			if rows != nil {
 				i = int(rows[k])
 			}
-			if a, b := RowSize(in.Persons[i], in.Locals[i]), RowSize(cells.Persons[i], cells.Locals[i]); a != b {
+			if a, b := RowSize(in.Persons[i], in.Locals[i]), RowSize(in.Persons[i], cells[i]); a != b {
 				t.Fatalf("row %d: RowSize %d over int64 cells, %d over int32", i, a, b)
 			}
 			rowBytes += RowSize(in.Persons[i], in.Locals[i])
 		}
-		want, err := AppendIngestPayload(nil, in, rows)
+		want, err := EncodeRows(nil, in.Persons, in.Locals, rows, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,11 +197,11 @@ func TestRowSizesSumToFrame(t *testing.T) {
 		if n := rowsSize(in.Persons, in.Locals, rows); size != n || size != len(want) {
 			t.Fatalf("rows %v: count varint + RowSizes = %d, rowsSize %d, encoded %d bytes", rows, size, n, len(want))
 		}
-		got, err := AppendSizedIngestPayload(nil, in, rows, rowBytes, nil)
+		got, err := EncodeRows(nil, in.Persons, in.Locals, rows, rowBytes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromCells, err := AppendSizedIngestPayload(nil, cells, rows, rowBytes, nil)
+		fromCells, err := EncodeRows(nil, in.Persons, cells, rows, rowBytes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +218,8 @@ func TestRowSizesSumToFrame(t *testing.T) {
 // decodes to the same rows or the same error as the one-value-at-a-time
 // reference decoder.
 func TestRowCodecCutsFailAsReference(t *testing.T) {
-	payload, err := EncodeIngestPayload(boundaryRows())
+	in := boundaryRows()
+	payload, err := EncodeRows(nil, in.Persons, in.Locals, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +241,10 @@ func TestRowCodecCutsFailAsReference(t *testing.T) {
 // not fit.
 func sameCellDecode(t *testing.T, label string, payload []byte) {
 	t.Helper()
-	wide, wideErr := DecodeIngestPayload[pattern.Pattern](payload)
-	narrow, narrowErr := DecodeIngestPayload[[]int32](payload)
+	widePersons, wide, wideErr := DecodeRows[pattern.Pattern](payload)
+	narrowPersons, narrow, narrowErr := DecodeRows[[]int32](payload)
 	fits := wideErr == nil
-	for _, l := range wide.Locals {
+	for _, l := range wide {
 		for _, v := range l {
 			fits = fits && v >= math.MinInt32 && v <= math.MaxInt32
 		}
@@ -256,12 +263,12 @@ func sameCellDecode(t *testing.T, label string, payload []byte) {
 	case narrowErr != nil:
 		t.Fatalf("%s: int32 decode refused in-range rows: %v", label, narrowErr)
 	default:
-		if !slices.Equal(narrow.Persons, wide.Persons) || len(narrow.Locals) != len(wide.Locals) {
+		if !slices.Equal(narrowPersons, widePersons) || len(narrow) != len(wide) {
 			t.Fatalf("%s: int32 decode has other persons", label)
 		}
-		for i, l := range narrow.Locals {
-			if len(l) != cap(l) || !slices.Equal(pattern.AppendCells(nil, wide.Locals[i]), l) {
-				t.Fatalf("%s: row %d decodes to %v in int32 cells, %v in int64", label, i, l, wide.Locals[i])
+		for i, l := range narrow {
+			if len(l) != cap(l) || !slices.Equal(pattern.AppendCells(nil, wide[i]), l) {
+				t.Fatalf("%s: row %d decodes to %v in int32 cells, %v in int64", label, i, l, wide[i])
 			}
 		}
 	}
@@ -274,7 +281,7 @@ func sameCellDecode(t *testing.T, label string, payload []byte) {
 // does, and refuses a frame holding 2³¹, −2³¹−1 or a wider value while the
 // int64 decoder takes it.
 func TestCellRowDecoderAgrees(t *testing.T) {
-	var in Ingest
+	var in rowSet
 	for i, l := range boundaryRows().Locals {
 		row := pattern.Pattern{}
 		for _, v := range l {
@@ -287,13 +294,13 @@ func TestCellRowDecoderAgrees(t *testing.T) {
 	}
 	in.Persons = append(in.Persons, 99)
 	in.Locals = append(in.Locals, pattern.Pattern{math.MaxInt32, math.MinInt32, -math.MaxInt32, 1})
-	payload, err := EncodeIngestPayload(in)
+	payload, err := EncodeRows(nil, in.Persons, in.Locals, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeIngestPayload[[]int32](payload)
-	if err != nil || len(out.Locals) != len(in.Locals) {
-		t.Fatalf("in-range rows: %d rows, %v", len(out.Locals), err)
+	_, out, err := DecodeRows[[]int32](payload)
+	if err != nil || len(out) != len(in.Locals) {
+		t.Fatalf("in-range rows: %d rows, %v", len(out), err)
 	}
 	for cut := 0; cut <= len(payload); cut++ {
 		sameCellDecode(t, fmt.Sprintf("cut at %d of %d", cut, len(payload)), payload[:cut])
@@ -306,21 +313,24 @@ func TestCellRowDecoderAgrees(t *testing.T) {
 		}
 	}
 	for _, v := range []int64{1 << 31, -(1 << 31) - 1, math.MaxInt64, math.MinInt64} {
-		m, err := EncodeIngest(Ingest{Persons: []core.PersonID{1, 2}, Locals: []pattern.Pattern{{1, 2}, {3, v}}})
+		payload, err := EncodeRows(nil, []core.PersonID{1, 2}, []pattern.Pattern{{1, 2}, {3, v}}, nil, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeIngest[pattern.Pattern](m); err != nil {
+		if _, _, err := DecodeRows[pattern.Pattern](payload); err != nil {
 			t.Fatalf("int64 decode of %d: %v", v, err)
 		}
-		if _, err := DecodeIngest[[]int32](m); !errors.Is(err, ErrCellRange) {
+		if _, _, err := DecodeRows[[]int32](payload); !errors.Is(err, ErrCellRange) {
 			t.Fatalf("a frame holding %d decoded into int32 cells: %v, want ErrCellRange", v, err)
 		}
-		sameCellDecode(t, fmt.Sprintf("value %d", v), m.Payload)
+		sameCellDecode(t, fmt.Sprintf("value %d", v), payload)
 	}
 }
 
-var ingestSink Ingest
+var (
+	bytesSink  []byte
+	localsSink []pattern.Pattern
+)
 
 // BenchmarkIngestCodec is the row codec at bulk-load size: one ingest of
 // 25 000 length-24 rows, what each of 16 stations receives when 200 000
@@ -329,7 +339,7 @@ var ingestSink Ingest
 func BenchmarkIngestCodec(b *testing.B) {
 	const rows, length = 25_000, 24
 	rng := rand.New(rand.NewSource(1))
-	in := Ingest{Persons: make([]core.PersonID, rows), Locals: make([]pattern.Pattern, rows)}
+	in := rowSet{Persons: make([]core.PersonID, rows), Locals: make([]pattern.Pattern, rows)}
 	for i := range in.Persons {
 		in.Persons[i] = core.PersonID(1 + 8*i)
 		in.Locals[i] = make(pattern.Pattern, length)
@@ -337,22 +347,22 @@ func BenchmarkIngestCodec(b *testing.B) {
 			in.Locals[i][j] = rng.Int63n(1_000_000)
 		}
 	}
-	m, err := EncodeIngest(in)
+	payload, err := EncodeRows(nil, in.Persons, in.Locals, nil, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("encode", func(b *testing.B) {
-		b.SetBytes(int64(len(m.Payload)))
+		b.SetBytes(int64(len(payload)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			messageSink, _ = EncodeIngest(in)
+			bytesSink, _ = EncodeRows(nil, in.Persons, in.Locals, nil, 0, nil)
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
-		b.SetBytes(int64(len(m.Payload)))
+		b.SetBytes(int64(len(payload)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ingestSink, _ = DecodeIngest[pattern.Pattern](m)
+			_, localsSink, _ = DecodeRows[pattern.Pattern](payload)
 		}
 	})
 }

@@ -138,16 +138,11 @@ func BenchmarkStationIngest(b *testing.B) {
 	patterns := benchPatterns(rows)
 	persons := sortedKeys(patterns)
 	frame := func(b *testing.B, offset PersonID) wire.Message {
-		in := wire.Ingest{Persons: make([]PersonID, len(persons))}
+		shifted, locals := make([]PersonID, len(persons)), make([]Pattern, len(persons))
 		for i, p := range persons {
-			in.Persons[i] = p + offset
-			in.Locals = append(in.Locals, patterns[p])
+			shifted[i], locals[i] = p+offset, patterns[p]
 		}
-		msg, err := wire.EncodeIngest(in)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return msg
+		return ingestFrame(b, shifted, locals)
 	}
 	appendFrames := func(b *testing.B) []wire.Message {
 		frames := make([]wire.Message, 8)

@@ -115,7 +115,7 @@ func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[Per
 	if err != nil {
 		return err
 	}
-	in := wire.Ingest{Persons: persons[:0], Locals: make([]Pattern, 0, len(persons))}
+	in := rowSet{persons: persons[:0], locals: make([]Pattern, 0, len(persons))}
 	var share rowShare
 	for _, p := range persons {
 		pat := patterns[p]
@@ -125,17 +125,17 @@ func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[Per
 		if pattern.AllZero(pat) {
 			continue
 		}
-		in.Persons = append(in.Persons, p)
-		in.Locals = append(in.Locals, pat)
+		in.persons = append(in.persons, p)
+		in.locals = append(in.locals, pat)
 		share.bytes += wire.RowSize(p, pat)
 	}
-	if len(in.Persons) == 0 {
+	if len(in.persons) == 0 {
 		return nil
 	}
 	if err := c.knownStation("ingest", stationID); err != nil {
 		return err
 	}
-	placed := c.touchesPlaced(in.Persons)
+	placed := c.touchesPlaced(in.persons)
 	c.mu.Lock()
 	if c.ep.find(stationID) >= 0 {
 		c.addressed[stationID] = true
@@ -161,7 +161,7 @@ func (c *Cluster) Ingest(ctx context.Context, stationID uint32, patterns map[Per
 // sends an all-zero row, so the station keeps every one), the two are
 // byte-equal, and the next routed search pulls nothing
 // (summaryCache.handOver).
-func (c *Cluster) ingest(ctx context.Context, what string, in wire.Ingest, perStation map[uint32]rowShare) (map[uint32]bool, error) {
+func (c *Cluster) ingest(ctx context.Context, what string, in rowSet, perStation map[uint32]rowShare) (map[uint32]bool, error) {
 	ids := stationsOf(perStation)
 	// Each generation is read before the figures: an ingest whose ack
 	// lands after the emptiness read below has bumped it by the time this
@@ -181,14 +181,14 @@ func (c *Cluster) ingest(ctx context.Context, what string, in wire.Ingest, perSt
 		share := perStation[ids[i]]
 		var each func(int)
 		if empty[i] {
-			if sum, err := index.New(c.length, share.rows(len(in.Persons)), index.DefaultFPTarget, index.DefaultSeed); err == nil {
+			if sum, err := index.New(c.length, share.rows(len(in.persons)), index.DefaultFPTarget, index.DefaultSeed); err == nil {
 				digests[i] = sum
 				each = func(k int) {
-					_ = sum.Add(in.Locals[k]) // every row is of the cluster's length
+					_ = sum.Add(in.locals[k]) // every row is of the cluster's length
 				}
 			}
 		}
-		payload, err := wire.AppendSizedIngestPayload(nil, in, share.index, share.bytes, each)
+		payload, err := wire.EncodeRows(nil, in.persons, in.locals, share.index, share.bytes, each)
 		return wire.Message{Kind: wire.KindIngest, Payload: payload}, err
 	}, func(i int, sr wire.StatsReply, err error) {
 		if err != nil {
@@ -209,10 +209,10 @@ func (c *Cluster) ingest(ctx context.Context, what string, in wire.Ingest, perSt
 		// routed searches keep pruning without a refresh round trip.
 		share := perStation[ids[i]]
 		sum := digests[i]
-		if sr.Residents != uint64(share.rows(len(in.Persons))) {
+		if sr.Residents != uint64(share.rows(len(in.persons))) {
 			sum = nil
 		}
-		c.summaries.handOver(ids[i], gens[i], sum, in.Locals, share.index)
+		c.summaries.handOver(ids[i], gens[i], sum, in.locals, share.index)
 	})
 }
 
@@ -244,7 +244,7 @@ func (c *Cluster) Evict(ctx context.Context, stationID uint32, persons []PersonI
 func (c *Cluster) evict(ctx context.Context, what string, perStation map[uint32][]PersonID) (map[uint32]bool, error) {
 	ids := stationsOf(perStation)
 	return c.mutate(ctx, ids, what, func(i int) (wire.Message, error) {
-		return wire.EncodeEvict(wire.Evict{Persons: perStation[ids[i]]}), nil
+		return wire.Message{Kind: wire.KindEvict, Payload: wire.EncodePersons(perStation[ids[i]])}, nil
 	}, func(i int, _ wire.StatsReply, err error) {
 		if err == nil {
 			// Bloom digests cannot delete: drop the cached summary and let

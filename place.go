@@ -189,6 +189,12 @@ func (c *Cluster) aliveMembers() (ids []uint32, muxes []*transport.Mux) {
 	return ids, muxes
 }
 
+// rowSet is a person-ascending row set: persons[i]'s pattern is locals[i].
+type rowSet struct {
+	persons []PersonID
+	locals  []Pattern
+}
+
 // rowShare is one station's share of a person-ascending row set: the rows'
 // ascending indexes (nil for every row) and the sum of their encoded sizes
 // (wire.RowSize), which sizes the station's frame without a second read of
@@ -211,7 +217,7 @@ func (s rowShare) rows(n int) int {
 // stations, the content hash its intent records, and each target station's
 // share of the rows.
 type copyPlan struct {
-	rows       wire.Ingest
+	rows       rowSet
 	width      int                 // copies per person: min(r, len(alive))
 	targets    []uint32            // targets[i*width:(i+1)*width] index alive for row i
 	hashes     []uint64            // placement.ContentHash of row i's pattern
@@ -253,7 +259,7 @@ type passPart struct {
 func planCopies(persons []PersonID, patterns map[PersonID]Pattern, alive []uint32, r, workers int) (copyPlan, error) {
 	n, w := len(persons), min(r, len(alive))
 	pl := copyPlan{
-		rows:    wire.Ingest{Persons: persons, Locals: make([]Pattern, n)},
+		rows:    rowSet{persons: persons, locals: make([]Pattern, n)},
 		width:   w,
 		targets: make([]uint32, n*w),
 		hashes:  make([]uint64, n),
@@ -283,7 +289,7 @@ func planCopies(persons []PersonID, patterns map[PersonID]Pattern, alive []uint3
 			return copyPlan{}, pt.err
 		}
 		copy(persons[kept:], persons[pt.lo:pt.lo+pt.kept])
-		copy(pl.rows.Locals[kept:], pl.rows.Locals[pt.lo:pt.lo+pt.kept])
+		copy(pl.rows.locals[kept:], pl.rows.locals[pt.lo:pt.lo+pt.kept])
 		copy(pl.hashes[kept:], pl.hashes[pt.lo:pt.lo+pt.kept])
 		copy(pl.targets[kept*w:], pl.targets[pt.lo*w:(pt.lo+pt.kept)*w])
 		kept += pt.kept
@@ -291,7 +297,7 @@ func planCopies(persons []PersonID, patterns map[PersonID]Pattern, alive []uint3
 			stationBytes[k] += b
 		}
 	}
-	pl.rows.Persons, pl.rows.Locals = persons[:kept], pl.rows.Locals[:kept]
+	pl.rows.persons, pl.rows.locals = persons[:kept], pl.rows.locals[:kept]
 	pl.hashes, pl.targets = pl.hashes[:kept], pl.targets[:kept*w]
 
 	// starts[k] is where station k's rows begin in index.
@@ -325,7 +331,7 @@ func planCopies(persons []PersonID, patterns map[PersonID]Pattern, alive []uint3
 func (pl *copyPlan) pass(pt *passPart, patterns map[PersonID]Pattern, salts []uint64, r int) {
 	w, out := pl.width, pt.lo
 	for i := pt.lo; i < pt.hi; i++ {
-		p := pl.rows.Persons[i]
+		p := pl.rows.persons[i]
 		pat := patterns[p]
 		if !pat.InRange() {
 			pt.err = valueRange("place", p)
@@ -338,7 +344,7 @@ func (pl *copyPlan) pass(pt *passPart, patterns map[PersonID]Pattern, salts []ui
 		if pattern.AllZero(pat) {
 			continue
 		}
-		pl.rows.Persons[out], pl.rows.Locals[out] = p, pat
+		pl.rows.persons[out], pl.rows.locals[out] = p, pat
 		pl.hashes[out] = placement.ContentHash(pat)
 		size := wire.RowSize(p, pat)
 		for _, k := range placement.PickIndexes(p, salts, r, pl.targets[out*w:out*w:(out+1)*w]) {
@@ -429,7 +435,7 @@ func (c *Cluster) place(ctx context.Context, patterns map[PersonID]Pattern, opts
 		return allPersons(patterns), err
 	}
 	rows := plan.rows
-	if len(rows.Persons) == 0 {
+	if len(rows.persons) == 0 {
 		return nil, nil
 	}
 	// Record the intents BEFORE pushing any copy: a search starting between
@@ -438,9 +444,9 @@ func (c *Cluster) place(ctx context.Context, patterns map[PersonID]Pattern, opts
 	// over-matched. The early mark is harmless the other way around —
 	// max-dedup over zero or one reports ranks identically to summation.
 	// Persons whose every target fails are rolled back below.
-	tab := c.placementTable(len(rows.Persons))
+	tab := c.placementTable(len(rows.persons))
 	before := tab.Len()
-	prior := tab.Record(rows.Persons, cfg.replication, plan.hashes)
+	prior := tab.Record(rows.persons, cfg.replication, plan.hashes)
 	plan.hashes = nil // recorded: not held through the fan-out's frames
 
 	others := before - len(prior) // persons placed by earlier calls only
@@ -460,7 +466,7 @@ func (c *Cluster) place(ctx context.Context, patterns map[PersonID]Pattern, opts
 		c.recordLayout(gen, alive)
 	}
 
-	for i, p := range rows.Persons {
+	for i, p := range rows.persons {
 		landed := false
 		for _, k := range plan.targets[i*plan.width : (i+1)*plan.width] {
 			if !failed[alive[k]] {
@@ -593,22 +599,23 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	stale := make(map[PersonID]map[uint32]bool)
 	copies := make(map[PersonID]Pattern, len(intents))
 	pulledAll := true
-	pull := wire.EncodeDump(wire.Dump{Persons: keys})
+	pull := wire.Message{Kind: wire.KindDump, Payload: wire.EncodePersons(keys)}
 	exchange(ctx, muxes, func(int) (wire.Message, error) { return pull, nil }, func(i int, r wire.Message, err error) {
-		var reply wire.DumpReply
+		var persons []PersonID
+		var locals []Pattern
 		if err == nil {
-			reply, err = wire.DecodeDumpReply(r)
+			persons, locals, err = decodeDumpReply(r)
 		}
 		if err != nil {
 			pulledAll = false
 			return
 		}
-		for j, p := range reply.Persons {
+		for j, p := range persons {
 			e, placed := intents[p]
 			if !placed {
 				continue
 			}
-			l := reply.Locals[j]
+			l := locals[j]
 			into := stale
 			if len(l) == c.length && placement.ContentHash(l) == e.Hash {
 				into = holders
@@ -636,7 +643,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 	// The persons some target lacks form one person-ascending row set,
 	// walked from the sorted keys, so every station's index list ascends.
 	// Pick sets come as in Place: indexes into alive, salted once per pass.
-	var rows wire.Ingest
+	var rows rowSet
 	adds := make(map[uint32]rowShare)
 	dels := make(map[uint32][]PersonID)
 	salts := placement.AppendSalts(nil, alive)
@@ -652,9 +659,9 @@ func (c *Cluster) Rebalance(ctx context.Context) (HealReport, error) {
 		for _, k := range targets {
 			if sid := alive[k]; !holders[p][sid] {
 				if row < 0 {
-					row, size = len(rows.Persons), wire.RowSize(p, pat)
-					rows.Persons = append(rows.Persons, p)
-					rows.Locals = append(rows.Locals, pat)
+					row, size = len(rows.persons), wire.RowSize(p, pat)
+					rows.persons = append(rows.persons, p)
+					rows.locals = append(rows.locals, pat)
 				}
 				share := adds[sid]
 				share.index = append(share.index, int32(row))

@@ -157,21 +157,39 @@ func stationHoldings(t *testing.T, c *Cluster) map[uint32]map[PersonID]Pattern {
 	ids, muxes := c.aliveMembers()
 	out := make(map[uint32]map[PersonID]Pattern, len(ids))
 	for i, sid := range ids {
-		reply, err := muxes[i].Roundtrip(context.Background(), wire.EncodeDump(wire.Dump{}))
+		reply, err := muxes[i].Roundtrip(context.Background(), wire.Message{Kind: wire.KindDump, Payload: wire.EncodePersons(nil)})
 		if err != nil {
 			t.Fatalf("dump station %d: %v", sid, err)
 		}
-		dr, err := wire.DecodeDumpReply(reply)
+		persons, locals, err := decodeDumpReply(reply)
 		if err != nil {
 			t.Fatalf("dump station %d: %v", sid, err)
 		}
-		got := make(map[PersonID]Pattern, len(dr.Persons))
-		for j, p := range dr.Persons {
-			got[p] = dr.Locals[j]
+		got := make(map[PersonID]Pattern, len(persons))
+		for j, p := range persons {
+			got[p] = locals[j]
 		}
 		out[sid] = got
 	}
 	return out
+}
+
+// TestDumpReplyDecodeRefusesOtherKinds: the coordinator reads pulled rows
+// only from a KindDumpReply; the same bytes under any other kind are refused.
+func TestDumpReplyDecodeRefusesOtherKinds(t *testing.T) {
+	payload, err := wire.EncodeRows(nil, []PersonID{4}, []Pattern{{1, 2, 3}}, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	persons, locals, err := decodeDumpReply(wire.Message{Kind: wire.KindDumpReply, Payload: payload})
+	if err != nil || !slices.Equal(persons, []PersonID{4}) || !locals[0].Equal(Pattern{1, 2, 3}) {
+		t.Fatalf("dump reply decoded %v %v, %v", persons, locals, err)
+	}
+	for _, k := range []wire.Kind{wire.KindIngest, wire.KindDump, wire.KindStatsReply, wire.KindBatchReply} {
+		if _, _, err := decodeDumpReply(wire.Message{Kind: k, Payload: payload}); err == nil {
+			t.Fatalf("rows under %v decoded as a dump reply", k)
+		}
+	}
 }
 
 // TestPlaceSplitMatchesOneWorker pins Place's split pass to its one-worker
@@ -221,7 +239,7 @@ func TestPlaceSplitMatchesOneWorker(t *testing.T) {
 		t.Helper()
 		out := make(map[uint32][]byte, len(pl.perStation))
 		for sid, share := range pl.perStation {
-			b, err := wire.AppendSizedIngestPayload(nil, pl.rows, share.index, share.bytes, nil)
+			b, err := wire.EncodeRows(nil, pl.rows.persons, pl.rows.locals, share.index, share.bytes, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,11 +252,11 @@ func TestPlaceSplitMatchesOneWorker(t *testing.T) {
 	}
 
 	one := plan(1)
-	if want := persons - (persons+12)/13; len(one.rows.Persons) != want {
-		t.Fatalf("one worker kept %d rows, want %d", len(one.rows.Persons), want)
+	if want := persons - (persons+12)/13; len(one.rows.persons) != want {
+		t.Fatalf("one worker kept %d rows, want %d", len(one.rows.persons), want)
 	}
-	for i, p := range one.rows.Persons {
-		pat := one.rows.Locals[i]
+	for i, p := range one.rows.persons {
+		pat := one.rows.locals[i]
 		if !pat.Equal(patterns[p]) || pat.Sum() == 0 || one.hashes[i] != placement.ContentHash(pat) {
 			t.Fatalf("row %d (person %d): pattern, zero drop or hash differs from the caller's", i, p)
 		}
@@ -253,7 +271,7 @@ func TestPlaceSplitMatchesOneWorker(t *testing.T) {
 	oneFrames := frames(one)
 	for _, workers := range []int{2, 3, 5, 7} {
 		split := plan(workers)
-		if !slices.Equal(split.rows.Persons, one.rows.Persons) || !slices.Equal(split.hashes, one.hashes) || !slices.Equal(split.targets, one.targets) {
+		if !slices.Equal(split.rows.persons, one.rows.persons) || !slices.Equal(split.hashes, one.hashes) || !slices.Equal(split.targets, one.targets) {
 			t.Fatalf("%d workers: rows, hashes or targets differ from one worker's", workers)
 		}
 		if !maps.EqualFunc(frames(split), oneFrames, slices.Equal[[]byte]) {

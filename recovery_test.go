@@ -12,7 +12,6 @@ import (
 	"dimatch/internal/store"
 	"dimatch/internal/store/wal"
 	"dimatch/internal/transport"
-	"dimatch/internal/wire"
 )
 
 // openWAL opens one station's WAL backend under dir.
@@ -61,11 +60,7 @@ func TestStoredStationDigestRecovery(t *testing.T) {
 	}
 	ingest := func(s *station, p PersonID, local Pattern) {
 		t.Helper()
-		msg, err := wire.EncodeIngest(wire.Ingest{Persons: []PersonID{p}, Locals: []Pattern{local}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.handleIngest(msg); err != nil {
+		if _, err := s.handleIngest(ingestFrame(t, []PersonID{p}, []Pattern{local})); err != nil {
 			t.Fatal(err)
 		}
 	}

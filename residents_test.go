@@ -13,16 +13,22 @@ import (
 	"dimatch/internal/wire"
 )
 
+// ingestFrame is the KindIngest frame of the rows persons[i], locals[i].
+func ingestFrame(t testing.TB, persons []PersonID, locals []Pattern) wire.Message {
+	t.Helper()
+	payload, err := wire.EncodeRows(nil, persons, locals, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire.Message{Kind: wire.KindIngest, Payload: payload}
+}
+
 // ingestOverLink sends one KindIngest down a raw link — no coordinator, so
 // no length check stands between the frame and the station — and returns the
 // Residents of the stats reply that answers it.
 func ingestOverLink(t *testing.T, center Link, persons []PersonID, locals []Pattern) uint64 {
 	t.Helper()
-	msg, err := wire.EncodeIngest(wire.Ingest{Persons: persons, Locals: locals})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := center.Send(msg.WithRequest(1)); err != nil {
+	if err := center.Send(ingestFrame(t, persons, locals).WithRequest(1)); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := center.Recv()
@@ -183,11 +189,7 @@ func stationHeapUnderReplacement(t *testing.T, adopted bool) {
 				locals[i][j] = rng.Int63n(1_000_000)
 			}
 		}
-		msg, err := wire.EncodeIngest(wire.Ingest{Persons: persons, Locals: locals})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return msg
+		return ingestFrame(t, persons, locals)
 	}
 	heap := func() int64 {
 		runtime.GC()

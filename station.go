@@ -269,19 +269,19 @@ func (s *station) handleBF(msg wire.Message) (wire.Message, error) {
 // verification phase's candidate fetch, the re-replication pull. Persons the
 // station does not hold are simply absent from the reply.
 func (s *station) handleDump(msg wire.Message) (wire.Message, error) {
-	req, err := wire.DecodeDump(msg)
+	req, err := wire.DecodePersons(msg.Payload)
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
 	persons := s.residents.Persons()
 	locals := s.residents.Locals()
-	if len(req.Persons) > 0 {
+	if len(req) > 0 {
 		// The request's persons arrive ascending (delta-encoded); anything
 		// that does not ascend is a repeat, and the reply lists a person once.
 		all := locals
 		persons, locals = nil, nil
-		for k, p := range req.Persons {
-			if k > 0 && p <= req.Persons[k-1] {
+		for k, p := range req {
+			if k > 0 && p <= req[k-1] {
 				continue
 			}
 			if i, ok := s.residents.Find(p); ok {
@@ -290,14 +290,11 @@ func (s *station) handleDump(msg wire.Message) (wire.Message, error) {
 			}
 		}
 	}
-	reply, err := wire.EncodeDumpReply(wire.DumpReplyOf[[]int32, int32]{
-		Persons: persons,
-		Locals:  locals,
-	})
+	reply, err := wire.EncodeRows(nil, persons, locals, nil, 0, nil)
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
-	return reply, nil
+	return wire.Message{Kind: wire.KindDumpReply, Payload: reply}, nil
 }
 
 // handleIngest inserts or replaces resident patterns — the station absorbing
@@ -312,26 +309,26 @@ func (s *station) handleDump(msg wire.Message) (wire.Message, error) {
 // value an int32 cannot hold fails the decode rather than being stored as
 // another.
 func (s *station) handleIngest(msg wire.Message) (wire.Message, error) {
-	in, err := wire.DecodeIngest[[]int32](msg)
+	persons, locals, err := wire.DecodeRows[[]int32](msg.Payload)
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
 	// The decoded rows are this call's own. A batch landing after every
 	// resident becomes the store's as it is.
-	if s.residents.AdoptRows(in.Persons, in.Locals) {
-		return s.ackApplied(store.CellBatch{Op: store.OpIngest, Persons: in.Persons, Locals: in.Locals, Payload: msg.Payload})
+	if s.residents.AdoptRows(persons, locals) {
+		return s.ackApplied(store.CellBatch{Op: store.OpIngest, Persons: persons, Locals: locals, Payload: msg.Payload})
 	}
 	// Otherwise each row is copied in: compact the applied ones to the front
 	// in place.
 	n := 0
-	for i, p := range in.Persons {
-		if s.residents.Upsert(p, in.Locals[i]) {
-			in.Persons[n], in.Locals[n] = p, in.Locals[i]
+	for i, p := range persons {
+		if s.residents.Upsert(p, locals[i]) {
+			persons[n], locals[n] = p, locals[i]
 			n++
 		}
 	}
-	applied := store.CellBatch{Op: store.OpIngest, Persons: in.Persons[:n], Locals: in.Locals[:n]}
-	if n == len(in.Persons) {
+	applied := store.CellBatch{Op: store.OpIngest, Persons: persons[:n], Locals: locals[:n]}
+	if n == len(persons) {
 		applied.Payload = msg.Payload
 	}
 	return s.ackApplied(applied)
@@ -367,12 +364,12 @@ func (s *station) persist(b store.CellBatch) error {
 // handleEvict removes residents — expired data, opted-out subscribers, or a
 // person handed off to another station. Unknown persons are ignored.
 func (s *station) handleEvict(msg wire.Message) (wire.Message, error) {
-	ev, err := wire.DecodeEvict(msg)
+	persons, err := wire.DecodePersons(msg.Payload)
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("station %d: %w", s.id, err)
 	}
 	applied := store.CellBatch{Op: store.OpEvict}
-	for _, p := range ev.Persons {
+	for _, p := range persons {
 		if s.residents.Evict(p) {
 			applied.Persons = append(applied.Persons, p)
 		}

@@ -57,12 +57,9 @@ func TestStationLogsReceivedPayload(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- s.Serve() }()
 	mux := transport.NewMux(center)
-	ingest := func(in wire.Ingest) (wire.Message, uint64) {
+	ingest := func(persons []PersonID, locals []Pattern) (wire.Message, uint64) {
 		t.Helper()
-		msg, err := wire.EncodeIngest(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		msg := ingestFrame(t, persons, locals)
 		reply, err := mux.Roundtrip(context.Background(), msg)
 		if err != nil {
 			t.Fatal(err)
@@ -74,17 +71,11 @@ func TestStationLogsReceivedPayload(t *testing.T) {
 		return msg, sr.Residents
 	}
 
-	full, residents := ingest(wire.Ingest{
-		Persons: []PersonID{3, 5, 9},
-		Locals:  []Pattern{{1, 2, 3}, {0, 0, 1}, {4, 4, 4}},
-	})
+	full, residents := ingest([]PersonID{3, 5, 9}, []Pattern{{1, 2, 3}, {0, 0, 1}, {4, 4, 4}})
 	if residents != 3 {
 		t.Fatalf("full batch: %d residents, want 3", residents)
 	}
-	if _, residents := ingest(wire.Ingest{
-		Persons: []PersonID{4, 6, 7},
-		Locals:  []Pattern{{0, 0, 0}, {1, 2}, {7, 7, 7}},
-	}); residents != 4 {
+	if _, residents := ingest([]PersonID{4, 6, 7}, []Pattern{{0, 0, 0}, {1, 2}, {7, 7, 7}}); residents != 4 {
 		t.Fatalf("partial batch: %d residents, want 4 (one row applied)", residents)
 	}
 	_ = mux.Send(wire.ShutdownMessage())
@@ -100,7 +91,7 @@ func TestStationLogsReceivedPayload(t *testing.T) {
 	if !bytes.Equal(bodies[0], full.Payload) {
 		t.Fatalf("fully applied batch logged as %x, want the received payload %x", bodies[0], full.Payload)
 	}
-	wantPartial, err := wire.EncodeIngestPayload(wire.Ingest{Persons: []PersonID{7}, Locals: []Pattern{{7, 7, 7}}})
+	wantPartial, err := wire.EncodeRows(nil, []PersonID{7}, []Pattern{{7, 7, 7}}, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
