@@ -34,7 +34,7 @@ func BenchmarkSummaryBuild(b *testing.B) {
 
 // addBatchFixture is a station's digest over benchLocals and one stream
 // flush of 227 fresh length-24 rows, the batch the coordinator adds to its
-// cached copy of that digest (summaryCache.noteIngest).
+// cached copy of that digest (summaryCache.handOver).
 func addBatchFixture(tb testing.TB) (*Summary, []pattern.Pattern) {
 	tb.Helper()
 	s, err := Build(24, benchLocals())

@@ -205,7 +205,7 @@ func (c *Cluster) ingest(ctx context.Context, what string, in rowSet, perStation
 		// for the station's store only if the station holds exactly the
 		// rows it added, and was sized for them: residents beyond them
 		// (another ingest's, or ones the figures did not count yet) leave it
-		// to the delta update (noteIngest: Bloom inserts are monotone), so
+		// to the delta update (handOver: Bloom inserts are monotone), so
 		// routed searches keep pruning without a refresh round trip.
 		share := perStation[ids[i]]
 		sum := digests[i]

@@ -34,25 +34,45 @@ func encodeSummary(s *index.Summary) wire.Message {
 // A summary lagging an evict merely admits a station that reports nothing
 // (a wasted probe), so eviction staleness is only a cost concern.
 //
-// A cached digest is mutated in place (noteIngest) under the write lock and
-// probed (planRoute's inclusion pass) under the read lock, so a planner sees
-// it from before an ingest's rows or after them, never half of them, and
-// concurrent searches still scan the digests side by side.
+// A cached digest is mutated in place (handOver) under the write lock and
+// probed (include) under the read lock, so a planner sees it from before an
+// ingest's rows or after them, never half of them, and concurrent searches
+// still scan the digests side by side.
 //
 // A digest handed over by an ingest into an empty station (handOver) stands
 // in for the pull the first routed search would have made, and is sized for
 // the one batch that filled the station. Until a routed search has read it
-// (markRead), it is marked in unread, and an ingest that reaches the slot
-// drops it instead of adding to it: a small first batch, a stream flush or
-// one chunk of a Place, would otherwise leave a digest sized for a few rows
-// to absorb the whole station, set nearly every bit and admit every query.
+// (include), it is marked unread, and an ingest that reaches the slot drops
+// it instead of adding to it: a small first batch, a stream flush or one
+// chunk of a Place, would otherwise leave a digest sized for a few rows to
+// absorb the whole station, set nearly every bit and admit every query.
 // Dropped, the slot is pulled by the first routed search, sized for the
 // station's residents then.
 type summaryCache struct {
-	mu      sync.RWMutex
-	entries map[uint32]*index.Summary // dimatch:guardedby mu
-	gens    map[uint32]uint64         // dimatch:guardedby mu
-	unread  map[uint32]bool           // dimatch:guardedby mu
+	mu    sync.RWMutex
+	slots map[uint32]*summarySlot // dimatch:guardedby mu
+}
+
+// summarySlot is one station's cache entry: its digest (nil when none is
+// cached), its generation, and whether the digest is a handed-over one no
+// routed search has read.
+type summarySlot struct {
+	digest *index.Summary
+	gen    uint64
+	unread bool
+}
+
+// slotLocked returns id's slot, made on first use; c.mu is held for writing.
+func (c *summaryCache) slotLocked(id uint32) *summarySlot {
+	sl := c.slots[id]
+	if sl == nil {
+		if c.slots == nil {
+			c.slots = make(map[uint32]*summarySlot)
+		}
+		sl = &summarySlot{}
+		c.slots[id] = sl
+	}
+	return sl
 }
 
 // get returns the cached summary for a station (nil if absent) and the
@@ -61,7 +81,10 @@ type summaryCache struct {
 func (c *summaryCache) get(id uint32) (*index.Summary, uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.entries[id], c.gens[id]
+	if sl := c.slots[id]; sl != nil {
+		return sl.digest, sl.gen
+	}
+	return nil, 0
 }
 
 // put installs a fetched summary if the station's generation is still the
@@ -70,24 +93,8 @@ func (c *summaryCache) get(id uint32) (*index.Summary, uint64) {
 func (c *summaryCache) put(id uint32, gen uint64, s *index.Summary) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gens[id] != gen {
-		return
-	}
-	if c.entries == nil {
-		c.entries = make(map[uint32]*index.Summary)
-	}
-	c.entries[id] = s
-	delete(c.unread, id)
-}
-
-// markRead records that a routed search read the digest cached for id at
-// generation gen: a handed-over one then absorbs ingests as a pulled one
-// does.
-func (c *summaryCache) markRead(id uint32, gen uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.gens[id] == gen {
-		delete(c.unread, id)
+	if sl := c.slotLocked(id); sl.gen == gen {
+		sl.digest, sl.unread = s, false
 	}
 }
 
@@ -96,105 +103,122 @@ func (c *summaryCache) markRead(id uint32, gen uint64) {
 func (c *summaryCache) invalidate(id uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gens == nil {
-		c.gens = make(map[uint32]uint64)
-	}
-	c.gens[id]++
-	delete(c.entries, id)
-	delete(c.unread, id)
+	sl := c.slotLocked(id)
+	sl.gen++
+	sl.digest, sl.unread = nil, false
 }
 
-// noteIngest applies an ingest to the cached digest: the generation bumps
-// (so any in-flight pre-ingest fetch is discarded) and, when a digest is
-// cached with matching geometry, the ingested patterns' cells are added to
-// it in place — Bloom inserts are monotone, so the updated digest covers the
-// post-ingest store without a wire refresh. Without a usable cached digest
-// the slot is simply left invalidated. The ingest's patterns are locals[i]
-// for each i of index, or all of locals when index is nil: a grouped ingest
-// reads its station's rows through the index list it was encoded from.
-func (c *summaryCache) noteIngest(id uint32, locals []Pattern, index []int32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.noteIngestLocked(id, locals, index)
-}
-
-// handOver is noteIngest for an acked ingest whose digest s the coordinator
-// built while encoding the rows (Cluster.ingest), nil when the ack did not
-// count exactly the rows sent. s is installed in place of the slot's digest
-// when the generation read before the frame went out, gen, still stands,
-// and the generation bumps; so a concurrent ingest, evict or pull of the
-// same station either invalidates s or never sees it. s stays unread until
-// a routed search reads it. Otherwise it is noteIngest.
+// handOver applies an acked ingest of locals[i] for each i of rows (all of
+// locals when rows is nil: a grouped ingest reads its station's rows
+// through the index list it was encoded from) to the station's slot, and
+// bumps its generation, so any in-flight pre-ingest fetch is discarded.
+//
+// s is the digest the coordinator built while encoding the rows
+// (Cluster.ingest), nil when the ack did not count exactly the rows sent.
+// It is installed in place of the slot's digest when the generation read
+// before the frame went out, gen, still stands; so a concurrent ingest,
+// evict or pull of the same station either invalidates s or never sees it.
+// s stays unread until a routed search reads it.
+//
+// Otherwise, when a digest is cached with matching geometry, the rows' cells
+// are added to it in place — Bloom inserts are monotone, so the updated
+// digest covers the post-ingest store without a wire refresh. Without a
+// usable cached digest the slot is simply left invalidated.
 func (c *summaryCache) handOver(id uint32, gen uint64, s *index.Summary, locals []Pattern, rows []int32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s == nil || c.gens[id] != gen {
-		c.noteIngestLocked(id, locals, rows)
-		return
-	}
-	if c.gens == nil {
-		c.gens = make(map[uint32]uint64)
-	}
-	c.gens[id]++
-	if c.entries == nil {
-		c.entries = make(map[uint32]*index.Summary)
-	}
-	c.entries[id] = s
-	if c.unread == nil {
-		c.unread = make(map[uint32]bool)
-	}
-	c.unread[id] = true
-}
-
-// noteIngestLocked is noteIngest under c.mu.
-func (c *summaryCache) noteIngestLocked(id uint32, locals []Pattern, index []int32) {
-	if c.gens == nil {
-		c.gens = make(map[uint32]uint64)
-	}
-	c.gens[id]++
-	if c.unread[id] {
+	sl := c.slotLocked(id)
+	stands := sl.gen == gen
+	sl.gen++
+	switch {
+	case s != nil && stands:
+		sl.digest, sl.unread = s, true
+	case sl.unread:
 		// A handed-over digest no routed search has read: sized for the
 		// batch that filled the station, so it is dropped, not grown.
-		delete(c.entries, id)
-		delete(c.unread, id)
-		return
+		sl.digest, sl.unread = nil, false
+	case sl.digest != nil:
+		sl.add(locals, rows)
 	}
-	cur := c.entries[id]
-	if cur == nil {
-		return
-	}
+}
+
+// add adds the rows locals[i], for each i of rows or every row when rows is
+// nil, to the slot's digest. A row whose length is not the digest's (e.g.
+// the placeholder digest of a station that was empty) means the digest
+// cannot absorb the delta: it is dropped, untouched, and the next routed
+// search refetches.
+func (sl *summarySlot) add(locals []Pattern, rows []int32) {
 	n := len(locals)
-	if index != nil {
-		n = len(index)
+	if rows != nil {
+		n = len(rows)
 	}
 	row := func(k int) Pattern {
-		if index != nil {
-			return locals[index[k]]
+		if rows != nil {
+			return locals[rows[k]]
 		}
 		return locals[k]
 	}
 	for k := 0; k < n; k++ {
-		if l := row(k); len(l) != cur.Length() {
-			// Geometry mismatch (e.g. the placeholder digest of a station
-			// that was empty): the digest cannot absorb the delta — drop it,
-			// untouched, and let the next routed search refetch.
-			delete(c.entries, id)
+		if len(row(k)) != sl.digest.Length() {
+			sl.digest = nil
 			return
 		}
 	}
 	for k := 0; k < n; k++ {
-		_ = cur.Add(row(k)) // every length was checked above
+		_ = sl.digest.Add(row(k)) // every length was checked above
 	}
+}
+
+// include is the routing inclusion pass over the digests one search read,
+// sums[i] for station ids[i] at generation gens[i] (nil: none, never
+// pruned): it sets admits[i] when sums[i] admits any of probes and returns
+// how many Admits it evaluated. The scan holds the read lock, because
+// handOver adds to cached digests in place. A handed-over digest the scan
+// read then absorbs ingests as a pulled one does: its slot is marked read
+// if its generation still stands.
+func (c *summaryCache) include(ids []uint32, sums []*index.Summary, gens []uint64, probes []index.Probe, admits []bool) (evaluated int) {
+	unread := false
+	c.mu.RLock()
+	for i, sum := range sums {
+		if sum == nil {
+			admits[i] = true
+			continue
+		}
+		if sl := c.slots[ids[i]]; sl != nil && sl.unread {
+			unread = true
+		}
+		for _, pr := range probes {
+			evaluated++
+			if sum.Admits(pr) {
+				admits[i] = true
+				break
+			}
+		}
+	}
+	c.mu.RUnlock()
+	if unread {
+		c.mu.Lock()
+		for i, sum := range sums {
+			if sl := c.slots[ids[i]]; sum != nil && sl != nil && sl.gen == gens[i] {
+				sl.unread = false
+			}
+		}
+		c.mu.Unlock()
+	}
+	return evaluated
 }
 
 // state snapshots the cache's memory footprint for Cluster.RoutingState.
 func (c *summaryCache) state() (entries int, digestBytes uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for _, s := range c.entries {
-		digestBytes += s.SizeBytes()
+	for _, sl := range c.slots {
+		if sl.digest != nil {
+			entries++
+			digestBytes += sl.digest.SizeBytes()
+		}
 	}
-	return len(c.entries), digestBytes
+	return entries, digestBytes
 }
 
 // routePlan is planRoute's answer: the members a WBF search visits first
@@ -278,16 +302,13 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 
 	// Collect cached summaries and fetch the missing ones concurrently.
 	// Generations are read before the requests go out (see summaryCache).
-	type slot struct {
-		sum *index.Summary
-		gen uint64
-	}
-	slots := make([]slot, len(ep.ids))
+	sums := make([]*index.Summary, len(ep.ids))
+	gens := make([]uint64, len(ep.ids))
 	var fetchIdx []int
 	var fetchMuxes []*transport.Mux
 	for i, id := range ep.ids {
-		slots[i].sum, slots[i].gen = c.summaries.get(id)
-		if slots[i].sum == nil {
+		sums[i], gens[i] = c.summaries.get(id)
+		if sums[i] == nil {
 			fetchIdx = append(fetchIdx, i)
 			fetchMuxes = append(fetchMuxes, ep.muxes[i])
 		}
@@ -307,8 +328,8 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 			return
 		}
 		i := fetchIdx[fi]
-		slots[i].sum = sum
-		c.summaries.put(ep.ids[i], slots[i].gen, sum)
+		sums[i] = sum
+		c.summaries.put(ep.ids[i], gens[i], sum)
 		// Refresh traffic fills a cluster-level cache shared by every
 		// search, so it is billed to the dedicated summary counters, not
 		// the search's dissemination/report totals.
@@ -320,35 +341,14 @@ func (c *Cluster) planRoute(ctx context.Context, ep *epoch, cfg searchConfig, qu
 		return all // cancelled mid-refresh: the round itself will surface it
 	}
 
-	// The inclusion pass: one flat scan of the members' digests, under the
-	// cache's read lock because noteIngest adds to cached digests in place.
-	// Every Admits evaluation counts into SubtreeProbes.
+	// The inclusion pass: one flat scan of the members' digests. Every
+	// Admits evaluation counts into SubtreeProbes.
 	admits := make([]bool, len(ep.ids))
+	cost.SubtreeProbes += uint64(c.summaries.include(ep.ids, sums, gens, probes, admits))
 	included := make([]int, 0, len(ep.ids))
-	c.summaries.mu.RLock()
-	unread := len(c.summaries.unread) > 0
-	for i := range ep.ids {
-		sum := slots[i].sum
-		if sum == nil {
-			admits[i] = true
+	for i, ok := range admits {
+		if ok {
 			included = append(included, i)
-			continue
-		}
-		for _, pr := range probes {
-			cost.SubtreeProbes++
-			if sum.Admits(pr) {
-				admits[i] = true
-				included = append(included, i)
-				break
-			}
-		}
-	}
-	c.summaries.mu.RUnlock()
-	if unread {
-		for i, id := range ep.ids {
-			if slots[i].sum != nil {
-				c.summaries.markRead(id, slots[i].gen)
-			}
 		}
 	}
 	if len(included) == 0 {

@@ -41,12 +41,12 @@ func TestNoteIngestAddsInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c summaryCache
-	c.noteIngest(7, nil, nil) // create the generation slot
+	c.handOver(7, 0, nil, nil, nil) // create the generation slot
 	_, gen := c.get(7)
 	c.put(7, gen, sum)
 	batch := []Pattern{{40, 50, 60}, {0, 0, 0}, {70, 80, 90}}
-	if n := testing.AllocsPerRun(50, func() { c.noteIngest(7, batch, nil) }); n != 0 {
-		t.Fatalf("noteIngest into a cached digest allocates %v times per run; want 0", n)
+	if n := testing.AllocsPerRun(50, func() { c.handOver(7, 0, nil, batch, nil) }); n != 0 {
+		t.Fatalf("an ingest into a cached digest allocates %v times per run; want 0", n)
 	}
 	got, _ := c.get(7)
 	probe, err := index.NewProbe(Query{ID: 1, Locals: []Pattern{{70, 80, 90}}}, 3, 0)
@@ -57,7 +57,7 @@ func TestNoteIngestAddsInPlace(t *testing.T) {
 		t.Fatal("the cached digest was replaced or missed the ingested rows")
 	}
 	words := slices.Clone(sum.Words())
-	c.noteIngest(7, []Pattern{{5, 5, 5}, {1, 2}}, nil)
+	c.handOver(7, 0, nil, []Pattern{{5, 5, 5}, {1, 2}}, nil)
 	if got, _ := c.get(7); got != nil {
 		t.Fatal("a batch with a foreign-length row left the digest cached")
 	}
