@@ -133,14 +133,9 @@ func scoreOnce(ctx context.Context, d *cdr.Dataset, p core.Params, refs []core.P
 // provider would choose clean exemplars; if the category has too few, the
 // remainder is filled with merged members.
 func pickReferences(d *cdr.Dataset, c cdr.Category, n int) []core.PersonID {
-	ids := d.PersonsInCategory(c)
 	var clean, merged []core.PersonID
-	for _, id := range ids {
-		p, err := d.PersonByID(id)
-		if err != nil {
-			continue
-		}
-		if len(d.LocalsOf(id)) == len(p.Anchors) {
+	for _, id := range d.PersonsInCategory(c) {
+		if cdr.CleanExemplar(d, id) {
 			clean = append(clean, core.PersonID(id))
 		} else {
 			merged = append(merged, core.PersonID(id))

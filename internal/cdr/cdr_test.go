@@ -326,3 +326,31 @@ func TestGenerateRejectsInvalidConfig(t *testing.T) {
 		t.Fatal("expected error")
 	}
 }
+
+// TestCleanExemplar: a person is clean exactly when no two of their role
+// anchors share a station; the generated city has clean and merged persons,
+// and an unknown person is not clean.
+func TestCleanExemplar(t *testing.T) {
+	d, err := Generate(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[bool]int{}
+	for _, p := range d.Persons {
+		stations := map[StationID]bool{}
+		for _, s := range p.Anchors {
+			stations[s] = true
+		}
+		want := len(stations) == len(p.Anchors)
+		if got := CleanExemplar(d, p.ID); got != want {
+			t.Fatalf("person %d with anchors %v: clean %v, want %v", p.ID, p.Anchors, got, want)
+		}
+		counts[want]++
+	}
+	if counts[true] == 0 || counts[false] == 0 {
+		t.Fatalf("%d clean and %d merged persons: want both", counts[true], counts[false])
+	}
+	if CleanExemplar(d, PersonID(len(d.Persons)+7)) {
+		t.Fatal("an unknown person is clean")
+	}
+}

@@ -95,6 +95,16 @@ func (d *Dataset) PersonByID(id PersonID) (Person, error) {
 	return Person{}, ErrUnknownPerson
 }
 
+// CleanExemplar reports whether person id's role anchors occupy distinct
+// stations, so their locals number their anchors and expose their
+// category's full split. An exemplar whose anchors collapsed onto one
+// station has merged locals that other members' separate pieces cannot
+// partition. An unknown person is not clean.
+func CleanExemplar(d *Dataset, id PersonID) bool {
+	p, err := d.PersonByID(id)
+	return err == nil && len(d.LocalsOf(id)) == len(p.Anchors)
+}
+
 // PersonsInCategory returns the IDs of all persons with the given label,
 // ascending — the ground-truth relevant set for effectiveness metrics.
 func (d *Dataset) PersonsInCategory(c Category) []PersonID {

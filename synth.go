@@ -86,11 +86,7 @@ func QueryFromPerson(city *City, id QueryID, person PersonID) Query {
 // would query with clean exemplars. ok is false if the category has none.
 func CleanReference(city *City, c Category) (PersonID, bool) {
 	for _, id := range city.PersonsInCategory(c) {
-		p, err := city.PersonByID(id)
-		if err != nil {
-			continue
-		}
-		if len(city.LocalsOf(id)) == len(p.Anchors) {
+		if cdr.CleanExemplar(city, id) {
 			return PersonID(id), true
 		}
 	}
