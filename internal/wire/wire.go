@@ -72,8 +72,8 @@ const (
 	// or its whole store when the filter is empty — the one raw-pattern pull
 	// behind the naive baseline, the verification phase and re-replication.
 	KindDump Kind = 16
-	// KindDumpReply answers a dump with (person, local pattern) tuples plus
-	// the reporting station's ID.
+	// KindDumpReply answers a dump with the (person, local pattern) rows
+	// the station holds.
 	KindDumpReply Kind = 17
 	// KindSummary asks a station for its routing summary — the Bloom digest
 	// of its residents' accumulated cells the coordinator probes to prune

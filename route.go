@@ -55,7 +55,7 @@ type summaryCache struct {
 
 // summarySlot is one station's cache entry: its digest (nil when none is
 // cached), its generation, and whether the digest is a handed-over one no
-// routed search has read.
+// routed search has read. The cache's mu guards every field.
 type summarySlot struct {
 	digest *index.Summary
 	gen    uint64
